@@ -215,6 +215,30 @@ impl Request {
     }
 }
 
+/// Room for the longest head this crate writes (status line, three
+/// dates, a 20-digit `Content-Length`), so serialising never regrows.
+const HEAD_CAPACITY: usize = 192;
+
+/// `fmt::Write` sink that only counts the bytes written to it.
+struct ByteCount(u64);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len() as u64;
+        Ok(())
+    }
+}
+
+/// `fmt::Write` sink appending to a byte buffer.
+struct ByteSink<'a>(&'a mut Vec<u8>);
+
+impl fmt::Write for ByteSink<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// An HTTP/1.0 response. The body is represented by its length only.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
@@ -272,31 +296,43 @@ impl Response {
         self
     }
 
-    /// Serialise status line and headers to wire format (bodies are
-    /// synthetic; see [`Response::wire_size`]).
-    pub fn serialize_headers(&self) -> String {
-        let mut s = format!(
+    /// Write status line and headers in wire format — the one place the
+    /// head's layout is spelled out; every serialiser and the size
+    /// counter go through it.
+    fn write_head(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        write!(
+            out,
             "HTTP/1.0 {} {}\r\n",
             self.status.code(),
             self.status.reason()
-        );
-        s.push_str(&format!("Date: {}\r\n", self.date));
+        )?;
+        write!(out, "Date: {}\r\n", self.date)?;
         if let Some(lm) = self.last_modified {
-            s.push_str(&format!("Last-Modified: {lm}\r\n"));
+            write!(out, "Last-Modified: {lm}\r\n")?;
         }
         if let Some(exp) = self.expires {
-            s.push_str(&format!("Expires: {exp}\r\n"));
+            write!(out, "Expires: {exp}\r\n")?;
         }
         if let Some(len) = self.content_length {
-            s.push_str(&format!("Content-Length: {len}\r\n"));
+            write!(out, "Content-Length: {len}\r\n")?;
         }
-        s.push_str("\r\n");
+        out.write_str("\r\n")
+    }
+
+    /// Serialise status line and headers to wire format (bodies are
+    /// synthetic; see [`Response::wire_size`]).
+    pub fn serialize_headers(&self) -> String {
+        let mut s = String::with_capacity(HEAD_CAPACITY);
+        self.write_head(&mut s)
+            .expect("writing to a String cannot fail");
         s
     }
 
-    /// Size of the headers alone, in bytes.
+    /// Size of the headers alone, in bytes (counted, not built).
     pub fn header_size(&self) -> u64 {
-        self.serialize_headers().len() as u64
+        let mut n = ByteCount(0);
+        self.write_head(&mut n).expect("counting bytes cannot fail");
+        n.0
     }
 
     /// Total wire size: headers plus (synthetic) body.
@@ -311,14 +347,25 @@ impl Response {
     /// (`content_length`, or zero when absent) — the framing the peer will
     /// use to delimit this response.
     pub fn to_bytes(&self, body: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(HEAD_CAPACITY + body.len());
+        self.append_to(body, &mut bytes);
+        bytes
+    }
+
+    /// [`Response::to_bytes`], appended to a buffer the caller keeps —
+    /// a connection reuses one write buffer across responses.
+    ///
+    /// # Panics
+    /// As [`Response::to_bytes`].
+    pub fn append_to(&self, body: &[u8], out: &mut Vec<u8>) {
         assert_eq!(
             body.len() as u64,
             self.content_length.unwrap_or(0),
             "body length must match Content-Length framing"
         );
-        let mut bytes = self.serialize_headers().into_bytes();
-        bytes.extend_from_slice(body);
-        bytes
+        self.write_head(&mut ByteSink(out))
+            .expect("writing to a Vec cannot fail");
+        out.extend_from_slice(body);
     }
 
     /// Parse a response (headers + `Content-Length`-framed body) from the
@@ -584,6 +631,26 @@ mod tests {
         assert!(next_body.is_empty());
     }
 
+    /// The head's exact bytes, pinned: every serialiser (`String`,
+    /// fresh `Vec`, appended `Vec`) and the counter agree with it.
+    #[test]
+    fn response_head_wire_bytes_are_pinned() {
+        let nov94 = HttpDate(784_111_777);
+        let resp = Response::ok(nov94, nov94, 5).with_expires(nov94);
+        let head = "HTTP/1.0 200 OK\r\n\
+                    Date: Sun, 06 Nov 1994 08:49:37 GMT\r\n\
+                    Last-Modified: Sun, 06 Nov 1994 08:49:37 GMT\r\n\
+                    Expires: Sun, 06 Nov 1994 08:49:37 GMT\r\n\
+                    Content-Length: 5\r\n\r\n";
+        assert_eq!(resp.serialize_headers(), head);
+        assert_eq!(resp.header_size() as usize, head.len());
+        let wire = [head.as_bytes(), b"hello"].concat();
+        assert_eq!(resp.to_bytes(b"hello"), wire);
+        let mut kept = b"earlier".to_vec();
+        resp.append_to(b"hello", &mut kept);
+        assert_eq!(kept, [b"earlier".as_slice(), &wire].concat());
+    }
+
     #[test]
     fn bodyless_304_frames_as_zero_length() {
         let resp = Response::not_modified(day(1));
@@ -645,6 +712,7 @@ mod proptests {
                 content_length: len,
             };
             let text = resp.serialize_headers();
+            prop_assert_eq!(resp.header_size() as usize, text.len());
             prop_assert_eq!(Response::parse(&text), Ok(resp));
         }
 

@@ -23,6 +23,9 @@ use wcc_obs::ConnCloseReason;
 
 use crate::netio::{log_conn_error, MAX_FRAME, READ_CHUNK};
 
+/// Largest write-buffer capacity an idle connection keeps.
+const WBUF_RETAIN: usize = 64 * 1024;
+
 /// Why a frame could not be completed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FrameError {
@@ -246,7 +249,7 @@ impl Conn {
     /// The dispatcher produced the response for the outstanding
     /// request: serialize it and start (or finish) writing.
     pub(crate) fn on_response(&mut self, resp: &Response, body: &[u8], role: &str) -> ConnEvent {
-        self.wbuf = resp.to_bytes(body);
+        resp.append_to(body, &mut self.wbuf);
         self.wpos = 0;
         self.state = ConnState::Writing;
         self.stall_ticks = 0;
@@ -262,7 +265,14 @@ impl Conn {
         }
         loop {
             if self.wpos == self.wbuf.len() {
-                self.wbuf = Vec::new();
+                // Keep the buffer for the next response, unless a large
+                // body grew it: 10 000 idle keep-alives must not each
+                // pin their biggest response.
+                if self.wbuf.capacity() > WBUF_RETAIN {
+                    self.wbuf = Vec::new();
+                } else {
+                    self.wbuf.clear();
+                }
                 self.wpos = 0;
                 self.state = ConnState::Reading;
                 self.stall_ticks = 0;

@@ -19,6 +19,8 @@ use std::time::Duration;
 
 use httpsim::{Request, Response};
 
+use crate::sys::peek_would_block;
+
 /// Read-timeout granularity for server-side connections; bounds how long
 /// shutdown can lag.
 pub(crate) const POLL_TICK: Duration = Duration::from_millis(25);
@@ -93,26 +95,12 @@ impl HttpConn {
 
     /// Whether the peer has already closed (or broken) this idle
     /// keep-alive connection. An idle upstream owes us nothing, so a
-    /// nonblocking 1-byte probe seeing EOF, an error, or *any* byte
+    /// nonblocking 1-byte peek seeing EOF, an error, or *any* byte
     /// means the connection is unusable; `WouldBlock` means healthy.
-    /// Non-destructive for a healthy connection.
-    pub(crate) fn peer_gone(&mut self) -> bool {
-        if !self.rbuf.is_empty() {
-            return true; // leftover unparsed bytes: protocol desync
-        }
-        if self.stream.set_nonblocking(true).is_err() {
-            return true;
-        }
-        let mut probe = [0u8; 1];
-        let gone = match self.stream.read(&mut probe) {
-            Ok(_) => true, // EOF (0) or an unsolicited byte
-            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => false,
-            Err(_) => true,
-        };
-        if self.stream.set_nonblocking(false).is_err() {
-            return true;
-        }
-        gone
+    /// One `recv`, non-destructive for a healthy connection.
+    pub(crate) fn peer_gone(&self) -> bool {
+        // Leftover unparsed bytes are a protocol desync.
+        !self.rbuf.is_empty() || !peek_would_block(&self.stream)
     }
 
     /// Pull more bytes off the socket into the frame buffer. `Ok(0)`

@@ -21,6 +21,7 @@
 //! collected under the lock, then written to peers after it is released.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -36,7 +37,7 @@ use wcc_sync::RankedMutex;
 use crate::clock::{sim_instant, wall_date, LiveClock};
 use crate::control::{write_msg, ControlMsg, LineConn};
 use crate::netio::{log_conn_error, DEFAULT_READ_BUDGET_TICKS, POLL_TICK};
-use crate::reactor::{Dispatch, Reactor, ReactorConfig};
+use crate::reactor::{Dispatch, Reactor, ReactorConfig, Step};
 
 /// Configuration for [`LiveOrigin::spawn`].
 #[derive(Debug, Clone)]
@@ -319,17 +320,23 @@ impl OriginShared {
 }
 
 /// The origin's reactor dispatcher: `respond` is pure in-memory
-/// accounting (no IO, no blocking waits), so it runs inline on the
-/// reactor thread.
+/// accounting (no IO, no blocking waits), so `begin` finishes every
+/// request on the reactor thread and there is nothing to defer.
 struct OriginDispatch {
     shared: Arc<OriginShared>,
 }
 
 impl Dispatch for OriginDispatch {
-    fn dispatch(&self, req: &Request) -> io::Result<(Response, Arc<Vec<u8>>)> {
+    type Deferred = Infallible;
+
+    fn begin(&self, req: Request) -> Step<Infallible> {
         let now = self.shared.clock.now();
-        let (resp, body) = self.shared.respond(req, now);
-        Ok((resp, Arc::new(body)))
+        let (resp, body) = self.shared.respond(&req, now);
+        Step::Done(resp, Arc::new(body))
+    }
+
+    fn finish(&self, deferred: Infallible) -> io::Result<Step<Infallible>> {
+        match deferred {}
     }
 }
 
@@ -387,7 +394,7 @@ pub struct LiveOrigin {
     next_due: AtomicU64,
     data_addr: SocketAddr,
     control_addr: SocketAddr,
-    reactor: Option<Reactor>,
+    reactor: Option<Reactor<OriginDispatch>>,
     control_thread: Option<JoinHandle<()>>,
 }
 
@@ -422,13 +429,13 @@ impl LiveOrigin {
             peers: RankedMutex::new(PEERS_RANK, "origin.peers", Vec::new()),
         });
 
-        // The data path runs on the epoll reactor; `respond` is pure
-        // in-memory accounting, so dispatch is inline (no worker pool).
+        // The data path runs on the epoll reactor; `OriginDispatch`
+        // never defers, so there is no worker pool.
         let reactor = Reactor::spawn(
             data_listener,
-            Arc::new(OriginDispatch {
+            OriginDispatch {
                 shared: Arc::clone(&shared),
-            }),
+            },
             ReactorConfig {
                 reactor_threads: config.reactor_threads,
                 dispatch_threads: 0,

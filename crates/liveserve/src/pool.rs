@@ -143,7 +143,7 @@ impl UpstreamPool {
             },
         );
         loop {
-            if let Some(mut conn) = inner.idle.pop() {
+            if let Some(conn) = inner.idle.pop() {
                 // Health-check outside the lock (r3): the origin may
                 // have closed this keep-alive while it sat idle. A
                 // stale connection is discarded here, transparently,

@@ -39,11 +39,23 @@
 //! channel, so subscribe-before-insert and victim-unsubscribe ordering
 //! are preserved per shard.
 //!
+//! **Two phases, decided once.** Every request is decided in
+//! [`ProxyShared::begin`], on the reactor thread that framed it, under
+//! the shard lock: resolve, look the entry up (the one store touch),
+//! ask the policy, classify, and register a single-flight fetch if this
+//! request is to lead one. A fresh hit is answered right there. What
+//! needs the origin — a miss, a validation, an uncacheable forward, a
+//! wait on another request's fetch — travels to a dispatch worker as a
+//! [`Deferred`] carrying the decision and the `now`/`file`/`class` it
+//! was taken with, and [`ProxyShared::finish`] carries it out without
+//! deciding again, so probe events and counters happen exactly once.
+//!
 //! Locking: a shard's mutex guards that shard's state (store + bodies +
-//! policy + counters) and is only ever held for in-memory work. Workers
-//! copy the entry out, talk to the origin with the lock released, then
-//! re-lock to apply the outcome — the same copy-out/reinsert shape the
-//! simulator uses, which is what makes the port exact.
+//! policy + counters) and is only ever held for in-memory work — which
+//! is what lets the reactor thread take it. Workers take the decided
+//! entry, talk to the origin with the lock released, then re-lock to
+//! apply the outcome — the same copy-out/reinsert shape the simulator
+//! uses, which is what makes the port exact.
 
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -66,7 +78,7 @@ use crate::clock::{sim_instant, wall_date, LiveClock};
 use crate::control::{write_msg, ControlMsg, LineConn};
 use crate::netio::{log_conn_error, HttpConn, DEFAULT_READ_BUDGET_TICKS, POLL_TICK};
 use crate::pool::UpstreamPool;
-use crate::reactor::{Dispatch, Reactor, ReactorConfig};
+use crate::reactor::{Dispatch, Reactor, ReactorConfig, Step};
 
 /// Keep-alive origin connections per shard. Misses and validations are
 /// a minority of requests once the cache warms, so a few pooled sockets
@@ -74,12 +86,14 @@ use crate::reactor::{Dispatch, Reactor, ReactorConfig};
 const UPSTREAM_CONNS_PER_SHARD: usize = 4;
 
 /// Rank of the dynamic path⇄id table: taken before any shard state lock
-/// (`resolve` runs at request entry, with nothing else held).
+/// (`resolve` runs at request entry — on the reactor thread — with
+/// nothing else held).
 // wcc-lock-rank: proxy.dynamic_names 55
 const DYNAMIC_NAMES_RANK: u32 = 55;
 
 /// Rank of a shard's cache-state mutex. Below the upstream pool (75) —
 /// never hold state across a checkout — and below the probe leaf (95).
+/// Reactor threads take it in `begin` with nothing else held.
 // wcc-lock-rank: proxy.state 60
 const STATE_RANK: u32 = 60;
 
@@ -239,9 +253,10 @@ pub struct ProxyConfig {
     pub probe: ProbeHandle,
     /// Reactor (event-loop) threads serving the client listener.
     pub reactor_threads: usize,
-    /// Dispatch worker threads running [`ProxyShared::handle`] (which
-    /// does blocking upstream IO and single-flight waits, so it must
-    /// not run on a reactor thread).
+    /// Dispatch worker threads (0 is treated as 1). They carry out what
+    /// a request's decision deferred — upstream IO, single-flight
+    /// waits; the decision itself, and the whole of a fresh hit, runs
+    /// on the reactor thread.
     pub dispatch_threads: usize,
     /// Concurrent client-connection cap; accepts beyond it are shed.
     pub max_conns: usize,
@@ -275,9 +290,9 @@ impl ProxyConfig {
     }
 }
 
-/// Default dispatch worker count. Dispatch is where upstream IO and
-/// single-flight waits happen; a handful of workers keeps the reactor
-/// threads free to move bytes.
+/// Default dispatch worker count. The workers are where upstream IO and
+/// single-flight waits happen; a handful of them keeps the reactor
+/// threads free to move bytes and answer hits.
 pub(crate) const DEFAULT_DISPATCH_THREADS: usize = 4;
 
 /// The counters a run accumulates, frozen at shutdown. For a sharded
@@ -363,34 +378,64 @@ struct ProxyShared {
     shutdown: AtomicBool,
 }
 
-/// What the lock-free middle of a request has to do, decided under the
-/// shard lock (mirrors the branch structure of `World::on_request`).
-enum Action {
-    /// Fresh (and valid) local copy: serve it.
-    ServeLocal(Response, Arc<Vec<u8>>),
+/// A request `begin` could not answer, with its decision taken and
+/// everything that decision was taken with.
+struct Deferred {
+    file: FileId,
+    class: usize,
+    now: SimTime,
+    path: String,
+    work: Work,
+}
+
+/// What a deferred request still has to do — the branches of
+/// `World::on_request` that reach the origin, plus the single-flight
+/// wait.
+enum Work {
+    /// Uncacheable class: forward, never cache — and never coalesce:
+    /// every uncacheable request is its own upstream exchange, exactly
+    /// as the simulator counts them.
+    Forward,
     /// No usable copy (compulsory miss, or known stale under
-    /// invalidation/eager): unconditional GET, flight registered.
-    FetchFull,
+    /// invalidation/eager): unconditional GET. This request leads the
+    /// file's flight, registered when it was decided.
+    FetchFull(FlightGuard),
     /// Possibly stale timed-out copy: conditional GET against its
     /// `Last-Modified`.
     Validate(EntryMeta),
+    /// Another request's fetch of this file is in flight: wait for it
+    /// to conclude, then decide.
+    AwaitFlight,
+}
+
+/// One evaluation of a cacheable request under the shard lock.
+enum Evaluated<'a> {
+    /// Fresh (and valid) local copy, classified and counted: serve it.
+    Serve(Response, Arc<Vec<u8>>),
+    /// Decided, probe events recorded; the origin is needed.
+    Defer(Work),
+    /// Nothing decided — a flight for the file is in progress. The
+    /// guard comes back for the condvar wait.
+    InFlight(RankedGuard<'a, CacheState>),
 }
 
 /// Clears a registered single-flight entry when the fetch concludes —
-/// on *every* exit path, including errors, so followers are never
-/// stranded waiting on a dead flight.
-struct FlightGuard<'a> {
-    shard: &'a Shard,
+/// on *every* exit path, including errors and a deferred request that
+/// is dropped unrun at shutdown, so followers are never stranded
+/// waiting on a dead flight.
+struct FlightGuard {
+    shared: Arc<ProxyShared>,
     file: FileId,
 }
 
-impl Drop for FlightGuard<'_> {
+impl Drop for FlightGuard {
     fn drop(&mut self) {
-        let mut st = self.shard.state.lock();
+        let shard = self.shared.shard(self.file);
+        let mut st = shard.state.lock();
         st.in_flight.remove(&self.file);
         // Notify while the guard is live so a follower's predicate check
         // can never race the removal (wcc-analyze r7).
-        self.shard.flights.notify_all(&st);
+        shard.flights.notify_all(&st);
     }
 }
 
@@ -656,14 +701,15 @@ impl ProxyShared {
         }
     }
 
-    /// Block until `file`'s in-flight fetch concludes (or shutdown).
-    /// Consumes the shard guard; the caller re-locks and re-evaluates.
+    /// Wait, for at most one poll tick, for a flight on this shard to
+    /// conclude (or for shutdown). Consumes the shard guard; the caller
+    /// goes back to the dispatch queue and re-evaluates on its next turn.
     fn wait_for_flight<'a>(
         &self,
         shard: &'a Shard,
         st: RankedGuard<'a, CacheState>,
     ) -> io::Result<()> {
-        // wcc-allow: r7 one bounded tick per call; every caller loops and re-checks in_flight under a fresh guard
+        // wcc-allow: r7 one bounded tick per call; the caller requeues and re-checks in_flight under a fresh guard on its next turn
         let (guard, _timed_out) = shard.flights.wait_timeout(st, POLL_TICK);
         drop(guard);
         if self.shutdown.load(Ordering::SeqCst) {
@@ -675,17 +721,20 @@ impl ProxyShared {
         Ok(())
     }
 
-    /// Unconditional fetch via `file`'s shard pool — checkout, exchange,
-    /// checkin (broken connections are discarded, freeing their slot).
-    fn fetch_full(
+    /// One request's upstream exchange on a connection from `file`'s
+    /// shard pool — checkout, `exchange`, checkin (a connection that
+    /// errored is discarded, freeing its slot). The connection is held
+    /// across a validation's fallback refetch, so one request never
+    /// checks out two sockets.
+    fn with_upstream<T>(
         &self,
         file: FileId,
-        path: &str,
         now: SimTime,
-    ) -> io::Result<(Response, Arc<Vec<u8>>)> {
+        exchange: impl FnOnce(&mut HttpConn) -> io::Result<T>,
+    ) -> io::Result<T> {
         let shard = self.shard(file);
         let mut upstream = shard.pool.checkout(now, &self.probe, &self.shutdown)?;
-        let result = self.fetch_full_on(&mut upstream, file, path, now);
+        let result = exchange(&mut upstream);
         match &result {
             Ok(_) => shard.pool.checkin(upstream),
             Err(_) => shard.pool.discard(),
@@ -776,116 +825,143 @@ impl ProxyShared {
         Ok((resp, body))
     }
 
-    /// Serve one client request — the port of `World::on_request`, with
-    /// shard routing and single-flight miss coalescing layered on.
-    fn handle(&self, req: &Request) -> io::Result<(Response, Arc<Vec<u8>>)> {
+    /// Phase one of a client request, on the reactor thread: the port of
+    /// `World::on_request`'s decision, taken once. In-memory work only —
+    /// the dynamic-names and shard locks, never a socket, a pool
+    /// checkout or a condvar wait.
+    fn begin(self: &Arc<Self>, req: Request) -> Step<Deferred> {
         let file = self.resolve(&req.path);
         let class = self.class_of(file);
         let now = self.clock.now();
-
-        if self.is_uncacheable(class) {
-            // Forwarded, never cached — and never coalesced: every
-            // uncacheable request is its own upstream exchange, exactly
-            // as the simulator counts them.
+        let work = if self.is_uncacheable(class) {
             self.record_request(now, file, RequestOutcome::Uncacheable);
-            return self.fetch_full(file, &req.path, now);
-        }
+            Work::Forward
+        } else {
+            match self.evaluate(file, class, now) {
+                Evaluated::Serve(resp, body) => return Step::Done(resp, body),
+                Evaluated::Defer(work) => work,
+                Evaluated::InFlight(_) => Work::AwaitFlight,
+            }
+        };
+        Step::Defer(Deferred {
+            file,
+            class,
+            now,
+            path: req.path,
+            work,
+        })
+    }
 
-        let shard = self.shard(file);
-        let action = loop {
-            let mut st = shard.state.lock();
-            if st.was_contended() {
+    /// Look `file` up under its shard lock and decide what the request
+    /// does — the branch structure of `World::on_request`, with
+    /// single-flight registration layered on. Unless a flight is in
+    /// progress, this is the request's one store touch, one policy
+    /// decision and one set of probe events.
+    fn evaluate(self: &Arc<Self>, file: FileId, class: usize, now: SimTime) -> Evaluated<'_> {
+        let mut st = self.shard(file).state.lock();
+        if st.was_contended() {
+            self.probe
+                .record(now, ObsEvent::LockContended { rank: STATE_RANK });
+        }
+        match st.store.access(file, now).copied() {
+            // Compulsory miss.
+            None => {
+                if !st.in_flight.insert(file) {
+                    return Evaluated::InFlight(st);
+                }
+            }
+            Some(entry) => {
+                let ctx = RequestCtx::new(now, class).with_delay(self.decide_delay(&entry));
+                let fresh = st.policy.decide(&entry, &ctx).serves_locally();
+                if fresh {
+                    if let Some(body) = st.bodies.get(&file).map(Arc::clone) {
+                        self.probe
+                            .record(now, ObsEvent::PolicyDecision { file, fresh });
+                        self.classify_local_hit(&mut st, file, &entry, now);
+                        return Evaluated::Serve(Self::local_response(&entry, &body, now), body);
+                    }
+                    // Resident meta whose body was dropped by a
+                    // concurrent eviction: treat as a miss.
+                } else if !self.uses_invalidation {
+                    self.probe
+                        .record(now, ObsEvent::PolicyDecision { file, fresh });
+                    return Evaluated::Defer(Work::Validate(entry));
+                }
+                if !st.in_flight.insert(file) {
+                    return Evaluated::InFlight(st);
+                }
                 self.probe
-                    .record(now, ObsEvent::LockContended { rank: STATE_RANK });
-            }
-            match st.store.access(file, now).copied() {
-                None => {
-                    if st.in_flight.contains(&file) {
-                        self.wait_for_flight(shard, st)?;
-                        continue;
-                    }
-                    // Compulsory miss; this request leads the flight.
-                    st.in_flight.insert(file);
-                    self.record_request(now, file, RequestOutcome::Miss);
-                    break Action::FetchFull;
-                }
-                Some(entry) => {
-                    let ctx = RequestCtx::new(now, class).with_delay(self.decide_delay(&entry));
-                    let fresh = st.policy.decide(&entry, &ctx).serves_locally();
-                    if fresh {
-                        match st.bodies.get(&file).map(Arc::clone) {
-                            Some(body) => {
-                                self.probe
-                                    .record(now, ObsEvent::PolicyDecision { file, fresh });
-                                self.classify_local_hit(&mut st, file, &entry, now);
-                                break Action::ServeLocal(
-                                    Self::local_response(&entry, &body, now),
-                                    body,
-                                );
-                            }
-                            // Resident meta whose body was dropped by a
-                            // concurrent eviction: treat as a miss.
-                            None => {
-                                if st.in_flight.contains(&file) {
-                                    self.wait_for_flight(shard, st)?;
-                                    continue;
-                                }
-                                st.in_flight.insert(file);
-                                self.probe
-                                    .record(now, ObsEvent::PolicyDecision { file, fresh });
-                                self.record_request(now, file, RequestOutcome::Miss);
-                                break Action::FetchFull;
-                            }
-                        }
-                    } else if self.uses_invalidation {
-                        if st.in_flight.contains(&file) {
-                            self.wait_for_flight(shard, st)?;
-                            continue;
-                        }
-                        st.in_flight.insert(file);
-                        // Known stale: refetch without a conditional
-                        // round-trip (the simulator's eager branch).
-                        self.probe
-                            .record(now, ObsEvent::PolicyDecision { file, fresh });
-                        let changed = self.changed_since(file, &entry, now);
-                        st.policy.on_validation(class, changed);
-                        self.probe.record(
-                            now,
-                            ObsEvent::Validation {
-                                file,
-                                modified: changed,
-                            },
-                        );
-                        self.record_request(now, file, RequestOutcome::Miss);
-                        break Action::FetchFull;
-                    } else {
-                        self.probe
-                            .record(now, ObsEvent::PolicyDecision { file, fresh });
-                        break Action::Validate(entry);
-                    }
+                    .record(now, ObsEvent::PolicyDecision { file, fresh });
+                if !fresh {
+                    // Known stale: refetch without a conditional
+                    // round-trip (the simulator's eager branch).
+                    let changed = self.changed_since(file, &entry, now);
+                    st.policy.on_validation(class, changed);
+                    self.probe.record(
+                        now,
+                        ObsEvent::Validation {
+                            file,
+                            modified: changed,
+                        },
+                    );
                 }
             }
-        };
-
-        let entry = match action {
-            Action::ServeLocal(resp, body) => return Ok((resp, body)),
-            Action::FetchFull => {
-                let _flight = FlightGuard { shard, file };
-                return self.fetch_full(file, &req.path, now);
-            }
-            Action::Validate(entry) => entry,
-        };
-
-        // Combined query-and-fetch via If-Modified-Since, on a pooled
-        // connection held across the (possible) fallback refetch so one
-        // request never checks out two sockets.
-        let mut upstream = shard.pool.checkout(now, &self.probe, &self.shutdown)?;
-        let result = self.validate_on(&mut upstream, file, class, entry, req, now);
-        match &result {
-            Ok(_) => shard.pool.checkin(upstream),
-            Err(_) => shard.pool.discard(),
         }
-        result
+        // This request leads the file's flight.
+        self.record_request(now, file, RequestOutcome::Miss);
+        drop(st);
+        Evaluated::Defer(Work::FetchFull(FlightGuard {
+            shared: Arc::clone(self),
+            file,
+        }))
+    }
+
+    /// Phase two, on a dispatch worker: carry out what `begin` decided,
+    /// with the `now`/`file`/`class` it decided with. Only a request
+    /// that found another's fetch in flight still has its decision to
+    /// take, once that fetch concludes.
+    fn finish(self: &Arc<Self>, deferred: Deferred) -> io::Result<Step<Deferred>> {
+        let Deferred {
+            file,
+            class,
+            now,
+            path,
+            work,
+        } = deferred;
+        let work = match work {
+            Work::AwaitFlight => match self.evaluate(file, class, now) {
+                Evaluated::Serve(resp, body) => return Ok(Step::Done(resp, body)),
+                Evaluated::Defer(work) => work,
+                Evaluated::InFlight(st) => {
+                    // One bounded tick on the condvar, then the back of
+                    // the queue: a follower never pins a worker its
+                    // leader (queued by another reactor thread, perhaps
+                    // behind it) is waiting for.
+                    self.wait_for_flight(self.shard(file), st)?;
+                    Work::AwaitFlight
+                }
+            },
+            decided => decided,
+        };
+        let fetch_full = |upstream: &mut HttpConn| self.fetch_full_on(upstream, file, &path, now);
+        let (resp, body) = match work {
+            Work::AwaitFlight => {
+                return Ok(Step::Defer(Deferred {
+                    file,
+                    class,
+                    now,
+                    path,
+                    work,
+                }))
+            }
+            Work::Forward => self.with_upstream(file, now, fetch_full)?,
+            Work::FetchFull(_flight) => self.with_upstream(file, now, fetch_full)?,
+            // Combined query-and-fetch via If-Modified-Since.
+            Work::Validate(entry) => self.with_upstream(file, now, |upstream| {
+                self.validate_on(upstream, file, class, entry, &path, now)
+            })?,
+        };
+        Ok(Step::Done(resp, body))
     }
 
     /// The conditional-GET exchange and its outcome bookkeeping.
@@ -895,14 +971,14 @@ impl ProxyShared {
         file: FileId,
         class: usize,
         entry: EntryMeta,
-        req: &Request,
+        path: &str,
         now: SimTime,
     ) -> io::Result<(Response, Arc<Vec<u8>>)> {
         let shard = self.shard(file);
         let ims = wall_date(entry.last_modified);
         // wcc-allow: r1 exchange stopwatch for DelaySource::Measured; modeled runs never read it
         let started = std::time::Instant::now();
-        let sent = upstream.write_request(&Request::get_if_modified_since(&req.path, ims))?;
+        let sent = upstream.write_request(&Request::get_if_modified_since(path, ims))?;
         let (resp, body) = upstream.read_response()?;
         let header_bytes = resp.header_size();
 
@@ -948,7 +1024,7 @@ impl ProxyShared {
                     // the connection already in hand.
                     None => {
                         self.record_request(now, file, RequestOutcome::Miss);
-                        self.fetch_full_on(upstream, file, &req.path, now)
+                        self.fetch_full_on(upstream, file, path, now)
                     }
                 }
             }
@@ -1003,20 +1079,27 @@ impl ProxyShared {
     }
 }
 
-/// The proxy's reactor dispatcher. `handle` checks out pooled upstream
-/// connections (blocking IO) and can wait on the single-flight condvar,
-/// so it runs on the dispatch worker pool, never on a reactor thread.
-/// A single-flight follower only waits while its leader is already
-/// executing `handle` on some worker slot (the leader registers the
-/// flight from inside `handle`), so followers can never starve the
-/// leader out of the pool.
+/// The proxy's reactor dispatcher: [`ProxyShared::begin`] on the
+/// reactor thread, [`ProxyShared::finish`] on a dispatch worker.
+///
+/// A flight's leader registers in `begin` and is then *queued* for a
+/// worker, so a follower can reach a worker first (with several reactor
+/// threads it can even be queued first). That never starves the leader:
+/// a waiting follower gives its worker back after one poll tick and
+/// rejoins the queue behind it.
 struct ProxyDispatch {
     shared: Arc<ProxyShared>,
 }
 
 impl Dispatch for ProxyDispatch {
-    fn dispatch(&self, req: &Request) -> io::Result<(Response, Arc<Vec<u8>>)> {
-        self.shared.handle(req)
+    type Deferred = Deferred;
+
+    fn begin(&self, req: Request) -> Step<Deferred> {
+        self.shared.begin(req)
+    }
+
+    fn finish(&self, deferred: Deferred) -> io::Result<Step<Deferred>> {
+        self.shared.finish(deferred)
     }
 }
 
@@ -1040,7 +1123,7 @@ fn require_last_modified(resp: &Response) -> io::Result<httpsim::HttpDate> {
 pub struct LiveProxy {
     shared: Arc<ProxyShared>,
     addr: SocketAddr,
-    reactor: Option<Reactor>,
+    reactor: Option<Reactor<ProxyDispatch>>,
     control_threads: Vec<JoinHandle<()>>,
 }
 
@@ -1138,13 +1221,13 @@ impl LiveProxy {
             }));
         }
 
-        // The client data path runs on the epoll reactor; request
-        // decisions run on the dispatch worker pool.
+        // The client data path runs on the epoll reactor, request
+        // decisions included; the dispatch workers do the upstream IO.
         let reactor = Reactor::spawn(
             listener,
-            Arc::new(ProxyDispatch {
+            ProxyDispatch {
                 shared: Arc::clone(&shared),
-            }),
+            },
             ReactorConfig {
                 reactor_threads: config.reactor_threads,
                 dispatch_threads: config.dispatch_threads.max(1),
@@ -1264,6 +1347,140 @@ mod tests {
             snap.upstream_dials, 1,
             "both exchanges share one pooled conn"
         );
+        drop(origin);
+    }
+
+    /// An origin that answers `/warm.html` and goes silent on every
+    /// other request — it reports the path on `parked` and never
+    /// replies — until `stop` is set, when it hangs up on everyone.
+    fn half_silent_origin(
+        listener: TcpListener,
+        stop: Arc<AtomicBool>,
+        parked: mpsc::Sender<String>,
+    ) -> JoinHandle<()> {
+        listener.set_nonblocking(true).unwrap();
+        thread::spawn(move || {
+            let mut conns = Vec::new();
+            while !stop.load(Ordering::SeqCst) {
+                let Ok((stream, _)) = listener.accept() else {
+                    thread::sleep(std::time::Duration::from_millis(1));
+                    continue;
+                };
+                stream.set_nonblocking(false).unwrap();
+                let (stop, parked) = (Arc::clone(&stop), parked.clone());
+                conns.push(thread::spawn(move || {
+                    let mut conn = HttpConn::new(stream).unwrap();
+                    while let Ok(Some(req)) = conn.read_request(&stop) {
+                        if req.path == "/warm.html" {
+                            let now = wall_date(SimTime::from_secs(10));
+                            let resp = Response::ok(now, wall_date(SimTime::ZERO), 64);
+                            conn.write_response(&resp, &[7u8; 64]).unwrap();
+                        } else {
+                            parked.send(req.path).unwrap();
+                        }
+                    }
+                }));
+            }
+            for conn in conns {
+                conn.join().unwrap();
+            }
+        })
+    }
+
+    /// Hits do not queue behind misses: with every dispatch worker
+    /// parked on an origin that never answers, a fresh hit is still
+    /// served — `begin` finished it on the reactor thread.
+    #[test]
+    fn fresh_hits_are_served_while_every_worker_is_parked_on_a_silent_origin() {
+        const HITS: u64 = 25;
+        let stop = Arc::new(AtomicBool::new(false));
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let origin_addr = listener.local_addr().unwrap();
+        let origin = half_silent_origin(listener, Arc::clone(&stop), parked_tx);
+        let clock = LiveClock::virtual_at(SimTime::from_secs(10));
+        let cfg = ProxyConfig::new(origin_addr, origin_addr, LivePolicy::Ttl(24), clock);
+        let proxy = LiveProxy::spawn(cfg).unwrap();
+        let connect = || HttpConn::new(TcpStream::connect(proxy.addr()).unwrap()).unwrap();
+
+        let mut warm = connect();
+        warm.write_request(&Request::get("/warm.html")).unwrap();
+        assert_eq!(warm.read_response().unwrap().0.status, Status::Ok);
+
+        // One cold file per worker, each on its own connection: each
+        // leads its own flight and parks a worker in `read_response`.
+        let mut cold: Vec<HttpConn> = (0..DEFAULT_DISPATCH_THREADS)
+            .map(|i| {
+                let mut conn = connect();
+                conn.write_request(&Request::get(format!("/cold{i}.html")))
+                    .unwrap();
+                conn
+            })
+            .collect();
+        for _ in 0..DEFAULT_DISPATCH_THREADS {
+            parked_rx.recv().unwrap();
+        }
+
+        let mut fifth = connect();
+        fifth.set_read_budget_ticks(40); // 1 s, against the workers' 30
+        for _ in 0..HITS {
+            fifth.write_request(&Request::get("/warm.html")).unwrap();
+            let (resp, body) = fifth.read_response().unwrap();
+            assert_eq!(resp.status, Status::Ok);
+            assert_eq!(body, [7u8; 64]);
+        }
+
+        // The origin hangs up; each parked fetch fails and takes only
+        // its own client connection with it.
+        stop.store(true, Ordering::SeqCst);
+        origin.join().unwrap();
+        for conn in &mut cold {
+            assert!(conn.read_response().is_err());
+        }
+        let snap = proxy.shutdown();
+        assert_eq!(snap.cache.fresh_hits, HITS);
+        assert_eq!(snap.cache.misses, 1, "only the warm-up fetch completed");
+    }
+
+    /// Decide-once, seen from the store: a validated request touches its
+    /// entry once in `begin` (the lookup) and once in `finish` (the
+    /// revalidation stamp) — the simulator's two touches, which LFU
+    /// counts. A `finish` that looked the entry up again would add a
+    /// third per request.
+    #[test]
+    fn a_validated_request_touches_the_store_once_per_phase() {
+        const N: u32 = 6;
+        let mut pop = FilePopulation::new();
+        pop.add(FileRecord::new("/a.html", SimTime::from_secs(0), 100));
+        let pop = Arc::new(pop);
+        let clock = LiveClock::virtual_at(SimTime::from_secs(10));
+        let origin = LiveOrigin::spawn(OriginConfig::new(Arc::clone(&pop), clock.clone())).unwrap();
+        let mut cfg = ProxyConfig::new(
+            origin.data_addr(),
+            origin.control_addr(),
+            LivePolicy::Ttl(0),
+            clock,
+        );
+        cfg.ground_truth = Some(Arc::clone(&pop));
+        cfg.store = StoreKind::Lfu(1 << 20);
+        let proxy = LiveProxy::spawn(cfg).unwrap();
+
+        let mut conn = HttpConn::new(TcpStream::connect(proxy.addr()).unwrap()).unwrap();
+        for _ in 0..=N {
+            conn.write_request(&Request::get("/a.html")).unwrap();
+            assert_eq!(conn.read_response().unwrap().0.status, Status::Ok);
+        }
+
+        let file = proxy.shared.resolve("/a.html");
+        let touches = match &proxy.shared.shard(file).state.lock().store {
+            AnyStore::Lfu(store) => store.policy().frequency(file),
+            other => panic!("configured LFU, got {}", other.kind()),
+        };
+        assert_eq!(touches, 1 + 2 * N, "one insert, then two per validation");
+        let snap = proxy.shutdown();
+        assert_eq!(snap.cache.misses, 1);
+        assert_eq!(u64::from(N), snap.cache.validations_not_modified);
+        assert_eq!(u64::from(N), snap.cache.fresh_hits);
         drop(origin);
     }
 

@@ -11,16 +11,30 @@
 //! state machine to `WouldBlock` in both directions, as edge-triggering
 //! requires.
 //!
-//! Request dispatch is pluggable via [`Dispatch`]:
+//! Request dispatch is pluggable via [`Dispatch`], in two phases, and
+//! what runs where is fixed by the phase, not by a knob:
 //!
-//! * the **origin** answers from memory (no IO, no blocking waits), so
-//!   its dispatcher runs *inline* on the reactor thread;
-//! * the **proxy**'s handler does blocking upstream IO and can wait on
-//!   the single-flight condvar, so its dispatches run on a small worker
-//!   pool (`dispatch_threads`) fed by a queue bounded by the connection
-//!   cap (at most one outstanding request per connection, enforced by
-//!   the state machine). Workers push completions onto the owning
-//!   reactor's completion queue and nudge its eventfd.
+//! * [`Dispatch::begin`] runs **on the reactor thread** the moment a
+//!   request is framed. It may take in-memory locks but never blocks —
+//!   no socket IO, no condvar wait — and either finishes the request
+//!   (the response is serialised and written by the same thread, with
+//!   no queue, wakeup or context switch in between) or returns a
+//!   [`Dispatch::Deferred`] value describing the blocking rest.
+//! * [`Dispatch::finish`] runs **on a dispatch worker**
+//!   (`dispatch_threads` of them) fed by a queue bounded by the
+//!   connection cap (at most one outstanding request per connection,
+//!   enforced by the state machine). It may do upstream IO, and wait —
+//!   boundedly, handing the value back to the queue — on a condvar; the
+//!   worker pushes the result onto the owning reactor's completion
+//!   queue and nudges its eventfd, and the reactor writes it.
+//!
+//! The **origin** answers every request from memory, so its `begin`
+//! always finishes and it runs no workers. The **proxy** decides every
+//! request once, in `begin`, under the shard lock: a fresh hit is
+//! answered there and then; a miss, a validation, an uncacheable
+//! forward or a wait on another request's fetch is deferred with the
+//! decision already made. A hit therefore never queues behind slow
+//! misses occupying the workers.
 //!
 //! The slow-loris read budget is tick-counted, never clock-read (§r1):
 //! each `epoll_wait` timeout is one idle tick swept over every mid-frame
@@ -67,20 +81,40 @@ const JOBS_RANK: u32 = 20;
 // wcc-lock-rank: reactor.completions.queue 25
 const COMPLETIONS_RANK: u32 = 25;
 
-/// Produces the response for one parsed request. Implementations must
-/// be callable from many threads at once.
+/// Where one dispatch phase left a request.
+pub(crate) enum Step<D> {
+    /// Answered: write this.
+    Done(Response, Arc<Vec<u8>>),
+    /// The rest needs a (or another turn on a) dispatch worker.
+    Defer(D),
+}
+
+/// Produces the response for one parsed request, in two phases (see the
+/// module doc). Implementations must be callable from many threads at
+/// once.
 pub(crate) trait Dispatch: Send + Sync + 'static {
-    /// Decide and produce the response. An error closes the client
-    /// connection (matching the blocking path's behaviour).
-    fn dispatch(&self, req: &Request) -> io::Result<(Response, Arc<Vec<u8>>)>;
+    /// What `begin` hands to `finish`: the decision it took, plus
+    /// whatever it captured to carry that decision out.
+    type Deferred: Send + 'static;
+
+    /// Runs on the reactor thread: decide, and answer if that takes no
+    /// blocking. May take in-memory locks; must not do socket IO or
+    /// wait on a condvar.
+    fn begin(&self, req: Request) -> Step<Self::Deferred>;
+
+    /// Runs on a dispatch worker: carry out a deferred decision. May
+    /// block on IO. A wait for something that itself needs a worker
+    /// must be bounded, and end by handing the value back — it rejoins
+    /// the queue at the back. An error closes the client connection.
+    fn finish(&self, deferred: Self::Deferred) -> io::Result<Step<Self::Deferred>>;
 }
 
 /// Reactor sizing and instrumentation.
 pub(crate) struct ReactorConfig {
     /// Event-loop threads (each owns an epoll instance).
     pub reactor_threads: usize,
-    /// Dispatch worker threads; `0` runs dispatch inline on the
-    /// reactor thread (only sound for non-blocking dispatchers).
+    /// Dispatch worker threads running [`Dispatch::finish`]; a
+    /// dispatcher whose `begin` never defers needs none.
     pub dispatch_threads: usize,
     /// Connection cap across all reactor threads; accepts beyond it
     /// are shed (accepted, counted, closed).
@@ -95,11 +129,11 @@ pub(crate) struct ReactorConfig {
     pub clock: LiveClock,
 }
 
-struct Job {
+struct Job<W> {
     reactor: usize,
     slot: usize,
     gen: u32,
-    req: Request,
+    work: W,
 }
 
 struct Completion {
@@ -111,13 +145,13 @@ struct Completion {
 /// Hand-rolled bounded-by-construction job queue: the state machine
 /// allows at most one outstanding request per connection, so the queue
 /// never holds more than `max_conns` jobs.
-struct JobQueue {
-    inner: RankedMutex<VecDeque<Job>>,
+struct JobQueue<W> {
+    inner: RankedMutex<VecDeque<Job<W>>>,
     cond: RankedCondvar,
 }
 
-impl JobQueue {
-    fn push(&self, job: Job) {
+impl<W> JobQueue<W> {
+    fn push(&self, job: Job<W>) {
         let mut q = self.inner.lock();
         q.push_back(job);
         // Notify while the guard is live so a worker's empty-queue check
@@ -125,7 +159,7 @@ impl JobQueue {
         self.cond.notify_one(&q);
     }
 
-    fn pop(&self, shutdown: &AtomicBool) -> Option<Job> {
+    fn pop(&self, shutdown: &AtomicBool) -> Option<Job<W>> {
         let mut q = self.inner.lock();
         loop {
             if let Some(job) = q.pop_front() {
@@ -145,22 +179,21 @@ struct CompletionQueue {
     wake: WakeFd,
 }
 
-struct Shared {
+struct Shared<D: Dispatch> {
     shutdown: AtomicBool,
     open_conns: AtomicUsize,
     dropped_accepts: AtomicU64,
-    jobs: JobQueue,
+    jobs: JobQueue<D::Deferred>,
     completions: Vec<CompletionQueue>,
-    dispatch: Arc<dyn Dispatch>,
+    dispatch: D,
     probe: ProbeHandle,
     clock: LiveClock,
     role: &'static str,
     max_conns: usize,
     budget_ticks: u32,
-    inline_dispatch: bool,
 }
 
-impl Shared {
+impl<D: Dispatch> Shared<D> {
     fn record(&self, event: ObsEvent) {
         self.probe.record(self.clock.now(), event);
     }
@@ -181,12 +214,12 @@ fn token_of(slot: usize, gen: u32) -> u64 {
 
 /// The running reactor: `reactor_threads` event loops plus
 /// `dispatch_threads` workers, all joined on [`Reactor::stop`].
-pub(crate) struct Reactor {
-    shared: Arc<Shared>,
+pub(crate) struct Reactor<D: Dispatch> {
+    shared: Arc<Shared<D>>,
     threads: Vec<JoinHandle<()>>,
 }
 
-impl std::fmt::Debug for Reactor {
+impl<D: Dispatch> std::fmt::Debug for Reactor<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Reactor")
             .field("open_conns", &self.open_conns())
@@ -195,14 +228,14 @@ impl std::fmt::Debug for Reactor {
     }
 }
 
-impl Reactor {
+impl<D: Dispatch> Reactor<D> {
     /// Take ownership of `listener`'s accept stream and serve it on
     /// the reactor.
     pub(crate) fn spawn(
         listener: TcpListener,
-        dispatch: Arc<dyn Dispatch>,
+        dispatch: D,
         cfg: ReactorConfig,
-    ) -> io::Result<Reactor> {
+    ) -> io::Result<Reactor<D>> {
         let reactors = cfg.reactor_threads.max(1);
         listener.set_nonblocking(true)?;
         let mut completions = Vec::with_capacity(reactors);
@@ -227,7 +260,6 @@ impl Reactor {
             role: cfg.role,
             max_conns: cfg.max_conns,
             budget_ticks: cfg.budget_ticks,
-            inline_dispatch: cfg.dispatch_threads == 0,
         });
         let mut threads = Vec::with_capacity(reactors + cfg.dispatch_threads);
         for idx in 0..reactors {
@@ -275,15 +307,22 @@ impl Reactor {
     }
 }
 
-impl Drop for Reactor {
+impl<D: Dispatch> Drop for Reactor<D> {
     fn drop(&mut self) {
         self.stop();
     }
 }
 
-fn worker_loop(shared: Arc<Shared>) {
+fn worker_loop<D: Dispatch>(shared: Arc<Shared<D>>) {
     while let Some(job) = shared.jobs.pop(&shared.shutdown) {
-        let result = shared.dispatch.dispatch(&job.req);
+        let result = match shared.dispatch.finish(job.work) {
+            Ok(Step::Done(resp, body)) => Ok((resp, body)),
+            Ok(Step::Defer(work)) => {
+                shared.jobs.push(Job { work, ..job });
+                continue;
+            }
+            Err(e) => Err(e),
+        };
         let cq = &shared.completions[job.reactor];
         {
             let mut q = cq.queue.lock();
@@ -297,13 +336,17 @@ fn worker_loop(shared: Arc<Shared>) {
     }
 }
 
-fn reactor_loop(shared: Arc<Shared>, idx: usize, listener: TcpListener) {
+fn reactor_loop<D: Dispatch>(shared: Arc<Shared<D>>, idx: usize, listener: TcpListener) {
     if let Err(e) = run_reactor(&shared, idx, &listener) {
         log_conn_error(shared.role, &e);
     }
 }
 
-fn run_reactor(shared: &Arc<Shared>, idx: usize, listener: &TcpListener) -> io::Result<()> {
+fn run_reactor<D: Dispatch>(
+    shared: &Arc<Shared<D>>,
+    idx: usize,
+    listener: &TcpListener,
+) -> io::Result<()> {
     let ep = Epoll::new()?;
     // The listener is level-triggered: if one thread's accept burst
     // doesn't drain the backlog, every reactor keeps getting told.
@@ -357,8 +400,8 @@ fn run_reactor(shared: &Arc<Shared>, idx: usize, listener: &TcpListener) -> io::
     Ok(())
 }
 
-fn accept_burst(
-    shared: &Arc<Shared>,
+fn accept_burst<D: Dispatch>(
+    shared: &Arc<Shared<D>>,
     idx: usize,
     listener: &TcpListener,
     ep: &Epoll,
@@ -401,8 +444,8 @@ fn accept_burst(
     }
 }
 
-fn register_conn(
-    shared: &Arc<Shared>,
+fn register_conn<D: Dispatch>(
+    shared: &Arc<Shared<D>>,
     idx: usize,
     ep: &Epoll,
     slots: &mut Vec<Slot>,
@@ -444,8 +487,8 @@ fn register_conn(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn drive(
-    shared: &Arc<Shared>,
+fn drive<D: Dispatch>(
+    shared: &Arc<Shared<D>>,
     idx: usize,
     ep: &Epoll,
     slots: &mut [Slot],
@@ -470,11 +513,12 @@ fn drive(
     }
 }
 
-/// Run one state-machine outcome to quiescence. Inline dispatch can
-/// chain (response written → pipelined request parsed → dispatched
-/// again), hence the loop.
-fn handle_event(
-    shared: &Arc<Shared>,
+/// Run one state-machine outcome to quiescence. A request `begin`
+/// finishes can chain (response written → pipelined request parsed →
+/// begun again), hence the loop; a deferred one leaves the connection
+/// in `Dispatched` until its completion comes back.
+fn handle_event<D: Dispatch>(
+    shared: &Arc<Shared<D>>,
     idx: usize,
     ep: &Epoll,
     slots: &mut [Slot],
@@ -489,37 +533,29 @@ fn handle_event(
                 close_conn(shared, idx, ep, slots, free, slot, reason);
                 return;
             }
-            ConnEvent::Dispatch(req) => {
-                if shared.inline_dispatch {
-                    match shared.dispatch.dispatch(&req) {
-                        Ok((resp, body)) => {
-                            ev = match slots[slot].conn.as_mut() {
-                                Some(c) => c.on_response(&resp, &body, shared.role),
-                                None => return,
-                            };
-                        }
-                        Err(e) => {
-                            log_conn_error(shared.role, &e);
-                            close_conn(shared, idx, ep, slots, free, slot, ConnCloseReason::Error);
-                            return;
-                        }
-                    }
-                } else {
+            ConnEvent::Dispatch(req) => match shared.dispatch.begin(req) {
+                Step::Done(resp, body) => {
+                    ev = match slots[slot].conn.as_mut() {
+                        Some(c) => c.on_response(&resp, &body, shared.role),
+                        None => return,
+                    };
+                }
+                Step::Defer(work) => {
                     shared.jobs.push(Job {
                         reactor: idx,
                         slot,
                         gen: slots[slot].gen,
-                        req,
+                        work,
                     });
                     return;
                 }
-            }
+            },
         }
     }
 }
 
-fn apply_completions(
-    shared: &Arc<Shared>,
+fn apply_completions<D: Dispatch>(
+    shared: &Arc<Shared<D>>,
     idx: usize,
     ep: &Epoll,
     slots: &mut [Slot],
@@ -549,8 +585,8 @@ fn apply_completions(
     }
 }
 
-fn tick_sweep(
-    shared: &Arc<Shared>,
+fn tick_sweep<D: Dispatch>(
+    shared: &Arc<Shared<D>>,
     idx: usize,
     ep: &Epoll,
     slots: &mut [Slot],
@@ -567,8 +603,8 @@ fn tick_sweep(
     }
 }
 
-fn close_conn(
-    shared: &Arc<Shared>,
+fn close_conn<D: Dispatch>(
+    shared: &Arc<Shared<D>>,
     idx: usize,
     ep: &Epoll,
     slots: &mut [Slot],
@@ -600,16 +636,50 @@ mod tests {
     use simcore::SimTime;
     use std::io::{Read, Write};
     use std::net::SocketAddr;
+    use std::sync::{mpsc, Mutex};
     use std::time::{Duration, Instant};
 
-    /// Answers every request from memory with a body echoing the path.
-    struct Canned;
+    /// Echoes the path back as the body. Paths under `/slow/` are
+    /// deferred, and their `finish` announces itself on `parked` and
+    /// then waits for one `release` token; `/again/x` is deferred too,
+    /// and handed back by `finish` once, as `/slow/x`; everything else
+    /// is answered by `begin`.
+    struct Gated {
+        parked: mpsc::Sender<String>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
 
-    impl Dispatch for Canned {
-        fn dispatch(&self, req: &Request) -> io::Result<(Response, Arc<Vec<u8>>)> {
-            let body = format!("canned:{}", req.path).into_bytes();
-            let resp = Response::ok(HttpDate(2), HttpDate(1), body.len() as u64);
-            Ok((resp, Arc::new(body)))
+    /// The test's end of a [`Gated`] dispatcher.
+    struct Gate {
+        parked: mpsc::Receiver<String>,
+        release: mpsc::Sender<()>,
+    }
+
+    fn canned(path: &str) -> Step<String> {
+        let body = format!("canned:{path}").into_bytes();
+        let resp = Response::ok(HttpDate(2), HttpDate(1), body.len() as u64);
+        Step::Done(resp, Arc::new(body))
+    }
+
+    impl Dispatch for Gated {
+        type Deferred = String;
+
+        fn begin(&self, req: Request) -> Step<String> {
+            if req.path.starts_with("/slow/") || req.path.starts_with("/again/") {
+                Step::Defer(req.path)
+            } else {
+                canned(&req.path)
+            }
+        }
+
+        fn finish(&self, path: String) -> io::Result<Step<String>> {
+            if let Some(rest) = path.strip_prefix("/again/") {
+                return Ok(Step::Defer(format!("/slow/{rest}")));
+            }
+            let _ = self.parked.send(path.clone());
+            // A dropped gate releases everything (reactor shutdown).
+            let _ = self.release.lock().unwrap().recv();
+            Ok(canned(&path))
         }
     }
 
@@ -617,12 +687,17 @@ mod tests {
         max_conns: usize,
         budget_ticks: u32,
         dispatch_threads: usize,
-    ) -> (Reactor, SocketAddr) {
+    ) -> (Reactor<Gated>, SocketAddr, Gate) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
         let reactor = Reactor::spawn(
             listener,
-            Arc::new(Canned),
+            Gated {
+                parked: parked_tx,
+                release: Mutex::new(release_rx),
+            },
             ReactorConfig {
                 reactor_threads: 1,
                 dispatch_threads,
@@ -634,7 +709,11 @@ mod tests {
             },
         )
         .unwrap();
-        (reactor, addr)
+        let gate = Gate {
+            parked: parked_rx,
+            release: release_tx,
+        };
+        (reactor, addr, gate)
     }
 
     fn await_until(what: &str, mut done: impl FnMut() -> bool) {
@@ -645,31 +724,115 @@ mod tests {
         }
     }
 
-    fn exchange(conn: &mut HttpConn, path: &str) {
-        conn.write_request(&Request::get(path)).unwrap();
+    fn connect(addr: SocketAddr) -> HttpConn {
+        HttpConn::new(TcpStream::connect(addr).unwrap()).unwrap()
+    }
+
+    fn expect_canned(conn: &mut HttpConn, path: &str) {
         let (resp, body) = conn.read_response().unwrap();
         assert_eq!(resp.status, Status::Ok);
         assert_eq!(body, format!("canned:{path}").into_bytes());
     }
 
+    fn exchange(conn: &mut HttpConn, path: &str) {
+        conn.write_request(&Request::get(path)).unwrap();
+        expect_canned(conn, path);
+    }
+
     #[test]
     fn requests_round_trip_inline_and_via_workers() {
-        for dispatch_threads in [0, 2] {
-            let (reactor, addr) = spawn_reactor(64, 1200, dispatch_threads);
-            let mut conn = HttpConn::new(TcpStream::connect(addr).unwrap()).unwrap();
-            for i in 0..3 {
-                exchange(&mut conn, &format!("/f{i}"));
-            }
-            drop(conn);
-            await_until("conn close after client hangup", || {
-                reactor.open_conns() == 0
-            });
+        let (reactor, addr, gate) = spawn_reactor(64, 1200, 2);
+        let mut conn = connect(addr);
+        for i in 0..3 {
+            exchange(&mut conn, &format!("/f{i}"));
+            gate.release.send(()).unwrap();
+            exchange(&mut conn, &format!("/slow/f{i}"));
+        }
+        drop(conn);
+        await_until("conn close after client hangup", || {
+            reactor.open_conns() == 0
+        });
+    }
+
+    /// What `finish` hands back goes round the queue again and is
+    /// answered on the same connection.
+    #[test]
+    fn a_handed_back_request_rejoins_the_queue() {
+        let (_reactor, addr, gate) = spawn_reactor(16, 1200, 1);
+        let mut conn = connect(addr);
+        conn.write_request(&Request::get("/again/x")).unwrap();
+        assert_eq!(gate.parked.recv().unwrap(), "/slow/x");
+        gate.release.send(()).unwrap();
+        expect_canned(&mut conn, "/slow/x");
+    }
+
+    /// With the only worker parked on connection A's deferred request,
+    /// connection B's request is still answered: `begin` finished it on
+    /// the reactor thread.
+    #[test]
+    fn inline_answer_overtakes_an_outstanding_deferred_request() {
+        let (_reactor, addr, gate) = spawn_reactor(16, 1200, 1);
+        let mut a = connect(addr);
+        a.write_request(&Request::get("/slow/a")).unwrap();
+        assert_eq!(gate.parked.recv().unwrap(), "/slow/a");
+        let mut b = connect(addr);
+        exchange(&mut b, "/b");
+        exchange(&mut b, "/b2");
+        // A is still owed its answer, and gets it once released.
+        gate.release.send(()).unwrap();
+        expect_canned(&mut a, "/slow/a");
+    }
+
+    /// A deferred request whose connection closed meanwhile completes
+    /// into the void: the slot's generation moved on, so the connection
+    /// that reused the slot never sees the stale response.
+    #[test]
+    fn completion_for_a_closed_connection_is_dropped() {
+        let (reactor, addr, gate) = spawn_reactor(16, 1200, 1);
+        // A plain hangup is honoured only after the outstanding response
+        // is written; a reset closes at once. Dropping a socket with
+        // unread bytes (the answer to `/unread`) sends one.
+        let mut a = connect(addr);
+        a.write_request(&Request::get("/unread")).unwrap();
+        a.write_request(&Request::get("/slow/a")).unwrap();
+        assert_eq!(gate.parked.recv().unwrap(), "/slow/a");
+        drop(a);
+        await_until("close of the deferred conn", || reactor.open_conns() == 0);
+        // C takes over A's slot (an answered exchange proves it is in
+        // it); its own deferred request queues behind A's, which is
+        // still parked on the only worker.
+        let mut c = connect(addr);
+        exchange(&mut c, "/settled");
+        c.write_request(&Request::get("/slow/c")).unwrap();
+        gate.release.send(()).unwrap(); // A's completion: dropped
+        assert_eq!(gate.parked.recv().unwrap(), "/slow/c");
+        gate.release.send(()).unwrap();
+        expect_canned(&mut c, "/slow/c");
+        // Nothing else was written to C: the next exchange lines up.
+        exchange(&mut c, "/after");
+    }
+
+    /// Pipelined requests on one connection answer in request order
+    /// even though inline and deferred ones take different routes.
+    #[test]
+    fn pipelined_inline_and_deferred_requests_answer_in_order() {
+        let (_reactor, addr, gate) = spawn_reactor(16, 1200, 2);
+        let paths = ["/a", "/slow/b", "/c", "/d", "/slow/e", "/slow/f", "/g"];
+        let mut wire = Vec::new();
+        for path in paths {
+            wire.extend_from_slice(&Request::get(path).to_bytes());
+            gate.release.send(()).unwrap(); // more tokens than needed
+        }
+        let mut conn = connect(addr);
+        conn.stream().write_all(&wire).unwrap();
+        for path in paths {
+            expect_canned(&mut conn, path);
         }
     }
 
     #[test]
     fn slow_loris_is_reaped_by_the_tick_budget() {
-        let (reactor, addr) = spawn_reactor(16, 2, 0);
+        let (reactor, addr, _gate) = spawn_reactor(16, 2, 0);
         let mut loris = TcpStream::connect(addr).unwrap();
         loris.write_all(b"GET /half").unwrap(); // partial request, then silence
         await_until("loris registration", || reactor.open_conns() == 1);
@@ -677,14 +840,14 @@ mod tests {
         // else running, two 25 ms ticks reap the wedged connection.
         await_until("budget reap", || reactor.open_conns() == 0);
         // The reactor keeps serving healthy clients afterwards.
-        let mut conn = HttpConn::new(TcpStream::connect(addr).unwrap()).unwrap();
+        let mut conn = connect(addr);
         exchange(&mut conn, "/after");
     }
 
     #[test]
     fn idle_keepalive_outlives_the_budget() {
-        let (reactor, addr) = spawn_reactor(16, 1, 0);
-        let mut conn = HttpConn::new(TcpStream::connect(addr).unwrap()).unwrap();
+        let (reactor, addr, _gate) = spawn_reactor(16, 1, 0);
+        let mut conn = connect(addr);
         exchange(&mut conn, "/first");
         // Sit idle well past the 1-tick budget: an idle keep-alive
         // connection (no partial frame) is exempt from reaping.
@@ -695,9 +858,9 @@ mod tests {
 
     #[test]
     fn accepts_beyond_the_cap_are_shed_not_queued() {
-        let (reactor, addr) = spawn_reactor(2, 1200, 0);
-        let mut a = HttpConn::new(TcpStream::connect(addr).unwrap()).unwrap();
-        let mut b = HttpConn::new(TcpStream::connect(addr).unwrap()).unwrap();
+        let (reactor, addr, _gate) = spawn_reactor(2, 1200, 0);
+        let mut a = connect(addr);
+        let mut b = connect(addr);
         exchange(&mut a, "/a");
         exchange(&mut b, "/b");
         assert_eq!(reactor.open_conns(), 2);
@@ -710,7 +873,7 @@ mod tests {
         // Capacity frees up once an established connection leaves.
         drop(a);
         await_until("slot release", || reactor.open_conns() == 1);
-        let mut c = HttpConn::new(TcpStream::connect(addr).unwrap()).unwrap();
+        let mut c = connect(addr);
         exchange(&mut c, "/c");
     }
 }

@@ -1,11 +1,12 @@
-//! Raw Linux `epoll`/`eventfd` syscall wrappers.
+//! Raw Linux `epoll`/`eventfd`/`recv` syscall wrappers.
 //!
 //! The vendored-only policy rules out the `libc` crate, so the handful
-//! of syscalls the reactor needs are declared here against the C
-//! library `std` already links. This is the **only** module in the
-//! crate allowed to contain `unsafe`: everything above it talks to the
-//! safe [`Epoll`] / [`WakeFd`] types, which own their file descriptors
-//! and close them on drop.
+//! of syscalls the reactor and the upstream pool need are declared here
+//! against the C library `std` already links. This is the **only**
+//! module in the crate allowed to contain `unsafe`: everything above it
+//! talks to the safe [`Epoll`] / [`WakeFd`] types, which own their file
+//! descriptors and close them on drop, or to [`peek_would_block`],
+//! which borrows a live socket.
 //!
 //! ABI notes: on x86_64 the kernel's `struct epoll_event` is packed
 //! (no padding between the `u32` events mask and the `u64` data word);
@@ -15,7 +16,8 @@
 #![allow(unsafe_code)]
 
 use std::io;
-use std::os::fd::RawFd;
+use std::net::TcpStream;
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::raw::{c_int, c_uint, c_void};
 
 /// Readable readiness.
@@ -38,6 +40,8 @@ const EPOLL_CTL_MOD: c_int = 3;
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
 const EFD_CLOEXEC: c_int = 0o2000000;
+const MSG_PEEK: c_int = 0x02;
+const MSG_DONTWAIT: c_int = 0x40;
 
 /// Mirror of the kernel's `struct epoll_event`.
 #[derive(Clone, Copy)]
@@ -73,6 +77,7 @@ extern "C" {
     fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+    fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
 }
 
 fn cvt(ret: c_int) -> io::Result<c_int> {
@@ -191,6 +196,25 @@ impl Drop for WakeFd {
     }
 }
 
+/// Whether a one-byte nonblocking peek at `sock` finds nothing to read
+/// and nothing wrong: `true` only for `EAGAIN`; EOF, a pending byte or
+/// any other error is `false`. One syscall, and it neither consumes
+/// data nor touches the socket's blocking mode.
+pub fn peek_would_block(sock: &TcpStream) -> bool {
+    let mut probe = 0u8;
+    // SAFETY: `probe` is one valid writable byte for the call; the fd
+    // is open for as long as `sock` is borrowed.
+    let n = unsafe {
+        recv(
+            sock.as_raw_fd(),
+            (&raw mut probe).cast::<c_void>(),
+            1,
+            MSG_PEEK | MSG_DONTWAIT,
+        )
+    };
+    n < 0 && io::Error::last_os_error().kind() == io::ErrorKind::WouldBlock
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,6 +238,37 @@ mod tests {
 
         wake.drain();
         assert_eq!(ep.epoll_wait(&mut events, 0).unwrap(), 0);
+    }
+
+    #[test]
+    fn peek_tells_quiet_from_pending_from_closed() {
+        use std::io::{Read, Write};
+        use std::net::TcpListener;
+
+        // Loopback delivery is prompt, not instant: poll, bounded.
+        fn becomes_readable(sock: &TcpStream) -> bool {
+            (0..1_000_000).any(|_| {
+                std::thread::yield_now();
+                !peek_would_block(sock)
+            })
+        }
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut ours = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut theirs, _) = listener.accept().unwrap();
+        assert!(peek_would_block(&ours), "idle and open");
+
+        // A pending byte is reported and left in place.
+        theirs.write_all(b"x").unwrap();
+        assert!(becomes_readable(&ours));
+        assert!(!peek_would_block(&ours), "the first peek consumed it");
+        let mut byte = [0u8; 1];
+        ours.read_exact(&mut byte).unwrap();
+        assert_eq!(&byte, b"x");
+        assert!(peek_would_block(&ours), "idle again");
+
+        drop(theirs);
+        assert!(becomes_readable(&ours), "EOF never surfaced");
     }
 
     #[test]

@@ -24,17 +24,22 @@
 //!   validation (arXiv 2201.11577);
 //! * [`UpdateRisk`] — staleness-risk-bounded freshness (arXiv 2412.20221).
 //!
-//! [`LinkModel`] supplies the modeled transfer delays that the simulator
-//! and the live proxy thread into [`RequestCtx::delay`].
+//! [`Engine`] is the one place a policy is consulted: it owns a cache's
+//! store, policy and counters and turns each request into an [`Effect`]
+//! for its driver — the simulator, a node of the cache hierarchy, or a
+//! live proxy shard — to carry out and answer with a [`Reply`].
+//! [`LinkModel`] supplies the modeled transfer delays it threads into
+//! [`RequestCtx::delay`].
 //!
 //! The invalidation protocol's *server-side* machinery (subscriber
-//! registry, callbacks) lives in `originserver`; the simulators in
-//! `webcache` wire both halves together.
+//! registry, callbacks) lives in `originserver`; the drivers wire both
+//! halves together.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cern;
+mod engine;
 mod policy;
 mod renewable;
 mod risk;
@@ -42,6 +47,7 @@ mod selftuning;
 mod typed;
 
 pub use cern::CernPolicy;
+pub use engine::{Applied, Effect, Engine, Reply, RetrievalMode};
 pub use policy::{
     decide_by_expiry, AdaptiveTtl, Decision, ExpiryPolicy, FixedTtl, LinkModel, NeverExpire,
     Policy, PollEveryTime, RequestCtx,

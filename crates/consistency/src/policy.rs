@@ -36,11 +36,10 @@ use simcore::{SimDuration, SimTime};
 /// What the cache should do with a request for a resident entry.
 ///
 /// The taxonomy is deliberately two-valued: whether a non-servable entry
-/// is then *refetched eagerly* or *revalidated conditionally* is a
-/// transport decision (the simulator's `RetrievalMode`, the live proxy's
-/// protocol wiring), not a freshness decision — the invalidation protocol,
-/// for instance, answers `Validate` for a callback-invalidated entry and
-/// lets the transport turn that into a conditional GET.
+/// is then *refetched eagerly* or *revalidated conditionally* is the
+/// engine's [`crate::RetrievalMode`], not a freshness decision — the
+/// invalidation protocol, for instance, answers `Validate` for a
+/// callback-invalidated entry and its engine turns that into a refetch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Decision {
     /// Serve the cached copy without contacting the origin.
@@ -59,11 +58,10 @@ impl Decision {
 
 /// Per-request context handed to [`Policy::decide`].
 ///
-/// `delay` is the observed (or modeled) fetch/validation round-trip for
-/// the object — the simulator threads it from its [`LinkModel`] costing,
-/// the live proxy from modeled or measured upstream round-trips. Callers
-/// with no delay source pass [`SimDuration::ZERO`]; expiry-based policies
-/// ignore the field entirely.
+/// `delay` is the modeled fetch/validation round-trip for the object —
+/// [`crate::Engine`] prices it with its [`LinkModel`]. Callers with no
+/// delay source pass [`SimDuration::ZERO`]; expiry-based policies ignore
+/// the field entirely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestCtx {
     /// The request instant.

@@ -1,10 +1,6 @@
-//! The unified experiment entry point.
-//!
-//! Historically each simulator variant had its own free function —
-//! [`crate::run`], [`crate::run_bounded`], [`crate::run_bounded_fifo`],
-//! [`crate::live::run_live`] — and attaching an observer meant a new
-//! signature on each. [`Experiment`] folds them into one composable
-//! builder:
+//! The unified experiment entry point: one composable builder over
+//! every way this crate can execute a workload — simulated or live, any
+//! store, observed or not.
 //!
 //! ```
 //! use webcache::{Experiment, ProtocolSpec, SimConfig};
@@ -38,24 +34,11 @@ use crate::sim::{run_with_store_probe, RunResult, SimConfig};
 use crate::workload::Workload;
 use crate::RetrievalMode;
 use httpsim::MessageCosting;
-use liveserve::{run_closed_loop_observed, LiveRunConfig, LoadReport, StoreKind};
+use liveserve::{run_closed_loop_observed, LiveRunConfig, LoadReport};
 use wcc_load::{OpenLoopConfig, OpenLoopReport, ScheduleConfig};
 
 /// Cache store selection for an [`Experiment`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Store {
-    /// The paper's infinite cache.
-    #[default]
-    Unbounded,
-    /// Byte-bounded LRU store with the given capacity.
-    Lru(u64),
-    /// Byte-bounded FIFO store with the given capacity.
-    Fifo(u64),
-    /// Byte-bounded GreedyDual-Size store with the given capacity.
-    Gds(u64),
-    /// Byte-bounded score-gated LFU store with the given capacity.
-    Lfu(u64),
-}
+pub use proxycache::StoreKind as Store;
 
 /// What an [`Experiment::run`] produced: the paper's metrics plus the
 /// eviction count (zero for [`Store::Unbounded`]).
@@ -65,14 +48,6 @@ pub struct RunOutcome {
     pub result: RunResult,
     /// Objects evicted by a bounded store during the measured window.
     pub evictions: u64,
-}
-
-impl RunOutcome {
-    /// The `(result, evictions)` pair the historical bounded entry
-    /// points returned.
-    pub fn into_pair(self) -> (RunResult, u64) {
-        (self.result, self.evictions)
-    }
 }
 
 /// Composable builder over every way this crate can execute a workload.
@@ -210,56 +185,24 @@ impl<'a> Experiment<'a> {
             Some(p) => p,
             None => &mut noop,
         };
+        // One monomorphised event loop per concrete store type.
+        macro_rules! run_in {
+            ($store:expr) => {
+                run_with_store_probe(self.workload, self.spec, &self.config, $store, probe)
+            };
+        }
         let (result, evictions) = match self.store {
-            Store::Unbounded => run_with_store_probe(
-                self.workload,
-                self.spec,
-                &self.config,
-                UnboundedStore::new(),
-                probe,
-            ),
-            Store::Lru(capacity) => run_with_store_probe(
-                self.workload,
-                self.spec,
-                &self.config,
-                proxycache::LruStore::new(capacity),
-                probe,
-            ),
-            Store::Fifo(capacity) => run_with_store_probe(
-                self.workload,
-                self.spec,
-                &self.config,
-                proxycache::FifoStore::new(capacity),
-                probe,
-            ),
-            Store::Gds(capacity) => run_with_store_probe(
-                self.workload,
-                self.spec,
-                &self.config,
-                proxycache::GdsStore::new(capacity),
-                probe,
-            ),
-            Store::Lfu(capacity) => run_with_store_probe(
-                self.workload,
-                self.spec,
-                &self.config,
-                proxycache::LfuStore::new(capacity),
-                probe,
-            ),
+            Store::Unbounded => run_in!(UnboundedStore::new()),
+            Store::Lru(capacity) => run_in!(proxycache::LruStore::new(capacity)),
+            Store::Fifo(capacity) => run_in!(proxycache::FifoStore::new(capacity)),
+            Store::Gds(capacity) => run_in!(proxycache::GdsStore::new(capacity)),
+            Store::Lfu(capacity) => run_in!(proxycache::LfuStore::new(capacity)),
         };
         RunOutcome { result, evictions }
     }
 
-    /// Execute over the live loopback TCP stack ([`crate::live`]).
-    ///
-    /// Live events are captured into a bounded in-process buffer while
-    /// the proxy/origin threads run (a probe need not be `Send`), then
-    /// replayed into the attached probe after the sockets close.
-    ///
-    /// # Errors
-    /// Propagates socket errors, and rejects specs the live stack does
-    /// not implement (see [`live_policy`]).
-    pub fn run_live(self) -> io::Result<LoadReport> {
+    /// The live stack's run configuration for this experiment.
+    fn live_config(&self) -> io::Result<LiveRunConfig> {
         let policy = live_policy(self.spec).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::Unsupported,
@@ -275,22 +218,38 @@ impl<'a> Experiment<'a> {
         // a sim run hand the policies identical numbers (the differential
         // test's counter-exactness depends on this).
         config.delay = liveserve::DelaySource::Modeled(self.config.link);
-        config.store = match self.store {
-            Store::Unbounded => StoreKind::Unbounded,
-            Store::Lru(capacity) => StoreKind::Lru(capacity),
-            Store::Fifo(capacity) => StoreKind::Fifo(capacity),
-            Store::Gds(capacity) => StoreKind::Gds(capacity),
-            Store::Lfu(capacity) => StoreKind::Lfu(capacity),
-        };
+        config.store = self.store;
+        Ok(config)
+    }
+
+    /// Live events are captured into a bounded in-process buffer while
+    /// the proxy/origin threads run (a probe need not be `Send`), then
+    /// replayed into the attached probe after the sockets close.
+    fn observed_live<R>(
+        self,
+        run: impl FnOnce(&Workload, &ProbeHandle) -> io::Result<R>,
+    ) -> io::Result<R> {
         let handle = match self.probe {
             Some(_) => ProbeHandle::buffered(LIVE_TRACE_CAPACITY),
             None => ProbeHandle::none(),
         };
-        let report = run_closed_loop_observed(&to_live_workload(self.workload), &config, &handle)?;
+        let report = run(self.workload, &handle)?;
         if let Some(probe) = self.probe {
             handle.drain_into(probe);
         }
         Ok(report)
+    }
+
+    /// Execute over the live loopback TCP stack ([`crate::live`]).
+    ///
+    /// # Errors
+    /// Propagates socket errors, and rejects specs the live stack does
+    /// not implement (see [`live_policy`]).
+    pub fn run_live(self) -> io::Result<LoadReport> {
+        let config = self.live_config()?;
+        self.observed_live(|workload, handle| {
+            run_closed_loop_observed(&to_live_workload(workload), &config, handle)
+        })
     }
 
     /// Execute *open-loop* over the live loopback TCP stack: arrivals
@@ -312,43 +271,19 @@ impl<'a> Experiment<'a> {
         workers: usize,
         compression: f64,
     ) -> io::Result<OpenLoopReport> {
-        let policy = live_policy(self.spec).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!("no live implementation for protocol {}", self.spec.label()),
-            )
-        })?;
-        let mut config = LiveRunConfig::new(policy);
-        config.shards = self.shards;
-        config.reactor_threads = self.reactor_threads;
-        config.uncacheable_mask = self.config.uncacheable_mask;
-        config.delay = liveserve::DelaySource::Modeled(self.config.link);
-        config.store = match self.store {
-            Store::Unbounded => StoreKind::Unbounded,
-            Store::Lru(capacity) => StoreKind::Lru(capacity),
-            Store::Fifo(capacity) => StoreKind::Fifo(capacity),
-            Store::Gds(capacity) => StoreKind::Gds(capacity),
-            Store::Lfu(capacity) => StoreKind::Lfu(capacity),
-        };
-        let mut open = OpenLoopConfig::new(config, schedule.rate_rps);
+        let mut open = OpenLoopConfig::new(self.live_config()?, schedule.rate_rps);
         open.workers = workers;
-        let live = to_live_workload(self.workload);
-        let spec = live.stack_spec();
-        let files: Vec<simcore::FileId> = live.requests.iter().map(|&(_, f)| f).collect();
-        let handle = match self.probe {
-            Some(_) => ProbeHandle::buffered(LIVE_TRACE_CAPACITY),
-            None => ProbeHandle::none(),
-        };
-        let report = wcc_load::run_open_loop(
-            &spec,
-            wcc_load::plan_shots(schedule, &open, &files, spec.start, compression),
-            &open,
-            &handle,
-        )?;
-        if let Some(probe) = self.probe {
-            handle.drain_into(probe);
-        }
-        Ok(report)
+        self.observed_live(|workload, handle| {
+            let live = to_live_workload(workload);
+            let spec = live.stack_spec();
+            let files: Vec<simcore::FileId> = live.requests.iter().map(|&(_, f)| f).collect();
+            wcc_load::run_open_loop(
+                &spec,
+                wcc_load::plan_shots(schedule, &open, &files, spec.start, compression),
+                &open,
+                handle,
+            )
+        })
     }
 }
 
@@ -366,18 +301,13 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_the_historical_entry_points() {
+    fn run_is_the_builder_with_its_defaults() {
         let wl = wl(31);
         let spec = ProtocolSpec::Alex(25);
         let cfg = SimConfig::optimized().preload(false);
-        let via_builder = Experiment::new(&wl)
-            .protocol(spec)
-            .config(cfg)
-            .store(Store::Lru(1 << 22))
-            .run();
-        let (via_fn, ev) = crate::run_bounded(&wl, spec, &cfg, 1 << 22);
-        assert_eq!(via_builder.result, via_fn);
-        assert_eq!(via_builder.evictions, ev);
+        let via_builder = Experiment::new(&wl).protocol(spec).config(cfg).run();
+        assert_eq!(via_builder.result, crate::run(&wl, spec, &cfg));
+        assert_eq!(via_builder.evictions, 0);
     }
 
     #[test]

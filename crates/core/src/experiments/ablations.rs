@@ -13,8 +13,9 @@
 
 use httpsim::MessageCosting;
 
+use crate::experiment::{Experiment, RunOutcome, Store};
 use crate::protocol::ProtocolSpec;
-use crate::sim::{run, run_bounded, run_bounded_fifo, RunResult, SimConfig};
+use crate::sim::{run, RunResult, SimConfig};
 use crate::sweep::SweepRunner;
 use crate::workload::{
     generate_synthetic, LifetimeModel, PopularityModel, Workload, WorkloadKnobs, WorrellConfig,
@@ -213,11 +214,13 @@ pub fn capacity_sweep_with(
         .iter()
         .filter_map(|(_, r)| r.version_at(workload.start).map(|v| v.size))
         .sum();
-    let config = SimConfig::optimized();
     runner.map(fractions, |&frac| {
         assert!(frac > 0.0, "capacity fraction must be positive");
         let capacity = ((working_set as f64 * frac) as u64).max(1);
-        let (result, evictions) = run_bounded(workload, spec, &config, capacity);
+        let RunOutcome { result, evictions } = Experiment::new(workload)
+            .protocol(spec)
+            .store(Store::Lru(capacity))
+            .run();
         CapacityPoint {
             capacity_fraction: frac,
             result,
@@ -254,12 +257,18 @@ pub fn eviction_policy_comparison_with(
         .filter_map(|(_, r)| r.version_at(workload.start).map(|v| v.size))
         .sum();
     let capacity = ((working_set as f64 * capacity_fraction) as u64).max(1);
-    let config = SimConfig::optimized().preload(false);
-    let ((lru, le), (fifo, fe)) = runner.join(
-        || run_bounded(workload, spec, &config, capacity),
-        || run_bounded_fifo(workload, spec, &config, capacity),
+    let cold = |store| {
+        Experiment::new(workload)
+            .protocol(spec)
+            .preload(false)
+            .store(store)
+            .run()
+    };
+    let (lru, fifo) = runner.join(
+        || cold(Store::Lru(capacity)),
+        || cold(Store::Fifo(capacity)),
     );
-    (lru, le, fifo, fe)
+    (lru.result, lru.evictions, fifo.result, fifo.evictions)
 }
 
 /// The §3 latency trade, quantified: mean per-request latency for each

@@ -19,17 +19,13 @@
 //! results are identical to the unpartitioned run — which is precisely
 //! the paper's point.
 
-use std::sync::Arc;
-
-use originserver::{OriginServer, RetryQueue};
-use proxycache::{EntryMeta, Store, UnboundedStore};
-use simcore::{
-    CacheId, CacheStats, Dispatch, FileId, Scheduler, SimDuration, SimTime, Simulation,
-    TrafficMeter,
-};
+use originserver::RetryQueue;
+use proxycache::UnboundedStore;
+use simcore::{CacheId, Dispatch, FileId, Scheduler, SimDuration, SimTime, Simulation};
+use wcc_obs::NoopProbe;
 
 use crate::protocol::ProtocolSpec;
-use crate::sim::{run, RunResult, SimConfig};
+use crate::sim::{run, RunResult, SimCache, SimConfig};
 use crate::workload::Workload;
 
 /// A server→cache notification outage.
@@ -67,37 +63,33 @@ enum FailureEvent {
     Retry,
 }
 
-impl Dispatch<World> for FailureEvent {
-    fn dispatch(self, world: &mut World, sched: &mut Scheduler<World, Self>) {
+impl<'w> Dispatch<World<'w>> for FailureEvent {
+    fn dispatch(self, world: &mut World<'w>, sched: &mut Scheduler<World<'w>, Self>) {
         match self {
             FailureEvent::Modify(f) => world.on_modification(f, sched.now(), sched),
-            FailureEvent::Request(f) => world.on_request(f, sched.now()),
+            FailureEvent::Request(f) => world.cache.request(f, sched.now(), &mut NoopProbe),
             FailureEvent::Retry => world.on_retry(sched.now(), sched),
         }
     }
 }
 
-struct World {
-    store: UnboundedStore,
-    server: OriginServer,
+/// The simulator's cache and origin with a lossy notification channel
+/// between them: what the cache does with requests and delivered notices
+/// is the ordinary invalidation-protocol run; only delivery differs.
+struct World<'w> {
+    cache: SimCache<'w, UnboundedStore>,
     retry: RetryQueue,
     outages: Vec<Outage>,
-    traffic: TrafficMeter,
-    stats: CacheStats,
-    failed_attempts_seen: u64,
     late_deliveries: u64,
-    stale_age_total: simcore::SimDuration,
 }
 
-impl World {
-    fn channel_down(&self, now: SimTime) -> bool {
-        self.outages.iter().any(|o| now >= o.from && now < o.until)
-    }
-
-    fn deliver_invalidation(&mut self, file: FileId, now: SimTime) {
-        self.traffic.add_message(httpsim::PAPER_MESSAGE_BYTES);
-        if let Some(e) = self.store.access(file, now) {
-            e.mark_invalid();
+impl<'w> World<'w> {
+    /// Reflect the channel's reachability at `now` into the retry queue.
+    fn observe_channel(&mut self, now: SimTime) {
+        if self.outages.iter().any(|o| now >= o.from && now < o.until) {
+            self.retry.mark_down(THE_CACHE);
+        } else {
+            self.retry.mark_up(THE_CACHE);
         }
     }
 
@@ -105,124 +97,54 @@ impl World {
         &mut self,
         file: FileId,
         now: SimTime,
-        sched: &mut Scheduler<World, FailureEvent>,
+        sched: &mut Scheduler<World<'w>, FailureEvent>,
     ) {
-        for cache in self.server.notify_modification(file) {
+        for cache in self.cache.server.notify_modification(file) {
             debug_assert_eq!(cache, THE_CACHE);
-            // Reflect current reachability into the retry queue.
-            if self.channel_down(now) {
-                self.retry.mark_down(THE_CACHE);
-            } else {
-                self.retry.mark_up(THE_CACHE);
-            }
+            self.observe_channel(now);
             if self.retry.send(THE_CACHE, file, now) {
-                self.deliver_invalidation(file, now);
+                self.cache.invalidate(file, now);
             } else {
-                // Message attempt went onto the wire and failed.
-                self.traffic.add_message(httpsim::PAPER_MESSAGE_BYTES);
                 self.schedule_retry(sched);
             }
         }
     }
 
-    fn schedule_retry(&mut self, sched: &mut Scheduler<World, FailureEvent>) {
+    fn schedule_retry(&mut self, sched: &mut Scheduler<World<'w>, FailureEvent>) {
         if let Some(at) = self.retry.next_attempt() {
             let at = at.max(sched.now());
             sched.schedule_event_at(at, FailureEvent::Retry);
         }
     }
 
-    fn on_retry(&mut self, now: SimTime, sched: &mut Scheduler<World, FailureEvent>) {
-        if self.channel_down(now) {
-            self.retry.mark_down(THE_CACHE);
-        } else {
-            self.retry.mark_up(THE_CACHE);
-        }
-        let report = self.retry.sweep(now);
-        self.failed_attempts_seen += report.failed_attempts;
-        self.traffic.message_bytes += report.failed_attempts * httpsim::PAPER_MESSAGE_BYTES;
-        self.traffic.messages += report.failed_attempts;
-        for (_, file) in report.delivered {
+    fn on_retry(&mut self, now: SimTime, sched: &mut Scheduler<World<'w>, FailureEvent>) {
+        self.observe_channel(now);
+        for (_, file) in self.retry.sweep(now).delivered {
             self.late_deliveries += 1;
-            self.deliver_invalidation(file, now);
+            self.cache.invalidate(file, now);
         }
         self.schedule_retry(sched);
-    }
-
-    fn on_request(&mut self, file: FileId, now: SimTime) {
-        match self.store.access(file, now).copied() {
-            Some(e) if e.is_valid() => {
-                // Invalidation-protocol cache side: valid until notified.
-                let live = self
-                    .server
-                    .files()
-                    .get(file)
-                    .version_at(now)
-                    .expect("requested file exists");
-                if live.modified_at == e.last_modified {
-                    self.stats.fresh_hits += 1;
-                } else {
-                    // The notice is stuck behind the partition.
-                    self.stats.stale_hits += 1;
-                    if let Some(missed) = self
-                        .server
-                        .files()
-                        .get(file)
-                        .first_change_after(e.last_modified)
-                    {
-                        self.stale_age_total = self
-                            .stale_age_total
-                            .saturating_add(now.saturating_since(missed.modified_at));
-                    }
-                }
-            }
-            resident => {
-                let v = self.server.handle_get(file, now);
-                self.traffic.add_message(httpsim::PAPER_MESSAGE_BYTES);
-                self.traffic.add_file_transfer(v.size);
-                self.stats.misses += 1;
-                match resident {
-                    Some(_) => {
-                        let e = self.store.access(file, now).expect("resident");
-                        e.replace_body(v.size, v.modified_at, now);
-                    }
-                    None => {
-                        self.store
-                            .insert(file, EntryMeta::fresh(v.size, v.modified_at, now));
-                        self.server.subscribe(THE_CACHE, file);
-                    }
-                }
-            }
-        }
     }
 }
 
 /// Run the invalidation protocol over `workload` with the notification
 /// channel down during `outages`.
 pub fn run_partitioned_invalidation(workload: &Workload, outages: &[Outage]) -> PartitionedResult {
-    debug_assert_eq!(workload.validate(), Ok(()));
-    let mut world = World {
-        store: UnboundedStore::new(),
-        server: OriginServer::new(Arc::clone(&workload.population)),
+    let mut cache = SimCache::new(
+        workload,
+        ProtocolSpec::Invalidation,
+        &SimConfig::optimized(),
+        UnboundedStore::new(),
+    );
+    cache.preload(&mut NoopProbe);
+    let world = World {
+        cache,
         retry: RetryQueue::new(RETRY_BASE, RETRY_CAP),
         outages: outages.to_vec(),
-        traffic: TrafficMeter::default(),
-        stats: CacheStats::default(),
-        failed_attempts_seen: 0,
         late_deliveries: 0,
-        stale_age_total: simcore::SimDuration::ZERO,
     };
-    // Preload, as the main simulator does.
-    for (id, rec) in workload.population.iter() {
-        if let Some(v) = rec.version_at(workload.start) {
-            world
-                .store
-                .insert(id, EntryMeta::fresh(v.size, v.modified_at, workload.start));
-            world.server.subscribe(THE_CACHE, id);
-        }
-    }
 
-    let mut sim: Simulation<World, FailureEvent> = Simulation::new(world);
+    let mut sim: Simulation<World<'_>, FailureEvent> = Simulation::new(world);
     for (t, f) in workload.population.all_modifications() {
         if t >= workload.start && t <= workload.end {
             sim.scheduler()
@@ -236,17 +158,14 @@ pub fn run_partitioned_invalidation(workload: &Workload, outages: &[Outage]) -> 
     sim.run_to_completion();
     let world = sim.into_world();
 
-    // The initial failed sends are counted inside RetryQueue; surface the
-    // total (initial + sweep failures).
+    // The RetryQueue counts initial failed sends and failed sweeps alike;
+    // each went onto the wire as one message before it was lost.
     let failed_attempts = world.retry.failed_attempts();
+    let (mut result, _) = world.cache.finish("Invalidation (partitioned)".to_string());
+    result.traffic.messages += failed_attempts;
+    result.traffic.message_bytes += failed_attempts * httpsim::PAPER_MESSAGE_BYTES;
     PartitionedResult {
-        result: RunResult {
-            protocol: "Invalidation (partitioned)".to_string(),
-            traffic: world.traffic,
-            cache: world.stats,
-            server: *world.server.load(),
-            stale_age_total: world.stale_age_total,
-        },
+        result,
         failed_attempts,
         late_deliveries: world.late_deliveries,
     }
@@ -328,6 +247,19 @@ mod tests {
         assert_eq!(partitioned.result.cache.stale_hits, 11);
         assert!(partitioned.failed_attempts > 0);
         assert_eq!(partitioned.late_deliveries, 1);
+    }
+
+    #[test]
+    fn with_no_outage_it_is_the_ordinary_invalidation_run() {
+        let wl = crate::generate_synthetic(&crate::WorrellConfig::scaled(80, 2_500), 3);
+        let healthy = run_partitioned_invalidation(&wl, &[]);
+        let plain = run(&wl, ProtocolSpec::Invalidation, &SimConfig::optimized());
+        assert!(plain.server.invalidations_sent > 0 && plain.cache.misses > 0);
+        assert_eq!(healthy.result.traffic, plain.traffic);
+        assert_eq!(healthy.result.cache, plain.cache);
+        assert_eq!(healthy.result.server, plain.server);
+        assert_eq!(healthy.result.stale_age_total, plain.stale_age_total);
+        assert_eq!((healthy.failed_attempts, healthy.late_deliveries), (0, 0));
     }
 
     #[test]

@@ -16,29 +16,29 @@
 //! * invalidation: the server notifies its direct subscriber (the root),
 //!   which forwards to every subscribed child — every change floods the
 //!   whole tree.
+//!
+//! Every cache in the tree is one [`consistency::Engine`]; this module is
+//! topology only — a cache's upstream is its parent's engine, the root's
+//! is the origin — with every hop charged the paper's 43-byte message.
 
 use std::sync::Arc;
 
-use consistency::Policy;
-use httpsim::MessageCosting;
-use originserver::FilePopulation;
-use proxycache::{EntryMeta, HierarchyTopology, Store, UnboundedStore};
+use consistency::{Effect, Engine, LinkModel, Reply, RetrievalMode};
+use httpsim::PAPER_MESSAGE_BYTES;
+use originserver::{FilePopulation, Version};
+use proxycache::{EntryMeta, HierarchyTopology, UnboundedStore};
 use simcore::{CacheId, FileId, SimTime, TrafficMeter};
+use wcc_obs::NoopProbe;
 
 use crate::protocol::ProtocolSpec;
 
 /// A hierarchy of caches replaying scripted events.
 pub struct HierarchySim {
     topo: HierarchyTopology,
-    stores: Vec<UnboundedStore>,
+    caches: Vec<Engine<UnboundedStore>>,
     population: Arc<FilePopulation>,
-    policy: Box<dyn Policy>,
     uses_invalidation: bool,
-    costing: MessageCosting,
-    /// Total bytes moved on every link (cache↔cache and root↔server).
-    pub traffic: TrafficMeter,
-    /// Requests answered with data older than the origin's copy.
-    pub stale_serves: u64,
+    link: LinkModel,
 }
 
 impl HierarchySim {
@@ -48,162 +48,131 @@ impl HierarchySim {
         population: impl Into<Arc<FilePopulation>>,
         spec: ProtocolSpec,
     ) -> Self {
-        let stores = (0..topo.len()).map(|_| UnboundedStore::new()).collect();
+        let uses_invalidation = spec.uses_invalidation();
+        let retrieval = RetrievalMode::Conditional.under_invalidation(uses_invalidation);
+        let link = LinkModel::default();
+        let caches = (0..topo.len())
+            .map(|_| {
+                Engine::new(
+                    UnboundedStore::new(),
+                    spec.build_policy(),
+                    retrieval,
+                    0,
+                    link,
+                )
+            })
+            .collect();
         HierarchySim {
             topo,
-            stores,
+            caches,
             population: population.into(),
-            policy: spec.build_policy(),
-            uses_invalidation: spec.uses_invalidation(),
-            costing: MessageCosting::PaperConstant,
-            traffic: TrafficMeter::default(),
-            stale_serves: 0,
+            uses_invalidation,
+            link,
         }
     }
 
+    /// Total bytes moved on every link (cache↔cache and root↔server).
+    pub fn traffic(&self) -> TrafficMeter {
+        let mut total = TrafficMeter::default();
+        for cache in &self.caches {
+            total.merge(cache.traffic());
+        }
+        total
+    }
+
+    /// Requests answered with data older than the origin's copy. On the
+    /// path a request climbs, exactly one cache serves from its store
+    /// (or the origin answers); that cache's stale hit is the client's.
+    pub fn stale_serves(&self) -> u64 {
+        self.caches.iter().map(|c| c.stats().stale_hits).sum()
+    }
+
     /// Pre-load every cache with the version of `file` live at `now`
-    /// (uncharged), subscribing the tree for the invalidation protocol.
+    /// (uncharged).
     pub fn preload(&mut self, file: FileId, now: SimTime) {
         let v = self
             .population
             .get(file)
             .version_at(now)
             .expect("preload before creation");
-        for cache in self.topo.caches() {
-            self.stores[cache.index()].insert(
+        for cache in &mut self.caches {
+            cache.preload(
                 file,
-                EntryMeta {
-                    size: v.size,
-                    last_modified: v.modified_at,
-                    fetched_at: now,
-                    last_validated: now,
-                    expires: None,
-                    state: proxycache::EntryState::Valid,
-                },
+                0,
+                EntryMeta::fresh(v.size, v.modified_at, now),
+                &mut NoopProbe,
             );
         }
     }
 
-    fn children(&self, cache: CacheId) -> Vec<CacheId> {
-        self.topo
-            .caches()
-            .filter(|&c| self.topo.parent(c) == Some(cache))
-            .collect()
-    }
-
     /// A modification of `file` reached the origin at `now`. Under the
-    /// invalidation protocol the notice floods the subscribed tree (one
-    /// message per link); time-based protocols see no traffic.
+    /// invalidation protocol the notice floods the tree — server → root,
+    /// then each cache → its children, one message per link; time-based
+    /// protocols see no traffic.
     pub fn modify(&mut self, file: FileId, now: SimTime) {
-        if !self.uses_invalidation {
-            return;
-        }
-        // Borrow the path out of the shared population (refcount bump, no
-        // string copy) so the flood below can mutate the rest of `self`.
-        let pop = Arc::clone(&self.population);
-        let path = &pop.get(file).path;
-        // Server -> root, then each cache -> its children.
-        let mut frontier = vec![self.topo.root()];
-        while let Some(cache) = frontier.pop() {
-            self.traffic
-                .add_message(self.costing.invalidation_message(path));
-            if let Some(e) = self.stores[cache.index()].access(file, now) {
-                e.mark_invalid();
+        if self.uses_invalidation {
+            for cache in &mut self.caches {
+                cache.invalidate(file, now, PAPER_MESSAGE_BYTES);
             }
-            frontier.extend(self.children(cache));
         }
     }
 
     /// Serve a client request for `file` arriving at `entry` (a leaf for
     /// the hierarchical topology, the root for the collapsed one).
     pub fn request(&mut self, entry: CacheId, file: FileId, now: SimTime) {
-        let (served_lm, _) = self.obtain(entry, file, now);
-        let live = self
-            .population
-            .get(file)
-            .version_at(now)
-            .expect("request before creation");
-        if served_lm != live.modified_at {
-            self.stale_serves += 1;
-        }
+        self.obtain(entry, file, now);
     }
 
     /// Make `cache` hold a servable copy of `file`, recursing upward.
-    /// Returns `(last_modified, size)` of what this cache now serves.
-    fn obtain(&mut self, cache: CacheId, file: FileId, now: SimTime) -> (SimTime, u64) {
-        let resident = self.stores[cache.index()].access(file, now).copied();
-        if let Some(e) = resident {
-            if self
-                .policy
-                .decide(&e, &consistency::RequestCtx::new(now, 0))
-                .serves_locally()
-            {
-                return (e.last_modified, e.size);
+    /// Returns the version this cache now serves.
+    fn obtain(&mut self, cache: CacheId, file: FileId, now: SimTime) -> Version {
+        let effect = self.caches[cache.index()].request(
+            file,
+            0,
+            now,
+            Some(&self.population),
+            &mut NoopProbe,
+        );
+        let held = match effect {
+            Effect::Serve(e) => {
+                return Version {
+                    modified_at: e.last_modified,
+                    size: e.size,
+                }
             }
-            // Expired or invalidated: consult upstream with a conditional
-            // GET (or, for the invalidation protocol, a plain refetch —
-            // the copy is known stale).
-            let (up_lm, up_size) = self.upstream_version(cache, file, now);
-            let pop = Arc::clone(&self.population);
-            let path = &pop.get(file).path;
-            if !self.uses_invalidation && up_lm == e.last_modified {
-                // 304 on this hop.
-                self.traffic.add_message(self.costing.validation_exchange(
-                    path,
-                    httpsim::HttpDate(e.last_modified.as_secs()),
-                    httpsim::HttpDate(now.as_secs()),
-                ));
-                self.stores[cache.index()]
-                    .access(file, now)
-                    .expect("resident")
-                    .revalidate(now);
-                return (up_lm, up_size);
-            }
-            // Body moves down this hop.
-            self.traffic.add_message(self.costing.fetch_overhead(
-                path,
-                None,
-                httpsim::HttpDate(now.as_secs()),
-                httpsim::HttpDate(up_lm.as_secs()),
-                up_size,
-            ));
-            self.traffic.add_file_transfer(up_size);
-            self.stores[cache.index()]
-                .access(file, now)
-                .expect("resident")
-                .replace_body(up_size, up_lm, now);
-            return (up_lm, up_size);
-        }
-        // Not resident: full fetch from upstream.
-        let (up_lm, up_size) = self.upstream_version(cache, file, now);
-        let pop = Arc::clone(&self.population);
-        let path = &pop.get(file).path;
-        self.traffic.add_message(self.costing.fetch_overhead(
-            path,
-            None,
-            httpsim::HttpDate(now.as_secs()),
-            httpsim::HttpDate(up_lm.as_secs()),
-            up_size,
-        ));
-        self.traffic.add_file_transfer(up_size);
-        self.stores[cache.index()].insert(file, EntryMeta::fresh(up_size, up_lm, now));
-        (up_lm, up_size)
-    }
-
-    /// What the upstream of `cache` serves: the parent cache (recursively
-    /// obtained) or, for the root, the origin itself.
-    fn upstream_version(&mut self, cache: CacheId, file: FileId, now: SimTime) -> (SimTime, u64) {
-        match self.topo.parent(cache) {
+            Effect::Validate(e) => Some(e.last_modified),
+            Effect::Fetch | Effect::Forward => None,
+        };
+        // What the upstream serves: the parent cache (recursively
+        // obtained) or, for the root, the origin itself.
+        let up = match self.topo.parent(cache) {
             Some(parent) => self.obtain(parent, file, now),
-            None => {
-                let v = self
-                    .population
-                    .get(file)
-                    .version_at(now)
-                    .expect("origin fetch before creation");
-                (v.modified_at, v.size)
+            None => self
+                .population
+                .get(file)
+                .version_at(now)
+                .expect("origin fetch before creation"),
+        };
+        let reply = if held == Some(up.modified_at) {
+            // 304 on this hop.
+            Reply::NotModified {
+                expires: None,
+                message_bytes: PAPER_MESSAGE_BYTES,
+                delay: self.link.delay_for(0),
             }
-        }
+        } else {
+            // Body moves down this hop.
+            Reply::Body {
+                size: up.size,
+                last_modified: up.modified_at,
+                expires: None,
+                conditional: held.is_some(),
+                message_bytes: PAPER_MESSAGE_BYTES,
+                delay: self.link.delay_for(up.size),
+            }
+        };
+        self.caches[cache.index()].apply(file, 0, now, reply, &mut NoopProbe);
+        up
     }
 }
 
@@ -291,7 +260,7 @@ pub fn replay_workload(
         mi += 1;
     }
     let requests = workload.request_count() as u64;
-    (sim.traffic, sim.stale_serves, requests)
+    (sim.traffic(), sim.stale_serves(), requests)
 }
 
 /// One Figure 1 scenario, measured on both topologies and both protocol
@@ -361,7 +330,7 @@ pub fn figure1_scenarios() -> Vec<Figure1Row> {
                 if let Some(at) = access_at {
                     sim.request(leaf_a, f, at);
                 }
-                sim.traffic.total_bytes()
+                sim.traffic().total_bytes()
             };
             Figure1Row {
                 scenario: label,
@@ -457,8 +426,8 @@ mod tests {
         let mut sim = HierarchySim::new(topo, pop, ProtocolSpec::Ttl(10));
         sim.preload(f, t0);
         sim.request(a, f, t2);
-        assert_eq!(sim.stale_serves, 1);
-        assert_eq!(sim.traffic.total_bytes(), 0);
+        assert_eq!(sim.stale_serves(), 1);
+        assert_eq!(sim.traffic().total_bytes(), 0);
     }
 
     #[test]
@@ -477,9 +446,9 @@ mod tests {
         sim.request(a, f, t2);
         // Both the root and the leaf were invalid: the body moves twice
         // (server->root, root->leaf).
-        assert_eq!(sim.traffic.file_transfers, 2);
-        assert_eq!(sim.traffic.file_bytes, 12_000);
-        assert_eq!(sim.stale_serves, 0);
+        assert_eq!(sim.traffic().file_transfers, 2);
+        assert_eq!(sim.traffic().file_bytes, 12_000);
+        assert_eq!(sim.stale_serves(), 0);
     }
 
     #[test]
@@ -495,15 +464,13 @@ mod tests {
         let leaf = topo.add_child(topo.root());
         let mut sim = HierarchySim::new(topo, pop, ProtocolSpec::Ttl(1_000));
         sim.preload(f, t0);
-        sim.stores[leaf.index()]
-            .access(f, t0)
-            .unwrap()
-            .mark_invalid();
+        sim.caches[leaf.index()].invalidate(f, t0, 0);
+        let before = sim.traffic().messages;
         sim.request(leaf, f, t2);
-        assert_eq!(sim.traffic.file_transfers, 0);
-        assert_eq!(sim.traffic.messages, 1);
-        assert_eq!(sim.stale_serves, 0);
+        assert_eq!(sim.traffic().file_transfers, 0);
+        assert_eq!(sim.traffic().messages, before + 1);
+        assert_eq!(sim.stale_serves(), 0);
         // The leaf's entry is valid again.
-        assert!(sim.stores[leaf.index()].peek(f).unwrap().is_valid());
+        assert!(sim.caches[leaf.index()].peek(f).unwrap().is_valid());
     }
 }

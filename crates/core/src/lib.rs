@@ -38,7 +38,7 @@ pub mod workload;
 pub use experiment::{Experiment, RunOutcome, Store as ExperimentStore};
 pub use protocol::ProtocolSpec;
 pub use scenario::ScenarioBuilder;
-pub use sim::{run, run_bounded, run_bounded_fifo, RetrievalMode, RunResult, SimConfig};
+pub use sim::{run, RetrievalMode, RunResult, SimConfig};
 pub use sweep::SweepRunner;
 pub use workload::{
     generate_synthetic, LifetimeModel, PopularityModel, Workload, WorkloadKnobs, WorrellConfig,

@@ -3,12 +3,13 @@
 //! The live stack takes the *same* workload a simulation runs —
 //! population, request schedule, classes — and replays it over real
 //! sockets. This module converts [`Workload`] → `liveserve`'s
-//! [`LiveWorkload`] and [`ProtocolSpec`] → [`LivePolicy`], and wraps the
-//! closed-loop runner so callers (the `wcc` CLI and the differential
-//! test) can go from a simulator configuration to a live run in one
-//! call.
+//! [`LiveWorkload`] and [`ProtocolSpec`] → [`LivePolicy`];
+//! [`crate::Experiment::run_live`] goes from a simulator configuration
+//! to a live run in one call.
 //!
-//! A single-threaded live run is counter-for-counter comparable to
+//! The live proxy and the simulator drive the same
+//! [`consistency::Engine`], so a single-threaded live run is
+//! counter-for-counter comparable to
 //! `run(workload, spec, &SimConfig::optimized().preload(false))`:
 //! identical `CacheStats`, `ServerLoad`,
 //! message/file-transfer *counts*, and staleness totals. Only
@@ -16,10 +17,9 @@
 //! `PaperConstant` costing charges 43 bytes per message where the live
 //! stack counts real wire bytes.
 
-use std::io;
 use std::sync::Arc;
 
-use liveserve::{LivePolicy, LiveWorkload, LoadReport};
+use liveserve::{LivePolicy, LiveWorkload};
 
 use crate::protocol::ProtocolSpec;
 use crate::workload::Workload;
@@ -50,42 +50,6 @@ pub fn live_policy(spec: ProtocolSpec) -> Option<LivePolicy> {
         ProtocolSpec::UpdateRisk(p) => Some(LivePolicy::UpdateRisk(p)),
         _ => None,
     }
-}
-
-/// Replay `workload` under `spec` through the live loopback stack with
-/// `threads` client threads.
-///
-/// Thin wrapper over [`crate::Experiment`]; use the builder directly to
-/// attach a probe or select a bounded store.
-///
-/// # Errors
-/// Propagates socket errors, and rejects specs the live stack does not
-/// implement (see [`live_policy`]).
-pub fn run_live(workload: &Workload, spec: ProtocolSpec, threads: usize) -> io::Result<LoadReport> {
-    run_live_sharded(workload, spec, threads, 1)
-}
-
-/// [`run_live`] with the proxy cache split into `shards` shards, each
-/// with its own lock, store, and pooled upstream connections. One shard
-/// reproduces the single-lock topology exactly (the differential test
-/// relies on this); more shards trade that exactness-by-construction
-/// for parallelism while keeping aggregate counters identical on
-/// unbounded stores.
-///
-/// # Errors
-/// Propagates socket errors, and rejects specs the live stack does not
-/// implement (see [`live_policy`]).
-pub fn run_live_sharded(
-    workload: &Workload,
-    spec: ProtocolSpec,
-    threads: usize,
-    shards: usize,
-) -> io::Result<LoadReport> {
-    crate::Experiment::new(workload)
-        .protocol(spec)
-        .threads(threads)
-        .shards(shards)
-        .run_live()
 }
 
 #[cfg(test)]
@@ -132,7 +96,10 @@ mod tests {
     #[test]
     fn unsupported_spec_is_a_clean_error() {
         let wl = generate_synthetic(&WorrellConfig::scaled(10, 50), 1);
-        let err = run_live(&wl, ProtocolSpec::SelfTuning, 1).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+        let err = crate::Experiment::new(&wl)
+            .protocol(ProtocolSpec::SelfTuning)
+            .run_live()
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::Unsupported);
     }
 }

@@ -43,7 +43,7 @@ pub enum ProtocolSpec {
 
 impl ProtocolSpec {
     /// Instantiate the cache-side policy.
-    pub fn build_policy(&self) -> Box<dyn Policy> {
+    pub fn build_policy(&self) -> Box<dyn Policy + Send> {
         match *self {
             ProtocolSpec::Ttl(hours) => Box::new(FixedTtl::new(SimDuration::from_hours(hours))),
             ProtocolSpec::Alex(pct) => Box::new(AdaptiveTtl::percent(pct)),

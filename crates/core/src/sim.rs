@@ -8,6 +8,12 @@
 //! simulator, the optimized simulator, and the modified-workload (trace)
 //! simulator; only the [`SimConfig`] and the [`Workload`] differ.
 //!
+//! What the cache does with a request is [`consistency::Engine`]'s
+//! business. This module is the engine's simulated transport
+//! (`SimCache`: each effect becomes a call on an in-process
+//! [`OriginServer`], priced by the paper's costing) and the event loop
+//! that feeds it the workload.
+//!
 //! Accounting follows the paper exactly:
 //!
 //! * **bandwidth** — "the number of bytes required to maintain
@@ -21,27 +27,19 @@
 
 use std::sync::Arc;
 
-use consistency::{LinkModel, Policy, RequestCtx};
+use consistency::{Effect, Engine, LinkModel, Reply};
 use httpsim::{HttpDate, MessageCosting, EPOCH_1996};
-use originserver::{CondResult, OriginServer};
+use originserver::{CondResult, OriginServer, Version};
 use proxycache::{EntryMeta, Store};
 use simcore::{
     CacheId, CacheStats, Dispatch, FileId, Scheduler, ServerLoad, SimTime, Simulation, TrafficMeter,
 };
-use wcc_obs::{ObsEvent, Probe, RequestOutcome, ServerOpKind};
+use wcc_obs::{ObsEvent, Probe, ServerOpKind};
 
 use crate::protocol::ProtocolSpec;
 use crate::workload::Workload;
 
-/// What happens when an expired (but resident) entry is requested.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetrievalMode {
-    /// Base simulator: refetch the full file unconditionally.
-    Eager,
-    /// Optimized simulator: issue `If-Modified-Since`; transfer the body
-    /// only when the object truly changed.
-    Conditional,
-}
+pub use consistency::RetrievalMode;
 
 /// Simulator configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +57,8 @@ pub struct SimConfig {
     /// forwarded them uncached.
     pub uncacheable_mask: u32,
     /// The access-link model that prices fetch/validation delay, threaded
-    /// into every [`RequestCtx`] and [`Policy::on_fetch`] call. The
+    /// into every [`consistency::RequestCtx`] and
+    /// [`consistency::Policy::on_fetch`] call. The
     /// paper's protocols ignore it (their decisions are delay-blind), so
     /// changing it cannot perturb their results; the delay-aware policies
     /// (RenewableTTL, UpdateRisk) read it.
@@ -227,377 +226,203 @@ impl RunResult {
     }
 }
 
-struct World<'w, S: Store> {
-    store: S,
-    server: OriginServer,
-    policy: Box<dyn Policy>,
-    probe: &'w mut dyn Probe,
-    classes: &'w [usize],
-    class_expires: &'w [Option<simcore::SimDuration>],
-    retrieval: RetrievalMode,
-    costing: MessageCosting,
-    uncacheable_mask: u32,
-    link: LinkModel,
-    uses_invalidation: bool,
-    traffic: TrafficMeter,
-    stats: CacheStats,
-    stale_age_total: simcore::SimDuration,
-    evictions: u64,
-}
-
 const THE_CACHE: CacheId = CacheId(0);
 
-impl<S: Store> World<'_, S> {
-    fn wall(&self, t: SimTime) -> HttpDate {
-        HttpDate(EPOCH_1996.0 + t.as_secs())
-    }
+fn wall(t: SimTime) -> HttpDate {
+    HttpDate(EPOCH_1996.0 + t.as_secs())
+}
 
-    /// Insert an entry, processing any evictions a bounded store makes:
-    /// evicted objects lose their invalidation subscription (the server
-    /// must not notify caches that no longer hold the object).
-    fn insert_entry(&mut self, file: FileId, meta: EntryMeta) {
-        let at = meta.fetched_at;
-        for (victim, _) in self.store.insert(file, meta) {
-            if victim != file {
-                self.evictions += 1;
-                self.probe.record(at, ObsEvent::Eviction { file: victim });
-            }
-            if self.uses_invalidation {
-                self.server.unsubscribe(THE_CACHE, victim);
-            }
+/// One engine wired to an in-process [`OriginServer`] — the simulated
+/// transport. Each [`Effect`] becomes a server call whose answer is
+/// priced by the configured costing and link model, and the server's
+/// invalidation subscriptions are kept in step with the store.
+pub(crate) struct SimCache<'w, S: Store> {
+    pub(crate) engine: Engine<S>,
+    pub(crate) server: OriginServer,
+    workload: &'w Workload,
+    costing: MessageCosting,
+    link: LinkModel,
+    uses_invalidation: bool,
+}
+
+impl<'w, S: Store> SimCache<'w, S> {
+    pub(crate) fn new(
+        workload: &'w Workload,
+        spec: ProtocolSpec,
+        config: &SimConfig,
+        store: S,
+    ) -> Self {
+        debug_assert_eq!(workload.validate(), Ok(()));
+        let uses_invalidation = spec.uses_invalidation();
+        SimCache {
+            engine: Engine::new(
+                store,
+                spec.build_policy(),
+                config.retrieval.under_invalidation(uses_invalidation),
+                config.uncacheable_mask,
+                config.link,
+            ),
+            server: OriginServer::new(Arc::clone(&workload.population)),
+            workload,
+            costing: config.costing,
+            link: config.link,
+            uses_invalidation,
         }
     }
 
-    fn is_uncacheable(&self, class: usize) -> bool {
-        class < 32 && self.uncacheable_mask & (1 << class) != 0
-    }
-
     fn origin_expiry(&self, class: usize, now: SimTime) -> Option<SimTime> {
-        self.class_expires
+        self.workload
+            .class_expires
             .get(class)
             .copied()
             .flatten()
             .map(|d| now.saturating_add(d))
     }
 
-    fn on_modification(&mut self, file: FileId, now: SimTime) {
-        self.probe.record(now, ObsEvent::Modification { file });
-        if !self.uses_invalidation {
-            return;
-        }
-        let targets = self.server.notify_modification(file);
-        self.probe.record(
-            now,
-            ObsEvent::Invalidation {
-                file,
-                fanout: targets.len() as u32,
-            },
-        );
-        for cache in targets {
-            debug_assert_eq!(cache, THE_CACHE);
-            self.probe.record(
-                now,
-                ObsEvent::ServerOp {
-                    kind: ServerOpKind::InvalidationSent,
-                },
-            );
-            self.traffic.add_message(
-                self.costing
-                    .invalidation_message(&self.server.files().get(file).path),
-            );
-            if let Some(entry) = self.store.access(file, now) {
-                entry.mark_invalid();
+    /// Evicted objects lose their invalidation subscription: the server
+    /// must not notify caches that no longer hold the object.
+    fn unsubscribe(&mut self, victims: &[(FileId, EntryMeta)]) {
+        if self.uses_invalidation {
+            for &(victim, _) in victims {
+                self.server.unsubscribe(THE_CACHE, victim);
             }
         }
     }
 
-    fn fetch_full(&mut self, file: FileId, now: SimTime, since: Option<SimTime>) {
-        let class = self.classes[file.index()];
-        let v = self.server.handle_get(file, now);
-        self.probe.record(
-            now,
-            ObsEvent::ServerOp {
-                kind: ServerOpKind::DocumentRequest,
-            },
-        );
-        let overhead = self.costing.fetch_overhead(
-            &self.server.files().get(file).path,
-            since.map(|s| self.wall(s)),
-            self.wall(now),
-            self.wall(v.modified_at),
-            v.size,
-        );
-        self.traffic.add_message(overhead);
-        self.traffic.add_file_transfer(v.size);
-        self.policy.on_fetch(class, self.link.delay_for(v.size));
-        self.stats.misses += 1;
-        if self.is_uncacheable(class) {
-            // Dynamic content is forwarded, never stored.
-            self.store.remove(file);
-            return;
-        }
-        let expires = self.origin_expiry(class, now);
-        match self.store.access(file, now).copied() {
-            Some(mut entry) => {
-                entry.replace_body(v.size, v.modified_at, now);
-                entry.expires = expires;
-                // Reinsert rather than mutate in place: bounded stores
-                // track resident bytes at insert time, and the new body
-                // may not be the same size as the old one.
-                self.insert_entry(file, entry);
-            }
-            None => {
-                let mut fresh = EntryMeta::fresh(v.size, v.modified_at, now);
-                fresh.expires = expires;
-                if self.uses_invalidation {
-                    self.server.subscribe(THE_CACHE, file);
-                }
-                self.insert_entry(file, fresh);
-                // A rejected oversized insert leaves no resident copy and
-                // must not stay subscribed; insert_entry unsubscribed it.
-            }
-        }
-    }
-
-    fn on_request(&mut self, file: FileId, now: SimTime) {
-        let class = self.classes[file.index()];
-        if self.is_uncacheable(class) {
-            self.probe.record(
-                now,
-                ObsEvent::Request {
-                    file,
-                    outcome: RequestOutcome::Uncacheable,
-                },
-            );
-            self.fetch_full(file, now, None);
-            return;
-        }
-        let Some(entry) = self.store.access(file, now).copied() else {
-            // Compulsory miss: the cache has never seen this object.
-            self.probe.record(
-                now,
-                ObsEvent::Request {
-                    file,
-                    outcome: RequestOutcome::Miss,
-                },
-            );
-            self.fetch_full(file, now, None);
-            return;
-        };
-
-        // The decision seam: one call carrying everything the policy may
-        // weigh — the instant, the content class, and what refreshing this
-        // entry would cost over the modeled link. Legacy policies fold
-        // `entry.is_valid()` into their expiry check (`decide_by_expiry`),
-        // so this is bit-identical with the old
-        // `is_valid() && is_fresh(...)` conjunction.
-        let ctx = RequestCtx::new(now, class).with_delay(self.link.delay_for(entry.size));
-        let fresh = self.policy.decide(&entry, &ctx).serves_locally();
-        self.probe
-            .record(now, ObsEvent::PolicyDecision { file, fresh });
-        if fresh {
-            // Served locally; classify against the live origin version.
-            let live = self
-                .server
-                .files()
-                .get(file)
-                .version_at(now)
-                .expect("requested file exists");
-            if live.modified_at == entry.last_modified {
-                self.stats.fresh_hits += 1;
-                self.probe.record(
-                    now,
-                    ObsEvent::Request {
-                        file,
-                        outcome: RequestOutcome::FreshHit,
-                    },
-                );
-            } else {
-                self.stats.stale_hits += 1;
-                // Severity: how long the served copy has been out of date
-                // (time since the first change it missed).
-                let mut age = simcore::SimDuration::ZERO;
-                if let Some(missed) = self
-                    .server
-                    .files()
-                    .get(file)
-                    .first_change_after(entry.last_modified)
-                {
-                    age = now.saturating_since(missed.modified_at);
-                    self.stale_age_total = self.stale_age_total.saturating_add(age);
-                }
-                self.probe.record(
-                    now,
-                    ObsEvent::Request {
-                        file,
-                        outcome: RequestOutcome::StaleHit { age },
-                    },
-                );
-            }
-            return;
-        }
-
-        // Expired (time-based protocols) or marked invalid (invalidation
-        // protocol). An invalidated entry is *known* stale — conditional
-        // retrieval would be a wasted round-trip — so the invalidation
-        // protocol always refetches, as does the base (eager) simulator.
-        if self.uses_invalidation || self.retrieval == RetrievalMode::Eager {
-            let changed = {
-                let live = self
-                    .server
-                    .files()
-                    .get(file)
-                    .version_at(now)
-                    .expect("requested file exists");
-                live.modified_at != entry.last_modified
+    /// Warm the cache with the version of every file live at the start
+    /// of the workload (the paper's Figures 2–7 setup; not charged).
+    pub(crate) fn preload(&mut self, probe: &mut dyn Probe) {
+        let (workload, start) = (self.workload, self.workload.start);
+        for (id, rec) in workload.population.iter() {
+            let Some(v) = rec.version_at(start) else {
+                continue;
             };
-            self.policy.on_validation(class, changed);
-            self.probe.record(
-                now,
-                ObsEvent::Validation {
-                    file,
-                    modified: changed,
-                },
-            );
-            self.probe.record(
-                now,
-                ObsEvent::Request {
-                    file,
-                    outcome: RequestOutcome::Miss,
-                },
-            );
-            self.fetch_full(file, now, None);
-            return;
+            let class = workload.classes[id.index()];
+            let mut meta = EntryMeta::fresh(v.size, v.modified_at, start);
+            meta.expires = self.origin_expiry(class, start);
+            let victims = self.engine.preload(id, class, meta, probe);
+            self.unsubscribe(&victims);
+            if self.uses_invalidation && self.engine.peek(id).is_some() {
+                self.server.subscribe(THE_CACHE, id);
+            }
         }
+    }
 
-        // Optimized path: combined query-and-fetch via If-Modified-Since.
-        self.probe.record(
-            now,
-            ObsEvent::ServerOp {
-                kind: ServerOpKind::ValidationQuery,
-            },
-        );
-        match self
-            .server
-            .handle_conditional_get(file, entry.last_modified, now)
-        {
-            CondResult::NotModified => {
-                self.traffic.add_message(self.costing.validation_exchange(
-                    &self.server.files().get(file).path,
-                    self.wall(entry.last_modified),
-                    self.wall(now),
-                ));
-                self.stats.validations_not_modified += 1;
-                self.stats.fresh_hits += 1;
-                self.policy.on_validation(class, false);
-                // A 304 moves no body: the exchange costs the bare round
-                // trip, which delay-aware policies fold into their
-                // per-class delay estimate.
-                self.policy.on_fetch(class, self.link.delay_for(0));
-                self.probe.record(
-                    now,
-                    ObsEvent::Validation {
-                        file,
-                        modified: false,
-                    },
-                );
-                self.probe.record(
-                    now,
-                    ObsEvent::Request {
-                        file,
-                        outcome: RequestOutcome::ValidatedFresh,
-                    },
-                );
-                let expires = self.origin_expiry(class, now);
-                let entry = self.store.access(file, now).expect("entry is resident");
-                entry.revalidate(now);
-                entry.expires = expires;
-            }
-            CondResult::Modified(v) => {
-                let overhead = self.costing.fetch_overhead(
-                    &self.server.files().get(file).path,
-                    Some(self.wall(entry.last_modified)),
-                    self.wall(now),
-                    self.wall(v.modified_at),
-                    v.size,
-                );
-                self.traffic.add_message(overhead);
-                self.traffic.add_file_transfer(v.size);
-                self.policy.on_fetch(class, self.link.delay_for(v.size));
-                self.stats.validations_modified += 1;
-                self.stats.misses += 1;
-                self.policy.on_validation(class, true);
-                self.probe.record(
-                    now,
-                    ObsEvent::Validation {
-                        file,
-                        modified: true,
-                    },
-                );
-                self.probe.record(
-                    now,
-                    ObsEvent::Request {
-                        file,
-                        outcome: RequestOutcome::ValidatedStale,
-                    },
-                );
-                let expires = self.origin_expiry(class, now);
-                let mut entry = *self.store.access(file, now).expect("entry is resident");
-                entry.replace_body(v.size, v.modified_at, now);
-                entry.expires = expires;
-                self.insert_entry(file, entry);
-            }
+    fn body(
+        &self,
+        file: FileId,
+        class: usize,
+        now: SimTime,
+        v: Version,
+        since: Option<SimTime>,
+    ) -> Reply {
+        Reply::Body {
+            size: v.size,
+            last_modified: v.modified_at,
+            expires: self.origin_expiry(class, now),
+            conditional: since.is_some(),
+            message_bytes: self.costing.fetch_overhead(
+                &self.server.files().get(file).path,
+                since.map(wall),
+                wall(now),
+                wall(v.modified_at),
+                v.size,
+            ),
+            delay: self.link.delay_for(v.size),
         }
+    }
+
+    /// A client asks the cache for `file` at `now`.
+    pub(crate) fn request(&mut self, file: FileId, now: SimTime, probe: &mut dyn Probe) {
+        let class = self.workload.classes[file.index()];
+        let oracle = Some(self.server.files());
+        let effect = self.engine.request(file, class, now, oracle, probe);
+        let reply = match effect {
+            Effect::Serve(_) => return,
+            // Combined query-and-fetch via If-Modified-Since.
+            Effect::Validate(entry) => {
+                probe.record(
+                    now,
+                    ObsEvent::ServerOp {
+                        kind: ServerOpKind::ValidationQuery,
+                    },
+                );
+                let since = entry.last_modified;
+                match self.server.handle_conditional_get(file, since, now) {
+                    CondResult::NotModified => Reply::NotModified {
+                        expires: self.origin_expiry(class, now),
+                        message_bytes: self.costing.validation_exchange(
+                            &self.server.files().get(file).path,
+                            wall(since),
+                            wall(now),
+                        ),
+                        delay: self.link.delay_for(0),
+                    },
+                    CondResult::Modified(v) => self.body(file, class, now, v, Some(since)),
+                }
+            }
+            Effect::Fetch | Effect::Forward => {
+                let v = self.server.handle_get(file, now);
+                probe.record(
+                    now,
+                    ObsEvent::ServerOp {
+                        kind: ServerOpKind::DocumentRequest,
+                    },
+                );
+                self.body(file, class, now, v, None)
+            }
+        };
+        // New entries subscribe before they are inserted. A rejected
+        // oversized insert leaves no resident copy and must not stay
+        // subscribed: it comes back among the victims.
+        if self.uses_invalidation && effect == Effect::Fetch && self.engine.peek(file).is_none() {
+            self.server.subscribe(THE_CACHE, file);
+        }
+        let applied = self.engine.apply(file, class, now, reply, probe);
+        self.unsubscribe(&applied.victims);
+    }
+
+    /// An invalidation notice for `file` reaches the cache at `now`.
+    pub(crate) fn invalidate(&mut self, file: FileId, now: SimTime) {
+        let notice = self
+            .costing
+            .invalidation_message(&self.server.files().get(file).path);
+        self.engine.invalidate(file, now, notice);
+    }
+
+    /// The run's metrics under `label`, plus the eviction count.
+    pub(crate) fn finish(self, label: String) -> (RunResult, u64) {
+        debug_assert_eq!(
+            self.engine.stats().requests() as usize,
+            self.workload.request_count(),
+            "every request classifies as exactly one of hit/stale/miss"
+        );
+        (
+            RunResult {
+                protocol: label,
+                traffic: *self.engine.traffic(),
+                cache: *self.engine.stats(),
+                server: *self.server.load(),
+                stale_age_total: self.engine.stale_age_total(),
+            },
+            self.engine.evictions(),
+        )
     }
 }
 
 /// Run `workload` under `spec` with `config`, returning the paper's
 /// metrics. Fully deterministic: same inputs, same result.
 ///
-/// Thin wrapper over [`crate::Experiment`]; use the builder directly to
-/// attach a [`Probe`] or select a bounded store.
+/// The one free-function entry point kept beside [`crate::Experiment`]:
+/// its body is one builder chain, and rewriting its ~100 test call sites
+/// to spell that chain out would be churn, not simplification. Use the
+/// builder directly to attach a [`Probe`] or select a bounded store.
 pub fn run(workload: &Workload, spec: ProtocolSpec, config: &SimConfig) -> RunResult {
     crate::Experiment::new(workload)
         .protocol(spec)
         .config(*config)
         .run()
         .result
-}
-
-/// Like [`run`], but with a byte-bounded LRU cache instead of the paper's
-/// infinite store — the bounded-cache extension. Returns the run result
-/// plus the number of evictions. Evicted objects lose their validation
-/// history (the Alex protocol restarts on the refetched copy) and, under
-/// the invalidation protocol, their server-side subscription.
-pub fn run_bounded(
-    workload: &Workload,
-    spec: ProtocolSpec,
-    config: &SimConfig,
-    capacity_bytes: u64,
-) -> (RunResult, u64) {
-    crate::Experiment::new(workload)
-        .protocol(spec)
-        .config(*config)
-        .store(crate::ExperimentStore::Lru(capacity_bytes))
-        .run()
-        .into_pair()
-}
-
-/// Like [`run_bounded`], but with FIFO eviction — the cheaper policy
-/// several mid-90s caches actually used. The eviction-policy ablation
-/// compares the two under the consistency protocols.
-pub fn run_bounded_fifo(
-    workload: &Workload,
-    spec: ProtocolSpec,
-    config: &SimConfig,
-    capacity_bytes: u64,
-) -> (RunResult, u64) {
-    crate::Experiment::new(workload)
-        .protocol(spec)
-        .config(*config)
-        .store(crate::ExperimentStore::Fifo(capacity_bytes))
-        .run()
-        .into_pair()
 }
 
 /// The closed event alphabet of the single-cache simulator.
@@ -615,19 +440,51 @@ enum SimEvent {
     Request(FileId),
 }
 
-impl<'w, S: Store> Dispatch<World<'w, S>> for SimEvent {
-    fn dispatch(self, world: &mut World<'w, S>, sched: &mut Scheduler<World<'w, S>, Self>) {
-        match self {
-            SimEvent::Modify(f) => world.on_modification(f, sched.now()),
-            SimEvent::Request(f) => world.on_request(f, sched.now()),
+struct World<'w, S: Store> {
+    cache: SimCache<'w, S>,
+    probe: &'w mut dyn Probe,
+}
+
+impl<S: Store> World<'_, S> {
+    fn on_modification(&mut self, file: FileId, now: SimTime) {
+        self.probe.record(now, ObsEvent::Modification { file });
+        if !self.cache.uses_invalidation {
+            return;
+        }
+        let targets = self.cache.server.notify_modification(file);
+        self.probe.record(
+            now,
+            ObsEvent::Invalidation {
+                file,
+                fanout: targets.len() as u32,
+            },
+        );
+        for cache in targets {
+            debug_assert_eq!(cache, THE_CACHE);
+            self.probe.record(
+                now,
+                ObsEvent::ServerOp {
+                    kind: ServerOpKind::InvalidationSent,
+                },
+            );
+            self.cache.invalidate(file, now);
         }
     }
 }
 
-/// The shared engine behind every simulator entry point. `probe`
-/// receives the structured event stream; pass [`wcc_obs::NoopProbe`]
-/// for an unobserved run (the compiler sees only a no-op virtual call,
-/// keeping golden hashes bit-identical).
+impl<'w, S: Store> Dispatch<World<'w, S>> for SimEvent {
+    fn dispatch(self, world: &mut World<'w, S>, sched: &mut Scheduler<World<'w, S>, Self>) {
+        match self {
+            SimEvent::Modify(f) => world.on_modification(f, sched.now()),
+            SimEvent::Request(f) => world.cache.request(f, sched.now(), world.probe),
+        }
+    }
+}
+
+/// The event loop behind [`crate::Experiment::run`]. `probe` receives
+/// the structured event stream; pass [`wcc_obs::NoopProbe`] for an
+/// unobserved run (the compiler sees only a no-op virtual call, keeping
+/// golden hashes bit-identical).
 pub(crate) fn run_with_store_probe<'w, S: Store>(
     workload: &'w Workload,
     spec: ProtocolSpec,
@@ -635,51 +492,10 @@ pub(crate) fn run_with_store_probe<'w, S: Store>(
     store: S,
     probe: &'w mut dyn Probe,
 ) -> (RunResult, u64) {
-    debug_assert_eq!(workload.validate(), Ok(()));
-    let mut world = World {
-        store,
-        server: OriginServer::new(Arc::clone(&workload.population)),
-        policy: spec.build_policy(),
-        probe,
-        classes: &workload.classes,
-        class_expires: &workload.class_expires,
-        retrieval: config.retrieval,
-        costing: config.costing,
-        uncacheable_mask: config.uncacheable_mask,
-        link: config.link,
-        uses_invalidation: spec.uses_invalidation(),
-        traffic: TrafficMeter::default(),
-        stats: CacheStats::default(),
-        stale_age_total: simcore::SimDuration::ZERO,
-        evictions: 0,
-    };
-
+    let mut cache = SimCache::new(workload, spec, config, store);
     if config.preload {
-        for (id, rec) in workload.population.iter() {
-            let class = workload.classes[id.index()];
-            if world.is_uncacheable(class) {
-                continue;
-            }
-            if let Some(v) = rec.version_at(workload.start) {
-                if world.uses_invalidation {
-                    world.server.subscribe(THE_CACHE, id);
-                }
-                world.insert_entry(
-                    id,
-                    EntryMeta {
-                        size: v.size,
-                        last_modified: v.modified_at,
-                        fetched_at: workload.start,
-                        last_validated: workload.start,
-                        expires: world.origin_expiry(class, workload.start),
-                        state: proxycache::EntryState::Valid,
-                    },
-                );
-            }
-        }
+        cache.preload(probe);
     }
-
-    world.evictions = 0; // preload-time evictions are setup, not workload
 
     // Merge modifications and requests into one schedule; at equal
     // instants a modification precedes a request (a request arriving "at"
@@ -705,7 +521,7 @@ pub(crate) fn run_with_store_probe<'w, S: Store>(
         )
     });
 
-    let mut sim: Simulation<World<'_, S>, SimEvent> = Simulation::new(world);
+    let mut sim: Simulation<World<'_, S>, SimEvent> = Simulation::new(World { cache, probe });
     for (t, _, ev) in events {
         sim.scheduler().schedule_event_at(t, ev);
     }
@@ -717,33 +533,25 @@ pub(crate) fn run_with_store_probe<'w, S: Store>(
             },
         );
     });
-    let world = sim.into_world();
-
-    debug_assert_eq!(
-        world.stats.requests() as usize,
-        workload.request_count(),
-        "every request classifies as exactly one of hit/stale/miss"
-    );
-
-    (
-        RunResult {
-            protocol: spec.label(),
-            traffic: world.traffic,
-            cache: world.stats,
-            server: *world.server.load(),
-            stale_age_total: world.stale_age_total,
-        },
-        world.evictions,
-    )
+    sim.into_world().cache.finish(spec.label())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::{Experiment, RunOutcome, Store as StoreKind};
     use crate::workload::{generate_synthetic, WorrellConfig};
 
     fn small_workload(seed: u64) -> Workload {
         generate_synthetic(&WorrellConfig::scaled(120, 4_000), seed)
+    }
+
+    fn run_in(wl: &Workload, spec: ProtocolSpec, cfg: &SimConfig, store: StoreKind) -> RunOutcome {
+        Experiment::new(wl)
+            .protocol(spec)
+            .config(*cfg)
+            .store(store)
+            .run()
     }
 
     #[test]
@@ -1044,8 +852,9 @@ mod tests {
             .sum::<u64>()
             / 5;
         let sim_cfg = SimConfig::optimized().preload(false);
-        let (lru, _) = run_bounded(&wl, ProtocolSpec::Alex(30), &sim_cfg, capacity);
-        let (fifo, _) = run_bounded_fifo(&wl, ProtocolSpec::Alex(30), &sim_cfg, capacity);
+        let spec = ProtocolSpec::Alex(30);
+        let lru = run_in(&wl, spec, &sim_cfg, StoreKind::Lru(capacity)).result;
+        let fifo = run_in(&wl, spec, &sim_cfg, StoreKind::Fifo(capacity)).result;
         assert!(
             lru.cache.misses <= fifo.cache.misses,
             "LRU {} misses vs FIFO {}",
@@ -1060,10 +869,15 @@ mod tests {
         let wl = small_workload(27);
         let cfg = SimConfig::optimized();
         let unbounded = run(&wl, ProtocolSpec::Ttl(100), &cfg);
-        let (fifo, evictions) = run_bounded_fifo(&wl, ProtocolSpec::Ttl(100), &cfg, u64::MAX / 2);
-        assert_eq!(evictions, 0);
-        assert_eq!(unbounded.cache, fifo.cache);
-        assert_eq!(unbounded.traffic, fifo.traffic);
+        let fifo = run_in(
+            &wl,
+            ProtocolSpec::Ttl(100),
+            &cfg,
+            StoreKind::Fifo(u64::MAX / 2),
+        );
+        assert_eq!(fifo.evictions, 0);
+        assert_eq!(unbounded.cache, fifo.result.cache);
+        assert_eq!(unbounded.traffic, fifo.result.traffic);
     }
 
     #[test]
@@ -1072,10 +886,10 @@ mod tests {
         let cfg = SimConfig::optimized();
         for spec in [ProtocolSpec::Alex(30), ProtocolSpec::Invalidation] {
             let unbounded = run(&wl, spec, &cfg);
-            let (bounded, evictions) = run_bounded(&wl, spec, &cfg, u64::MAX / 2);
-            assert_eq!(unbounded.cache, bounded.cache, "{}", spec.label());
-            assert_eq!(unbounded.traffic, bounded.traffic);
-            assert_eq!(evictions, 0);
+            let bounded = run_in(&wl, spec, &cfg, StoreKind::Lru(u64::MAX / 2));
+            assert_eq!(unbounded.cache, bounded.result.cache, "{}", spec.label());
+            assert_eq!(unbounded.traffic, bounded.result.traffic);
+            assert_eq!(bounded.evictions, 0);
         }
     }
 
@@ -1091,8 +905,9 @@ mod tests {
             .iter()
             .filter_map(|(_, r)| r.version_at(wl.start).map(|v| v.size))
             .sum();
-        let (tight, evictions) = run_bounded(&wl, spec, &cfg, total_bytes / 10);
-        assert!(evictions > 0, "a tight cache must evict");
+        let tight = run_in(&wl, spec, &cfg, StoreKind::Lru(total_bytes / 10));
+        assert!(tight.evictions > 0, "a tight cache must evict");
+        let tight = tight.result;
         assert!(
             tight.cache.misses > roomy.cache.misses,
             "evictions force refetches: {} vs {}",
@@ -1113,11 +928,12 @@ mod tests {
             .iter()
             .filter_map(|(_, r)| r.version_at(wl.start).map(|v| v.size))
             .sum();
-        let (r, evictions) = run_bounded(&wl, ProtocolSpec::Invalidation, &cfg, total_bytes / 20);
-        assert!(evictions > 0);
+        let spec = ProtocolSpec::Invalidation;
+        let r = run_in(&wl, spec, &cfg, StoreKind::Lru(total_bytes / 20));
+        assert!(r.evictions > 0);
         // Evicted objects that change are not notified (they cannot be
         // stale in a cache that doesn't hold them): still zero stale.
-        assert_eq!(r.cache.stale_hits, 0);
+        assert_eq!(r.result.cache.stale_hits, 0);
     }
 
     #[test]

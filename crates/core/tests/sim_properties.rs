@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 use simcore::SimDuration;
-use webcache::{run, run_bounded, ProtocolSpec, ScenarioBuilder, SimConfig, Workload};
+use webcache::{
+    run, Experiment, ExperimentStore, ProtocolSpec, ScenarioBuilder, SimConfig, Workload,
+};
 
 /// A compact, always-valid random workload description.
 #[derive(Debug, Clone)]
@@ -131,11 +133,12 @@ proptest! {
         let config = SimConfig::optimized();
         let spec = ProtocolSpec::Alex(pct);
         let unbounded = run(&wl, spec, &config);
-        let (bounded, evictions) = run_bounded(&wl, spec, &config, u64::MAX / 4);
-        prop_assert_eq!(evictions, 0);
-        prop_assert_eq!(unbounded.cache, bounded.cache);
-        prop_assert_eq!(unbounded.traffic, bounded.traffic);
-        prop_assert_eq!(unbounded.server, bounded.server);
+        let bounded = Experiment::new(&wl)
+            .protocol(spec)
+            .store(ExperimentStore::Lru(u64::MAX / 4))
+            .run();
+        prop_assert_eq!(bounded.evictions, 0);
+        prop_assert_eq!(unbounded, bounded.result);
     }
 
     /// Tight caches may cost extra misses but never consistency: a stale
@@ -147,7 +150,11 @@ proptest! {
         let config = SimConfig::optimized();
         let spec = ProtocolSpec::Ttl(100);
         let roomy = run(&wl, spec, &config);
-        let (tight, _) = run_bounded(&wl, spec, &config, 4_096);
+        let tight = Experiment::new(&wl)
+            .protocol(spec)
+            .store(ExperimentStore::Lru(4_096))
+            .run()
+            .result;
         prop_assert!(tight.cache.stale_hits <= roomy.cache.stale_hits);
     }
 

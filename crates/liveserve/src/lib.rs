@@ -10,14 +10,12 @@
 //!   `If-Modified-Since` with `304 Not Modified`, stamps
 //!   `Last-Modified`/`Expires`, and pushes invalidation notices to
 //!   subscribed proxies over persistent control connections.
-//! * [`LiveProxy`] — a caching proxy fronting the origin. Reuses the
-//!   `proxycache` stores, the `consistency::Policy` trait, and the
-//!   `simcore::metrics` accounting types unchanged; its request handling
-//!   is a port of the optimized simulator's, so a single-threaded run is
-//!   counter-for-counter equivalent to `webcache::run` (the differential
-//!   test in the workspace root pins this). Cache state is sharded by
-//!   [`shard_for`]: each shard owns its own mutex, store, policy
-//!   instance, bounded keep-alive [`UpstreamPool`], and invalidation
+//! * [`LiveProxy`] — a caching proxy fronting the origin. Each request
+//!   is decided by the `consistency::Engine` the simulators drive, so a
+//!   single-threaded run is counter-for-counter equivalent to
+//!   `webcache::run` (the differential test in the workspace root pins
+//!   this). Cache state is sharded by [`shard_for`]: each shard owns its
+//!   own mutex, engine, bounded keep-alive [`UpstreamPool`], and invalidation
 //!   control connection, and concurrent misses for one file coalesce
 //!   into a single upstream fetch. One shard degenerates to the classic
 //!   single-lock topology, so the differential guarantee is untouched.

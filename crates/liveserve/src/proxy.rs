@@ -4,12 +4,12 @@
 //! server speaking the same HTTP/1.0 subset): clients connect to its
 //! data port, and each request is served from the in-memory cache or
 //! fetched/revalidated upstream over a pooled persistent origin
-//! connection. The cache reuses the workspace's existing pieces
-//! unchanged — a `proxycache` store (via [`AnyStore`]), the
-//! `consistency::Policy` trait for freshness, and `simcore::metrics`
-//! for accounting — and its request handling is a line-for-line port of
-//! the optimized simulator's `World::on_request` (conditional
-//! retrieval), so a single-threaded replay produces identical counters.
+//! connection. What the cache does with a request is decided by the
+//! same [`consistency::Engine`] the simulator drives (over an
+//! [`AnyStore`], conditional retrieval), so a single-threaded replay
+//! produces identical counters; this module is the engine's live
+//! transport, and what only a live cache has: bodies, single-flight,
+//! the names table, the control channel, the upstream pool.
 //!
 //! **Sharding.** Cache state is split into `shards` independent
 //! [`Shard`]s, routed by [`shard_for`] (`FileId` index modulo the shard
@@ -25,8 +25,9 @@
 //!
 //! **Single-flight.** Concurrent misses for the same file coalesce: the
 //! first request registers the file as in flight and fetches; followers
-//! wait on the shard's condvar and re-evaluate, finding the freshly
-//! inserted copy. One cold file under a thundering herd costs one
+//! wait on the shard's condvar and are decided once the fetch concludes,
+//! finding the freshly inserted copy. One cold file under a thundering
+//! herd costs one
 //! upstream fetch, and the delayed-hit window is first-class instead of
 //! N duplicate transfers.
 //!
@@ -41,21 +42,20 @@
 //!
 //! **Two phases, decided once.** Every request is decided in
 //! [`ProxyShared::begin`], on the reactor thread that framed it, under
-//! the shard lock: resolve, look the entry up (the one store touch),
-//! ask the policy, classify, and register a single-flight fetch if this
-//! request is to lead one. A fresh hit is answered right there. What
+//! the shard lock: resolve, hand the request to the engine (the one
+//! store touch, the one policy decision, the classification), and
+//! register a single-flight fetch if this request is to lead one. A
+//! fresh hit is answered right there. What
 //! needs the origin — a miss, a validation, an uncacheable forward, a
 //! wait on another request's fetch — travels to a dispatch worker as a
 //! [`Deferred`] carrying the decision and the `now`/`file`/`class` it
 //! was taken with, and [`ProxyShared::finish`] carries it out without
 //! deciding again, so probe events and counters happen exactly once.
 //!
-//! Locking: a shard's mutex guards that shard's state (store + bodies +
-//! policy + counters) and is only ever held for in-memory work — which
-//! is what lets the reactor thread take it. Workers take the decided
-//! entry, talk to the origin with the lock released, then re-lock to
-//! apply the outcome — the same copy-out/reinsert shape the simulator
-//! uses, which is what makes the port exact.
+//! Locking: a shard's mutex guards that shard's state (engine + bodies)
+//! and is only ever held for in-memory work — which is what lets the
+//! reactor thread take it. Workers take the decided entry, talk to the
+//! origin with the lock released, then re-lock to apply the reply.
 
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -65,13 +65,14 @@ use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 
 use consistency::{
-    AdaptiveTtl, FixedTtl, LinkModel, NeverExpire, Policy, RenewableTtl, RequestCtx, UpdateRisk,
+    AdaptiveTtl, Effect, Engine, FixedTtl, LinkModel, NeverExpire, Policy, RenewableTtl, Reply,
+    RetrievalMode, UpdateRisk,
 };
 use httpsim::{Request, Response, Status};
 use originserver::FilePopulation;
-use proxycache::{shard_capacity, AnyStore, EntryMeta, Store};
+use proxycache::{AnyStore, EntryMeta};
 use simcore::{CacheStats, FileId, SimDuration, SimTime, TrafficMeter};
-use wcc_obs::{ObsEvent, ProbeHandle, RequestOutcome};
+use wcc_obs::{ObsEvent, ProbeHandle};
 use wcc_sync::{RankedCondvar, RankedGuard, RankedMutex};
 
 use crate::clock::{sim_instant, wall_date, LiveClock};
@@ -166,18 +167,14 @@ impl LivePolicy {
     }
 }
 
-/// Where the proxy gets the `delay` it hands to delay-aware policies.
+/// How the proxy prices the `delay` of an upstream exchange, which the
+/// engine hands on to delay-aware policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DelaySource {
     /// Price every exchange with a deterministic [`LinkModel`], exactly
     /// as the simulator does — the differential-test configuration, and
     /// the default.
     Modeled(LinkModel),
-    /// Measure real wall-clock upstream round-trips (whole seconds).
-    /// Decide-time delay is reported as zero so freshness decisions stay
-    /// out of the timing loop; policies fall back to their per-class
-    /// observed history fed by `on_fetch`.
-    Measured,
 }
 
 impl Default for DelaySource {
@@ -186,36 +183,7 @@ impl Default for DelaySource {
     }
 }
 
-/// Which `proxycache` store backs the proxy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreKind {
-    /// The paper's infinite cache.
-    Unbounded,
-    /// Byte-bounded LRU.
-    Lru(u64),
-    /// Byte-bounded FIFO.
-    Fifo(u64),
-    /// Byte-bounded GreedyDual-Size.
-    Gds(u64),
-    /// Byte-bounded score-gated LFU.
-    Lfu(u64),
-}
-
-impl StoreKind {
-    /// Shard `shard`'s store instance: unbounded stores are simply
-    /// replicated; bounded stores split the byte budget evenly
-    /// (`proxycache::shard_capacity`), trading global for per-shard
-    /// eviction pressure.
-    fn build_shard(self, shard: usize, shards: usize) -> AnyStore {
-        match self {
-            StoreKind::Unbounded => AnyStore::unbounded(),
-            StoreKind::Lru(cap) => AnyStore::lru(shard_capacity(cap, shard, shards)),
-            StoreKind::Fifo(cap) => AnyStore::fifo(shard_capacity(cap, shard, shards)),
-            StoreKind::Gds(cap) => AnyStore::gds(shard_capacity(cap, shard, shards)),
-            StoreKind::Lfu(cap) => AnyStore::lfu(shard_capacity(cap, shard, shards)),
-        }
-    }
-}
+pub use proxycache::StoreKind;
 
 /// Configuration for [`LiveProxy::spawn`].
 #[derive(Debug, Clone)]
@@ -324,17 +292,14 @@ pub struct ProxySnapshot {
 
 /// Everything one shard's mutex guards.
 struct CacheState {
-    store: AnyStore,
+    engine: Engine<AnyStore>,
+    /// The entity bytes of exactly the entries resident in the engine's
+    /// store: the two change together, under this lock.
     bodies: HashMap<FileId, Arc<Vec<u8>>>,
-    policy: Box<dyn Policy + Send>,
-    /// Files with a single-flight upstream fetch in progress; misses on
-    /// these wait on the shard condvar instead of fetching again.
+    /// Files with a single-flight upstream fetch in progress; requests
+    /// for these wait on the shard condvar and are decided afterwards.
     in_flight: HashSet<FileId>,
-    traffic: TrafficMeter,
-    stats: CacheStats,
-    stale_age_total: SimDuration,
     invalidations_delivered: u64,
-    evictions: u64,
 }
 
 /// One cache shard: its state lock, the condvar miss-coalescing waits
@@ -369,8 +334,8 @@ struct ProxyShared {
     static_names: Names,
     dynamic_names: RankedMutex<Names>,
     classes: Vec<usize>,
-    uncacheable_mask: u32,
-    delay: DelaySource,
+    /// Prices every upstream exchange, exactly as the simulator does.
+    link: LinkModel,
     uses_invalidation: bool,
     ground_truth: Option<Arc<FilePopulation>>,
     clock: LiveClock,
@@ -378,19 +343,24 @@ struct ProxyShared {
     shutdown: AtomicBool,
 }
 
-/// A request `begin` could not answer, with its decision taken and
-/// everything that decision was taken with.
-struct Deferred {
+/// What a client asked for, and the instant its decision is taken at.
+#[derive(Clone, Copy)]
+struct Asked {
     file: FileId,
     class: usize,
     now: SimTime,
+}
+
+/// A request `begin` could not answer, with its decision taken and
+/// everything that decision was taken with.
+struct Deferred {
+    asked: Asked,
     path: String,
     work: Work,
 }
 
-/// What a deferred request still has to do — the branches of
-/// `World::on_request` that reach the origin, plus the single-flight
-/// wait.
+/// What a deferred request still has to do: the engine's effects that
+/// reach the origin, plus the single-flight wait.
 enum Work {
     /// Uncacheable class: forward, never cache — and never coalesce:
     /// every uncacheable request is its own upstream exchange, exactly
@@ -408,7 +378,7 @@ enum Work {
     AwaitFlight,
 }
 
-/// One evaluation of a cacheable request under the shard lock.
+/// One evaluation of a request under the shard lock.
 enum Evaluated<'a> {
     /// Fresh (and valid) local copy, classified and counted: serve it.
     Serve(Response, Arc<Vec<u8>>),
@@ -448,16 +418,6 @@ impl ProxyShared {
         &self.shards[shard_for(file, self.shards.len())]
     }
 
-    /// Emit one request-outcome event. In-memory only; safe to call with
-    /// a shard lock held, never wraps socket IO.
-    fn record_request(&self, now: SimTime, file: FileId, outcome: RequestOutcome) {
-        self.probe.record(now, ObsEvent::Request { file, outcome });
-    }
-
-    fn is_uncacheable(&self, class: usize) -> bool {
-        class < 32 && self.uncacheable_mask & (1 << class) != 0
-    }
-
     /// Path → id. Ground-truth paths resolve without taking any lock;
     /// only never-before-seen paths touch the dynamic table.
     fn resolve(&self, path: &str) -> FileId {
@@ -488,78 +448,17 @@ impl ProxyShared {
             .unwrap_or_default()
     }
 
-    /// The simulator's omniscient fresh/stale classification of a local
-    /// hit, charging staleness severity. Without ground truth every
-    /// local hit is (optimistically) fresh.
-    fn classify_local_hit(
-        &self,
-        st: &mut CacheState,
+    /// The client-facing response for the resident copy `entry` of
+    /// `file`. `None` would mean a resident entry without a body, which
+    /// the shard lock rules out (store and bodies only change together
+    /// under it); callers refetch rather than panic in the server path.
+    fn local_response(
+        st: &CacheState,
         file: FileId,
         entry: &EntryMeta,
         now: SimTime,
-    ) {
-        let Some(gt) = self.ground_truth.as_ref() else {
-            st.stats.fresh_hits += 1;
-            self.record_request(now, file, RequestOutcome::FreshHit);
-            return;
-        };
-        let rec = gt.get(file);
-        let Some(live) = rec.version_at(now) else {
-            // The request raced ahead of the scripted timeline; with no
-            // live version to compare against, count the hit as fresh.
-            st.stats.fresh_hits += 1;
-            self.record_request(now, file, RequestOutcome::FreshHit);
-            return;
-        };
-        if live.modified_at == entry.last_modified {
-            st.stats.fresh_hits += 1;
-            self.record_request(now, file, RequestOutcome::FreshHit);
-        } else {
-            st.stats.stale_hits += 1;
-            let mut age = SimDuration::ZERO;
-            if let Some(missed) = rec.first_change_after(entry.last_modified) {
-                age = now.saturating_since(missed.modified_at);
-                st.stale_age_total = st.stale_age_total.saturating_add(age);
-            }
-            self.record_request(now, file, RequestOutcome::StaleHit { age });
-        }
-    }
-
-    /// Did the origin copy change since `entry` was fetched? (Oracle
-    /// feedback for `Policy::on_validation` on the refetch path; only
-    /// answerable with ground truth, else assume changed — the entry was
-    /// invalidated, after all.)
-    fn changed_since(&self, file: FileId, entry: &EntryMeta, now: SimTime) -> bool {
-        match self
-            .ground_truth
-            .as_ref()
-            .and_then(|gt| gt.get(file).version_at(now))
-        {
-            Some(live) => live.modified_at != entry.last_modified,
-            // No ground truth (or no live version yet): the entry was
-            // invalidated, so assume it changed.
-            None => true,
-        }
-    }
-
-    /// Insert an entry, bumping the eviction counter and returning the
-    /// victims whose subscriptions and bodies must be dropped.
-    fn insert_entry(&self, st: &mut CacheState, file: FileId, meta: EntryMeta) -> Vec<FileId> {
-        let at = meta.fetched_at;
-        let mut victims = Vec::new();
-        for (victim, _) in st.store.insert(file, meta) {
-            if victim != file {
-                st.evictions += 1;
-                self.probe.record(at, ObsEvent::Eviction { file: victim });
-            }
-            st.bodies.remove(&victim);
-            victims.push(victim);
-        }
-        victims
-    }
-
-    /// The client-facing response for a locally-served copy.
-    fn local_response(entry: &EntryMeta, body: &Arc<Vec<u8>>, now: SimTime) -> Response {
+    ) -> Option<(Response, Arc<Vec<u8>>)> {
+        let body = st.bodies.get(&file)?;
         let mut resp = Response::ok(
             wall_date(now),
             wall_date(entry.last_modified),
@@ -568,7 +467,7 @@ impl ProxyShared {
         if let Some(exp) = entry.expires {
             resp = resp.with_expires(wall_date(exp));
         }
-        resp
+        Some((resp, Arc::clone(body)))
     }
 
     // --- control channel -------------------------------------------------
@@ -633,15 +532,12 @@ impl ProxyShared {
                             // a misdirected notice can never corrupt a
                             // foreign shard's accounting.
                             let mut st = self.shard(file).state.lock();
+                            st.invalidations_delivered += 1;
                             // One invalidation = one control message
                             // (notice + ack), as in the simulator's
                             // `invalidation_message` costing.
-                            st.traffic.add_message(inv_bytes + ack_bytes);
-                            st.invalidations_delivered += 1;
-                            let now = self.clock.now();
-                            if let Some(entry) = st.store.access(file, now) {
-                                entry.mark_invalid();
-                            }
+                            st.engine
+                                .invalidate(file, self.clock.now(), inv_bytes + ack_bytes);
                         }
                         // Ack only after the entry is marked: once the
                         // origin sees the ACK, no client can be served
@@ -677,30 +573,6 @@ impl ProxyShared {
 
     // --- request path ----------------------------------------------------
 
-    /// The retrieval delay a policy sees when deciding whether to serve
-    /// `entry` locally. Modeled pricing mirrors the simulator's
-    /// `link.delay_for(entry.size)` exactly; measured mode reports zero
-    /// and lets delay-aware policies fall back to their observed
-    /// per-class history (fed by [`Self::exchange_delay`]).
-    fn decide_delay(&self, entry: &EntryMeta) -> SimDuration {
-        match self.delay {
-            DelaySource::Modeled(link) => link.delay_for(entry.size),
-            DelaySource::Measured => SimDuration::ZERO,
-        }
-    }
-
-    /// The delay charged to `Policy::on_fetch` for a completed upstream
-    /// exchange that moved `bytes` of body. Modeled pricing is
-    /// wall-clock independent; measured mode uses the elapsed time since
-    /// `started` (captured before the request was written, with no
-    /// locks held across the exchange).
-    fn exchange_delay(&self, bytes: u64, started: std::time::Instant) -> SimDuration {
-        match self.delay {
-            DelaySource::Modeled(link) => link.delay_for(bytes),
-            DelaySource::Measured => SimDuration::from_secs(started.elapsed().as_secs()),
-        }
-    }
-
     /// Wait, for at most one poll tick, for a flight on this shard to
     /// conclude (or for shutdown). Consumes the shard guard; the caller
     /// goes back to the dispatch queue and re-evaluates on its next turn.
@@ -728,12 +600,13 @@ impl ProxyShared {
     /// checks out two sockets.
     fn with_upstream<T>(
         &self,
-        file: FileId,
-        now: SimTime,
+        asked: Asked,
         exchange: impl FnOnce(&mut HttpConn) -> io::Result<T>,
     ) -> io::Result<T> {
-        let shard = self.shard(file);
-        let mut upstream = shard.pool.checkout(now, &self.probe, &self.shutdown)?;
+        let shard = self.shard(asked.file);
+        let mut upstream = shard
+            .pool
+            .checkout(asked.now, &self.probe, &self.shutdown)?;
         let result = exchange(&mut upstream);
         match &result {
             Ok(_) => shard.pool.checkin(upstream),
@@ -742,173 +615,132 @@ impl ProxyShared {
         result
     }
 
-    /// Unconditional fetch from the origin — the port of the simulator's
-    /// `fetch_full` (always called with `since = None`, as there).
-    fn fetch_full_on(
+    /// Unconditional GET, applied to the engine. `stored` is false for a
+    /// [`Work::Forward`], whose answer is counted but never kept.
+    fn fetch_on(
         &self,
         upstream: &mut HttpConn,
-        file: FileId,
+        asked: Asked,
         path: &str,
-        now: SimTime,
+        stored: bool,
     ) -> io::Result<(Response, Arc<Vec<u8>>)> {
-        let class = self.class_of(file);
-        let shard = self.shard(file);
-        // wcc-allow: r1 exchange stopwatch for DelaySource::Measured; modeled runs never read it
-        let started = std::time::Instant::now();
         let sent = upstream.write_request(&Request::get(path))?;
         let (resp, body) = upstream.read_response()?;
-        let header_bytes = resp.header_size();
-
-        if resp.status != Status::Ok {
-            // The simulator never requests nonexistent files; pass the
-            // origin's answer through, charging the exchange as one
-            // message and dropping any cached copy.
-            let mut st = shard.state.lock();
-            st.traffic.add_message(sent + header_bytes);
-            st.stats.misses += 1;
-            st.store.remove(file);
-            st.bodies.remove(&file);
-            return Ok((resp, Arc::new(body)));
-        }
-
         let body = Arc::new(body);
-        let last_modified = sim_instant(require_last_modified(&resp)?);
-        let expires = resp.expires.map(sim_instant);
-
-        if self.is_uncacheable(class) {
-            let mut st = shard.state.lock();
-            st.traffic.add_message(sent + header_bytes);
-            st.traffic.add_file_transfer(body.len() as u64);
-            st.policy
-                .on_fetch(class, self.exchange_delay(body.len() as u64, started));
-            st.stats.misses += 1;
-            st.store.remove(file);
-            st.bodies.remove(&file);
-            return Ok((resp, body));
-        }
-
-        // New entries subscribe *before* insertion, exactly where the
-        // simulator does. Single-flight registration makes the peek
-        // stable: no other worker inserts this file while the flight is
-        // held.
-        let is_new = shard.state.lock().store.peek(file).is_none();
-        if is_new && self.uses_invalidation {
-            self.subscribe_sync(file);
-        }
-
-        let victims = {
-            let mut st = shard.state.lock();
-            st.traffic.add_message(sent + header_bytes);
-            st.traffic.add_file_transfer(body.len() as u64);
-            st.policy
-                .on_fetch(class, self.exchange_delay(body.len() as u64, started));
-            st.stats.misses += 1;
-            let meta = match st.store.access(file, now).copied() {
-                Some(mut entry) => {
-                    entry.replace_body(body.len() as u64, last_modified, now);
-                    entry.expires = expires;
-                    entry
-                }
-                None => {
-                    let mut fresh = EntryMeta::fresh(body.len() as u64, last_modified, now);
-                    fresh.expires = expires;
-                    fresh
-                }
-            };
-            let victims = self.insert_entry(&mut st, file, meta);
-            if st.store.peek(file).is_some() {
-                st.bodies.insert(file, Arc::clone(&body));
-            }
-            victims
-        };
-        self.unsubscribe_victims(&victims);
+        self.apply_response(asked, stored, false, sent, &resp, &body)?;
         Ok((resp, body))
     }
 
-    /// Phase one of a client request, on the reactor thread: the port of
-    /// `World::on_request`'s decision, taken once. In-memory work only —
-    /// the dynamic-names and shard locks, never a socket, a pool
-    /// checkout or a condvar wait.
-    fn begin(self: &Arc<Self>, req: Request) -> Step<Deferred> {
-        let file = self.resolve(&req.path);
-        let class = self.class_of(file);
-        let now = self.clock.now();
-        let work = if self.is_uncacheable(class) {
-            self.record_request(now, file, RequestOutcome::Uncacheable);
-            Work::Forward
+    /// Hand a `200` or `404` to the engine: price it, subscribe first
+    /// when it will insert a new entry (exactly where the simulator
+    /// does), keep the bodies map in step with the store, and
+    /// unsubscribe whatever the insert displaced.
+    fn apply_response(
+        &self,
+        asked: Asked,
+        stored: bool,
+        conditional: bool,
+        sent: u64,
+        resp: &Response,
+        body: &Arc<Vec<u8>>,
+    ) -> io::Result<()> {
+        let Asked { file, class, now } = asked;
+        let shard = self.shard(file);
+        let message_bytes = sent + resp.header_size();
+        let reply = if resp.status == Status::Ok {
+            let size = body.len() as u64;
+            Reply::Body {
+                size,
+                last_modified: sim_instant(require_last_modified(resp)?),
+                expires: resp.expires.map(sim_instant),
+                conditional,
+                message_bytes,
+                delay: self.link.delay_for(size),
+            }
         } else {
-            match self.evaluate(file, class, now) {
-                Evaluated::Serve(resp, body) => return Step::Done(resp, body),
-                Evaluated::Defer(work) => work,
-                Evaluated::InFlight(_) => Work::AwaitFlight,
+            // The simulator never requests nonexistent files; pass the
+            // origin's answer through, charging the exchange as one
+            // message and dropping any cached copy.
+            Reply::Gone {
+                conditional,
+                message_bytes,
             }
         };
-        Step::Defer(Deferred {
+        // Single-flight registration makes the peek stable: no other
+        // worker inserts this file while the flight is held.
+        let inserts = stored && resp.status == Status::Ok;
+        if inserts && self.uses_invalidation && shard.state.lock().engine.peek(file).is_none() {
+            self.subscribe_sync(file);
+        }
+        let victims: Vec<FileId> = {
+            let mut st = shard.state.lock();
+            let applied = st.engine.apply(file, class, now, reply, &mut &self.probe);
+            for (victim, _) in applied.victims.iter() {
+                st.bodies.remove(victim);
+            }
+            if st.engine.peek(file).is_some() {
+                st.bodies.insert(file, Arc::clone(body));
+            } else {
+                st.bodies.remove(&file);
+            }
+            applied.victims.iter().map(|&(victim, _)| victim).collect()
+        };
+        self.unsubscribe_victims(&victims);
+        Ok(())
+    }
+
+    /// Phase one of a client request, on the reactor thread: the
+    /// decision, taken once. In-memory work only — the dynamic-names and
+    /// shard locks, never a socket, a pool checkout or a condvar wait.
+    fn begin(self: &Arc<Self>, req: Request) -> Step<Deferred> {
+        let file = self.resolve(&req.path);
+        let asked = Asked {
             file,
-            class,
-            now,
+            class: self.class_of(file),
+            now: self.clock.now(),
+        };
+        let work = match self.evaluate(asked) {
+            Evaluated::Serve(resp, body) => return Step::Done(resp, body),
+            Evaluated::Defer(work) => work,
+            Evaluated::InFlight(_) => Work::AwaitFlight,
+        };
+        Step::Defer(Deferred {
+            asked,
             path: req.path,
             work,
         })
     }
 
-    /// Look `file` up under its shard lock and decide what the request
-    /// does — the branch structure of `World::on_request`, with
-    /// single-flight registration layered on. Unless a flight is in
-    /// progress, this is the request's one store touch, one policy
-    /// decision and one set of probe events.
-    fn evaluate(self: &Arc<Self>, file: FileId, class: usize, now: SimTime) -> Evaluated<'_> {
+    /// Decide what the request does, under its file's shard lock. Unless
+    /// a flight is in progress — then nothing is decided until it lands —
+    /// this is the request's one [`Engine::request`]: one store touch,
+    /// one policy decision, one set of probe events.
+    fn evaluate(self: &Arc<Self>, asked: Asked) -> Evaluated<'_> {
+        let Asked { file, class, now } = asked;
         let mut st = self.shard(file).state.lock();
         if st.was_contended() {
             self.probe
                 .record(now, ObsEvent::LockContended { rank: STATE_RANK });
         }
-        match st.store.access(file, now).copied() {
-            // Compulsory miss.
-            None => {
-                if !st.in_flight.insert(file) {
-                    return Evaluated::InFlight(st);
+        if st.in_flight.contains(&file) {
+            return Evaluated::InFlight(st);
+        }
+        let oracle = self.ground_truth.as_deref();
+        match st
+            .engine
+            .request(file, class, now, oracle, &mut &self.probe)
+        {
+            Effect::Serve(entry) => {
+                if let Some((resp, body)) = Self::local_response(&st, file, &entry, now) {
+                    return Evaluated::Serve(resp, body);
                 }
             }
-            Some(entry) => {
-                let ctx = RequestCtx::new(now, class).with_delay(self.decide_delay(&entry));
-                let fresh = st.policy.decide(&entry, &ctx).serves_locally();
-                if fresh {
-                    if let Some(body) = st.bodies.get(&file).map(Arc::clone) {
-                        self.probe
-                            .record(now, ObsEvent::PolicyDecision { file, fresh });
-                        self.classify_local_hit(&mut st, file, &entry, now);
-                        return Evaluated::Serve(Self::local_response(&entry, &body, now), body);
-                    }
-                    // Resident meta whose body was dropped by a
-                    // concurrent eviction: treat as a miss.
-                } else if !self.uses_invalidation {
-                    self.probe
-                        .record(now, ObsEvent::PolicyDecision { file, fresh });
-                    return Evaluated::Defer(Work::Validate(entry));
-                }
-                if !st.in_flight.insert(file) {
-                    return Evaluated::InFlight(st);
-                }
-                self.probe
-                    .record(now, ObsEvent::PolicyDecision { file, fresh });
-                if !fresh {
-                    // Known stale: refetch without a conditional
-                    // round-trip (the simulator's eager branch).
-                    let changed = self.changed_since(file, &entry, now);
-                    st.policy.on_validation(class, changed);
-                    self.probe.record(
-                        now,
-                        ObsEvent::Validation {
-                            file,
-                            modified: changed,
-                        },
-                    );
-                }
-            }
+            Effect::Validate(entry) => return Evaluated::Defer(Work::Validate(entry)),
+            Effect::Forward => return Evaluated::Defer(Work::Forward),
+            Effect::Fetch => {}
         }
         // This request leads the file's flight.
-        self.record_request(now, file, RequestOutcome::Miss);
+        st.in_flight.insert(file);
         drop(st);
         Evaluated::Defer(Work::FetchFull(FlightGuard {
             shared: Arc::clone(self),
@@ -921,15 +753,9 @@ impl ProxyShared {
     /// that found another's fetch in flight still has its decision to
     /// take, once that fetch concludes.
     fn finish(self: &Arc<Self>, deferred: Deferred) -> io::Result<Step<Deferred>> {
-        let Deferred {
-            file,
-            class,
-            now,
-            path,
-            work,
-        } = deferred;
+        let Deferred { asked, path, work } = deferred;
         let work = match work {
-            Work::AwaitFlight => match self.evaluate(file, class, now) {
+            Work::AwaitFlight => match self.evaluate(asked) {
                 Evaluated::Serve(resp, body) => return Ok(Step::Done(resp, body)),
                 Evaluated::Defer(work) => work,
                 Evaluated::InFlight(st) => {
@@ -937,144 +763,65 @@ impl ProxyShared {
                     // the queue: a follower never pins a worker its
                     // leader (queued by another reactor thread, perhaps
                     // behind it) is waiting for.
-                    self.wait_for_flight(self.shard(file), st)?;
+                    self.wait_for_flight(self.shard(asked.file), st)?;
                     Work::AwaitFlight
                 }
             },
             decided => decided,
         };
-        let fetch_full = |upstream: &mut HttpConn| self.fetch_full_on(upstream, file, &path, now);
         let (resp, body) = match work {
-            Work::AwaitFlight => {
-                return Ok(Step::Defer(Deferred {
-                    file,
-                    class,
-                    now,
-                    path,
-                    work,
-                }))
-            }
-            Work::Forward => self.with_upstream(file, now, fetch_full)?,
-            Work::FetchFull(_flight) => self.with_upstream(file, now, fetch_full)?,
+            Work::AwaitFlight => return Ok(Step::Defer(Deferred { asked, path, work })),
+            Work::Forward => self.with_upstream(asked, |upstream| {
+                self.fetch_on(upstream, asked, &path, false)
+            })?,
+            Work::FetchFull(_flight) => self.with_upstream(asked, |upstream| {
+                self.fetch_on(upstream, asked, &path, true)
+            })?,
             // Combined query-and-fetch via If-Modified-Since.
-            Work::Validate(entry) => self.with_upstream(file, now, |upstream| {
-                self.validate_on(upstream, file, class, entry, &path, now)
+            Work::Validate(entry) => self.with_upstream(asked, |upstream| {
+                self.validate_on(upstream, asked, entry, &path)
             })?,
         };
         Ok(Step::Done(resp, body))
     }
 
-    /// The conditional-GET exchange and its outcome bookkeeping.
+    /// The conditional-GET exchange for `entry`, applied to the engine.
     fn validate_on(
         &self,
         upstream: &mut HttpConn,
-        file: FileId,
-        class: usize,
+        asked: Asked,
         entry: EntryMeta,
         path: &str,
-        now: SimTime,
     ) -> io::Result<(Response, Arc<Vec<u8>>)> {
-        let shard = self.shard(file);
+        let Asked { file, class, now } = asked;
         let ims = wall_date(entry.last_modified);
-        // wcc-allow: r1 exchange stopwatch for DelaySource::Measured; modeled runs never read it
-        let started = std::time::Instant::now();
         let sent = upstream.write_request(&Request::get_if_modified_since(path, ims))?;
         let (resp, body) = upstream.read_response()?;
-        let header_bytes = resp.header_size();
-
-        match resp.status {
-            Status::NotModified => {
-                let expires = resp.expires.map(sim_instant);
-                let served = {
-                    let mut st = shard.state.lock();
-                    st.traffic.add_message(sent + header_bytes);
-                    st.stats.validations_not_modified += 1;
-                    st.policy.on_validation(class, false);
-                    st.policy.on_fetch(class, self.exchange_delay(0, started));
-                    self.probe.record(
-                        now,
-                        ObsEvent::Validation {
-                            file,
-                            modified: false,
-                        },
-                    );
-                    match st.store.access(file, now) {
-                        Some(entry) => {
-                            entry.revalidate(now);
-                            entry.expires = expires;
-                            let entry = *entry;
-                            match st.bodies.get(&file).map(Arc::clone) {
-                                Some(body) => {
-                                    st.stats.fresh_hits += 1;
-                                    Some((Self::local_response(&entry, &body, now), body))
-                                }
-                                None => None,
-                            }
-                        }
-                        None => None,
-                    }
-                };
-                match served {
-                    Some((client_resp, body)) => {
-                        self.record_request(now, file, RequestOutcome::ValidatedFresh);
-                        Ok((client_resp, body))
-                    }
-                    // The validated entry (or its body) vanished under a
-                    // concurrent eviction between lock drops: refetch on
-                    // the connection already in hand.
-                    None => {
-                        self.record_request(now, file, RequestOutcome::Miss);
-                        self.fetch_full_on(upstream, file, path, now)
-                    }
-                }
+        if resp.status != Status::NotModified {
+            let body = Arc::new(body);
+            self.apply_response(asked, true, true, sent, &resp, &body)?;
+            return Ok((resp, body));
+        }
+        let not_modified = Reply::NotModified {
+            expires: resp.expires.map(sim_instant),
+            message_bytes: sent + resp.header_size(),
+            delay: self.link.delay_for(0),
+        };
+        let served = {
+            let mut st = self.shard(file).state.lock();
+            let applied = st
+                .engine
+                .apply(file, class, now, not_modified, &mut &self.probe);
+            match st.engine.peek(file) {
+                Some(entry) if !applied.lost => Self::local_response(&st, file, entry, now),
+                _ => None,
             }
-            Status::Ok => {
-                let body = Arc::new(body);
-                let last_modified = sim_instant(require_last_modified(&resp)?);
-                let expires = resp.expires.map(sim_instant);
-                let victims = {
-                    let mut st = shard.state.lock();
-                    st.traffic.add_message(sent + header_bytes);
-                    st.traffic.add_file_transfer(body.len() as u64);
-                    st.stats.validations_modified += 1;
-                    st.stats.misses += 1;
-                    st.policy.on_validation(class, true);
-                    st.policy
-                        .on_fetch(class, self.exchange_delay(body.len() as u64, started));
-                    self.probe.record(
-                        now,
-                        ObsEvent::Validation {
-                            file,
-                            modified: true,
-                        },
-                    );
-                    self.record_request(now, file, RequestOutcome::ValidatedStale);
-                    let mut entry = st.store.access(file, now).copied().unwrap_or_else(|| {
-                        // Evicted mid-validation: rebuild the meta as
-                        // fetch_full would for a compulsory miss.
-                        EntryMeta::fresh(body.len() as u64, last_modified, now)
-                    });
-                    entry.replace_body(body.len() as u64, last_modified, now);
-                    entry.expires = expires;
-                    let victims = self.insert_entry(&mut st, file, entry);
-                    if st.store.peek(file).is_some() {
-                        st.bodies.insert(file, Arc::clone(&body));
-                    }
-                    victims
-                };
-                self.unsubscribe_victims(&victims);
-                Ok((resp, body))
-            }
-            Status::NotFound => {
-                let mut st = shard.state.lock();
-                st.traffic.add_message(sent + header_bytes);
-                st.stats.misses += 1;
-                st.store.remove(file);
-                st.bodies.remove(&file);
-                drop(st);
-                self.record_request(now, file, RequestOutcome::Miss);
-                Ok((resp, Arc::new(body)))
-            }
+        };
+        match served {
+            Some(served) => Ok(served),
+            // The validated entry vanished under a concurrent eviction
+            // between lock drops: refetch on the connection in hand.
+            None => self.fetch_on(upstream, asked, path, true),
         }
     }
 }
@@ -1154,6 +901,8 @@ impl LiveProxy {
         }
 
         let uses_invalidation = config.policy.uses_invalidation();
+        let retrieval = RetrievalMode::Conditional.under_invalidation(uses_invalidation);
+        let DelaySource::Modeled(link) = config.delay;
         let mut shards = Vec::with_capacity(shard_count);
         let mut control_streams: Vec<Option<(LineConn, mpsc::Sender<()>)>> =
             Vec::with_capacity(shard_count);
@@ -1177,15 +926,16 @@ impl LiveProxy {
                     STATE_RANK,
                     "proxy.state",
                     CacheState {
-                        store: config.store.build_shard(i, shard_count),
+                        engine: Engine::new(
+                            config.store.build(i, shard_count),
+                            config.policy.build(),
+                            retrieval,
+                            config.uncacheable_mask,
+                            link,
+                        ),
                         bodies: HashMap::new(),
-                        policy: config.policy.build(),
                         in_flight: HashSet::new(),
-                        traffic: TrafficMeter::default(),
-                        stats: CacheStats::default(),
-                        stale_age_total: SimDuration::ZERO,
                         invalidations_delivered: 0,
-                        evictions: 0,
                     },
                 ),
                 flights: RankedCondvar::new(),
@@ -1203,8 +953,7 @@ impl LiveProxy {
                 Names::default(),
             ),
             classes: config.classes,
-            uncacheable_mask: config.uncacheable_mask,
-            delay: config.delay,
+            link,
             uses_invalidation,
             ground_truth: config.ground_truth,
             clock: config.clock,
@@ -1279,11 +1028,13 @@ impl LiveProxy {
         let mut snap = ProxySnapshot::default();
         for shard in &self.shared.shards {
             let st = shard.state.lock();
-            snap.cache.merge(&st.stats);
-            snap.traffic.merge(&st.traffic);
-            snap.stale_age_total = snap.stale_age_total.saturating_add(st.stale_age_total);
+            snap.cache.merge(st.engine.stats());
+            snap.traffic.merge(st.engine.traffic());
+            snap.stale_age_total = snap
+                .stale_age_total
+                .saturating_add(st.engine.stale_age_total());
             snap.invalidations_delivered += st.invalidations_delivered;
-            snap.evictions += st.evictions;
+            snap.evictions += st.engine.evictions();
             drop(st);
             snap.upstream_dials += shard.pool.dials();
             snap.upstream_reuses += shard.pool.reuses();
@@ -1472,7 +1223,7 @@ mod tests {
         }
 
         let file = proxy.shared.resolve("/a.html");
-        let touches = match &proxy.shared.shard(file).state.lock().store {
+        let touches = match proxy.shared.shard(file).state.lock().engine.store() {
             AnyStore::Lfu(store) => store.policy().frequency(file),
             other => panic!("configured LFU, got {}", other.kind()),
         };

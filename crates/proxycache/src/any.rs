@@ -94,6 +94,44 @@ impl AnyStore {
     }
 }
 
+/// Which store backs a cache — the run-time selection behind
+/// [`AnyStore`], spelled `webcache::experiment::Store` by the simulator's
+/// builder and `liveserve::StoreKind` by the live proxy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum StoreKind {
+    /// The paper's infinite cache.
+    #[default]
+    Unbounded,
+    /// Byte-bounded LRU store with the given capacity.
+    Lru(u64),
+    /// Byte-bounded FIFO store with the given capacity.
+    Fifo(u64),
+    /// Byte-bounded GreedyDual-Size store with the given capacity.
+    Gds(u64),
+    /// Byte-bounded score-gated LFU store with the given capacity.
+    Lfu(u64),
+}
+
+impl StoreKind {
+    /// Shard `shard`'s store out of `shards`: unbounded stores are simply
+    /// replicated; bounded stores split the byte budget evenly
+    /// ([`shard_capacity`]), trading global for per-shard eviction
+    /// pressure.
+    ///
+    /// # Panics
+    /// Panics if `shards` is zero or `shard >= shards`.
+    pub fn build(self, shard: usize, shards: usize) -> AnyStore {
+        let share = |capacity| shard_capacity(capacity, shard, shards);
+        match self {
+            StoreKind::Unbounded => AnyStore::unbounded(),
+            StoreKind::Lru(capacity) => AnyStore::lru(share(capacity)),
+            StoreKind::Fifo(capacity) => AnyStore::fifo(share(capacity)),
+            StoreKind::Gds(capacity) => AnyStore::gds(share(capacity)),
+            StoreKind::Lfu(capacity) => AnyStore::lfu(share(capacity)),
+        }
+    }
+}
+
 /// Shard `shard`'s share of a `total`-byte capacity split across
 /// `shards` stores: the integer share plus one spare byte for the first
 /// `total % shards` shards (so the shares sum exactly to `total`), and
@@ -254,6 +292,24 @@ mod tests {
             assert!(max - min <= 1, "{total}/{shards}: {shares:?}");
         }
         assert_eq!(shard_capacity(100, 0, 1), 100);
+    }
+
+    #[test]
+    fn store_kind_builds_each_variant_with_its_shard_share() {
+        assert_eq!(StoreKind::default().build(0, 1).kind(), "unbounded");
+        assert_eq!(StoreKind::Unbounded.build(2, 3).kind(), "unbounded");
+        for (kind, name) in [
+            (StoreKind::Lru(100), "lru"),
+            (StoreKind::Fifo(100), "fifo"),
+            (StoreKind::Gds(100), "gds"),
+            (StoreKind::Lfu(100), "lfu"),
+        ] {
+            // 100 bytes over 4 shards: a 30-byte entry overflows a share.
+            let mut shard = kind.build(1, 4);
+            assert_eq!(shard.kind(), name);
+            assert!(shard.insert(FileId(1), meta(20)).is_empty());
+            assert_eq!(shard.insert(FileId(2), meta(30)).len(), 1, "{name}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ mod lfu;
 mod lru;
 mod store;
 
-pub use any::{shard_capacity, AnyStore, AnyStoreIter};
+pub use any::{shard_capacity, AnyStore, AnyStoreIter, StoreKind};
 pub use entry::{EntryMeta, EntryState};
 pub use evict::{BoundedIter, BoundedStore, EvictionPolicy};
 pub use fifo::{FifoEviction, FifoStore};

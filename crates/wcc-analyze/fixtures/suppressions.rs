@@ -23,6 +23,6 @@ fn justified(listener: TcpListener) {
 //~^ allow
 fn reasonless_directive_is_flagged() {}
 
-// wcc-allow: r9 there is no rule nine
+// wcc-allow: r99 there is no rule ninety-nine
 //~^ allow
 fn unknown_rule_is_flagged() {}

@@ -12,7 +12,7 @@ const USAGE: &str =
   --check-fixtures [dir]  diff the fixture corpus against its //~ markers
                           instead of analyzing the workspace
   --explain <rule>        print one rule's rationale and a minimal example
-                          (r1..r8, allow), then exit
+                          (r1..r9, allow), then exit
   --quiet                 suppress the per-finding listing (summary only)
 
 exit status: 0 clean, 1 unsuppressed findings / fixture mismatch, 2 usage or IO error";
@@ -48,7 +48,7 @@ pub fn run(args: &[String]) -> i32 {
             "--explain" => match it.next() {
                 Some(id) => return explain(id),
                 None => {
-                    eprintln!("--explain needs a rule id (r1..r8, allow)\n{USAGE}");
+                    eprintln!("--explain needs a rule id (r1..r9, allow)\n{USAGE}");
                     return 2;
                 }
             },
@@ -132,7 +132,7 @@ fn explain(id: &str) -> i32 {
             0
         }
         None => {
-            eprintln!("unknown rule `{id}` — known: r1..r8, allow");
+            eprintln!("unknown rule `{id}` — known: r1..r9, allow");
             2
         }
     }

@@ -19,6 +19,9 @@
 //!   and notifies run under the paired guard;
 //! * **r8 guard-across-blocking** — no guard is live across queue
 //!   offers, channel sends, pool checkouts, or thread joins.
+//! * **r9 decision-written-once** — only `consistency::Engine` calls
+//!   `Policy::{decide, on_validation, on_fetch}`; every driver goes
+//!   through the engine.
 //!
 //! Entirely self-contained: a hand-rolled lexer ([`lexer`]), a scope
 //! pass ([`scan`]), the per-file rules ([`rules`]), and the

@@ -16,6 +16,7 @@
 //! | r6 | lock-order-cycle          | `liveserve`, `wcc-obs`, `wcc-load` (workspace-wide graph; see [`crate::concurrency`]) |
 //! | r7 | condvar-discipline        | `liveserve`, `wcc-obs`, `wcc-load` |
 //! | r8 | guard-across-blocking     | `liveserve`, `wcc-obs`, `wcc-load` |
+//! | r9 | decision-written-once     | everything outside `crates/consistency` except the benchmarks |
 //!
 //! Suppression: `// wcc-allow: <rule>[,<rule>] <reason>` on the finding
 //! line or the line above. The reason is mandatory; a reasonless or
@@ -26,7 +27,7 @@ use crate::scan::{FileCtx, FnSpan};
 /// One reported issue, before/after suppression resolution.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule id (`r1`..`r8`, or `allow` for malformed directives).
+    /// Rule id (`r1`..`r9`, or `allow` for malformed directives).
     pub rule: &'static str,
     /// Human rule name.
     pub name: &'static str,
@@ -41,12 +42,12 @@ pub struct Finding {
 }
 
 /// All rule ids the suppression syntax accepts.
-pub const RULE_IDS: [&str; 8] = ["r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8"];
+pub const RULE_IDS: [&str; 9] = ["r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9"];
 
 /// Static metadata for one rule: drives the JSON rules manifest and
 /// the `--explain` subcommand.
 pub struct RuleInfo {
-    /// Rule id (`r1`..`r8`, `allow`).
+    /// Rule id (`r1`..`r9`, `allow`).
     pub id: &'static str,
     /// Human rule name.
     pub name: &'static str,
@@ -58,7 +59,7 @@ pub struct RuleInfo {
 
 /// The full rule manifest, in id order. `allow` is last: it reports
 /// malformed suppression directives rather than code defects.
-pub const RULES: [RuleInfo; 9] = [
+pub const RULES: [RuleInfo; 10] = [
     RuleInfo {
         id: "r1",
         name: "no-wall-clock",
@@ -116,6 +117,14 @@ pub const RULES: [RuleInfo; 9] = [
         example: "let st = self.state.lock(); self.tx.send(job)?;",
     },
     RuleInfo {
+        id: "r9",
+        name: "decision-written-once",
+        summary: "only consistency::Engine asks a Policy to decide or feeds it back — a \
+                  driver that calls decide/on_validation/on_fetch itself is a second \
+                  copy of the request logic",
+        example: "if self.policy.decide(&entry, &ctx).serves_locally() { /* a fork */ }",
+    },
+    RuleInfo {
         id: "allow",
         name: "suppression-hygiene",
         summary: "every wcc-allow names a known rule and states a reason; anything \
@@ -132,6 +141,7 @@ pub fn run_all(ctx: &FileCtx) -> Vec<Finding> {
     r3_no_lock_across_io(ctx, &mut raw);
     r4_no_panic_in_server_path(ctx, &mut raw);
     r5_bounded_channel_or_comment(ctx, &mut raw);
+    r9_decision_written_once(ctx, &mut raw);
 
     let mut findings: Vec<Finding> = raw
         .into_iter()
@@ -167,7 +177,7 @@ pub fn run_all(ctx: &FileCtx) -> Vec<Finding> {
                     name: "suppression-hygiene",
                     file: ctx.rel_path.clone(),
                     line: s.line,
-                    message: format!("wcc-allow names unknown rule `{r}` (known: r1..r8)"),
+                    message: format!("wcc-allow names unknown rule `{r}` (known: r1..r9)"),
                     suppressed: None,
                 });
             }
@@ -715,6 +725,42 @@ fn r5_bounded_channel_or_comment(
     }
 }
 
+// --- R9 ------------------------------------------------------------------
+
+/// The cache-side request decision lives in `consistency::Engine` and
+/// nowhere else: the simulator, the hierarchy, the failure experiment
+/// and the live proxy all drive it. A `Policy` method call anywhere
+/// else is the start of another hand-kept copy. Benchmarks are exempt —
+/// timing `decide` in isolation is their job.
+fn r9_decision_written_once(
+    ctx: &FileCtx,
+    out: &mut Vec<(&'static str, &'static str, u32, String)>,
+) {
+    if matches!(ctx.crate_name.as_str(), "consistency" | "bench")
+        || ctx.rel_path.starts_with("bench/")
+    {
+        return;
+    }
+    for i in 1..ctx.tokens.len() {
+        if ctx.in_test[i] || !ctx.tokens[i - 1].is_punct('.') {
+            continue;
+        }
+        for m in ["decide", "on_validation", "on_fetch"] {
+            if is_call(ctx, i, m) {
+                out.push((
+                    "r9",
+                    "decision-written-once",
+                    ctx.tokens[i].line,
+                    format!(
+                        ".{m}() outside crates/consistency — drive consistency::Engine \
+                         (request / apply / invalidate) instead of asking the policy directly"
+                    ),
+                ));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -956,8 +1002,25 @@ fn pump(conn: &mut HttpConn) {
     }
 
     #[test]
+    fn r9_flags_policy_calls_outside_the_engine_and_its_benchmarks() {
+        let src = "fn f(p: &mut P) { if p.decide(&e, &c).serves_locally() {} p.on_fetch(0, d); }
+#[cfg(test)]
+mod tests { fn t(p: &P) { p.decide(&e, &c); } }
+fn decide(x: u32) {} fn g() { decide(1); }";
+        let hits = unsuppressed("crates/liveserve/src/proxy.rs", src);
+        assert_eq!(hits.iter().filter(|f| f.rule == "r9").count(), 2);
+        for exempt in [
+            "crates/consistency/src/engine.rs",
+            "crates/bench/benches/substrate_micro.rs",
+            "bench/src/layers.rs",
+        ] {
+            assert!(unsuppressed(exempt, src).iter().all(|f| f.rule != "r9"));
+        }
+    }
+
+    #[test]
     fn reasonless_or_unknown_suppressions_are_findings() {
-        let src = "// wcc-allow: r4\n// wcc-allow: r9 bogus rule id\nfn f() {}";
+        let src = "// wcc-allow: r4\n// wcc-allow: r99 bogus rule id\nfn f() {}";
         let hits = unsuppressed("crates/liveserve/src/origin.rs", src);
         assert_eq!(hits.iter().filter(|f| f.rule == "allow").count(), 2);
     }

@@ -80,7 +80,7 @@ const FRAGMENTS: &[&str] = &[
     "//! inner",
     "// wcc-allow: r5 reason text",
     "// wcc-allow: r4",
-    "// wcc-allow: r9 bogus",
+    "// wcc-allow: r99 bogus",
     "//~ r1",
     "//~^ r2",
     "// wcc-lock-rank: a.b 10",

@@ -67,7 +67,9 @@ fn fixture_corpus_reproduces_every_rule() {
         "only {} expected findings",
         rep.expected
     );
-    for rule in ["r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "allow"] {
+    for rule in [
+        "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9", "allow",
+    ] {
         assert!(
             rep.rules_covered.iter().any(|r| r == rule),
             "no fixture exercises {rule}"
@@ -88,8 +90,9 @@ fn json_mode_reports_the_same_counts() {
     assert!(json.contains("\"unsuppressed\":0"));
     // A clean workspace is clean rule-by-rule, and the manifest rides
     // along for tooling that wants rule metadata without the source.
-    assert!(json.contains("\"by_rule\":{\"r1\":0,\"r2\":0,\"r3\":0,\"r4\":0,\"r5\":0,\"r6\":0,\"r7\":0,\"r8\":0,\"allow\":0}"));
+    assert!(json.contains("\"by_rule\":{\"r1\":0,\"r2\":0,\"r3\":0,\"r4\":0,\"r5\":0,\"r6\":0,\"r7\":0,\"r8\":0,\"r9\":0,\"allow\":0}"));
     assert!(json.contains("\"id\":\"r8\",\"name\":\"guard-across-blocking\""));
+    assert!(json.contains("\"id\":\"r9\",\"name\":\"decision-written-once\""));
     assert!(json.contains(&format!("\"files_scanned\":{}", analysis.files_scanned)));
     // Every suppression that survives review appears in the audit array.
     assert_eq!(

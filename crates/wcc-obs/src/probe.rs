@@ -340,6 +340,14 @@ impl ProbeHandle {
     }
 }
 
+/// Lets code written against `&mut dyn Probe` record through a shared
+/// handle (`&mut &handle`) without cloning it.
+impl Probe for &ProbeHandle {
+    fn record(&mut self, at: SimTime, event: ObsEvent) {
+        ProbeHandle::record(self, at, event);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -55,7 +55,7 @@ fn main() {
         let mut sim = HierarchySim::new(topo, pop, ProtocolSpec::Invalidation);
         sim.preload(f, SimTime::ZERO);
         sim.modify(f, SimTime::from_secs(100));
-        println!("{label:<28}{caches:>8}{:>16}", sim.traffic.total_bytes());
+        println!("{label:<28}{caches:>8}{:>16}", sim.traffic().total_bytes());
     }
     println!(
         "\nEvery cache in the tree pays per change whether or not anyone\n\

@@ -7,10 +7,11 @@
 //! cargo run --release --example proxy_cache_sim [-- <capacity-mb>]
 //! ```
 
-use wwwcache::consistency::{CernPolicy, Policy, RequestCtx};
-use wwwcache::proxycache::{EntryMeta, LruStore, Store};
+use wwwcache::consistency::{CernPolicy, Effect, Engine, LinkModel, Reply, RetrievalMode};
+use wwwcache::proxycache::{LruStore, Store};
 use wwwcache::simcore::{FileId, SimTime};
 use wwwcache::simstats::{DetRng, ZipfDist};
+use wwwcache::wcc_obs::NoopProbe;
 use wwwcache::webtrace::microsoft::{generate_microsoft_log, MicrosoftProfile};
 use wwwcache::webtrace::FileType;
 
@@ -25,9 +26,17 @@ fn main() {
     let accesses = generate_microsoft_log(&MicrosoftProfile::scaled(150_000), 1996);
     let objects = 20_000u64;
     let policy = CernPolicy::deployed_default();
-    let mut cache = LruStore::new(capacity_mb * 1024 * 1024);
+    let policy_name = wwwcache::consistency::Policy::name(&policy).into_owned();
+    let link = LinkModel::default();
+    let mut cache = Engine::new(
+        LruStore::new(capacity_mb * 1024 * 1024),
+        Box::new(policy),
+        RetrievalMode::Conditional,
+        0,
+        link,
+    );
 
-    let (mut hits, mut misses, mut validations) = (0u64, 0u64, 0u64);
+    let mut dynamic = 0u64;
     let day_start = SimTime::from_secs(0);
     let zipf = ZipfDist::new(objects as usize, 1.0);
     let mut rng = DetRng::seed_from_u64(7);
@@ -37,42 +46,42 @@ fn main() {
         let id = FileId::from_index(zipf.sample(&mut rng));
         // Dynamic (cgi) responses are never cached, as mid-90s proxies did.
         if access.file_type == FileType::Cgi {
-            misses += 1;
+            dynamic += 1;
             continue;
         }
-        match cache.access(id, now).copied() {
-            Some(entry)
-                if policy
-                    .decide(&entry, &RequestCtx::new(now, 0))
-                    .serves_locally() =>
-            {
-                hits += 1;
-            }
-            Some(mut entry) => {
-                // Expired: revalidate (we model the origin as unchanged
-                // within the day, so every validation is a 304).
-                validations += 1;
-                entry.revalidate(now);
-                cache.insert(id, entry);
-                hits += 1;
-            }
-            None => {
-                misses += 1;
-                // Age the object: pretend it was last modified days ago so
-                // the CERN LM-fraction rule gives a sensible TTL.
-                let last_modified = SimTime::ZERO;
-                cache.insert(id, EntryMeta::fresh(access.size, last_modified, now));
-            }
-        }
+        // The example is its own origin. Objects are unchanged within
+        // the day, so every validation is a 304; and pretend each was
+        // last modified long ago so the CERN LM-fraction rule gives a
+        // sensible TTL.
+        let reply = match cache.request(id, 0, now, None, &mut NoopProbe) {
+            Effect::Serve(_) => continue,
+            Effect::Validate(_) => Reply::NotModified {
+                expires: None,
+                message_bytes: 0,
+                delay: link.delay_for(0),
+            },
+            Effect::Fetch | Effect::Forward => Reply::Body {
+                size: access.size,
+                last_modified: SimTime::ZERO,
+                expires: None,
+                conditional: false,
+                message_bytes: 0,
+                delay: link.delay_for(access.size),
+            },
+        };
+        cache.apply(id, 0, now, reply, &mut NoopProbe);
     }
 
+    let stats = *cache.stats();
+    let (hits, misses) = (stats.fresh_hits, stats.misses + dynamic);
+    let validations = stats.validations_not_modified;
     let total = hits + misses;
     println!(
         "proxy day: {} requests, {} distinct objects, {capacity_mb} MB cache",
         accesses.len(),
         objects
     );
-    println!("  policy            : {}", policy.name());
+    println!("  policy            : {policy_name}");
     println!(
         "  hit rate          : {:.1}%",
         100.0 * hits as f64 / total as f64
@@ -81,8 +90,8 @@ fn main() {
     println!("  evictions         : {}", cache.evictions());
     println!(
         "  resident          : {} objects / {:.1} MB",
-        cache.len(),
-        cache.resident_bytes() as f64 / 1048576.0
+        cache.store().len(),
+        cache.store().resident_bytes() as f64 / 1048576.0
     );
     println!(
         "\nNetscape's 1995 claim was that a local proxy cuts internetwork\n\

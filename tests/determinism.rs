@@ -1,18 +1,38 @@
 //! Determinism guarantees: every generator, simulator, and experiment in
 //! the workspace is a pure function of its seed and configuration.
 
+use wwwcache::proxycache::HierarchyTopology;
+use wwwcache::simcore::SimDuration;
+use wwwcache::wcc_obs::TraceProbe;
 use wwwcache::webcache::experiments::{
     base::{run_base, run_base_with},
+    failure::{run_partitioned_invalidation, Outage},
     traced::run_traced,
     Scale,
 };
+use wwwcache::webcache::hierarchy::{figure1_scenarios, replay_workload, LeafAssignment};
 use wwwcache::webcache::{
-    generate_synthetic, run, Experiment, ExperimentStore, ProtocolSpec, SimConfig, SweepRunner,
-    WorrellConfig,
+    generate_synthetic, run, Experiment, ExperimentStore, ProtocolSpec, RunOutcome, RunResult,
+    ScenarioBuilder, SimConfig, SweepRunner, WorrellConfig,
 };
 use wwwcache::webtrace::bu::{generate_bu_study, BuProfile};
 use wwwcache::webtrace::campus::{generate_campus_trace, CampusProfile};
 use wwwcache::webtrace::microsoft::{generate_microsoft_log, MicrosoftProfile};
+
+/// The `(result, evictions)` rendering the golden hashes were pinned on.
+fn pair(outcome: RunOutcome) -> (RunResult, u64) {
+    (outcome.result, outcome.evictions)
+}
+
+/// FNV-1a, the hash every pinned golden below is taken with.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
 
 #[test]
 fn generators_are_seed_deterministic() {
@@ -77,15 +97,6 @@ fn whole_experiments_are_reproducible() {
 /// structures are pure index changes, never behaviour changes.
 #[test]
 fn sweep_output_matches_pinned_golden_hash() {
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
-    }
-
     let scale = {
         let mut s = Scale::quick();
         s.worrell = WorrellConfig::scaled(60, 2_000);
@@ -101,13 +112,14 @@ fn sweep_output_matches_pinned_golden_hash() {
     let wl = generate_synthetic(&scale.worrell, scale.seed);
     let capacity: u64 = 200 * 1_024;
     let cfg = SimConfig::optimized();
+    let bounded = |spec, store| pair(Experiment::new(&wl).protocol(spec).store(store).run());
     rendered.push_str(&format!(
         "{:?}",
-        wwwcache::webcache::run_bounded(&wl, ProtocolSpec::Alex(30), &cfg, capacity)
+        bounded(ProtocolSpec::Alex(30), ExperimentStore::Lru(capacity))
     ));
     rendered.push_str(&format!(
         "{:?}",
-        wwwcache::webcache::run_bounded_fifo(&wl, ProtocolSpec::Ttl(100), &cfg, capacity)
+        bounded(ProtocolSpec::Ttl(100), ExperimentStore::Fifo(capacity))
     ));
     rendered.push_str(&format!("{:?}", run(&wl, ProtocolSpec::Invalidation, &cfg)));
 
@@ -126,21 +138,23 @@ fn sweep_output_matches_pinned_golden_hash() {
     let mut probe = wwwcache::wcc_obs::TraceProbe::new(1 << 14);
     observed.push_str(&format!(
         "{:?}",
-        Experiment::new(&wl)
-            .protocol(ProtocolSpec::Alex(30))
-            .store(ExperimentStore::Lru(capacity))
-            .probe(&mut probe)
-            .run()
-            .into_pair()
+        pair(
+            Experiment::new(&wl)
+                .protocol(ProtocolSpec::Alex(30))
+                .store(ExperimentStore::Lru(capacity))
+                .probe(&mut probe)
+                .run()
+        )
     ));
     observed.push_str(&format!(
         "{:?}",
-        Experiment::new(&wl)
-            .protocol(ProtocolSpec::Ttl(100))
-            .store(ExperimentStore::Fifo(capacity))
-            .probe(&mut probe)
-            .run()
-            .into_pair()
+        pair(
+            Experiment::new(&wl)
+                .protocol(ProtocolSpec::Ttl(100))
+                .store(ExperimentStore::Fifo(capacity))
+                .probe(&mut probe)
+                .run()
+        )
     ));
     observed.push_str(&format!(
         "{:?}",
@@ -166,15 +180,6 @@ fn sweep_output_matches_pinned_golden_hash() {
 /// scoring — against silent drift.
 #[test]
 fn new_policy_runs_match_pinned_golden_hash() {
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
-    }
-
     let wl = generate_synthetic(&WorrellConfig::scaled(60, 2_000), 5);
     let capacity: u64 = 200 * 1_024;
     let mut rendered = String::new();
@@ -188,19 +193,21 @@ fn new_policy_runs_match_pinned_golden_hash() {
     }
     rendered.push_str(&format!(
         "{:?}",
-        Experiment::new(&wl)
-            .protocol(ProtocolSpec::RenewableTtl(24))
-            .store(ExperimentStore::Gds(capacity))
-            .run()
-            .into_pair()
+        pair(
+            Experiment::new(&wl)
+                .protocol(ProtocolSpec::RenewableTtl(24))
+                .store(ExperimentStore::Gds(capacity))
+                .run()
+        )
     ));
     rendered.push_str(&format!(
         "{:?}",
-        Experiment::new(&wl)
-            .protocol(ProtocolSpec::UpdateRisk(5))
-            .store(ExperimentStore::Lfu(capacity))
-            .run()
-            .into_pair()
+        pair(
+            Experiment::new(&wl)
+                .protocol(ProtocolSpec::UpdateRisk(5))
+                .store(ExperimentStore::Lfu(capacity))
+                .run()
+        )
     ));
 
     const NEW_GOLDEN: u64 = 15_389_618_275_637_391_324;
@@ -263,4 +270,92 @@ fn parallel_sweep_matches_sequential_loop() {
         }
         assert_eq!(report.invalidation, seq_inval, "jobs={jobs}: invalidation");
     }
+}
+
+/// The *order* of probe events (what `wcc trace` prints), pinned per
+/// mechanism: the golden hashes above cover counters only. LRU at an
+/// eighth of the footprint puts `Eviction` events — preload-time ones
+/// included — in every stream.
+#[test]
+fn probe_event_streams_match_pinned_hashes() {
+    let wl = generate_synthetic(&WorrellConfig::scaled(60, 1_500), 11);
+    let footprint: u64 = wl
+        .population
+        .iter()
+        .filter_map(|(_, rec)| rec.version_at(wl.start).map(|v| v.size))
+        .sum();
+    let pinned: [(ProtocolSpec, u64); 5] = [
+        (ProtocolSpec::Ttl(48), 3_396_245_693_127_715_562),
+        (ProtocolSpec::Alex(20), 10_619_631_799_275_100_362),
+        (ProtocolSpec::Invalidation, 17_783_937_360_707_719_295),
+        (ProtocolSpec::RenewableTtl(24), 18_082_429_234_969_043_656),
+        (ProtocolSpec::UpdateRisk(5), 10_567_333_375_222_849_003),
+    ];
+    for (spec, golden) in pinned {
+        let mut trace = TraceProbe::new(1 << 20);
+        Experiment::new(&wl)
+            .protocol(spec)
+            .store(ExperimentStore::Lru(footprint / 8))
+            .probe(&mut trace)
+            .run();
+        assert_eq!(trace.dropped(), 0);
+        let stream = trace.to_jsonl_string();
+        assert!(stream.contains("\"eviction\""), "{}", spec.label());
+        assert_eq!(
+            fnv1a(stream.as_bytes()),
+            golden,
+            "{}: probe event stream diverged",
+            spec.label()
+        );
+    }
+}
+
+/// The hierarchical simulator, pinned: Figure 1's four scenario rows and
+/// a full-workload replay under both demand regimes.
+#[test]
+fn hierarchy_runs_match_pinned_hash() {
+    let mut rendered = format!("{:?}", figure1_scenarios());
+    let wl = generate_synthetic(&WorrellConfig::scaled(60, 2_000), 5);
+    for spec in [ProtocolSpec::Ttl(100), ProtocolSpec::Invalidation] {
+        for assignment in [LeafAssignment::Symmetric, LeafAssignment::Skewed(0.9)] {
+            let (topo, _, _) = HierarchyTopology::figure1();
+            rendered.push_str(&format!(
+                "{:?}",
+                replay_workload(topo, &wl, spec, assignment)
+            ));
+        }
+    }
+    const HIERARCHY_GOLDEN: u64 = 14_201_436_510_814_318_794;
+    assert_eq!(fnv1a(rendered.as_bytes()), HIERARCHY_GOLDEN);
+}
+
+/// The failure experiment, pinned on a two-outage script: one file
+/// changes inside each outage, another between them.
+#[test]
+fn partitioned_invalidation_matches_pinned_hash() {
+    let hours = SimDuration::from_hours;
+    let mut b = ScenarioBuilder::new("two-outages", SimDuration::from_days(4));
+    let x = b.file("/x.html", 4_000, SimDuration::from_days(3), 0);
+    let y = b.file("/y.html", 9_000, SimDuration::from_days(9), 0);
+    b.modify(x, hours(10), None);
+    b.modify(y, hours(30), Some(9_500));
+    b.modify(x, hours(60), Some(4_200));
+    b.request_every(x, hours(2), hours(2));
+    b.request_every(y, hours(3), hours(5));
+    let wl = b.build();
+    let outages = [
+        Outage {
+            from: wl.start + hours(9),
+            until: wl.start + hours(15),
+        },
+        Outage {
+            from: wl.start + hours(58),
+            until: wl.start + hours(70),
+        },
+    ];
+    let r = run_partitioned_invalidation(&wl, &outages);
+    assert!(r.result.cache.stale_hits > 0 && r.late_deliveries == 2);
+    let rendered = format!("{:?}", (&r.result, r.failed_attempts, r.late_deliveries));
+    const FAILURE_GOLDEN: u64 = 6_367_020_953_325_722_699;
+    assert_eq!(fnv1a(rendered.as_bytes()), FAILURE_GOLDEN);
 }

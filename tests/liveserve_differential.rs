@@ -13,10 +13,21 @@
 //! assertion covers those fields individually instead of the whole
 //! meter.
 
-use wwwcache::webcache::live::run_live;
+use wwwcache::liveserve::LoadReport;
+use wwwcache::simcore::SimTime;
+use wwwcache::wcc_obs::{ObsEvent, TraceProbe};
 use wwwcache::webcache::{
-    generate_synthetic, run, ProtocolSpec, RunResult, SimConfig, Workload, WorrellConfig,
+    generate_synthetic, run, Experiment, ExperimentStore, ProtocolSpec, RunResult, SimConfig,
+    Workload, WorrellConfig,
 };
+
+/// One client thread, one shard: the configuration the simulator mirrors.
+fn run_live(workload: &Workload, spec: ProtocolSpec) -> LoadReport {
+    Experiment::new(workload)
+        .protocol(spec)
+        .run_live()
+        .expect("live loopback run")
+}
 
 /// The simulator configuration the live stack mirrors: conditional
 /// (If-Modified-Since) retrieval, no cache pre-load.
@@ -26,7 +37,7 @@ fn live_equivalent_config() -> SimConfig {
 
 fn assert_live_matches_sim(workload: &Workload, spec: ProtocolSpec) {
     let sim: RunResult = run(workload, spec, &live_equivalent_config());
-    let live = run_live(workload, spec, 1).expect("live loopback run");
+    let live = run_live(workload, spec);
 
     assert_eq!(live.policy, sim.protocol, "policy label");
     assert_eq!(live.cache, sim.cache, "{spec:?}: CacheStats diverged");
@@ -78,7 +89,7 @@ fn invalidation_live_run_matches_optimized_simulator() {
 
     // Invalidation is the interesting protocol for the live stack: the
     // agreement above only means something if callbacks actually flowed.
-    let live = run_live(&workload, ProtocolSpec::Invalidation, 1).unwrap();
+    let live = run_live(&workload, ProtocolSpec::Invalidation);
     assert!(
         live.invalidations_delivered > 0,
         "no invalidations crossed the control channel"
@@ -116,4 +127,66 @@ fn update_risk_live_run_matches_optimized_simulator() {
     // exact-match assertion also covers the live `on_validation` /
     // `on_fetch` callback ordering.
     assert_live_matches_sim(&differential_workload(), ProtocolSpec::UpdateRisk(5));
+}
+
+/// The events the consistency engine emits, in the order they arrived.
+fn engine_events(trace: &TraceProbe) -> Vec<(SimTime, ObsEvent)> {
+    assert_eq!(trace.dropped(), 0, "the capture must be complete");
+    trace
+        .events()
+        .filter(|(_, _, event)| {
+            matches!(
+                event,
+                ObsEvent::Request { .. }
+                    | ObsEvent::PolicyDecision { .. }
+                    | ObsEvent::Validation { .. }
+                    | ObsEvent::Eviction { .. }
+            )
+        })
+        .map(|&(_, at, event)| (at, event))
+        .collect()
+}
+
+#[test]
+fn engine_events_arrive_in_the_same_order_live_and_simulated() {
+    // One engine decides both runs, so this is a test of the transports:
+    // sockets, the reactor and the shard lock must hand it the same
+    // requests and replies, at the same virtual instants, in the same
+    // order as the event queue does. A store at a sixth of the footprint
+    // puts evictions (and, under invalidation, unsubscriptions) in play.
+    let workload = differential_workload();
+    let footprint: u64 = workload
+        .population
+        .iter()
+        .filter_map(|(_, rec)| rec.version_at(workload.start).map(|v| v.size))
+        .sum();
+    for spec in [
+        ProtocolSpec::Alex(20),
+        ProtocolSpec::Invalidation,
+        ProtocolSpec::UpdateRisk(5),
+    ] {
+        let experiment = |probe| {
+            Experiment::new(&workload)
+                .protocol(spec)
+                .config(live_equivalent_config())
+                .store(ExperimentStore::Lru(footprint / 6))
+                .probe(probe)
+        };
+        let mut sim = TraceProbe::new(1 << 16);
+        let simulated = experiment(&mut sim).run();
+        let mut live = TraceProbe::new(1 << 16);
+        let served = experiment(&mut live).run_live().expect("live run");
+
+        assert!(simulated.evictions > 0, "{spec:?}: the store must evict");
+        assert_eq!(served.evictions, simulated.evictions, "{spec:?}");
+        assert_eq!(served.cache, simulated.result.cache, "{spec:?}");
+        let (sim, live) = (engine_events(&sim), engine_events(&live));
+        if let Some(i) = (0..sim.len().max(live.len())).find(|&i| sim.get(i) != live.get(i)) {
+            panic!(
+                "{spec:?}: event {i} diverged — simulated {:?}, live {:?}",
+                sim.get(i),
+                live.get(i)
+            );
+        }
+    }
 }

@@ -19,9 +19,22 @@
 
 use proptest::prelude::*;
 use wwwcache::liveserve::shard_for;
+use wwwcache::liveserve::LoadReport;
 use wwwcache::simcore::FileId;
-use wwwcache::webcache::live::run_live_sharded;
-use wwwcache::webcache::{generate_synthetic, ProtocolSpec, WorrellConfig};
+use wwwcache::webcache::{generate_synthetic, Experiment, ProtocolSpec, Workload, WorrellConfig};
+
+fn run_live_sharded(
+    wl: &Workload,
+    spec: ProtocolSpec,
+    threads: usize,
+    shards: usize,
+) -> std::io::Result<LoadReport> {
+    Experiment::new(wl)
+        .protocol(spec)
+        .threads(threads)
+        .shards(shards)
+        .run_live()
+}
 
 proptest! {
     /// Same file + same shard count ⇒ same shard, always in range, and

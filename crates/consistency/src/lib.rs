@@ -29,7 +29,9 @@
 //! for its driver — the simulator, a node of the cache hierarchy, or a
 //! live proxy shard — to carry out and answer with a [`Reply`].
 //! [`LinkModel`] supplies the modeled transfer delays it threads into
-//! [`RequestCtx::delay`].
+//! [`RequestCtx::delay`]. [`ProtocolSpec`] names a policy configuration
+//! as a copyable value — what the simulator and the live proxy are both
+//! configured with.
 //!
 //! The invalidation protocol's *server-side* machinery (subscriber
 //! registry, callbacks) lives in `originserver`; the drivers wire both
@@ -44,6 +46,7 @@ mod policy;
 mod renewable;
 mod risk;
 mod selftuning;
+mod spec;
 mod typed;
 
 pub use cern::CernPolicy;
@@ -55,4 +58,5 @@ pub use policy::{
 pub use renewable::RenewableTtl;
 pub use risk::UpdateRisk;
 pub use selftuning::SelfTuningPolicy;
+pub use spec::ProtocolSpec;
 pub use typed::ClassTtl;

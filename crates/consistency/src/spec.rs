@@ -1,18 +1,20 @@
 //! Protocol specifications: the x-axis of every figure.
 //!
 //! A [`ProtocolSpec`] is a cheap, copyable description of a consistency
-//! protocol configuration; the simulator instantiates the actual policy
-//! object (and, for the invalidation protocol, enables the server-side
-//! callback machinery) from it.
+//! protocol configuration; a driver — the simulator or a live proxy
+//! shard — instantiates the actual policy object (and, for the
+//! invalidation protocol, enables the server-side callback machinery)
+//! from it.
 
-use consistency::{
+use simcore::SimDuration;
+
+use crate::{
     AdaptiveTtl, CernPolicy, ClassTtl, FixedTtl, NeverExpire, Policy, PollEveryTime, RenewableTtl,
     SelfTuningPolicy, UpdateRisk,
 };
-use simcore::SimDuration;
 
 /// A consistency-protocol configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolSpec {
     /// Fixed TTL, in hours (Figure x-axis: 0–500 h).
     Ttl(u64),
@@ -91,7 +93,7 @@ impl ProtocolSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use consistency::{Decision, RequestCtx};
+    use crate::{Decision, RequestCtx};
     use proxycache::EntryMeta;
     use simcore::SimTime;
 

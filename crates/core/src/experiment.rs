@@ -28,14 +28,13 @@ use std::io;
 use proxycache::UnboundedStore;
 use wcc_obs::{NoopProbe, Probe, ProbeHandle};
 
-use crate::live::{live_policy, to_live_workload};
-use crate::protocol::ProtocolSpec;
+use crate::live::to_live_workload;
 use crate::sim::{run_with_store_probe, RunResult, SimConfig};
 use crate::workload::Workload;
-use crate::RetrievalMode;
+use crate::{ProtocolSpec, RetrievalMode};
 use httpsim::MessageCosting;
-use liveserve::{run_closed_loop_observed, LiveRunConfig, LoadReport};
-use wcc_load::{OpenLoopConfig, OpenLoopReport, ScheduleConfig};
+use liveserve::LiveRunConfig;
+use wcc_load::{LoadReport, OpenLoopConfig, OpenLoopReport, ScheduleConfig};
 
 /// Cache store selection for an [`Experiment`].
 pub use proxycache::StoreKind as Store;
@@ -202,14 +201,8 @@ impl<'a> Experiment<'a> {
     }
 
     /// The live stack's run configuration for this experiment.
-    fn live_config(&self) -> io::Result<LiveRunConfig> {
-        let policy = live_policy(self.spec).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!("no live implementation for protocol {}", self.spec.label()),
-            )
-        })?;
-        let mut config = LiveRunConfig::new(policy);
+    fn live_config(&self) -> LiveRunConfig {
+        let mut config = LiveRunConfig::new(self.spec);
         config.threads = self.threads;
         config.shards = self.shards;
         config.reactor_threads = self.reactor_threads;
@@ -219,7 +212,7 @@ impl<'a> Experiment<'a> {
         // test's counter-exactness depends on this).
         config.delay = liveserve::DelaySource::Modeled(self.config.link);
         config.store = self.store;
-        Ok(config)
+        config
     }
 
     /// Live events are captured into a bounded in-process buffer while
@@ -243,12 +236,17 @@ impl<'a> Experiment<'a> {
     /// Execute over the live loopback TCP stack ([`crate::live`]).
     ///
     /// # Errors
-    /// Propagates socket errors, and rejects specs the live stack does
-    /// not implement (see [`live_policy`]).
+    /// Propagates socket errors.
     pub fn run_live(self) -> io::Result<LoadReport> {
-        let config = self.live_config()?;
+        let config = self.live_config();
         self.observed_live(|workload, handle| {
-            run_closed_loop_observed(&to_live_workload(workload), &config, handle)
+            let live = to_live_workload(workload);
+            wcc_load::run_closed_loop(
+                &live.stack_spec(),
+                live.requests.iter().copied(),
+                &config,
+                handle,
+            )
         })
     }
 
@@ -263,15 +261,14 @@ impl<'a> Experiment<'a> {
     /// concept and is ignored here.
     ///
     /// # Errors
-    /// Propagates socket errors, and rejects specs the live stack does
-    /// not implement (see [`live_policy`]).
+    /// Propagates socket errors.
     pub fn run_open_loop(
         self,
         schedule: &ScheduleConfig,
         workers: usize,
         compression: f64,
     ) -> io::Result<OpenLoopReport> {
-        let mut open = OpenLoopConfig::new(self.live_config()?, schedule.rate_rps);
+        let mut open = OpenLoopConfig::new(self.live_config(), schedule.rate_rps);
         open.workers = workers;
         self.observed_live(|workload, handle| {
             let live = to_live_workload(workload);
@@ -279,7 +276,7 @@ impl<'a> Experiment<'a> {
             let files: Vec<simcore::FileId> = live.requests.iter().map(|&(_, f)| f).collect();
             wcc_load::run_open_loop(
                 &spec,
-                wcc_load::plan_shots(schedule, &open, &files, spec.start, compression),
+                wcc_load::plan_shots(schedule, &files, spec.start, compression),
                 &open,
                 handle,
             )

@@ -14,12 +14,12 @@
 use httpsim::MessageCosting;
 
 use crate::experiment::{Experiment, RunOutcome, Store};
-use crate::protocol::ProtocolSpec;
 use crate::sim::{run, RunResult, SimConfig};
 use crate::sweep::SweepRunner;
 use crate::workload::{
     generate_synthetic, LifetimeModel, PopularityModel, Workload, WorkloadKnobs, WorrellConfig,
 };
+use crate::ProtocolSpec;
 
 /// One workload-ablation step: a named knob setting and the resulting
 /// weak-vs-invalidation comparison.

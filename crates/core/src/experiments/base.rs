@@ -7,10 +7,10 @@
 //! time-based protocols' stale-hit rates climb with the parameter.
 
 use crate::experiments::{Scale, SimReport, Sweep};
-use crate::protocol::ProtocolSpec;
 use crate::sim::{run, SimConfig};
 use crate::sweep::SweepRunner;
 use crate::workload::{generate_synthetic, Workload};
+use crate::ProtocolSpec;
 
 /// Run the base-simulator experiment (data for Figures 2 and 3).
 pub fn run_base(scale: &Scale) -> SimReport {

@@ -17,10 +17,10 @@
 
 use webtrace::campus::{generate_campus_trace, CampusProfile};
 
-use crate::protocol::ProtocolSpec;
 use crate::sim::{run, SimConfig};
 use crate::sweep::SweepRunner;
 use crate::workload::Workload;
+use crate::ProtocolSpec;
 
 /// One trace's deployment comparison.
 #[derive(Debug, Clone, PartialEq)]

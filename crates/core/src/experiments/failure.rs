@@ -24,9 +24,9 @@ use proxycache::UnboundedStore;
 use simcore::{CacheId, Dispatch, FileId, Scheduler, SimDuration, SimTime, Simulation};
 use wcc_obs::NoopProbe;
 
-use crate::protocol::ProtocolSpec;
 use crate::sim::{run, RunResult, SimCache, SimConfig};
 use crate::workload::Workload;
+use crate::ProtocolSpec;
 
 /// A server→cache notification outage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

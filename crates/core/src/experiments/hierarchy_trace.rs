@@ -19,8 +19,8 @@ use proxycache::HierarchyTopology;
 use simcore::TrafficMeter;
 
 use crate::hierarchy::{replay_workload, LeafAssignment};
-use crate::protocol::ProtocolSpec;
 use crate::workload::Workload;
+use crate::ProtocolSpec;
 
 /// One protocol's hierarchical-vs-collapsed measurement.
 #[derive(Debug, Clone, PartialEq)]

@@ -4,8 +4,8 @@
 //! update threshold runs 0–100 %, the TTL runs 0–500 hours, and the
 //! parameter-free invalidation protocol provides the reference line. Each
 //! driver returns structured rows; [`report`] renders them as the textual
-//! equivalent of the paper's plots, and the `wcc-bench` crate regenerates
-//! each one under `cargo bench`.
+//! equivalent of the paper's plots, and the `wcc` CLI prints each one
+//! (`wcc figure N`, `wcc table N`, `wcc ablations`).
 //!
 //! | Experiment | Paper artifact | Driver |
 //! |---|---|---|

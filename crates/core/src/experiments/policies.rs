@@ -20,10 +20,10 @@
 
 use crate::experiment::{Experiment, Store};
 use crate::experiments::{Scale, Sweep};
-use crate::protocol::ProtocolSpec;
 use crate::sim::{run, RunResult, SimConfig};
 use crate::sweep::SweepRunner;
 use crate::workload::{generate_synthetic, Workload};
+use crate::ProtocolSpec;
 
 /// Results of the literature-policy experiment: both new families, the
 /// invalidation reference, and the bounded-store eviction comparison.

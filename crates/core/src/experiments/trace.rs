@@ -20,11 +20,11 @@ use wcc_obs::{MetricsProbe, MetricsRegistry, TraceProbe};
 use webtrace::campus::{generate_campus_trace, CampusProfile};
 
 use crate::experiments::Scale;
-use crate::protocol::ProtocolSpec;
 use crate::sim::SimConfig;
 use crate::sweep::SweepRunner;
 use crate::workload::{generate_synthetic, Workload, WorrellConfig};
 use crate::Experiment;
+use crate::ProtocolSpec;
 
 /// Which figure's experiment to trace. Figures sharing a data set share
 /// a capture (2/3: base simulator; 4/5: optimized; 6/7/8: campus

@@ -30,7 +30,7 @@ use proxycache::{EntryMeta, HierarchyTopology, UnboundedStore};
 use simcore::{CacheId, FileId, SimTime, TrafficMeter};
 use wcc_obs::NoopProbe;
 
-use crate::protocol::ProtocolSpec;
+use crate::ProtocolSpec;
 
 /// A hierarchy of caches replaying scripted events.
 pub struct HierarchySim {

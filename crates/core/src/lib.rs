@@ -29,17 +29,18 @@ pub mod experiment;
 pub mod experiments;
 pub mod hierarchy;
 pub mod live;
-pub mod protocol;
 pub mod scenario;
 pub mod sim;
 pub mod sweep;
 pub mod workload;
 
+pub use consistency::ProtocolSpec;
 pub use experiment::{Experiment, RunOutcome, Store as ExperimentStore};
-pub use protocol::ProtocolSpec;
 pub use scenario::ScenarioBuilder;
 pub use sim::{run, RetrievalMode, RunResult, SimConfig};
 pub use sweep::SweepRunner;
+// What `Experiment::run_live` / `run_open_loop` return.
+pub use wcc_load::{LoadReport, OpenLoopReport};
 pub use workload::{
     generate_synthetic, LifetimeModel, PopularityModel, Workload, WorkloadKnobs, WorrellConfig,
 };

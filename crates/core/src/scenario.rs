@@ -171,8 +171,8 @@ impl ScenarioBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ProtocolSpec;
     use crate::sim::{run, SimConfig};
+    use crate::ProtocolSpec;
 
     fn hours(h: u64) -> SimDuration {
         SimDuration::from_hours(h)

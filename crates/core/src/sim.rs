@@ -36,8 +36,8 @@ use simcore::{
 };
 use wcc_obs::{ObsEvent, Probe, ServerOpKind};
 
-use crate::protocol::ProtocolSpec;
 use crate::workload::Workload;
+use crate::ProtocolSpec;
 
 pub use consistency::RetrievalMode;
 

@@ -19,15 +19,18 @@
 //!   control connection, and concurrent misses for one file coalesce
 //!   into a single upstream fetch. One shard degenerates to the classic
 //!   single-lock topology, so the differential guarantee is untouched.
-//! * [`run_closed_loop`] — a closed-loop load generator replaying a
-//!   deterministic workload through N client threads, reporting hit
-//!   rates, bytes moved, and latency percentiles as a [`LoadReport`].
+//! * [`LiveStack`] — the two on loopback sharing one virtual clock,
+//!   described by a [`StackSpec`] and a [`LiveRunConfig`]; `shutdown`
+//!   returns the [`StackCounters`] every load report embeds. The load
+//!   drivers themselves (closed-loop, open-loop, trace replay) live in
+//!   `wcc-load`; [`HttpConn::get_ok`] is the one client exchange they
+//!   and the connection soak ([`run_soak`]) share.
 //!
 //! The origin and proxy **data paths** run on a hand-rolled nonblocking
 //! epoll reactor (`--reactor-threads` event loops, each owning an epoll
 //! instance and a slab of per-connection state machines), so one process
 //! sustains 10k+ concurrently open connections; control channels and
-//! load-generator clients stay blocking `std::net` threads (the build
+//! client connections stay blocking `std::net` threads (the build
 //! environment has no async runtime, and none is needed). See
 //! `DESIGN.md` §8 for the thread model and §12 for the reactor.
 
@@ -51,10 +54,7 @@ mod soak;
 mod sys;
 
 pub use clock::LiveClock;
-pub use loadgen::{
-    run_closed_loop, run_closed_loop_observed, LiveRunConfig, LiveStack, LiveWorkload, LoadReport,
-    StackSpec,
-};
+pub use loadgen::{LiveRunConfig, LiveStack, LiveWorkload, StackCounters, StackSpec};
 pub use netio::HttpConn;
 pub use origin::{LiveOrigin, OriginConfig};
 pub use pool::{is_pool_saturated, PoolSaturated, UpstreamPool};

@@ -17,7 +17,7 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use httpsim::{Request, Response};
+use httpsim::{Request, Response, Status};
 
 use crate::sys::peek_would_block;
 
@@ -199,6 +199,18 @@ impl HttpConn {
         }
     }
 
+    /// One client exchange: `GET path`, demand a `200`, and return the
+    /// bytes that came back (headers + body). Any other status is
+    /// `InvalidData` naming the path.
+    pub fn get_ok(&mut self, path: &str) -> io::Result<u64> {
+        self.write_request(&Request::get(path))?;
+        let (resp, body) = self.read_response()?;
+        if resp.status != Status::Ok {
+            return Err(invalid(format!("{:?} for GET {path}", resp.status)));
+        }
+        Ok(resp.header_size() + body.len() as u64)
+    }
+
     /// Write one request; returns its wire size in bytes (for traffic
     /// accounting).
     pub fn write_request(&mut self, req: &Request) -> io::Result<u64> {
@@ -218,7 +230,7 @@ impl HttpConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use httpsim::{HttpDate, Status};
+    use httpsim::HttpDate;
     use std::net::TcpListener;
     use std::sync::atomic::AtomicBool;
     use std::thread;

@@ -64,10 +64,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 
-use consistency::{
-    AdaptiveTtl, Effect, Engine, FixedTtl, LinkModel, NeverExpire, Policy, RenewableTtl, Reply,
-    RetrievalMode, UpdateRisk,
-};
+use consistency::{Effect, Engine, LinkModel, Reply, RetrievalMode};
 use httpsim::{Request, Response, Status};
 use originserver::FilePopulation;
 use proxycache::{AnyStore, EntryMeta};
@@ -116,56 +113,13 @@ pub fn shard_for(file: FileId, shards: usize) -> usize {
     file.index() % shards.max(1)
 }
 
-/// The consistency mechanisms the live stack runs — the paper's three
-/// plus the delay-aware literature policies, as cache-side policies plus
-/// the invalidation wiring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LivePolicy {
-    /// Fixed TTL in hours.
-    Ttl(u64),
-    /// The Alex protocol with an update threshold in percent.
-    Alex(u32),
-    /// Server-driven invalidation callbacks.
-    Invalidation,
-    /// Delay-aware renewable TTL (arXiv 2201.11577), horizon in hours.
-    RenewableTtl(u64),
-    /// Update-risk freshness bound (arXiv 2412.20221), in percent.
-    UpdateRisk(u32),
-}
-
-impl LivePolicy {
-    /// Instantiate the cache-side policy object. Each shard holds its
-    /// own instance: the paper's three mechanisms are stateless (expiry
-    /// is a function of the entry alone), so replication cannot change
-    /// aggregate counts; the delay-aware policies learn per-class state
-    /// from their own shard's exchanges, which is exact at one shard
-    /// (the differential configuration) and shard-local beyond that.
-    pub fn build(self) -> Box<dyn Policy + Send> {
-        match self {
-            LivePolicy::Ttl(hours) => Box::new(FixedTtl::hours(hours)),
-            LivePolicy::Alex(pct) => Box::new(AdaptiveTtl::percent(pct)),
-            LivePolicy::Invalidation => Box::new(NeverExpire),
-            LivePolicy::RenewableTtl(hours) => Box::new(RenewableTtl::hours(hours)),
-            LivePolicy::UpdateRisk(pct) => Box::new(UpdateRisk::percent(pct)),
-        }
-    }
-
-    /// Whether this mechanism needs the control channel.
-    pub fn uses_invalidation(self) -> bool {
-        matches!(self, LivePolicy::Invalidation)
-    }
-
-    /// Report label, matching `ProtocolSpec::label`.
-    pub fn label(self) -> String {
-        match self {
-            LivePolicy::Ttl(h) => format!("TTL {h}h"),
-            LivePolicy::Alex(p) => format!("Alex {p}%"),
-            LivePolicy::Invalidation => "Invalidation".to_string(),
-            LivePolicy::RenewableTtl(h) => format!("RenewableTTL {h}h"),
-            LivePolicy::UpdateRisk(p) => format!("UpdateRisk {p}%"),
-        }
-    }
-}
+/// The consistency mechanism a proxy runs: the simulator's own
+/// [`ProtocolSpec`](consistency::ProtocolSpec). Each shard builds its
+/// own policy instance from it: the stateless mechanisms cannot tell,
+/// and the learning ones (self-tuning, delay-aware) learn from their own
+/// shard's exchanges — exact at one shard, the differential
+/// configuration, and shard-local beyond that.
+pub use consistency::ProtocolSpec as LivePolicy;
 
 /// How the proxy prices the `delay` of an upstream exchange, which the
 /// engine hands on to delay-aware policies.
@@ -928,7 +882,7 @@ impl LiveProxy {
                     CacheState {
                         engine: Engine::new(
                             config.store.build(i, shard_count),
-                            config.policy.build(),
+                            config.policy.build_policy(),
                             retrieval,
                             config.uncacheable_mask,
                             link,

@@ -1,14 +1,14 @@
 //! Open-loop connection soak for the epoll reactor data path.
 //!
-//! Where [`run_closed_loop`](crate::run_closed_loop) measures
-//! throughput under a scripted request schedule, the soak proves the
-//! *connection-scaling* claim: one proxy process holds `conns`
-//! concurrent keep-alive connections — orders of magnitude more than it
-//! has threads — while a small active mix keeps requests flowing and
-//! latency histograms honest. Idle connections are held either by
-//! in-process client threads (each owning a batch of sockets) or, when
-//! `worker_processes > 0`, by child worker processes so the parent's fd
-//! table is not the binding constraint at 10k+ connections.
+//! Where the `wcc-load` drivers measure throughput under a scripted
+//! request schedule, the soak proves the *connection-scaling* claim: one
+//! proxy process holds `conns` concurrent keep-alive connections —
+//! orders of magnitude more than it has threads — while a small active
+//! mix keeps requests flowing and latency histograms honest. Idle
+//! connections are held either by in-process client threads (each owning
+//! a batch of sockets) or, when `worker_processes > 0`, by child worker
+//! processes so the parent's fd table is not the binding constraint at
+//! 10k+ connections.
 //!
 //! The request mix self-checks against ground truth: a sequential
 //! warm-up pass touches every file once (exactly `files` misses —
@@ -28,7 +28,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
-use httpsim::{Request, Status};
 use originserver::{FilePopulation, FileRecord};
 use simcore::{LatencyStats, SimTime};
 use wcc_obs::ProbeHandle;
@@ -38,7 +37,7 @@ use crate::clock::LiveClock;
 use crate::netio::{HttpConn, POLL_TICK};
 use crate::origin::{LiveOrigin, OriginConfig};
 use crate::proxy::{LivePolicy, LiveProxy, ProxyConfig, StoreKind};
-use crate::report::JsonObj;
+use crate::report::{latency_json, JsonObj};
 
 /// Sizing for one [`run_soak`] execution.
 #[derive(Debug, Clone, Copy)]
@@ -172,22 +171,6 @@ impl SoakReport {
 
     /// The report as one JSON object (single line).
     pub fn to_json(&self) -> String {
-        let mut latency = JsonObj::new();
-        latency.u64("samples", self.latency.count());
-        latency.u64("dropped", self.latency.dropped());
-        if let (Some(p50), Some(p99), Some(p999), Some(mean)) = (
-            self.latency.p50_ns(),
-            self.latency.p99_ns(),
-            self.latency.p999_ns(),
-            self.latency.mean_ns(),
-        ) {
-            latency
-                .u64("p50_ns", p50)
-                .u64("p99_ns", p99)
-                .u64("p999_ns", p999)
-                .f64("mean_ns", mean);
-        }
-        let latency = latency.finish();
         JsonObj::new()
             .u64("conns_target", self.conns_target as u64)
             .u64("open_peak", self.open_peak as u64)
@@ -200,7 +183,7 @@ impl SoakReport {
             .u64("reactor_threads", self.reactor_threads as u64)
             .u64("process_threads", self.process_threads as u64)
             .f64("wall_seconds", self.wall_seconds)
-            .raw("latency", &latency)
+            .raw("latency", &latency_json(&self.latency))
             .finish()
     }
 }
@@ -324,23 +307,19 @@ pub fn run_soak(cfg: &SoakConfig, probe: &ProbeHandle) -> io::Result<SoakReport>
 
     // The active mix: closed-loop clients cycling the whole file set.
     let pop_ref: &FilePopulation = &pop;
-    let mix: io::Result<(LatencyStats, u64, u64)> = thread::scope(|s| {
+    let mix: io::Result<LatencyStats> = thread::scope(|s| {
         let handles: Vec<_> = (0..active)
             .map(|k| s.spawn(move || active_client(proxy_addr, pop_ref, k, requests_per_active)))
             .collect();
         let mut latency = LatencyStats::new();
-        let mut sent = 0u64;
-        let mut ok = 0u64;
         for h in handles {
-            let (lat, s_, ok_) = h.join().expect("active client never panics")?;
-            latency.merge(&lat);
-            sent += s_;
-            ok += ok_;
+            latency.merge(&h.join().expect("active client never panics")?);
         }
-        Ok((latency, sent, ok))
+        Ok(latency)
     });
     let process_threads = process_thread_count();
-    let (latency, active_sent, active_ok) = mix?;
+    let latency = mix?;
+    let active_sent = (active * requests_per_active) as u64;
 
     // Release the idle holders and tear down.
     latch.release();
@@ -359,7 +338,7 @@ pub fn run_soak(cfg: &SoakConfig, probe: &ProbeHandle) -> io::Result<SoakReport>
         open_peak,
         dropped_accepts,
         requests_sent: warmup_sent + active_sent,
-        requests_ok: warmup_sent + active_ok,
+        requests_ok: warmup_sent + latency.count() + latency.dropped(),
         misses: snapshot.cache.misses,
         fresh_hits: snapshot.cache.fresh_hits,
         files: files as u64,
@@ -395,14 +374,7 @@ fn warmup(proxy_addr: SocketAddr, pop: &FilePopulation) -> io::Result<u64> {
     let mut conn = HttpConn::new(TcpStream::connect(proxy_addr)?)?;
     let mut sent = 0u64;
     for (_, rec) in pop.iter() {
-        conn.write_request(&Request::get(rec.path.clone()))?;
-        let (resp, _) = conn.read_response()?;
-        if resp.status != Status::Ok {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("warm-up got {:?} for {}", resp.status, rec.path),
-            ));
-        }
+        conn.get_ok(&rec.path)?;
         sent += 1;
     }
     Ok(sent)
@@ -477,33 +449,26 @@ fn await_open_conns(proxy: &LiveProxy, target: usize) -> io::Result<usize> {
 }
 
 /// One active client: a closed-loop request stream cycling every file,
-/// offset by `k` so clients don't move in lockstep.
+/// offset by `k` so clients don't move in lockstep. Every sample (or
+/// dropped sample) in the returned histogram is one `200`.
 fn active_client(
     proxy_addr: SocketAddr,
     pop: &FilePopulation,
     k: usize,
     requests: usize,
-) -> io::Result<(LatencyStats, u64, u64)> {
+) -> io::Result<LatencyStats> {
     let mut conn = HttpConn::new(TcpStream::connect(proxy_addr)?)?;
     let mut latency = LatencyStats::new();
     let paths: Vec<&str> = pop.iter().map(|(_, rec)| rec.path.as_str()).collect();
-    let mut sent = 0u64;
-    let mut ok = 0u64;
     for i in 0..requests {
-        let path = paths[(k + i) % paths.len()];
         let begun = Instant::now();
-        conn.write_request(&Request::get(path))?;
-        sent += 1;
-        let (resp, _) = conn.read_response()?;
+        conn.get_ok(paths[(k + i) % paths.len()])?;
         match u64::try_from(begun.elapsed().as_nanos()) {
             Ok(ns) => latency.record_ns(ns),
             Err(_) => latency.record_drop(),
         }
-        if resp.status == Status::Ok {
-            ok += 1;
-        }
     }
-    Ok((latency, sent, ok))
+    Ok(latency)
 }
 
 /// The `Threads:` line of `/proc/self/status` — how many OS threads

@@ -8,15 +8,15 @@
 //!
 //! | id | name                      | scope |
 //! |----|---------------------------|-------|
-//! | r1 | no-wall-clock             | every crate except `bench`; `liveserve/{clock,loadgen,soak}.rs` + `wcc-load/{driver,replay}.rs` allowlisted |
+//! | r1 | no-wall-clock             | every crate; `liveserve/{clock,soak}.rs` + `wcc-load/{closed,driver}.rs` allowlisted |
 //! | r2 | no-unordered-iter         | files that write reports/stats |
 //! | r3 | no-lock-across-io         | `liveserve`, `wcc-obs`, `wcc-load` |
-//! | r4 | no-panic-in-server-path   | `liveserve::{origin,proxy,netio,control,pool,...}`, `wcc-load::{driver,replay}` |
+//! | r4 | no-panic-in-server-path   | `liveserve::{origin,proxy,netio,control,pool,...}`, `wcc-load::{closed,driver,replay}` |
 //! | r5 | bounded-channel-or-comment| `liveserve`, `wcc-load` |
 //! | r6 | lock-order-cycle          | `liveserve`, `wcc-obs`, `wcc-load` (workspace-wide graph; see [`crate::concurrency`]) |
 //! | r7 | condvar-discipline        | `liveserve`, `wcc-obs`, `wcc-load` |
 //! | r8 | guard-across-blocking     | `liveserve`, `wcc-obs`, `wcc-load` |
-//! | r9 | decision-written-once     | everything outside `crates/consistency` except the benchmarks |
+//! | r9 | decision-written-once     | everything outside `crates/consistency` except the repo benchmark (`bench/`) |
 //!
 //! Suppression: `// wcc-allow: <rule>[,<rule>] <reason>` on the finding
 //! line or the line above. The reason is mandatory; a reasonless or
@@ -211,18 +211,13 @@ fn is_path(ctx: &FileCtx, i: usize, a: &str, b: &str) -> bool {
 /// Wall-clock reads make runs unreproducible: the golden-hash
 /// determinism tests (`tests/determinism.rs`) hash entire sweeps, so a
 /// single `Instant::now()` in a simulation crate breaks bit-exactness.
-/// `liveserve` is real-time by design in exactly three files.
+/// The live stack is real-time by design in exactly four files.
 fn r1_no_wall_clock(ctx: &FileCtx, out: &mut Vec<(&'static str, &'static str, u32, String)>) {
-    if ctx.crate_name == "bench" {
-        return; // benches measure wall time; that is their job
+    if ctx.crate_name == "liveserve" && matches!(ctx.file_name(), "clock.rs" | "soak.rs") {
+        return; // the clock and the connection soak: real time is the point
     }
-    if ctx.crate_name == "liveserve"
-        && matches!(ctx.file_name(), "clock.rs" | "loadgen.rs" | "soak.rs")
-    {
-        return; // the load generators and the clock: real time is the point
-    }
-    if ctx.crate_name == "wcc-load" && matches!(ctx.file_name(), "driver.rs" | "replay.rs") {
-        return; // open-loop pacing fires on the wall clock by definition
+    if ctx.crate_name == "wcc-load" && matches!(ctx.file_name(), "closed.rs" | "driver.rs") {
+        return; // the load drivers time responses and pace arrivals on the wall clock
     }
     for i in 0..ctx.tokens.len() {
         if ctx.in_test[i] {
@@ -262,9 +257,6 @@ const ITER_METHODS: [&str; 7] = [
 /// that order into a report or stats stream corrupts golden-hash
 /// comparisons run-to-run. Sort first, or use a `Vec`/`BTreeMap`.
 fn r2_no_unordered_iter(ctx: &FileCtx, out: &mut Vec<(&'static str, &'static str, u32, String)>) {
-    if ctx.crate_name == "bench" {
-        return;
-    }
     // Only files that also produce report/stat output are in scope.
     const MARKERS: [&str; 7] = [
         "println", "writeln", "eprintln", "print", "eprint", "to_json", "JsonObj",
@@ -608,10 +600,11 @@ fn r4_no_panic_in_server_path(
                 | "conn.rs"
                 | "sys.rs"
         );
-    // The open-loop driver's workers are server-path too: a panicked
-    // worker silently under-achieves the offered rate for the whole run.
-    let in_wcc_load =
-        ctx.crate_name == "wcc-load" && matches!(ctx.file_name(), "driver.rs" | "replay.rs");
+    // The load drivers' clients and workers are server-path too: a
+    // panicked worker silently under-achieves the offered rate for the
+    // whole run.
+    let in_wcc_load = ctx.crate_name == "wcc-load"
+        && matches!(ctx.file_name(), "closed.rs" | "driver.rs" | "replay.rs");
     if !(in_liveserve || in_wcc_load) {
         return;
     }
@@ -730,15 +723,13 @@ fn r5_bounded_channel_or_comment(
 /// The cache-side request decision lives in `consistency::Engine` and
 /// nowhere else: the simulator, the hierarchy, the failure experiment
 /// and the live proxy all drive it. A `Policy` method call anywhere
-/// else is the start of another hand-kept copy. Benchmarks are exempt —
-/// timing `decide` in isolation is their job.
+/// else is the start of another hand-kept copy. The repo benchmark
+/// (`bench/`) is exempt — timing `decide` in isolation is its job.
 fn r9_decision_written_once(
     ctx: &FileCtx,
     out: &mut Vec<(&'static str, &'static str, u32, String)>,
 ) {
-    if matches!(ctx.crate_name.as_str(), "consistency" | "bench")
-        || ctx.rel_path.starts_with("bench/")
-    {
+    if ctx.crate_name == "consistency" || ctx.rel_path.starts_with("bench/") {
         return;
     }
     for i in 1..ctx.tokens.len() {
@@ -782,19 +773,20 @@ mod tests {
         let src = "fn f() { let t = Instant::now(); let s = std::time::SystemTime::now(); }";
         let hits = unsuppressed("crates/simcore/src/engine.rs", src);
         assert_eq!(hits.iter().filter(|f| f.rule == "r1").count(), 2);
-        // Allowlisted files and the bench crate are clean.
+        // Allowlisted files are clean.
         assert!(unsuppressed("crates/liveserve/src/clock.rs", src).is_empty());
-        assert!(unsuppressed("crates/liveserve/src/loadgen.rs", src).is_empty());
         assert!(unsuppressed("crates/liveserve/src/soak.rs", src).is_empty());
-        assert!(unsuppressed("crates/bench/benches/x.rs", src).is_empty());
-        // ...but other liveserve files are in scope.
-        assert_eq!(
-            unsuppressed("crates/liveserve/src/origin.rs", src)
-                .iter()
-                .filter(|f| f.rule == "r1")
-                .count(),
-            2
-        );
+        // ...but other liveserve files are in scope, the stack
+        // description the load drivers left behind included.
+        for in_scope in ["origin.rs", "loadgen.rs"] {
+            assert_eq!(
+                unsuppressed(&format!("crates/liveserve/src/{in_scope}"), src)
+                    .iter()
+                    .filter(|f| f.rule == "r1")
+                    .count(),
+                2
+            );
+        }
     }
 
     #[test]
@@ -953,19 +945,23 @@ fn spawn() {
     }
 
     #[test]
-    fn r1_allowlists_the_open_loop_pacer_but_not_its_schedule() {
+    fn r1_allowlists_the_load_drivers_but_not_their_schedule() {
         let src = "fn f() { let t = Instant::now(); }";
-        // The pacer and replay clock run on wall time by definition...
+        // The closed-loop stopwatch and the open-loop pacer run on wall
+        // time by definition...
+        assert!(unsuppressed("crates/wcc-load/src/closed.rs", src).is_empty());
         assert!(unsuppressed("crates/wcc-load/src/driver.rs", src).is_empty());
-        assert!(unsuppressed("crates/wcc-load/src/replay.rs", src).is_empty());
-        // ...but the arrival schedule is pure virtual time.
-        assert_eq!(
-            unsuppressed("crates/wcc-load/src/schedule.rs", src)
-                .iter()
-                .filter(|f| f.rule == "r1")
-                .count(),
-            1
-        );
+        // ...but the arrival schedule and the trace adapters are pure
+        // virtual time.
+        for in_scope in ["schedule.rs", "replay.rs"] {
+            assert_eq!(
+                unsuppressed(&format!("crates/wcc-load/src/{in_scope}"), src)
+                    .iter()
+                    .filter(|f| f.rule == "r1")
+                    .count(),
+                1
+            );
+        }
     }
 
     #[test]
@@ -1009,11 +1005,7 @@ mod tests { fn t(p: &P) { p.decide(&e, &c); } }
 fn decide(x: u32) {} fn g() { decide(1); }";
         let hits = unsuppressed("crates/liveserve/src/proxy.rs", src);
         assert_eq!(hits.iter().filter(|f| f.rule == "r9").count(), 2);
-        for exempt in [
-            "crates/consistency/src/engine.rs",
-            "crates/bench/benches/substrate_micro.rs",
-            "bench/src/layers.rs",
-        ] {
+        for exempt in ["crates/consistency/src/engine.rs", "bench/src/layers.rs"] {
             assert!(unsuppressed(exempt, src).iter().all(|f| f.rule != "r9"));
         }
     }

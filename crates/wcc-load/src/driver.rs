@@ -29,14 +29,14 @@
 use std::collections::VecDeque;
 use std::io;
 use std::net::TcpStream;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use httpsim::{Request, Status};
 use liveserve::report::{latency_json, rates_json, JsonObj};
-use liveserve::{HttpConn, LiveRunConfig, LiveStack, StackSpec};
-use simcore::{CacheStats, FileId, LatencyStats, ServerLoad, SimDuration, SimTime, TrafficMeter};
+use liveserve::{HttpConn, LiveRunConfig, LiveStack, StackCounters, StackSpec};
+use simcore::{FileId, LatencyStats, SimDuration, SimTime};
 use wcc_obs::{ObsEvent, ProbeHandle, ShedReason};
 use wcc_sync::{RankedCondvar, RankedMutex};
 
@@ -85,16 +85,11 @@ pub fn shots_from_arrivals(
 
 /// The exact shot sequence an open-loop run will offer: the arrival
 /// schedule mapped onto wall deadlines, virtual instants, and a cycled
-/// file mix.
-///
-/// Takes the *full* driver config deliberately: the plan must be a
-/// function of the schedule alone, never of `config.workers` (or any
-/// other drain-side knob) — otherwise changing `--jobs` would change
-/// what load is offered and runs would stop being comparable. A
-/// proptest pins bit-identity of this plan across worker counts.
+/// file mix. A function of the schedule alone — no drain-side knob
+/// (worker count, queue bound) reaches it, so changing `--jobs` cannot
+/// change what load is offered.
 pub fn plan_shots<'a>(
     schedule: &ScheduleConfig,
-    _config: &OpenLoopConfig,
     files: &'a [FileId],
     start: SimTime,
     compression: f64,
@@ -137,13 +132,18 @@ impl OpenLoopConfig {
     }
 }
 
-/// Everything one open-loop run measured.
+/// Everything one open-loop run measured. The stack-side counters are
+/// reachable through `Deref` (`report.cache`, `report.server`, …).
 #[derive(Debug, Clone)]
 pub struct OpenLoopReport {
     /// Policy label.
     pub policy: String,
     /// Worker threads used.
     pub workers: usize,
+    /// Proxy cache shards used.
+    pub shards: usize,
+    /// Reactor threads used on each data path.
+    pub reactor_threads: usize,
     /// Pending-queue bound used.
     pub queue_cap: usize,
     /// The rate the schedule was built for (wall req/s).
@@ -165,26 +165,18 @@ pub struct OpenLoopReport {
     pub queue_delay: LatencyStats,
     /// Scheduled-deadline-to-response times (coordinated-omission-free).
     pub sojourn: LatencyStats,
-    /// Hit/miss/validation classification.
-    pub cache: CacheStats,
-    /// Proxy↔origin traffic.
-    pub traffic: TrafficMeter,
-    /// Origin-side load counters.
-    pub server: ServerLoad,
-    /// Total staleness-severity across stale hits.
-    pub stale_age_total: SimDuration,
-    /// `INVALIDATE` notices the proxy received and acknowledged.
-    pub invalidations_delivered: u64,
-    /// Proxy store evictions.
-    pub evictions: u64,
-    /// Upstream connections the proxy's shard pools dialled.
-    pub upstream_dials: u64,
-    /// Upstream exchanges served by a pooled keep-alive connection.
-    pub upstream_reuses: u64,
-    /// Upstream checkouts refused at the waiter cap.
-    pub upstream_saturations: u64,
+    /// What the proxy and the origin counted.
+    pub stack: StackCounters,
     /// Bytes the proxy returned to clients.
     pub bytes_to_clients: u64,
+}
+
+impl Deref for OpenLoopReport {
+    type Target = StackCounters;
+
+    fn deref(&self) -> &StackCounters {
+        &self.stack
+    }
 }
 
 impl OpenLoopReport {
@@ -206,43 +198,19 @@ impl OpenLoopReport {
     }
 
     /// The report as one JSON object (single line), sharing the
-    /// closed-loop report's `rates` / `latency` schema.
+    /// closed-loop report's `rates` / `latency` / stack-counter schema.
     pub fn to_json(&self) -> String {
-        let cache = JsonObj::new()
-            .u64("fresh_hits", self.cache.fresh_hits)
-            .u64("stale_hits", self.cache.stale_hits)
-            .u64("misses", self.cache.misses)
-            .u64(
-                "validations_not_modified",
-                self.cache.validations_not_modified,
-            )
-            .u64("validations_modified", self.cache.validations_modified)
-            .finish();
-        let traffic = JsonObj::new()
-            .u64("messages", self.traffic.messages)
-            .u64("message_bytes", self.traffic.message_bytes)
-            .u64("file_transfers", self.traffic.file_transfers)
-            .u64("file_bytes", self.traffic.file_bytes)
-            .finish();
-        let server = JsonObj::new()
-            .u64("document_requests", self.server.document_requests)
-            .u64("validation_queries", self.server.validation_queries)
-            .u64("invalidations_sent", self.server.invalidations_sent)
-            .finish();
-        let upstream = JsonObj::new()
-            .u64("dials", self.upstream_dials)
-            .u64("reuses", self.upstream_reuses)
-            .u64("saturations", self.upstream_saturations)
-            .finish();
         let rates = rates_json(
             self.offered_rps(),
             self.achieved_rps(),
             self.dropped_queue_full,
             self.dropped_timeout,
         );
-        JsonObj::new()
-            .str("policy", &self.policy)
+        let mut obj = JsonObj::new();
+        obj.str("policy", &self.policy)
             .u64("workers", self.workers as u64)
+            .u64("shards", self.shards as u64)
+            .u64("reactor_threads", self.reactor_threads as u64)
             .u64("queue_cap", self.queue_cap as u64)
             .f64("target_rps", self.target_rps)
             .u64("offered", self.offered)
@@ -251,20 +219,13 @@ impl OpenLoopReport {
             .f64("wall_seconds", self.wall_seconds)
             .raw("rates", &rates)
             .raw("latency", &latency_json(&self.sojourn))
-            .raw("queue_delay", &latency_json(&self.queue_delay))
-            .raw("cache", &cache)
-            .raw("traffic", &traffic)
-            .raw("server", &server)
-            .u64("stale_age_total_secs", self.stale_age_total.as_secs())
-            .u64("invalidations_delivered", self.invalidations_delivered)
-            .u64("evictions", self.evictions)
-            .raw("upstream", &upstream)
-            .u64("bytes_to_clients", self.bytes_to_clients)
-            .finish()
+            .raw("queue_delay", &latency_json(&self.queue_delay));
+        self.stack.write_json(&mut obj);
+        obj.u64("bytes_to_clients", self.bytes_to_clients).finish()
     }
 }
 
-fn rate(count: u64, wall_seconds: f64) -> f64 {
+pub(crate) fn rate(count: u64, wall_seconds: f64) -> f64 {
     if wall_seconds > 0.0 {
         count as f64 / wall_seconds
     } else {
@@ -385,21 +346,13 @@ fn worker_loop(
             tally.errors += 1;
             continue;
         }
-        let path = spec.population.get(item.shot.file).path.clone();
+        let path = &spec.population.get(item.shot.file).path;
         let outcome = (|| -> io::Result<u64> {
             let c = match conn.as_mut() {
                 Some(c) => c,
                 None => conn.insert(HttpConn::new(TcpStream::connect(proxy_addr)?)?),
             };
-            c.write_request(&Request::get(path))?;
-            let (resp, body) = c.read_response()?;
-            if resp.status != Status::Ok {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "non-200 from proxy",
-                ));
-            }
-            Ok(resp.header_size() + body.len() as u64)
+            c.get_ok(path)
         })();
         match outcome {
             Ok(bytes) => {
@@ -502,11 +455,12 @@ pub fn run_open_loop(
 
     let wall_seconds = run_start.elapsed().as_secs_f64();
     stack.advance_to(spec.end);
-    let (snapshot, server) = stack.shutdown();
 
     let mut report = OpenLoopReport {
         policy: config.run.policy.label(),
         workers,
+        shards: config.run.shards.max(1),
+        reactor_threads: config.run.reactor_threads.max(1),
         queue_cap: config.queue_cap.max(1),
         target_rps: config.target_rps,
         offered,
@@ -517,15 +471,7 @@ pub fn run_open_loop(
         wall_seconds,
         queue_delay: LatencyStats::new(),
         sojourn: LatencyStats::new(),
-        cache: snapshot.cache,
-        traffic: snapshot.traffic,
-        server,
-        stale_age_total: snapshot.stale_age_total,
-        invalidations_delivered: snapshot.invalidations_delivered,
-        evictions: snapshot.evictions,
-        upstream_dials: snapshot.upstream_dials,
-        upstream_reuses: snapshot.upstream_reuses,
-        upstream_saturations: snapshot.upstream_saturations,
+        stack: stack.shutdown(),
         bytes_to_clients: 0,
     };
     for t in tallies {

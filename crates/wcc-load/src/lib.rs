@@ -1,13 +1,18 @@
-//! `wcc-load` — open-loop load generation and streaming trace replay
-//! for the live serving stack.
+//! `wcc-load` — the load drivers of the live serving stack: closed-loop,
+//! open-loop, and streaming trace replay.
 //!
-//! The closed-loop generator in `liveserve` answers "how fast can the
-//! stack go?" — each client waits for a response before sending the
-//! next request, so offered load always equals achieved load and
-//! queueing delay is invisible. This crate answers the question the
-//! paper's consistency-vs-load trade-off actually needs: **what happens
-//! to each policy when load is imposed rather than negotiated?**
+//! A closed-loop run answers "how fast can the stack go?" — each client
+//! waits for a response before sending the next request, so offered
+//! load always equals achieved load and queueing delay is invisible. An
+//! open-loop run answers the question the paper's consistency-vs-load
+//! trade-off actually needs: **what happens to each policy when load is
+//! imposed rather than negotiated?** Both drive a `liveserve::LiveStack`
+//! through the same client exchange (`HttpConn::get_ok`) and report the
+//! same `StackCounters` through the same JSON renderer.
 //!
+//! * [`closed`] — [`run_closed_loop`]: N clients pulling from one
+//!   request source, streamed or materialized. At one thread it is the
+//!   counter-exact sequential replay the differential tests rely on.
 //! * [`schedule`] — deterministic virtual-time arrival schedules
 //!   (Poisson or fixed-rate, per-client RNG streams, lazily merged).
 //!   The schedule is a pure function of its config: bit-identical
@@ -19,22 +24,23 @@
 //!   omission-free sojourn percentiles.
 //! * [`replay`] — stream any `Iterator<Item = TraceRequest>` (the lazy
 //!   generators and CLF streams in [`webtrace::stream`]) through the
-//!   stack at a configurable time-compression factor, open-loop or in
-//!   a counter-exact sequential lockstep.
+//!   stack open-loop at a configurable time-compression factor.
 //!
-//! Everything is conservation-checked: `offered = completed + shed +
-//! errors`, enforced by [`OpenLoopReport::conserves`] and the smoke
+//! Open-loop runs are conservation-checked: `offered = completed + shed
+//! + errors`, enforced by [`OpenLoopReport::conserves`] and the smoke
 //! tests behind `wcc openloop --smoke` / `wcc replay --smoke`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod closed;
 pub mod driver;
 pub mod replay;
 pub mod schedule;
 
+pub use closed::{run_closed_loop, LoadReport};
 pub use driver::{
     plan_shots, run_open_loop, shots_from_arrivals, OpenLoopConfig, OpenLoopReport, Shot,
 };
-pub use replay::{replay_lockstep, replay_open_loop, shots_from_trace};
+pub use replay::{replay_open_loop, shots_from_trace};
 pub use schedule::{Arrival, ArrivalMode, ArrivalSchedule, ScheduleConfig};

@@ -1,29 +1,20 @@
 //! Streaming trace replay: drive any `Iterator<Item = TraceRequest>`
 //! through the live stack without ever materializing the trace.
 //!
-//! Two replay modes share one request source:
-//!
-//! * [`replay_open_loop`] — the trace's virtual arrival instants are
-//!   compressed onto the wall clock (`compression` virtual seconds per
-//!   wall second) and fired through the open-loop
-//!   [`driver`](crate::driver): arrivals keep the trace's schedule,
-//!   overload sheds instead of stalling, and the report separates
-//!   offered from achieved load.
-//! * [`replay_lockstep`] — one request in flight at a time, each
-//!   preceded by advancing the virtual clock to its instant. This is
-//!   byte-for-byte the closed-loop single-thread semantics, so its
-//!   counters are *exactly* reproducible and exactly comparable to
-//!   [`liveserve::run_closed_loop`] on the materialized trace — the
-//!   reference the streaming smoke checks itself against.
+//! [`replay_open_loop`] compresses the trace's virtual arrival instants
+//! onto the wall clock (`compression` virtual seconds per wall second)
+//! and fires them through the open-loop [`driver`](crate::driver):
+//! arrivals keep the trace's schedule, overload sheds instead of
+//! stalling, and the report separates offered from achieved load. The
+//! counter-exact sequential replay is the closed-loop driver at one
+//! thread: [`run_closed_loop`](crate::run_closed_loop) over
+//! `stream.map(|r| (r.time, r.file))`.
 
 use std::io;
-use std::net::TcpStream;
-use std::time::Instant;
 
-use httpsim::{Request, Status};
-use liveserve::{HttpConn, LiveRunConfig, LiveStack, LoadReport, StackSpec};
-use simcore::{LatencyStats, SimTime};
-use wcc_obs::{ObsEvent, ProbeHandle};
+use liveserve::StackSpec;
+use simcore::SimTime;
+use wcc_obs::ProbeHandle;
 use webtrace::TraceRequest;
 
 use crate::driver::{run_open_loop, OpenLoopConfig, OpenLoopReport, Shot};
@@ -65,78 +56,4 @@ pub fn replay_open_loop(
         config,
         probe,
     )
-}
-
-/// Replay `stream` with one request in flight at a time — the
-/// counter-exact sequential reference. Virtual time advances to each
-/// request's instant before it is sent, so event order matches the
-/// simulator's (modification before request at equal instants) and the
-/// resulting counters are deterministic.
-pub fn replay_lockstep(
-    spec: &StackSpec,
-    stream: impl Iterator<Item = TraceRequest>,
-    run: &LiveRunConfig,
-    probe: &ProbeHandle,
-) -> io::Result<LoadReport> {
-    let stack = LiveStack::spawn(spec, run, probe)?;
-    let mut conn = HttpConn::new(TcpStream::connect(stack.proxy_addr())?)?;
-    let started = Instant::now();
-    let mut latency = LatencyStats::new();
-    let mut requests = 0u64;
-    let mut bytes_to_clients = 0u64;
-    for r in stream {
-        stack.advance_to(r.time);
-        if r.file.index() >= spec.population.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "trace request names a file outside the population",
-            ));
-        }
-        let path = spec.population.get(r.file).path.clone();
-        let sent = Instant::now();
-        conn.write_request(&Request::get(path))?;
-        let (resp, body) = conn.read_response()?;
-        match u64::try_from(sent.elapsed().as_nanos()) {
-            Ok(elapsed_ns) => {
-                latency.record_ns(elapsed_ns);
-                probe.record(
-                    r.time,
-                    ObsEvent::LiveLatency {
-                        micros: elapsed_ns / 1_000,
-                    },
-                );
-            }
-            Err(_) => latency.record_drop(),
-        }
-        if resp.status != Status::Ok {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "non-200 from proxy during lockstep replay",
-            ));
-        }
-        requests += 1;
-        bytes_to_clients += resp.header_size() + body.len() as u64;
-    }
-    stack.advance_to(spec.end);
-    let wall_seconds = started.elapsed().as_secs_f64();
-    let (snapshot, server) = stack.shutdown();
-    Ok(LoadReport {
-        policy: run.policy.label(),
-        threads: 1,
-        shards: run.shards.max(1),
-        reactor_threads: run.reactor_threads.max(1),
-        requests,
-        wall_seconds,
-        cache: snapshot.cache,
-        traffic: snapshot.traffic,
-        server,
-        stale_age_total: snapshot.stale_age_total,
-        invalidations_delivered: snapshot.invalidations_delivered,
-        evictions: snapshot.evictions,
-        latency,
-        bytes_to_clients,
-        upstream_dials: snapshot.upstream_dials,
-        upstream_reuses: snapshot.upstream_reuses,
-        upstream_saturations: snapshot.upstream_saturations,
-    })
 }

@@ -1,88 +1,57 @@
-//! Streaming replay correctness: the lockstep streaming path must
-//! produce *exactly* the counters of the materialized closed-loop
-//! replay (threads = 1) on the same trace, for every policy — the
-//! sequential reference the `wcc replay --smoke` self-check uses — and
+//! Streaming replay correctness: the closed-loop driver must send every
+//! record of a *streamed* source exactly once at any thread count, and
 //! the open-loop path must conserve every streamed record.
 
-use liveserve::{run_closed_loop, LivePolicy, LiveRunConfig, LiveWorkload, ProbeHandle};
-use wcc_load::{replay_lockstep, replay_open_loop, OpenLoopConfig};
+use liveserve::{LivePolicy, LiveRunConfig, ProbeHandle, StackSpec};
+use wcc_load::{replay_open_loop, run_closed_loop, OpenLoopConfig};
 use webtrace::campus::CampusProfile;
-use webtrace::stream::{synthetic_stream, SyntheticStreamConfig};
+use webtrace::stream::{synthetic_stream, StreamMeta, SyntheticStreamConfig};
 
 fn small_config() -> SyntheticStreamConfig {
     SyntheticStreamConfig::campus(&CampusProfile::das(), 2_000, 77)
 }
 
-fn policies() -> Vec<LivePolicy> {
-    vec![
-        LivePolicy::Ttl(24),
-        LivePolicy::Alex(20),
-        LivePolicy::Invalidation,
-    ]
-}
-
-#[test]
-fn lockstep_stream_matches_materialized_closed_loop_per_policy() {
-    let cfg = small_config();
-    let (meta, stream) = synthetic_stream(&cfg);
-    // The reference materializes (that's the point: it is the old,
-    // trusted path); the streamed run must never need to.
-    let materialized = LiveWorkload {
-        name: meta.name.clone(),
-        start: meta.start,
-        end: meta.end,
+fn spec_of(meta: &StreamMeta) -> StackSpec {
+    StackSpec {
         population: meta.population.clone(),
-        requests: stream.map(|r| (r.time, r.file)).collect(),
         classes: meta.classes.clone(),
         class_expires: Vec::new(),
-    };
-    let spec = materialized.stack_spec();
-
-    for policy in policies() {
-        let run = LiveRunConfig::new(policy);
-        let reference = run_closed_loop(&materialized, &run).unwrap();
-        let (_, stream) = synthetic_stream(&cfg);
-        let streamed = replay_lockstep(&spec, stream, &run, &ProbeHandle::none()).unwrap();
-
-        assert_eq!(streamed.requests, reference.requests, "{policy:?}");
-        assert_eq!(streamed.cache, reference.cache, "{policy:?}");
-        assert_eq!(streamed.server, reference.server, "{policy:?}");
-        assert_eq!(streamed.traffic, reference.traffic, "{policy:?}");
-        assert_eq!(
-            streamed.invalidations_delivered, reference.invalidations_delivered,
-            "{policy:?}"
-        );
-        assert_eq!(
-            streamed.stale_age_total, reference.stale_age_total,
-            "{policy:?}"
-        );
-        assert_eq!(
-            streamed.bytes_to_clients, reference.bytes_to_clients,
-            "{policy:?}"
-        );
+        start: meta.start,
+        end: meta.end,
     }
 }
 
 #[test]
+fn three_clients_send_every_streamed_record_exactly_once() {
+    let (meta, stream) = synthetic_stream(&small_config());
+    let mut run = LiveRunConfig::new(LivePolicy::Alex(20));
+    run.threads = 3;
+    // The stream is handed over as it is: nothing is collected first.
+    let report = run_closed_loop(
+        &spec_of(&meta),
+        stream.map(|r| (r.time, r.file)),
+        &run,
+        &ProbeHandle::none(),
+    )
+    .unwrap();
+    assert_eq!(report.threads, 3);
+    assert_eq!(report.requests, 2_000);
+    assert_eq!(report.cache.requests(), report.requests);
+    assert_eq!(
+        report.latency.count() + report.latency.dropped(),
+        report.requests
+    );
+}
+
+#[test]
 fn open_loop_replay_conserves_every_streamed_record() {
-    let cfg = small_config();
-    let (meta, stream) = synthetic_stream(&cfg);
-    let materialized_free = LiveWorkload {
-        name: meta.name.clone(),
-        start: meta.start,
-        end: meta.end,
-        population: meta.population.clone(),
-        requests: Vec::new(),
-        classes: meta.classes.clone(),
-        class_expires: Vec::new(),
-    };
-    let spec = materialized_free.stack_spec();
+    let (meta, stream) = synthetic_stream(&small_config());
+    let spec = spec_of(&meta);
     let config = OpenLoopConfig::new(LiveRunConfig::new(LivePolicy::Ttl(24)), 0.0);
     // The campus window is ~a week of virtual time; compress hard so
     // the test replays in about a second.
     let window = (meta.end - meta.start).as_secs() as f64;
-    let report =
-        replay_open_loop(&spec, stream, window / 1.0, &config, &ProbeHandle::none()).unwrap();
+    let report = replay_open_loop(&spec, stream, window, &config, &ProbeHandle::none()).unwrap();
     assert_eq!(report.offered, 2_000);
     assert!(report.conserves());
     assert!(report.completed > 0);

@@ -9,7 +9,7 @@
 //!   policies;
 //! * [`webtrace`] — trace formats, calibrated generators, analyzers;
 //! * [`proxycache`], [`originserver`] — the cache and server substrates;
-//! * [`liveserve`] — the real-TCP origin, proxy, and load generator;
+//! * [`liveserve`] — the real-TCP origin and proxy (driven by `wcc-load`);
 //! * [`httpsim`] — the HTTP/1.0 message model;
 //! * [`simcore`], [`simstats`] — the simulation and statistics substrates;
 //! * [`wcc_obs`] — probes, metrics, trace capture, and the profiler.

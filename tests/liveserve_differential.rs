@@ -13,12 +13,11 @@
 //! assertion covers those fields individually instead of the whole
 //! meter.
 
-use wwwcache::liveserve::LoadReport;
 use wwwcache::simcore::SimTime;
 use wwwcache::wcc_obs::{ObsEvent, TraceProbe};
 use wwwcache::webcache::{
-    generate_synthetic, run, Experiment, ExperimentStore, ProtocolSpec, RunResult, SimConfig,
-    Workload, WorrellConfig,
+    generate_synthetic, run, Experiment, ExperimentStore, LoadReport, ProtocolSpec, RunResult,
+    SimConfig, Workload, WorrellConfig,
 };
 
 /// One client thread, one shard: the configuration the simulator mirrors.
@@ -127,6 +126,22 @@ fn update_risk_live_run_matches_optimized_simulator() {
     // exact-match assertion also covers the live `on_validation` /
     // `on_fetch` callback ordering.
     assert_live_matches_sim(&differential_workload(), ProtocolSpec::UpdateRisk(5));
+}
+
+#[test]
+fn specs_beyond_the_papers_three_also_run_live_and_match() {
+    // The proxy is configured with the simulator's own `ProtocolSpec`,
+    // so every spec runs live — including the ones the live stack used
+    // to refuse: the always-validate baseline and the CERN httpd rule.
+    let workload = differential_workload();
+    assert_live_matches_sim(&workload, ProtocolSpec::PollEveryTime);
+    assert_live_matches_sim(
+        &workload,
+        ProtocolSpec::Cern {
+            lm_percent: 10,
+            default_ttl_hours: 24,
+        },
+    );
 }
 
 /// The events the consistency engine emits, in the order they arrived.

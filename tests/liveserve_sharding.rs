@@ -19,9 +19,10 @@
 
 use proptest::prelude::*;
 use wwwcache::liveserve::shard_for;
-use wwwcache::liveserve::LoadReport;
 use wwwcache::simcore::FileId;
-use wwwcache::webcache::{generate_synthetic, Experiment, ProtocolSpec, Workload, WorrellConfig};
+use wwwcache::webcache::{
+    generate_synthetic, Experiment, LoadReport, ProtocolSpec, Workload, WorrellConfig,
+};
 
 fn run_live_sharded(
     wl: &Workload,

@@ -12,7 +12,7 @@ use std::borrow::Cow;
 use proxycache::EntryMeta;
 use simcore::{SimDuration, SimTime};
 
-use crate::policy::{decide_by_expiry, Decision, ExpiryPolicy, Policy, RequestCtx};
+use crate::policy::{decide_by_expiry, Decision, Policy, RequestCtx};
 
 /// The CERN httpd three-tier expiry rule.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,8 +54,10 @@ impl CernPolicy {
     }
 }
 
-impl ExpiryPolicy for CernPolicy {
-    fn expiry(&self, entry: &EntryMeta, _class: usize) -> SimTime {
+impl CernPolicy {
+    /// The instant a currently-valid `entry` times out, by the three
+    /// tiers in order.
+    pub fn expiry(&self, entry: &EntryMeta, _class: usize) -> SimTime {
         // Tier 1: a server-assigned Expires header wins outright.
         if let Some(expires) = entry.expires {
             return expires;
@@ -136,7 +138,10 @@ mod tests {
         let p = CernPolicy::deployed_default();
         let mut e = entry(0, 1000);
         e.expires = Some(t(500));
-        assert!(!p.is_fresh(&e, 0, t(1000)));
+        assert_eq!(
+            p.decide(&e, &RequestCtx::new(t(1000), 0)),
+            Decision::Validate
+        );
     }
 
     #[test]

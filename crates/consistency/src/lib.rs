@@ -5,9 +5,9 @@
 //! validated cache entry be served without contacting the origin?* The
 //! [`Policy`] trait captures that as a [`Decision`] computed from the
 //! entry's metadata and a [`RequestCtx`] (instant, content class,
-//! observed transfer delay). Time-based policies express themselves
-//! through the narrower [`ExpiryPolicy`] seam — a single expiry instant
-//! per validation — and adapt onto `Policy` via [`decide_by_expiry`].
+//! observed transfer delay). Time-based policies compute a single expiry
+//! instant per validation (an inherent `expiry` method) and decide via
+//! [`decide_by_expiry`].
 //! Implementations cover the paper's contenders, its baselines, and two
 //! later literature policies:
 //!
@@ -52,8 +52,8 @@ mod typed;
 pub use cern::CernPolicy;
 pub use engine::{Applied, Effect, Engine, Reply, RetrievalMode};
 pub use policy::{
-    decide_by_expiry, AdaptiveTtl, Decision, ExpiryPolicy, FixedTtl, LinkModel, NeverExpire,
-    Policy, PollEveryTime, RequestCtx,
+    decide_by_expiry, AdaptiveTtl, Decision, FixedTtl, LinkModel, NeverExpire, Policy,
+    PollEveryTime, RequestCtx,
 };
 pub use renewable::RenewableTtl;
 pub use risk::UpdateRisk;

@@ -10,8 +10,9 @@
 //!
 //! The paper's three contenders are all *expiry-based*: each reduces to
 //! computing one expiry instant per validation and serving until that
-//! instant. They implement the narrower [`ExpiryPolicy`] seam and adapt to
-//! [`Policy`] through the exact comparison in [`decide_by_expiry`]:
+//! instant. Each states it as an inherent `expiry(entry, class)` method and
+//! answers [`Policy::decide`] through the exact comparison in
+//! [`decide_by_expiry`]:
 //!
 //! * **TTL** ([`FixedTtl`]) — expiry is a fixed interval after the last
 //!   validation;
@@ -110,28 +111,11 @@ pub trait Policy {
     fn on_fetch(&mut self, _class: usize, _delay: SimDuration) {}
 }
 
-/// The legacy seam: policies defined by one expiry instant per validation.
-///
-/// Every such policy adapts to [`Policy`] through [`decide_by_expiry`],
-/// which reproduces the pre-redesign freshness comparison bit-for-bit
-/// (the golden-hash tests in `tests/determinism.rs` pin this).
-pub trait ExpiryPolicy {
-    /// The instant at which a currently-valid `entry` times out. Entries
-    /// whose expiry is `<= now` must be revalidated before use.
-    fn expiry(&self, entry: &EntryMeta, class: usize) -> SimTime;
-
-    /// Convenience: whether `entry` is still within its validity horizon
-    /// at `now`.
-    fn is_fresh(&self, entry: &EntryMeta, class: usize, now: SimTime) -> bool {
-        self.expiry(entry, class) > now
-    }
-}
-
-/// The exact adapter from an expiry instant to a [`Decision`]: serve iff
-/// the entry is valid (not callback-invalidated) and its expiry lies
-/// strictly after `now` — literally the comparison the simulator and the
-/// live proxy performed before the redesign
-/// (`entry.is_valid() && policy.is_fresh(entry, class, now)`).
+/// The exact step from an expiry instant to a [`Decision`]: serve iff the
+/// entry is valid (not callback-invalidated) and its expiry lies strictly
+/// after `now`. Every expiry-based policy decides through it, so the
+/// comparison the golden hashes in `tests/determinism.rs` pin is written
+/// once.
 pub fn decide_by_expiry(entry: &EntryMeta, expiry: SimTime, now: SimTime) -> Decision {
     if entry.is_valid() && expiry > now {
         Decision::Serve
@@ -164,8 +148,10 @@ impl FixedTtl {
     }
 }
 
-impl ExpiryPolicy for FixedTtl {
-    fn expiry(&self, entry: &EntryMeta, _class: usize) -> SimTime {
+impl FixedTtl {
+    /// The instant a currently-valid `entry` times out: `ttl` after its
+    /// last validation.
+    pub fn expiry(&self, entry: &EntryMeta, _class: usize) -> SimTime {
         entry.last_validated.saturating_add(self.ttl)
     }
 }
@@ -183,7 +169,7 @@ impl Policy for FixedTtl {
 /// The Alex protocol: adaptive TTL proportional to object age.
 ///
 /// ```
-/// use consistency::{AdaptiveTtl, ExpiryPolicy};
+/// use consistency::AdaptiveTtl;
 /// use proxycache::EntryMeta;
 /// use simcore::{SimDuration, SimTime};
 ///
@@ -235,8 +221,10 @@ impl AdaptiveTtl {
     }
 }
 
-impl ExpiryPolicy for AdaptiveTtl {
-    fn expiry(&self, entry: &EntryMeta, _class: usize) -> SimTime {
+impl AdaptiveTtl {
+    /// The instant a currently-valid `entry` times out: `threshold × age`
+    /// after its last validation.
+    pub fn expiry(&self, entry: &EntryMeta, _class: usize) -> SimTime {
         let age = entry.last_validated.saturating_since(entry.last_modified);
         entry
             .last_validated
@@ -261,8 +249,9 @@ impl Policy for AdaptiveTtl {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PollEveryTime;
 
-impl ExpiryPolicy for PollEveryTime {
-    fn expiry(&self, entry: &EntryMeta, _class: usize) -> SimTime {
+impl PollEveryTime {
+    /// The instant a currently-valid `entry` times out: at once.
+    pub fn expiry(&self, entry: &EntryMeta, _class: usize) -> SimTime {
         // Expires the instant it is validated: every access revalidates.
         entry.last_validated
     }
@@ -283,8 +272,9 @@ impl Policy for PollEveryTime {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NeverExpire;
 
-impl ExpiryPolicy for NeverExpire {
-    fn expiry(&self, _entry: &EntryMeta, _class: usize) -> SimTime {
+impl NeverExpire {
+    /// The instant a currently-valid `entry` times out: never.
+    pub fn expiry(&self, _entry: &EntryMeta, _class: usize) -> SimTime {
         SimTime::MAX
     }
 }
@@ -368,9 +358,9 @@ mod tests {
         let p = FixedTtl::hours(2);
         let e = entry(0, 1000);
         assert_eq!(p.expiry(&e, 0), t(1000 + 7200));
-        assert!(p.is_fresh(&e, 0, t(1000)));
-        assert!(p.is_fresh(&e, 0, t(8199)));
-        assert!(!p.is_fresh(&e, 0, t(8200)));
+        assert_eq!(p.decide(&e, &ctx(1000)), Decision::Serve);
+        assert_eq!(p.decide(&e, &ctx(8199)), Decision::Serve);
+        assert_eq!(p.decide(&e, &ctx(8200)), Decision::Validate);
     }
 
     #[test]
@@ -386,7 +376,7 @@ mod tests {
     fn zero_ttl_always_stale() {
         let p = FixedTtl::hours(0);
         let e = entry(0, 1000);
-        assert!(!p.is_fresh(&e, 0, t(1000)));
+        assert_eq!(p.decide(&e, &ctx(1000)), Decision::Validate);
     }
 
     #[test]
@@ -450,7 +440,7 @@ mod tests {
         let poll = PollEveryTime;
         let e = entry(0, 12345);
         assert_eq!(alex0.expiry(&e, 0), poll.expiry(&e, 0));
-        assert!(!alex0.is_fresh(&e, 0, t(12345)));
+        assert_eq!(alex0.decide(&e, &ctx(12345)), Decision::Validate);
     }
 
     #[test]
@@ -467,7 +457,7 @@ mod tests {
         let p = NeverExpire;
         let e = entry(0, 0);
         assert_eq!(p.expiry(&e, 0), SimTime::MAX);
-        assert!(p.is_fresh(&e, 0, t(u64::MAX - 1)));
+        assert_eq!(p.decide(&e, &ctx(u64::MAX - 1)), Decision::Serve);
     }
 
     #[test]
@@ -596,25 +586,25 @@ mod proptests {
             let ctx = RequestCtx::new(SimTime::from_secs(now), 0)
                 .with_delay(SimDuration::from_secs(delay));
 
-            fn legacy<P: ExpiryPolicy>(p: &P, e: &EntryMeta, now: SimTime) -> Decision {
-                if e.is_valid() && p.is_fresh(e, 0, now) {
+            let legacy = |expiry: SimTime| {
+                if e.is_valid() && expiry > ctx.now {
                     Decision::Serve
                 } else {
                     Decision::Validate
                 }
-            }
+            };
 
             let alex = AdaptiveTtl::percent(pct);
             let ttl = FixedTtl::hours(hours);
-            prop_assert_eq!(alex.decide(&e, &ctx), legacy(&alex, &e, ctx.now));
-            prop_assert_eq!(ttl.decide(&e, &ctx), legacy(&ttl, &e, ctx.now));
+            prop_assert_eq!(alex.decide(&e, &ctx), legacy(alex.expiry(&e, 0)));
+            prop_assert_eq!(ttl.decide(&e, &ctx), legacy(ttl.expiry(&e, 0)));
             prop_assert_eq!(
                 PollEveryTime.decide(&e, &ctx),
-                legacy(&PollEveryTime, &e, ctx.now)
+                legacy(PollEveryTime.expiry(&e, 0))
             );
             prop_assert_eq!(
                 NeverExpire.decide(&e, &ctx),
-                legacy(&NeverExpire, &e, ctx.now)
+                legacy(NeverExpire.expiry(&e, 0))
             );
         }
     }

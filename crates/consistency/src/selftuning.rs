@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use proxycache::EntryMeta;
 use simcore::SimTime;
 
-use crate::policy::{decide_by_expiry, AdaptiveTtl, Decision, ExpiryPolicy, Policy, RequestCtx};
+use crate::policy::{decide_by_expiry, AdaptiveTtl, Decision, Policy, RequestCtx};
 
 /// Per-class adaptive Alex thresholds with MIMD feedback.
 #[derive(Debug, Clone)]
@@ -83,8 +83,10 @@ impl SelfTuningPolicy {
     }
 }
 
-impl ExpiryPolicy for SelfTuningPolicy {
-    fn expiry(&self, entry: &EntryMeta, class: usize) -> SimTime {
+impl SelfTuningPolicy {
+    /// The instant a currently-valid `entry` times out under `class`'s
+    /// current threshold.
+    pub fn expiry(&self, entry: &EntryMeta, class: usize) -> SimTime {
         AdaptiveTtl::new(self.threshold(class)).expiry(entry, class)
     }
 }

@@ -11,7 +11,7 @@ use std::borrow::Cow;
 use proxycache::EntryMeta;
 use simcore::{SimDuration, SimTime};
 
-use crate::policy::{decide_by_expiry, Decision, ExpiryPolicy, Policy, RequestCtx};
+use crate::policy::{decide_by_expiry, Decision, Policy, RequestCtx};
 
 /// Fixed TTL per content class.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,8 +62,9 @@ impl ClassTtl {
     }
 }
 
-impl ExpiryPolicy for ClassTtl {
-    fn expiry(&self, entry: &EntryMeta, class: usize) -> SimTime {
+impl ClassTtl {
+    /// The instant a currently-valid `entry` of `class` times out.
+    pub fn expiry(&self, entry: &EntryMeta, class: usize) -> SimTime {
         entry.last_validated.saturating_add(self.ttl_for(class))
     }
 }
@@ -107,8 +108,18 @@ mod tests {
     fn zero_ttl_class_always_revalidates() {
         let p = ClassTtl::table2_informed();
         let e = entry(5_000);
-        assert!(!p.is_fresh(&e, 3, t(5_000)), "cgi never trusted");
-        assert!(p.is_fresh(&e, 0, t(5_000) + SimDuration::from_days(7)));
+        assert_eq!(
+            p.decide(&e, &RequestCtx::new(t(5_000), 3)),
+            Decision::Validate,
+            "cgi never trusted"
+        );
+        assert_eq!(
+            p.decide(
+                &e,
+                &RequestCtx::new(t(5_000) + SimDuration::from_days(7), 0)
+            ),
+            Decision::Serve
+        );
     }
 
     #[test]

@@ -1,195 +1,254 @@
-//! `wcc` — regenerate any of the paper's tables and figures from the
-//! command line.
+//! `wcc` — regenerate any of the paper's tables and figures, or run the
+//! live TCP origin/proxy stack, from the command line.
 //!
-//! ```text
-//! wcc figure <1..8> [--quick] [--jobs N] [--obs PATH]   regenerate one figure
-//! wcc figures --policies new [--quick | --smoke] [--jobs N]   literature-policy figures
-//! wcc table <1|2>   [--quick] [--jobs N]     regenerate one table
-//! wcc ablations               [--jobs N]     run the extension ablations
-//! wcc all           [--quick] [--jobs N]     everything, in paper order
-//! wcc trace <fig2..fig8 | --smoke> [--quick] [--jobs N] [--obs PATH] [--limit N]
-//! wcc metrics       [--quick] [--jobs N]     event metrics + wall-clock profile
-//! wcc serve   [--smoke | --listen A --control A] [workload flags]
-//! wcc loadgen [--smoke] [--threads N] [--shards N] [--reactor-threads N] [workload flags]
-//! wcc openloop [--smoke] [--rate RPS] [--arrivals N] [--mode poisson|fixed] [workload flags]
-//! wcc replay  [--smoke] [--trace NAME] [--requests N] [--compression C]
-//! wcc soak    [--smoke] [--conns N] [--processes N] [--reactor-threads N]
-//! wcc analyze [--json] [--check-fixtures [DIR]]  run the invariant linter
-//! ```
+//! [`COMMANDS`] is the whole surface: one synopsis line per subcommand
+//! naming the flags it accepts. The usage text *is* those lines (`wcc`
+//! with no arguments prints it; README "CLI reference" says what each
+//! flag does), and [`Flags::parse`] rejects anything a line does not
+//! declare. Exit codes: 0; 1 for a failed `--smoke` self-check or run;
+//! 2 for bad usage.
 //!
-//! `--quick` uses the reduced test-scale configuration; the default is the
-//! paper-scale run (slower, but the shape checks are sharper).
-//!
-//! `--jobs N` sizes the sweep executor's worker pool (`0` or omitted:
-//! hardware parallelism, also overridable via `WCC_JOBS`; `1`: fully
-//! sequential). Results are bit-for-bit identical at every setting — the
-//! executor only changes wall-clock time.
-//!
-//! `trace` re-runs one figure's protocol sweep with a bounded event
-//! probe attached to every point and emits the capture as deterministic
-//! JSONL (`--obs PATH` writes a file, otherwise stdout; `--limit N` caps
-//! buffered events per point). The same `--obs PATH` on `figure N` saves
-//! that figure's capture alongside the rendered figure. `trace --smoke`
-//! self-checks that sequential and two-worker captures are
-//! byte-identical. `metrics` aggregates the event stream into counter /
-//! histogram tables and prints the sweep executor's wall-clock profile
-//! (the one opt-in wall-clock reader in the simulation path).
-//!
-//! `serve` and `loadgen` drive the live TCP stack (`liveserve`): a real
-//! HTTP/1.0 origin with invalidation callbacks, fronted by a
-//! consistency-aware proxy cache. `serve --smoke` and `loadgen --smoke`
-//! are self-checking loopback exercises used by CI (performance is
-//! measured by the repo benchmark, `bench/README.md`, not here).
-//! `--shards N` shards the proxy cache (per shard: own lock, store,
-//! pooled upstream connections); with `--smoke` it additionally
-//! self-checks that aggregate counters are identical at 1 and N shards.
-//! `--reactor-threads N` sizes the epoll event-loop pool on each data
-//! path. Workload flags: `--files N --requests N --seed S` (synthetic
-//! Worrell-style workload).
-//!
-//! `openloop` drives the live stack open-loop: arrivals come from a
-//! deterministic virtual-time schedule (`--mode poisson|fixed` at
-//! `--rate` requests/s) and fire whether or not earlier requests have
-//! completed; a bounded pending queue sheds what the stack cannot
-//! absorb, so the report separates offered from achieved rate and
-//! counts queue-full and timeout drops. `replay` streams a synthetic
-//! trace (`--trace campus:das|campus:fas|campus:hcs|microsoft|bu`)
-//! through the same stack without materializing it, compressed by
-//! `--compression` virtual seconds per wall second. Both carry
-//! self-checking `--smoke` modes (conservation of every offered shot;
-//! `replay --smoke` also streams a trace through the closed-loop driver
-//! and demands every record be sent exactly once).
-//!
-//! `soak` is the open-loop connection soak: it parks thousands of idle
-//! keep-alive connections against the proxy (in child worker processes
-//! at full scale, in-process for `--smoke`) while an active request mix
-//! keeps latency histograms honest, then gates on the reactor's scaling
-//! invariants (every connection held, zero shed accepts, request totals
-//! preserved, cache self-check exact). `soak-worker` is the hidden
-//! child-process entry point.
+//! Two entry points are not in the table: `soak-worker ADDR N`, the
+//! child process `wcc soak` re-execs to hold idle connections outside
+//! the parent's fd table, and `analyze …`, whose arguments go to
+//! `wcc_analyze::cli` untouched.
 
-use webcache::experiments::report::{
-    render_bandwidth_figure, render_figure1, render_missrate_figure, render_server_load_figure,
-    render_table1, render_table2,
-};
+use std::str::FromStr;
+
+use liveserve::report::JsonObj;
+use simcore::SimDuration;
+use webcache::experiments::report::{render_table1, render_table2};
 use webcache::experiments::trace::{self, TraceTarget};
-use webcache::experiments::{
-    ablations, base::run_base_with, hierarchy_bias::run_figure1, optimized::run_optimized_with,
-    tables, traced::run_traced_with, Scale,
+use webcache::experiments::{ablations, deployment, failure, tables, Figure, Scale};
+use webcache::{
+    generate_synthetic, ProtocolSpec, RunResult, SimConfig, SweepRunner, Workload, WorrellConfig,
 };
-use webcache::{generate_synthetic, ProtocolSpec, SweepRunner, Workload, WorrellConfig};
 use webtrace::campus::{generate_campus_trace, CampusProfile};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: wcc <figure 1-8 | table 1-2 | ablations | all> [--quick] [--jobs N] [--obs PATH]\n\
-         \x20      wcc figures --policies new [--quick | --smoke] [--jobs N]\n\
-         \x20      wcc trace   <fig2-fig8 | --smoke> [--quick] [--jobs N] [--obs PATH] [--limit N]\n\
-         \x20      wcc metrics [--quick] [--jobs N]\n\
-         \x20      wcc serve   [--smoke | --listen ADDR --control ADDR] [--files N --requests N --seed S]\n\
-         \x20      wcc loadgen [--smoke] [--threads N] [--shards N] [--reactor-threads N] [--files N --requests N --seed S]\n\
-         \x20      wcc openloop [--smoke] [--rate RPS --arrivals N --mode poisson|fixed --jobs N --compression C] [workload flags]\n\
-         \x20      wcc replay  [--smoke] [--trace campus:das|campus:fas|campus:hcs|microsoft|bu --requests N --compression C]\n\
-         \x20      wcc soak    [--smoke] [--conns N] [--processes N] [--reactor-threads N] [--active N]\n\
-         \x20      wcc analyze [--json] [--check-fixtures [DIR]] [--quiet]\n\
-         regenerates the tables and figures of Gwertzman & Seltzer,\n\
-         'World Wide Web Cache Consistency' (USENIX 1996), or runs the\n\
-         live TCP origin/proxy stack (serve, loadgen, openloop, replay, soak)\n\
-         --jobs N    sweep-executor workers (0 = hardware parallelism; 1 = sequential)\n\
-         --obs PATH  write the deterministic JSONL event capture to PATH\n\
-         --limit N   buffered events per sweep point (default 4096)"
-    );
-    std::process::exit(2);
+/// A subcommand's entry point; `Err` is a usage problem (exit 2).
+type Run = fn(&Flags) -> Result<(), String>;
+
+/// The command table: each subcommand's synopsis — its positional
+/// argument, then every flag it accepts with the metavariable of its
+/// value — and its entry point.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, Run)] = &[
+    ("figure <1-8> [--quick] [--jobs N] [--obs PATH] [--limit N]", cmd_figure),
+    ("figures [--policies new] [--quick] [--smoke] [--jobs N]", cmd_figures),
+    ("table <1|2> [--quick] [--jobs N]", |a| table(a.arg()?, a.has("quick"), &runner(a)?)),
+    ("ablations [--jobs N]", |a| { run_ablations(&runner(a)?); Ok(()) }),
+    ("all [--quick] [--jobs N]", cmd_all),
+    ("trace [fig2-fig8] [--smoke] [--quick] [--jobs N] [--obs PATH] [--limit N]", cmd_trace),
+    ("metrics [--quick] [--jobs N]", cmd_metrics),
+    ("serve [--smoke] [--listen ADDR] [--control ADDR] [--reactor-threads N] [--files N] [--requests N] [--seed S]", cmd_serve),
+    ("loadgen [--smoke] [--threads N] [--shards N] [--reactor-threads N] [--files N] [--requests N] [--seed S]", cmd_loadgen),
+    ("openloop [--smoke] [--rate RPS] [--arrivals N] [--mode poisson|fixed] [--workers N] [--jobs N] [--compression C] \
+      [--shards N] [--reactor-threads N] [--files N] [--requests N] [--seed S]", cmd_openloop),
+    ("replay [--smoke] [--trace campus:das|campus:fas|campus:hcs|microsoft|bu] [--requests N] [--compression C] [--seed S] \
+      [--workers N] [--jobs N] [--queue-cap N] [--timeout-ms MS] [--shards N] [--reactor-threads N]", cmd_replay),
+    ("soak [--smoke] [--conns N] [--processes N] [--reactor-threads N] [--active N]", cmd_soak),
+];
+
+/// The usage text: the command table's synopsis lines.
+fn usage() -> String {
+    let mut out = String::from("usage:");
+    for (synopsis, _) in COMMANDS {
+        out += &format!(" wcc {synopsis}\n      ");
+    }
+    out + " wcc analyze [--json] [--check-fixtures [DIR]] [--quiet]\n\
+           regenerates the tables and figures of 'World Wide Web Cache Consistency' (USENIX 1996)\n\
+           or runs the live TCP origin/proxy stack; `--flag VALUE` may be spelled `--flag=VALUE`"
 }
 
-fn scale(quick: bool) -> Scale {
-    if quick {
+/// The flags a synopsis declares, as `(name, metavariable)`; the
+/// metavariable of a switch is `""`.
+fn declared(synopsis: &str) -> impl Iterator<Item = (&str, &str)> {
+    synopsis.split('[').filter_map(|group| {
+        let flag = group.trim_end().trim_end_matches(']').strip_prefix("--")?;
+        Some(flag.split_once(' ').unwrap_or((flag, "")))
+    })
+}
+
+/// One subcommand's parsed command line.
+#[derive(Debug)]
+struct Flags {
+    synopsis: &'static str,
+    given: Vec<(&'static str, String)>,
+    args: Vec<String>,
+}
+
+impl Flags {
+    /// Split `args` into the flags `synopsis` declares (`--k v` or
+    /// `--k=v`; a switch takes no value) and at most the one positional
+    /// it names. An undeclared flag, a missing value, a value handed to
+    /// a switch or a stray positional is an error.
+    fn parse(args: &[String], synopsis: &'static str) -> Result<Flags, String> {
+        let takes_arg = matches!(synopsis.split(' ').nth(1), Some(t) if !t.starts_with("[--"));
+        let mut flags = Flags {
+            synopsis,
+            given: Vec::new(),
+            args: Vec::new(),
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let Some(body) = arg.strip_prefix("--") else {
+                if !takes_arg || !flags.args.is_empty() {
+                    return Err(format!("unexpected argument '{arg}'"));
+                }
+                flags.args.push(arg.clone());
+                continue;
+            };
+            let (name, inline) = match body.split_once('=') {
+                Some((name, value)) => (name, Some(value)),
+                None => (body, None),
+            };
+            let (name, metavar) = declared(synopsis)
+                .find(|flag| flag.0 == name)
+                .ok_or_else(|| format!("unknown flag --{name}"))?;
+            let value = match (metavar, inline) {
+                ("", None) => String::new(),
+                ("", Some(_)) => return Err(format!("--{name} takes no value")),
+                (_, Some(value)) => value.to_string(),
+                (_, None) => it
+                    .next()
+                    .cloned()
+                    .ok_or_else(|| format!("--{name} needs a value ({metavar})"))?,
+            };
+            flags.given.push((name, value));
+        }
+        Ok(flags)
+    }
+
+    /// The last value given for `name`. Reading a flag the synopsis does
+    /// not declare is a bug in the command table.
+    fn raw(&self, name: &str) -> Option<&str> {
+        assert!(
+            declared(self.synopsis).any(|flag| flag.0 == name),
+            "--{name} is read but not declared"
+        );
+        let given = self.given.iter().rev().find(|g| g.0 == name);
+        given.map(|g| g.1.as_str())
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.raw(name).is_some()
+    }
+
+    /// `name`'s value as a `T`, if given.
+    fn opt<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.raw(name)
+            .map(|v| v.parse().map_err(|_| format!("--{name}: bad value '{v}'")))
+            .transpose()
+    }
+
+    /// `name`'s value as a `T`, or `default`.
+    fn get<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        Ok(self.opt(name)?.unwrap_or(default))
+    }
+
+    /// The positional argument.
+    fn arg(&self) -> Result<&str, String> {
+        let arg = self.args.first().ok_or("missing argument")?;
+        Ok(arg)
+    }
+}
+
+/// One field of a `--smoke` verdict: a self-check that must hold, or a
+/// count reported beside the checks.
+enum Smoke {
+    Check(bool),
+    Count(u64),
+}
+use Smoke::{Check, Count};
+
+/// Print a `--smoke` verdict as one JSON line, then exit 1 naming the
+/// checks that failed, if any did.
+fn smoke_verdict(mode: &str, fields: &[(&str, Smoke)]) {
+    let mut line = JsonObj::new();
+    line.str("mode", mode);
+    let mut failed = Vec::new();
+    for &(name, ref field) in fields {
+        match *field {
+            Check(ok) => {
+                failed.extend((!ok).then_some(name));
+                line.bool(name, ok)
+            }
+            Count(n) => line.u64(name, n),
+        };
+    }
+    println!("{}", line.finish());
+    if !failed.is_empty() {
+        fail(mode, format_args!("failed {}", failed.join(", ")));
+    }
+}
+
+/// A run that could not proceed: say why and exit 1.
+fn fail(what: &str, why: impl std::fmt::Display) -> ! {
+    eprintln!("{what}: {why}");
+    std::process::exit(1);
+}
+
+fn scale(a: &Flags) -> Scale {
+    if a.has("quick") {
         Scale::quick()
     } else {
         Scale::full()
     }
 }
 
-fn figure(n: u32, quick: bool, runner: &SweepRunner, obs: Option<&ObsArgs>) {
-    match n {
-        1 => println!("{}", render_figure1(&run_figure1())),
-        2 => println!(
-            "{}",
-            render_bandwidth_figure("Figure 2: bandwidth", &run_base_with(&scale(quick), runner))
-        ),
-        3 => println!(
-            "{}",
-            render_missrate_figure(
-                "Figure 3: miss/stale rates",
-                &run_base_with(&scale(quick), runner)
-            )
-        ),
-        4 => println!(
-            "{}",
-            render_bandwidth_figure(
-                "Figure 4: bandwidth",
-                &run_optimized_with(&scale(quick), runner)
-            )
-        ),
-        5 => println!(
-            "{}",
-            render_missrate_figure(
-                "Figure 5: miss/stale rates",
-                &run_optimized_with(&scale(quick), runner)
-            )
-        ),
-        6 => println!(
-            "{}",
-            render_bandwidth_figure(
-                "Figure 6: bandwidth",
-                &run_traced_with(&scale(quick), runner).averaged
-            )
-        ),
-        7 => println!(
-            "{}",
-            render_missrate_figure(
-                "Figure 7: miss/stale rates",
-                &run_traced_with(&scale(quick), runner).averaged
-            )
-        ),
-        8 => println!(
-            "{}",
-            render_server_load_figure(
-                "Figure 8: server load",
-                &run_traced_with(&scale(quick), runner).averaged
-            )
-        ),
-        _ => usage(),
-    }
-    // `--obs PATH` on a figure saves that figure's event capture too.
-    if let (Some(obs), Some(target)) = (obs, TraceTarget::parse(&n.to_string())) {
-        let doc = trace::capture(target, &scale(quick), runner, obs.limit);
-        write_capture(&doc, Some(&obs.path));
-    }
+/// `--jobs N` sizes the sweep executor; 0 or absent defers to `WCC_JOBS`,
+/// then to the hardware.
+fn runner(a: &Flags) -> Result<SweepRunner, String> {
+    Ok(match a.get("jobs", 0)? {
+        0 => SweepRunner::from_env(),
+        jobs => SweepRunner::new(jobs),
+    })
 }
 
-/// `wcc figures --policies new`: the literature-policy extension
-/// figures — RenewableTTL and UpdateRisk swept against the invalidation
-/// reference, plus the eviction-policy comparison — followed by one
-/// open-loop liveserve report per new policy on the real TCP stack.
-/// `--smoke` is the CI entry: two-point sweeps on a small workload and
-/// short open-loop runs, self-checked.
-fn cmd_figures(quick: bool, smoke: bool, runner: &SweepRunner) {
+/// Default per-point ring capacity for event captures.
+const DEFAULT_TRACE_LIMIT: usize = 4096;
+
+/// `wcc figure N`: render one row of the figure table; `--obs PATH`
+/// saves that figure's event capture too.
+fn cmd_figure(a: &Flags) -> Result<(), String> {
+    let figure = a.arg()?.parse().ok().and_then(Figure::lookup);
+    let figure = figure.ok_or("figure takes a number 1-8")?;
+    let capture = match (a.raw("obs"), TraceTarget::of(figure)) {
+        (Some(path), Some(target)) => Some((path, target, a.get("limit", DEFAULT_TRACE_LIMIT)?)),
+        (Some(_), None) => return Err("figure 1 has no sweep to capture".to_string()),
+        (None, _) if a.has("limit") => return Err("--limit needs --obs PATH".to_string()),
+        (None, _) => None,
+    };
+    let (scale, runner) = (scale(a), runner(a)?);
+    println!("{}", figure.render(&scale, &runner));
+    if let Some((path, target, limit)) = capture {
+        save_capture(&trace::capture(target, &scale, &runner, limit), path);
+    }
+    Ok(())
+}
+
+/// `wcc figures --policies new`: RenewableTTL and UpdateRisk swept
+/// against the invalidation reference plus the eviction-policy panel,
+/// then one open-loop live report per new policy. `--smoke` shrinks both
+/// halves and self-checks the live one.
+fn cmd_figures(a: &Flags) -> Result<(), String> {
     use wcc_load::ScheduleConfig;
     use webcache::experiments::policies::{render_policy_figures, run_policies_with};
 
-    let s = if smoke {
-        let mut s = Scale::quick();
+    if a.raw("policies") != Some("new") {
+        return Err("figures needs --policies new".to_string());
+    }
+    let smoke = a.has("smoke");
+    let mut s = scale(a);
+    if smoke {
+        s = Scale::quick();
         // Enough files that the bounded eviction panel actually evicts
         // (the store capacity is a fraction of the population footprint).
         s.worrell = WorrellConfig::scaled(100, 3_000);
         s.alex_thresholds = vec![5, 50];
         s.ttl_hours = vec![24, 168];
-        s
-    } else {
-        scale(quick)
-    };
-    let report = run_policies_with(&s, runner);
+    }
+    let report = run_policies_with(&s, &runner(a)?);
     println!(
         "{}",
         render_policy_figures("Literature policies (decision-API extensions)", &report)
@@ -225,24 +284,44 @@ fn cmd_figures(quick: bool, smoke: bool, runner: &SweepRunner) {
         ok &= live.conserves() && live.completed > 0;
         println!("{}", live.to_json());
     }
-    if smoke && !ok {
-        eprintln!("figures --smoke: open-loop acceptance checks failed (conservation/completion)");
-        std::process::exit(1);
+    if smoke {
+        smoke_verdict("figures-smoke", &[("conserved_and_completed", Check(ok))]);
     }
+    Ok(())
 }
 
-fn table(n: u32, quick: bool, runner: &SweepRunner) {
+fn table(n: &str, quick: bool, runner: &SweepRunner) -> Result<(), String> {
     match n {
-        1 => println!("{}", render_table1(&tables::table1_with(1996, runner))),
-        2 => {
+        "1" => println!("{}", render_table1(&tables::table1_with(1996, runner))),
+        "2" => {
             let requests = if quick { 20_000 } else { 150_000 };
             println!(
                 "{}",
                 render_table2(&tables::table2_with(1996, requests, runner))
             );
         }
-        _ => usage(),
+        _ => return Err("table takes 1 or 2".to_string()),
     }
+    Ok(())
+}
+
+/// `wcc all`: everything, in paper order.
+fn cmd_all(a: &Flags) -> Result<(), String> {
+    let (scale, runner) = (scale(a), runner(a)?);
+    for n in ["1", "2"] {
+        table(n, a.has("quick"), &runner)?;
+    }
+    for figure in Figure::all() {
+        println!("{}", figure.render(&scale, &runner));
+    }
+    run_ablations(&runner);
+    Ok(())
+}
+
+/// One `label: bandwidth, staleness, server load` ablation row.
+fn print_cost_row(label: &str, r: &RunResult) {
+    let (mb, stale, ops) = (r.total_mb(), r.stale_pct(), r.server_ops());
+    println!("  {label}: {mb:.3} MB, stale {stale:.2}%, {ops} ops");
 }
 
 fn run_ablations(runner: &SweepRunner) {
@@ -288,19 +367,9 @@ fn run_ablations(runner: &SweepRunner) {
 
     println!("\n== Ablation: self-tuning vs fixed Alex thresholds (HCS) ==");
     let (tuned, fixed) = ablations::selftuning_comparison_with(&wl, &[5, 10, 20, 50, 100], runner);
-    println!(
-        "  self-tuning : {:.3} MB, stale {:.2}%, {} ops",
-        tuned.total_mb(),
-        tuned.stale_pct(),
-        tuned.server_ops()
-    );
+    print_cost_row("self-tuning ", &tuned);
     for (pct, r) in fixed {
-        println!(
-            "  fixed {pct:>3}%  : {:.3} MB, stale {:.2}%, {} ops",
-            r.total_mb(),
-            r.stale_pct(),
-            r.server_ops()
-        );
+        print_cost_row(&format!("fixed {pct:>3}%  "), &r);
     }
 
     println!("\n== Ablation: bounded cache capacity (HCS, Alex@30%) ==");
@@ -338,12 +407,11 @@ fn run_ablations(runner: &SweepRunner) {
     }
 
     println!("\n== Extension: invalidation under a 12h notification partition (HCS) ==");
-    let outages = vec![webcache::experiments::failure::Outage {
-        from: wl.start + simcore::SimDuration::from_days(5),
-        until: wl.start + simcore::SimDuration::from_days(5) + simcore::SimDuration::from_hours(12),
+    let outages = vec![failure::Outage {
+        from: wl.start + SimDuration::from_days(5),
+        until: wl.start + SimDuration::from_days(5) + SimDuration::from_hours(12),
     }];
-    let (part, alex) =
-        webcache::experiments::failure::resilience_comparison_with(&wl, &outages, 10, runner);
+    let (part, alex) = failure::resilience_comparison_with(&wl, &outages, 10, runner);
     println!(
         "  invalidation: {} stale hits, {} failed delivery attempts, {} late notices",
         part.result.cache.stale_hits, part.failed_attempts, part.late_deliveries
@@ -368,12 +436,7 @@ fn run_ablations(runner: &SweepRunner) {
         "  {:<6}{:>9}{:>12}{:>12}{:>12}{:>11}{:>11}",
         "trace", "remote%", "no-proxy", "boundary", "universal", "bnd-red%", "uni-red%"
     );
-    for row in webcache::experiments::deployment::deployment_comparison_with(
-        ProtocolSpec::Alex(20),
-        1996,
-        1,
-        runner,
-    ) {
+    for row in deployment::deployment_comparison_with(ProtocolSpec::Alex(20), 1996, 1, runner) {
         println!(
             "  {:<6}{:>8.0}%{:>12}{:>12}{:>12}{:>10.1}%{:>10.1}%",
             row.trace,
@@ -387,102 +450,8 @@ fn run_ablations(runner: &SweepRunner) {
     }
 
     println!("\n== Extension: per-class TTLs informed by Table 2 (HCS) ==");
-    let class_ttl = webcache::run(
-        &wl,
-        ProtocolSpec::ClassTtlTable2,
-        &webcache::SimConfig::optimized(),
-    );
-    println!(
-        "  class-TTL   : {:.3} MB, stale {:.2}%, {} ops",
-        class_ttl.total_mb(),
-        class_ttl.stale_pct(),
-        class_ttl.server_ops()
-    );
-}
-
-/// Flags shared by the live-stack subcommands (`serve`, `loadgen`,
-/// `openloop`, `replay`).
-struct LiveArgs {
-    smoke: bool,
-    files: usize,
-    requests: usize,
-    seed: u64,
-    threads: usize,
-    shards: usize,
-    reactor_threads: usize,
-    listen: String,
-    control: String,
-    rate: f64,
-    arrivals: u64,
-    mode: wcc_load::ArrivalMode,
-    workers: usize,
-    queue_cap: usize,
-    timeout_ms: u64,
-    compression: f64,
-    trace: String,
-}
-
-fn parse_live_args(args: &[String]) -> LiveArgs {
-    let mut parsed = LiveArgs {
-        smoke: false,
-        files: 120,
-        requests: 4_000,
-        seed: 1996,
-        threads: 1,
-        shards: 1,
-        reactor_threads: 1,
-        listen: "127.0.0.1:8080".to_string(),
-        control: "127.0.0.1:8081".to_string(),
-        rate: 1_000.0,
-        arrivals: 5_000,
-        mode: wcc_load::ArrivalMode::Poisson,
-        workers: 4,
-        queue_cap: 512,
-        timeout_ms: 1_000,
-        compression: 0.0, // 0 = pick so the workload window fits the run
-        trace: "campus:das".to_string(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let value = |it: &mut std::slice::Iter<String>| -> String {
-            it.next().cloned().unwrap_or_else(|| usage())
-        };
-        match arg.as_str() {
-            "--smoke" => parsed.smoke = true,
-            "--files" => parsed.files = value(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--requests" => parsed.requests = value(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--seed" => parsed.seed = value(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--threads" => parsed.threads = value(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--shards" => parsed.shards = value(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--reactor-threads" => {
-                parsed.reactor_threads = value(&mut it).parse().unwrap_or_else(|_| usage())
-            }
-            "--listen" => parsed.listen = value(&mut it),
-            "--control" => parsed.control = value(&mut it),
-            "--rate" => parsed.rate = value(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--arrivals" => parsed.arrivals = value(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--mode" => {
-                parsed.mode = match value(&mut it).as_str() {
-                    "poisson" => wcc_load::ArrivalMode::Poisson,
-                    "fixed" => wcc_load::ArrivalMode::FixedRate,
-                    _ => usage(),
-                }
-            }
-            "--jobs" | "--workers" => {
-                parsed.workers = value(&mut it).parse().unwrap_or_else(|_| usage())
-            }
-            "--queue-cap" => parsed.queue_cap = value(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--timeout-ms" => {
-                parsed.timeout_ms = value(&mut it).parse().unwrap_or_else(|_| usage())
-            }
-            "--compression" => {
-                parsed.compression = value(&mut it).parse().unwrap_or_else(|_| usage())
-            }
-            "--trace" => parsed.trace = value(&mut it),
-            _ => usage(),
-        }
-    }
-    parsed
+    let class_ttl = webcache::run(&wl, ProtocolSpec::ClassTtlTable2, &SimConfig::optimized());
+    print_cost_row("class-TTL   ", &class_ttl);
 }
 
 /// The paper's three mechanisms, as the live subcommands run them.
@@ -492,27 +461,47 @@ const PAPER_SPECS: [ProtocolSpec; 3] = [
     ProtocolSpec::Invalidation,
 ];
 
-fn live_workload(a: &LiveArgs) -> Workload {
-    generate_synthetic(&WorrellConfig::scaled(a.files, a.requests), a.seed)
+/// The synthetic Worrell-style workload `--files --requests --seed` name.
+fn live_workload(a: &Flags) -> Result<Workload, String> {
+    let config = WorrellConfig::scaled(a.get("files", 120)?, a.get("requests", 4_000)?);
+    Ok(generate_synthetic(&config, a.get("seed", 1996)?))
 }
 
-/// `wcc serve`: run the live origin. `--smoke` exercises it end to end
-/// on loopback (200 with body, 304 revalidation, one delivered
-/// invalidation) and self-checks; otherwise it binds the given
-/// addresses on the wall clock and publishes scripted modifications as
-/// their instants pass, until killed.
-fn cmd_serve(a: &LiveArgs) {
+/// `--compression C`: virtual seconds per wall second, `auto` unless given.
+fn compression(a: &Flags, auto: f64) -> Result<f64, String> {
+    match a.opt("compression")? {
+        None => Ok(auto),
+        Some(c) if c > 0.0 => Ok(c),
+        Some(_) => Err("--compression must be positive".to_string()),
+    }
+}
+
+/// `--workers N` (or its older spelling `--jobs N`): open-loop driver
+/// worker threads.
+fn workers(a: &Flags) -> Result<usize, String> {
+    a.get("workers", a.get("jobs", 4)?)
+}
+
+/// `wcc serve`: run the live origin — `--smoke` on loopback under a
+/// virtual clock, self-checked; otherwise on the given addresses and the
+/// wall clock, publishing scripted modifications as their instants
+/// pass, until killed.
+fn cmd_serve(a: &Flags) -> Result<(), String> {
     use liveserve::{HttpConn, LiveClock, LiveOrigin, OriginConfig};
     use std::io::{BufRead, BufReader, Write};
 
-    let wl = live_workload(a);
-
-    if a.smoke {
-        let clock = LiveClock::virtual_at(wl.start);
+    let wl = live_workload(a)?;
+    let reactor_threads = a.get("reactor-threads", 1)?;
+    let configure = |clock: LiveClock| {
         let mut config = OriginConfig::new(std::sync::Arc::clone(&wl.population), clock);
         config.window_start = wl.start;
         config.window_end = wl.end;
-        config.reactor_threads = a.reactor_threads;
+        config.reactor_threads = reactor_threads;
+        config
+    };
+
+    if a.has("smoke") {
+        let config = configure(LiveClock::virtual_at(wl.start));
         let origin = LiveOrigin::spawn(config).expect("bind loopback origin");
 
         // 1) A full GET returns the body with its stamps.
@@ -560,52 +549,51 @@ fn cmd_serve(a: &LiveArgs) {
         });
 
         let load = origin.shutdown();
-        println!(
-            "{{\"mode\":\"serve-smoke\",\"get_200\":{got_200},\"revalidated_304\":{got_304},\
-             \"subscribed\":{subscribed},\"invalidation_delivered\":{invalidated},\
-             \"document_requests\":{},\"validation_queries\":{},\"invalidations_sent\":{}}}",
-            load.document_requests, load.validation_queries, load.invalidations_sent
-        );
-        if !(got_200 && got_304 && subscribed && invalidated) {
-            eprintln!("serve --smoke: live origin failed a check");
-            std::process::exit(1);
-        }
-        return;
+        let verdict = [
+            ("get_200", Check(got_200)),
+            ("revalidated_304", Check(got_304)),
+            ("subscribed", Check(subscribed)),
+            ("invalidation_delivered", Check(invalidated)),
+            ("document_requests", Count(load.document_requests)),
+            ("validation_queries", Count(load.validation_queries)),
+            ("invalidations_sent", Count(load.invalidations_sent)),
+        ];
+        smoke_verdict("serve-smoke", &verdict);
+        return Ok(());
     }
 
     // Long-running wall-clock mode: scripted instants map to real time
     // from startup.
     let clock = LiveClock::wall_from(wl.start);
-    let mut config = OriginConfig::new(std::sync::Arc::clone(&wl.population), clock.clone());
-    config.window_start = wl.start;
-    config.window_end = wl.end;
-    config.data_bind = a.listen.clone();
-    config.control_bind = a.control.clone();
-    config.reactor_threads = a.reactor_threads;
+    let mut config = configure(clock.clone());
+    config.data_bind = a.get("listen", "127.0.0.1:8080".to_string())?;
+    config.control_bind = a.get("control", "127.0.0.1:8081".to_string())?;
     let origin = LiveOrigin::spawn(config).expect("bind serve addresses");
-    println!(
-        "{{\"mode\":\"serve\",\"data\":\"{}\",\"control\":\"{}\",\"files\":{}}}",
-        origin.data_addr(),
-        origin.control_addr(),
-        wl.population.len()
-    );
+    let started = JsonObj::new()
+        .str("mode", "serve")
+        .str("data", &origin.data_addr().to_string())
+        .str("control", &origin.control_addr().to_string())
+        .u64("files", wl.population.len() as u64)
+        .finish();
+    println!("{started}");
     loop {
         std::thread::sleep(std::time::Duration::from_millis(500));
         origin.advance_to(clock.now());
     }
 }
 
-/// `wcc loadgen`: replay the synthetic workload through the live
-/// origin+proxy under each of the paper's three mechanisms, printing one
-/// JSON report per run. `--smoke` self-checks the acceptance conditions.
-fn cmd_loadgen(a: &LiveArgs) {
-    let wl = live_workload(a);
+/// `wcc loadgen`: the closed-loop driver under each of the paper's
+/// three mechanisms, one JSON report per run.
+fn cmd_loadgen(a: &Flags) -> Result<(), String> {
+    let wl = live_workload(a)?;
+    let (threads, shards) = (a.get("threads", 1)?, a.get("shards", 1)?);
+    let reactor_threads = a.get("reactor-threads", 1)?;
     let run = |spec: ProtocolSpec, threads: usize, shards: usize| {
         webcache::Experiment::new(&wl)
             .protocol(spec)
             .threads(threads)
             .shards(shards)
-            .reactor_threads(a.reactor_threads)
+            .reactor_threads(reactor_threads)
             .run_live()
     };
 
@@ -614,18 +602,18 @@ fn cmd_loadgen(a: &LiveArgs) {
     let mut saw_invalidation = false;
     let mut shards_agree = true;
     for spec in PAPER_SPECS {
-        let report = run(spec, a.threads, a.shards).expect("live loadgen run");
+        let report = run(spec, threads, shards).expect("live loadgen run");
         saw_hits &= report.cache.fresh_hits + report.cache.stale_hits > 0;
         saw_304 |= report.cache.validations_not_modified > 0;
         saw_invalidation |= report.invalidations_delivered > 0;
         println!("{}", report.to_json());
-        if a.smoke && a.shards > 1 {
+        if a.has("smoke") && shards > 1 {
             // Sharding must not change what was served, only how fast:
             // replay single-threaded (where even wire byte counts are
             // deterministic) at 1 shard and at the requested count, and
             // demand identical aggregates.
             let baseline = run(spec, 1, 1).expect("1-shard baseline run");
-            let sharded = run(spec, 1, a.shards).expect("sharded comparison run");
+            let sharded = run(spec, 1, shards).expect("sharded comparison run");
             let agrees = sharded.cache == baseline.cache
                 && sharded.traffic == baseline.traffic
                 && sharded.server == baseline.server
@@ -633,277 +621,175 @@ fn cmd_loadgen(a: &LiveArgs) {
                 && sharded.invalidations_delivered == baseline.invalidations_delivered;
             if !agrees {
                 eprintln!(
-                    "loadgen --smoke: {} aggregates changed between 1 and {} shard(s)",
-                    spec.label(),
-                    a.shards
+                    "loadgen --smoke: {} aggregates changed between 1 and {shards} shard(s)",
+                    spec.label()
                 );
             }
             shards_agree &= agrees;
         }
     }
-    if a.smoke && !(saw_hits && saw_304 && saw_invalidation && shards_agree) {
-        eprintln!(
-            "loadgen --smoke: acceptance checks failed \
-             (hits in every run: {saw_hits}, any 304: {saw_304}, \
-             any invalidation: {saw_invalidation}, shard-invariant counts: {shards_agree})"
-        );
-        std::process::exit(1);
+    if a.has("smoke") {
+        let verdict = [
+            ("hits_in_every_run", Check(saw_hits)),
+            ("any_304", Check(saw_304)),
+            ("invalidation_delivered", Check(saw_invalidation)),
+            ("shard_invariant_counts", Check(shards_agree)),
+        ];
+        smoke_verdict("loadgen-smoke", &verdict);
     }
+    Ok(())
 }
 
-/// `wcc openloop`: impose load instead of negotiating it. Arrivals
-/// follow a deterministic virtual-time schedule (Poisson or fixed-rate)
-/// and fire regardless of completions; a bounded pending queue sheds
-/// (and counts) what the stack cannot absorb, so offered and achieved
-/// rate are separate, honest report fields. `--smoke` self-checks
-/// conservation, completion and a delivered invalidation (that the
-/// offered sequence is invariant to the worker count is pinned by
-/// `crates/wcc-load/tests/openloop.rs`).
-fn cmd_openloop(a: &LiveArgs) {
-    use wcc_load::ScheduleConfig;
-
-    let wl = live_workload(a);
-    let window = (wl.end - wl.start).as_secs() as f64;
-    let schedule = |rate: f64, total: u64| ScheduleConfig {
+/// `wcc openloop`: the open-loop driver under each of the paper's three
+/// mechanisms, arrivals from a deterministic virtual-time schedule.
+fn cmd_openloop(a: &Flags) -> Result<(), String> {
+    let wl = live_workload(a)?;
+    let (rate, arrivals) = (a.get("rate", 1_000.0)?, a.get("arrivals", 5_000u64)?);
+    let schedule = wcc_load::ScheduleConfig {
         clients: 16,
         rate_rps: rate,
-        mode: a.mode,
-        seed: a.seed,
-        total,
+        mode: match a.raw("mode") {
+            None | Some("poisson") => wcc_load::ArrivalMode::Poisson,
+            Some("fixed") => wcc_load::ArrivalMode::FixedRate,
+            Some(_) => return Err("--mode takes poisson or fixed".to_string()),
+        },
+        seed: a.get("seed", 1996)?,
+        total: arrivals,
     };
     // Unless overridden, compress the workload's whole virtual window
     // into the expected run duration (total/rate wall seconds) so the
     // scripted modification script plays out while the run lasts.
-    let compression = |rate: f64, total: u64| {
-        if a.compression > 0.0 {
-            a.compression
-        } else {
-            window * rate / total as f64
-        }
-    };
-    let run = |spec: ProtocolSpec, rate: f64, total: u64| {
-        webcache::Experiment::new(&wl)
-            .protocol(spec)
-            .shards(a.shards)
-            .reactor_threads(a.reactor_threads)
-            .run_open_loop(&schedule(rate, total), a.workers, compression(rate, total))
-    };
+    let window = (wl.end - wl.start).as_secs() as f64;
+    let compression = compression(a, window * rate / arrivals as f64)?;
+    let (workers, shards) = (workers(a)?, a.get("shards", 1)?);
+    let reactor_threads = a.get("reactor-threads", 1)?;
+
     let mut conserved = true;
     let mut completed_all = true;
     let mut saw_invalidation = false;
     for spec in PAPER_SPECS {
-        let report = run(spec, a.rate, a.arrivals).expect("open-loop run");
-        conserved &= report.conserves() && report.offered == a.arrivals;
+        let report = webcache::Experiment::new(&wl)
+            .protocol(spec)
+            .shards(shards)
+            .reactor_threads(reactor_threads)
+            .run_open_loop(&schedule, workers, compression)
+            .expect("open-loop run");
+        conserved &= report.conserves() && report.offered == arrivals;
         completed_all &= report.completed > 0;
         saw_invalidation |= report.invalidations_delivered > 0;
         println!("{}", report.to_json());
     }
-
-    if a.smoke {
-        println!(
-            "{{\"mode\":\"openloop-smoke\",\"conserved\":{conserved},\
-             \"completed_all\":{completed_all},\"invalidation_delivered\":{saw_invalidation}}}"
-        );
-        if !(conserved && completed_all && saw_invalidation) {
-            eprintln!(
-                "openloop --smoke: acceptance checks failed \
-                 (conserved: {conserved}, completed in every run: {completed_all}, \
-                 any invalidation: {saw_invalidation})"
-            );
-            std::process::exit(1);
-        }
+    if a.has("smoke") {
+        let verdict = [
+            ("conserved", Check(conserved)),
+            ("completed_all", Check(completed_all)),
+            ("invalidation_delivered", Check(saw_invalidation)),
+        ];
+        smoke_verdict("openloop-smoke", &verdict);
     }
+    Ok(())
 }
 
 /// `wcc replay`: stream a synthetic trace through the live stack
-/// without materializing it, at `--compression` virtual seconds per
-/// wall second. `--smoke` streams ≥100k records open-loop (conservation
-/// self-check), then streams a short trace through the closed-loop
-/// driver per policy and demands every record be sent exactly once.
-fn cmd_replay(a: &LiveArgs) {
-    use liveserve::StackSpec;
-    use webtrace::campus::CampusProfile;
+/// open-loop without materializing it; `--smoke` also streams a short
+/// one through the closed-loop driver per policy.
+fn cmd_replay(a: &Flags) -> Result<(), String> {
+    use wcc_load::stack_spec;
     use webtrace::microsoft::MicrosoftProfile;
-    use webtrace::stream::{synthetic_stream, StreamMeta, SyntheticStreamConfig};
+    use webtrace::stream::{synthetic_stream, SyntheticStreamConfig};
 
-    let stream_config = |requests: u64| -> SyntheticStreamConfig {
-        match a.trace.as_str() {
-            "campus:das" => SyntheticStreamConfig::campus(&CampusProfile::das(), requests, a.seed),
-            "campus:fas" => SyntheticStreamConfig::campus(&CampusProfile::fas(), requests, a.seed),
-            "campus:hcs" => SyntheticStreamConfig::campus(&CampusProfile::hcs(), requests, a.seed),
+    let (seed, requests) = (a.get("seed", 1996)?, a.get("requests", 4_000u64)?);
+    let stream_config = |requests: u64| {
+        Ok(match a.raw("trace").unwrap_or("campus:das") {
+            "campus:das" => SyntheticStreamConfig::campus(&CampusProfile::das(), requests, seed),
+            "campus:fas" => SyntheticStreamConfig::campus(&CampusProfile::fas(), requests, seed),
+            "campus:hcs" => SyntheticStreamConfig::campus(&CampusProfile::hcs(), requests, seed),
             "microsoft" => SyntheticStreamConfig::microsoft(
                 &MicrosoftProfile::scaled(requests as usize),
                 800,
-                a.seed,
+                seed,
             ),
-            "bu" => SyntheticStreamConfig::bu(requests, a.seed),
-            _ => usage(),
-        }
+            "bu" => SyntheticStreamConfig::bu(requests, seed),
+            other => return Err(format!("--trace: unknown trace '{other}'")),
+        })
     };
-    let spec_of = |meta: &StreamMeta| StackSpec {
-        population: std::sync::Arc::clone(&meta.population),
-        classes: meta.classes.clone(),
-        class_expires: Vec::new(),
-        start: meta.start,
-        end: meta.end,
-    };
-    let open_config = |policy: ProtocolSpec, target_rps: f64| {
-        let mut run = liveserve::LiveRunConfig::new(policy);
-        run.shards = a.shards;
-        run.reactor_threads = a.reactor_threads;
-        let mut open = wcc_load::OpenLoopConfig::new(run, target_rps);
-        open.workers = a.workers;
-        open.queue_cap = a.queue_cap;
-        open.timeout_us = a.timeout_ms.saturating_mul(1_000);
-        open
-    };
-    if a.smoke {
-        // 1) Stream >= 100k records open-loop, never materialized, and
-        // demand every record accounted for.
-        let requests = (a.requests as u64).max(100_000);
-        let cfg = stream_config(requests);
-        let (meta, stream) = synthetic_stream(&cfg);
+    let mut run = liveserve::LiveRunConfig::new(ProtocolSpec::Ttl(24));
+    run.shards = a.get("shards", 1)?;
+    run.reactor_threads = a.get("reactor-threads", 1)?;
+    let mut open = wcc_load::OpenLoopConfig::new(run, 0.0);
+    open.workers = workers(a)?;
+    open.queue_cap = a.get("queue-cap", 512)?;
+    open.timeout_us = a.get("timeout-ms", 1_000u64)?.saturating_mul(1_000);
+    // Stream `requests` records open-loop, never materialized, with the
+    // trace window compressed into `target_wall` seconds unless told
+    // otherwise.
+    let mut open_replay = |requests: u64, target_wall: f64| -> Result<_, String> {
+        let (meta, stream) = synthetic_stream(&stream_config(requests)?);
         let window = (meta.end - meta.start).as_secs() as f64;
-        let target_wall = 15.0;
-        let compression = if a.compression > 0.0 {
-            a.compression
-        } else {
-            window / target_wall
-        };
-        let report = wcc_load::replay_open_loop(
-            &spec_of(&meta),
-            stream,
-            compression,
-            &open_config(ProtocolSpec::Ttl(24), requests as f64 / target_wall),
+        let compression = compression(a, window / target_wall)?;
+        open.target_rps = requests as f64 * compression / window.max(1.0);
+        let probe = wcc_obs::ProbeHandle::none();
+        let report =
+            wcc_load::replay_open_loop(&stack_spec(&meta), stream, compression, &open, &probe)
+                .expect("streamed open-loop replay");
+        println!("{}", report.to_json());
+        Ok(report)
+    };
+    if !a.has("smoke") {
+        open_replay(requests, 30.0)?;
+        return Ok(());
+    }
+
+    // 1) Every one of >= 100k streamed records accounted for.
+    let requests = requests.max(100_000);
+    let report = open_replay(requests, 15.0)?;
+    let streamed_ok = report.offered == requests && report.conserves();
+
+    // 2) The closed-loop driver takes the same stream: one thread,
+    // nothing materialized, every record sent and classified once.
+    let small = stream_config(5_000)?;
+    let mut all_sent = true;
+    for policy in PAPER_SPECS {
+        let (meta, stream) = synthetic_stream(&small);
+        let report = wcc_load::run_closed_loop(
+            &stack_spec(&meta),
+            stream.map(|r| (r.time, r.file)),
+            &liveserve::LiveRunConfig::new(policy),
             &wcc_obs::ProbeHandle::none(),
         )
-        .expect("streamed open-loop replay");
-        println!("{}", report.to_json());
-        let streamed_ok = report.offered == requests && report.conserves();
-
-        // 2) The closed-loop driver takes the same stream: one thread,
-        // nothing materialized, every record sent and classified once.
-        let small = stream_config(5_000);
-        let mut all_sent = true;
-        for policy in PAPER_SPECS {
-            let (meta, stream) = synthetic_stream(&small);
-            let report = wcc_load::run_closed_loop(
-                &spec_of(&meta),
-                stream.map(|r| (r.time, r.file)),
-                &liveserve::LiveRunConfig::new(policy),
-                &wcc_obs::ProbeHandle::none(),
-            )
-            .expect("streamed closed-loop replay");
-            all_sent &= report.requests == 5_000 && report.cache.requests() == 5_000;
-        }
-        println!(
-            "{{\"mode\":\"replay-smoke\",\"streamed_records\":{requests},\
-             \"conserved\":{streamed_ok},\"closed_loop_sent_every_record\":{all_sent}}}"
-        );
-        if !(streamed_ok && all_sent) {
-            eprintln!(
-                "replay --smoke: acceptance checks failed \
-                 (conserved: {streamed_ok}, closed loop sent every record: {all_sent})"
-            );
-            std::process::exit(1);
-        }
-        return;
+        .expect("streamed closed-loop replay");
+        all_sent &= report.requests == 5_000 && report.cache.requests() == 5_000;
     }
-
-    // Plain run: open-loop replay of the requested trace at the
-    // requested compression (default: compress the window into ~30s).
-    let cfg = stream_config(a.requests as u64);
-    let (meta, stream) = synthetic_stream(&cfg);
-    let window = (meta.end - meta.start).as_secs() as f64;
-    let compression = if a.compression > 0.0 {
-        a.compression
-    } else {
-        window / 30.0
-    };
-    let target_rps = a.requests as f64 * compression / window.max(1.0);
-    let report = wcc_load::replay_open_loop(
-        &spec_of(&meta),
-        stream,
-        compression,
-        &open_config(ProtocolSpec::Ttl(24), target_rps),
-        &wcc_obs::ProbeHandle::none(),
-    )
-    .expect("open-loop replay");
-    println!("{}", report.to_json());
+    let verdict = [
+        ("streamed_records", Count(requests)),
+        ("conserved", Check(streamed_ok)),
+        ("closed_loop_sent_every_record", Check(all_sent)),
+    ];
+    smoke_verdict("replay-smoke", &verdict);
+    Ok(())
 }
 
-/// Flags for `wcc soak`; unset fields fall back to the profile
-/// (`--smoke` or full-scale) defaults.
-struct SoakArgs {
-    smoke: bool,
-    conns: Option<usize>,
-    processes: Option<usize>,
-    reactor_threads: Option<usize>,
-    active: Option<usize>,
-}
-
-fn parse_soak_args(args: &[String]) -> SoakArgs {
-    let mut parsed = SoakArgs {
-        smoke: false,
-        conns: None,
-        processes: None,
-        reactor_threads: None,
-        active: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let value = |it: &mut std::slice::Iter<String>| -> usize {
-            it.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage())
-        };
-        match arg.as_str() {
-            "--smoke" => parsed.smoke = true,
-            "--conns" => parsed.conns = Some(value(&mut it)),
-            "--processes" => parsed.processes = Some(value(&mut it)),
-            "--reactor-threads" => parsed.reactor_threads = Some(value(&mut it)),
-            "--active" => parsed.active = Some(value(&mut it)),
-            _ => usage(),
-        }
-    }
-    parsed
-}
-
-/// `wcc soak`: the open-loop connection soak (see module docs). Prints
-/// the report JSON plus the wcc-obs histograms (accept backlog depth,
-/// live latency) and exits nonzero if any scaling invariant fails.
-fn cmd_soak(a: &SoakArgs) {
+/// `wcc soak`: park thousands of idle keep-alive connections against the
+/// proxy while an active mix runs, and gate on the reactor's scaling
+/// invariants.
+fn cmd_soak(a: &Flags) -> Result<(), String> {
     use liveserve::{run_soak, SoakConfig};
 
-    let mut cfg = if a.smoke {
+    let mut cfg = if a.has("smoke") {
         SoakConfig::smoke()
     } else {
         SoakConfig::full()
     };
-    if let Some(conns) = a.conns {
-        cfg.conns = conns;
-    }
-    if let Some(processes) = a.processes {
-        cfg.worker_processes = processes;
-    }
-    if let Some(reactors) = a.reactor_threads {
-        cfg.reactor_threads = reactors;
-    }
-    if let Some(active) = a.active {
-        cfg.active = active;
-    }
+    cfg.conns = a.get("conns", cfg.conns)?;
+    cfg.worker_processes = a.get("processes", cfg.worker_processes)?;
+    cfg.reactor_threads = a.get("reactor-threads", cfg.reactor_threads)?;
+    cfg.active = a.get("active", cfg.active)?;
 
     // Capture the reactor's event stream (ConnAccepted/ConnClosed/
     // AcceptBacklog plus per-request latency) into a ring large enough
     // for the full 10k soak, then fold it into metrics tables.
     let handle = wcc_obs::ProbeHandle::buffered(1 << 18);
-    let report = match run_soak(&cfg, &handle) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("soak: {e}");
-            std::process::exit(1);
-        }
-    };
+    let report = run_soak(&cfg, &handle).unwrap_or_else(|e| fail("soak", e));
     let mut metrics = wcc_obs::MetricsProbe::new();
     handle.drain_into(&mut metrics);
 
@@ -913,78 +799,53 @@ fn cmd_soak(a: &SoakArgs) {
     println!("\n== Soak histograms (log2 buckets) ==");
     print!("{}", metrics.registry().render_histograms());
 
-    if let Err(problems) = report.verify() {
-        eprintln!("soak: invariants violated: {problems}");
-        std::process::exit(1);
-    }
+    report
+        .verify()
+        .unwrap_or_else(|problems| fail("soak: invariants violated", problems));
+    Ok(())
 }
 
-/// Observability flags: the capture destination and per-point ring size.
-struct ObsArgs {
-    path: String,
-    limit: usize,
-}
-
-/// Write a capture document to `path`, or stdout when `None`.
-fn write_capture(doc: &str, path: Option<&str>) {
-    match path {
-        Some(path) => {
-            std::fs::write(path, doc).unwrap_or_else(|e| {
-                eprintln!("wcc: cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!(
-                "wcc: wrote {} line(s) of event capture to {path}",
-                doc.lines().count()
-            );
-        }
-        None => print!("{doc}"),
-    }
+/// Write a capture document to `path`.
+fn save_capture(doc: &str, path: &str) {
+    std::fs::write(path, doc)
+        .unwrap_or_else(|e| fail("wcc: cannot write", format_args!("{path}: {e}")));
+    let lines = doc.lines().count();
+    eprintln!("wcc: wrote {lines} line(s) of event capture to {path}");
 }
 
 /// `wcc trace`: capture one figure's sweep as deterministic JSONL, or
-/// (`--smoke`) self-check that worker count does not change a byte.
-fn cmd_trace(
-    target: Option<&str>,
-    smoke: bool,
-    quick: bool,
-    runner: &SweepRunner,
-    obs: Option<&ObsArgs>,
-    limit: usize,
-) {
-    if smoke {
-        match trace::capture_smoke() {
-            Ok(doc) => {
-                println!(
-                    "{{\"mode\":\"trace-smoke\",\"deterministic\":true,\"lines\":{}}}",
-                    doc.lines().count()
-                );
-            }
-            Err((seq, par)) => {
-                eprintln!(
-                    "trace --smoke: sequential and parallel captures differ \
-                     ({} vs {} bytes)",
-                    seq.len(),
-                    par.len()
-                );
-                std::process::exit(1);
-            }
+/// (`--smoke`, which stands alone) self-check that worker count does
+/// not change a byte.
+fn cmd_trace(a: &Flags) -> Result<(), String> {
+    if a.has("smoke") {
+        if a.given.len() + a.args.len() > 1 {
+            return Err("trace --smoke takes nothing else".to_string());
         }
-        return;
+        let (deterministic, doc) = trace::capture_smoke();
+        let lines = Count(doc.lines().count() as u64);
+        let verdict = [("deterministic", Check(deterministic)), ("lines", lines)];
+        smoke_verdict("trace-smoke", &verdict);
+        return Ok(());
     }
-    let target = TraceTarget::parse(target.unwrap_or_else(|| usage())).unwrap_or_else(|| usage());
-    let doc = trace::capture(target, &scale(quick), runner, limit);
-    write_capture(&doc, obs.map(|o| o.path.as_str()));
+    let target = TraceTarget::parse(a.arg()?).ok_or("trace takes fig2..fig8")?;
+    let limit = a.get("limit", DEFAULT_TRACE_LIMIT)?;
+    let doc = trace::capture(target, &scale(a), &runner(a)?, limit);
+    match a.raw("obs") {
+        Some(path) => save_capture(&doc, path),
+        None => print!("{doc}"),
+    }
+    Ok(())
 }
 
-/// `wcc metrics`: aggregate the event stream over a figure sweep and a
-/// small live run into counter/histogram tables, plus the wall-clock
-/// profile of where the time went.
-fn cmd_metrics(quick: bool, runner: &SweepRunner) {
+/// `wcc metrics`: the event stream of figure 4's sweep and a small live
+/// run as counter/histogram tables, plus the wall-clock profile (the one
+/// opt-in wall-clock reader in the simulation path).
+fn cmd_metrics(a: &Flags) -> Result<(), String> {
+    let (scale, runner) = (scale(a), runner(a)?);
     let profiler = wcc_obs::profile::global();
     profiler.enable(true);
 
-    let mut registry = trace::collect_metrics(TraceTarget::Fig4, &scale(quick), runner);
+    let mut registry = trace::collect_metrics(TraceTarget::fig4(), &scale, &runner);
 
     // A small live loopback run feeds the live-latency histogram; the
     // simulators cannot (they have no wall-clock request path).
@@ -1011,111 +872,75 @@ fn cmd_metrics(quick: bool, runner: &SweepRunner) {
     println!("\n== Wall-clock profile (phase / job) ==");
     print!("{}", profiler.take().render_table());
     profiler.enable(false);
-}
-
-/// Default per-point ring capacity for `wcc trace`.
-const DEFAULT_TRACE_LIMIT: usize = 4096;
-
-/// Split flags from positionals, consuming flag values so they are not
-/// mistaken for subcommand arguments. Returns
-/// `(quick, runner, obs, limit, positional)`.
-fn parse_args(args: &[String]) -> (bool, SweepRunner, Option<ObsArgs>, usize, Vec<&str>) {
-    let mut quick = false;
-    let mut jobs: usize = 0;
-    let mut obs_path: Option<String> = None;
-    let mut limit: usize = DEFAULT_TRACE_LIMIT;
-    let mut positional: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--smoke" => positional.push("--smoke"),
-            "--policies" => positional.push("--policies"),
-            "--jobs" => {
-                let value = it.next().unwrap_or_else(|| usage());
-                jobs = value.parse().unwrap_or_else(|_| usage());
-            }
-            flag if flag.starts_with("--jobs=") => {
-                jobs = flag["--jobs=".len()..].parse().unwrap_or_else(|_| usage());
-            }
-            "--obs" => obs_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            flag if flag.starts_with("--obs=") => {
-                obs_path = Some(flag["--obs=".len()..].to_string());
-            }
-            "--limit" => {
-                let value = it.next().unwrap_or_else(|| usage());
-                limit = value.parse().unwrap_or_else(|_| usage());
-            }
-            flag if flag.starts_with("--limit=") => {
-                limit = flag["--limit=".len()..].parse().unwrap_or_else(|_| usage());
-            }
-            flag if flag.starts_with("--") => usage(),
-            p => positional.push(p),
-        }
-    }
-    let runner = if jobs == 0 {
-        SweepRunner::from_env()
-    } else {
-        SweepRunner::new(jobs)
-    };
-    let obs = obs_path.map(|path| ObsArgs { path, limit });
-    (quick, runner, obs, limit, positional)
+    Ok(())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // The live-stack subcommands carry their own flag set.
-    match args.first().map(String::as_str) {
-        Some("serve") => return cmd_serve(&parse_live_args(&args[1..])),
-        Some("loadgen") => return cmd_loadgen(&parse_live_args(&args[1..])),
-        Some("openloop") => return cmd_openloop(&parse_live_args(&args[1..])),
-        Some("replay") => return cmd_replay(&parse_live_args(&args[1..])),
-        Some("soak") => return cmd_soak(&parse_soak_args(&args[1..])),
-        // Hidden: the child-process mode `wcc soak` re-execs to hold
-        // idle connections outside the parent's fd table.
-        Some("soak-worker") => {
-            let (addr, conns) = match (args.get(1), args.get(2).and_then(|v| v.parse().ok())) {
-                (Some(addr), Some(conns)) => (addr, conns),
-                _ => usage(),
-            };
-            if let Err(e) = liveserve::soak_worker(addr, conns) {
-                eprintln!("soak-worker: {e}");
-                std::process::exit(1);
+    let name = args.first().map_or("", String::as_str);
+    let rest = args.get(1..).unwrap_or_default();
+    let result = match name {
+        "soak-worker" => match (rest.first(), rest.get(1).and_then(|v| v.parse().ok())) {
+            (Some(addr), Some(conns)) => {
+                liveserve::soak_worker(addr, conns).unwrap_or_else(|e| fail("soak-worker", e));
+                Ok(())
             }
-            return;
-        }
-        Some("analyze") => std::process::exit(wcc_analyze::cli::run(&args[1..])),
-        _ => {}
+            _ => Err("soak-worker takes ADDR N".to_string()),
+        },
+        "analyze" => std::process::exit(wcc_analyze::cli::run(rest)),
+        _ => match COMMANDS
+            .iter()
+            .find(|c| c.0.split(' ').next() == Some(name))
+        {
+            Some(&(synopsis, run)) => Flags::parse(rest, synopsis)
+                .and_then(|flags| run(&flags))
+                .map_err(|problem| format!("{name}: {problem}")),
+            None if name.is_empty() => Err("missing subcommand".to_string()),
+            None => Err(format!("unknown subcommand '{name}'")),
+        },
+    };
+    if let Err(problem) = result {
+        eprintln!("wcc: {problem}\n{}", usage());
+        std::process::exit(2);
     }
-    let (quick, runner, obs, limit, positional) = parse_args(&args);
-    match positional.as_slice() {
-        ["figure", n] => figure(
-            n.parse().unwrap_or_else(|_| usage()),
-            quick,
-            &runner,
-            obs.as_ref(),
-        ),
-        ["figures", rest @ ..] => {
-            if !rest.windows(2).any(|w| w == ["--policies", "new"]) {
-                usage()
-            }
-            cmd_figures(quick, rest.contains(&"--smoke"), &runner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Parse `args` against the real table row of `command`.
+    fn parse(command: &str, args: &[&str]) -> Result<Flags, String> {
+        let row = COMMANDS.iter().find(|c| c.0.starts_with(command));
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        Flags::parse(&args, row.expect("a table row").0)
+    }
+
+    #[test]
+    fn both_spellings_parse_to_the_same_values() {
+        for args in [
+            &["2", "--jobs", "3", "--quick"][..],
+            &["--quick", "--jobs=3", "2"],
+            &["--jobs=9", "2", "--quick", "--jobs", "3"],
+        ] {
+            let flags = parse("figure ", args).unwrap();
+            let read = (flags.get("jobs", 0), flags.has("quick"), flags.arg());
+            assert_eq!(read, (Ok(3), true, Ok("2")), "{args:?}");
+            assert_eq!(flags.opt::<String>("obs"), Ok(None));
         }
-        ["table", n] => table(n.parse().unwrap_or_else(|_| usage()), quick, &runner),
-        ["ablations"] => run_ablations(&runner),
-        ["trace", "--smoke"] | ["trace", "--smoke", ..] => {
-            cmd_trace(None, true, quick, &runner, obs.as_ref(), limit)
-        }
-        ["trace", target] => cmd_trace(Some(target), false, quick, &runner, obs.as_ref(), limit),
-        ["metrics"] => cmd_metrics(quick, &runner),
-        ["all"] => {
-            table(1, quick, &runner);
-            table(2, quick, &runner);
-            for n in 1..=8 {
-                figure(n, quick, &runner, None);
-            }
-            run_ablations(&runner);
-        }
-        _ => usage(),
+    }
+
+    #[test]
+    fn bad_command_lines_are_errors_not_guesses() {
+        let err = |command, args: &[&str]| parse(command, args).unwrap_err();
+        assert_eq!(err("figure ", &["--bogus"]), "unknown flag --bogus");
+        assert_eq!(err("table ", &["--limit", "3"]), "unknown flag --limit");
+        assert_eq!(err("all ", &["--jobs"]), "--jobs needs a value (N)");
+        assert_eq!(err("all ", &["--quick=1"]), "--quick takes no value");
+        assert_eq!(err("all ", &["x"]), "unexpected argument 'x'");
+        assert_eq!(err("table ", &["2", "3"]), "unexpected argument '3'");
+        assert!(parse("table ", &[]).unwrap().arg().is_err());
+        let flags = parse("all ", &["--jobs", "many"]).unwrap();
+        assert!(flags.get("jobs", 0usize).is_err());
     }
 }

@@ -6,11 +6,10 @@
 //! until the update threshold / TTL grows quite large, while the
 //! time-based protocols' stale-hit rates climb with the parameter.
 
-use crate::experiments::{Scale, SimReport, Sweep};
+use crate::experiments::{DataSet, Scale, SimReport, Sweep};
 use crate::sim::{run, SimConfig};
 use crate::sweep::SweepRunner;
-use crate::workload::{generate_synthetic, Workload};
-use crate::ProtocolSpec;
+use crate::workload::Workload;
 
 /// Run the base-simulator experiment (data for Figures 2 and 3).
 pub fn run_base(scale: &Scale) -> SimReport {
@@ -19,53 +18,35 @@ pub fn run_base(scale: &Scale) -> SimReport {
 
 /// [`run_base`] with an explicit sweep executor.
 pub fn run_base_with(scale: &Scale, runner: &SweepRunner) -> SimReport {
-    run_with_config(scale, SimConfig::base(), "base simulator", runner)
+    DataSet::Base.report(scale, runner)
 }
 
-pub(crate) fn run_with_config(
-    scale: &Scale,
-    config: SimConfig,
-    name: &str,
-    runner: &SweepRunner,
-) -> SimReport {
-    let workload = generate_synthetic(&scale.worrell, scale.seed);
-    let report = sweep_protocols(&workload, scale, config, runner);
-    SimReport {
-        name: name.to_string(),
-        ..report
-    }
-}
-
-/// The shared sweep core: both families plus the invalidation reference on
-/// one workload, fanned over `runner`. Point order in the returned sweeps
-/// matches the scale's parameter order exactly, whatever the worker count.
+/// The shared sweep core: [`Scale::points`] on one workload, fanned over
+/// `runner`. Point order in the returned sweeps matches the scale's
+/// parameter order exactly, whatever the worker count.
 pub(crate) fn sweep_protocols(
     workload: &Workload,
     scale: &Scale,
     config: SimConfig,
     runner: &SweepRunner,
 ) -> SimReport {
-    let alex_points = runner.map(&scale.alex_thresholds, |&pct| {
-        (
-            f64::from(pct),
-            run(workload, ProtocolSpec::Alex(pct), &config),
-        )
-    });
-    let ttl_points = runner.map(&scale.ttl_hours, |&h| {
-        (h as f64, run(workload, ProtocolSpec::Ttl(h), &config))
-    });
-    let invalidation = run(workload, ProtocolSpec::Invalidation, &config);
+    let points = scale.points();
+    let mut results = runner
+        .map(&points, |&spec| run(workload, spec, &config))
+        .into_iter();
+    let alex = scale.alex_thresholds.iter().map(|&pct| f64::from(pct));
+    let ttl = scale.ttl_hours.iter().map(|&h| h as f64);
     SimReport {
         name: workload.name.clone(),
         alex: Sweep {
             family: "Alex",
-            points: alex_points,
+            points: alex.zip(results.by_ref()).collect(),
         },
         ttl: Sweep {
             family: "TTL",
-            points: ttl_points,
+            points: ttl.zip(results.by_ref()).collect(),
         },
-        invalidation,
+        invalidation: results.next().expect("the sweep ends on invalidation"),
     }
 }
 

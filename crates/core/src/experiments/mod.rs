@@ -4,16 +4,20 @@
 //! update threshold runs 0–100 %, the TTL runs 0–500 hours, and the
 //! parameter-free invalidation protocol provides the reference line. Each
 //! driver returns structured rows; [`report`] renders them as the textual
-//! equivalent of the paper's plots, and the `wcc` CLI prints each one
-//! (`wcc figure N`, `wcc table N`, `wcc ablations`).
+//! equivalent of the paper's plots.
+//!
+//! [`FIGURES`] is the one figure table: number → panel and [`DataSet`],
+//! from which title and renderer follow. `wcc figure N`, `wcc all`,
+//! `wcc trace figN` and `wcc metrics` all dispatch from it; a data set
+//! states its simulator configuration, its workloads and (through
+//! [`Scale::points`]) its point order once.
 //!
 //! | Experiment | Paper artifact | Driver |
 //! |---|---|---|
 //! | hierarchy collapse bias | Figure 1 | [`hierarchy_bias`] |
-//! | base-simulator bandwidth / miss rates | Figures 2–3 | [`base`] |
-//! | optimized-simulator bandwidth / miss rates | Figures 4–5 | [`optimized`] |
-//! | trace-driven bandwidth / miss rates | Figures 6–7 | [`traced`] |
-//! | server load | Figure 8 | [`traced`] |
+//! | base-simulator bandwidth / miss rates | Figures 2–3 | [`DataSet::Base`], [`base`] |
+//! | optimized-simulator bandwidth / miss rates | Figures 4–5 | [`DataSet::Optimized`], [`optimized`] |
+//! | trace-driven bandwidth / miss rates / server load | Figures 6–8 | [`DataSet::Traced`], [`traced`] |
 //! | campus mutability statistics | Table 1 | [`tables`] |
 //! | file-type access/lifetime profile | Table 2 | [`tables`] |
 //! | design-choice ablations | (extensions) | [`ablations`] |
@@ -36,8 +40,10 @@ pub mod tables;
 pub mod trace;
 pub mod traced;
 
-use crate::sim::RunResult;
-use crate::workload::WorrellConfig;
+use crate::sim::{RunResult, SimConfig};
+use crate::sweep::SweepRunner;
+use crate::workload::{generate_synthetic, Workload, WorrellConfig};
+use crate::ProtocolSpec;
 
 /// A parameter sweep of one protocol family.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,6 +130,147 @@ impl Scale {
             seed: 1996,
         }
     }
+
+    /// The sweep's points in the order every driver runs and reports
+    /// them: the Alex thresholds, the TTLs, then the invalidation
+    /// reference.
+    pub fn points(&self) -> Vec<ProtocolSpec> {
+        let alex = self
+            .alex_thresholds
+            .iter()
+            .map(|&pct| ProtocolSpec::Alex(pct));
+        let ttl = self.ttl_hours.iter().map(|&h| ProtocolSpec::Ttl(h));
+        alex.chain(ttl)
+            .chain(std::iter::once(ProtocolSpec::Invalidation))
+            .collect()
+    }
+}
+
+/// The data set behind a sweep figure: which simulator runs which
+/// workloads. Figures sharing a data set differ only in the panel they
+/// render (2/3, 4/5, 6/7/8).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DataSet {
+    /// Base simulator on the synthetic Worrell workload.
+    Base,
+    /// Optimized simulator on the same workload.
+    Optimized,
+    /// Optimized simulator on the DAS/FAS/HCS campus traces.
+    Traced,
+}
+
+impl DataSet {
+    /// The simulator configuration the data set runs under.
+    pub fn config(self) -> SimConfig {
+        match self {
+            DataSet::Base => SimConfig::base(),
+            DataSet::Optimized | DataSet::Traced => SimConfig::optimized(),
+        }
+    }
+
+    /// The workloads the data set replays, in report order.
+    pub fn workloads(self, scale: &Scale) -> Vec<Workload> {
+        match self {
+            DataSet::Base | DataSet::Optimized => {
+                vec![generate_synthetic(&scale.worrell, scale.seed)]
+            }
+            DataSet::Traced => traced::campus_workloads(scale),
+        }
+    }
+
+    /// One swept report per workload.
+    pub fn sweeps(self, scale: &Scale, runner: &SweepRunner) -> Vec<SimReport> {
+        let config = self.config();
+        self.workloads(scale)
+            .iter()
+            .map(|wl| base::sweep_protocols(wl, scale, config, runner))
+            .collect()
+    }
+
+    /// The report the data set's figures plot: the single synthetic
+    /// sweep under the simulator's name, or the campus traces'
+    /// counter-merged average.
+    pub fn report(self, scale: &Scale, runner: &SweepRunner) -> SimReport {
+        let mut sweeps = self.sweeps(scale, runner);
+        let name = match self {
+            DataSet::Base => "base simulator",
+            DataSet::Optimized => "optimized simulator",
+            DataSet::Traced => return traced::average(&sweeps),
+        };
+        SimReport {
+            name: name.to_string(),
+            ..sweeps.remove(0)
+        }
+    }
+}
+
+/// What a figure plots: Figure 1's fixed scenarios, or one panel of a
+/// data set's protocol sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Plot {
+    /// The four hierarchy-collapse scenarios (no sweep, no scale).
+    Hierarchy,
+    /// Total MB exchanged per parameter setting.
+    Bandwidth(DataSet),
+    /// Cache-miss and stale-hit rates per parameter setting.
+    MissRates(DataSet),
+    /// Server operations per parameter setting.
+    ServerLoad(DataSet),
+}
+
+/// The paper's Figures 1–8, in order.
+pub const FIGURES: [Plot; 8] = [
+    Plot::Hierarchy,
+    Plot::Bandwidth(DataSet::Base),
+    Plot::MissRates(DataSet::Base),
+    Plot::Bandwidth(DataSet::Optimized),
+    Plot::MissRates(DataSet::Optimized),
+    Plot::Bandwidth(DataSet::Traced),
+    Plot::MissRates(DataSet::Traced),
+    Plot::ServerLoad(DataSet::Traced),
+];
+
+/// One row of the figure table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Figure {
+    /// The paper's figure number.
+    pub number: u32,
+    /// What it plots.
+    pub plot: Plot,
+}
+
+impl Figure {
+    /// The table's rows, in paper order.
+    pub fn all() -> impl Iterator<Item = Figure> {
+        (1..)
+            .zip(FIGURES)
+            .map(|(number, plot)| Figure { number, plot })
+    }
+
+    /// The table row for figure `number`.
+    pub fn lookup(number: u32) -> Option<Figure> {
+        Figure::all().find(|f| f.number == number)
+    }
+
+    /// The swept data set, if the figure has one (all but Figure 1).
+    pub fn data(&self) -> Option<DataSet> {
+        match self.plot {
+            Plot::Hierarchy => None,
+            Plot::Bandwidth(data) | Plot::MissRates(data) | Plot::ServerLoad(data) => Some(data),
+        }
+    }
+
+    /// Run the figure's experiment and render it.
+    pub fn render(&self, scale: &Scale, runner: &SweepRunner) -> String {
+        let (data, panel, render): (_, _, fn(&str, &SimReport) -> String) = match self.plot {
+            Plot::Hierarchy => return report::render_figure1(&hierarchy_bias::run_figure1()),
+            Plot::Bandwidth(data) => (data, "bandwidth", report::render_bandwidth_figure),
+            Plot::MissRates(data) => (data, "miss/stale rates", report::render_missrate_figure),
+            Plot::ServerLoad(data) => (data, "server load", report::render_server_load_figure),
+        };
+        let title = format!("Figure {}: {panel}", self.number);
+        render(&title, &data.report(scale, runner))
+    }
 }
 
 #[cfg(test)]
@@ -179,6 +326,25 @@ mod tests {
             Some(100.0)
         );
         assert_eq!(sweep.first_param_where(|r| r.cache.stale_hits > 99), None);
+    }
+
+    #[test]
+    fn every_figure_renders_non_empty_at_quick_scale() {
+        let (scale, runner) = (Scale::quick(), SweepRunner::sequential());
+        for figure in Figure::all() {
+            let text = figure.render(&scale, &runner);
+            let heading = format!("== Figure {}: ", figure.number);
+            assert!(text.starts_with(&heading), "{text}");
+            assert!(text.lines().count() > 2, "{text}");
+        }
+        assert_eq!(Figure::all().count(), 8);
+        assert_eq!(Figure::lookup(1).and_then(|f| f.data()), None);
+        assert_eq!(
+            Figure::lookup(8).and_then(|f| f.data()),
+            Some(DataSet::Traced)
+        );
+        assert_eq!(Figure::lookup(9), None);
+        assert_eq!(Figure::lookup(0), None);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! settings, and miss rates collapse to near the invalidation protocol's
 //! (Figure 5), while stale-hit rates stay as high as in Figure 3.
 
-use crate::experiments::{base::run_with_config, Scale, SimReport};
-use crate::sim::SimConfig;
+use crate::experiments::{DataSet, Scale, SimReport};
 use crate::sweep::SweepRunner;
 
 /// Run the optimized-simulator experiment (data for Figures 4 and 5).
@@ -18,7 +17,7 @@ pub fn run_optimized(scale: &Scale) -> SimReport {
 
 /// [`run_optimized`] with an explicit sweep executor.
 pub fn run_optimized_with(scale: &Scale, runner: &SweepRunner) -> SimReport {
-    run_with_config(scale, SimConfig::optimized(), "optimized simulator", runner)
+    DataSet::Optimized.report(scale, runner)
 }
 
 #[cfg(test)]

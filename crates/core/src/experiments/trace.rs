@@ -16,118 +16,81 @@
 
 use std::fmt::Write as _;
 
-use wcc_obs::{MetricsProbe, MetricsRegistry, TraceProbe};
-use webtrace::campus::{generate_campus_trace, CampusProfile};
+use wcc_obs::{MetricsProbe, MetricsRegistry, Probe, TraceProbe};
 
-use crate::experiments::Scale;
-use crate::sim::SimConfig;
+use crate::experiments::{DataSet, Figure, Scale};
 use crate::sweep::SweepRunner;
-use crate::workload::{generate_synthetic, Workload, WorrellConfig};
+use crate::workload::WorrellConfig;
 use crate::Experiment;
-use crate::ProtocolSpec;
 
-/// Which figure's experiment to trace. Figures sharing a data set share
-/// a capture (2/3: base simulator; 4/5: optimized; 6/7/8: campus
-/// traces).
+/// A figure whose experiment can be traced: any row of the figure table
+/// with a swept [`DataSet`] (Figures 2–8). Figures sharing a data set
+/// share a capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceTarget {
-    /// Figures 2–3: base simulator on the synthetic workload.
-    Fig2,
-    /// Figures 2–3 companion (same data set as [`TraceTarget::Fig2`]).
-    Fig3,
-    /// Figures 4–5: optimized simulator on the synthetic workload.
-    Fig4,
-    /// Figures 4–5 companion (same data set as [`TraceTarget::Fig4`]).
-    Fig5,
-    /// Figures 6–8: optimized simulator on the campus traces.
-    Fig6,
-    /// Figures 6–8 companion (same data set as [`TraceTarget::Fig6`]).
-    Fig7,
-    /// Figures 6–8 companion (same data set as [`TraceTarget::Fig6`]).
-    Fig8,
+pub struct TraceTarget {
+    figure: u32,
+    data: DataSet,
 }
 
 impl TraceTarget {
+    /// The target for a figure-table row; `None` for Figure 1, which
+    /// sweeps nothing.
+    pub fn of(figure: Figure) -> Option<Self> {
+        figure.data().map(|data| TraceTarget {
+            figure: figure.number,
+            data,
+        })
+    }
+
     /// Parse `fig2`..`fig8` (or bare `2`..`8`).
     pub fn parse(s: &str) -> Option<Self> {
-        match s.strip_prefix("fig").unwrap_or(s) {
-            "2" => Some(TraceTarget::Fig2),
-            "3" => Some(TraceTarget::Fig3),
-            "4" => Some(TraceTarget::Fig4),
-            "5" => Some(TraceTarget::Fig5),
-            "6" => Some(TraceTarget::Fig6),
-            "7" => Some(TraceTarget::Fig7),
-            "8" => Some(TraceTarget::Fig8),
-            _ => None,
-        }
+        let number = s.strip_prefix("fig").unwrap_or(s).parse().ok()?;
+        Figure::lookup(number).and_then(TraceTarget::of)
+    }
+
+    /// Figure 4's target: what the smoke check and `wcc metrics` trace.
+    pub fn fig4() -> Self {
+        Figure::lookup(4)
+            .and_then(TraceTarget::of)
+            .expect("figure 4 is a sweep figure")
     }
 
     /// The canonical name (`"fig8"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceTarget::Fig2 => "fig2",
-            TraceTarget::Fig3 => "fig3",
-            TraceTarget::Fig4 => "fig4",
-            TraceTarget::Fig5 => "fig5",
-            TraceTarget::Fig6 => "fig6",
-            TraceTarget::Fig7 => "fig7",
-            TraceTarget::Fig8 => "fig8",
-        }
-    }
-
-    /// The simulator configuration this figure runs under.
-    fn config(self) -> SimConfig {
-        match self {
-            TraceTarget::Fig2 | TraceTarget::Fig3 => SimConfig::base(),
-            _ => SimConfig::optimized(),
-        }
-    }
-
-    /// The workload set this figure replays.
-    fn workloads(self, scale: &Scale) -> Vec<Workload> {
-        match self {
-            TraceTarget::Fig2 | TraceTarget::Fig3 | TraceTarget::Fig4 | TraceTarget::Fig5 => {
-                vec![generate_synthetic(&scale.worrell, scale.seed)]
-            }
-            TraceTarget::Fig6 | TraceTarget::Fig7 | TraceTarget::Fig8 => CampusProfile::all()
-                .iter()
-                .map(|p| {
-                    let campus = generate_campus_trace(p, scale.seed);
-                    Workload::from_server_trace(&campus.trace).subsample(scale.trace_subsample)
-                })
-                .collect(),
-        }
+    pub fn label(self) -> String {
+        format!("fig{}", self.figure)
     }
 }
 
-/// One `(workload, protocol)` cell of a figure's sweep.
-struct TracePoint {
-    workload: usize,
-    label: String,
-    spec: ProtocolSpec,
-}
-
-/// The figure's sweep grid in canonical order: per workload, the Alex
-/// thresholds, then the TTL values, then the invalidation reference —
-/// the same order the figure drivers run.
-fn grid(workloads: &[Workload], scale: &Scale) -> Vec<TracePoint> {
-    let mut points = Vec::new();
-    for (w, wl) in workloads.iter().enumerate() {
-        let specs = scale
-            .alex_thresholds
-            .iter()
-            .map(|&pct| ProtocolSpec::Alex(pct))
-            .chain(scale.ttl_hours.iter().map(|&h| ProtocolSpec::Ttl(h)))
-            .chain(std::iter::once(ProtocolSpec::Invalidation));
-        for spec in specs {
-            points.push(TracePoint {
-                workload: w,
-                label: format!("{}/{}", wl.name, spec.label()),
-                spec,
-            });
-        }
-    }
-    points
+/// Run every `(workload, protocol)` cell of `target`'s sweep — per
+/// workload, [`Scale::points`] — with a fresh probe from `probe`
+/// attached, fanned over `runner`. Returns the workload count and, in
+/// grid order whatever the worker count, each cell's
+/// `"workload/protocol"` label with its probe.
+fn probed_sweep<P: Probe + Send>(
+    phase: &str,
+    target: TraceTarget,
+    scale: &Scale,
+    runner: &SweepRunner,
+    probe: impl Fn() -> P + Sync,
+) -> (usize, Vec<(String, P)>) {
+    let _span = wcc_obs::profile::global().span(&format!("{phase} {}", target.label()));
+    let config = target.data.config();
+    let workloads = target.data.workloads(scale);
+    let points = scale.points();
+    let grid: Vec<_> = workloads
+        .iter()
+        .flat_map(|wl| points.iter().map(move |&spec| (wl, spec)))
+        .collect();
+    let cells = runner.map(&grid, |&(wl, spec)| {
+        let mut probe = probe();
+        Experiment::new(wl)
+            .protocol(spec)
+            .config(config)
+            .probe(&mut probe)
+            .run();
+        (format!("{}/{}", wl.name, spec.label()), probe)
+    });
+    (workloads.len(), cells)
 }
 
 /// Capture `target`'s experiment as a deterministic JSONL document.
@@ -137,39 +100,22 @@ fn grid(workloads: &[Workload], scale: &Scale) -> Vec<TracePoint> {
 /// by up to `limit` buffered event lines. Byte-identical output for
 /// identical `(target, scale, limit)` at any worker count.
 pub fn capture(target: TraceTarget, scale: &Scale, runner: &SweepRunner, limit: usize) -> String {
-    let _span = wcc_obs::profile::global().span(&format!("trace {}", target.label()));
-    let config = target.config();
-    let workloads = target.workloads(scale);
-    let points = grid(&workloads, scale);
-
-    let sections = runner.map(&points, |point| {
-        let mut probe = TraceProbe::new(limit);
-        Experiment::new(&workloads[point.workload])
-            .protocol(point.spec)
-            .config(config)
-            .probe(&mut probe)
-            .run();
-        let mut out = String::with_capacity(64 + probe.len() * 64);
+    let (workloads, cells) =
+        probed_sweep("trace", target, scale, runner, || TraceProbe::new(limit));
+    let mut doc = format!(
+        "{{\"trace\":\"{}\",\"workloads\":{workloads},\"points\":{},\"limit\":{limit}}}\n",
+        target.label(),
+        cells.len(),
+    );
+    for (label, probe) in cells {
         writeln!(
-            out,
-            "{{\"point\":\"{}\",\"recorded\":{},\"dropped\":{}}}",
-            point.label,
+            doc,
+            "{{\"point\":\"{label}\",\"recorded\":{},\"dropped\":{}}}",
             probe.recorded(),
             probe.dropped()
         )
         .expect("infallible");
-        out.push_str(&probe.to_jsonl_string());
-        out
-    });
-
-    let mut doc = format!(
-        "{{\"trace\":\"{}\",\"workloads\":{},\"points\":{},\"limit\":{limit}}}\n",
-        target.label(),
-        workloads.len(),
-        points.len(),
-    );
-    for section in sections {
-        doc.push_str(&section);
+        doc.push_str(&probe.to_jsonl_string());
     }
     doc
 }
@@ -186,17 +132,13 @@ fn smoke_scale() -> Scale {
 }
 
 /// `wcc trace --smoke`: capture a tiny figure-4 document sequentially
-/// and with two workers, and demand byte equality. Returns the capture
-/// on success, the differing pair on failure.
-pub fn capture_smoke() -> Result<String, (String, String)> {
-    let scale = smoke_scale();
-    let sequential = capture(TraceTarget::Fig4, &scale, &SweepRunner::new(1), 512);
-    let parallel = capture(TraceTarget::Fig4, &scale, &SweepRunner::new(2), 512);
-    if sequential == parallel {
-        Ok(sequential)
-    } else {
-        Err((sequential, parallel))
-    }
+/// and with two workers. Returns whether the two are byte-equal, and the
+/// sequential one.
+pub fn capture_smoke() -> (bool, String) {
+    let (target, scale) = (TraceTarget::fig4(), smoke_scale());
+    let sequential = capture(target, &scale, &SweepRunner::new(1), 512);
+    let parallel = capture(target, &scale, &SweepRunner::new(2), 512);
+    (sequential == parallel, sequential)
 }
 
 /// Run `target`'s sweep with a [`MetricsProbe`] per point and merge the
@@ -206,24 +148,10 @@ pub fn collect_metrics(
     scale: &Scale,
     runner: &SweepRunner,
 ) -> MetricsRegistry {
-    let _span = wcc_obs::profile::global().span(&format!("metrics {}", target.label()));
-    let config = target.config();
-    let workloads = target.workloads(scale);
-    let points = grid(&workloads, scale);
-
-    let registries = runner.map(&points, |point| {
-        let mut probe = MetricsProbe::new();
-        Experiment::new(&workloads[point.workload])
-            .protocol(point.spec)
-            .config(config)
-            .probe(&mut probe)
-            .run();
-        probe.into_registry()
-    });
-
+    let (_, cells) = probed_sweep("metrics", target, scale, runner, MetricsProbe::new);
     let mut merged = MetricsRegistry::new();
-    for r in &registries {
-        merged.merge(r);
+    for (_, probe) in &cells {
+        merged.merge(probe.registry());
     }
     merged
 }
@@ -234,17 +162,22 @@ mod tests {
 
     #[test]
     fn targets_parse_both_spellings() {
-        assert_eq!(TraceTarget::parse("fig8"), Some(TraceTarget::Fig8));
-        assert_eq!(TraceTarget::parse("2"), Some(TraceTarget::Fig2));
+        let fig8 = TraceTarget::parse("fig8").expect("figure 8 sweeps");
+        assert_eq!(
+            (fig8.label().as_str(), fig8.data),
+            ("fig8", DataSet::Traced)
+        );
+        assert_eq!(TraceTarget::parse("2").map(|t| t.data), Some(DataSet::Base));
         assert_eq!(TraceTarget::parse("fig1"), None);
+        assert_eq!(TraceTarget::parse("fig9"), None);
         assert_eq!(TraceTarget::parse("nine"), None);
     }
 
     #[test]
     fn capture_is_identical_across_worker_counts() {
         let scale = smoke_scale();
-        let a = capture(TraceTarget::Fig4, &scale, &SweepRunner::new(1), 128);
-        let b = capture(TraceTarget::Fig4, &scale, &SweepRunner::new(4), 128);
+        let a = capture(TraceTarget::fig4(), &scale, &SweepRunner::new(1), 128);
+        let b = capture(TraceTarget::fig4(), &scale, &SweepRunner::new(4), 128);
         assert_eq!(a, b);
         assert!(a.starts_with("{\"trace\":\"fig4\","));
     }
@@ -253,7 +186,7 @@ mod tests {
     fn capture_reports_ring_drops_in_point_headers() {
         let scale = smoke_scale();
         // A 1-event ring drops almost everything; the headers must say so.
-        let doc = capture(TraceTarget::Fig4, &scale, &SweepRunner::new(1), 1);
+        let doc = capture(TraceTarget::fig4(), &scale, &SweepRunner::new(1), 1);
         let header = doc
             .lines()
             .find(|l| l.starts_with("{\"point\":"))
@@ -265,7 +198,7 @@ mod tests {
     #[test]
     fn metrics_see_the_whole_grid() {
         let scale = smoke_scale();
-        let m = collect_metrics(TraceTarget::Fig4, &scale, &SweepRunner::new(2));
+        let m = collect_metrics(TraceTarget::fig4(), &scale, &SweepRunner::new(2));
         // Every grid point replays every request; outcome counters must
         // sum to points × requests.
         let outcomes: u64 = [
@@ -279,7 +212,7 @@ mod tests {
         .iter()
         .map(|n| m.counter(n))
         .sum();
-        let wl = generate_synthetic(&scale.worrell, scale.seed);
+        let wl = crate::generate_synthetic(&scale.worrell, scale.seed);
         let points = (scale.alex_thresholds.len() + scale.ttl_hours.len() + 1) as u64;
         assert_eq!(outcomes, points * wl.requests.len() as u64);
     }

@@ -18,8 +18,8 @@
 
 use webtrace::campus::{generate_campus_trace, CampusProfile};
 
-use crate::experiments::{base::sweep_protocols, Scale, SimReport, Sweep};
-use crate::sim::{RunResult, SimConfig};
+use crate::experiments::{DataSet, Scale, SimReport, Sweep};
+use crate::sim::RunResult;
 use crate::sweep::SweepRunner;
 use crate::workload::Workload;
 
@@ -41,21 +41,27 @@ pub fn run_traced(scale: &Scale) -> TracedReport {
 /// [`run_traced`] with an explicit sweep executor. Traces are replayed in
 /// order; within each trace the parameter points fan over the runner.
 pub fn run_traced_with(scale: &Scale, runner: &SweepRunner) -> TracedReport {
-    let config = SimConfig::optimized();
-    let workloads: Vec<Workload> = CampusProfile::all()
+    let per_trace = DataSet::Traced.sweeps(scale, runner);
+    TracedReport {
+        averaged: average(&per_trace),
+        per_trace,
+    }
+}
+
+/// The three campus traces as workloads, subsampled to `scale`.
+pub(crate) fn campus_workloads(scale: &Scale) -> Vec<Workload> {
+    CampusProfile::all()
         .iter()
         .map(|p| {
             let campus = generate_campus_trace(p, scale.seed);
             Workload::from_server_trace(&campus.trace).subsample(scale.trace_subsample)
         })
-        .collect();
+        .collect()
+}
 
-    let per_trace: Vec<SimReport> = workloads
-        .iter()
-        .map(|wl| sweep_protocols(wl, scale, config, runner))
-        .collect();
-
-    let averaged = SimReport {
+/// The counter-merged average of the per-trace sweeps.
+pub(crate) fn average(per_trace: &[SimReport]) -> SimReport {
+    SimReport {
         name: "trace average (DAS+FAS+HCS)".to_string(),
         alex: merge_sweeps("Alex", per_trace.iter().map(|r| &r.alex).collect()),
         ttl: merge_sweeps("TTL", per_trace.iter().map(|r| &r.ttl).collect()),
@@ -66,11 +72,6 @@ pub fn run_traced_with(scale: &Scale, runner: &SweepRunner) -> TracedReport {
                 .map(|r| r.invalidation.clone())
                 .collect::<Vec<_>>(),
         ),
-    };
-
-    TracedReport {
-        per_trace,
-        averaged,
     }
 }
 

@@ -175,11 +175,6 @@ pub struct ProxyConfig {
     pub probe: ProbeHandle,
     /// Reactor (event-loop) threads serving the client listener.
     pub reactor_threads: usize,
-    /// Dispatch worker threads (0 is treated as 1). They carry out what
-    /// a request's decision deferred — upstream IO, single-flight
-    /// waits; the decision itself, and the whole of a fresh hit, runs
-    /// on the reactor thread.
-    pub dispatch_threads: usize,
     /// Concurrent client-connection cap; accepts beyond it are shed.
     pub max_conns: usize,
 }
@@ -206,15 +201,16 @@ impl ProxyConfig {
             bind: "127.0.0.1:0".to_string(),
             probe: ProbeHandle::none(),
             reactor_threads: 1,
-            dispatch_threads: DEFAULT_DISPATCH_THREADS,
             max_conns: crate::origin::DEFAULT_MAX_CONNS,
         }
     }
 }
 
-/// Default dispatch worker count. The workers are where upstream IO and
-/// single-flight waits happen; a handful of them keeps the reactor
-/// threads free to move bytes and answer hits.
+/// Dispatch worker count. The workers carry out what a request's
+/// decision deferred — upstream IO, single-flight waits; the decision
+/// itself, and the whole of a fresh hit, runs on the reactor thread. A
+/// handful of them keeps the reactor threads free to move bytes and
+/// answer hits.
 pub(crate) const DEFAULT_DISPATCH_THREADS: usize = 4;
 
 /// The counters a run accumulates, frozen at shutdown. For a sharded
@@ -933,7 +929,7 @@ impl LiveProxy {
             },
             ReactorConfig {
                 reactor_threads: config.reactor_threads,
-                dispatch_threads: config.dispatch_threads.max(1),
+                dispatch_threads: DEFAULT_DISPATCH_THREADS,
                 max_conns: config.max_conns,
                 budget_ticks: DEFAULT_READ_BUDGET_TICKS,
                 role: "proxy-data",

@@ -59,6 +59,13 @@ impl JsonObj {
         self
     }
 
+    /// A boolean member.
+    pub fn bool(&mut self, name: &str, value: bool) -> &mut Self {
+        self.key(name);
+        write!(self.buf, "{value}").expect("string formatting is infallible");
+        self
+    }
+
     /// A float member, emitted with enough precision for timings and
     /// rates. Non-finite values (never expected) become `null`.
     pub fn f64(&mut self, name: &str, value: f64) -> &mut Self {
@@ -165,12 +172,13 @@ mod tests {
         let inner = JsonObj::new().u64("a", 1).u64("b", 2).finish();
         let outer = JsonObj::new()
             .str("name", "x")
+            .bool("ok", true)
             .f64("rate", 0.5)
             .raw("inner", &inner)
             .finish();
         assert_eq!(
             outer,
-            r#"{"name":"x","rate":0.500000,"inner":{"a":1,"b":2}}"#
+            r#"{"name":"x","ok":true,"rate":0.500000,"inner":{"a":1,"b":2}}"#
         );
     }
 

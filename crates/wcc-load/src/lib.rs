@@ -42,5 +42,5 @@ pub use closed::{run_closed_loop, LoadReport};
 pub use driver::{
     plan_shots, run_open_loop, shots_from_arrivals, OpenLoopConfig, OpenLoopReport, Shot,
 };
-pub use replay::{replay_open_loop, shots_from_trace};
+pub use replay::{replay_open_loop, shots_from_trace, stack_spec};
 pub use schedule::{Arrival, ArrivalMode, ArrivalSchedule, ScheduleConfig};

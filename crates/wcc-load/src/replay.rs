@@ -15,9 +15,22 @@ use std::io;
 use liveserve::StackSpec;
 use simcore::SimTime;
 use wcc_obs::ProbeHandle;
+use webtrace::stream::StreamMeta;
 use webtrace::TraceRequest;
 
 use crate::driver::{run_open_loop, OpenLoopConfig, OpenLoopReport, Shot};
+
+/// The stack a streamed trace replays against: the stream's file set,
+/// classes and window, with no origin-assigned `Expires` lifetimes.
+pub fn stack_spec(meta: &StreamMeta) -> StackSpec {
+    StackSpec {
+        population: std::sync::Arc::clone(&meta.population),
+        classes: meta.classes.clone(),
+        class_expires: Vec::new(),
+        start: meta.start,
+        end: meta.end,
+    }
+}
 
 /// Map a virtual-time request stream onto wall-clock shots:
 /// `compression` virtual seconds replay per wall second. Arrival order

@@ -2,23 +2,13 @@
 //! record of a *streamed* source exactly once at any thread count, and
 //! the open-loop path must conserve every streamed record.
 
-use liveserve::{LivePolicy, LiveRunConfig, ProbeHandle, StackSpec};
-use wcc_load::{replay_open_loop, run_closed_loop, OpenLoopConfig};
+use liveserve::{LivePolicy, LiveRunConfig, ProbeHandle};
+use wcc_load::{replay_open_loop, run_closed_loop, stack_spec, OpenLoopConfig};
 use webtrace::campus::CampusProfile;
-use webtrace::stream::{synthetic_stream, StreamMeta, SyntheticStreamConfig};
+use webtrace::stream::{synthetic_stream, SyntheticStreamConfig};
 
 fn small_config() -> SyntheticStreamConfig {
     SyntheticStreamConfig::campus(&CampusProfile::das(), 2_000, 77)
-}
-
-fn spec_of(meta: &StreamMeta) -> StackSpec {
-    StackSpec {
-        population: meta.population.clone(),
-        classes: meta.classes.clone(),
-        class_expires: Vec::new(),
-        start: meta.start,
-        end: meta.end,
-    }
 }
 
 #[test]
@@ -28,7 +18,7 @@ fn three_clients_send_every_streamed_record_exactly_once() {
     run.threads = 3;
     // The stream is handed over as it is: nothing is collected first.
     let report = run_closed_loop(
-        &spec_of(&meta),
+        &stack_spec(&meta),
         stream.map(|r| (r.time, r.file)),
         &run,
         &ProbeHandle::none(),
@@ -46,7 +36,7 @@ fn three_clients_send_every_streamed_record_exactly_once() {
 #[test]
 fn open_loop_replay_conserves_every_streamed_record() {
     let (meta, stream) = synthetic_stream(&small_config());
-    let spec = spec_of(&meta);
+    let spec = stack_spec(&meta);
     let config = OpenLoopConfig::new(LiveRunConfig::new(LivePolicy::Ttl(24)), 0.0);
     // The campus window is ~a week of virtual time; compress hard so
     // the test replays in about a second.

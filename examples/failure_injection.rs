@@ -14,7 +14,7 @@
 //! cargo run --release --example failure_injection
 //! ```
 
-use wwwcache::consistency::{AdaptiveTtl, ExpiryPolicy};
+use wwwcache::consistency::AdaptiveTtl;
 use wwwcache::originserver::RetryQueue;
 use wwwcache::proxycache::EntryMeta;
 use wwwcache::simcore::{CacheId, FileId, SimDuration, SimTime};

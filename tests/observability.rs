@@ -22,21 +22,22 @@ fn tiny_scale() -> Scale {
 #[test]
 fn trace_capture_is_byte_identical_at_every_worker_count() {
     let scale = tiny_scale();
-    let reference = capture(TraceTarget::Fig4, &scale, &SweepRunner::new(1), 256);
+    let reference = capture(TraceTarget::fig4(), &scale, &SweepRunner::new(1), 256);
     for jobs in [2, 8] {
-        let doc = capture(TraceTarget::Fig4, &scale, &SweepRunner::new(jobs), 256);
+        let doc = capture(TraceTarget::fig4(), &scale, &SweepRunner::new(jobs), 256);
         assert_eq!(reference, doc, "jobs={jobs}: capture bytes diverged");
     }
     // And across two identical runs of the same configuration.
-    let again = capture(TraceTarget::Fig4, &scale, &SweepRunner::new(1), 256);
+    let again = capture(TraceTarget::fig4(), &scale, &SweepRunner::new(1), 256);
     assert_eq!(reference, again, "re-run diverged");
 }
 
 #[test]
 fn trace_capture_covers_the_campus_figures_too() {
     let scale = tiny_scale();
-    let a = capture(TraceTarget::Fig8, &scale, &SweepRunner::new(1), 64);
-    let b = capture(TraceTarget::Fig8, &scale, &SweepRunner::new(4), 64);
+    let fig8 = TraceTarget::parse("fig8").expect("figure 8 sweeps");
+    let a = capture(fig8, &scale, &SweepRunner::new(1), 64);
+    let b = capture(fig8, &scale, &SweepRunner::new(4), 64);
     assert_eq!(a, b);
     assert!(a.starts_with("{\"trace\":\"fig8\",\"workloads\":3,"));
 }
@@ -58,8 +59,8 @@ fn identical_runs_export_identical_probe_buffers() {
 #[test]
 fn metrics_render_deterministically() {
     let scale = tiny_scale();
-    let a = collect_metrics(TraceTarget::Fig4, &scale, &SweepRunner::new(1));
-    let b = collect_metrics(TraceTarget::Fig4, &scale, &SweepRunner::new(4));
+    let a = collect_metrics(TraceTarget::fig4(), &scale, &SweepRunner::new(1));
+    let b = collect_metrics(TraceTarget::fig4(), &scale, &SweepRunner::new(4));
     assert_eq!(a.render_counters(), b.render_counters());
     assert_eq!(a.render_histograms(), b.render_histograms());
     assert!(a.counter("request.fresh_hit") > 0);

@@ -802,6 +802,15 @@ fn cmd_soak(a: &Flags) -> Result<(), String> {
     report
         .verify()
         .unwrap_or_else(|problems| fail("soak: invariants violated", problems));
+    // This process runs nothing but the soak, so its thread count is
+    // exact, not merely small.
+    let (threads, expected) = (report.process_threads, report.expected_threads());
+    if threads != 0 && threads != expected {
+        fail(
+            "soak: invariants violated",
+            format_args!("{threads} OS threads, expected {expected}"),
+        );
+    }
     Ok(())
 }
 

@@ -26,6 +26,53 @@ use crate::netio::{log_conn_error, MAX_FRAME, READ_CHUNK};
 /// Largest write-buffer capacity an idle connection keeps.
 const WBUF_RETAIN: usize = 64 * 1024;
 
+/// Read a nonblocking `stream` to `WouldBlock` (as edge-triggered
+/// readiness requires), appending to `buf` — unless that would grow it
+/// past `cap`, which is an error. `Ok(true)` means the peer hung up.
+pub(crate) fn read_available(
+    mut stream: &TcpStream,
+    buf: &mut Vec<u8>,
+    cap: usize,
+) -> io::Result<bool> {
+    let mut chunk = [0u8; READ_CHUNK];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => return Ok(true),
+            Ok(n) if buf.len().saturating_add(n) > cap => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "frame exceeds its cap without parsing",
+                ))
+            }
+            // wcc-allow: r5 growth capped by the arm above
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Write `buf[*pos..]` to a nonblocking `stream` until it is all out
+/// (`Ok(true)`) or the socket takes no more (`Ok(false)`: the rest goes
+/// on the next writable edge).
+pub(crate) fn write_pending(
+    mut stream: &TcpStream,
+    buf: &[u8],
+    pos: &mut usize,
+) -> io::Result<bool> {
+    while *pos < buf.len() {
+        match stream.write(&buf[*pos..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => *pos += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
+}
+
 /// Why a frame could not be completed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FrameError {
@@ -45,7 +92,8 @@ enum ReadState {
 
 /// Incremental request framing over a growing byte buffer.
 ///
-/// `push` appends raw socket bytes; `next_request` yields at most one
+/// The reactor reads raw socket bytes into `buf` ([`read_available`],
+/// capped at `MAX_FRAME`); `next_request` yields at most one
 /// complete request per call, leaving pipelined bytes in place. A
 /// declared `Content-Length` body is buffered and discarded (requests
 /// in this protocol carry none, but a torn body must not desync the
@@ -61,15 +109,6 @@ impl FrameBuf {
             buf: Vec::new(),
             state: ReadState::Head,
         }
-    }
-
-    /// Append raw bytes, enforcing the `MAX_FRAME` buffer cap.
-    pub(crate) fn push(&mut self, bytes: &[u8]) -> Result<(), FrameError> {
-        if self.buf.len().saturating_add(bytes.len()) > MAX_FRAME {
-            return Err(FrameError::Oversize);
-        }
-        self.buf.extend_from_slice(bytes);
-        Ok(())
     }
 
     /// Whether any unconsumed bytes are buffered.
@@ -190,27 +229,16 @@ impl Conn {
     /// Readable readiness: drain the socket into the frame buffer, then
     /// (when not mid-dispatch/mid-write) try to complete a request.
     pub(crate) fn on_readable(&mut self, role: &str) -> ConnEvent {
-        let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.peer_eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.stall_ticks = 0;
-                    // wcc-allow: r5 FrameBuf::push enforces the MAX_FRAME cap
-                    if self.frames.push(&chunk[..n]).is_err() {
-                        return ConnEvent::Close(ConnCloseReason::Error);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    log_conn_error(role, &e);
-                    return ConnEvent::Close(ConnCloseReason::Error);
-                }
+        let had = self.frames.buf.len();
+        match read_available(&self.stream, &mut self.frames.buf, MAX_FRAME) {
+            Ok(eof) => self.peer_eof |= eof,
+            Err(e) => {
+                log_conn_error(role, &e);
+                return ConnEvent::Close(ConnCloseReason::Error);
             }
+        }
+        if self.frames.buf.len() > had {
+            self.stall_ticks = 0;
         }
         match self.state {
             ConnState::Reading => self.scan(),
@@ -263,35 +291,32 @@ impl Conn {
         if !matches!(self.state, ConnState::Writing) {
             return ConnEvent::Idle; // spurious writable edge
         }
-        loop {
-            if self.wpos == self.wbuf.len() {
-                // Keep the buffer for the next response, unless a large
-                // body grew it: 10 000 idle keep-alives must not each
-                // pin their biggest response.
-                if self.wbuf.capacity() > WBUF_RETAIN {
-                    self.wbuf = Vec::new();
-                } else {
-                    self.wbuf.clear();
-                }
-                self.wpos = 0;
-                self.state = ConnState::Reading;
-                self.stall_ticks = 0;
-                return self.scan();
+        let had = self.wpos;
+        let drained = match write_pending(&self.stream, &self.wbuf, &mut self.wpos) {
+            Ok(drained) => drained,
+            Err(e) => {
+                log_conn_error(role, &e);
+                return ConnEvent::Close(ConnCloseReason::Error);
             }
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => return ConnEvent::Close(ConnCloseReason::Error),
-                Ok(n) => {
-                    self.wpos += n;
-                    self.stall_ticks = 0;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ConnEvent::Idle,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    log_conn_error(role, &e);
-                    return ConnEvent::Close(ConnCloseReason::Error);
-                }
-            }
+        };
+        if self.wpos > had {
+            self.stall_ticks = 0;
         }
+        if !drained {
+            return ConnEvent::Idle;
+        }
+        // Keep the buffer for the next response, unless a large body
+        // grew it: 10 000 idle keep-alives must not each pin their
+        // biggest response.
+        if self.wbuf.capacity() > WBUF_RETAIN {
+            self.wbuf = Vec::new();
+        } else {
+            self.wbuf.clear();
+        }
+        self.wpos = 0;
+        self.state = ConnState::Reading;
+        self.stall_ticks = 0;
+        self.scan()
     }
 
     /// One poll tick elapsed. The budget counts only while the peer
@@ -329,10 +354,10 @@ mod tests {
         let wire = get("/a/doc");
         let mut fb = FrameBuf::new();
         let split = wire.len() - 4;
-        fb.push(&wire[..split]).unwrap();
+        fb.buf.extend_from_slice(&wire[..split]);
         assert!(fb.next_request().unwrap().is_none());
         assert!(fb.mid_frame());
-        fb.push(&wire[split..]).unwrap();
+        fb.buf.extend_from_slice(&wire[split..]);
         let req = fb.next_request().unwrap().expect("complete request");
         assert_eq!(req.path, "/a/doc");
         assert!(!fb.has_buffered());
@@ -343,13 +368,13 @@ mod tests {
     fn body_split_across_reads_is_discarded() {
         let wire = b"GET /x HTTP/1.0\r\nContent-Length: 10\r\n\r\n".to_vec();
         let mut fb = FrameBuf::new();
-        fb.push(&wire).unwrap();
+        fb.buf.extend_from_slice(&wire);
         // Head complete, body missing: not a request yet.
         assert!(fb.next_request().unwrap().is_none());
         assert!(fb.mid_frame());
-        fb.push(b"01234").unwrap();
+        fb.buf.extend_from_slice(b"01234");
         assert!(fb.next_request().unwrap().is_none());
-        fb.push(b"56789").unwrap();
+        fb.buf.extend_from_slice(b"56789");
         let req = fb.next_request().unwrap().expect("complete request");
         assert_eq!(req.path, "/x");
         // Body consumed with the frame; buffer is clean for keep-alive.
@@ -362,7 +387,7 @@ mod tests {
         let mut wire = get("/one");
         wire.extend_from_slice(&get("/two"));
         let mut fb = FrameBuf::new();
-        fb.push(&wire).unwrap();
+        fb.buf.extend_from_slice(&wire);
         assert_eq!(fb.next_request().unwrap().unwrap().path, "/one");
         assert!(fb.has_buffered());
         assert_eq!(fb.next_request().unwrap().unwrap().path, "/two");
@@ -374,7 +399,7 @@ mod tests {
         let mut wire = get("/ok");
         wire.extend_from_slice(b"NONSENSE WITHOUT A VERSION\r\n\r\n");
         let mut fb = FrameBuf::new();
-        fb.push(&wire).unwrap();
+        fb.buf.extend_from_slice(&wire);
         assert_eq!(fb.next_request().unwrap().unwrap().path, "/ok");
         assert_eq!(fb.next_request().unwrap_err(), FrameError::Malformed);
     }
@@ -382,8 +407,8 @@ mod tests {
     #[test]
     fn unparseable_content_length_is_malformed() {
         let mut fb = FrameBuf::new();
-        fb.push(b"GET /x HTTP/1.0\r\nContent-Length: ten\r\n\r\n")
-            .unwrap();
+        fb.buf
+            .extend_from_slice(b"GET /x HTTP/1.0\r\nContent-Length: ten\r\n\r\n");
         assert_eq!(fb.next_request().unwrap_err(), FrameError::Malformed);
     }
 
@@ -394,14 +419,51 @@ mod tests {
             "GET /x HTTP/1.0\r\nContent-Length: {}\r\n\r\n",
             MAX_FRAME + 1
         );
-        fb.push(wire.as_bytes()).unwrap();
+        fb.buf.extend_from_slice(wire.as_bytes());
         assert_eq!(fb.next_request().unwrap_err(), FrameError::Oversize);
     }
 
     #[test]
-    fn oversize_buffer_is_rejected_at_push() {
-        let mut fb = FrameBuf::new();
-        fb.push(&vec![b'x'; MAX_FRAME]).unwrap();
-        assert_eq!(fb.push(b"y").unwrap_err(), FrameError::Oversize);
+    fn reads_stop_at_the_cap_and_writes_at_wouldblock() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let ours = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut theirs, _) = listener.accept().unwrap();
+        ours.set_nonblocking(true).unwrap();
+
+        // Nothing yet, then eight bytes, then one too many for the cap.
+        let mut buf = Vec::new();
+        assert!(!read_available(&ours, &mut buf, 8).unwrap());
+        theirs.write_all(b"12345678").unwrap();
+        while buf.len() < 8 {
+            assert!(!read_available(&ours, &mut buf, 8).unwrap());
+        }
+        theirs.write_all(b"9").unwrap();
+        let over = loop {
+            match read_available(&ours, &mut buf, 8) {
+                Ok(_) => std::thread::yield_now(),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(over.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(buf, b"12345678");
+        // (Taken with room for it, so the socket closes clean below.)
+        assert!(!read_available(&ours, &mut buf, 9).unwrap());
+
+        // A peer that does not read fills the socket: the write stops
+        // short, and picks up where it left off once there is room.
+        let big = vec![7u8; 8 << 20];
+        let mut pos = 0;
+        assert!(!write_pending(&ours, &big, &mut pos).unwrap());
+        assert!(pos > 0 && pos < big.len());
+        let reader = std::thread::spawn(move || {
+            let mut sink = Vec::new();
+            theirs.read_to_end(&mut sink).unwrap();
+            sink.len()
+        });
+        while !write_pending(&ours, &big, &mut pos).unwrap() {
+            std::thread::yield_now();
+        }
+        drop(ours);
+        assert_eq!(reader.join().unwrap(), big.len());
     }
 }

@@ -1,6 +1,6 @@
 //! The invalidation control channel's line protocol.
 //!
-//! Each proxy keeps one persistent TCP connection to the origin's
+//! Each proxy shard keeps one persistent TCP connection to the origin's
 //! control port, carrying newline-delimited ASCII messages in both
 //! directions:
 //!
@@ -13,6 +13,10 @@
 //! sequencing point: once the origin has the `ACK` for an invalidation,
 //! the proxy has already marked its copy invalid, mirroring the
 //! simulator's assumption that invalidation callbacks are instantaneous.
+//!
+//! [`ControlMsg`] is the protocol; [`LineConn`] and [`write_msg`] are
+//! the origin's blocking end of it. The proxy's end is nonblocking and
+//! lives with the rest of a shard's sockets (`upstream`).
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -21,7 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Hard cap on one control line. Paths are short; a peer that streams
 /// this much without a newline is broken or hostile, and the channel is
 /// closed instead of buffering without bound.
-const MAX_LINE: usize = 64 * 1024;
+pub(crate) const MAX_LINE: usize = 64 * 1024;
 
 /// A newline-delimited message-framed view of a control stream.
 #[derive(Debug)]

@@ -5,7 +5,7 @@
 //! loopback or a LAN, with real HTTP/1.0 wire bytes, real concurrency,
 //! and real connection management:
 //!
-//! * [`LiveOrigin`] — a multi-threaded origin server backed by an
+//! * [`LiveOrigin`] — an origin server backed by an
 //!   `originserver::FilePopulation`. Serves bodies, answers
 //!   `If-Modified-Since` with `304 Not Modified`, stamps
 //!   `Last-Modified`/`Expires`, and pushes invalidation notices to
@@ -15,10 +15,11 @@
 //!   single-threaded run is counter-for-counter equivalent to
 //!   `webcache::run` (the differential test in the workspace root pins
 //!   this). Cache state is sharded by [`shard_for`]: each shard owns its
-//!   own mutex, engine, bounded keep-alive [`UpstreamPool`], and invalidation
-//!   control connection, and concurrent misses for one file coalesce
-//!   into a single upstream fetch. One shard degenerates to the classic
-//!   single-lock topology, so the differential guarantee is untouched.
+//!   own mutex and engine, and has its own bounded set of keep-alive
+//!   origin connections and its own invalidation control connection,
+//!   and concurrent misses for one file coalesce into a single upstream
+//!   fetch. One shard degenerates to the classic single-lock topology,
+//!   so the differential guarantee is untouched.
 //! * [`LiveStack`] — the two on loopback sharing one virtual clock,
 //!   described by a [`StackSpec`] and a [`LiveRunConfig`]; `shutdown`
 //!   returns the [`StackCounters`] every load report embeds. The load
@@ -26,13 +27,17 @@
 //!   `wcc-load`; [`HttpConn::get_ok`] is the one client exchange they
 //!   and the connection soak ([`run_soak`]) share.
 //!
-//! The origin and proxy **data paths** run on a hand-rolled nonblocking
-//! epoll reactor (`--reactor-threads` event loops, each owning an epoll
-//! instance and a slab of per-connection state machines), so one process
-//! sustains 10k+ concurrently open connections; control channels and
-//! client connections stay blocking `std::net` threads (the build
-//! environment has no async runtime, and none is needed). See
-//! `DESIGN.md` §8 for the thread model and §12 for the reactor.
+//! The origin's data path and the whole of the proxy — client sockets,
+//! origin connections, control channels — run on a hand-rolled
+//! nonblocking epoll reactor (`--reactor-threads` event loops, each
+//! owning an epoll instance, a slab of per-connection state machines and
+//! the upstream sockets of the shards assigned to it), and no reactor
+//! thread ever blocks: one process sustains 10k+ concurrently open
+//! connections, and a request waiting on the origin is a continuation
+//! parked on a socket, not a thread. The origin's control port and the
+//! client side ([`HttpConn`]: load drivers, tests, the benchmark) stay
+//! blocking `std::net` (the build environment has no async runtime, and
+//! none is needed). See `DESIGN.md` §8.
 
 // `deny`, not `forbid`: the single `sys` module scopes an `allow` for
 // the raw epoll/eventfd syscall declarations (the vendored-only policy
@@ -46,18 +51,17 @@ mod control;
 mod loadgen;
 mod netio;
 mod origin;
-mod pool;
 mod proxy;
 mod reactor;
 pub mod report;
 mod soak;
 mod sys;
+mod upstream;
 
 pub use clock::LiveClock;
 pub use loadgen::{LiveRunConfig, LiveStack, LiveWorkload, StackCounters, StackSpec};
 pub use netio::HttpConn;
 pub use origin::{LiveOrigin, OriginConfig};
-pub use pool::{is_pool_saturated, PoolSaturated, UpstreamPool};
 pub use proxy::{
     shard_for, DelaySource, LivePolicy, LiveProxy, ProxyConfig, ProxySnapshot, StoreKind,
 };

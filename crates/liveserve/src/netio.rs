@@ -1,4 +1,4 @@
-//! Framed HTTP/1.0 connections.
+//! Framed HTTP/1.0 connections, blocking.
 //!
 //! Both sides of every data connection (client→proxy, proxy→origin)
 //! speak HTTP/1.0 with implicit keep-alive: the connection persists
@@ -6,11 +6,13 @@
 //! framing (`304`/`404` carry no body), so a reader never depends on EOF
 //! to find a message boundary. [`HttpConn`] wraps a `TcpStream` with the
 //! read buffer that framing requires, feeding `httpsim`'s incremental
-//! `from_bytes` parsers.
+//! `from_bytes` parsers. It is the *client-side* connection — what the
+//! load drivers, the tests and the benchmark talk to the stack with;
+//! the servers' own sockets are the reactor's (`conn`, `upstream`).
 //!
-//! Server-side reads poll a shutdown flag: accepted sockets get a short
-//! read timeout, so a worker blocked on an idle persistent connection
-//! notices shutdown within one timeout tick.
+//! Server-side reads (test origins) poll a shutdown flag: sockets get a
+//! short read timeout, so a thread blocked on an idle persistent
+//! connection notices shutdown within one timeout tick.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -18,8 +20,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use httpsim::{Request, Response, Status};
-
-use crate::sys::peek_would_block;
 
 /// Read-timeout granularity for server-side connections; bounds how long
 /// shutdown can lag.
@@ -61,7 +61,7 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-fn invalid<E: std::fmt::Display>(e: E) -> io::Error {
+pub(crate) fn invalid<E: std::fmt::Display>(e: E) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
@@ -91,16 +91,6 @@ impl HttpConn {
     /// The underlying stream.
     pub fn stream(&self) -> &TcpStream {
         &self.stream
-    }
-
-    /// Whether the peer has already closed (or broken) this idle
-    /// keep-alive connection. An idle upstream owes us nothing, so a
-    /// nonblocking 1-byte peek seeing EOF, an error, or *any* byte
-    /// means the connection is unusable; `WouldBlock` means healthy.
-    /// One `recv`, non-destructive for a healthy connection.
-    pub(crate) fn peer_gone(&self) -> bool {
-        // Leftover unparsed bytes are a protocol desync.
-        !self.rbuf.is_empty() || !peek_would_block(&self.stream)
     }
 
     /// Pull more bytes off the socket into the frame buffer. `Ok(0)`

@@ -37,7 +37,7 @@ use wcc_sync::RankedMutex;
 use crate::clock::{sim_instant, wall_date, LiveClock};
 use crate::control::{write_msg, ControlMsg, LineConn};
 use crate::netio::{log_conn_error, DEFAULT_READ_BUDGET_TICKS, POLL_TICK};
-use crate::reactor::{Dispatch, Reactor, ReactorConfig, Step};
+use crate::reactor::{Arrived, Dispatch, Reactor, ReactorConfig, Step, Ticket, Work};
 
 /// Configuration for [`LiveOrigin::spawn`].
 #[derive(Debug, Clone)]
@@ -321,22 +321,27 @@ impl OriginShared {
 
 /// The origin's reactor dispatcher: `respond` is pure in-memory
 /// accounting (no IO, no blocking waits), so `begin` finishes every
-/// request on the reactor thread and there is nothing to defer.
+/// request on the reactor thread and there is nothing to park.
 struct OriginDispatch {
     shared: Arc<OriginShared>,
 }
 
 impl Dispatch for OriginDispatch {
-    type Deferred = Infallible;
+    type Parked = Infallible;
 
-    fn begin(&self, req: Request) -> Step<Infallible> {
+    fn begin(&self, _ticket: Ticket, req: Request) -> Step<Infallible> {
         let now = self.shared.clock.now();
         let (resp, body) = self.shared.respond(&req, now);
         Step::Done(resp, Arc::new(body))
     }
 
-    fn finish(&self, deferred: Infallible) -> io::Result<Step<Infallible>> {
-        match deferred {}
+    fn resume(
+        &self,
+        parked: Infallible,
+        _arrived: io::Result<Arrived>,
+        _woken: &mut Work<Infallible>,
+    ) -> Step<Infallible> {
+        match parked {}
     }
 }
 
@@ -430,15 +435,15 @@ impl LiveOrigin {
         });
 
         // The data path runs on the epoll reactor; `OriginDispatch`
-        // never defers, so there is no worker pool.
+        // never parks, so it has no upstreams.
         let reactor = Reactor::spawn(
             data_listener,
             OriginDispatch {
                 shared: Arc::clone(&shared),
             },
+            Vec::new(),
             ReactorConfig {
                 reactor_threads: config.reactor_threads,
-                dispatch_threads: 0,
                 max_conns: config.max_conns,
                 budget_ticks: DEFAULT_READ_BUDGET_TICKS,
                 role: "origin-data",

@@ -9,60 +9,62 @@
 //! [`AnyStore`], conditional retrieval), so a single-threaded replay
 //! produces identical counters; this module is the engine's live
 //! transport, and what only a live cache has: bodies, single-flight,
-//! the names table, the control channel, the upstream pool.
+//! the names table, and the sequence of exchanges a request goes
+//! through. It touches no socket: it is a [`Dispatch`]er, every method
+//! of which runs on a reactor thread, in memory, and *returns* what it
+//! wants from the origin as a [`Step`] the reactor carries out.
 //!
 //! **Sharding.** Cache state is split into `shards` independent
-//! [`Shard`]s, routed by [`shard_for`] (`FileId` index modulo the shard
-//! count). Each shard owns its own mutex, its own store and policy
-//! instance, its own bounded [`UpstreamPool`] of keep-alive origin
-//! connections, and — under the invalidation mechanism — its own
-//! persistent control connection, so the proxy scales with cores
-//! instead of serializing on one global lock and one origin socket.
-//! Requests for different files on different shards never contend; the
-//! run's totals are the merge of the per-shard counters. With one shard
-//! the topology degenerates to exactly the pre-sharding proxy, which is
-//! what keeps the single-threaded differential test counter-exact.
+//! [`CacheState`]s, routed by [`shard_for`] (`FileId` index modulo the
+//! shard count), each behind its own mutex with its own store and
+//! policy instance. Each shard also has its own bounded set of
+//! keep-alive origin connections and — under the invalidation
+//! mechanism — its own persistent control connection, all owned by one
+//! reactor thread (`upstream::ShardIo`). Requests for different files
+//! on different shards never contend; the run's totals are the merge of
+//! the per-shard counters. With one shard and one reactor thread the
+//! topology degenerates to a single lock, a single thread and no
+//! hand-off at all, which is what keeps the single-threaded
+//! differential test counter-exact.
+//!
+//! **A request's path.** [`Dispatch::begin`] decides, once, under the
+//! shard lock: resolve, hand the request to the engine (the one store
+//! touch, the one policy decision, the classification), and register a
+//! single-flight fetch if this request is to lead one. A fresh hit is
+//! answered right there. Anything else parks a [`Parked`] continuation
+//! on an upstream exchange, and [`Dispatch::resume`] moves it one stage
+//! along each time an answer arrives:
+//!
+//! | stage | sent | on the answer |
+//! |-------|------|---------------|
+//! | `Validating` | `GET` + `If-Modified-Since` | `304`: apply, serve the cached body (entry lost meanwhile: refetch, on the same socket). Otherwise as `Fetching`. |
+//! | `Fetching` | `GET` | If the reply will insert a new entry under invalidation → `Subscribing`, else apply it → `Unsubscribing` or done. |
+//! | `Subscribing` | `SUBSCRIBE` | `OK`: apply the reply held since (exactly where the simulator subscribes: before the insert). |
+//! | `Unsubscribing` | `UNSUBSCRIBE` × evicted victims | every `OK` in: respond. |
+//!
+//! The response is released only after every control command the
+//! request issued is acknowledged, which makes the control channel a
+//! sequencing point and single-connection runs counter-exact.
 //!
 //! **Single-flight.** Concurrent misses for the same file coalesce: the
-//! first request registers the file as in flight and fetches; followers
-//! wait on the shard's condvar and are decided once the fetch concludes,
-//! finding the freshly inserted copy. One cold file under a thundering
-//! herd costs one
-//! upstream fetch, and the delayed-hit window is first-class instead of
-//! N duplicate transfers.
+//! first request registers the file as in flight and fetches; requests
+//! that find it registered join the flight's wait-list undecided. When
+//! the leader concludes — answered or failed, on any path — the
+//! wait-list is decided in arrival order: normally all hits on the
+//! copy just inserted; after a failure the first becomes the next
+//! leader and the rest wait on that. One cold file under a thundering
+//! herd costs one upstream fetch, and the delayed-hit window is
+//! first-class instead of N duplicate transfers.
 //!
-//! Under the invalidation policy each shard keeps one persistent
-//! control connection to the origin: it subscribes before inserting an
-//! entry (exactly where the simulator calls `subscribe`), unsubscribes
-//! evicted victims, and a dedicated reader thread applies `INVALIDATE`
-//! notices (marking resident entries invalid) before acknowledging.
-//! A file's subscriptions always travel over its owning shard's
-//! channel, so subscribe-before-insert and victim-unsubscribe ordering
-//! are preserved per shard.
-//!
-//! **Two phases, decided once.** Every request is decided in
-//! [`ProxyShared::begin`], on the reactor thread that framed it, under
-//! the shard lock: resolve, hand the request to the engine (the one
-//! store touch, the one policy decision, the classification), and
-//! register a single-flight fetch if this request is to lead one. A
-//! fresh hit is answered right there. What
-//! needs the origin — a miss, a validation, an uncacheable forward, a
-//! wait on another request's fetch — travels to a dispatch worker as a
-//! [`Deferred`] carrying the decision and the `now`/`file`/`class` it
-//! was taken with, and [`ProxyShared::finish`] carries it out without
-//! deciding again, so probe events and counters happen exactly once.
-//!
-//! Locking: a shard's mutex guards that shard's state (engine + bodies)
-//! and is only ever held for in-memory work — which is what lets the
-//! reactor thread take it. Workers take the decided entry, talk to the
-//! origin with the lock released, then re-lock to apply the reply.
+//! Locking: a shard's mutex guards that shard's state (engine, bodies,
+//! flights) and is only ever held for in-memory work, which is what
+//! lets any reactor thread take it.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::{self, JoinHandle};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use consistency::{Effect, Engine, LinkModel, Reply, RetrievalMode};
 use httpsim::{Request, Response, Status};
@@ -70,45 +72,27 @@ use originserver::FilePopulation;
 use proxycache::{AnyStore, EntryMeta};
 use simcore::{CacheStats, FileId, SimDuration, SimTime, TrafficMeter};
 use wcc_obs::{ObsEvent, ProbeHandle};
-use wcc_sync::{RankedCondvar, RankedGuard, RankedMutex};
+use wcc_sync::RankedMutex;
 
 use crate::clock::{sim_instant, wall_date, LiveClock};
-use crate::control::{write_msg, ControlMsg, LineConn};
-use crate::netio::{log_conn_error, HttpConn, DEFAULT_READ_BUDGET_TICKS, POLL_TICK};
-use crate::pool::UpstreamPool;
-use crate::reactor::{Dispatch, Reactor, ReactorConfig, Step};
-
-/// Keep-alive origin connections per shard. Misses and validations are
-/// a minority of requests once the cache warms, so a few pooled sockets
-/// per shard absorb them without the one-conn-per-client sprawl.
-const UPSTREAM_CONNS_PER_SHARD: usize = 4;
+use crate::control::ControlMsg;
+use crate::netio::{invalid, DEFAULT_READ_BUDGET_TICKS};
+use crate::reactor::{Arrived, Dispatch, Reactor, ReactorConfig, Step, Ticket, Work};
+use crate::upstream::Upstream;
 
 /// Rank of the dynamic path⇄id table: taken before any shard state lock
-/// (`resolve` runs at request entry — on the reactor thread — with
-/// nothing else held).
+/// (`resolve` runs at request entry with nothing else held).
 // wcc-lock-rank: proxy.dynamic_names 55
 const DYNAMIC_NAMES_RANK: u32 = 55;
 
-/// Rank of a shard's cache-state mutex. Below the upstream pool (75) —
-/// never hold state across a checkout — and below the probe leaf (95).
-/// Reactor threads take it in `begin` with nothing else held.
+/// Rank of a shard's cache-state mutex, below only the probe leaf (95).
+/// Reactor threads take it with nothing else held.
 // wcc-lock-rank: proxy.state 60
 const STATE_RANK: u32 = 60;
 
-/// Rank of a shard's control-channel writer. Above state: the control
-/// reader applies an invalidation under the state lock, drops it, then
-/// takes the writer to ACK.
-// wcc-lock-rank: proxy.control.writer 65
-const CONTROL_WRITER_RANK: u32 = 65;
-
-/// Rank of a shard's `OK` receiver; taken after the writer in
-/// `control_roundtrip`, never with state held.
-// wcc-lock-rank: proxy.control.ok_rx 70
-const CONTROL_OK_RANK: u32 = 70;
-
 /// The shard owning `file`: a pure function of the id and the shard
-/// count, so every thread (request workers, control readers) routes a
-/// file to the same state without coordination.
+/// count, so every reactor thread routes a file to the same state (and
+/// to the thread that owns its shard's sockets) without coordination.
 pub fn shard_for(file: FileId, shards: usize) -> usize {
     file.index() % shards.max(1)
 }
@@ -206,13 +190,6 @@ impl ProxyConfig {
     }
 }
 
-/// Dispatch worker count. The workers carry out what a request's
-/// decision deferred — upstream IO, single-flight waits; the decision
-/// itself, and the whole of a fresh hit, runs on the reactor thread. A
-/// handful of them keeps the reactor threads free to move bytes and
-/// answer hits.
-pub(crate) const DEFAULT_DISPATCH_THREADS: usize = 4;
-
 /// The counters a run accumulates, frozen at shutdown. For a sharded
 /// proxy this is the merge of every shard's counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -246,20 +223,18 @@ struct CacheState {
     /// The entity bytes of exactly the entries resident in the engine's
     /// store: the two change together, under this lock.
     bodies: HashMap<FileId, Arc<Vec<u8>>>,
-    /// Files with a single-flight upstream fetch in progress; requests
-    /// for these wait on the shard condvar and are decided afterwards.
-    in_flight: HashSet<FileId>,
+    /// Files with a single-flight upstream fetch in progress, each with
+    /// the requests that arrived meanwhile; they are decided when the
+    /// flight lands. Bounded by the client-connection cap.
+    in_flight: HashMap<FileId, Vec<Waiter>>,
     invalidations_delivered: u64,
 }
 
-/// One cache shard: its state lock, the condvar miss-coalescing waits
-/// on, its upstream pool, and (under invalidation) its control channel.
-struct Shard {
-    state: RankedMutex<CacheState>,
-    /// Signalled whenever `in_flight` shrinks.
-    flights: RankedCondvar,
-    pool: UpstreamPool,
-    control: Option<ControlHandle>,
+/// A request waiting, undecided, on another's fetch of its file.
+struct Waiter {
+    ticket: Ticket,
+    asked: Asked,
+    path: String,
 }
 
 /// Path ⇄ id mapping. Ground-truth paths are prefilled into an
@@ -271,16 +246,8 @@ struct Names {
     paths: Vec<String>,
 }
 
-/// A shard's half of its control channel: commands go out through the
-/// shared writer; the reader thread forwards `OK`s to whichever
-/// subscriber is waiting.
-struct ControlHandle {
-    writer: RankedMutex<TcpStream>,
-    ok_rx: RankedMutex<mpsc::Receiver<()>>,
-}
-
 struct ProxyShared {
-    shards: Vec<Shard>,
+    shards: Vec<RankedMutex<CacheState>>,
     static_names: Names,
     dynamic_names: RankedMutex<Names>,
     classes: Vec<usize>,
@@ -290,7 +257,6 @@ struct ProxyShared {
     ground_truth: Option<Arc<FilePopulation>>,
     clock: LiveClock,
     probe: ProbeHandle,
-    shutdown: AtomicBool,
 }
 
 /// What a client asked for, and the instant its decision is taken at.
@@ -301,62 +267,38 @@ struct Asked {
     now: SimTime,
 }
 
-/// A request `begin` could not answer, with its decision taken and
-/// everything that decision was taken with.
-struct Deferred {
+/// A decided request between two answers from the origin.
+struct Parked {
+    req: Decided,
+    stage: Stage,
+}
+
+/// What a parked request carries through every stage.
+struct Decided {
     asked: Asked,
     path: String,
-    work: Work,
+    /// This request leads its file's flight: whoever waits on it is
+    /// decided when it concludes.
+    leads: bool,
+    /// Wire size of the HTTP request last sent for it.
+    sent: u64,
 }
 
-/// What a deferred request still has to do: the engine's effects that
-/// reach the origin, plus the single-flight wait.
-enum Work {
-    /// Uncacheable class: forward, never cache — and never coalesce:
-    /// every uncacheable request is its own upstream exchange, exactly
-    /// as the simulator counts them.
-    Forward,
-    /// No usable copy (compulsory miss, or known stale under
-    /// invalidation/eager): unconditional GET. This request leads the
-    /// file's flight, registered when it was decided.
-    FetchFull(FlightGuard),
-    /// Possibly stale timed-out copy: conditional GET against its
-    /// `Last-Modified`.
-    Validate(EntryMeta),
-    /// Another request's fetch of this file is in flight: wait for it
-    /// to conclude, then decide.
-    AwaitFlight,
-}
-
-/// One evaluation of a request under the shard lock.
-enum Evaluated<'a> {
-    /// Fresh (and valid) local copy, classified and counted: serve it.
-    Serve(Response, Arc<Vec<u8>>),
-    /// Decided, probe events recorded; the origin is needed.
-    Defer(Work),
-    /// Nothing decided — a flight for the file is in progress. The
-    /// guard comes back for the condvar wait.
-    InFlight(RankedGuard<'a, CacheState>),
-}
-
-/// Clears a registered single-flight entry when the fetch concludes —
-/// on *every* exit path, including errors and a deferred request that
-/// is dropped unrun at shutdown, so followers are never stranded
-/// waiting on a dead flight.
-struct FlightGuard {
-    shared: Arc<ProxyShared>,
-    file: FileId,
-}
-
-impl Drop for FlightGuard {
-    fn drop(&mut self) {
-        let shard = self.shared.shard(self.file);
-        let mut st = shard.state.lock();
-        st.in_flight.remove(&self.file);
-        // Notify while the guard is live so a follower's predicate check
-        // can never race the removal (wcc-analyze r7).
-        shard.flights.notify_all(&st);
-    }
+/// What a parked request is waiting for (the module doc has the table).
+enum Stage {
+    /// The reply to a conditional GET.
+    Validating,
+    /// The reply to an unconditional GET; `stored` is false for an
+    /// uncacheable forward, whose answer is counted but never kept.
+    Fetching { stored: bool },
+    /// The `OK` for its `SUBSCRIBE`, to then apply the reply in hand.
+    Subscribing {
+        reply: Reply,
+        resp: Response,
+        body: Arc<Vec<u8>>,
+    },
+    /// The `OK`s for its victims' `UNSUBSCRIBE`s, to then respond.
+    Unsubscribing { resp: Response, body: Arc<Vec<u8>> },
 }
 
 impl ProxyShared {
@@ -364,7 +306,7 @@ impl ProxyShared {
         self.classes.get(file.index()).copied().unwrap_or(0)
     }
 
-    fn shard(&self, file: FileId) -> &Shard {
+    fn shard(&self, file: FileId) -> &RankedMutex<CacheState> {
         &self.shards[shard_for(file, self.shards.len())]
     }
 
@@ -420,188 +362,158 @@ impl ProxyShared {
         Some((resp, Arc::clone(body)))
     }
 
-    // --- control channel -------------------------------------------------
-
-    /// Send one subscription command over `shard`'s control channel and
-    /// wait for its `OK`. Never called with any state lock held (the
-    /// reader thread needs the writer to `ACK` invalidations, and the
-    /// shard lock to apply them).
-    fn control_roundtrip(&self, shard: &Shard, msg: &ControlMsg) {
-        let Some(control) = shard.control.as_ref() else {
-            return;
+    /// Decide what the request does, under its file's shard lock. Unless
+    /// a flight is in progress — then it joins the wait-list and nothing
+    /// is decided until the flight lands — this is the request's one
+    /// [`Engine::request`]: one store touch, one policy decision, one
+    /// set of probe events.
+    fn evaluate(&self, ticket: Ticket, asked: Asked, path: String) -> Step<Parked> {
+        let Asked { file, class, now } = asked;
+        let mut st = self.shard(file).lock();
+        if st.was_contended() {
+            self.probe
+                .record(now, ObsEvent::LockContended { rank: STATE_RANK });
+        }
+        if let Some(waiters) = st.in_flight.get_mut(&file) {
+            waiters.push(Waiter {
+                ticket,
+                asked,
+                path,
+            });
+            return Step::Parked;
+        }
+        let oracle = self.ground_truth.as_deref();
+        let effect = st
+            .engine
+            .request(file, class, now, oracle, &mut &self.probe);
+        // Whoever has no usable copy to show the origin leads the file's
+        // flight.
+        let fetch = |stored| (Request::get(path.as_str()), Stage::Fetching { stored });
+        let ((request, stage), leads) = match effect {
+            Effect::Serve(entry) => match Self::local_response(&st, file, &entry, now) {
+                Some((resp, body)) => return Step::Done(resp, body),
+                None => (fetch(true), true),
+            },
+            Effect::Validate(entry) => {
+                let since = wall_date(entry.last_modified);
+                let request = Request::get_if_modified_since(path.as_str(), since);
+                ((request, Stage::Validating), false)
+            }
+            // Never coalesced: every uncacheable request is its own
+            // upstream exchange, exactly as the simulator counts them.
+            Effect::Forward => (fetch(false), false),
+            Effect::Fetch => (fetch(true), true),
         };
-        if write_msg(&mut control.writer.lock(), msg).is_err() {
-            return;
+        if leads {
+            st.in_flight.insert(file, Vec::new());
         }
-        let ok_rx = control.ok_rx.lock();
-        loop {
-            match ok_rx.recv_timeout(POLL_TICK) {
-                Ok(()) => break,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+        drop(st);
+        let req = Decided {
+            asked,
+            path,
+            leads,
+            sent: 0,
+        };
+        self.exchange(req, &request, stage)
+    }
+
+    /// Park `req` on one HTTP exchange over its shard's connections.
+    fn exchange(&self, mut req: Decided, request: &Request, stage: Stage) -> Step<Parked> {
+        let request = request.to_bytes();
+        req.sent = request.len() as u64;
+        Step::Exchange {
+            shard: shard_for(req.asked.file, self.shards.len()),
+            request,
+            then: Parked { req, stage },
+        }
+    }
+
+    /// Park `req` on `commands` over its shard's control channel.
+    fn control(&self, req: Decided, commands: &[ControlMsg], stage: Stage) -> Step<Parked> {
+        Step::Control {
+            shard: shard_for(req.asked.file, self.shards.len()),
+            commands: commands
+                .iter()
+                .flat_map(|m| m.encode().into_bytes())
+                .collect(),
+            oks: commands.len() as u32,
+            then: Parked { req, stage },
+        }
+    }
+
+    /// One stage along: what `parked` waited for is here.
+    fn advance(&self, parked: Parked, arrived: Arrived) -> io::Result<Step<Parked>> {
+        let Parked { req, stage } = parked;
+        match (stage, arrived) {
+            (Stage::Validating, Arrived::Reply(resp, _)) if resp.status == Status::NotModified => {
+                Ok(self.revalidated(req, &resp))
+            }
+            // Combined query-and-fetch: a conditional GET that finds the
+            // file changed is answered with the new version.
+            (Stage::Validating, Arrived::Reply(resp, body)) => {
+                self.received(req, true, true, resp, body)
+            }
+            (Stage::Fetching { stored }, Arrived::Reply(resp, body)) => {
+                self.received(req, stored, false, resp, body)
+            }
+            (Stage::Subscribing { reply, resp, body }, Arrived::ControlOk) => {
+                Ok(self.apply(req, reply, resp, body))
+            }
+            (Stage::Unsubscribing { resp, body }, Arrived::ControlOk) => Ok(Step::Done(resp, body)),
+            _ => Err(io::Error::other(
+                "an answer that is not what the request was waiting for",
+            )),
+        }
+    }
+
+    /// A `304`: stamp the entry and serve it.
+    fn revalidated(&self, req: Decided, resp: &Response) -> Step<Parked> {
+        let Asked { file, class, now } = req.asked;
+        let not_modified = Reply::NotModified {
+            expires: resp.expires.map(sim_instant),
+            message_bytes: req.sent + resp.header_size(),
+            delay: self.link.delay_for(0),
+        };
+        let served = {
+            let mut st = self.shard(file).lock();
+            let applied = st
+                .engine
+                .apply(file, class, now, not_modified, &mut &self.probe);
+            match st.engine.peek(file) {
+                Some(entry) if !applied.lost => Self::local_response(&st, file, entry, now),
+                _ => None,
+            }
+        };
+        match served {
+            Some((resp, body)) => Step::Done(resp, body),
+            // The validated entry vanished under a concurrent eviction
+            // between lock drops: refetch (the reactor keeps the request
+            // on the connection in hand).
+            None => {
+                let request = Request::get(req.path.as_str());
+                self.exchange(req, &request, Stage::Fetching { stored: true })
             }
         }
     }
 
-    /// Subscribe `file` over its owning shard's control channel.
-    fn subscribe_sync(&self, file: FileId) {
-        self.control_roundtrip(self.shard(file), &ControlMsg::Subscribe(self.path_of(file)));
-    }
-
-    fn unsubscribe_victims(&self, victims: &[FileId]) {
-        if !self.uses_invalidation {
-            return;
-        }
-        for &victim in victims {
-            self.control_roundtrip(
-                self.shard(victim),
-                &ControlMsg::Unsubscribe(self.path_of(victim)),
-            );
-        }
-    }
-
-    /// Shard `shard_idx`'s control reader thread: applies `INVALIDATE`
-    /// notices to the owning shard's state, then acknowledges; forwards
-    /// `OK`s to waiting subscribers.
-    fn control_reader(&self, shard_idx: usize, mut conn: LineConn, ok_tx: mpsc::Sender<()>) {
-        let result: io::Result<()> = (|| {
-            while let Some(msg) = conn.read_msg(&self.shutdown)? {
-                match msg {
-                    ControlMsg::Invalidate(path) => {
-                        let file = self.resolve(&path);
-                        let inv_bytes = msg_len(&ControlMsg::Invalidate(path));
-                        let ack_bytes = msg_len(&ControlMsg::Ack);
-                        {
-                            // The origin routes INVALIDATE over the
-                            // subscribing shard's channel, so this is the
-                            // reader's own shard; route by file anyway so
-                            // a misdirected notice can never corrupt a
-                            // foreign shard's accounting.
-                            let mut st = self.shard(file).state.lock();
-                            st.invalidations_delivered += 1;
-                            // One invalidation = one control message
-                            // (notice + ack), as in the simulator's
-                            // `invalidation_message` costing.
-                            st.engine
-                                .invalidate(file, self.clock.now(), inv_bytes + ack_bytes);
-                        }
-                        // Ack only after the entry is marked: once the
-                        // origin sees the ACK, no client can be served
-                        // the stale copy. The ACK goes back on the
-                        // connection the notice arrived on.
-                        if let Some(control) = self
-                            .shards
-                            .get(shard_idx)
-                            .and_then(|shard| shard.control.as_ref())
-                        {
-                            write_msg(&mut control.writer.lock(), &ControlMsg::Ack)?;
-                        }
-                    }
-                    ControlMsg::Ok => {
-                        let _ = ok_tx.send(());
-                    }
-                    other => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("unexpected control message at proxy: {other:?}"),
-                        ));
-                    }
-                }
-            }
-            Ok(())
-        })();
-        if let Err(e) = result {
-            // Channel death is handled by the run winding down; still
-            // worth a log line so protocol violations are visible.
-            log_conn_error("proxy-control", &e);
-        }
-    }
-
-    // --- request path ----------------------------------------------------
-
-    /// Wait, for at most one poll tick, for a flight on this shard to
-    /// conclude (or for shutdown). Consumes the shard guard; the caller
-    /// goes back to the dispatch queue and re-evaluates on its next turn.
-    fn wait_for_flight<'a>(
+    /// A `200` or `404` is in: price it for the engine, and subscribe
+    /// first when it will insert a new entry (exactly where the
+    /// simulator does).
+    fn received(
         &self,
-        shard: &'a Shard,
-        st: RankedGuard<'a, CacheState>,
-    ) -> io::Result<()> {
-        // wcc-allow: r7 one bounded tick per call; the caller requeues and re-checks in_flight under a fresh guard on its next turn
-        let (guard, _timed_out) = shard.flights.wait_timeout(st, POLL_TICK);
-        drop(guard);
-        if self.shutdown.load(Ordering::SeqCst) {
-            return Err(io::Error::new(
-                io::ErrorKind::Interrupted,
-                "shutdown while waiting on an in-flight fetch",
-            ));
-        }
-        Ok(())
-    }
-
-    /// One request's upstream exchange on a connection from `file`'s
-    /// shard pool — checkout, `exchange`, checkin (a connection that
-    /// errored is discarded, freeing its slot). The connection is held
-    /// across a validation's fallback refetch, so one request never
-    /// checks out two sockets.
-    fn with_upstream<T>(
-        &self,
-        asked: Asked,
-        exchange: impl FnOnce(&mut HttpConn) -> io::Result<T>,
-    ) -> io::Result<T> {
-        let shard = self.shard(asked.file);
-        let mut upstream = shard
-            .pool
-            .checkout(asked.now, &self.probe, &self.shutdown)?;
-        let result = exchange(&mut upstream);
-        match &result {
-            Ok(_) => shard.pool.checkin(upstream),
-            Err(_) => shard.pool.discard(),
-        }
-        result
-    }
-
-    /// Unconditional GET, applied to the engine. `stored` is false for a
-    /// [`Work::Forward`], whose answer is counted but never kept.
-    fn fetch_on(
-        &self,
-        upstream: &mut HttpConn,
-        asked: Asked,
-        path: &str,
-        stored: bool,
-    ) -> io::Result<(Response, Arc<Vec<u8>>)> {
-        let sent = upstream.write_request(&Request::get(path))?;
-        let (resp, body) = upstream.read_response()?;
-        let body = Arc::new(body);
-        self.apply_response(asked, stored, false, sent, &resp, &body)?;
-        Ok((resp, body))
-    }
-
-    /// Hand a `200` or `404` to the engine: price it, subscribe first
-    /// when it will insert a new entry (exactly where the simulator
-    /// does), keep the bodies map in step with the store, and
-    /// unsubscribe whatever the insert displaced.
-    fn apply_response(
-        &self,
-        asked: Asked,
+        req: Decided,
         stored: bool,
         conditional: bool,
-        sent: u64,
-        resp: &Response,
-        body: &Arc<Vec<u8>>,
-    ) -> io::Result<()> {
-        let Asked { file, class, now } = asked;
-        let shard = self.shard(file);
-        let message_bytes = sent + resp.header_size();
+        resp: Response,
+        body: Vec<u8>,
+    ) -> io::Result<Step<Parked>> {
+        let file = req.asked.file;
+        let message_bytes = req.sent + resp.header_size();
         let reply = if resp.status == Status::Ok {
             let size = body.len() as u64;
             Reply::Body {
                 size,
-                last_modified: sim_instant(require_last_modified(resp)?),
+                last_modified: sim_instant(require_last_modified(&resp)?),
                 expires: resp.expires.map(sim_instant),
                 conditional,
                 message_bytes,
@@ -616,187 +528,109 @@ impl ProxyShared {
                 message_bytes,
             }
         };
+        let body = Arc::new(body);
         // Single-flight registration makes the peek stable: no other
-        // worker inserts this file while the flight is held.
+        // request inserts this file while the flight is held.
         let inserts = stored && resp.status == Status::Ok;
-        if inserts && self.uses_invalidation && shard.state.lock().engine.peek(file).is_none() {
-            self.subscribe_sync(file);
+        if inserts && self.uses_invalidation && self.shard(file).lock().engine.peek(file).is_none()
+        {
+            let subscribe = [ControlMsg::Subscribe(req.path.clone())];
+            return Ok(self.control(req, &subscribe, Stage::Subscribing { reply, resp, body }));
         }
+        Ok(self.apply(req, reply, resp, body))
+    }
+
+    /// Hand the reply to the engine, keep the bodies map in step with
+    /// the store, and unsubscribe whatever the insert displaced.
+    fn apply(
+        &self,
+        req: Decided,
+        reply: Reply,
+        resp: Response,
+        body: Arc<Vec<u8>>,
+    ) -> Step<Parked> {
+        let Asked { file, class, now } = req.asked;
         let victims: Vec<FileId> = {
-            let mut st = shard.state.lock();
+            let mut st = self.shard(file).lock();
             let applied = st.engine.apply(file, class, now, reply, &mut &self.probe);
             for (victim, _) in applied.victims.iter() {
                 st.bodies.remove(victim);
             }
             if st.engine.peek(file).is_some() {
-                st.bodies.insert(file, Arc::clone(body));
+                st.bodies.insert(file, Arc::clone(&body));
             } else {
                 st.bodies.remove(&file);
             }
             applied.victims.iter().map(|&(victim, _)| victim).collect()
         };
-        self.unsubscribe_victims(&victims);
-        Ok(())
+        if !self.uses_invalidation || victims.is_empty() {
+            return Step::Done(resp, body);
+        }
+        // A shard evicts only its own files, so these travel over the
+        // channel the victims were subscribed on.
+        let unsubscribe: Vec<ControlMsg> = victims
+            .iter()
+            .map(|&victim| ControlMsg::Unsubscribe(self.path_of(victim)))
+            .collect();
+        self.control(req, &unsubscribe, Stage::Unsubscribing { resp, body })
     }
 
-    /// Phase one of a client request, on the reactor thread: the
-    /// decision, taken once. In-memory work only — the dynamic-names and
-    /// shard locks, never a socket, a pool checkout or a condvar wait.
-    fn begin(self: &Arc<Self>, req: Request) -> Step<Deferred> {
+    /// `file`'s flight is over, however it ended: decide, in arrival
+    /// order, everyone who waited on it. If the first still needs the
+    /// origin it leads the next flight, and the rest wait on that.
+    fn land(&self, file: FileId, woken: &mut Work<Parked>) {
+        let waiters = self.shard(file).lock().in_flight.remove(&file);
+        for w in waiters.unwrap_or_default() {
+            let step = self.evaluate(w.ticket, w.asked, w.path);
+            woken.push_back((w.ticket, step));
+        }
+    }
+}
+
+impl Dispatch for Arc<ProxyShared> {
+    type Parked = Parked;
+
+    /// The decision, taken once: in-memory work only — the
+    /// dynamic-names and shard locks.
+    fn begin(&self, ticket: Ticket, req: Request) -> Step<Parked> {
         let file = self.resolve(&req.path);
         let asked = Asked {
             file,
             class: self.class_of(file),
             now: self.clock.now(),
         };
-        let work = match self.evaluate(asked) {
-            Evaluated::Serve(resp, body) => return Step::Done(resp, body),
-            Evaluated::Defer(work) => work,
-            Evaluated::InFlight(_) => Work::AwaitFlight,
-        };
-        Step::Defer(Deferred {
-            asked,
-            path: req.path,
-            work,
-        })
+        self.evaluate(ticket, asked, req.path)
     }
 
-    /// Decide what the request does, under its file's shard lock. Unless
-    /// a flight is in progress — then nothing is decided until it lands —
-    /// this is the request's one [`Engine::request`]: one store touch,
-    /// one policy decision, one set of probe events.
-    fn evaluate(self: &Arc<Self>, asked: Asked) -> Evaluated<'_> {
-        let Asked { file, class, now } = asked;
-        let mut st = self.shard(file).state.lock();
-        if st.was_contended() {
-            self.probe
-                .record(now, ObsEvent::LockContended { rank: STATE_RANK });
-        }
-        if st.in_flight.contains(&file) {
-            return Evaluated::InFlight(st);
-        }
-        let oracle = self.ground_truth.as_deref();
-        match st
-            .engine
-            .request(file, class, now, oracle, &mut &self.probe)
-        {
-            Effect::Serve(entry) => {
-                if let Some((resp, body)) = Self::local_response(&st, file, &entry, now) {
-                    return Evaluated::Serve(resp, body);
-                }
-            }
-            Effect::Validate(entry) => return Evaluated::Defer(Work::Validate(entry)),
-            Effect::Forward => return Evaluated::Defer(Work::Forward),
-            Effect::Fetch => {}
-        }
-        // This request leads the file's flight.
-        st.in_flight.insert(file);
-        drop(st);
-        Evaluated::Defer(Work::FetchFull(FlightGuard {
-            shared: Arc::clone(self),
-            file,
-        }))
-    }
-
-    /// Phase two, on a dispatch worker: carry out what `begin` decided,
-    /// with the `now`/`file`/`class` it decided with. Only a request
-    /// that found another's fetch in flight still has its decision to
-    /// take, once that fetch concludes.
-    fn finish(self: &Arc<Self>, deferred: Deferred) -> io::Result<Step<Deferred>> {
-        let Deferred { asked, path, work } = deferred;
-        let work = match work {
-            Work::AwaitFlight => match self.evaluate(asked) {
-                Evaluated::Serve(resp, body) => return Ok(Step::Done(resp, body)),
-                Evaluated::Defer(work) => work,
-                Evaluated::InFlight(st) => {
-                    // One bounded tick on the condvar, then the back of
-                    // the queue: a follower never pins a worker its
-                    // leader (queued by another reactor thread, perhaps
-                    // behind it) is waiting for.
-                    self.wait_for_flight(self.shard(asked.file), st)?;
-                    Work::AwaitFlight
-                }
-            },
-            decided => decided,
-        };
-        let (resp, body) = match work {
-            Work::AwaitFlight => return Ok(Step::Defer(Deferred { asked, path, work })),
-            Work::Forward => self.with_upstream(asked, |upstream| {
-                self.fetch_on(upstream, asked, &path, false)
-            })?,
-            Work::FetchFull(_flight) => self.with_upstream(asked, |upstream| {
-                self.fetch_on(upstream, asked, &path, true)
-            })?,
-            // Combined query-and-fetch via If-Modified-Since.
-            Work::Validate(entry) => self.with_upstream(asked, |upstream| {
-                self.validate_on(upstream, asked, entry, &path)
-            })?,
-        };
-        Ok(Step::Done(resp, body))
-    }
-
-    /// The conditional-GET exchange for `entry`, applied to the engine.
-    fn validate_on(
+    /// Carry on with what `begin` decided, with the `now`/`file`/`class`
+    /// it decided with.
+    fn resume(
         &self,
-        upstream: &mut HttpConn,
-        asked: Asked,
-        entry: EntryMeta,
-        path: &str,
-    ) -> io::Result<(Response, Arc<Vec<u8>>)> {
-        let Asked { file, class, now } = asked;
-        let ims = wall_date(entry.last_modified);
-        let sent = upstream.write_request(&Request::get_if_modified_since(path, ims))?;
-        let (resp, body) = upstream.read_response()?;
-        if resp.status != Status::NotModified {
-            let body = Arc::new(body);
-            self.apply_response(asked, true, true, sent, &resp, &body)?;
-            return Ok((resp, body));
+        parked: Parked,
+        arrived: io::Result<Arrived>,
+        woken: &mut Work<Parked>,
+    ) -> Step<Parked> {
+        let (file, leads) = (parked.req.asked.file, parked.req.leads);
+        let step = arrived
+            .and_then(|arrived| self.advance(parked, arrived))
+            .unwrap_or_else(Step::Fail);
+        if leads && matches!(step, Step::Done(..) | Step::Fail(_)) {
+            self.land(file, woken);
         }
-        let not_modified = Reply::NotModified {
-            expires: resp.expires.map(sim_instant),
-            message_bytes: sent + resp.header_size(),
-            delay: self.link.delay_for(0),
-        };
-        let served = {
-            let mut st = self.shard(file).state.lock();
-            let applied = st
-                .engine
-                .apply(file, class, now, not_modified, &mut &self.probe);
-            match st.engine.peek(file) {
-                Some(entry) if !applied.lost => Self::local_response(&st, file, entry, now),
-                _ => None,
-            }
-        };
-        match served {
-            Some(served) => Ok(served),
-            // The validated entry vanished under a concurrent eviction
-            // between lock drops: refetch on the connection in hand.
-            None => self.fetch_on(upstream, asked, path, true),
-        }
-    }
-}
-
-/// The proxy's reactor dispatcher: [`ProxyShared::begin`] on the
-/// reactor thread, [`ProxyShared::finish`] on a dispatch worker.
-///
-/// A flight's leader registers in `begin` and is then *queued* for a
-/// worker, so a follower can reach a worker first (with several reactor
-/// threads it can even be queued first). That never starves the leader:
-/// a waiting follower gives its worker back after one poll tick and
-/// rejoins the queue behind it.
-struct ProxyDispatch {
-    shared: Arc<ProxyShared>,
-}
-
-impl Dispatch for ProxyDispatch {
-    type Deferred = Deferred;
-
-    fn begin(&self, req: Request) -> Step<Deferred> {
-        self.shared.begin(req)
+        step
     }
 
-    fn finish(&self, deferred: Deferred) -> io::Result<Step<Deferred>> {
-        self.shared.finish(deferred)
+    fn invalidate(&self, path: &str) {
+        let file = self.resolve(path);
+        // One invalidation = one control message (notice + ack), as in
+        // the simulator's `invalidation_message` costing.
+        let bytes = msg_len(&ControlMsg::Invalidate(path.to_string())) + msg_len(&ControlMsg::Ack);
+        // The origin routes INVALIDATE over the subscribing shard's
+        // channel; route by file anyway so a misdirected notice can
+        // never corrupt a foreign shard's accounting.
+        let mut st = self.shard(file).lock();
+        st.invalidations_delivered += 1;
+        st.engine.invalidate(file, self.clock.now(), bytes);
     }
 }
 
@@ -808,20 +642,15 @@ fn msg_len(msg: &ControlMsg) -> u64 {
 /// origin that omits it is speaking something else, and the connection
 /// is closed rather than caching a copy with no version.
 fn require_last_modified(resp: &Response) -> io::Result<httpsim::HttpDate> {
-    resp.last_modified.ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            "200 response without Last-Modified",
-        )
-    })
+    resp.last_modified
+        .ok_or_else(|| invalid("200 response without Last-Modified"))
 }
 
 /// A running proxy; stop it with [`LiveProxy::shutdown`] (or drop it).
 pub struct LiveProxy {
     shared: Arc<ProxyShared>,
     addr: SocketAddr,
-    reactor: Option<Reactor<ProxyDispatch>>,
-    control_threads: Vec<JoinHandle<()>>,
+    reactor: Reactor<Arc<ProxyShared>>,
 }
 
 impl std::fmt::Debug for LiveProxy {
@@ -837,6 +666,11 @@ impl LiveProxy {
     /// Dial one control connection per shard (when the policy needs
     /// them), bind the client listener, and start serving.
     pub fn spawn(config: ProxyConfig) -> io::Result<LiveProxy> {
+        Self::spawn_with_budget(config, DEFAULT_READ_BUDGET_TICKS)
+    }
+
+    /// [`spawn`](Self::spawn), with the stall budget tests shorten.
+    fn spawn_with_budget(config: ProxyConfig, budget_ticks: u32) -> io::Result<LiveProxy> {
         let listener = TcpListener::bind(&config.bind)?;
         let addr = listener.local_addr()?;
         let shard_count = config.shards.max(1);
@@ -854,44 +688,33 @@ impl LiveProxy {
         let retrieval = RetrievalMode::Conditional.under_invalidation(uses_invalidation);
         let DelaySource::Modeled(link) = config.delay;
         let mut shards = Vec::with_capacity(shard_count);
-        let mut control_streams: Vec<Option<(LineConn, mpsc::Sender<()>)>> =
-            Vec::with_capacity(shard_count);
+        let mut upstreams = Vec::with_capacity(shard_count);
         for i in 0..shard_count {
-            let control = if uses_invalidation {
-                let stream = TcpStream::connect(config.origin_control)?;
-                let writer = stream.try_clone()?;
-                // wcc-allow: r5 OK channel — bounded by in-flight control commands, one per worker
-                let (ok_tx, ok_rx) = mpsc::channel();
-                control_streams.push(Some((LineConn::new(stream)?, ok_tx)));
-                Some(ControlHandle {
-                    writer: RankedMutex::new(CONTROL_WRITER_RANK, "proxy.control.writer", writer),
-                    ok_rx: RankedMutex::new(CONTROL_OK_RANK, "proxy.control.ok_rx", ok_rx),
-                })
-            } else {
-                control_streams.push(None);
-                None
+            let control = match uses_invalidation {
+                // wcc-allow: r8 start-up dial, before any reactor thread exists: an unreachable control port fails the spawn
+                true => Some(TcpStream::connect(config.origin_control)?),
+                false => None,
             };
-            shards.push(Shard {
-                state: RankedMutex::new(
-                    STATE_RANK,
-                    "proxy.state",
-                    CacheState {
-                        engine: Engine::new(
-                            config.store.build(i, shard_count),
-                            config.policy.build_policy(),
-                            retrieval,
-                            config.uncacheable_mask,
-                            link,
-                        ),
-                        bodies: HashMap::new(),
-                        in_flight: HashSet::new(),
-                        invalidations_delivered: 0,
-                    },
-                ),
-                flights: RankedCondvar::new(),
-                pool: UpstreamPool::new(config.origin_data, i as u32, UPSTREAM_CONNS_PER_SHARD),
+            upstreams.push(Upstream {
+                origin: config.origin_data,
                 control,
             });
+            shards.push(RankedMutex::new(
+                STATE_RANK,
+                "proxy.state",
+                CacheState {
+                    engine: Engine::new(
+                        config.store.build(i, shard_count),
+                        config.policy.build_policy(),
+                        retrieval,
+                        config.uncacheable_mask,
+                        link,
+                    ),
+                    bodies: HashMap::new(),
+                    in_flight: HashMap::new(),
+                    invalidations_delivered: 0,
+                },
+            ));
         }
 
         let shared = Arc::new(ProxyShared {
@@ -908,30 +731,16 @@ impl LiveProxy {
             ground_truth: config.ground_truth,
             clock: config.clock,
             probe: config.probe,
-            shutdown: AtomicBool::new(false),
         });
 
-        let mut control_threads = Vec::with_capacity(shard_count);
-        for (i, slot) in control_streams.into_iter().enumerate() {
-            let Some((conn, ok_tx)) = slot else { continue };
-            let shared = Arc::clone(&shared);
-            control_threads.push(thread::spawn(move || {
-                shared.control_reader(i, conn, ok_tx);
-            }));
-        }
-
-        // The client data path runs on the epoll reactor, request
-        // decisions included; the dispatch workers do the upstream IO.
         let reactor = Reactor::spawn(
             listener,
-            ProxyDispatch {
-                shared: Arc::clone(&shared),
-            },
+            Arc::clone(&shared),
+            upstreams,
             ReactorConfig {
                 reactor_threads: config.reactor_threads,
-                dispatch_threads: DEFAULT_DISPATCH_THREADS,
                 max_conns: config.max_conns,
-                budget_ticks: DEFAULT_READ_BUDGET_TICKS,
+                budget_ticks,
                 role: "proxy-data",
                 probe: shared.probe.clone(),
                 clock: shared.clock.clone(),
@@ -941,8 +750,7 @@ impl LiveProxy {
         Ok(LiveProxy {
             shared,
             addr,
-            reactor: Some(reactor),
-            control_threads,
+            reactor,
         })
     }
 
@@ -954,30 +762,26 @@ impl LiveProxy {
     /// Connections currently open on the client reactor (for the soak
     /// driver and tests).
     pub fn open_conns(&self) -> usize {
-        self.reactor.as_ref().map_or(0, Reactor::open_conns)
+        self.reactor.open_conns()
     }
 
     /// Client accepts shed at the connection cap.
     pub fn dropped_accepts(&self) -> u64 {
-        self.reactor.as_ref().map_or(0, Reactor::dropped_accepts)
-    }
-
-    fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(mut r) = self.reactor.take() {
-            r.stop();
-        }
-        for h in self.control_threads.drain(..) {
-            let _ = h.join();
-        }
+        self.reactor.dropped_accepts()
     }
 
     /// Stop serving and return the merged per-shard counters.
     pub fn shutdown(mut self) -> ProxySnapshot {
-        self.stop();
-        let mut snap = ProxySnapshot::default();
+        self.reactor.stop();
+        let pool = self.reactor.pool();
+        let mut snap = ProxySnapshot {
+            upstream_dials: pool.dials.load(Ordering::Relaxed),
+            upstream_reuses: pool.reuses.load(Ordering::Relaxed),
+            upstream_saturations: pool.saturations.load(Ordering::Relaxed),
+            ..ProxySnapshot::default()
+        };
         for shard in &self.shared.shards {
-            let st = shard.state.lock();
+            let st = shard.lock();
             snap.cache.merge(st.engine.stats());
             snap.traffic.merge(st.engine.traffic());
             snap.stale_age_total = snap
@@ -985,28 +789,201 @@ impl LiveProxy {
                 .saturating_add(st.engine.stale_age_total());
             snap.invalidations_delivered += st.invalidations_delivered;
             snap.evictions += st.engine.evictions();
-            drop(st);
-            snap.upstream_dials += shard.pool.dials();
-            snap.upstream_reuses += shard.pool.reuses();
-            snap.upstream_saturations += shard.pool.saturations();
         }
         snap
-    }
-}
-
-impl Drop for LiveProxy {
-    fn drop(&mut self) {
-        self.stop();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netio::HttpConn;
     use crate::origin::{LiveOrigin, OriginConfig};
     use originserver::FileRecord;
     use std::io::{Read as _, Write as _};
-    use std::sync::Barrier;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{mpsc, Barrier};
+    use std::thread::{self, JoinHandle};
+    use std::time::{Duration, Instant};
+
+    fn t(secs: u64) -> SimTime {
+        SimTime::from_secs(secs)
+    }
+
+    fn connect(proxy: &LiveProxy) -> HttpConn {
+        HttpConn::new(TcpStream::connect(proxy.addr()).unwrap()).unwrap()
+    }
+
+    /// GET `path` and demand a `200` carrying `len` bytes.
+    fn get(conn: &mut HttpConn, path: &str, len: usize) {
+        conn.write_request(&Request::get(path)).unwrap();
+        expect(conn, len);
+    }
+
+    fn expect(conn: &mut HttpConn, len: usize) {
+        let (resp, body) = conn.read_response().unwrap();
+        assert_eq!(resp.status, Status::Ok);
+        assert_eq!(body.len(), len);
+    }
+
+    fn await_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// What a [`Scripted`] origin does with one request.
+    enum Answer {
+        /// `200`, `Last-Modified` zero, a body of this many bytes.
+        Ok(usize),
+        /// The same, and then hang up.
+        OkThenClose(usize),
+        /// `304`.
+        NotModified,
+        /// The head of a `200` promising this many bytes, half of them,
+        /// and then silence for as long as the test keeps the sender.
+        Torn(usize),
+    }
+
+    /// A request a [`Scripted`] origin has read and will answer when —
+    /// and as — the test says. Dropping it hangs up on the proxy.
+    struct Arrival {
+        path: String,
+        conditional: bool,
+        answer: mpsc::Sender<Answer>,
+    }
+
+    /// An origin whose every move is the test's: one thread per accepted
+    /// connection, each reporting the requests it reads on `arrivals`
+    /// and every hangup of its own on `closed`.
+    struct Scripted {
+        addr: SocketAddr,
+        arrivals: mpsc::Receiver<Arrival>,
+        closed: mpsc::Receiver<()>,
+        /// While set, connections with no request outstanding hang up.
+        hang_up_idle: Arc<AtomicBool>,
+        stop: Arc<AtomicBool>,
+        accepting: Option<JoinHandle<()>>,
+    }
+
+    impl Scripted {
+        fn spawn() -> Scripted {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            listener.set_nonblocking(true).unwrap();
+            let addr = listener.local_addr().unwrap();
+            let (arrivals_tx, arrivals) = mpsc::channel();
+            let (closed_tx, closed) = mpsc::channel();
+            let stop = Arc::new(AtomicBool::new(false));
+            let hang_up_idle = Arc::new(AtomicBool::new(false));
+            let accepting = {
+                let (stop, hang_up_idle) = (Arc::clone(&stop), Arc::clone(&hang_up_idle));
+                thread::spawn(move || {
+                    let mut conns = Vec::new();
+                    while !stop.load(Ordering::SeqCst) {
+                        let Ok((stream, _)) = listener.accept() else {
+                            thread::sleep(Duration::from_millis(1));
+                            continue;
+                        };
+                        stream.set_nonblocking(false).unwrap();
+                        let (hang_up_idle, arrivals, closed) = (
+                            Arc::clone(&hang_up_idle),
+                            arrivals_tx.clone(),
+                            closed_tx.clone(),
+                        );
+                        conns.push(thread::spawn(move || {
+                            Self::serve(stream, &hang_up_idle, &arrivals);
+                            let _ = closed.send(());
+                        }));
+                    }
+                    for conn in conns {
+                        conn.join().unwrap();
+                    }
+                })
+            };
+            Scripted {
+                addr,
+                arrivals,
+                closed,
+                hang_up_idle,
+                stop,
+                accepting: Some(accepting),
+            }
+        }
+
+        /// One connection, until the test (or the proxy) is done with it;
+        /// returning closes it.
+        fn serve(stream: TcpStream, hang_up: &AtomicBool, arrivals: &mpsc::Sender<Arrival>) {
+            let mut conn = HttpConn::new(stream).unwrap();
+            let now = wall_date(t(10));
+            let ok = |len| Response::ok(now, wall_date(t(0)), len as u64);
+            while let Ok(Some(req)) = conn.read_request(hang_up) {
+                let (answer, told) = mpsc::channel();
+                let arrival = Arrival {
+                    path: req.path,
+                    conditional: req.if_modified_since.is_some(),
+                    answer,
+                };
+                if arrivals.send(arrival).is_err() {
+                    return;
+                }
+                let written = match told.recv() {
+                    Ok(Answer::Ok(len)) => conn.write_response(&ok(len), &vec![7u8; len]),
+                    Ok(Answer::OkThenClose(len)) => {
+                        let _ = conn.write_response(&ok(len), &vec![7u8; len]);
+                        return;
+                    }
+                    Ok(Answer::NotModified) => {
+                        conn.write_response(&Response::not_modified(now), &[])
+                    }
+                    Ok(Answer::Torn(len)) => {
+                        let mut wire = ok(len).serialize_headers().into_bytes();
+                        wire.resize(wire.len() + len / 2, 7u8);
+                        let _ = conn.stream().write_all(&wire);
+                        let _ = told.recv();
+                        return;
+                    }
+                    Err(_) => return,
+                };
+                if written.is_err() {
+                    return;
+                }
+            }
+        }
+
+        /// The next request to reach the origin.
+        fn arrival(&self) -> Arrival {
+            self.arrivals
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a request at the origin")
+        }
+
+        /// The next request, which must be a plain GET of `path`:
+        /// answered `200` with `len` bytes.
+        fn serve_next(&self, path: &str, len: usize) {
+            let arrival = self.arrival();
+            assert_eq!((arrival.path.as_str(), arrival.conditional), (path, false));
+            arrival.answer.send(Answer::Ok(len)).unwrap();
+        }
+
+        fn proxy(&self, policy: LivePolicy) -> ProxyConfig {
+            ProxyConfig::new(self.addr, self.addr, policy, LiveClock::virtual_at(t(10)))
+        }
+    }
+
+    impl Drop for Scripted {
+        fn drop(&mut self) {
+            self.stop.store(true, Ordering::SeqCst);
+            self.hang_up_idle.store(true, Ordering::SeqCst);
+            // Unanswered arrivals still queued hold their connections'
+            // threads; dropping them hangs those up.
+            while self.arrivals.try_recv().is_ok() {}
+            if let Some(accepting) = self.accepting.take() {
+                accepting.join().unwrap();
+            }
+        }
+    }
 
     #[test]
     fn malformed_client_request_kills_only_that_connection() {
@@ -1033,120 +1010,21 @@ mod tests {
         assert!(sink.is_empty(), "no response to an unparseable request");
 
         // A well-formed client is still served (miss → fetch → hit).
-        let mut conn = HttpConn::new(TcpStream::connect(proxy.addr()).unwrap()).unwrap();
-        conn.write_request(&Request::get("/a.html")).unwrap();
-        let (resp, body) = conn.read_response().unwrap();
-        assert_eq!(resp.status, Status::Ok);
-        assert_eq!(body.len(), 100);
-        conn.write_request(&Request::get("/a.html")).unwrap();
-        assert_eq!(conn.read_response().unwrap().0.status, Status::Ok);
+        let mut conn = connect(&proxy);
+        get(&mut conn, "/a.html", 100);
+        get(&mut conn, "/a.html", 100);
 
         let snap = proxy.shutdown();
         assert_eq!(snap.cache.misses, 1);
         assert_eq!(snap.cache.fresh_hits, 1);
-        assert_eq!(
-            snap.upstream_dials, 1,
-            "both exchanges share one pooled conn"
-        );
+        assert_eq!(snap.upstream_dials, 1);
         drop(origin);
     }
 
-    /// An origin that answers `/warm.html` and goes silent on every
-    /// other request — it reports the path on `parked` and never
-    /// replies — until `stop` is set, when it hangs up on everyone.
-    fn half_silent_origin(
-        listener: TcpListener,
-        stop: Arc<AtomicBool>,
-        parked: mpsc::Sender<String>,
-    ) -> JoinHandle<()> {
-        listener.set_nonblocking(true).unwrap();
-        thread::spawn(move || {
-            let mut conns = Vec::new();
-            while !stop.load(Ordering::SeqCst) {
-                let Ok((stream, _)) = listener.accept() else {
-                    thread::sleep(std::time::Duration::from_millis(1));
-                    continue;
-                };
-                stream.set_nonblocking(false).unwrap();
-                let (stop, parked) = (Arc::clone(&stop), parked.clone());
-                conns.push(thread::spawn(move || {
-                    let mut conn = HttpConn::new(stream).unwrap();
-                    while let Ok(Some(req)) = conn.read_request(&stop) {
-                        if req.path == "/warm.html" {
-                            let now = wall_date(SimTime::from_secs(10));
-                            let resp = Response::ok(now, wall_date(SimTime::ZERO), 64);
-                            conn.write_response(&resp, &[7u8; 64]).unwrap();
-                        } else {
-                            parked.send(req.path).unwrap();
-                        }
-                    }
-                }));
-            }
-            for conn in conns {
-                conn.join().unwrap();
-            }
-        })
-    }
-
-    /// Hits do not queue behind misses: with every dispatch worker
-    /// parked on an origin that never answers, a fresh hit is still
-    /// served — `begin` finished it on the reactor thread.
-    #[test]
-    fn fresh_hits_are_served_while_every_worker_is_parked_on_a_silent_origin() {
-        const HITS: u64 = 25;
-        let stop = Arc::new(AtomicBool::new(false));
-        let (parked_tx, parked_rx) = mpsc::channel();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let origin_addr = listener.local_addr().unwrap();
-        let origin = half_silent_origin(listener, Arc::clone(&stop), parked_tx);
-        let clock = LiveClock::virtual_at(SimTime::from_secs(10));
-        let cfg = ProxyConfig::new(origin_addr, origin_addr, LivePolicy::Ttl(24), clock);
-        let proxy = LiveProxy::spawn(cfg).unwrap();
-        let connect = || HttpConn::new(TcpStream::connect(proxy.addr()).unwrap()).unwrap();
-
-        let mut warm = connect();
-        warm.write_request(&Request::get("/warm.html")).unwrap();
-        assert_eq!(warm.read_response().unwrap().0.status, Status::Ok);
-
-        // One cold file per worker, each on its own connection: each
-        // leads its own flight and parks a worker in `read_response`.
-        let mut cold: Vec<HttpConn> = (0..DEFAULT_DISPATCH_THREADS)
-            .map(|i| {
-                let mut conn = connect();
-                conn.write_request(&Request::get(format!("/cold{i}.html")))
-                    .unwrap();
-                conn
-            })
-            .collect();
-        for _ in 0..DEFAULT_DISPATCH_THREADS {
-            parked_rx.recv().unwrap();
-        }
-
-        let mut fifth = connect();
-        fifth.set_read_budget_ticks(40); // 1 s, against the workers' 30
-        for _ in 0..HITS {
-            fifth.write_request(&Request::get("/warm.html")).unwrap();
-            let (resp, body) = fifth.read_response().unwrap();
-            assert_eq!(resp.status, Status::Ok);
-            assert_eq!(body, [7u8; 64]);
-        }
-
-        // The origin hangs up; each parked fetch fails and takes only
-        // its own client connection with it.
-        stop.store(true, Ordering::SeqCst);
-        origin.join().unwrap();
-        for conn in &mut cold {
-            assert!(conn.read_response().is_err());
-        }
-        let snap = proxy.shutdown();
-        assert_eq!(snap.cache.fresh_hits, HITS);
-        assert_eq!(snap.cache.misses, 1, "only the warm-up fetch completed");
-    }
-
     /// Decide-once, seen from the store: a validated request touches its
-    /// entry once in `begin` (the lookup) and once in `finish` (the
+    /// entry once in `begin` (the lookup) and once in `resume` (the
     /// revalidation stamp) — the simulator's two touches, which LFU
-    /// counts. A `finish` that looked the entry up again would add a
+    /// counts. A `resume` that looked the entry up again would add a
     /// third per request.
     #[test]
     fn a_validated_request_touches_the_store_once_per_phase() {
@@ -1166,14 +1044,14 @@ mod tests {
         cfg.store = StoreKind::Lfu(1 << 20);
         let proxy = LiveProxy::spawn(cfg).unwrap();
 
-        let mut conn = HttpConn::new(TcpStream::connect(proxy.addr()).unwrap()).unwrap();
+        let mut conn = connect(&proxy);
         for _ in 0..=N {
             conn.write_request(&Request::get("/a.html")).unwrap();
             assert_eq!(conn.read_response().unwrap().0.status, Status::Ok);
         }
 
         let file = proxy.shared.resolve("/a.html");
-        let touches = match proxy.shared.shard(file).state.lock().engine.store() {
+        let touches = match proxy.shared.shard(file).lock().engine.store() {
             AnyStore::Lfu(store) => store.policy().frequency(file),
             other => panic!("configured LFU, got {}", other.kind()),
         };
@@ -1182,6 +1060,10 @@ mod tests {
         assert_eq!(snap.cache.misses, 1);
         assert_eq!(u64::from(N), snap.cache.validations_not_modified);
         assert_eq!(u64::from(N), snap.cache.fresh_hits);
+        assert_eq!(
+            (snap.upstream_dials, snap.upstream_reuses),
+            (1, u64::from(N))
+        );
         drop(origin);
     }
 
@@ -1243,5 +1125,352 @@ mod tests {
         assert_eq!(snap.cache.fresh_hits as usize, N - 1);
         assert_eq!(snap.traffic.file_transfers, 1);
         assert_eq!(load.document_requests, 1, "origin saw exactly one GET");
+    }
+
+    /// The pool's keep-alive discipline, seen from the origin: when it
+    /// hangs up on a pooled connection — while it idles, or right behind
+    /// a reply — the next exchange dials a fresh one and no client
+    /// notices.
+    #[test]
+    fn a_connection_the_origin_closed_is_redialled_not_an_error() {
+        let origin = Scripted::spawn();
+        let proxy = LiveProxy::spawn(origin.proxy(LivePolicy::Ttl(24))).unwrap();
+        let mut conn = connect(&proxy);
+
+        conn.write_request(&Request::get("/a")).unwrap();
+        origin.serve_next("/a", 64);
+        expect(&mut conn, 64);
+        // The FIN is on the proxy's idle socket before the next request
+        // reaches the proxy.
+        origin.hang_up_idle.store(true, Ordering::SeqCst);
+        origin.closed.recv().unwrap();
+        origin.hang_up_idle.store(false, Ordering::SeqCst);
+
+        conn.write_request(&Request::get("/b")).unwrap();
+        origin
+            .arrival()
+            .answer
+            .send(Answer::OkThenClose(32))
+            .unwrap();
+        expect(&mut conn, 32);
+        origin.closed.recv().unwrap();
+
+        conn.write_request(&Request::get("/c")).unwrap();
+        origin.serve_next("/c", 16);
+        expect(&mut conn, 16);
+        // A healthy idle connection, by contrast, is reused.
+        conn.write_request(&Request::get("/d")).unwrap();
+        origin.serve_next("/d", 8);
+        expect(&mut conn, 8);
+
+        let snap = proxy.shutdown();
+        assert_eq!((snap.upstream_dials, snap.upstream_reuses), (3, 1));
+        assert_eq!(snap.cache.misses, 4);
+    }
+
+    /// A refused dial surfaces on the reactor (`EPOLLOUT` + `SO_ERROR`,
+    /// or at once), costs its request's client the connection, clears
+    /// the flight and frees the slot: more failures than there are
+    /// slots, every one of them a prompt hangup.
+    #[test]
+    fn a_refused_dial_fails_its_request_and_frees_the_slot() {
+        let nobody = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = nobody.local_addr().unwrap();
+        drop(nobody);
+        let clock = LiveClock::virtual_at(t(10));
+        let proxy =
+            LiveProxy::spawn(ProxyConfig::new(addr, addr, LivePolicy::Ttl(24), clock)).unwrap();
+        for _ in 0..6 {
+            let mut conn = connect(&proxy);
+            conn.write_request(&Request::get("/f")).unwrap();
+            let hung_up = conn.read_response().unwrap_err();
+            assert_eq!(hung_up.kind(), io::ErrorKind::UnexpectedEof);
+            let file = proxy.shared.resolve("/f");
+            assert!(proxy.shared.shard(file).lock().in_flight.is_empty());
+        }
+        let snap = proxy.shutdown();
+        assert_eq!((snap.upstream_dials, snap.upstream_saturations), (0, 0));
+        assert_eq!(snap.cache.requests(), 0, "nothing was concluded");
+    }
+
+    /// The origin stalls mid-body: the tick budget fails the leader's
+    /// exchange, which costs the leader its connection, clears the
+    /// flight, frees the slot, and promotes the first follower to lead a
+    /// refetch that the second follower then rides.
+    #[test]
+    fn a_stalled_origin_fails_the_leader_and_a_follower_refetches() {
+        let origin = Scripted::spawn();
+        let mut cfg = origin.proxy(LivePolicy::Ttl(24));
+        cfg.shards = 2;
+        let proxy = LiveProxy::spawn_with_budget(cfg, 2).unwrap();
+        let file = proxy.shared.resolve("/big");
+        let waiting = || {
+            let st = proxy.shared.shard(file).lock();
+            st.in_flight.get(&file).map(Vec::len)
+        };
+
+        let mut leader = connect(&proxy);
+        leader.write_request(&Request::get("/big")).unwrap();
+        let torn = origin.arrival();
+        let mut followers = [connect(&proxy), connect(&proxy)];
+        for (i, follower) in followers.iter_mut().enumerate() {
+            follower.write_request(&Request::get("/big")).unwrap();
+            await_until("the follower to join the flight", || {
+                waiting() == Some(i + 1)
+            });
+        }
+        // Half a body, then nothing: two silent ticks later the exchange
+        // is over.
+        torn.answer.send(Answer::Torn(4096)).unwrap();
+        origin.serve_next("/big", 4096);
+        let hung_up = leader.read_response().unwrap_err();
+        assert_eq!(hung_up.kind(), io::ErrorKind::UnexpectedEof);
+        for follower in &mut followers {
+            expect(follower, 4096);
+        }
+        assert_eq!(waiting(), None, "no flight outlives its leader");
+
+        drop(torn);
+        let snap = proxy.shutdown();
+        assert_eq!(snap.upstream_dials, 2, "the stalled socket was not reused");
+        assert_eq!((snap.cache.misses, snap.cache.fresh_hits), (1, 1));
+    }
+
+    /// A leader whose client hangs up mid-fetch still leads: the
+    /// exchange completes, is applied, and serves the followers; only
+    /// the answer to the vanished connection is dropped — also when
+    /// another connection has taken over its slot.
+    #[test]
+    fn a_leader_whose_client_hung_up_still_lands_its_flight() {
+        let origin = Scripted::spawn();
+        let proxy = LiveProxy::spawn(origin.proxy(LivePolicy::Ttl(24))).unwrap();
+        let file = proxy.shared.resolve("/cold");
+
+        // A plain hangup is honoured only after the outstanding response
+        // is written; a reset closes at once. Dropping a socket with
+        // unread bytes (the answer to `/unread`) sends one.
+        let mut leader = connect(&proxy);
+        leader.write_request(&Request::get("/unread")).unwrap();
+        origin.serve_next("/unread", 8);
+        leader.write_request(&Request::get("/cold")).unwrap();
+        let fetch = origin.arrival();
+        let mut follower = connect(&proxy);
+        follower.write_request(&Request::get("/cold")).unwrap();
+        await_until("the follower to join the flight", || {
+            let st = proxy.shared.shard(file).lock();
+            st.in_flight.get(&file).map(Vec::len) == Some(1)
+        });
+        drop(leader);
+        await_until("the leader's connection to close", || {
+            proxy.open_conns() == 1
+        });
+        // The successor takes the leader's slot (an answered exchange
+        // proves it is in it) and must never see the leader's answer.
+        let mut successor = connect(&proxy);
+        get(&mut successor, "/unread", 8);
+
+        fetch.answer.send(Answer::Ok(256)).unwrap();
+        expect(&mut follower, 256);
+        get(&mut successor, "/cold", 256);
+        // The upstream socket went back to the pool in working order.
+        successor.write_request(&Request::get("/next")).unwrap();
+        origin.serve_next("/next", 4);
+        expect(&mut successor, 4);
+
+        let snap = proxy.shutdown();
+        assert_eq!(snap.cache.requests(), 6, "every request was concluded");
+        assert_eq!((snap.cache.misses, snap.cache.fresh_hits), (3, 3));
+        assert_eq!((snap.upstream_dials, snap.upstream_reuses), (1, 2));
+    }
+
+    /// Pipelined requests on one connection answer in request order even
+    /// though hits are answered inline and validations go by the origin:
+    /// nothing behind a parked request is so much as parsed until it is
+    /// answered.
+    #[test]
+    fn a_pipelined_hit_behind_a_parked_validation_answers_in_order() {
+        let origin = Scripted::spawn();
+        let cfg = origin.proxy(LivePolicy::Ttl(24));
+        let clock = cfg.clock.clone();
+        let proxy = LiveProxy::spawn(cfg).unwrap();
+        let mut conn = connect(&proxy);
+        // `/old` outlives its TTL; `/new` is fetched after that.
+        conn.write_request(&Request::get("/old")).unwrap();
+        origin.serve_next("/old", 10);
+        expect(&mut conn, 10);
+        clock.advance_to(t(10 + 25 * 3600));
+        conn.write_request(&Request::get("/new")).unwrap();
+        origin.serve_next("/new", 20);
+        expect(&mut conn, 20);
+
+        let mut wire = Vec::new();
+        for path in ["/new", "/old", "/new", "/old", "/new"] {
+            wire.extend_from_slice(&Request::get(path).to_bytes());
+        }
+        conn.stream().write_all(&wire).unwrap();
+        // The hit in front of the validation is out before the origin
+        // has said anything; the three behind it are not.
+        expect(&mut conn, 20);
+        let validation = origin.arrival();
+        assert_eq!(
+            (validation.path.as_str(), validation.conditional),
+            ("/old", true)
+        );
+        validation.answer.send(Answer::NotModified).unwrap();
+        for len in [10, 20, 10, 20] {
+            expect(&mut conn, len);
+        }
+
+        let snap = proxy.shutdown();
+        assert_eq!(snap.cache.validations_not_modified, 1);
+        // The second `/old` is a hit on the copy just revalidated.
+        assert_eq!((snap.cache.misses, snap.cache.fresh_hits), (2, 5));
+    }
+
+    /// Forwards reactor `ConnAccepted` events to the test.
+    struct Accepts(mpsc::Sender<u32>);
+
+    impl wcc_obs::Probe for Accepts {
+        fn record(&mut self, _at: SimTime, event: ObsEvent) {
+            if let ObsEvent::ConnAccepted { reactor, .. } = event {
+                let _ = self.0.send(reactor);
+            }
+        }
+    }
+
+    /// Two reactors, one shard: reactor 0 owns the shard's sockets. A
+    /// leader reactor 1 accepted crosses to reactor 0 for its exchange
+    /// and back for its answer; a follower on the other reactor than
+    /// the one its flight lands on is woken through the mailbox.
+    #[test]
+    fn leaders_and_followers_on_different_reactors_meet_through_the_mailbox() {
+        let origin = Scripted::spawn();
+        let (accepts, accepted) = mpsc::channel();
+        let mut cfg = origin.proxy(LivePolicy::Ttl(24));
+        cfg.reactor_threads = 2;
+        cfg.probe = ProbeHandle::new(Box::new(Accepts(accepts)));
+        let proxy = LiveProxy::spawn(cfg).unwrap();
+
+        // Whichever reactor wakes first accepts; keep connecting until
+        // each owns a connection (the one that just worked has the
+        // larger vruntime, so they take turns even on one CPU).
+        let mut on: [Option<HttpConn>; 2] = [None, None];
+        for _ in 0..256 {
+            let conn = connect(&proxy);
+            let reactor = accepted.recv_timeout(Duration::from_secs(10)).unwrap();
+            on[reactor as usize].get_or_insert(conn);
+            if on.iter().all(Option::is_some) {
+                break;
+            }
+        }
+        let [Some(mut on0), Some(mut on1)] = on else {
+            panic!("256 connections and one reactor accepted them all");
+        };
+
+        let waiting = |path: &str| {
+            let file = proxy.shared.resolve(path);
+            let st = proxy.shared.shard(file).lock();
+            st.in_flight.get(&file).map(Vec::len)
+        };
+        for (path, lead) in [("/x", 0), ("/y", 1)] {
+            let (leader, follower) = match lead {
+                0 => (&mut on0, &mut on1),
+                _ => (&mut on1, &mut on0),
+            };
+            leader.write_request(&Request::get(path)).unwrap();
+            let fetch = origin.arrival();
+            follower.write_request(&Request::get(path)).unwrap();
+            await_until("the follower to join the flight", || {
+                waiting(path) == Some(1)
+            });
+            fetch.answer.send(Answer::Ok(100)).unwrap();
+            expect(leader, 100);
+            expect(follower, 100);
+        }
+        let snap = proxy.shutdown();
+        assert_eq!((snap.cache.misses, snap.cache.fresh_hits), (2, 2));
+        assert_eq!((snap.upstream_dials, snap.upstream_reuses), (1, 1));
+    }
+
+    /// A control peer that says `OK` only when the test does.
+    fn withholding_control_peer() -> (
+        SocketAddr,
+        mpsc::Receiver<String>,
+        mpsc::Sender<()>,
+        JoinHandle<()>,
+    ) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (seen_tx, seen) = mpsc::channel();
+        let (ok, oks) = mpsc::channel::<()>();
+        let peer = thread::spawn(move || {
+            use std::io::{BufRead, BufReader};
+            let (stream, _) = listener.accept().unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            // Commands are reported as they arrive; each token from the
+            // test releases one `OK`. Both ends when the test's do.
+            let reporter = thread::spawn(move || {
+                for line in BufReader::new(stream).lines() {
+                    let Ok(line) = line else { return };
+                    if seen_tx.send(line).is_err() {
+                        return;
+                    }
+                }
+            });
+            while oks.recv().is_ok() {
+                writer.write_all(b"OK\n").unwrap();
+            }
+            drop(writer);
+            reporter.join().unwrap();
+        });
+        (addr, seen, ok, peer)
+    }
+
+    /// `OK`s release commands strictly in the order they were sent: of
+    /// two concurrent cold misses on one shard, the second is neither
+    /// answered nor inserted until the *second* `OK` arrives, however
+    /// long the first has been in. (The blocking proxy let either worker
+    /// take either `OK`, so the second file could be cached before the
+    /// origin had registered its subscription — and a modification in
+    /// that window was never invalidated.)
+    #[test]
+    fn an_ok_releases_only_the_subscription_it_answers() {
+        let origin = Scripted::spawn();
+        let (control, commands, ok, peer) = withholding_control_peer();
+        let mut cfg = origin.proxy(LivePolicy::Invalidation);
+        cfg.origin_control = control;
+        let proxy = LiveProxy::spawn(cfg).unwrap();
+        let resident = |path: &str| {
+            let file = proxy.shared.resolve(path);
+            let st = proxy.shared.shard(file).lock();
+            st.engine.peek(file).is_some()
+        };
+        let next_command = || commands.recv_timeout(Duration::from_secs(10)).unwrap();
+
+        let (mut a, mut b) = (connect(&proxy), connect(&proxy));
+        a.write_request(&Request::get("/a")).unwrap();
+        origin.serve_next("/a", 11);
+        assert_eq!(next_command(), "SUBSCRIBE /a");
+        b.write_request(&Request::get("/b")).unwrap();
+        origin.serve_next("/b", 22);
+        assert_eq!(next_command(), "SUBSCRIBE /b");
+        assert!(!resident("/a") && !resident("/b"), "nothing before its OK");
+
+        ok.send(()).unwrap();
+        expect(&mut a, 11);
+        assert!(resident("/a"));
+        // The first `OK` is long in, and `/b` still waits for its own.
+        b.set_read_budget_ticks(4);
+        let early = b.read_response().unwrap_err();
+        assert_eq!(early.kind(), io::ErrorKind::TimedOut);
+        assert!(!resident("/b"), "/b was inserted on /a's OK");
+
+        ok.send(()).unwrap();
+        expect(&mut b, 22);
+        assert!(resident("/b"));
+        let snap = proxy.shutdown();
+        assert_eq!(snap.cache.misses, 2);
+        drop(ok);
+        peer.join().unwrap();
     }
 }

@@ -1,46 +1,44 @@
 //! The nonblocking epoll reactor behind both live data paths.
 //!
 //! `reactor_threads` event-loop threads each own one epoll instance, a
-//! slab of [`Conn`] state machines, and an eventfd wakeup. All reactors
-//! register (a clone of) the shared nonblocking listener level-triggered:
-//! whichever thread wakes drains a bounded accept burst and **owns** the
-//! connections it accepted — partitioning happens at accept time and a
-//! connection never migrates. Client sockets are registered
-//! edge-triggered (`EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP`) with a
-//! generation-tagged token, and every readiness notification drives the
-//! state machine to `WouldBlock` in both directions, as edge-triggering
-//! requires.
+//! slab of client [`Conn`] state machines, the upstream sockets of the
+//! proxy shards assigned to them, and a mailbox (a queue plus an
+//! eventfd). All reactors register (a clone of) the shared nonblocking
+//! listener level-triggered: whichever thread wakes drains a bounded
+//! accept burst and **owns** the connections it accepted — partitioning
+//! happens at accept time and a connection never migrates. Every other
+//! socket is registered edge-triggered (`EPOLLIN | EPOLLOUT | EPOLLET |
+//! EPOLLRDHUP`) with a generation-tagged token — one tag bit tells an
+//! upstream socket from a client — and every readiness notification
+//! drives its state machine to `WouldBlock` in both directions, as
+//! edge-triggering requires.
 //!
-//! Request dispatch is pluggable via [`Dispatch`], in two phases, and
-//! what runs where is fixed by the phase, not by a knob:
+//! **No reactor thread ever blocks.** Request handling is pluggable via
+//! [`Dispatch`], and everything a dispatcher does runs on a reactor
+//! thread, in memory: it may take locks, never a socket or a wait. What
+//! it wants from the network it *returns* as a [`Step`], and the
+//! reactor carries the step out:
 //!
-//! * [`Dispatch::begin`] runs **on the reactor thread** the moment a
-//!   request is framed. It may take in-memory locks but never blocks —
-//!   no socket IO, no condvar wait — and either finishes the request
-//!   (the response is serialised and written by the same thread, with
-//!   no queue, wakeup or context switch in between) or returns a
-//!   [`Dispatch::Deferred`] value describing the blocking rest.
-//! * [`Dispatch::finish`] runs **on a dispatch worker**
-//!   (`dispatch_threads` of them) fed by a queue bounded by the
-//!   connection cap (at most one outstanding request per connection,
-//!   enforced by the state machine). It may do upstream IO, and wait —
-//!   boundedly, handing the value back to the queue — on a condvar; the
-//!   worker pushes the result onto the owning reactor's completion
-//!   queue and nudges its eventfd, and the reactor writes it.
+//! * [`Dispatch::begin`] runs the moment a request is framed, and either
+//!   answers it ([`Step::Done`] — serialised and written by the same
+//!   thread, with no queue, wakeup or context switch in between) or asks
+//!   for an upstream exchange, parking a continuation with it.
+//! * [`Dispatch::resume`] runs when what a parked continuation was
+//!   waiting for has arrived (or failed), and returns the next step.
 //!
-//! The **origin** answers every request from memory, so its `begin`
-//! always finishes and it runs no workers. The **proxy** decides every
-//! request once, in `begin`, under the shard lock: a fresh hit is
-//! answered there and then; a miss, a validation, an uncacheable
-//! forward or a wait on another request's fetch is deferred with the
-//! decision already made. A hit therefore never queues behind slow
-//! misses occupying the workers.
+//! **A shard's IO has one owner.** Proxy shard `s`'s upstream sockets
+//! (`upstream::ShardIo`) live on reactor `s % reactor_threads`; a step
+//! for a shard another thread owns crosses once through that thread's
+//! mailbox, and its answer comes back through the acceptor's. With one
+//! reactor thread nothing ever crosses. The **origin** answers every
+//! request from memory: its `begin` never parks and it has no shards.
 //!
-//! The slow-loris read budget is tick-counted, never clock-read (§r1):
-//! each `epoll_wait` timeout is one idle tick swept over every mid-frame
-//! or mid-write connection. A saturated reactor therefore defers
-//! reaping — the memory cost is bounded by `max_conns × MAX_FRAME`
-//! either way — and an idle keep-alive connection is never reaped.
+//! The stall budget is tick-counted, never clock-read (§r1): each
+//! `epoll_wait` timeout is one idle tick swept over every mid-frame or
+//! mid-write client connection and every upstream exchange in progress.
+//! A saturated reactor therefore defers reaping — the memory cost is
+//! bounded by `max_conns × MAX_FRAME` either way — and an idle
+//! keep-alive connection is never reaped.
 
 use std::collections::VecDeque;
 use std::io;
@@ -52,7 +50,7 @@ use std::thread::JoinHandle;
 
 use httpsim::{Request, Response};
 use wcc_obs::{ConnCloseReason, ObsEvent, ProbeHandle};
-use wcc_sync::{RankedCondvar, RankedMutex};
+use wcc_sync::RankedMutex;
 
 use crate::clock::LiveClock;
 use crate::conn::{Conn, ConnEvent};
@@ -60,66 +58,109 @@ use crate::netio::{log_conn_error, POLL_TICK};
 use crate::sys::{
     Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
+use crate::upstream::{
+    ControlEvent, PoolCounters, PoolEnv, ShardIo, Upstream, CONNS_PER_SHARD, SLOTS_PER_SHARD,
+};
 
 /// Epoll token of the shared listener.
 const LISTENER_TOKEN: u64 = u64::MAX;
 /// Epoll token of the per-reactor eventfd.
 const WAKE_TOKEN: u64 = u64::MAX - 1;
+/// Set in the token of an upstream socket, clear in a client's.
+const UPSTREAM_TAG: u64 = 1 << 31;
 /// Readiness entries fetched per `epoll_wait`.
 const EVENT_BATCH: usize = 1024;
 /// Accepts drained per listener readiness notification, so one thread
 /// can't monopolise its loop on a connect flood.
 const ACCEPT_BATCH: usize = 64;
 
-/// Rank of the dispatch job queue: below every proxy/origin lock a
-/// dispatched handler may take, and never held across dispatch itself.
-// wcc-lock-rank: reactor.jobs.inner 20
-const JOBS_RANK: u32 = 20;
+/// Rank of a reactor's mailbox; pushed to with no other lock held, and
+/// drained by its owner with a `mem::take` under the guard.
+// wcc-lock-rank: reactor.mailbox.queue 25
+const MAILBOX_RANK: u32 = 25;
 
-/// Rank of a reactor's completion queue; workers push with no other
-/// lock held, the reactor drains it with a `mem::take` under the guard.
-// wcc-lock-rank: reactor.completions.queue 25
-const COMPLETIONS_RANK: u32 = 25;
-
-/// Where one dispatch phase left a request.
-pub(crate) enum Step<D> {
-    /// Answered: write this.
-    Done(Response, Arc<Vec<u8>>),
-    /// The rest needs a (or another turn on a) dispatch worker.
-    Defer(D),
+/// The client connection a request arrived on. It travels with every
+/// step of the request; the generation makes an answer for a connection
+/// that has since closed (and whose slot was reused) recognisably stale.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Ticket {
+    reactor: u32,
+    slot: u32,
+    gen: u32,
 }
 
-/// Produces the response for one parsed request, in two phases (see the
-/// module doc). Implementations must be callable from many threads at
-/// once.
+/// What a parked continuation was waiting for.
+pub(crate) enum Arrived {
+    /// The origin's reply to an [`Step::Exchange`].
+    Reply(Response, Vec<u8>),
+    /// Every command of a [`Step::Control`] was answered `OK`.
+    ControlOk,
+}
+
+/// What a request needs next.
+pub(crate) enum Step<P> {
+    /// Answered: write this to the client.
+    Done(Response, Arc<Vec<u8>>),
+    /// Failed: log, and close the client connection.
+    Fail(io::Error),
+    /// Send `request` on one of `shard`'s origin connections and resume
+    /// `then` with the reply.
+    Exchange {
+        shard: usize,
+        request: Vec<u8>,
+        then: P,
+    },
+    /// Send `commands` (`oks` whole lines) on `shard`'s control channel
+    /// and resume `then` once every one is answered.
+    Control {
+        shard: usize,
+        commands: Vec<u8>,
+        oks: u32,
+        then: P,
+    },
+    /// Nothing yet: the dispatcher keeps the ticket, and a later
+    /// `resume` hands back a step for it.
+    Parked,
+}
+
+/// Steps produced and not yet carried out, each with its request's
+/// ticket.
+pub(crate) type Work<P> = VecDeque<(Ticket, Step<P>)>;
+
+/// Handles parsed requests (see the module doc). Every method runs on a
+/// reactor thread — any of them, concurrently — and must not block: no
+/// socket IO, no condvar or channel wait.
 pub(crate) trait Dispatch: Send + Sync + 'static {
-    /// What `begin` hands to `finish`: the decision it took, plus
-    /// whatever it captured to carry that decision out.
-    type Deferred: Send + 'static;
+    /// The continuation parked with an exchange: what the request had
+    /// decided, and what it will do with the answer.
+    type Parked: Send + 'static;
 
-    /// Runs on the reactor thread: decide, and answer if that takes no
-    /// blocking. May take in-memory locks; must not do socket IO or
-    /// wait on a condvar.
-    fn begin(&self, req: Request) -> Step<Self::Deferred>;
+    /// Decide a framed request, and answer it if that takes no IO.
+    fn begin(&self, ticket: Ticket, req: Request) -> Step<Self::Parked>;
 
-    /// Runs on a dispatch worker: carry out a deferred decision. May
-    /// block on IO. A wait for something that itself needs a worker
-    /// must be bounded, and end by handing the value back — it rejoins
-    /// the queue at the back. An error closes the client connection.
-    fn finish(&self, deferred: Self::Deferred) -> io::Result<Step<Self::Deferred>>;
+    /// What `parked` asked for has arrived, or failed. Steps for *other*
+    /// requests this unblocks go on `woken`.
+    fn resume(
+        &self,
+        parked: Self::Parked,
+        arrived: io::Result<Arrived>,
+        woken: &mut Work<Self::Parked>,
+    ) -> Step<Self::Parked>;
+
+    /// The origin announced, on a shard's control channel, that `path`
+    /// changed. It is acknowledged when this returns.
+    fn invalidate(&self, _path: &str) {}
 }
 
 /// Reactor sizing and instrumentation.
 pub(crate) struct ReactorConfig {
     /// Event-loop threads (each owns an epoll instance).
     pub reactor_threads: usize,
-    /// Dispatch worker threads running [`Dispatch::finish`]; a
-    /// dispatcher whose `begin` never defers needs none.
-    pub dispatch_threads: usize,
     /// Connection cap across all reactor threads; accepts beyond it
     /// are shed (accepted, counted, closed).
     pub max_conns: usize,
-    /// Slow-loris budget in poll ticks.
+    /// Stall budget in poll ticks, for client frames and upstream
+    /// exchanges alike.
     pub budget_ticks: u32,
     /// Label for connection-error logging ("origin-data" / "proxy-data").
     pub role: &'static str,
@@ -129,53 +170,8 @@ pub(crate) struct ReactorConfig {
     pub clock: LiveClock,
 }
 
-struct Job<W> {
-    reactor: usize,
-    slot: usize,
-    gen: u32,
-    work: W,
-}
-
-struct Completion {
-    slot: usize,
-    gen: u32,
-    result: io::Result<(Response, Arc<Vec<u8>>)>,
-}
-
-/// Hand-rolled bounded-by-construction job queue: the state machine
-/// allows at most one outstanding request per connection, so the queue
-/// never holds more than `max_conns` jobs.
-struct JobQueue<W> {
-    inner: RankedMutex<VecDeque<Job<W>>>,
-    cond: RankedCondvar,
-}
-
-impl<W> JobQueue<W> {
-    fn push(&self, job: Job<W>) {
-        let mut q = self.inner.lock();
-        q.push_back(job);
-        // Notify while the guard is live so a worker's empty-queue check
-        // can never race the push (wcc-analyze r7).
-        self.cond.notify_one(&q);
-    }
-
-    fn pop(&self, shutdown: &AtomicBool) -> Option<Job<W>> {
-        let mut q = self.inner.lock();
-        loop {
-            if let Some(job) = q.pop_front() {
-                return Some(job);
-            }
-            if shutdown.load(Ordering::SeqCst) {
-                return None;
-            }
-            let (guard, _timed_out) = self.cond.wait_timeout(q, POLL_TICK);
-            q = guard;
-        }
-    }
-}
-
-struct CompletionQueue {
-    queue: RankedMutex<Vec<Completion>>,
+struct Mailbox<P> {
+    queue: RankedMutex<Vec<(Ticket, Step<P>)>>,
     wake: WakeFd,
 }
 
@@ -183,24 +179,26 @@ struct Shared<D: Dispatch> {
     shutdown: AtomicBool,
     open_conns: AtomicUsize,
     dropped_accepts: AtomicU64,
-    jobs: JobQueue<D::Deferred>,
-    completions: Vec<CompletionQueue>,
+    mail: Vec<Mailbox<D::Parked>>,
+    pool: Arc<PoolCounters>,
     dispatch: D,
-    probe: ProbeHandle,
-    clock: LiveClock,
-    role: &'static str,
-    max_conns: usize,
-    budget_ticks: u32,
+    cfg: ReactorConfig,
 }
 
 impl<D: Dispatch> Shared<D> {
     fn record(&self, event: ObsEvent) {
-        self.probe.record(self.clock.now(), event);
+        self.cfg.probe.record(self.cfg.clock.now(), event);
+    }
+
+    /// Hand a step to the reactor thread that must carry it out.
+    fn post(&self, to: usize, ticket: Ticket, step: Step<D::Parked>) {
+        self.mail[to].queue.lock().push((ticket, step));
+        self.mail[to].wake.wake();
     }
 }
 
 /// A generation-tagged slab slot. The generation is baked into the
-/// epoll token and into queued jobs, so readiness or completions for a
+/// epoll token and into tickets, so readiness or answers for a
 /// connection that has since been closed (and its slot reused) are
 /// recognised as stale and dropped.
 struct Slot {
@@ -212,8 +210,13 @@ fn token_of(slot: usize, gen: u32) -> u64 {
     (slot as u64) | (u64::from(gen) << 32)
 }
 
-/// The running reactor: `reactor_threads` event loops plus
-/// `dispatch_threads` workers, all joined on [`Reactor::stop`].
+/// The epoll token of a reactor's `index`-th upstream socket.
+pub(crate) fn upstream_token(index: usize, gen: u32) -> u64 {
+    token_of(index, gen) | UPSTREAM_TAG
+}
+
+/// The running reactor: `reactor_threads` event loops, joined on
+/// [`Reactor::stop`].
 pub(crate) struct Reactor<D: Dispatch> {
     shared: Arc<Shared<D>>,
     threads: Vec<JoinHandle<()>>,
@@ -230,18 +233,20 @@ impl<D: Dispatch> std::fmt::Debug for Reactor<D> {
 
 impl<D: Dispatch> Reactor<D> {
     /// Take ownership of `listener`'s accept stream and serve it on
-    /// the reactor.
+    /// the reactor. `upstreams[s]` is where shard `s`'s steps go (none
+    /// for a dispatcher that never asks for any).
     pub(crate) fn spawn(
         listener: TcpListener,
         dispatch: D,
+        upstreams: Vec<Upstream>,
         cfg: ReactorConfig,
     ) -> io::Result<Reactor<D>> {
         let reactors = cfg.reactor_threads.max(1);
         listener.set_nonblocking(true)?;
-        let mut completions = Vec::with_capacity(reactors);
+        let mut mail = Vec::with_capacity(reactors);
         for _ in 0..reactors {
-            completions.push(CompletionQueue {
-                queue: RankedMutex::new(COMPLETIONS_RANK, "reactor.completions.queue", Vec::new()),
+            mail.push(Mailbox {
+                queue: RankedMutex::new(MAILBOX_RANK, "reactor.mailbox.queue", Vec::new()),
                 wake: WakeFd::new()?,
             });
         }
@@ -249,31 +254,28 @@ impl<D: Dispatch> Reactor<D> {
             shutdown: AtomicBool::new(false),
             open_conns: AtomicUsize::new(0),
             dropped_accepts: AtomicU64::new(0),
-            jobs: JobQueue {
-                inner: RankedMutex::new(JOBS_RANK, "reactor.jobs.inner", VecDeque::new()),
-                cond: RankedCondvar::new(),
-            },
-            completions,
+            mail,
+            pool: Arc::default(),
             dispatch,
-            probe: cfg.probe,
-            clock: cfg.clock,
-            role: cfg.role,
-            max_conns: cfg.max_conns,
-            budget_ticks: cfg.budget_ticks,
+            cfg,
         });
-        let mut threads = Vec::with_capacity(reactors + cfg.dispatch_threads);
-        for idx in 0..reactors {
+        // Shard `s` is owned by reactor `s % reactors`, at `s / reactors`.
+        let mut owned: Vec<Vec<Upstream>> = (0..reactors).map(|_| Vec::new()).collect();
+        for (s, upstream) in upstreams.into_iter().enumerate() {
+            owned[s % reactors].push(upstream);
+        }
+        let mut threads = Vec::with_capacity(reactors);
+        for (idx, upstreams) in owned.into_iter().enumerate() {
             let shared = Arc::clone(&shared);
             // Every reactor registers its own dup of the listener fd in
             // its epoll; the original is dropped when spawn returns.
             let listener = listener.try_clone()?;
             threads.push(std::thread::spawn(move || {
-                reactor_loop(shared, idx, listener)
+                let role = shared.cfg.role;
+                if let Err(e) = EventLoop::run(shared, idx, &listener, upstreams) {
+                    log_conn_error(role, &e);
+                }
             }));
-        }
-        for _ in 0..cfg.dispatch_threads {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || worker_loop(shared)));
         }
         Ok(Reactor { shared, threads })
     }
@@ -288,18 +290,16 @@ impl<D: Dispatch> Reactor<D> {
         self.shared.dropped_accepts.load(Ordering::SeqCst)
     }
 
+    /// Upstream connection accounting, over every shard.
+    pub(crate) fn pool(&self) -> &PoolCounters {
+        &self.shared.pool
+    }
+
     /// Signal shutdown, wake every thread, and join them. Idempotent.
     pub(crate) fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            // Take the queue lock to notify: a worker between its
-            // shutdown check and its wait would otherwise sleep through
-            // the wakeup for a full tick. Dropped before the joins.
-            let q = self.shared.jobs.inner.lock();
-            self.shared.jobs.cond.notify_all(&q);
-        }
-        for cq in &self.shared.completions {
-            cq.wake.wake();
+        for mailbox in &self.shared.mail {
+            mailbox.wake.wake();
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -313,318 +313,380 @@ impl<D: Dispatch> Drop for Reactor<D> {
     }
 }
 
-fn worker_loop<D: Dispatch>(shared: Arc<Shared<D>>) {
-    while let Some(job) = shared.jobs.pop(&shared.shutdown) {
-        let result = match shared.dispatch.finish(job.work) {
-            Ok(Step::Done(resp, body)) => Ok((resp, body)),
-            Ok(Step::Defer(work)) => {
-                shared.jobs.push(Job { work, ..job });
-                continue;
-            }
-            Err(e) => Err(e),
-        };
-        let cq = &shared.completions[job.reactor];
-        {
-            let mut q = cq.queue.lock();
-            q.push(Completion {
-                slot: job.slot,
-                gen: job.gen,
-                result,
-            });
-        }
-        cq.wake.wake();
-    }
-}
-
-fn reactor_loop<D: Dispatch>(shared: Arc<Shared<D>>, idx: usize, listener: TcpListener) {
-    if let Err(e) = run_reactor(&shared, idx, &listener) {
-        log_conn_error(shared.role, &e);
-    }
-}
-
-fn run_reactor<D: Dispatch>(
-    shared: &Arc<Shared<D>>,
+/// One reactor thread's state; nothing in it is shared.
+struct EventLoop<D: Dispatch> {
+    shared: Arc<Shared<D>>,
     idx: usize,
-    listener: &TcpListener,
-) -> io::Result<()> {
-    let ep = Epoll::new()?;
-    // The listener is level-triggered: if one thread's accept burst
-    // doesn't drain the backlog, every reactor keeps getting told.
-    ep.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
-    ep.add(shared.completions[idx].wake.fd(), EPOLLIN, WAKE_TOKEN)?;
-    let mut slots: Vec<Slot> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut events = vec![EpollEvent::zeroed(); EVENT_BATCH];
-    let timeout_ms = POLL_TICK.as_millis() as i32;
-    loop {
-        let n = ep.epoll_wait(&mut events, timeout_ms)?;
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
+    ep: Epoll,
+    slots: Vec<Slot>,
+    free: Vec<usize>,
+    /// The shards whose upstream sockets this thread owns, by `s /
+    /// reactors`.
+    shards: Vec<ShardIo<(Ticket, D::Parked)>>,
+    work: Work<D::Parked>,
+}
+
+impl<D: Dispatch> EventLoop<D> {
+    fn run(
+        shared: Arc<Shared<D>>,
+        idx: usize,
+        listener: &TcpListener,
+        upstreams: Vec<Upstream>,
+    ) -> io::Result<()> {
+        let ep = Epoll::new()?;
+        // The listener is level-triggered: if one thread's accept burst
+        // doesn't drain the backlog, every reactor keeps getting told.
+        ep.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
+        ep.add(shared.mail[idx].wake.fd(), EPOLLIN, WAKE_TOKEN)?;
+        let env = PoolEnv {
+            budget_ticks: shared.cfg.budget_ticks,
+            counters: Arc::clone(&shared.pool),
+            probe: shared.cfg.probe.clone(),
+            clock: shared.cfg.clock.clone(),
+        };
+        let reactors = shared.mail.len();
+        let mut shards = Vec::with_capacity(upstreams.len());
+        for (local, upstream) in upstreams.into_iter().enumerate() {
+            let shard = local * reactors + idx;
+            let first = local * SLOTS_PER_SHARD;
+            shards.push(ShardIo::new(shard, first, upstream, &ep, env.clone())?);
         }
-        apply_completions(shared, idx, &ep, &mut slots, &mut free);
-        for event in events.iter().take(n) {
-            let (mask, token) = (event.events(), event.token());
-            match token {
-                WAKE_TOKEN => shared.completions[idx].wake.drain(),
-                LISTENER_TOKEN => accept_burst(shared, idx, listener, &ep, &mut slots, &mut free),
-                _ => {
-                    let slot = (token & u64::from(u32::MAX)) as usize;
-                    let gen = (token >> 32) as u32;
-                    if slots.get(slot).map(|s| s.gen) != Some(gen) {
-                        continue; // stale readiness for a reused slot
-                    }
-                    let readable = mask & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0;
-                    let writable = mask & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0;
-                    drive(
-                        shared, idx, &ep, &mut slots, &mut free, slot, readable, writable,
-                    );
-                }
-            }
-        }
-        if n == 0 {
-            tick_sweep(shared, idx, &ep, &mut slots, &mut free);
-        }
-    }
-    // Shutdown: close every remaining connection.
-    for slot in 0..slots.len() {
-        close_conn(
+        let mut this = EventLoop {
             shared,
             idx,
-            &ep,
-            &mut slots,
-            &mut free,
-            slot,
-            ConnCloseReason::Shutdown,
-        );
-    }
-    Ok(())
-}
-
-fn accept_burst<D: Dispatch>(
-    shared: &Arc<Shared<D>>,
-    idx: usize,
-    listener: &TcpListener,
-    ep: &Epoll,
-    slots: &mut Vec<Slot>,
-    free: &mut Vec<usize>,
-) {
-    let mut depth = 0u32;
-    for _ in 0..ACCEPT_BATCH {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                depth += 1;
-                if shared.open_conns.load(Ordering::SeqCst) >= shared.max_conns {
-                    // Shed: accept-then-close so the backlog drains and
-                    // the peer sees a deterministic reset, not a hang.
-                    shared.dropped_accepts.fetch_add(1, Ordering::SeqCst);
-                    shared.record(ObsEvent::ConnClosed {
-                        reactor: idx as u32,
-                        reason: ConnCloseReason::AtCapacity,
-                    });
-                    continue;
-                }
-                if let Err(e) = register_conn(shared, idx, ep, slots, free, stream) {
-                    shared.dropped_accepts.fetch_add(1, Ordering::SeqCst);
-                    log_conn_error(shared.role, &e);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                log_conn_error(shared.role, &e);
+            ep,
+            slots: Vec::new(),
+            free: Vec::new(),
+            shards,
+            work: VecDeque::new(),
+        };
+        let mut events = vec![EpollEvent::zeroed(); EVENT_BATCH];
+        let timeout_ms = POLL_TICK.as_millis() as i32;
+        loop {
+            let n = this.ep.epoll_wait(&mut events, timeout_ms)?;
+            if this.shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-        }
-    }
-    if depth > 0 {
-        shared.record(ObsEvent::AcceptBacklog {
-            reactor: idx as u32,
-            depth,
-        });
-    }
-}
-
-fn register_conn<D: Dispatch>(
-    shared: &Arc<Shared<D>>,
-    idx: usize,
-    ep: &Epoll,
-    slots: &mut Vec<Slot>,
-    free: &mut Vec<usize>,
-    stream: TcpStream,
-) -> io::Result<()> {
-    stream.set_nonblocking(true)?;
-    let _ = stream.set_nodelay(true);
-    let slot = match free.pop() {
-        Some(s) => s,
-        None => {
-            // Slot-table growth is bounded by max_conns: a conn only
-            // occupies a slot while counted against the cap.
-            slots.push(Slot { gen: 0, conn: None });
-            slots.len() - 1
-        }
-    };
-    let gen = slots[slot].gen;
-    let fd = stream.as_raw_fd();
-    if let Err(e) = ep.add(
-        fd,
-        EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP,
-        token_of(slot, gen),
-    ) {
-        free.push(slot);
-        return Err(e);
-    }
-    slots[slot].conn = Some(Conn::new(stream, shared.budget_ticks));
-    let open = shared.open_conns.fetch_add(1, Ordering::SeqCst) + 1;
-    shared.record(ObsEvent::ConnAccepted {
-        reactor: idx as u32,
-        open: open as u32,
-    });
-    // Bytes may have arrived before registration; with edge-triggered
-    // delivery the add itself reports initial readiness, but driving
-    // once here keeps latency off the first request either way.
-    drive(shared, idx, ep, slots, free, slot, true, false);
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive<D: Dispatch>(
-    shared: &Arc<Shared<D>>,
-    idx: usize,
-    ep: &Epoll,
-    slots: &mut [Slot],
-    free: &mut Vec<usize>,
-    slot: usize,
-    readable: bool,
-    writable: bool,
-) {
-    if writable {
-        let ev = match slots[slot].conn.as_mut() {
-            Some(c) => c.on_writable(shared.role),
-            None => return,
-        };
-        handle_event(shared, idx, ep, slots, free, slot, ev);
-    }
-    if readable {
-        let ev = match slots[slot].conn.as_mut() {
-            Some(c) => c.on_readable(shared.role),
-            None => return,
-        };
-        handle_event(shared, idx, ep, slots, free, slot, ev);
-    }
-}
-
-/// Run one state-machine outcome to quiescence. A request `begin`
-/// finishes can chain (response written → pipelined request parsed →
-/// begun again), hence the loop; a deferred one leaves the connection
-/// in `Dispatched` until its completion comes back.
-fn handle_event<D: Dispatch>(
-    shared: &Arc<Shared<D>>,
-    idx: usize,
-    ep: &Epoll,
-    slots: &mut [Slot],
-    free: &mut Vec<usize>,
-    slot: usize,
-    mut ev: ConnEvent,
-) {
-    loop {
-        match ev {
-            ConnEvent::Idle => return,
-            ConnEvent::Close(reason) => {
-                close_conn(shared, idx, ep, slots, free, slot, reason);
-                return;
+            // Upstream sockets first: an idle origin connection that was
+            // hung up on is retired before any request framed in the same
+            // batch can be sent on it.
+            for upstream_pass in [true, false] {
+                for event in events.iter().take(n) {
+                    let (mask, token) = (event.events(), event.token());
+                    let upstream = token < WAKE_TOKEN && token & UPSTREAM_TAG != 0;
+                    if upstream == upstream_pass {
+                        this.on_event(listener, mask, token, upstream);
+                    }
+                }
             }
-            ConnEvent::Dispatch(req) => match shared.dispatch.begin(req) {
-                Step::Done(resp, body) => {
-                    ev = match slots[slot].conn.as_mut() {
-                        Some(c) => c.on_response(&resp, &body, shared.role),
-                        None => return,
-                    };
+            if n == 0 {
+                this.tick_sweep();
+            }
+        }
+        // Shutdown: close every remaining connection.
+        for slot in 0..this.slots.len() {
+            this.close_conn(slot, ConnCloseReason::Shutdown);
+        }
+        Ok(())
+    }
+
+    fn on_event(&mut self, listener: &TcpListener, mask: u32, token: u64, upstream: bool) {
+        match token {
+            WAKE_TOKEN => {
+                // Reset before reading: a post that lands after the take
+                // finds the eventfd clear and raises it again.
+                self.shared.mail[self.idx].wake.drain();
+                let mail = std::mem::take(&mut *self.shared.mail[self.idx].queue.lock());
+                self.work.extend(mail);
+                self.drain();
+            }
+            LISTENER_TOKEN => self.accept_burst(listener),
+            _ => {
+                let index = (token & (UPSTREAM_TAG - 1)) as usize;
+                let gen = (token >> 32) as u32;
+                // An error or a hangup is reported in both directions, so
+                // whichever the state machine tries next runs into it.
+                let readable = mask & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0;
+                let writable = mask & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0;
+                if upstream {
+                    self.upstream_ready(index, gen, readable, writable);
+                } else if self.slots.get(index).map(|s| s.gen) == Some(gen) {
+                    // (else: stale readiness for a reused slot)
+                    self.drive(index, readable, writable);
                 }
-                Step::Defer(work) => {
-                    shared.jobs.push(Job {
-                        reactor: idx,
-                        slot,
-                        gen: slots[slot].gen,
-                        work,
-                    });
-                    return;
-                }
-            },
+            }
         }
     }
-}
 
-fn apply_completions<D: Dispatch>(
-    shared: &Arc<Shared<D>>,
-    idx: usize,
-    ep: &Epoll,
-    slots: &mut [Slot],
-    free: &mut Vec<usize>,
-) {
-    let done = {
-        let mut q = shared.completions[idx].queue.lock();
-        std::mem::take(&mut *q)
-    };
-    for c in done {
-        if slots.get(c.slot).map(|s| s.gen) != Some(c.gen) {
-            continue; // the connection closed while its request was in flight
+    fn accept_burst(&mut self, listener: &TcpListener) {
+        let mut depth = 0u32;
+        for _ in 0..ACCEPT_BATCH {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    depth += 1;
+                    if self.shared.open_conns.load(Ordering::SeqCst) >= self.shared.cfg.max_conns {
+                        // Shed: accept-then-close so the backlog drains and
+                        // the peer sees a deterministic reset, not a hang.
+                        self.shared.dropped_accepts.fetch_add(1, Ordering::SeqCst);
+                        self.shared.record(ObsEvent::ConnClosed {
+                            reactor: self.idx as u32,
+                            reason: ConnCloseReason::AtCapacity,
+                        });
+                        continue;
+                    }
+                    if let Err(e) = self.register_conn(stream) {
+                        self.shared.dropped_accepts.fetch_add(1, Ordering::SeqCst);
+                        log_conn_error(self.shared.cfg.role, &e);
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    log_conn_error(self.shared.cfg.role, &e);
+                    break;
+                }
+            }
         }
-        match c.result {
+        if depth > 0 {
+            self.shared.record(ObsEvent::AcceptBacklog {
+                reactor: self.idx as u32,
+                depth,
+            });
+        }
+    }
+
+    fn register_conn(&mut self, stream: TcpStream) -> io::Result<()> {
+        stream.set_nonblocking(true)?;
+        let _ = stream.set_nodelay(true);
+        let slot = match self.free.pop() {
+            Some(s) => s,
+            None => {
+                // Slot-table growth is bounded by max_conns: a conn only
+                // occupies a slot while counted against the cap.
+                self.slots.push(Slot { gen: 0, conn: None });
+                self.slots.len() - 1
+            }
+        };
+        let gen = self.slots[slot].gen;
+        if let Err(e) = self.ep.add(
+            stream.as_raw_fd(),
+            EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP,
+            token_of(slot, gen),
+        ) {
+            self.free.push(slot);
+            return Err(e);
+        }
+        self.slots[slot].conn = Some(Conn::new(stream, self.shared.cfg.budget_ticks));
+        let open = self.shared.open_conns.fetch_add(1, Ordering::SeqCst) + 1;
+        self.shared.record(ObsEvent::ConnAccepted {
+            reactor: self.idx as u32,
+            open: open as u32,
+        });
+        // Bytes may have arrived before registration; with edge-triggered
+        // delivery the add itself reports initial readiness, but driving
+        // once here keeps latency off the first request either way.
+        self.drive(slot, true, false);
+        Ok(())
+    }
+
+    fn drive(&mut self, slot: usize, readable: bool, writable: bool) {
+        let role = self.shared.cfg.role;
+        if writable {
+            let Some(conn) = self.slots[slot].conn.as_mut() else {
+                return;
+            };
+            let ev = conn.on_writable(role);
+            self.handle_event(slot, ev);
+        }
+        if readable {
+            let Some(conn) = self.slots[slot].conn.as_mut() else {
+                return;
+            };
+            let ev = conn.on_readable(role);
+            self.handle_event(slot, ev);
+        }
+        self.drain();
+    }
+
+    /// Run one state-machine outcome to quiescence. A request `begin`
+    /// answers can chain (response written → pipelined request parsed →
+    /// begun again), hence the loop; any other step goes on the work
+    /// list and leaves the connection in `Dispatched` until its answer
+    /// comes back.
+    fn handle_event(&mut self, slot: usize, mut ev: ConnEvent) {
+        loop {
+            match ev {
+                ConnEvent::Idle => return,
+                ConnEvent::Close(reason) => return self.close_conn(slot, reason),
+                ConnEvent::Dispatch(req) => {
+                    let ticket = Ticket {
+                        reactor: self.idx as u32,
+                        slot: slot as u32,
+                        gen: self.slots[slot].gen,
+                    };
+                    match self.shared.dispatch.begin(ticket, req) {
+                        Step::Done(resp, body) => {
+                            ev = match self.slots[slot].conn.as_mut() {
+                                Some(c) => c.on_response(&resp, &body, self.shared.cfg.role),
+                                None => return,
+                            };
+                        }
+                        step => return self.work.push_back((ticket, step)),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Carry out every step on the work list, and whatever those produce.
+    fn drain(&mut self) {
+        let reactors = self.shared.mail.len();
+        while let Some((ticket, step)) = self.work.pop_front() {
+            // An answer belongs to the thread that owns the client; an
+            // upstream step to the thread that owns the shard.
+            let home = match &step {
+                Step::Parked => continue,
+                Step::Done(..) | Step::Fail(_) => ticket.reactor as usize,
+                Step::Exchange { shard, .. } | Step::Control { shard, .. } => shard % reactors,
+            };
+            if home != self.idx {
+                self.shared.post(home, ticket, step);
+                continue;
+            }
+            match step {
+                Step::Parked => {}
+                Step::Done(resp, body) => self.answer(ticket, Ok((resp, body))),
+                Step::Fail(e) => self.answer(ticket, Err(e)),
+                Step::Exchange {
+                    shard,
+                    request,
+                    then,
+                } => {
+                    let local = shard / reactors;
+                    self.shards[local].exchange(&self.ep, request, (ticket, then));
+                    self.resume_failed(local);
+                }
+                Step::Control {
+                    shard,
+                    commands,
+                    oks,
+                    then,
+                } => {
+                    // No channel (the policy has none, or it died): go on.
+                    let parked = (ticket, then);
+                    if let Some((ticket, then)) =
+                        self.shards[shard / reactors].control(&commands, oks, parked)
+                    {
+                        self.resume(ticket, then, Ok(Arrived::ControlOk));
+                    }
+                }
+            }
+        }
+    }
+
+    fn resume(&mut self, ticket: Ticket, parked: D::Parked, arrived: io::Result<Arrived>) {
+        let step = self.shared.dispatch.resume(parked, arrived, &mut self.work);
+        self.work.push_back((ticket, step));
+    }
+
+    /// Resume, with its error, every exchange shard `local` gave up on.
+    fn resume_failed(&mut self, local: usize) {
+        while let Some(((ticket, parked), e)) = self.shards[local].failed.pop() {
+            self.resume(ticket, parked, Err(e));
+        }
+    }
+
+    /// Write a request's answer to its client — if that connection is
+    /// still the one that asked.
+    fn answer(&mut self, ticket: Ticket, result: io::Result<(Response, Arc<Vec<u8>>)>) {
+        let slot = ticket.slot as usize;
+        if self.slots.get(slot).map(|s| s.gen) != Some(ticket.gen) {
+            return; // the connection closed while its request was parked
+        }
+        match result {
             Ok((resp, body)) => {
-                let ev = match slots[c.slot].conn.as_mut() {
-                    Some(conn) => conn.on_response(&resp, &body, shared.role),
-                    None => continue,
+                let Some(conn) = self.slots[slot].conn.as_mut() else {
+                    return;
                 };
-                handle_event(shared, idx, ep, slots, free, c.slot, ev);
+                let ev = conn.on_response(&resp, &body, self.shared.cfg.role);
+                self.handle_event(slot, ev);
             }
             Err(e) => {
-                log_conn_error(shared.role, &e);
-                close_conn(shared, idx, ep, slots, free, c.slot, ConnCloseReason::Error);
+                log_conn_error(self.shared.cfg.role, &e);
+                self.close_conn(slot, ConnCloseReason::Error);
             }
         }
     }
-}
 
-fn tick_sweep<D: Dispatch>(
-    shared: &Arc<Shared<D>>,
-    idx: usize,
-    ep: &Epoll,
-    slots: &mut [Slot],
-    free: &mut Vec<usize>,
-) {
-    for slot in 0..slots.len() {
-        let ev = match slots[slot].conn.as_mut() {
-            Some(c) => c.on_tick(),
-            None => continue,
+    fn upstream_ready(&mut self, index: usize, gen: u32, readable: bool, writable: bool) {
+        let (local, which) = (index / SLOTS_PER_SHARD, index % SLOTS_PER_SHARD);
+        let Some(io) = self.shards.get_mut(local) else {
+            return;
         };
-        if let ConnEvent::Close(reason) = ev {
-            close_conn(shared, idx, ep, slots, free, slot, reason);
+        let dispatch = &self.shared.dispatch;
+        if which == CONNS_PER_SHARD {
+            let work = &mut self.work;
+            io.control_ready(&self.ep, readable, writable, |event| match event {
+                ControlEvent::Acked((ticket, parked)) => {
+                    let step = dispatch.resume(parked, Ok(Arrived::ControlOk), work);
+                    work.push_back((ticket, step));
+                }
+                ControlEvent::Invalidate(path) => dispatch.invalidate(path),
+            });
+        } else if let Some(((ticket, parked), resp, body)) =
+            io.conn_ready(&self.ep, which, gen, readable, writable)
+        {
+            match dispatch.resume(parked, Ok(Arrived::Reply(resp, body)), &mut self.work) {
+                // More to ask of the same shard: on the connection in hand.
+                Step::Exchange {
+                    shard,
+                    request,
+                    then,
+                } if shard == io.shard => {
+                    io.resend(&self.ep, which, &request, (ticket, then));
+                }
+                step => {
+                    io.release(&self.ep, which);
+                    self.work.push_back((ticket, step));
+                }
+            }
         }
+        self.resume_failed(local);
+        self.drain();
     }
-}
 
-fn close_conn<D: Dispatch>(
-    shared: &Arc<Shared<D>>,
-    idx: usize,
-    ep: &Epoll,
-    slots: &mut [Slot],
-    free: &mut Vec<usize>,
-    slot: usize,
-    reason: ConnCloseReason,
-) {
-    let Some(entry) = slots.get_mut(slot) else {
-        return;
-    };
-    if let Some(conn) = entry.conn.take() {
-        let _ = ep.del(conn.stream().as_raw_fd());
-        drop(conn);
-        entry.gen = entry.gen.wrapping_add(1);
-        free.push(slot);
-        shared.open_conns.fetch_sub(1, Ordering::SeqCst);
-        shared.record(ObsEvent::ConnClosed {
-            reactor: idx as u32,
-            reason,
-        });
+    fn tick_sweep(&mut self) {
+        for slot in 0..self.slots.len() {
+            let ev = match self.slots[slot].conn.as_mut() {
+                Some(c) => c.on_tick(),
+                None => continue,
+            };
+            if let ConnEvent::Close(reason) = ev {
+                self.close_conn(slot, reason);
+            }
+        }
+        for local in 0..self.shards.len() {
+            self.shards[local].tick(&self.ep);
+            self.resume_failed(local);
+        }
+        self.drain();
+    }
+
+    fn close_conn(&mut self, slot: usize, reason: ConnCloseReason) {
+        let Some(entry) = self.slots.get_mut(slot) else {
+            return;
+        };
+        if let Some(conn) = entry.conn.take() {
+            let _ = self.ep.del(conn.stream().as_raw_fd());
+            drop(conn);
+            entry.gen = entry.gen.wrapping_add(1);
+            self.free.push(slot);
+            self.shared.open_conns.fetch_sub(1, Ordering::SeqCst);
+            self.shared.record(ObsEvent::ConnClosed {
+                reactor: self.idx as u32,
+                reason,
+            });
+        }
     }
 }
 
@@ -634,73 +696,43 @@ mod tests {
     use crate::netio::HttpConn;
     use httpsim::{HttpDate, Status};
     use simcore::SimTime;
+    use std::convert::Infallible;
     use std::io::{Read, Write};
     use std::net::SocketAddr;
-    use std::sync::{mpsc, Mutex};
     use std::time::{Duration, Instant};
 
-    /// Echoes the path back as the body. Paths under `/slow/` are
-    /// deferred, and their `finish` announces itself on `parked` and
-    /// then waits for one `release` token; `/again/x` is deferred too,
-    /// and handed back by `finish` once, as `/slow/x`; everything else
-    /// is answered by `begin`.
-    struct Gated {
-        parked: mpsc::Sender<String>,
-        release: Mutex<mpsc::Receiver<()>>,
-    }
+    /// Echoes the path back as the body, from memory. (What a reactor
+    /// does with a dispatcher that parks is `proxy::tests`' subject.)
+    struct Echo;
 
-    /// The test's end of a [`Gated`] dispatcher.
-    struct Gate {
-        parked: mpsc::Receiver<String>,
-        release: mpsc::Sender<()>,
-    }
+    impl Dispatch for Echo {
+        type Parked = Infallible;
 
-    fn canned(path: &str) -> Step<String> {
-        let body = format!("canned:{path}").into_bytes();
-        let resp = Response::ok(HttpDate(2), HttpDate(1), body.len() as u64);
-        Step::Done(resp, Arc::new(body))
-    }
-
-    impl Dispatch for Gated {
-        type Deferred = String;
-
-        fn begin(&self, req: Request) -> Step<String> {
-            if req.path.starts_with("/slow/") || req.path.starts_with("/again/") {
-                Step::Defer(req.path)
-            } else {
-                canned(&req.path)
-            }
+        fn begin(&self, _ticket: Ticket, req: Request) -> Step<Infallible> {
+            let body = format!("canned:{}", req.path).into_bytes();
+            let resp = Response::ok(HttpDate(2), HttpDate(1), body.len() as u64);
+            Step::Done(resp, Arc::new(body))
         }
 
-        fn finish(&self, path: String) -> io::Result<Step<String>> {
-            if let Some(rest) = path.strip_prefix("/again/") {
-                return Ok(Step::Defer(format!("/slow/{rest}")));
-            }
-            let _ = self.parked.send(path.clone());
-            // A dropped gate releases everything (reactor shutdown).
-            let _ = self.release.lock().unwrap().recv();
-            Ok(canned(&path))
+        fn resume(
+            &self,
+            parked: Infallible,
+            _arrived: io::Result<Arrived>,
+            _woken: &mut Work<Infallible>,
+        ) -> Step<Infallible> {
+            match parked {}
         }
     }
 
-    fn spawn_reactor(
-        max_conns: usize,
-        budget_ticks: u32,
-        dispatch_threads: usize,
-    ) -> (Reactor<Gated>, SocketAddr, Gate) {
+    fn spawn_reactor(max_conns: usize, budget_ticks: u32) -> (Reactor<Echo>, SocketAddr) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let (parked_tx, parked_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel();
         let reactor = Reactor::spawn(
             listener,
-            Gated {
-                parked: parked_tx,
-                release: Mutex::new(release_rx),
-            },
+            Echo,
+            Vec::new(),
             ReactorConfig {
                 reactor_threads: 1,
-                dispatch_threads,
                 max_conns,
                 budget_ticks,
                 role: "test-data",
@@ -709,11 +741,7 @@ mod tests {
             },
         )
         .unwrap();
-        let gate = Gate {
-            parked: parked_rx,
-            release: release_tx,
-        };
-        (reactor, addr, gate)
+        (reactor, addr)
     }
 
     fn await_until(what: &str, mut done: impl FnMut() -> bool) {
@@ -740,13 +768,11 @@ mod tests {
     }
 
     #[test]
-    fn requests_round_trip_inline_and_via_workers() {
-        let (reactor, addr, gate) = spawn_reactor(64, 1200, 2);
+    fn requests_round_trip_and_a_hangup_closes_the_connection() {
+        let (reactor, addr) = spawn_reactor(64, 1200);
         let mut conn = connect(addr);
         for i in 0..3 {
             exchange(&mut conn, &format!("/f{i}"));
-            gate.release.send(()).unwrap();
-            exchange(&mut conn, &format!("/slow/f{i}"));
         }
         drop(conn);
         await_until("conn close after client hangup", || {
@@ -754,74 +780,15 @@ mod tests {
         });
     }
 
-    /// What `finish` hands back goes round the queue again and is
-    /// answered on the same connection.
+    /// Requests that arrive in one segment are answered one at a time,
+    /// in order.
     #[test]
-    fn a_handed_back_request_rejoins_the_queue() {
-        let (_reactor, addr, gate) = spawn_reactor(16, 1200, 1);
-        let mut conn = connect(addr);
-        conn.write_request(&Request::get("/again/x")).unwrap();
-        assert_eq!(gate.parked.recv().unwrap(), "/slow/x");
-        gate.release.send(()).unwrap();
-        expect_canned(&mut conn, "/slow/x");
-    }
-
-    /// With the only worker parked on connection A's deferred request,
-    /// connection B's request is still answered: `begin` finished it on
-    /// the reactor thread.
-    #[test]
-    fn inline_answer_overtakes_an_outstanding_deferred_request() {
-        let (_reactor, addr, gate) = spawn_reactor(16, 1200, 1);
-        let mut a = connect(addr);
-        a.write_request(&Request::get("/slow/a")).unwrap();
-        assert_eq!(gate.parked.recv().unwrap(), "/slow/a");
-        let mut b = connect(addr);
-        exchange(&mut b, "/b");
-        exchange(&mut b, "/b2");
-        // A is still owed its answer, and gets it once released.
-        gate.release.send(()).unwrap();
-        expect_canned(&mut a, "/slow/a");
-    }
-
-    /// A deferred request whose connection closed meanwhile completes
-    /// into the void: the slot's generation moved on, so the connection
-    /// that reused the slot never sees the stale response.
-    #[test]
-    fn completion_for_a_closed_connection_is_dropped() {
-        let (reactor, addr, gate) = spawn_reactor(16, 1200, 1);
-        // A plain hangup is honoured only after the outstanding response
-        // is written; a reset closes at once. Dropping a socket with
-        // unread bytes (the answer to `/unread`) sends one.
-        let mut a = connect(addr);
-        a.write_request(&Request::get("/unread")).unwrap();
-        a.write_request(&Request::get("/slow/a")).unwrap();
-        assert_eq!(gate.parked.recv().unwrap(), "/slow/a");
-        drop(a);
-        await_until("close of the deferred conn", || reactor.open_conns() == 0);
-        // C takes over A's slot (an answered exchange proves it is in
-        // it); its own deferred request queues behind A's, which is
-        // still parked on the only worker.
-        let mut c = connect(addr);
-        exchange(&mut c, "/settled");
-        c.write_request(&Request::get("/slow/c")).unwrap();
-        gate.release.send(()).unwrap(); // A's completion: dropped
-        assert_eq!(gate.parked.recv().unwrap(), "/slow/c");
-        gate.release.send(()).unwrap();
-        expect_canned(&mut c, "/slow/c");
-        // Nothing else was written to C: the next exchange lines up.
-        exchange(&mut c, "/after");
-    }
-
-    /// Pipelined requests on one connection answer in request order
-    /// even though inline and deferred ones take different routes.
-    #[test]
-    fn pipelined_inline_and_deferred_requests_answer_in_order() {
-        let (_reactor, addr, gate) = spawn_reactor(16, 1200, 2);
-        let paths = ["/a", "/slow/b", "/c", "/d", "/slow/e", "/slow/f", "/g"];
+    fn pipelined_requests_answer_in_order() {
+        let (_reactor, addr) = spawn_reactor(16, 1200);
+        let paths = ["/a", "/b", "/c", "/d"];
         let mut wire = Vec::new();
         for path in paths {
             wire.extend_from_slice(&Request::get(path).to_bytes());
-            gate.release.send(()).unwrap(); // more tokens than needed
         }
         let mut conn = connect(addr);
         conn.stream().write_all(&wire).unwrap();
@@ -832,7 +799,7 @@ mod tests {
 
     #[test]
     fn slow_loris_is_reaped_by_the_tick_budget() {
-        let (reactor, addr, _gate) = spawn_reactor(16, 2, 0);
+        let (reactor, addr) = spawn_reactor(16, 2);
         let mut loris = TcpStream::connect(addr).unwrap();
         loris.write_all(b"GET /half").unwrap(); // partial request, then silence
         await_until("loris registration", || reactor.open_conns() == 1);
@@ -846,7 +813,7 @@ mod tests {
 
     #[test]
     fn idle_keepalive_outlives_the_budget() {
-        let (reactor, addr, _gate) = spawn_reactor(16, 1, 0);
+        let (reactor, addr) = spawn_reactor(16, 1);
         let mut conn = connect(addr);
         exchange(&mut conn, "/first");
         // Sit idle well past the 1-tick budget: an idle keep-alive
@@ -858,7 +825,7 @@ mod tests {
 
     #[test]
     fn accepts_beyond_the_cap_are_shed_not_queued() {
-        let (reactor, addr, _gate) = spawn_reactor(2, 1200, 0);
+        let (reactor, addr) = spawn_reactor(2, 1200);
         let mut a = connect(addr);
         let mut b = connect(addr);
         exchange(&mut a, "/a");

@@ -109,9 +109,11 @@ pub struct SoakReport {
     pub files: u64,
     /// Reactor threads per data path.
     pub reactor_threads: usize,
-    /// Peak OS threads in the serving process during the active phase
+    /// OS threads in the serving process once the active mix is done
     /// (`0` when `/proc/self/status` was unreadable).
     pub process_threads: usize,
+    /// How many of those are the soak's own idle holders.
+    pub client_threads: usize,
     /// Wall-clock seconds for the whole soak.
     pub wall_seconds: f64,
     /// Active-mix request latency.
@@ -169,6 +171,15 @@ impl SoakReport {
         }
     }
 
+    /// Every thread a process that runs nothing but this soak has when
+    /// `process_threads` is read: its main thread, the idle holders, and
+    /// what serves — one reactor set each for origin and proxy, plus the
+    /// origin's control acceptor. Nothing per connection, nothing per
+    /// request.
+    pub fn expected_threads(&self) -> usize {
+        1 + self.client_threads + 2 * self.reactor_threads + 1
+    }
+
     /// The report as one JSON object (single line).
     pub fn to_json(&self) -> String {
         JsonObj::new()
@@ -182,6 +193,7 @@ impl SoakReport {
             .u64("files", self.files)
             .u64("reactor_threads", self.reactor_threads as u64)
             .u64("process_threads", self.process_threads as u64)
+            .u64("client_threads", self.client_threads as u64)
             .f64("wall_seconds", self.wall_seconds)
             .raw("latency", &latency_json(&self.latency))
             .finish()
@@ -318,6 +330,7 @@ pub fn run_soak(cfg: &SoakConfig, probe: &ProbeHandle) -> io::Result<SoakReport>
         Ok(latency)
     });
     let process_threads = process_thread_count();
+    let client_threads = holder_threads.len();
     let latency = mix?;
     let active_sent = (active * requests_per_active) as u64;
 
@@ -344,6 +357,7 @@ pub fn run_soak(cfg: &SoakConfig, probe: &ProbeHandle) -> io::Result<SoakReport>
         files: files as u64,
         reactor_threads: cfg.reactor_threads.max(1),
         process_threads,
+        client_threads,
         wall_seconds: started.elapsed().as_secs_f64(),
         latency,
     })
@@ -472,16 +486,25 @@ fn active_client(
 }
 
 /// The `Threads:` line of `/proc/self/status` — how many OS threads
-/// this process is running right now (`0` when unavailable).
+/// this process is running right now (`0` when unavailable). Read until
+/// two reads a millisecond apart agree: a thread that has just been
+/// joined is still counted for the instant the kernel takes to reap it.
 fn process_thread_count() -> usize {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
+    let read = || {
+        let status = std::fs::read_to_string("/proc/self/status").ok()?;
+        let line = status.lines().find_map(|l| l.strip_prefix("Threads:"))?;
+        line.trim().parse().ok()
     };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
+    let mut count = read();
+    for _ in 0..50 {
+        thread::sleep(std::time::Duration::from_millis(1));
+        let again = read();
+        if again == count {
+            break;
+        }
+        count = again;
+    }
+    count.unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
-//! Raw Linux `epoll`/`eventfd`/`recv` syscall wrappers.
+//! Raw Linux `epoll`/`eventfd`/`socket` syscall wrappers.
 //!
 //! The vendored-only policy rules out the `libc` crate, so the handful
-//! of syscalls the reactor and the upstream pool need are declared here
-//! against the C library `std` already links. This is the **only**
-//! module in the crate allowed to contain `unsafe`: everything above it
-//! talks to the safe [`Epoll`] / [`WakeFd`] types, which own their file
-//! descriptors and close them on drop, or to [`peek_would_block`],
-//! which borrows a live socket.
+//! of syscalls the reactor needs are declared here against the C
+//! library `std` already links. This is the **only** module in the
+//! crate allowed to contain `unsafe`: everything above it talks to the
+//! safe [`Epoll`] / [`WakeFd`] types, which own their file descriptors
+//! and close them on drop, or to [`connect_nonblocking`], which hands
+//! back an owned `TcpStream`.
 //!
 //! ABI notes: on x86_64 the kernel's `struct epoll_event` is packed
 //! (no padding between the `u32` events mask and the `u64` data word);
@@ -16,8 +16,8 @@
 #![allow(unsafe_code)]
 
 use std::io;
-use std::net::TcpStream;
-use std::os::fd::{AsRawFd, RawFd};
+use std::net::{SocketAddr, TcpStream};
+use std::os::fd::{FromRawFd, RawFd};
 use std::os::raw::{c_int, c_uint, c_void};
 
 /// Readable readiness.
@@ -40,8 +40,12 @@ const EPOLL_CTL_MOD: c_int = 3;
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
 const EFD_CLOEXEC: c_int = 0o2000000;
-const MSG_PEEK: c_int = 0x02;
-const MSG_DONTWAIT: c_int = 0x40;
+const AF_INET: u16 = 2;
+const AF_INET6: u16 = 10;
+const SOCK_STREAM: c_int = 1;
+const SOCK_NONBLOCK: c_int = 0o4000;
+const SOCK_CLOEXEC: c_int = 0o2000000;
+const EINPROGRESS: i32 = 115;
 
 /// Mirror of the kernel's `struct epoll_event`.
 #[derive(Clone, Copy)]
@@ -58,14 +62,14 @@ impl EpollEvent {
         EpollEvent { events: 0, data: 0 }
     }
 
-    /// The readiness mask (copied out of the packed struct).
-    pub fn events(&self) -> u32 {
-        self.events
-    }
-
     /// The caller-chosen token registered with the fd.
     pub fn token(&self) -> u64 {
         self.data
+    }
+
+    /// The readiness mask (copied out of the packed struct).
+    pub fn events(&self) -> u32 {
+        self.events
     }
 }
 
@@ -77,7 +81,8 @@ extern "C" {
     fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-    fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
+    fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
+    fn connect(fd: c_int, addr: *const c_void, len: c_uint) -> c_int;
 }
 
 fn cvt(ret: c_int) -> io::Result<c_int> {
@@ -196,23 +201,46 @@ impl Drop for WakeFd {
     }
 }
 
-/// Whether a one-byte nonblocking peek at `sock` finds nothing to read
-/// and nothing wrong: `true` only for `EAGAIN`; EOF, a pending byte or
-/// any other error is `false`. One syscall, and it neither consumes
-/// data nor touches the socket's blocking mode.
-pub fn peek_would_block(sock: &TcpStream) -> bool {
-    let mut probe = 0u8;
-    // SAFETY: `probe` is one valid writable byte for the call; the fd
-    // is open for as long as `sock` is borrowed.
-    let n = unsafe {
-        recv(
-            sock.as_raw_fd(),
-            (&raw mut probe).cast::<c_void>(),
-            1,
-            MSG_PEEK | MSG_DONTWAIT,
-        )
+/// Start a TCP connection to `addr` without waiting for the handshake:
+/// `socket(SOCK_NONBLOCK)` + `connect`, where `EINPROGRESS` is success.
+/// The stream is connected once it polls writable with no pending
+/// `SO_ERROR` (`TcpStream::take_error`); a refusal shows up the same way,
+/// or — loopback can answer within the call — as this function's error.
+pub fn connect_nonblocking(addr: SocketAddr) -> io::Result<TcpStream> {
+    // The kernel's `sockaddr_in` / `sockaddr_in6`, field by field: family
+    // (host order), port (network order), then v4: the address; v6:
+    // flowinfo, the address, scope id.
+    let mut sa = [0u8; 28];
+    sa[2..4].copy_from_slice(&addr.port().to_be_bytes());
+    let (family, len) = match addr {
+        SocketAddr::V4(a) => {
+            sa[4..8].copy_from_slice(&a.ip().octets());
+            (AF_INET, 16)
+        }
+        SocketAddr::V6(a) => {
+            sa[4..8].copy_from_slice(&a.flowinfo().to_ne_bytes());
+            sa[8..24].copy_from_slice(&a.ip().octets());
+            sa[24..28].copy_from_slice(&a.scope_id().to_ne_bytes());
+            (AF_INET6, 28)
+        }
     };
-    n < 0 && io::Error::last_os_error().kind() == io::ErrorKind::WouldBlock
+    sa[..2].copy_from_slice(&family.to_ne_bytes());
+    let ty = SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC;
+    // SAFETY: no pointers involved; the return value is checked.
+    let fd = cvt(unsafe { socket(c_int::from(family), ty, 0) })?;
+    // SAFETY: `fd` is a socket nothing else owns; the stream closes it on
+    // every path out of this function.
+    let stream = unsafe { TcpStream::from_raw_fd(fd) };
+    // SAFETY: `sa` holds a valid socket address of `len` bytes for the
+    // duration of the call; the kernel copies it.
+    let ret = unsafe { connect(fd, sa.as_ptr().cast(), len) };
+    if ret < 0 {
+        let err = io::Error::last_os_error();
+        if err.raw_os_error() != Some(EINPROGRESS) {
+            return Err(err);
+        }
+    }
+    Ok(stream)
 }
 
 #[cfg(test)]
@@ -240,35 +268,43 @@ mod tests {
         assert_eq!(ep.epoll_wait(&mut events, 0).unwrap(), 0);
     }
 
+    /// Wait for `sock` to poll writable and report its `SO_ERROR`.
+    fn dial_outcome(sock: &TcpStream) -> Option<io::Error> {
+        use std::os::fd::AsRawFd;
+        let ep = Epoll::new().unwrap();
+        ep.add(sock.as_raw_fd(), EPOLLOUT, 1).unwrap();
+        let mut events = [EpollEvent::zeroed(); 1];
+        assert_eq!(ep.epoll_wait(&mut events, 10_000).unwrap(), 1);
+        sock.take_error().unwrap()
+    }
+
     #[test]
-    fn peek_tells_quiet_from_pending_from_closed() {
+    fn nonblocking_dial_completes_on_writable_and_reports_refusal() {
         use std::io::{Read, Write};
         use std::net::TcpListener;
 
-        // Loopback delivery is prompt, not instant: poll, bounded.
-        fn becomes_readable(sock: &TcpStream) -> bool {
-            (0..1_000_000).any(|_| {
-                std::thread::yield_now();
-                !peek_would_block(sock)
-            })
-        }
-
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut ours = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut ours = connect_nonblocking(addr).unwrap();
+        assert!(dial_outcome(&ours).is_none(), "handshake completed");
         let (mut theirs, _) = listener.accept().unwrap();
-        assert!(peek_would_block(&ours), "idle and open");
-
-        // A pending byte is reported and left in place.
-        theirs.write_all(b"x").unwrap();
-        assert!(becomes_readable(&ours));
-        assert!(!peek_would_block(&ours), "the first peek consumed it");
+        ours.write_all(b"x").unwrap();
         let mut byte = [0u8; 1];
-        ours.read_exact(&mut byte).unwrap();
+        theirs.read_exact(&mut byte).unwrap();
         assert_eq!(&byte, b"x");
-        assert!(peek_would_block(&ours), "idle again");
+        // Nothing to read yet, and the socket does not block for it.
+        assert_eq!(
+            ours.read(&mut byte).unwrap_err().kind(),
+            io::ErrorKind::WouldBlock
+        );
 
-        drop(theirs);
-        assert!(becomes_readable(&ours), "EOF never surfaced");
+        // Nobody listening: refused within the call or on the poll.
+        drop((listener, theirs));
+        let refused = match connect_nonblocking(addr) {
+            Err(e) => e,
+            Ok(sock) => dial_outcome(&sock).expect("a dial to a closed port must fail"),
+        };
+        assert_eq!(refused.kind(), io::ErrorKind::ConnectionRefused);
     }
 
     #[test]

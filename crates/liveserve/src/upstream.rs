@@ -1,0 +1,513 @@
+//! One proxy shard's sockets to the origin, as its owner reactor thread
+//! drives them.
+//!
+//! A [`ShardIo`] holds up to [`CONNS_PER_SHARD`] keep-alive data
+//! connections with a wait-list of at most [`MAX_WAITERS`] exchanges
+//! behind them, and — under invalidation — the shard's control
+//! connection. All of it is nonblocking and registered edge-triggered on
+//! the owner's epoll set; nothing here takes a lock, reads a clock for
+//! anything but a probe stamp, or waits. An exchange is a continuation
+//! `K` parked on a socket: the reactor hands it in with the bytes to
+//! send and gets it back with what arrived.
+//!
+//! **Data connections.** An exchange takes an idle connection, else
+//! dials (`connect_nonblocking`, completed on writability), else joins
+//! the wait-list; a full wait-list refuses it and counts a saturation.
+//! A connection whose exchange fails — refused dial, reset, EOF or
+//! garbage mid-reply, the tick budget — is closed and its slot freed for
+//! the next waiter's dial. An idle connection that turns readable was
+//! hung up on (or written to out of turn) by the origin and is closed
+//! the same way, so no exchange is ever started on a dead socket the
+//! reactor has been told about.
+//!
+//! **Control connection.** Commands go out in the order the reactor
+//! hands them in and `OK`s are matched to them first-in first-out, on
+//! this one thread, so an `OK` can only ever release the command it
+//! answers. `INVALIDATE` lines are handed to the caller — in line
+//! order with the `OK`s around them — and acknowledged once it returns.
+//! A channel that dies releases everything waiting on it, as the
+//! blocking proxy did: the run is winding down.
+
+use std::collections::VecDeque;
+use std::io;
+use std::net::{SocketAddr, TcpStream};
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use httpsim::Response;
+use wcc_obs::{ObsEvent, ProbeHandle};
+
+use crate::clock::LiveClock;
+use crate::conn::{read_available, write_pending};
+use crate::control::{ControlMsg, MAX_LINE};
+use crate::netio::{invalid, log_conn_error, MAX_FRAME};
+use crate::reactor::upstream_token;
+use crate::sys::{connect_nonblocking, Epoll, EPOLLET, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+
+/// Keep-alive origin connections per shard. Misses and validations are
+/// a minority of requests once the cache warms, so a few pooled sockets
+/// per shard absorb them without the one-conn-per-client sprawl.
+pub(crate) const CONNS_PER_SHARD: usize = 4;
+
+/// Exchanges queued beyond this per shard are refused outright rather
+/// than buffered without bound.
+pub(crate) const MAX_WAITERS: usize = 256;
+
+/// Epoll registrations per shard: the data connections, then the
+/// control connection.
+pub(crate) const SLOTS_PER_SHARD: usize = CONNS_PER_SHARD + 1;
+
+/// Where one shard's upstream traffic goes.
+pub(crate) struct Upstream {
+    /// The origin's HTTP data address, dialled on demand.
+    pub origin: SocketAddr,
+    /// The shard's connected control channel, when the policy uses one.
+    pub control: Option<TcpStream>,
+}
+
+/// Upstream connection accounting, summed over every shard.
+#[derive(Default)]
+pub(crate) struct PoolCounters {
+    /// Connections dialled.
+    pub dials: AtomicU64,
+    /// Exchanges carried by a pooled keep-alive connection.
+    pub reuses: AtomicU64,
+    /// Exchanges refused at a full wait-list.
+    pub saturations: AtomicU64,
+}
+
+/// What every shard of one proxy shares.
+#[derive(Clone)]
+pub(crate) struct PoolEnv {
+    /// Poll ticks an exchange may sit without progress.
+    pub budget_ticks: u32,
+    pub counters: Arc<PoolCounters>,
+    pub probe: ProbeHandle,
+    /// Read only to stamp probe events.
+    pub clock: LiveClock,
+}
+
+/// A nonblocking socket with its two buffers.
+struct Wire {
+    stream: TcpStream,
+    wbuf: Vec<u8>,
+    wpos: usize,
+    rbuf: Vec<u8>,
+}
+
+impl Wire {
+    fn register(stream: TcpStream, ep: &Epoll, token: u64) -> io::Result<Wire> {
+        let _ = stream.set_nodelay(true);
+        ep.add(
+            stream.as_raw_fd(),
+            EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP,
+            token,
+        )?;
+        Ok(Wire {
+            stream,
+            wbuf: Vec::new(),
+            wpos: 0,
+            rbuf: Vec::new(),
+        })
+    }
+
+    /// Queue `bytes` behind whatever is still unwritten.
+    fn queue(&mut self, bytes: &[u8]) {
+        if self.wpos == self.wbuf.len() {
+            self.wbuf.clear();
+            self.wpos = 0;
+        }
+        self.wbuf.extend_from_slice(bytes);
+    }
+
+    /// Write what the socket takes; the rest goes on the next writable
+    /// edge.
+    fn flush(&mut self) -> io::Result<()> {
+        write_pending(&self.stream, &self.wbuf, &mut self.wpos).map(drop)
+    }
+
+    /// Read what has arrived, keeping at most `cap` unparsed bytes.
+    /// `Ok(true)` means the peer hung up.
+    fn fill(&mut self, cap: usize) -> io::Result<bool> {
+        read_available(&self.stream, &mut self.rbuf, cap)
+    }
+}
+
+/// One data connection: dialling, carrying `busy`'s exchange, or idle.
+struct DataConn<K> {
+    wire: Wire,
+    dialing: bool,
+    busy: Option<K>,
+    /// The origin hung up behind the reply in hand: not for the pool.
+    hung_up: bool,
+    stall_ticks: u32,
+}
+
+/// A data-connection slot; the generation tells readiness for a
+/// connection that has since been closed from its successor's.
+struct Slot<K> {
+    gen: u32,
+    conn: Option<DataConn<K>>,
+}
+
+struct Control<K> {
+    wire: Wire,
+    /// Commands awaiting their `OK`s, oldest first, as (`OK`s still
+    /// owed, whom to resume). Bounded by the requests in flight.
+    pending: VecDeque<(u32, K)>,
+}
+
+/// What the control channel produced, in line order.
+pub(crate) enum ControlEvent<'a, K> {
+    /// Every command `K` issued has been answered `OK`.
+    Acked(K),
+    /// The origin's copy of this path changed; the `ACK` goes out when
+    /// the callback returns.
+    Invalidate(&'a str),
+}
+
+/// One shard's upstream sockets (see the module doc).
+pub(crate) struct ShardIo<K> {
+    pub shard: usize,
+    origin: SocketAddr,
+    /// This shard's first upstream index on its reactor: connection `i`
+    /// registers as `first + i`, the control channel last.
+    first: usize,
+    conns: Vec<Slot<K>>,
+    waiters: VecDeque<(Vec<u8>, K)>,
+    control: Option<Control<K>>,
+    /// Exchanges that ended without a reply since the reactor last
+    /// looked; it drains this after every call in here.
+    pub failed: Vec<(K, io::Error)>,
+    env: PoolEnv,
+}
+
+impl<K> ShardIo<K> {
+    pub(crate) fn new(
+        shard: usize,
+        first: usize,
+        upstream: Upstream,
+        ep: &Epoll,
+        env: PoolEnv,
+    ) -> io::Result<Self> {
+        let control = match upstream.control {
+            Some(stream) => {
+                stream.set_nonblocking(true)?;
+                let token = upstream_token(first + CONNS_PER_SHARD, 0);
+                Some(Control {
+                    wire: Wire::register(stream, ep, token)?,
+                    pending: VecDeque::new(),
+                })
+            }
+            None => None,
+        };
+        Ok(ShardIo {
+            shard,
+            origin: upstream.origin,
+            first,
+            conns: (0..CONNS_PER_SHARD)
+                .map(|_| Slot { gen: 0, conn: None })
+                .collect(),
+            waiters: VecDeque::new(),
+            control,
+            failed: Vec::new(),
+            env,
+        })
+    }
+
+    fn record(&self, event: ObsEvent) {
+        self.env.probe.record(self.env.clock.now(), event);
+    }
+
+    // --- data connections ------------------------------------------------
+
+    /// Start the exchange that sends `request` and resumes `k` with the
+    /// reply: now if a connection is idle or may be dialled, else from
+    /// the wait-list — unless that is full.
+    pub(crate) fn exchange(&mut self, ep: &Epoll, request: Vec<u8>, k: K) {
+        self.record(ObsEvent::ShardQueue {
+            shard: self.shard as u32,
+            depth: self.waiters.len() as u32,
+        });
+        if self.waiters.len() < MAX_WAITERS {
+            self.waiters.push_back((request, k));
+            return self.pump(ep);
+        }
+        self.env
+            .counters
+            .saturations
+            .fetch_add(1, Ordering::Relaxed);
+        let refusal = format!(
+            "upstream pool saturated on shard {}: all connections busy and {MAX_WAITERS} exchanges queued",
+            self.shard
+        );
+        self.failed
+            .push((k, io::Error::new(io::ErrorKind::WouldBlock, refusal)));
+    }
+
+    /// Start waiters, oldest first, while a connection is idle or a
+    /// slot is free to dial into.
+    fn pump(&mut self, ep: &Epoll) {
+        while !self.waiters.is_empty() {
+            let idle = |s: &Slot<K>| s.conn.as_ref().is_some_and(|c| c.busy.is_none());
+            let Some(i) = (self.conns.iter().position(idle))
+                .or_else(|| self.conns.iter().position(|s| s.conn.is_none()))
+            else {
+                return;
+            };
+            let Some((request, k)) = self.waiters.pop_front() else {
+                return;
+            };
+            if self.conns[i].conn.is_some() {
+                self.env.counters.reuses.fetch_add(1, Ordering::Relaxed);
+                self.record(ObsEvent::Upstream { reused: true });
+                self.resend(ep, i, &request, k);
+                continue;
+            }
+            let token = upstream_token(self.first + i, self.conns[i].gen);
+            match connect_nonblocking(self.origin).and_then(|s| Wire::register(s, ep, token)) {
+                Ok(mut wire) => {
+                    wire.queue(&request);
+                    self.conns[i].conn = Some(DataConn {
+                        wire,
+                        dialing: true,
+                        busy: Some(k),
+                        hung_up: false,
+                        stall_ticks: 0,
+                    });
+                }
+                Err(e) => self.failed.push((k, e)),
+            }
+        }
+    }
+
+    /// Send `request` on connection `i`, which the caller holds — fresh
+    /// from the pool, or still in hand from `k`'s previous reply.
+    pub(crate) fn resend(&mut self, ep: &Epoll, i: usize, request: &[u8], k: K) {
+        let Some(conn) = self.conns[i].conn.as_mut() else {
+            return;
+        };
+        conn.stall_ticks = 0;
+        conn.wire.queue(request);
+        conn.busy = Some(k);
+        if let Err(e) = conn.wire.flush() {
+            self.close(ep, i, e);
+        }
+    }
+
+    /// Connection `i`'s exchange is over and its continuation wants
+    /// nothing more of it: back to the pool, or on to the next waiter.
+    pub(crate) fn release(&mut self, ep: &Epoll, i: usize) {
+        // Bytes beyond the reply are a protocol desync.
+        let spent = |c: &DataConn<K>| c.hung_up || !c.wire.rbuf.is_empty();
+        if self.conns[i].conn.as_ref().is_some_and(spent) {
+            self.close(ep, i, io::ErrorKind::ConnectionAborted.into());
+        }
+        self.pump(ep);
+    }
+
+    /// Close connection `i`, failing the exchange on it (an idle
+    /// connection just goes); the slot is free for the next dial.
+    fn close(&mut self, ep: &Epoll, i: usize, e: io::Error) {
+        let slot = &mut self.conns[i];
+        if let Some(conn) = slot.conn.take() {
+            let _ = ep.del(conn.wire.stream.as_raw_fd());
+            slot.gen = slot.gen.wrapping_add(1);
+            if let Some(k) = conn.busy {
+                self.failed.push((k, e));
+            }
+        }
+    }
+
+    /// Readiness on data connection `i`. A completed reply comes back
+    /// with its continuation and the connection stays in the caller's
+    /// hand, to [`resend`](Self::resend) on or [`release`](Self::release).
+    pub(crate) fn conn_ready(
+        &mut self,
+        ep: &Epoll,
+        i: usize,
+        gen: u32,
+        readable: bool,
+        writable: bool,
+    ) -> Option<(K, Response, Vec<u8>)> {
+        let slot = &mut self.conns[i];
+        if slot.gen != gen {
+            return None; // readiness for a connection since closed
+        }
+        let conn = slot.conn.as_mut()?;
+        let was_dialing = conn.dialing;
+        let outcome = conn.drive(readable, writable);
+        if was_dialing && !conn.dialing {
+            self.env.counters.dials.fetch_add(1, Ordering::Relaxed);
+            self.record(ObsEvent::Upstream { reused: false });
+        }
+        match outcome {
+            Ok(reply) => {
+                let (resp, body) = reply?;
+                Some((self.conns[i].conn.as_mut()?.busy.take()?, resp, body))
+            }
+            Err(e) => {
+                self.close(ep, i, e);
+                self.pump(ep);
+                None
+            }
+        }
+    }
+
+    /// One poll tick: a connection whose exchange made no progress for
+    /// the whole budget is closed and the exchange failed.
+    pub(crate) fn tick(&mut self, ep: &Epoll) {
+        for i in 0..self.conns.len() {
+            let Some(conn) = self.conns[i].conn.as_mut() else {
+                continue;
+            };
+            if conn.busy.is_none() {
+                continue;
+            }
+            conn.stall_ticks += 1;
+            if conn.stall_ticks >= self.env.budget_ticks {
+                let what = "read budget exhausted waiting for the origin";
+                self.close(ep, i, io::Error::new(io::ErrorKind::TimedOut, what));
+            }
+        }
+        self.pump(ep);
+    }
+
+    // --- control channel -------------------------------------------------
+
+    /// Send `commands` (whole lines, `oks` of them) and park `k` until
+    /// every one is answered. With nothing to wait for — no commands, or
+    /// no channel: the policy has none, or it died — `k` comes straight
+    /// back.
+    pub(crate) fn control(&mut self, commands: &[u8], oks: u32, k: K) -> Option<K> {
+        let Some(control) = self.control.as_mut().filter(|_| oks > 0) else {
+            return Some(k);
+        };
+        control.wire.queue(commands);
+        control.pending.push_back((oks, k));
+        // A failed write also raises the socket's error edge, and
+        // `control_ready` winds the channel down from there.
+        let _ = control.wire.flush();
+        None
+    }
+
+    /// Readiness on the control connection: every complete line, in
+    /// order, through `on`.
+    pub(crate) fn control_ready(
+        &mut self,
+        ep: &Epoll,
+        readable: bool,
+        writable: bool,
+        mut on: impl FnMut(ControlEvent<'_, K>),
+    ) {
+        let Some(control) = self.control.as_mut() else {
+            return;
+        };
+        if let Err(e) = control.drive(readable, writable, &mut on) {
+            log_conn_error("proxy-control", &e);
+            let _ = ep.del(control.wire.stream.as_raw_fd());
+            if let Some(dead) = self.control.take() {
+                for (_, k) in dead.pending {
+                    on(ControlEvent::Acked(k));
+                }
+            }
+        }
+    }
+}
+
+impl<K> DataConn<K> {
+    /// Move bytes both ways; `Ok(Some(..))` once the reply to the
+    /// exchange in progress is complete.
+    fn drive(&mut self, readable: bool, writable: bool) -> io::Result<Option<(Response, Vec<u8>)>> {
+        if writable {
+            if self.dialing {
+                if let Some(e) = self.wire.stream.take_error()? {
+                    return Err(e);
+                }
+                self.dialing = false;
+            }
+            self.wire.flush()?;
+        }
+        if !readable || self.dialing {
+            return Ok(None);
+        }
+        let had = self.wire.rbuf.len();
+        let eof = self.wire.fill(MAX_FRAME)?;
+        if self.busy.is_none() {
+            // Idle: anything at all, a hangup included, retires it.
+            return Err(io::ErrorKind::ConnectionAborted.into());
+        }
+        let rbuf = &mut self.wire.rbuf;
+        if rbuf.len() > had {
+            self.stall_ticks = 0;
+        }
+        match Response::from_bytes(rbuf).map_err(invalid)? {
+            Some((resp, body, used)) => {
+                rbuf.drain(..used);
+                self.hung_up = eof;
+                Ok(Some((resp, body)))
+            }
+            None if eof => Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "EOF mid-response",
+            )),
+            None => Ok(None),
+        }
+    }
+}
+
+impl<K> Control<K> {
+    fn drive(
+        &mut self,
+        readable: bool,
+        writable: bool,
+        on: &mut impl FnMut(ControlEvent<'_, K>),
+    ) -> io::Result<()> {
+        if writable {
+            self.wire.flush()?;
+        }
+        if !readable {
+            return Ok(());
+        }
+        let eof = self.wire.fill(MAX_LINE)?;
+        let mut used = 0;
+        while let Some(len) = self.wire.rbuf[used..].iter().position(|&b| b == b'\n') {
+            let line = std::str::from_utf8(&self.wire.rbuf[used..used + len]).map_err(invalid)?;
+            used += len + 1;
+            match ControlMsg::parse(line)? {
+                ControlMsg::Ok => {
+                    let Some(front) = self.pending.front_mut() else {
+                        return Err(invalid("OK with no command outstanding"));
+                    };
+                    front.0 -= 1;
+                    if front.0 == 0 {
+                        if let Some((_, k)) = self.pending.pop_front() {
+                            on(ControlEvent::Acked(k));
+                        }
+                    }
+                }
+                // Ack only after the caller has marked the entry: once
+                // the origin sees the ACK, no client can be served the
+                // stale copy.
+                ControlMsg::Invalidate(path) => {
+                    on(ControlEvent::Invalidate(&path));
+                    self.wire.queue(ControlMsg::Ack.encode().as_bytes());
+                }
+                other => {
+                    let what = format!("unexpected control message at proxy: {other:?}");
+                    return Err(invalid(what));
+                }
+            }
+        }
+        self.wire.rbuf.drain(..used);
+        self.wire.flush()?;
+        if eof {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "origin closed the control channel",
+            ));
+        }
+        Ok(())
+    }
+}

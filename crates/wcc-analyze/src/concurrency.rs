@@ -9,7 +9,7 @@
 //!   any edge that contradicts the declared rank table (ranks must
 //!   strictly increase along acquisition chains). Ground truth for lock
 //!   identity is the `// wcc-lock-rank: <dotted.name> <rank>` annotation
-//!   placed above each rank constant (see DESIGN.md §14); within a file
+//!   placed above each rank constant (see DESIGN.md §12); within a file
 //!   a site `foo.lock()` matches the annotation whose last dotted
 //!   segment is `foo`. Unannotated locks still participate in cycle
 //!   detection under a `file::ident` node name.
@@ -21,6 +21,9 @@
 //! * **r8 guard-across-blocking** — generalizes r3 beyond socket IO: no
 //!   mutex guard may be live across a queue offer (`try_push`), a
 //!   channel `send`/`try_send`, a pool `checkout`, or a thread `join()`.
+//!   On the reactor path (`liveserve/{reactor,conn,proxy,upstream}.rs`)
+//!   the rule needs no guard to fire: a reactor thread holds every
+//!   connection it owns, so there a blocking call is banned outright.
 //!
 //! r6 and r8 propagate **one level** through direct calls: a function
 //! called while a guard is held contributes its own lock acquisitions
@@ -40,6 +43,25 @@ const SCOPE_CRATES: [&str; 3] = ["liveserve", "wcc-load", "wcc-obs"];
 /// Calls that block the calling thread on another thread's progress
 /// (beyond the socket IO that r3 already covers).
 const BLOCKING_CALLS: [&str; 4] = ["try_push", "send", "try_send", "checkout"];
+
+/// The `liveserve` files whose non-test code runs on reactor threads.
+const REACTOR_PATH_FILES: [&str; 4] = ["reactor.rs", "conn.rs", "proxy.rs", "upstream.rs"];
+
+/// Calls that park the calling thread until a peer, a timer or another
+/// thread moves: banned on the reactor path, where one parked thread is
+/// every connection it owns. Their nonblocking counterparts
+/// (`connect_nonblocking`, `read`/`write` to `WouldBlock`, `epoll_wait`)
+/// are other identifiers.
+const REACTOR_BANNED: [&str; 8] = [
+    "connect",
+    "read_response",
+    "read_request",
+    "read_msg",
+    "write_all",
+    "recv_timeout",
+    "wait",
+    "wait_timeout",
+];
 
 /// Method names never treated as workspace-call propagation targets:
 /// std collection/iterator vocabulary plus synchronization primitives
@@ -276,7 +298,7 @@ pub fn run_concurrency(ctxs: &[FileCtx]) -> Vec<Finding> {
                     e.line,
                     format!(
                         "lock `{}` (rank {rb}) acquired{} while `{}` (rank {ra}) is held — \
-                         ranks must strictly increase along acquisition chains (DESIGN.md §14)",
+                         ranks must strictly increase along acquisition chains (DESIGN.md §12)",
                         nodes[e.to].label,
                         via_suffix(&e.via),
                         nodes[e.from].label,
@@ -481,6 +503,8 @@ fn scan_fn(
     let ctx = &ctxs[fi];
     let toks = &ctx.tokens;
     let loops = loop_intervals(ctx);
+    let reactor_path =
+        ctx.crate_name == "liveserve" && REACTOR_PATH_FILES.contains(&ctx.file_name());
     let mut info = FnInfo {
         file: fi,
         name: fn_name(ctx, span).unwrap_or_default(),
@@ -654,10 +678,29 @@ fn scan_fn(
                 ));
             }
         }
+        let is_fn_decl = i >= 1 && toks[i - 1].is_ident("fn");
+        // r8 (reactor path): a blocking call, guard or no guard.
+        if reactor_path
+            && t.kind == TokKind::Ident
+            && REACTOR_BANNED.contains(&t.text.as_str())
+            && toks.get(i + 1).map(|t| t.is_punct('(')) == Some(true)
+            && !is_fn_decl
+        {
+            raw.push((
+                fi,
+                "r8",
+                t.line,
+                format!(
+                    "`{}()` on the reactor path — no reactor thread ever blocks: park a \
+                     continuation on the socket and resume on readiness (DESIGN.md §8), or \
+                     justify with `// wcc-allow: r8 <reason>`",
+                    t.text
+                ),
+            ));
+        }
         // Candidate workspace call made under a guard (r6/r8 one-level
         // propagation). Uppercase initials are type constructors, not
         // calls; `fn name(` is a nested declaration.
-        let is_fn_decl = i >= 1 && toks[i - 1].is_ident("fn");
         if t.kind == TokKind::Ident
             && toks.get(i + 1).map(|t| t.is_punct('(')) == Some(true)
             && !guards.is_empty()
@@ -1062,6 +1105,33 @@ fn fine(&self) {
             2,
             "{hits:?}"
         );
+    }
+
+    #[test]
+    fn r8_bans_blocking_calls_on_the_reactor_path_only() {
+        let src = r#"
+fn dial(&self) {
+    let s = TcpStream::connect(self.addr);
+    self.stream.write_all(b"x");
+    self.cond.wait_timeout(g, TICK);
+}
+fn fine(&self) {
+    let s = connect_nonblocking(self.addr);
+    let n = self.ep.epoll_wait(&mut events, 25);
+}
+#[cfg(test)]
+mod tests { fn t() { let s = TcpStream::connect(addr); s.write_all(b"x"); } }
+"#;
+        let count = |path| {
+            let hits = unsuppressed(path, src);
+            hits.iter().filter(|f| f.rule == "r8").count()
+        };
+        assert_eq!(count("crates/liveserve/src/upstream.rs"), 3);
+        assert_eq!(count("crates/liveserve/src/proxy.rs"), 3);
+        // The blocking client-side connection and the origin's control
+        // threads live off the path.
+        assert_eq!(count("crates/liveserve/src/netio.rs"), 0);
+        assert_eq!(count("crates/liveserve/src/origin.rs"), 0);
     }
 
     #[test]

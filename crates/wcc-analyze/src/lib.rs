@@ -14,11 +14,12 @@
 //! * **r5 bounded-channel-or-comment** — queues and server-loop
 //!   collections are bounded or carry a justified suppression;
 //! * **r6 lock-order-cycle** — lock acquisition order is acyclic and
-//!   follows the declared `wcc-lock-rank` table (see DESIGN.md §14);
+//!   follows the declared `wcc-lock-rank` table (see DESIGN.md §12);
 //! * **r7 condvar-discipline** — condvar waits loop on their predicate
 //!   and notifies run under the paired guard;
 //! * **r8 guard-across-blocking** — no guard is live across queue
-//!   offers, channel sends, pool checkouts, or thread joins.
+//!   offers, channel sends, pool checkouts, or thread joins, and the
+//!   files that run on reactor threads make no blocking call at all.
 //! * **r9 decision-written-once** — only `consistency::Engine` calls
 //!   `Policy::{decide, on_validation, on_fetch}`; every driver goes
 //!   through the engine.

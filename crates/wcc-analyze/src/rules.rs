@@ -11,11 +11,11 @@
 //! | r1 | no-wall-clock             | every crate; `liveserve/{clock,soak}.rs` + `wcc-load/{closed,driver}.rs` allowlisted |
 //! | r2 | no-unordered-iter         | files that write reports/stats |
 //! | r3 | no-lock-across-io         | `liveserve`, `wcc-obs`, `wcc-load` |
-//! | r4 | no-panic-in-server-path   | `liveserve::{origin,proxy,netio,control,pool,...}`, `wcc-load::{closed,driver,replay}` |
+//! | r4 | no-panic-in-server-path   | `liveserve::{origin,proxy,netio,control,upstream,...}`, `wcc-load::{closed,driver,replay}` |
 //! | r5 | bounded-channel-or-comment| `liveserve`, `wcc-load` |
 //! | r6 | lock-order-cycle          | `liveserve`, `wcc-obs`, `wcc-load` (workspace-wide graph; see [`crate::concurrency`]) |
 //! | r7 | condvar-discipline        | `liveserve`, `wcc-obs`, `wcc-load` |
-//! | r8 | guard-across-blocking     | `liveserve`, `wcc-obs`, `wcc-load` |
+//! | r8 | guard-across-blocking     | `liveserve`, `wcc-obs`, `wcc-load`; any blocking call at all in `liveserve/{reactor,conn,proxy,upstream}.rs` |
 //! | r9 | decision-written-once     | everything outside `crates/consistency` except the repo benchmark (`bench/`) |
 //!
 //! Suppression: `// wcc-allow: <rule>[,<rule>] <reason>` on the finding
@@ -113,7 +113,8 @@ pub const RULES: [RuleInfo; 10] = [
         id: "r8",
         name: "guard-across-blocking",
         summary: "no mutex guard is live across a queue offer, channel send, pool \
-                  checkout, or thread join — blocking under a lock stalls the stack",
+                  checkout, or thread join — blocking under a lock stalls the stack; on \
+                  the reactor path no call blocks at all",
         example: "let st = self.state.lock(); self.tx.send(job)?;",
     },
     RuleInfo {
@@ -595,7 +596,7 @@ fn r4_no_panic_in_server_path(
                 | "proxy.rs"
                 | "netio.rs"
                 | "control.rs"
-                | "pool.rs"
+                | "upstream.rs"
                 | "reactor.rs"
                 | "conn.rs"
                 | "sys.rs"

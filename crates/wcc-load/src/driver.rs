@@ -313,7 +313,7 @@ struct WorkerTally {
     sojourn: LatencyStats,
 }
 
-fn worker_loop(
+fn drain_shots(
     pending: &PendingQueue,
     spec: &StackSpec,
     proxy_addr: std::net::SocketAddr,
@@ -400,7 +400,7 @@ pub fn run_open_loop(
                 let pending = &pending;
                 let probe_ref = &*probe;
                 s.spawn(move || {
-                    worker_loop(
+                    drain_shots(
                         pending,
                         spec,
                         proxy_addr,
@@ -512,7 +512,7 @@ mod tests {
         assert!(q.pop().is_none(), "drained queue reports done");
     }
 
-    /// The intended global order (DESIGN.md §14): the pending queue
+    /// The intended global order (DESIGN.md §12): the pending queue
     /// (rank 10) is the *first* lock the open-loop path takes — every
     /// serving-stack lock (reactor queues 20/25, proxy state 60, pool
     /// 75, obs 95) ranks above it. Calling `finish` while any of those

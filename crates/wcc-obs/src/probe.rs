@@ -163,7 +163,7 @@ pub enum ObsEvent {
     },
     /// A ranked lock acquisition found the lock already held and had to
     /// wait (see `wcc-sync`); `rank` identifies the lock in the global
-    /// rank table (DESIGN.md §14).
+    /// rank table (DESIGN.md §12).
     LockContended {
         /// Rank of the contended lock.
         rank: u32,

@@ -2,7 +2,7 @@
 //!
 //! Every mutex in liveserve / wcc-load / wcc-obs carries a *rank* — a
 //! position in the single global lock order that `wcc-analyze` rule r6
-//! verifies statically (see DESIGN.md §14 for the rank table). This
+//! verifies statically (see DESIGN.md §12 for the rank table). This
 //! crate is the runtime half of that contract:
 //!
 //! * [`RankedMutex`] wraps `std::sync::Mutex` and, **under
@@ -56,7 +56,7 @@ mod rank_stack {
                 assert!(
                     rank > top,
                     "lock rank inversion: acquiring {name} (rank {rank}) while holding \
-                     {top_name} (rank {top}); see the rank table in DESIGN.md §14"
+                     {top_name} (rank {top}); see the rank table in DESIGN.md §12"
                 );
             }
             held.push((rank, name));

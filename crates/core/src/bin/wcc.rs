@@ -19,7 +19,9 @@ use liveserve::report::JsonObj;
 use simcore::SimDuration;
 use webcache::experiments::report::{render_table1, render_table2};
 use webcache::experiments::trace::{self, TraceTarget};
-use webcache::experiments::{ablations, deployment, failure, tables, Figure, Scale};
+use webcache::experiments::{
+    ablations, deployment, failure, tables, DataSet, Figure, Scale, SimReport,
+};
 use webcache::{
     generate_synthetic, ProtocolSpec, RunResult, SimConfig, SweepRunner, Workload, WorrellConfig,
 };
@@ -311,8 +313,20 @@ fn cmd_all(a: &Flags) -> Result<(), String> {
     for n in ["1", "2"] {
         table(n, a.has("quick"), &runner)?;
     }
+    // Figures on one data set are consecutive (2/3, 4/5, 6/7/8): sweep it
+    // once and render each figure's panel of that report.
+    let mut swept: Option<(DataSet, SimReport)> = None;
     for figure in Figure::all() {
-        println!("{}", figure.render(&scale, &runner));
+        if let Some(data) = figure.data() {
+            if swept.as_ref().is_none_or(|(last, _)| *last != data) {
+                swept = Some((data, data.report(&scale, &runner)));
+            }
+        }
+        let panel = swept.as_ref().and_then(|(_, report)| figure.panel(report));
+        println!(
+            "{}",
+            panel.unwrap_or_else(|| figure.render(&scale, &runner))
+        );
     }
     run_ablations(&runner);
     Ok(())

@@ -25,7 +25,7 @@ use simcore::{CacheId, Dispatch, FileId, Scheduler, SimDuration, SimTime, Simula
 use wcc_obs::NoopProbe;
 
 use crate::sim::{run, RunResult, SimCache, SimConfig};
-use crate::workload::Workload;
+use crate::workload::{Workload, WorkloadEvent};
 use crate::ProtocolSpec;
 
 /// A server→cache notification outage.
@@ -52,23 +52,27 @@ const THE_CACHE: CacheId = CacheId(0);
 const RETRY_BASE: SimDuration = SimDuration::from_mins(2);
 const RETRY_CAP: SimDuration = SimDuration::from_mins(32);
 
-/// The partitioned run's event alphabet: the workload's pre-scheduled
-/// modifications and requests plus the retry timer the failed deliveries
-/// arm. A concrete `Copy` payload, so even the retry storm of a long
-/// outage allocates nothing per event.
+/// The partitioned run's event alphabet: the workload's own events, fed
+/// to the engine, plus the retry timer the failed deliveries arm — the
+/// only event that goes through the queue. A concrete `Copy` payload, so
+/// even the retry storm of a long outage allocates nothing per event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FailureEvent {
-    Modify(FileId),
-    Request(FileId),
+    Workload(WorkloadEvent),
     Retry,
 }
 
 impl<'w> Dispatch<World<'w>> for FailureEvent {
     fn dispatch(self, world: &mut World<'w>, sched: &mut Scheduler<World<'w>, Self>) {
+        let now = sched.now();
         match self {
-            FailureEvent::Modify(f) => world.on_modification(f, sched.now(), sched),
-            FailureEvent::Request(f) => world.cache.request(f, sched.now(), &mut NoopProbe),
-            FailureEvent::Retry => world.on_retry(sched.now(), sched),
+            FailureEvent::Workload(WorkloadEvent::Modify(f)) => {
+                world.on_modification(f, now, sched)
+            }
+            FailureEvent::Workload(WorkloadEvent::Request(f)) => {
+                world.cache.request(f, now, &mut NoopProbe)
+            }
+            FailureEvent::Retry => world.on_retry(now, sched),
         }
     }
 }
@@ -145,17 +149,10 @@ pub fn run_partitioned_invalidation(workload: &Workload, outages: &[Outage]) -> 
     };
 
     let mut sim: Simulation<World<'_>, FailureEvent> = Simulation::new(world);
-    for (t, f) in workload.population.all_modifications() {
-        if t >= workload.start && t <= workload.end {
-            sim.scheduler()
-                .schedule_event_at(t, FailureEvent::Modify(f));
-        }
-    }
-    for &(t, f) in &workload.requests {
-        sim.scheduler()
-            .schedule_event_at(t, FailureEvent::Request(f));
-    }
-    sim.run_to_completion();
+    let feed = workload
+        .schedule()
+        .map(|(t, event)| (t, FailureEvent::Workload(event)));
+    sim.run_feed(feed, |_, _, _| {});
     let world = sim.into_world();
 
     // The RetryQueue counts initial failed sends and failed sweeps alike;
@@ -323,5 +320,26 @@ mod tests {
         let r = run_partitioned_invalidation(&wl, &outages);
         assert!(r.late_deliveries == 2, "both notices arrive late");
         assert!(r.result.cache.stale_hits >= 5);
+    }
+
+    #[test]
+    fn a_retry_on_a_fed_requests_instant_fires_after_it() {
+        // The change at +10h cannot be announced; the first retry, one
+        // base interval later, finds the channel back up and shares its
+        // instant with a request. The workload's event goes first, so
+        // that request is still served the old copy.
+        let mut b = ScenarioBuilder::new("tie", SimDuration::from_days(1));
+        let f = b.file("/x", 1_000, SimDuration::from_days(5), 0);
+        b.modify(f, hours(10), None);
+        b.request(f, hours(10) + RETRY_BASE);
+        b.request(f, hours(11));
+        let wl = b.build();
+        let outage = Outage {
+            from: wl.start + hours(9),
+            until: wl.start + hours(10) + SimDuration::from_mins(1),
+        };
+        let r = run_partitioned_invalidation(&wl, &[outage]);
+        assert_eq!((r.failed_attempts, r.late_deliveries), (1, 1));
+        assert_eq!((r.result.cache.stale_hits, r.result.cache.misses), (1, 1));
     }
 }

@@ -262,14 +262,22 @@ impl Figure {
 
     /// Run the figure's experiment and render it.
     pub fn render(&self, scale: &Scale, runner: &SweepRunner) -> String {
-        let (data, panel, render): (_, _, fn(&str, &SimReport) -> String) = match self.plot {
-            Plot::Hierarchy => return report::render_figure1(&hierarchy_bias::run_figure1()),
-            Plot::Bandwidth(data) => (data, "bandwidth", report::render_bandwidth_figure),
-            Plot::MissRates(data) => (data, "miss/stale rates", report::render_missrate_figure),
-            Plot::ServerLoad(data) => (data, "server load", report::render_server_load_figure),
+        self.data()
+            .and_then(|data| self.panel(&data.report(scale, runner)))
+            .unwrap_or_else(|| report::render_figure1(&hierarchy_bias::run_figure1()))
+    }
+
+    /// The figure's panel of `report`, its data set's [`DataSet::report`]
+    /// — computed once, it serves every figure on that data set. `None`
+    /// for Figure 1, which plots fixed scenarios instead of a sweep.
+    pub fn panel(&self, report: &SimReport) -> Option<String> {
+        let (panel, render): (_, fn(&str, &SimReport) -> String) = match self.plot {
+            Plot::Hierarchy => return None,
+            Plot::Bandwidth(_) => ("bandwidth", report::render_bandwidth_figure),
+            Plot::MissRates(_) => ("miss/stale rates", report::render_missrate_figure),
+            Plot::ServerLoad(_) => ("server load", report::render_server_load_figure),
         };
-        let title = format!("Figure {}: {panel}", self.number);
-        render(&title, &data.report(scale, runner))
+        Some(render(&format!("Figure {}: {panel}", self.number), report))
     }
 }
 

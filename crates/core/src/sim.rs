@@ -36,7 +36,7 @@ use simcore::{
 };
 use wcc_obs::{ObsEvent, Probe, ServerOpKind};
 
-use crate::workload::Workload;
+use crate::workload::{Workload, WorkloadEvent};
 use crate::ProtocolSpec;
 
 pub use consistency::RetrievalMode;
@@ -425,21 +425,6 @@ pub fn run(workload: &Workload, spec: ProtocolSpec, config: &SimConfig) -> RunRe
         .result
 }
 
-/// The closed event alphabet of the single-cache simulator.
-///
-/// The workload pre-schedules every modification and request, and neither
-/// handler schedules follow-ups, so two variants cover the whole run. As a
-/// plain `Copy` payload dispatched through [`Dispatch`], scheduling one
-/// costs no heap allocation and firing one costs no virtual call — this is
-/// the per-request hot path of every sweep point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SimEvent {
-    /// The origin's copy of the file changes.
-    Modify(FileId),
-    /// A client asks the cache for the file.
-    Request(FileId),
-}
-
 struct World<'w, S: Store> {
     cache: SimCache<'w, S>,
     probe: &'w mut dyn Probe,
@@ -472,11 +457,16 @@ impl<S: Store> World<'_, S> {
     }
 }
 
-impl<'w, S: Store> Dispatch<World<'w, S>> for SimEvent {
+/// The workload's two event kinds are the simulator's whole alphabet:
+/// neither handler schedules follow-ups. As a plain `Copy` payload
+/// dispatched through [`Dispatch`], firing one costs no heap allocation
+/// and no virtual call — this is the per-request hot path of every sweep
+/// point.
+impl<'w, S: Store> Dispatch<World<'w, S>> for WorkloadEvent {
     fn dispatch(self, world: &mut World<'w, S>, sched: &mut Scheduler<World<'w, S>, Self>) {
         match self {
-            SimEvent::Modify(f) => world.on_modification(f, sched.now()),
-            SimEvent::Request(f) => world.cache.request(f, sched.now(), world.probe),
+            WorkloadEvent::Modify(f) => world.on_modification(f, sched.now()),
+            WorkloadEvent::Request(f) => world.cache.request(f, sched.now(), world.probe),
         }
     }
 }
@@ -497,35 +487,9 @@ pub(crate) fn run_with_store_probe<'w, S: Store>(
         cache.preload(probe);
     }
 
-    // Merge modifications and requests into one schedule; at equal
-    // instants a modification precedes a request (a request arriving "at"
-    // a change sees the new version, matching HTTP semantics where the
-    // origin answers with its current state).
-    let mut events: Vec<(SimTime, u8, SimEvent)> =
-        Vec::with_capacity(workload.requests.len() + workload.population.len());
-    for (t, f) in workload.population.all_modifications() {
-        if t >= workload.start && t <= workload.end {
-            events.push((t, 0, SimEvent::Modify(f)));
-        }
-    }
-    for &(t, f) in &workload.requests {
-        events.push((t, 1, SimEvent::Request(f)));
-    }
-    events.sort_by_key(|&(t, kind, ev)| {
-        (
-            t,
-            kind,
-            match ev {
-                SimEvent::Modify(f) | SimEvent::Request(f) => f,
-            },
-        )
-    });
-
-    let mut sim: Simulation<World<'_, S>, SimEvent> = Simulation::new(World { cache, probe });
-    for (t, _, ev) in events {
-        sim.scheduler().schedule_event_at(t, ev);
-    }
-    sim.run_to_completion_observed(|world, now, pending| {
+    // The trace is the feed; nothing enters the event queue.
+    let mut sim: Simulation<World<'_, S>, WorkloadEvent> = Simulation::new(World { cache, probe });
+    sim.run_feed(workload.schedule(), |world, now, pending| {
         world.probe.record(
             now,
             ObsEvent::Dispatched {
@@ -1012,5 +976,34 @@ mod tests {
         assert_eq!(r.cache.stale_hits, 0);
         assert_eq!(r.cache.misses, 1);
         assert_eq!(r.traffic.file_bytes, 200);
+    }
+
+    #[test]
+    fn dispatched_pending_counts_the_schedule_down_to_zero() {
+        use crate::scenario::ScenarioBuilder;
+        use simcore::SimDuration;
+        let mut b = ScenarioBuilder::new("pending", SimDuration::from_days(1));
+        let f = b.file("/f", 1_000, SimDuration::from_days(9), 0);
+        let g = b.file("/g", 2_000, SimDuration::from_days(9), 0);
+        b.modify(f, SimDuration::from_hours(4), None);
+        b.modify(g, SimDuration::from_hours(6), None);
+        b.request_every(f, SimDuration::from_hours(2), SimDuration::from_hours(2));
+        b.request_every(g, SimDuration::from_hours(3), SimDuration::from_hours(3));
+        let wl = b.build();
+        let events = (wl.request_count() + 2) as u32;
+
+        let mut probe = wcc_obs::TraceProbe::new(1 << 10);
+        Experiment::new(&wl)
+            .protocol(ProtocolSpec::Invalidation)
+            .probe(&mut probe)
+            .run();
+        let pending: Vec<u32> = probe
+            .events()
+            .filter_map(|(_, _, event)| match event {
+                ObsEvent::Dispatched { pending } => Some(*pending),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(pending, (0..events).rev().collect::<Vec<_>>());
     }
 }

@@ -19,6 +19,7 @@
 //! benches that isolate which workload property flips Worrell's
 //! conclusion.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use originserver::{FilePopulation, FileRecord};
@@ -98,6 +99,48 @@ impl Workload {
         Ok(())
     }
 
+    /// The workload's one event order, which every replay follows:
+    /// in-window modifications (`start <= t <= end`) merged with the
+    /// requests by `(instant, modification before request, file)`. A
+    /// request arriving "at" a change sees the new version, matching HTTP
+    /// semantics where the origin answers with its current state.
+    ///
+    /// Both halves arrive sorted — [`FilePopulation::all_modifications`]
+    /// by `(instant, file)`, `requests` by instant — so this is a two-way
+    /// merge, not a sort; only requests sharing an instant are put in file
+    /// order, and a stream already in that order is borrowed.
+    ///
+    /// # Panics
+    /// Panics if `requests` goes backwards in time: the merge trusts the
+    /// order, so nothing downstream would repair it.
+    pub(crate) fn schedule(&self) -> Schedule<'_> {
+        let mut mods = self.population.all_modifications();
+        mods.retain(|&(t, _)| self.start <= t && t <= self.end);
+        let mut in_file_order = true;
+        for (i, pair) in self.requests.windows(2).enumerate() {
+            assert!(
+                pair[0].0 <= pair[1].0,
+                "request {} goes backwards in time: {} after {}",
+                i + 1,
+                pair[1].0,
+                pair[0].0
+            );
+            in_file_order &= pair[0] <= pair[1];
+        }
+        let mut requests = Cow::Borrowed(&self.requests[..]);
+        if !in_file_order {
+            for run in requests.to_mut().chunk_by_mut(|a, b| a.0 == b.0) {
+                run.sort_unstable();
+            }
+        }
+        Schedule {
+            mods,
+            requests,
+            next_mod: 0,
+            next_request: 0,
+        }
+    }
+
     /// Keep every `k`-th request (k >= 1), preserving order — used by the
     /// quick experiment scale to shrink trace replays. Modification
     /// histories are untouched.
@@ -167,6 +210,50 @@ impl Workload {
         }
     }
 }
+
+/// One step of a workload's [`Schedule`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WorkloadEvent {
+    /// The origin's copy of the file changes.
+    Modify(FileId),
+    /// A client asks the cache for the file.
+    Request(FileId),
+}
+
+/// [`Workload::schedule`]'s iterator: the merged `(instant, event)`
+/// stream, with its exact remaining length.
+pub(crate) struct Schedule<'w> {
+    mods: Vec<(SimTime, FileId)>,
+    requests: Cow<'w, [(SimTime, FileId)]>,
+    next_mod: usize,
+    next_request: usize,
+}
+
+impl Iterator for Schedule<'_> {
+    type Item = (SimTime, WorkloadEvent);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let request = self.requests.get(self.next_request);
+        match self.mods.get(self.next_mod) {
+            Some(&(t, file)) if request.is_none_or(|&(asked, _)| t <= asked) => {
+                self.next_mod += 1;
+                Some((t, WorkloadEvent::Modify(file)))
+            }
+            _ => {
+                let &(t, file) = request?;
+                self.next_request += 1;
+                Some((t, WorkloadEvent::Request(file)))
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.mods.len() - self.next_mod) + (self.requests.len() - self.next_request);
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Schedule<'_> {}
 
 /// Which lifetime model drives file modifications.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -585,5 +672,122 @@ mod tests {
         let mut wl = generate_synthetic(&WorrellConfig::scaled(10, 10), 1);
         wl.classes.pop();
         assert!(wl.validate().is_err());
+    }
+
+    fn t(s: u64) -> SimTime {
+        SimTime::from_secs(s)
+    }
+
+    /// Files created at 0, window `[100, 110]`; `mods[i]` lists file
+    /// `i`'s modification instants in increasing order.
+    fn tiny_workload(mods: &[Vec<u64>], requests: Vec<(SimTime, FileId)>) -> Workload {
+        let mut population = FilePopulation::new();
+        for (i, times) in mods.iter().enumerate() {
+            let mut record = FileRecord::new(format!("/f{i}"), t(0), 10);
+            for &at in times {
+                record.push_modification(t(at), 10);
+            }
+            population.add(record);
+        }
+        Workload {
+            name: "tiny".to_string(),
+            start: t(100),
+            end: t(110),
+            population: Arc::new(population),
+            requests,
+            classes: vec![0; mods.len()],
+            class_expires: Vec::new(),
+        }
+    }
+
+    /// The order the simulator used to build: every event copied into one
+    /// Vec and stable-sorted by `(instant, modification first, file)`.
+    fn fully_sorted(wl: &Workload) -> Vec<(SimTime, WorkloadEvent)> {
+        let mut events: Vec<(SimTime, u8, WorkloadEvent)> = Vec::new();
+        for (t, f) in wl.population.all_modifications() {
+            if t >= wl.start && t <= wl.end {
+                events.push((t, 0, WorkloadEvent::Modify(f)));
+            }
+        }
+        for &(t, f) in &wl.requests {
+            events.push((t, 1, WorkloadEvent::Request(f)));
+        }
+        events.sort_by_key(|&(t, kind, ev)| {
+            (
+                t,
+                kind,
+                match ev {
+                    WorkloadEvent::Modify(f) | WorkloadEvent::Request(f) => f,
+                },
+            )
+        });
+        events.into_iter().map(|(t, _, ev)| (t, ev)).collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "request 1 goes backwards in time")]
+    fn a_request_stream_that_goes_backwards_in_time_is_rejected() {
+        let f = FileId::from_index(0);
+        tiny_workload(&[vec![]], vec![(t(105), f), (t(104), f)]).schedule();
+    }
+
+    #[test]
+    fn same_instant_requests_in_descending_file_order_fire_ascending() {
+        let [a, b, c] = [0, 1, 2].map(FileId::from_index);
+        let descending = vec![(t(101), c), (t(105), c), (t(105), b), (t(105), a)];
+        let wl = tiny_workload(&[vec![], vec![105], vec![]], descending);
+        let fired: Vec<_> = wl.schedule().collect();
+        assert_eq!(
+            fired,
+            vec![
+                (t(101), WorkloadEvent::Request(c)),
+                (t(105), WorkloadEvent::Modify(b)),
+                (t(105), WorkloadEvent::Request(a)),
+                (t(105), WorkloadEvent::Request(b)),
+                (t(105), WorkloadEvent::Request(c)),
+            ]
+        );
+        assert_eq!(wl.requests[1], (t(105), c), "the workload is not edited");
+
+        // A stream already in (instant, file) order is replayed in place.
+        let ascending = tiny_workload(&vec![vec![]; 3], wl.schedule().requests.into_owned());
+        assert!(matches!(ascending.schedule().requests, Cow::Borrowed(_)));
+    }
+
+    proptest::proptest! {
+        /// The merge against the sort it replaces. Instants span 98..=111
+        /// around the `[100, 110]` window, so modifications land on
+        /// `start`, on `end` and just outside, and collide with requests
+        /// and with each other; requests arrive in time order only.
+        #[test]
+        fn the_merged_schedule_is_the_fully_sorted_one(
+            mod_masks in proptest::collection::vec(0u16..(1 << 14), 1..6),
+            raw_requests in proptest::collection::vec((100u64..=110, 0usize..6), 0..60),
+        ) {
+            let mut mods: Vec<Vec<u64>> = mod_masks
+                .iter()
+                .map(|mask| (0..14).filter(|bit| mask >> bit & 1 == 1).map(|bit| 98 + bit).collect())
+                .collect();
+            // Forced: the window's edges and their outer neighbours, a
+            // modification and a request on one instant, and several
+            // requests on one instant out of file order.
+            mods[0] = vec![99, 100, 105, 110, 111];
+            let (first, last) = (FileId::from_index(0), FileId::from_index(mods.len() - 1));
+            let mut requests: Vec<(SimTime, FileId)> = raw_requests
+                .iter()
+                .map(|&(at, f)| (t(at), FileId::from_index(f % mods.len())))
+                .chain([(t(100), last), (t(100), first), (t(105), last), (t(105), first), (t(110), first)])
+                .collect();
+            requests.sort_by_key(|&(at, _)| at);
+            let wl = tiny_workload(&mods, requests);
+
+            let expected = fully_sorted(&wl);
+            let mut schedule = wl.schedule();
+            for (done, event) in expected.iter().enumerate() {
+                proptest::prop_assert_eq!(schedule.len(), expected.len() - done);
+                proptest::prop_assert_eq!(schedule.next(), Some(*event));
+            }
+            proptest::prop_assert_eq!(schedule.next(), None);
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! The `wcc` binary from the outside: usage errors exit 2 with the
 //! generated synopsis, the synopsis and the parser agree flag for flag,
-//! output does not depend on the worker count or the flag spelling, and
-//! the origin smoke's verdict line is the pinned one.
+//! output does not depend on the worker count or the flag spelling, the
+//! origin smoke's verdict line is the pinned one, and `wcc all --quick`
+//! prints the recorded bytes.
 
 use std::process::{Command, Output};
 
@@ -133,4 +134,21 @@ fn the_origin_smoke_prints_its_pinned_verdict() {
          \"subscribed\":true,\"invalidation_delivered\":true,\"document_requests\":1,\
          \"validation_queries\":1,\"invalidations_sent\":1}\n"
     );
+}
+
+/// Every table, figure and ablation at quick scale, byte for byte as
+/// recorded in `tests/golden/all_quick.txt` — the "stdout identical to the
+/// parent commit" check as a test. A change that means to alter the
+/// output re-records the file with
+/// `wcc all --quick --jobs 1 > crates/core/tests/golden/all_quick.txt`.
+#[test]
+fn the_whole_paper_at_quick_scale_prints_the_recorded_bytes() {
+    let golden = include_str!("golden/all_quick.txt");
+    for jobs in ["1", "3"] {
+        let printed = stdout(&["all", "--quick", "--jobs", jobs]);
+        assert!(
+            printed == golden,
+            "`wcc all --quick --jobs {jobs}` differs from tests/golden/all_quick.txt:\n{printed}"
+        );
+    }
 }

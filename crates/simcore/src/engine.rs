@@ -5,6 +5,8 @@
 //! engine pops the earliest event, advances the clock to its timestamp, and
 //! fires it. Events may schedule further events (invalidation callbacks,
 //! retry timers, TTL expiries) through the [`Scheduler`] they receive.
+//! A schedule known before the run starts — a trace — does not need the
+//! queue at all: [`Simulation::run_feed`] merges it in as it goes.
 //!
 //! The engine is generic over the queued event payload. The default payload
 //! is `Box<dyn Event<W>>`, which lets tests and examples schedule plain
@@ -198,61 +200,57 @@ impl<W, E: Dispatch<W>> Simulation<W, E> {
         &mut self.sched
     }
 
-    /// Fire the single next event, if any. Returns `true` if an event fired.
-    pub fn step(&mut self) -> bool {
-        match self.sched.queue.pop() {
-            Some((at, event)) => {
-                debug_assert!(at >= self.sched.now, "event queue violated time order");
-                self.sched.now = at;
-                event.dispatch(&mut self.world, &mut self.sched);
-                self.fired += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Run until the queue is exhausted. Returns the number of events fired.
     pub fn run_to_completion(&mut self) -> u64 {
-        let start = self.fired;
-        while self.step() {}
-        self.fired - start
+        self.run_feed(std::iter::empty(), |_, _, _| {})
     }
 
-    /// [`Simulation::run_to_completion`] with an observation hook: after
-    /// every dispatched event, `observe` receives the world, the clock,
-    /// and the remaining queue depth. The hook runs strictly *between*
-    /// events (never during a dispatch), so it can read — and, for
-    /// probes stored inside the world, borrow mutably — without ever
-    /// racing the event logic. Returns the number of events fired.
-    pub fn run_to_completion_observed<F>(&mut self, mut observe: F) -> u64
+    /// Run `feed` and the queue dry together: each step fires the earlier
+    /// of the feed's head and the queue's root, **the feed winning ties**.
+    /// Returns the number of events fired.
+    ///
+    /// A feed is a schedule known in full before the run — a trace — handed
+    /// over as a time-ordered iterator instead of being pushed through the
+    /// queue, which then holds only what events schedule while the run is
+    /// in progress. The order is the one scheduling the whole feed up front
+    /// would give: every fed event precedes, at its instant, anything
+    /// scheduled during the run (it would have had the lower sequence
+    /// number), and fed events at one instant fire in feed order.
+    ///
+    /// After every dispatched event, `observe` receives the world, the
+    /// clock, and the number of events still pending (feed remainder plus
+    /// queue depth). The hook runs strictly *between* events (never during
+    /// a dispatch), so it can read — and, for probes stored inside the
+    /// world, borrow mutably — without ever racing the event logic.
+    ///
+    /// # Panics
+    /// Panics if the feed steps backwards in time — like scheduling into
+    /// the past, it would rewrite history.
+    pub fn run_feed<I, F>(&mut self, feed: I, mut observe: F) -> u64
     where
+        I: ExactSizeIterator<Item = (SimTime, E)>,
         F: FnMut(&mut W, SimTime, usize),
     {
         let start = self.fired;
-        while self.step() {
-            observe(&mut self.world, self.sched.now, self.sched.queue.len());
-        }
-        self.fired - start
-    }
-
-    /// Run until the queue is exhausted or the next event would fire after
-    /// `deadline`; the clock is then advanced to `deadline`. Returns the
-    /// number of events fired.
-    ///
-    /// Each iteration makes a single queue probe: `pop_at_or_before`
-    /// combines the peek (is the head within the deadline?) and the pop,
-    /// instead of probing the head twice per event.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let start = self.fired;
-        while let Some((at, event)) = self.sched.queue.pop_at_or_before(deadline) {
-            debug_assert!(at >= self.sched.now, "event queue violated time order");
+        let mut feed = feed.peekable();
+        while let Some((at, event)) = match (feed.peek(), self.sched.queue.peek_time()) {
+            (Some(&(fed, _)), Some(queued)) if queued < fed => self.sched.queue.pop(),
+            (Some(_), _) => feed.next(),
+            (None, _) => self.sched.queue.pop(),
+        } {
+            assert!(
+                at >= self.sched.now,
+                "event order steps into the past: now={}, at={at}",
+                self.sched.now
+            );
             self.sched.now = at;
             event.dispatch(&mut self.world, &mut self.sched);
             self.fired += 1;
-        }
-        if self.sched.now < deadline {
-            self.sched.now = deadline;
+            observe(
+                &mut self.world,
+                self.sched.now,
+                feed.len() + self.sched.queue.len(),
+            );
         }
         self.fired - start
     }
@@ -307,22 +305,6 @@ mod tests {
             });
         sim.run_to_completion();
         assert_eq!(sim.world().log, vec![(5, "first"), (12, "second")]);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline_and_advances_clock() {
-        let mut sim = Simulation::new(World::default());
-        for s in [10u64, 20, 30] {
-            sim.scheduler()
-                .schedule_at(at(s), move |w: &mut World, sc: &mut Scheduler<World>| {
-                    w.log.push((sc.now().as_secs(), "e"));
-                });
-        }
-        assert_eq!(sim.run_until(at(25)), 2);
-        assert_eq!(sim.now(), at(25));
-        assert_eq!(sim.run_until(at(100)), 1);
-        assert_eq!(sim.now(), at(100));
-        assert_eq!(sim.events_fired(), 3);
     }
 
     #[test]
@@ -426,5 +408,145 @@ mod tests {
             sim.world().log,
             vec![(10, "outer1"), (10, "outer2"), (10, "nested")]
         );
+    }
+
+    /// A `Copy` payload for the feed tests: logs itself, and `Spawn` also
+    /// schedules a `Mark` through the queue.
+    #[derive(Clone, Copy)]
+    enum Fed {
+        Mark(&'static str),
+        Spawn(&'static str, u64, &'static str),
+    }
+
+    impl Dispatch<World> for Fed {
+        fn dispatch(self, world: &mut World, sched: &mut Scheduler<World, Fed>) {
+            match self {
+                Fed::Mark(label) => world.log.push((sched.now().as_secs(), label)),
+                Fed::Spawn(label, delay, child) => {
+                    world.log.push((sched.now().as_secs(), label));
+                    sched.schedule_event_in(SimDuration::from_secs(delay), Fed::Mark(child));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_feed_wins_ties_and_the_queue_fills_the_gaps() {
+        let mut sim: Simulation<World, Fed> = Simulation::new(World::default());
+        sim.scheduler()
+            .schedule_event_at(at(10), Fed::Mark("queued"));
+        let feed = vec![
+            (at(5), Fed::Spawn("a", 5, "a-child")),
+            (at(10), Fed::Mark("b")),
+            (at(10), Fed::Spawn("c", 2, "c-child")),
+            (at(20), Fed::Mark("d")),
+        ];
+        let mut pending = Vec::new();
+        let fired = sim.run_feed(feed.into_iter(), |_, _, left| pending.push(left));
+        assert_eq!(fired, 7);
+        assert_eq!(
+            sim.world().log,
+            vec![
+                (5, "a"),
+                (10, "b"),
+                (10, "c"),
+                (10, "queued"),
+                (10, "a-child"),
+                (12, "c-child"),
+                (20, "d"),
+            ]
+        );
+        // Feed remainder plus queue depth, after each dispatch.
+        assert_eq!(pending, vec![5, 4, 4, 3, 2, 1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "steps into the past")]
+    fn a_feed_that_steps_backwards_in_time_panics() {
+        let mut sim: Simulation<World, Fed> = Simulation::new(World::default());
+        let feed = vec![(at(10), Fed::Mark("late")), (at(5), Fed::Mark("early"))];
+        sim.run_feed(feed.into_iter(), |_, _, _| {});
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Everything fired, and the handles of the follow-ups scheduled so
+    /// far (the only events a handler can cancel on either path).
+    #[derive(Default)]
+    struct World {
+        fired: Vec<(SimTime, u32)>,
+        followups: Vec<EventHandle>,
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    struct Ev {
+        id: u32,
+        /// Schedule a follow-up this long after `now` (0 = at `now`).
+        spawn: Option<u64>,
+        /// Cancel the follow-up with this index (modulo how many exist).
+        cancel: Option<usize>,
+    }
+
+    impl Dispatch<World> for Ev {
+        fn dispatch(self, world: &mut World, sched: &mut Scheduler<World, Ev>) {
+            world.fired.push((sched.now(), self.id));
+            if let Some(delay) = self.spawn {
+                let followup = Ev {
+                    id: 1_000 + world.followups.len() as u32,
+                    spawn: None,
+                    cancel: None,
+                };
+                let delay = SimDuration::from_secs(delay);
+                world
+                    .followups
+                    .push(sched.schedule_event_in(delay, followup));
+            }
+            if let (Some(k), false) = (self.cancel, world.followups.is_empty()) {
+                sched.cancel(world.followups[k % world.followups.len()]);
+            }
+        }
+    }
+
+    proptest! {
+        /// The feed against the path it replaces: the same events all
+        /// scheduled through the queue before the run. Times collide
+        /// heavily, handlers schedule at `now` and later and cancel.
+        #[test]
+        fn a_fed_run_fires_what_scheduling_everything_up_front_fires(
+            raw in proptest::collection::vec(
+                (0u64..12, proptest::option::of(0u64..4), proptest::option::of(0usize..8)),
+                0..120,
+            )
+        ) {
+            let mut times: Vec<u64> = raw.iter().map(|&(t, _, _)| t).collect();
+            times.sort_unstable();
+            let events: Vec<(SimTime, Ev)> = raw
+                .iter()
+                .zip(times)
+                .enumerate()
+                .map(|(i, (&(_, spawn, cancel), t))| {
+                    (SimTime::from_secs(t), Ev { id: i as u32, spawn, cancel })
+                })
+                .collect();
+
+            let mut queued: Simulation<World, Ev> = Simulation::new(World::default());
+            for &(t, ev) in &events {
+                queued.scheduler().schedule_event_at(t, ev);
+            }
+            queued.run_to_completion();
+
+            let mut fed: Simulation<World, Ev> = Simulation::new(World::default());
+            let mut pending_after = Vec::new();
+            let count = fed.run_feed(events.iter().copied(), |_, _, left| pending_after.push(left));
+
+            prop_assert_eq!(&fed.world().fired, &queued.world().fired);
+            prop_assert_eq!(count, queued.events_fired());
+            prop_assert_eq!(fed.now(), queued.now());
+            prop_assert_eq!(pending_after.last().copied().unwrap_or(0), 0);
+        }
     }
 }

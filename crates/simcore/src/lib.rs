@@ -8,7 +8,9 @@
 //! * [`EventQueue`] — a deterministic, FIFO-stable pending-event queue
 //!   (indexed 4-ary heap: O(log n) schedule/cancel/pop, O(1) peek and
 //!   handle-liveness);
-//! * [`Simulation`] / [`Scheduler`] — the event-execution driver;
+//! * [`Simulation`] / [`Scheduler`] — the event-execution driver: one run
+//!   loop over a pre-sorted feed (the trace) and the queue (what events
+//!   schedule during the run);
 //! * [`TrafficMeter`], [`CacheStats`], [`ServerLoad`] — the paper's
 //!   bandwidth, cache-behaviour, and server-load metrics;
 //! * [`FileId`], [`CacheId`], [`ClientId`] — typed entity identifiers.

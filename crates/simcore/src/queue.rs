@@ -165,19 +165,6 @@ impl<E> EventQueue<E> {
         Some((at, event))
     }
 
-    /// Remove and return the next pending event iff it is scheduled at or
-    /// before `deadline`. One probe serves as both peek and pop, which is
-    /// what a bounded-horizon run loop wants per iteration.
-    pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        let slot = *self.heap.first()?;
-        let at = self.slots[slot as usize].at;
-        if at > deadline {
-            return None;
-        }
-        let event = self.remove_at(0);
-        Some((at, event))
-    }
-
     /// Number of pending events. Exact and O(1).
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -370,18 +357,6 @@ mod tests {
         q.schedule(t(2), "b");
         q.cancel(a);
         assert_eq!(q.peek_time(), Some(t(2)));
-    }
-
-    #[test]
-    fn pop_at_or_before_respects_deadline() {
-        let mut q = EventQueue::new();
-        q.schedule(t(10), "a");
-        q.schedule(t(20), "b");
-        assert_eq!(q.pop_at_or_before(t(5)), None);
-        assert_eq!(q.pop_at_or_before(t(10)), Some((t(10), "a")));
-        assert_eq!(q.pop_at_or_before(t(15)), None);
-        assert_eq!(q.pop_at_or_before(t(100)), Some((t(20), "b")));
-        assert_eq!(q.pop_at_or_before(t(100)), None);
     }
 
     #[test]

@@ -92,7 +92,8 @@ pub enum ObsEvent {
         fresh: bool,
     },
     /// The event engine dispatched one event (emitted from the run
-    /// loop); `pending` is the queue depth after the dispatch.
+    /// loop); `pending` is how many are still to fire after the dispatch
+    /// — the rest of the trace plus the event queue's depth.
     Dispatched {
         /// Events still queued.
         pending: u32,

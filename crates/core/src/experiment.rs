@@ -177,14 +177,14 @@ impl<'a> Experiment<'a> {
         self
     }
 
-    /// Execute as a discrete-event simulation.
+    /// Execute: replay the workload's schedule through the cache.
     pub fn run(self) -> RunOutcome {
         let mut noop = NoopProbe;
         let probe: &mut dyn Probe = match self.probe {
             Some(p) => p,
             None => &mut noop,
         };
-        // One monomorphised event loop per concrete store type.
+        // One monomorphised replay loop per concrete store type.
         macro_rules! run_in {
             ($store:expr) => {
                 run_with_store_probe(self.workload, self.spec, &self.config, $store, probe)

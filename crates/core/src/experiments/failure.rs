@@ -12,7 +12,7 @@
 //! failure in which invalidation silently serves stale data while its
 //! server burns retries. Undelivered notices queue in an
 //! [`originserver::RetryQueue`] with exponential backoff and are delivered
-//! by retry events scheduled on the simulation engine.
+//! when the replay reaches the queue's next attempt.
 //!
 //! Time-based protocols run unchanged under the same outages: they never
 //! depended on the notification channel in the first place, so their
@@ -21,7 +21,7 @@
 
 use originserver::RetryQueue;
 use proxycache::UnboundedStore;
-use simcore::{CacheId, Dispatch, FileId, Scheduler, SimDuration, SimTime, Simulation};
+use simcore::{CacheId, FileId, SimDuration, SimTime};
 use wcc_obs::NoopProbe;
 
 use crate::sim::{run, RunResult, SimCache, SimConfig};
@@ -52,31 +52,6 @@ const THE_CACHE: CacheId = CacheId(0);
 const RETRY_BASE: SimDuration = SimDuration::from_mins(2);
 const RETRY_CAP: SimDuration = SimDuration::from_mins(32);
 
-/// The partitioned run's event alphabet: the workload's own events, fed
-/// to the engine, plus the retry timer the failed deliveries arm — the
-/// only event that goes through the queue. A concrete `Copy` payload, so
-/// even the retry storm of a long outage allocates nothing per event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FailureEvent {
-    Workload(WorkloadEvent),
-    Retry,
-}
-
-impl<'w> Dispatch<World<'w>> for FailureEvent {
-    fn dispatch(self, world: &mut World<'w>, sched: &mut Scheduler<World<'w>, Self>) {
-        let now = sched.now();
-        match self {
-            FailureEvent::Workload(WorkloadEvent::Modify(f)) => {
-                world.on_modification(f, now, sched)
-            }
-            FailureEvent::Workload(WorkloadEvent::Request(f)) => {
-                world.cache.request(f, now, &mut NoopProbe)
-            }
-            FailureEvent::Retry => world.on_retry(now, sched),
-        }
-    }
-}
-
 /// The simulator's cache and origin with a lossy notification channel
 /// between them: what the cache does with requests and delivered notices
 /// is the ordinary invalidation-protocol run; only delivery differs.
@@ -87,7 +62,7 @@ struct World<'w> {
     late_deliveries: u64,
 }
 
-impl<'w> World<'w> {
+impl World<'_> {
     /// Reflect the channel's reachability at `now` into the retry queue.
     fn observe_channel(&mut self, now: SimTime) {
         if self.outages.iter().any(|o| now >= o.from && now < o.until) {
@@ -97,37 +72,22 @@ impl<'w> World<'w> {
         }
     }
 
-    fn on_modification(
-        &mut self,
-        file: FileId,
-        now: SimTime,
-        sched: &mut Scheduler<World<'w>, FailureEvent>,
-    ) {
+    fn on_modification(&mut self, file: FileId, now: SimTime) {
         for cache in self.cache.server.notify_modification(file) {
             debug_assert_eq!(cache, THE_CACHE);
             self.observe_channel(now);
             if self.retry.send(THE_CACHE, file, now) {
                 self.cache.invalidate(file, now);
-            } else {
-                self.schedule_retry(sched);
             }
         }
     }
 
-    fn schedule_retry(&mut self, sched: &mut Scheduler<World<'w>, FailureEvent>) {
-        if let Some(at) = self.retry.next_attempt() {
-            let at = at.max(sched.now());
-            sched.schedule_event_at(at, FailureEvent::Retry);
-        }
-    }
-
-    fn on_retry(&mut self, now: SimTime, sched: &mut Scheduler<World<'w>, FailureEvent>) {
+    fn on_retry(&mut self, now: SimTime) {
         self.observe_channel(now);
         for (_, file) in self.retry.sweep(now).delivered {
             self.late_deliveries += 1;
             self.cache.invalidate(file, now);
         }
-        self.schedule_retry(sched);
     }
 }
 
@@ -141,19 +101,31 @@ pub fn run_partitioned_invalidation(workload: &Workload, outages: &[Outage]) -> 
         UnboundedStore::new(),
     );
     cache.preload(&mut NoopProbe);
-    let world = World {
+    let mut world = World {
         cache,
         retry: RetryQueue::new(RETRY_BASE, RETRY_CAP),
         outages: outages.to_vec(),
         late_deliveries: 0,
     };
 
-    let mut sim: Simulation<World<'_>, FailureEvent> = Simulation::new(world);
-    let feed = workload
-        .schedule()
-        .map(|(t, event)| (t, FailureEvent::Workload(event)));
-    sim.run_feed(feed, |_, _, _| {});
-    let world = sim.into_world();
+    // The workload's schedule merged with the one timer there is: the
+    // retry queue's next attempt runs when it is strictly earlier than the
+    // next workload event (the workload goes first at a shared instant),
+    // and on after the trace until nothing is pending.
+    let mut schedule = workload.schedule().peekable();
+    loop {
+        let head = schedule.peek().map(|&(t, _)| t);
+        match world.retry.next_attempt() {
+            Some(at) if head.is_none_or(|t| at < t) => world.on_retry(at),
+            _ => match schedule.next() {
+                Some((now, WorkloadEvent::Modify(f))) => world.on_modification(f, now),
+                Some((now, WorkloadEvent::Request(f))) => {
+                    world.cache.request(f, now, &mut NoopProbe)
+                }
+                None => break,
+            },
+        }
+    }
 
     // The RetryQueue counts initial failed sends and failed sweeps alike;
     // each went onto the wire as one message before it was lost.
@@ -341,5 +313,55 @@ mod tests {
         let r = run_partitioned_invalidation(&wl, &[outage]);
         assert_eq!((r.failed_attempts, r.late_deliveries), (1, 1));
         assert_eq!((r.result.cache.stale_hits, r.result.cache.misses), (1, 1));
+    }
+
+    /// FNV-1a over the `Debug` renderings of a grid of outage scripts on
+    /// a generated workload, where a 6 h outage covers a dozen or more
+    /// modifications. Recorded at PR 18, when every failed send queued
+    /// its own chain of retry events; whatever orders the retries now
+    /// must reproduce it.
+    #[test]
+    fn the_outage_grid_matches_the_pinned_hash() {
+        let wl = crate::generate_synthetic(&crate::WorrellConfig::scaled(600, 40_000), 11);
+        let mods = wl.population.all_modifications();
+        // The first change after the (preloaded, fully subscribed) start:
+        // an outage beginning on it makes it the first failed send.
+        let m = mods
+            .iter()
+            .find(|&&(t, _)| t > wl.start)
+            .expect("changes")
+            .0;
+        // Its third retry, before the backoff reaches the 32 min cap.
+        let retry = m + SimDuration::from_mins(2 * (8 - 1));
+        let second = SimDuration::from_secs(1);
+        let day20 = wl.start + SimDuration::from_days(20);
+        let outage = |from, until| Outage { from, until };
+        let scripts = [
+            vec![],
+            vec![outage(day20, day20 + hours(6))],
+            vec![outage(m, m + hours(6))],
+            vec![outage(m, retry - second)],
+            vec![outage(m, retry)],
+            vec![outage(m, retry + second)],
+            vec![
+                outage(day20, day20 + hours(6)),
+                outage(day20 + hours(6), day20 + hours(9)),
+            ],
+            vec![outage(wl.end - hours(6), wl.end + hours(3))],
+        ];
+        let runs = scripts.map(|s| run_partitioned_invalidation(&wl, &s));
+
+        assert!(runs[1].late_deliveries > 12, "many files change in 6 h");
+        // `retry` really is a retry instant: up at it delivers, down
+        // through it costs exactly one more attempt.
+        assert_eq!(runs[4].failed_attempts + 1, runs[5].failed_attempts);
+        assert_eq!(runs[4].late_deliveries, runs[5].late_deliveries);
+
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for byte in runs.iter().flat_map(|r| format!("{r:?}\n").into_bytes()) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+        const FAILURE_GRID_GOLDEN: u64 = 15_169_985_376_894_046_728;
+        assert_eq!(hash, FAILURE_GRID_GOLDEN);
     }
 }

@@ -220,13 +220,16 @@ impl LeafAssignment {
 /// will perform even better than our results indicate", §3) — under the
 /// demand asymmetry Figure 1's cases (c)/(d) presuppose; with perfectly
 /// symmetric demand the ratios tie (see the `hierarchy_trace` experiment).
+///
+/// # Panics
+/// Panics if `workload.requests` goes backwards in time, as
+/// `Workload::schedule` does: the merge trusts the order.
 pub fn replay_workload(
     topo: HierarchyTopology,
     workload: &crate::workload::Workload,
     spec: ProtocolSpec,
     assignment: LeafAssignment,
 ) -> (TrafficMeter, u64, u64) {
-    debug_assert_eq!(workload.validate(), Ok(()));
     let leaves = topo.leaves();
     let mut sim = HierarchySim::new(topo, workload.population.clone(), spec);
     for (id, _) in workload.population.iter() {
@@ -239,11 +242,19 @@ pub fn replay_workload(
             sim.preload(id, workload.start);
         }
     }
-    // Merge modifications and requests in time order (modifications first
-    // at ties, matching the single-cache simulator).
+    // Merge modifications and requests in time order. A modification goes
+    // before a request at its instant, as in `Workload::schedule`; requests
+    // sharing an instant keep their workload order (the schedule puts them
+    // in file order), because `leaf_for` hashes the request's index.
     let mods = workload.population.all_modifications();
     let mut mi = 0usize;
+    let mut prev = SimTime::ZERO;
     for (i, &(t, f)) in workload.requests.iter().enumerate() {
+        assert!(
+            prev <= t,
+            "request {i} goes backwards in time: {t} after {prev}"
+        );
+        prev = t;
         while mi < mods.len() && mods[mi].0 <= t {
             if mods[mi].0 >= workload.start {
                 sim.modify(mods[mi].1, mods[mi].0);
@@ -472,5 +483,29 @@ mod tests {
         assert_eq!(sim.stale_serves(), 0);
         // The leaf's entry is valid again.
         assert!(sim.caches[leaf.index()].peek(f).unwrap().is_valid());
+    }
+
+    #[test]
+    #[should_panic(expected = "request 1 goes backwards in time")]
+    fn a_request_stream_that_goes_backwards_in_time_is_rejected() {
+        let t = SimTime::from_secs;
+        let mut pop = FilePopulation::new();
+        let f = pop.add(originserver::FileRecord::new("/x", t(0), 1_000));
+        let workload = crate::workload::Workload {
+            name: "backwards".to_string(),
+            start: t(100),
+            end: t(110),
+            population: Arc::new(pop),
+            requests: vec![(t(105), f), (t(104), f)],
+            classes: vec![0],
+            class_expires: Vec::new(),
+        };
+        let (topo, ..) = HierarchyTopology::figure1();
+        replay_workload(
+            topo,
+            &workload,
+            ProtocolSpec::Invalidation,
+            LeafAssignment::Symmetric,
+        );
     }
 }

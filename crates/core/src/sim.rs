@@ -11,8 +11,8 @@
 //! What the cache does with a request is [`consistency::Engine`]'s
 //! business. This module is the engine's simulated transport
 //! (`SimCache`: each effect becomes a call on an in-process
-//! [`OriginServer`], priced by the paper's costing) and the event loop
-//! that feeds it the workload.
+//! [`OriginServer`], priced by the paper's costing) and the loop that
+//! walks the workload's schedule through it.
 //!
 //! Accounting follows the paper exactly:
 //!
@@ -31,9 +31,7 @@ use consistency::{Effect, Engine, LinkModel, Reply};
 use httpsim::{HttpDate, MessageCosting, EPOCH_1996};
 use originserver::{CondResult, OriginServer, Version};
 use proxycache::{EntryMeta, Store};
-use simcore::{
-    CacheId, CacheStats, Dispatch, FileId, Scheduler, ServerLoad, SimTime, Simulation, TrafficMeter,
-};
+use simcore::{CacheId, CacheStats, FileId, ServerLoad, SimTime, TrafficMeter};
 use wcc_obs::{ObsEvent, Probe, ServerOpKind};
 
 use crate::workload::{Workload, WorkloadEvent};
@@ -390,6 +388,33 @@ impl<'w, S: Store> SimCache<'w, S> {
         self.engine.invalidate(file, now, notice);
     }
 
+    /// The origin's copy of `file` changes at `now`; under the
+    /// invalidation protocol every subscribed cache is told at once.
+    fn on_modification(&mut self, file: FileId, now: SimTime, probe: &mut dyn Probe) {
+        probe.record(now, ObsEvent::Modification { file });
+        if !self.uses_invalidation {
+            return;
+        }
+        let targets = self.server.notify_modification(file);
+        probe.record(
+            now,
+            ObsEvent::Invalidation {
+                file,
+                fanout: targets.len() as u32,
+            },
+        );
+        for cache in targets {
+            debug_assert_eq!(cache, THE_CACHE);
+            probe.record(
+                now,
+                ObsEvent::ServerOp {
+                    kind: ServerOpKind::InvalidationSent,
+                },
+            );
+            self.invalidate(file, now);
+        }
+    }
+
     /// The run's metrics under `label`, plus the eviction count.
     pub(crate) fn finish(self, label: String) -> (RunResult, u64) {
         debug_assert_eq!(
@@ -425,79 +450,33 @@ pub fn run(workload: &Workload, spec: ProtocolSpec, config: &SimConfig) -> RunRe
         .result
 }
 
-struct World<'w, S: Store> {
-    cache: SimCache<'w, S>,
-    probe: &'w mut dyn Probe,
-}
-
-impl<S: Store> World<'_, S> {
-    fn on_modification(&mut self, file: FileId, now: SimTime) {
-        self.probe.record(now, ObsEvent::Modification { file });
-        if !self.cache.uses_invalidation {
-            return;
-        }
-        let targets = self.cache.server.notify_modification(file);
-        self.probe.record(
-            now,
-            ObsEvent::Invalidation {
-                file,
-                fanout: targets.len() as u32,
-            },
-        );
-        for cache in targets {
-            debug_assert_eq!(cache, THE_CACHE);
-            self.probe.record(
-                now,
-                ObsEvent::ServerOp {
-                    kind: ServerOpKind::InvalidationSent,
-                },
-            );
-            self.cache.invalidate(file, now);
-        }
-    }
-}
-
-/// The workload's two event kinds are the simulator's whole alphabet:
-/// neither handler schedules follow-ups. As a plain `Copy` payload
-/// dispatched through [`Dispatch`], firing one costs no heap allocation
-/// and no virtual call — this is the per-request hot path of every sweep
-/// point.
-impl<'w, S: Store> Dispatch<World<'w, S>> for WorkloadEvent {
-    fn dispatch(self, world: &mut World<'w, S>, sched: &mut Scheduler<World<'w, S>, Self>) {
-        match self {
-            WorkloadEvent::Modify(f) => world.on_modification(f, sched.now()),
-            WorkloadEvent::Request(f) => world.cache.request(f, sched.now(), world.probe),
-        }
-    }
-}
-
-/// The event loop behind [`crate::Experiment::run`]. `probe` receives
-/// the structured event stream; pass [`wcc_obs::NoopProbe`] for an
-/// unobserved run (the compiler sees only a no-op virtual call, keeping
-/// golden hashes bit-identical).
-pub(crate) fn run_with_store_probe<'w, S: Store>(
-    workload: &'w Workload,
+/// The replay loop behind [`crate::Experiment::run`]: the workload's
+/// schedule, walked in order. `probe` receives the structured event
+/// stream; pass [`wcc_obs::NoopProbe`] for an unobserved run (the
+/// compiler sees only a no-op virtual call, keeping golden hashes
+/// bit-identical).
+pub(crate) fn run_with_store_probe<S: Store>(
+    workload: &Workload,
     spec: ProtocolSpec,
     config: &SimConfig,
     store: S,
-    probe: &'w mut dyn Probe,
+    probe: &mut dyn Probe,
 ) -> (RunResult, u64) {
     let mut cache = SimCache::new(workload, spec, config, store);
     if config.preload {
         cache.preload(probe);
     }
 
-    // The trace is the feed; nothing enters the event queue.
-    let mut sim: Simulation<World<'_, S>, WorkloadEvent> = Simulation::new(World { cache, probe });
-    sim.run_feed(workload.schedule(), |world, now, pending| {
-        world.probe.record(
-            now,
-            ObsEvent::Dispatched {
-                pending: pending as u32,
-            },
-        );
-    });
-    sim.into_world().cache.finish(spec.label())
+    let mut schedule = workload.schedule();
+    while let Some((now, event)) = schedule.next() {
+        match event {
+            WorkloadEvent::Modify(f) => cache.on_modification(f, now, probe),
+            WorkloadEvent::Request(f) => cache.request(f, now, probe),
+        }
+        let pending = schedule.len() as u32;
+        probe.record(now, ObsEvent::Dispatched { pending });
+    }
+    cache.finish(spec.label())
 }
 
 #[cfg(test)]

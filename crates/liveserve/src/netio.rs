@@ -68,7 +68,7 @@ pub(crate) fn invalid<E: std::fmt::Display>(e: E) -> io::Error {
 impl HttpConn {
     /// Wrap a connected stream. Disables Nagle (request/response traffic
     /// is latency-bound, and every message is written in one syscall)
-    /// and arms the [`POLL_TICK`] read timeout that drives the bounded
+    /// and arms the `POLL_TICK` (25 ms) read timeout that drives the bounded
     /// read budget: a peer that goes silent in the middle of a frame
     /// fails the read with `TimedOut` instead of wedging the worker
     /// forever.
@@ -82,7 +82,7 @@ impl HttpConn {
         })
     }
 
-    /// Override the mid-frame read budget (in [`POLL_TICK`]s). Tests use
+    /// Override the mid-frame read budget (in 25 ms `POLL_TICK`s). Tests use
     /// tiny budgets; production code keeps the 30 s default.
     pub fn set_read_budget_ticks(&mut self, ticks: u32) {
         self.budget_ticks = ticks.max(1);

@@ -1,10 +1,10 @@
 //! Minimal JSON emission for load reports, plus the schema fragments
 //! shared between the closed-loop and open-loop generators.
 //!
-//! The workspace's `serde` is a vendored no-op stub (the build
-//! environment has no registry access), so reports build their JSON by
-//! hand: objects with string / integer / float / nested-object members,
-//! with proper string escaping.
+//! The workspace has no serialisation crate (the build environment has
+//! no registry access), so reports build their JSON by hand: objects
+//! with string / integer / float / nested-object members, with proper
+//! string escaping.
 //!
 //! Both load generators emit the same `"rates"` and `"latency"`
 //! sub-objects through [`rates_json`] and [`latency_json`], so one

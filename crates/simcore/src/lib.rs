@@ -1,33 +1,31 @@
-//! `simcore` — the discrete-event simulation substrate for the
-//! *World Wide Web Cache Consistency* reproduction.
+//! `simcore` — the vocabulary the simulators share, for the
+//! *World Wide Web Cache Consistency* reproduction:
 //!
-//! This crate provides the pieces every simulator in the workspace builds
-//! on:
+//! * [`SimTime`] / [`SimDuration`] — second-granularity virtual time;
+//! * [`FileId`], [`CacheId`], [`ClientId`] — typed entity identifiers;
+//! * [`TrafficMeter`], [`CacheStats`], [`ServerLoad`], [`LatencyStats`] —
+//!   the paper's bandwidth, cache-behaviour, server-load and latency
+//!   counters.
 //!
-//! * [`SimTime`] / [`SimDuration`] — a second-granularity virtual clock;
-//! * [`EventQueue`] — a deterministic, FIFO-stable pending-event queue
-//!   (indexed 4-ary heap: O(log n) schedule/cancel/pop, O(1) peek and
-//!   handle-liveness);
-//! * [`Simulation`] / [`Scheduler`] — the event-execution driver: one run
-//!   loop over a pre-sorted feed (the trace) and the queue (what events
-//!   schedule during the run);
-//! * [`TrafficMeter`], [`CacheStats`], [`ServerLoad`] — the paper's
-//!   bandwidth, cache-behaviour, and server-load metrics;
-//! * [`FileId`], [`CacheId`], [`ClientId`] — typed entity identifiers.
+//! There is no event engine here: the simulators are trace-driven, so a
+//! run is a loop over the workload's schedule (`webcache::sim`), and the
+//! one timer any of them needs is the retry queue's own next attempt
+//! (`webcache::experiments::failure`).
 //!
-//! Determinism is a design requirement: identical inputs produce identical
-//! event orders and therefore bit-identical experiment results.
+//! [`EventQueue`] / [`EventHandle`] (a cancellable, FIFO-stable pending
+//! event heap) have no caller in the workspace. They stay exported only
+//! because the repo benchmark times them as `simcore.queue.*_ns` and
+//! `bench/` is closed to ordinary PRs; ROADMAP item 5(b) lists them among
+//! the pins to drop.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod engine;
 mod ids;
 mod metrics;
 mod queue;
 mod time;
 
-pub use engine::{Dispatch, Event, Scheduler, Simulation};
 pub use ids::{CacheId, ClientId, FileId};
 pub use metrics::{CacheStats, LatencyStats, ServerLoad, TrafficMeter};
 pub use queue::{EventHandle, EventQueue};

@@ -8,12 +8,10 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes moved over the network, split the way the paper discusses them:
 /// small control messages (queries, 304s, invalidations — "each message
 /// averages 43 bytes") versus bulk file-body transfer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficMeter {
     /// Number of control messages exchanged.
     pub messages: u64,
@@ -85,7 +83,7 @@ impl fmt::Display for TrafficMeter {
 /// actually has to be transferred into the cache (§4.1); a validation that
 /// answers `304 Not Modified` is a hit. A *stale hit* is a request satisfied
 /// from the cache although the origin copy had already changed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Requests satisfied from the cache with data identical to the origin.
     pub fresh_hits: u64,
@@ -148,7 +146,7 @@ impl fmt::Display for CacheStats {
 /// Server-side operation counters, matching Figure 8: "requests for
 /// documents, queries to determine whether documents are stale, and
 /// invalidation messages".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerLoad {
     /// Full document requests served (bodies transferred).
     pub document_requests: u64,
@@ -190,7 +188,7 @@ impl fmt::Display for ServerLoad {
 /// model. Workers record raw nanosecond samples locally and
 /// [`merge`](LatencyStats::merge) them at aggregation time, like the
 /// other meters here.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyStats {
     samples_ns: Vec<u64>,
     dropped: u64,

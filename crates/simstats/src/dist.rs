@@ -4,11 +4,11 @@
 //! the Worrell-style base simulator; *bimodal* lifetimes for the
 //! trace-informed model ("either a file will remain unmodified for a long
 //! period of time or it will be modified frequently within a short time
-//! period", §3); exponential inter-arrival times for request and
-//! modification processes; heavy-tailed file sizes; and Zipf-like
-//! popularity. All samplers draw from [`DetRng`] and are implemented from
-//! first principles so their behaviour is fixed for the lifetime of the
-//! reproduction.
+//! period", §3 — the generators mix two of these samplers themselves);
+//! exponential inter-arrival times for request and modification
+//! processes; heavy-tailed file sizes; and Zipf-like popularity. All
+//! samplers draw from [`DetRng`] and are implemented from first principles
+//! so their behaviour is fixed for the lifetime of the reproduction.
 
 use crate::rng::DetRng;
 
@@ -186,65 +186,6 @@ impl Sampler for LogNormalDist {
     }
 }
 
-/// A two-component mixture — the bimodal lifetime model of §3: with
-/// probability `p_first` sample the first component, else the second.
-#[derive(Debug, Clone)]
-pub struct BimodalDist<A: Sampler, B: Sampler> {
-    p_first: f64,
-    first: A,
-    second: B,
-}
-
-impl<A: Sampler, B: Sampler> BimodalDist<A, B> {
-    /// Mixture taking `first` with probability `p_first`.
-    ///
-    /// # Panics
-    /// Panics unless `p_first` is in `[0, 1]`.
-    pub fn new(p_first: f64, first: A, second: B) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p_first),
-            "mixture weight must be in [0,1]"
-        );
-        BimodalDist {
-            p_first,
-            first,
-            second,
-        }
-    }
-}
-
-impl<A: Sampler, B: Sampler> Sampler for BimodalDist<A, B> {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        if rng.chance(self.p_first) {
-            self.first.sample(rng)
-        } else {
-            self.second.sample(rng)
-        }
-    }
-
-    fn mean(&self) -> Option<f64> {
-        match (self.first.mean(), self.second.mean()) {
-            (Some(a), Some(b)) => Some(self.p_first * a + (1.0 - self.p_first) * b),
-            _ => None,
-        }
-    }
-}
-
-/// A degenerate sampler returning a constant — handy for pinning a
-/// parameter in tests and ablations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConstantDist(pub f64);
-
-impl Sampler for ConstantDist {
-    fn sample(&self, _rng: &mut DetRng) -> f64 {
-        self.0
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,36 +275,6 @@ mod tests {
         let expect = d.mean().unwrap();
         let m = sample_mean(&d, 9, 400_000);
         assert!((m - expect).abs() / expect < 0.02, "m {m} expect {expect}");
-    }
-
-    #[test]
-    fn bimodal_hits_both_modes() {
-        let d = BimodalDist::new(0.3, ConstantDist(1.0), ConstantDist(100.0));
-        let mut rng = DetRng::seed_from_u64(10);
-        let n = 100_000;
-        let low = (0..n).filter(|_| d.sample(&mut rng) < 50.0).count();
-        let frac = low as f64 / n as f64;
-        assert!((frac - 0.3).abs() < 0.01, "frac {frac}");
-        assert!((d.mean().unwrap() - (0.3 + 70.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bimodal_degenerate_weights() {
-        let all_first = BimodalDist::new(1.0, ConstantDist(1.0), ConstantDist(2.0));
-        let all_second = BimodalDist::new(0.0, ConstantDist(1.0), ConstantDist(2.0));
-        let mut rng = DetRng::seed_from_u64(11);
-        for _ in 0..100 {
-            assert_eq!(all_first.sample(&mut rng), 1.0);
-            assert_eq!(all_second.sample(&mut rng), 2.0);
-        }
-    }
-
-    #[test]
-    fn constant_is_constant() {
-        let d = ConstantDist(42.0);
-        let mut rng = DetRng::seed_from_u64(12);
-        assert_eq!(d.sample(&mut rng), 42.0);
-        assert_eq!(d.mean(), Some(42.0));
     }
 
     #[test]

@@ -6,13 +6,12 @@
 //! * [`DetRng`] — a from-scratch xoshiro256++ generator with named derived
 //!   streams, so every experiment is bit-reproducible from one master seed;
 //! * samplers ([`UniformDist`], [`ExponentialDist`], [`BoundedParetoDist`],
-//!   [`LogNormalDist`], [`BimodalDist`], [`ConstantDist`]) for the paper's
-//!   workload models — flat Worrell lifetimes, bimodal trace lifetimes,
-//!   heavy-tailed file sizes;
+//!   [`LogNormalDist`]) for the paper's workload models — flat Worrell
+//!   lifetimes, memoryless gaps, heavy-tailed file sizes;
 //! * popularity models ([`ZipfDist`], [`AliasTable`]) for skewed request
 //!   streams and the Bestavros popularity↔mutability anticorrelation;
-//! * summaries ([`OnlineSummary`], [`Histogram`], [`percentile`],
-//!   [`median`]) for trace analysis and experiment reporting.
+//! * batch summaries ([`percentile`], [`median`], [`pearson`]) for trace
+//!   analysis and experiment reporting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,10 +21,7 @@ mod rng;
 mod summary;
 mod zipf;
 
-pub use dist::{
-    BimodalDist, BoundedParetoDist, ConstantDist, ExponentialDist, LogNormalDist, Sampler,
-    UniformDist,
-};
+pub use dist::{BoundedParetoDist, ExponentialDist, LogNormalDist, Sampler, UniformDist};
 pub use rng::DetRng;
-pub use summary::{median, pearson, percentile, Histogram, OnlineSummary};
+pub use summary::{median, pearson, percentile};
 pub use zipf::{AliasTable, ZipfDist};

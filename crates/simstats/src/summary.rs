@@ -1,162 +1,5 @@
-//! Online and batch summary statistics for trace analysis and experiment
-//! reporting.
-//!
-//! [`OnlineSummary`] is a Welford accumulator (numerically stable mean and
-//! variance in one pass); [`Histogram`] buckets observations for
-//! distribution-shape checks; [`percentile`] and [`median`] operate on
-//! batches.
-
-use serde::{Deserialize, Serialize};
-
-/// One-pass mean / variance / extremes accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct OnlineSummary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineSummary {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        OnlineSummary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Fold in one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean; `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.mean)
-    }
-
-    /// Population variance; `None` when empty.
-    pub fn variance(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.m2 / self.count as f64)
-    }
-
-    /// Sample (Bessel-corrected) variance; `None` with fewer than two
-    /// observations.
-    pub fn sample_variance(&self) -> Option<f64> {
-        (self.count > 1).then(|| self.m2 / (self.count - 1) as f64)
-    }
-
-    /// Population standard deviation; `None` when empty.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
-    /// Minimum observation; `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum observation; `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merge another accumulator (Chan's parallel combination).
-    pub fn merge(&mut self, other: &OnlineSummary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// Fixed-bin histogram over `[lo, hi)` with an explicit overflow/underflow
-/// policy: out-of-range observations clamp into the edge bins so totals are
-/// conserved.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-}
-
-impl Histogram {
-    /// A histogram over `[lo, hi)` with `bins` equal-width bins.
-    ///
-    /// # Panics
-    /// Panics unless `lo < hi` and `bins > 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo < hi, "histogram requires lo < hi");
-        assert!(bins > 0, "histogram requires at least one bin");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-        }
-    }
-
-    /// Record one observation (clamped into range).
-    pub fn record(&mut self, x: f64) {
-        let n = self.bins.len();
-        let frac = (x - self.lo) / (self.hi - self.lo);
-        let idx = ((frac * n as f64).floor() as i64).clamp(0, n as i64 - 1) as usize;
-        self.bins[idx] += 1;
-    }
-
-    /// Bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum()
-    }
-
-    /// Index of the fullest bin (ties break low). `None` when empty.
-    pub fn mode_bin(&self) -> Option<usize> {
-        if self.total() == 0 {
-            return None;
-        }
-        self.bins
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-            .map(|(i, _)| i)
-    }
-
-    /// Lower edge of bin `i`.
-    pub fn bin_lo(&self, i: usize) -> f64 {
-        self.lo + (self.hi - self.lo) * i as f64 / self.bins.len() as f64
-    }
-}
+//! Batch summary statistics for trace analysis and experiment reporting:
+//! [`percentile`] / [`median`] and the [`pearson`] correlation.
 
 /// The `p`-th percentile (0–100) of a batch, by linear interpolation
 /// between closest ranks. Returns `None` on an empty batch.
@@ -208,96 +51,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_naive() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut s = OnlineSummary::new();
-        for &x in &xs {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean().unwrap() - 5.0).abs() < 1e-12);
-        assert!((s.variance().unwrap() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev().unwrap() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn empty_summary_returns_none() {
-        let s = OnlineSummary::new();
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.variance(), None);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-        assert_eq!(s.sample_variance(), None);
-    }
-
-    #[test]
-    fn sample_variance_needs_two() {
-        let mut s = OnlineSummary::new();
-        s.record(1.0);
-        assert_eq!(s.sample_variance(), None);
-        s.record(3.0);
-        assert!((s.sample_variance().unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineSummary::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = OnlineSummary::new();
-        let mut b = OnlineSummary::new();
-        for &x in &xs[..37] {
-            a.record(x);
-        }
-        for &x in &xs[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-9);
-        assert!((a.variance().unwrap() - whole.variance().unwrap()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineSummary::new();
-        a.record(5.0);
-        let before = a;
-        a.merge(&OnlineSummary::new());
-        assert_eq!(a, before);
-
-        let mut e = OnlineSummary::new();
-        e.merge(&before);
-        assert_eq!(e, before);
-    }
-
-    #[test]
-    fn histogram_bins_and_clamps() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(0.5); // bin 0
-        h.record(9.5); // bin 9
-        h.record(-3.0); // clamps to 0
-        h.record(42.0); // clamps to 9
-        h.record(10.0); // exactly hi clamps to 9
-        assert_eq!(h.counts()[0], 2);
-        assert_eq!(h.counts()[9], 3);
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.mode_bin(), Some(9));
-        assert!((h.bin_lo(5) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_empty_mode_is_none() {
-        assert_eq!(Histogram::new(0.0, 1.0, 4).mode_bin(), None);
-    }
 
     #[test]
     fn percentile_interpolates() {
@@ -358,48 +111,6 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        #[test]
-        fn welford_mean_within_extremes(xs in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
-            let mut s = OnlineSummary::new();
-            for &x in &xs {
-                s.record(x);
-            }
-            let m = s.mean().unwrap();
-            prop_assert!(m >= s.min().unwrap() - 1e-9);
-            prop_assert!(m <= s.max().unwrap() + 1e-9);
-            prop_assert!(s.variance().unwrap() >= -1e-9);
-        }
-
-        #[test]
-        fn merge_is_order_insensitive(
-            xs in proptest::collection::vec(-1e3f64..1e3, 1..100),
-            ys in proptest::collection::vec(-1e3f64..1e3, 1..100),
-        ) {
-            let fold = |v: &[f64]| {
-                let mut s = OnlineSummary::new();
-                for &x in v {
-                    s.record(x);
-                }
-                s
-            };
-            let mut ab = fold(&xs);
-            ab.merge(&fold(&ys));
-            let mut ba = fold(&ys);
-            ba.merge(&fold(&xs));
-            prop_assert_eq!(ab.count(), ba.count());
-            prop_assert!((ab.mean().unwrap() - ba.mean().unwrap()).abs() < 1e-6);
-            prop_assert!((ab.variance().unwrap() - ba.variance().unwrap()).abs() < 1e-4);
-        }
-
-        #[test]
-        fn histogram_conserves_total(xs in proptest::collection::vec(-10.0f64..20.0, 0..200)) {
-            let mut h = Histogram::new(0.0, 10.0, 7);
-            for &x in &xs {
-                h.record(x);
-            }
-            prop_assert_eq!(h.total(), xs.len() as u64);
-        }
-
         #[test]
         fn percentile_is_monotone_in_p(xs in proptest::collection::vec(-1e3f64..1e3, 1..100)) {
             let p25 = percentile(&xs, 25.0).unwrap();

@@ -772,7 +772,7 @@ mod tests {
     #[test]
     fn r1_flags_wall_clock_in_sim_crates_only() {
         let src = "fn f() { let t = Instant::now(); let s = std::time::SystemTime::now(); }";
-        let hits = unsuppressed("crates/simcore/src/engine.rs", src);
+        let hits = unsuppressed("crates/simcore/src/queue.rs", src);
         assert_eq!(hits.iter().filter(|f| f.rule == "r1").count(), 2);
         // Allowlisted files are clean.
         assert!(unsuppressed("crates/liveserve/src/clock.rs", src).is_empty());

@@ -1,10 +1,9 @@
 //! `wcc-obs` — the deterministic observability substrate.
 //!
-//! Every layer of the workspace (the discrete-event engine, the three
-//! simulators in `webcache`, the live TCP stack in `liveserve`) emits
-//! structured, sim-time-stamped events through one tiny seam: the
-//! [`Probe`] trait. Everything else in this crate is a consumer of that
-//! stream:
+//! Every layer of the workspace (the three simulators in `webcache`,
+//! the live TCP stack in `liveserve`) emits structured, sim-time-stamped
+//! events through one tiny seam: the [`Probe`] trait. Everything else in
+//! this crate is a consumer of that stream:
 //!
 //! * [`TraceProbe`] — a bounded ring buffer of events with a
 //!   deterministic JSONL export (stable field order, sequence-numbered,

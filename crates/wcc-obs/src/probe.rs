@@ -91,11 +91,10 @@ pub enum ObsEvent {
         /// The policy's verdict.
         fresh: bool,
     },
-    /// The event engine dispatched one event (emitted from the run
-    /// loop); `pending` is how many are still to fire after the dispatch
-    /// — the rest of the trace plus the event queue's depth.
+    /// The simulator's replay loop handled one event of the workload's
+    /// schedule; `pending` is the events of the schedule still to replay.
     Dispatched {
-        /// Events still queued.
+        /// Events still to replay.
         pending: u32,
     },
     /// One live-path request completed, as observed by a load-generator

@@ -7,10 +7,8 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The content classes of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FileType {
     /// GIF images — 55 % of Microsoft proxy accesses, the longest-lived
     /// class.

@@ -537,11 +537,10 @@ fn cmd_serve(a: &Flags) -> Result<(), String> {
 
         // 3) Subscribing to a file that is scripted to change and
         // advancing past the change delivers INVALIDATE.
-        let (mod_t, mod_file) = wl
+        let &(mod_t, mod_file) = wl
             .population
-            .all_modifications()
-            .into_iter()
-            .find(|&(t, _)| t >= wl.start && t <= wl.end)
+            .modifications_in(wl.start, wl.end)
+            .first()
             .expect("synthetic workload has modifications");
         let mod_path = wl.population.get(mod_file).path.clone();
         let control = std::net::TcpStream::connect(origin.control_addr()).expect("dial control");

@@ -323,10 +323,11 @@ mod tests {
     #[test]
     fn the_outage_grid_matches_the_pinned_hash() {
         let wl = crate::generate_synthetic(&crate::WorrellConfig::scaled(600, 40_000), 11);
-        let mods = wl.population.all_modifications();
         // The first change after the (preloaded, fully subscribed) start:
         // an outage beginning on it makes it the first failed send.
-        let m = mods
+        let m = wl
+            .population
+            .modifications()
             .iter()
             .find(|&&(t, _)| t > wl.start)
             .expect("changes")

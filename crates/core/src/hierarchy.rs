@@ -246,8 +246,11 @@ pub fn replay_workload(
     // before a request at its instant, as in `Workload::schedule`; requests
     // sharing an instant keep their workload order (the schedule puts them
     // in file order), because `leaf_for` hashes the request's index.
-    let mods = workload.population.all_modifications();
-    let mut mi = 0usize;
+    let mut mods = workload
+        .population
+        .modifications_in(workload.start, workload.end)
+        .iter()
+        .peekable();
     let mut prev = SimTime::ZERO;
     for (i, &(t, f)) in workload.requests.iter().enumerate() {
         assert!(
@@ -255,20 +258,14 @@ pub fn replay_workload(
             "request {i} goes backwards in time: {t} after {prev}"
         );
         prev = t;
-        while mi < mods.len() && mods[mi].0 <= t {
-            if mods[mi].0 >= workload.start {
-                sim.modify(mods[mi].1, mods[mi].0);
-            }
-            mi += 1;
+        while let Some(&(at, changed)) = mods.next_if(|&&(at, _)| at <= t) {
+            sim.modify(changed, at);
         }
         let leaf = leaves[assignment.leaf_for(i, leaves.len())];
         sim.request(leaf, f, t);
     }
-    while mi < mods.len() {
-        if mods[mi].0 >= workload.start && mods[mi].0 <= workload.end {
-            sim.modify(mods[mi].1, mods[mi].0);
-        }
-        mi += 1;
+    for &(at, changed) in mods {
+        sim.modify(changed, at);
     }
     let requests = workload.request_count() as u64;
     (sim.traffic(), sim.stale_serves(), requests)

@@ -860,6 +860,59 @@ mod tests {
         assert_eq!(tight.cache.requests(), roomy.cache.requests());
     }
 
+    /// FNV-1a over the `Debug` of `(RunResult, evictions)` for the four
+    /// bounded stores under three protocols, on a Zipf(1.0) workload of
+    /// 2 000 files (256 B – 1 MB) and 40 000 requests at footprint / 8:
+    /// every leg evicts thousands of times, LFU turns newcomers away,
+    /// modified files come back larger than they left and the
+    /// invalidation legs unsubscribe what they evict. Recorded at PR 20
+    /// on the `BTreeSet`-ordered GDS/LFU and the per-leg modification
+    /// sort; whatever orders residents and modifications now must
+    /// reproduce it.
+    #[test]
+    fn bounded_store_runs_match_the_pinned_hash() {
+        use crate::workload::PopularityModel;
+        let mut cfg = WorrellConfig::scaled(2_000, 40_000);
+        cfg.knobs.popularity = PopularityModel::Zipf {
+            exponent: 1.0,
+            correlate_stability: false,
+        };
+        let wl = generate_synthetic(&cfg, 20);
+        let footprint: u64 = wl
+            .population
+            .iter()
+            .filter_map(|(_, r)| r.version_at(wl.start).map(|v| v.size))
+            .sum();
+        let capacity = footprint / 8;
+        let legs = [
+            (ProtocolSpec::Alex(20), SimConfig::optimized()),
+            (ProtocolSpec::Invalidation, SimConfig::optimized()),
+            (ProtocolSpec::Ttl(0), SimConfig::base()),
+        ];
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for store in [
+            StoreKind::Lru(capacity),
+            StoreKind::Fifo(capacity),
+            StoreKind::Gds(capacity),
+            StoreKind::Lfu(capacity),
+        ] {
+            for (spec, config) in legs {
+                let out = run_in(&wl, spec, &config, store);
+                assert!(
+                    out.evictions > 2_000,
+                    "{store:?} {}: {} evictions",
+                    spec.label(),
+                    out.evictions
+                );
+                for byte in format!("{:?}\n", (&out.result, out.evictions)).bytes() {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        const EVICT_GOLDEN: u64 = 2_064_591_970_126_617_279;
+        assert_eq!(hash, EVICT_GOLDEN);
+    }
+
     #[test]
     fn eviction_unsubscribes_from_invalidation() {
         // With a bounded cache the server's subscription ledger must stay

@@ -64,12 +64,11 @@ impl Workload {
         self.requests.len()
     }
 
-    /// Total modifications scheduled inside the observation window.
+    /// Total modifications scheduled inside the observation window
+    /// (`start <= t <= end`) — exactly the ones a replay fires and a live
+    /// origin publishes.
     pub fn changes_in_window(&self) -> usize {
-        self.population
-            .iter()
-            .map(|(_, r)| r.changes_between(self.start, self.end))
-            .sum()
+        self.population.modifications_in(self.start, self.end).len()
     }
 
     /// The origin-assigned `Expires` lifetime for `class`, if any.
@@ -105,17 +104,18 @@ impl Workload {
     /// request arriving "at" a change sees the new version, matching HTTP
     /// semantics where the origin answers with its current state.
     ///
-    /// Both halves arrive sorted — [`FilePopulation::all_modifications`]
-    /// by `(instant, file)`, `requests` by instant — so this is a two-way
-    /// merge, not a sort; only requests sharing an instant are put in file
-    /// order, and a stream already in that order is borrowed.
+    /// Nothing is sorted here. The modification half is borrowed from the
+    /// population, which orders its history once for every replay
+    /// ([`FilePopulation::modifications_in`]: two binary searches cut the
+    /// window out of it); `requests` arrives in instant order; so this is
+    /// a two-way merge. Only requests sharing an instant are put in file
+    /// order, and a stream already in that order is borrowed too.
     ///
     /// # Panics
     /// Panics if `requests` goes backwards in time: the merge trusts the
     /// order, so nothing downstream would repair it.
     pub(crate) fn schedule(&self) -> Schedule<'_> {
-        let mut mods = self.population.all_modifications();
-        mods.retain(|&(t, _)| self.start <= t && t <= self.end);
+        let mods = self.population.modifications_in(self.start, self.end);
         let mut in_file_order = true;
         for (i, pair) in self.requests.windows(2).enumerate() {
             assert!(
@@ -223,7 +223,7 @@ pub(crate) enum WorkloadEvent {
 /// [`Workload::schedule`]'s iterator: the merged `(instant, event)`
 /// stream, with its exact remaining length.
 pub(crate) struct Schedule<'w> {
-    mods: Vec<(SimTime, FileId)>,
+    mods: &'w [(SimTime, FileId)],
     requests: Cow<'w, [(SimTime, FileId)]>,
     next_mod: usize,
     next_request: usize,
@@ -722,6 +722,18 @@ mod tests {
             )
         });
         events.into_iter().map(|(t, _, ev)| (t, ev)).collect()
+    }
+
+    #[test]
+    fn the_window_counts_the_modifications_it_replays() {
+        // One modification exactly on `start`, one exactly on `end`, one
+        // just outside each: the count and the replay agree on four.
+        let wl = tiny_workload(&[vec![99, 100, 105, 110, 111], vec![100]], Vec::new());
+        let replayed = wl
+            .schedule()
+            .filter(|(_, event)| matches!(event, WorkloadEvent::Modify(_)))
+            .count();
+        assert_eq!((wl.changes_in_window(), replayed), (4, 4));
     }
 
     #[test]

@@ -411,12 +411,10 @@ impl LiveOrigin {
         let data_addr = data_listener.local_addr()?;
         let control_addr = control_listener.local_addr()?;
 
-        let mods: Vec<(SimTime, FileId)> = config
+        let mods = config
             .population
-            .all_modifications()
-            .into_iter()
-            .filter(|&(t, _)| t >= config.window_start && t <= config.window_end)
-            .collect();
+            .modifications_in(config.window_start, config.window_end)
+            .to_vec();
 
         let shared = Arc::new(OriginShared {
             server: RankedMutex::new(

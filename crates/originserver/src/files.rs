@@ -8,6 +8,8 @@
 //! protocol — the paper's methodology of holding the workload fixed while
 //! varying only the consistency mechanism.
 
+use std::sync::OnceLock;
+
 use simcore::{FileId, SimTime};
 
 /// One version of a file: the instant it was written and its size.
@@ -76,13 +78,6 @@ impl FileRecord {
         idx.checked_sub(1).map(|i| self.versions[i])
     }
 
-    /// Whether the file changed in the half-open interval `(since, upto]`.
-    pub fn modified_between(&self, since: SimTime, upto: SimTime) -> bool {
-        self.versions
-            .iter()
-            .any(|v| v.modified_at > since && v.modified_at <= upto)
-    }
-
     /// Number of modifications (excluding creation) in `(since, upto]`.
     pub fn changes_between(&self, since: SimTime, upto: SimTime) -> usize {
         self.versions
@@ -111,9 +106,17 @@ impl FileRecord {
 }
 
 /// The origin's complete file set, indexed densely by [`FileId`].
+///
+/// The order of a population's modifications is a property of the
+/// population, not of a run, so it is worked out once — on the first call
+/// of [`FilePopulation::modifications`] — and every replay of the same
+/// history borrows it. The cache has one rule: any `&mut` access to the
+/// files ([`FilePopulation::add`], [`FilePopulation::get_mut`]) forgets it.
 #[derive(Debug, Clone, Default)]
 pub struct FilePopulation {
     files: Vec<FileRecord>,
+    /// Every modification, `(instant, file)`-sorted; unset until asked for.
+    modifications: OnceLock<Vec<(SimTime, FileId)>>,
 }
 
 impl FilePopulation {
@@ -124,6 +127,7 @@ impl FilePopulation {
 
     /// Add a file, returning its id.
     pub fn add(&mut self, record: FileRecord) -> FileId {
+        self.modifications.take();
         let id = FileId::from_index(self.files.len());
         self.files.push(record);
         id
@@ -139,6 +143,7 @@ impl FilePopulation {
 
     /// Mutable lookup (used while histories are being built).
     pub fn get_mut(&mut self, id: FileId) -> &mut FileRecord {
+        self.modifications.take();
         &mut self.files[id.index()]
     }
 
@@ -170,17 +175,36 @@ impl FilePopulation {
     }
 
     /// Every modification event across all files as `(instant, file)`
-    /// pairs, sorted by instant (creation events excluded). This is the
-    /// modification half of a simulation's event stream.
-    pub fn all_modifications(&self) -> Vec<(SimTime, FileId)> {
-        let mut events: Vec<(SimTime, FileId)> = Vec::new();
-        for (id, rec) in self.iter() {
-            for v in rec.versions().iter().skip(1) {
-                events.push((v.modified_at, id));
+    /// pairs, sorted by instant and then by file (creation events
+    /// excluded). This is the modification half of a simulation's event
+    /// stream; it is collected and sorted on the first call only.
+    pub fn modifications(&self) -> &[(SimTime, FileId)] {
+        self.modifications.get_or_init(|| {
+            let mut events: Vec<(SimTime, FileId)> = Vec::new();
+            for (id, rec) in self.iter() {
+                for v in rec.versions().iter().skip(1) {
+                    events.push((v.modified_at, id));
+                }
             }
-        }
-        events.sort_by_key(|&(t, id)| (t, id));
-        events
+            events.sort_unstable();
+            events
+        })
+    }
+
+    /// The modifications with `start <= instant <= end` — an observation
+    /// window, both edges included — found by two binary searches.
+    pub fn modifications_in(&self, start: SimTime, end: SimTime) -> &[(SimTime, FileId)] {
+        let mods = self.modifications();
+        let from = mods.partition_point(|&(t, _)| t < start);
+        let upto = mods.partition_point(|&(t, _)| t <= end);
+        &mods[from..upto.max(from)]
+    }
+
+    /// [`FilePopulation::modifications`], copied. Kept for the callers
+    /// outside the workspace that want to own the list (the benchmark's
+    /// live workloads); inside it, borrow the slice.
+    pub fn all_modifications(&self) -> Vec<(SimTime, FileId)> {
+        self.modifications().to_vec()
     }
 }
 
@@ -242,16 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn modified_between_is_half_open() {
-        let mut r = FileRecord::new("/a", t(0), 10);
-        r.push_modification(t(100), 20);
-        assert!(r.modified_between(t(50), t(100)));
-        assert!(!r.modified_between(t(100), t(150))); // exclusive at left
-        assert!(!r.modified_between(t(0), t(99)));
-        assert!(r.modified_between(t(99), t(101)));
-    }
-
-    #[test]
     fn changes_between_excludes_creation() {
         let mut r = FileRecord::new("/a", t(0), 10);
         r.push_modification(t(10), 1);
@@ -302,6 +316,55 @@ mod tests {
         p.get_mut(b).push_modification(t(100), 1);
         p.get_mut(a).push_modification(t(100), 1);
         assert_eq!(p.all_modifications(), vec![(t(100), a), (t(100), b)]);
+    }
+
+    #[test]
+    fn a_window_keeps_both_of_its_edges() {
+        let mut p = FilePopulation::new();
+        let a = p.add(FileRecord::new("/a", t(0), 1));
+        let b = p.add(FileRecord::new("/b", t(0), 1));
+        for at in [99, 100, 105, 110, 111] {
+            p.get_mut(a).push_modification(t(at), 1);
+        }
+        p.get_mut(b).push_modification(t(100), 1);
+        assert_eq!(
+            p.modifications_in(t(100), t(110)),
+            [(t(100), a), (t(100), b), (t(105), a), (t(110), a)]
+        );
+        assert_eq!(p.modifications_in(t(101), t(104)), []);
+        assert_eq!(p.modifications_in(t(105), t(105)), [(t(105), a)]);
+        assert_eq!(p.modifications_in(t(110), t(100)), [], "an empty window");
+        assert_eq!(p.modifications_in(t(0), t(1_000)), p.modifications());
+    }
+
+    #[test]
+    fn any_mutable_access_forgets_the_sorted_modifications() {
+        let mut p = FilePopulation::new();
+        let a = p.add(FileRecord::new("/a", t(0), 1));
+        p.get_mut(a).push_modification(t(300), 1);
+        assert_eq!(p.modifications(), [(t(300), a)]);
+
+        // A history grown after the list was read shows up in it.
+        p.get_mut(a).push_modification(t(500), 1);
+        assert_eq!(p.modifications(), [(t(300), a), (t(500), a)]);
+
+        // So does a file added after it was read.
+        let mut late = FileRecord::new("/b", t(0), 1);
+        late.push_modification(t(400), 1);
+        let b = p.add(late);
+        let unasked = p.clone();
+        let all = [(t(300), a), (t(400), b), (t(500), a)];
+        assert_eq!(p.modifications(), all);
+
+        // A clone answers alike, whether or not the original had been
+        // asked yet, and goes its own way afterwards.
+        let mut copy = p.clone();
+        assert_eq!(unasked.modifications(), all);
+        assert_eq!(copy.modifications(), all);
+        copy.get_mut(b).push_modification(t(600), 1);
+        assert_eq!(copy.modifications().len(), 4);
+        assert_eq!(p.modifications(), all);
+        assert_eq!(p.all_modifications(), all);
     }
 }
 

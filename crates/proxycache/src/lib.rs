@@ -8,9 +8,12 @@
 //! ablation.
 //!
 //! Bounded stores are one container generic over an [`EvictionPolicy`]:
-//! classic [`LruStore`] and [`FifoStore`] (intrusive-list order), plus the
-//! score-based [`GdsStore`] (GreedyDual-Size) and [`LfuStore`]
-//! (score-gated LFU with ghost frequencies) from the eviction literature.
+//! classic [`LruStore`] and [`FifoStore`], ordered by an intrusive list,
+//! plus the score-based [`GdsStore`] (GreedyDual-Size) and [`LfuStore`]
+//! (score-gated LFU with ghost frequencies) from the eviction literature,
+//! ordered by an indexed heap. Both backbones are flat arrays over the
+//! dense file ids: touching a resident allocates nothing and searches
+//! nothing under any of the four.
 //!
 //! Consistency *decisions* (is this entry still usable?) live in the
 //! `consistency` crate; this crate only stores and indexes.
@@ -36,6 +39,4 @@ pub use gds::{GdsStore, GreedyDualSize};
 pub use hierarchy::HierarchyTopology;
 pub use lfu::{LfuStore, ScoreGatedLfu};
 pub use lru::{LruEviction, LruStore};
-pub use store::{
-    update_entry_size, Evicted, EvictedIntoIter, Store, UnboundedIter, UnboundedStore,
-};
+pub use store::{Evicted, EvictedIntoIter, Store, UnboundedIter, UnboundedStore};

@@ -274,18 +274,6 @@ impl Store for UnboundedStore {
     }
 }
 
-/// A store mutation helper shared by the consistency layer: update the
-/// entry's body size while keeping the byte ledger exact.
-pub fn update_entry_size<S: Store>(store: &mut S, id: FileId, new_size: u64, now: SimTime) {
-    // Stores track bytes on insert/remove only, so resizing means
-    // reinserting. Retrieve, adjust, reinsert.
-    if let Some(meta) = store.access(id, now).copied() {
-        let mut updated = meta;
-        updated.size = new_size;
-        store.insert(id, updated);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,18 +371,5 @@ mod tests {
         let one = Evicted::one(FileId(9), meta(5));
         assert_eq!(one.len(), 1);
         assert_eq!(one.into_iter().next().unwrap().0, FileId(9));
-    }
-
-    #[test]
-    fn update_entry_size_keeps_ledger_exact() {
-        let mut s = UnboundedStore::new();
-        s.insert(FileId(1), meta(100));
-        s.insert(FileId(2), meta(50));
-        update_entry_size(&mut s, FileId(1), 400, t(1));
-        assert_eq!(s.resident_bytes(), 450);
-        assert_eq!(s.peek(FileId(1)).unwrap().size, 400);
-        // Resizing an absent entry is a no-op.
-        update_entry_size(&mut s, FileId(99), 1, t(1));
-        assert_eq!(s.resident_bytes(), 450);
     }
 }

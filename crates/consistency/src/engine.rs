@@ -18,10 +18,13 @@
 //! decision time ([`RequestCtx::delay`], from the [`LinkModel`]).
 //!
 //! Invalidation subscriptions belong to the driver too, because they
-//! travel: subscribe a file that [`Engine::peek`] shows absent before
-//! applying the [`Reply::Body`] that inserts it, and unsubscribe every
-//! victim [`Applied::victims`] names afterwards (the file itself is
-//! among them when a bounded store rejects an oversized body).
+//! travel: subscribe a file that [`Engine::peek`] showed absent when the
+//! [`Reply::Body`] applied makes it resident, and unsubscribe every
+//! victim [`Applied::victims`] names (the file itself is among them
+//! when a bounded store rejects an oversized body). The driver may
+//! apply first, provided nothing is served from the new entry until its
+//! subscription is acknowledged; subscribing before the apply, as the
+//! simulator does, is one instance of that.
 
 use originserver::FilePopulation;
 use proxycache::{EntryMeta, Evicted, Store};

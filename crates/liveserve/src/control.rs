@@ -8,9 +8,12 @@
 //!   answered `OK` in order;
 //! * origin → proxy: `INVALIDATE <path>`, each answered `ACK` in order.
 //!
-//! Both sides treat their sends as synchronous — the sender waits for
-//! the matching reply before proceeding. That makes the channel a
-//! sequencing point: once the origin has the `ACK` for an invalidation,
+//! Replies are matched to sends by position, so a sender may have
+//! several lines outstanding: the proxy sends what one request changed
+//! as one batch and releases the request on the batch's last `OK`; the
+//! origin answers lines that arrived together with one write of as many
+//! `OK`s. Only the origin's `INVALIDATE` waits for its `ACK` before the
+//! next, which makes the channel a sequencing point: at the `ACK`,
 //! the proxy has already marked its copy invalid, mirroring the
 //! simulator's assumption that invalidation callbacks are instantaneous.
 //!
@@ -88,6 +91,11 @@ impl LineConn {
             stream,
             rbuf: Vec::new(),
         })
+    }
+
+    /// Whether the next `read_msg` has its line buffered already.
+    pub(crate) fn has_line(&self) -> bool {
+        self.rbuf.contains(&b'\n')
     }
 
     /// Read the next message. `Ok(None)` on clean EOF or when `shutdown`

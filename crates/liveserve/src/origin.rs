@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 use std::convert::Infallible;
-use std::io;
+use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -263,22 +263,24 @@ impl OriginShared {
     }
 
     /// Read one proxy's control channel until it hangs up, then drop all
-    /// of its subscriptions.
+    /// of its subscriptions. Commands that arrived together are answered
+    /// with one write, once the last of them is registered.
     fn serve_control_conn(&self, cache: CacheId, mut conn: LineConn, acks: mpsc::Sender<()>) {
         let result: io::Result<()> = (|| {
+            let mut owed = 0;
             while let Some(msg) = conn.read_msg(&self.shutdown)? {
                 match msg {
                     ControlMsg::Subscribe(path) => {
                         if let Some(&file) = self.path_ids.get(&path) {
                             self.server.lock().subscribe(cache, file);
                         }
-                        self.reply(cache, &ControlMsg::Ok)?;
+                        owed += 1;
                     }
                     ControlMsg::Unsubscribe(path) => {
                         if let Some(&file) = self.path_ids.get(&path) {
                             self.server.lock().unsubscribe(cache, file);
                         }
-                        self.reply(cache, &ControlMsg::Ok)?;
+                        owed += 1;
                     }
                     ControlMsg::Ack => {
                         // Forward to whichever invalidation publisher is
@@ -292,6 +294,9 @@ impl OriginShared {
                         ));
                     }
                 }
+                if owed > 0 && !conn.has_line() {
+                    self.acknowledge(cache, std::mem::take(&mut owed))?;
+                }
             }
             Ok(())
         })();
@@ -304,13 +309,15 @@ impl OriginShared {
         }
     }
 
-    fn reply(&self, cache: CacheId, msg: &ControlMsg) -> io::Result<()> {
+    /// `oks` commands of `cache`'s are registered: say so, in one write.
+    fn acknowledge(&self, cache: CacheId, oks: usize) -> io::Result<()> {
         let peer = {
             let peers = self.peers.lock();
             peers.get(cache.index()).and_then(|p| p.clone())
         };
+        let oks = ControlMsg::Ok.encode().repeat(oks);
         match peer {
-            Some(peer) => write_msg(&mut peer.writer.lock(), msg).map(|_| ()),
+            Some(peer) => peer.writer.lock().write_all(oks.as_bytes()),
             None => Err(io::Error::new(
                 io::ErrorKind::NotConnected,
                 "control peer deregistered",
@@ -581,19 +588,20 @@ impl Drop for LiveOrigin {
 }
 
 /// Deterministic body for a file version: an LCG keyed on the file id
-/// and the version's modification instant, so every server process
-/// synthesises identical bytes for the same version.
+/// and the version's modification instant (eight bytes a step), so every
+/// server process synthesises identical bytes for the same version.
 pub(crate) fn synth_body(file: FileId, v: Version) -> Vec<u8> {
     let mut state = 0xcbf2_9ce4_8422_2325u64
         ^ (file.index() as u64).wrapping_mul(0x0000_0100_0000_01b3)
         ^ v.modified_at.as_secs().wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    let mut out = Vec::with_capacity(v.size as usize);
-    for _ in 0..v.size {
+    let mut out = vec![0u8; (v.size as usize).next_multiple_of(8)];
+    for word in out.chunks_exact_mut(8) {
         state = state
             .wrapping_mul(6_364_136_223_846_793_005)
             .wrapping_add(1_442_695_040_888_963_407);
-        out.push((state >> 56) as u8);
+        word.copy_from_slice(&state.to_be_bytes());
     }
+    out.truncate(v.size as usize);
     out
 }
 
@@ -696,6 +704,70 @@ mod tests {
         assert_eq!(load.invalidations_sent, 1);
     }
 
+    /// Commands that arrive together are answered together — as many
+    /// `OK`s as there were commands, each registered by then — and the
+    /// channel carries an invalidation as before.
+    #[test]
+    fn a_batch_of_commands_is_answered_with_as_many_oks() {
+        use std::io::Read as _;
+        let (origin, _clock) = small_origin();
+        let mut stream = TcpStream::connect(origin.control_addr()).unwrap();
+        stream
+            .write_all(b"SUBSCRIBE /a.html\nUNSUBSCRIBE /a.html\nSUBSCRIBE /b.html\n")
+            .unwrap();
+        let mut oks = [0u8; 9];
+        stream.read_exact(&mut oks).unwrap();
+        assert_eq!(&oks, b"OK\nOK\nOK\n");
+        assert_eq!(origin.subscription_count(), 1);
+
+        // The next thing on the wire is the notice, not a fourth `OK`.
+        let mut writer = stream.try_clone().unwrap();
+        let mut conn = LineConn::new(stream).unwrap();
+        let shutdown = AtomicBool::new(false);
+        thread::scope(|s| {
+            let h = s.spawn(|| origin.advance_to(t(1500)));
+            assert_eq!(
+                conn.read_msg(&shutdown).unwrap(),
+                Some(ControlMsg::Invalidate("/b.html".into()))
+            );
+            write_msg(&mut writer, &ControlMsg::Ack).unwrap();
+            h.join().unwrap();
+        });
+        assert_eq!(origin.shutdown().invalidations_sent, 1);
+    }
+
+    /// The proxy prices an upstream reply by the bytes its head took on
+    /// the wire. For every head this origin writes that is the size the
+    /// simulator's costing computes from the parsed response
+    /// (`header_size`), which keeps wire-byte totals comparable.
+    #[test]
+    fn every_head_the_origin_writes_parses_back_to_its_header_size() {
+        let mut pop = FilePopulation::new();
+        pop.add(FileRecord::new("/expiring", t(0), 300));
+        pop.add(FileRecord::new("/plain", t(0), 70));
+        let mut config = OriginConfig::new(Arc::new(pop), LiveClock::virtual_at(t(100)));
+        config.classes = vec![0, 1];
+        config.class_expires = vec![Some(SimDuration::from_secs(500)), None];
+        let origin = LiveOrigin::spawn(config).unwrap();
+
+        let since = wall_date(t(0));
+        for req in [
+            Request::get("/expiring"),
+            Request::get("/plain"),
+            Request::get_if_modified_since("/expiring", since),
+            Request::get_if_modified_since("/plain", since),
+            Request::get("/missing"),
+        ] {
+            let (resp, body) = origin.shared.respond(&req, t(100));
+            let wire = resp.to_bytes(&body);
+            let (parsed, parsed_body, used) = Response::from_bytes(&wire).unwrap().unwrap();
+            let head = (used - parsed_body.len()) as u64;
+            assert_eq!(head, resp.header_size(), "{req:?}");
+            assert_eq!(head, parsed.header_size(), "{req:?}");
+        }
+        drop(origin);
+    }
+
     #[test]
     fn expires_header_follows_class_lifetime() {
         let mut pop = FilePopulation::new();
@@ -792,5 +864,12 @@ mod tests {
         assert_ne!(synth_body(f, v1), synth_body(f, v2));
         assert_ne!(synth_body(f, v1), synth_body(FileId(4), v1));
         assert_eq!(synth_body(f, v1).len(), 64);
+        // A size that is not a whole number of generator steps is a
+        // prefix of the next one up.
+        let odd = Version {
+            modified_at: t(0),
+            size: 61,
+        };
+        assert_eq!(synth_body(f, odd), synth_body(f, v1)[..61]);
     }
 }

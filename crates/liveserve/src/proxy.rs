@@ -38,13 +38,19 @@
 //! | stage | sent | on the answer |
 //! |-------|------|---------------|
 //! | `Validating` | `GET` + `If-Modified-Since` | `304`: apply, serve the cached body (entry lost meanwhile: refetch, on the same socket). Otherwise as `Fetching`. |
-//! | `Fetching` | `GET` | If the reply will insert a new entry under invalidation → `Subscribing`, else apply it → `Unsubscribing` or done. |
-//! | `Subscribing` | `SUBSCRIBE` | `OK`: apply the reply held since (exactly where the simulator subscribes: before the insert). |
-//! | `Unsubscribing` | `UNSUBSCRIBE` × evicted victims | every `OK` in: respond. |
+//! | `Fetching` | `GET` | Apply the reply; under invalidation, if that changed what the origin must track → `Unsubscribing`, else done. |
+//! | `Unsubscribing` | one batch: `SUBSCRIBE` the file if the reply made it resident, `UNSUBSCRIBE` × evicted victims | every `OK` in: respond. |
 //!
 //! The response is released only after every control command the
 //! request issued is acknowledged, which makes the control channel a
-//! sequencing point and single-connection runs counter-exact.
+//! sequencing point and single-connection runs counter-exact (the
+//! origin's ledger equals the simulator's at every `advance_to`). The
+//! insert may precede its `SUBSCRIBE`: the entry is resident before the
+//! line is written, so no `INVALIDATE` can find it absent, and nobody is
+//! decided against it before the batch is `OK`ed, because whoever
+//! inserts a file that was absent holds its flight until then (`apply`).
+//! Still open: a modification between the origin's `GET` reply and its
+//! registering the `SUBSCRIBE` (DESIGN.md §8).
 //!
 //! **Single-flight.** Concurrent misses for the same file coalesce: the
 //! first request registers the file as in flight and fetches; requests
@@ -291,13 +297,7 @@ enum Stage {
     /// The reply to an unconditional GET; `stored` is false for an
     /// uncacheable forward, whose answer is counted but never kept.
     Fetching { stored: bool },
-    /// The `OK` for its `SUBSCRIBE`, to then apply the reply in hand.
-    Subscribing {
-        reply: Reply,
-        resp: Response,
-        body: Arc<Vec<u8>>,
-    },
-    /// The `OK`s for its victims' `UNSUBSCRIBE`s, to then respond.
+    /// The `OK`s for its `SUBSCRIBE` + victims' `UNSUBSCRIBE`s: respond.
     Unsubscribing { resp: Response, body: Arc<Vec<u8>> },
 }
 
@@ -445,19 +445,18 @@ impl ProxyShared {
     fn advance(&self, parked: Parked, arrived: Arrived) -> io::Result<Step<Parked>> {
         let Parked { req, stage } = parked;
         match (stage, arrived) {
-            (Stage::Validating, Arrived::Reply(resp, _)) if resp.status == Status::NotModified => {
-                Ok(self.revalidated(req, &resp))
+            (Stage::Validating, Arrived::Reply(resp, _, head))
+                if resp.status == Status::NotModified =>
+            {
+                Ok(self.revalidated(req, &resp, head))
             }
             // Combined query-and-fetch: a conditional GET that finds the
             // file changed is answered with the new version.
-            (Stage::Validating, Arrived::Reply(resp, body)) => {
-                self.received(req, true, true, resp, body)
+            (Stage::Validating, Arrived::Reply(resp, body, head)) => {
+                self.received(req, true, true, resp, body, head)
             }
-            (Stage::Fetching { stored }, Arrived::Reply(resp, body)) => {
-                self.received(req, stored, false, resp, body)
-            }
-            (Stage::Subscribing { reply, resp, body }, Arrived::ControlOk) => {
-                Ok(self.apply(req, reply, resp, body))
+            (Stage::Fetching { stored }, Arrived::Reply(resp, body, head)) => {
+                self.received(req, stored, false, resp, body, head)
             }
             (Stage::Unsubscribing { resp, body }, Arrived::ControlOk) => Ok(Step::Done(resp, body)),
             _ => Err(io::Error::other(
@@ -466,12 +465,12 @@ impl ProxyShared {
         }
     }
 
-    /// A `304`: stamp the entry and serve it.
-    fn revalidated(&self, req: Decided, resp: &Response) -> Step<Parked> {
+    /// A `304` (of `head` wire bytes): stamp the entry and serve it.
+    fn revalidated(&self, req: Decided, resp: &Response, head: u64) -> Step<Parked> {
         let Asked { file, class, now } = req.asked;
         let not_modified = Reply::NotModified {
             expires: resp.expires.map(sim_instant),
-            message_bytes: req.sent + resp.header_size(),
+            message_bytes: req.sent + head,
             delay: self.link.delay_for(0),
         };
         let served = {
@@ -496,9 +495,8 @@ impl ProxyShared {
         }
     }
 
-    /// A `200` or `404` is in: price it for the engine, and subscribe
-    /// first when it will insert a new entry (exactly where the
-    /// simulator does).
+    /// A `200` or `404` (its head `head` wire bytes) is in: price it for
+    /// the engine and apply it.
     fn received(
         &self,
         req: Decided,
@@ -506,9 +504,9 @@ impl ProxyShared {
         conditional: bool,
         resp: Response,
         body: Vec<u8>,
+        head: u64,
     ) -> io::Result<Step<Parked>> {
-        let file = req.asked.file;
-        let message_bytes = req.sent + resp.header_size();
+        let message_bytes = req.sent + head;
         let reply = if resp.status == Status::Ok {
             let size = body.len() as u64;
             Reply::Body {
@@ -528,51 +526,60 @@ impl ProxyShared {
                 message_bytes,
             }
         };
-        let body = Arc::new(body);
-        // Single-flight registration makes the peek stable: no other
-        // request inserts this file while the flight is held.
         let inserts = stored && resp.status == Status::Ok;
-        if inserts && self.uses_invalidation && self.shard(file).lock().engine.peek(file).is_none()
-        {
-            let subscribe = [ControlMsg::Subscribe(req.path.clone())];
-            return Ok(self.control(req, &subscribe, Stage::Subscribing { reply, resp, body }));
-        }
-        Ok(self.apply(req, reply, resp, body))
+        Ok(self.apply(req, inserts, reply, resp, Arc::new(body)))
     }
 
     /// Hand the reply to the engine, keep the bodies map in step with
-    /// the store, and unsubscribe whatever the insert displaced.
+    /// the store, and tell the origin in one batch what that changed:
+    /// the file subscribed if it is newly resident, its victims not.
     fn apply(
         &self,
-        req: Decided,
+        mut req: Decided,
+        inserts: bool,
         reply: Reply,
         resp: Response,
         body: Arc<Vec<u8>>,
     ) -> Step<Parked> {
         let Asked { file, class, now } = req.asked;
-        let victims: Vec<FileId> = {
-            let mut st = self.shard(file).lock();
-            let applied = st.engine.apply(file, class, now, reply, &mut &self.probe);
-            for (victim, _) in applied.victims.iter() {
-                st.bodies.remove(victim);
+        let mut st = self.shard(file).lock();
+        let absent = st.engine.peek(file).is_none();
+        let applied = st.engine.apply(file, class, now, reply, &mut &self.probe);
+        for (victim, _) in applied.victims.iter() {
+            st.bodies.remove(victim);
+        }
+        let resident = st.engine.peek(file).is_some();
+        if resident {
+            st.bodies.insert(file, Arc::clone(&body));
+        } else {
+            st.bodies.remove(&file);
+        }
+        let subscribe = self.uses_invalidation && inserts && absent && resident;
+        if subscribe && !req.leads {
+            // Nobody is decided against the entry before its `SUBSCRIBE`
+            // is `OK`ed: an inserter that does not lead (a validation
+            // whose entry was evicted under it) takes the flight here.
+            st.in_flight.entry(file).or_default();
+            req.leads = true;
+        }
+        drop(st);
+        // A shard evicts only its own files, so these travel over the
+        // channel the victims were subscribed on: at most a line per
+        // victim of one insert. A rejected oversized body names its own
+        // file, never subscribed if it was never resident.
+        let mut commands = Vec::new();
+        if subscribe {
+            commands.push(ControlMsg::Subscribe(req.path.clone()));
+        }
+        for &(victim, _) in applied.victims.iter() {
+            if self.uses_invalidation && (victim != file || !absent) {
+                commands.push(ControlMsg::Unsubscribe(self.path_of(victim)));
             }
-            if st.engine.peek(file).is_some() {
-                st.bodies.insert(file, Arc::clone(&body));
-            } else {
-                st.bodies.remove(&file);
-            }
-            applied.victims.iter().map(|&(victim, _)| victim).collect()
-        };
-        if !self.uses_invalidation || victims.is_empty() {
+        }
+        if commands.is_empty() {
             return Step::Done(resp, body);
         }
-        // A shard evicts only its own files, so these travel over the
-        // channel the victims were subscribed on.
-        let unsubscribe: Vec<ControlMsg> = victims
-            .iter()
-            .map(|&victim| ControlMsg::Unsubscribe(self.path_of(victim)))
-            .collect();
-        self.control(req, &unsubscribe, Stage::Unsubscribing { resp, body })
+        self.control(req, &commands, Stage::Unsubscribing { resp, body })
     }
 
     /// `file`'s flight is over, however it ended: decide, in arrival
@@ -1392,23 +1399,23 @@ mod tests {
         assert_eq!((snap.upstream_dials, snap.upstream_reuses), (1, 1));
     }
 
-    /// A control peer that says `OK` only when the test does.
+    /// A control peer that says what the test tells it to, when it does,
+    /// and reports every line the proxy writes.
     fn withholding_control_peer() -> (
         SocketAddr,
         mpsc::Receiver<String>,
-        mpsc::Sender<()>,
+        mpsc::Sender<&'static str>,
         JoinHandle<()>,
     ) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let (seen_tx, seen) = mpsc::channel();
-        let (ok, oks) = mpsc::channel::<()>();
+        let (say, lines) = mpsc::channel::<&'static str>();
         let peer = thread::spawn(move || {
             use std::io::{BufRead, BufReader};
             let (stream, _) = listener.accept().unwrap();
             let mut writer = stream.try_clone().unwrap();
-            // Commands are reported as they arrive; each token from the
-            // test releases one `OK`. Both ends when the test's do.
+            // Both ends when the test's do.
             let reporter = thread::spawn(move || {
                 for line in BufReader::new(stream).lines() {
                     let Ok(line) = line else { return };
@@ -1417,60 +1424,245 @@ mod tests {
                     }
                 }
             });
-            while oks.recv().is_ok() {
-                writer.write_all(b"OK\n").unwrap();
+            while let Ok(line) = lines.recv() {
+                writer.write_all(line.as_bytes()).unwrap();
             }
             drop(writer);
             reporter.join().unwrap();
         });
-        (addr, seen, ok, peer)
+        (addr, seen, say, peer)
+    }
+
+    /// A proxy under invalidation between a [`Scripted`] origin and a
+    /// withholding control peer.
+    struct Withheld {
+        origin: Scripted,
+        proxy: LiveProxy,
+        commands: mpsc::Receiver<String>,
+        say: mpsc::Sender<&'static str>,
+        peer: JoinHandle<()>,
+    }
+
+    impl Withheld {
+        fn spawn(store: StoreKind) -> Withheld {
+            let origin = Scripted::spawn();
+            let (control, commands, say, peer) = withholding_control_peer();
+            let mut cfg = origin.proxy(LivePolicy::Invalidation);
+            cfg.origin_control = control;
+            cfg.store = store;
+            let proxy = LiveProxy::spawn(cfg).unwrap();
+            Withheld {
+                origin,
+                proxy,
+                commands,
+                say,
+                peer,
+            }
+        }
+
+        fn next_command(&self) -> String {
+            self.commands
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a line on the control channel")
+        }
+
+        /// Requests parked on `path`'s flight (`None`: no flight).
+        fn waiting(&self, path: &str) -> Option<usize> {
+            let file = self.proxy.shared.resolve(path);
+            let st = self.proxy.shared.shard(file).lock();
+            st.in_flight.get(&file).map(Vec::len)
+        }
+
+        /// Open a connection, send a GET for `path` on it, and let the
+        /// origin answer the fetch with `len` bytes.
+        fn fetch(&self, path: &str, len: usize) -> HttpConn {
+            let mut conn = connect(&self.proxy);
+            conn.write_request(&Request::get(path)).unwrap();
+            self.origin.serve_next(path, len);
+            conn
+        }
+
+        /// Open a connection and park a GET for `path` on the flight
+        /// already in progress.
+        fn follow(&self, path: &str) -> HttpConn {
+            let before = self.waiting(path).expect("a flight to follow");
+            let mut conn = connect(&self.proxy);
+            conn.write_request(&Request::get(path)).unwrap();
+            await_until("the follower to join the flight", || {
+                self.waiting(path) == Some(before + 1)
+            });
+            conn
+        }
+
+        fn finish(self) -> ProxySnapshot {
+            let snap = self.proxy.shutdown();
+            drop(self.say);
+            self.peer.join().unwrap();
+            snap
+        }
+    }
+
+    /// Nothing has been written to `conn` four poll ticks from now.
+    fn expect_unanswered(conn: &mut HttpConn) {
+        conn.set_read_budget_ticks(4);
+        let early = conn.read_response().unwrap_err();
+        assert_eq!(early.kind(), io::ErrorKind::TimedOut);
+        conn.set_read_budget_ticks(DEFAULT_READ_BUDGET_TICKS);
     }
 
     /// `OK`s release commands strictly in the order they were sent: of
-    /// two concurrent cold misses on one shard, the second is neither
-    /// answered nor inserted until the *second* `OK` arrives, however
+    /// two concurrent cold misses on one shard, neither is answered —
+    /// and a second request for the second file stays parked on its
+    /// flight, undecided — until that file's *own* `OK` arrives, however
     /// long the first has been in. (The blocking proxy let either worker
-    /// take either `OK`, so the second file could be cached before the
+    /// take either `OK`, so the second file could be served before the
     /// origin had registered its subscription — and a modification in
     /// that window was never invalidated.)
     #[test]
     fn an_ok_releases_only_the_subscription_it_answers() {
-        let origin = Scripted::spawn();
-        let (control, commands, ok, peer) = withholding_control_peer();
-        let mut cfg = origin.proxy(LivePolicy::Invalidation);
-        cfg.origin_control = control;
-        let proxy = LiveProxy::spawn(cfg).unwrap();
-        let resident = |path: &str| {
-            let file = proxy.shared.resolve(path);
-            let st = proxy.shared.shard(file).lock();
-            st.engine.peek(file).is_some()
-        };
-        let next_command = || commands.recv_timeout(Duration::from_secs(10)).unwrap();
+        let w = Withheld::spawn(StoreKind::Unbounded);
+        let mut a = w.fetch("/a", 11);
+        assert_eq!(w.next_command(), "SUBSCRIBE /a");
+        let mut b = w.fetch("/b", 22);
+        assert_eq!(w.next_command(), "SUBSCRIBE /b");
+        let mut b2 = w.follow("/b");
+        expect_unanswered(&mut a);
 
-        let (mut a, mut b) = (connect(&proxy), connect(&proxy));
-        a.write_request(&Request::get("/a")).unwrap();
-        origin.serve_next("/a", 11);
-        assert_eq!(next_command(), "SUBSCRIBE /a");
-        b.write_request(&Request::get("/b")).unwrap();
-        origin.serve_next("/b", 22);
-        assert_eq!(next_command(), "SUBSCRIBE /b");
-        assert!(!resident("/a") && !resident("/b"), "nothing before its OK");
-
-        ok.send(()).unwrap();
+        w.say.send("OK\n").unwrap();
         expect(&mut a, 11);
-        assert!(resident("/a"));
         // The first `OK` is long in, and `/b` still waits for its own.
-        b.set_read_budget_ticks(4);
-        let early = b.read_response().unwrap_err();
-        assert_eq!(early.kind(), io::ErrorKind::TimedOut);
-        assert!(!resident("/b"), "/b was inserted on /a's OK");
+        expect_unanswered(&mut b);
+        assert_eq!(w.waiting("/b"), Some(1), "/b was released on /a's OK");
 
-        ok.send(()).unwrap();
+        w.say.send("OK\n").unwrap();
         expect(&mut b, 22);
-        assert!(resident("/b"));
-        let snap = proxy.shutdown();
-        assert_eq!(snap.cache.misses, 2);
-        drop(ok);
-        peer.join().unwrap();
+        expect(&mut b2, 22);
+        assert_eq!(w.waiting("/b"), None);
+        let snap = w.finish();
+        assert_eq!((snap.cache.misses, snap.cache.fresh_hits), (2, 1));
+    }
+
+    /// A cold miss into a full store tells the origin everything it
+    /// changed in one batch — the new file first, then what it
+    /// displaced — and is answered when the whole batch is `OK`ed.
+    #[test]
+    fn a_cold_miss_that_evicts_sends_one_batch_and_waits_for_all_of_it() {
+        let w = Withheld::spawn(StoreKind::Lru(100));
+        let mut first = w.fetch("/victim", 60);
+        assert_eq!(w.next_command(), "SUBSCRIBE /victim");
+        w.say.send("OK\n").unwrap();
+        expect(&mut first, 60);
+
+        let mut second = w.fetch("/new", 60);
+        assert_eq!(w.next_command(), "SUBSCRIBE /new");
+        assert_eq!(w.next_command(), "UNSUBSCRIBE /victim");
+        w.say.send("OK\n").unwrap();
+        expect_unanswered(&mut second);
+        w.say.send("OK\n").unwrap();
+        expect(&mut second, 60);
+
+        assert!(w.commands.try_recv().is_err(), "two lines, no more");
+        let snap = w.finish();
+        assert_eq!((snap.cache.misses, snap.evictions), (2, 1));
+    }
+
+    /// The entry is resident before its `SUBSCRIBE` is written, so an
+    /// `INVALIDATE` that overtakes the `OK` finds it and marks it: the
+    /// follower parked on the flight refetches instead of hitting the
+    /// copy the origin has just declared out of date.
+    #[test]
+    fn an_invalidation_ahead_of_the_ok_marks_the_entry_just_inserted() {
+        let w = Withheld::spawn(StoreKind::Unbounded);
+        let mut leader = w.fetch("/new", 30);
+        assert_eq!(w.next_command(), "SUBSCRIBE /new");
+        let mut follower = w.follow("/new");
+
+        w.say.send("INVALIDATE /new\n").unwrap();
+        assert_eq!(w.next_command(), "ACK");
+        w.say.send("OK\n").unwrap();
+        expect(&mut leader, 30);
+        // Still subscribed, nothing displaced: the refetch has nothing
+        // to tell the origin and is answered at once.
+        w.origin.serve_next("/new", 31);
+        expect(&mut follower, 31);
+
+        assert!(w.commands.try_recv().is_err());
+        let snap = w.finish();
+        assert_eq!(snap.invalidations_delivered, 1);
+        assert_eq!((snap.cache.misses, snap.cache.fresh_hits), (2, 0));
+    }
+
+    /// A body the store rejects as oversized was never resident, so
+    /// there is nothing to subscribe — and no `UNSUBSCRIBE` of itself,
+    /// though the engine names it among the victims.
+    #[test]
+    fn an_oversized_body_is_answered_without_touching_the_ledger() {
+        let w = Withheld::spawn(StoreKind::Lru(100));
+        let mut conn = w.fetch("/huge", 500);
+        expect(&mut conn, 500);
+        // Anything `/huge` had said would be ahead of this.
+        conn.write_request(&Request::get("/small")).unwrap();
+        w.origin.serve_next("/small", 50);
+        assert_eq!(w.next_command(), "SUBSCRIBE /small");
+        w.say.send("OK\n").unwrap();
+        expect(&mut conn, 50);
+        let snap = w.finish();
+        assert_eq!((snap.cache.misses, snap.evictions), (2, 0));
+    }
+
+    /// Whoever inserts a file that was absent holds its flight until the
+    /// `SUBSCRIBE` is `OK`ed, leader or not. Under invalidation every
+    /// inserter leads today (expired entries are refetched, never
+    /// validated), so the one that does not — a validation whose entry
+    /// was evicted under it — is played by hand: its reply is applied,
+    /// and its `OK` delivered, from here.
+    #[test]
+    fn an_inserter_that_does_not_lead_takes_the_flight_until_its_ok() {
+        let w = Withheld::spawn(StoreKind::Unbounded);
+        let shared = &w.proxy.shared;
+        let asked = Asked {
+            file: shared.resolve("/x"),
+            class: 0,
+            now: t(10),
+        };
+        let validator = Decided {
+            asked,
+            path: "/x".to_string(),
+            leads: false,
+            sent: 0,
+        };
+        let reply = Reply::Body {
+            size: 40,
+            last_modified: t(0),
+            expires: None,
+            conditional: true,
+            message_bytes: 0,
+            delay: SimDuration::ZERO,
+        };
+        let resp = Response::ok(wall_date(t(10)), wall_date(t(0)), 40);
+        let step = shared.apply(validator, true, reply, resp, Arc::new(vec![7u8; 40]));
+        let Step::Control {
+            commands,
+            oks,
+            then,
+            ..
+        } = step
+        else {
+            panic!("an insert under invalidation waits for its SUBSCRIBE");
+        };
+        assert_eq!((commands.as_slice(), oks), (&b"SUBSCRIBE /x\n"[..], 1));
+        assert!(then.req.leads);
+
+        // The entry is resident, and still nobody is decided against it.
+        let _follower = w.follow("/x");
+        let mut woken = Work::new();
+        let done = shared.resume(then, Ok(Arrived::ControlOk), &mut woken);
+        assert!(matches!(done, Step::Done(..)));
+        assert_eq!(w.waiting("/x"), None, "the flight lands with the answer");
+        assert!(matches!(woken.pop_front(), Some((_, Step::Done(..)))));
+        assert!(woken.is_empty());
+
+        let snap = w.finish();
+        assert_eq!((snap.cache.misses, snap.cache.fresh_hits), (1, 1));
     }
 }

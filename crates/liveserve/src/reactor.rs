@@ -91,8 +91,9 @@ pub(crate) struct Ticket {
 
 /// What a parked continuation was waiting for.
 pub(crate) enum Arrived {
-    /// The origin's reply to an [`Step::Exchange`].
-    Reply(Response, Vec<u8>),
+    /// The origin's reply to an [`Step::Exchange`]: head, body, and the
+    /// wire bytes the head took.
+    Reply(Response, Vec<u8>, u64),
     /// Every command of a [`Step::Control`] was answered `OK`.
     ControlOk,
 }
@@ -633,10 +634,10 @@ impl<D: Dispatch> EventLoop<D> {
                 }
                 ControlEvent::Invalidate(path) => dispatch.invalidate(path),
             });
-        } else if let Some(((ticket, parked), resp, body)) =
+        } else if let Some(((ticket, parked), reply)) =
             io.conn_ready(&self.ep, which, gen, readable, writable)
         {
-            match dispatch.resume(parked, Ok(Arrived::Reply(resp, body)), &mut self.work) {
+            match dispatch.resume(parked, Ok(reply), &mut self.work) {
                 // More to ask of the same shard: on the connection in hand.
                 Step::Exchange {
                     shard,

@@ -42,7 +42,7 @@ use crate::clock::LiveClock;
 use crate::conn::{read_available, write_pending};
 use crate::control::{ControlMsg, MAX_LINE};
 use crate::netio::{invalid, log_conn_error, MAX_FRAME};
-use crate::reactor::upstream_token;
+use crate::reactor::{upstream_token, Arrived};
 use crate::sys::{connect_nonblocking, Epoll, EPOLLET, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
 /// Keep-alive origin connections per shard. Misses and validations are
@@ -330,7 +330,7 @@ impl<K> ShardIo<K> {
         gen: u32,
         readable: bool,
         writable: bool,
-    ) -> Option<(K, Response, Vec<u8>)> {
+    ) -> Option<(K, Arrived)> {
         let slot = &mut self.conns[i];
         if slot.gen != gen {
             return None; // readiness for a connection since closed
@@ -344,8 +344,8 @@ impl<K> ShardIo<K> {
         }
         match outcome {
             Ok(reply) => {
-                let (resp, body) = reply?;
-                Some((self.conns[i].conn.as_mut()?.busy.take()?, resp, body))
+                let reply = reply?;
+                Some((self.conns[i].conn.as_mut()?.busy.take()?, reply))
             }
             Err(e) => {
                 self.close(ep, i, e);
@@ -419,7 +419,7 @@ impl<K> ShardIo<K> {
 impl<K> DataConn<K> {
     /// Move bytes both ways; `Ok(Some(..))` once the reply to the
     /// exchange in progress is complete.
-    fn drive(&mut self, readable: bool, writable: bool) -> io::Result<Option<(Response, Vec<u8>)>> {
+    fn drive(&mut self, readable: bool, writable: bool) -> io::Result<Option<Arrived>> {
         if writable {
             if self.dialing {
                 if let Some(e) = self.wire.stream.take_error()? {
@@ -446,7 +446,8 @@ impl<K> DataConn<K> {
             Some((resp, body, used)) => {
                 rbuf.drain(..used);
                 self.hung_up = eof;
-                Ok(Some((resp, body)))
+                let head = (used - body.len()) as u64;
+                Ok(Some(Arrived::Reply(resp, body, head)))
             }
             None if eof => Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,

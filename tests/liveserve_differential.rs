@@ -13,8 +13,13 @@
 //! assertion covers those fields individually instead of the whole
 //! meter.
 
+use std::collections::BTreeSet;
+use std::net::TcpStream;
+
+use wwwcache::liveserve::{DelaySource, HttpConn, LiveRunConfig, LiveStack, ProbeHandle};
 use wwwcache::simcore::SimTime;
-use wwwcache::wcc_obs::{ObsEvent, TraceProbe};
+use wwwcache::wcc_obs::{ObsEvent, RequestOutcome, TraceProbe};
+use wwwcache::webcache::live::to_live_workload;
 use wwwcache::webcache::{
     generate_synthetic, run, Experiment, ExperimentStore, LoadReport, ProtocolSpec, RunResult,
     SimConfig, Workload, WorrellConfig,
@@ -162,6 +167,61 @@ fn engine_events(trace: &TraceProbe) -> Vec<(SimTime, ObsEvent)> {
         .collect()
 }
 
+/// A one-connection invalidation run driven by hand, so that the
+/// origin's ledger can be read while the stack still stands: the
+/// origin's subscription count once the window has closed, and the
+/// files then resident in the proxy. The residents are the engine's own
+/// account of them: a miss leaves its file resident unless the live
+/// body is larger than the whole store, an eviction takes one away.
+fn ledger_and_residents(workload: &Workload, capacity: u64) -> (usize, usize) {
+    let live = to_live_workload(workload);
+    let mut config = LiveRunConfig::new(ProtocolSpec::Invalidation);
+    config.store = ExperimentStore::Lru(capacity);
+    config.delay = DelaySource::Modeled(live_equivalent_config().link);
+    let handle = ProbeHandle::buffered(1 << 16);
+    let stack = LiveStack::spawn(&live.stack_spec(), &config, &handle).expect("live stack");
+    let mut conn = HttpConn::new(TcpStream::connect(stack.proxy_addr()).unwrap()).unwrap();
+    for &(at, file) in &live.requests {
+        stack.advance_to(at);
+        conn.get_ok(&live.population.get(file).path).unwrap();
+    }
+    stack.advance_to(live.end);
+    let subscriptions = stack.origin().subscription_count();
+    drop(conn);
+    stack.shutdown();
+
+    let mut trace = TraceProbe::new(1 << 16);
+    handle.drain_into(&mut trace);
+    let mut resident = BTreeSet::new();
+    let mut rejected = 0;
+    for (at, event) in engine_events(&trace) {
+        match event {
+            ObsEvent::Request {
+                file,
+                outcome: RequestOutcome::Miss,
+            } => {
+                let body = live
+                    .population
+                    .get(file)
+                    .version_at(at)
+                    .expect("a live version");
+                if body.size <= capacity {
+                    resident.insert(file);
+                } else {
+                    resident.remove(&file);
+                    rejected += 1;
+                }
+            }
+            ObsEvent::Eviction { file } => {
+                resident.remove(&file);
+            }
+            _ => {}
+        }
+    }
+    assert!(rejected > 0, "the oversized insert must be in play too");
+    (subscriptions, resident.len())
+}
+
 #[test]
 fn engine_events_arrive_in_the_same_order_live_and_simulated() {
     // One engine decides both runs, so this is a test of the transports:
@@ -202,6 +262,17 @@ fn engine_events_arrive_in_the_same_order_live_and_simulated() {
                 sim.get(i),
                 live.get(i)
             );
+        }
+        if spec.uses_invalidation() {
+            // The origin's side of the same story: had an `UNSUBSCRIBE`
+            // landed after the victim's next modification, or a
+            // `SUBSCRIBE` after the file's, the notice count would differ;
+            // and when it is all over the origin tracks exactly what the
+            // proxy holds.
+            assert_eq!(served.server, simulated.result.server, "{spec:?}");
+            let (subscriptions, residents) = ledger_and_residents(&workload, footprint / 6);
+            assert!(residents > 0, "{spec:?}: something must be resident");
+            assert_eq!(subscriptions, residents, "{spec:?}: the origin's ledger");
         }
     }
 }

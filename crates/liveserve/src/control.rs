@@ -17,25 +17,35 @@
 //! the proxy has already marked its copy invalid, mirroring the
 //! simulator's assumption that invalidation callbacks are instantaneous.
 //!
-//! [`ControlMsg`] is the protocol; [`LineConn`] and [`write_msg`] are
-//! the origin's blocking end of it. The proxy's end is nonblocking and
-//! lives with the rest of a shard's sockets (`upstream`).
+//! [`ControlMsg`] is the protocol and [`PeerIo`] the origin's end of it:
+//! the control listener and every connected peer, nonblocking, owned by
+//! the origin's first reactor thread alone — a peer's [`CacheId`] is its
+//! slot, and nothing here takes a lock or waits. A [`Notice`] is written
+//! to all of its targets at once; each target's FIFO keeps a clone of
+//! its `owed` handle until the `ACK` that answers it, and the publisher
+//! waits for the last clone to be dropped — by an `ACK`, or by the end of
+//! the peer: a hang-up, a protocol error (an `ACK` nobody is owed is
+//! one), a failed write, or the tick budget running out on a notice. The
+//! proxy's end is the mirror image and lives in `upstream`.
 
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::VecDeque;
+use std::convert::Infallible;
+use std::io;
+use std::net::{TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::sync::mpsc::SyncSender;
+
+use simcore::CacheId;
+
+use crate::netio::{invalid, log_conn_error};
+use crate::reactor::{peer_token, Dispatch, CONTROL_TOKEN};
+use crate::sys::{Epoll, EPOLLIN};
+use crate::upstream::Wire;
 
 /// Hard cap on one control line. Paths are short; a peer that streams
 /// this much without a newline is broken or hostile, and the channel is
 /// closed instead of buffering without bound.
 pub(crate) const MAX_LINE: usize = 64 * 1024;
-
-/// A newline-delimited message-framed view of a control stream.
-#[derive(Debug)]
-pub(crate) struct LineConn {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-}
 
 /// One parsed control message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,85 +91,230 @@ impl ControlMsg {
     }
 }
 
-impl LineConn {
-    /// Wrap a connected control stream, arming the short read timeout
-    /// that lets readers poll a shutdown flag.
-    pub(crate) fn new(stream: TcpStream) -> io::Result<Self> {
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(super::netio::POLL_TICK))?;
-        Ok(LineConn {
-            stream,
-            rbuf: Vec::new(),
+/// What a control peer asked of the origin.
+pub(crate) enum PeerEvent<'a> {
+    /// `SUBSCRIBE <path>`.
+    Subscribe(&'a str),
+    /// `UNSUBSCRIBE <path>`.
+    Unsubscribe(&'a str),
+    /// The channel closed: every subscription of the peer's goes.
+    Gone,
+}
+
+/// One `INVALIDATE` line for every peer in `targets`.
+pub(crate) struct Notice {
+    pub line: String,
+    pub targets: Vec<CacheId>,
+    /// Nothing is ever sent on it: its last clone dropped is the signal.
+    pub owed: SyncSender<Infallible>,
+}
+
+struct Peer {
+    wire: Wire,
+    /// Notices written and not yet `ACK`ed, oldest first.
+    owed: VecDeque<SyncSender<Infallible>>,
+    /// Idle ticks since the peer last sent anything, counted only
+    /// while it owes an `ACK`.
+    idle_ticks: u32,
+}
+
+/// The origin's control listener and its peers (see the module doc).
+pub(crate) struct PeerIo {
+    listener: TcpListener,
+    /// One slot per peer ever connected, vacated when it closes: proxy
+    /// shards are few and long-lived.
+    peers: Vec<Option<Peer>>,
+    budget_ticks: u32,
+}
+
+impl PeerIo {
+    pub(crate) fn new(listener: TcpListener, ep: &Epoll, budget_ticks: u32) -> io::Result<Self> {
+        listener.set_nonblocking(true)?;
+        ep.add(listener.as_raw_fd(), EPOLLIN, CONTROL_TOKEN)?;
+        Ok(PeerIo {
+            listener,
+            peers: Vec::new(),
+            budget_ticks,
         })
     }
 
-    /// Whether the next `read_msg` has its line buffered already.
-    pub(crate) fn has_line(&self) -> bool {
-        self.rbuf.contains(&b'\n')
+    /// Readiness on the listener, which is level-triggered: one peer a
+    /// notification.
+    pub(crate) fn accept(&mut self, ep: &Epoll) {
+        let admitted = self.listener.accept();
+        match admitted.and_then(|(stream, _)| self.admit(stream, ep)) {
+            Err(e) if e.kind() != io::ErrorKind::WouldBlock => {
+                log_conn_error("origin-control", &e);
+            }
+            _ => {}
+        }
     }
 
-    /// Read the next message. `Ok(None)` on clean EOF or when `shutdown`
-    /// flips while the channel is idle.
-    pub(crate) fn read_msg(&mut self, shutdown: &AtomicBool) -> io::Result<Option<ControlMsg>> {
-        loop {
-            if let Some(pos) = self.rbuf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.rbuf.drain(..=pos).collect();
-                let text = std::str::from_utf8(&line[..line.len() - 1])
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                return ControlMsg::parse(text).map(Some);
+    fn admit(&mut self, stream: TcpStream, ep: &Epoll) -> io::Result<()> {
+        stream.set_nonblocking(true)?;
+        let wire = Wire::register(stream, ep, peer_token(self.peers.len()))?;
+        self.peers.push(Some(Peer {
+            wire,
+            owed: VecDeque::new(),
+            idle_ticks: 0,
+        }));
+        Ok(())
+    }
+
+    /// Readiness on peer `index`'s socket: every command that has
+    /// arrived, in order, to the dispatcher.
+    pub(crate) fn ready(
+        &mut self,
+        ep: &Epoll,
+        index: usize,
+        readable: bool,
+        writable: bool,
+        to: &impl Dispatch,
+    ) {
+        let Some(peer) = self.peers.get_mut(index).and_then(Option::as_mut) else {
+            return; // readiness for a peer since closed
+        };
+        let cache = CacheId::from_index(index);
+        match peer.drive(readable, writable, |event| to.peer(cache, event)) {
+            Ok(false) => {}
+            Ok(true) => self.close(ep, index, None, to),
+            Err(e) => self.close(ep, index, Some(e), to),
+        }
+    }
+
+    /// Write `notice` to every target still connected.
+    pub(crate) fn deliver(&mut self, ep: &Epoll, notice: Notice, to: &impl Dispatch) {
+        for cache in notice.targets {
+            let Some(peer) = self.peers.get_mut(cache.index()).and_then(Option::as_mut) else {
+                continue;
+            };
+            peer.wire.queue(notice.line.as_bytes());
+            peer.owed.push_back(notice.owed.clone());
+            if let Err(e) = peer.wire.flush() {
+                self.close(ep, cache.index(), Some(e), to);
             }
-            let mut chunk = [0u8; 1024];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return if self.rbuf.is_empty() {
-                        Ok(None)
-                    } else {
-                        Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "EOF mid control message",
-                        ))
-                    };
-                }
-                Ok(n) => {
-                    if self.rbuf.len().saturating_add(n) > MAX_LINE {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "control line exceeds MAX_LINE without a newline",
-                        ));
-                    }
-                    // wcc-allow: r5 growth capped at MAX_LINE by the check above
-                    self.rbuf.extend_from_slice(&chunk[..n]);
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if shutdown.load(Ordering::SeqCst) && self.rbuf.is_empty() {
-                        return Ok(None);
-                    }
-                }
-                Err(e) => return Err(e),
+        }
+    }
+
+    /// One poll tick: a peer that owes an `ACK` and has sent nothing
+    /// for the whole budget is closed.
+    pub(crate) fn tick(&mut self, ep: &Epoll, to: &impl Dispatch) {
+        for index in 0..self.peers.len() {
+            let Some(peer) = self.peers[index].as_mut().filter(|p| !p.owed.is_empty()) else {
+                continue;
+            };
+            peer.idle_ticks += 1;
+            if peer.idle_ticks >= self.budget_ticks {
+                let what = "read budget exhausted waiting for an ACK";
+                let e = io::Error::new(io::ErrorKind::TimedOut, what);
+                self.close(ep, index, Some(e), to);
             }
+        }
+    }
+
+    /// Close peer `index`: its subscriptions go, and with its FIFO the
+    /// wait of every publisher it still owed.
+    fn close(&mut self, ep: &Epoll, index: usize, why: Option<io::Error>, to: &impl Dispatch) {
+        if let Some(e) = why {
+            log_conn_error("origin-control", &e);
+        }
+        if let Some(peer) = self.peers[index].take() {
+            let _ = ep.del(peer.wire.stream.as_raw_fd());
+            to.peer(CacheId::from_index(index), PeerEvent::Gone);
         }
     }
 }
 
-/// Write one control message to a (possibly shared) stream; returns the
-/// bytes written. Callers serialise writers with their own lock so
-/// messages never interleave.
-pub(crate) fn write_msg(stream: &mut TcpStream, msg: &ControlMsg) -> io::Result<u64> {
-    let text = msg.encode();
-    stream.write_all(text.as_bytes())?;
-    Ok(text.len() as u64)
+impl Peer {
+    /// Move bytes both ways. Commands that arrived together are answered
+    /// by one write of as many `OK`s, each registered by then; `Ok(true)`
+    /// means the peer hung up.
+    fn drive(
+        &mut self,
+        readable: bool,
+        writable: bool,
+        mut on: impl FnMut(PeerEvent<'_>),
+    ) -> io::Result<bool> {
+        if writable {
+            self.wire.flush()?;
+        }
+        if !readable {
+            return Ok(false);
+        }
+        self.idle_ticks = 0;
+        let eof = self.wire.fill(MAX_LINE)?;
+        let mut oks = 0;
+        for line in self.wire.lines()?.split_terminator('\n') {
+            match ControlMsg::parse(line)? {
+                ControlMsg::Subscribe(path) => {
+                    on(PeerEvent::Subscribe(&path));
+                    oks += 1;
+                }
+                ControlMsg::Unsubscribe(path) => {
+                    on(PeerEvent::Unsubscribe(&path));
+                    oks += 1;
+                }
+                ControlMsg::Ack => {
+                    if self.owed.pop_front().is_none() {
+                        return Err(invalid("ACK with no notice outstanding"));
+                    }
+                }
+                other => {
+                    let what = format!("unexpected control message at origin: {other:?}");
+                    return Err(invalid(what));
+                }
+            }
+        }
+        self.wire
+            .queue(ControlMsg::Ok.encode().repeat(oks).as_bytes());
+        self.wire.flush()?;
+        Ok(eof)
+    }
+}
+
+#[cfg(test)]
+/// A control peer as a blocking test plays one: what a proxy shard's
+/// end of the channel says and hears, a line at a time.
+pub(crate) struct TestPeer(std::io::BufReader<TcpStream>);
+
+#[cfg(test)]
+impl TestPeer {
+    pub(crate) fn connect(control: std::net::SocketAddr) -> TestPeer {
+        TestPeer(std::io::BufReader::new(
+            TcpStream::connect(control).unwrap(),
+        ))
+    }
+
+    pub(crate) fn say(&mut self, bytes: &str) {
+        use std::io::Write as _;
+        self.0.get_mut().write_all(bytes.as_bytes()).unwrap();
+    }
+
+    /// The next line, terminator included; empty once the origin has
+    /// hung up.
+    pub(crate) fn hear(&mut self) -> String {
+        use std::io::BufRead as _;
+        let mut line = String::new();
+        let _ = self.0.read_line(&mut line);
+        line
+    }
+
+    /// `SUBSCRIBE path`, and its `OK`: what was said before it is in.
+    pub(crate) fn subscribe(&mut self, path: &str) {
+        self.say(&format!("SUBSCRIBE {path}\n"));
+        assert_eq!(self.hear(), "OK\n");
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use crate::{LiveClock, LiveOrigin, OriginConfig};
+    use originserver::{FilePopulation, FileRecord};
+    use simcore::SimTime;
+    use std::sync::Arc;
     use std::thread;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn messages_encode_and_parse_round_trip() {
@@ -184,33 +339,38 @@ mod tests {
         assert!(ControlMsg::parse("OK extra").is_err());
     }
 
+    /// The origin's end frames what arrives, however it arrives: two
+    /// commands in one write, one command split across two, and a
+    /// hang-up mid-line.
     #[test]
     fn line_conn_frames_coalesced_and_split_messages() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            // Two messages in one write, then one split across writes.
-            s.write_all(b"SUBSCRIBE /a\nSUBSCRIBE /b\n").unwrap();
-            s.write_all(b"INVALI").unwrap();
-            s.write_all(b"DATE /a\n").unwrap();
-        });
-        let (stream, _) = listener.accept().unwrap();
-        let mut conn = LineConn::new(stream).unwrap();
-        let shutdown = AtomicBool::new(false);
-        assert_eq!(
-            conn.read_msg(&shutdown).unwrap(),
-            Some(ControlMsg::Subscribe("/a".into()))
-        );
-        assert_eq!(
-            conn.read_msg(&shutdown).unwrap(),
-            Some(ControlMsg::Subscribe("/b".into()))
-        );
-        assert_eq!(
-            conn.read_msg(&shutdown).unwrap(),
-            Some(ControlMsg::Invalidate("/a".into()))
-        );
-        client.join().unwrap();
-        assert_eq!(conn.read_msg(&shutdown).unwrap(), None);
+        let mut pop = FilePopulation::new();
+        pop.add(FileRecord::new("/a", SimTime::ZERO, 10));
+        pop.add(FileRecord::new("/b", SimTime::ZERO, 10));
+        let clock = LiveClock::virtual_at(SimTime::ZERO);
+        let origin = LiveOrigin::spawn(OriginConfig::new(Arc::new(pop), clock)).unwrap();
+        let mut peer = TestPeer::connect(origin.control_addr());
+
+        peer.say("SUBSCRIBE /a\nSUBSCRIBE /b\n");
+        assert_eq!(peer.hear(), "OK\n");
+        assert_eq!(peer.hear(), "OK\n");
+        assert_eq!(origin.subscription_count(), 2);
+
+        peer.say("UNSUBSC");
+        thread::sleep(Duration::from_millis(20));
+        assert_eq!(origin.subscription_count(), 2);
+        peer.say("RIBE /a\n");
+        assert_eq!(peer.hear(), "OK\n");
+        assert_eq!(origin.subscription_count(), 1);
+
+        // Half a line, then a hang-up: the peer is closed, and what it
+        // had subscribed to goes with it.
+        peer.say("SUBSCRIBE /");
+        drop(peer);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while origin.subscription_count() != 0 {
+            assert!(Instant::now() < deadline, "subscriptions outlived the peer");
+            thread::sleep(Duration::from_millis(5));
+        }
     }
 }

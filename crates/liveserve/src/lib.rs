@@ -27,17 +27,17 @@
 //!   `wcc-load`; [`HttpConn::get_ok`] is the one client exchange they
 //!   and the connection soak ([`run_soak`]) share.
 //!
-//! The origin's data path and the whole of the proxy — client sockets,
-//! origin connections, control channels — run on a hand-rolled
-//! nonblocking epoll reactor (`--reactor-threads` event loops, each
-//! owning an epoll instance, a slab of per-connection state machines and
-//! the upstream sockets of the shards assigned to it), and no reactor
-//! thread ever blocks: one process sustains 10k+ concurrently open
-//! connections, and a request waiting on the origin is a continuation
-//! parked on a socket, not a thread. The origin's control port and the
-//! client side ([`HttpConn`]: load drivers, tests, the benchmark) stay
-//! blocking `std::net` (the build environment has no async runtime, and
-//! none is needed). See `DESIGN.md` §8.
+//! The whole of the origin and of the proxy — client sockets, origin
+//! connections, both ends of the control channels — runs on a
+//! hand-rolled nonblocking epoll reactor (`--reactor-threads` event
+//! loops, each owning an epoll instance, a slab of per-connection state
+//! machines and the upstream sockets of the shards assigned to it; the
+//! origin's first also its control port), and no reactor thread ever
+//! blocks: one process sustains 10k+ concurrently open connections, and
+//! a request waiting on the origin is a continuation parked on a socket,
+//! not a thread. Only the client side ([`HttpConn`]: load drivers, tests,
+//! the benchmark) is blocking `std::net` (the build environment has no
+//! async runtime, and none is needed). See `DESIGN.md` §8.
 
 // `deny`, not `forbid`: the single `sys` module scopes an `allow` for
 // the raw epoll/eventfd syscall declarations (the vendored-only policy

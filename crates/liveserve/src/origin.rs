@@ -12,21 +12,26 @@
 //! modification schedule, and a driver (the load generator, or the wall
 //! clock loop in `wcc serve`) publishes them by calling
 //! [`LiveOrigin::advance_to`]. Each due modification runs
-//! `notify_modification` and pushes `INVALIDATE` to every subscribed
-//! proxy, waiting for each `ACK` before the next event — the live
-//! equivalent of the simulator's instantaneous callbacks.
+//! `notify_modification` and has `INVALIDATE` pushed to every subscribed
+//! proxy, waiting for all of their `ACK`s before the next event — the
+//! live equivalent of the simulator's instantaneous callbacks.
 //!
-//! Locking: the [`OriginServer`] mutex is only ever held for in-memory
-//! bookkeeping, never across socket IO; invalidation targets are
-//! collected under the lock, then written to peers after it is released.
+//! Both ports are served by the origin's own reactor (`reactor`), the
+//! control port by its first thread alone (`control::PeerIo`), and the
+//! origin has no other thread. Everything here that runs on a reactor
+//! thread — `respond`, the control commands — is in-memory bookkeeping
+//! under the [`OriginServer`] mutex, which is never held across socket
+//! IO. The one wait is the publisher's, on the thread that called
+//! `advance_to`: invalidation targets are collected under the lock, the
+//! notice is handed to the reactor after it is released, and the caller
+//! sleeps until every target has `ACK`ed or gone.
 
 use std::collections::HashMap;
 use std::convert::Infallible;
-use std::io::{self, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::{self, JoinHandle};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use httpsim::{Request, Response};
 use originserver::{CondResult, FilePopulation, OriginServer, Version};
@@ -35,8 +40,8 @@ use wcc_obs::{ObsEvent, ProbeHandle, ServerOpKind};
 use wcc_sync::RankedMutex;
 
 use crate::clock::{sim_instant, wall_date, LiveClock};
-use crate::control::{write_msg, ControlMsg, LineConn};
-use crate::netio::{log_conn_error, DEFAULT_READ_BUDGET_TICKS, POLL_TICK};
+use crate::control::{ControlMsg, PeerEvent};
+use crate::netio::DEFAULT_READ_BUDGET_TICKS;
 use crate::reactor::{Arrived, Dispatch, Reactor, ReactorConfig, Step, Ticket, Work};
 
 /// Configuration for [`LiveOrigin::spawn`].
@@ -97,7 +102,7 @@ pub(crate) const DEFAULT_MAX_CONNS: usize = 16 * 1024;
 /// Rank of the scripted-modification schedule: the root of the origin's
 /// lock order, held across a full invalidation round-trip so events are
 /// published strictly in schedule order (audited r8 allowance in
-/// [`LiveOrigin::advance_to`]).
+/// [`LiveOrigin::advance_to`]); the reactor's mailbox is taken under it.
 // wcc-lock-rank: origin.mods 30
 const MODS_RANK: u32 = 30;
 
@@ -105,32 +110,6 @@ const MODS_RANK: u32 = 30;
 /// in-memory bookkeeping.
 // wcc-lock-rank: origin.server 35
 const SERVER_RANK: u32 = 35;
-
-/// Rank of the control-peer registry (slot lookup / registration).
-// wcc-lock-rank: origin.peers 40
-const PEERS_RANK: u32 = 40;
-
-/// Rank of one peer's control writer, taken after the registry lookup.
-// wcc-lock-rank: origin.peer.writer 45
-const PEER_WRITER_RANK: u32 = 45;
-
-/// Rank of one peer's ACK receiver — the leaf of the origin's order,
-/// held while a publisher awaits its ACK.
-// wcc-lock-rank: origin.peer.acks 50
-const PEER_ACKS_RANK: u32 = 50;
-
-/// One connected proxy's control channel, as seen from the origin.
-///
-/// The writer stream is shared between the reader thread (which answers
-/// `SUBSCRIBE`/`UNSUBSCRIBE` with `OK`) and invalidation publishers; the
-/// mutex keeps their lines from interleaving. `ACK`s arrive on the
-/// reader thread and are forwarded through the channel to whichever
-/// publisher is waiting.
-#[derive(Debug)]
-struct ControlPeer {
-    writer: RankedMutex<TcpStream>,
-    acks: RankedMutex<mpsc::Receiver<()>>,
-}
 
 #[derive(Debug)]
 struct OriginShared {
@@ -141,8 +120,6 @@ struct OriginShared {
     class_expires: Vec<Option<SimDuration>>,
     clock: LiveClock,
     probe: ProbeHandle,
-    shutdown: AtomicBool,
-    peers: RankedMutex<Vec<Option<Arc<ControlPeer>>>>,
 }
 
 impl OriginShared {
@@ -209,10 +186,9 @@ impl OriginShared {
         }
     }
 
-    /// Publish one modification: collect subscribers under the server
-    /// lock, then (lock released) push `INVALIDATE` to each and wait for
-    /// its `ACK`.
-    fn deliver_invalidation(&self, file: FileId) {
+    /// Account for one modification under the server lock; the
+    /// subscribers to tell once it is released.
+    fn notify(&self, file: FileId) -> Vec<CacheId> {
         let targets = self.server.lock().notify_modification(file);
         let now = self.clock.now();
         self.probe.record(now, ObsEvent::Modification { file });
@@ -223,122 +199,27 @@ impl OriginShared {
                 fanout: targets.len() as u32,
             },
         );
-        if targets.is_empty() {
-            return;
-        }
-        let path = &self.population.get(file).path;
-        for cache in targets {
+        for _ in &targets {
             self.probe.record(
                 now,
                 ObsEvent::ServerOp {
                     kind: ServerOpKind::InvalidationSent,
                 },
             );
-            let peer = {
-                let peers = self.peers.lock();
-                peers.get(cache.index()).and_then(|p| p.clone())
-            };
-            let Some(peer) = peer else { continue };
-            if write_msg(
-                &mut peer.writer.lock(),
-                &ControlMsg::Invalidate(path.clone()),
-            )
-            .is_err()
-            {
-                continue;
-            }
-            let acks = peer.acks.lock();
-            loop {
-                match acks.recv_timeout(POLL_TICK) {
-                    Ok(()) => break,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if self.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
         }
-    }
-
-    /// Read one proxy's control channel until it hangs up, then drop all
-    /// of its subscriptions. Commands that arrived together are answered
-    /// with one write, once the last of them is registered.
-    fn serve_control_conn(&self, cache: CacheId, mut conn: LineConn, acks: mpsc::Sender<()>) {
-        let result: io::Result<()> = (|| {
-            let mut owed = 0;
-            while let Some(msg) = conn.read_msg(&self.shutdown)? {
-                match msg {
-                    ControlMsg::Subscribe(path) => {
-                        if let Some(&file) = self.path_ids.get(&path) {
-                            self.server.lock().subscribe(cache, file);
-                        }
-                        owed += 1;
-                    }
-                    ControlMsg::Unsubscribe(path) => {
-                        if let Some(&file) = self.path_ids.get(&path) {
-                            self.server.lock().unsubscribe(cache, file);
-                        }
-                        owed += 1;
-                    }
-                    ControlMsg::Ack => {
-                        // Forward to whichever invalidation publisher is
-                        // waiting; ignore sends after shutdown.
-                        let _ = acks.send(());
-                    }
-                    other => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("unexpected control message at origin: {other:?}"),
-                        ));
-                    }
-                }
-                if owed > 0 && !conn.has_line() {
-                    self.acknowledge(cache, std::mem::take(&mut owed))?;
-                }
-            }
-            Ok(())
-        })();
-        if let Err(e) = result {
-            log_conn_error("origin-control", &e);
-        }
-        self.server.lock().unsubscribe_all(cache);
-        if let Some(slot) = self.peers.lock().get_mut(cache.index()) {
-            *slot = None;
-        }
-    }
-
-    /// `oks` commands of `cache`'s are registered: say so, in one write.
-    fn acknowledge(&self, cache: CacheId, oks: usize) -> io::Result<()> {
-        let peer = {
-            let peers = self.peers.lock();
-            peers.get(cache.index()).and_then(|p| p.clone())
-        };
-        let oks = ControlMsg::Ok.encode().repeat(oks);
-        match peer {
-            Some(peer) => peer.writer.lock().write_all(oks.as_bytes()),
-            None => Err(io::Error::new(
-                io::ErrorKind::NotConnected,
-                "control peer deregistered",
-            )),
-        }
+        targets
     }
 }
 
-/// The origin's reactor dispatcher: `respond` is pure in-memory
-/// accounting (no IO, no blocking waits), so `begin` finishes every
-/// request on the reactor thread and there is nothing to park.
-struct OriginDispatch {
-    shared: Arc<OriginShared>,
-}
-
-impl Dispatch for OriginDispatch {
+/// The origin's reactor dispatcher: `respond` and the control commands
+/// are pure in-memory accounting (no IO, no blocking waits), so `begin`
+/// finishes every request on the reactor thread and there is nothing to
+/// park.
+impl Dispatch for Arc<OriginShared> {
     type Parked = Infallible;
 
     fn begin(&self, _ticket: Ticket, req: Request) -> Step<Infallible> {
-        let now = self.shared.clock.now();
-        let (resp, body) = self.shared.respond(&req, now);
+        let (resp, body) = self.respond(&req, self.clock.now());
         Step::Done(resp, Arc::new(body))
     }
 
@@ -350,47 +231,30 @@ impl Dispatch for OriginDispatch {
     ) -> Step<Infallible> {
         match parked {}
     }
-}
 
-/// Accept connections until shutdown, handing each to `serve`; joins all
-/// per-connection workers before returning.
-fn accept_loop(
-    shared: Arc<OriginShared>,
-    listener: TcpListener,
-    serve: impl Fn(Arc<OriginShared>, TcpStream) -> JoinHandle<()>,
-) {
-    if let Err(e) = listener.set_nonblocking(true) {
-        // Without a nonblocking listener the loop cannot poll shutdown;
-        // refuse to serve rather than hang the whole process on join.
-        log_conn_error("accept", &e);
-        return;
-    }
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Accepted sockets must block (with the read timeout the
-                // conn type arms); on Linux they do not inherit the
-                // listener's nonblocking flag, but be explicit.
-                if stream.set_nonblocking(false).is_ok() {
-                    workers.retain(|w| !w.is_finished());
-                    // wcc-allow: r5 bounded by live connections — finished workers reaped above
-                    workers.push(serve(Arc::clone(&shared), stream));
+    fn peer(&self, cache: CacheId, event: PeerEvent<'_>) {
+        let file = |path| self.path_ids.get(path).copied();
+        let mut server = self.server.lock();
+        match event {
+            PeerEvent::Subscribe(path) => {
+                if let Some(file) = file(path) {
+                    server.subscribe(cache, file);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(std::time::Duration::from_millis(1));
+            PeerEvent::Unsubscribe(path) => {
+                if let Some(file) = file(path) {
+                    server.unsubscribe(cache, file);
+                }
             }
-            Err(_) => break,
+            PeerEvent::Gone => {
+                server.unsubscribe_all(cache);
+            }
         }
-    }
-    for w in workers {
-        let _ = w.join();
     }
 }
 
 /// A running origin server; dropping it (or calling
-/// [`LiveOrigin::shutdown`]) stops all of its threads.
+/// [`LiveOrigin::shutdown`]) stops its reactor threads.
 #[derive(Debug)]
 pub struct LiveOrigin {
     shared: Arc<OriginShared>,
@@ -406,8 +270,7 @@ pub struct LiveOrigin {
     next_due: AtomicU64,
     data_addr: SocketAddr,
     control_addr: SocketAddr,
-    reactor: Option<Reactor<OriginDispatch>>,
-    control_thread: Option<JoinHandle<()>>,
+    reactor: Reactor<Arc<OriginShared>>,
 }
 
 impl LiveOrigin {
@@ -435,17 +298,14 @@ impl LiveOrigin {
             class_expires: config.class_expires,
             clock: config.clock,
             probe: config.probe,
-            shutdown: AtomicBool::new(false),
-            peers: RankedMutex::new(PEERS_RANK, "origin.peers", Vec::new()),
         });
 
-        // The data path runs on the epoll reactor; `OriginDispatch`
-        // never parks, so it has no upstreams.
+        // Both ports run on the epoll reactor; `OriginDispatch` never
+        // parks, so it has no upstreams.
         let reactor = Reactor::spawn(
             data_listener,
-            OriginDispatch {
-                shared: Arc::clone(&shared),
-            },
+            Some(control_listener),
+            Arc::clone(&shared),
             Vec::new(),
             ReactorConfig {
                 reactor_threads: config.reactor_threads,
@@ -457,46 +317,6 @@ impl LiveOrigin {
             },
         )?;
 
-        let control_thread = {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || {
-                accept_loop(shared, control_listener, |shared, stream| {
-                    // Register the peer (writer + ack channel) under the
-                    // next CacheId before its reader starts, so replies
-                    // and invalidations always find it.
-                    // wcc-allow: r5 ACK channel — the protocol allows one outstanding INVALIDATE per peer
-                    let (ack_tx, ack_rx) = mpsc::channel();
-                    let registered = stream.try_clone().ok().map(|writer| {
-                        let mut peers = shared.peers.lock();
-                        let idx = peers.len();
-                        // One slot per control peer, nulled on disconnect;
-                        // proxies are few and long-lived.
-                        peers.push(Some(Arc::new(ControlPeer {
-                            writer: RankedMutex::new(
-                                PEER_WRITER_RANK,
-                                "origin.peer.writer",
-                                writer,
-                            ),
-                            acks: RankedMutex::new(PEER_ACKS_RANK, "origin.peer.acks", ack_rx),
-                        })));
-                        CacheId::from_index(idx)
-                    });
-                    thread::spawn(move || {
-                        let Some(cache) = registered else { return };
-                        match LineConn::new(stream) {
-                            Ok(conn) => shared.serve_control_conn(cache, conn, ack_tx),
-                            Err(e) => {
-                                log_conn_error("origin-control", &e);
-                                if let Some(slot) = shared.peers.lock().get_mut(cache.index()) {
-                                    *slot = None;
-                                }
-                            }
-                        }
-                    })
-                })
-            })
-        };
-
         let next_due = mods.first().map_or(u64::MAX, |&(t, _)| t.as_secs());
         Ok(LiveOrigin {
             shared,
@@ -504,8 +324,7 @@ impl LiveOrigin {
             next_due: AtomicU64::new(next_due),
             data_addr,
             control_addr,
-            reactor: Some(reactor),
-            control_thread: Some(control_thread),
+            reactor,
         })
     }
 
@@ -521,7 +340,7 @@ impl LiveOrigin {
 
     /// Advance the shared clock to `t` and publish every scripted
     /// modification due at or before `t` (in `(instant, file)` order,
-    /// each fully acknowledged before the next).
+    /// each acknowledged by every peer it went to before the next).
     pub fn advance_to(&self, t: SimTime) {
         self.shared.clock.advance_to(t);
         // Fast path: nothing due yet. `next_due` only moves forward, so
@@ -535,12 +354,19 @@ impl LiveOrigin {
         while *cursor < schedule.len() && schedule[*cursor].0 <= t {
             let (_, file) = schedule[*cursor];
             *cursor += 1;
+            let targets = self.shared.notify(file);
+            if targets.is_empty() {
+                continue;
+            }
+            let path = self.shared.population.get(file).path.clone();
+            let line = ControlMsg::Invalidate(path).encode();
+            let acked = self.reactor.publish(line, targets);
             // Holding `mods` (the root rank) across the invalidation
             // round-trip is the point: it is what serialises publication
-            // in schedule order, and every lock the delivery takes ranks
-            // above it.
+            // in schedule order. Nothing is ever sent: the wait ends when
+            // every target has `ACK`ed or gone.
             // wcc-allow: r8 schedule-order publication requires the mods guard across the ACK round-trip
-            self.shared.deliver_invalidation(file);
+            let _ = acked.recv();
         }
         let due = schedule
             .get(*cursor)
@@ -556,34 +382,18 @@ impl LiveOrigin {
     /// Connections currently open on the data reactor (for the soak
     /// driver and tests).
     pub fn open_conns(&self) -> usize {
-        self.reactor.as_ref().map_or(0, Reactor::open_conns)
+        self.reactor.open_conns()
     }
 
     /// Data-port accepts shed at the connection cap.
     pub fn dropped_accepts(&self) -> u64 {
-        self.reactor.as_ref().map_or(0, Reactor::dropped_accepts)
-    }
-
-    fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(mut r) = self.reactor.take() {
-            r.stop();
-        }
-        if let Some(h) = self.control_thread.take() {
-            let _ = h.join();
-        }
+        self.reactor.dropped_accepts()
     }
 
     /// Stop serving and return the accumulated [`ServerLoad`].
     pub fn shutdown(mut self) -> ServerLoad {
-        self.stop();
+        self.reactor.stop();
         *self.shared.server.lock().load()
-    }
-}
-
-impl Drop for LiveOrigin {
-    fn drop(&mut self) {
-        self.stop();
     }
 }
 
@@ -608,9 +418,14 @@ pub(crate) fn synth_body(file: FileId, v: Version) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::TestPeer;
     use crate::netio::HttpConn;
+    use crate::reactor::testing::{conn_on_each_reactor, Accepts};
     use httpsim::Status;
     use originserver::FileRecord;
+    use std::net::TcpStream;
+    use std::thread;
+    use std::time::Duration;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -629,6 +444,24 @@ mod tests {
     fn connect(origin: &LiveOrigin) -> HttpConn {
         HttpConn::new(TcpStream::connect(origin.data_addr()).unwrap()).unwrap()
     }
+
+    fn control(origin: &LiveOrigin) -> TestPeer {
+        TestPeer::connect(origin.control_addr())
+    }
+
+    /// Publish `/b.html`'s modification with `peer` answering the notice.
+    fn publish_acked(origin: &LiveOrigin, peer: &mut TestPeer) {
+        // From a helper thread: advance_to blocks on our ACK.
+        thread::scope(|s| {
+            let h = s.spawn(|| origin.advance_to(t(1500)));
+            assert_eq!(peer.hear(), "INVALIDATE /b.html\n");
+            peer.say("ACK\n");
+            h.join().unwrap();
+        });
+    }
+
+    /// Long enough for a publisher that was going to return to have.
+    const SETTLE: Duration = Duration::from_millis(150);
 
     #[test]
     fn serves_bodies_with_stamps_and_404s_unknown_paths() {
@@ -679,26 +512,11 @@ mod tests {
     #[test]
     fn subscribed_proxy_receives_invalidation_on_advance() {
         let (origin, _clock) = small_origin();
-
-        let stream = TcpStream::connect(origin.control_addr()).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut conn = LineConn::new(stream).unwrap();
-        let shutdown = AtomicBool::new(false);
-
-        write_msg(&mut writer, &ControlMsg::Subscribe("/b.html".into())).unwrap();
-        assert_eq!(conn.read_msg(&shutdown).unwrap(), Some(ControlMsg::Ok));
+        let mut peer = control(&origin);
+        peer.subscribe("/b.html");
         assert_eq!(origin.subscription_count(), 1);
 
-        // Publish from a helper thread: advance_to blocks on our ACK.
-        thread::scope(|s| {
-            let h = s.spawn(|| origin.advance_to(t(1500)));
-            assert_eq!(
-                conn.read_msg(&shutdown).unwrap(),
-                Some(ControlMsg::Invalidate("/b.html".into()))
-            );
-            write_msg(&mut writer, &ControlMsg::Ack).unwrap();
-            h.join().unwrap();
-        });
+        publish_acked(&origin, &mut peer);
 
         let load = origin.shutdown();
         assert_eq!(load.invalidations_sent, 1);
@@ -709,31 +527,113 @@ mod tests {
     /// channel carries an invalidation as before.
     #[test]
     fn a_batch_of_commands_is_answered_with_as_many_oks() {
-        use std::io::Read as _;
         let (origin, _clock) = small_origin();
-        let mut stream = TcpStream::connect(origin.control_addr()).unwrap();
-        stream
-            .write_all(b"SUBSCRIBE /a.html\nUNSUBSCRIBE /a.html\nSUBSCRIBE /b.html\n")
-            .unwrap();
-        let mut oks = [0u8; 9];
-        stream.read_exact(&mut oks).unwrap();
-        assert_eq!(&oks, b"OK\nOK\nOK\n");
+        let mut peer = control(&origin);
+        peer.say("SUBSCRIBE /a.html\nUNSUBSCRIBE /a.html\nSUBSCRIBE /b.html\n");
+        for _ in 0..3 {
+            assert_eq!(peer.hear(), "OK\n");
+        }
         assert_eq!(origin.subscription_count(), 1);
 
         // The next thing on the wire is the notice, not a fourth `OK`.
-        let mut writer = stream.try_clone().unwrap();
-        let mut conn = LineConn::new(stream).unwrap();
-        let shutdown = AtomicBool::new(false);
+        publish_acked(&origin, &mut peer);
+        assert_eq!(origin.shutdown().invalidations_sent, 1);
+    }
+
+    /// An `ACK` with no notice outstanding must not sit in wait for the
+    /// next notice and release its publisher early: it is a protocol
+    /// error that costs the peer its channel, and nobody else anything.
+    #[test]
+    fn an_ack_nobody_is_owed_closes_the_peer_and_releases_no_publisher() {
+        let (origin, _clock) = small_origin();
+        let mut stray = control(&origin);
+        stray.say("ACK\n");
+        stray.say("SUBSCRIBE /b.html\n");
+        assert_eq!(stray.hear(), "", "the stray peer is hung up on");
+        assert_eq!(origin.subscription_count(), 0);
+
+        let mut good = control(&origin);
+        good.subscribe("/b.html");
         thread::scope(|s| {
             let h = s.spawn(|| origin.advance_to(t(1500)));
-            assert_eq!(
-                conn.read_msg(&shutdown).unwrap(),
-                Some(ControlMsg::Invalidate("/b.html".into()))
-            );
-            write_msg(&mut writer, &ControlMsg::Ack).unwrap();
+            assert_eq!(good.hear(), "INVALIDATE /b.html\n");
+            thread::sleep(SETTLE);
+            assert!(!h.is_finished(), "released before the notice was answered");
+            good.say("ACK\n");
             h.join().unwrap();
         });
         assert_eq!(origin.shutdown().invalidations_sent, 1);
+    }
+
+    /// A notice goes to all of its targets at once, and the publisher
+    /// waits for the last of them.
+    #[test]
+    fn two_peers_both_hold_the_notice_and_the_publisher_waits_for_both() {
+        let (origin, _clock) = small_origin();
+        let mut first = control(&origin);
+        first.subscribe("/b.html");
+        let mut second = control(&origin);
+        second.subscribe("/b.html");
+
+        thread::scope(|s| {
+            let h = s.spawn(|| origin.advance_to(t(1500)));
+            // Neither has answered, and both have it.
+            assert_eq!(first.hear(), "INVALIDATE /b.html\n");
+            assert_eq!(second.hear(), "INVALIDATE /b.html\n");
+            first.say("ACK\n");
+            // `first`'s ACK is in: the OK behind it says so.
+            first.subscribe("/a.html");
+            thread::sleep(SETTLE);
+            assert!(!h.is_finished(), "released with one ACK of two");
+            second.say("ACK\n");
+            h.join().unwrap();
+        });
+        assert_eq!(origin.shutdown().invalidations_sent, 2);
+    }
+
+    #[test]
+    fn a_peer_that_hangs_up_owing_an_ack_releases_the_publisher() {
+        let (origin, _clock) = small_origin();
+        let mut peer = control(&origin);
+        peer.subscribe("/a.html");
+        peer.subscribe("/b.html");
+        assert_eq!(origin.subscription_count(), 2);
+
+        thread::scope(|s| {
+            let h = s.spawn(|| origin.advance_to(t(1500)));
+            assert_eq!(peer.hear(), "INVALIDATE /b.html\n");
+            drop(peer);
+            h.join().unwrap();
+        });
+        assert_eq!(origin.subscription_count(), 0);
+        assert_eq!(origin.shutdown().invalidations_sent, 1);
+    }
+
+    /// The control port lives on the first reactor thread only; the
+    /// data port on all of them, as before.
+    #[test]
+    fn two_reactor_threads_share_the_data_port_and_the_first_has_control() {
+        let mut pop = FilePopulation::new();
+        pop.add(FileRecord::new("/a.html", t(0), 100));
+        let b = pop.add(FileRecord::new("/b.html", t(0), 50));
+        pop.get_mut(b).push_modification(t(1000), 60);
+        let (probe, accepted) = Accepts::probe();
+        let mut config = OriginConfig::new(Arc::new(pop), LiveClock::virtual_at(t(10)));
+        config.reactor_threads = 2;
+        config.probe = probe;
+        let origin = LiveOrigin::spawn(config).unwrap();
+        let mut on = conn_on_each_reactor(&accepted, || connect(&origin));
+
+        let mut peer = control(&origin);
+        peer.subscribe("/b.html");
+        publish_acked(&origin, &mut peer);
+        for conn in &mut on {
+            conn.write_request(&Request::get("/b.html")).unwrap();
+            let (resp, body) = conn.read_response().unwrap();
+            assert_eq!((resp.status, body.len()), (Status::Ok, 60));
+        }
+        let load = origin.shutdown();
+        assert_eq!((load.invalidations_sent, load.document_requests), (1, 2));
     }
 
     /// The proxy prices an upstream reply by the bytes its head took on
@@ -839,12 +739,8 @@ mod tests {
         assert_eq!(conn.read_response().unwrap().0.status, Status::Ok);
 
         // ...and a well-behaved control channel still subscribes.
-        let stream = TcpStream::connect(origin.control_addr()).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut cconn = LineConn::new(stream).unwrap();
-        let shutdown = AtomicBool::new(false);
-        write_msg(&mut writer, &ControlMsg::Subscribe("/a.html".into())).unwrap();
-        assert_eq!(cconn.read_msg(&shutdown).unwrap(), Some(ControlMsg::Ok));
+        let mut peer = control(&origin);
+        peer.subscribe("/a.html");
         assert_eq!(origin.subscription_count(), 1);
         drop(origin);
     }

@@ -742,6 +742,7 @@ impl LiveProxy {
 
         let reactor = Reactor::spawn(
             listener,
+            None,
             Arc::clone(&shared),
             upstreams,
             ReactorConfig {
@@ -806,6 +807,7 @@ mod tests {
     use super::*;
     use crate::netio::HttpConn;
     use crate::origin::{LiveOrigin, OriginConfig};
+    use crate::reactor::testing::{conn_on_each_reactor, Accepts};
     use originserver::FileRecord;
     use std::io::{Read as _, Write as _};
     use std::sync::atomic::AtomicBool;
@@ -1334,17 +1336,6 @@ mod tests {
         assert_eq!((snap.cache.misses, snap.cache.fresh_hits), (2, 5));
     }
 
-    /// Forwards reactor `ConnAccepted` events to the test.
-    struct Accepts(mpsc::Sender<u32>);
-
-    impl wcc_obs::Probe for Accepts {
-        fn record(&mut self, _at: SimTime, event: ObsEvent) {
-            if let ObsEvent::ConnAccepted { reactor, .. } = event {
-                let _ = self.0.send(reactor);
-            }
-        }
-    }
-
     /// Two reactors, one shard: reactor 0 owns the shard's sockets. A
     /// leader reactor 1 accepted crosses to reactor 0 for its exchange
     /// and back for its answer; a follower on the other reactor than
@@ -1352,27 +1343,12 @@ mod tests {
     #[test]
     fn leaders_and_followers_on_different_reactors_meet_through_the_mailbox() {
         let origin = Scripted::spawn();
-        let (accepts, accepted) = mpsc::channel();
+        let (probe, accepted) = Accepts::probe();
         let mut cfg = origin.proxy(LivePolicy::Ttl(24));
         cfg.reactor_threads = 2;
-        cfg.probe = ProbeHandle::new(Box::new(Accepts(accepts)));
+        cfg.probe = probe;
         let proxy = LiveProxy::spawn(cfg).unwrap();
-
-        // Whichever reactor wakes first accepts; keep connecting until
-        // each owns a connection (the one that just worked has the
-        // larger vruntime, so they take turns even on one CPU).
-        let mut on: [Option<HttpConn>; 2] = [None, None];
-        for _ in 0..256 {
-            let conn = connect(&proxy);
-            let reactor = accepted.recv_timeout(Duration::from_secs(10)).unwrap();
-            on[reactor as usize].get_or_insert(conn);
-            if on.iter().all(Option::is_some) {
-                break;
-            }
-        }
-        let [Some(mut on0), Some(mut on1)] = on else {
-            panic!("256 connections and one reactor accepted them all");
-        };
+        let [mut on0, mut on1] = conn_on_each_reactor(&accepted, || connect(&proxy));
 
         let waiting = |path: &str| {
             let file = proxy.shared.resolve(path);

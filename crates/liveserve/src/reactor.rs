@@ -1,15 +1,17 @@
-//! The nonblocking epoll reactor behind both live data paths.
+//! The nonblocking epoll reactor behind both live servers.
 //!
 //! `reactor_threads` event-loop threads each own one epoll instance, a
 //! slab of client [`Conn`] state machines, the upstream sockets of the
 //! proxy shards assigned to them, and a mailbox (a queue plus an
-//! eventfd). All reactors register (a clone of) the shared nonblocking
+//! eventfd); the first thread of an origin also owns its control port
+//! (`control::PeerIo`). All reactors register (a clone of) the shared nonblocking
 //! listener level-triggered: whichever thread wakes drains a bounded
 //! accept burst and **owns** the connections it accepted — partitioning
 //! happens at accept time and a connection never migrates. Every other
 //! socket is registered edge-triggered (`EPOLLIN | EPOLLOUT | EPOLLET |
-//! EPOLLRDHUP`) with a generation-tagged token — one tag bit tells an
-//! upstream socket from a client — and every readiness notification
+//! EPOLLRDHUP`) with a generation-tagged token — two tag bits tell an
+//! upstream socket and a control peer from a client — and every
+//! readiness notification
 //! drives its state machine to `WouldBlock` in both directions, as
 //! edge-triggering requires.
 //!
@@ -32,28 +34,38 @@
 //! mailbox, and its answer comes back through the acceptor's. With one
 //! reactor thread nothing ever crosses. The **origin** answers every
 //! request from memory: its `begin` never parks and it has no shards.
+//! Its control listener is registered level-triggered on thread 0 and
+//! nowhere else, so every control peer's socket — commands in, `OK`s
+//! out, notices out, `ACK`s in — has that one owner; a thread that
+//! publishes a modification posts the notice to thread 0's mailbox and
+//! does its waiting itself.
 //!
 //! The stall budget is tick-counted, never clock-read (§r1): each
 //! `epoll_wait` timeout is one idle tick swept over every mid-frame or
-//! mid-write client connection and every upstream exchange in progress.
+//! mid-write client connection, every upstream exchange in progress and
+//! every control peer that owes an `ACK`.
 //! A saturated reactor therefore defers reaping — the memory cost is
 //! bounded by `max_conns × MAX_FRAME` either way — and an idle
 //! keep-alive connection is never reaped.
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use httpsim::{Request, Response};
+use simcore::CacheId;
 use wcc_obs::{ConnCloseReason, ObsEvent, ProbeHandle};
 use wcc_sync::RankedMutex;
 
 use crate::clock::LiveClock;
 use crate::conn::{Conn, ConnEvent};
+use crate::control::{Notice, PeerEvent, PeerIo};
 use crate::netio::{log_conn_error, POLL_TICK};
 use crate::sys::{
     Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
@@ -66,18 +78,24 @@ use crate::upstream::{
 const LISTENER_TOKEN: u64 = u64::MAX;
 /// Epoll token of the per-reactor eventfd.
 const WAKE_TOKEN: u64 = u64::MAX - 1;
+/// Epoll token of the origin's control listener (first reactor only).
+pub(crate) const CONTROL_TOKEN: u64 = u64::MAX - 2;
 /// Set in the token of an upstream socket, clear in a client's.
 const UPSTREAM_TAG: u64 = 1 << 31;
+/// Set in the token of a control peer's socket.
+const PEER_TAG: u64 = 1 << 30;
 /// Readiness entries fetched per `epoll_wait`.
 const EVENT_BATCH: usize = 1024;
 /// Accepts drained per listener readiness notification, so one thread
 /// can't monopolise its loop on a connect flood.
 const ACCEPT_BATCH: usize = 64;
 
-/// Rank of a reactor's mailbox; pushed to with no other lock held, and
-/// drained by its owner with a `mem::take` under the guard.
-// wcc-lock-rank: reactor.mailbox.queue 25
-const MAILBOX_RANK: u32 = 25;
+/// Rank of a reactor's mailbox, a leaf: nothing is acquired under it.
+/// Reactor threads push with no lock held, the origin's publisher while
+/// holding its schedule (`origin.mods`), and the owner drains it with a
+/// `mem::take` under the guard.
+// wcc-lock-rank: reactor.mailbox.queue 40
+const MAILBOX_RANK: u32 = 40;
 
 /// The client connection a request arrived on. It travels with every
 /// step of the request; the generation makes an answer for a connection
@@ -151,6 +169,10 @@ pub(crate) trait Dispatch: Send + Sync + 'static {
     /// The origin announced, on a shard's control channel, that `path`
     /// changed. It is acknowledged when this returns.
     fn invalidate(&self, _path: &str) {}
+
+    /// Control peer `cache` sent a command, or went. A command is
+    /// answered `OK` when this returns.
+    fn peer(&self, _cache: CacheId, _event: PeerEvent<'_>) {}
 }
 
 /// Reactor sizing and instrumentation.
@@ -171,8 +193,16 @@ pub(crate) struct ReactorConfig {
     pub clock: LiveClock,
 }
 
+/// What a reactor thread is handed by another thread.
+enum Mail<P> {
+    /// A step the addressee must carry out.
+    Step(Ticket, Step<P>),
+    /// An invalidation to write to the control peers (first reactor only).
+    Notice(Notice),
+}
+
 struct Mailbox<P> {
-    queue: RankedMutex<Vec<(Ticket, Step<P>)>>,
+    queue: RankedMutex<Vec<Mail<P>>>,
     wake: WakeFd,
 }
 
@@ -191,9 +221,9 @@ impl<D: Dispatch> Shared<D> {
         self.cfg.probe.record(self.cfg.clock.now(), event);
     }
 
-    /// Hand a step to the reactor thread that must carry it out.
-    fn post(&self, to: usize, ticket: Ticket, step: Step<D::Parked>) {
-        self.mail[to].queue.lock().push((ticket, step));
+    /// Hand `mail` to the reactor thread that must carry it out.
+    fn post(&self, to: usize, mail: Mail<D::Parked>) {
+        self.mail[to].queue.lock().push(mail);
         self.mail[to].wake.wake();
     }
 }
@@ -216,6 +246,12 @@ pub(crate) fn upstream_token(index: usize, gen: u32) -> u64 {
     token_of(index, gen) | UPSTREAM_TAG
 }
 
+/// The epoll token of control peer `index`'s socket. Peer slots are
+/// never reused, so there is no generation to tell apart.
+pub(crate) fn peer_token(index: usize) -> u64 {
+    token_of(index, 0) | PEER_TAG
+}
+
 /// The running reactor: `reactor_threads` event loops, joined on
 /// [`Reactor::stop`].
 pub(crate) struct Reactor<D: Dispatch> {
@@ -234,10 +270,12 @@ impl<D: Dispatch> std::fmt::Debug for Reactor<D> {
 
 impl<D: Dispatch> Reactor<D> {
     /// Take ownership of `listener`'s accept stream and serve it on
-    /// the reactor. `upstreams[s]` is where shard `s`'s steps go (none
-    /// for a dispatcher that never asks for any).
+    /// the reactor; `control`, the origin's control port, on its first
+    /// thread. `upstreams[s]` is where shard `s`'s steps go (none for a
+    /// dispatcher that never asks for any).
     pub(crate) fn spawn(
         listener: TcpListener,
+        mut control: Option<TcpListener>,
         dispatch: D,
         upstreams: Vec<Upstream>,
         cfg: ReactorConfig,
@@ -271,9 +309,10 @@ impl<D: Dispatch> Reactor<D> {
             // Every reactor registers its own dup of the listener fd in
             // its epoll; the original is dropped when spawn returns.
             let listener = listener.try_clone()?;
+            let control = control.take();
             threads.push(std::thread::spawn(move || {
                 let role = shared.cfg.role;
-                if let Err(e) = EventLoop::run(shared, idx, &listener, upstreams) {
+                if let Err(e) = EventLoop::run(shared, idx, &listener, control, upstreams) {
                     log_conn_error(role, &e);
                 }
             }));
@@ -294,6 +333,20 @@ impl<D: Dispatch> Reactor<D> {
     /// Upstream connection accounting, over every shard.
     pub(crate) fn pool(&self) -> &PoolCounters {
         &self.shared.pool
+    }
+
+    /// Have the first reactor thread write `line` to the control peers
+    /// in `targets`. Nothing is ever sent to the end returned: it
+    /// disconnects once every one of them has `ACK`ed or gone.
+    pub(crate) fn publish(&self, line: String, targets: Vec<CacheId>) -> Receiver<Infallible> {
+        let (owed, acked) = sync_channel(0);
+        let notice = Notice {
+            line,
+            targets,
+            owed,
+        };
+        self.shared.post(0, Mail::Notice(notice));
+        acked
     }
 
     /// Signal shutdown, wake every thread, and join them. Idempotent.
@@ -324,6 +377,8 @@ struct EventLoop<D: Dispatch> {
     /// The shards whose upstream sockets this thread owns, by `s /
     /// reactors`.
     shards: Vec<ShardIo<(Ticket, D::Parked)>>,
+    /// The origin's control port and its peers, on its first thread.
+    peers: Option<PeerIo>,
     work: Work<D::Parked>,
 }
 
@@ -332,6 +387,7 @@ impl<D: Dispatch> EventLoop<D> {
         shared: Arc<Shared<D>>,
         idx: usize,
         listener: &TcpListener,
+        control: Option<TcpListener>,
         upstreams: Vec<Upstream>,
     ) -> io::Result<()> {
         let ep = Epoll::new()?;
@@ -352,6 +408,9 @@ impl<D: Dispatch> EventLoop<D> {
             let first = local * SLOTS_PER_SHARD;
             shards.push(ShardIo::new(shard, first, upstream, &ep, env.clone())?);
         }
+        let budget_ticks = shared.cfg.budget_ticks;
+        let peers = control.map(|control| PeerIo::new(control, &ep, budget_ticks));
+        let peers = peers.transpose()?;
         let mut this = EventLoop {
             shared,
             idx,
@@ -359,6 +418,7 @@ impl<D: Dispatch> EventLoop<D> {
             slots: Vec::new(),
             free: Vec::new(),
             shards,
+            peers,
             work: VecDeque::new(),
         };
         let mut events = vec![EpollEvent::zeroed(); EVENT_BATCH];
@@ -374,7 +434,7 @@ impl<D: Dispatch> EventLoop<D> {
             for upstream_pass in [true, false] {
                 for event in events.iter().take(n) {
                     let (mask, token) = (event.events(), event.token());
-                    let upstream = token < WAKE_TOKEN && token & UPSTREAM_TAG != 0;
+                    let upstream = token < CONTROL_TOKEN && token & UPSTREAM_TAG != 0;
                     if upstream == upstream_pass {
                         this.on_event(listener, mask, token, upstream);
                     }
@@ -398,12 +458,26 @@ impl<D: Dispatch> EventLoop<D> {
                 // finds the eventfd clear and raises it again.
                 self.shared.mail[self.idx].wake.drain();
                 let mail = std::mem::take(&mut *self.shared.mail[self.idx].queue.lock());
-                self.work.extend(mail);
+                for mail in mail {
+                    match mail {
+                        Mail::Step(ticket, step) => self.work.push_back((ticket, step)),
+                        Mail::Notice(notice) => {
+                            if let Some(io) = &mut self.peers {
+                                io.deliver(&self.ep, notice, &self.shared.dispatch);
+                            }
+                        }
+                    }
+                }
                 self.drain();
             }
             LISTENER_TOKEN => self.accept_burst(listener),
+            CONTROL_TOKEN => {
+                if let Some(io) = &mut self.peers {
+                    io.accept(&self.ep);
+                }
+            }
             _ => {
-                let index = (token & (UPSTREAM_TAG - 1)) as usize;
+                let index = (token & (PEER_TAG - 1)) as usize;
                 let gen = (token >> 32) as u32;
                 // An error or a hangup is reported in both directions, so
                 // whichever the state machine tries next runs into it.
@@ -411,6 +485,10 @@ impl<D: Dispatch> EventLoop<D> {
                 let writable = mask & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0;
                 if upstream {
                     self.upstream_ready(index, gen, readable, writable);
+                } else if token & PEER_TAG != 0 {
+                    if let Some(io) = &mut self.peers {
+                        io.ready(&self.ep, index, readable, writable, &self.shared.dispatch);
+                    }
                 } else if self.slots.get(index).map(|s| s.gen) == Some(gen) {
                     // (else: stale readiness for a reused slot)
                     self.drive(index, readable, writable);
@@ -551,7 +629,7 @@ impl<D: Dispatch> EventLoop<D> {
                 Step::Exchange { shard, .. } | Step::Control { shard, .. } => shard % reactors,
             };
             if home != self.idx {
-                self.shared.post(home, ticket, step);
+                self.shared.post(home, Mail::Step(ticket, step));
                 continue;
             }
             match step {
@@ -670,6 +748,9 @@ impl<D: Dispatch> EventLoop<D> {
             self.shards[local].tick(&self.ep);
             self.resume_failed(local);
         }
+        if let Some(io) = &mut self.peers {
+            io.tick(&self.ep, &self.shared.dispatch);
+        }
         self.drain();
     }
 
@@ -692,12 +773,59 @@ impl<D: Dispatch> EventLoop<D> {
 }
 
 #[cfg(test)]
+/// What the tests of a two-reactor server share: which thread accepted.
+pub(crate) mod testing {
+    use crate::netio::HttpConn;
+    use simcore::SimTime;
+    use std::sync::mpsc;
+    use std::time::Duration;
+    use wcc_obs::{ObsEvent, ProbeHandle};
+
+    /// Forwards reactor `ConnAccepted` events to the test.
+    pub(crate) struct Accepts(mpsc::Sender<u32>);
+
+    impl Accepts {
+        pub(crate) fn probe() -> (ProbeHandle, mpsc::Receiver<u32>) {
+            let (accepts, accepted) = mpsc::channel();
+            (ProbeHandle::new(Box::new(Accepts(accepts))), accepted)
+        }
+    }
+
+    impl wcc_obs::Probe for Accepts {
+        fn record(&mut self, _at: SimTime, event: ObsEvent) {
+            if let ObsEvent::ConnAccepted { reactor, .. } = event {
+                let _ = self.0.send(reactor);
+            }
+        }
+    }
+
+    /// Whichever reactor wakes first accepts; keep connecting until
+    /// each of the two owns a connection (the one that just worked has
+    /// the larger vruntime, so they take turns even on one CPU).
+    pub(crate) fn conn_on_each_reactor(
+        accepted: &mpsc::Receiver<u32>,
+        mut connect: impl FnMut() -> HttpConn,
+    ) -> [HttpConn; 2] {
+        let mut on: [Option<HttpConn>; 2] = [None, None];
+        for _ in 0..256 {
+            let conn = connect();
+            let reactor = accepted.recv_timeout(Duration::from_secs(10)).unwrap();
+            on[reactor as usize].get_or_insert(conn);
+            if let [Some(_), Some(_)] = on {
+                break;
+            }
+        }
+        on.map(|conn| conn.expect("256 connections and one reactor accepted them all"))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::TestPeer;
     use crate::netio::HttpConn;
     use httpsim::{HttpDate, Status};
     use simcore::SimTime;
-    use std::convert::Infallible;
     use std::io::{Read, Write};
     use std::net::SocketAddr;
     use std::time::{Duration, Instant};
@@ -726,10 +854,22 @@ mod tests {
     }
 
     fn spawn_reactor(max_conns: usize, budget_ticks: u32) -> (Reactor<Echo>, SocketAddr) {
+        let (reactor, addr, _control) = spawn_with_control(max_conns, budget_ticks);
+        (reactor, addr)
+    }
+
+    /// The reactor, its data address and its control address.
+    fn spawn_with_control(
+        max_conns: usize,
+        budget_ticks: u32,
+    ) -> (Reactor<Echo>, SocketAddr, SocketAddr) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
+        let control = TcpListener::bind("127.0.0.1:0").unwrap();
+        let control_addr = control.local_addr().unwrap();
         let reactor = Reactor::spawn(
             listener,
+            Some(control),
             Echo,
             Vec::new(),
             ReactorConfig {
@@ -742,7 +882,7 @@ mod tests {
             },
         )
         .unwrap();
-        (reactor, addr)
+        (reactor, addr, control_addr)
     }
 
     fn await_until(what: &str, mut done: impl FnMut() -> bool) {
@@ -843,5 +983,47 @@ mod tests {
         await_until("slot release", || reactor.open_conns() == 1);
         let mut c = connect(addr);
         exchange(&mut c, "/c");
+    }
+
+    /// A control peer that keeps its socket open and goes quiet owing an
+    /// `ACK` is held to the tick budget, as a stalled data client is:
+    /// closed, which releases the publisher — after the budget, not
+    /// before the other peer's `ACK`, and at nobody else's cost.
+    #[test]
+    fn a_peer_that_withholds_its_ack_is_reaped_by_the_tick_budget() {
+        use std::sync::mpsc::TryRecvError;
+
+        const BUDGET: u32 = 8;
+        let (reactor, _addr, control) = spawn_with_control(16, BUDGET);
+        // An `OK` back says the reactor has the peer: slot 0, then slot 1.
+        let connect = || {
+            let mut peer = TestPeer::connect(control);
+            peer.subscribe("/x");
+            peer
+        };
+        let (mut good, mut quiet) = (connect(), connect());
+        let publish = || reactor.publish("INVALIDATE /x\n".into(), vec![CacheId(0), CacheId(1)]);
+
+        let (acked, published) = (publish(), Instant::now());
+        assert_eq!(good.hear(), "INVALIDATE /x\n");
+        assert_eq!(quiet.hear(), "INVALIDATE /x\n");
+        // `good`'s ACK is in once the `OK` behind it is back, and the
+        // publisher is still waiting: `quiet` owes one.
+        good.say("ACK\nSUBSCRIBE /x\n");
+        assert_eq!(good.hear(), "OK\n");
+        assert_eq!(acked.try_recv(), Err(TryRecvError::Empty));
+        // The budget runs out on `quiet`: hung up on, publisher released.
+        assert_eq!(acked.recv().ok(), None);
+        assert!(published.elapsed() >= POLL_TICK * BUDGET);
+        assert_eq!(quiet.hear(), "");
+
+        // `good`, which owed nothing, outlives any number of ticks, and
+        // its next notice is delivered and waited for.
+        std::thread::sleep(POLL_TICK * (BUDGET + 2));
+        let acked = publish();
+        assert_eq!(good.hear(), "INVALIDATE /x\n");
+        assert_eq!(acked.try_recv(), Err(TryRecvError::Empty));
+        good.say("ACK\n");
+        assert_eq!(acked.recv().ok(), None);
     }
 }

@@ -173,11 +173,10 @@ impl SoakReport {
 
     /// Every thread a process that runs nothing but this soak has when
     /// `process_threads` is read: its main thread, the idle holders, and
-    /// what serves — one reactor set each for origin and proxy, plus the
-    /// origin's control acceptor. Nothing per connection, nothing per
-    /// request.
+    /// what serves — one reactor set each for origin and proxy. Nothing
+    /// per connection, nothing per request, nothing per control peer.
     pub fn expected_threads(&self) -> usize {
-        1 + self.client_threads + 2 * self.reactor_threads + 1
+        1 + self.client_threads + 2 * self.reactor_threads
     }
 
     /// The report as one JSON object (single line).

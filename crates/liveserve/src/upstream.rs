@@ -88,16 +88,17 @@ pub(crate) struct PoolEnv {
     pub clock: LiveClock,
 }
 
-/// A nonblocking socket with its two buffers.
-struct Wire {
-    stream: TcpStream,
+/// A nonblocking socket with its two buffers: either end of a control
+/// channel, or a data connection to the origin.
+pub(crate) struct Wire {
+    pub stream: TcpStream,
     wbuf: Vec<u8>,
     wpos: usize,
     rbuf: Vec<u8>,
 }
 
 impl Wire {
-    fn register(stream: TcpStream, ep: &Epoll, token: u64) -> io::Result<Wire> {
+    pub(crate) fn register(stream: TcpStream, ep: &Epoll, token: u64) -> io::Result<Wire> {
         let _ = stream.set_nodelay(true);
         ep.add(
             stream.as_raw_fd(),
@@ -113,7 +114,7 @@ impl Wire {
     }
 
     /// Queue `bytes` behind whatever is still unwritten.
-    fn queue(&mut self, bytes: &[u8]) {
+    pub(crate) fn queue(&mut self, bytes: &[u8]) {
         if self.wpos == self.wbuf.len() {
             self.wbuf.clear();
             self.wpos = 0;
@@ -123,14 +124,22 @@ impl Wire {
 
     /// Write what the socket takes; the rest goes on the next writable
     /// edge.
-    fn flush(&mut self) -> io::Result<()> {
+    pub(crate) fn flush(&mut self) -> io::Result<()> {
         write_pending(&self.stream, &self.wbuf, &mut self.wpos).map(drop)
     }
 
     /// Read what has arrived, keeping at most `cap` unparsed bytes.
     /// `Ok(true)` means the peer hung up.
-    fn fill(&mut self, cap: usize) -> io::Result<bool> {
+    pub(crate) fn fill(&mut self, cap: usize) -> io::Result<bool> {
         read_available(&self.stream, &mut self.rbuf, cap)
+    }
+
+    /// Take every whole line that has arrived, terminators included; a
+    /// line still arriving stays buffered.
+    pub(crate) fn lines(&mut self) -> io::Result<String> {
+        let whole = self.rbuf.iter().rposition(|&b| b == b'\n');
+        let whole = self.rbuf.drain(..whole.map_or(0, |at| at + 1));
+        String::from_utf8(whole.collect()).map_err(invalid)
     }
 }
 
@@ -472,10 +481,7 @@ impl<K> Control<K> {
             return Ok(());
         }
         let eof = self.wire.fill(MAX_LINE)?;
-        let mut used = 0;
-        while let Some(len) = self.wire.rbuf[used..].iter().position(|&b| b == b'\n') {
-            let line = std::str::from_utf8(&self.wire.rbuf[used..used + len]).map_err(invalid)?;
-            used += len + 1;
+        for line in self.wire.lines()?.split_terminator('\n') {
             match ControlMsg::parse(line)? {
                 ControlMsg::Ok => {
                     let Some(front) = self.pending.front_mut() else {
@@ -501,7 +507,6 @@ impl<K> Control<K> {
                 }
             }
         }
-        self.wire.rbuf.drain(..used);
         self.wire.flush()?;
         if eof {
             return Err(io::Error::new(

@@ -20,9 +20,10 @@
 //!   live — notifying after the unlock is the classic lost-wakeup race.
 //! * **r8 guard-across-blocking** — generalizes r3 beyond socket IO: no
 //!   mutex guard may be live across a queue offer (`try_push`), a
-//!   channel `send`/`try_send`, a pool `checkout`, or a thread `join()`.
-//!   On the reactor path (`liveserve/{reactor,conn,proxy,upstream}.rs`)
-//!   the rule needs no guard to fire: a reactor thread holds every
+//!   channel `send`/`try_send`/`recv`, a pool `checkout`, or a thread
+//!   `join()`. On the reactor path
+//!   (`liveserve/{reactor,conn,proxy,upstream,control,origin}.rs`) the
+//!   rule needs no guard to fire: a reactor thread holds every
 //!   connection it owns, so there a blocking call is banned outright.
 //!
 //! r6 and r8 propagate **one level** through direct calls: a function
@@ -42,10 +43,17 @@ const SCOPE_CRATES: [&str; 3] = ["liveserve", "wcc-load", "wcc-obs"];
 
 /// Calls that block the calling thread on another thread's progress
 /// (beyond the socket IO that r3 already covers).
-const BLOCKING_CALLS: [&str; 4] = ["try_push", "send", "try_send", "checkout"];
+const BLOCKING_CALLS: [&str; 5] = ["try_push", "send", "try_send", "recv", "checkout"];
 
 /// The `liveserve` files whose non-test code runs on reactor threads.
-const REACTOR_PATH_FILES: [&str; 4] = ["reactor.rs", "conn.rs", "proxy.rs", "upstream.rs"];
+const REACTOR_PATH_FILES: [&str; 6] = [
+    "reactor.rs",
+    "conn.rs",
+    "proxy.rs",
+    "upstream.rs",
+    "control.rs",
+    "origin.rs",
+];
 
 /// Calls that park the calling thread until a peer, a timer or another
 /// thread moves: banned on the reactor path, where one parked thread is
@@ -56,8 +64,8 @@ const REACTOR_BANNED: [&str; 8] = [
     "connect",
     "read_response",
     "read_request",
-    "read_msg",
     "write_all",
+    "recv",
     "recv_timeout",
     "wait",
     "wait_timeout",
@@ -1128,10 +1136,11 @@ mod tests { fn t() { let s = TcpStream::connect(addr); s.write_all(b"x"); } }
         };
         assert_eq!(count("crates/liveserve/src/upstream.rs"), 3);
         assert_eq!(count("crates/liveserve/src/proxy.rs"), 3);
-        // The blocking client-side connection and the origin's control
-        // threads live off the path.
+        // The origin's control plane runs on its reactor too.
+        assert_eq!(count("crates/liveserve/src/control.rs"), 3);
+        assert_eq!(count("crates/liveserve/src/origin.rs"), 3);
+        // The blocking client-side connection lives off the path.
         assert_eq!(count("crates/liveserve/src/netio.rs"), 0);
-        assert_eq!(count("crates/liveserve/src/origin.rs"), 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! | r5 | bounded-channel-or-comment| `liveserve`, `wcc-load` |
 //! | r6 | lock-order-cycle          | `liveserve`, `wcc-obs`, `wcc-load` (workspace-wide graph; see [`crate::concurrency`]) |
 //! | r7 | condvar-discipline        | `liveserve`, `wcc-obs`, `wcc-load` |
-//! | r8 | guard-across-blocking     | `liveserve`, `wcc-obs`, `wcc-load`; any blocking call at all in `liveserve/{reactor,conn,proxy,upstream}.rs` |
+//! | r8 | guard-across-blocking     | `liveserve`, `wcc-obs`, `wcc-load`; any blocking call at all in `liveserve/{reactor,conn,proxy,upstream,control,origin}.rs` |
 //! | r9 | decision-written-once     | everything outside `crates/consistency` except the repo benchmark (`bench/`) |
 //!
 //! Suppression: `// wcc-allow: <rule>[,<rule>] <reason>` on the finding
@@ -383,7 +383,7 @@ fn r2_no_unordered_iter(ctx: &FileCtx, out: &mut Vec<(&'static str, &'static str
 
 // --- R3 ------------------------------------------------------------------
 
-pub(crate) const IO_CALLS: [&str; 17] = [
+pub(crate) const IO_CALLS: [&str; 15] = [
     "read",
     "read_exact",
     "read_to_end",
@@ -399,8 +399,6 @@ pub(crate) const IO_CALLS: [&str; 17] = [
     "read_response",
     "write_request",
     "write_response",
-    "read_msg",
-    "write_msg",
 ];
 
 /// The §8 thread-model invariant: state mutexes (`OriginServer`, the
@@ -409,9 +407,9 @@ pub(crate) const IO_CALLS: [&str; 17] = [
 /// binding whose initializer ends in `.lock()` (optionally
 /// `.unwrap()`-family adjusted) is live until its
 /// block closes or `drop(name)`; any IO call in that live range is a
-/// finding. Stream-writer mutexes passed as *temporaries* into
-/// `write_msg(&mut m.lock()..., ..)` are intentionally exempt — those
-/// mutexes exist to serialize the socket itself.
+/// finding. A mutex locked as a *temporary* inside the call's own
+/// arguments is intentionally exempt — such a mutex exists to serialize
+/// the socket itself.
 fn r3_no_lock_across_io(ctx: &FileCtx, out: &mut Vec<(&'static str, &'static str, u32, String)>) {
     // `wcc-obs` is in scope too: a probe recording under a shared lock
     // must never export (file/socket IO) inside that critical section.
@@ -676,13 +674,7 @@ fn r5_bounded_channel_or_comment(
         }
     }
     // Growth calls inside functions that run accept/read loops.
-    const LOOP_MARKERS: [&str; 5] = [
-        "accept",
-        "read",
-        "read_request",
-        "read_msg",
-        "read_response",
-    ];
+    const LOOP_MARKERS: [&str; 4] = ["accept", "read", "read_request", "read_response"];
     const GROWTH: [&str; 3] = ["push", "extend_from_slice", "extend"];
     for span in &ctx.fns {
         let body = span.body_open..=span.body_close;

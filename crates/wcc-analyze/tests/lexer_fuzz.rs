@@ -107,7 +107,7 @@ const FRAGMENTS: &[&str] = &[
     "channel",
     "push",
     "write_all",
-    "read_msg",
+    "recv",
     "wait",
     "wait_timeout",
     "notify_all",

@@ -6,6 +6,15 @@
 //! to/from civil calendar fields with the days-from-civil algorithm, so no
 //! external time crate is needed and behaviour is identical on every
 //! platform.
+//!
+//! The format is fixed-width, and every date a live server writes or
+//! reads is in it, so both directions have a byte-level path that never
+//! enters `core::fmt` or splits a string: [`HttpDate::rfc1123`] fills
+//! the 29 bytes in place, and parsing first tries the exact layout
+//! (`parse_fixed`). Whatever that declines — a one-digit day, padding
+//! around the date, anything malformed — goes to the lenient
+//! field-splitting parser, which alone decides what is accepted and
+//! what the error says.
 
 use core::fmt;
 use std::str::FromStr;
@@ -81,9 +90,84 @@ impl HttpDate {
     }
 }
 
-impl fmt::Display for HttpDate {
-    /// RFC 1123 fixed format, e.g. `Sun, 06 Nov 1994 08:49:37 GMT`.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+/// The two ASCII digits of `n < 100`.
+fn two_digits(n: u64) -> [u8; 2] {
+    [b'0' + (n / 10) as u8, b'0' + (n % 10) as u8]
+}
+
+/// The value of a run of ASCII digits; `None` if any byte is not one.
+fn digits(bytes: &[u8]) -> Option<u64> {
+    bytes.iter().try_fold(0, |n, b| {
+        b.is_ascii_digit().then(|| n * 10 + u64::from(b - b'0'))
+    })
+}
+
+impl HttpDate {
+    /// The last second the fixed format can spell, 9999-12-31T23:59:59Z.
+    const MAX_RFC1123: HttpDate = HttpDate(253_402_300_799);
+
+    /// The RFC 1123 fixed format as its 29 bytes, e.g.
+    /// `Sun, 06 Nov 1994 08:49:37 GMT` — what [`Display`](fmt::Display)
+    /// prints. `None` past year 9999, which four digits cannot spell.
+    pub fn rfc1123(self) -> Option<[u8; 29]> {
+        if self > Self::MAX_RFC1123 {
+            return None;
+        }
+        let (y, m, d, hh, mm, ss) = self.to_civil();
+        let y = y as u64; // 1970 ..= 9999
+        let mut out = *b"Www, DD Mon YYYY HH:MM:SS GMT";
+        out[..3].copy_from_slice(DAY_NAMES[self.weekday()].as_bytes());
+        out[5..7].copy_from_slice(&two_digits(d));
+        out[8..11].copy_from_slice(MONTH_NAMES[(m - 1) as usize].as_bytes());
+        out[12..14].copy_from_slice(&two_digits(y / 100));
+        out[14..16].copy_from_slice(&two_digits(y % 100));
+        out[17..19].copy_from_slice(&two_digits(hh));
+        out[20..22].copy_from_slice(&two_digits(mm));
+        out[23..25].copy_from_slice(&two_digits(ss));
+        Some(out)
+    }
+
+    /// Parse exactly the layout [`rfc1123`](Self::rfc1123) writes. `None`
+    /// says only "not that layout, or not a date": the lenient parser
+    /// decides what it is instead.
+    fn parse_fixed(s: &[u8]) -> Option<HttpDate> {
+        let s: &[u8; 29] = s.try_into().ok()?;
+        let punctuated = s[3..5] == *b", "
+            && s[7] == b' '
+            && s[11] == b' '
+            && s[16] == b' '
+            && s[19] == b':'
+            && s[22] == b':'
+            && s[25..] == *b" GMT";
+        if !punctuated {
+            return None;
+        }
+        let wday = DAY_NAMES.iter().position(|n| n.as_bytes() == &s[..3])?;
+        let month = MONTH_NAMES.iter().position(|n| n.as_bytes() == &s[8..11])? as u64 + 1;
+        let (day, year) = (digits(&s[5..7])?, digits(&s[12..16])?);
+        let (hour, min, sec) = (
+            digits(&s[17..19])?,
+            digits(&s[20..22])?,
+            digits(&s[23..25])?,
+        );
+        let leap = year % 4 == 0 && (year % 100 != 0 || year % 400 == 0);
+        let month_days = match month {
+            2 => 28 + u64::from(leap),
+            4 | 6 | 9 | 11 => 30,
+            _ => 31,
+        };
+        if year < 1970 || !(1..=month_days).contains(&day) || hour >= 24 || min >= 60 || sec >= 60 {
+            return None;
+        }
+        let days = days_from_civil(year as i64, month, day) as u64;
+        let parsed = HttpDate(days * 86_400 + hour * 3600 + min * 60 + sec);
+        (parsed.weekday() == wday).then_some(parsed)
+    }
+
+    /// The format through `core::fmt`, any year: what is printed past
+    /// year 9999, and the model [`rfc1123`](Self::rfc1123) is tested
+    /// against.
+    fn fmt_fields(self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (y, m, d, hh, mm, ss) = self.to_civil();
         write!(
             f,
@@ -96,6 +180,16 @@ impl fmt::Display for HttpDate {
             mm,
             ss
         )
+    }
+}
+
+impl fmt::Display for HttpDate {
+    /// RFC 1123 fixed format, e.g. `Sun, 06 Nov 1994 08:49:37 GMT`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.rfc1123() {
+            Some(bytes) => f.write_str(std::str::from_utf8(&bytes).expect("29 ASCII bytes")),
+            None => self.fmt_fields(f),
+        }
     }
 }
 
@@ -116,6 +210,18 @@ impl FromStr for HttpDate {
 
     /// Parse the RFC 1123 fixed format (`Sun, 06 Nov 1994 08:49:37 GMT`).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match HttpDate::parse_fixed(s.as_bytes()) {
+            Some(date) => Ok(date),
+            None => HttpDate::parse_lenient(s),
+        }
+    }
+}
+
+impl HttpDate {
+    /// The format field by field, as `split` and `parse` read it: what
+    /// is accepted (a one-digit day, padding around the date) and what
+    /// every error says.
+    fn parse_lenient(s: &str) -> Result<Self, DateParseError> {
         let err = || DateParseError(s.to_string());
         let rest = s.trim();
         // "Www, DD Mon YYYY HH:MM:SS GMT"
@@ -280,6 +386,41 @@ mod tests {
         assert_eq!(last.to_string().parse::<HttpDate>(), Ok(last));
     }
 
+    /// What the fixed-width parser declines is the lenient parser's to
+    /// judge — accepted or not, the verdict is the one it always gave.
+    #[test]
+    fn near_misses_of_the_fixed_layout_get_the_lenient_verdict() {
+        let d = HttpDate::from_civil(1994, 11, 6, 8, 49, 37);
+        for (near_miss, verdict) in [
+            ("Sun, 6 Nov 1994 08:49:37 GMT", Some(d)), // one-digit day
+            (" Sun, 06 Nov 1994 08:49:37 GMT", Some(d)), // leading space
+            ("Sun, 06 Nov 1994 08:49:37 GMT ", Some(d)), // trailing space
+            ("Sun, 06 Nov 1994 8:49:37 GMT", Some(d)), // one-digit hour
+            ("Sun, 06 Nov +1994 08:49:37 GMT", Some(d)), // a sign `parse` takes
+            ("Sun, 06 nov 1994 08:49:37 GMT", None),   // lower-case month
+            ("Sun, 06 Nov 1994 24:00:00 GMT", None),
+            ("Sun, 06 Nov 1994 08:49:60 GMT", None),
+            ("Sun, 06 Nov 1994 08:49:37 gmt", None),
+            ("Sun,  6 Nov 1994 08:49:37 GMT", None), // space-padded day
+            ("Sun, 06 Nov 1994 08-49-37 GMT", None),
+        ] {
+            let parsed = near_miss.parse::<HttpDate>();
+            assert_eq!(parsed, HttpDate::parse_lenient(near_miss), "{near_miss:?}");
+            assert_eq!(parsed.ok(), verdict, "{near_miss:?}");
+        }
+    }
+
+    /// Four digits cannot spell year 10000: no fixed form, and `Display`
+    /// widens as it always did.
+    #[test]
+    fn past_year_9999_there_is_no_fixed_form() {
+        let last = HttpDate::from_civil(9999, 12, 31, 23, 59, 59);
+        assert_eq!(&last.rfc1123().unwrap(), b"Fri, 31 Dec 9999 23:59:59 GMT");
+        let next = HttpDate(last.0 + 1);
+        assert_eq!(next.rfc1123(), None);
+        assert_eq!(next.to_string(), "Sat, 01 Jan 10000 00:00:00 GMT");
+    }
+
     #[test]
     fn ordering_is_chronological() {
         let a = HttpDate::from_civil(1996, 1, 1, 0, 0, 0);
@@ -310,7 +451,16 @@ mod proptests {
 
     /// Last representable second of the RFC 1123 four-digit-year domain,
     /// 9999-12-31T23:59:59Z.
-    const MAX_RFC1123_SECS: u64 = 253_402_300_799;
+    const MAX_RFC1123_SECS: u64 = HttpDate::MAX_RFC1123.0;
+
+    /// A date as `core::fmt` spells it.
+    struct Model(HttpDate);
+
+    impl fmt::Display for Model {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            self.0.fmt_fields(f)
+        }
+    }
 
     proptest! {
         /// Display → parse is the identity for *every* representable
@@ -347,6 +497,56 @@ mod proptests {
                 DAY_NAMES[wd], day, MONTH_NAMES[mon], year, hh, mm, ss
             );
             let _ = s.parse::<HttpDate>(); // must not panic
+        }
+    }
+
+    proptest! {
+        // Single-byte mutations: enough cases to land on every field.
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The byte-level writer against the `fmt` one it replaced, over
+        /// the whole domain of the fixed format.
+        #[test]
+        fn rfc1123_bytes_equal_the_fmt_model(secs in 0u64..=MAX_RFC1123_SECS) {
+            let d = HttpDate(secs);
+            prop_assert_eq!(&d.rfc1123().expect("in the domain")[..], Model(d).to_string().as_bytes());
+        }
+
+        /// The fixed-width parser is only ever a shortcut: on a written
+        /// date, and on one byte of it replaced (a wrong weekday, `31
+        /// Apr`, `24:00:00`, a lower-case month, a space for a digit...),
+        /// `parse` is the lenient parser's `Result`.
+        #[test]
+        fn fixed_width_parse_is_the_lenient_parse(
+            secs in 0u64..=MAX_RFC1123_SECS,
+            at in 0usize..29,
+            with in "[ 0-9A-Za-z:,+-]{1,1}",
+        ) {
+            let written = HttpDate(secs).to_string();
+            prop_assert_eq!(written.parse::<HttpDate>(), HttpDate::parse_lenient(&written));
+            let mut mutated = written.clone();
+            mutated.replace_range(at..=at, &with);
+            prop_assert_eq!(mutated.parse::<HttpDate>(), HttpDate::parse_lenient(&mutated));
+        }
+
+        /// ...and on header-shaped text whose fields run out of range or
+        /// out of width (a one-digit day, a five-digit year, padding on
+        /// either side), and on arbitrary short strings.
+        #[test]
+        fn parse_agrees_with_the_lenient_parser_off_the_format(
+            fields in (0usize..7, 0u64..40, 0usize..12, 1960i64..10_050),
+            hms in (0u64..26, 0u64..62, 0u64..62),
+            pad in (0usize..2, 0usize..2, 0usize..2),
+            noise in "[ ,:0-9GMTadeFJMNnouvy]{0,31}",
+        ) {
+            let ((wd, day, mon, year), (hh, mm, ss)) = (fields, hms);
+            let day = if pad.0 == 0 { format!("{day:02}") } else { day.to_string() };
+            let s = format!(
+                "{}{}, {day} {} {year} {hh:02}:{mm:02}:{ss:02} GMT{}",
+                " ".repeat(pad.1), DAY_NAMES[wd], MONTH_NAMES[mon], " ".repeat(pad.2),
+            );
+            prop_assert_eq!(s.parse::<HttpDate>(), HttpDate::parse_lenient(&s));
+            prop_assert_eq!(noise.parse::<HttpDate>(), HttpDate::parse_lenient(&noise));
         }
     }
 }

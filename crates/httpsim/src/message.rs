@@ -18,6 +18,14 @@
 //! Bodies are represented by *length only* — simulated transfers never
 //! materialise content, but [`Response::wire_size`] accounts for the body
 //! bytes exactly as if they were sent.
+//!
+//! Writing and parsing work on bytes: a head is static fragments, a
+//! date's 29 fixed bytes and decimal digits pushed onto a buffer (or
+//! only counted), and a parser cuts lines at `\r\n` and headers at
+//! `": "` by scanning for the one byte. A live hop does each of these
+//! once per message, and through `core::fmt` and the substring searcher
+//! they cost more than the `read` and `write` around them. Text is
+//! formatted only to say what was wrong with a message.
 
 use core::fmt;
 use std::str::FromStr;
@@ -134,24 +142,38 @@ impl Request {
         }
     }
 
-    /// Serialise to HTTP/1.0 wire format.
-    pub fn serialize(&self) -> String {
-        let mut s = format!("{} {} HTTP/1.0\r\n", self.method, self.path);
+    /// Write the request in wire format — the one place its layout is
+    /// spelled out.
+    fn write_to(&self, out: &mut impl Sink) {
+        out.put(match self.method {
+            Method::Get => b"GET ",
+            Method::Head => b"HEAD ",
+        });
+        out.put(self.path.as_bytes());
+        out.put(b" HTTP/1.0\r\n");
         if let Some(ims) = self.if_modified_since {
-            s.push_str(&format!("If-Modified-Since: {ims}\r\n"));
+            put_date_header(out, b"If-Modified-Since: ", ims);
         }
-        s.push_str("\r\n");
-        s
+        out.put(b"\r\n");
     }
 
-    /// Exact size of the serialised request in bytes.
+    /// Serialise to HTTP/1.0 wire format.
+    pub fn serialize(&self) -> String {
+        String::from_utf8(self.to_bytes()).expect("a path is a String, the rest ASCII")
+    }
+
+    /// Exact size of the serialised request in bytes (counted, not built).
     pub fn wire_size(&self) -> u64 {
-        self.serialize().len() as u64
+        let mut n = ByteCount(0);
+        self.write_to(&mut n);
+        n.0
     }
 
     /// Serialise to the exact bytes that go on the wire.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.serialize().into_bytes()
+        let mut bytes = Vec::with_capacity(self.path.len() + REQUEST_CAPACITY);
+        self.write_to(&mut bytes);
+        bytes
     }
 
     /// Parse a request from the front of a byte buffer, as a streaming
@@ -173,23 +195,17 @@ impl Request {
 
     /// Parse from wire format (inverse of [`Request::serialize`]).
     pub fn parse(text: &str) -> Result<Self, ParseError> {
-        let mut lines = text.split("\r\n");
+        let mut lines = Lines(Some(text));
         let request_line = lines
             .next()
             .ok_or_else(|| ParseError::new("empty request"))?;
-        let mut parts = request_line.split(' ');
-        let method: Method = parts
-            .next()
-            .ok_or_else(|| ParseError::new("missing method"))?
-            .parse()?;
-        let path = parts
-            .next()
-            .ok_or_else(|| ParseError::new("missing path"))?
-            .to_string();
-        if path.is_empty() || !path.starts_with('/') {
+        let (method, rest) = cut(request_line, b' ');
+        let method: Method = method.parse()?;
+        let (path, rest) = cut(rest.ok_or_else(|| ParseError::new("missing path"))?, b' ');
+        if !path.starts_with('/') {
             return Err(ParseError::new(format!("invalid path {path:?}")));
         }
-        match parts.next() {
+        match rest.map(|rest| cut(rest, b' ').0) {
             Some("HTTP/1.0") => {}
             other => return Err(ParseError::new(format!("bad version {other:?}"))),
         }
@@ -198,18 +214,15 @@ impl Request {
             if line.is_empty() {
                 break;
             }
-            let (name, value) = line
-                .split_once(": ")
-                .ok_or_else(|| ParseError::new(format!("malformed header {line:?}")))?;
+            let (name, value) = header(line)?;
             if name.eq_ignore_ascii_case("If-Modified-Since") {
-                if_modified_since =
-                    Some(value.parse().map_err(|e| ParseError::new(format!("{e}")))?);
+                if_modified_since = Some(date_value(value)?);
             }
             // Unknown headers are ignored, as HTTP requires.
         }
         Ok(Request {
             method,
-            path,
+            path: path.to_owned(),
             if_modified_since,
         })
     }
@@ -219,24 +232,120 @@ impl Request {
 /// dates, a 20-digit `Content-Length`), so serialising never regrows.
 const HEAD_CAPACITY: usize = 192;
 
-/// `fmt::Write` sink that only counts the bytes written to it.
-struct ByteCount(u64);
+/// Room for a request around its path: the longest method, the version,
+/// an `If-Modified-Since` line and the blank one.
+const REQUEST_CAPACITY: usize = 72;
 
-impl fmt::Write for ByteCount {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0 += s.len() as u64;
-        Ok(())
+/// Where a message is written: bytes onto a buffer, or only their count.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
 }
 
-/// `fmt::Write` sink appending to a byte buffer.
-struct ByteSink<'a>(&'a mut Vec<u8>);
+/// [`Sink`] that only counts the bytes written to it.
+struct ByteCount(u64);
 
-impl fmt::Write for ByteSink<'_> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0.extend_from_slice(s.as_bytes());
-        Ok(())
+impl Sink for ByteCount {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len() as u64;
     }
+}
+
+/// `<name><date>\r\n`, `name` carrying its `": "`.
+fn put_date_header(out: &mut impl Sink, name: &[u8], date: HttpDate) {
+    out.put(name);
+    match date.rfc1123() {
+        Some(bytes) => out.put(&bytes),
+        // Past year 9999 there is no fixed form; `Display` widens.
+        None => out.put(date.to_string().as_bytes()),
+    }
+    out.put(b"\r\n");
+}
+
+/// `n` in decimal.
+fn put_decimal(out: &mut impl Sink, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.put(&digits[at..]);
+}
+
+/// The lines of a head: cut at every `\r\n` and nowhere else, the text
+/// after the last one included (as `split("\r\n")` yields them).
+struct Lines<'a>(Option<&'a str>);
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = self.0?;
+        let bytes = rest.as_bytes();
+        let mut from = 0;
+        while let Some(at) = bytes[from..].iter().position(|&b| b == b'\n') {
+            let at = from + at;
+            if at > 0 && bytes[at - 1] == b'\r' {
+                self.0 = Some(&rest[at + 1..]);
+                return Some(&rest[..at - 1]);
+            }
+            from = at + 1;
+        }
+        self.0 = None;
+        Some(rest)
+    }
+}
+
+/// `text` up to the first `at`, and what follows it (`None`: no `at`).
+fn cut(text: &str, at: u8) -> (&str, Option<&str>) {
+    debug_assert!(
+        at.is_ascii(),
+        "cutting at an ASCII byte keeps both sides UTF-8"
+    );
+    match text.as_bytes().iter().position(|&b| b == at) {
+        Some(i) => (&text[..i], Some(&text[i + 1..])),
+        None => (text, None),
+    }
+}
+
+/// A header line's name and value: either side of its first `": "`.
+fn header(line: &str) -> Result<(&str, &str), ParseError> {
+    let bytes = line.as_bytes();
+    let mut from = 0;
+    while let Some(at) = bytes[from..].iter().position(|&b| b == b':') {
+        let at = from + at;
+        if bytes.get(at + 1) == Some(&b' ') {
+            return Ok((&line[..at], &line[at + 2..]));
+        }
+        from = at + 1;
+    }
+    Err(ParseError::new(format!("malformed header {line:?}")))
+}
+
+fn date_value(value: &str) -> Result<HttpDate, ParseError> {
+    value.parse().map_err(|e| ParseError::new(format!("{e}")))
+}
+
+/// `text.parse().ok()` for an unsigned number, without `FromStr` while
+/// `text` is plain digits too few to overflow a `u64` (what else `parse`
+/// takes — a sign, more digits — it still gets).
+fn number<T: TryFrom<u64> + FromStr>(text: &str) -> Option<T> {
+    let bytes = text.as_bytes();
+    if !(1..=19).contains(&bytes.len()) || !bytes.iter().all(u8::is_ascii_digit) {
+        return text.parse().ok();
+    }
+    let n = bytes.iter().fold(0, |n, b| n * 10 + u64::from(b - b'0'));
+    T::try_from(n).ok()
 }
 
 /// An HTTP/1.0 response. The body is represented by its length only.
@@ -299,39 +408,39 @@ impl Response {
     /// Write status line and headers in wire format — the one place the
     /// head's layout is spelled out; every serialiser and the size
     /// counter go through it.
-    fn write_head(&self, out: &mut impl fmt::Write) -> fmt::Result {
-        write!(
-            out,
-            "HTTP/1.0 {} {}\r\n",
-            self.status.code(),
-            self.status.reason()
-        )?;
-        write!(out, "Date: {}\r\n", self.date)?;
+    fn write_head(&self, out: &mut impl Sink) {
+        out.put(match self.status {
+            Status::Ok => b"HTTP/1.0 200 OK\r\n",
+            Status::NotModified => b"HTTP/1.0 304 Not Modified\r\n",
+            Status::NotFound => b"HTTP/1.0 404 Not Found\r\n",
+        });
+        put_date_header(out, b"Date: ", self.date);
         if let Some(lm) = self.last_modified {
-            write!(out, "Last-Modified: {lm}\r\n")?;
+            put_date_header(out, b"Last-Modified: ", lm);
         }
         if let Some(exp) = self.expires {
-            write!(out, "Expires: {exp}\r\n")?;
+            put_date_header(out, b"Expires: ", exp);
         }
         if let Some(len) = self.content_length {
-            write!(out, "Content-Length: {len}\r\n")?;
+            out.put(b"Content-Length: ");
+            put_decimal(out, len);
+            out.put(b"\r\n");
         }
-        out.write_str("\r\n")
+        out.put(b"\r\n");
     }
 
     /// Serialise status line and headers to wire format (bodies are
     /// synthetic; see [`Response::wire_size`]).
     pub fn serialize_headers(&self) -> String {
-        let mut s = String::with_capacity(HEAD_CAPACITY);
-        self.write_head(&mut s)
-            .expect("writing to a String cannot fail");
-        s
+        let mut head = Vec::with_capacity(HEAD_CAPACITY);
+        self.write_head(&mut head);
+        String::from_utf8(head).expect("a head is ASCII")
     }
 
     /// Size of the headers alone, in bytes (counted, not built).
     pub fn header_size(&self) -> u64 {
         let mut n = ByteCount(0);
-        self.write_head(&mut n).expect("counting bytes cannot fail");
+        self.write_head(&mut n);
         n.0
     }
 
@@ -363,8 +472,7 @@ impl Response {
             self.content_length.unwrap_or(0),
             "body length must match Content-Length framing"
         );
-        self.write_head(&mut ByteSink(out))
-            .expect("writing to a Vec cannot fail");
+        self.write_head(out);
         out.extend_from_slice(body);
     }
 
@@ -397,20 +505,21 @@ impl Response {
     /// Parse the header section (inverse of
     /// [`Response::serialize_headers`]).
     pub fn parse(text: &str) -> Result<Self, ParseError> {
-        let mut lines = text.split("\r\n");
+        let mut lines = Lines(Some(text));
         let status_line = lines
             .next()
             .ok_or_else(|| ParseError::new("empty response"))?;
-        let mut parts = status_line.splitn(3, ' ');
-        match parts.next() {
-            Some("HTTP/1.0") => {}
-            other => return Err(ParseError::new(format!("bad version {other:?}"))),
+        let (version, rest) = cut(status_line, b' ');
+        if version != "HTTP/1.0" {
+            let other = Some(version);
+            return Err(ParseError::new(format!("bad version {other:?}")));
         }
-        let code: u16 = parts
-            .next()
-            .ok_or_else(|| ParseError::new("missing status code"))?
-            .parse()
-            .map_err(|_| ParseError::new("non-numeric status code"))?;
+        let code = cut(
+            rest.ok_or_else(|| ParseError::new("missing status code"))?,
+            b' ',
+        )
+        .0;
+        let code = number(code).ok_or_else(|| ParseError::new("non-numeric status code"))?;
         let status = Status::from_code(code)?;
         let mut date = None;
         let mut last_modified = None;
@@ -420,24 +529,16 @@ impl Response {
             if line.is_empty() {
                 break;
             }
-            let (name, value) = line
-                .split_once(": ")
-                .ok_or_else(|| ParseError::new(format!("malformed header {line:?}")))?;
-            let date_value = || -> Result<HttpDate, ParseError> {
-                value.parse().map_err(|e| ParseError::new(format!("{e}")))
-            };
+            let (name, value) = header(line)?;
             if name.eq_ignore_ascii_case("Date") {
-                date = Some(date_value()?);
+                date = Some(date_value(value)?);
             } else if name.eq_ignore_ascii_case("Last-Modified") {
-                last_modified = Some(date_value()?);
+                last_modified = Some(date_value(value)?);
             } else if name.eq_ignore_ascii_case("Expires") {
-                expires = Some(date_value()?);
+                expires = Some(date_value(value)?);
             } else if name.eq_ignore_ascii_case("Content-Length") {
-                content_length = Some(
-                    value
-                        .parse()
-                        .map_err(|_| ParseError::new("bad Content-Length"))?,
-                );
+                let len = number(value).ok_or_else(|| ParseError::new("bad Content-Length"))?;
+                content_length = Some(len);
             }
         }
         Ok(Response {
@@ -453,7 +554,16 @@ impl Response {
 /// Index just past the `\r\n\r\n` terminating a header section, or `None`
 /// if the terminator has not arrived in `buf` yet.
 pub fn header_section_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
+    // Every terminator ends in `\n`: look at those, and behind each.
+    let mut from = 0;
+    while let Some(at) = buf[from..].iter().position(|&b| b == b'\n') {
+        let end = from + at + 1;
+        if buf[..end].ends_with(b"\r\n\r\n") {
+            return Some(end);
+        }
+        from = end;
+    }
+    None
 }
 
 /// Error produced by the message parsers.
@@ -674,10 +784,151 @@ mod tests {
     }
 }
 
+/// The codec this one replaced — `core::fmt` out, `split` and
+/// `split_once` in — kept as the reference the byte-level one is tested
+/// against: same bytes written, same `Result` for whatever is parsed.
+#[cfg(test)]
+mod model {
+    use super::*;
+
+    pub(super) fn serialize_request(req: &Request) -> String {
+        let mut s = format!("{} {} HTTP/1.0\r\n", req.method, req.path);
+        if let Some(ims) = req.if_modified_since {
+            s.push_str(&format!("If-Modified-Since: {ims}\r\n"));
+        }
+        s.push_str("\r\n");
+        s
+    }
+
+    pub(super) fn serialize_head(resp: &Response) -> String {
+        let (code, reason) = (resp.status.code(), resp.status.reason());
+        let mut s = format!("HTTP/1.0 {code} {reason}\r\n");
+        s.push_str(&format!("Date: {}\r\n", resp.date));
+        if let Some(lm) = resp.last_modified {
+            s.push_str(&format!("Last-Modified: {lm}\r\n"));
+        }
+        if let Some(exp) = resp.expires {
+            s.push_str(&format!("Expires: {exp}\r\n"));
+        }
+        if let Some(len) = resp.content_length {
+            s.push_str(&format!("Content-Length: {len}\r\n"));
+        }
+        s.push_str("\r\n");
+        s
+    }
+
+    pub(super) fn parse_request(text: &str) -> Result<Request, ParseError> {
+        let mut lines = text.split("\r\n");
+        let request_line = lines
+            .next()
+            .ok_or_else(|| ParseError::new("empty request"))?;
+        let mut parts = request_line.split(' ');
+        let method: Method = parts
+            .next()
+            .ok_or_else(|| ParseError::new("missing method"))?
+            .parse()?;
+        let path = parts
+            .next()
+            .ok_or_else(|| ParseError::new("missing path"))?
+            .to_string();
+        if path.is_empty() || !path.starts_with('/') {
+            return Err(ParseError::new(format!("invalid path {path:?}")));
+        }
+        match parts.next() {
+            Some("HTTP/1.0") => {}
+            other => return Err(ParseError::new(format!("bad version {other:?}"))),
+        }
+        let mut if_modified_since = None;
+        for line in lines {
+            if line.is_empty() {
+                break;
+            }
+            let (name, value) = line
+                .split_once(": ")
+                .ok_or_else(|| ParseError::new(format!("malformed header {line:?}")))?;
+            if name.eq_ignore_ascii_case("If-Modified-Since") {
+                if_modified_since =
+                    Some(value.parse().map_err(|e| ParseError::new(format!("{e}")))?);
+            }
+        }
+        Ok(Request {
+            method,
+            path,
+            if_modified_since,
+        })
+    }
+
+    pub(super) fn parse_response(text: &str) -> Result<Response, ParseError> {
+        let mut lines = text.split("\r\n");
+        let status_line = lines
+            .next()
+            .ok_or_else(|| ParseError::new("empty response"))?;
+        let mut parts = status_line.splitn(3, ' ');
+        match parts.next() {
+            Some("HTTP/1.0") => {}
+            other => return Err(ParseError::new(format!("bad version {other:?}"))),
+        }
+        let code: u16 = parts
+            .next()
+            .ok_or_else(|| ParseError::new("missing status code"))?
+            .parse()
+            .map_err(|_| ParseError::new("non-numeric status code"))?;
+        let status = Status::from_code(code)?;
+        let mut date = None;
+        let mut last_modified = None;
+        let mut expires = None;
+        let mut content_length = None;
+        for line in lines {
+            if line.is_empty() {
+                break;
+            }
+            let (name, value) = line
+                .split_once(": ")
+                .ok_or_else(|| ParseError::new(format!("malformed header {line:?}")))?;
+            let date_value = || -> Result<HttpDate, ParseError> {
+                value.parse().map_err(|e| ParseError::new(format!("{e}")))
+            };
+            if name.eq_ignore_ascii_case("Date") {
+                date = Some(date_value()?);
+            } else if name.eq_ignore_ascii_case("Last-Modified") {
+                last_modified = Some(date_value()?);
+            } else if name.eq_ignore_ascii_case("Expires") {
+                expires = Some(date_value()?);
+            } else if name.eq_ignore_ascii_case("Content-Length") {
+                content_length = Some(
+                    value
+                        .parse()
+                        .map_err(|_| ParseError::new("bad Content-Length"))?,
+                );
+            }
+        }
+        Ok(Response {
+            status,
+            date: date.ok_or_else(|| ParseError::new("missing Date header"))?,
+            last_modified,
+            expires,
+            content_length,
+        })
+    }
+
+    pub(super) fn header_section_end(buf: &[u8]) -> Option<usize> {
+        buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
+    }
+}
+
 #[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// `text` with the byte at `at` (if it has one) replaced by `with`.
+    fn mutated(text: &str, at: usize, with: &str) -> String {
+        let mut bytes = text.as_bytes().to_vec();
+        if let Some(b) = bytes.get_mut(at) {
+            *b = with.as_bytes()[0];
+        }
+        String::from_utf8(bytes).expect("ASCII in, ASCII out")
+    }
 
     fn path_strategy() -> impl Strategy<Value = String> {
         "[a-zA-Z0-9_./-]{0,40}".prop_map(|s| format!("/{s}"))
@@ -740,6 +991,78 @@ mod proptests {
             prop_assert_eq!(parsed, resp);
             prop_assert_eq!(got, body);
             prop_assert_eq!(used, framed);
+        }
+    }
+
+    proptest! {
+        // Single-byte mutations: enough cases to land on every field.
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The byte-level writers against the `fmt` ones they replaced:
+        /// the same bytes whichever way they are asked for, dates past
+        /// year 9999 included.
+        #[test]
+        fn written_bytes_equal_the_fmt_model(
+            path in path_strategy(),
+            method in 0usize..2,
+            status in 0usize..3,
+            dates in (0u64..300_000_000_000, 0u64..300_000_000_000),
+            ims in proptest::option::of(0u64..300_000_000_000),
+            exp in proptest::option::of(0u64..4_000_000_000),
+            len in proptest::option::of(any::<u64>()),
+        ) {
+            let method = [Method::Get, Method::Head][method];
+            let req = Request { method, path, if_modified_since: ims.map(HttpDate) };
+            let wire = model::serialize_request(&req);
+            prop_assert_eq!(req.serialize(), wire.clone());
+            prop_assert_eq!(req.to_bytes(), wire.as_bytes());
+            prop_assert_eq!(req.wire_size() as usize, wire.len());
+
+            let resp = Response {
+                status: [Status::Ok, Status::NotModified, Status::NotFound][status],
+                date: HttpDate(dates.0),
+                last_modified: ims.map(|_| HttpDate(dates.1)),
+                expires: exp.map(HttpDate),
+                content_length: len,
+            };
+            let head = model::serialize_head(&resp);
+            prop_assert_eq!(resp.serialize_headers(), head.clone());
+            prop_assert_eq!(resp.header_size() as usize, head.len());
+            let mut kept = b"earlier".to_vec();
+            Response { content_length: Some(2), ..resp }.append_to(b"hi", &mut kept);
+            let head = model::serialize_head(&Response { content_length: Some(2), ..resp });
+            prop_assert_eq!(kept, [b"earlier", head.as_bytes(), b"hi"].concat());
+        }
+
+        /// The byte-level parsers against the `split` ones they replaced:
+        /// the same `Result` — value or message — on a written head, on
+        /// one byte of it replaced, and on arbitrary short text.
+        #[test]
+        fn parsed_results_equal_the_split_model(
+            path in path_strategy(),
+            dates in (0u64..4_000_000_000, 0u64..4_000_000_000),
+            len in proptest::option::of(0u64..100_000_000),
+            at in 0usize..140,
+            with in "[ -~\r\n]{1,1}",
+            noise in "[ :/.0-9\r\nGETHP]{0,24}",
+        ) {
+            let req = Request::get_if_modified_since(path, HttpDate(dates.0));
+            let resp = Response {
+                status: Status::Ok,
+                date: HttpDate(dates.0),
+                last_modified: Some(HttpDate(dates.1)),
+                expires: None,
+                content_length: len,
+            };
+            let (req, resp) = (req.serialize(), resp.serialize_headers());
+            for text in [req.clone(), mutated(&req, at, &with), format!("GET /{noise}"), noise.clone()] {
+                prop_assert_eq!(Request::parse(&text), model::parse_request(&text));
+                prop_assert_eq!(header_section_end(text.as_bytes()), model::header_section_end(text.as_bytes()));
+            }
+            for text in [resp.clone(), mutated(&resp, at, &with), format!("HTTP/1.0 {noise}"), noise.clone()] {
+                prop_assert_eq!(Response::parse(&text), model::parse_response(&text));
+                prop_assert_eq!(header_section_end(text.as_bytes()), model::header_section_end(text.as_bytes()));
+            }
         }
     }
 }

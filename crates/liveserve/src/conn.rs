@@ -7,7 +7,10 @@
 //! per-connection write buffer, and the tick-counted read budget on
 //! top. Everything here is pure buffer manipulation plus nonblocking
 //! socket reads/writes — no locks, no clocks — so the reactor can call
-//! into it from the event loop without ordering hazards.
+//! into it from the event loop without ordering hazards. A `read` goes
+//! through a scratch buffer the caller lends ([`read_once`]): only the
+//! bytes that arrived are copied into the connection's own buffer,
+//! which stays empty while the connection idles.
 //!
 //! Semantics mirror the blocking `netio::HttpConn` path exactly:
 //! oversized frames and unparseable heads kill the connection, EOF
@@ -21,34 +24,79 @@ use std::net::TcpStream;
 use httpsim::{header_section_end, Request, Response};
 use wcc_obs::ConnCloseReason;
 
-use crate::netio::{log_conn_error, MAX_FRAME, READ_CHUNK};
+use crate::netio::{log_conn_error, MAX_FRAME};
 
 /// Largest write-buffer capacity an idle connection keeps.
 const WBUF_RETAIN: usize = 64 * 1024;
 
-/// Read a nonblocking `stream` to `WouldBlock` (as edge-triggered
-/// readiness requires), appending to `buf` — unless that would grow it
-/// past `cap`, which is an error. `Ok(true)` means the peer hung up.
-pub(crate) fn read_available(
+/// How one `read` left a nonblocking stream.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ReadEnd {
+    /// There may be more: read again.
+    More,
+    /// Empty, until its next readable edge.
+    Drained,
+    /// The peer hung up.
+    Eof,
+}
+
+/// One `read` of a nonblocking `stream` into `scratch`, appended to
+/// `buf` — unless that would grow it past `cap`, which is an error.
+///
+/// A `read` that comes back short of what it asked for has emptied a
+/// stream socket (epoll(7)), so the `read` that would only say
+/// `WouldBlock` is not made. That holds while nothing but bytes is
+/// pending: when the readiness being served carried a hang-up or an
+/// error (`hup`), it is read through to the `0` or the error itself —
+/// bytes that arrive after a short count raise their own edge, and so
+/// does a hang-up behind them.
+pub(crate) fn read_once(
     mut stream: &TcpStream,
     buf: &mut Vec<u8>,
     cap: usize,
-) -> io::Result<bool> {
-    let mut chunk = [0u8; READ_CHUNK];
+    hup: bool,
+    scratch: &mut [u8],
+) -> io::Result<ReadEnd> {
     loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(true),
+        match stream.read(scratch) {
+            Ok(0) => return Ok(ReadEnd::Eof),
             Ok(n) if buf.len().saturating_add(n) > cap => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "frame exceeds its cap without parsing",
                 ))
             }
-            // wcc-allow: r5 growth capped by the arm above
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+            Ok(n) => {
+                // wcc-allow: r5 growth capped by the arm above
+                buf.extend_from_slice(&scratch[..n]);
+                let short = n < scratch.len() && !hup;
+                return Ok(if short {
+                    ReadEnd::Drained
+                } else {
+                    ReadEnd::More
+                });
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(ReadEnd::Drained),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
+        }
+    }
+}
+
+/// [`read_once`] until the stream is drained, as edge-triggered
+/// readiness requires. `Ok(true)` means the peer hung up.
+pub(crate) fn read_available(
+    stream: &TcpStream,
+    buf: &mut Vec<u8>,
+    cap: usize,
+    hup: bool,
+    scratch: &mut [u8],
+) -> io::Result<bool> {
+    loop {
+        match read_once(stream, buf, cap, hup, scratch)? {
+            ReadEnd::More => {}
+            ReadEnd::Drained => return Ok(false),
+            ReadEnd::Eof => return Ok(true),
         }
     }
 }
@@ -85,9 +133,10 @@ pub(crate) enum FrameError {
 enum ReadState {
     /// Accumulating the request's header section.
     Head,
-    /// Header section parsed for length; the frame ends at `frame_end`
-    /// bytes from the start of the buffer.
-    Body { frame_end: usize },
+    /// Header section found (its first `head_end` bytes) and parsed
+    /// for length; the frame ends at `frame_end` bytes from the start
+    /// of the buffer.
+    Body { head_end: usize, frame_end: usize },
 }
 
 /// Incremental request framing over a growing byte buffer.
@@ -127,8 +176,11 @@ impl FrameBuf {
 
     /// Try to complete one request from the buffered bytes.
     pub(crate) fn next_request(&mut self) -> Result<Option<Request>, FrameError> {
-        let frame_end = match self.state {
-            ReadState::Body { frame_end } => frame_end,
+        let (head_end, frame_end) = match self.state {
+            ReadState::Body {
+                head_end,
+                frame_end,
+            } => (head_end, frame_end),
             ReadState::Head => {
                 let Some(head_end) = header_section_end(&self.buf) else {
                     return Ok(None);
@@ -138,19 +190,21 @@ impl FrameBuf {
                     return Err(FrameError::Oversize);
                 }
                 let frame_end = head_end + body_len;
-                self.state = ReadState::Body { frame_end };
-                frame_end
+                self.state = ReadState::Body {
+                    head_end,
+                    frame_end,
+                };
+                (head_end, frame_end)
             }
         };
         if self.buf.len() < frame_end {
             return Ok(None);
         }
-        // Full frame buffered: parse the head; the parser consumes the
-        // header section, we discard the declared body with it.
-        let req = match Request::from_bytes(&self.buf[..frame_end]) {
-            Ok(Some((req, _))) => req,
-            _ => return Err(FrameError::Malformed),
-        };
+        // Full frame buffered: parse the head, discard the declared
+        // body with it.
+        let head = std::str::from_utf8(&self.buf[..head_end]);
+        let head = head.map_err(|_| FrameError::Malformed)?;
+        let req = Request::parse(head).map_err(|_| FrameError::Malformed)?;
         self.buf.drain(..frame_end);
         self.state = ReadState::Head;
         Ok(Some(req))
@@ -226,11 +280,13 @@ impl Conn {
         &self.stream
     }
 
-    /// Readable readiness: drain the socket into the frame buffer, then
-    /// (when not mid-dispatch/mid-write) try to complete a request.
-    pub(crate) fn on_readable(&mut self, role: &str) -> ConnEvent {
+    /// Readable readiness (`hup`: with a hang-up or an error): drain
+    /// the socket through `scratch` into the frame buffer, then (when
+    /// not mid-dispatch/mid-write) try to complete a request.
+    pub(crate) fn on_readable(&mut self, role: &str, hup: bool, scratch: &mut [u8]) -> ConnEvent {
         let had = self.frames.buf.len();
-        match read_available(&self.stream, &mut self.frames.buf, MAX_FRAME) {
+        let frames = &mut self.frames.buf;
+        match read_available(&self.stream, frames, MAX_FRAME, hup, scratch) {
             Ok(eof) => self.peer_eof |= eof,
             Err(e) => {
                 log_conn_error(role, &e);
@@ -319,17 +375,21 @@ impl Conn {
         self.scan()
     }
 
-    /// One poll tick elapsed. The budget counts only while the peer
-    /// owes us progress: mid-frame reads and response drains. Idle
+    /// Whether the stall budget is counting: only while the peer owes
+    /// us progress — mid-frame reads and response drains. Idle
     /// keep-alive connections and requests waiting on our own
     /// dispatcher are exempt.
-    pub(crate) fn on_tick(&mut self) -> ConnEvent {
-        let budgeted = match self.state {
+    pub(crate) fn budgeted(&self) -> bool {
+        match self.state {
             ConnState::Writing => true,
             ConnState::Reading => self.frames.mid_frame(),
             ConnState::Dispatched => false,
-        };
-        if !budgeted {
+        }
+    }
+
+    /// One poll tick elapsed.
+    pub(crate) fn on_tick(&mut self) -> ConnEvent {
+        if !self.budgeted() {
             return ConnEvent::Idle;
         }
         self.stall_ticks += 1;
@@ -423,6 +483,45 @@ mod tests {
         assert_eq!(fb.next_request().unwrap_err(), FrameError::Oversize);
     }
 
+    /// A request with the hang-up right behind it is answered, then
+    /// closed as the peer's doing — whether the notification that
+    /// brought the request already said so (read through to the EOF) or
+    /// the read stopped at the short count and the hang-up raised its
+    /// own edge.
+    #[test]
+    fn a_request_with_a_hang_up_behind_it_is_answered_then_closed_clean() {
+        use httpsim::HttpDate;
+        use std::net::Shutdown;
+
+        let resp = Response::ok(HttpDate(2), HttpDate(1), 2);
+        for together in [true, false] {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut theirs = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (ours, _) = listener.accept().unwrap();
+            ours.set_nonblocking(true).unwrap();
+            let mut conn = Conn::new(ours, 10);
+            let mut scratch = [0u8; 256];
+
+            theirs.write_all(&get("/a")).unwrap();
+            if together {
+                theirs.shutdown(Shutdown::Write).unwrap();
+            }
+            let ev = conn.on_readable("test", together, &mut scratch);
+            assert!(matches!(ev, ConnEvent::Dispatch(ref req) if req.path == "/a"));
+            let mut ev = conn.on_response(&resp, b"hi", "test");
+            if !together {
+                assert!(matches!(ev, ConnEvent::Idle));
+                theirs.shutdown(Shutdown::Write).unwrap();
+                ev = conn.on_readable("test", true, &mut scratch);
+            }
+            assert!(matches!(ev, ConnEvent::Close(ConnCloseReason::PeerClosed)));
+            drop(conn);
+            let mut answer = Vec::new();
+            theirs.read_to_end(&mut answer).unwrap();
+            assert_eq!(answer, resp.to_bytes(b"hi"));
+        }
+    }
+
     #[test]
     fn reads_stop_at_the_cap_and_writes_at_wouldblock() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -432,14 +531,17 @@ mod tests {
 
         // Nothing yet, then eight bytes, then one too many for the cap.
         let mut buf = Vec::new();
-        assert!(!read_available(&ours, &mut buf, 8).unwrap());
+        let mut scratch = [0u8; 64];
+        let mut read =
+            |buf: &mut Vec<u8>, cap| read_available(&ours, buf, cap, false, &mut scratch);
+        assert!(!read(&mut buf, 8).unwrap());
         theirs.write_all(b"12345678").unwrap();
         while buf.len() < 8 {
-            assert!(!read_available(&ours, &mut buf, 8).unwrap());
+            assert!(!read(&mut buf, 8).unwrap());
         }
         theirs.write_all(b"9").unwrap();
         let over = loop {
-            match read_available(&ours, &mut buf, 8) {
+            match read(&mut buf, 8) {
                 Ok(_) => std::thread::yield_now(),
                 Err(e) => break e,
             }
@@ -447,7 +549,7 @@ mod tests {
         assert_eq!(over.kind(), io::ErrorKind::InvalidData);
         assert_eq!(buf, b"12345678");
         // (Taken with room for it, so the socket closes clean below.)
-        assert!(!read_available(&ours, &mut buf, 9).unwrap());
+        assert!(!read(&mut buf, 9).unwrap());
 
         // A peer that does not read fills the socket: the write stops
         // short, and picks up where it left off once there is room.

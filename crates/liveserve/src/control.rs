@@ -37,8 +37,9 @@ use std::sync::mpsc::SyncSender;
 
 use simcore::CacheId;
 
+use crate::conn::ReadEnd;
 use crate::netio::{invalid, log_conn_error};
-use crate::reactor::{peer_token, Dispatch, CONTROL_TOKEN};
+use crate::reactor::{peer_token, Dispatch, Ready, CONTROL_TOKEN};
 use crate::sys::{Epoll, EPOLLIN};
 use crate::upstream::Wire;
 
@@ -167,15 +168,15 @@ impl PeerIo {
         &mut self,
         ep: &Epoll,
         index: usize,
-        readable: bool,
-        writable: bool,
+        ready: Ready,
+        scratch: &mut [u8],
         to: &impl Dispatch,
     ) {
         let Some(peer) = self.peers.get_mut(index).and_then(Option::as_mut) else {
             return; // readiness for a peer since closed
         };
         let cache = CacheId::from_index(index);
-        match peer.drive(readable, writable, |event| to.peer(cache, event)) {
+        match peer.drive(ready, scratch, |event| to.peer(cache, event)) {
             Ok(false) => {}
             Ok(true) => self.close(ep, index, None, to),
             Err(e) => self.close(ep, index, Some(e), to),
@@ -194,6 +195,11 @@ impl PeerIo {
                 self.close(ep, cache.index(), Some(e), to);
             }
         }
+    }
+
+    /// Whether a tick would count against anyone: a peer owes an `ACK`.
+    pub(crate) fn budgeted(&self) -> bool {
+        self.peers.iter().flatten().any(|p| !p.owed.is_empty())
     }
 
     /// One poll tick: a peer that owes an `ACK` and has sent nothing
@@ -231,40 +237,47 @@ impl Peer {
     /// means the peer hung up.
     fn drive(
         &mut self,
-        readable: bool,
-        writable: bool,
+        ready: Ready,
+        scratch: &mut [u8],
         mut on: impl FnMut(PeerEvent<'_>),
     ) -> io::Result<bool> {
-        if writable {
+        if ready.writable {
             self.wire.flush()?;
         }
-        if !readable {
+        if !ready.readable {
             return Ok(false);
         }
         self.idle_ticks = 0;
-        let eof = self.wire.fill(MAX_LINE)?;
         let mut oks = 0;
-        for line in self.wire.lines()?.split_terminator('\n') {
-            match ControlMsg::parse(line)? {
-                ControlMsg::Subscribe(path) => {
-                    on(PeerEvent::Subscribe(&path));
-                    oks += 1;
-                }
-                ControlMsg::Unsubscribe(path) => {
-                    on(PeerEvent::Unsubscribe(&path));
-                    oks += 1;
-                }
-                ControlMsg::Ack => {
-                    if self.owed.pop_front().is_none() {
-                        return Err(invalid("ACK with no notice outstanding"));
+        let eof = loop {
+            let (lines, end) = self.wire.read_lines(ready.hup, scratch)?;
+            for line in lines.split_terminator('\n') {
+                match ControlMsg::parse(line)? {
+                    ControlMsg::Subscribe(path) => {
+                        on(PeerEvent::Subscribe(&path));
+                        oks += 1;
+                    }
+                    ControlMsg::Unsubscribe(path) => {
+                        on(PeerEvent::Unsubscribe(&path));
+                        oks += 1;
+                    }
+                    ControlMsg::Ack => {
+                        if self.owed.pop_front().is_none() {
+                            return Err(invalid("ACK with no notice outstanding"));
+                        }
+                    }
+                    other => {
+                        let what = format!("unexpected control message at origin: {other:?}");
+                        return Err(invalid(what));
                     }
                 }
-                other => {
-                    let what = format!("unexpected control message at origin: {other:?}");
-                    return Err(invalid(what));
-                }
             }
-        }
+            match end {
+                ReadEnd::More => {}
+                ReadEnd::Drained => break false,
+                ReadEnd::Eof => break true,
+            }
+        };
         self.wire
             .queue(ControlMsg::Ok.encode().repeat(oks).as_bytes());
         self.wire.flush()?;
@@ -337,6 +350,34 @@ mod tests {
         assert!(ControlMsg::parse("PURGE /x").is_err());
         assert!(ControlMsg::parse("").is_err());
         assert!(ControlMsg::parse("OK extra").is_err());
+    }
+
+    /// `MAX_LINE` bounds the line still arriving, not the whole lines
+    /// that arrived with it: a burst of commands twice that long is so
+    /// many commands, each answered — and a line that long still is
+    /// the end of the peer.
+    #[test]
+    fn a_burst_of_whole_lines_longer_than_max_line_is_not_an_oversized_line() {
+        let mut pop = FilePopulation::new();
+        pop.add(FileRecord::new("/a", SimTime::ZERO, 10));
+        let clock = LiveClock::virtual_at(SimTime::ZERO);
+        let origin = LiveOrigin::spawn(OriginConfig::new(Arc::new(pop), clock)).unwrap();
+        let mut peer = TestPeer::connect(origin.control_addr());
+
+        let commands = 2 * MAX_LINE / "SUBSCRIBE /a\n".len();
+        peer.say(&"SUBSCRIBE /a\n".repeat(commands));
+        for heard in 0..commands {
+            assert_eq!(peer.hear(), "OK\n", "after {heard} of {commands}");
+        }
+        assert_eq!(origin.subscription_count(), 1);
+
+        peer.say(&"X".repeat(MAX_LINE + 1));
+        assert_eq!(peer.hear(), "", "hung up on");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while origin.subscription_count() != 0 {
+            assert!(Instant::now() < deadline, "subscriptions outlived the peer");
+            thread::sleep(Duration::from_millis(5));
+        }
     }
 
     /// The origin's end frames what arrives, however it arrives: two

@@ -49,6 +49,8 @@ pub(crate) fn log_conn_error(role: &str, e: &io::Error) {
 pub struct HttpConn {
     stream: TcpStream,
     rbuf: Vec<u8>,
+    /// What one `read` lands in, on its way to `rbuf`.
+    chunk: Box<[u8]>,
     /// Consecutive silent poll ticks tolerated mid-frame before the
     /// peer is declared wedged and the read fails with `TimedOut`.
     budget_ticks: u32,
@@ -78,6 +80,7 @@ impl HttpConn {
         Ok(HttpConn {
             stream,
             rbuf: Vec::new(),
+            chunk: vec![0; READ_CHUNK].into(),
             budget_ticks: DEFAULT_READ_BUDGET_TICKS,
         })
     }
@@ -96,8 +99,7 @@ impl HttpConn {
     /// Pull more bytes off the socket into the frame buffer. `Ok(0)`
     /// means EOF.
     fn fill(&mut self) -> io::Result<usize> {
-        let mut chunk = [0u8; READ_CHUNK];
-        let n = self.stream.read(&mut chunk)?;
+        let n = self.stream.read(&mut self.chunk)?;
         if self.rbuf.len().saturating_add(n) > MAX_FRAME {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -105,7 +107,7 @@ impl HttpConn {
             ));
         }
         // wcc-allow: r5 growth capped at MAX_FRAME by the check above
-        self.rbuf.extend_from_slice(&chunk[..n]);
+        self.rbuf.extend_from_slice(&self.chunk[..n]);
         Ok(n)
     }
 

@@ -11,9 +11,15 @@
 //! socket is registered edge-triggered (`EPOLLIN | EPOLLOUT | EPOLLET |
 //! EPOLLRDHUP`) with a generation-tagged token — two tag bits tell an
 //! upstream socket and a control peer from a client — and every
-//! readiness notification
-//! drives its state machine to `WouldBlock` in both directions, as
-//! edge-triggering requires.
+//! readiness notification drives its state machine until the socket has
+//! no more for it, as edge-triggering requires: writes to `WouldBlock`,
+//! reads to a short count (a `read` that returns less than it asked for
+//! has emptied a stream socket, and what arrives after it raises a new
+//! edge) — or, when the notification says the peer hung up or the
+//! socket failed, through to the EOF or the error. Every `read` a thread
+//! makes lands in the one scratch buffer its event loop owns and lends
+//! to whatever it is driving; a connection buffers only what a frame
+//! still needs.
 //!
 //! **No reactor thread ever blocks.** Request handling is pluggable via
 //! [`Dispatch`], and everything a dispatcher does runs on a reactor
@@ -41,12 +47,15 @@
 //! does its waiting itself.
 //!
 //! The stall budget is tick-counted, never clock-read (§r1): each
-//! `epoll_wait` timeout is one idle tick swept over every mid-frame or
-//! mid-write client connection, every upstream exchange in progress and
-//! every control peer that owes an `ACK`.
-//! A saturated reactor therefore defers reaping — the memory cost is
-//! bounded by `max_conns × MAX_FRAME` either way — and an idle
-//! keep-alive connection is never reaped.
+//! `epoll_wait` that times out — a signal that interrupts one does not
+//! count — is one idle tick swept over every mid-frame or mid-write
+//! client connection, every upstream exchange in progress and every
+//! control peer that owes an `ACK`. The wait is timed only while there
+//! is such a party: a thread none of whose sockets owes it progress
+//! sleeps in an untimed `epoll_wait` until one turns ready or the
+//! eventfd brings mail or shutdown. A saturated reactor defers reaping —
+//! the memory cost is bounded by `max_conns × MAX_FRAME` either way —
+//! and an idle keep-alive connection is never reaped.
 
 use std::collections::VecDeque;
 use std::convert::Infallible;
@@ -89,6 +98,10 @@ const EVENT_BATCH: usize = 1024;
 /// Accepts drained per listener readiness notification, so one thread
 /// can't monopolise its loop on a connect flood.
 const ACCEPT_BATCH: usize = 64;
+/// What one `read` can take: a reactor thread's one scratch buffer, lent
+/// to whichever socket it is driving. Larger than any message but a big
+/// body, so a readiness notification is usually one `read`.
+const SCRATCH: usize = 64 * 1024;
 
 /// Rank of a reactor's mailbox, a leaf: nothing is acquired under it.
 /// Reactor threads push with no lock held, the origin's publisher while
@@ -96,6 +109,36 @@ const ACCEPT_BATCH: usize = 64;
 /// `mem::take` under the guard.
 // wcc-lock-rank: reactor.mailbox.queue 40
 const MAILBOX_RANK: u32 = 40;
+
+/// What one readiness notification said of a socket. An error or a
+/// hang-up is reported in both directions, so whichever the state
+/// machine tries next runs into it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ready {
+    pub readable: bool,
+    pub writable: bool,
+    /// Readable with a hang-up or an error behind the bytes: read
+    /// through to it, not just to a short count.
+    pub hup: bool,
+}
+
+impl Ready {
+    pub(crate) fn from_mask(mask: u32) -> Ready {
+        let hup = mask & (EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0;
+        Ready {
+            readable: hup || mask & EPOLLIN != 0,
+            writable: mask & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0,
+            hup,
+        }
+    }
+
+    /// Bytes may be waiting, and nothing else is known.
+    const READABLE: Ready = Ready {
+        readable: true,
+        writable: false,
+        hup: false,
+    };
+}
 
 /// The client connection a request arrived on. It travels with every
 /// step of the request; the generation makes an answer for a connection
@@ -380,6 +423,11 @@ struct EventLoop<D: Dispatch> {
     /// The origin's control port and its peers, on its first thread.
     peers: Option<PeerIo>,
     work: Work<D::Parked>,
+    /// Client connections the stall budget is counting on (mid-frame or
+    /// mid-write), kept in step by [`Self::on_conn`] and `close_conn`.
+    budgeted_conns: usize,
+    /// Where every `read` this thread makes lands first.
+    scratch: Box<[u8]>,
 }
 
 impl<D: Dispatch> EventLoop<D> {
@@ -420,11 +468,21 @@ impl<D: Dispatch> EventLoop<D> {
             shards,
             peers,
             work: VecDeque::new(),
+            budgeted_conns: 0,
+            scratch: vec![0; SCRATCH].into(),
         };
         let mut events = vec![EpollEvent::zeroed(); EVENT_BATCH];
-        let timeout_ms = POLL_TICK.as_millis() as i32;
         loop {
-            let n = this.ep.epoll_wait(&mut events, timeout_ms)?;
+            // Tick only while someone is held to the stall budget; mail
+            // and shutdown arrive through the eventfd either way.
+            let timeout_ms = if this.owed_progress() {
+                POLL_TICK.as_millis() as i32
+            } else {
+                -1
+            };
+            let Some(n) = this.ep.epoll_wait(&mut events, timeout_ms)? else {
+                continue; // a signal: not readiness, and not a tick
+            };
             if this.shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
@@ -479,19 +537,17 @@ impl<D: Dispatch> EventLoop<D> {
             _ => {
                 let index = (token & (PEER_TAG - 1)) as usize;
                 let gen = (token >> 32) as u32;
-                // An error or a hangup is reported in both directions, so
-                // whichever the state machine tries next runs into it.
-                let readable = mask & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0;
-                let writable = mask & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0;
+                let ready = Ready::from_mask(mask);
                 if upstream {
-                    self.upstream_ready(index, gen, readable, writable);
+                    self.upstream_ready(index, gen, ready);
                 } else if token & PEER_TAG != 0 {
                     if let Some(io) = &mut self.peers {
-                        io.ready(&self.ep, index, readable, writable, &self.shared.dispatch);
+                        let to = &self.shared.dispatch;
+                        io.ready(&self.ep, index, ready, &mut self.scratch, to);
                     }
                 } else if self.slots.get(index).map(|s| s.gen) == Some(gen) {
                     // (else: stale readiness for a reused slot)
-                    self.drive(index, readable, writable);
+                    self.drive(index, ready);
                 }
             }
         }
@@ -564,24 +620,45 @@ impl<D: Dispatch> EventLoop<D> {
         // Bytes may have arrived before registration; with edge-triggered
         // delivery the add itself reports initial readiness, but driving
         // once here keeps latency off the first request either way.
-        self.drive(slot, true, false);
+        self.drive(slot, Ready::READABLE);
         Ok(())
     }
 
-    fn drive(&mut self, slot: usize, readable: bool, writable: bool) {
+    /// Whether anything this thread owns is held to the stall budget: a
+    /// client mid-frame or mid-write, an upstream exchange, a control
+    /// peer that owes an `ACK` — what `tick_sweep` would count against.
+    fn owed_progress(&self) -> bool {
+        self.budgeted_conns > 0
+            || self.shards.iter().any(ShardIo::budgeted)
+            || self.peers.as_ref().is_some_and(PeerIo::budgeted)
+    }
+
+    /// Drive `slot`'s connection (if it still has one) with `f`, keeping
+    /// `budgeted_conns` in step with what that did to it.
+    fn on_conn(
+        &mut self,
+        slot: usize,
+        f: impl FnOnce(&mut Conn, &mut [u8]) -> ConnEvent,
+    ) -> ConnEvent {
+        let Some(conn) = self.slots[slot].conn.as_mut() else {
+            return ConnEvent::Idle;
+        };
+        let was = conn.budgeted();
+        let ev = f(conn, &mut self.scratch);
+        self.budgeted_conns = self.budgeted_conns + usize::from(conn.budgeted()) - usize::from(was);
+        ev
+    }
+
+    fn drive(&mut self, slot: usize, ready: Ready) {
         let role = self.shared.cfg.role;
-        if writable {
-            let Some(conn) = self.slots[slot].conn.as_mut() else {
-                return;
-            };
-            let ev = conn.on_writable(role);
+        if ready.writable {
+            let ev = self.on_conn(slot, |conn, _| conn.on_writable(role));
             self.handle_event(slot, ev);
         }
-        if readable {
-            let Some(conn) = self.slots[slot].conn.as_mut() else {
-                return;
-            };
-            let ev = conn.on_readable(role);
+        if ready.readable {
+            let ev = self.on_conn(slot, |conn, scratch| {
+                conn.on_readable(role, ready.hup, scratch)
+            });
             self.handle_event(slot, ev);
         }
         self.drain();
@@ -603,12 +680,10 @@ impl<D: Dispatch> EventLoop<D> {
                         slot: slot as u32,
                         gen: self.slots[slot].gen,
                     };
+                    let role = self.shared.cfg.role;
                     match self.shared.dispatch.begin(ticket, req) {
                         Step::Done(resp, body) => {
-                            ev = match self.slots[slot].conn.as_mut() {
-                                Some(c) => c.on_response(&resp, &body, self.shared.cfg.role),
-                                None => return,
-                            };
+                            ev = self.on_conn(slot, |c, _| c.on_response(&resp, &body, role));
                         }
                         step => return self.work.push_back((ticket, step)),
                     }
@@ -684,10 +759,8 @@ impl<D: Dispatch> EventLoop<D> {
         }
         match result {
             Ok((resp, body)) => {
-                let Some(conn) = self.slots[slot].conn.as_mut() else {
-                    return;
-                };
-                let ev = conn.on_response(&resp, &body, self.shared.cfg.role);
+                let role = self.shared.cfg.role;
+                let ev = self.on_conn(slot, |conn, _| conn.on_response(&resp, &body, role));
                 self.handle_event(slot, ev);
             }
             Err(e) => {
@@ -697,7 +770,7 @@ impl<D: Dispatch> EventLoop<D> {
         }
     }
 
-    fn upstream_ready(&mut self, index: usize, gen: u32, readable: bool, writable: bool) {
+    fn upstream_ready(&mut self, index: usize, gen: u32, ready: Ready) {
         let (local, which) = (index / SLOTS_PER_SHARD, index % SLOTS_PER_SHARD);
         let Some(io) = self.shards.get_mut(local) else {
             return;
@@ -705,7 +778,7 @@ impl<D: Dispatch> EventLoop<D> {
         let dispatch = &self.shared.dispatch;
         if which == CONNS_PER_SHARD {
             let work = &mut self.work;
-            io.control_ready(&self.ep, readable, writable, |event| match event {
+            io.control_ready(&self.ep, ready, &mut self.scratch, |event| match event {
                 ControlEvent::Acked((ticket, parked)) => {
                     let step = dispatch.resume(parked, Ok(Arrived::ControlOk), work);
                     work.push_back((ticket, step));
@@ -713,7 +786,7 @@ impl<D: Dispatch> EventLoop<D> {
                 ControlEvent::Invalidate(path) => dispatch.invalidate(path),
             });
         } else if let Some(((ticket, parked), reply)) =
-            io.conn_ready(&self.ep, which, gen, readable, writable)
+            io.conn_ready(&self.ep, which, gen, ready, &mut self.scratch)
         {
             match dispatch.resume(parked, Ok(reply), &mut self.work) {
                 // More to ask of the same shard: on the connection in hand.
@@ -735,6 +808,11 @@ impl<D: Dispatch> EventLoop<D> {
     }
 
     fn tick_sweep(&mut self) {
+        let budgeted = |s: &&Slot| s.conn.as_ref().is_some_and(Conn::budgeted);
+        debug_assert_eq!(
+            self.slots.iter().filter(budgeted).count(),
+            self.budgeted_conns
+        );
         for slot in 0..self.slots.len() {
             let ev = match self.slots[slot].conn.as_mut() {
                 Some(c) => c.on_tick(),
@@ -760,6 +838,7 @@ impl<D: Dispatch> EventLoop<D> {
         };
         if let Some(conn) = entry.conn.take() {
             let _ = self.ep.del(conn.stream().as_raw_fd());
+            self.budgeted_conns -= usize::from(conn.budgeted());
             drop(conn);
             entry.gen = entry.gen.wrapping_add(1);
             self.free.push(slot);
@@ -919,6 +998,14 @@ mod tests {
         await_until("conn close after client hangup", || {
             reactor.open_conns() == 0
         });
+        // A request with the hang-up right behind it is still answered.
+        let mut conn = connect(addr);
+        conn.write_request(&Request::get("/last")).unwrap();
+        conn.stream().shutdown(std::net::Shutdown::Write).unwrap();
+        expect_canned(&mut conn, "/last");
+        await_until("conn close after the last answer", || {
+            reactor.open_conns() == 0
+        });
     }
 
     /// Requests that arrive in one segment are answered one at a time,
@@ -926,14 +1013,14 @@ mod tests {
     #[test]
     fn pipelined_requests_answer_in_order() {
         let (_reactor, addr) = spawn_reactor(16, 1200);
-        let paths = ["/a", "/b", "/c", "/d"];
+        let paths: Vec<String> = (0..50).map(|i| format!("/f{i}")).collect();
         let mut wire = Vec::new();
-        for path in paths {
-            wire.extend_from_slice(&Request::get(path).to_bytes());
+        for path in &paths {
+            wire.extend_from_slice(&Request::get(path.as_str()).to_bytes());
         }
         let mut conn = connect(addr);
         conn.stream().write_all(&wire).unwrap();
-        for path in paths {
+        for path in &paths {
             expect_canned(&mut conn, path);
         }
     }

@@ -134,21 +134,32 @@ impl Epoll {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
-    /// Wait for readiness; returns how many entries of `events` were
-    /// filled. A timeout or an interrupting signal yields `Ok(0)`.
-    pub fn epoll_wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+    /// Wait for readiness, `timeout_ms` at most (negative: for as long
+    /// as it takes). `Some(n)`: `n` entries of `events` were filled —
+    /// none, if the timeout ran out. `None`: a signal cut the wait
+    /// short, which is neither.
+    pub fn epoll_wait(
+        &self,
+        events: &mut [EpollEvent],
+        timeout_ms: i32,
+    ) -> io::Result<Option<usize>> {
         let max = events.len().min(c_int::MAX as usize) as c_int;
         // SAFETY: the buffer is valid for `max` entries for the whole
         // call; the kernel writes at most `max` of them.
         let n = unsafe { epoll_wait(self.fd, events.as_mut_ptr(), max, timeout_ms) };
         if n < 0 {
-            let err = io::Error::last_os_error();
-            if err.kind() == io::ErrorKind::Interrupted {
-                return Ok(0);
-            }
-            return Err(err);
+            return interrupted(io::Error::last_os_error());
         }
-        Ok(n as usize)
+        Ok(Some(n as usize))
+    }
+}
+
+/// What a wait that failed with `err` amounts to: a signal is no
+/// failure, and no timeout either.
+fn interrupted(err: io::Error) -> io::Result<Option<usize>> {
+    match err.kind() {
+        io::ErrorKind::Interrupted => Ok(None),
+        _ => Err(err),
     }
 }
 
@@ -255,17 +266,31 @@ mod tests {
 
         let mut events = [EpollEvent::zeroed(); 4];
         // Nothing pending: times out empty.
-        assert_eq!(ep.epoll_wait(&mut events, 0).unwrap(), 0);
+        assert_eq!(ep.epoll_wait(&mut events, 0).unwrap(), Some(0));
 
         wake.wake();
         wake.wake(); // coalesces into one readable edge
         let n = ep.epoll_wait(&mut events, 1000).unwrap();
-        assert_eq!(n, 1);
+        assert_eq!(n, Some(1));
         assert_eq!(events[0].token(), 7);
         assert_ne!(events[0].events() & EPOLLIN, 0);
 
         wake.drain();
-        assert_eq!(ep.epoll_wait(&mut events, 0).unwrap(), 0);
+        assert_eq!(ep.epoll_wait(&mut events, 0).unwrap(), Some(0));
+    }
+
+    /// `EINTR` is not a tick: the reactor sweeps its stall budgets on
+    /// `Some(0)`, and a signal must not read as one.
+    #[test]
+    fn an_interrupted_wait_is_neither_ready_nor_timed_out() {
+        const EINTR: i32 = 4;
+        const EBADF: i32 = 9;
+        assert_eq!(
+            interrupted(io::Error::from_raw_os_error(EINTR)).unwrap(),
+            None
+        );
+        let other = interrupted(io::Error::from_raw_os_error(EBADF)).unwrap_err();
+        assert_eq!(other.raw_os_error(), Some(EBADF));
     }
 
     /// Wait for `sock` to poll writable and report its `SO_ERROR`.
@@ -274,7 +299,7 @@ mod tests {
         let ep = Epoll::new().unwrap();
         ep.add(sock.as_raw_fd(), EPOLLOUT, 1).unwrap();
         let mut events = [EpollEvent::zeroed(); 1];
-        assert_eq!(ep.epoll_wait(&mut events, 10_000).unwrap(), 1);
+        assert_eq!(ep.epoll_wait(&mut events, 10_000).unwrap(), Some(1));
         sock.take_error().unwrap()
     }
 
@@ -316,9 +341,9 @@ mod tests {
         wake.wake();
         let mut events = [EpollEvent::zeroed(); 4];
         let n = ep.epoll_wait(&mut events, 1000).unwrap();
-        assert_eq!(n, 1);
+        assert_eq!(n, Some(1));
         assert_eq!(events[0].token(), 2);
         ep.del(wake.fd()).unwrap();
-        assert_eq!(ep.epoll_wait(&mut events, 0).unwrap(), 0);
+        assert_eq!(ep.epoll_wait(&mut events, 0).unwrap(), Some(0));
     }
 }

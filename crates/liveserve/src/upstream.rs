@@ -39,10 +39,10 @@ use httpsim::Response;
 use wcc_obs::{ObsEvent, ProbeHandle};
 
 use crate::clock::LiveClock;
-use crate::conn::{read_available, write_pending};
+use crate::conn::{read_available, read_once, write_pending, ReadEnd};
 use crate::control::{ControlMsg, MAX_LINE};
 use crate::netio::{invalid, log_conn_error, MAX_FRAME};
-use crate::reactor::{upstream_token, Arrived};
+use crate::reactor::{upstream_token, Arrived, Ready};
 use crate::sys::{connect_nonblocking, Epoll, EPOLLET, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
 /// Keep-alive origin connections per shard. Misses and validations are
@@ -128,18 +128,31 @@ impl Wire {
         write_pending(&self.stream, &self.wbuf, &mut self.wpos).map(drop)
     }
 
-    /// Read what has arrived, keeping at most `cap` unparsed bytes.
-    /// `Ok(true)` means the peer hung up.
-    pub(crate) fn fill(&mut self, cap: usize) -> io::Result<bool> {
-        read_available(&self.stream, &mut self.rbuf, cap)
+    /// Read what has arrived, through `scratch`, keeping at most `cap`
+    /// unparsed bytes. `Ok(true)` means the peer hung up.
+    pub(crate) fn fill(&mut self, cap: usize, hup: bool, scratch: &mut [u8]) -> io::Result<bool> {
+        read_available(&self.stream, &mut self.rbuf, cap, hup, scratch)
     }
 
-    /// Take every whole line that has arrived, terminators included; a
-    /// line still arriving stays buffered.
-    pub(crate) fn lines(&mut self) -> io::Result<String> {
+    /// One `read` of a line protocol: every whole line it completed,
+    /// terminators included, and whether to read again. Only a line
+    /// still arriving stays buffered, and only that is held to
+    /// [`MAX_LINE`] — however many whole ones came with it.
+    pub(crate) fn read_lines(
+        &mut self,
+        hup: bool,
+        scratch: &mut [u8],
+    ) -> io::Result<(String, ReadEnd)> {
+        // (The tail is within `MAX_LINE` on entry: this cap cannot trip.)
+        let cap = MAX_LINE + scratch.len();
+        let end = read_once(&self.stream, &mut self.rbuf, cap, hup, scratch)?;
         let whole = self.rbuf.iter().rposition(|&b| b == b'\n');
         let whole = self.rbuf.drain(..whole.map_or(0, |at| at + 1));
-        String::from_utf8(whole.collect()).map_err(invalid)
+        let lines = String::from_utf8(whole.collect()).map_err(invalid)?;
+        if self.rbuf.len() > MAX_LINE {
+            return Err(invalid("control line exceeds MAX_LINE"));
+        }
+        Ok((lines, end))
     }
 }
 
@@ -337,8 +350,8 @@ impl<K> ShardIo<K> {
         ep: &Epoll,
         i: usize,
         gen: u32,
-        readable: bool,
-        writable: bool,
+        ready: Ready,
+        scratch: &mut [u8],
     ) -> Option<(K, Arrived)> {
         let slot = &mut self.conns[i];
         if slot.gen != gen {
@@ -346,7 +359,7 @@ impl<K> ShardIo<K> {
         }
         let conn = slot.conn.as_mut()?;
         let was_dialing = conn.dialing;
-        let outcome = conn.drive(readable, writable);
+        let outcome = conn.drive(ready, scratch);
         if was_dialing && !conn.dialing {
             self.env.counters.dials.fetch_add(1, Ordering::Relaxed);
             self.record(ObsEvent::Upstream { reused: false });
@@ -362,6 +375,13 @@ impl<K> ShardIo<K> {
                 None
             }
         }
+    }
+
+    /// Whether a tick would count against anything: an exchange is
+    /// dialling or in progress (a wait-listed one is behind four such).
+    pub(crate) fn budgeted(&self) -> bool {
+        let busy = |s: &Slot<K>| s.conn.as_ref().is_some_and(|c| c.busy.is_some());
+        self.conns.iter().any(busy)
     }
 
     /// One poll tick: a connection whose exchange made no progress for
@@ -406,14 +426,14 @@ impl<K> ShardIo<K> {
     pub(crate) fn control_ready(
         &mut self,
         ep: &Epoll,
-        readable: bool,
-        writable: bool,
+        ready: Ready,
+        scratch: &mut [u8],
         mut on: impl FnMut(ControlEvent<'_, K>),
     ) {
         let Some(control) = self.control.as_mut() else {
             return;
         };
-        if let Err(e) = control.drive(readable, writable, &mut on) {
+        if let Err(e) = control.drive(ready, scratch, &mut on) {
             log_conn_error("proxy-control", &e);
             let _ = ep.del(control.wire.stream.as_raw_fd());
             if let Some(dead) = self.control.take() {
@@ -428,8 +448,8 @@ impl<K> ShardIo<K> {
 impl<K> DataConn<K> {
     /// Move bytes both ways; `Ok(Some(..))` once the reply to the
     /// exchange in progress is complete.
-    fn drive(&mut self, readable: bool, writable: bool) -> io::Result<Option<Arrived>> {
-        if writable {
+    fn drive(&mut self, ready: Ready, scratch: &mut [u8]) -> io::Result<Option<Arrived>> {
+        if ready.writable {
             if self.dialing {
                 if let Some(e) = self.wire.stream.take_error()? {
                     return Err(e);
@@ -438,11 +458,11 @@ impl<K> DataConn<K> {
             }
             self.wire.flush()?;
         }
-        if !readable || self.dialing {
+        if !ready.readable || self.dialing {
             return Ok(None);
         }
         let had = self.wire.rbuf.len();
-        let eof = self.wire.fill(MAX_FRAME)?;
+        let eof = self.wire.fill(MAX_FRAME, ready.hup, scratch)?;
         if self.busy.is_none() {
             // Idle: anything at all, a hangup included, retires it.
             return Err(io::ErrorKind::ConnectionAborted.into());
@@ -470,43 +490,50 @@ impl<K> DataConn<K> {
 impl<K> Control<K> {
     fn drive(
         &mut self,
-        readable: bool,
-        writable: bool,
+        ready: Ready,
+        scratch: &mut [u8],
         on: &mut impl FnMut(ControlEvent<'_, K>),
     ) -> io::Result<()> {
-        if writable {
+        if ready.writable {
             self.wire.flush()?;
         }
-        if !readable {
+        if !ready.readable {
             return Ok(());
         }
-        let eof = self.wire.fill(MAX_LINE)?;
-        for line in self.wire.lines()?.split_terminator('\n') {
-            match ControlMsg::parse(line)? {
-                ControlMsg::Ok => {
-                    let Some(front) = self.pending.front_mut() else {
-                        return Err(invalid("OK with no command outstanding"));
-                    };
-                    front.0 -= 1;
-                    if front.0 == 0 {
-                        if let Some((_, k)) = self.pending.pop_front() {
-                            on(ControlEvent::Acked(k));
+        let eof = loop {
+            let (lines, end) = self.wire.read_lines(ready.hup, scratch)?;
+            for line in lines.split_terminator('\n') {
+                match ControlMsg::parse(line)? {
+                    ControlMsg::Ok => {
+                        let Some(front) = self.pending.front_mut() else {
+                            return Err(invalid("OK with no command outstanding"));
+                        };
+                        front.0 -= 1;
+                        if front.0 == 0 {
+                            if let Some((_, k)) = self.pending.pop_front() {
+                                on(ControlEvent::Acked(k));
+                            }
                         }
                     }
-                }
-                // Ack only after the caller has marked the entry: once
-                // the origin sees the ACK, no client can be served the
-                // stale copy.
-                ControlMsg::Invalidate(path) => {
-                    on(ControlEvent::Invalidate(&path));
-                    self.wire.queue(ControlMsg::Ack.encode().as_bytes());
-                }
-                other => {
-                    let what = format!("unexpected control message at proxy: {other:?}");
-                    return Err(invalid(what));
+                    // Ack only after the caller has marked the entry: once
+                    // the origin sees the ACK, no client can be served the
+                    // stale copy.
+                    ControlMsg::Invalidate(path) => {
+                        on(ControlEvent::Invalidate(&path));
+                        self.wire.queue(ControlMsg::Ack.encode().as_bytes());
+                    }
+                    other => {
+                        let what = format!("unexpected control message at proxy: {other:?}");
+                        return Err(invalid(what));
+                    }
                 }
             }
-        }
+            match end {
+                ReadEnd::More => {}
+                ReadEnd::Drained => break false,
+                ReadEnd::Eof => break true,
+            }
+        };
         self.wire.flush()?;
         if eof {
             return Err(io::Error::new(
@@ -515,5 +542,212 @@ impl<K> Control<K> {
             ));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sys::EpollEvent;
+    use httpsim::{HttpDate, Request};
+    use simcore::SimTime;
+    use std::io::{Read as _, Write as _};
+    use std::net::TcpListener;
+    use std::thread;
+
+    /// A shard of one test, driven by hand: a listener playing the
+    /// origin, the shard's epoll set, and the scratch its reads go
+    /// through.
+    struct Driven {
+        origin: TcpListener,
+        ep: Epoll,
+        io: ShardIo<&'static str>,
+        scratch: Vec<u8>,
+    }
+
+    impl Driven {
+        /// With a control channel when `control` is set; its far end
+        /// comes back too.
+        fn new(control: bool) -> (Driven, Option<TcpStream>) {
+            let origin = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = origin.local_addr().unwrap();
+            let ours = control.then(|| TcpStream::connect(addr).unwrap());
+            let theirs = ours.as_ref().map(|_| origin.accept().unwrap().0);
+            let ep = Epoll::new().unwrap();
+            let env = PoolEnv {
+                budget_ticks: 10,
+                counters: Arc::default(),
+                probe: ProbeHandle::none(),
+                clock: LiveClock::virtual_at(SimTime::ZERO),
+            };
+            let upstream = Upstream {
+                origin: addr,
+                control: ours,
+            };
+            let io = ShardIo::new(0, 0, upstream, &ep, env).unwrap();
+            let scratch = vec![0; 64 * 1024];
+            let driven = Driven {
+                origin,
+                ep,
+                io,
+                scratch,
+            };
+            (driven, theirs)
+        }
+
+        /// The next readiness notification within `ms`, as (connection,
+        /// generation, what it said). There is one socket at a time in
+        /// these tests.
+        fn poll(&self, ms: i32) -> Option<(usize, u32, Ready)> {
+            let mut events = [EpollEvent::zeroed(); 1];
+            let n = self.ep.epoll_wait(&mut events, ms).unwrap();
+            let token = events[0].token();
+            let which = (token & 0xffff) as usize % SLOTS_PER_SHARD;
+            let ready = Ready::from_mask(events[0].events());
+            (n == Some(1)).then_some((which, (token >> 32) as u32, ready))
+        }
+
+        fn wait(&self) -> (usize, u32, Ready) {
+            self.poll(10_000).expect("a notification within 10 s")
+        }
+
+        /// Start an exchange, and play the origin's side of its dial:
+        /// the accepted connection, with the request read off it.
+        fn dialled(&mut self, k: &'static str) -> TcpStream {
+            let request = Request::get(k).to_bytes();
+            self.io.exchange(&self.ep, request.clone(), k);
+            let (mut origin, _) = self.origin.accept().unwrap();
+            let (which, gen, ready) = self.wait();
+            assert!(ready.writable && !ready.readable);
+            let nothing = self
+                .io
+                .conn_ready(&self.ep, which, gen, ready, &mut self.scratch);
+            assert!(nothing.is_none());
+            let mut read = vec![0; request.len()];
+            origin.read_exact(&mut read).unwrap();
+            assert_eq!(read, request);
+            origin
+        }
+
+        /// Drive the one busy connection until its reply is in: the
+        /// reply, and whether the last notification carried a hang-up.
+        fn reply(&mut self) -> (usize, Vec<u8>, bool) {
+            loop {
+                let (which, gen, ready) = self.wait();
+                let got = self
+                    .io
+                    .conn_ready(&self.ep, which, gen, ready, &mut self.scratch);
+                if let Some((_, Arrived::Reply(_, body, _))) = got {
+                    return (which, body, ready.hup);
+                }
+            }
+        }
+    }
+
+    fn ok(body: &[u8]) -> Vec<u8> {
+        Response::ok(HttpDate(2), HttpDate(1), body.len() as u64).to_bytes(body)
+    }
+
+    /// A read that stops at a short count must not cost the pool its
+    /// view of a hang-up: one that arrives with the reply is read
+    /// through to, one that arrives later raises its own edge — either
+    /// way the next exchange is not started on that socket.
+    #[test]
+    fn a_hang_up_with_the_reply_or_behind_it_retires_the_connection() {
+        let (mut d, _) = Driven::new(false);
+
+        // With the reply: one notification, read through to the EOF.
+        let mut origin = d.dialled("/a");
+        origin.write_all(&ok(b"first")).unwrap();
+        drop(origin);
+        let (i, body, hup) = d.reply();
+        assert!(hup, "loopback delivers the FIN with the bytes before it");
+        assert_eq!(body, b"first");
+        assert!(d.io.conns[i].conn.as_ref().unwrap().hung_up);
+        d.io.release(&d.ep, i);
+        assert!(d.io.conns[i].conn.is_none(), "not back in the pool");
+
+        // Behind the reply: the read stops short, the connection pools,
+        // and the hang-up's own edge retires it while it idles.
+        let mut origin = d.dialled("/b");
+        origin.write_all(&ok(b"second")).unwrap();
+        let (i, body, hup) = d.reply();
+        assert!(!hup);
+        assert_eq!(body, b"second");
+        d.io.release(&d.ep, i);
+        assert!(d.io.conns[i].conn.is_some(), "pooled");
+        drop(origin);
+        let (which, gen, ready) = d.wait();
+        assert!(ready.hup);
+        let nothing = d.io.conn_ready(&d.ep, which, gen, ready, &mut d.scratch);
+        assert!(nothing.is_none());
+        assert!(d.io.conns[i].conn.is_none(), "retired while idle");
+
+        assert_eq!(d.io.env.counters.dials.load(Ordering::Relaxed), 2);
+        assert!(d.io.failed.is_empty());
+    }
+
+    /// A reply several times the scratch arrives whole, a scratch-full
+    /// at a time.
+    #[test]
+    fn a_reply_larger_than_the_scratch_arrives_whole() {
+        let (mut d, _) = Driven::new(false);
+        let mut origin = d.dialled("/big");
+        let body: Vec<u8> = (0..200 * 1024).map(|i| (i % 251) as u8).collect();
+        let wire = ok(&body);
+        let writer = thread::spawn(move || {
+            origin.write_all(&wire).unwrap();
+            origin
+        });
+        let (i, got, _) = d.reply();
+        assert!(got == body, "200 KiB, byte for byte");
+        d.io.release(&d.ep, i);
+        assert!(d.io.conns[i].conn.is_some(), "nothing left over: pooled");
+        drop(writer.join().unwrap());
+    }
+
+    /// The proxy's end of `control::tests::a_burst_of_whole_lines_…`:
+    /// twice `MAX_LINE` of whole `INVALIDATE` lines is so many
+    /// invalidations, each `ACK`ed; one line that long ends the channel.
+    #[test]
+    fn a_burst_of_whole_control_lines_is_not_an_oversized_line() {
+        let (mut d, theirs) = Driven::new(true);
+        let mut theirs = theirs.unwrap();
+        let notices = 2 * MAX_LINE / "INVALIDATE /a\n".len();
+        let writer = thread::spawn(move || {
+            theirs
+                .write_all("INVALIDATE /a\n".repeat(notices).as_bytes())
+                .unwrap();
+            let mut acks = vec![0; notices * "ACK\n".len()];
+            theirs.read_exact(&mut acks).unwrap();
+            assert_eq!(acks, "ACK\n".repeat(notices).as_bytes());
+            theirs
+        });
+        let mut heard = 0;
+        while heard < notices {
+            let (_, _, ready) = d.wait();
+            d.io.control_ready(&d.ep, ready, &mut d.scratch, |event| match event {
+                ControlEvent::Invalidate(path) => {
+                    assert_eq!(path, "/a");
+                    heard += 1;
+                }
+                ControlEvent::Acked(k) => panic!("nothing was asked, {k} answered"),
+            });
+        }
+        assert_eq!(heard, notices);
+        // (The `ACK`s may still be draining: writable edges flush them.)
+        while !writer.is_finished() {
+            if let Some((_, _, ready)) = d.poll(5) {
+                d.io.control_ready(&d.ep, ready, &mut d.scratch, |_| {});
+            }
+        }
+        let mut theirs = writer.join().unwrap();
+        assert!(d.io.control.is_some(), "the channel took it all");
+
+        theirs.write_all(&vec![b'X'; MAX_LINE + 1]).unwrap();
+        while d.io.control.is_some() {
+            let (_, _, ready) = d.wait();
+            d.io.control_ready(&d.ep, ready, &mut d.scratch, |_| {});
+        }
     }
 }

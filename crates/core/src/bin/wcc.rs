@@ -198,13 +198,10 @@ fn scale(a: &Flags) -> Scale {
     }
 }
 
-/// `--jobs N` sizes the sweep executor; 0 or absent defers to `WCC_JOBS`,
-/// then to the hardware.
+/// `--jobs N` sizes the sweep executor; 0 or absent sizes it to the
+/// hardware.
 fn runner(a: &Flags) -> Result<SweepRunner, String> {
-    Ok(match a.get("jobs", 0)? {
-        0 => SweepRunner::from_env(),
-        jobs => SweepRunner::new(jobs),
-    })
+    Ok(SweepRunner::new(a.get("jobs", 0)?))
 }
 
 /// Default per-point ring capacity for event captures.
@@ -235,7 +232,7 @@ fn cmd_figure(a: &Flags) -> Result<(), String> {
 /// halves and self-checks the live one.
 fn cmd_figures(a: &Flags) -> Result<(), String> {
     use wcc_load::ScheduleConfig;
-    use webcache::experiments::policies::{render_policy_figures, run_policies_with};
+    use webcache::experiments::policies::{render_policy_figures, run_policies};
 
     if a.raw("policies") != Some("new") {
         return Err("figures needs --policies new".to_string());
@@ -250,7 +247,7 @@ fn cmd_figures(a: &Flags) -> Result<(), String> {
         s.alex_thresholds = vec![5, 50];
         s.ttl_hours = vec![24, 168];
     }
-    let report = run_policies_with(&s, &runner(a)?);
+    let report = run_policies(&s, &runner(a)?);
     println!(
         "{}",
         render_policy_figures("Literature policies (decision-API extensions)", &report)
@@ -294,13 +291,10 @@ fn cmd_figures(a: &Flags) -> Result<(), String> {
 
 fn table(n: &str, quick: bool, runner: &SweepRunner) -> Result<(), String> {
     match n {
-        "1" => println!("{}", render_table1(&tables::table1_with(1996, runner))),
+        "1" => println!("{}", render_table1(&tables::table1(1996, runner))),
         "2" => {
             let requests = if quick { 20_000 } else { 150_000 };
-            println!(
-                "{}",
-                render_table2(&tables::table2_with(1996, requests, runner))
-            );
+            println!("{}", render_table2(&tables::table2(1996, requests, runner)));
         }
         _ => return Err("table takes 1 or 2".to_string()),
     }
@@ -344,7 +338,7 @@ fn run_ablations(runner: &SweepRunner) {
         "{:<58}{:>10}{:>11}{:>8}{:>7}",
         "variant", "alex20 MB", "inval MB", "stale%", "wins?"
     );
-    for r in ablations::workload_ablation_with(800, 30_000, 1996, runner) {
+    for r in ablations::workload_ablation(800, 30_000, 1996, runner) {
         println!(
             "{:<58}{:>10.3}{:>11.3}{:>8.2}{:>7}",
             r.variant,
@@ -359,7 +353,7 @@ fn run_ablations(runner: &SweepRunner) {
     let wl = Workload::from_server_trace(&campus.trace);
 
     println!("\n== Ablation: message costing (HCS, Alex@20%) ==");
-    let (paper, wire) = ablations::costing_ablation_with(&wl, ProtocolSpec::Alex(20), runner);
+    let (paper, wire) = ablations::costing_ablation(&wl, ProtocolSpec::Alex(20), runner);
     println!(
         "  43-byte messages: {:.3} MB | serialised HTTP/1.0: {:.3} MB | behaviour identical: {}",
         paper.total_mb(),
@@ -370,7 +364,7 @@ fn run_ablations(runner: &SweepRunner) {
     println!("\n== Ablation: dynamic (uncacheable) cgi content (HCS, Alex@20%) ==");
     let cgi = webtrace::FileType::Cgi.class_index();
     let (cacheable, dynamic) =
-        ablations::dynamic_content_ablation_with(&wl, ProtocolSpec::Alex(20), cgi, runner);
+        ablations::dynamic_content_ablation(&wl, ProtocolSpec::Alex(20), cgi, runner);
     println!(
         "  cgi cached: {:.3} MB, {:.2}% miss | cgi forwarded: {:.3} MB, {:.2}% miss",
         cacheable.total_mb(),
@@ -380,7 +374,7 @@ fn run_ablations(runner: &SweepRunner) {
     );
 
     println!("\n== Ablation: self-tuning vs fixed Alex thresholds (HCS) ==");
-    let (tuned, fixed) = ablations::selftuning_comparison_with(&wl, &[5, 10, 20, 50, 100], runner);
+    let (tuned, fixed) = ablations::selftuning_comparison(&wl, &[5, 10, 20, 50, 100], runner);
     print_cost_row("self-tuning ", &tuned);
     for (pct, r) in fixed {
         print_cost_row(&format!("fixed {pct:>3}%  "), &r);
@@ -391,8 +385,7 @@ fn run_ablations(runner: &SweepRunner) {
         "  {:>10}{:>12}{:>10}{:>9}{:>9}",
         "capacity", "bandwidth", "evicted", "miss%", "stale%"
     );
-    for p in
-        ablations::capacity_sweep_with(&wl, ProtocolSpec::Alex(30), &[0.02, 0.1, 0.5, 2.0], runner)
+    for p in ablations::capacity_sweep(&wl, ProtocolSpec::Alex(30), &[0.02, 0.1, 0.5, 2.0], runner)
     {
         println!(
             "  {:>9.0}%{:>9.3} MB{:>10}{:>9.2}{:>9.2}",
@@ -406,7 +399,7 @@ fn run_ablations(runner: &SweepRunner) {
 
     println!("\n== Ablation: eviction policy at 10% capacity (HCS, Alex@30%) ==");
     let (lru, le, fifo, fe) =
-        ablations::eviction_policy_comparison_with(&wl, ProtocolSpec::Alex(30), 0.10, runner);
+        ablations::eviction_policy_comparison(&wl, ProtocolSpec::Alex(30), 0.10, runner);
     println!(
         "  LRU : {:.3} MB, {:.2}% miss, {le} evictions | FIFO: {:.3} MB, {:.2}% miss, {fe} evictions",
         lru.total_mb(),
@@ -416,7 +409,7 @@ fn run_ablations(runner: &SweepRunner) {
     );
 
     println!("\n== Ablation: mean request latency (HCS; 150ms RTT, 28.8kbps link) ==");
-    for (name, ms) in ablations::latency_comparison_with(&wl, 150.0, 3_600.0, runner) {
+    for (name, ms) in ablations::latency_comparison(&wl, 150.0, 3_600.0, runner) {
         println!("  {name:<18}: {ms:>8.1} ms/request");
     }
 
@@ -425,7 +418,7 @@ fn run_ablations(runner: &SweepRunner) {
         from: wl.start + SimDuration::from_days(5),
         until: wl.start + SimDuration::from_days(5) + SimDuration::from_hours(12),
     }];
-    let (part, alex) = failure::resilience_comparison_with(&wl, &outages, 10, runner);
+    let (part, alex) = failure::resilience_comparison(&wl, &outages, 10, runner);
     println!(
         "  invalidation: {} stale hits, {} failed delivery attempts, {} late notices",
         part.result.cache.stale_hits, part.failed_attempts, part.late_deliveries
@@ -436,7 +429,7 @@ fn run_ablations(runner: &SweepRunner) {
     );
 
     println!("\n== Extension: staleness severity (HCS; how old is stale data?) ==");
-    for (name, stale_pct, severity) in ablations::severity_comparison_with(&wl, runner) {
+    for (name, stale_pct, severity) in ablations::severity_comparison(&wl, runner) {
         match severity {
             Some(hours) => {
                 println!("  {name:<16}: {stale_pct:>5.2}% stale, {hours:>7.1} h mean staleness age")
@@ -450,7 +443,7 @@ fn run_ablations(runner: &SweepRunner) {
         "  {:<6}{:>9}{:>12}{:>12}{:>12}{:>11}{:>11}",
         "trace", "remote%", "no-proxy", "boundary", "universal", "bnd-red%", "uni-red%"
     );
-    for row in deployment::deployment_comparison_with(ProtocolSpec::Alex(20), 1996, 1, runner) {
+    for row in deployment::deployment_comparison(ProtocolSpec::Alex(20), 1996, 1, runner) {
         println!(
             "  {:<6}{:>8.0}%{:>12}{:>12}{:>12}{:>10.1}%{:>10.1}%",
             row.trace,
@@ -786,7 +779,7 @@ fn cmd_replay(a: &Flags) -> Result<(), String> {
 /// proxy while an active mix runs, and gate on the reactor's scaling
 /// invariants.
 fn cmd_soak(a: &Flags) -> Result<(), String> {
-    use liveserve::{run_soak, SoakConfig};
+    use wcc_load::{run_soak, SoakConfig};
 
     let mut cfg = if a.has("smoke") {
         SoakConfig::smoke()
@@ -797,6 +790,16 @@ fn cmd_soak(a: &Flags) -> Result<(), String> {
     cfg.worker_processes = a.get("processes", cfg.worker_processes)?;
     cfg.reactor_threads = a.get("reactor-threads", cfg.reactor_threads)?;
     cfg.active = a.get("active", cfg.active)?;
+    // The stack's proxy admits `DEFAULT_MAX_CONNS` clients: the idle
+    // ones, the active mix's, and spare for the warm-up client's and any
+    // a reactor has not yet reaped.
+    let (need, cap) = (cfg.conns + cfg.active + 64, liveserve::DEFAULT_MAX_CONNS);
+    if need > cap {
+        return Err(format!(
+            "--conns {} needs {need} proxy connections, the cap is {cap}",
+            cfg.conns
+        ));
+    }
 
     // Capture the reactor's event stream (ConnAccepted/ConnClosed/
     // AcceptBacklog plus per-request latency) into a ring large enough
@@ -902,9 +905,12 @@ fn main() {
     let name = args.first().map_or("", String::as_str);
     let rest = args.get(1..).unwrap_or_default();
     let result = match name {
-        "soak-worker" => match (rest.first(), rest.get(1).and_then(|v| v.parse().ok())) {
+        "soak-worker" => match (
+            rest.first().and_then(|v| v.parse().ok()),
+            rest.get(1).and_then(|v| v.parse().ok()),
+        ) {
             (Some(addr), Some(conns)) => {
-                liveserve::soak_worker(addr, conns).unwrap_or_else(|e| fail("soak-worker", e));
+                wcc_load::soak_worker(addr, conns).unwrap_or_else(|e| fail("soak-worker", e));
                 Ok(())
             }
             _ => Err("soak-worker takes ADDR N".to_string()),

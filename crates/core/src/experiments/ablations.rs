@@ -46,15 +46,10 @@ impl AblationRow {
 }
 
 /// Walk from Worrell's workload to the trace-informed one, one knob at a
-/// time, measuring Alex-vs-invalidation at each step.
-pub fn workload_ablation(files: usize, requests: usize, seed: u64) -> Vec<AblationRow> {
-    workload_ablation_with(files, requests, seed, &SweepRunner::default())
-}
-
-/// [`workload_ablation`] with an explicit sweep executor (one worker per
+/// time, measuring Alex-vs-invalidation at each step (one worker per
 /// knob variant; each variant generates its own workload and runs both
 /// protocols).
-pub fn workload_ablation_with(
+pub fn workload_ablation(
     files: usize,
     requests: usize,
     seed: u64,
@@ -122,14 +117,9 @@ pub fn workload_ablation_with(
 }
 
 /// Compare the paper's flat 43-byte message accounting against exact
-/// serialised HTTP/1.0 sizes on the same workload and protocol.
-pub fn costing_ablation(workload: &Workload, spec: ProtocolSpec) -> (RunResult, RunResult) {
-    costing_ablation_with(workload, spec, &SweepRunner::default())
-}
-
-/// [`costing_ablation`] with an explicit sweep executor (the two costings
-/// run as a parallel pair).
-pub fn costing_ablation_with(
+/// serialised HTTP/1.0 sizes on the same workload and protocol (the two
+/// costings run as a parallel pair).
+pub fn costing_ablation(
     workload: &Workload,
     spec: ProtocolSpec,
     runner: &SweepRunner,
@@ -148,18 +138,9 @@ pub fn costing_ablation_with(
 
 /// The §5 dynamic-content scenario: run the same trace with a class
 /// treated as cacheable versus dynamically generated (uncacheable).
-/// Returns `(cacheable, uncacheable)` results for the given protocol.
+/// Returns `(cacheable, uncacheable)` results for the given protocol
+/// (the two treatments run as a parallel pair).
 pub fn dynamic_content_ablation(
-    workload: &Workload,
-    spec: ProtocolSpec,
-    dynamic_class: usize,
-) -> (RunResult, RunResult) {
-    dynamic_content_ablation_with(workload, spec, dynamic_class, &SweepRunner::default())
-}
-
-/// [`dynamic_content_ablation`] with an explicit sweep executor (the two
-/// treatments run as a parallel pair).
-pub fn dynamic_content_ablation_with(
     workload: &Workload,
     spec: ProtocolSpec,
     dynamic_class: usize,
@@ -192,18 +173,9 @@ pub struct CapacityPoint {
 /// The bounded-cache extension: sweep cache capacity (as a fraction of
 /// the working set) and measure how eviction pressure interacts with the
 /// consistency protocol (evicted entries lose their validation history;
-/// under invalidation they also drop their subscription).
+/// under invalidation they also drop their subscription). One worker
+/// per capacity fraction.
 pub fn capacity_sweep(
-    workload: &Workload,
-    spec: ProtocolSpec,
-    fractions: &[f64],
-) -> Vec<CapacityPoint> {
-    capacity_sweep_with(workload, spec, fractions, &SweepRunner::default())
-}
-
-/// [`capacity_sweep`] with an explicit sweep executor (one worker per
-/// capacity fraction).
-pub fn capacity_sweep_with(
     workload: &Workload,
     spec: ProtocolSpec,
     fractions: &[f64],
@@ -230,18 +202,9 @@ pub fn capacity_sweep_with(
 }
 
 /// Eviction-policy ablation: the same bounded capacity under LRU versus
-/// FIFO eviction. Returns `(lru, lru_evictions, fifo, fifo_evictions)`.
+/// FIFO eviction, run as a parallel pair. Returns
+/// `(lru, lru_evictions, fifo, fifo_evictions)`.
 pub fn eviction_policy_comparison(
-    workload: &Workload,
-    spec: ProtocolSpec,
-    capacity_fraction: f64,
-) -> (RunResult, u64, RunResult, u64) {
-    eviction_policy_comparison_with(workload, spec, capacity_fraction, &SweepRunner::default())
-}
-
-/// [`eviction_policy_comparison`] with an explicit sweep executor (LRU and
-/// FIFO run as a parallel pair).
-pub fn eviction_policy_comparison_with(
     workload: &Workload,
     spec: ProtocolSpec,
     capacity_fraction: f64,
@@ -273,18 +236,8 @@ pub fn eviction_policy_comparison_with(
 
 /// The §3 latency trade, quantified: mean per-request latency for each
 /// protocol under a simple link model (one RTT per origin contact plus
-/// body transfer time).
+/// body transfer time). One worker per protocol.
 pub fn latency_comparison(
-    workload: &Workload,
-    rtt_ms: f64,
-    bytes_per_sec: f64,
-) -> Vec<(String, f64)> {
-    latency_comparison_with(workload, rtt_ms, bytes_per_sec, &SweepRunner::default())
-}
-
-/// [`latency_comparison`] with an explicit sweep executor (one worker per
-/// protocol).
-pub fn latency_comparison_with(
     workload: &Workload,
     rtt_ms: f64,
     bytes_per_sec: f64,
@@ -306,14 +259,9 @@ pub fn latency_comparison_with(
 
 /// Staleness *severity* comparison (extension metric): the paper counts
 /// stale hits; this also asks how out-of-date the served copies were.
-/// Returns `(protocol label, stale %, mean stale age in hours)` rows.
-pub fn severity_comparison(workload: &Workload) -> Vec<(String, f64, Option<f64>)> {
-    severity_comparison_with(workload, &SweepRunner::default())
-}
-
-/// [`severity_comparison`] with an explicit sweep executor (one worker per
-/// protocol).
-pub fn severity_comparison_with(
+/// Returns `(protocol label, stale %, mean stale age in hours)` rows
+/// (one worker per protocol).
+pub fn severity_comparison(
     workload: &Workload,
     runner: &SweepRunner,
 ) -> Vec<(String, f64, Option<f64>)> {
@@ -332,17 +280,9 @@ pub fn severity_comparison_with(
 }
 
 /// Compare the self-tuning policy against a sweep of fixed Alex
-/// thresholds on one workload. Returns `(self_tuning, fixed_sweep)`.
+/// thresholds on one workload; the tuned run executes alongside the
+/// fixed-threshold sweep. Returns `(self_tuning, fixed_sweep)`.
 pub fn selftuning_comparison(
-    workload: &Workload,
-    thresholds: &[u32],
-) -> (RunResult, Vec<(u32, RunResult)>) {
-    selftuning_comparison_with(workload, thresholds, &SweepRunner::default())
-}
-
-/// [`selftuning_comparison`] with an explicit sweep executor: the tuned
-/// run executes alongside the fixed-threshold sweep.
-pub fn selftuning_comparison_with(
     workload: &Workload,
     thresholds: &[u32],
     runner: &SweepRunner,
@@ -365,7 +305,7 @@ mod tests {
 
     #[test]
     fn ablation_endpoint_behaviours_differ() {
-        let rows = workload_ablation(200, 8_000, 3);
+        let rows = workload_ablation(200, 8_000, 3, &SweepRunner::new(0));
         assert_eq!(rows.len(), 4);
         // The decisive move is the lifetime model: once lifetimes are
         // bimodal (few files change), the weak protocol's bandwidth no
@@ -383,7 +323,7 @@ mod tests {
 
     #[test]
     fn anticorrelation_cuts_stale_rate_further() {
-        let rows = workload_ablation(300, 12_000, 7);
+        let rows = workload_ablation(300, 12_000, 7, &SweepRunner::new(0));
         let uncorrelated = &rows[2];
         let correlated = &rows[3];
         assert!(
@@ -400,7 +340,7 @@ mod tests {
         // paper's 43-byte messages for exact HTTP/1.0 sizes changes the
         // byte count a little and the behaviour not at all.
         let wl = generate_synthetic(&WorrellConfig::scaled(150, 6_000), 5);
-        let (paper, wire) = costing_ablation(&wl, ProtocolSpec::Alex(20));
+        let (paper, wire) = costing_ablation(&wl, ProtocolSpec::Alex(20), &SweepRunner::new(0));
         assert_eq!(paper.cache, wire.cache);
         assert_eq!(paper.server, wire.server);
         // Real HTTP exchanges are larger than 43 bytes, but still dwarfed
@@ -420,7 +360,8 @@ mod tests {
         let campus = generate_campus_trace(&CampusProfile::hcs(), 21);
         let wl = crate::workload::Workload::from_server_trace(&campus.trace).subsample(8);
         let cgi = FileType::Cgi.class_index();
-        let (cacheable, dynamic) = dynamic_content_ablation(&wl, ProtocolSpec::Alex(20), cgi);
+        let (cacheable, dynamic) =
+            dynamic_content_ablation(&wl, ProtocolSpec::Alex(20), cgi, &SweepRunner::new(0));
         // Forwarding cgi uncached can only add traffic and misses...
         assert!(dynamic.traffic.total_bytes() >= cacheable.traffic.total_bytes());
         assert!(dynamic.cache.misses >= cacheable.cache.misses);
@@ -437,7 +378,13 @@ mod tests {
     #[test]
     fn capacity_sweep_shows_monotone_eviction_pressure() {
         let wl = generate_synthetic(&WorrellConfig::scaled(150, 6_000), 13);
-        let points = capacity_sweep(&wl, ProtocolSpec::Alex(30), &[0.05, 0.25, 1.0, 4.0]);
+        let fractions = [0.05, 0.25, 1.0, 4.0];
+        let points = capacity_sweep(
+            &wl,
+            ProtocolSpec::Alex(30),
+            &fractions,
+            &SweepRunner::new(0),
+        );
         assert_eq!(points.len(), 4);
         // More capacity, fewer (or equal) evictions and misses.
         for w in points.windows(2) {
@@ -456,7 +403,8 @@ mod tests {
     #[test]
     fn latency_ordering_matches_protocol_aggressiveness() {
         let wl = generate_synthetic(&WorrellConfig::scaled(150, 6_000), 17);
-        let rows = latency_comparison(&wl, 150.0, 4_000.0); // 14.4k modem era
+        // 14.4k modem era
+        let rows = latency_comparison(&wl, 150.0, 4_000.0, &SweepRunner::new(0));
         let get = |name: &str| {
             rows.iter()
                 .find(|(n, _)| n.contains(name))
@@ -474,7 +422,7 @@ mod tests {
     fn severity_is_bounded_and_ordered() {
         let campus = generate_campus_trace(&CampusProfile::hcs(), 31);
         let wl = crate::workload::Workload::from_server_trace(&campus.trace).subsample(4);
-        let rows = severity_comparison(&wl);
+        let rows = severity_comparison(&wl, &SweepRunner::new(0));
         let get = |name: &str| {
             rows.iter()
                 .find(|(n, _, _)| n == name)
@@ -502,7 +450,7 @@ mod tests {
     fn selftuning_is_competitive_with_fixed_thresholds() {
         let campus = generate_campus_trace(&CampusProfile::hcs(), 9);
         let wl = crate::workload::Workload::from_server_trace(&campus.trace).subsample(10);
-        let (tuned, fixed) = selftuning_comparison(&wl, &[5, 20, 50, 100]);
+        let (tuned, fixed) = selftuning_comparison(&wl, &[5, 20, 50, 100], &SweepRunner::new(0));
         assert_eq!(fixed.len(), 4);
         // Stale rate stays acceptable...
         assert!(

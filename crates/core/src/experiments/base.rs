@@ -12,11 +12,6 @@ use crate::sweep::SweepRunner;
 use crate::workload::Workload;
 
 /// Run the base-simulator experiment (data for Figures 2 and 3).
-pub fn run_base(scale: &Scale) -> SimReport {
-    run_base_with(scale, &SweepRunner::default())
-}
-
-/// [`run_base`] with an explicit sweep executor.
 pub fn run_base_with(scale: &Scale, runner: &SweepRunner) -> SimReport {
     DataSet::Base.report(scale, runner)
 }
@@ -55,7 +50,7 @@ mod tests {
     use super::*;
 
     fn report() -> SimReport {
-        run_base(&Scale::quick())
+        run_base_with(&Scale::quick(), &SweepRunner::new(0))
     }
 
     #[test]

@@ -57,19 +57,10 @@ fn reduction(before: u64, after: u64) -> f64 {
     1.0 - after as f64 / before as f64
 }
 
-/// Run the deployment comparison for each campus trace under `spec`.
+/// Run the deployment comparison for each campus trace under `spec`
+/// (one worker per campus trace; each replays its local-only and
+/// universal runs as a parallel pair).
 pub fn deployment_comparison(
-    spec: ProtocolSpec,
-    seed: u64,
-    subsample: usize,
-) -> Vec<DeploymentRow> {
-    deployment_comparison_with(spec, seed, subsample, &SweepRunner::default())
-}
-
-/// [`deployment_comparison`] with an explicit sweep executor (one worker
-/// per campus trace; each replays its local-only and universal runs as a
-/// parallel pair).
-pub fn deployment_comparison_with(
     spec: ProtocolSpec,
     seed: u64,
     subsample: usize,
@@ -107,7 +98,7 @@ mod tests {
     use super::*;
 
     fn rows() -> Vec<DeploymentRow> {
-        deployment_comparison(ProtocolSpec::Alex(20), 1996, 8)
+        deployment_comparison(ProtocolSpec::Alex(20), 1996, 8, &SweepRunner::new(0))
     }
 
     #[test]

@@ -25,6 +25,7 @@ use simcore::{CacheId, FileId, SimDuration, SimTime};
 use wcc_obs::NoopProbe;
 
 use crate::sim::{run, RunResult, SimCache, SimConfig};
+use crate::sweep::SweepRunner;
 use crate::workload::{Workload, WorkloadEvent};
 use crate::ProtocolSpec;
 
@@ -142,27 +143,13 @@ pub fn run_partitioned_invalidation(workload: &Workload, outages: &[Outage]) -> 
 
 /// Compare partitioned invalidation against an unpartitioned Alex run on
 /// the same workload — §6's resilience argument as numbers. Returns
-/// `(partitioned_invalidation, alex)`.
+/// `(partitioned_invalidation, alex)`; the two runs execute as a
+/// parallel pair.
 pub fn resilience_comparison(
     workload: &Workload,
     outages: &[Outage],
     alex_threshold: u32,
-) -> (PartitionedResult, RunResult) {
-    resilience_comparison_with(
-        workload,
-        outages,
-        alex_threshold,
-        &crate::sweep::SweepRunner::default(),
-    )
-}
-
-/// [`resilience_comparison`] with an explicit sweep executor (the
-/// partitioned and unpartitioned runs execute as a parallel pair).
-pub fn resilience_comparison_with(
-    workload: &Workload,
-    outages: &[Outage],
-    alex_threshold: u32,
-    runner: &crate::sweep::SweepRunner,
+    runner: &SweepRunner,
 ) -> (PartitionedResult, RunResult) {
     // Alex is oblivious to the notification channel; its run is identical
     // with or without the outage.
@@ -263,7 +250,7 @@ mod tests {
     #[test]
     fn alex_is_oblivious_to_the_partition() {
         let (wl, outages) = outage_scenario();
-        let (partitioned, alex) = resilience_comparison(&wl, &outages, 10);
+        let (partitioned, alex) = resilience_comparison(&wl, &outages, 10, &SweepRunner::new(0));
         // Alex's staleness is bounded by its threshold (the object is 5
         // days old: horizon ~12h), independent of the outage.
         assert!(alex.cache.stale_hits <= partitioned.result.cache.stale_hits + 3);

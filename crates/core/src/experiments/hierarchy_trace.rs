@@ -19,6 +19,7 @@ use proxycache::HierarchyTopology;
 use simcore::TrafficMeter;
 
 use crate::hierarchy::{replay_workload, LeafAssignment};
+use crate::sweep::SweepRunner;
 use crate::workload::Workload;
 use crate::ProtocolSpec;
 
@@ -38,27 +39,12 @@ pub struct HierarchyTraceRow {
 }
 
 /// Replay `workload` under `spec` on both topologies with the given
-/// demand regime.
+/// demand regime (the two topologies replay as a parallel pair).
 pub fn measure(
     workload: &Workload,
     spec: ProtocolSpec,
     assignment: LeafAssignment,
-) -> HierarchyTraceRow {
-    measure_with(
-        workload,
-        spec,
-        assignment,
-        &crate::sweep::SweepRunner::default(),
-    )
-}
-
-/// [`measure`] with an explicit sweep executor (the two topologies replay
-/// as a parallel pair).
-pub fn measure_with(
-    workload: &Workload,
-    spec: ProtocolSpec,
-    assignment: LeafAssignment,
-    runner: &crate::sweep::SweepRunner,
+    runner: &SweepRunner,
 ) -> HierarchyTraceRow {
     let (two_level, _, _) = HierarchyTopology::figure1();
     let ((hier_traffic, hier_stale, _), (collapsed_traffic, collapsed_stale, _)) = runner.join(
@@ -80,25 +66,11 @@ pub fn hierarchy_trace_comparison(
     workload: &Workload,
     time_based: ProtocolSpec,
     assignment: LeafAssignment,
-) -> (HierarchyTraceRow, HierarchyTraceRow) {
-    hierarchy_trace_comparison_with(
-        workload,
-        time_based,
-        assignment,
-        &crate::sweep::SweepRunner::default(),
-    )
-}
-
-/// [`hierarchy_trace_comparison`] with an explicit sweep executor.
-pub fn hierarchy_trace_comparison_with(
-    workload: &Workload,
-    time_based: ProtocolSpec,
-    assignment: LeafAssignment,
-    runner: &crate::sweep::SweepRunner,
+    runner: &SweepRunner,
 ) -> (HierarchyTraceRow, HierarchyTraceRow) {
     runner.join(
-        || measure_with(workload, time_based, assignment, runner),
-        || measure_with(workload, ProtocolSpec::Invalidation, assignment, runner),
+        || measure(workload, time_based, assignment, runner),
+        || measure(workload, ProtocolSpec::Invalidation, assignment, runner),
     )
 }
 
@@ -122,6 +94,15 @@ mod tests {
     use super::*;
     use webtrace::campus::{generate_campus_trace, CampusProfile};
 
+    /// Both topologies of both protocols on `wl`, hardware-sized.
+    fn compare(
+        wl: &Workload,
+        time_based: ProtocolSpec,
+        assignment: LeafAssignment,
+    ) -> (HierarchyTraceRow, HierarchyTraceRow) {
+        hierarchy_trace_comparison(wl, time_based, assignment, &SweepRunner::new(0))
+    }
+
     fn hcs_workload() -> Workload {
         let campus = generate_campus_trace(&CampusProfile::hcs(), 1996);
         Workload::from_server_trace(&campus.trace).subsample(8)
@@ -132,7 +113,7 @@ mod tests {
         // The Figure 1 regime: one subtree rarely re-requests.
         let wl = hcs_workload();
         for spec in [ProtocolSpec::Alex(20), ProtocolSpec::Ttl(100)] {
-            let (t, i) = hierarchy_trace_comparison(&wl, spec, LeafAssignment::Skewed(0.9));
+            let (t, i) = compare(&wl, spec, LeafAssignment::Skewed(0.9));
             let factor = collapse_bias_factor(&t, &i);
             assert!(
                 factor >= 1.0,
@@ -148,8 +129,7 @@ mod tests {
         // the bandwidths ... are equal to each other." Symmetric demand
         // approximates that case; the ratios must agree closely.
         let wl = hcs_workload();
-        let (t, i) =
-            hierarchy_trace_comparison(&wl, ProtocolSpec::Ttl(100), LeafAssignment::Symmetric);
+        let (t, i) = compare(&wl, ProtocolSpec::Ttl(100), LeafAssignment::Symmetric);
         let factor = collapse_bias_factor(&t, &i);
         assert!(
             (0.93..=1.08).contains(&factor),
@@ -160,8 +140,7 @@ mod tests {
     #[test]
     fn hierarchy_floods_more_invalidations_than_collapsed() {
         let wl = hcs_workload();
-        let (_, inval) =
-            hierarchy_trace_comparison(&wl, ProtocolSpec::Alex(20), LeafAssignment::Symmetric);
+        let (_, inval) = compare(&wl, ProtocolSpec::Alex(20), LeafAssignment::Symmetric);
         // Three caches notified per change instead of one; other message
         // kinds (fetch overheads) only add on top.
         assert!(
@@ -175,8 +154,7 @@ mod tests {
     #[test]
     fn staleness_is_zero_for_invalidation_in_both_topologies() {
         let wl = hcs_workload();
-        let (_, inval) =
-            hierarchy_trace_comparison(&wl, ProtocolSpec::Ttl(100), LeafAssignment::Symmetric);
+        let (_, inval) = compare(&wl, ProtocolSpec::Ttl(100), LeafAssignment::Symmetric);
         assert_eq!(inval.hier_stale, 0);
         assert_eq!(inval.collapsed_stale, 0);
     }

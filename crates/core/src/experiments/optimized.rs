@@ -11,11 +11,6 @@ use crate::experiments::{DataSet, Scale, SimReport};
 use crate::sweep::SweepRunner;
 
 /// Run the optimized-simulator experiment (data for Figures 4 and 5).
-pub fn run_optimized(scale: &Scale) -> SimReport {
-    run_optimized_with(scale, &SweepRunner::default())
-}
-
-/// [`run_optimized`] with an explicit sweep executor.
 pub fn run_optimized_with(scale: &Scale, runner: &SweepRunner) -> SimReport {
     DataSet::Optimized.report(scale, runner)
 }
@@ -23,10 +18,10 @@ pub fn run_optimized_with(scale: &Scale, runner: &SweepRunner) -> SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::base::run_base;
+    use crate::experiments::base::run_base_with;
 
     fn report() -> SimReport {
-        run_optimized(&Scale::quick())
+        run_optimized_with(&Scale::quick(), &SweepRunner::new(0))
     }
 
     #[test]
@@ -81,8 +76,8 @@ mod tests {
         // The optimization trades bandwidth, not consistency: stale hits
         // match the base simulator's.
         let scale = Scale::quick();
-        let base = run_base(&scale);
-        let opt = run_optimized(&scale);
+        let base = run_base_with(&scale, &SweepRunner::new(0));
+        let opt = run_optimized_with(&scale, &SweepRunner::new(0));
         for (b, o) in base.ttl.points.iter().zip(&opt.ttl.points) {
             assert_eq!(b.1.cache.stale_hits, o.1.cache.stale_hits, "TTL {}", b.0);
         }
@@ -94,8 +89,8 @@ mod tests {
     #[test]
     fn optimized_never_exceeds_base_bandwidth() {
         let scale = Scale::quick();
-        let base = run_base(&scale);
-        let opt = run_optimized(&scale);
+        let base = run_base_with(&scale, &SweepRunner::new(0));
+        let opt = run_optimized_with(&scale, &SweepRunner::new(0));
         for (b, o) in base
             .ttl
             .points

@@ -43,12 +43,7 @@ pub struct PolicyReport {
 }
 
 /// Run the literature-policy experiment at `scale`.
-pub fn run_policies(scale: &Scale) -> PolicyReport {
-    run_policies_with(scale, &SweepRunner::default())
-}
-
-/// [`run_policies`] with an explicit sweep executor.
-pub fn run_policies_with(scale: &Scale, runner: &SweepRunner) -> PolicyReport {
+pub fn run_policies(scale: &Scale, runner: &SweepRunner) -> PolicyReport {
     let workload = generate_synthetic(&scale.worrell, scale.seed);
     let config = SimConfig::optimized();
 
@@ -166,7 +161,7 @@ mod tests {
     use super::*;
 
     fn report() -> PolicyReport {
-        run_policies(&Scale::quick())
+        run_policies(&Scale::quick(), &SweepRunner::new(0))
     }
 
     #[test]

@@ -154,11 +154,12 @@ pub fn render_figure1(rows: &[Figure1Row]) -> String {
 mod tests {
     use super::*;
     use crate::experiments::tables::{table1, table2};
-    use crate::experiments::{base::run_base, hierarchy_bias::run_figure1, Scale};
+    use crate::experiments::{base::run_base_with, hierarchy_bias::run_figure1, Scale};
+    use crate::SweepRunner;
 
     #[test]
     fn figures_render_every_sweep_point() {
-        let report = run_base(&Scale::quick());
+        let report = run_base_with(&Scale::quick(), &SweepRunner::new(0));
         let bw = render_bandwidth_figure("Figure 2", &report);
         let mr = render_missrate_figure("Figure 3", &report);
         let sl = render_server_load_figure("Figure 8-style", &report);
@@ -176,9 +177,9 @@ mod tests {
 
     #[test]
     fn tables_render_all_rows() {
-        let t1 = render_table1(&table1(1));
+        let t1 = render_table1(&table1(1, &SweepRunner::new(0)));
         assert!(t1.contains("DAS") && t1.contains("FAS") && t1.contains("HCS"));
-        let t2 = render_table2(&table2(1, 5_000));
+        let t2 = render_table2(&table2(1, 5_000, &SweepRunner::new(0)));
         assert!(t2.contains("gif") && t2.contains("lifespan"));
         // The NA path renders when a type has no BU sample.
         let empty_study = webtrace::bu::BuStudy { files: vec![] };

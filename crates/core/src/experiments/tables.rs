@@ -65,14 +65,8 @@ pub const TABLE1_PAPER: [Table1Paper; 3] = [
 ];
 
 /// Regenerate Table 1: generate each campus trace and run the mutability
-/// analyzer over it.
-pub fn table1(seed: u64) -> Vec<MutabilityRow> {
-    table1_with(seed, &SweepRunner::default())
-}
-
-/// [`table1`] with an explicit sweep executor (one worker per campus
-/// trace).
-pub fn table1_with(seed: u64, runner: &SweepRunner) -> Vec<MutabilityRow> {
+/// analyzer over it (one worker per campus trace).
+pub fn table1(seed: u64, runner: &SweepRunner) -> Vec<MutabilityRow> {
     runner.map(&CampusProfile::all(), |p| {
         MutabilityRow::from_trace(&generate_campus_trace(p, seed).trace)
     })
@@ -134,14 +128,9 @@ pub const TABLE2_PAPER: [Table2Paper; 5] = [
 
 /// Regenerate Table 2: generate the Microsoft access log and the BU study,
 /// then run the file-type analyzer. `requests` scales the Microsoft log
-/// (150,000 = the paper's weekday).
-pub fn table2(seed: u64, requests: usize) -> Vec<FileTypeRow> {
-    table2_with(seed, requests, &SweepRunner::default())
-}
-
-/// [`table2`] with an explicit sweep executor (the Microsoft log and the
-/// BU study generate as a parallel pair).
-pub fn table2_with(seed: u64, requests: usize, runner: &SweepRunner) -> Vec<FileTypeRow> {
+/// (150,000 = the paper's weekday); the log and the study generate as a
+/// parallel pair.
+pub fn table2(seed: u64, requests: usize, runner: &SweepRunner) -> Vec<FileTypeRow> {
     let (ms, study) = runner.join(
         || generate_microsoft_log(&MicrosoftProfile::scaled(requests), seed),
         || generate_bu_study(&BuProfile::paper(), seed),
@@ -155,7 +144,7 @@ mod tests {
 
     #[test]
     fn table1_matches_paper_exactly_on_counts() {
-        let rows = table1(1996);
+        let rows = table1(1996, &SweepRunner::new(0));
         for (row, paper) in rows.iter().zip(TABLE1_PAPER.iter()) {
             assert_eq!(row.server, paper.server);
             assert_eq!(row.files, paper.files);
@@ -175,7 +164,7 @@ mod tests {
 
     #[test]
     fn table2_access_mix_matches_paper() {
-        let rows = table2(1996, 60_000);
+        let rows = table2(1996, 60_000, &SweepRunner::new(0));
         for (row, paper) in rows.iter().zip(TABLE2_PAPER.iter()) {
             assert_eq!(row.file_type.to_string(), paper.file_type);
             assert!(
@@ -199,7 +188,7 @@ mod tests {
 
     #[test]
     fn table2_lifetime_columns_have_paper_shape() {
-        let rows = table2(1996, 20_000);
+        let rows = table2(1996, 20_000, &SweepRunner::new(0));
         let age = |i: usize| rows[i].avg_age_days.expect("reported");
         // html youngest, jpg oldest — the ordering behind the paper's
         // "the most popular web objects also have the longest life-span".

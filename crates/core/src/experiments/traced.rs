@@ -34,12 +34,8 @@ pub struct TracedReport {
 }
 
 /// Run the trace-driven experiment (data for Figures 6, 7, and 8).
-pub fn run_traced(scale: &Scale) -> TracedReport {
-    run_traced_with(scale, &SweepRunner::default())
-}
-
-/// [`run_traced`] with an explicit sweep executor. Traces are replayed in
-/// order; within each trace the parameter points fan over the runner.
+/// Traces are replayed in order; within each trace the parameter points
+/// fan over the runner.
 pub fn run_traced_with(scale: &Scale, runner: &SweepRunner) -> TracedReport {
     let per_trace = DataSet::Traced.sweeps(scale, runner);
     TracedReport {
@@ -104,7 +100,7 @@ mod tests {
     // quick-scale run across the shape tests.
     fn report() -> &'static TracedReport {
         static REPORT: OnceLock<TracedReport> = OnceLock::new();
-        REPORT.get_or_init(|| run_traced(&Scale::quick()))
+        REPORT.get_or_init(|| run_traced_with(&Scale::quick(), &SweepRunner::new(0)))
     }
 
     #[test]

@@ -35,13 +35,6 @@ pub struct SweepRunner {
     jobs: usize,
 }
 
-impl Default for SweepRunner {
-    /// Hardware-sized parallelism (`jobs = 0`), honouring `WCC_JOBS`.
-    fn default() -> Self {
-        SweepRunner::from_env()
-    }
-}
-
 impl SweepRunner {
     /// A runner with `jobs` workers. `0` means "use the machine": the
     /// available hardware parallelism, as many workers as sweep points at
@@ -59,16 +52,6 @@ impl SweepRunner {
     /// on the calling thread (no pool, no locks).
     pub fn sequential() -> Self {
         SweepRunner { jobs: 1 }
-    }
-
-    /// A runner sized from the `WCC_JOBS` environment variable (unset,
-    /// empty, or `0` → hardware parallelism).
-    pub fn from_env() -> Self {
-        let jobs = std::env::var("WCC_JOBS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(0);
-        SweepRunner::new(jobs)
     }
 
     /// The resolved worker count.

@@ -6,18 +6,27 @@
 
 use std::process::{Command, Output};
 
-fn wcc(args: &[&str]) -> Output {
+/// Run `wcc args` with `env` added to the environment.
+fn wcc_in(env: &[(&str, &str)], args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_wcc"))
         .args(args)
-        .env_remove("WCC_JOBS")
+        .envs(env.iter().copied())
         .output()
         .expect("run wcc")
 }
 
-fn stdout(args: &[&str]) -> String {
-    let out = wcc(args);
+fn wcc(args: &[&str]) -> Output {
+    wcc_in(&[], args)
+}
+
+/// What a successful run printed.
+fn printed(out: Output, args: &[&str]) -> String {
     assert!(out.status.success(), "wcc {args:?}: {:?}", out.status);
     String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+fn stdout(args: &[&str]) -> String {
+    printed(wcc(args), args)
 }
 
 /// The first stderr line of a run that must exit 2 with usage after it.
@@ -50,6 +59,25 @@ fn bad_usage_exits_2_with_the_synopsis_on_stderr() {
         usage_error(&["all", "--jobs", "many"]),
         "wcc: all: --jobs: bad value 'many'"
     );
+}
+
+/// One proxy admits `DEFAULT_MAX_CONNS` clients; a soak that needs more
+/// is refused before anything is spawned, naming the cap.
+#[test]
+fn a_soak_one_proxy_cannot_hold_is_a_usage_error() {
+    assert_eq!(
+        usage_error(&["soak", "--conns", "99999"]),
+        "wcc: soak: --conns 99999 needs 100095 proxy connections, the cap is 16384"
+    );
+}
+
+/// `--jobs` is the only way to size the sweep executor: the environment
+/// variable older builds read is ignored, not half-honoured.
+#[test]
+fn the_retired_jobs_variable_changes_nothing() {
+    let args = ["table", "1", "--quick"];
+    let with_it = printed(wcc_in(&[("WCC_JOBS", "1")], &args), &args);
+    assert_eq!(with_it, stdout(&args));
 }
 
 #[test]

@@ -24,8 +24,8 @@
 //!   described by a [`StackSpec`] and a [`LiveRunConfig`]; `shutdown`
 //!   returns the [`StackCounters`] every load report embeds. The load
 //!   drivers themselves (closed-loop, open-loop, trace replay) live in
-//!   `wcc-load`; [`HttpConn::get_ok`] is the one client exchange they
-//!   and the connection soak ([`run_soak`]) share.
+//!   `wcc-load`, the connection soak among them;
+//!   [`HttpConn::get_ok`] is the one client exchange they share.
 //!
 //! The whole of the origin and of the proxy — client sockets, origin
 //! connections, both ends of the control channels — runs on a
@@ -48,24 +48,22 @@
 mod clock;
 mod conn;
 mod control;
-mod loadgen;
 mod netio;
 mod origin;
 mod proxy;
 mod reactor;
 pub mod report;
-mod soak;
+mod stack;
 mod sys;
 mod upstream;
 
 pub use clock::LiveClock;
-pub use loadgen::{LiveRunConfig, LiveStack, LiveWorkload, StackCounters, StackSpec};
 pub use netio::HttpConn;
-pub use origin::{LiveOrigin, OriginConfig};
+pub use origin::{LiveOrigin, OriginConfig, DEFAULT_MAX_CONNS};
 pub use proxy::{
     shard_for, DelaySource, LivePolicy, LiveProxy, ProxyConfig, ProxySnapshot, StoreKind,
 };
-pub use soak::{run_soak, soak_worker, SoakConfig, SoakReport};
+pub use stack::{LiveRunConfig, LiveStack, LiveWorkload, StackCounters, StackSpec};
 // Re-exported so callers can hand a probe to the configs above without
 // naming `wcc-obs` themselves.
 pub use wcc_obs::ProbeHandle;

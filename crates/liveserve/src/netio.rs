@@ -10,13 +10,14 @@
 //! load drivers, the tests and the benchmark talk to the stack with;
 //! the servers' own sockets are the reactor's (`conn`, `upstream`).
 //!
-//! Server-side reads (test origins) poll a shutdown flag: sockets get a
-//! short read timeout, so a thread blocked on an idle persistent
-//! connection notices shutdown within one timeout tick.
+//! The blocking *server* half (`read_request`, `write_response`) exists
+//! under `#[cfg(test)]` only, for the scripted origins of `proxy::tests`
+//! and this module's own tests: its reads poll a shutdown flag, so a
+//! thread blocked on an idle persistent connection notices shutdown
+//! within one read-timeout tick.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use httpsim::{Request, Response, Status};
@@ -117,7 +118,12 @@ impl HttpConn {
     /// the peer closed between requests, or `shutdown` flipped while the
     /// connection was idle. EOF in the *middle* of a request, malformed
     /// bytes, and transport errors are `Err`.
-    pub fn read_request(&mut self, shutdown: &AtomicBool) -> io::Result<Option<Request>> {
+    #[cfg(test)]
+    pub(crate) fn read_request(
+        &mut self,
+        shutdown: &std::sync::atomic::AtomicBool,
+    ) -> io::Result<Option<Request>> {
+        use std::sync::atomic::Ordering;
         let mut silent_ticks = 0u32;
         loop {
             if let Some((req, used)) = Request::from_bytes(&self.rbuf).map_err(invalid)? {
@@ -212,7 +218,8 @@ impl HttpConn {
     }
 
     /// Write one response with its body; returns the total bytes written.
-    pub fn write_response(&mut self, resp: &Response, body: &[u8]) -> io::Result<u64> {
+    #[cfg(test)]
+    pub(crate) fn write_response(&mut self, resp: &Response, body: &[u8]) -> io::Result<u64> {
         let bytes = resp.to_bytes(body);
         self.stream.write_all(&bytes)?;
         Ok(bytes.len() as u64)

@@ -96,8 +96,9 @@ impl OriginConfig {
     }
 }
 
-/// Default cap on concurrently open data connections (per server).
-pub(crate) const DEFAULT_MAX_CONNS: usize = 16 * 1024;
+/// Default cap on concurrently open data connections (per server); a
+/// [`crate::LiveStack`]'s proxy admits this many clients.
+pub const DEFAULT_MAX_CONNS: usize = 16 * 1024;
 
 /// Rank of the scripted-modification schedule: the root of the origin's
 /// lock order, held across a full invalidation round-trip so events are

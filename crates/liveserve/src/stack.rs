@@ -135,6 +135,11 @@ impl LiveStack {
         &self.origin
     }
 
+    /// The proxy half (the soak reads its connection gauges).
+    pub fn proxy(&self) -> &LiveProxy {
+        &self.proxy
+    }
+
     /// Where clients connect to the proxy's data port.
     pub fn proxy_addr(&self) -> std::net::SocketAddr {
         self.proxy.addr()

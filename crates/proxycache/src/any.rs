@@ -1,20 +1,20 @@
 //! Runtime-selected entry store.
 //!
-//! [`Store`] has a lifetime-generic associated iterator, so it is not
-//! object-safe; code that picks a store at runtime (the live proxy's
-//! `--store` flag, sweep drivers comparing eviction policies) cannot hold
-//! a `Box<dyn Store>`. [`AnyStore`] is the enum-dispatch alternative: one
-//! concrete type covering the five stores, itself implementing [`Store`].
+//! Code that picks a store at runtime (the live proxy's `StoreKind`,
+//! sweep drivers comparing eviction policies) holds an [`AnyStore`]: one
+//! concrete type covering the five stores, itself implementing [`Store`]
+//! by enum dispatch — no `Box<dyn Store>`, no virtual call on the
+//! per-request path.
 
 use simcore::{FileId, SimTime};
 
 use crate::entry::EntryMeta;
-use crate::evict::{BoundedIter, EvictionPolicy};
+use crate::evict::EvictionPolicy;
 use crate::fifo::FifoStore;
 use crate::gds::GdsStore;
 use crate::lfu::LfuStore;
 use crate::lru::LruStore;
-use crate::store::{Evicted, Store, UnboundedIter, UnboundedStore};
+use crate::store::{Entries, Evicted, Store, UnboundedStore};
 
 /// One of the five entry stores, selected at runtime.
 #[derive(Debug)]
@@ -158,25 +158,6 @@ impl Default for AnyStore {
     }
 }
 
-/// Iterator over an [`AnyStore`]'s resident entries, id order.
-pub struct AnyStoreIter<'a>(Inner<'a>);
-
-enum Inner<'a> {
-    Unbounded(UnboundedIter<'a>),
-    Bounded(BoundedIter<'a>),
-}
-
-impl<'a> Iterator for AnyStoreIter<'a> {
-    type Item = (FileId, &'a EntryMeta);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.0 {
-            Inner::Unbounded(it) => it.next(),
-            Inner::Bounded(it) => it.next(),
-        }
-    }
-}
-
 macro_rules! dispatch {
     ($self:expr, $s:pat => $body:expr) => {
         match $self {
@@ -190,8 +171,6 @@ macro_rules! dispatch {
 }
 
 impl Store for AnyStore {
-    type Iter<'a> = AnyStoreIter<'a>;
-
     fn peek(&self, id: FileId) -> Option<&EntryMeta> {
         dispatch!(self, s => s.peek(id))
     }
@@ -216,14 +195,8 @@ impl Store for AnyStore {
         dispatch!(self, s => s.resident_bytes())
     }
 
-    fn iter(&self) -> AnyStoreIter<'_> {
-        match self {
-            AnyStore::Unbounded(s) => AnyStoreIter(Inner::Unbounded(s.iter())),
-            AnyStore::Lru(s) => AnyStoreIter(Inner::Bounded(s.iter())),
-            AnyStore::Fifo(s) => AnyStoreIter(Inner::Bounded(s.iter())),
-            AnyStore::Gds(s) => AnyStoreIter(Inner::Bounded(s.iter())),
-            AnyStore::Lfu(s) => AnyStoreIter(Inner::Bounded(s.iter())),
-        }
+    fn iter(&self) -> Entries<'_> {
+        dispatch!(self, s => s.iter())
     }
 }
 

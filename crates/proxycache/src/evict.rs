@@ -44,7 +44,7 @@
 use simcore::{FileId, SimTime};
 
 use crate::entry::EntryMeta;
-use crate::store::{ensure_slot, Evicted, SlotTableIter, Store};
+use crate::store::{ensure_slot, Entries, Evicted, Store};
 
 pub(crate) const NIL: u32 = u32::MAX;
 
@@ -180,23 +180,7 @@ impl<E: EvictionPolicy> BoundedStore<E> {
     }
 }
 
-/// Iterator over a [`BoundedStore`]'s resident entries, id order.
-pub struct BoundedIter<'a>(SlotTableIter<'a, EntryMeta>);
-
-impl<'a> Iterator for BoundedIter<'a> {
-    type Item = (FileId, &'a EntryMeta);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.0.next()
-    }
-}
-
 impl<E: EvictionPolicy> Store for BoundedStore<E> {
-    type Iter<'a>
-        = BoundedIter<'a>
-    where
-        Self: 'a;
-
     fn peek(&self, id: FileId) -> Option<&EntryMeta> {
         self.slots.get(id.index())?.as_ref()
     }
@@ -268,8 +252,8 @@ impl<E: EvictionPolicy> Store for BoundedStore<E> {
         self.bytes
     }
 
-    fn iter(&self) -> BoundedIter<'_> {
-        BoundedIter(SlotTableIter::new(&self.slots, |m| m))
+    fn iter(&self) -> Entries<'_> {
+        Entries::new(&self.slots)
     }
 }
 

@@ -31,12 +31,12 @@ mod lfu;
 mod lru;
 mod store;
 
-pub use any::{shard_capacity, AnyStore, AnyStoreIter, StoreKind};
+pub use any::{shard_capacity, AnyStore, StoreKind};
 pub use entry::{EntryMeta, EntryState};
-pub use evict::{BoundedIter, BoundedStore, EvictionPolicy};
+pub use evict::{BoundedStore, EvictionPolicy};
 pub use fifo::{FifoEviction, FifoStore};
 pub use gds::{GdsStore, GreedyDualSize};
 pub use hierarchy::HierarchyTopology;
 pub use lfu::{LfuStore, ScoreGatedLfu};
 pub use lru::{LruEviction, LruStore};
-pub use store::{Evicted, EvictedIntoIter, Store, UnboundedIter, UnboundedStore};
+pub use store::{Entries, Evicted, EvictedIntoIter, Store, UnboundedStore};

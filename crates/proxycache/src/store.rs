@@ -20,11 +20,6 @@ use crate::entry::EntryMeta;
 
 /// Common interface over cache entry stores.
 pub trait Store {
-    /// Concrete iterator over resident entries — no boxing per call.
-    type Iter<'a>: Iterator<Item = (FileId, &'a EntryMeta)>
-    where
-        Self: 'a;
-
     /// Look up an entry without recording an access.
     fn peek(&self, id: FileId) -> Option<&EntryMeta>;
 
@@ -51,7 +46,7 @@ pub trait Store {
     fn resident_bytes(&self) -> u64;
 
     /// Iterate over resident entries in ascending id order.
-    fn iter(&self) -> Self::Iter<'_>;
+    fn iter(&self) -> Entries<'_>;
 }
 
 /// Entries evicted by one [`Store::insert`] call.
@@ -167,30 +162,24 @@ impl Iterator for EvictedIntoIter {
 
 impl ExactSizeIterator for EvictedIntoIter {}
 
-/// Shared iterator core for dense slot tables: walks the occupied slots of
-/// a `Vec<Option<T>>` in index order, projecting each slot to its
-/// [`EntryMeta`].
-pub(crate) struct SlotTableIter<'a, T> {
-    inner: std::iter::Enumerate<std::slice::Iter<'a, Option<T>>>,
-    project: fn(&T) -> &EntryMeta,
-}
+/// A store's resident entries in id order — what every [`Store::iter`]
+/// returns: the occupied slots of the store's dense slot table, in index
+/// order.
+pub struct Entries<'a>(std::iter::Enumerate<std::slice::Iter<'a, Option<EntryMeta>>>);
 
-impl<'a, T> SlotTableIter<'a, T> {
-    pub(crate) fn new(slots: &'a [Option<T>], project: fn(&T) -> &EntryMeta) -> Self {
-        SlotTableIter {
-            inner: slots.iter().enumerate(),
-            project,
-        }
+impl<'a> Entries<'a> {
+    pub(crate) fn new(slots: &'a [Option<EntryMeta>]) -> Self {
+        Entries(slots.iter().enumerate())
     }
 }
 
-impl<'a, T> Iterator for SlotTableIter<'a, T> {
+impl<'a> Iterator for Entries<'a> {
     type Item = (FileId, &'a EntryMeta);
 
     fn next(&mut self) -> Option<Self::Item> {
-        for (i, slot) in self.inner.by_ref() {
-            if let Some(t) = slot {
-                return Some((FileId::from_index(i), (self.project)(t)));
+        for (i, slot) in self.0.by_ref() {
+            if let Some(meta) = slot {
+                return Some((FileId::from_index(i), meta));
             }
         }
         None
@@ -219,20 +208,7 @@ impl UnboundedStore {
     }
 }
 
-/// Iterator over an [`UnboundedStore`]'s resident entries, id order.
-pub struct UnboundedIter<'a>(SlotTableIter<'a, EntryMeta>);
-
-impl<'a> Iterator for UnboundedIter<'a> {
-    type Item = (FileId, &'a EntryMeta);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.0.next()
-    }
-}
-
 impl Store for UnboundedStore {
-    type Iter<'a> = UnboundedIter<'a>;
-
     fn peek(&self, id: FileId) -> Option<&EntryMeta> {
         self.slots.get(id.index())?.as_ref()
     }
@@ -269,8 +245,8 @@ impl Store for UnboundedStore {
         self.bytes
     }
 
-    fn iter(&self) -> UnboundedIter<'_> {
-        UnboundedIter(SlotTableIter::new(&self.slots, |m| m))
+    fn iter(&self) -> Entries<'_> {
+        Entries::new(&self.slots)
     }
 }
 

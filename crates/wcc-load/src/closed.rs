@@ -94,12 +94,15 @@ impl LoadReport {
     }
 }
 
-/// What one client measured.
-#[derive(Default)]
-struct ClientTally {
-    requests: u64,
-    bytes: u64,
-    latency: LatencyStats,
+/// What one client measured, or every client of one [`drive`] together.
+#[derive(Debug, Default)]
+pub struct ClientTally {
+    /// Requests sent (every one answered `200`).
+    pub requests: u64,
+    /// Bytes the proxy returned (headers + bodies).
+    pub bytes: u64,
+    /// Client-observed service times.
+    pub latency: LatencyStats,
 }
 
 /// One client: pull the next request, advance the clock to its instant,
@@ -150,27 +153,23 @@ fn client(
 }
 
 /// Send `requests` — `(instant, file)` pairs sorted by instant — through
-/// a freshly spawned loopback origin + proxy, `run.threads` clients
-/// closed-loop, and return the aggregated report. `probe` receives the
-/// full structured event stream — origin server operations, proxy
-/// request decisions and validations, and client-observed latency — all
-/// stamped with virtual time.
+/// a running `stack`, `threads` clients closed-loop, and return what
+/// they measured together. The stack outlives the call, cache and clock
+/// as the requests left them, so a second `drive` continues the first
+/// (the soak's warm-up pass, then its active mix).
 ///
 /// A non-`200` answer or a transport error aborts the run.
-pub fn run_closed_loop(
+pub fn drive(
+    stack: &LiveStack,
     spec: &StackSpec,
     requests: impl Iterator<Item = (SimTime, FileId)> + Send,
-    run: &LiveRunConfig,
+    threads: usize,
     probe: &ProbeHandle,
-) -> io::Result<LoadReport> {
-    let threads = run.threads.max(1);
-    let stack = LiveStack::spawn(spec, run, probe)?;
+) -> io::Result<ClientTally> {
     let source = RankedMutex::new(SOURCE_RANK, "load.closed.source", requests);
-
-    let started = Instant::now();
     let tallies: Vec<io::Result<ClientTally>> = thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
-            .map(|_| s.spawn(|| client(&source, spec, &stack, probe)))
+            .map(|_| s.spawn(|| client(&source, spec, stack, probe)))
             .collect();
         handles
             .into_iter()
@@ -180,17 +179,32 @@ pub fn run_closed_loop(
             })
             .collect()
     });
-    let wall_seconds = started.elapsed().as_secs_f64();
-
-    let mut requests = 0u64;
-    let mut bytes_to_clients = 0u64;
-    let mut latency = LatencyStats::new();
+    let mut total = ClientTally::default();
     for tally in tallies {
         let tally = tally?;
-        requests += tally.requests;
-        bytes_to_clients += tally.bytes;
-        latency.merge(&tally.latency);
+        total.requests += tally.requests;
+        total.bytes += tally.bytes;
+        total.latency.merge(&tally.latency);
     }
+    Ok(total)
+}
+
+/// [`drive`] `requests` through a freshly spawned loopback origin +
+/// proxy at `run.threads` clients, and return the aggregated report.
+/// `probe` receives the full structured event stream — origin server
+/// operations, proxy request decisions and validations, and
+/// client-observed latency — all stamped with virtual time.
+pub fn run_closed_loop(
+    spec: &StackSpec,
+    requests: impl Iterator<Item = (SimTime, FileId)> + Send,
+    run: &LiveRunConfig,
+    probe: &ProbeHandle,
+) -> io::Result<LoadReport> {
+    let threads = run.threads.max(1);
+    let stack = LiveStack::spawn(spec, run, probe)?;
+    let started = Instant::now();
+    let total = drive(&stack, spec, requests, threads, probe)?;
+    let wall_seconds = started.elapsed().as_secs_f64();
     // Trailing modifications (after the last request but inside the
     // window) still count — the simulator schedules them as events.
     stack.advance_to(spec.end);
@@ -200,11 +214,11 @@ pub fn run_closed_loop(
         threads,
         shards: run.shards.max(1),
         reactor_threads: run.reactor_threads.max(1),
-        requests,
+        requests: total.requests,
         wall_seconds,
         stack: stack.shutdown(),
-        latency,
-        bytes_to_clients,
+        latency: total.latency,
+        bytes_to_clients: total.bytes,
     })
 }
 
@@ -286,6 +300,25 @@ mod tests {
         assert_eq!(report.cache.requests(), 6);
         assert_eq!(report.latency.count(), 6);
         assert_eq!(report.threads, 3);
+    }
+
+    #[test]
+    fn a_second_drive_continues_the_first() {
+        let (spec, _) = tiny_workload();
+        let probe = ProbeHandle::none();
+        let run = LiveRunConfig::new(LivePolicy::Ttl(500));
+        let stack = LiveStack::spawn(&spec, &run, &probe).unwrap();
+        let every_file = || (0..spec.population.len()).map(|i| (t(10), FileId::from_index(i)));
+        let first = drive(&stack, &spec, every_file(), 1, &probe).unwrap();
+        let second = drive(&stack, &spec, every_file(), 2, &probe).unwrap();
+        assert_eq!((first.requests, second.requests), (2, 2));
+        assert_eq!(second.latency.count(), 2);
+        // One stack, one cache: the first pass missed every file, and
+        // the second found what the first left — no miss of its own.
+        let counters = stack.shutdown();
+        assert_eq!(counters.cache.misses, 2);
+        assert_eq!(counters.cache.fresh_hits, 2);
+        assert_eq!(counters.server.document_requests, 2);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! `wcc-load` — the load drivers of the live serving stack: closed-loop,
-//! open-loop, and streaming trace replay.
+//! open-loop, streaming trace replay, and the connection soak.
 //!
 //! A closed-loop run answers "how fast can the stack go?" — each client
 //! waits for a response before sending the next request, so offered
@@ -13,6 +13,10 @@
 //! * [`closed`] — [`run_closed_loop`]: N clients pulling from one
 //!   request source, streamed or materialized. At one thread it is the
 //!   counter-exact sequential replay the differential tests rely on.
+//!   [`drive`] is its client half, for a stack the caller keeps.
+//! * [`soak`] — [`run_soak`]: two `drive`s (warm-up, active mix) through
+//!   one stack whose proxy meanwhile holds thousands of idle
+//!   connections; gates on the reactor's thread and connection counts.
 //! * [`schedule`] — deterministic virtual-time arrival schedules
 //!   (Poisson or fixed-rate, per-client RNG streams, lazily merged).
 //!   The schedule is a pure function of its config: bit-identical
@@ -37,10 +41,12 @@ pub mod closed;
 pub mod driver;
 pub mod replay;
 pub mod schedule;
+pub mod soak;
 
-pub use closed::{run_closed_loop, LoadReport};
+pub use closed::{drive, run_closed_loop, ClientTally, LoadReport};
 pub use driver::{
     plan_shots, run_open_loop, shots_from_arrivals, OpenLoopConfig, OpenLoopReport, Shot,
 };
 pub use replay::{replay_open_loop, shots_from_trace, stack_spec};
 pub use schedule::{Arrival, ArrivalMode, ArrivalSchedule, ScheduleConfig};
+pub use soak::{run_soak, soak_worker, SoakConfig, SoakReport};

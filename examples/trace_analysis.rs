@@ -9,13 +9,15 @@
 
 use wwwcache::webcache::experiments::report::{render_table1, render_table2};
 use wwwcache::webcache::experiments::tables::{table1, table2};
+use wwwcache::webcache::SweepRunner;
 use wwwcache::webtrace::analyze::MutabilityRow;
 use wwwcache::webtrace::campus::{generate_campus_trace, CampusProfile};
 use wwwcache::webtrace::ServerTrace;
 
 fn main() {
     // --- Table 1 from ground truth --------------------------------------
-    println!("{}", render_table1(&table1(1996)));
+    let runner = SweepRunner::new(0);
+    println!("{}", render_table1(&table1(1996, &runner)));
 
     // --- The log round trip ----------------------------------------------
     let campus = generate_campus_trace(&CampusProfile::hcs(), 1996);
@@ -58,7 +60,7 @@ fn main() {
     );
 
     // --- Table 2 ---------------------------------------------------------
-    println!("{}", render_table2(&table2(1996, 150_000)));
+    println!("{}", render_table2(&table2(1996, 150_000, &runner)));
     println!(
         "Paper values: gif 55%/7791B/85d/146d, html 22%/4786B/50d/146d,\n\
          jpg 10%/21608B/100d/72d, cgi 9%/5980B/NA/NA, other 4%/NA/NA/NA."

@@ -5,9 +5,9 @@ use wwwcache::proxycache::HierarchyTopology;
 use wwwcache::simcore::SimDuration;
 use wwwcache::wcc_obs::TraceProbe;
 use wwwcache::webcache::experiments::{
-    base::{run_base, run_base_with},
+    base::run_base_with,
     failure::{run_partitioned_invalidation, Outage},
-    traced::run_traced,
+    traced::run_traced_with,
     Scale,
 };
 use wwwcache::webcache::hierarchy::{figure1_scenarios, replay_workload, LeafAssignment};
@@ -86,8 +86,9 @@ fn whole_experiments_are_reproducible() {
         s.trace_subsample = 24;
         s
     };
-    assert_eq!(run_base(&scale), run_base(&scale));
-    assert_eq!(run_traced(&scale), run_traced(&scale));
+    let hw = SweepRunner::new(0);
+    assert_eq!(run_base_with(&scale, &hw), run_base_with(&scale, &hw));
+    assert_eq!(run_traced_with(&scale, &hw), run_traced_with(&scale, &hw));
 }
 
 /// FNV-1a over the debug rendering of a full sweep's results. The golden
@@ -105,7 +106,8 @@ fn sweep_output_matches_pinned_golden_hash() {
         s.trace_subsample = 24;
         s
     };
-    let mut rendered = format!("{:?}", run_base(&scale));
+    let hw = SweepRunner::new(0);
+    let mut rendered = format!("{:?}", run_base_with(&scale, &hw));
 
     // Exercise every store implementation and the subscriber registry:
     // bounded LRU + FIFO runs and an invalidation run over one workload.
@@ -134,7 +136,7 @@ fn sweep_output_matches_pinned_golden_hash() {
     // Experiment builder with a live probe attached and re-render. The
     // hash covering those legs has to come out identical, event stream or
     // not.
-    let mut observed = format!("{:?}", run_base(&scale));
+    let mut observed = format!("{:?}", run_base_with(&scale, &hw));
     let mut probe = wwwcache::wcc_obs::TraceProbe::new(1 << 14);
     observed.push_str(&format!(
         "{:?}",

@@ -495,7 +495,7 @@ fn workers(a: &Flags) -> Result<usize, String> {
 /// pass, until killed.
 fn cmd_serve(a: &Flags) -> Result<(), String> {
     use liveserve::{HttpConn, LiveClock, LiveOrigin, OriginConfig};
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufRead, BufReader, Read, Write};
 
     let wl = live_workload(a)?;
     let reactor_threads = a.get("reactor-threads", 1)?;
@@ -528,8 +528,9 @@ fn cmd_serve(a: &Flags) -> Result<(), String> {
         let (resp, body) = conn.read_response().expect("read 304");
         let got_304 = resp.status == httpsim::Status::NotModified && body.is_empty();
 
-        // 3) Subscribing to a file that is scripted to change and
-        // advancing past the change delivers INVALIDATE.
+        // 3) Fetching a file that is scripted to change on the control
+        // port subscribes to it, as a proxy shard does, and advancing
+        // past the change delivers INVALIDATE.
         let &(mod_t, mod_file) = wl
             .population
             .modifications_in(wl.start, wl.end)
@@ -539,10 +540,18 @@ fn cmd_serve(a: &Flags) -> Result<(), String> {
         let control = std::net::TcpStream::connect(origin.control_addr()).expect("dial control");
         let mut writer = control.try_clone().expect("clone control stream");
         let mut reader = BufReader::new(control);
-        writeln!(writer, "SUBSCRIBE {mod_path}").expect("send SUBSCRIBE");
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read OK");
-        let subscribed = line.trim_end() == "OK";
+        writer
+            .write_all(&httpsim::Request::get(mod_path.clone()).to_bytes())
+            .expect("send GET on the control port");
+        let mut head = String::new();
+        while !head.ends_with("\r\n\r\n") {
+            let read = reader.read_line(&mut head).expect("read the fetch's reply");
+            assert!(read > 0, "the origin hung up mid-reply");
+        }
+        let resp = httpsim::Response::parse(&head).expect("a response head");
+        let mut body = vec![0; resp.content_length.unwrap_or(0) as usize];
+        reader.read_exact(&mut body).expect("read the fetch's body");
+        let subscribed = resp.status == httpsim::Status::Ok && origin.subscription_count() == 1;
         // advance_to blocks until we ACK, so publish from a helper.
         let invalidated = std::thread::scope(|s| {
             let h = s.spawn(|| origin.advance_to(mod_t));

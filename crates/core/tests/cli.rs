@@ -154,12 +154,14 @@ fn a_figures_saved_capture_is_the_trace_subcommands_document() {
     assert_eq!(traced, saved);
 }
 
+/// The smoke subscribes the way a proxy shard does, by fetching on the
+/// control port, so its data-port `GET` is one of two document requests.
 #[test]
 fn the_origin_smoke_prints_its_pinned_verdict() {
     assert_eq!(
         stdout(&["serve", "--smoke"]),
         "{\"mode\":\"serve-smoke\",\"get_200\":true,\"revalidated_304\":true,\
-         \"subscribed\":true,\"invalidation_delivered\":true,\"document_requests\":1,\
+         \"subscribed\":true,\"invalidation_delivered\":true,\"document_requests\":2,\
          \"validation_queries\":1,\"invalidations_sent\":1}\n"
     );
 }

@@ -1,21 +1,25 @@
-//! The invalidation control channel's line protocol.
+//! The invalidation control channel's protocol.
 //!
 //! Each proxy shard keeps one persistent TCP connection to the origin's
-//! control port, carrying newline-delimited ASCII messages in both
-//! directions:
+//! control port: one ordered stream of everything the origin's ledger
+//! sees, framed the same way at both ends (`upstream::Wire::next_frame`)
+//! — an HTTP message by its head and `Content-Length`, anything else by
+//! its newline:
 //!
-//! * proxy → origin: `SUBSCRIBE <path>` / `UNSUBSCRIBE <path>`, each
-//!   answered `OK` in order;
+//! * proxy → origin: a `GET` of a file the shard will store, answered
+//!   with the response a data connection would carry; a `200` subscribes
+//!   the shard to the file under the lock acquisition that picks the
+//!   version, so any later modification's `INVALIDATE` follows the
+//!   reply. `UNSUBSCRIBE <path>`, answered `OK`;
 //! * origin → proxy: `INVALIDATE <path>`, each answered `ACK` in order.
 //!
-//! Replies are matched to sends by position, so a sender may have
-//! several lines outstanding: the proxy sends what one request changed
-//! as one batch and releases the request on the batch's last `OK`; the
-//! origin answers lines that arrived together with one write of as many
-//! `OK`s. Only the origin's `INVALIDATE` waits for its `ACK` before the
-//! next, which makes the channel a sequencing point: at the `ACK`,
-//! the proxy has already marked its copy invalid, mirroring the
-//! simulator's assumption that invalidation callbacks are instantaneous.
+//! Answers are matched to sends by position: the proxy sends what one
+//! reply changed as one batch and releases the request on its last `OK`;
+//! the origin answers what arrived together with one write. Only the
+//! origin's `INVALIDATE` waits for its `ACK` before the next, which makes
+//! the channel a sequencing point: at the `ACK`, the proxy has already
+//! marked its copy invalid, mirroring the simulator's assumption that
+//! invalidation callbacks are instantaneous.
 //!
 //! [`ControlMsg`] is the protocol and [`PeerIo`] the origin's end of it:
 //! the control listener and every connected peer, nonblocking, owned by
@@ -35,40 +39,38 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::mpsc::SyncSender;
 
+use httpsim::Request;
 use simcore::CacheId;
 
 use crate::conn::ReadEnd;
 use crate::netio::{invalid, log_conn_error};
 use crate::reactor::{peer_token, Dispatch, Ready, CONTROL_TOKEN};
 use crate::sys::{Epoll, EPOLLIN};
-use crate::upstream::Wire;
+use crate::upstream::{Frame, Wire};
 
 /// Hard cap on one control line. Paths are short; a peer that streams
 /// this much without a newline is broken or hostile, and the channel is
 /// closed instead of buffering without bound.
 pub(crate) const MAX_LINE: usize = 64 * 1024;
 
-/// One parsed control message.
+/// One parsed control line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ControlMsg {
-    /// `SUBSCRIBE <path>` — start delivering invalidations for `path`.
-    Subscribe(String),
+pub(crate) enum ControlMsg<'a> {
     /// `UNSUBSCRIBE <path>` — stop delivering invalidations for `path`.
-    Unsubscribe(String),
+    Unsubscribe(&'a str),
     /// `INVALIDATE <path>` — the origin's copy of `path` changed.
-    Invalidate(String),
-    /// `OK` — acknowledges a (un)subscribe.
+    Invalidate(&'a str),
+    /// `OK` — acknowledges an unsubscribe.
     Ok,
     /// `ACK` — acknowledges an invalidation.
     Ack,
 }
 
-impl ControlMsg {
-    pub(crate) fn parse(line: &str) -> io::Result<ControlMsg> {
+impl<'a> ControlMsg<'a> {
+    pub(crate) fn parse(line: &'a str) -> io::Result<ControlMsg<'a>> {
         let msg = match line.split_once(' ') {
-            Some(("SUBSCRIBE", path)) => ControlMsg::Subscribe(path.to_string()),
-            Some(("UNSUBSCRIBE", path)) => ControlMsg::Unsubscribe(path.to_string()),
-            Some(("INVALIDATE", path)) => ControlMsg::Invalidate(path.to_string()),
+            Some(("UNSUBSCRIBE", path)) => ControlMsg::Unsubscribe(path),
+            Some(("INVALIDATE", path)) => ControlMsg::Invalidate(path),
             None if line == "OK" => ControlMsg::Ok,
             None if line == "ACK" => ControlMsg::Ack,
             _ => {
@@ -83,7 +85,6 @@ impl ControlMsg {
 
     pub(crate) fn encode(&self) -> String {
         match self {
-            ControlMsg::Subscribe(p) => format!("SUBSCRIBE {p}\n"),
             ControlMsg::Unsubscribe(p) => format!("UNSUBSCRIBE {p}\n"),
             ControlMsg::Invalidate(p) => format!("INVALIDATE {p}\n"),
             ControlMsg::Ok => "OK\n".to_string(),
@@ -92,10 +93,9 @@ impl ControlMsg {
     }
 }
 
-/// What a control peer asked of the origin.
+/// What a control peer told the origin, fetches aside
+/// ([`Dispatch::fetch`]).
 pub(crate) enum PeerEvent<'a> {
-    /// `SUBSCRIBE <path>`.
-    Subscribe(&'a str),
     /// `UNSUBSCRIBE <path>`.
     Unsubscribe(&'a str),
     /// The channel closed: every subscription of the peer's goes.
@@ -162,8 +162,8 @@ impl PeerIo {
         Ok(())
     }
 
-    /// Readiness on peer `index`'s socket: every command that has
-    /// arrived, in order, to the dispatcher.
+    /// Readiness on peer `index`'s socket: every fetch and command that
+    /// has arrived, in order, to the dispatcher.
     pub(crate) fn ready(
         &mut self,
         ep: &Epoll,
@@ -175,8 +175,7 @@ impl PeerIo {
         let Some(peer) = self.peers.get_mut(index).and_then(Option::as_mut) else {
             return; // readiness for a peer since closed
         };
-        let cache = CacheId::from_index(index);
-        match peer.drive(ready, scratch, |event| to.peer(cache, event)) {
+        match peer.drive(ready, scratch, CacheId::from_index(index), to) {
             Ok(false) => {}
             Ok(true) => self.close(ep, index, None, to),
             Err(e) => self.close(ep, index, Some(e), to),
@@ -232,14 +231,15 @@ impl PeerIo {
 }
 
 impl Peer {
-    /// Move bytes both ways. Commands that arrived together are answered
-    /// by one write of as many `OK`s, each registered by then; `Ok(true)`
-    /// means the peer hung up.
+    /// Move bytes both ways, `to` answering for peer `cache`. What
+    /// arrived together is answered in order by one write — replies and
+    /// `OK`s, each registered by then; `Ok(true)` means the peer hung up.
     fn drive(
         &mut self,
         ready: Ready,
         scratch: &mut [u8],
-        mut on: impl FnMut(PeerEvent<'_>),
+        cache: CacheId,
+        to: &impl Dispatch,
     ) -> io::Result<bool> {
         if ready.writable {
             self.wire.flush()?;
@@ -248,18 +248,22 @@ impl Peer {
             return Ok(false);
         }
         self.idle_ticks = 0;
-        let mut oks = 0;
+        let fetch = |buf: &[u8]| Request::from_bytes(buf).map_err(invalid);
         let eof = loop {
-            let (lines, end) = self.wire.read_lines(ready.hup, scratch)?;
-            for line in lines.split_terminator('\n') {
-                match ControlMsg::parse(line)? {
-                    ControlMsg::Subscribe(path) => {
-                        on(PeerEvent::Subscribe(&path));
-                        oks += 1;
+            let end = self.wire.read_frames(ready.hup, scratch)?;
+            while let Some(frame) = self.wire.next_frame(b"GET ", fetch)? {
+                let line = match frame {
+                    Frame::Http(req) => {
+                        let (resp, body) = to.fetch(cache, &req);
+                        resp.append_to(&body, self.wire.out());
+                        continue;
                     }
+                    Frame::Line(line) => line,
+                };
+                match ControlMsg::parse(line)? {
                     ControlMsg::Unsubscribe(path) => {
-                        on(PeerEvent::Unsubscribe(&path));
-                        oks += 1;
+                        to.peer(cache, PeerEvent::Unsubscribe(path));
+                        self.wire.queue(ControlMsg::Ok.encode().as_bytes());
                     }
                     ControlMsg::Ack => {
                         if self.owed.pop_front().is_none() {
@@ -278,8 +282,6 @@ impl Peer {
                 ReadEnd::Eof => break true,
             }
         };
-        self.wire
-            .queue(ControlMsg::Ok.encode().repeat(oks).as_bytes());
         self.wire.flush()?;
         Ok(eof)
     }
@@ -312,10 +314,28 @@ impl TestPeer {
         line
     }
 
-    /// `SUBSCRIBE path`, and its `OK`: what was said before it is in.
-    pub(crate) fn subscribe(&mut self, path: &str) {
-        self.say(&format!("SUBSCRIBE {path}\n"));
-        assert_eq!(self.hear(), "OK\n");
+    /// The next response, head and body.
+    pub(crate) fn hear_response(&mut self) -> (httpsim::Response, Vec<u8>) {
+        use std::io::Read as _;
+        let mut head = String::new();
+        while !head.ends_with("\r\n\r\n") {
+            let line = self.hear();
+            assert!(!line.is_empty(), "hung up on mid-response");
+            head.push_str(&line);
+        }
+        let resp = httpsim::Response::parse(&head).unwrap();
+        let mut body = vec![0; resp.content_length.unwrap_or(0) as usize];
+        self.0.read_exact(&mut body).unwrap();
+        (resp, body)
+    }
+
+    /// `GET path` on the channel, and its `200`: the peer is subscribed
+    /// to `path`, and what was said before it is in.
+    pub(crate) fn fetch(&mut self, path: &str) -> Vec<u8> {
+        self.say(&Request::get(path).serialize());
+        let (resp, body) = self.hear_response();
+        assert_eq!(resp.status, httpsim::Status::Ok, "GET {path}");
+        body
     }
 }
 
@@ -332,9 +352,8 @@ mod tests {
     #[test]
     fn messages_encode_and_parse_round_trip() {
         let msgs = [
-            ControlMsg::Subscribe("/a/b.html".into()),
-            ControlMsg::Unsubscribe("/a/b.html".into()),
-            ControlMsg::Invalidate("/w/f3.dat".into()),
+            ControlMsg::Unsubscribe("/a/b.html"),
+            ControlMsg::Invalidate("/w/f3.dat"),
             ControlMsg::Ok,
             ControlMsg::Ack,
         ];
@@ -364,11 +383,14 @@ mod tests {
         let origin = LiveOrigin::spawn(OriginConfig::new(Arc::new(pop), clock)).unwrap();
         let mut peer = TestPeer::connect(origin.control_addr());
 
-        let commands = 2 * MAX_LINE / "SUBSCRIBE /a\n".len();
-        peer.say(&"SUBSCRIBE /a\n".repeat(commands));
+        peer.fetch("/a");
+        let commands = 2 * MAX_LINE / "UNSUBSCRIBE /a\n".len();
+        peer.say(&"UNSUBSCRIBE /a\n".repeat(commands));
         for heard in 0..commands {
             assert_eq!(peer.hear(), "OK\n", "after {heard} of {commands}");
         }
+        assert_eq!(origin.subscription_count(), 0);
+        peer.fetch("/a");
         assert_eq!(origin.subscription_count(), 1);
 
         peer.say(&"X".repeat(MAX_LINE + 1));
@@ -381,32 +403,38 @@ mod tests {
     }
 
     /// The origin's end frames what arrives, however it arrives: two
-    /// commands in one write, one command split across two, and a
-    /// hang-up mid-line.
+    /// fetches in one write, a command and a fetch each split across
+    /// two, and a hang-up mid-line.
     #[test]
     fn line_conn_frames_coalesced_and_split_messages() {
         let mut pop = FilePopulation::new();
         pop.add(FileRecord::new("/a", SimTime::ZERO, 10));
-        pop.add(FileRecord::new("/b", SimTime::ZERO, 10));
+        pop.add(FileRecord::new("/b", SimTime::ZERO, 20));
         let clock = LiveClock::virtual_at(SimTime::ZERO);
         let origin = LiveOrigin::spawn(OriginConfig::new(Arc::new(pop), clock)).unwrap();
         let mut peer = TestPeer::connect(origin.control_addr());
 
-        peer.say("SUBSCRIBE /a\nSUBSCRIBE /b\n");
-        assert_eq!(peer.hear(), "OK\n");
-        assert_eq!(peer.hear(), "OK\n");
+        let get = |path: &str| Request::get(path).serialize();
+        peer.say(&(get("/a") + &get("/b")));
+        assert_eq!(peer.hear_response().1.len(), 10);
+        assert_eq!(peer.hear_response().1.len(), 20);
         assert_eq!(origin.subscription_count(), 2);
 
         peer.say("UNSUBSC");
         thread::sleep(Duration::from_millis(20));
         assert_eq!(origin.subscription_count(), 2);
-        peer.say("RIBE /a\n");
+        let fetch = get("/a");
+        let (first, second) = fetch.split_at(fetch.len() / 2);
+        peer.say(&format!("RIBE /a\n{first}"));
         assert_eq!(peer.hear(), "OK\n");
         assert_eq!(origin.subscription_count(), 1);
+        peer.say(second);
+        assert_eq!(peer.hear_response().1.len(), 10);
+        assert_eq!(origin.subscription_count(), 2);
 
         // Half a line, then a hang-up: the peer is closed, and what it
         // had subscribed to goes with it.
-        peer.say("SUBSCRIBE /");
+        peer.say("UNSUBSCRIBE /");
         drop(peer);
         let deadline = Instant::now() + Duration::from_secs(10);
         while origin.subscription_count() != 0 {

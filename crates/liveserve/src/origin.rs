@@ -18,13 +18,14 @@
 //!
 //! Both ports are served by the origin's own reactor (`reactor`), the
 //! control port by its first thread alone (`control::PeerIo`), and the
-//! origin has no other thread. Everything here that runs on a reactor
-//! thread — `respond`, the control commands — is in-memory bookkeeping
-//! under the [`OriginServer`] mutex, which is never held across socket
-//! IO. The one wait is the publisher's, on the thread that called
-//! `advance_to`: invalidation targets are collected under the lock, the
-//! notice is handed to the reactor after it is released, and the caller
-//! sleeps until every target has `ACK`ed or gone.
+//! origin has no other thread. A proxy shard's fetches arrive on its
+//! control channel, where `respond` subscribes it to what it answers
+//! `200`. Everything here that runs on a reactor thread — `respond`, the
+//! control commands — is in-memory bookkeeping under the
+//! [`OriginServer`] mutex, which is never held across socket IO. The one wait is the publisher's, on the thread that
+//! called `advance_to`: invalidation targets are collected under the
+//! lock, the notice is handed to the reactor after it is released, and
+//! the caller sleeps until every target has `ACK`ed or gone.
 
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -145,45 +146,41 @@ impl OriginShared {
         (self.attach_expires(file, now, resp), synth_body(file, v))
     }
 
-    /// Answer one data-port request at instant `now`.
-    fn respond(&self, req: &Request, now: SimTime) -> (Response, Vec<u8>) {
+    /// Answer one request — with `subscriber`, a control peer's fetch: a
+    /// `200` subscribes it under the lock acquisition (and clock read)
+    /// that picks the version, which no publication can come between.
+    fn respond(&self, req: &Request, subscriber: Option<CacheId>) -> (Response, Vec<u8>) {
         let Some(&file) = self.path_ids.get(&req.path) else {
-            return (Response::not_found(wall_date(now)), Vec::new());
+            return (Response::not_found(wall_date(self.clock.now())), Vec::new());
         };
+        let mut server = self.server.lock();
+        let now = self.clock.now();
         // Pre-creation requests 404 (the accounting server panics on
         // them; a real origin just doesn't have the file yet).
         if self.population.get(file).version_at(now).is_none() {
             return (Response::not_found(wall_date(now)), Vec::new());
         }
-        match req.if_modified_since {
+        let (kind, result) = match req.if_modified_since {
             None => {
-                let v = self.server.lock().handle_get(file, now);
-                self.probe.record(
-                    now,
-                    ObsEvent::ServerOp {
-                        kind: ServerOpKind::DocumentRequest,
-                    },
-                );
-                self.full_response(file, v, now)
+                let v = server.handle_get(file, now);
+                (ServerOpKind::DocumentRequest, CondResult::Modified(v))
             }
             Some(ims) => {
-                let since = sim_instant(ims);
-                let result = self.server.lock().handle_conditional_get(file, since, now);
-                self.probe.record(
-                    now,
-                    ObsEvent::ServerOp {
-                        kind: ServerOpKind::ValidationQuery,
-                    },
-                );
-                match result {
-                    CondResult::NotModified => {
-                        let resp =
-                            self.attach_expires(file, now, Response::not_modified(wall_date(now)));
-                        (resp, Vec::new())
-                    }
-                    CondResult::Modified(v) => self.full_response(file, v, now),
-                }
+                let result = server.handle_conditional_get(file, sim_instant(ims), now);
+                (ServerOpKind::ValidationQuery, result)
             }
+        };
+        if let (Some(cache), CondResult::Modified(_)) = (subscriber, result) {
+            server.subscribe(cache, file);
+        }
+        drop(server);
+        self.probe.record(now, ObsEvent::ServerOp { kind });
+        match result {
+            CondResult::NotModified => {
+                let resp = self.attach_expires(file, now, Response::not_modified(wall_date(now)));
+                (resp, Vec::new())
+            }
+            CondResult::Modified(v) => self.full_response(file, v, now),
         }
     }
 
@@ -220,7 +217,7 @@ impl Dispatch for Arc<OriginShared> {
     type Parked = Infallible;
 
     fn begin(&self, _ticket: Ticket, req: Request) -> Step<Infallible> {
-        let (resp, body) = self.respond(&req, self.clock.now());
+        let (resp, body) = self.respond(&req, None);
         Step::Done(resp, Arc::new(body))
     }
 
@@ -233,22 +230,19 @@ impl Dispatch for Arc<OriginShared> {
         match parked {}
     }
 
+    fn fetch(&self, cache: CacheId, req: &Request) -> (Response, Vec<u8>) {
+        self.respond(req, Some(cache))
+    }
+
     fn peer(&self, cache: CacheId, event: PeerEvent<'_>) {
-        let file = |path| self.path_ids.get(path).copied();
-        let mut server = self.server.lock();
         match event {
-            PeerEvent::Subscribe(path) => {
-                if let Some(file) = file(path) {
-                    server.subscribe(cache, file);
-                }
-            }
             PeerEvent::Unsubscribe(path) => {
-                if let Some(file) = file(path) {
-                    server.unsubscribe(cache, file);
+                if let Some(&file) = self.path_ids.get(path) {
+                    self.server.lock().unsubscribe(cache, file);
                 }
             }
             PeerEvent::Gone => {
-                server.unsubscribe_all(cache);
+                self.server.lock().unsubscribe_all(cache);
             }
         }
     }
@@ -359,7 +353,7 @@ impl LiveOrigin {
             if targets.is_empty() {
                 continue;
             }
-            let path = self.shared.population.get(file).path.clone();
+            let path = &self.shared.population.get(file).path;
             let line = ControlMsg::Invalidate(path).encode();
             let acked = self.reactor.publish(line, targets);
             // Holding `mods` (the root rank) across the invalidation
@@ -514,7 +508,7 @@ mod tests {
     fn subscribed_proxy_receives_invalidation_on_advance() {
         let (origin, _clock) = small_origin();
         let mut peer = control(&origin);
-        peer.subscribe("/b.html");
+        peer.fetch("/b.html");
         assert_eq!(origin.subscription_count(), 1);
 
         publish_acked(&origin, &mut peer);
@@ -523,22 +517,60 @@ mod tests {
         assert_eq!(load.invalidations_sent, 1);
     }
 
-    /// Commands that arrive together are answered together — as many
-    /// `OK`s as there were commands, each registered by then — and the
+    /// What arrives together is answered together, in order — each
+    /// fetch's reply and each command's `OK` registered by then — and the
     /// channel carries an invalidation as before.
     #[test]
-    fn a_batch_of_commands_is_answered_with_as_many_oks() {
+    fn a_batch_of_fetches_and_commands_is_answered_in_order() {
         let (origin, _clock) = small_origin();
         let mut peer = control(&origin);
-        peer.say("SUBSCRIBE /a.html\nUNSUBSCRIBE /a.html\nSUBSCRIBE /b.html\n");
-        for _ in 0..3 {
-            assert_eq!(peer.hear(), "OK\n");
-        }
+        let get = |path: &str| Request::get(path).serialize();
+        peer.say(&(get("/a.html") + "UNSUBSCRIBE /a.html\n" + &get("/b.html")));
+        assert_eq!(peer.hear_response().1.len(), 100);
+        assert_eq!(peer.hear(), "OK\n");
+        assert_eq!(peer.hear_response().1.len(), 50);
         assert_eq!(origin.subscription_count(), 1);
 
-        // The next thing on the wire is the notice, not a fourth `OK`.
+        // The next thing on the wire is the notice, not another answer.
         publish_acked(&origin, &mut peer);
         assert_eq!(origin.shutdown().invalidations_sent, 1);
+    }
+
+    /// The fetch is the subscription. A `GET` on the control port is
+    /// answered `200`, counted as one document request, and subscribes
+    /// the peer under the lock that picked the version: a modification
+    /// published once it is in — the peer has read nothing yet — is
+    /// heard after the reply's last byte, and `advance_to` returns only
+    /// once that notice is `ACK`ed.
+    #[test]
+    fn a_fetch_on_the_control_port_subscribes_ahead_of_the_next_notice() {
+        let (origin, _clock) = small_origin();
+        let mut peer = control(&origin);
+        peer.say(&Request::get("/b.html").serialize());
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while origin.subscription_count() != 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the fetch never subscribed"
+            );
+            thread::sleep(Duration::from_millis(2));
+        }
+        thread::scope(|s| {
+            let h = s.spawn(|| origin.advance_to(t(1500)));
+            let (resp, body) = peer.hear_response();
+            assert_eq!(resp.status, Status::Ok);
+            assert_eq!(
+                (resp.last_modified, body.len()),
+                (Some(wall_date(t(0))), 50)
+            );
+            assert_eq!(peer.hear(), "INVALIDATE /b.html\n");
+            thread::sleep(SETTLE);
+            assert!(!h.is_finished(), "released before the notice was answered");
+            peer.say("ACK\n");
+            h.join().unwrap();
+        });
+        let load = origin.shutdown();
+        assert_eq!((load.document_requests, load.invalidations_sent), (1, 1));
     }
 
     /// An `ACK` with no notice outstanding must not sit in wait for the
@@ -549,12 +581,12 @@ mod tests {
         let (origin, _clock) = small_origin();
         let mut stray = control(&origin);
         stray.say("ACK\n");
-        stray.say("SUBSCRIBE /b.html\n");
+        stray.say(&Request::get("/b.html").serialize());
         assert_eq!(stray.hear(), "", "the stray peer is hung up on");
         assert_eq!(origin.subscription_count(), 0);
 
         let mut good = control(&origin);
-        good.subscribe("/b.html");
+        good.fetch("/b.html");
         thread::scope(|s| {
             let h = s.spawn(|| origin.advance_to(t(1500)));
             assert_eq!(good.hear(), "INVALIDATE /b.html\n");
@@ -572,9 +604,9 @@ mod tests {
     fn two_peers_both_hold_the_notice_and_the_publisher_waits_for_both() {
         let (origin, _clock) = small_origin();
         let mut first = control(&origin);
-        first.subscribe("/b.html");
+        first.fetch("/b.html");
         let mut second = control(&origin);
-        second.subscribe("/b.html");
+        second.fetch("/b.html");
 
         thread::scope(|s| {
             let h = s.spawn(|| origin.advance_to(t(1500)));
@@ -582,8 +614,8 @@ mod tests {
             assert_eq!(first.hear(), "INVALIDATE /b.html\n");
             assert_eq!(second.hear(), "INVALIDATE /b.html\n");
             first.say("ACK\n");
-            // `first`'s ACK is in: the OK behind it says so.
-            first.subscribe("/a.html");
+            // `first`'s ACK is in: the reply behind it says so.
+            first.fetch("/a.html");
             thread::sleep(SETTLE);
             assert!(!h.is_finished(), "released with one ACK of two");
             second.say("ACK\n");
@@ -596,8 +628,8 @@ mod tests {
     fn a_peer_that_hangs_up_owing_an_ack_releases_the_publisher() {
         let (origin, _clock) = small_origin();
         let mut peer = control(&origin);
-        peer.subscribe("/a.html");
-        peer.subscribe("/b.html");
+        peer.fetch("/a.html");
+        peer.fetch("/b.html");
         assert_eq!(origin.subscription_count(), 2);
 
         thread::scope(|s| {
@@ -626,7 +658,7 @@ mod tests {
         let mut on = conn_on_each_reactor(&accepted, || connect(&origin));
 
         let mut peer = control(&origin);
-        peer.subscribe("/b.html");
+        peer.fetch("/b.html");
         publish_acked(&origin, &mut peer);
         for conn in &mut on {
             conn.write_request(&Request::get("/b.html")).unwrap();
@@ -634,7 +666,8 @@ mod tests {
             assert_eq!((resp.status, body.len()), (Status::Ok, 60));
         }
         let load = origin.shutdown();
-        assert_eq!((load.invalidations_sent, load.document_requests), (1, 2));
+        // The control peer's fetch is a document request too.
+        assert_eq!((load.invalidations_sent, load.document_requests), (1, 3));
     }
 
     /// The proxy prices an upstream reply by the bytes its head took on
@@ -659,7 +692,7 @@ mod tests {
             Request::get_if_modified_since("/plain", since),
             Request::get("/missing"),
         ] {
-            let (resp, body) = origin.shared.respond(&req, t(100));
+            let (resp, body) = origin.shared.respond(&req, None);
             let wire = resp.to_bytes(&body);
             let (parsed, parsed_body, used) = Response::from_bytes(&wire).unwrap().unwrap();
             let head = (used - parsed_body.len()) as u64;
@@ -741,7 +774,7 @@ mod tests {
 
         // ...and a well-behaved control channel still subscribes.
         let mut peer = control(&origin);
-        peer.subscribe("/a.html");
+        peer.fetch("/a.html");
         assert_eq!(origin.subscription_count(), 1);
         drop(origin);
     }

@@ -18,14 +18,14 @@
 //! [`CacheState`]s, routed by [`shard_for`] (`FileId` index modulo the
 //! shard count), each behind its own mutex with its own store and
 //! policy instance. Each shard also has its own bounded set of
-//! keep-alive origin connections and — under the invalidation
-//! mechanism — its own persistent control connection, all owned by one
-//! reactor thread (`upstream::ShardIo`). Requests for different files
-//! on different shards never contend; the run's totals are the merge of
-//! the per-shard counters. With one shard and one reactor thread the
-//! topology degenerates to a single lock, a single thread and no
-//! hand-off at all, which is what keeps the single-threaded
-//! differential test counter-exact.
+//! keep-alive origin connections and — under the invalidation mechanism
+//! — its own persistent control connection, which carries every fetch
+//! it stores, all owned by one reactor thread (`upstream::ShardIo`).
+//! Requests for different files on different shards never contend; the
+//! run's totals are the merge of the per-shard counters. With one shard
+//! and one reactor thread the topology degenerates to a single lock, a
+//! single thread and no hand-off at all, which is what keeps the
+//! single-threaded differential test counter-exact.
 //!
 //! **A request's path.** [`Dispatch::begin`] decides, once, under the
 //! shard lock: resolve, hand the request to the engine (the one store
@@ -38,19 +38,17 @@
 //! | stage | sent | on the answer |
 //! |-------|------|---------------|
 //! | `Validating` | `GET` + `If-Modified-Since` | `304`: apply, serve the cached body (entry lost meanwhile: refetch, on the same socket). Otherwise as `Fetching`. |
-//! | `Fetching` | `GET` | Apply the reply; under invalidation, if that changed what the origin must track → `Unsubscribing`, else done. |
-//! | `Unsubscribing` | one batch: `SUBSCRIBE` the file if the reply made it resident, `UNSUBSCRIBE` × evicted victims | every `OK` in: respond. |
+//! | `Fetching` | `GET` — under invalidation a leader's on the shard's control channel, where the origin's `200` subscribes it; an uncacheable forward's on a data connection | Apply the reply; under invalidation, if that left the origin tracking what the shard does not hold → `Unsubscribing`, else done. |
+//! | `Unsubscribing` | one batch: `UNSUBSCRIBE` × evicted victims not being refetched, and a leader's file if its reply left it non-resident | every `OK` in: respond. |
 //!
-//! The response is released only after every control command the
-//! request issued is acknowledged, which makes the control channel a
-//! sequencing point and single-connection runs counter-exact (the
-//! origin's ledger equals the simulator's at every `advance_to`). The
-//! insert may precede its `SUBSCRIBE`: the entry is resident before the
-//! line is written, so no `INVALIDATE` can find it absent, and nobody is
-//! decided against it before the batch is `OK`ed, because whoever
-//! inserts a file that was absent holds its flight until then (`apply`).
-//! Still open: a modification between the origin's `GET` reply and its
-//! registering the `SUBSCRIBE` (DESIGN.md §8).
+//! Under invalidation the fetch is the subscription: the origin
+//! registers it as it answers, so no entry is ever resident before it is
+//! subscribed, the reply is applied in line order with the `INVALIDATE`s
+//! around it, and a miss that evicts nothing talks to the origin once.
+//! The response is released only after every `UNSUBSCRIBE` the request
+//! issued is acknowledged, which makes the control channel a sequencing
+//! point and single-connection runs counter-exact (the origin's ledger
+//! equals the simulator's at every `advance_to`).
 //!
 //! **Single-flight.** Concurrent misses for the same file coalesce: the
 //! first request registers the file as in flight and fetches; requests
@@ -66,7 +64,7 @@
 //! flights) and is only ever held for in-memory work, which is what
 //! lets any reactor thread take it.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
@@ -233,6 +231,9 @@ struct CacheState {
     /// the requests that arrived meanwhile; they are decided when the
     /// flight lands. Bounded by the client-connection cap.
     in_flight: HashMap<FileId, Vec<Waiter>>,
+    /// Flights whose fetch is still out: its reply, not an eviction
+    /// meanwhile, settles whether the origin keeps the file subscribed.
+    fetching: HashSet<FileId>,
     invalidations_delivered: u64,
 }
 
@@ -294,10 +295,9 @@ struct Decided {
 enum Stage {
     /// The reply to a conditional GET.
     Validating,
-    /// The reply to an unconditional GET; `stored` is false for an
-    /// uncacheable forward, whose answer is counted but never kept.
-    Fetching { stored: bool },
-    /// The `OK`s for its `SUBSCRIBE` + victims' `UNSUBSCRIBE`s: respond.
+    /// The reply to an unconditional GET.
+    Fetching,
+    /// The `OK`s for its `UNSUBSCRIBE`s: respond.
     Unsubscribing { resp: Response, body: Arc<Vec<u8>> },
 }
 
@@ -388,11 +388,11 @@ impl ProxyShared {
             .request(file, class, now, oracle, &mut &self.probe);
         // Whoever has no usable copy to show the origin leads the file's
         // flight.
-        let fetch = |stored| (Request::get(path.as_str()), Stage::Fetching { stored });
+        let fetch = || (Request::get(path.as_str()), Stage::Fetching);
         let ((request, stage), leads) = match effect {
             Effect::Serve(entry) => match Self::local_response(&st, file, &entry, now) {
                 Some((resp, body)) => return Step::Done(resp, body),
-                None => (fetch(true), true),
+                None => (fetch(), true),
             },
             Effect::Validate(entry) => {
                 let since = wall_date(entry.last_modified);
@@ -401,11 +401,12 @@ impl ProxyShared {
             }
             // Never coalesced: every uncacheable request is its own
             // upstream exchange, exactly as the simulator counts them.
-            Effect::Forward => (fetch(false), false),
-            Effect::Fetch => (fetch(true), true),
+            Effect::Forward => (fetch(), false),
+            Effect::Fetch => (fetch(), true),
         };
         if leads {
             st.in_flight.insert(file, Vec::new());
+            st.fetching.insert(file);
         }
         drop(st);
         let req = Decided {
@@ -417,26 +418,14 @@ impl ProxyShared {
         self.exchange(req, &request, stage)
     }
 
-    /// Park `req` on one HTTP exchange over its shard's connections.
+    /// Park `req` on one HTTP exchange with its shard's origin.
     fn exchange(&self, mut req: Decided, request: &Request, stage: Stage) -> Step<Parked> {
         let request = request.to_bytes();
         req.sent = request.len() as u64;
         Step::Exchange {
             shard: shard_for(req.asked.file, self.shards.len()),
             request,
-            then: Parked { req, stage },
-        }
-    }
-
-    /// Park `req` on `commands` over its shard's control channel.
-    fn control(&self, req: Decided, commands: &[ControlMsg], stage: Stage) -> Step<Parked> {
-        Step::Control {
-            shard: shard_for(req.asked.file, self.shards.len()),
-            commands: commands
-                .iter()
-                .flat_map(|m| m.encode().into_bytes())
-                .collect(),
-            oks: commands.len() as u32,
+            subscribe: self.uses_invalidation && req.leads,
             then: Parked { req, stage },
         }
     }
@@ -453,10 +442,10 @@ impl ProxyShared {
             // Combined query-and-fetch: a conditional GET that finds the
             // file changed is answered with the new version.
             (Stage::Validating, Arrived::Reply(resp, body, head)) => {
-                self.received(req, true, true, resp, body, head)
+                self.received(req, true, resp, body, head)
             }
-            (Stage::Fetching { stored }, Arrived::Reply(resp, body, head)) => {
-                self.received(req, stored, false, resp, body, head)
+            (Stage::Fetching, Arrived::Reply(resp, body, head)) => {
+                self.received(req, false, resp, body, head)
             }
             (Stage::Unsubscribing { resp, body }, Arrived::ControlOk) => Ok(Step::Done(resp, body)),
             _ => Err(io::Error::other(
@@ -490,17 +479,21 @@ impl ProxyShared {
             // on the connection in hand).
             None => {
                 let request = Request::get(req.path.as_str());
-                self.exchange(req, &request, Stage::Fetching { stored: true })
+                self.exchange(req, &request, Stage::Fetching)
             }
         }
     }
 
     /// A `200` or `404` (its head `head` wire bytes) is in: price it for
-    /// the engine and apply it.
+    /// the engine, apply it, keep the bodies map in step with the store,
+    /// and tell the origin in one batch what to forget. Under
+    /// invalidation a leader's fetch subscribed the file (the origin
+    /// registers a `200` on the control channel as it answers it), so
+    /// that is every victim whose own fetch is not out, and the file if
+    /// the reply left it non-resident — an oversized body, a `404`.
     fn received(
         &self,
         req: Decided,
-        stored: bool,
         conditional: bool,
         resp: Response,
         body: Vec<u8>,
@@ -526,24 +519,11 @@ impl ProxyShared {
                 message_bytes,
             }
         };
-        let inserts = stored && resp.status == Status::Ok;
-        Ok(self.apply(req, inserts, reply, resp, Arc::new(body)))
-    }
-
-    /// Hand the reply to the engine, keep the bodies map in step with
-    /// the store, and tell the origin in one batch what that changed:
-    /// the file subscribed if it is newly resident, its victims not.
-    fn apply(
-        &self,
-        mut req: Decided,
-        inserts: bool,
-        reply: Reply,
-        resp: Response,
-        body: Arc<Vec<u8>>,
-    ) -> Step<Parked> {
-        let Asked { file, class, now } = req.asked;
+        let (Asked { file, class, now }, body) = (req.asked, Arc::new(body));
         let mut st = self.shard(file).lock();
-        let absent = st.engine.peek(file).is_none();
+        if req.leads {
+            st.fetching.remove(&file);
+        }
         let applied = st.engine.apply(file, class, now, reply, &mut &self.probe);
         for (victim, _) in applied.victims.iter() {
             st.bodies.remove(victim);
@@ -554,39 +534,37 @@ impl ProxyShared {
         } else {
             st.bodies.remove(&file);
         }
-        let subscribe = self.uses_invalidation && inserts && absent && resident;
-        if subscribe && !req.leads {
-            // Nobody is decided against the entry before its `SUBSCRIBE`
-            // is `OK`ed: an inserter that does not lead (a validation
-            // whose entry was evicted under it) takes the flight here.
-            st.in_flight.entry(file).or_default();
-            req.leads = true;
-        }
-        drop(st);
         // A shard evicts only its own files, so these travel over the
         // channel the victims were subscribed on: at most a line per
-        // victim of one insert. A rejected oversized body names its own
-        // file, never subscribed if it was never resident.
-        let mut commands = Vec::new();
-        if subscribe {
-            commands.push(ControlMsg::Subscribe(req.path.clone()));
+        // victim of one insert, and the file. A victim being refetched is
+        // left to that fetch's reply: its `GET` is ahead of these.
+        let settled = |&v: &FileId| v != file && !st.fetching.contains(&v);
+        let victims = applied.victims.iter().map(|&(v, _)| v);
+        let mut forget: Vec<FileId> = victims.filter(settled).collect();
+        forget.extend((req.leads && !resident).then_some(file));
+        drop(st);
+        if !self.uses_invalidation || forget.is_empty() {
+            return Ok(Step::Done(resp, body));
         }
-        for &(victim, _) in applied.victims.iter() {
-            if self.uses_invalidation && (victim != file || !absent) {
-                commands.push(ControlMsg::Unsubscribe(self.path_of(victim)));
-            }
-        }
-        if commands.is_empty() {
-            return Step::Done(resp, body);
-        }
-        self.control(req, &commands, Stage::Unsubscribing { resp, body })
+        let unsubscribe = |&f: &FileId| ControlMsg::Unsubscribe(&self.path_of(f)).encode();
+        let commands = forget.iter().flat_map(|f| unsubscribe(f).into_bytes());
+        let stage = Stage::Unsubscribing { resp, body };
+        Ok(Step::Control {
+            shard: shard_for(file, self.shards.len()),
+            commands: commands.collect(),
+            oks: forget.len() as u32,
+            then: Parked { req, stage },
+        })
     }
 
     /// `file`'s flight is over, however it ended: decide, in arrival
     /// order, everyone who waited on it. If the first still needs the
     /// origin it leads the next flight, and the rest wait on that.
     fn land(&self, file: FileId, woken: &mut Work<Parked>) {
-        let waiters = self.shard(file).lock().in_flight.remove(&file);
+        let mut st = self.shard(file).lock();
+        st.fetching.remove(&file); // a failed fetch settles nothing
+        let waiters = st.in_flight.remove(&file);
+        drop(st);
         for w in waiters.unwrap_or_default() {
             let step = self.evaluate(w.ticket, w.asked, w.path);
             woken.push_back((w.ticket, step));
@@ -631,7 +609,8 @@ impl Dispatch for Arc<ProxyShared> {
         let file = self.resolve(path);
         // One invalidation = one control message (notice + ack), as in
         // the simulator's `invalidation_message` costing.
-        let bytes = msg_len(&ControlMsg::Invalidate(path.to_string())) + msg_len(&ControlMsg::Ack);
+        let notice = ControlMsg::Invalidate(path).encode() + &ControlMsg::Ack.encode();
+        let bytes = notice.len() as u64;
         // The origin routes INVALIDATE over the subscribing shard's
         // channel; route by file anyway so a misdirected notice can
         // never corrupt a foreign shard's accounting.
@@ -639,10 +618,6 @@ impl Dispatch for Arc<ProxyShared> {
         st.invalidations_delivered += 1;
         st.engine.invalidate(file, self.clock.now(), bytes);
     }
-}
-
-fn msg_len(msg: &ControlMsg) -> u64 {
-    msg.encode().len() as u64
 }
 
 /// Every well-formed `200` in this protocol carries `Last-Modified`; an
@@ -719,6 +694,7 @@ impl LiveProxy {
                     ),
                     bodies: HashMap::new(),
                     in_flight: HashMap::new(),
+                    fetching: HashSet::new(),
                     invalidations_delivered: 0,
                 },
             ));
@@ -1375,58 +1351,72 @@ mod tests {
         assert_eq!((snap.upstream_dials, snap.upstream_reuses), (1, 1));
     }
 
-    /// A control peer that says what the test tells it to, when it does,
-    /// and reports every line the proxy writes.
+    /// A control peer playing the origin of an invalidation proxy's
+    /// channel: it writes what the test tells it to, when it does — an empty
+    /// message hangs up — and reports every line the proxy writes, a
+    /// fetch by its request line.
     fn withholding_control_peer() -> (
         SocketAddr,
         mpsc::Receiver<String>,
-        mpsc::Sender<&'static str>,
+        mpsc::Sender<Vec<u8>>,
         JoinHandle<()>,
     ) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let (seen_tx, seen) = mpsc::channel();
-        let (say, lines) = mpsc::channel::<&'static str>();
+        let (say, said) = mpsc::channel::<Vec<u8>>();
         let peer = thread::spawn(move || {
             use std::io::{BufRead, BufReader};
             let (stream, _) = listener.accept().unwrap();
             let mut writer = stream.try_clone().unwrap();
-            // Both ends when the test's do.
+            // Both ends when the test's do, or the proxy hangs up.
             let reporter = thread::spawn(move || {
-                for line in BufReader::new(stream).lines() {
-                    let Ok(line) = line else { return };
+                let mut lines = BufReader::new(stream).lines().map_while(Result::ok);
+                while let Some(line) = lines.next() {
+                    if line.starts_with("GET ") {
+                        // The rest of the head, up to its blank line.
+                        while lines.next().is_some_and(|l| !l.is_empty()) {}
+                    }
                     if seen_tx.send(line).is_err() {
                         return;
                     }
                 }
             });
-            while let Ok(line) = lines.recv() {
-                writer.write_all(line.as_bytes()).unwrap();
+            while let Ok(bytes) = said.recv() {
+                if bytes.is_empty() {
+                    break;
+                }
+                writer.write_all(&bytes).unwrap();
             }
-            drop(writer);
+            let _ = writer.shutdown(std::net::Shutdown::Both);
             reporter.join().unwrap();
         });
         (addr, seen, say, peer)
     }
 
-    /// A proxy under invalidation between a [`Scripted`] origin and a
-    /// withholding control peer.
+    /// A proxy under invalidation whose control peer is played by the
+    /// test. Its data origin is a [`Scripted`] one that must hear
+    /// nothing: every fetch it stores travels on the channel.
     struct Withheld {
         origin: Scripted,
         proxy: LiveProxy,
         commands: mpsc::Receiver<String>,
-        say: mpsc::Sender<&'static str>,
+        say: mpsc::Sender<Vec<u8>>,
         peer: JoinHandle<()>,
     }
 
     impl Withheld {
         fn spawn(store: StoreKind) -> Withheld {
+            Self::spawn_with_budget(store, DEFAULT_READ_BUDGET_TICKS)
+        }
+
+        fn spawn_with_budget(store: StoreKind, budget_ticks: u32) -> Withheld {
             let origin = Scripted::spawn();
             let (control, commands, say, peer) = withholding_control_peer();
             let mut cfg = origin.proxy(LivePolicy::Invalidation);
             cfg.origin_control = control;
             cfg.store = store;
-            let proxy = LiveProxy::spawn(cfg).unwrap();
+            let proxy = LiveProxy::spawn_with_budget(cfg, budget_ticks).unwrap();
             Withheld {
                 origin,
                 proxy,
@@ -1442,6 +1432,28 @@ mod tests {
                 .expect("a line on the control channel")
         }
 
+        /// The next thing on the channel is a plain GET of `path`.
+        fn expect_fetch(&self, path: &str) {
+            assert_eq!(self.next_command(), format!("GET {path} HTTP/1.0"));
+        }
+
+        /// Write `text` to the proxy.
+        fn say(&self, text: &str) {
+            self.say.send(text.as_bytes().to_vec()).unwrap();
+        }
+
+        /// Answer the fetch at the head of the proxy's FIFO: `200`,
+        /// `Last-Modified` zero, `len` bytes.
+        fn reply(&self, len: usize) {
+            self.say.send(ok_reply(len)).unwrap();
+        }
+
+        /// The proxy has closed the channel: the peer heard its hang-up.
+        fn expect_hung_up(&self) {
+            let heard = self.commands.recv_timeout(Duration::from_secs(10));
+            assert_eq!(heard, Err(mpsc::RecvTimeoutError::Disconnected));
+        }
+
         /// Requests parked on `path`'s flight (`None`: no flight).
         fn waiting(&self, path: &str) -> Option<usize> {
             let file = self.proxy.shared.resolve(path);
@@ -1449,12 +1461,19 @@ mod tests {
             st.in_flight.get(&file).map(Vec::len)
         }
 
-        /// Open a connection, send a GET for `path` on it, and let the
-        /// origin answer the fetch with `len` bytes.
-        fn fetch(&self, path: &str, len: usize) -> HttpConn {
+        /// Open a connection and send a GET for `path` on it, which the
+        /// proxy fetches on the channel.
+        fn ask(&self, path: &str) -> HttpConn {
             let mut conn = connect(&self.proxy);
             conn.write_request(&Request::get(path)).unwrap();
-            self.origin.serve_next(path, len);
+            self.expect_fetch(path);
+            conn
+        }
+
+        /// [`ask`](Self::ask), and answer the fetch with `len` bytes.
+        fn fetch(&self, path: &str, len: usize) -> HttpConn {
+            let conn = self.ask(path);
+            self.reply(len);
             conn
         }
 
@@ -1474,8 +1493,14 @@ mod tests {
             let snap = self.proxy.shutdown();
             drop(self.say);
             self.peer.join().unwrap();
+            assert_eq!(snap.upstream_dials, 0, "an exchange left the channel");
+            assert!(self.origin.arrivals.try_recv().is_err());
             snap
         }
+    }
+
+    fn ok_reply(len: usize) -> Vec<u8> {
+        Response::ok(wall_date(t(10)), wall_date(t(0)), len as u64).to_bytes(&vec![7u8; len])
     }
 
     /// Nothing has been written to `conn` four poll ticks from now.
@@ -1486,159 +1511,278 @@ mod tests {
         conn.set_read_budget_ticks(DEFAULT_READ_BUDGET_TICKS);
     }
 
-    /// `OK`s release commands strictly in the order they were sent: of
-    /// two concurrent cold misses on one shard, neither is answered —
-    /// and a second request for the second file stays parked on its
-    /// flight, undecided — until that file's *own* `OK` arrives, however
-    /// long the first has been in. (The blocking proxy let either worker
-    /// take either `OK`, so the second file could be served before the
-    /// origin had registered its subscription — and a modification in
-    /// that window was never invalidated.)
+    /// The proxy hung up on `conn` without answering.
+    fn expect_failed(conn: &mut HttpConn) {
+        let hung_up = conn.read_response().unwrap_err();
+        assert_eq!(hung_up.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// `OK`s release batches strictly in the order they were sent: of
+    /// two concurrent cold misses on one shard that each evict, neither
+    /// is answered — and a second request for the second file stays
+    /// parked on its flight, undecided — until that miss's *own* `OK`
+    /// arrives, however long the first has been in. (The blocking proxy
+    /// let either worker take either `OK`, so a request could be
+    /// answered before the origin had registered what it changed.)
     #[test]
     fn an_ok_releases_only_the_subscription_it_answers() {
-        let w = Withheld::spawn(StoreKind::Unbounded);
-        let mut a = w.fetch("/a", 11);
-        assert_eq!(w.next_command(), "SUBSCRIBE /a");
-        let mut b = w.fetch("/b", 22);
-        assert_eq!(w.next_command(), "SUBSCRIBE /b");
+        let w = Withheld::spawn(StoreKind::Lru(100));
+        // Evicting nothing, it is answered with its reply.
+        let mut v = w.fetch("/v", 50);
+        expect(&mut v, 50);
+        // Both fetches are out before either reply is in, so both
+        // batches are: the channel answers in the order it was asked.
+        let (mut a, mut b) = (w.ask("/a"), w.ask("/b"));
         let mut b2 = w.follow("/b");
+        w.reply(60);
+        assert_eq!(w.next_command(), "UNSUBSCRIBE /v");
+        w.reply(70);
+        assert_eq!(w.next_command(), "UNSUBSCRIBE /a");
         expect_unanswered(&mut a);
 
-        w.say.send("OK\n").unwrap();
-        expect(&mut a, 11);
+        w.say("OK\n");
+        expect(&mut a, 60);
         // The first `OK` is long in, and `/b` still waits for its own.
         expect_unanswered(&mut b);
         assert_eq!(w.waiting("/b"), Some(1), "/b was released on /a's OK");
 
-        w.say.send("OK\n").unwrap();
-        expect(&mut b, 22);
-        expect(&mut b2, 22);
+        w.say("OK\n");
+        expect(&mut b, 70);
+        expect(&mut b2, 70);
         assert_eq!(w.waiting("/b"), None);
         let snap = w.finish();
-        assert_eq!((snap.cache.misses, snap.cache.fresh_hits), (2, 1));
+        assert_eq!((snap.cache.misses, snap.cache.fresh_hits), (3, 1));
+        assert_eq!(snap.evictions, 2);
     }
 
     /// A cold miss into a full store tells the origin everything it
-    /// changed in one batch — the new file first, then what it
-    /// displaced — and is answered when the whole batch is `OK`ed.
+    /// displaced in one batch, in eviction order, and is answered when
+    /// the whole batch is `OK`ed.
     #[test]
     fn a_cold_miss_that_evicts_sends_one_batch_and_waits_for_all_of_it() {
         let w = Withheld::spawn(StoreKind::Lru(100));
-        let mut first = w.fetch("/victim", 60);
-        assert_eq!(w.next_command(), "SUBSCRIBE /victim");
-        w.say.send("OK\n").unwrap();
-        expect(&mut first, 60);
-
-        let mut second = w.fetch("/new", 60);
-        assert_eq!(w.next_command(), "SUBSCRIBE /new");
-        assert_eq!(w.next_command(), "UNSUBSCRIBE /victim");
-        w.say.send("OK\n").unwrap();
-        expect_unanswered(&mut second);
-        w.say.send("OK\n").unwrap();
-        expect(&mut second, 60);
+        for path in ["/v1", "/v2"] {
+            let mut conn = w.fetch(path, 40);
+            expect(&mut conn, 40);
+        }
+        let mut new = w.fetch("/new", 90);
+        assert_eq!(w.next_command(), "UNSUBSCRIBE /v1");
+        assert_eq!(w.next_command(), "UNSUBSCRIBE /v2");
+        w.say("OK\n");
+        expect_unanswered(&mut new);
+        w.say("OK\n");
+        expect(&mut new, 90);
 
         assert!(w.commands.try_recv().is_err(), "two lines, no more");
         let snap = w.finish();
-        assert_eq!((snap.cache.misses, snap.evictions), (2, 1));
+        assert_eq!((snap.cache.misses, snap.evictions), (3, 2));
     }
 
-    /// The entry is resident before its `SUBSCRIBE` is written, so an
-    /// `INVALIDATE` that overtakes the `OK` finds it and marks it: the
-    /// follower parked on the flight refetches instead of hitting the
-    /// copy the origin has just declared out of date.
+    /// An `INVALIDATE` that overtakes the `OK` of an insert's batch finds
+    /// the entry and marks it: the follower parked on the flight
+    /// refetches instead of hitting the copy the origin has just
+    /// declared out of date.
     #[test]
     fn an_invalidation_ahead_of_the_ok_marks_the_entry_just_inserted() {
-        let w = Withheld::spawn(StoreKind::Unbounded);
-        let mut leader = w.fetch("/new", 30);
-        assert_eq!(w.next_command(), "SUBSCRIBE /new");
+        let w = Withheld::spawn(StoreKind::Lru(100));
+        let mut old = w.fetch("/old", 60);
+        expect(&mut old, 60);
+        let mut leader = w.fetch("/new", 50);
+        assert_eq!(w.next_command(), "UNSUBSCRIBE /old");
         let mut follower = w.follow("/new");
 
-        w.say.send("INVALIDATE /new\n").unwrap();
+        w.say("INVALIDATE /new\n");
         assert_eq!(w.next_command(), "ACK");
-        w.say.send("OK\n").unwrap();
-        expect(&mut leader, 30);
-        // Still subscribed, nothing displaced: the refetch has nothing
-        // to tell the origin and is answered at once.
-        w.origin.serve_next("/new", 31);
-        expect(&mut follower, 31);
+        w.say("OK\n");
+        expect(&mut leader, 50);
+        // Nothing displaced: the refetch is answered with its reply.
+        w.expect_fetch("/new");
+        w.reply(51);
+        expect(&mut follower, 51);
 
         assert!(w.commands.try_recv().is_err());
+        let snap = w.finish();
+        assert_eq!(snap.invalidations_delivered, 1);
+        assert_eq!((snap.cache.misses, snap.cache.fresh_hits), (3, 0));
+    }
+
+    /// Nothing falls between a fetch and its subscription: a reply and
+    /// the `INVALIDATE` of a modification made right after it arrive in
+    /// one write and are applied in line order — the copy is inserted,
+    /// then marked invalid — so the next request refetches the new
+    /// version instead of serving the old one as fresh.
+    #[test]
+    fn a_reply_with_its_invalidation_behind_it_leaves_the_copy_invalid() {
+        let w = Withheld::spawn(StoreKind::Unbounded);
+        let mut conn = connect(&w.proxy);
+        conn.write_request(&Request::get("/f")).unwrap();
+        w.expect_fetch("/f");
+        let mut both = ok_reply(10);
+        both.extend_from_slice(b"INVALIDATE /f\n");
+        w.say.send(both).unwrap();
+        expect(&mut conn, 10);
+        assert_eq!(w.next_command(), "ACK");
+
+        conn.write_request(&Request::get("/f")).unwrap();
+        w.expect_fetch("/f");
+        w.reply(11);
+        expect(&mut conn, 11);
         let snap = w.finish();
         assert_eq!(snap.invalidations_delivered, 1);
         assert_eq!((snap.cache.misses, snap.cache.fresh_hits), (2, 0));
     }
 
-    /// A body the store rejects as oversized was never resident, so
-    /// there is nothing to subscribe — and no `UNSUBSCRIBE` of itself,
-    /// though the engine names it among the victims.
+    /// A body the store rejects as oversized was subscribed by its fetch
+    /// but never resident: the engine names it among the victims, and
+    /// its own `UNSUBSCRIBE` is the batch its answer waits on.
     #[test]
-    fn an_oversized_body_is_answered_without_touching_the_ledger() {
+    fn an_oversized_body_unsubscribes_what_its_fetch_subscribed() {
         let w = Withheld::spawn(StoreKind::Lru(100));
         let mut conn = w.fetch("/huge", 500);
+        assert_eq!(w.next_command(), "UNSUBSCRIBE /huge");
+        expect_unanswered(&mut conn);
+        w.say("OK\n");
         expect(&mut conn, 500);
-        // Anything `/huge` had said would be ahead of this.
+        // Anything more `/huge` had said would be ahead of this.
         conn.write_request(&Request::get("/small")).unwrap();
-        w.origin.serve_next("/small", 50);
-        assert_eq!(w.next_command(), "SUBSCRIBE /small");
-        w.say.send("OK\n").unwrap();
+        w.expect_fetch("/small");
+        w.reply(50);
         expect(&mut conn, 50);
         let snap = w.finish();
         assert_eq!((snap.cache.misses, snap.evictions), (2, 0));
     }
 
-    /// Whoever inserts a file that was absent holds its flight until the
-    /// `SUBSCRIBE` is `OK`ed, leader or not. Under invalidation every
-    /// inserter leads today (expired entries are refetched, never
-    /// validated), so the one that does not — a validation whose entry
-    /// was evicted under it — is played by hand: its reply is applied,
-    /// and its `OK` delivered, from here.
+    /// A refetch pipelined behind a reply that evicts its file settles
+    /// the file's subscription itself. Its `GET` is ahead of anything the
+    /// eviction could say, so an `UNSUBSCRIBE` then would leave the copy
+    /// the refetch brings in never announced again. The refetch's reply
+    /// decides: a copy kept stays subscribed, a `404` is unsubscribed.
     #[test]
-    fn an_inserter_that_does_not_lead_takes_the_flight_until_its_ok() {
-        let w = Withheld::spawn(StoreKind::Unbounded);
-        let shared = &w.proxy.shared;
-        let asked = Asked {
-            file: shared.resolve("/x"),
-            class: 0,
-            now: t(10),
-        };
-        let validator = Decided {
-            asked,
-            path: "/x".to_string(),
-            leads: false,
-            sent: 0,
-        };
-        let reply = Reply::Body {
-            size: 40,
-            last_modified: t(0),
-            expires: None,
-            conditional: true,
-            message_bytes: 0,
-            delay: SimDuration::ZERO,
-        };
-        let resp = Response::ok(wall_date(t(10)), wall_date(t(0)), 40);
-        let step = shared.apply(validator, true, reply, resp, Arc::new(vec![7u8; 40]));
-        let Step::Control {
-            commands,
-            oks,
-            then,
-            ..
-        } = step
-        else {
-            panic!("an insert under invalidation waits for its SUBSCRIBE");
-        };
-        assert_eq!((commands.as_slice(), oks), (&b"SUBSCRIBE /x\n"[..], 1));
-        assert!(then.req.leads);
+    fn a_victim_whose_refetch_is_out_is_settled_by_that_refetch() {
+        let w = Withheld::spawn(StoreKind::Fifo(100));
+        let mut f = w.fetch("/f", 40);
+        expect(&mut f, 40);
+        // `/f` is invalidated, and refetched on `f` behind a fetch of
+        // `first`.
+        fn refetch_behind(w: &Withheld, f: &mut HttpConn, first: &str) -> HttpConn {
+            w.say("INVALIDATE /f\n");
+            assert_eq!(w.next_command(), "ACK");
+            let conn = w.ask(first);
+            f.write_request(&Request::get("/f")).unwrap();
+            w.expect_fetch("/f");
+            conn
+        }
 
-        // The entry is resident, and still nobody is decided against it.
-        let _follower = w.follow("/x");
-        let mut woken = Work::new();
-        let done = shared.resume(then, Ok(Arrived::ControlOk), &mut woken);
-        assert!(matches!(done, Step::Done(..)));
-        assert_eq!(w.waiting("/x"), None, "the flight lands with the answer");
-        assert!(matches!(woken.pop_front(), Some((_, Step::Done(..)))));
-        assert!(woken.is_empty());
+        // `/g` evicts `/f`, the oldest; the refetch keeps its copy.
+        let mut g = refetch_behind(&w, &mut f, "/g");
+        w.reply(70);
+        expect(&mut g, 70);
+        w.reply(20);
+        expect(&mut f, 20);
+        assert!(w.commands.try_recv().is_err(), "/f was unsubscribed");
+        f.write_request(&Request::get("/f")).unwrap();
+        expect(&mut f, 20);
 
+        // `/h` evicts `/g` and `/f`; the refetch finds `/f` gone. (The
+        // `OK`s come behind the reply to the `GET` the batches followed.)
+        let mut h = refetch_behind(&w, &mut f, "/h");
+        w.reply(90);
+        assert_eq!(w.next_command(), "UNSUBSCRIBE /g");
+        let gone = Response::not_found(wall_date(t(10))).to_bytes(&[]);
+        w.say.send(gone).unwrap();
+        assert_eq!(w.next_command(), "UNSUBSCRIBE /f");
+        w.say("OK\nOK\n");
+        expect(&mut h, 90);
+        assert_eq!(f.read_response().unwrap().0.status, Status::NotFound);
+
+        assert!(w.commands.try_recv().is_err());
         let snap = w.finish();
-        assert_eq!((snap.cache.misses, snap.cache.fresh_hits), (1, 1));
+        assert_eq!((snap.cache.misses, snap.cache.fresh_hits), (5, 1));
+        assert_eq!(snap.evictions, 3);
+    }
+
+    /// An uncacheable forward is never stored, so the origin has nothing
+    /// to track: it goes on a data connection, not the channel, and is
+    /// answered with its reply — no subscription to take back.
+    #[test]
+    fn an_uncacheable_forward_stays_off_the_channel() {
+        let origin = Scripted::spawn();
+        let (control, commands, say, peer) = withholding_control_peer();
+        let mut cfg = origin.proxy(LivePolicy::Invalidation);
+        cfg.origin_control = control;
+        // The first path seen gets id 0: class 1, uncacheable.
+        (cfg.classes, cfg.uncacheable_mask) = (vec![1], 1 << 1);
+        let proxy = LiveProxy::spawn(cfg).unwrap();
+        let mut conn = connect(&proxy);
+        for len in [30, 31] {
+            conn.write_request(&Request::get("/cgi")).unwrap();
+            origin.serve_next("/cgi", len);
+            expect(&mut conn, len);
+        }
+        let snap = proxy.shutdown();
+        drop(say);
+        peer.join().unwrap();
+        assert!(commands.try_recv().is_err(), "the channel heard of it");
+        assert_eq!((snap.upstream_dials, snap.upstream_reuses), (1, 1));
+        assert_eq!((snap.cache.misses, snap.cache.fresh_hits), (2, 0));
+    }
+
+    /// A control channel that hangs up with a fetch outstanding fails
+    /// that fetch — it is never resumed as if answered — which costs its
+    /// client the connection and lands the flight: the follower parked on
+    /// it leads the next fetch, which fails too, the shard having no
+    /// channel left to fetch on.
+    #[test]
+    fn a_control_channel_that_hangs_up_mid_fetch_fails_the_request_and_its_flight() {
+        let w = Withheld::spawn(StoreKind::Unbounded);
+        let mut leader = connect(&w.proxy);
+        leader.write_request(&Request::get("/f")).unwrap();
+        w.expect_fetch("/f");
+        let mut follower = w.follow("/f");
+
+        w.say("");
+        expect_failed(&mut leader);
+        expect_failed(&mut follower);
+        assert_eq!(w.waiting("/f"), None, "no flight outlives its leader");
+        let snap = w.finish();
+        assert_eq!(snap.cache.requests(), 0, "nothing was concluded");
+    }
+
+    /// A fetch the origin never answers is failed by the stall budget a
+    /// data exchange gets: its client loses the connection, and the
+    /// channel goes with it — the replies behind could no longer be
+    /// matched to their fetches.
+    #[test]
+    fn a_fetch_the_origin_never_answers_is_failed_by_the_tick_budget() {
+        let w = Withheld::spawn_with_budget(StoreKind::Unbounded, 3);
+        let mut conn = connect(&w.proxy);
+        conn.write_request(&Request::get("/f")).unwrap();
+        w.expect_fetch("/f");
+        expect_failed(&mut conn);
+        w.expect_hung_up();
+        assert_eq!(w.waiting("/f"), None);
+        let snap = w.finish();
+        assert_eq!(snap.cache.requests(), 0, "nothing was concluded");
+    }
+
+    /// Once the channel is gone — here, closed on a protocol error — the
+    /// shard's every miss fails at once, and no data connection is
+    /// dialled in its place: a shard that has lost its channel never
+    /// fetches unsubscribed (`upstream::tests` reads the error, which
+    /// names the lost channel).
+    #[test]
+    fn after_the_control_channel_is_lost_a_miss_fails_and_dials_nothing() {
+        let w = Withheld::spawn(StoreKind::Unbounded);
+        let mut conn = w.fetch("/a", 10);
+        expect(&mut conn, 10);
+        w.say("NONSENSE\n");
+        w.expect_hung_up();
+        for path in ["/b", "/c"] {
+            let mut conn = connect(&w.proxy);
+            conn.write_request(&Request::get(path)).unwrap();
+            expect_failed(&mut conn);
+        }
+        let snap = w.finish();
+        assert_eq!(snap.cache.misses, 1);
     }
 }

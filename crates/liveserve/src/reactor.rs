@@ -41,10 +41,10 @@
 //! reactor thread nothing ever crosses. The **origin** answers every
 //! request from memory: its `begin` never parks and it has no shards.
 //! Its control listener is registered level-triggered on thread 0 and
-//! nowhere else, so every control peer's socket — commands in, `OK`s
-//! out, notices out, `ACK`s in — has that one owner; a thread that
-//! publishes a modification posts the notice to thread 0's mailbox and
-//! does its waiting itself.
+//! nowhere else, so every control peer's socket — fetches and commands
+//! in, replies and `OK`s out, notices out, `ACK`s in — has that one
+//! owner; a thread that publishes a modification posts the notice to
+//! thread 0's mailbox and does its waiting itself.
 //!
 //! The stall budget is tick-counted, never clock-read (§r1): each
 //! `epoll_wait` that times out — a signal that interrupts one does not
@@ -67,7 +67,7 @@ use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use httpsim::{Request, Response};
+use httpsim::{HttpDate, Request, Response};
 use simcore::CacheId;
 use wcc_obs::{ConnCloseReason, ObsEvent, ProbeHandle};
 use wcc_sync::RankedMutex;
@@ -165,11 +165,13 @@ pub(crate) enum Step<P> {
     Done(Response, Arc<Vec<u8>>),
     /// Failed: log, and close the client connection.
     Fail(io::Error),
-    /// Send `request` on one of `shard`'s origin connections and resume
-    /// `then` with the reply.
+    /// Send `request` to `shard`'s origin and resume `then` with the
+    /// reply: on its control channel if the origin is to `subscribe` the
+    /// shard to what it answers, else on one of its origin connections.
     Exchange {
         shard: usize,
         request: Vec<u8>,
+        subscribe: bool,
         then: P,
     },
     /// Send `commands` (`oks` whole lines) on `shard`'s control channel
@@ -213,8 +215,13 @@ pub(crate) trait Dispatch: Send + Sync + 'static {
     /// changed. It is acknowledged when this returns.
     fn invalidate(&self, _path: &str) {}
 
-    /// Control peer `cache` sent a command, or went. A command is
-    /// answered `OK` when this returns.
+    /// Control peer `cache` fetched `req`: the response to write back. A
+    /// dispatcher without a control port is never asked.
+    fn fetch(&self, _cache: CacheId, _req: &Request) -> (Response, Vec<u8>) {
+        (Response::not_found(HttpDate(0)), Vec::new())
+    }
+
+    /// Control peer `cache` sent a command (`OK`ed on return), or went.
     fn peer(&self, _cache: CacheId, _event: PeerEvent<'_>) {}
 }
 
@@ -714,11 +721,12 @@ impl<D: Dispatch> EventLoop<D> {
                 Step::Exchange {
                     shard,
                     request,
+                    subscribe,
                     then,
                 } => {
                     let local = shard / reactors;
-                    self.shards[local].exchange(&self.ep, request, (ticket, then));
-                    self.resume_failed(local);
+                    self.shards[local].exchange(&self.ep, request, subscribe, (ticket, then));
+                    self.resume_ended(local);
                 }
                 Step::Control {
                     shard,
@@ -726,13 +734,9 @@ impl<D: Dispatch> EventLoop<D> {
                     oks,
                     then,
                 } => {
-                    // No channel (the policy has none, or it died): go on.
-                    let parked = (ticket, then);
-                    if let Some((ticket, then)) =
-                        self.shards[shard / reactors].control(&commands, oks, parked)
-                    {
-                        self.resume(ticket, then, Ok(Arrived::ControlOk));
-                    }
+                    let local = shard / reactors;
+                    self.shards[local].control(&commands, oks, (ticket, then));
+                    self.resume_ended(local);
                 }
             }
         }
@@ -743,10 +747,10 @@ impl<D: Dispatch> EventLoop<D> {
         self.work.push_back((ticket, step));
     }
 
-    /// Resume, with its error, every exchange shard `local` gave up on.
-    fn resume_failed(&mut self, local: usize) {
-        while let Some(((ticket, parked), e)) = self.shards[local].failed.pop() {
-            self.resume(ticket, parked, Err(e));
+    /// Resume everything shard `local` ended outside a reply.
+    fn resume_ended(&mut self, local: usize) {
+        while let Some(((ticket, parked), arrived)) = self.shards[local].ended.pop() {
+            self.resume(ticket, parked, arrived);
         }
     }
 
@@ -779,8 +783,8 @@ impl<D: Dispatch> EventLoop<D> {
         if which == CONNS_PER_SHARD {
             let work = &mut self.work;
             io.control_ready(&self.ep, ready, &mut self.scratch, |event| match event {
-                ControlEvent::Acked((ticket, parked)) => {
-                    let step = dispatch.resume(parked, Ok(Arrived::ControlOk), work);
+                ControlEvent::Answered((ticket, parked), arrived) => {
+                    let step = dispatch.resume(parked, Ok(arrived), work);
                     work.push_back((ticket, step));
                 }
                 ControlEvent::Invalidate(path) => dispatch.invalidate(path),
@@ -793,6 +797,7 @@ impl<D: Dispatch> EventLoop<D> {
                 Step::Exchange {
                     shard,
                     request,
+                    subscribe: false,
                     then,
                 } if shard == io.shard => {
                     io.resend(&self.ep, which, &request, (ticket, then));
@@ -803,7 +808,7 @@ impl<D: Dispatch> EventLoop<D> {
                 }
             }
         }
-        self.resume_failed(local);
+        self.resume_ended(local);
         self.drain();
     }
 
@@ -824,7 +829,7 @@ impl<D: Dispatch> EventLoop<D> {
         }
         for local in 0..self.shards.len() {
             self.shards[local].tick(&self.ep);
-            self.resume_failed(local);
+            self.resume_ended(local);
         }
         if let Some(io) = &mut self.peers {
             io.tick(&self.ep, &self.shared.dispatch);
@@ -1085,7 +1090,8 @@ mod tests {
         // An `OK` back says the reactor has the peer: slot 0, then slot 1.
         let connect = || {
             let mut peer = TestPeer::connect(control);
-            peer.subscribe("/x");
+            peer.say("UNSUBSCRIBE /x\n");
+            assert_eq!(peer.hear(), "OK\n");
             peer
         };
         let (mut good, mut quiet) = (connect(), connect());
@@ -1096,7 +1102,7 @@ mod tests {
         assert_eq!(quiet.hear(), "INVALIDATE /x\n");
         // `good`'s ACK is in once the `OK` behind it is back, and the
         // publisher is still waiting: `quiet` owes one.
-        good.say("ACK\nSUBSCRIBE /x\n");
+        good.say("ACK\nUNSUBSCRIBE /x\n");
         assert_eq!(good.hear(), "OK\n");
         assert_eq!(acked.try_recv(), Err(TryRecvError::Empty));
         // The budget runs out on `quiet`: hung up on, publisher released.

@@ -20,13 +20,15 @@
 //! the same way, so no exchange is ever started on a dead socket the
 //! reactor has been told about.
 //!
-//! **Control connection.** Commands go out in the order the reactor
-//! hands them in and `OK`s are matched to them first-in first-out, on
-//! this one thread, so an `OK` can only ever release the command it
-//! answers. `INVALIDATE` lines are handed to the caller — in line
-//! order with the `OK`s around them — and acknowledged once it returns.
-//! A channel that dies releases everything waiting on it, as the
-//! blocking proxy did: the run is winding down.
+//! **Control connection.** It carries every exchange the origin is to
+//! subscribe the shard to (the origin does so as it answers a `200`) and
+//! the `UNSUBSCRIBE` batches, answered first-in first-out on this one
+//! thread: a reply resumes only its fetch, an `OK` releases only its
+//! batch. Replies and `INVALIDATE` lines reach the caller in line order;
+//! a notice is `ACK`ed once it returns. A fetch there gets the data
+//! connections' stall budget and cap; a channel that dies or stalls
+//! fails every fetch on it and every later one — a shard never fetches
+//! unsubscribed — and releases its batches unanswered.
 
 use std::collections::VecDeque;
 use std::io;
@@ -95,6 +97,28 @@ pub(crate) struct Wire {
     wbuf: Vec<u8>,
     wpos: usize,
     rbuf: Vec<u8>,
+    /// Where the next control frame starts in `rbuf`.
+    rpos: usize,
+}
+
+/// One frame of a control channel: a line (without its `\n`), or an
+/// HTTP message.
+pub(crate) enum Frame<'a, M> {
+    Line(&'a str),
+    Http(M),
+}
+
+/// The HTTP message at the front of a buffer once its head and
+/// `Content-Length` say it is whole, and the bytes it took.
+type Framer<M> = fn(&[u8]) -> io::Result<Option<(M, usize)>>;
+
+/// The proxy's end's [`Framer`]: a reply.
+fn reply_frame(buf: &[u8]) -> io::Result<Option<(Arrived, usize)>> {
+    let reply = Response::from_bytes(buf).map_err(invalid)?;
+    Ok(reply.map(|(resp, body, used)| {
+        let head = (used - body.len()) as u64;
+        (Arrived::Reply(resp, body, head), used)
+    }))
 }
 
 impl Wire {
@@ -110,16 +134,22 @@ impl Wire {
             wbuf: Vec::new(),
             wpos: 0,
             rbuf: Vec::new(),
+            rpos: 0,
         })
     }
 
-    /// Queue `bytes` behind whatever is still unwritten.
-    pub(crate) fn queue(&mut self, bytes: &[u8]) {
+    /// The write buffer, to append to behind whatever is still unwritten.
+    pub(crate) fn out(&mut self) -> &mut Vec<u8> {
         if self.wpos == self.wbuf.len() {
             self.wbuf.clear();
             self.wpos = 0;
         }
-        self.wbuf.extend_from_slice(bytes);
+        &mut self.wbuf
+    }
+
+    /// Queue `bytes` behind whatever is still unwritten.
+    pub(crate) fn queue(&mut self, bytes: &[u8]) {
+        self.out().extend_from_slice(bytes);
     }
 
     /// Write what the socket takes; the rest goes on the next writable
@@ -134,25 +164,45 @@ impl Wire {
         read_available(&self.stream, &mut self.rbuf, cap, hup, scratch)
     }
 
-    /// One `read` of a line protocol: every whole line it completed,
-    /// terminators included, and whether to read again. Only a line
-    /// still arriving stays buffered, and only that is held to
-    /// [`MAX_LINE`] — however many whole ones came with it.
-    pub(crate) fn read_lines(
+    /// One `read` of a control channel, behind the frame still arriving;
+    /// [`next_frame`](Self::next_frame) takes the whole ones.
+    pub(crate) fn read_frames(&mut self, hup: bool, scratch: &mut [u8]) -> io::Result<ReadEnd> {
+        self.rbuf.drain(..self.rpos);
+        self.rpos = 0;
+        // (The tail is within its cap on entry: this one cannot trip.)
+        let cap = MAX_FRAME + scratch.len();
+        read_once(&self.stream, &mut self.rbuf, cap, hup, scratch)
+    }
+
+    /// The next whole frame read, if any: one that starts with `http` is
+    /// an HTTP message, whole once `framer` says so, anything else a line.
+    /// Only a frame still arriving stays buffered, and only that is held
+    /// to its cap — [`MAX_FRAME`] for a message, [`MAX_LINE`] for a line —
+    /// however many whole ones came with it.
+    pub(crate) fn next_frame<M>(
         &mut self,
-        hup: bool,
-        scratch: &mut [u8],
-    ) -> io::Result<(String, ReadEnd)> {
-        // (The tail is within `MAX_LINE` on entry: this cap cannot trip.)
-        let cap = MAX_LINE + scratch.len();
-        let end = read_once(&self.stream, &mut self.rbuf, cap, hup, scratch)?;
-        let whole = self.rbuf.iter().rposition(|&b| b == b'\n');
-        let whole = self.rbuf.drain(..whole.map_or(0, |at| at + 1));
-        let lines = String::from_utf8(whole.collect()).map_err(invalid)?;
-        if self.rbuf.len() > MAX_LINE {
-            return Err(invalid("control line exceeds MAX_LINE"));
-        }
-        Ok((lines, end))
+        http: &[u8],
+        framer: Framer<M>,
+    ) -> io::Result<Option<Frame<'_, M>>> {
+        let rest = &self.rbuf[self.rpos..];
+        let (frame, used) = if rest.starts_with(http) {
+            match framer(rest)? {
+                Some((msg, used)) => (Frame::Http(msg), used),
+                None if rest.len() > MAX_FRAME => return Err(invalid("frame exceeds MAX_FRAME")),
+                None => return Ok(None),
+            }
+        } else {
+            match rest.iter().position(|&b| b == b'\n') {
+                Some(end) => {
+                    let line = std::str::from_utf8(&rest[..end]).map_err(invalid)?;
+                    (Frame::Line(line), end + 1)
+                }
+                None if rest.len() > MAX_LINE => return Err(invalid("line exceeds MAX_LINE")),
+                None => return Ok(None),
+            }
+        };
+        self.rpos += used;
+        Ok(Some(frame))
     }
 }
 
@@ -173,17 +223,27 @@ struct Slot<K> {
     conn: Option<DataConn<K>>,
 }
 
+/// What an entry of the control channel's FIFO waits for: this many
+/// more `OK`s, for a batch of commands, or the reply to a fetch.
+enum Owed {
+    Oks(u32),
+    Reply,
+}
+
 struct Control<K> {
     wire: Wire,
-    /// Commands awaiting their `OK`s, oldest first, as (`OK`s still
-    /// owed, whom to resume). Bounded by the requests in flight.
-    pending: VecDeque<(u32, K)>,
+    /// What the origin owes, oldest first, and whom it resumes. Bounded
+    /// by the requests in flight; its fetches, as the data connections'.
+    pending: VecDeque<(Owed, K)>,
+    fetches: usize,
+    /// Idle ticks while a fetch is outstanding.
+    stall_ticks: u32,
 }
 
 /// What the control channel produced, in line order.
 pub(crate) enum ControlEvent<'a, K> {
-    /// Every command `K` issued has been answered `OK`.
-    Acked(K),
+    /// `K`'s fetch is answered, or every command of its batch `OK`ed.
+    Answered(K, Arrived),
     /// The origin's copy of this path changed; the `ACK` goes out when
     /// the callback returns.
     Invalidate(&'a str),
@@ -198,10 +258,11 @@ pub(crate) struct ShardIo<K> {
     first: usize,
     conns: Vec<Slot<K>>,
     waiters: VecDeque<(Vec<u8>, K)>,
+    /// The shard's control channel, if the policy has one, until it dies.
     control: Option<Control<K>>,
-    /// Exchanges that ended without a reply since the reactor last
-    /// looked; it drains this after every call in here.
-    pub failed: Vec<(K, io::Error)>,
+    /// Exchanges that failed, and batches with no channel to wait on, since
+    /// the reactor last looked; it resumes them after every call in here.
+    pub ended: Vec<(K, io::Result<Arrived>)>,
     env: PoolEnv,
 }
 
@@ -213,17 +274,16 @@ impl<K> ShardIo<K> {
         ep: &Epoll,
         env: PoolEnv,
     ) -> io::Result<Self> {
-        let control = match upstream.control {
-            Some(stream) => {
-                stream.set_nonblocking(true)?;
-                let token = upstream_token(first + CONNS_PER_SHARD, 0);
-                Some(Control {
-                    wire: Wire::register(stream, ep, token)?,
-                    pending: VecDeque::new(),
-                })
-            }
-            None => None,
-        };
+        let control = upstream.control.map(|stream| {
+            stream.set_nonblocking(true)?;
+            let token = upstream_token(first + CONNS_PER_SHARD, 0);
+            io::Result::Ok(Control {
+                wire: Wire::register(stream, ep, token)?,
+                pending: VecDeque::new(),
+                fetches: 0,
+                stall_ticks: 0,
+            })
+        });
         Ok(ShardIo {
             shard,
             origin: upstream.origin,
@@ -232,8 +292,8 @@ impl<K> ShardIo<K> {
                 .map(|_| Slot { gen: 0, conn: None })
                 .collect(),
             waiters: VecDeque::new(),
-            control,
-            failed: Vec::new(),
+            control: control.transpose()?,
+            ended: Vec::new(),
             env,
         })
     }
@@ -245,27 +305,42 @@ impl<K> ShardIo<K> {
     // --- data connections ------------------------------------------------
 
     /// Start the exchange that sends `request` and resumes `k` with the
-    /// reply: now if a connection is idle or may be dialled, else from
-    /// the wait-list — unless that is full.
-    pub(crate) fn exchange(&mut self, ep: &Epoll, request: Vec<u8>, k: K) {
-        self.record(ObsEvent::ShardQueue {
-            shard: self.shard as u32,
-            depth: self.waiters.len() as u32,
-        });
-        if self.waiters.len() < MAX_WAITERS {
-            self.waiters.push_back((request, k));
-            return self.pump(ep);
+    /// reply: on the control channel if the origin is to `subscribe` the
+    /// shard to it, else on an idle or new connection, else from the
+    /// wait-list — each up to its cap.
+    pub(crate) fn exchange(&mut self, ep: &Epoll, request: Vec<u8>, subscribe: bool, k: K) {
+        match (&mut self.control, subscribe) {
+            (_, false) => {
+                self.record(ObsEvent::ShardQueue {
+                    shard: self.shard as u32,
+                    depth: self.waiters.len() as u32,
+                });
+                if self.waiters.len() < MAX_WAITERS {
+                    self.waiters.push_back((request, k));
+                    return self.pump(ep);
+                }
+            }
+            (Some(c), true) if c.fetches < CONNS_PER_SHARD + MAX_WAITERS => {
+                return c.send(&request, Owed::Reply, k);
+            }
+            (Some(_), true) => {}
+            (None, true) => {
+                let lost = "the shard's control channel is lost: it fetches nothing unsubscribed";
+                let e = io::Error::new(io::ErrorKind::NotConnected, lost);
+                return self.ended.push((k, Err(e)));
+            }
         }
         self.env
             .counters
             .saturations
             .fetch_add(1, Ordering::Relaxed);
         let refusal = format!(
-            "upstream pool saturated on shard {}: all connections busy and {MAX_WAITERS} exchanges queued",
-            self.shard
+            "upstream saturated on shard {}: {} exchanges outstanding",
+            self.shard,
+            CONNS_PER_SHARD + MAX_WAITERS
         );
-        self.failed
-            .push((k, io::Error::new(io::ErrorKind::WouldBlock, refusal)));
+        let e = io::Error::new(io::ErrorKind::WouldBlock, refusal);
+        self.ended.push((k, Err(e)));
     }
 
     /// Start waiters, oldest first, while a connection is idle or a
@@ -299,7 +374,7 @@ impl<K> ShardIo<K> {
                         stall_ticks: 0,
                     });
                 }
-                Err(e) => self.failed.push((k, e)),
+                Err(e) => self.ended.push((k, Err(e))),
             }
         }
     }
@@ -337,7 +412,7 @@ impl<K> ShardIo<K> {
             let _ = ep.del(conn.wire.stream.as_raw_fd());
             slot.gen = slot.gen.wrapping_add(1);
             if let Some(k) = conn.busy {
-                self.failed.push((k, e));
+                self.ended.push((k, Err(e)));
             }
         }
     }
@@ -381,12 +456,15 @@ impl<K> ShardIo<K> {
     /// dialling or in progress (a wait-listed one is behind four such).
     pub(crate) fn budgeted(&self) -> bool {
         let busy = |s: &Slot<K>| s.conn.as_ref().is_some_and(|c| c.busy.is_some());
-        self.conns.iter().any(busy)
+        let fetching = self.control.as_ref().is_some_and(|c| c.fetches > 0);
+        fetching || self.conns.iter().any(busy)
     }
 
-    /// One poll tick: a connection whose exchange made no progress for
-    /// the whole budget is closed and the exchange failed.
+    /// One poll tick: a connection (or control channel) whose exchange
+    /// made no progress for the whole budget is closed, failing it.
     pub(crate) fn tick(&mut self, ep: &Epoll) {
+        let what = "read budget exhausted waiting for the origin";
+        let stalled = || io::Error::new(io::ErrorKind::TimedOut, what);
         for i in 0..self.conns.len() {
             let Some(conn) = self.conns[i].conn.as_mut() else {
                 continue;
@@ -396,8 +474,13 @@ impl<K> ShardIo<K> {
             }
             conn.stall_ticks += 1;
             if conn.stall_ticks >= self.env.budget_ticks {
-                let what = "read budget exhausted waiting for the origin";
-                self.close(ep, i, io::Error::new(io::ErrorKind::TimedOut, what));
+                self.close(ep, i, stalled());
+            }
+        }
+        if let Some(c) = &mut self.control {
+            c.stall_ticks += u32::from(c.fetches > 0);
+            if c.fetches > 0 && c.stall_ticks >= self.env.budget_ticks {
+                self.lose_control(ep, stalled());
             }
         }
         self.pump(ep);
@@ -407,21 +490,15 @@ impl<K> ShardIo<K> {
 
     /// Send `commands` (whole lines, `oks` of them) and park `k` until
     /// every one is answered. With nothing to wait for — no commands, or
-    /// no channel: the policy has none, or it died — `k` comes straight
-    /// back.
-    pub(crate) fn control(&mut self, commands: &[u8], oks: u32, k: K) -> Option<K> {
-        let Some(control) = self.control.as_mut().filter(|_| oks > 0) else {
-            return Some(k);
-        };
-        control.wire.queue(commands);
-        control.pending.push_back((oks, k));
-        // A failed write also raises the socket's error edge, and
-        // `control_ready` winds the channel down from there.
-        let _ = control.wire.flush();
-        None
+    /// no channel: the policy has none, or it died — `k` ends at once.
+    pub(crate) fn control(&mut self, commands: &[u8], oks: u32, k: K) {
+        match (&mut self.control, oks) {
+            (Some(control), 1..) => control.send(commands, Owed::Oks(oks), k),
+            _ => self.ended.push((k, Ok(Arrived::ControlOk))),
+        }
     }
 
-    /// Readiness on the control connection: every complete line, in
+    /// Readiness on the control connection: every complete frame, in
     /// order, through `on`.
     pub(crate) fn control_ready(
         &mut self,
@@ -430,16 +507,26 @@ impl<K> ShardIo<K> {
         scratch: &mut [u8],
         mut on: impl FnMut(ControlEvent<'_, K>),
     ) {
-        let Some(control) = self.control.as_mut() else {
+        let Some(control) = &mut self.control else {
             return;
         };
         if let Err(e) = control.drive(ready, scratch, &mut on) {
-            log_conn_error("proxy-control", &e);
-            let _ = ep.del(control.wire.stream.as_raw_fd());
-            if let Some(dead) = self.control.take() {
-                for (_, k) in dead.pending {
-                    on(ControlEvent::Acked(k));
-                }
+            self.lose_control(ep, e);
+        }
+    }
+
+    /// The control channel is dead, `e` says why: every fetch on it
+    /// fails and every batch is released, as if answered.
+    fn lose_control(&mut self, ep: &Epoll, e: io::Error) {
+        log_conn_error("proxy-control", &e);
+        if let Some(dead) = self.control.take() {
+            let _ = ep.del(dead.wire.stream.as_raw_fd());
+            for (owed, k) in dead.pending {
+                let ended = match owed {
+                    Owed::Oks(_) => Ok(Arrived::ControlOk),
+                    Owed::Reply => Err(io::Error::new(e.kind(), format!("control channel: {e}"))),
+                };
+                self.ended.push((k, ended));
             }
         }
     }
@@ -471,12 +558,11 @@ impl<K> DataConn<K> {
         if rbuf.len() > had {
             self.stall_ticks = 0;
         }
-        match Response::from_bytes(rbuf).map_err(invalid)? {
-            Some((resp, body, used)) => {
+        match reply_frame(rbuf)? {
+            Some((reply, used)) => {
                 rbuf.drain(..used);
                 self.hung_up = eof;
-                let head = (used - body.len()) as u64;
-                Ok(Some(Arrived::Reply(resp, body, head)))
+                Ok(Some(reply))
             }
             None if eof => Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
@@ -488,6 +574,16 @@ impl<K> DataConn<K> {
 }
 
 impl<K> Control<K> {
+    /// Send `bytes` and park `k` until `owed` is in.
+    fn send(&mut self, bytes: &[u8], owed: Owed, k: K) {
+        self.wire.queue(bytes);
+        self.fetches += usize::from(matches!(owed, Owed::Reply));
+        self.pending.push_back((owed, k));
+        // A failed write also raises the socket's error edge, and
+        // `control_ready` winds the channel down from there.
+        let _ = self.wire.flush();
+    }
+
     fn drive(
         &mut self,
         ready: Ready,
@@ -500,32 +596,39 @@ impl<K> Control<K> {
         if !ready.readable {
             return Ok(());
         }
+        self.stall_ticks = 0;
         let eof = loop {
-            let (lines, end) = self.wire.read_lines(ready.hup, scratch)?;
-            for line in lines.split_terminator('\n') {
-                match ControlMsg::parse(line)? {
-                    ControlMsg::Ok => {
-                        let Some(front) = self.pending.front_mut() else {
-                            return Err(invalid("OK with no command outstanding"));
-                        };
-                        front.0 -= 1;
-                        if front.0 == 0 {
-                            if let Some((_, k)) = self.pending.pop_front() {
-                                on(ControlEvent::Acked(k));
-                            }
+            let end = self.wire.read_frames(ready.hup, scratch)?;
+            while let Some(frame) = self.wire.next_frame(b"HTTP/", reply_frame)? {
+                match (frame, self.pending.front_mut()) {
+                    (Frame::Http(reply), Some((Owed::Reply, _))) => {
+                        if let Some((_, k)) = self.pending.pop_front() {
+                            self.fetches -= 1;
+                            on(ControlEvent::Answered(k, reply));
                         }
                     }
-                    // Ack only after the caller has marked the entry: once
-                    // the origin sees the ACK, no client can be served the
-                    // stale copy.
-                    ControlMsg::Invalidate(path) => {
-                        on(ControlEvent::Invalidate(&path));
-                        self.wire.queue(ControlMsg::Ack.encode().as_bytes());
-                    }
-                    other => {
-                        let what = format!("unexpected control message at proxy: {other:?}");
-                        return Err(invalid(what));
-                    }
+                    (Frame::Http(_), _) => return Err(invalid("a reply nobody fetched")),
+                    (Frame::Line(line), front) => match (ControlMsg::parse(line)?, front) {
+                        (ControlMsg::Ok, Some((Owed::Oks(n), _))) => {
+                            *n -= 1;
+                            if *n == 0 {
+                                if let Some((_, k)) = self.pending.pop_front() {
+                                    on(ControlEvent::Answered(k, Arrived::ControlOk));
+                                }
+                            }
+                        }
+                        // Ack only after the caller has marked the entry:
+                        // once the origin sees the ACK, no client can be
+                        // served the stale copy.
+                        (ControlMsg::Invalidate(path), _) => {
+                            on(ControlEvent::Invalidate(path));
+                            self.wire.queue(ControlMsg::Ack.encode().as_bytes());
+                        }
+                        (other, _) => {
+                            let what = format!("unexpected control message at proxy: {other:?}");
+                            return Err(invalid(what));
+                        }
+                    },
                 }
             }
             match end {
@@ -615,7 +718,7 @@ mod tests {
         /// the accepted connection, with the request read off it.
         fn dialled(&mut self, k: &'static str) -> TcpStream {
             let request = Request::get(k).to_bytes();
-            self.io.exchange(&self.ep, request.clone(), k);
+            self.io.exchange(&self.ep, request.clone(), false, k);
             let (mut origin, _) = self.origin.accept().unwrap();
             let (which, gen, ready) = self.wait();
             assert!(ready.writable && !ready.readable);
@@ -684,7 +787,7 @@ mod tests {
         assert!(d.io.conns[i].conn.is_none(), "retired while idle");
 
         assert_eq!(d.io.env.counters.dials.load(Ordering::Relaxed), 2);
-        assert!(d.io.failed.is_empty());
+        assert!(d.io.ended.is_empty());
     }
 
     /// A reply several times the scratch arrives whole, a scratch-full
@@ -731,7 +834,7 @@ mod tests {
                     assert_eq!(path, "/a");
                     heard += 1;
                 }
-                ControlEvent::Acked(k) => panic!("nothing was asked, {k} answered"),
+                ControlEvent::Answered(k, _) => panic!("nothing was asked, {k} answered"),
             });
         }
         assert_eq!(heard, notices);
@@ -749,5 +852,66 @@ mod tests {
             let (_, _, ready) = d.wait();
             d.io.control_ready(&d.ep, ready, &mut d.scratch, |_| {});
         }
+    }
+
+    /// A fetch travels on the control channel, and its reply — several
+    /// scratch-fulls, far past `MAX_LINE` — is handed over whole, in line
+    /// order with the `INVALIDATE` written right behind it. Once the
+    /// channel is gone the shard never fetches unsubscribed: its next
+    /// exchange fails at once, naming the lost channel, and no data
+    /// connection is dialled in its place.
+    #[test]
+    fn after_the_control_channel_is_lost_an_exchange_fails_and_dials_nothing() {
+        let (mut d, theirs) = Driven::new(true);
+        let mut theirs = theirs.unwrap();
+        let request = Request::get("/big").to_bytes();
+        d.io.exchange(&d.ep, request.clone(), true, "/big");
+        let mut read = vec![0; request.len()];
+        theirs.read_exact(&mut read).unwrap();
+        assert_eq!(read, request);
+
+        let body: Vec<u8> = (0..200 * 1024).map(|i| (i % 251) as u8).collect();
+        let mut wire = ok(&body);
+        wire.extend_from_slice(b"INVALIDATE /big\n");
+        let writer = thread::spawn(move || {
+            theirs.write_all(&wire).unwrap();
+            let mut ack = [0; 4];
+            theirs.read_exact(&mut ack).unwrap();
+            assert_eq!(&ack, b"ACK\n");
+            theirs
+        });
+        let mut heard = Vec::new();
+        while heard.len() < 2 {
+            let (_, _, ready) = d.wait();
+            d.io.control_ready(&d.ep, ready, &mut d.scratch, |event| match event {
+                ControlEvent::Answered(k, Arrived::Reply(_, got, _)) => {
+                    assert!(got == body, "200 KiB, byte for byte");
+                    heard.push(format!("reply to {k}"));
+                }
+                ControlEvent::Answered(k, Arrived::ControlOk) => panic!("{k} sent no batch"),
+                ControlEvent::Invalidate(path) => heard.push(format!("INVALIDATE {path}")),
+            });
+        }
+        assert_eq!(heard, ["reply to /big", "INVALIDATE /big"]);
+
+        drop(writer.join().unwrap());
+        while d.io.control.is_some() {
+            let (_, _, ready) = d.wait();
+            d.io.control_ready(&d.ep, ready, &mut d.scratch, |_| {});
+        }
+        d.io.exchange(&d.ep, Request::get("/next").to_bytes(), true, "/next");
+        let Some(("/next", Err(lost))) = d.io.ended.pop() else {
+            panic!("the exchange was not failed at once");
+        };
+        assert!(
+            lost.to_string().contains("control channel is lost"),
+            "{lost}"
+        );
+        assert!(
+            d.io.conns.iter().all(|s| s.conn.is_none()),
+            "a data connection"
+        );
+        d.origin.set_nonblocking(true).unwrap();
+        assert!(d.origin.accept().is_err(), "a dial reached the origin");
     }
 }

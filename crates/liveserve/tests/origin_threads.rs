@@ -5,10 +5,11 @@
 //! OS threads, and a control peer is a registration on the first of
 //! them, not a thread — whatever connects to the control port.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
+use httpsim::{Request, Response, Status};
 use liveserve::{LiveClock, LiveOrigin, OriginConfig};
 use originserver::{FilePopulation, FileRecord};
 use simcore::SimTime;
@@ -33,13 +34,21 @@ fn an_origin_is_its_reactor_threads_whatever_connects_to_its_control_port() {
     let serving = os_threads();
     assert_eq!(serving - before, REACTOR_THREADS);
 
+    // Each peer subscribes the way a proxy shard does, by fetching on
+    // its control channel; the `200` is in once the whole reply is.
     let peers: Vec<_> = (1..=3)
         .map(|n| {
-            let mut peer = BufReader::new(TcpStream::connect(origin.control_addr()).unwrap());
-            peer.get_mut().write_all(b"SUBSCRIBE /a.html\n").unwrap();
-            let mut line = String::new();
-            peer.read_line(&mut line).unwrap();
-            assert_eq!(line, "OK\n");
+            let mut peer = TcpStream::connect(origin.control_addr()).unwrap();
+            peer.write_all(&Request::get("/a.html").to_bytes()).unwrap();
+            let mut reply = Vec::new();
+            while Response::from_bytes(&reply).unwrap().is_none() {
+                let mut chunk = [0; 512];
+                let got = peer.read(&mut chunk).unwrap();
+                assert!(got > 0, "hung up on mid-reply");
+                reply.extend_from_slice(&chunk[..got]);
+            }
+            let (resp, body, _) = Response::from_bytes(&reply).unwrap().unwrap();
+            assert_eq!((resp.status, body.len()), (Status::Ok, 100));
             assert_eq!(origin.subscription_count(), n);
             peer
         })

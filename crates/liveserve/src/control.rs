@@ -10,27 +10,30 @@
 //!   with the response a data connection would carry; a `200` subscribes
 //!   the shard to the file under the lock acquisition that picks the
 //!   version, so any later modification's `INVALIDATE` follows the
-//!   reply. `UNSUBSCRIBE <path>`, answered `OK`;
-//! * origin → proxy: `INVALIDATE <path>`, each answered `ACK` in order.
+//!   reply. `UNSUBSCRIBE <path>`, unanswered: it rides the shard's next
+//!   write;
+//! * origin → proxy: `INVALIDATE <path>`, each answered in order: `ACK`
+//!   if the shard held the file, else `NACK`, which is not counted.
 //!
-//! Answers are matched to sends by position: the proxy sends what one
-//! reply changed as one batch and releases the request on its last `OK`;
-//! the origin answers what arrived together with one write. Only the
-//! origin's `INVALIDATE` waits for its `ACK` before the next, which makes
-//! the channel a sequencing point: at the `ACK`, the proxy has already
-//! marked its copy invalid, mirroring the simulator's assumption that
-//! invalidation callbacks are instantaneous.
+//! Answers are matched to sends by position, never by timing: the
+//! origin's ledger exceeds what a shard holds only by the shard's unsent
+//! lines, and only a notice that crosses one is `NACK`ed. The origin
+//! answers what arrived together with one write. Only its `INVALIDATE`
+//! waits for an answer before the next, which makes the channel a
+//! sequencing point: at the `ACK`, the proxy has already marked its copy
+//! invalid, mirroring the simulator's assumption that invalidation
+//! callbacks are instantaneous.
 //!
 //! [`ControlMsg`] is the protocol and [`PeerIo`] the origin's end of it:
 //! the control listener and every connected peer, nonblocking, owned by
 //! the origin's first reactor thread alone — a peer's [`CacheId`] is its
 //! slot, and nothing here takes a lock or waits. A [`Notice`] is written
 //! to all of its targets at once; each target's FIFO keeps a clone of
-//! its `owed` handle until the `ACK` that answers it, and the publisher
-//! waits for the last clone to be dropped — by an `ACK`, or by the end of
-//! the peer: a hang-up, a protocol error (an `ACK` nobody is owed is
-//! one), a failed write, or the tick budget running out on a notice. The
-//! proxy's end is the mirror image and lives in `upstream`.
+//! its `owed` handle until the answer, and the publisher waits for the
+//! last clone to be dropped — by an answer, or by the end of the peer: a
+//! hang-up, a protocol error (an answer nobody is owed is one), a failed
+//! write, or the tick budget running out on a notice. The proxy's end is
+//! the mirror image and lives in `upstream`.
 
 use std::collections::VecDeque;
 use std::convert::Infallible;
@@ -60,10 +63,10 @@ pub(crate) enum ControlMsg<'a> {
     Unsubscribe(&'a str),
     /// `INVALIDATE <path>` — the origin's copy of `path` changed.
     Invalidate(&'a str),
-    /// `OK` — acknowledges an unsubscribe.
-    Ok,
-    /// `ACK` — acknowledges an invalidation.
+    /// `ACK` — the shard held the file: its copy is marked invalid.
     Ack,
+    /// `NACK` — the notice crossed the shard's `UNSUBSCRIBE`: not counted.
+    Nack,
 }
 
 impl<'a> ControlMsg<'a> {
@@ -71,14 +74,9 @@ impl<'a> ControlMsg<'a> {
         let msg = match line.split_once(' ') {
             Some(("UNSUBSCRIBE", path)) => ControlMsg::Unsubscribe(path),
             Some(("INVALIDATE", path)) => ControlMsg::Invalidate(path),
-            None if line == "OK" => ControlMsg::Ok,
             None if line == "ACK" => ControlMsg::Ack,
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad control message: {line:?}"),
-                ))
-            }
+            None if line == "NACK" => ControlMsg::Nack,
+            _ => return Err(invalid(format!("bad control message: {line:?}"))),
         };
         Ok(msg)
     }
@@ -87,8 +85,8 @@ impl<'a> ControlMsg<'a> {
         match self {
             ControlMsg::Unsubscribe(p) => format!("UNSUBSCRIBE {p}\n"),
             ControlMsg::Invalidate(p) => format!("INVALIDATE {p}\n"),
-            ControlMsg::Ok => "OK\n".to_string(),
             ControlMsg::Ack => "ACK\n".to_string(),
+            ControlMsg::Nack => "NACK\n".to_string(),
         }
     }
 }
@@ -98,6 +96,8 @@ impl<'a> ControlMsg<'a> {
 pub(crate) enum PeerEvent<'a> {
     /// `UNSUBSCRIBE <path>`.
     Unsubscribe(&'a str),
+    /// `NACK`: the notice it answers is retracted from the count.
+    Nack,
     /// The channel closed: every subscription of the peer's goes.
     Gone,
 }
@@ -112,10 +112,10 @@ pub(crate) struct Notice {
 
 struct Peer {
     wire: Wire,
-    /// Notices written and not yet `ACK`ed, oldest first.
+    /// Notices written and not yet answered, oldest first.
     owed: VecDeque<SyncSender<Infallible>>,
     /// Idle ticks since the peer last sent anything, counted only
-    /// while it owes an `ACK`.
+    /// while it owes an answer.
     idle_ticks: u32,
 }
 
@@ -196,12 +196,12 @@ impl PeerIo {
         }
     }
 
-    /// Whether a tick would count against anyone: a peer owes an `ACK`.
+    /// Whether a tick would count against anyone: a peer owes an answer.
     pub(crate) fn budgeted(&self) -> bool {
         self.peers.iter().flatten().any(|p| !p.owed.is_empty())
     }
 
-    /// One poll tick: a peer that owes an `ACK` and has sent nothing
+    /// One poll tick: a peer that owes an answer and has sent nothing
     /// for the whole budget is closed.
     pub(crate) fn tick(&mut self, ep: &Epoll, to: &impl Dispatch) {
         for index in 0..self.peers.len() {
@@ -210,7 +210,7 @@ impl PeerIo {
             };
             peer.idle_ticks += 1;
             if peer.idle_ticks >= self.budget_ticks {
-                let what = "read budget exhausted waiting for an ACK";
+                let what = "read budget exhausted waiting for an answer";
                 let e = io::Error::new(io::ErrorKind::TimedOut, what);
                 self.close(ep, index, Some(e), to);
             }
@@ -232,8 +232,8 @@ impl PeerIo {
 
 impl Peer {
     /// Move bytes both ways, `to` answering for peer `cache`. What
-    /// arrived together is answered in order by one write — replies and
-    /// `OK`s, each registered by then; `Ok(true)` means the peer hung up.
+    /// arrived together is taken in order, and its replies written by one
+    /// write, each registered by then; `Ok(true)` means the peer hung up.
     fn drive(
         &mut self,
         ready: Ready,
@@ -261,13 +261,14 @@ impl Peer {
                     Frame::Line(line) => line,
                 };
                 match ControlMsg::parse(line)? {
-                    ControlMsg::Unsubscribe(path) => {
-                        to.peer(cache, PeerEvent::Unsubscribe(path));
-                        self.wire.queue(ControlMsg::Ok.encode().as_bytes());
-                    }
-                    ControlMsg::Ack => {
+                    ControlMsg::Unsubscribe(path) => to.peer(cache, PeerEvent::Unsubscribe(path)),
+                    answer @ (ControlMsg::Ack | ControlMsg::Nack) => {
+                        // A notice is retracted before its publisher is released.
+                        if answer == ControlMsg::Nack && !self.owed.is_empty() {
+                            to.peer(cache, PeerEvent::Nack);
+                        }
                         if self.owed.pop_front().is_none() {
-                            return Err(invalid("ACK with no notice outstanding"));
+                            return Err(invalid(format!("{line} with no notice outstanding")));
                         }
                     }
                     other => {
@@ -354,8 +355,8 @@ mod tests {
         let msgs = [
             ControlMsg::Unsubscribe("/a/b.html"),
             ControlMsg::Invalidate("/w/f3.dat"),
-            ControlMsg::Ok,
             ControlMsg::Ack,
+            ControlMsg::Nack,
         ];
         for m in msgs {
             let line = m.encode();
@@ -368,17 +369,28 @@ mod tests {
     fn unknown_verbs_are_rejected() {
         assert!(ControlMsg::parse("PURGE /x").is_err());
         assert!(ControlMsg::parse("").is_err());
-        assert!(ControlMsg::parse("OK extra").is_err());
+        assert!(ControlMsg::parse("NACK extra").is_err());
+    }
+
+    /// Wait, a few milliseconds at a time, until the origin tracks `n`
+    /// subscriptions.
+    fn await_subscriptions(origin: &LiveOrigin, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while origin.subscription_count() != n {
+            assert!(Instant::now() < deadline, "never {n} subscriptions");
+            thread::sleep(Duration::from_millis(5));
+        }
     }
 
     /// `MAX_LINE` bounds the line still arriving, not the whole lines
     /// that arrived with it: a burst of commands twice that long is so
-    /// many commands, each answered — and a line that long still is
-    /// the end of the peer.
+    /// many commands, each taken — and a line that long still is the
+    /// end of the peer.
     #[test]
     fn a_burst_of_whole_lines_longer_than_max_line_is_not_an_oversized_line() {
         let mut pop = FilePopulation::new();
         pop.add(FileRecord::new("/a", SimTime::ZERO, 10));
+        pop.add(FileRecord::new("/b", SimTime::ZERO, 20));
         let clock = LiveClock::virtual_at(SimTime::ZERO);
         let origin = LiveOrigin::spawn(OriginConfig::new(Arc::new(pop), clock)).unwrap();
         let mut peer = TestPeer::connect(origin.control_addr());
@@ -386,20 +398,13 @@ mod tests {
         peer.fetch("/a");
         let commands = 2 * MAX_LINE / "UNSUBSCRIBE /a\n".len();
         peer.say(&"UNSUBSCRIBE /a\n".repeat(commands));
-        for heard in 0..commands {
-            assert_eq!(peer.hear(), "OK\n", "after {heard} of {commands}");
-        }
-        assert_eq!(origin.subscription_count(), 0);
-        peer.fetch("/a");
-        assert_eq!(origin.subscription_count(), 1);
+        // The reply behind the burst says all of it is in.
+        peer.fetch("/b");
+        assert_eq!(origin.subscription_count(), 1, "/b alone");
 
         peer.say(&"X".repeat(MAX_LINE + 1));
         assert_eq!(peer.hear(), "", "hung up on");
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while origin.subscription_count() != 0 {
-            assert!(Instant::now() < deadline, "subscriptions outlived the peer");
-            thread::sleep(Duration::from_millis(5));
-        }
+        await_subscriptions(&origin, 0);
     }
 
     /// The origin's end frames what arrives, however it arrives: two
@@ -426,8 +431,7 @@ mod tests {
         let fetch = get("/a");
         let (first, second) = fetch.split_at(fetch.len() / 2);
         peer.say(&format!("RIBE /a\n{first}"));
-        assert_eq!(peer.hear(), "OK\n");
-        assert_eq!(origin.subscription_count(), 1);
+        await_subscriptions(&origin, 1);
         peer.say(second);
         assert_eq!(peer.hear_response().1.len(), 10);
         assert_eq!(origin.subscription_count(), 2);
@@ -436,10 +440,6 @@ mod tests {
         // had subscribed to goes with it.
         peer.say("UNSUBSCRIBE /");
         drop(peer);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while origin.subscription_count() != 0 {
-            assert!(Instant::now() < deadline, "subscriptions outlived the peer");
-            thread::sleep(Duration::from_millis(5));
-        }
+        await_subscriptions(&origin, 0);
     }
 }

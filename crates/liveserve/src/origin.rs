@@ -13,8 +13,9 @@
 //! clock loop in `wcc serve`) publishes them by calling
 //! [`LiveOrigin::advance_to`]. Each due modification runs
 //! `notify_modification` and has `INVALIDATE` pushed to every subscribed
-//! proxy, waiting for all of their `ACK`s before the next event — the
-//! live equivalent of the simulator's instantaneous callbacks.
+//! proxy, waiting for all of their answers before the next event — the
+//! live equivalent of the simulator's instantaneous callbacks; a notice a
+//! shard answers `NACK` (its `UNSUBSCRIBE` was on the way) is retracted.
 //!
 //! Both ports are served by the origin's own reactor (`reactor`), the
 //! control port by its first thread alone (`control::PeerIo`), and the
@@ -25,7 +26,7 @@
 //! [`OriginServer`] mutex, which is never held across socket IO. The one wait is the publisher's, on the thread that
 //! called `advance_to`: invalidation targets are collected under the
 //! lock, the notice is handed to the reactor after it is released, and
-//! the caller sleeps until every target has `ACK`ed or gone.
+//! the caller sleeps until every target has answered or gone.
 
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -174,7 +175,7 @@ impl OriginShared {
             server.subscribe(cache, file);
         }
         drop(server);
-        self.probe.record(now, ObsEvent::ServerOp { kind });
+        self.server_op(now, kind);
         match result {
             CondResult::NotModified => {
                 let resp = self.attach_expires(file, now, Response::not_modified(wall_date(now)));
@@ -198,14 +199,14 @@ impl OriginShared {
             },
         );
         for _ in &targets {
-            self.probe.record(
-                now,
-                ObsEvent::ServerOp {
-                    kind: ServerOpKind::InvalidationSent,
-                },
-            );
+            self.server_op(now, ServerOpKind::InvalidationSent);
         }
         targets
+    }
+
+    /// One origin operation, as the probe counts them.
+    fn server_op(&self, now: SimTime, kind: ServerOpKind) {
+        self.probe.record(now, ObsEvent::ServerOp { kind });
     }
 }
 
@@ -240,6 +241,10 @@ impl Dispatch for Arc<OriginShared> {
                 if let Some(&file) = self.path_ids.get(path) {
                     self.server.lock().unsubscribe(cache, file);
                 }
+            }
+            PeerEvent::Nack => {
+                self.server.lock().retract_invalidation();
+                self.server_op(self.clock.now(), ServerOpKind::InvalidationRetracted);
             }
             PeerEvent::Gone => {
                 self.server.lock().unsubscribe_all(cache);
@@ -517,23 +522,74 @@ mod tests {
         assert_eq!(load.invalidations_sent, 1);
     }
 
-    /// What arrives together is answered together, in order — each
-    /// fetch's reply and each command's `OK` registered by then — and the
-    /// channel carries an invalidation as before.
+    /// What arrives together is taken in order — a command is not
+    /// answered, and each fetch's reply says that what came before it is
+    /// in. A file unsubscribed and then fetched ends subscribed, which is
+    /// what a shard's eviction followed by its refetch looks like on the
+    /// wire, and the channel carries an invalidation as before.
     #[test]
-    fn a_batch_of_fetches_and_commands_is_answered_in_order() {
+    fn a_batch_of_fetches_and_commands_is_taken_in_order() {
         let (origin, _clock) = small_origin();
         let mut peer = control(&origin);
         let get = |path: &str| Request::get(path).serialize();
-        peer.say(&(get("/a.html") + "UNSUBSCRIBE /a.html\n" + &get("/b.html")));
-        assert_eq!(peer.hear_response().1.len(), 100);
-        assert_eq!(peer.hear(), "OK\n");
-        assert_eq!(peer.hear_response().1.len(), 50);
-        assert_eq!(origin.subscription_count(), 1);
+        let unsubscribe = |path: &str| format!("UNSUBSCRIBE {path}\n");
+        peer.say(
+            &[
+                get("/a.html"),
+                unsubscribe("/a.html"),
+                get("/b.html"),
+                unsubscribe("/b.html"),
+                get("/b.html"),
+            ]
+            .concat(),
+        );
+        for len in [100, 50, 50] {
+            assert_eq!(peer.hear_response().1.len(), len);
+        }
+        assert_eq!(origin.subscription_count(), 1, "/b.html, again");
 
         // The next thing on the wire is the notice, not another answer.
         publish_acked(&origin, &mut peer);
         assert_eq!(origin.shutdown().invalidations_sent, 1);
+    }
+
+    /// A shard that dropped the file before the notice reached it answers
+    /// `NACK`: that releases the publisher like an `ACK`, and the notice
+    /// is taken back out of the count — and out of the probe's, by a
+    /// retraction event, so a fold of the probe equals [`ServerLoad`].
+    #[test]
+    fn a_nack_releases_the_publisher_and_retracts_its_notice() {
+        let mut pop = FilePopulation::new();
+        let b = pop.add(FileRecord::new("/b.html", t(0), 50));
+        pop.get_mut(b).push_modification(t(1000), 60);
+        let mut config = OriginConfig::new(Arc::new(pop), LiveClock::virtual_at(t(10)));
+        let probe = ProbeHandle::buffered(64);
+        config.probe = probe.clone();
+        let origin = LiveOrigin::spawn(config).unwrap();
+        let mut peer = control(&origin);
+        peer.fetch("/b.html");
+
+        thread::scope(|s| {
+            let h = s.spawn(|| origin.advance_to(t(1500)));
+            assert_eq!(peer.hear(), "INVALIDATE /b.html\n");
+            thread::sleep(SETTLE);
+            assert!(!h.is_finished(), "released before the notice was answered");
+            peer.say("UNSUBSCRIBE /b.html\nNACK\n");
+            h.join().unwrap();
+        });
+        assert_eq!(origin.subscription_count(), 0);
+        let load = origin.shutdown();
+        assert_eq!((load.document_requests, load.invalidations_sent), (1, 0));
+
+        let mut folded = wcc_obs::MetricsProbe::new();
+        probe.drain_into(&mut folded);
+        let counter = |name| folded.registry().counter(name);
+        assert_eq!(counter("server.document_request"), load.document_requests);
+        assert_eq!(
+            counter("server.invalidation_sent") - counter("server.invalidation_retracted"),
+            load.invalidations_sent
+        );
+        assert_eq!(counter("server.invalidation_retracted"), 1);
     }
 
     /// The fetch is the subscription. A `GET` on the control port is
@@ -573,16 +629,19 @@ mod tests {
         assert_eq!((load.document_requests, load.invalidations_sent), (1, 1));
     }
 
-    /// An `ACK` with no notice outstanding must not sit in wait for the
-    /// next notice and release its publisher early: it is a protocol
-    /// error that costs the peer its channel, and nobody else anything.
+    /// An `ACK` or `NACK` with no notice outstanding must not sit in wait
+    /// for the next notice and release its publisher early (or retract
+    /// its count): it is a protocol error that costs the peer its
+    /// channel, and nobody else anything.
     #[test]
-    fn an_ack_nobody_is_owed_closes_the_peer_and_releases_no_publisher() {
+    fn an_answer_nobody_is_owed_closes_the_peer_and_releases_no_publisher() {
         let (origin, _clock) = small_origin();
-        let mut stray = control(&origin);
-        stray.say("ACK\n");
-        stray.say(&Request::get("/b.html").serialize());
-        assert_eq!(stray.hear(), "", "the stray peer is hung up on");
+        for answer in ["ACK\n", "NACK\n"] {
+            let mut stray = control(&origin);
+            stray.say(answer);
+            stray.say(&Request::get("/b.html").serialize());
+            assert_eq!(stray.hear(), "", "the stray peer is hung up on");
+        }
         assert_eq!(origin.subscription_count(), 0);
 
         let mut good = control(&origin);

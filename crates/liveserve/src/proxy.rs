@@ -38,17 +38,16 @@
 //! | stage | sent | on the answer |
 //! |-------|------|---------------|
 //! | `Validating` | `GET` + `If-Modified-Since` | `304`: apply, serve the cached body (entry lost meanwhile: refetch, on the same socket). Otherwise as `Fetching`. |
-//! | `Fetching` | `GET` — under invalidation a leader's on the shard's control channel, where the origin's `200` subscribes it; an uncacheable forward's on a data connection | Apply the reply; under invalidation, if that left the origin tracking what the shard does not hold → `Unsubscribing`, else done. |
-//! | `Unsubscribing` | one batch: `UNSUBSCRIBE` × evicted victims not being refetched, and a leader's file if its reply left it non-resident | every `OK` in: respond. |
+//! | `Fetching` | `GET` — under invalidation a leader's on the shard's control channel, where the origin's `200` subscribes it; an uncacheable forward's on a data connection | Apply the reply and respond; under invalidation, `UNSUBSCRIBE` what that left the origin tracking and the shard not holding — evicted victims not being refetched, and a leader's file if its reply left it non-resident. |
 //!
 //! Under invalidation the fetch is the subscription: the origin
 //! registers it as it answers, so no entry is ever resident before it is
 //! subscribed, the reply is applied in line order with the `INVALIDATE`s
-//! around it, and a miss that evicts nothing talks to the origin once.
-//! The response is released only after every `UNSUBSCRIBE` the request
-//! issued is acknowledged, which makes the control channel a sequencing
-//! point and single-connection runs counter-exact (the origin's ledger
-//! equals the simulator's at every `advance_to`).
+//! around it, and a miss talks to the origin once: its `UNSUBSCRIBE`s
+//! ride the channel's next write, and nobody waits for them. Until they
+//! are in, the origin's ledger names files the shard no longer holds; a
+//! notice for one is answered `NACK` and not counted, so single-connection
+//! runs stay counter-exact by the channel's order, not by a wait.
 //!
 //! **Single-flight.** Concurrent misses for the same file coalesce: the
 //! first request registers the file as in flight and fetches; requests
@@ -81,7 +80,7 @@ use wcc_sync::RankedMutex;
 use crate::clock::{sim_instant, wall_date, LiveClock};
 use crate::control::ControlMsg;
 use crate::netio::{invalid, DEFAULT_READ_BUDGET_TICKS};
-use crate::reactor::{Arrived, Dispatch, Reactor, ReactorConfig, Step, Ticket, Work};
+use crate::reactor::{Answer, Arrived, Dispatch, Reactor, ReactorConfig, Step, Ticket, Work};
 use crate::upstream::Upstream;
 
 /// Rank of the dynamic path⇄id table: taken before any shard state lock
@@ -297,8 +296,6 @@ enum Stage {
     Validating,
     /// The reply to an unconditional GET.
     Fetching,
-    /// The `OK`s for its `UNSUBSCRIBE`s: respond.
-    Unsubscribing { resp: Response, body: Arc<Vec<u8>> },
 }
 
 impl ProxyShared {
@@ -430,27 +427,17 @@ impl ProxyShared {
         }
     }
 
-    /// One stage along: what `parked` waited for is here.
+    /// One stage along: the reply `parked` waited for is here.
     fn advance(&self, parked: Parked, arrived: Arrived) -> io::Result<Step<Parked>> {
-        let Parked { req, stage } = parked;
-        match (stage, arrived) {
-            (Stage::Validating, Arrived::Reply(resp, _, head))
-                if resp.status == Status::NotModified =>
-            {
+        let (Parked { req, stage }, Arrived(resp, body, head)) = (parked, arrived);
+        match stage {
+            Stage::Validating if resp.status == Status::NotModified => {
                 Ok(self.revalidated(req, &resp, head))
             }
             // Combined query-and-fetch: a conditional GET that finds the
             // file changed is answered with the new version.
-            (Stage::Validating, Arrived::Reply(resp, body, head)) => {
-                self.received(req, true, resp, body, head)
-            }
-            (Stage::Fetching, Arrived::Reply(resp, body, head)) => {
-                self.received(req, false, resp, body, head)
-            }
-            (Stage::Unsubscribing { resp, body }, Arrived::ControlOk) => Ok(Step::Done(resp, body)),
-            _ => Err(io::Error::other(
-                "an answer that is not what the request was waiting for",
-            )),
+            Stage::Validating => self.received(req, true, resp, body, head),
+            Stage::Fetching => self.received(req, false, resp, body, head),
         }
     }
 
@@ -486,7 +473,7 @@ impl ProxyShared {
 
     /// A `200` or `404` (its head `head` wire bytes) is in: price it for
     /// the engine, apply it, keep the bodies map in step with the store,
-    /// and tell the origin in one batch what to forget. Under
+    /// and respond, telling the origin what to forget. Under
     /// invalidation a leader's fetch subscribed the file (the origin
     /// registers a `200` on the control channel as it answers it), so
     /// that is every victim whose own fetch is not out, and the file if
@@ -543,32 +530,41 @@ impl ProxyShared {
         let mut forget: Vec<FileId> = victims.filter(settled).collect();
         forget.extend((req.leads && !resident).then_some(file));
         drop(st);
+        Ok(self.forgetting(file, &forget, Ok((resp, body))))
+    }
+
+    /// `answer`, and under invalidation an `UNSUBSCRIBE` of each of
+    /// `forget`, files of `file`'s shard.
+    fn forgetting(&self, file: FileId, forget: &[FileId], answer: Answer) -> Step<Parked> {
         if !self.uses_invalidation || forget.is_empty() {
-            return Ok(Step::Done(resp, body));
+            return answer.map_or_else(Step::Fail, |(resp, body)| Step::Done(resp, body));
         }
-        let unsubscribe = |&f: &FileId| ControlMsg::Unsubscribe(&self.path_of(f)).encode();
-        let commands = forget.iter().flat_map(|f| unsubscribe(f).into_bytes());
-        let stage = Stage::Unsubscribing { resp, body };
-        Ok(Step::Control {
+        let line = |&f: &FileId| {
+            ControlMsg::Unsubscribe(&self.path_of(f))
+                .encode()
+                .into_bytes()
+        };
+        Step::Control {
             shard: shard_for(file, self.shards.len()),
-            commands: commands.collect(),
-            oks: forget.len() as u32,
-            then: Parked { req, stage },
-        })
+            lines: forget.iter().flat_map(line).collect(),
+            answer,
+        }
     }
 
     /// `file`'s flight is over, however it ended: decide, in arrival
     /// order, everyone who waited on it. If the first still needs the
-    /// origin it leads the next flight, and the rest wait on that.
-    fn land(&self, file: FileId, woken: &mut Work<Parked>) {
+    /// origin it leads the next flight, and the rest wait on that. True
+    /// if its fetch failed (settling nothing) and the file is not held.
+    fn land(&self, file: FileId, woken: &mut Work<Parked>) -> bool {
         let mut st = self.shard(file).lock();
-        st.fetching.remove(&file); // a failed fetch settles nothing
+        let unsettled = st.fetching.remove(&file) && st.engine.peek(file).is_none();
         let waiters = st.in_flight.remove(&file);
         drop(st);
         for w in waiters.unwrap_or_default() {
             let step = self.evaluate(w.ticket, w.asked, w.path);
             woken.push_back((w.ticket, step));
         }
+        unsettled
     }
 }
 
@@ -599,13 +595,16 @@ impl Dispatch for Arc<ProxyShared> {
         let step = arrived
             .and_then(|arrived| self.advance(parked, arrived))
             .unwrap_or_else(Step::Fail);
-        if leads && matches!(step, Step::Done(..) | Step::Fail(_)) {
-            self.land(file, woken);
+        let over = matches!(step, Step::Done(..) | Step::Fail(_) | Step::Control { .. });
+        match (leads && over && self.land(file, woken), step) {
+            (true, Step::Fail(e)) => self.forgetting(file, &[file], Err(e)),
+            (_, step) => step,
         }
-        step
     }
 
-    fn invalidate(&self, path: &str) {
+    /// Held (resident, or its fetch out): marked and counted. Else the
+    /// notice crossed the file's `UNSUBSCRIBE`, and the origin retracts it.
+    fn invalidate(&self, path: &str) -> bool {
         let file = self.resolve(path);
         // One invalidation = one control message (notice + ack), as in
         // the simulator's `invalidation_message` costing.
@@ -615,8 +614,12 @@ impl Dispatch for Arc<ProxyShared> {
         // channel; route by file anyway so a misdirected notice can
         // never corrupt a foreign shard's accounting.
         let mut st = self.shard(file).lock();
-        st.invalidations_delivered += 1;
-        st.engine.invalidate(file, self.clock.now(), bytes);
+        let held = st.engine.peek(file).is_some() || st.fetching.contains(&file);
+        if held {
+            st.invalidations_delivered += 1;
+            st.engine.invalidate(file, self.clock.now(), bytes);
+        }
+        held
     }
 }
 
@@ -781,7 +784,7 @@ impl LiveProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netio::HttpConn;
+    use crate::netio::{HttpConn, POLL_TICK};
     use crate::origin::{LiveOrigin, OriginConfig};
     use crate::reactor::testing::{conn_on_each_reactor, Accepts};
     use originserver::FileRecord;
@@ -1461,6 +1464,12 @@ mod tests {
             st.in_flight.get(&file).map(Vec::len)
         }
 
+        /// `INVALIDATE`s counted as delivered so far.
+        fn delivered(&self) -> u64 {
+            let shards = self.proxy.shared.shards.iter();
+            shards.map(|s| s.lock().invalidations_delivered).sum()
+        }
+
         /// Open a connection and send a GET for `path` on it, which the
         /// proxy fetches on the channel.
         fn ask(&self, path: &str) -> HttpConn {
@@ -1503,107 +1512,145 @@ mod tests {
         Response::ok(wall_date(t(10)), wall_date(t(0)), len as u64).to_bytes(&vec![7u8; len])
     }
 
-    /// Nothing has been written to `conn` four poll ticks from now.
-    fn expect_unanswered(conn: &mut HttpConn) {
-        conn.set_read_budget_ticks(4);
-        let early = conn.read_response().unwrap_err();
-        assert_eq!(early.kind(), io::ErrorKind::TimedOut);
-        conn.set_read_budget_ticks(DEFAULT_READ_BUDGET_TICKS);
-    }
-
     /// The proxy hung up on `conn` without answering.
     fn expect_failed(conn: &mut HttpConn) {
         let hung_up = conn.read_response().unwrap_err();
         assert_eq!(hung_up.kind(), io::ErrorKind::UnexpectedEof);
     }
 
-    /// `OK`s release batches strictly in the order they were sent: of
-    /// two concurrent cold misses on one shard that each evict, neither
-    /// is answered — and a second request for the second file stays
-    /// parked on its flight, undecided — until that miss's *own* `OK`
-    /// arrives, however long the first has been in. (The blocking proxy
-    /// let either worker take either `OK`, so a request could be
-    /// answered before the origin had registered what it changed.)
+    /// A cold miss into a full store is answered with its reply: nothing
+    /// it displaced is waited for. Its `UNSUBSCRIBE`s follow on the
+    /// channel unsent, in eviction order, and with nothing else to write
+    /// the reactor's next idle tick takes them.
     #[test]
-    fn an_ok_releases_only_the_subscription_it_answers() {
-        let w = Withheld::spawn(StoreKind::Lru(100));
-        // Evicting nothing, it is answered with its reply.
-        let mut v = w.fetch("/v", 50);
-        expect(&mut v, 50);
-        // Both fetches are out before either reply is in, so both
-        // batches are: the channel answers in the order it was asked.
-        let (mut a, mut b) = (w.ask("/a"), w.ask("/b"));
-        let mut b2 = w.follow("/b");
-        w.reply(60);
-        assert_eq!(w.next_command(), "UNSUBSCRIBE /v");
-        w.reply(70);
-        assert_eq!(w.next_command(), "UNSUBSCRIBE /a");
-        expect_unanswered(&mut a);
-
-        w.say("OK\n");
-        expect(&mut a, 60);
-        // The first `OK` is long in, and `/b` still waits for its own.
-        expect_unanswered(&mut b);
-        assert_eq!(w.waiting("/b"), Some(1), "/b was released on /a's OK");
-
-        w.say("OK\n");
-        expect(&mut b, 70);
-        expect(&mut b2, 70);
-        assert_eq!(w.waiting("/b"), None);
-        let snap = w.finish();
-        assert_eq!((snap.cache.misses, snap.cache.fresh_hits), (3, 1));
-        assert_eq!(snap.evictions, 2);
-    }
-
-    /// A cold miss into a full store tells the origin everything it
-    /// displaced in one batch, in eviction order, and is answered when
-    /// the whole batch is `OK`ed.
-    #[test]
-    fn a_cold_miss_that_evicts_sends_one_batch_and_waits_for_all_of_it() {
+    fn a_cold_miss_that_evicts_is_answered_at_once_and_its_unsubscribes_follow() {
         let w = Withheld::spawn(StoreKind::Lru(100));
         for path in ["/v1", "/v2"] {
             let mut conn = w.fetch(path, 40);
             expect(&mut conn, 40);
         }
         let mut new = w.fetch("/new", 90);
+        expect(&mut new, 90);
+        let answered = Instant::now();
         assert_eq!(w.next_command(), "UNSUBSCRIBE /v1");
         assert_eq!(w.next_command(), "UNSUBSCRIBE /v2");
-        w.say("OK\n");
-        expect_unanswered(&mut new);
-        w.say("OK\n");
-        expect(&mut new, 90);
+        let waited = answered.elapsed();
+        assert!(waited < POLL_TICK * 2, "unsent for {waited:?}");
 
         assert!(w.commands.try_recv().is_err(), "two lines, no more");
         let snap = w.finish();
         assert_eq!((snap.cache.misses, snap.evictions), (3, 2));
     }
 
-    /// An `INVALIDATE` that overtakes the `OK` of an insert's batch finds
-    /// the entry and marks it: the follower parked on the flight
-    /// refetches instead of hitting the copy the origin has just
-    /// declared out of date.
+    /// The origin picks a notice's targets from its ledger, which a
+    /// shard's unsent `UNSUBSCRIBE` has not reached. A notice that crosses
+    /// one finds the file gone: the shard writes the line, then `NACK`,
+    /// and counts nothing (the origin retracts the notice). A notice for
+    /// the entry the same miss inserted is `ACK`ed and marks it, so the
+    /// next request for it refetches.
     #[test]
-    fn an_invalidation_ahead_of_the_ok_marks_the_entry_just_inserted() {
+    fn a_notice_that_crosses_an_unsent_unsubscribe_is_nacked_and_not_counted() {
         let w = Withheld::spawn(StoreKind::Lru(100));
         let mut old = w.fetch("/old", 60);
         expect(&mut old, 60);
-        let mut leader = w.fetch("/new", 50);
+        let mut new = w.fetch("/new", 50);
+        expect(&mut new, 50);
+
+        w.say("INVALIDATE /old\n");
         assert_eq!(w.next_command(), "UNSUBSCRIBE /old");
-        let mut follower = w.follow("/new");
+        assert_eq!(w.next_command(), "NACK");
+        assert_eq!(w.delivered(), 0);
 
         w.say("INVALIDATE /new\n");
         assert_eq!(w.next_command(), "ACK");
-        w.say("OK\n");
-        expect(&mut leader, 50);
-        // Nothing displaced: the refetch is answered with its reply.
+        assert_eq!(w.delivered(), 1);
+        new.write_request(&Request::get("/new")).unwrap();
         w.expect_fetch("/new");
         w.reply(51);
-        expect(&mut follower, 51);
+        expect(&mut new, 51);
 
         assert!(w.commands.try_recv().is_err());
         let snap = w.finish();
         assert_eq!(snap.invalidations_delivered, 1);
-        assert_eq!((snap.cache.misses, snap.cache.fresh_hits), (3, 0));
+        assert_eq!((snap.cache.misses, snap.evictions), (3, 1));
+    }
+
+    /// An eviction's `UNSUBSCRIBE /v` and a later miss's `GET /v` reach
+    /// the origin in that order — the lines are appended on the shard's
+    /// thread in the order its work is done — so the origin unsubscribes,
+    /// then resubscribes: `/v` ends held and subscribed, and its next
+    /// notice is `ACK`ed.
+    #[test]
+    fn an_unsubscribe_reaches_the_origin_ahead_of_a_later_fetch_of_its_file() {
+        let w = Withheld::spawn(StoreKind::Lru(100));
+        let mut v = w.fetch("/v", 50);
+        expect(&mut v, 50);
+        let mut new = w.fetch("/new", 90);
+        expect(&mut new, 90);
+
+        v.write_request(&Request::get("/v")).unwrap();
+        assert_eq!(w.next_command(), "UNSUBSCRIBE /v");
+        w.expect_fetch("/v");
+        w.reply(50);
+        expect(&mut v, 50);
+        w.say("INVALIDATE /v\n");
+        assert_eq!(w.next_command(), "UNSUBSCRIBE /new");
+        assert_eq!(w.next_command(), "ACK");
+
+        let snap = w.finish();
+        assert_eq!(snap.invalidations_delivered, 1);
+        assert_eq!((snap.cache.misses, snap.evictions), (3, 2));
+    }
+
+    /// A leader whose fetch fails with the channel up — here refused at a
+    /// saturated shard, its `GET` never sent — may leave the origin
+    /// tracking a file the shard does not hold: subscribed by an earlier
+    /// fetch, and evicted while this one was out (`fetching` kept that
+    /// eviction quiet). The failure settles the ledger as a reply would:
+    /// the leader's answer carries the file's `UNSUBSCRIBE`, for the
+    /// shard's unsent lines, and the file is out of `fetching`.
+    #[test]
+    fn a_leader_whose_fetch_fails_unsubscribes_the_file_it_does_not_hold() {
+        let w = Withheld::spawn(StoreKind::Unbounded);
+        let shared = &w.proxy.shared;
+        let file = shared.resolve("/f");
+        {
+            // What `evaluate` registers for a leader.
+            let mut st = shared.shard(file).lock();
+            st.in_flight.insert(file, Vec::new());
+            st.fetching.insert(file);
+        }
+        let req = Decided {
+            asked: Asked {
+                file,
+                class: 0,
+                now: t(10),
+            },
+            path: "/f".to_string(),
+            leads: true,
+            sent: 0,
+        };
+        let parked = Parked {
+            req,
+            stage: Stage::Fetching,
+        };
+        let refused = io::Error::new(io::ErrorKind::WouldBlock, "upstream saturated");
+        let mut woken = Work::new();
+        let Step::Control {
+            lines,
+            answer: Err(failed),
+            ..
+        } = shared.resume(parked, Err(refused), &mut woken)
+        else {
+            panic!("the failure asked for no UNSUBSCRIBE");
+        };
+        assert_eq!(lines, b"UNSUBSCRIBE /f\n");
+        assert_eq!(failed.kind(), io::ErrorKind::WouldBlock);
+        let st = shared.shard(file).lock();
+        assert!(!st.fetching.contains(&file), "/f is still being fetched");
+        assert!(!st.in_flight.contains_key(&file) && woken.is_empty());
+        drop(st);
+        w.finish();
     }
 
     /// Nothing falls between a fetch and its subscription: a reply and
@@ -1634,22 +1681,28 @@ mod tests {
 
     /// A body the store rejects as oversized was subscribed by its fetch
     /// but never resident: the engine names it among the victims, and
-    /// its own `UNSUBSCRIBE` is the batch its answer waits on.
+    /// its own `UNSUBSCRIBE` goes out ahead of the shard's next fetch —
+    /// even when that is the refetch of a request that waited on the
+    /// flight, decided as the leader's answer is: the leader's step is
+    /// carried out before the steps it woke.
     #[test]
     fn an_oversized_body_unsubscribes_what_its_fetch_subscribed() {
         let w = Withheld::spawn(StoreKind::Lru(100));
-        let mut conn = w.fetch("/huge", 500);
+        let mut leader = w.ask("/huge");
+        let mut follower = w.follow("/huge");
+        w.reply(500);
+        expect(&mut leader, 500);
         assert_eq!(w.next_command(), "UNSUBSCRIBE /huge");
-        expect_unanswered(&mut conn);
-        w.say("OK\n");
-        expect(&mut conn, 500);
-        // Anything more `/huge` had said would be ahead of this.
-        conn.write_request(&Request::get("/small")).unwrap();
+        w.expect_fetch("/huge");
+        w.reply(500);
+        expect(&mut follower, 500);
+        follower.write_request(&Request::get("/small")).unwrap();
+        assert_eq!(w.next_command(), "UNSUBSCRIBE /huge");
         w.expect_fetch("/small");
         w.reply(50);
-        expect(&mut conn, 50);
+        expect(&mut follower, 50);
         let snap = w.finish();
-        assert_eq!((snap.cache.misses, snap.evictions), (2, 0));
+        assert_eq!((snap.cache.misses, snap.evictions), (3, 0));
     }
 
     /// A refetch pipelined behind a reply that evicts its file settles
@@ -1663,7 +1716,8 @@ mod tests {
         let mut f = w.fetch("/f", 40);
         expect(&mut f, 40);
         // `/f` is invalidated, and refetched on `f` behind a fetch of
-        // `first`.
+        // `first`. The `ACK` is the next line: no `UNSUBSCRIBE /f` was
+        // left unsent ahead of it.
         fn refetch_behind(w: &Withheld, f: &mut HttpConn, first: &str) -> HttpConn {
             w.say("INVALIDATE /f\n");
             assert_eq!(w.next_command(), "ACK");
@@ -1679,21 +1733,18 @@ mod tests {
         expect(&mut g, 70);
         w.reply(20);
         expect(&mut f, 20);
-        assert!(w.commands.try_recv().is_err(), "/f was unsubscribed");
         f.write_request(&Request::get("/f")).unwrap();
         expect(&mut f, 20);
 
-        // `/h` evicts `/g` and `/f`; the refetch finds `/f` gone. (The
-        // `OK`s come behind the reply to the `GET` the batches followed.)
+        // `/h` evicts `/g` and `/f`; the refetch finds `/f` gone.
         let mut h = refetch_behind(&w, &mut f, "/h");
         w.reply(90);
-        assert_eq!(w.next_command(), "UNSUBSCRIBE /g");
+        expect(&mut h, 90);
         let gone = Response::not_found(wall_date(t(10))).to_bytes(&[]);
         w.say.send(gone).unwrap();
-        assert_eq!(w.next_command(), "UNSUBSCRIBE /f");
-        w.say("OK\nOK\n");
-        expect(&mut h, 90);
         assert_eq!(f.read_response().unwrap().0.status, Status::NotFound);
+        assert_eq!(w.next_command(), "UNSUBSCRIBE /g");
+        assert_eq!(w.next_command(), "UNSUBSCRIBE /f");
 
         assert!(w.commands.try_recv().is_err());
         let snap = w.finish();

@@ -42,18 +42,19 @@
 //! request from memory: its `begin` never parks and it has no shards.
 //! Its control listener is registered level-triggered on thread 0 and
 //! nowhere else, so every control peer's socket — fetches and commands
-//! in, replies and `OK`s out, notices out, `ACK`s in — has that one
-//! owner; a thread that publishes a modification posts the notice to
-//! thread 0's mailbox and does its waiting itself.
+//! in, replies out, notices out, their answers in — has that one owner;
+//! a thread that publishes a modification posts the notice to thread
+//! 0's mailbox and does its waiting itself.
 //!
 //! The stall budget is tick-counted, never clock-read (§r1): each
 //! `epoll_wait` that times out — a signal that interrupts one does not
 //! count — is one idle tick swept over every mid-frame or mid-write
 //! client connection, every upstream exchange in progress and every
-//! control peer that owes an `ACK`. The wait is timed only while there
-//! is such a party: a thread none of whose sockets owes it progress
-//! sleeps in an untimed `epoll_wait` until one turns ready or the
-//! eventfd brings mail or shutdown. A saturated reactor defers reaping —
+//! control peer that owes an answer, and it flushes control lines still
+//! unsent. The wait is timed only while there is such a party: a thread
+//! none of whose sockets owes it progress sleeps in an untimed
+//! `epoll_wait` until one turns ready or the eventfd brings mail or
+//! shutdown. A saturated reactor defers reaping —
 //! the memory cost is bounded by `max_conns × MAX_FRAME` either way —
 //! and an idle keep-alive connection is never reaped.
 
@@ -150,14 +151,12 @@ pub(crate) struct Ticket {
     gen: u32,
 }
 
-/// What a parked continuation was waiting for.
-pub(crate) enum Arrived {
-    /// The origin's reply to an [`Step::Exchange`]: head, body, and the
-    /// wire bytes the head took.
-    Reply(Response, Vec<u8>, u64),
-    /// Every command of a [`Step::Control`] was answered `OK`.
-    ControlOk,
-}
+/// What a parked continuation was waiting for: the origin's reply to a
+/// [`Step::Exchange`] — head, body, and the wire bytes the head took.
+pub(crate) struct Arrived(pub Response, pub Vec<u8>, pub u64);
+
+/// What a client is sent: a response, or a hang-up.
+pub(crate) type Answer = io::Result<(Response, Arc<Vec<u8>>)>;
 
 /// What a request needs next.
 pub(crate) enum Step<P> {
@@ -174,13 +173,12 @@ pub(crate) enum Step<P> {
         subscribe: bool,
         then: P,
     },
-    /// Send `commands` (`oks` whole lines) on `shard`'s control channel
-    /// and resume `then` once every one is answered.
+    /// Append `lines` (whole ones) to `shard`'s control channel unsent —
+    /// they leave with its next write — and carry out `answer` at once.
     Control {
         shard: usize,
-        commands: Vec<u8>,
-        oks: u32,
-        then: P,
+        lines: Vec<u8>,
+        answer: Answer,
     },
     /// Nothing yet: the dispatcher keeps the ticket, and a later
     /// `resume` hands back a step for it.
@@ -212,8 +210,10 @@ pub(crate) trait Dispatch: Send + Sync + 'static {
     ) -> Step<Self::Parked>;
 
     /// The origin announced, on a shard's control channel, that `path`
-    /// changed. It is acknowledged when this returns.
-    fn invalidate(&self, _path: &str) {}
+    /// changed; `true` (`ACK`) if the shard held it, else `NACK`.
+    fn invalidate(&self, _path: &str) -> bool {
+        false
+    }
 
     /// Control peer `cache` fetched `req`: the response to write back. A
     /// dispatcher without a control port is never asked.
@@ -221,7 +221,7 @@ pub(crate) trait Dispatch: Send + Sync + 'static {
         (Response::not_found(HttpDate(0)), Vec::new())
     }
 
-    /// Control peer `cache` sent a command (`OK`ed on return), or went.
+    /// Control peer `cache` sent a command or a `NACK`, or went.
     fn peer(&self, _cache: CacheId, _event: PeerEvent<'_>) {}
 }
 
@@ -387,7 +387,7 @@ impl<D: Dispatch> Reactor<D> {
 
     /// Have the first reactor thread write `line` to the control peers
     /// in `targets`. Nothing is ever sent to the end returned: it
-    /// disconnects once every one of them has `ACK`ed or gone.
+    /// disconnects once every one of them has answered or gone.
     pub(crate) fn publish(&self, line: String, targets: Vec<CacheId>) -> Receiver<Infallible> {
         let (owed, acked) = sync_channel(0);
         let notice = Notice {
@@ -631,9 +631,9 @@ impl<D: Dispatch> EventLoop<D> {
         Ok(())
     }
 
-    /// Whether anything this thread owns is held to the stall budget: a
+    /// Whether anything this thread owns is held to the stall budget (a
     /// client mid-frame or mid-write, an upstream exchange, a control
-    /// peer that owes an `ACK` — what `tick_sweep` would count against.
+    /// peer that owes an answer) or has control lines to flush.
     fn owed_progress(&self) -> bool {
         self.budgeted_conns > 0
             || self.shards.iter().any(ShardIo::budgeted)
@@ -730,21 +730,23 @@ impl<D: Dispatch> EventLoop<D> {
                 }
                 Step::Control {
                     shard,
-                    commands,
-                    oks,
-                    then,
+                    lines,
+                    answer,
                 } => {
-                    let local = shard / reactors;
-                    self.shards[local].control(&commands, oks, (ticket, then));
-                    self.resume_ended(local);
+                    self.shards[shard / reactors].control(&lines);
+                    let step =
+                        answer.map_or_else(Step::Fail, |(resp, body)| Step::Done(resp, body));
+                    self.work.push_front((ticket, step));
                 }
             }
         }
     }
 
+    /// Resume `parked`, its next step ahead of the steps it woke (DESIGN §8).
     fn resume(&mut self, ticket: Ticket, parked: D::Parked, arrived: io::Result<Arrived>) {
+        let at = self.work.len();
         let step = self.shared.dispatch.resume(parked, arrived, &mut self.work);
-        self.work.push_back((ticket, step));
+        self.work.insert(at, (ticket, step));
     }
 
     /// Resume everything shard `local` ended outside a reply.
@@ -756,7 +758,7 @@ impl<D: Dispatch> EventLoop<D> {
 
     /// Write a request's answer to its client — if that connection is
     /// still the one that asked.
-    fn answer(&mut self, ticket: Ticket, result: io::Result<(Response, Arc<Vec<u8>>)>) {
+    fn answer(&mut self, ticket: Ticket, result: Answer) {
         let slot = ticket.slot as usize;
         if self.slots.get(slot).map(|s| s.gen) != Some(ticket.gen) {
             return; // the connection closed while its request was parked
@@ -784,14 +786,17 @@ impl<D: Dispatch> EventLoop<D> {
             let work = &mut self.work;
             io.control_ready(&self.ep, ready, &mut self.scratch, |event| match event {
                 ControlEvent::Answered((ticket, parked), arrived) => {
+                    let at = work.len();
                     let step = dispatch.resume(parked, Ok(arrived), work);
-                    work.push_back((ticket, step));
+                    work.insert(at, (ticket, step));
+                    true
                 }
                 ControlEvent::Invalidate(path) => dispatch.invalidate(path),
             });
         } else if let Some(((ticket, parked), reply)) =
             io.conn_ready(&self.ep, which, gen, ready, &mut self.scratch)
         {
+            let at = self.work.len();
             match dispatch.resume(parked, Ok(reply), &mut self.work) {
                 // More to ask of the same shard: on the connection in hand.
                 Step::Exchange {
@@ -804,7 +809,7 @@ impl<D: Dispatch> EventLoop<D> {
                 }
                 step => {
                     io.release(&self.ep, which);
-                    self.work.push_back((ticket, step));
+                    self.work.insert(at, (ticket, step));
                 }
             }
         }
@@ -1087,11 +1092,17 @@ mod tests {
 
         const BUDGET: u32 = 8;
         let (reactor, _addr, control) = spawn_with_control(16, BUDGET);
-        // An `OK` back says the reactor has the peer: slot 0, then slot 1.
+        // `Echo` answers a fetch on the control port `404`: the reply to
+        // what a peer says last says the reactor has taken all of it.
+        let fetch = Request::get("/x").serialize();
+        let answered = |peer: &mut TestPeer| {
+            assert_eq!(peer.hear_response().0.status, Status::NotFound);
+        };
+        // The reactor has the peers in slot 0, then slot 1.
         let connect = || {
             let mut peer = TestPeer::connect(control);
-            peer.say("UNSUBSCRIBE /x\n");
-            assert_eq!(peer.hear(), "OK\n");
+            peer.say(&fetch);
+            answered(&mut peer);
             peer
         };
         let (mut good, mut quiet) = (connect(), connect());
@@ -1100,10 +1111,10 @@ mod tests {
         let (acked, published) = (publish(), Instant::now());
         assert_eq!(good.hear(), "INVALIDATE /x\n");
         assert_eq!(quiet.hear(), "INVALIDATE /x\n");
-        // `good`'s ACK is in once the `OK` behind it is back, and the
+        // `good`'s ACK is in once the reply behind it is back, and the
         // publisher is still waiting: `quiet` owes one.
-        good.say("ACK\nUNSUBSCRIBE /x\n");
-        assert_eq!(good.hear(), "OK\n");
+        good.say(&format!("ACK\n{fetch}"));
+        answered(&mut good);
         assert_eq!(acked.try_recv(), Err(TryRecvError::Empty));
         // The budget runs out on `quiet`: hung up on, publisher released.
         assert_eq!(acked.recv().ok(), None);

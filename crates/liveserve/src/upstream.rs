@@ -21,14 +21,14 @@
 //! reactor has been told about.
 //!
 //! **Control connection.** It carries every exchange the origin is to
-//! subscribe the shard to (the origin does so as it answers a `200`) and
-//! the `UNSUBSCRIBE` batches, answered first-in first-out on this one
-//! thread: a reply resumes only its fetch, an `OK` releases only its
-//! batch. Replies and `INVALIDATE` lines reach the caller in line order;
-//! a notice is `ACK`ed once it returns. A fetch there gets the data
-//! connections' stall budget and cap; a channel that dies or stalls
-//! fails every fetch on it and every later one — a shard never fetches
-//! unsubscribed — and releases its batches unanswered.
+//! subscribe the shard to (the origin does so as it answers a `200`),
+//! answered first-in first-out on this one thread, and its unanswered
+//! `UNSUBSCRIBE`s, left unsent until the channel's next write — a fetch,
+//! an `ACK` or `NACK` — or the reactor's next idle tick. Replies and
+//! `INVALIDATE` lines reach the caller in line order; a notice is
+//! answered once it returns. A fetch there gets the data connections'
+//! stall budget and cap; a channel that dies or stalls fails every fetch
+//! on it and every later one — a shard never fetches unsubscribed.
 
 use std::collections::VecDeque;
 use std::io;
@@ -117,7 +117,7 @@ fn reply_frame(buf: &[u8]) -> io::Result<Option<(Arrived, usize)>> {
     let reply = Response::from_bytes(buf).map_err(invalid)?;
     Ok(reply.map(|(resp, body, used)| {
         let head = (used - body.len()) as u64;
-        (Arrived::Reply(resp, body, head), used)
+        (Arrived(resp, body, head), used)
     }))
 }
 
@@ -223,29 +223,21 @@ struct Slot<K> {
     conn: Option<DataConn<K>>,
 }
 
-/// What an entry of the control channel's FIFO waits for: this many
-/// more `OK`s, for a batch of commands, or the reply to a fetch.
-enum Owed {
-    Oks(u32),
-    Reply,
-}
-
 struct Control<K> {
     wire: Wire,
-    /// What the origin owes, oldest first, and whom it resumes. Bounded
-    /// by the requests in flight; its fetches, as the data connections'.
-    pending: VecDeque<(Owed, K)>,
-    fetches: usize,
+    /// The fetches the origin owes a reply, oldest first, and whom each
+    /// resumes; capped as the data connections' exchanges are.
+    pending: VecDeque<K>,
     /// Idle ticks while a fetch is outstanding.
     stall_ticks: u32,
 }
 
 /// What the control channel produced, in line order.
 pub(crate) enum ControlEvent<'a, K> {
-    /// `K`'s fetch is answered, or every command of its batch `OK`ed.
+    /// `K`'s fetch is answered.
     Answered(K, Arrived),
-    /// The origin's copy of this path changed; the `ACK` goes out when
-    /// the callback returns.
+    /// The origin's copy of this path changed. The callback returns
+    /// whether the shard held it: `ACK` goes out if so, else `NACK`.
     Invalidate(&'a str),
 }
 
@@ -260,8 +252,8 @@ pub(crate) struct ShardIo<K> {
     waiters: VecDeque<(Vec<u8>, K)>,
     /// The shard's control channel, if the policy has one, until it dies.
     control: Option<Control<K>>,
-    /// Exchanges that failed, and batches with no channel to wait on, since
-    /// the reactor last looked; it resumes them after every call in here.
+    /// Exchanges that failed since the reactor last looked; it resumes
+    /// them after every call in here.
     pub ended: Vec<(K, io::Result<Arrived>)>,
     env: PoolEnv,
 }
@@ -280,7 +272,6 @@ impl<K> ShardIo<K> {
             io::Result::Ok(Control {
                 wire: Wire::register(stream, ep, token)?,
                 pending: VecDeque::new(),
-                fetches: 0,
                 stall_ticks: 0,
             })
         });
@@ -320,8 +311,8 @@ impl<K> ShardIo<K> {
                     return self.pump(ep);
                 }
             }
-            (Some(c), true) if c.fetches < CONNS_PER_SHARD + MAX_WAITERS => {
-                return c.send(&request, Owed::Reply, k);
+            (Some(c), true) if c.pending.len() < CONNS_PER_SHARD + MAX_WAITERS => {
+                return c.send(&request, k);
             }
             (Some(_), true) => {}
             (None, true) => {
@@ -452,16 +443,17 @@ impl<K> ShardIo<K> {
         }
     }
 
-    /// Whether a tick would count against anything: an exchange is
-    /// dialling or in progress (a wait-listed one is behind four such).
+    /// Whether a tick would count against anything (an exchange is
+    /// dialling or in progress) or flush control lines still unsent.
     pub(crate) fn budgeted(&self) -> bool {
         let busy = |s: &Slot<K>| s.conn.as_ref().is_some_and(|c| c.busy.is_some());
-        let fetching = self.control.as_ref().is_some_and(|c| c.fetches > 0);
-        fetching || self.conns.iter().any(busy)
+        let waiting = |c: &Control<K>| !c.pending.is_empty() || c.wire.wpos < c.wire.wbuf.len();
+        self.control.as_ref().is_some_and(waiting) || self.conns.iter().any(busy)
     }
 
-    /// One poll tick: a connection (or control channel) whose exchange
-    /// made no progress for the whole budget is closed, failing it.
+    /// One poll tick: control lines still unsent are written, and a
+    /// connection (or control channel) whose exchange made no progress
+    /// for the whole budget is closed, failing it.
     pub(crate) fn tick(&mut self, ep: &Epoll) {
         let what = "read budget exhausted waiting for the origin";
         let stalled = || io::Error::new(io::ErrorKind::TimedOut, what);
@@ -478,8 +470,9 @@ impl<K> ShardIo<K> {
             }
         }
         if let Some(c) = &mut self.control {
-            c.stall_ticks += u32::from(c.fetches > 0);
-            if c.fetches > 0 && c.stall_ticks >= self.env.budget_ticks {
+            let _ = c.wire.flush(); // an error raises its own edge, as in `send`
+            c.stall_ticks += u32::from(!c.pending.is_empty());
+            if !c.pending.is_empty() && c.stall_ticks >= self.env.budget_ticks {
                 self.lose_control(ep, stalled());
             }
         }
@@ -488,24 +481,23 @@ impl<K> ShardIo<K> {
 
     // --- control channel -------------------------------------------------
 
-    /// Send `commands` (whole lines, `oks` of them) and park `k` until
-    /// every one is answered. With nothing to wait for — no commands, or
-    /// no channel: the policy has none, or it died — `k` ends at once.
-    pub(crate) fn control(&mut self, commands: &[u8], oks: u32, k: K) {
-        match (&mut self.control, oks) {
-            (Some(control), 1..) => control.send(commands, Owed::Oks(oks), k),
-            _ => self.ended.push((k, Ok(Arrived::ControlOk))),
+    /// Append `lines` (whole ones: a fetch's victims, and its file) to the
+    /// control channel unsent, for its next write or tick. With no channel
+    /// they go, as the origin's ledger of the shard did.
+    pub(crate) fn control(&mut self, lines: &[u8]) {
+        if let Some(c) = &mut self.control {
+            c.wire.queue(lines);
         }
     }
 
     /// Readiness on the control connection: every complete frame, in
-    /// order, through `on`.
+    /// order, through `on` (what it returns answers an `Invalidate`).
     pub(crate) fn control_ready(
         &mut self,
         ep: &Epoll,
         ready: Ready,
         scratch: &mut [u8],
-        mut on: impl FnMut(ControlEvent<'_, K>),
+        mut on: impl FnMut(ControlEvent<'_, K>) -> bool,
     ) {
         let Some(control) = &mut self.control else {
             return;
@@ -515,18 +507,14 @@ impl<K> ShardIo<K> {
         }
     }
 
-    /// The control channel is dead, `e` says why: every fetch on it
-    /// fails and every batch is released, as if answered.
+    /// The control channel is dead, `e` says why: every fetch on it fails.
     fn lose_control(&mut self, ep: &Epoll, e: io::Error) {
         log_conn_error("proxy-control", &e);
         if let Some(dead) = self.control.take() {
             let _ = ep.del(dead.wire.stream.as_raw_fd());
-            for (owed, k) in dead.pending {
-                let ended = match owed {
-                    Owed::Oks(_) => Ok(Arrived::ControlOk),
-                    Owed::Reply => Err(io::Error::new(e.kind(), format!("control channel: {e}"))),
-                };
-                self.ended.push((k, ended));
+            for k in dead.pending {
+                let failed = io::Error::new(e.kind(), format!("control channel: {e}"));
+                self.ended.push((k, Err(failed)));
             }
         }
     }
@@ -574,57 +562,53 @@ impl<K> DataConn<K> {
 }
 
 impl<K> Control<K> {
-    /// Send `bytes` and park `k` until `owed` is in.
-    fn send(&mut self, bytes: &[u8], owed: Owed, k: K) {
-        self.wire.queue(bytes);
-        self.fetches += usize::from(matches!(owed, Owed::Reply));
-        self.pending.push_back((owed, k));
+    /// Send `request`, behind any lines unsent, and park `k` on its reply.
+    fn send(&mut self, request: &[u8], k: K) {
+        self.wire.queue(request);
+        self.pending.push_back(k);
         // A failed write also raises the socket's error edge, and
         // `control_ready` winds the channel down from there.
         let _ = self.wire.flush();
     }
 
+    /// Read what arrived, in line order through `on`, and write only its
+    /// answers: a readable edge also says writable, and is no write.
     fn drive(
         &mut self,
         ready: Ready,
         scratch: &mut [u8],
-        on: &mut impl FnMut(ControlEvent<'_, K>),
+        on: &mut impl FnMut(ControlEvent<'_, K>) -> bool,
     ) -> io::Result<()> {
-        if ready.writable {
-            self.wire.flush()?;
-        }
         if !ready.readable {
-            return Ok(());
+            return self.wire.flush();
         }
         self.stall_ticks = 0;
+        let mut answered = false;
         let eof = loop {
             let end = self.wire.read_frames(ready.hup, scratch)?;
             while let Some(frame) = self.wire.next_frame(b"HTTP/", reply_frame)? {
-                match (frame, self.pending.front_mut()) {
-                    (Frame::Http(reply), Some((Owed::Reply, _))) => {
-                        if let Some((_, k)) = self.pending.pop_front() {
-                            self.fetches -= 1;
-                            on(ControlEvent::Answered(k, reply));
-                        }
+                match frame {
+                    Frame::Http(reply) => {
+                        let Some(k) = self.pending.pop_front() else {
+                            return Err(invalid("a reply nobody fetched"));
+                        };
+                        on(ControlEvent::Answered(k, reply));
                     }
-                    (Frame::Http(_), _) => return Err(invalid("a reply nobody fetched")),
-                    (Frame::Line(line), front) => match (ControlMsg::parse(line)?, front) {
-                        (ControlMsg::Ok, Some((Owed::Oks(n), _))) => {
-                            *n -= 1;
-                            if *n == 0 {
-                                if let Some((_, k)) = self.pending.pop_front() {
-                                    on(ControlEvent::Answered(k, Arrived::ControlOk));
-                                }
-                            }
+                    // Answer only after the caller has marked the entry:
+                    // once the origin sees the ACK, no client can be
+                    // served the stale copy.
+                    Frame::Line(line) => match ControlMsg::parse(line)? {
+                        ControlMsg::Invalidate(path) => {
+                            let held = on(ControlEvent::Invalidate(path));
+                            let answer = if held {
+                                ControlMsg::Ack
+                            } else {
+                                ControlMsg::Nack
+                            };
+                            self.wire.queue(answer.encode().as_bytes());
+                            answered = true;
                         }
-                        // Ack only after the caller has marked the entry:
-                        // once the origin sees the ACK, no client can be
-                        // served the stale copy.
-                        (ControlMsg::Invalidate(path), _) => {
-                            on(ControlEvent::Invalidate(path));
-                            self.wire.queue(ControlMsg::Ack.encode().as_bytes());
-                        }
-                        (other, _) => {
+                        other => {
                             let what = format!("unexpected control message at proxy: {other:?}");
                             return Err(invalid(what));
                         }
@@ -637,7 +621,9 @@ impl<K> Control<K> {
                 ReadEnd::Eof => break true,
             }
         };
-        self.wire.flush()?;
+        if answered {
+            self.wire.flush()?;
+        }
         if eof {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
@@ -740,7 +726,7 @@ mod tests {
                 let got = self
                     .io
                     .conn_ready(&self.ep, which, gen, ready, &mut self.scratch);
-                if let Some((_, Arrived::Reply(_, body, _))) = got {
+                if let Some((_, Arrived(_, body, _))) = got {
                     return (which, body, ready.hup);
                 }
             }
@@ -833,6 +819,7 @@ mod tests {
                 ControlEvent::Invalidate(path) => {
                     assert_eq!(path, "/a");
                     heard += 1;
+                    true
                 }
                 ControlEvent::Answered(k, _) => panic!("nothing was asked, {k} answered"),
             });
@@ -841,7 +828,7 @@ mod tests {
         // (The `ACK`s may still be draining: writable edges flush them.)
         while !writer.is_finished() {
             if let Some((_, _, ready)) = d.poll(5) {
-                d.io.control_ready(&d.ep, ready, &mut d.scratch, |_| {});
+                d.io.control_ready(&d.ep, ready, &mut d.scratch, |_| true);
             }
         }
         let mut theirs = writer.join().unwrap();
@@ -850,8 +837,72 @@ mod tests {
         theirs.write_all(&vec![b'X'; MAX_LINE + 1]).unwrap();
         while d.io.control.is_some() {
             let (_, _, ready) = d.wait();
-            d.io.control_ready(&d.ep, ready, &mut d.scratch, |_| {});
+            d.io.control_ready(&d.ep, ready, &mut d.scratch, |_| true);
         }
+    }
+
+    /// What the origin has read so far, without waiting for more.
+    fn read_now(theirs: &mut TcpStream) -> String {
+        theirs.set_nonblocking(true).unwrap();
+        let mut got = Vec::new();
+        let _ = theirs.read_to_end(&mut got);
+        theirs.set_nonblocking(false).unwrap();
+        String::from_utf8(got).unwrap()
+    }
+
+    /// `UNSUBSCRIBE` lines are not a write of their own. They wait,
+    /// unsent, and leave ahead of the channel's next write — a fetch of
+    /// the file just dropped is on the wire behind its `UNSUBSCRIBE`, so
+    /// the origin unsubscribes, then resubscribes — or an answer to a
+    /// notice: a `NACK` when the notice crossed its file's line. With
+    /// nothing else to write they go at the next tick, which the shard
+    /// asks for while they wait.
+    #[test]
+    fn unsent_lines_leave_with_the_next_write_or_the_next_tick() {
+        let (mut d, theirs) = Driven::new(true);
+        let mut theirs = theirs.unwrap();
+
+        d.io.control(b"UNSUBSCRIBE /v\n");
+        assert!(d.io.budgeted(), "a tick is owed to the unsent line");
+        assert_eq!(read_now(&mut theirs), "", "written on its own");
+        let request = Request::get("/v").to_bytes();
+        d.io.exchange(&d.ep, request.clone(), true, "/v");
+        let mut read = vec![0; "UNSUBSCRIBE /v\n".len() + request.len()];
+        theirs.read_exact(&mut read).unwrap();
+        assert_eq!(read, [b"UNSUBSCRIBE /v\n".as_slice(), &request].concat());
+
+        // The reply is in: nothing is owed, and the line the reply's
+        // insert dropped waits for the notice the origin sent behind it.
+        theirs.write_all(&ok(b"v")).unwrap();
+        d.io.control(b"UNSUBSCRIBE /w\n");
+        theirs.write_all(b"INVALIDATE /w\n").unwrap();
+        let mut heard = Vec::new();
+        while heard.len() < 2 {
+            let (_, _, ready) = d.wait();
+            d.io.control_ready(&d.ep, ready, &mut d.scratch, |event| match event {
+                ControlEvent::Answered(k, _) => {
+                    heard.push(format!("reply to {k}"));
+                    true
+                }
+                ControlEvent::Invalidate(path) => {
+                    heard.push(format!("INVALIDATE {path}"));
+                    false
+                }
+            });
+        }
+        assert_eq!(heard, ["reply to /v", "INVALIDATE /w"]);
+        let mut read = vec![0; "UNSUBSCRIBE /w\nNACK\n".len()];
+        theirs.read_exact(&mut read).unwrap();
+        assert_eq!(read, b"UNSUBSCRIBE /w\nNACK\n");
+
+        d.io.control(b"UNSUBSCRIBE /x\n");
+        assert!(d.io.budgeted());
+        d.io.tick(&d.ep);
+        assert!(!d.io.budgeted(), "one tick wrote it");
+        let mut read = vec![0; "UNSUBSCRIBE /x\n".len()];
+        theirs.read_exact(&mut read).unwrap();
+        assert_eq!(read, b"UNSUBSCRIBE /x\n");
+        assert!(d.io.ended.is_empty());
     }
 
     /// A fetch travels on the control channel, and its reply — several
@@ -883,13 +934,15 @@ mod tests {
         let mut heard = Vec::new();
         while heard.len() < 2 {
             let (_, _, ready) = d.wait();
-            d.io.control_ready(&d.ep, ready, &mut d.scratch, |event| match event {
-                ControlEvent::Answered(k, Arrived::Reply(_, got, _)) => {
-                    assert!(got == body, "200 KiB, byte for byte");
-                    heard.push(format!("reply to {k}"));
-                }
-                ControlEvent::Answered(k, Arrived::ControlOk) => panic!("{k} sent no batch"),
-                ControlEvent::Invalidate(path) => heard.push(format!("INVALIDATE {path}")),
+            d.io.control_ready(&d.ep, ready, &mut d.scratch, |event| {
+                heard.push(match event {
+                    ControlEvent::Answered(k, Arrived(_, got, _)) => {
+                        assert!(got == body, "200 KiB, byte for byte");
+                        format!("reply to {k}")
+                    }
+                    ControlEvent::Invalidate(path) => format!("INVALIDATE {path}"),
+                });
+                true
             });
         }
         assert_eq!(heard, ["reply to /big", "INVALIDATE /big"]);
@@ -897,7 +950,7 @@ mod tests {
         drop(writer.join().unwrap());
         while d.io.control.is_some() {
             let (_, _, ready) = d.wait();
-            d.io.control_ready(&d.ep, ready, &mut d.scratch, |_| {});
+            d.io.control_ready(&d.ep, ready, &mut d.scratch, |_| true);
         }
         d.io.exchange(&d.ep, Request::get("/next").to_bytes(), true, "/next");
         let Some(("/next", Err(lost))) = d.io.ended.pop() else {

@@ -183,6 +183,13 @@ impl OriginServer {
         self.load.invalidations_sent += targets.len() as u64;
         targets
     }
+
+    /// Take back one notice [`notify_modification`](Self::notify_modification)
+    /// counted: its target had already dropped the file, and its
+    /// unsubscription crossed the notice on the way.
+    pub fn retract_invalidation(&mut self) {
+        self.load.invalidations_sent -= 1;
+    }
 }
 
 #[cfg(test)]
@@ -269,6 +276,17 @@ mod tests {
         let notified = s.notify_modification(f);
         assert_eq!(notified.len(), 3);
         assert_eq!(s.load().invalidations_sent, 3);
+    }
+
+    #[test]
+    fn a_retracted_notice_is_not_counted() {
+        let (mut s, f) = server_with_one_file();
+        s.subscribe(CacheId(1), f);
+        s.subscribe(CacheId(2), f);
+        assert_eq!(s.notify_modification(f).len(), 2);
+        s.retract_invalidation();
+        assert_eq!(s.load().invalidations_sent, 1);
+        assert_eq!(s.subscription_count(), 2, "the ledger is not touched");
     }
 
     #[test]

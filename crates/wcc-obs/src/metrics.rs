@@ -324,6 +324,7 @@ impl Probe for MetricsProbe {
                     ServerOpKind::DocumentRequest => "server.document_request",
                     ServerOpKind::ValidationQuery => "server.validation_query",
                     ServerOpKind::InvalidationSent => "server.invalidation_sent",
+                    ServerOpKind::InvalidationRetracted => "server.invalidation_retracted",
                 };
                 self.registry.add(name, 1);
             }

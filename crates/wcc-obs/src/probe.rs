@@ -41,6 +41,9 @@ pub enum ServerOpKind {
     ValidationQuery,
     /// An invalidation notice pushed to a subscribed cache.
     InvalidationSent,
+    /// One `InvalidationSent` taken back: the cache answered that it no
+    /// longer held the file. The origin's count is sent minus retracted.
+    InvalidationRetracted,
 }
 
 /// One structured observability event. Every variant carries only

@@ -151,6 +151,7 @@ pub fn event_json(seq: u64, at: SimTime, event: &ObsEvent) -> String {
                 ServerOpKind::DocumentRequest => "document_request",
                 ServerOpKind::ValidationQuery => "validation_query",
                 ServerOpKind::InvalidationSent => "invalidation_sent",
+                ServerOpKind::InvalidationRetracted => "invalidation_retracted",
             };
             write!(s, ",\"kind\":\"server_op\",\"op\":\"{op}\"").expect("infallible");
         }

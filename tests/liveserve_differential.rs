@@ -186,7 +186,16 @@ fn ledger_and_residents(workload: &Workload, capacity: u64) -> (usize, usize) {
         conn.get_ok(&live.population.get(file).path).unwrap();
     }
     stack.advance_to(live.end);
-    let subscriptions = stack.origin().subscription_count();
+    // The proxy's last `UNSUBSCRIBE`s leave at its next idle tick: wait,
+    // at most a second, until the count holds still for four ticks.
+    let mut subscriptions = stack.origin().subscription_count();
+    for _ in 0..10 {
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        let before = std::mem::replace(&mut subscriptions, stack.origin().subscription_count());
+        if before == subscriptions {
+            break;
+        }
+    }
     drop(conn);
     stack.shutdown();
 

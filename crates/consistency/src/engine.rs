@@ -25,6 +25,11 @@
 //! apply first, provided nothing is served from the new entry until its
 //! subscription is acknowledged; subscribing before the apply, as the
 //! simulator does, is one instance of that.
+//!
+//! Every input that emits events takes its probe as a type parameter
+//! (`probe: &mut P`, `P: Probe + ?Sized`). Passing `&mut NoopProbe`
+//! makes every record an empty inlined call that compiles away. Passing
+//! `&mut dyn Probe` gives one instantiation whatever the probe is.
 
 use originserver::FilePopulation;
 use proxycache::{EntryMeta, Evicted, Store};
@@ -128,7 +133,7 @@ pub struct Applied {
     pub lost: bool,
 }
 
-fn conclude(probe: &mut dyn Probe, now: SimTime, file: FileId, outcome: RequestOutcome) {
+fn conclude<P: Probe + ?Sized>(probe: &mut P, now: SimTime, file: FileId, outcome: RequestOutcome) {
     probe.record(now, ObsEvent::Request { file, outcome });
 }
 
@@ -204,7 +209,12 @@ impl<S: Store> Engine<S> {
     }
 
     /// Insert, counting and reporting what a bounded store displaced.
-    fn insert(&mut self, file: FileId, meta: EntryMeta, probe: &mut dyn Probe) -> Evicted {
+    fn insert<P: Probe + ?Sized>(
+        &mut self,
+        file: FileId,
+        meta: EntryMeta,
+        probe: &mut P,
+    ) -> Evicted {
         let at = meta.fetched_at;
         let victims = self.store.insert(file, meta);
         for &(victim, _) in victims.iter() {
@@ -231,12 +241,12 @@ impl<S: Store> Engine<S> {
     /// uncacheable classes are skipped. Uncharged; displaced entries are
     /// reported to `probe` and returned but not counted as evictions —
     /// they are setup, not workload.
-    pub fn preload(
+    pub fn preload<P: Probe + ?Sized>(
         &mut self,
         file: FileId,
         class: usize,
         meta: EntryMeta,
-        probe: &mut dyn Probe,
+        probe: &mut P,
     ) -> Evicted {
         if self.is_uncacheable(class) {
             return Evicted::none();
@@ -252,13 +262,13 @@ impl<S: Store> Engine<S> {
     /// classifies it fresh or stale against `oracle`, the origin's
     /// scripted population (without one every local serve counts fresh).
     #[inline]
-    pub fn request(
+    pub fn request<P: Probe + ?Sized>(
         &mut self,
         file: FileId,
         class: usize,
         now: SimTime,
         oracle: Option<&FilePopulation>,
-        probe: &mut dyn Probe,
+        probe: &mut P,
     ) -> Effect {
         if self.is_uncacheable(class) {
             conclude(probe, now, file, RequestOutcome::Uncacheable);
@@ -326,13 +336,13 @@ impl<S: Store> Engine<S> {
     /// The upstream answered the exchange a [`Engine::request`] at `now`
     /// asked for. Counts it, feeds the policy, and updates the store.
     #[inline]
-    pub fn apply(
+    pub fn apply<P: Probe + ?Sized>(
         &mut self,
         file: FileId,
         class: usize,
         now: SimTime,
         reply: Reply,
-        probe: &mut dyn Probe,
+        probe: &mut P,
     ) -> Applied {
         match reply {
             Reply::NotModified {

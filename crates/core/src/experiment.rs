@@ -178,26 +178,30 @@ impl<'a> Experiment<'a> {
     }
 
     /// Execute: replay the workload's schedule through the cache.
-    pub fn run(self) -> RunOutcome {
-        let mut noop = NoopProbe;
-        let probe: &mut dyn Probe = match self.probe {
-            Some(p) => p,
-            None => &mut noop,
+    pub fn run(mut self) -> RunOutcome {
+        // Unobserved, the probe's type is `NoopProbe`, so its records
+        // compile away; an attached probe is one `dyn Probe` instantiation.
+        let (result, evictions) = match self.probe.take() {
+            Some(probe) => self.replay(probe),
+            None => self.replay(&mut NoopProbe),
         };
-        // One monomorphised replay loop per concrete store type.
+        RunOutcome { result, evictions }
+    }
+
+    /// One monomorphised replay loop per concrete store and probe type.
+    fn replay<P: Probe + ?Sized>(&self, probe: &mut P) -> (RunResult, u64) {
         macro_rules! run_in {
             ($store:expr) => {
                 run_with_store_probe(self.workload, self.spec, &self.config, $store, probe)
             };
         }
-        let (result, evictions) = match self.store {
+        match self.store {
             Store::Unbounded => run_in!(UnboundedStore::new()),
             Store::Lru(capacity) => run_in!(proxycache::LruStore::new(capacity)),
             Store::Fifo(capacity) => run_in!(proxycache::FifoStore::new(capacity)),
             Store::Gds(capacity) => run_in!(proxycache::GdsStore::new(capacity)),
             Store::Lfu(capacity) => run_in!(proxycache::LfuStore::new(capacity)),
-        };
-        RunOutcome { result, evictions }
+        }
     }
 
     /// The live stack's run configuration for this experiment.

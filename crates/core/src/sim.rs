@@ -289,7 +289,7 @@ impl<'w, S: Store> SimCache<'w, S> {
 
     /// Warm the cache with the version of every file live at the start
     /// of the workload (the paper's Figures 2–7 setup; not charged).
-    pub(crate) fn preload(&mut self, probe: &mut dyn Probe) {
+    pub(crate) fn preload<P: Probe + ?Sized>(&mut self, probe: &mut P) {
         let (workload, start) = (self.workload, self.workload.start);
         for (id, rec) in workload.population.iter() {
             let Some(v) = rec.version_at(start) else {
@@ -331,7 +331,7 @@ impl<'w, S: Store> SimCache<'w, S> {
     }
 
     /// A client asks the cache for `file` at `now`.
-    pub(crate) fn request(&mut self, file: FileId, now: SimTime, probe: &mut dyn Probe) {
+    pub(crate) fn request<P: Probe + ?Sized>(&mut self, file: FileId, now: SimTime, probe: &mut P) {
         let class = self.workload.classes[file.index()];
         let oracle = Some(self.server.files());
         let effect = self.engine.request(file, class, now, oracle, probe);
@@ -390,7 +390,7 @@ impl<'w, S: Store> SimCache<'w, S> {
 
     /// The origin's copy of `file` changes at `now`; under the
     /// invalidation protocol every subscribed cache is told at once.
-    fn on_modification(&mut self, file: FileId, now: SimTime, probe: &mut dyn Probe) {
+    fn on_modification<P: Probe + ?Sized>(&mut self, file: FileId, now: SimTime, probe: &mut P) {
         probe.record(now, ObsEvent::Modification { file });
         if !self.uses_invalidation {
             return;
@@ -452,15 +452,17 @@ pub fn run(workload: &Workload, spec: ProtocolSpec, config: &SimConfig) -> RunRe
 
 /// The replay loop behind [`crate::Experiment::run`]: the workload's
 /// schedule, walked in order. `probe` receives the structured event
-/// stream; pass [`wcc_obs::NoopProbe`] for an unobserved run (the
-/// compiler sees only a no-op virtual call, keeping golden hashes
-/// bit-identical).
-pub(crate) fn run_with_store_probe<S: Store>(
+/// stream. The loop is compiled once per store and per probe type: with
+/// [`wcc_obs::NoopProbe`] every record is an empty inlined call and
+/// compiles away, and an attached probe arrives as `dyn Probe`, one
+/// instantiation whatever its concrete type. The work is the same either
+/// way, so golden hashes are bit-identical with or without a probe.
+pub(crate) fn run_with_store_probe<S: Store, P: Probe + ?Sized>(
     workload: &Workload,
     spec: ProtocolSpec,
     config: &SimConfig,
     store: S,
-    probe: &mut dyn Probe,
+    probe: &mut P,
 ) -> (RunResult, u64) {
     let mut cache = SimCache::new(workload, spec, config, store);
     if config.preload {
@@ -868,7 +870,9 @@ mod tests {
     /// invalidation legs unsubscribe what they evict. Recorded at PR 20
     /// on the `BTreeSet`-ordered GDS/LFU and the per-leg modification
     /// sort; whatever orders residents and modifications now must
-    /// reproduce it.
+    /// reproduce it. Every leg runs twice, unobserved and with a
+    /// `MetricsProbe` attached (the replay loop's two instantiations per
+    /// store), and both must reproduce it.
     #[test]
     fn bounded_store_runs_match_the_pinned_hash() {
         use crate::workload::PopularityModel;
@@ -889,7 +893,12 @@ mod tests {
             (ProtocolSpec::Invalidation, SimConfig::optimized()),
             (ProtocolSpec::Ttl(0), SimConfig::base()),
         ];
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let fnv = |hash: &mut u64, out: &RunOutcome| {
+            for byte in format!("{:?}\n", (&out.result, out.evictions)).bytes() {
+                *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        let (mut hash, mut probed_hash) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
         for store in [
             StoreKind::Lru(capacity),
             StoreKind::Fifo(capacity),
@@ -904,13 +913,29 @@ mod tests {
                     spec.label(),
                     out.evictions
                 );
-                for byte in format!("{:?}\n", (&out.result, out.evictions)).bytes() {
-                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-                }
+                fnv(&mut hash, &out);
+
+                let mut probe = wcc_obs::MetricsProbe::new();
+                let probed = Experiment::new(&wl)
+                    .protocol(spec)
+                    .config(config)
+                    .store(store)
+                    .probe(&mut probe)
+                    .run();
+                // The probe also hears what a preload displaces.
+                let recorded = probe.registry().counter("eviction.count");
+                assert!(
+                    recorded >= probed.evictions && recorded > 0,
+                    "{store:?} {}: {recorded} eviction events for {} evictions",
+                    spec.label(),
+                    probed.evictions
+                );
+                fnv(&mut probed_hash, &probed);
             }
         }
         const EVICT_GOLDEN: u64 = 2_064_591_970_126_617_279;
         assert_eq!(hash, EVICT_GOLDEN);
+        assert_eq!(probed_hash, EVICT_GOLDEN, "with a probe attached");
     }
 
     #[test]

@@ -394,6 +394,24 @@ mod proptests {
             prop_assert_eq!(r.version_at(q), expect);
         }
 
+        /// A file has a version at every instant from its creation on:
+        /// `version_at(t)` is `None` exactly when `t < created_at()`.
+        #[test]
+        fn version_at_is_none_exactly_before_creation(
+            created in 0u64..2_000,
+            gaps in proptest::collection::vec(1u64..500, 0..20),
+            query in 0u64..6_000,
+        ) {
+            let mut r = FileRecord::new("/f", SimTime::from_secs(created), 1);
+            let mut at = created;
+            for g in &gaps {
+                at += g;
+                r.push_modification(SimTime::from_secs(at), 1);
+            }
+            let q = SimTime::from_secs(query);
+            prop_assert_eq!(r.version_at(q).is_none(), q < r.created_at());
+        }
+
         /// changes_between sums correctly over a partition of the timeline.
         #[test]
         fn changes_partition_additivity(

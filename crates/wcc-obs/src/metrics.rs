@@ -246,16 +246,109 @@ impl MetricsRegistry {
     }
 }
 
+/// Declares [`Metric`] from one `Variant => "registry.name"` list.
+macro_rules! metrics {
+    ($($metric:ident => $name:literal,)*) => {
+        /// A counter, gauge or histogram [`MetricsProbe::record`] writes.
+        /// Its discriminant indexes the probe's remembered positions.
+        #[derive(Debug, Clone, Copy)]
+        enum Metric {
+            $($metric,)*
+        }
+
+        impl Metric {
+            const NAMES: &'static [&'static str] = &[$($name),*];
+            const COUNT: usize = Self::NAMES.len();
+
+            fn name(self) -> &'static str {
+                Self::NAMES[self as usize]
+            }
+        }
+    };
+}
+
+metrics! {
+    FreshHit => "request.fresh_hit",
+    StaleHit => "request.stale_hit",
+    Miss => "request.miss",
+    ValidatedFresh => "request.validated_fresh",
+    ValidatedStale => "request.validated_stale",
+    Uncacheable => "request.uncacheable",
+    ValidationModified => "validation.modified",
+    ValidationNotModified => "validation.not_modified",
+    Invalidations => "invalidation.count",
+    Evictions => "eviction.count",
+    Modifications => "modification.count",
+    DocumentRequest => "server.document_request",
+    ValidationQuery => "server.validation_query",
+    InvalidationSent => "server.invalidation_sent",
+    InvalidationRetracted => "server.invalidation_retracted",
+    PolicyFresh => "policy.fresh",
+    PolicyStale => "policy.stale",
+    UpstreamReused => "upstream.reused",
+    UpstreamDialed => "upstream.dialed",
+    ConnAccepted => "conn.accepted",
+    ClosedPeer => "conn.closed.peer_closed",
+    ClosedError => "conn.closed.error",
+    ClosedBudget => "conn.closed.budget_exhausted",
+    ClosedAtCapacity => "conn.closed.at_capacity",
+    ClosedShutdown => "conn.closed.shutdown",
+    OpenLoopArrival => "openloop.arrival",
+    ShedQueueFull => "openloop.shed.queue_full",
+    ShedTimeout => "openloop.shed.timeout",
+    LockContended => "lock.contended",
+    QueueDepth => "queue_depth",
+    ShardQueueDepth => "shard_queue_depth",
+    ReactorConns => "reactor_conns",
+    LockContendedRank => "lock_contended_rank",
+    TimeToStale => "time_to_stale_s",
+    ValidationInterval => "validation_interval_s",
+    InvalidationFanout => "invalidation_fanout",
+    LiveLatency => "live_latency_us",
+    AcceptBacklogDepth => "accept_backlog_depth",
+    OpenLoopQueueDepth => "openloop_queue_depth",
+    OpenLoopQueueDelay => "openloop_queue_delay_us",
+}
+
+/// A position no table reaches: the metric has not been written yet.
+const UNSEEN: usize = usize::MAX;
+
+/// Where `name` sits in `table`.
+fn position<T>(table: &[(String, T)], name: &str) -> usize {
+    table
+        .iter()
+        .position(|(n, _)| n == name)
+        .expect("the metric was just written")
+}
+
 /// A [`Probe`] that folds the event stream into a [`MetricsRegistry`]:
 /// outcome/operation counters, a queue-depth high-watermark, and the
 /// four headline histograms (`time_to_stale_s`, `validation_interval_s`,
 /// `invalidation_fanout`, `live_latency_us`).
-#[derive(Debug, Clone, Default)]
+///
+/// A metric's first write goes through the registry's by-name API
+/// ([`MetricsRegistry::add`], [`MetricsRegistry::gauge_max`],
+/// [`MetricsRegistry::observe`]), which fixes its place in insertion
+/// order; the probe remembers that place and writes there directly
+/// afterwards, so recording an event compares no names.
+#[derive(Debug, Clone)]
 pub struct MetricsProbe {
     registry: MetricsRegistry,
     /// Per-file instant of the previous validation, dense by file index
     /// — feeds the validation-interval histogram.
     last_validation: Vec<Option<SimTime>>,
+    /// Each [`Metric`]'s position in its registry table, or [`UNSEEN`].
+    at: [usize; Metric::COUNT],
+}
+
+impl Default for MetricsProbe {
+    fn default() -> Self {
+        MetricsProbe {
+            registry: MetricsRegistry::default(),
+            last_validation: Vec::new(),
+            at: [UNSEEN; Metric::COUNT],
+        }
+    }
 }
 
 impl MetricsProbe {
@@ -273,128 +366,143 @@ impl MetricsProbe {
     pub fn into_registry(self) -> MetricsRegistry {
         self.registry
     }
+
+    /// Add one to the counter `metric`.
+    fn count(&mut self, metric: Metric) {
+        let at = &mut self.at[metric as usize];
+        match self.registry.counters.get_mut(*at) {
+            Some((name, v)) => {
+                debug_assert_eq!(name, metric.name());
+                *v += 1;
+            }
+            None => {
+                self.registry.add(metric.name(), 1);
+                *at = position(&self.registry.counters, metric.name());
+            }
+        }
+    }
+
+    /// Raise the high-watermark gauge `metric` to `value`.
+    fn gauge_max(&mut self, metric: Metric, value: i64) {
+        let at = &mut self.at[metric as usize];
+        match self.registry.gauges.get_mut(*at) {
+            Some((name, v)) => {
+                debug_assert_eq!(name, metric.name());
+                *v = (*v).max(value);
+            }
+            None => {
+                self.registry.gauge_max(metric.name(), value);
+                *at = position(&self.registry.gauges, metric.name());
+            }
+        }
+    }
+
+    /// Record one sample into the histogram `metric`.
+    fn observe(&mut self, metric: Metric, value: u64) {
+        let at = &mut self.at[metric as usize];
+        match self.registry.histograms.get_mut(*at) {
+            Some((name, h)) => {
+                debug_assert_eq!(name, metric.name());
+                h.record(value);
+            }
+            None => {
+                self.registry.observe(metric.name(), value);
+                *at = position(&self.registry.histograms, metric.name());
+            }
+        }
+    }
 }
 
 impl Probe for MetricsProbe {
     fn record(&mut self, at: SimTime, event: ObsEvent) {
         match event {
             ObsEvent::Request { outcome, .. } => {
-                let name = match outcome {
-                    RequestOutcome::FreshHit => "request.fresh_hit",
+                let metric = match outcome {
+                    RequestOutcome::FreshHit => Metric::FreshHit,
                     RequestOutcome::StaleHit { age } => {
-                        self.registry.observe("time_to_stale_s", age.as_secs());
-                        "request.stale_hit"
+                        self.observe(Metric::TimeToStale, age.as_secs());
+                        Metric::StaleHit
                     }
-                    RequestOutcome::Miss => "request.miss",
-                    RequestOutcome::ValidatedFresh => "request.validated_fresh",
-                    RequestOutcome::ValidatedStale => "request.validated_stale",
-                    RequestOutcome::Uncacheable => "request.uncacheable",
+                    RequestOutcome::Miss => Metric::Miss,
+                    RequestOutcome::ValidatedFresh => Metric::ValidatedFresh,
+                    RequestOutcome::ValidatedStale => Metric::ValidatedStale,
+                    RequestOutcome::Uncacheable => Metric::Uncacheable,
                 };
-                self.registry.add(name, 1);
+                self.count(metric);
             }
             ObsEvent::Validation { file, modified } => {
-                self.registry.add(
-                    if modified {
-                        "validation.modified"
-                    } else {
-                        "validation.not_modified"
-                    },
-                    1,
-                );
+                self.count(if modified {
+                    Metric::ValidationModified
+                } else {
+                    Metric::ValidationNotModified
+                });
                 let idx = file.index();
                 if idx >= self.last_validation.len() {
                     self.last_validation.resize(idx + 1, None);
                 }
                 if let Some(prev) = self.last_validation[idx] {
                     let gap: SimDuration = at.saturating_since(prev);
-                    self.registry
-                        .observe("validation_interval_s", gap.as_secs());
+                    self.observe(Metric::ValidationInterval, gap.as_secs());
                 }
                 self.last_validation[idx] = Some(at);
             }
             ObsEvent::Invalidation { fanout, .. } => {
-                self.registry.add("invalidation.count", 1);
-                self.registry
-                    .observe("invalidation_fanout", u64::from(fanout));
+                self.count(Metric::Invalidations);
+                self.observe(Metric::InvalidationFanout, u64::from(fanout));
             }
-            ObsEvent::Eviction { .. } => self.registry.add("eviction.count", 1),
-            ObsEvent::Modification { .. } => self.registry.add("modification.count", 1),
-            ObsEvent::ServerOp { kind } => {
-                let name = match kind {
-                    ServerOpKind::DocumentRequest => "server.document_request",
-                    ServerOpKind::ValidationQuery => "server.validation_query",
-                    ServerOpKind::InvalidationSent => "server.invalidation_sent",
-                    ServerOpKind::InvalidationRetracted => "server.invalidation_retracted",
-                };
-                self.registry.add(name, 1);
-            }
-            ObsEvent::PolicyDecision { fresh, .. } => {
-                self.registry.add(
-                    if fresh {
-                        "policy.fresh"
-                    } else {
-                        "policy.stale"
-                    },
-                    1,
-                );
-            }
+            ObsEvent::Eviction { .. } => self.count(Metric::Evictions),
+            ObsEvent::Modification { .. } => self.count(Metric::Modifications),
+            ObsEvent::ServerOp { kind } => self.count(match kind {
+                ServerOpKind::DocumentRequest => Metric::DocumentRequest,
+                ServerOpKind::ValidationQuery => Metric::ValidationQuery,
+                ServerOpKind::InvalidationSent => Metric::InvalidationSent,
+                ServerOpKind::InvalidationRetracted => Metric::InvalidationRetracted,
+            }),
+            ObsEvent::PolicyDecision { fresh, .. } => self.count(if fresh {
+                Metric::PolicyFresh
+            } else {
+                Metric::PolicyStale
+            }),
             ObsEvent::Dispatched { pending } => {
-                self.registry.gauge_max("queue_depth", i64::from(pending));
+                self.gauge_max(Metric::QueueDepth, i64::from(pending));
             }
-            ObsEvent::LiveLatency { micros } => {
-                self.registry.observe("live_latency_us", micros);
-            }
+            ObsEvent::LiveLatency { micros } => self.observe(Metric::LiveLatency, micros),
             ObsEvent::ShardQueue { depth, .. } => {
-                self.registry
-                    .gauge_max("shard_queue_depth", i64::from(depth));
+                self.gauge_max(Metric::ShardQueueDepth, i64::from(depth));
             }
-            ObsEvent::Upstream { reused } => {
-                self.registry.add(
-                    if reused {
-                        "upstream.reused"
-                    } else {
-                        "upstream.dialed"
-                    },
-                    1,
-                );
-            }
+            ObsEvent::Upstream { reused } => self.count(if reused {
+                Metric::UpstreamReused
+            } else {
+                Metric::UpstreamDialed
+            }),
             ObsEvent::ConnAccepted { open, .. } => {
-                self.registry.add("conn.accepted", 1);
-                self.registry.gauge_max("reactor_conns", i64::from(open));
+                self.count(Metric::ConnAccepted);
+                self.gauge_max(Metric::ReactorConns, i64::from(open));
             }
-            ObsEvent::ConnClosed { reason, .. } => {
-                let name = match reason {
-                    ConnCloseReason::PeerClosed => "conn.closed.peer_closed",
-                    ConnCloseReason::Error => "conn.closed.error",
-                    ConnCloseReason::BudgetExhausted => "conn.closed.budget_exhausted",
-                    ConnCloseReason::AtCapacity => "conn.closed.at_capacity",
-                    ConnCloseReason::Shutdown => "conn.closed.shutdown",
-                };
-                self.registry.add(name, 1);
-            }
+            ObsEvent::ConnClosed { reason, .. } => self.count(match reason {
+                ConnCloseReason::PeerClosed => Metric::ClosedPeer,
+                ConnCloseReason::Error => Metric::ClosedError,
+                ConnCloseReason::BudgetExhausted => Metric::ClosedBudget,
+                ConnCloseReason::AtCapacity => Metric::ClosedAtCapacity,
+                ConnCloseReason::Shutdown => Metric::ClosedShutdown,
+            }),
             ObsEvent::AcceptBacklog { depth, .. } => {
-                self.registry
-                    .observe("accept_backlog_depth", u64::from(depth));
+                self.observe(Metric::AcceptBacklogDepth, u64::from(depth));
             }
             ObsEvent::OpenLoopArrival { depth } => {
-                self.registry.add("openloop.arrival", 1);
-                self.registry
-                    .observe("openloop_queue_depth", u64::from(depth));
+                self.count(Metric::OpenLoopArrival);
+                self.observe(Metric::OpenLoopQueueDepth, u64::from(depth));
             }
-            ObsEvent::OpenLoopShed { reason } => {
-                let name = match reason {
-                    ShedReason::QueueFull => "openloop.shed.queue_full",
-                    ShedReason::Timeout => "openloop.shed.timeout",
-                };
-                self.registry.add(name, 1);
-            }
+            ObsEvent::OpenLoopShed { reason } => self.count(match reason {
+                ShedReason::QueueFull => Metric::ShedQueueFull,
+                ShedReason::Timeout => Metric::ShedTimeout,
+            }),
             ObsEvent::OpenLoopQueueDelay { micros } => {
-                self.registry.observe("openloop_queue_delay_us", micros);
+                self.observe(Metric::OpenLoopQueueDelay, micros);
             }
             ObsEvent::LockContended { rank } => {
-                self.registry.add("lock.contended", 1);
-                self.registry
-                    .gauge_max("lock_contended_rank", i64::from(rank));
+                self.count(Metric::LockContended);
+                self.gauge_max(Metric::LockContendedRank, i64::from(rank));
             }
         }
     }
@@ -467,6 +575,74 @@ mod tests {
         assert_eq!(r.histogram("time_to_stale_s").unwrap().sum(), 7200);
         // One interval between the two validations: 30 s.
         assert_eq!(r.histogram("validation_interval_s").unwrap().sum(), 30);
+    }
+
+    #[test]
+    fn remembered_positions_write_what_names_would() {
+        // Each event, and what the probe writes for it by name.
+        let stale = RequestOutcome::StaleHit {
+            age: SimDuration::from_secs(60),
+        };
+        let events: [(ObsEvent, &[&str]); 8] = [
+            (ObsEvent::Dispatched { pending: 4 }, &["queue_depth"]),
+            (
+                ObsEvent::Request {
+                    file: FileId(1),
+                    outcome: stale,
+                },
+                &["time_to_stale_s", "request.stale_hit"],
+            ),
+            (
+                ObsEvent::Invalidation {
+                    file: FileId(1),
+                    fanout: 3,
+                },
+                &["invalidation.count", "invalidation_fanout"],
+            ),
+            (
+                ObsEvent::PolicyDecision {
+                    file: FileId(2),
+                    fresh: true,
+                },
+                &["policy.fresh"],
+            ),
+            (
+                ObsEvent::ConnAccepted {
+                    reactor: 0,
+                    open: 7,
+                },
+                &["conn.accepted", "reactor_conns"],
+            ),
+            (
+                ObsEvent::ConnClosed {
+                    reactor: 0,
+                    reason: ConnCloseReason::BudgetExhausted,
+                },
+                &["conn.closed.budget_exhausted"],
+            ),
+            (ObsEvent::LiveLatency { micros: 90 }, &["live_latency_us"]),
+            (ObsEvent::Eviction { file: FileId(3) }, &["eviction.count"]),
+        ];
+        let mut probe = MetricsProbe::new();
+        let mut by_name = MetricsRegistry::new();
+        for round in 0..3 {
+            for (event, names) in &events {
+                probe.record(t(round), *event);
+                for &name in *names {
+                    match name {
+                        "queue_depth" => by_name.gauge_max(name, 4),
+                        "reactor_conns" => by_name.gauge_max(name, 7),
+                        "time_to_stale_s" => by_name.observe(name, 60),
+                        "invalidation_fanout" => by_name.observe(name, 3),
+                        "live_latency_us" => by_name.observe(name, 90),
+                        _ => by_name.add(name, 1),
+                    }
+                }
+            }
+        }
+        // Same entries, same insertion order, same values.
+        assert_eq!(format!("{:?}", probe.registry()), format!("{by_name:?}"));
+        assert_eq!(probe.registry().counter("request.stale_hit"), 3);
     }
 
     #[test]

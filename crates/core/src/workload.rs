@@ -19,7 +19,6 @@
 //! benches that isolate which workload property flips Worrell's
 //! conclusion.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use originserver::{FilePopulation, FileRecord};
@@ -105,40 +104,26 @@ impl Workload {
     /// request arriving "at" a change sees the new version, matching HTTP
     /// semantics where the origin answers with its current state.
     ///
-    /// Nothing is sorted here. The modification half is borrowed from the
-    /// population, which orders its history once for every replay
-    /// ([`FilePopulation::modifications_in`]: two binary searches cut the
-    /// window out of it); `requests` arrives in instant order; so this is
-    /// a two-way merge. Only requests sharing an instant are put in file
-    /// order, and a stream already in that order is borrowed too.
+    /// Both halves are borrowed and nothing is sorted up front. The
+    /// modification half comes from the population, which orders its
+    /// history once for every replay ([`FilePopulation::modifications_in`]:
+    /// two binary searches cut the window out of it); `requests` arrives in
+    /// instant order; so this is a two-way merge. Only requests sharing an
+    /// instant are put in file order, one run at a time, as the merge
+    /// reaches them: the extra memory is the longest such run.
     ///
     /// # Panics
-    /// Panics if `requests` goes backwards in time: the merge trusts the
-    /// order, so nothing downstream would repair it.
+    /// The returned iterator panics when it reaches a request that goes
+    /// backwards in time, before yielding it: the merge trusts the order,
+    /// so nothing downstream would repair it.
     pub(crate) fn schedule(&self) -> Schedule<'_> {
-        let mods = self.population.modifications_in(self.start, self.end);
-        let mut in_file_order = true;
-        for (i, pair) in self.requests.windows(2).enumerate() {
-            assert!(
-                pair[0].0 <= pair[1].0,
-                "request {} goes backwards in time: {} after {}",
-                i + 1,
-                pair[1].0,
-                pair[0].0
-            );
-            in_file_order &= pair[0] <= pair[1];
-        }
-        let mut requests = Cow::Borrowed(&self.requests[..]);
-        if !in_file_order {
-            for run in requests.to_mut().chunk_by_mut(|a, b| a.0 == b.0) {
-                run.sort_unstable();
-            }
-        }
         Schedule {
-            mods,
-            requests,
+            mods: self.population.modifications_in(self.start, self.end),
+            requests: &self.requests,
             next_mod: 0,
             next_request: 0,
+            run: Vec::new(),
+            run_at: SimTime::ZERO,
         }
     }
 
@@ -156,8 +141,12 @@ impl Workload {
             } else {
                 format!("{} (1/{k})", self.name)
             },
+            start: self.start,
+            end: self.end,
+            population: Arc::clone(&self.population),
             requests: self.requests.iter().step_by(k).copied().collect(),
-            ..self.clone()
+            classes: self.classes.clone(),
+            class_expires: self.class_expires.clone(),
         }
     }
 
@@ -225,15 +214,48 @@ pub(crate) enum WorkloadEvent {
 /// stream, with its exact remaining length.
 pub(crate) struct Schedule<'w> {
     mods: &'w [(SimTime, FileId)],
-    requests: Cow<'w, [(SimTime, FileId)]>,
+    requests: &'w [(SimTime, FileId)],
     next_mod: usize,
     next_request: usize,
+    /// The rest of a run of requests at `run_at`, in descending file
+    /// order so that `pop` yields them ascending. The run was buffered
+    /// whole, after every modification at or before `run_at`, so it
+    /// drains before the merge is looked at again.
+    run: Vec<FileId>,
+    run_at: SimTime,
+}
+
+impl Schedule<'_> {
+    /// The next request shares its instant with the one after it, or the
+    /// one after it goes backwards in time: buffer the whole run from the
+    /// next request, put it in file order and yield its first request.
+    #[cold]
+    #[inline(never)]
+    fn start_run(&mut self) -> (SimTime, WorkloadEvent) {
+        let rest = &self.requests[self.next_request..];
+        let at = rest[0].0;
+        let run = &rest[..rest.iter().take_while(|&&(t, _)| t == at).count()];
+        self.next_request += run.len();
+        if let Some(&(t, _)) = self.requests.get(self.next_request) {
+            let i = self.next_request;
+            assert!(t > at, "request {i} goes backwards in time: {t} after {at}");
+        }
+        self.run.extend(run.iter().map(|&(_, file)| file));
+        self.run.sort_unstable_by(|a, b| b.cmp(a));
+        self.run_at = at;
+        let file = self.run.pop().expect("a run holds its first request");
+        (at, WorkloadEvent::Request(file))
+    }
 }
 
 impl Iterator for Schedule<'_> {
     type Item = (SimTime, WorkloadEvent);
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
+        if let Some(file) = self.run.pop() {
+            return Some((self.run_at, WorkloadEvent::Request(file)));
+        }
         let request = self.requests.get(self.next_request);
         match self.mods.get(self.next_mod) {
             Some(&(t, file)) if request.is_none_or(|&(asked, _)| t <= asked) => {
@@ -242,14 +264,21 @@ impl Iterator for Schedule<'_> {
             }
             _ => {
                 let &(t, file) = request?;
-                self.next_request += 1;
-                Some((t, WorkloadEvent::Request(file)))
+                match self.requests.get(self.next_request + 1) {
+                    Some(&(next, _)) if next <= t => Some(self.start_run()),
+                    _ => {
+                        self.next_request += 1;
+                        Some((t, WorkloadEvent::Request(file)))
+                    }
+                }
             }
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = (self.mods.len() - self.next_mod) + (self.requests.len() - self.next_request);
+        let left = (self.mods.len() - self.next_mod)
+            + (self.requests.len() - self.next_request)
+            + self.run.len();
         (left, Some(left))
     }
 }
@@ -741,7 +770,10 @@ mod tests {
     #[should_panic(expected = "request 1 goes backwards in time")]
     fn a_request_stream_that_goes_backwards_in_time_is_rejected() {
         let f = FileId::from_index(0);
-        tiny_workload(&[vec![]], vec![(t(105), f), (t(104), f)]).schedule();
+        let wl = tiny_workload(&[vec![]], vec![(t(105), f), (t(104), f)]);
+        for (at, _) in wl.schedule() {
+            assert_ne!(at, t(104), "the offending request was yielded");
+        }
     }
 
     #[test]
@@ -761,10 +793,6 @@ mod tests {
             ]
         );
         assert_eq!(wl.requests[1], (t(105), c), "the workload is not edited");
-
-        // A stream already in (instant, file) order is replayed in place.
-        let ascending = tiny_workload(&vec![vec![]; 3], wl.schedule().requests.into_owned());
-        assert!(matches!(ascending.schedule().requests, Cow::Borrowed(_)));
     }
 
     proptest::proptest! {
@@ -774,22 +802,29 @@ mod tests {
         /// and with each other; requests arrive in time order only.
         #[test]
         fn the_merged_schedule_is_the_fully_sorted_one(
-            mod_masks in proptest::collection::vec(0u16..(1 << 14), 1..6),
-            raw_requests in proptest::collection::vec((100u64..=110, 0usize..6), 0..60),
+            mod_masks in proptest::collection::vec(0u16..(1 << 14), 8..12),
+            raw_requests in proptest::collection::vec((100u64..=110, 0usize..12), 0..60),
         ) {
             let mut mods: Vec<Vec<u64>> = mod_masks
                 .iter()
                 .map(|mask| (0..14).filter(|bit| mask >> bit & 1 == 1).map(|bit| 98 + bit).collect())
                 .collect();
             // Forced: the window's edges and their outer neighbours, a
-            // modification and a request on one instant, and several
-            // requests on one instant out of file order.
+            // modification and a request on one instant, several requests
+            // on one instant out of file order, a run of eight in
+            // descending file order that ends the stream, and a run
+            // already in file order (instant 103 is kept for it alone).
             mods[0] = vec![99, 100, 105, 110, 111];
             let (first, last) = (FileId::from_index(0), FileId::from_index(mods.len() - 1));
+            let descending = (0..8).rev().map(|f| (t(110), FileId::from_index(f)));
+            let ascending = (0..3).map(|f| (t(103), FileId::from_index(f)));
             let mut requests: Vec<(SimTime, FileId)> = raw_requests
                 .iter()
+                .filter(|&&(at, _)| at != 103)
                 .map(|&(at, f)| (t(at), FileId::from_index(f % mods.len())))
                 .chain([(t(100), last), (t(100), first), (t(105), last), (t(105), first), (t(110), first)])
+                .chain(descending)
+                .chain(ascending)
                 .collect();
             requests.sort_by_key(|&(at, _)| at);
             let wl = tiny_workload(&mods, requests);

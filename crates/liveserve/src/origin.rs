@@ -32,6 +32,7 @@ use std::collections::HashMap;
 use std::convert::Infallible;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -258,10 +259,11 @@ impl Dispatch for Arc<OriginShared> {
 #[derive(Debug)]
 pub struct LiveOrigin {
     shared: Arc<OriginShared>,
-    /// Scripted modifications still to publish: `(schedule, cursor)`.
+    /// Scripted modifications still to publish, as an index range into
+    /// the population's [`FilePopulation::modifications`].
     /// The mutex serialises concurrent `advance_to` callers so events
     /// are always published in schedule order.
-    mods: RankedMutex<(Vec<(SimTime, FileId)>, usize)>,
+    mods: RankedMutex<Range<usize>>,
     /// The next scripted modification instant in seconds (`u64::MAX`
     /// once the schedule is exhausted). Written only under the `mods`
     /// lock; read lock-free by `advance_to` so the per-request clock
@@ -283,8 +285,10 @@ impl LiveOrigin {
 
         let mods = config
             .population
-            .modifications_in(config.window_start, config.window_end)
-            .to_vec();
+            .modifications_window(config.window_start, config.window_end);
+        let next_due = config.population.modifications()[mods.clone()]
+            .first()
+            .map_or(u64::MAX, |&(t, _)| t.as_secs());
 
         let shared = Arc::new(OriginShared {
             server: RankedMutex::new(
@@ -317,10 +321,9 @@ impl LiveOrigin {
             },
         )?;
 
-        let next_due = mods.first().map_or(u64::MAX, |&(t, _)| t.as_secs());
         Ok(LiveOrigin {
             shared,
-            mods: RankedMutex::new(MODS_RANK, "origin.mods", (mods, 0)),
+            mods: RankedMutex::new(MODS_RANK, "origin.mods", mods),
             next_due: AtomicU64::new(next_due),
             data_addr,
             control_addr,
@@ -349,11 +352,10 @@ impl LiveOrigin {
         if self.next_due.load(Ordering::SeqCst) > t.as_secs() {
             return;
         }
-        let mut guard = self.mods.lock();
-        let (schedule, cursor) = &mut *guard;
-        while *cursor < schedule.len() && schedule[*cursor].0 <= t {
-            let (_, file) = schedule[*cursor];
-            *cursor += 1;
+        let mut left = self.mods.lock();
+        let schedule = &self.shared.population.modifications()[..left.end];
+        while let Some(&(_, file)) = schedule.get(left.start).filter(|&&(at, _)| at <= t) {
+            left.start += 1;
             let targets = self.shared.notify(file);
             if targets.is_empty() {
                 continue;
@@ -369,7 +371,7 @@ impl LiveOrigin {
             let _ = acked.recv();
         }
         let due = schedule
-            .get(*cursor)
+            .get(left.start)
             .map_or(u64::MAX, |&(t, _)| t.as_secs());
         self.next_due.store(due, Ordering::SeqCst);
     }

@@ -8,6 +8,7 @@
 //! protocol — the paper's methodology of holding the workload fixed while
 //! varying only the consistency mechanism.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use simcore::{FileId, SimTime};
@@ -194,10 +195,17 @@ impl FilePopulation {
     /// The modifications with `start <= instant <= end` — an observation
     /// window, both edges included — found by two binary searches.
     pub fn modifications_in(&self, start: SimTime, end: SimTime) -> &[(SimTime, FileId)] {
+        &self.modifications()[self.modifications_window(start, end)]
+    }
+
+    /// Where [`FilePopulation::modifications_in`]'s window sits in
+    /// [`FilePopulation::modifications`], as an index range — for a caller
+    /// that walks the window while it holds the population by `Arc`.
+    pub fn modifications_window(&self, start: SimTime, end: SimTime) -> Range<usize> {
         let mods = self.modifications();
         let from = mods.partition_point(|&(t, _)| t < start);
         let upto = mods.partition_point(|&(t, _)| t <= end);
-        &mods[from..upto.max(from)]
+        from..upto.max(from)
     }
 
     /// [`FilePopulation::modifications`], copied. Kept for the callers
@@ -335,6 +343,8 @@ mod tests {
         assert_eq!(p.modifications_in(t(105), t(105)), [(t(105), a)]);
         assert_eq!(p.modifications_in(t(110), t(100)), [], "an empty window");
         assert_eq!(p.modifications_in(t(0), t(1_000)), p.modifications());
+        assert_eq!(p.modifications_window(t(100), t(110)), 1..5);
+        assert_eq!(p.modifications_window(t(110), t(100)), 4..4);
     }
 
     #[test]

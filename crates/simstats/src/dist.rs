@@ -101,6 +101,9 @@ pub struct BoundedParetoDist {
     lo: f64,
     hi: f64,
     alpha: f64,
+    /// `lo.powf(alpha)` and `hi.powf(alpha)`, which every draw needs.
+    la: f64,
+    ha: f64,
 }
 
 impl BoundedParetoDist {
@@ -111,7 +114,13 @@ impl BoundedParetoDist {
     pub fn new(lo: f64, hi: f64, alpha: f64) -> Self {
         assert!(lo > 0.0 && hi > lo, "bounded Pareto requires 0 < lo < hi");
         assert!(alpha > 0.0, "bounded Pareto requires alpha > 0");
-        BoundedParetoDist { lo, hi, alpha }
+        BoundedParetoDist {
+            lo,
+            hi,
+            alpha,
+            la: lo.powf(alpha),
+            ha: hi.powf(alpha),
+        }
     }
 }
 
@@ -119,8 +128,7 @@ impl Sampler for BoundedParetoDist {
     fn sample(&self, rng: &mut DetRng) -> f64 {
         // Inverse-CDF for the bounded Pareto.
         let u = rng.unit_f64();
-        let la = self.lo.powf(self.alpha);
-        let ha = self.hi.powf(self.alpha);
+        let (la, ha) = (self.la, self.ha);
         let x = (-(u * (ha - la) - ha) / (ha * la)).powf(-1.0 / self.alpha);
         x.clamp(self.lo, self.hi)
     }
@@ -233,6 +241,29 @@ mod tests {
         for _ in 0..10_000 {
             let x = d.sample(&mut rng);
             assert!((100.0..=1_000_000.0).contains(&x), "x = {x}");
+        }
+    }
+
+    #[test]
+    fn bounded_pareto_draws_match_the_per_draw_formula() {
+        // The model: the inverse CDF with both powers taken on every draw.
+        fn per_draw(lo: f64, hi: f64, alpha: f64, u: f64) -> f64 {
+            let la = lo.powf(alpha);
+            let ha = hi.powf(alpha);
+            let x = (-(u * (ha - la) - ha) / (ha * la)).powf(-1.0 / alpha);
+            x.clamp(lo, hi)
+        }
+        for (lo, hi, alpha) in [
+            (256.0, 1_000_000.0, 1.3),
+            (1.0, 10_000.0, 1.0),
+            (3.5, 7.25, 0.4),
+        ] {
+            let d = BoundedParetoDist::new(lo, hi, alpha);
+            let (mut rng, mut model_rng) = (DetRng::seed_from_u64(11), DetRng::seed_from_u64(11));
+            for _ in 0..10_000 {
+                let want = per_draw(lo, hi, alpha, model_rng.unit_f64());
+                assert_eq!(d.sample(&mut rng).to_bits(), want.to_bits());
+            }
         }
     }
 

@@ -6,12 +6,13 @@
 //! — an HTTP message by its head and `Content-Length`, anything else by
 //! its newline:
 //!
-//! * proxy → origin: a `GET` of a file the shard will store, answered
-//!   with the response a data connection would carry; a `200` subscribes
-//!   the shard to the file under the lock acquisition that picks the
-//!   version, so any later modification's `INVALIDATE` follows the
-//!   reply. `UNSUBSCRIBE <path>`, unanswered: it rides the shard's next
-//!   write;
+//! * proxy → origin: every `GET` of the shard, answered as on the data
+//!   port. A `200` subscribes the shard to the file under the lock
+//!   acquisition that picks the version, so any later modification's
+//!   `INVALIDATE` follows the reply — unless a `FORWARD` line came right
+//!   before (an uncacheable forward; a marker followed by anything but a
+//!   `GET` is a protocol error). `UNSUBSCRIBE <path>`, unanswered: it
+//!   rides the shard's next write;
 //! * origin → proxy: `INVALIDATE <path>`, each answered in order: `ACK`
 //!   if the shard held the file, else `NACK`, which is not counted.
 //!
@@ -24,10 +25,10 @@
 //! invalid, mirroring the simulator's assumption that invalidation
 //! callbacks are instantaneous.
 //!
-//! [`ControlMsg`] is the protocol and [`PeerIo`] the origin's end of it:
-//! the control listener and every connected peer, nonblocking, owned by
-//! the origin's first reactor thread alone — a peer's [`CacheId`] is its
-//! slot, and nothing here takes a lock or waits. A [`Notice`] is written
+//! [`ControlMsg`] is the protocol and [`PeerIo`] one origin reactor
+//! thread's end of it: the control listener and the peers the thread
+//! accepted, nonblocking, each named by a [`CacheId`] unique across the
+//! threads — nothing here takes a lock or waits. A [`Notice`] is written
 //! to all of its targets at once; each target's FIFO keeps a clone of
 //! its `owed` handle until the answer, and the publisher waits for the
 //! last clone to be dropped — by an answer, or by the end of the peer: a
@@ -38,7 +39,7 @@
 use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::os::fd::AsRawFd;
 use std::sync::mpsc::SyncSender;
 
@@ -67,6 +68,8 @@ pub(crate) enum ControlMsg<'a> {
     Ack,
     /// `NACK` — the notice crossed the shard's `UNSUBSCRIBE`: not counted.
     Nack,
+    /// `FORWARD` — answer the `GET` behind it without subscribing.
+    Forward,
 }
 
 impl<'a> ControlMsg<'a> {
@@ -76,6 +79,7 @@ impl<'a> ControlMsg<'a> {
             Some(("INVALIDATE", path)) => ControlMsg::Invalidate(path),
             None if line == "ACK" => ControlMsg::Ack,
             None if line == "NACK" => ControlMsg::Nack,
+            None if line == "FORWARD" => ControlMsg::Forward,
             _ => return Err(invalid(format!("bad control message: {line:?}"))),
         };
         Ok(msg)
@@ -87,6 +91,7 @@ impl<'a> ControlMsg<'a> {
             ControlMsg::Invalidate(p) => format!("INVALIDATE {p}\n"),
             ControlMsg::Ack => "ACK\n".to_string(),
             ControlMsg::Nack => "NACK\n".to_string(),
+            ControlMsg::Forward => "FORWARD\n".to_string(),
         }
     }
 }
@@ -117,53 +122,65 @@ struct Peer {
     /// Idle ticks since the peer last sent anything, counted only
     /// while it owes an answer.
     idle_ticks: u32,
+    /// The next frame must be a `GET`, and subscribes nothing.
+    forward: bool,
 }
 
-/// The origin's control listener and its peers (see the module doc).
+/// One origin reactor's end of the control port (see the module doc).
 pub(crate) struct PeerIo {
     listener: TcpListener,
-    /// One slot per peer ever connected, vacated when it closes: proxy
-    /// shards are few and long-lived.
+    /// One slot per peer this thread ever accepted, vacated when it closes.
     peers: Vec<Option<Peer>>,
+    /// Peer `slot` here is `CacheId(slot * reactors + reactor)`.
+    reactor: usize,
+    reactors: usize,
     budget_ticks: u32,
 }
 
 impl PeerIo {
-    pub(crate) fn new(listener: TcpListener, ep: &Epoll, budget_ticks: u32) -> io::Result<Self> {
+    pub(crate) fn new(
+        listener: TcpListener,
+        ep: &Epoll,
+        (reactor, reactors): (usize, usize),
+        budget_ticks: u32,
+    ) -> io::Result<Self> {
         listener.set_nonblocking(true)?;
         ep.add(listener.as_raw_fd(), EPOLLIN, CONTROL_TOKEN)?;
         Ok(PeerIo {
             listener,
             peers: Vec::new(),
+            reactor,
+            reactors,
             budget_ticks,
         })
+    }
+
+    fn cache(&self, slot: usize) -> CacheId {
+        CacheId::from_index(slot * self.reactors + self.reactor)
     }
 
     /// Readiness on the listener, which is level-triggered: one peer a
     /// notification.
     pub(crate) fn accept(&mut self, ep: &Epoll) {
-        let admitted = self.listener.accept();
-        match admitted.and_then(|(stream, _)| self.admit(stream, ep)) {
-            Err(e) if e.kind() != io::ErrorKind::WouldBlock => {
-                log_conn_error("origin-control", &e);
-            }
-            _ => {}
+        let admitted = self.listener.accept().and_then(|(stream, _)| {
+            stream.set_nonblocking(true)?;
+            Wire::register(stream, ep, peer_token(self.peers.len()))
+        });
+        match admitted {
+            // wcc-allow: r5 one slot per control peer ever accepted, never reused so that a CacheId names one peer: proxy shards are few and long-lived
+            Ok(wire) => self.peers.push(Some(Peer {
+                wire,
+                owed: VecDeque::new(),
+                idle_ticks: 0,
+                forward: false,
+            })),
+            Err(e) if e.kind() != io::ErrorKind::WouldBlock => log_conn_error("origin-control", &e),
+            Err(_) => {}
         }
     }
 
-    fn admit(&mut self, stream: TcpStream, ep: &Epoll) -> io::Result<()> {
-        stream.set_nonblocking(true)?;
-        let wire = Wire::register(stream, ep, peer_token(self.peers.len()))?;
-        self.peers.push(Some(Peer {
-            wire,
-            owed: VecDeque::new(),
-            idle_ticks: 0,
-        }));
-        Ok(())
-    }
-
-    /// Readiness on peer `index`'s socket: every fetch and command that
-    /// has arrived, in order, to the dispatcher.
+    /// Readiness on peer slot `index`'s socket: every fetch and command
+    /// that has arrived, in order, to the dispatcher.
     pub(crate) fn ready(
         &mut self,
         ep: &Epoll,
@@ -172,26 +189,32 @@ impl PeerIo {
         scratch: &mut [u8],
         to: &impl Dispatch,
     ) {
+        let cache = self.cache(index);
         let Some(peer) = self.peers.get_mut(index).and_then(Option::as_mut) else {
             return; // readiness for a peer since closed
         };
-        match peer.drive(ready, scratch, CacheId::from_index(index), to) {
+        match peer.drive(ready, scratch, cache, to) {
             Ok(false) => {}
             Ok(true) => self.close(ep, index, None, to),
             Err(e) => self.close(ep, index, Some(e), to),
         }
     }
 
-    /// Write `notice` to every target still connected.
-    pub(crate) fn deliver(&mut self, ep: &Epoll, notice: Notice, to: &impl Dispatch) {
-        for cache in notice.targets {
-            let Some(peer) = self.peers.get_mut(cache.index()).and_then(Option::as_mut) else {
+    /// Write `notice` to each of its targets that is this thread's peer
+    /// and still connected.
+    pub(crate) fn deliver(&mut self, ep: &Epoll, notice: &Notice, to: &impl Dispatch) {
+        for &cache in &notice.targets {
+            let slot = cache.index() / self.reactors;
+            if self.cache(slot) != cache {
+                continue; // another thread's
+            }
+            let Some(peer) = self.peers.get_mut(slot).and_then(Option::as_mut) else {
                 continue;
             };
             peer.wire.queue(notice.line.as_bytes());
             peer.owed.push_back(notice.owed.clone());
             if let Err(e) = peer.wire.flush() {
-                self.close(ep, cache.index(), Some(e), to);
+                self.close(ep, slot, Some(e), to);
             }
         }
     }
@@ -225,7 +248,7 @@ impl PeerIo {
         }
         if let Some(peer) = self.peers[index].take() {
             let _ = ep.del(peer.wire.stream.as_raw_fd());
-            to.peer(CacheId::from_index(index), PeerEvent::Gone);
+            to.peer(self.cache(index), PeerEvent::Gone);
         }
     }
 }
@@ -254,13 +277,18 @@ impl Peer {
             while let Some(frame) = self.wire.next_frame(b"GET ", fetch)? {
                 let line = match frame {
                     Frame::Http(req) => {
-                        let (resp, body) = to.fetch(cache, &req);
+                        let subscriber = (!std::mem::take(&mut self.forward)).then_some(cache);
+                        let (resp, body) = to.fetch(&req, subscriber);
                         resp.append_to(&body, self.wire.out());
                         continue;
+                    }
+                    Frame::Line(line) if self.forward => {
+                        return Err(invalid(format!("FORWARD followed by {line:?}, not a GET")));
                     }
                     Frame::Line(line) => line,
                 };
                 match ControlMsg::parse(line)? {
+                    ControlMsg::Forward => self.forward = true,
                     ControlMsg::Unsubscribe(path) => to.peer(cache, PeerEvent::Unsubscribe(path)),
                     answer @ (ControlMsg::Ack | ControlMsg::Nack) => {
                         // A notice is retracted before its publisher is released.
@@ -291,13 +319,13 @@ impl Peer {
 #[cfg(test)]
 /// A control peer as a blocking test plays one: what a proxy shard's
 /// end of the channel says and hears, a line at a time.
-pub(crate) struct TestPeer(std::io::BufReader<TcpStream>);
+pub(crate) struct TestPeer(std::io::BufReader<std::net::TcpStream>);
 
 #[cfg(test)]
 impl TestPeer {
     pub(crate) fn connect(control: std::net::SocketAddr) -> TestPeer {
         TestPeer(std::io::BufReader::new(
-            TcpStream::connect(control).unwrap(),
+            std::net::TcpStream::connect(control).unwrap(),
         ))
     }
 
@@ -357,6 +385,7 @@ mod tests {
             ControlMsg::Invalidate("/w/f3.dat"),
             ControlMsg::Ack,
             ControlMsg::Nack,
+            ControlMsg::Forward,
         ];
         for m in msgs {
             let line = m.encode();

@@ -15,11 +15,10 @@
 //!   single-threaded run is counter-for-counter equivalent to
 //!   `webcache::run` (the differential test in the workspace root pins
 //!   this). Cache state is sharded by [`shard_for`]: each shard owns its
-//!   own mutex and engine, and has its own bounded set of keep-alive
-//!   origin connections and its own invalidation control connection,
-//!   and concurrent misses for one file coalesce into a single upstream
-//!   fetch. One shard degenerates to the classic single-lock topology,
-//!   so the differential guarantee is untouched.
+//!   own mutex, engine and upstream connection (under invalidation, its
+//!   control connection), and concurrent misses for one file coalesce
+//!   into a single upstream fetch. One shard degenerates to the classic
+//!   single-lock topology, so the differential guarantee is untouched.
 //! * [`LiveStack`] — the two on loopback sharing one virtual clock,
 //!   described by a [`StackSpec`] and a [`LiveRunConfig`]; `shutdown`
 //!   returns the [`StackCounters`] every load report embeds. The load
@@ -31,8 +30,8 @@
 //! connections, both ends of the control channels — runs on a
 //! hand-rolled nonblocking epoll reactor (`--reactor-threads` event
 //! loops, each owning an epoll instance, a slab of per-connection state
-//! machines and the upstream sockets of the shards assigned to it; the
-//! origin's first also its control port), and no reactor thread ever
+//! machines and the upstream socket of each shard assigned to it, or
+//! the control peers it accepted), and no reactor thread ever
 //! blocks: one process sustains 10k+ concurrently open connections, and
 //! a request waiting on the origin is a continuation parked on a socket,
 //! not a thread. Only the client side ([`HttpConn`]: load drivers, tests,

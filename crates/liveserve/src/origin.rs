@@ -17,16 +17,17 @@
 //! live equivalent of the simulator's instantaneous callbacks; a notice a
 //! shard answers `NACK` (its `UNSUBSCRIBE` was on the way) is retracted.
 //!
-//! Both ports are served by the origin's own reactor (`reactor`), the
-//! control port by its first thread alone (`control::PeerIo`), and the
-//! origin has no other thread. A proxy shard's fetches arrive on its
-//! control channel, where `respond` subscribes it to what it answers
-//! `200`. Everything here that runs on a reactor thread — `respond`, the
-//! control commands — is in-memory bookkeeping under the
-//! [`OriginServer`] mutex, which is never held across socket IO. The one wait is the publisher's, on the thread that
-//! called `advance_to`: invalidation targets are collected under the
-//! lock, the notice is handed to the reactor after it is released, and
-//! the caller sleeps until every target has answered or gone.
+//! Both ports are served on every thread of the origin's own reactor
+//! (`reactor`), a control peer by the thread that accepted it
+//! (`control::PeerIo`), and the origin has no other thread. A proxy
+//! shard's requests arrive on its control channel, where `respond`
+//! subscribes it to what it answers `200`, bar a forward. Everything
+//! here that runs on a reactor thread is in-memory bookkeeping under the
+//! [`OriginServer`] mutex, never held across socket IO. The one wait is
+//! the publisher's, on the thread that called `advance_to`: targets are
+//! collected under the lock, the notice is handed to the reactor threads
+//! that hold them after it is released, and the caller sleeps until
+//! every target has answered or gone.
 
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -232,8 +233,8 @@ impl Dispatch for Arc<OriginShared> {
         match parked {}
     }
 
-    fn fetch(&self, cache: CacheId, req: &Request) -> (Response, Vec<u8>) {
-        self.respond(req, Some(cache))
+    fn fetch(&self, req: &Request, subscriber: Option<CacheId>) -> (Response, Vec<u8>) {
+        self.respond(req, subscriber)
     }
 
     fn peer(&self, cache: CacheId, event: PeerEvent<'_>) {
@@ -703,10 +704,12 @@ mod tests {
         assert_eq!(origin.shutdown().invalidations_sent, 1);
     }
 
-    /// The control port lives on the first reactor thread only; the
-    /// data port on all of them, as before.
+    /// Control peers land on whichever origin reactor accepts them, as
+    /// data clients do, each named by a `CacheId` whose residue is its
+    /// thread. A notice for peers on both threads is held by every one of
+    /// them, and the publisher waits for the answers from both.
     #[test]
-    fn two_reactor_threads_share_the_data_port_and_the_first_has_control() {
+    fn control_peers_on_two_reactors_all_hold_the_notice_and_the_publisher_waits_for_both() {
         let mut pop = FilePopulation::new();
         pop.add(FileRecord::new("/a.html", t(0), 100));
         let b = pop.add(FileRecord::new("/b.html", t(0), 50));
@@ -716,19 +719,63 @@ mod tests {
         config.reactor_threads = 2;
         config.probe = probe;
         let origin = LiveOrigin::spawn(config).unwrap();
-        let mut on = conn_on_each_reactor(&accepted, || connect(&origin));
+        let mut data = conn_on_each_reactor(&accepted, || connect(&origin));
 
-        let mut peer = control(&origin);
-        peer.fetch("/b.html");
-        publish_acked(&origin, &mut peer);
-        for conn in &mut on {
+        // Connect until a peer has subscribed from each reactor.
+        let subscribers = || origin.shared.server.lock().subscribers(b);
+        let mut peers: Vec<(usize, TestPeer)> = Vec::new();
+        while !(0..2).all(|r| peers.iter().any(|&(on, _)| on == r)) {
+            assert!(peers.len() < 256, "one reactor accepted every peer");
+            let before = subscribers();
+            let mut peer = control(&origin);
+            peer.fetch("/b.html");
+            let cache = subscribers().into_iter().find(|c| !before.contains(c));
+            peers.push((cache.unwrap().index() % 2, peer));
+        }
+        thread::scope(|s| {
+            let h = s.spawn(|| origin.advance_to(t(1500)));
+            for (_, peer) in &mut peers {
+                assert_eq!(peer.hear(), "INVALIDATE /b.html\n");
+            }
+            // Reactor 0's peers answer; the reply behind each says so.
+            for (_, peer) in peers.iter_mut().filter(|(on, _)| *on == 0) {
+                peer.say("ACK\n");
+                peer.fetch("/a.html");
+            }
+            thread::sleep(SETTLE);
+            assert!(!h.is_finished(), "released with reactor 1's answers owed");
+            for (_, peer) in peers.iter_mut().filter(|(on, _)| *on == 1) {
+                peer.say("ACK\n");
+            }
+            h.join().unwrap();
+        });
+        for conn in &mut data {
             conn.write_request(&Request::get("/b.html")).unwrap();
             let (resp, body) = conn.read_response().unwrap();
             assert_eq!((resp.status, body.len()), (Status::Ok, 60));
         }
         let load = origin.shutdown();
-        // The control peer's fetch is a document request too.
-        assert_eq!((load.invalidations_sent, load.document_requests), (1, 3));
+        assert_eq!(load.invalidations_sent, peers.len() as u64);
+    }
+
+    /// A fetch marked `FORWARD` is answered like any other — a document
+    /// request — and subscribes nothing; a marker followed by anything but
+    /// a `GET` costs the peer its channel.
+    #[test]
+    fn a_marked_fetch_on_the_control_port_subscribes_nothing() {
+        let (origin, _clock) = small_origin();
+        let mut peer = control(&origin);
+        peer.say(&format!("FORWARD\n{}", Request::get("/b.html").serialize()));
+        let (resp, body) = peer.hear_response();
+        assert_eq!((resp.status, body.len()), (Status::Ok, 50));
+        assert_eq!(origin.subscription_count(), 0);
+        peer.fetch("/a.html");
+        assert_eq!(origin.subscription_count(), 1, "the next fetch subscribes");
+
+        peer.say("FORWARD\nUNSUBSCRIBE /a.html\n");
+        assert_eq!(peer.hear(), "", "hung up on");
+        assert_eq!(origin.subscription_count(), 0);
+        assert_eq!(origin.shutdown().document_requests, 2);
     }
 
     /// The proxy prices an upstream reply by the bytes its head took on

@@ -3,7 +3,7 @@
 //! [`LiveProxy`] fronts a [`LiveOrigin`](crate::LiveOrigin) (or any
 //! server speaking the same HTTP/1.0 subset): clients connect to its
 //! data port, and each request is served from the in-memory cache or
-//! fetched/revalidated upstream over a pooled persistent origin
+//! fetched/revalidated upstream over its shard's one persistent origin
 //! connection. What the cache does with a request is decided by the
 //! same [`consistency::Engine`] the simulator drives (over an
 //! [`AnyStore`], conditional retrieval), so a single-threaded replay
@@ -17,10 +17,10 @@
 //! **Sharding.** Cache state is split into `shards` independent
 //! [`CacheState`]s, routed by [`shard_for`] (`FileId` index modulo the
 //! shard count), each behind its own mutex with its own store and
-//! policy instance. Each shard also has its own bounded set of
-//! keep-alive origin connections and — under the invalidation mechanism
-//! — its own persistent control connection, which carries every fetch
-//! it stores, all owned by one reactor thread (`upstream::ShardIo`).
+//! policy instance, and one upstream socket owned by one reactor thread
+//! (`upstream::ShardIo`) on which its every exchange is pipelined: a
+//! keep-alive connection to the origin's data port or — under the
+//! invalidation mechanism — its persistent control connection.
 //! Requests for different files on different shards never contend; the
 //! run's totals are the merge of the per-shard counters. With one shard
 //! and one reactor thread the topology degenerates to a single lock, a
@@ -37,8 +37,8 @@
 //!
 //! | stage | sent | on the answer |
 //! |-------|------|---------------|
-//! | `Validating` | `GET` + `If-Modified-Since` | `304`: apply, serve the cached body (entry lost meanwhile: refetch, on the same socket). Otherwise as `Fetching`. |
-//! | `Fetching` | `GET` — under invalidation a leader's on the shard's control channel, where the origin's `200` subscribes it; an uncacheable forward's on a data connection | Apply the reply and respond; under invalidation, `UNSUBSCRIBE` what that left the origin tracking and the shard not holding — evicted victims not being refetched, and a leader's file if its reply left it non-resident. |
+//! | `Validating` | `GET` + `If-Modified-Since` | `304`: apply, serve the cached body (entry lost meanwhile: refetch). Otherwise as `Fetching`. |
+//! | `Fetching` | `GET` — under invalidation the origin's `200` subscribes a leader's; an uncacheable forward's is marked not to | Apply the reply and respond; under invalidation, `UNSUBSCRIBE` what that left the origin tracking and the shard not holding — evicted victims not being refetched, and a leader's file if its reply left it non-resident. |
 //!
 //! Under invalidation the fetch is the subscription: the origin
 //! registers it as it answers, so no entry is ever resident before it is
@@ -139,7 +139,8 @@ pub struct ProxyConfig {
     /// Cache store.
     pub store: StoreKind,
     /// Cache shards (0 is treated as 1). Each shard gets its own lock,
-    /// store, upstream pool, and control connection.
+    /// store, and upstream connection: to the data port, or under
+    /// invalidation its control connection.
     pub shards: usize,
     /// The clock freshness decisions are made against.
     pub clock: LiveClock,
@@ -210,13 +211,12 @@ pub struct ProxySnapshot {
     pub invalidations_delivered: u64,
     /// Entries evicted by a bounded store.
     pub evictions: u64,
-    /// Upstream connections dialled across all shard pools.
+    /// Data-port connects that completed, over every shard.
     pub upstream_dials: u64,
-    /// Upstream checkouts served by a pooled keep-alive connection.
+    /// Exchanges sent on a shard's upstream connection already open.
     pub upstream_reuses: u64,
-    /// Upstream checkouts refused because a shard pool's waiter cap was
-    /// reached (a `PoolSaturated` error) — the signature of
-    /// proxy→origin saturation under open-loop overload.
+    /// Exchanges refused at a shard's cap on those outstanding — the
+    /// signature of proxy→origin saturation under open-loop overload.
     pub upstream_saturations: u64,
 }
 
@@ -462,8 +462,7 @@ impl ProxyShared {
         match served {
             Some((resp, body)) => Step::Done(resp, body),
             // The validated entry vanished under a concurrent eviction
-            // between lock drops: refetch (the reactor keeps the request
-            // on the connection in hand).
+            // between lock drops: refetch.
             None => {
                 let request = Request::get(req.path.as_str());
                 self.exchange(req, &request, Stage::Fetching)
@@ -675,14 +674,10 @@ impl LiveProxy {
         let mut shards = Vec::with_capacity(shard_count);
         let mut upstreams = Vec::with_capacity(shard_count);
         for i in 0..shard_count {
-            let control = match uses_invalidation {
+            upstreams.push(match uses_invalidation {
                 // wcc-allow: r8 start-up dial, before any reactor thread exists: an unreachable control port fails the spawn
-                true => Some(TcpStream::connect(config.origin_control)?),
-                false => None,
-            };
-            upstreams.push(Upstream {
-                origin: config.origin_data,
-                control,
+                true => Upstream::Control(TcpStream::connect(config.origin_control)?),
+                false => Upstream::Data(config.origin_data),
             });
             shards.push(RankedMutex::new(
                 STATE_RANK,
@@ -760,11 +755,11 @@ impl LiveProxy {
     /// Stop serving and return the merged per-shard counters.
     pub fn shutdown(mut self) -> ProxySnapshot {
         self.reactor.stop();
-        let pool = self.reactor.pool();
+        let upstream = self.reactor.upstream();
         let mut snap = ProxySnapshot {
-            upstream_dials: pool.dials.load(Ordering::Relaxed),
-            upstream_reuses: pool.reuses.load(Ordering::Relaxed),
-            upstream_saturations: pool.saturations.load(Ordering::Relaxed),
+            upstream_dials: upstream.dials.load(Ordering::Relaxed),
+            upstream_reuses: upstream.reuses.load(Ordering::Relaxed),
+            upstream_saturations: upstream.saturations.load(Ordering::Relaxed),
             ..ProxySnapshot::default()
         };
         for shard in &self.shared.shards {
@@ -1115,10 +1110,9 @@ mod tests {
         assert_eq!(load.document_requests, 1, "origin saw exactly one GET");
     }
 
-    /// The pool's keep-alive discipline, seen from the origin: when it
-    /// hangs up on a pooled connection — while it idles, or right behind
-    /// a reply — the next exchange dials a fresh one and no client
-    /// notices.
+    /// The keep-alive discipline, seen from the origin: when it hangs up
+    /// on the shard's connection — while it idles, or right behind a
+    /// reply — the next exchange dials a fresh one and no client notices.
     #[test]
     fn a_connection_the_origin_closed_is_redialled_not_an_error() {
         let origin = Scripted::spawn();
@@ -1157,11 +1151,11 @@ mod tests {
     }
 
     /// A refused dial surfaces on the reactor (`EPOLLOUT` + `SO_ERROR`,
-    /// or at once), costs its request's client the connection, clears
-    /// the flight and frees the slot: more failures than there are
-    /// slots, every one of them a prompt hangup.
+    /// or at once), costs its request's client the connection and clears
+    /// the flight, and the next exchange dials again: every failure a
+    /// prompt hangup.
     #[test]
-    fn a_refused_dial_fails_its_request_and_frees_the_slot() {
+    fn a_refused_dial_fails_its_request_and_the_next_dials_again() {
         let nobody = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = nobody.local_addr().unwrap();
         drop(nobody);
@@ -1183,8 +1177,8 @@ mod tests {
 
     /// The origin stalls mid-body: the tick budget fails the leader's
     /// exchange, which costs the leader its connection, clears the
-    /// flight, frees the slot, and promotes the first follower to lead a
-    /// refetch that the second follower then rides.
+    /// flight, closes the stalled socket, and promotes the first follower
+    /// to lead a refetch that the second follower then rides.
     #[test]
     fn a_stalled_origin_fails_the_leader_and_a_follower_refetches() {
         let origin = Scripted::spawn();
@@ -1260,7 +1254,7 @@ mod tests {
         fetch.answer.send(Answer::Ok(256)).unwrap();
         expect(&mut follower, 256);
         get(&mut successor, "/cold", 256);
-        // The upstream socket went back to the pool in working order.
+        // The upstream socket is still in working order.
         successor.write_request(&Request::get("/next")).unwrap();
         origin.serve_next("/next", 4);
         expect(&mut successor, 4);
@@ -1315,7 +1309,7 @@ mod tests {
         assert_eq!((snap.cache.misses, snap.cache.fresh_hits), (2, 5));
     }
 
-    /// Two reactors, one shard: reactor 0 owns the shard's sockets. A
+    /// Two reactors, one shard: reactor 0 owns the shard's socket. A
     /// leader reactor 1 accepted crosses to reactor 0 for its exchange
     /// and back for its answer; a follower on the other reactor than
     /// the one its flight lands on is woken through the mailbox.
@@ -1753,29 +1747,57 @@ mod tests {
     }
 
     /// An uncacheable forward is never stored, so the origin has nothing
-    /// to track: it goes on a data connection, not the channel, and is
-    /// answered with its reply — no subscription to take back.
+    /// to track: it rides the channel marked `FORWARD`, the origin's
+    /// `200` subscribes nothing, and no `UNSUBSCRIBE` follows it.
     #[test]
-    fn an_uncacheable_forward_stays_off_the_channel() {
-        let origin = Scripted::spawn();
-        let (control, commands, say, peer) = withholding_control_peer();
-        let mut cfg = origin.proxy(LivePolicy::Invalidation);
-        cfg.origin_control = control;
+    fn a_forward_rides_the_channel_and_subscribes_nothing() {
         // The first path seen gets id 0: class 1, uncacheable.
-        (cfg.classes, cfg.uncacheable_mask) = (vec![1], 1 << 1);
+        let uncacheable =
+            |cfg: &mut ProxyConfig| (cfg.classes, cfg.uncacheable_mask) = (vec![1], 1 << 1);
+        let mut pop = FilePopulation::new();
+        pop.add(FileRecord::new("/cgi", t(0), 30));
+        let clock = LiveClock::virtual_at(t(10));
+        let origin = LiveOrigin::spawn(OriginConfig::new(Arc::new(pop), clock.clone())).unwrap();
+        let (data, control) = (origin.data_addr(), origin.control_addr());
+        let mut cfg = ProxyConfig::new(data, control, LivePolicy::Invalidation, clock);
+        uncacheable(&mut cfg);
+        let proxy = LiveProxy::spawn(cfg).unwrap();
+        let mut conn = connect(&proxy);
+        get(&mut conn, "/cgi", 30);
+        get(&mut conn, "/cgi", 30);
+        assert_eq!(origin.subscription_count(), 0);
+        let snap = proxy.shutdown();
+        assert_eq!((snap.upstream_dials, snap.upstream_reuses), (0, 2));
+        assert_eq!((snap.cache.misses, snap.cache.fresh_hits), (2, 0));
+        assert_eq!(origin.shutdown().document_requests, 2);
+
+        // On the wire: the marker ahead of each `GET`, and nothing after.
+        let scripted = Scripted::spawn();
+        let (control, commands, say, peer) = withholding_control_peer();
+        let mut cfg = scripted.proxy(LivePolicy::Invalidation);
+        cfg.origin_control = control;
+        uncacheable(&mut cfg);
         let proxy = LiveProxy::spawn(cfg).unwrap();
         let mut conn = connect(&proxy);
         for len in [30, 31] {
             conn.write_request(&Request::get("/cgi")).unwrap();
-            origin.serve_next("/cgi", len);
+            for line in ["FORWARD", "GET /cgi HTTP/1.0"] {
+                assert_eq!(
+                    commands.recv_timeout(Duration::from_secs(10)).unwrap(),
+                    line
+                );
+            }
+            say.send(ok_reply(len)).unwrap();
             expect(&mut conn, len);
         }
-        let snap = proxy.shutdown();
+        proxy.shutdown();
         drop(say);
         peer.join().unwrap();
-        assert!(commands.try_recv().is_err(), "the channel heard of it");
-        assert_eq!((snap.upstream_dials, snap.upstream_reuses), (1, 1));
-        assert_eq!((snap.cache.misses, snap.cache.fresh_hits), (2, 0));
+        assert!(commands.try_recv().is_err(), "a line after the replies");
+        assert!(
+            scripted.arrivals.try_recv().is_err(),
+            "the data port heard of it"
+        );
     }
 
     /// A control channel that hangs up with a fetch outstanding fails

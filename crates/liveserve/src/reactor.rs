@@ -1,25 +1,25 @@
 //! The nonblocking epoll reactor behind both live servers.
 //!
 //! `reactor_threads` event-loop threads each own one epoll instance, a
-//! slab of client [`Conn`] state machines, the upstream sockets of the
-//! proxy shards assigned to them, and a mailbox (a queue plus an
-//! eventfd); the first thread of an origin also owns its control port
-//! (`control::PeerIo`). All reactors register (a clone of) the shared nonblocking
-//! listener level-triggered: whichever thread wakes drains a bounded
-//! accept burst and **owns** the connections it accepted — partitioning
-//! happens at accept time and a connection never migrates. Every other
-//! socket is registered edge-triggered (`EPOLLIN | EPOLLOUT | EPOLLET |
-//! EPOLLRDHUP`) with a generation-tagged token — two tag bits tell an
-//! upstream socket and a control peer from a client — and every
+//! slab of client [`Conn`] state machines, the upstream socket of each
+//! proxy shard assigned to them, and a mailbox (a queue plus an eventfd);
+//! each thread of an origin also owns the control peers it accepted
+//! (`control::PeerIo`). All reactors register (a clone of) each shared
+//! nonblocking listener level-triggered: whichever thread wakes drains a
+//! bounded accept burst and **owns** the connections it accepted —
+//! partitioning happens at accept time and a connection never migrates.
+//! Every other socket is registered edge-triggered (`EPOLLIN | EPOLLOUT |
+//! EPOLLET | EPOLLRDHUP`) with a generation-tagged token — two tag bits
+//! tell an upstream socket and a control peer from a client — and every
 //! readiness notification drives its state machine until the socket has
 //! no more for it, as edge-triggering requires: writes to `WouldBlock`,
 //! reads to a short count (a `read` that returns less than it asked for
 //! has emptied a stream socket, and what arrives after it raises a new
-//! edge) — or, when the notification says the peer hung up or the
-//! socket failed, through to the EOF or the error. Every `read` a thread
-//! makes lands in the one scratch buffer its event loop owns and lends
-//! to whatever it is driving; a connection buffers only what a frame
-//! still needs.
+//! edge) — or, when the notification says the peer hung up or the socket
+//! failed, through to the EOF or the error. Every `read` a thread makes
+//! lands in the one scratch buffer its event loop owns and lends to
+//! whatever it is driving; a connection buffers only what a frame still
+//! needs.
 //!
 //! **No reactor thread ever blocks.** Request handling is pluggable via
 //! [`Dispatch`], and everything a dispatcher does runs on a reactor
@@ -34,17 +34,17 @@
 //! * [`Dispatch::resume`] runs when what a parked continuation was
 //!   waiting for has arrived (or failed), and returns the next step.
 //!
-//! **A shard's IO has one owner.** Proxy shard `s`'s upstream sockets
-//! (`upstream::ShardIo`) live on reactor `s % reactor_threads`; a step
+//! **A shard's IO has one owner.** Proxy shard `s`'s upstream socket
+//! (`upstream::ShardIo`) lives on reactor `s % reactor_threads`; a step
 //! for a shard another thread owns crosses once through that thread's
 //! mailbox, and its answer comes back through the acceptor's. With one
 //! reactor thread nothing ever crosses. The **origin** answers every
 //! request from memory: its `begin` never parks and it has no shards.
-//! Its control listener is registered level-triggered on thread 0 and
-//! nowhere else, so every control peer's socket — fetches and commands
-//! in, replies out, notices out, their answers in — has that one owner;
-//! a thread that publishes a modification posts the notice to thread
-//! 0's mailbox and does its waiting itself.
+//! Each control peer's socket — fetches and commands in, replies out,
+//! notices out, their answers in — has the thread that accepted it as
+//! its one owner; a thread that publishes a modification posts the
+//! notice to each thread that holds a target and does its waiting
+//! itself.
 //!
 //! The stall budget is tick-counted, never clock-read (§r1): each
 //! `epoll_wait` that times out — a signal that interrupts one does not
@@ -80,15 +80,13 @@ use crate::netio::{log_conn_error, POLL_TICK};
 use crate::sys::{
     Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
-use crate::upstream::{
-    ControlEvent, PoolCounters, PoolEnv, ShardIo, Upstream, CONNS_PER_SHARD, SLOTS_PER_SHARD,
-};
+use crate::upstream::{Heard, ShardIo, Upstream, UpstreamCounters, UpstreamEnv};
 
 /// Epoll token of the shared listener.
 const LISTENER_TOKEN: u64 = u64::MAX;
 /// Epoll token of the per-reactor eventfd.
 const WAKE_TOKEN: u64 = u64::MAX - 1;
-/// Epoll token of the origin's control listener (first reactor only).
+/// Epoll token of the origin's control listener.
 pub(crate) const CONTROL_TOKEN: u64 = u64::MAX - 2;
 /// Set in the token of an upstream socket, clear in a client's.
 const UPSTREAM_TAG: u64 = 1 << 31;
@@ -164,9 +162,9 @@ pub(crate) enum Step<P> {
     Done(Response, Arc<Vec<u8>>),
     /// Failed: log, and close the client connection.
     Fail(io::Error),
-    /// Send `request` to `shard`'s origin and resume `then` with the
-    /// reply: on its control channel if the origin is to `subscribe` the
-    /// shard to what it answers, else on one of its origin connections.
+    /// Send `request` on `shard`'s upstream socket and resume `then`
+    /// with the reply; under invalidation the origin is to `subscribe`
+    /// the shard to what it answers, or not.
     Exchange {
         shard: usize,
         request: Vec<u8>,
@@ -215,9 +213,10 @@ pub(crate) trait Dispatch: Send + Sync + 'static {
         false
     }
 
-    /// Control peer `cache` fetched `req`: the response to write back. A
-    /// dispatcher without a control port is never asked.
-    fn fetch(&self, _cache: CacheId, _req: &Request) -> (Response, Vec<u8>) {
+    /// A control peer fetched `req`: the response to write back, the peer
+    /// subscribed to it if it is the `subscriber`. A dispatcher without a
+    /// control port is never asked.
+    fn fetch(&self, _req: &Request, _subscriber: Option<CacheId>) -> (Response, Vec<u8>) {
         (Response::not_found(HttpDate(0)), Vec::new())
     }
 
@@ -247,8 +246,8 @@ pub(crate) struct ReactorConfig {
 enum Mail<P> {
     /// A step the addressee must carry out.
     Step(Ticket, Step<P>),
-    /// An invalidation to write to the control peers (first reactor only).
-    Notice(Notice),
+    /// An invalidation to write to the addressee's control peers.
+    Notice(Arc<Notice>),
 }
 
 struct Mailbox<P> {
@@ -261,7 +260,7 @@ struct Shared<D: Dispatch> {
     open_conns: AtomicUsize,
     dropped_accepts: AtomicU64,
     mail: Vec<Mailbox<D::Parked>>,
-    pool: Arc<PoolCounters>,
+    upstream: Arc<UpstreamCounters>,
     dispatch: D,
     cfg: ReactorConfig,
 }
@@ -319,13 +318,13 @@ impl<D: Dispatch> std::fmt::Debug for Reactor<D> {
 }
 
 impl<D: Dispatch> Reactor<D> {
-    /// Take ownership of `listener`'s accept stream and serve it on
-    /// the reactor; `control`, the origin's control port, on its first
-    /// thread. `upstreams[s]` is where shard `s`'s steps go (none for a
+    /// Take ownership of `listener`'s accept stream, and of `control`'s
+    /// (the origin's control port), and serve them on the reactor.
+    /// `upstreams[s]` is where shard `s`'s steps go (none for a
     /// dispatcher that never asks for any).
     pub(crate) fn spawn(
         listener: TcpListener,
-        mut control: Option<TcpListener>,
+        control: Option<TcpListener>,
         dispatch: D,
         upstreams: Vec<Upstream>,
         cfg: ReactorConfig,
@@ -344,7 +343,7 @@ impl<D: Dispatch> Reactor<D> {
             open_conns: AtomicUsize::new(0),
             dropped_accepts: AtomicU64::new(0),
             mail,
-            pool: Arc::default(),
+            upstream: Arc::default(),
             dispatch,
             cfg,
         });
@@ -356,10 +355,10 @@ impl<D: Dispatch> Reactor<D> {
         let mut threads = Vec::with_capacity(reactors);
         for (idx, upstreams) in owned.into_iter().enumerate() {
             let shared = Arc::clone(&shared);
-            // Every reactor registers its own dup of the listener fd in
-            // its epoll; the original is dropped when spawn returns.
+            // Every reactor registers its own dup of each listener fd in
+            // its epoll; the originals are dropped when spawn returns.
             let listener = listener.try_clone()?;
-            let control = control.take();
+            let control = control.as_ref().map(TcpListener::try_clone).transpose()?;
             threads.push(std::thread::spawn(move || {
                 let role = shared.cfg.role;
                 if let Err(e) = EventLoop::run(shared, idx, &listener, control, upstreams) {
@@ -380,22 +379,28 @@ impl<D: Dispatch> Reactor<D> {
         self.shared.dropped_accepts.load(Ordering::SeqCst)
     }
 
-    /// Upstream connection accounting, over every shard.
-    pub(crate) fn pool(&self) -> &PoolCounters {
-        &self.shared.pool
+    /// Upstream accounting, over every shard.
+    pub(crate) fn upstream(&self) -> &UpstreamCounters {
+        &self.shared.upstream
     }
 
-    /// Have the first reactor thread write `line` to the control peers
-    /// in `targets`. Nothing is ever sent to the end returned: it
-    /// disconnects once every one of them has answered or gone.
+    /// Have each reactor thread that owns control peers in `targets`
+    /// write `line` to them (peer `CacheId(i)` is thread `i % reactors`'s).
+    /// Nothing is ever sent to the end returned: it disconnects once
+    /// every one of them has answered or gone.
     pub(crate) fn publish(&self, line: String, targets: Vec<CacheId>) -> Receiver<Infallible> {
         let (owed, acked) = sync_channel(0);
-        let notice = Notice {
+        let notice = Arc::new(Notice {
             line,
             targets,
             owed,
-        };
-        self.shared.post(0, Mail::Notice(notice));
+        });
+        let reactors = self.shared.mail.len();
+        for to in 0..reactors {
+            if notice.targets.iter().any(|c| c.index() % reactors == to) {
+                self.shared.post(to, Mail::Notice(Arc::clone(&notice)));
+            }
+        }
         acked
     }
 
@@ -427,7 +432,7 @@ struct EventLoop<D: Dispatch> {
     /// The shards whose upstream sockets this thread owns, by `s /
     /// reactors`.
     shards: Vec<ShardIo<(Ticket, D::Parked)>>,
-    /// The origin's control port and its peers, on its first thread.
+    /// The origin's control port and the peers this thread accepted.
     peers: Option<PeerIo>,
     work: Work<D::Parked>,
     /// Client connections the stall budget is counting on (mid-frame or
@@ -450,9 +455,9 @@ impl<D: Dispatch> EventLoop<D> {
         // doesn't drain the backlog, every reactor keeps getting told.
         ep.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
         ep.add(shared.mail[idx].wake.fd(), EPOLLIN, WAKE_TOKEN)?;
-        let env = PoolEnv {
+        let env = UpstreamEnv {
             budget_ticks: shared.cfg.budget_ticks,
-            counters: Arc::clone(&shared.pool),
+            counters: Arc::clone(&shared.upstream),
             probe: shared.cfg.probe.clone(),
             clock: shared.cfg.clock.clone(),
         };
@@ -460,11 +465,10 @@ impl<D: Dispatch> EventLoop<D> {
         let mut shards = Vec::with_capacity(upstreams.len());
         for (local, upstream) in upstreams.into_iter().enumerate() {
             let shard = local * reactors + idx;
-            let first = local * SLOTS_PER_SHARD;
-            shards.push(ShardIo::new(shard, first, upstream, &ep, env.clone())?);
+            shards.push(ShardIo::new(shard, upstream, &ep, env.clone())?);
         }
         let budget_ticks = shared.cfg.budget_ticks;
-        let peers = control.map(|control| PeerIo::new(control, &ep, budget_ticks));
+        let peers = control.map(|control| PeerIo::new(control, &ep, (idx, reactors), budget_ticks));
         let peers = peers.transpose()?;
         let mut this = EventLoop {
             shared,
@@ -528,7 +532,7 @@ impl<D: Dispatch> EventLoop<D> {
                         Mail::Step(ticket, step) => self.work.push_back((ticket, step)),
                         Mail::Notice(notice) => {
                             if let Some(io) = &mut self.peers {
-                                io.deliver(&self.ep, notice, &self.shared.dispatch);
+                                io.deliver(&self.ep, &notice, &self.shared.dispatch);
                             }
                         }
                     }
@@ -725,7 +729,7 @@ impl<D: Dispatch> EventLoop<D> {
                     then,
                 } => {
                     let local = shard / reactors;
-                    self.shards[local].exchange(&self.ep, request, subscribe, (ticket, then));
+                    self.shards[local].exchange(&self.ep, &request, subscribe, (ticket, then));
                     self.resume_ended(local);
                 }
                 Step::Control {
@@ -776,43 +780,24 @@ impl<D: Dispatch> EventLoop<D> {
         }
     }
 
-    fn upstream_ready(&mut self, index: usize, gen: u32, ready: Ready) {
-        let (local, which) = (index / SLOTS_PER_SHARD, index % SLOTS_PER_SHARD);
+    /// Readiness on `shard`'s upstream socket: each reply resumes its
+    /// continuation, in line order with the notices around it.
+    fn upstream_ready(&mut self, shard: usize, gen: u32, ready: Ready) {
+        let local = shard / self.shared.mail.len();
         let Some(io) = self.shards.get_mut(local) else {
             return;
         };
-        let dispatch = &self.shared.dispatch;
-        if which == CONNS_PER_SHARD {
-            let work = &mut self.work;
-            io.control_ready(&self.ep, ready, &mut self.scratch, |event| match event {
-                ControlEvent::Answered((ticket, parked), arrived) => {
-                    let at = work.len();
-                    let step = dispatch.resume(parked, Ok(arrived), work);
-                    work.insert(at, (ticket, step));
-                    true
-                }
-                ControlEvent::Invalidate(path) => dispatch.invalidate(path),
-            });
-        } else if let Some(((ticket, parked), reply)) =
-            io.conn_ready(&self.ep, which, gen, ready, &mut self.scratch)
-        {
-            let at = self.work.len();
-            match dispatch.resume(parked, Ok(reply), &mut self.work) {
-                // More to ask of the same shard: on the connection in hand.
-                Step::Exchange {
-                    shard,
-                    request,
-                    subscribe: false,
-                    then,
-                } if shard == io.shard => {
-                    io.resend(&self.ep, which, &request, (ticket, then));
-                }
-                step => {
-                    io.release(&self.ep, which);
-                    self.work.insert(at, (ticket, step));
-                }
+        let (dispatch, work) = (&self.shared.dispatch, &mut self.work);
+        let on = |heard: Heard<'_, _>| match heard {
+            Heard::Reply((ticket, parked), arrived) => {
+                let at = work.len();
+                let step = dispatch.resume(parked, Ok(arrived), work);
+                work.insert(at, (ticket, step));
+                true
             }
-        }
+            Heard::Invalidate(path) => dispatch.invalidate(path),
+        };
+        io.ready(&self.ep, gen, ready, &mut self.scratch, on);
         self.resume_ended(local);
         self.drain();
     }

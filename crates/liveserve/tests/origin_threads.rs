@@ -2,8 +2,9 @@
 //!
 //! Alone in its test binary because it reads the `Threads:` line of
 //! `/proc/self/status`: a running origin has exactly `reactor_threads`
-//! OS threads, and a control peer is a registration on the first of
-//! them, not a thread — whatever connects to the control port.
+//! OS threads, and a control peer is a registration on whichever of
+//! them accepted it, not a thread — whatever connects to the control
+//! port.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

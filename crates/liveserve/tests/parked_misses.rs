@@ -19,10 +19,10 @@ use simcore::SimTime;
 
 const MISSES: usize = 1000;
 const HITS: u64 = 25;
-/// The proxy's per-shard bounds (`upstream::{CONNS_PER_SHARD,
-/// MAX_WAITERS}`), restated: this test sees them from outside.
-const IN_EXCHANGE: usize = 4;
-const WAIT_LISTED: usize = 256;
+/// The exchanges a shard may have outstanding on its one upstream
+/// connection (`upstream::MAX_OUTSTANDING`), restated: this test sees it
+/// from outside.
+const OUTSTANDING: usize = 260;
 
 #[test]
 fn a_thousand_parked_misses_cost_slots_not_threads_and_hits_overtake_them() {
@@ -101,9 +101,9 @@ fn a_thousand_parked_misses_cost_slots_not_threads_and_hits_overtake_them() {
     let before_misses = os_threads();
 
     // One cold file per connection: every one leads its own flight. The
-    // first four get a socket each and park on the silent origin, the
-    // next 256 park on the wait-list, the rest are refused — which costs
-    // each its connection.
+    // first 260 are pipelined on the shard's connection and park on the
+    // silent origin, the rest are refused — which costs each its
+    // connection.
     let mut cold: Vec<TcpStream> = (0..MISSES)
         .map(|i| {
             let mut stream = TcpStream::connect(proxy.addr()).unwrap();
@@ -112,12 +112,12 @@ fn a_thousand_parked_misses_cost_slots_not_threads_and_hits_overtake_them() {
             stream
         })
         .collect();
-    let refused = MISSES - IN_EXCHANGE - WAIT_LISTED;
+    let refused = MISSES - OUTSTANDING;
     await_until("every miss to be parked or refused", || {
         proxy.open_conns() == 1 + MISSES - refused
     });
     await_until("the origin to have read what it was sent", || {
-        parked.load(Ordering::SeqCst) >= IN_EXCHANGE
+        parked.load(Ordering::SeqCst) >= OUTSTANDING
     });
 
     let mut fifth = connect();
@@ -130,9 +130,9 @@ fn a_thousand_parked_misses_cost_slots_not_threads_and_hits_overtake_them() {
     }
     assert_eq!(os_threads(), before_misses, "a parked miss is not a thread");
 
-    // All three numbers: the origin holds four requests, 740 clients
-    // were hung up on, and the other 256 are still waiting their turn.
-    assert_eq!(parked.load(Ordering::SeqCst), IN_EXCHANGE);
+    // All three numbers: the origin holds all 260 requests, 740 clients
+    // were hung up on, and the other 260 are still waiting.
+    assert_eq!(parked.load(Ordering::SeqCst), OUTSTANDING);
     let mut hung_up = 0;
     let mut waiting = 0;
     for stream in &mut cold {
@@ -145,13 +145,12 @@ fn a_thousand_parked_misses_cost_slots_not_threads_and_hits_overtake_them() {
     }
     assert_eq!(
         (hung_up, waiting),
-        (refused, IN_EXCHANGE + WAIT_LISTED),
+        (refused, OUTSTANDING),
         "refused / still parked"
     );
 
-    // The origin hangs up; each parked fetch fails and takes only its
-    // own client connection with it, the wait-listed ones as their
-    // dials are refused in turn.
+    // The origin hangs up; every parked fetch fails with the connection
+    // and takes only its own client connection with it.
     stop.store(true, Ordering::SeqCst);
     origin.join().unwrap();
     await_until("the parked misses to fail", || proxy.open_conns() == 2);

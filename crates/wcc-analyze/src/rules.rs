@@ -981,7 +981,7 @@ fn worker(&self) {
     #[test]
     fn r5_flags_unbounded_pending_growth_in_wcc_load() {
         let src = r#"
-fn pump(conn: &mut HttpConn) {
+fn collect_replies(conn: &mut HttpConn) {
     let (tx, rx) = mpsc::channel();
     let mut pending = Vec::new();
     loop {

@@ -514,22 +514,22 @@ mod tests {
 
     /// The intended global order (DESIGN.md §12): the pending queue
     /// (rank 10) is the *first* lock the open-loop path takes — every
-    /// serving-stack lock (reactor queues 20/25, proxy state 60, pool
-    /// 75, obs 95) ranks above it. Calling `finish` while any of those
-    /// is held is an inversion the debug rank checker must reject.
+    /// serving-stack lock (reactor mailbox 40, proxy names 55 and state
+    /// 60, obs 90/92/95) ranks above it. Calling `finish` while any of
+    /// those is held is an inversion the debug rank checker must reject.
     #[cfg(debug_assertions)]
     #[test]
     fn finish_under_stack_lock_panics_in_debug() {
         let result = std::thread::spawn(|| {
             let q = PendingQueue::new(4);
-            let stack_lock = wcc_sync::RankedMutex::new(20, "reactor.jobs.inner", ());
+            let stack_lock = wcc_sync::RankedMutex::new(40, "reactor.mailbox.queue", ());
             let _held = stack_lock.lock();
-            q.finish(); // takes load.pending.queue (10) while holding 20
+            q.finish(); // takes load.pending.queue (10) while holding 40
         })
         .join();
         let err = result.expect_err("inverted acquisition must panic in debug builds");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("lock rank inversion"), "got: {msg}");
-        assert!(msg.contains("load.pending.queue") && msg.contains("reactor.jobs.inner"));
+        assert!(msg.contains("load.pending.queue") && msg.contains("reactor.mailbox.queue"));
     }
 }

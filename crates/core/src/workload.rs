@@ -388,6 +388,10 @@ impl WorrellConfig {
 }
 
 /// Generate a synthetic workload, deterministically from `seed`.
+///
+/// The request instants are drawn first and ordered in place, by a set of
+/// one bit per second of the window (`sorted_instants`), with no sorted
+/// copy; then each request's file is drawn in stream order.
 pub fn generate_synthetic(config: &WorrellConfig, seed: u64) -> Workload {
     let master = DetRng::seed_from_u64(seed);
     let mut rng_life = master.derive_stream("lifetimes");
@@ -479,34 +483,20 @@ pub fn generate_synthetic(config: &WorrellConfig, seed: u64) -> Workload {
         }
     };
 
-    let mut times: Vec<u64> = (0..config.requests)
-        .map(|_| start.as_secs() + rng_req.below(end.as_secs() - start.as_secs()))
-        .collect();
-    times.sort_unstable();
-    let requests: Vec<(SimTime, FileId)> = match config.knobs.popularity {
-        PopularityModel::Uniform => times
-            .into_iter()
-            .map(|t| {
-                (
-                    SimTime::from_secs(t),
-                    FileId::from_index(rng_req.below(config.files as u64) as usize),
-                )
-            })
-            .collect(),
+    let mut requests = sorted_instants(&mut rng_req, config.requests, start, end);
+    match config.knobs.popularity {
+        PopularityModel::Uniform => {
+            for (_, file) in &mut requests {
+                *file = FileId::from_index(rng_req.below(config.files as u64) as usize);
+            }
+        }
         PopularityModel::Zipf { exponent, .. } => {
             let zipf = ZipfDist::new(config.files, exponent);
-            times
-                .into_iter()
-                .map(|t| {
-                    let rank = zipf.sample(&mut rng_req);
-                    (
-                        SimTime::from_secs(t),
-                        FileId::from_index(rank_to_file[rank]),
-                    )
-                })
-                .collect()
+            for (_, file) in &mut requests {
+                *file = FileId::from_index(rank_to_file[zipf.sample(&mut rng_req)]);
+            }
         }
-    };
+    }
 
     let workload = Workload {
         name: format!("synthetic({} files)", config.files),
@@ -519,6 +509,50 @@ pub fn generate_synthetic(config: &WorrellConfig, seed: u64) -> Workload {
     };
     debug_assert_eq!(workload.validate(), Ok(()));
     workload
+}
+
+/// `n` instants drawn uniformly from `[start, end)`, one `rng.below` each
+/// in draw order, returned in ascending order with every file id 0.
+///
+/// Each draw sets its second's bit in a set of one bit per second, a draw
+/// that finds its bit already set goes to a short list of repeats, and
+/// only that list is sorted; the instants are then read off the set bits
+/// in order, each followed by its repeats. The result, and `rng`'s state
+/// after it, are those of collecting the draws and sorting them.
+fn sorted_instants(
+    rng: &mut DetRng,
+    n: usize,
+    start: SimTime,
+    end: SimTime,
+) -> Vec<(SimTime, FileId)> {
+    let (start, span) = (start.as_secs(), end.as_secs() - start.as_secs());
+    let at = |offset| (SimTime::from_secs(start + offset), FileId::from_index(0));
+    let mut instants = Vec::with_capacity(n);
+    let mut seen = vec![0u64; span.div_ceil(64) as usize];
+    let mut repeats = Vec::new();
+    for _ in 0..n {
+        let offset = rng.below(span);
+        let (word, bit) = (&mut seen[(offset / 64) as usize], 1u64 << (offset % 64));
+        if *word & bit == 0 {
+            *word |= bit;
+        } else {
+            repeats.push(offset);
+        }
+    }
+    repeats.sort_unstable();
+    let mut repeats = repeats.into_iter().peekable();
+    for (index, &word) in seen.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let offset = index as u64 * 64 + u64::from(bits.trailing_zeros());
+            bits &= bits - 1;
+            instants.push(at(offset));
+            while repeats.next_if_eq(&offset).is_some() {
+                instants.push(at(offset));
+            }
+        }
+    }
+    instants
 }
 
 #[cfg(test)]
@@ -657,6 +691,49 @@ mod tests {
             wl.changes_in_window(),
             CampusProfile::fas().realised_changes()
         );
+    }
+
+    /// What `sorted_instants` replaces: every draw collected, then sorted.
+    fn collected_and_sorted(rng: &mut DetRng, n: usize, start: u64, span: u64) -> Vec<u64> {
+        let mut times: Vec<u64> = (0..n).map(|_| start + rng.below(span)).collect();
+        times.sort_unstable();
+        times
+    }
+
+    proptest::proptest! {
+        /// The bit set against the sort it replaces, instant for instant,
+        /// and the generator's state after it. Spans sit on and beside a
+        /// word's edge, or are drawn up to 10^7 seconds; `n` is 0, 1, or
+        /// drawn up to `4 * span` (capped at 200 000 draws to keep the
+        /// debug build quick). A span of up to 1 000 seconds with `n` up
+        /// to four times it makes most draws repeats.
+        #[test]
+        fn sorted_instants_are_the_collected_draws_sorted(
+            span in proptest::prop_oneof![
+                proptest::strategy::Just(1u64),
+                proptest::strategy::Just(63u64),
+                proptest::strategy::Just(64u64),
+                proptest::strategy::Just(65u64),
+                1u64..=1_000,
+                1u64..=10_000_000,
+            ],
+            n_kind in 0u8..4,
+            n_draw in 0u64..=u64::MAX,
+            start in 0u64..=1 << 40,
+            seed in 0u64..=u64::MAX,
+        ) {
+            let n = match n_kind {
+                0 => 0,
+                1 => 1,
+                _ => (n_draw % ((4 * span).min(200_000) + 1)) as usize,
+            };
+            let (mut by_bits, mut by_sort) = (DetRng::seed_from_u64(seed), DetRng::seed_from_u64(seed));
+            let instants = sorted_instants(&mut by_bits, n, t(start), t(start + span));
+            let times: Vec<u64> = instants.iter().map(|&(at, _)| at.as_secs()).collect();
+            proptest::prop_assert_eq!(times, collected_and_sorted(&mut by_sort, n, start, span));
+            proptest::prop_assert!(instants.iter().all(|&(_, f)| f == FileId::from_index(0)));
+            proptest::prop_assert_eq!(by_bits, by_sort);
+        }
     }
 
     #[test]

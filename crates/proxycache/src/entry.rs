@@ -39,6 +39,9 @@ pub struct EntryMeta {
     pub state: EntryState,
 }
 
+// A 4-aligned `SimTime` leaves `expires` 12 bytes, so the entry is 48, not 56.
+const _: () = assert!(core::mem::size_of::<EntryMeta>() == 48);
+
 impl EntryMeta {
     /// A freshly fetched entry: validated now, valid, no expiry assigned.
     pub fn fresh(size: u64, last_modified: SimTime, now: SimTime) -> Self {

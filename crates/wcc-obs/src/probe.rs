@@ -106,18 +106,19 @@ pub enum ObsEvent {
         /// Client-observed service time in microseconds.
         micros: u64,
     },
-    /// A proxy shard's upstream pool was asked for a connection;
-    /// `depth` is how many requests were queued waiting for one.
+    /// A proxy shard put one exchange on its upstream wire; `depth` is
+    /// how many exchanges were already outstanding there.
     ShardQueue {
         /// Which proxy shard.
         shard: u32,
-        /// Waiters queued on the shard's upstream pool at checkout.
+        /// Length of the shard's FIFO of outstanding exchanges at this
+        /// exchange.
         depth: u32,
     },
-    /// One upstream connection checkout completed.
+    /// One upstream exchange found its wire, or one wire came up.
     Upstream {
-        /// Whether an idle pooled connection was reused (`false` means
-        /// a fresh dial).
+        /// `true`: an exchange rode a wire already open. `false`: a dial
+        /// to the data port completed.
         reused: bool,
     },
     /// A reactor accepted one client connection.

@@ -31,9 +31,10 @@ fn peak_rss_bytes() -> u64 {
 fn generating_a_stream_does_not_sort_a_copy_of_its_instants() {
     // 2 M requests over the paper run's 56 days: the window's bit set is
     // 591 KiB, and about 360 000 draws repeat a second already drawn. That
-    // grows the peak by about 1.14 x the stream; a sorted copy of the
-    // instants by about 1.52 x. The bound sits between the two, so an
-    // allocator that copies a growing repeat list on realloc still passes.
+    // grows the peak by about 1.18 x the 12-byte-a-request stream; a
+    // sorted copy of the instants by about 1.70 x. The bound sits between
+    // the two, so an allocator that copies a growing repeat list on
+    // realloc still passes.
     let config = WorrellConfig::scaled(2085, 2_000_000);
     let stream_bytes = (config.requests * size_of::<(SimTime, FileId)>()) as u64;
 

@@ -180,19 +180,21 @@ impl<'a> Experiment<'a> {
     /// Execute: replay the workload's schedule through the cache.
     pub fn run(mut self) -> RunOutcome {
         // Unobserved, the probe's type is `NoopProbe`, so its records
-        // compile away; an attached probe is one `dyn Probe` instantiation.
+        // compile away, and only invalidation's replay walks the writes;
+        // an attached probe is one `dyn Probe` instantiation.
         let (result, evictions) = match self.probe.take() {
-            Some(probe) => self.replay(probe),
-            None => self.replay(&mut NoopProbe),
+            Some(probe) => self.replay(probe, true),
+            None => self.replay(&mut NoopProbe, false),
         };
         RunOutcome { result, evictions }
     }
 
     /// One monomorphised replay loop per concrete store and probe type.
-    fn replay<P: Probe + ?Sized>(&self, probe: &mut P) -> (RunResult, u64) {
+    fn replay<P: Probe + ?Sized>(&self, probe: &mut P, observed: bool) -> (RunResult, u64) {
+        let (workload, spec, config) = (self.workload, self.spec, &self.config);
         macro_rules! run_in {
             ($store:expr) => {
-                run_with_store_probe(self.workload, self.spec, &self.config, $store, probe)
+                run_with_store_probe(workload, spec, config, $store, probe, observed)
             };
         }
         match self.store {

@@ -452,24 +452,31 @@ pub fn run(workload: &Workload, spec: ProtocolSpec, config: &SimConfig) -> RunRe
 
 /// The replay loop behind [`crate::Experiment::run`]: the workload's
 /// schedule, walked in order. `probe` receives the structured event
-/// stream. The loop is compiled once per store and per probe type: with
-/// [`wcc_obs::NoopProbe`] every record is an empty inlined call and
-/// compiles away, and an attached probe arrives as `dyn Probe`, one
-/// instantiation whatever its concrete type. The work is the same either
-/// way, so golden hashes are bit-identical with or without a probe.
+/// stream; `observed` says whether one is attached. The loop is compiled
+/// once per store and per probe type: with [`wcc_obs::NoopProbe`] every
+/// record is an empty inlined call and compiles away, and an attached
+/// probe arrives as `dyn Probe`, one instantiation whatever its concrete
+/// type. Only invalidation acts on a write, so an unobserved replay of
+/// any other protocol walks its requests alone. The counts are the same
+/// either way, so golden hashes are bit-identical with or without a probe.
 pub(crate) fn run_with_store_probe<S: Store, P: Probe + ?Sized>(
     workload: &Workload,
     spec: ProtocolSpec,
     config: &SimConfig,
     store: S,
     probe: &mut P,
+    observed: bool,
 ) -> (RunResult, u64) {
     let mut cache = SimCache::new(workload, spec, config, store);
     if config.preload {
         cache.preload(probe);
     }
 
-    let mut schedule = workload.schedule();
+    let mut schedule = if observed || cache.uses_invalidation {
+        workload.schedule()
+    } else {
+        workload.request_schedule()
+    };
     while let Some((now, event)) = schedule.next() {
         match event {
             WorkloadEvent::Modify(f) => cache.on_modification(f, now, probe),

@@ -98,11 +98,12 @@ impl Workload {
         Ok(())
     }
 
-    /// The workload's one event order, which every replay follows:
-    /// in-window modifications (`start <= t <= end`) merged with the
-    /// requests by `(instant, modification before request, file)`. A
-    /// request arriving "at" a change sees the new version, matching HTTP
-    /// semantics where the origin answers with its current state.
+    /// The workload's one event order: in-window modifications
+    /// (`start <= t <= end`) merged with the requests by `(instant,
+    /// modification before request, file)`. A request arriving "at" a
+    /// change sees the new version, matching HTTP semantics where the
+    /// origin answers with its current state. A replay that neither acts
+    /// on a write nor observes one walks [`Workload::request_schedule`].
     ///
     /// Both halves are borrowed and nothing is sorted up front. The
     /// modification half comes from the population, which orders its
@@ -117,8 +118,18 @@ impl Workload {
     /// backwards in time, before yielding it: the merge trusts the order,
     /// so nothing downstream would repair it.
     pub(crate) fn schedule(&self) -> Schedule<'_> {
+        let mods = self.population.modifications_in(self.start, self.end);
         Schedule {
-            mods: self.population.modifications_in(self.start, self.end),
+            mods,
+            ..self.request_schedule()
+        }
+    }
+
+    /// [`Workload::schedule`] without the modifications, which it never
+    /// asks the population for: the requests alone, in the same order.
+    pub(crate) fn request_schedule(&self) -> Schedule<'_> {
+        Schedule {
+            mods: &[],
             requests: &self.requests,
             next_mod: 0,
             next_request: 0,
@@ -873,7 +884,8 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The merge against the sort it replaces. Instants span 98..=111
+        /// The merge against the sort it replaces, and the requests
+        /// alone against its requests. Instants span 98..=111
         /// around the `[100, 110]` window, so modifications land on
         /// `start`, on `end` and just outside, and collide with requests
         /// and with each other; requests arrive in time order only.
@@ -913,6 +925,14 @@ mod tests {
                 proptest::prop_assert_eq!(schedule.next(), Some(*event));
             }
             proptest::prop_assert_eq!(schedule.next(), None);
+
+            // Without the writes: the same requests, in the same order.
+            let requests: Vec<_> = expected
+                .into_iter()
+                .filter(|(_, event)| matches!(event, WorkloadEvent::Request(_)))
+                .collect();
+            proptest::prop_assert_eq!(wl.request_schedule().len(), requests.len());
+            proptest::prop_assert_eq!(wl.request_schedule().collect::<Vec<_>>(), requests);
         }
     }
 }

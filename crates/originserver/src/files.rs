@@ -126,9 +126,11 @@ impl FilePopulation {
         Self::default()
     }
 
-    /// Add a file, returning its id.
-    pub fn add(&mut self, record: FileRecord) -> FileId {
+    /// Add a file, returning its id. Its version list is stored at its
+    /// length, without the growth room its pushes left.
+    pub fn add(&mut self, mut record: FileRecord) -> FileId {
         self.modifications.take();
+        record.versions.shrink_to_fit();
         let id = FileId::from_index(self.files.len());
         self.files.push(record);
         id
@@ -178,10 +180,12 @@ impl FilePopulation {
     /// Every modification event across all files as `(instant, file)`
     /// pairs, sorted by instant and then by file (creation events
     /// excluded). This is the modification half of a simulation's event
-    /// stream; it is collected and sorted on the first call only.
+    /// stream; it is collected, at its exact length, and sorted on the
+    /// first call only.
     pub fn modifications(&self) -> &[(SimTime, FileId)] {
         self.modifications.get_or_init(|| {
-            let mut events: Vec<(SimTime, FileId)> = Vec::new();
+            let count = self.files.iter().map(FileRecord::modification_count).sum();
+            let mut events: Vec<(SimTime, FileId)> = Vec::with_capacity(count);
             for (id, rec) in self.iter() {
                 for v in rec.versions().iter().skip(1) {
                     events.push((v.modified_at, id));
@@ -375,6 +379,35 @@ mod tests {
         assert_eq!(copy.modifications().len(), 4);
         assert_eq!(p.modifications(), all);
         assert_eq!(p.all_modifications(), all);
+    }
+
+    /// 37 modifications: a list grown by doubling would hold 64 slots.
+    fn population_of_37_modifications() -> FilePopulation {
+        let mut p = FilePopulation::new();
+        for (i, count) in [0, 5, 11, 2, 19].into_iter().enumerate() {
+            let mut rec = FileRecord::new(format!("/{i}"), t(0), 1);
+            for m in 1..=count {
+                rec.push_modification(t(m * 10 + i as u64), 1);
+            }
+            p.add(rec);
+        }
+        p
+    }
+
+    #[test]
+    fn the_modification_index_is_built_at_its_exact_size() {
+        let p = population_of_37_modifications();
+        assert_eq!(p.modifications().len(), 37);
+        let cached = p.modifications.get().expect("built by the call above");
+        assert_eq!(cached.capacity(), cached.len());
+    }
+
+    #[test]
+    fn an_added_file_keeps_its_versions_at_their_length() {
+        let p = population_of_37_modifications();
+        for (_, rec) in p.iter() {
+            assert_eq!(rec.versions.capacity(), rec.versions.len(), "{}", rec.path);
+        }
     }
 }
 

@@ -135,9 +135,18 @@ fn sweep_output_matches_pinned_golden_hash() {
     // Observation must be passive: re-run the non-sweep legs through the
     // Experiment builder with a live probe attached and re-render. The
     // hash covering those legs has to come out identical, event stream or
-    // not.
-    let mut observed = format!("{:?}", run_base_with(&scale, &hw));
-    let mut probe = wwwcache::wcc_obs::TraceProbe::new(1 << 14);
+    // not. The sweep itself runs unobserved, so one of its legs — the base
+    // simulator's eager Alex at 25 % — is replaced by the same leg probed.
+    let mut probe = TraceProbe::new(1 << 14);
+    let mut base = run_base_with(&scale, &hw);
+    assert_eq!(base.alex.points[1].0, 25.0);
+    base.alex.points[1].1 = Experiment::new(&wl)
+        .protocol(ProtocolSpec::Alex(25))
+        .config(SimConfig::base())
+        .probe(&mut probe)
+        .run()
+        .result;
+    let mut observed = format!("{base:?}");
     observed.push_str(&format!(
         "{:?}",
         pair(
@@ -217,6 +226,43 @@ fn new_policy_runs_match_pinned_golden_hash() {
         fnv1a(rendered.as_bytes()),
         NEW_GOLDEN,
         "new-policy output diverged from its pinned substrate"
+    );
+
+    // The same six legs with a probe attached, which makes every replay
+    // merge the writes in: an unobserved polling replay skips them, and
+    // that must not show in a single count.
+    let mut probe = TraceProbe::new(1 << 14);
+    let mut observe = |spec, store| {
+        Experiment::new(&wl)
+            .protocol(spec)
+            .store(store)
+            .probe(&mut probe)
+            .run()
+    };
+    let mut observed = String::new();
+    for spec in [
+        ProtocolSpec::RenewableTtl(24),
+        ProtocolSpec::RenewableTtl(168),
+        ProtocolSpec::UpdateRisk(1),
+        ProtocolSpec::UpdateRisk(10),
+    ] {
+        let outcome = observe(spec, ExperimentStore::Unbounded);
+        observed.push_str(&format!("{:?}", outcome.result));
+    }
+    for (spec, store) in [
+        (
+            ProtocolSpec::RenewableTtl(24),
+            ExperimentStore::Gds(capacity),
+        ),
+        (ProtocolSpec::UpdateRisk(5), ExperimentStore::Lfu(capacity)),
+    ] {
+        observed.push_str(&format!("{:?}", pair(observe(spec, store))));
+    }
+    assert!(probe.recorded() > 0, "the probe must actually observe");
+    assert_eq!(
+        fnv1a(observed.as_bytes()),
+        NEW_GOLDEN,
+        "attaching a probe perturbed a new-policy run"
     );
 }
 

@@ -39,8 +39,11 @@ fn a_replay_does_not_copy_its_request_stream() {
         out_of_order > 100_000,
         "{out_of_order} ties out of file order"
     );
-    // The population's sorted modification list is built once, lazily,
-    // for every replay; build it before the peak is reset.
+    // The population's sorted modification list is built lazily, by the
+    // first replay that reads it: an invalidation or an observed one, not
+    // this unobserved Alex replay (`polling_replay_memory.rs` pins that).
+    // Build it before the peak is reset, so that this measures the walk
+    // of the request stream whatever reads the list.
     wl.population.modifications();
     let stream_bytes = (wl.requests.len() * size_of::<(SimTime, FileId)>()) as u64;
 

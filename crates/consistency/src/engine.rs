@@ -289,19 +289,19 @@ impl<S: Store> Engine<S> {
         probe.record(now, ObsEvent::PolicyDecision { file, fresh });
 
         // `None` when there is no oracle, or the request raced ahead of
-        // the scripted timeline.
-        let live = || {
-            let record = oracle?.get(file);
-            Some((record, record.version_at(now)?))
-        };
+        // the scripted timeline. A bare version, not the file's view, so
+        // that the view's path is never built.
+        let live = || oracle?.get(file).version_at(now);
         if fresh {
             match live() {
-                Some((record, live)) if live.modified_at != entry.last_modified => {
+                Some(live) if live.modified_at != entry.last_modified => {
                     self.stats.stale_hits += 1;
                     // Severity: how long the served copy has been out of
                     // date (time since the first change it missed).
                     let mut age = SimDuration::ZERO;
-                    if let Some(missed) = record.first_change_after(entry.last_modified) {
+                    let missed =
+                        oracle.and_then(|o| o.get(file).first_change_after(entry.last_modified));
+                    if let Some(missed) = missed {
                         age = now.saturating_since(missed.modified_at);
                         self.stale_age_total = self.stale_age_total.saturating_add(age);
                     }
@@ -320,7 +320,7 @@ impl<S: Store> Engine<S> {
         // Refetch without asking. The policy still learns whether the
         // copy had really changed; with no oracle assume it had — the
         // entry was invalidated, after all.
-        let changed = live().map(|(_, live)| live.modified_at) != Some(entry.last_modified);
+        let changed = live().map(|live| live.modified_at) != Some(entry.last_modified);
         self.policy.on_validation(class, changed);
         probe.record(
             now,

@@ -512,7 +512,7 @@ fn cmd_serve(a: &Flags) -> Result<(), String> {
         let origin = LiveOrigin::spawn(config).expect("bind loopback origin");
 
         // 1) A full GET returns the body with its stamps.
-        let path = wl.population.get(wl.requests[0].1).path.clone();
+        let path = wl.population.get(wl.requests[0].1).path.to_owned();
         let stream = std::net::TcpStream::connect(origin.data_addr()).expect("dial origin");
         let mut conn = HttpConn::new(stream).expect("wrap origin conn");
         conn.write_request(&httpsim::Request::get(path.clone()))
@@ -536,7 +536,7 @@ fn cmd_serve(a: &Flags) -> Result<(), String> {
             .modifications_in(wl.start, wl.end)
             .first()
             .expect("synthetic workload has modifications");
-        let mod_path = wl.population.get(mod_file).path.clone();
+        let mod_path = wl.population.get(mod_file).path.to_owned();
         let control = std::net::TcpStream::connect(origin.control_addr()).expect("dial control");
         let mut writer = control.try_clone().expect("clone control stream");
         let mut reader = BufReader::new(control);

@@ -7,7 +7,7 @@
 //! given as offsets from the scenario start; the builder handles the
 //! pre-history padding, sorting, and validation.
 
-use originserver::{FilePopulation, FileRecord};
+use originserver::FileRecord;
 use simcore::{FileId, SimDuration, SimTime};
 
 use crate::workload::Workload;
@@ -17,7 +17,8 @@ use crate::workload::Workload;
 pub struct ScenarioBuilder {
     name: String,
     duration: SimDuration,
-    population: FilePopulation,
+    /// The files, in id order; collected into a population by `build`.
+    files: Vec<FileRecord>,
     requests: Vec<(SimTime, FileId)>,
     classes: Vec<usize>,
     class_expires: Vec<Option<SimDuration>>,
@@ -33,7 +34,7 @@ impl ScenarioBuilder {
         ScenarioBuilder {
             name: name.into(),
             duration,
-            population: FilePopulation::new(),
+            files: Vec::new(),
             requests: Vec::new(),
             classes: Vec::new(),
             class_expires: Vec::new(),
@@ -62,9 +63,9 @@ impl ScenarioBuilder {
             "pre-scenario age is capped at {PRE_HISTORY}"
         );
         let created = self.start() - age;
-        let id = self.population.add(FileRecord::new(path, created, size));
+        self.files.push(FileRecord::new(path, created, size));
         self.classes.push(class);
-        id
+        FileId::from_index(self.files.len() - 1)
     }
 
     /// Schedule a modification of `file` at `offset` after the start,
@@ -76,9 +77,9 @@ impl ScenarioBuilder {
     pub fn modify(&mut self, file: FileId, offset: SimDuration, size: Option<u64>) -> &mut Self {
         assert!(offset <= self.duration, "modification outside the scenario");
         let at = self.start() + offset;
-        let rec = self.population.get_mut(file);
-        let size =
-            size.unwrap_or_else(|| rec.versions().last().expect("files have a creation").size);
+        let rec = &mut self.files[file.index()];
+        let latest = rec.view().versions().last().expect("files have a creation");
+        let size = size.unwrap_or(latest.size);
         rec.push_modification(at, size);
         self
     }
@@ -156,7 +157,7 @@ impl ScenarioBuilder {
             name: self.name,
             start,
             end: start + self.duration,
-            population: std::sync::Arc::new(self.population),
+            population: std::sync::Arc::new(self.files.into_iter().collect()),
             requests: self.requests,
             classes: self.classes,
             class_expires: self.class_expires,

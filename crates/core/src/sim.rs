@@ -320,7 +320,7 @@ impl<'w, S: Store> SimCache<'w, S> {
             expires: self.origin_expiry(class, now),
             conditional: since.is_some(),
             message_bytes: self.costing.fetch_overhead(
-                &self.server.files().get(file).path,
+                self.server.files().get(file).path,
                 since.map(wall),
                 wall(now),
                 wall(v.modified_at),
@@ -350,7 +350,7 @@ impl<'w, S: Store> SimCache<'w, S> {
                     CondResult::NotModified => Reply::NotModified {
                         expires: self.origin_expiry(class, now),
                         message_bytes: self.costing.validation_exchange(
-                            &self.server.files().get(file).path,
+                            self.server.files().get(file).path,
                             wall(since),
                             wall(now),
                         ),
@@ -384,7 +384,7 @@ impl<'w, S: Store> SimCache<'w, S> {
     pub(crate) fn invalidate(&mut self, file: FileId, now: SimTime) {
         let notice = self
             .costing
-            .invalidation_message(&self.server.files().get(file).path);
+            .invalidation_message(self.server.files().get(file).path);
         self.engine.invalidate(file, now, notice);
     }
 

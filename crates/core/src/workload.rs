@@ -198,7 +198,7 @@ impl Workload {
         let classes = trace
             .population
             .iter()
-            .map(|(_, rec)| FileType::classify_path(&rec.path).class_index())
+            .map(|(_, rec)| FileType::classify_path(rec.path).class_index())
             .collect();
         Workload {
             name: trace.name.clone(),
@@ -431,36 +431,27 @@ pub fn generate_synthetic(config: &WorrellConfig, seed: u64) -> Workload {
         })
         .collect();
 
-    let mut population = FilePopulation::new();
-    for (i, vol) in volatility.iter().enumerate() {
-        // Pre-window age so the Alex protocol sees non-degenerate ages at
-        // the start: volatile files young, stable files old.
-        let pre_age = match vol {
-            Some((min_h, max_h)) => {
-                let life = UniformDist::new(*min_h, *max_h).sample(&mut rng_life);
-                SimDuration::from_secs((life * 3600.0 * rng_life.unit_f64()) as u64 + 1)
-            }
-            None => SimDuration::from_days(30 + rng_life.below(300)),
-        };
-        let mut record = FileRecord::new(
-            format!("/w/f{i}.dat"),
-            start - pre_age,
-            size_dist.sample(&mut rng_size).round() as u64,
-        );
-        if let Some((min_h, max_h)) = vol {
-            let life_dist = UniformDist::new(*min_h, *max_h);
-            let mut t = start.as_secs() as f64
-                + life_dist.sample(&mut rng_life) * 3600.0 * rng_life.unit_f64();
-            let mut last = record.created_at().as_secs();
-            while t < end.as_secs() as f64 {
-                let at = (t as u64).max(last + 1);
-                record.push_modification(
-                    SimTime::from_secs(at),
-                    size_dist.sample(&mut rng_size).round() as u64,
-                );
-                last = at;
-                t += life_dist.sample(&mut rng_life) * 3600.0;
-            }
+    // A history draws on the lifetime stream alone, so a dry run over a
+    // clone of it counts every version: the population's tables are
+    // reserved once, at their exact sizes, and never regrow.
+    let path = |i: usize| format!("/w/f{i}.dat");
+    let mut instants = Vec::new();
+    let mut counting = rng_life.clone();
+    let versions: usize = volatility
+        .iter()
+        .map(|&vol| {
+            draw_history(vol, &mut counting, start, end, &mut instants);
+            instants.len()
+        })
+        .sum();
+    let path_bytes = (0..config.files).map(|i| path(i).len()).sum();
+    let mut population = FilePopulation::with_capacity(config.files, versions, path_bytes);
+    for (i, &vol) in volatility.iter().enumerate() {
+        draw_history(vol, &mut rng_life, start, end, &mut instants);
+        let mut size = || size_dist.sample(&mut rng_size).round() as u64;
+        let mut record = FileRecord::new(path(i), instants[0], size());
+        for &at in &instants[1..] {
+            record.push_modification(at, size());
         }
         population.add(record);
     }
@@ -520,6 +511,37 @@ pub fn generate_synthetic(config: &WorrellConfig, seed: u64) -> Workload {
     };
     debug_assert_eq!(workload.validate(), Ok(()));
     workload
+}
+
+/// One synthetic file's version instants into `instants`, creation
+/// first, drawn from the lifetime stream alone. A volatile file (`vol`
+/// holds its lifetime bounds, hours) is young at `start` and changes once
+/// a lifetime until `end`; a stable one is 30-330 days old and never
+/// changes — so the Alex protocol sees non-degenerate ages from the start.
+fn draw_history(
+    vol: Option<(f64, f64)>,
+    rng_life: &mut DetRng,
+    start: SimTime,
+    end: SimTime,
+    instants: &mut Vec<SimTime>,
+) {
+    instants.clear();
+    let Some((min_h, max_h)) = vol else {
+        instants.push(start - SimDuration::from_days(30 + rng_life.below(300)));
+        return;
+    };
+    let life_dist = UniformDist::new(min_h, max_h);
+    let life = life_dist.sample(rng_life);
+    let mut last = (start
+        - SimDuration::from_secs((life * 3600.0 * rng_life.unit_f64()) as u64 + 1))
+    .as_secs();
+    instants.push(SimTime::from_secs(last));
+    let mut t = start.as_secs() as f64 + life_dist.sample(rng_life) * 3600.0 * rng_life.unit_f64();
+    while t < end.as_secs() as f64 {
+        last = (t as u64).max(last + 1);
+        instants.push(SimTime::from_secs(last));
+        t += life_dist.sample(rng_life) * 3600.0;
+    }
 }
 
 /// `n` instants drawn uniformly from `[start, end)`, one `rng.below` each

@@ -361,7 +361,7 @@ impl LiveOrigin {
             if targets.is_empty() {
                 continue;
             }
-            let path = &self.shared.population.get(file).path;
+            let path = self.shared.population.get(file).path;
             let line = ControlMsg::Invalidate(path).encode();
             let acked = self.reactor.publish(line, targets);
             // Holding `mods` (the root rank) across the invalidation
@@ -437,8 +437,9 @@ mod tests {
     fn small_origin() -> (LiveOrigin, LiveClock) {
         let mut pop = FilePopulation::new();
         pop.add(FileRecord::new("/a.html", t(0), 100));
-        let b = pop.add(FileRecord::new("/b.html", t(0), 50));
-        pop.get_mut(b).push_modification(t(1000), 60);
+        let mut b = FileRecord::new("/b.html", t(0), 50);
+        b.push_modification(t(1000), 60);
+        pop.add(b);
         let clock = LiveClock::virtual_at(t(10));
         let origin = LiveOrigin::spawn(OriginConfig::new(Arc::new(pop), clock.clone())).unwrap();
         (origin, clock)
@@ -563,8 +564,9 @@ mod tests {
     #[test]
     fn a_nack_releases_the_publisher_and_retracts_its_notice() {
         let mut pop = FilePopulation::new();
-        let b = pop.add(FileRecord::new("/b.html", t(0), 50));
-        pop.get_mut(b).push_modification(t(1000), 60);
+        let mut b = FileRecord::new("/b.html", t(0), 50);
+        b.push_modification(t(1000), 60);
+        pop.add(b);
         let mut config = OriginConfig::new(Arc::new(pop), LiveClock::virtual_at(t(10)));
         let probe = ProbeHandle::buffered(64);
         config.probe = probe.clone();
@@ -712,8 +714,9 @@ mod tests {
     fn control_peers_on_two_reactors_all_hold_the_notice_and_the_publisher_waits_for_both() {
         let mut pop = FilePopulation::new();
         pop.add(FileRecord::new("/a.html", t(0), 100));
-        let b = pop.add(FileRecord::new("/b.html", t(0), 50));
-        pop.get_mut(b).push_modification(t(1000), 60);
+        let mut b_rec = FileRecord::new("/b.html", t(0), 50);
+        b_rec.push_modification(t(1000), 60);
+        let b = pop.add(b_rec);
         let (probe, accepted) = Accepts::probe();
         let mut config = OriginConfig::new(Arc::new(pop), LiveClock::virtual_at(t(10)));
         config.reactor_threads = 2;

@@ -663,8 +663,8 @@ impl LiveProxy {
         if let Some(gt) = config.ground_truth.as_ref() {
             for (id, rec) in gt.iter() {
                 debug_assert_eq!(id.index(), static_names.paths.len());
-                static_names.by_path.insert(rec.path.clone(), id);
-                static_names.paths.push(rec.path.clone());
+                static_names.by_path.insert(rec.path.to_owned(), id);
+                static_names.paths.push(rec.path.to_owned());
             }
         }
 

@@ -269,9 +269,9 @@ mod tests {
     fn live_stack_spawns_and_shuts_down_cleanly() {
         let mut pop = FilePopulation::new();
         pop.add(FileRecord::new("/a.html", SimTime::ZERO, 400));
-        let b = pop.add(FileRecord::new("/b.html", SimTime::ZERO, 900));
-        pop.get_mut(b)
-            .push_modification(SimTime::from_secs(500), 950);
+        let mut b = FileRecord::new("/b.html", SimTime::ZERO, 900);
+        b.push_modification(SimTime::from_secs(500), 950);
+        pop.add(b);
         let spec = StackSpec {
             population: Arc::new(pop),
             classes: vec![0, 0],

@@ -17,6 +17,6 @@ mod files;
 mod retry;
 mod server;
 
-pub use files::{FilePopulation, FileRecord, Version};
+pub use files::{FilePopulation, FileRecord, FileView, Version};
 pub use retry::{DeliveryReport, RetryQueue};
 pub use server::{CondResult, OriginServer};

@@ -129,7 +129,7 @@ fn client(
         }
         stack.advance_to(t);
         let sent = Instant::now();
-        tally.bytes += conn.get_ok(&spec.population.get(file).path)?;
+        tally.bytes += conn.get_ok(spec.population.get(file).path)?;
         match u64::try_from(sent.elapsed().as_nanos()) {
             Ok(elapsed_ns) => {
                 tally.latency.record_ns(elapsed_ns);
@@ -238,8 +238,9 @@ mod tests {
     fn tiny_workload() -> (StackSpec, Vec<(SimTime, FileId)>) {
         let mut pop = FilePopulation::new();
         let a = pop.add(FileRecord::new("/a.html", t(0), 400));
-        let b = pop.add(FileRecord::new("/b.html", t(0), 900));
-        pop.get_mut(b).push_modification(t(500), 950);
+        let mut b_rec = FileRecord::new("/b.html", t(0), 900);
+        b_rec.push_modification(t(500), 950);
+        let b = pop.add(b_rec);
         let requests = vec![
             (t(10), a),
             (t(20), b),

@@ -346,7 +346,7 @@ fn drain_shots(
             tally.errors += 1;
             continue;
         }
-        let path = &spec.population.get(item.shot.file).path;
+        let path = spec.population.get(item.shot.file).path;
         let outcome = (|| -> io::Result<u64> {
             let c = match conn.as_mut() {
                 Some(c) => c,

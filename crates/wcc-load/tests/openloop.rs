@@ -22,8 +22,9 @@ fn tiny_spec() -> StackSpec {
     let mut pop = FilePopulation::new();
     pop.add(FileRecord::new("/a.html", t(0), 500));
     pop.add(FileRecord::new("/b.gif", t(0), 2_000));
-    let c = pop.add(FileRecord::new("/c.html", t(0), 800));
-    pop.get_mut(c).push_modification(t(600), 850);
+    let mut c = FileRecord::new("/c.html", t(0), 800);
+    c.push_modification(t(600), 850);
+    pop.add(c);
     StackSpec {
         population: Arc::new(pop),
         classes: vec![0, 0, 0],

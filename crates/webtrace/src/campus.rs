@@ -284,6 +284,12 @@ pub fn generate_campus_trace(profile: &CampusProfile, seed: u64) -> CampusTrace 
         // Bimodal change timing: all of a file's changes land in one burst
         // window — short for very-mutable files, wider for the rest.
         if file_changes > 0 {
+            let seconds = profile.duration.as_secs() + 1;
+            assert!(
+                file_changes as u64 <= seconds,
+                "change allocation stuck: file {rank} needs {file_changes} distinct seconds, \
+                 the trace has {seconds}"
+            );
             let burst_frac = if file_changes >= VERY_MUTABLE_MIN_CHANGES {
                 0.5
             } else {
@@ -297,15 +303,25 @@ pub fn generate_campus_trace(profile: &CampusProfile, seed: u64) -> CampusTrace 
                 .map(|_| burst_start.as_secs() + rng_mods.below(burst_len.as_secs().max(1)))
                 .collect();
             times.sort_unstable();
-            // Enforce strict monotonicity at one-second resolution.
+            // Enforce strict monotonicity at one-second resolution...
             for i in 1..times.len() {
                 if times[i] <= times[i - 1] {
                     times[i] = times[i - 1] + 1;
                 }
             }
+            // ...inside the window: a tail pushed past `end` is re-packed
+            // backwards from it, one second apart.
+            let mut ceiling = end.as_secs() + 1;
+            for tm in times.iter_mut().rev() {
+                if *tm < ceiling {
+                    break;
+                }
+                ceiling -= 1;
+                *tm = ceiling;
+            }
             for tm in times {
                 record.push_modification(
-                    SimTime::from_secs(tm.min(end.as_secs())),
+                    SimTime::from_secs(tm),
                     sample_size(file_type, &mut rng_size),
                 );
             }
@@ -388,6 +404,47 @@ fn sample_size(file_type: FileType, rng: &mut DetRng) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One file with 40 changes to place in a 60 s trace: its burst has
+    /// 30 seconds, so de-duplicating pushes the tail past the end.
+    fn tiny_profile(duration_secs: u64) -> CampusProfile {
+        CampusProfile {
+            name: "TINY",
+            files: 10,
+            requests: 100,
+            remote_fraction: 0.5,
+            total_changes: 40,
+            mutable_fraction: 0.1,
+            very_mutable_fraction: 0.1,
+            duration: SimDuration::from_secs(duration_secs),
+            zipf_exponent: 1.0,
+        }
+    }
+
+    #[test]
+    fn a_burst_with_more_changes_than_seconds_is_packed_inside_the_trace() {
+        let campus = generate_campus_trace(&tiny_profile(60), 1);
+        let trace = &campus.trace;
+        trace.validate().unwrap();
+        let (_, busy) = trace
+            .population
+            .iter()
+            .max_by_key(|(_, f)| f.modification_count())
+            .unwrap();
+        assert_eq!(busy.modification_count(), 40);
+        let changes = &busy.versions()[1..];
+        assert!(changes
+            .windows(2)
+            .all(|w| w[0].modified_at < w[1].modified_at));
+        assert!(changes[0].modified_at >= trace.start);
+        assert_eq!(changes[39].modified_at, trace.end());
+    }
+
+    #[test]
+    #[should_panic(expected = "change allocation stuck")]
+    fn a_file_needing_more_seconds_than_the_trace_has_is_rejected() {
+        generate_campus_trace(&tiny_profile(30), 1);
+    }
 
     #[test]
     fn profiles_match_table1_constants() {

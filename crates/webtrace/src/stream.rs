@@ -46,7 +46,7 @@ use crate::bu::STUDY_DAYS;
 use crate::campus::CampusProfile;
 use crate::microsoft::MicrosoftProfile;
 use crate::record::{LogLine, LogParseError};
-use crate::trace::TraceRequest;
+use crate::trace::{observe, TraceRequest};
 use crate::types::FileType;
 
 /// Everything a replay driver needs *besides* the request stream: the
@@ -205,7 +205,7 @@ pub fn synthetic_stream(config: &SyntheticStreamConfig) -> (StreamMeta, Syntheti
     let first_mutable = n - mutable;
 
     let type_table = AliasTable::new(&config.type_shares);
-    let mut population = FilePopulation::new();
+    let mut records = Vec::with_capacity(n);
     let mut classes = Vec::with_capacity(n);
     for rank in 0..n {
         let file_type = FileType::ALL[type_table.sample(&mut rng_assign)];
@@ -214,13 +214,12 @@ pub fn synthetic_stream(config: &SyntheticStreamConfig) -> (StreamMeta, Syntheti
             .sample(&mut rng_assign)
             .clamp(0.05, 360.0);
         let created = start - SimDuration::from_secs((age_days * 86_400.0).round() as u64);
-        let record = FileRecord::new(
+        records.push(FileRecord::new(
             format!("/{}/f{rank}.{}", config.name, file_type.extension()),
             created,
             size,
-        );
+        ));
         classes.push(file_type.class_index());
-        population.add(record);
     }
 
     // Spread the change budget over the mutable tail, round-robin, with
@@ -246,13 +245,10 @@ pub fn synthetic_stream(config: &SyntheticStreamConfig) -> (StreamMeta, Syntheti
                     times[i] = times[i - 1] + 1;
                 }
             }
-            let id = FileId::from_index(rank);
             let file_type = FileType::from_class_index(classes[rank]);
             for t in times {
                 let size = sample_size(file_type, &mut rng_mods);
-                population
-                    .get_mut(id)
-                    .push_modification(SimTime::from_secs(t), size);
+                records[rank].push_modification(SimTime::from_secs(t), size);
             }
         }
     }
@@ -261,7 +257,7 @@ pub fn synthetic_stream(config: &SyntheticStreamConfig) -> (StreamMeta, Syntheti
         name: config.name.clone(),
         start,
         end,
-        population: Arc::new(population),
+        population: Arc::new(records.into_iter().collect()),
         classes,
         requests: config.requests,
     };
@@ -344,7 +340,7 @@ impl Iterator for SyntheticRequestStream {
 pub fn clf_population(
     reader: impl BufRead,
 ) -> Result<(FilePopulation, HashMap<String, FileId>), ClfStreamError> {
-    let mut population = FilePopulation::new();
+    let mut records: Vec<FileRecord> = Vec::new();
     let mut by_path: HashMap<String, FileId> = HashMap::new();
     for line in reader.lines() {
         let line = line.map_err(ClfStreamError::Io)?;
@@ -352,29 +348,15 @@ pub fn clf_population(
             continue;
         }
         let parsed = LogLine::parse(&line).map_err(ClfStreamError::Parse)?;
-        match by_path.get(&parsed.path) {
-            Some(&id) => {
-                let rec = population.get_mut(id);
-                let latest = rec
-                    .versions()
-                    .last()
-                    .expect("records always have a version")
-                    .modified_at;
-                if parsed.last_modified > latest {
-                    rec.push_modification(parsed.last_modified, parsed.size);
-                }
-            }
-            None => {
-                let id = population.add(FileRecord::new(
-                    parsed.path.clone(),
-                    parsed.last_modified,
-                    parsed.size,
-                ));
-                by_path.insert(parsed.path, id);
-            }
-        }
+        observe(
+            &mut records,
+            &mut by_path,
+            parsed.path,
+            parsed.last_modified,
+            parsed.size,
+        );
     }
-    Ok((population, by_path))
+    Ok((records.into_iter().collect(), by_path))
 }
 
 /// Why a CLF stream stopped early.

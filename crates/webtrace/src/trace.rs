@@ -9,6 +9,8 @@
 //! reconstructs the observable history from a log, which is what the
 //! Table 1 analyzers operate on.
 
+use std::collections::HashMap;
+
 use originserver::{FilePopulation, FileRecord};
 use simcore::{ClientId, FileId, SimDuration, SimTime};
 
@@ -87,7 +89,7 @@ impl ServerTrace {
                     time: r.time,
                     client: r.client,
                     remote: r.remote,
-                    path: rec.path.clone(),
+                    path: rec.path.to_owned(),
                     size: v.size,
                     last_modified: v.modified_at,
                 }
@@ -103,37 +105,20 @@ impl ServerTrace {
     /// campus servers recorded.
     pub fn from_log(name: impl Into<String>, text: &str) -> Result<ServerTrace, LogParseError> {
         let lines = LogLine::parse_log(text)?;
-        let mut population = FilePopulation::new();
-        let mut by_path: std::collections::HashMap<String, FileId> =
-            std::collections::HashMap::new();
+        let mut records = Vec::new();
+        let mut by_path = HashMap::new();
         let mut requests = Vec::with_capacity(lines.len());
         let (mut lo, mut hi) = (SimTime::MAX, SimTime::ZERO);
         for line in &lines {
             lo = lo.min(line.time);
             hi = hi.max(line.time);
-            let file = match by_path.get(&line.path) {
-                Some(&id) => {
-                    let rec = population.get_mut(id);
-                    let latest = rec
-                        .versions()
-                        .last()
-                        .expect("records always have a version")
-                        .modified_at;
-                    if line.last_modified > latest {
-                        rec.push_modification(line.last_modified, line.size);
-                    }
-                    id
-                }
-                None => {
-                    let id = population.add(FileRecord::new(
-                        line.path.clone(),
-                        line.last_modified,
-                        line.size,
-                    ));
-                    by_path.insert(line.path.clone(), id);
-                    id
-                }
-            };
+            let file = observe(
+                &mut records,
+                &mut by_path,
+                line.path.clone(),
+                line.last_modified,
+                line.size,
+            );
             requests.push(TraceRequest {
                 time: line.time,
                 client: line.client,
@@ -150,7 +135,7 @@ impl ServerTrace {
             name: name.into(),
             start,
             duration,
-            population,
+            population: records.into_iter().collect(),
             requests,
         })
     }
@@ -169,6 +154,35 @@ impl ServerTrace {
     }
 }
 
+/// Record one log line in the histories being recovered from a log: a
+/// path seen first is a new file, created at the `last_modified` served;
+/// a known path served with a newer `last_modified` than its latest
+/// version has been modified. Returns the file's id.
+pub(crate) fn observe(
+    records: &mut Vec<FileRecord>,
+    by_path: &mut HashMap<String, FileId>,
+    path: String,
+    last_modified: SimTime,
+    size: u64,
+) -> FileId {
+    if let Some(&id) = by_path.get(&path) {
+        let rec = &mut records[id.index()];
+        let latest = rec
+            .view()
+            .versions()
+            .last()
+            .expect("a record has a version");
+        if last_modified > latest.modified_at {
+            rec.push_modification(last_modified, size);
+        }
+        return id;
+    }
+    let id = FileId::from_index(records.len());
+    by_path.insert(path.clone(), id);
+    records.push(FileRecord::new(path, last_modified, size));
+    id
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,10 +192,19 @@ mod tests {
     }
 
     fn sample_trace() -> ServerTrace {
-        let mut population = FilePopulation::new();
-        let a = population.add(FileRecord::new("/a.html", t(0), 100));
-        let b = population.add(FileRecord::new("/b.gif", t(0), 2000));
-        population.get_mut(a).push_modification(t(5000), 120);
+        sample_trace_where_b_changes_at(&[])
+    }
+
+    /// The sample trace, with `/b.gif` also changed at each of `at`.
+    fn sample_trace_where_b_changes_at(at: &[u64]) -> ServerTrace {
+        let mut a = FileRecord::new("/a.html", t(0), 100);
+        a.push_modification(t(5000), 120);
+        let mut b = FileRecord::new("/b.gif", t(0), 2000);
+        for &m in at {
+            b.push_modification(t(m), 1);
+        }
+        let population: FilePopulation = [a, b].into_iter().collect();
+        let (a, b) = (FileId(0), FileId(1));
         let requests = vec![
             TraceRequest {
                 time: t(1000),
@@ -270,9 +293,7 @@ mod tests {
     fn from_log_misses_unserved_modifications() {
         // A modification that no request ever observes is invisible in the
         // log — the information loss the paper's methodology lives with.
-        let mut tr = sample_trace();
-        let b = tr.requests[1].file;
-        tr.population.get_mut(b).push_modification(t(9000), 1);
+        let tr = sample_trace_where_b_changes_at(&[9000]);
         let rebuilt = ServerTrace::from_log("TEST", &tr.to_log()).unwrap();
         let b2 = rebuilt
             .population

@@ -183,7 +183,7 @@ fn ledger_and_residents(workload: &Workload, capacity: u64) -> (usize, usize) {
     let mut conn = HttpConn::new(TcpStream::connect(stack.proxy_addr()).unwrap()).unwrap();
     for &(at, file) in &live.requests {
         stack.advance_to(at);
-        conn.get_ok(&live.population.get(file).path).unwrap();
+        conn.get_ok(live.population.get(file).path).unwrap();
     }
     stack.advance_to(live.end);
     // The proxy's last `UNSUBSCRIBE`s leave at its next idle tick: wait,

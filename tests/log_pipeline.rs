@@ -62,11 +62,11 @@ fn log_view_file_set_is_the_requested_subset() {
         .trace
         .requests
         .iter()
-        .map(|r| campus.trace.population.get(r.file).path.as_str())
+        .map(|r| campus.trace.population.get(r.file).path)
         .collect();
     let rebuilt = ServerTrace::from_log("DAS", &campus.trace.to_log()).expect("parses");
     assert_eq!(rebuilt.population.len(), requested.len());
     for (_, rec) in rebuilt.population.iter() {
-        assert!(requested.contains(rec.path.as_str()), "{}", rec.path);
+        assert!(requested.contains(rec.path), "{}", rec.path);
     }
 }

@@ -108,12 +108,10 @@ pub const DEFAULT_MAX_CONNS: usize = 16 * 1024;
 /// lock order, held across a full invalidation round-trip so events are
 /// published strictly in schedule order (audited r8 allowance in
 /// [`LiveOrigin::advance_to`]); the reactor's mailbox is taken under it.
-// wcc-lock-rank: origin.mods 30
 const MODS_RANK: u32 = 30;
 
 /// Rank of the accounting [`OriginServer`]; only ever held for
 /// in-memory bookkeeping.
-// wcc-lock-rank: origin.server 35
 const SERVER_RANK: u32 = 35;
 
 #[derive(Debug)]

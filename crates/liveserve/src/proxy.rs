@@ -85,12 +85,10 @@ use crate::upstream::Upstream;
 
 /// Rank of the dynamic path⇄id table: taken before any shard state lock
 /// (`resolve` runs at request entry with nothing else held).
-// wcc-lock-rank: proxy.dynamic_names 55
 const DYNAMIC_NAMES_RANK: u32 = 55;
 
 /// Rank of a shard's cache-state mutex, below only the probe leaf (95).
 /// Reactor threads take it with nothing else held.
-// wcc-lock-rank: proxy.state 60
 const STATE_RANK: u32 = 60;
 
 /// The shard owning `file`: a pure function of the id and the shard

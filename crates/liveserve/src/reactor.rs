@@ -106,7 +106,6 @@ const SCRATCH: usize = 64 * 1024;
 /// Reactor threads push with no lock held, the origin's publisher while
 /// holding its schedule (`origin.mods`), and the owner drains it with a
 /// `mem::take` under the guard.
-// wcc-lock-rank: reactor.mailbox.queue 40
 const MAILBOX_RANK: u32 = 40;
 
 /// What one readiness notification said of a socket. An error or a

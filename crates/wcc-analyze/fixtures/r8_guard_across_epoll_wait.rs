@@ -19,7 +19,7 @@ impl Epoll {
 fn wait_with_completion_guard(ep: &Epoll, completions: &Mutex<Vec<u32>>) {
     let mut events: Vec<EpollEvent> = Vec::new();
     let queue = completions.lock().unwrap();
-    let n = ep.epoll_wait(&mut events, 25); //~ r3
+    let n = ep.epoll_wait(&mut events, 25); //~ r8
     drop(queue);
     let _ = n;
 }
@@ -28,7 +28,7 @@ fn wait_inside_live_guard_range(ep: &Epoll, state: &Mutex<u32>) {
     let mut events: Vec<EpollEvent> = Vec::new();
     let guard = state.lock().unwrap();
     let snapshot = *guard;
-    ep.epoll_wait(&mut events, 25); //~ r3
+    ep.epoll_wait(&mut events, 25); //~ r8
     let _ = (snapshot, guard);
 }
 

@@ -8,7 +8,7 @@ use std::sync::Mutex;
 
 fn hold_lock_across_io(m: &Mutex<u32>, s: &mut TcpStream) {
     let guard = m.lock().unwrap();
-    s.write_all(b"payload").unwrap(); //~ r3
+    s.write_all(b"payload").unwrap(); //~ r8
     drop(guard);
     s.flush().unwrap(); // fine: guard dropped above
 }

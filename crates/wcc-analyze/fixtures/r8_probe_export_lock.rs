@@ -14,9 +14,9 @@ struct SharedTrace {
 fn export_under_ring_lock(trace: &SharedTrace, sink: &mut dyn Write) {
     let ring = trace.ring.lock().unwrap();
     for line in ring.iter() {
-        sink.write_all(line.as_bytes()).unwrap(); //~ r3
+        sink.write_all(line.as_bytes()).unwrap(); //~ r8
     }
-    sink.flush().unwrap(); //~ r3
+    sink.flush().unwrap(); //~ r8
 }
 
 fn snapshot_then_export(trace: &SharedTrace, sink: &mut dyn Write) {

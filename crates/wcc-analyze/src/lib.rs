@@ -7,19 +7,13 @@
 //! * **r1 no-wall-clock** — simulation crates never read real time;
 //! * **r2 no-unordered-iter** — report-writing files never iterate
 //!   `HashMap`/`HashSet` (order nondeterminism corrupts golden hashes);
-//! * **r3 no-lock-across-io** — `liveserve` never holds a state mutex
-//!   across socket IO;
 //! * **r4 no-panic-in-server-path** — connection handling returns
 //!   errors instead of panicking;
 //! * **r5 bounded-channel-or-comment** — queues and server-loop
 //!   collections are bounded or carry a justified suppression;
-//! * **r6 lock-order-cycle** — lock acquisition order is acyclic and
-//!   follows the declared `wcc-lock-rank` table (see DESIGN.md §12);
-//! * **r7 condvar-discipline** — condvar waits loop on their predicate
-//!   and notifies run under the paired guard;
-//! * **r8 guard-across-blocking** — no guard is live across queue
-//!   offers, channel sends, pool checkouts, or thread joins, and the
-//!   files that run on reactor threads make no blocking call at all.
+//! * **r8 guard-across-blocking** — no guard is live across socket IO,
+//!   queue offers, channel sends or receives, or thread joins, and the
+//!   files that run on reactor threads make no blocking call at all;
 //! * **r9 decision-written-once** — only `consistency::Engine` calls
 //!   `Policy::{decide, on_validation, on_fetch}`; every driver goes
 //!   through the engine.
@@ -440,7 +434,7 @@ mod tests {
         assert!(j1.contains("\"unsuppressed\":1"));
         assert!(j1.contains("\"rule\":\"r1\""));
         // The rules manifest and per-rule counts ride along.
-        assert!(j1.contains("\"id\":\"r6\",\"name\":\"lock-order-cycle\""));
+        assert!(j1.contains("\"id\":\"r8\",\"name\":\"guard-across-blocking\""));
         assert!(j1.contains("\"by_rule\":{\"r1\":1,\"r2\":0"));
         assert_eq!(quote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }

@@ -10,24 +10,22 @@
 //! |----|---------------------------|-------|
 //! | r1 | no-wall-clock             | every crate; `liveserve/clock.rs` + `wcc-load/{closed,driver,soak}.rs` allowlisted |
 //! | r2 | no-unordered-iter         | files that write reports/stats |
-//! | r3 | no-lock-across-io         | `liveserve`, `wcc-obs`, `wcc-load` |
 //! | r4 | no-panic-in-server-path   | `liveserve::{origin,proxy,netio,control,upstream,...}`, `wcc-load::{closed,driver,replay}` |
 //! | r5 | bounded-channel-or-comment| `liveserve`, `wcc-load` |
-//! | r6 | lock-order-cycle          | `liveserve`, `wcc-obs`, `wcc-load` (workspace-wide graph; see [`crate::concurrency`]) |
-//! | r7 | condvar-discipline        | `liveserve`, `wcc-obs`, `wcc-load` |
-//! | r8 | guard-across-blocking     | `liveserve`, `wcc-obs`, `wcc-load`; any blocking call at all in `liveserve/{reactor,conn,proxy,upstream,control,origin}.rs` |
+//! | r8 | guard-across-blocking     | `liveserve`, `wcc-obs`, `wcc-load` (socket IO included; one call deep, see [`crate::concurrency`]); any blocking call at all in `liveserve/{reactor,conn,proxy,upstream,control,origin}.rs` |
 //! | r9 | decision-written-once     | everything outside `crates/consistency` except the repo benchmark (`bench/`) |
 //!
 //! Suppression: `// wcc-allow: <rule>[,<rule>] <reason>` on the finding
 //! line or the line above. The reason is mandatory; a reasonless or
-//! unknown-rule directive is itself a finding (id `allow`).
+//! unknown-rule directive is itself a finding (id `allow`). Ids are
+//! stable: a retired rule's id is not reused, so the list has gaps.
 
-use crate::scan::{FileCtx, FnSpan};
+use crate::scan::FileCtx;
 
 /// One reported issue, before/after suppression resolution.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule id (`r1`..`r9`, or `allow` for malformed directives).
+    /// Rule id (one of [`RULES`]; `allow` for malformed directives).
     pub rule: &'static str,
     /// Human rule name.
     pub name: &'static str,
@@ -41,13 +39,10 @@ pub struct Finding {
     pub suppressed: Option<String>,
 }
 
-/// All rule ids the suppression syntax accepts.
-pub const RULE_IDS: [&str; 9] = ["r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9"];
-
 /// Static metadata for one rule: drives the JSON rules manifest and
 /// the `--explain` subcommand.
 pub struct RuleInfo {
-    /// Rule id (`r1`..`r9`, `allow`).
+    /// Rule id (`r1`, `r2`, ..., `allow`).
     pub id: &'static str,
     /// Human rule name.
     pub name: &'static str,
@@ -58,8 +53,9 @@ pub struct RuleInfo {
 }
 
 /// The full rule manifest, in id order. `allow` is last: it reports
-/// malformed suppression directives rather than code defects.
-pub const RULES: [RuleInfo; 10] = [
+/// malformed suppression directives rather than code defects, and is
+/// the one id a `wcc-allow` cannot name.
+pub const RULES: [RuleInfo; 7] = [
     RuleInfo {
         id: "r1",
         name: "no-wall-clock",
@@ -73,13 +69,6 @@ pub const RULES: [RuleInfo; 10] = [
         summary: "report-writing files must not iterate HashMap/HashSet — unspecified \
                   order corrupts golden-hash comparisons run-to-run",
         example: "for (k, v) in self.counts.iter() { println!(\"{k} {v}\"); }",
-    },
-    RuleInfo {
-        id: "r3",
-        name: "no-lock-across-io",
-        summary: "state mutexes are never held across socket IO, or one slow peer \
-                  stalls every worker contending for the lock",
-        example: "let st = self.state.lock(); self.conn.write_all(&buf)?;",
     },
     RuleInfo {
         id: "r4",
@@ -96,26 +85,12 @@ pub const RULES: [RuleInfo; 10] = [
         example: "let (tx, rx) = mpsc::channel(); // unbounded",
     },
     RuleInfo {
-        id: "r6",
-        name: "lock-order-cycle",
-        summary: "lock acquisition order must be acyclic and must follow the declared \
-                  wcc-lock-rank table — ranks strictly increase along every chain",
-        example: "let hi = self.high.lock(); let lo = self.low.lock(); // rank inversion",
-    },
-    RuleInfo {
-        id: "r7",
-        name: "condvar-discipline",
-        summary: "condvar waits sit in a predicate loop, wait_timeout results are \
-                  checked, and notify runs under the paired guard (no lost wakeups)",
-        example: "{ let mut g = self.inner.lock(); *g = true; } self.cond.notify_all();",
-    },
-    RuleInfo {
         id: "r8",
         name: "guard-across-blocking",
-        summary: "no mutex guard is live across a queue offer, channel send, pool \
-                  checkout, or thread join — blocking under a lock stalls the stack; on \
-                  the reactor path no call blocks at all",
-        example: "let st = self.state.lock(); self.tx.send(job)?;",
+        summary: "no mutex guard is live across socket IO, a queue offer, a channel \
+                  send or receive, or a thread join — blocking under a lock stalls every \
+                  thread contending for it; on the reactor path no call blocks at all",
+        example: "let st = self.state.lock(); self.conn.write_all(&buf)?;",
     },
     RuleInfo {
         id: "r9",
@@ -139,7 +114,6 @@ pub fn run_all(ctx: &FileCtx) -> Vec<Finding> {
     let mut raw: Vec<(&'static str, &'static str, u32, String)> = Vec::new();
     r1_no_wall_clock(ctx, &mut raw);
     r2_no_unordered_iter(ctx, &mut raw);
-    r3_no_lock_across_io(ctx, &mut raw);
     r4_no_panic_in_server_path(ctx, &mut raw);
     r5_bounded_channel_or_comment(ctx, &mut raw);
     r9_decision_written_once(ctx, &mut raw);
@@ -158,6 +132,11 @@ pub fn run_all(ctx: &FileCtx) -> Vec<Finding> {
 
     // Malformed directives are findings in their own right and cannot
     // themselves be suppressed.
+    let known: Vec<&str> = RULES
+        .iter()
+        .map(|k| k.id)
+        .filter(|&id| id != "allow")
+        .collect();
     for s in &ctx.suppressions {
         if s.reason.is_empty() {
             findings.push(Finding {
@@ -172,13 +151,16 @@ pub fn run_all(ctx: &FileCtx) -> Vec<Finding> {
             });
         }
         for r in &s.rules {
-            if !RULE_IDS.contains(&r.as_str()) {
+            if !known.contains(&r.as_str()) {
                 findings.push(Finding {
                     rule: "allow",
                     name: "suppression-hygiene",
                     file: ctx.rel_path.clone(),
                     line: s.line,
-                    message: format!("wcc-allow names unknown rule `{r}` (known: r1..r9)"),
+                    message: format!(
+                        "wcc-allow names unknown rule `{r}` (known: {})",
+                        known.join(", ")
+                    ),
                     suppressed: None,
                 });
             }
@@ -190,7 +172,7 @@ pub fn run_all(ctx: &FileCtx) -> Vec<Finding> {
 }
 
 /// Is token `i` an identifier immediately followed by `(`?
-fn is_call(ctx: &FileCtx, i: usize, name: &str) -> bool {
+pub(crate) fn is_call(ctx: &FileCtx, i: usize, name: &str) -> bool {
     ctx.tokens[i].is_ident(name)
         && ctx
             .tokens
@@ -382,201 +364,6 @@ fn r2_no_unordered_iter(ctx: &FileCtx, out: &mut Vec<(&'static str, &'static str
             }
         }
     }
-}
-
-// --- R3 ------------------------------------------------------------------
-
-pub(crate) const IO_CALLS: [&str; 15] = [
-    "read",
-    "read_exact",
-    "read_to_end",
-    "read_to_string",
-    "write",
-    "write_all",
-    "write_fmt",
-    "flush",
-    "connect",
-    "accept",
-    "epoll_wait",
-    "read_request",
-    "read_response",
-    "write_request",
-    "write_response",
-];
-
-/// The §8 thread-model invariant: state mutexes (`OriginServer`, the
-/// proxy's `CacheState`) are never held across socket IO, or one slow
-/// peer stalls every worker. Detected by scope analysis: a **named**
-/// binding whose initializer ends in `.lock()` (optionally
-/// `.unwrap()`-family adjusted) is live until its
-/// block closes or `drop(name)`; any IO call in that live range is a
-/// finding. A mutex locked as a *temporary* inside the call's own
-/// arguments is intentionally exempt — such a mutex exists to serialize
-/// the socket itself.
-fn r3_no_lock_across_io(ctx: &FileCtx, out: &mut Vec<(&'static str, &'static str, u32, String)>) {
-    // `wcc-obs` is in scope too: a probe recording under a shared lock
-    // must never export (file/socket IO) inside that critical section.
-    // So is `wcc-load`: its pending-queue mutex must never be held while
-    // a worker talks to the stack, or one slow response stalls the pacer.
-    if !matches!(
-        ctx.crate_name.as_str(),
-        "liveserve" | "wcc-obs" | "wcc-load"
-    ) {
-        return;
-    }
-    for span in &ctx.fns {
-        r3_scan_fn(ctx, span, out);
-    }
-}
-
-fn r3_scan_fn(
-    ctx: &FileCtx,
-    span: &FnSpan,
-    out: &mut Vec<(&'static str, &'static str, u32, String)>,
-) {
-    let toks = &ctx.tokens;
-    let mut guards: Vec<(String, u32)> = Vec::new(); // (name, binding depth)
-    let mut i = span.body_open + 1;
-    while i < span.body_close {
-        if ctx.in_test[i] {
-            i += 1;
-            continue;
-        }
-        let t = &toks[i];
-        // Scope exit kills guards bound at or below this depth.
-        if t.is_punct('}') {
-            let d = ctx.depth[i];
-            guards.retain(|g| g.1 < d);
-            i += 1;
-            continue;
-        }
-        // drop(name) releases early.
-        if is_call(ctx, i, "drop") {
-            if let Some(name) = toks.get(i + 2) {
-                if toks.get(i + 3).map(|t| t.is_punct(')')) == Some(true) {
-                    guards.retain(|g| g.0 != name.text);
-                }
-            }
-        }
-        // `let [mut] name = ...lock()[.unwrap()...];` registers a guard.
-        if t.is_ident("let") {
-            let mut j = i + 1;
-            if toks.get(j).map(|t| t.is_ident("mut")) == Some(true) {
-                j += 1;
-            }
-            let name_ok = toks.get(j).map(|t| t.kind == crate::lexer::TokKind::Ident) == Some(true)
-                && toks.get(j + 1).map(|t| t.is_punct('=')) == Some(true);
-            if name_ok {
-                let bind_depth = ctx.depth[i];
-                // Find the statement's terminating `;` at binding depth.
-                let mut end = j + 2;
-                while end < span.body_close
-                    && !(toks[end].is_punct(';') && ctx.depth[end] == bind_depth)
-                {
-                    end += 1;
-                }
-                if rhs_is_guard(ctx, j + 2, end, bind_depth) {
-                    guards.push((toks[j].text.clone(), bind_depth));
-                }
-                // The rhs itself is scanned by the main loop for IO calls
-                // made while *earlier* guards are live.
-            }
-        }
-        // An IO call while any guard is live is the violation.
-        if toks[i].kind == crate::lexer::TokKind::Ident
-            && IO_CALLS.contains(&t.text.as_str())
-            && toks.get(i + 1).map(|t| t.is_punct('(')) == Some(true)
-            && !guards.is_empty()
-        {
-            let held: Vec<&str> = guards.iter().map(|g| g.0.as_str()).collect();
-            out.push((
-                "r3",
-                "no-lock-across-io",
-                t.line,
-                format!(
-                    "socket IO `{}()` while MutexGuard binding{} [{}] still in scope — \
-                     collect under the lock, release, then do IO (or drop(guard) first)",
-                    t.text,
-                    if held.len() == 1 { "" } else { "s" },
-                    held.join(", ")
-                ),
-            ));
-        }
-        i += 1;
-    }
-}
-
-/// Does the initializer `toks[start..end]` leave a lock guard in the
-/// binding? True when its top-level token sequence ends with a
-/// `lock()` call followed only by
-/// `.unwrap()` / `.expect(..)` / `.unwrap_or_else(..)` adjustments.
-fn rhs_is_guard(ctx: &FileCtx, start: usize, end: usize, bind_depth: u32) -> bool {
-    let toks = &ctx.tokens;
-    // Locate the last lock() call at the statement's own brace
-    // depth (a lock inside a nested `{ .. }` block does not escape).
-    let mut last_lock_close: Option<usize> = None;
-    let mut i = start;
-    while i < end {
-        if ctx.depth[i] == bind_depth && is_call(ctx, i, "lock") {
-            // Find the matching `)` of the call.
-            let mut p = 0i32;
-            let mut j = i + 1;
-            while j < end {
-                if toks[j].is_punct('(') {
-                    p += 1;
-                } else if toks[j].is_punct(')') {
-                    p -= 1;
-                    if p == 0 {
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            last_lock_close = Some(j);
-        }
-        i += 1;
-    }
-    let Some(mut i) = last_lock_close else {
-        return false;
-    };
-    i += 1;
-    // Allowed tail: (`.` ident `(` .. `)`)* with adjuster names, or `?`.
-    const ADJUSTERS: [&str; 3] = ["unwrap", "expect", "unwrap_or_else"];
-    while i < end {
-        if toks[i].is_punct('?') {
-            i += 1;
-            continue;
-        }
-        if !toks[i].is_punct('.') {
-            return false;
-        }
-        let name = match toks.get(i + 1) {
-            Some(t) if t.kind == crate::lexer::TokKind::Ident => t.text.as_str(),
-            _ => return false,
-        };
-        if !ADJUSTERS.contains(&name) {
-            return false;
-        }
-        // Skip the call's argument list.
-        let mut j = i + 2;
-        if toks.get(j).map(|t| t.is_punct('(')) != Some(true) {
-            return false;
-        }
-        let mut p = 0i32;
-        while j < end {
-            if toks[j].is_punct('(') {
-                p += 1;
-            } else if toks[j].is_punct(')') {
-                p -= 1;
-                if p == 0 {
-                    break;
-                }
-            }
-            j += 1;
-        }
-        i = j + 1;
-    }
-    true
 }
 
 // --- R4 ------------------------------------------------------------------
@@ -827,62 +614,6 @@ fn emit(s: &S) {
     }
 
     #[test]
-    fn r3_flags_io_under_named_guard() {
-        let src = r#"
-fn bad(&self) {
-    let st = self.state.lock().unwrap();
-    self.conn.write_all(b"x");
-}
-"#;
-        let hits = unsuppressed("crates/liveserve/src/proxy.rs", src);
-        assert!(hits.iter().any(|f| f.rule == "r3"), "{hits:?}");
-    }
-
-    #[test]
-    fn r3_scoped_and_dropped_guards_are_clean() {
-        let src = r#"
-fn good(&self) {
-    let targets = { let st = self.state.lock().unwrap(); st.collect() };
-    self.conn.write_all(&targets);
-    let st2 = self.state.lock().unwrap();
-    drop(st2);
-    self.conn.flush();
-}
-"#;
-        let hits = unsuppressed("crates/liveserve/src/proxy.rs", src);
-        // (.unwrap() also trips r4 here; only r3 matters for this test.)
-        assert!(!hits.iter().any(|f| f.rule == "r3"), "{hits:?}");
-    }
-
-    #[test]
-    fn r3_covers_wcc_obs_but_not_other_crates() {
-        let src = r#"
-fn export(&self) {
-    let ring = self.ring.lock().unwrap();
-    self.sink.write_all(b"x");
-}
-"#;
-        let hits = unsuppressed("crates/wcc-obs/src/trace.rs", src);
-        assert!(hits.iter().any(|f| f.rule == "r3"), "{hits:?}");
-        // The same pattern outside the r3 scope is not this rule's business.
-        assert!(unsuppressed("crates/core/src/sim.rs", src)
-            .iter()
-            .all(|f| f.rule != "r3"));
-    }
-
-    #[test]
-    fn r3_temporary_guard_chains_are_not_bindings() {
-        let src = r#"
-fn ok(&self) {
-    let is_new = self.state.lock().unwrap().store.peek(file).is_none();
-    self.conn.write_all(b"x");
-}
-"#;
-        let hits = unsuppressed("crates/liveserve/src/origin.rs", src);
-        assert!(!hits.iter().any(|f| f.rule == "r3"), "{hits:?}");
-    }
-
-    #[test]
     fn r4_flags_panics_outside_tests_in_server_files() {
         let src = r#"
 fn serve() { x.unwrap(); y.expect("msg"); panic!("boom"); }
@@ -962,23 +693,6 @@ fn spawn() {
     }
 
     #[test]
-    fn r3_and_r4_cover_the_wcc_load_driver() {
-        let src = r#"
-fn worker(&self) {
-    let q = self.queue.lock().unwrap();
-    self.conn.write_all(b"x");
-}
-"#;
-        let hits = unsuppressed("crates/wcc-load/src/driver.rs", src);
-        assert!(hits.iter().any(|f| f.rule == "r3"), "{hits:?}");
-        assert!(hits.iter().any(|f| f.rule == "r4"), "{hits:?}");
-        // The schedule is not a server path: no r4 there.
-        assert!(unsuppressed("crates/wcc-load/src/schedule.rs", src)
-            .iter()
-            .all(|f| f.rule != "r4"));
-    }
-
-    #[test]
     fn r5_flags_unbounded_pending_growth_in_wcc_load() {
         let src = r#"
 fn collect_replies(conn: &mut HttpConn) {
@@ -1012,5 +726,23 @@ fn decide(x: u32) {} fn g() { decide(1); }";
         let src = "// wcc-allow: r4\n// wcc-allow: r99 bogus rule id\nfn f() {}";
         let hits = unsuppressed("crates/liveserve/src/origin.rs", src);
         assert_eq!(hits.iter().filter(|f| f.rule == "allow").count(), 2);
+    }
+
+    #[test]
+    fn retired_rule_ids_are_unknown() {
+        // r3 folded into r8, r7 gave way to `RankedCondvar`'s API and r6
+        // to `RankedMutex`'s debug checker: a stale directive naming any
+        // of them is flagged, not silently inert.
+        let src = "// wcc-allow: r3 lock across io\n// wcc-allow: r7 condvar\n\
+                   // wcc-allow: r6 lock order\n\
+                   // wcc-allow: allow not a rule a directive can name\nfn f() {}";
+        let hits = unsuppressed("crates/liveserve/src/origin.rs", src);
+        let allow: Vec<&Finding> = hits.iter().filter(|f| f.rule == "allow").collect();
+        assert_eq!(allow.len(), 4, "{hits:?}");
+        assert!(allow[0]
+            .message
+            .contains("`r3` (known: r1, r2, r4, r5, r8, r9)"));
+        assert!(allow[1].message.contains("`r7`"));
+        assert!(allow[2].message.contains("`r6`"));
     }
 }

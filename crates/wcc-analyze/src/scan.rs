@@ -63,10 +63,6 @@ pub struct FileCtx {
     pub suppressions: Vec<Suppression>,
     /// Directive-style comments other than `wcc-allow` (`wcc-fixture-path`).
     pub fixture_path: Option<String>,
-    /// Raw `// wcc-lock-rank: <dotted.name> <rank>` declarations, as
-    /// `(line, body after the prefix)`. Parsed and validated by the
-    /// concurrency pass (r6), which owns the error reporting.
-    pub lock_ranks: Vec<(u32, String)>,
 }
 
 /// Which crate a workspace-relative path belongs to.
@@ -87,12 +83,9 @@ impl FileCtx {
 
         let mut suppressions = Vec::new();
         let mut fixture_path = None;
-        let mut lock_ranks = Vec::new();
         for c in &comments {
             if let Some(rest) = c.text.strip_prefix("wcc-fixture-path:") {
                 fixture_path = Some(rest.trim().to_string());
-            } else if let Some(rest) = c.text.strip_prefix("wcc-lock-rank:") {
-                lock_ranks.push((c.line, rest.trim().to_string()));
             } else if let Some(rest) = c.text.strip_prefix("wcc-allow:") {
                 let rest = rest.trim();
                 let (rules_part, reason) = match rest.split_once(char::is_whitespace) {
@@ -128,7 +121,6 @@ impl FileCtx {
             fns,
             suppressions,
             fixture_path,
-            lock_ranks,
         }
     }
 

@@ -83,8 +83,6 @@ const FRAGMENTS: &[&str] = &[
     "// wcc-allow: r99 bogus",
     "//~ r1",
     "//~^ r2",
-    "// wcc-lock-rank: a.b 10",
-    "// wcc-lock-rank: broken",
     "// wcc-fixture-path: crates/x/src/y.rs",
     "/* block */",
     "/* nested /* deeper */ out */",
@@ -109,12 +107,9 @@ const FRAGMENTS: &[&str] = &[
     "write_all",
     "recv",
     "wait",
-    "wait_timeout",
-    "notify_all",
-    "notify_one",
+    "wait_while",
     "send",
     "join",
-    "checkout",
     "self",
     "r",
     "b",

@@ -30,7 +30,6 @@ use wcc_sync::RankedMutex;
 /// `next()` with nothing else held and releases it before it touches
 /// the stack, so it sits beside the open-loop queue at the bottom of
 /// the global lock order.
-// wcc-lock-rank: load.closed.source 12
 const SOURCE_RANK: u32 = 12;
 
 /// Everything one closed-loop run measured. The stack-side counters are

@@ -45,7 +45,6 @@ use crate::schedule::{Arrival, ArrivalSchedule, ScheduleConfig};
 /// Rank of the pending-queue mutex: the open-loop pacer and workers
 /// hold it before touching anything in the serving stack, so it sits at
 /// the very bottom of the global lock order.
-// wcc-lock-rank: load.pending.queue 10
 const PENDING_RANK: u32 = 10;
 
 /// One scheduled request: when to fire on the wall clock, where the
@@ -271,24 +270,18 @@ impl PendingQueue {
         // Bounded by `cap`, checked on the line above.
         q.push_back(item);
         let depth = q.len() as u32;
-        // Notify under the guard (r7): the wakeup and the push are one
-        // critical section, so a worker can never miss it.
+        // Notify under the guard (`notify_one` takes it): the wakeup and
+        // the push are one critical section, so a worker can never miss it.
         self.ready.notify_one(&q);
         Some(depth)
     }
 
     /// Blocking pop; `None` once the pacer is done and the queue drained.
     fn pop(&self) -> Option<Queued> {
-        let mut q = self.queue.lock();
-        loop {
-            if let Some(item) = q.pop_front() {
-                return Some(item);
-            }
-            if self.done.load(Ordering::Acquire) {
-                return None;
-            }
-            q = self.ready.wait(q);
-        }
+        let mut q = self.ready.wait_while(self.queue.lock(), |q| {
+            q.is_empty() && !self.done.load(Ordering::Acquire)
+        });
+        q.pop_front()
     }
 
     fn finish(&self) {

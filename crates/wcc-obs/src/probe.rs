@@ -246,7 +246,6 @@ impl Probe for NoopProbe {
 
 /// Rank of the probe mutex: the leaf of the whole lock order, so
 /// `record` stays callable from under any other lock.
-// wcc-lock-rank: obs.probe 95
 const PROBE_RANK: u32 = 95;
 
 #[derive(Clone)]

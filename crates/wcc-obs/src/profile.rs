@@ -19,9 +19,7 @@ use wcc_sync::{RankedGuard, RankedMutex};
 #[derive(Debug)]
 pub struct Profiler {
     enabled: AtomicBool,
-    // wcc-lock-rank: obs.profile.phase 90
     phase: RankedMutex<String>,
-    // wcc-lock-rank: obs.profile.samples 92
     samples: RankedMutex<Vec<Sample>>,
 }
 

@@ -1,9 +1,9 @@
 //! Rank-checked synchronization primitives for the live stack.
 //!
 //! Every mutex in liveserve / wcc-load / wcc-obs carries a *rank* — a
-//! position in the single global lock order that `wcc-analyze` rule r6
-//! verifies statically (see DESIGN.md §12 for the rank table). This
-//! crate is the runtime half of that contract:
+//! position in the single global lock order (see DESIGN.md §12 for the
+//! rank table). This crate enforces that order, and the condvar rules,
+//! on every path the debug-build tests and smokes execute:
 //!
 //! * [`RankedMutex`] wraps `std::sync::Mutex` and, **under
 //!   `debug_assertions` only**, maintains a thread-local stack of held
@@ -11,10 +11,13 @@
 //!   every rank already held panics immediately — turning a potential
 //!   deadlock (which would wedge a soak run for its full timeout) into
 //!   a unit-testable assertion with both lock names in the message.
-//! * [`RankedCondvar`] pairs with a `RankedMutex` and makes the PR-8
-//!   lost-wakeup bug *structurally* impossible: `notify_one` /
+//! * [`RankedCondvar`] pairs with a `RankedMutex` and makes the two
+//!   classic condvar bugs *structurally* impossible: `notify_one` /
 //!   `notify_all` require a live [`RankedGuard`], so a notification can
-//!   never race a predicate check under the paired mutex.
+//!   never race a predicate check under the paired mutex (a lost
+//!   wakeup), and the only wait is [`RankedCondvar::wait_while`],
+//!   which re-checks its predicate after every wakeup. The root
+//!   `clippy.toml` bans `std::sync::Condvar` everywhere else.
 //!
 //! Release builds compile the rank bookkeeping away entirely; what
 //! remains is a plain mutex plus one relaxed atomic add on the
@@ -31,8 +34,16 @@
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The workspace's one path to std's condvar: the root `clippy.toml`
+/// bans the type everywhere else, so every wait and notify goes through
+/// [`RankedCondvar`].
+#[allow(
+    clippy::disallowed_types,
+    reason = "RankedCondvar is the one wrapper around std's condvar"
+)]
+type Condvar = std::sync::Condvar;
 
 #[cfg(debug_assertions)]
 mod rank_stack {
@@ -80,10 +91,8 @@ mod rank_stack {
 
 /// A `std::sync::Mutex` bound to a position in the global lock order.
 ///
-/// `rank` and `name` must match a `// wcc-lock-rank: <name> <rank>`
-/// annotation next to the field declaration; `wcc-analyze` r6 checks
-/// the static acquisition graph against the same table the debug
-/// runtime enforces.
+/// `rank` and `name` are the lock's row in the rank table of
+/// DESIGN.md §12, the order the debug build enforces.
 #[derive(Debug)]
 pub struct RankedMutex<T> {
     rank: u32,
@@ -151,7 +160,7 @@ impl<T> RankedMutex<T> {
 pub struct RankedGuard<'a, T> {
     lock: &'a RankedMutex<T>,
     /// `Some` for the guard's whole life; only [`RankedCondvar`] takes
-    /// it out (to hand the raw guard to `Condvar::wait`) and puts a
+    /// it out (to hand the raw guard to `Condvar::wait_while`) and puts a
     /// fresh one back before the `RankedGuard` is seen again.
     inner: Option<MutexGuard<'a, T>>,
     was_contended: bool,
@@ -199,7 +208,8 @@ impl<T> Drop for RankedGuard<'_, T> {
 /// Notifications *require* a live guard of the paired mutex, which
 /// makes the notify-after-unlock lost-wakeup race (PR 8) unwritable:
 /// the waiter's predicate check and the notifier's state change are
-/// forced under the same critical section.
+/// forced under the same critical section. Waits take their predicate,
+/// so no wait can sit outside the loop that re-checks it.
 #[derive(Debug, Default)]
 pub struct RankedCondvar {
     inner: Condvar,
@@ -213,39 +223,28 @@ impl RankedCondvar {
         }
     }
 
-    /// Block until notified, releasing `guard` while parked. The rank
-    /// is popped for the duration of the wait (the mutex really is
-    /// unlocked) and re-checked on re-acquisition.
-    pub fn wait<'a, T>(&self, mut guard: RankedGuard<'a, T>) -> RankedGuard<'a, T> {
-        let raw = guard.inner.take().expect("guard present outside wait");
-        #[cfg(debug_assertions)]
-        rank_stack::release(guard.lock.rank);
-        let raw = self.inner.wait(raw).unwrap_or_else(PoisonError::into_inner);
-        #[cfg(debug_assertions)]
-        rank_stack::acquire(guard.lock.rank, guard.lock.name);
-        guard.inner = Some(raw);
-        guard
-    }
-
-    /// Block until notified or `timeout` elapses; the boolean is `true`
-    /// when the wait timed out. Callers must consume it (`wcc-analyze`
-    /// r7 flags a discarded `wait_timeout` result).
-    pub fn wait_timeout<'a, T>(
+    /// Block while `condition` holds, releasing `guard` while parked.
+    /// The condition is evaluated under the lock before the first wait
+    /// and after every wakeup, spurious ones included; the guard comes
+    /// back once it is false. The rank is popped for the duration of
+    /// the wait (the mutex really is unlocked) and re-checked on
+    /// re-acquisition.
+    pub fn wait_while<'a, T>(
         &self,
         mut guard: RankedGuard<'a, T>,
-        timeout: Duration,
-    ) -> (RankedGuard<'a, T>, bool) {
+        condition: impl FnMut(&mut T) -> bool,
+    ) -> RankedGuard<'a, T> {
         let raw = guard.inner.take().expect("guard present outside wait");
         #[cfg(debug_assertions)]
         rank_stack::release(guard.lock.rank);
-        let (raw, result) = self
+        let raw = self
             .inner
-            .wait_timeout(raw, timeout)
+            .wait_while(raw, condition)
             .unwrap_or_else(PoisonError::into_inner);
         #[cfg(debug_assertions)]
         rank_stack::acquire(guard.lock.rank, guard.lock.name);
         guard.inner = Some(raw);
-        (guard, result.timed_out())
+        guard
     }
 
     /// Wake one waiter. The guard proves the paired mutex is held, so
@@ -266,6 +265,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn lock_round_trips_data() {
@@ -344,11 +344,8 @@ mod tests {
         let cv = Arc::new(RankedCondvar::new());
         let (m2, cv2) = (Arc::clone(&m), Arc::clone(&cv));
         let waiter = thread::spawn(move || {
-            let mut ready = m2.lock();
-            while !*ready {
-                let (guard, _timed_out) = cv2.wait_timeout(ready, Duration::from_millis(50));
-                ready = guard;
-            }
+            let ready = cv2.wait_while(m2.lock(), |ready| !*ready);
+            assert!(*ready);
         });
         {
             let mut ready = m.lock();
@@ -360,18 +357,13 @@ mod tests {
 
     #[test]
     fn wait_releases_the_rank_for_other_acquisitions() {
-        // While parked in wait(), the thread holds nothing: another
-        // thread can take the same mutex, flip the flag, and notify.
+        // While parked in wait_while(), the thread holds nothing:
+        // another thread can take the same mutex, set the value, and
+        // notify.
         let m = Arc::new(RankedMutex::new(10, "test.park", 0u32));
         let cv = Arc::new(RankedCondvar::new());
         let (m2, cv2) = (Arc::clone(&m), Arc::clone(&cv));
-        let waiter = thread::spawn(move || {
-            let mut g = m2.lock();
-            while *g == 0 {
-                g = cv2.wait(g);
-            }
-            *g
-        });
+        let waiter = thread::spawn(move || *cv2.wait_while(m2.lock(), |g| *g == 0));
         thread::sleep(Duration::from_millis(10));
         {
             let mut g = m.lock();
@@ -379,6 +371,36 @@ mod tests {
             cv.notify_one(&g);
         }
         assert_eq!(waiter.join().expect("waiter returns"), 7);
+    }
+
+    #[test]
+    fn notify_while_the_condition_holds_leaves_the_waiter_parked() {
+        // A wakeup is not a state change: the waiter re-checks its
+        // condition, finds it still true, and parks again until the
+        // state it waits for arrives.
+        let m = Arc::new(RankedMutex::new(10, "test.recheck", 0u32));
+        let cv = Arc::new(RankedCondvar::new());
+        let (m2, cv2) = (Arc::clone(&m), Arc::clone(&cv));
+        let waiter = thread::spawn(move || {
+            let mut g = cv2.wait_while(m2.lock(), |n| *n < 2);
+            *g += 10; // records that the waiter got past the wait
+        });
+        thread::sleep(Duration::from_millis(20));
+        {
+            let mut g = m.lock();
+            *g = 1; // still below 2: the condition holds
+            cv.notify_all(&g);
+        }
+        thread::sleep(Duration::from_millis(50));
+        assert!(!waiter.is_finished(), "woken with its condition true");
+        assert_eq!(*m.lock(), 1);
+        {
+            let mut g = m.lock();
+            *g = 2;
+            cv.notify_all(&g);
+        }
+        waiter.join().expect("waiter returns");
+        assert_eq!(*m.lock(), 12);
     }
 
     #[test]

@@ -51,19 +51,6 @@ pub enum RetrievalMode {
     Conditional,
 }
 
-impl RetrievalMode {
-    /// The mode a cache actually runs in: whatever was asked for, except
-    /// that an invalidation-protocol cache always refetches.
-    #[must_use]
-    pub fn under_invalidation(self, uses_invalidation: bool) -> Self {
-        if uses_invalidation {
-            RetrievalMode::Eager
-        } else {
-            self
-        }
-    }
-}
-
 /// What the driver must do for a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effect {
@@ -151,9 +138,11 @@ pub struct Engine<S> {
 }
 
 impl<S: Store> Engine<S> {
-    /// An engine over `store` deciding with `policy`. Classes whose bit
-    /// is set in `uncacheable_mask` are forwarded, never stored; `link`
-    /// prices the refresh a policy weighs when deciding.
+    /// An engine over `store` deciding with `policy`. An expired copy is
+    /// retrieved per `retrieval`, except that a policy that reads writes
+    /// always refetches: a copy it may not serve is known stale. Classes
+    /// whose bit is set in `uncacheable_mask` are forwarded, never
+    /// stored; `link` prices the refresh a policy weighs when deciding.
     pub fn new(
         store: S,
         policy: Box<dyn Policy + Send>,
@@ -163,8 +152,12 @@ impl<S: Store> Engine<S> {
     ) -> Self {
         Engine {
             store,
+            retrieval: if policy.reads_writes() {
+                RetrievalMode::Eager
+            } else {
+                retrieval
+            },
             policy,
-            retrieval,
             uncacheable_mask,
             link,
             stats: CacheStats::default(),
@@ -192,6 +185,12 @@ impl<S: Store> Engine<S> {
     /// Entries displaced by capacity pressure since the last preload.
     pub fn evictions(&self) -> u64 {
         self.evictions
+    }
+
+    /// Whether the policy acts on the origin's writes
+    /// ([`Policy::reads_writes`]): whether a driver must deliver them.
+    pub fn reads_writes(&self) -> bool {
+        self.policy.reads_writes()
     }
 
     /// The store, read-only.

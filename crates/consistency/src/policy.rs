@@ -109,6 +109,13 @@ pub trait Policy {
     /// modeled) round-trip `delay` for the transfer. Delay-aware policies
     /// record it; everything else ignores it.
     fn on_fetch(&mut self, _class: usize, _delay: SimDuration) {}
+
+    /// Whether this policy acts on the origin's writes: the server then
+    /// notifies the cache of each change to a file it holds, and a replay
+    /// feeds it the workload's modifications.
+    fn reads_writes(&self) -> bool {
+        false
+    }
 }
 
 /// The exact step from an expiry instant to a [`Decision`]: serve iff the
@@ -286,6 +293,10 @@ impl Policy for NeverExpire {
 
     fn decide(&self, entry: &EntryMeta, ctx: &RequestCtx) -> Decision {
         decide_by_expiry(entry, self.expiry(entry, ctx.class), ctx.now)
+    }
+
+    fn reads_writes(&self) -> bool {
+        true
     }
 }
 

@@ -66,9 +66,9 @@ impl ProtocolSpec {
     }
 
     /// Whether the server must run invalidation callbacks for this
-    /// protocol.
+    /// protocol: whether the policy it builds reads writes.
     pub fn uses_invalidation(&self) -> bool {
-        matches!(self, ProtocolSpec::Invalidation)
+        self.build_policy().reads_writes()
     }
 
     /// Report label.

@@ -21,12 +21,12 @@
 
 use originserver::RetryQueue;
 use proxycache::UnboundedStore;
-use simcore::{CacheId, FileId, SimDuration, SimTime};
+use simcore::{CacheId, SimDuration, SimTime};
 use wcc_obs::NoopProbe;
 
 use crate::sim::{run, RunResult, SimCache, SimConfig};
 use crate::sweep::SweepRunner;
-use crate::workload::{Workload, WorkloadEvent};
+use crate::workload::{Fault, Workload, WorkloadEvent};
 use crate::ProtocolSpec;
 
 /// A server→cache notification outage.
@@ -53,48 +53,30 @@ const THE_CACHE: CacheId = CacheId(0);
 const RETRY_BASE: SimDuration = SimDuration::from_mins(2);
 const RETRY_CAP: SimDuration = SimDuration::from_mins(32);
 
-/// The simulator's cache and origin with a lossy notification channel
-/// between them: what the cache does with requests and delivered notices
-/// is the ordinary invalidation-protocol run; only delivery differs.
-struct World<'w> {
-    cache: SimCache<'w, UnboundedStore>,
-    retry: RetryQueue,
-    outages: Vec<Outage>,
-    late_deliveries: u64,
-}
-
-impl World<'_> {
-    /// Reflect the channel's reachability at `now` into the retry queue.
-    fn observe_channel(&mut self, now: SimTime) {
-        if self.outages.iter().any(|o| now >= o.from && now < o.until) {
-            self.retry.mark_down(THE_CACHE);
-        } else {
-            self.retry.mark_up(THE_CACHE);
+/// The channel is down exactly on the union of `outages`, as a fault
+/// stream: empty and inverted outages dropped, the rest sorted and every
+/// overlapping or touching pair merged, so each fault changes the state.
+fn channel_faults(outages: &[Outage]) -> Vec<(SimTime, Fault)> {
+    let mut spans = outages.to_vec();
+    spans.retain(|o| o.from < o.until);
+    spans.sort_unstable_by_key(|o| o.from);
+    let mut faults = Vec::with_capacity(2 * spans.len());
+    for o in spans {
+        match faults.last_mut() {
+            Some((up, _)) if o.from <= *up => *up = o.until.max(*up),
+            _ => faults.extend([(o.from, Fault::ChannelDown), (o.until, Fault::ChannelUp)]),
         }
     }
-
-    fn on_modification(&mut self, file: FileId, now: SimTime) {
-        for cache in self.cache.server.notify_modification(file) {
-            debug_assert_eq!(cache, THE_CACHE);
-            self.observe_channel(now);
-            if self.retry.send(THE_CACHE, file, now) {
-                self.cache.invalidate(file, now);
-            }
-        }
-    }
-
-    fn on_retry(&mut self, now: SimTime) {
-        self.observe_channel(now);
-        for (_, file) in self.retry.sweep(now).delivered {
-            self.late_deliveries += 1;
-            self.cache.invalidate(file, now);
-        }
-    }
+    faults
 }
 
 /// Run the invalidation protocol over `workload` with the notification
 /// channel down during `outages`.
 pub fn run_partitioned_invalidation(workload: &Workload, outages: &[Outage]) -> PartitionedResult {
+    // The simulator's cache and origin with a lossy notification channel
+    // between them: what the cache does with requests and delivered
+    // notices is the ordinary invalidation-protocol run; only delivery
+    // differs.
     let mut cache = SimCache::new(
         workload,
         ProtocolSpec::Invalidation,
@@ -102,26 +84,37 @@ pub fn run_partitioned_invalidation(workload: &Workload, outages: &[Outage]) -> 
         UnboundedStore::new(),
     );
     cache.preload(&mut NoopProbe);
-    let mut world = World {
-        cache,
-        retry: RetryQueue::new(RETRY_BASE, RETRY_CAP),
-        outages: outages.to_vec(),
-        late_deliveries: 0,
-    };
+    let mut retry = RetryQueue::new(RETRY_BASE, RETRY_CAP);
+    let mut late_deliveries = 0;
 
-    // The workload's schedule merged with the one timer there is: the
-    // retry queue's next attempt runs when it is strictly earlier than the
-    // next workload event (the workload goes first at a shared instant),
-    // and on after the trace until nothing is pending.
-    let mut schedule = workload.schedule().peekable();
+    // The schedule, outages included, merged with the one timer there
+    // is: the retry queue's next attempt runs when it is strictly earlier
+    // than the next scheduled event (the schedule goes first at a shared
+    // instant), and on after the trace until nothing is pending.
+    let faults = channel_faults(outages);
+    let mut schedule = workload.schedule(true, &faults).peekable();
     loop {
         let head = schedule.peek().map(|&(t, _)| t);
-        match world.retry.next_attempt() {
-            Some(at) if head.is_none_or(|t| at < t) => world.on_retry(at),
+        match retry.next_attempt() {
+            Some(at) if head.is_none_or(|t| at < t) => {
+                for (_, file) in retry.sweep(at).delivered {
+                    late_deliveries += 1;
+                    cache.invalidate(file, at);
+                }
+            }
             _ => match schedule.next() {
-                Some((now, WorkloadEvent::Modify(f))) => world.on_modification(f, now),
-                Some((now, WorkloadEvent::Request(f))) => {
-                    world.cache.request(f, now, &mut NoopProbe)
+                Some((_, WorkloadEvent::Fault(Fault::ChannelDown))) => retry.mark_down(THE_CACHE),
+                Some((_, WorkloadEvent::Fault(Fault::ChannelUp))) => retry.mark_up(THE_CACHE),
+                Some((now, WorkloadEvent::Modify(file))) => {
+                    for target in cache.server.notify_modification(file) {
+                        debug_assert_eq!(target, THE_CACHE);
+                        if retry.send(THE_CACHE, file, now) {
+                            cache.invalidate(file, now);
+                        }
+                    }
+                }
+                Some((now, WorkloadEvent::Request(file))) => {
+                    cache.request(file, now, &mut NoopProbe)
                 }
                 None => break,
             },
@@ -130,14 +123,14 @@ pub fn run_partitioned_invalidation(workload: &Workload, outages: &[Outage]) -> 
 
     // The RetryQueue counts initial failed sends and failed sweeps alike;
     // each went onto the wire as one message before it was lost.
-    let failed_attempts = world.retry.failed_attempts();
-    let (mut result, _) = world.cache.finish("Invalidation (partitioned)".to_string());
+    let failed_attempts = retry.failed_attempts();
+    let (mut result, _) = cache.finish("Invalidation (partitioned)".to_string());
     result.traffic.messages += failed_attempts;
     result.traffic.message_bytes += failed_attempts * httpsim::PAPER_MESSAGE_BYTES;
     PartitionedResult {
         result,
         failed_attempts,
-        late_deliveries: world.late_deliveries,
+        late_deliveries,
     }
 }
 
@@ -279,6 +272,37 @@ mod tests {
         let r = run_partitioned_invalidation(&wl, &outages);
         assert!(r.late_deliveries == 2, "both notices arrive late");
         assert!(r.result.cache.stale_hits >= 5);
+    }
+
+    #[test]
+    fn outages_normalise_to_their_union() {
+        let mut b = ScenarioBuilder::new("union", SimDuration::from_days(4));
+        let f = b.file("/x", 1_000, SimDuration::from_days(3), 0);
+        b.modify(f, hours(10), None);
+        b.modify(f, hours(60), None);
+        b.request_every(f, hours(2), hours(2));
+        let wl = b.build();
+        let outage = |from, until| Outage {
+            from: wl.start + hours(from),
+            until: wl.start + hours(until),
+        };
+        let partitioned = |outages: &[Outage]| run_partitioned_invalidation(&wl, outages);
+        // Overlapping outages, out of order and one nested: their union.
+        let union = partitioned(&[outage(9, 20)]);
+        assert_eq!(
+            (union.late_deliveries, union.result.cache.stale_hits),
+            (1, 6)
+        );
+        assert_eq!(
+            partitioned(&[outage(14, 20), outage(9, 16), outage(10, 12)]),
+            union
+        );
+        // An inverted or empty outage is none. Read as a down and an up,
+        // the inverted one would leave the channel down from 30 h on and
+        // strand the change at 60 h.
+        let healthy = partitioned(&[]);
+        assert_eq!(partitioned(&[outage(30, 20), outage(40, 40)]), healthy);
+        assert_eq!(partitioned(&[outage(30, 20), outage(9, 20)]), union);
     }
 
     #[test]

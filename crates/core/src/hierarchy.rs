@@ -30,6 +30,7 @@ use proxycache::{EntryMeta, HierarchyTopology, UnboundedStore};
 use simcore::{CacheId, FileId, SimTime, TrafficMeter};
 use wcc_obs::NoopProbe;
 
+use crate::workload::{Workload, WorkloadEvent};
 use crate::ProtocolSpec;
 
 /// A hierarchy of caches replaying scripted events.
@@ -37,7 +38,6 @@ pub struct HierarchySim {
     topo: HierarchyTopology,
     caches: Vec<Engine<UnboundedStore>>,
     population: Arc<FilePopulation>,
-    uses_invalidation: bool,
     link: LinkModel,
 }
 
@@ -48,15 +48,13 @@ impl HierarchySim {
         population: impl Into<Arc<FilePopulation>>,
         spec: ProtocolSpec,
     ) -> Self {
-        let uses_invalidation = spec.uses_invalidation();
-        let retrieval = RetrievalMode::Conditional.under_invalidation(uses_invalidation);
         let link = LinkModel::default();
         let caches = (0..topo.len())
             .map(|_| {
                 Engine::new(
                     UnboundedStore::new(),
                     spec.build_policy(),
-                    retrieval,
+                    RetrievalMode::Conditional,
                     0,
                     link,
                 )
@@ -66,7 +64,6 @@ impl HierarchySim {
             topo,
             caches,
             population: population.into(),
-            uses_invalidation,
             link,
         }
     }
@@ -95,44 +92,28 @@ impl HierarchySim {
             .get(file)
             .version_at(now)
             .expect("preload before creation");
+        let meta = EntryMeta::fresh(v.size, v.modified_at, now);
         for cache in &mut self.caches {
-            cache.preload(
-                file,
-                0,
-                EntryMeta::fresh(v.size, v.modified_at, now),
-                &mut NoopProbe,
-            );
+            cache.preload(file, 0, meta, &mut NoopProbe);
         }
     }
 
     /// A modification of `file` reached the origin at `now`. Under the
     /// invalidation protocol the notice floods the tree — server → root,
-    /// then each cache → its children, one message per link; time-based
-    /// protocols see no traffic.
+    /// then each cache → its children, one message per link; a policy
+    /// that reads no writes sees nothing.
     pub fn modify(&mut self, file: FileId, now: SimTime) {
-        if self.uses_invalidation {
-            for cache in &mut self.caches {
-                cache.invalidate(file, now, PAPER_MESSAGE_BYTES);
-            }
+        for cache in self.caches.iter_mut().filter(|c| c.reads_writes()) {
+            cache.invalidate(file, now, PAPER_MESSAGE_BYTES);
         }
     }
 
-    /// Serve a client request for `file` arriving at `entry` (a leaf for
-    /// the hierarchical topology, the root for the collapsed one).
-    pub fn request(&mut self, entry: CacheId, file: FileId, now: SimTime) {
-        self.obtain(entry, file, now);
-    }
-
-    /// Make `cache` hold a servable copy of `file`, recursing upward.
-    /// Returns the version this cache now serves.
-    fn obtain(&mut self, cache: CacheId, file: FileId, now: SimTime) -> Version {
-        let effect = self.caches[cache.index()].request(
-            file,
-            0,
-            now,
-            Some(&self.population),
-            &mut NoopProbe,
-        );
+    /// Serve a client request for `file` arriving at `cache` (a leaf for
+    /// the hierarchical topology, the root for the collapsed one),
+    /// recursing upward; returns the version served.
+    pub fn request(&mut self, cache: CacheId, file: FileId, now: SimTime) -> Version {
+        let oracle = Some(&*self.population);
+        let effect = self.caches[cache.index()].request(file, 0, now, oracle, &mut NoopProbe);
         let held = match effect {
             Effect::Serve(e) => {
                 return Version {
@@ -146,7 +127,7 @@ impl HierarchySim {
         // What the upstream serves: the parent cache (recursively
         // obtained) or, for the root, the origin itself.
         let up = match self.topo.parent(cache) {
-            Some(parent) => self.obtain(parent, file, now),
+            Some(parent) => self.request(parent, file, now),
             None => self
                 .population
                 .get(file)
@@ -190,11 +171,18 @@ pub enum LeafAssignment {
 }
 
 impl LeafAssignment {
-    fn leaf_for(&self, request_index: usize, n_leaves: usize) -> usize {
+    /// The leaf a request for `file` at `at` enters: a hash of the
+    /// request itself, not of its place in the stream, so the order of
+    /// requests sharing an instant cannot move one.
+    fn leaf_for(&self, at: SimTime, file: FileId, n_leaves: usize) -> usize {
         if n_leaves == 1 {
             return 0;
         }
-        let h = request_index.wrapping_mul(2_654_435_761);
+        // The SplitMix64 finaliser over the instant and the file.
+        let mut h = at.as_secs().wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ file.index() as u64;
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        let h = (h ^ (h >> 31)) as usize;
         match *self {
             LeafAssignment::Symmetric => h % n_leaves,
             LeafAssignment::Skewed(frac) => {
@@ -203,7 +191,7 @@ impl LeafAssignment {
                 if u < frac {
                     0
                 } else {
-                    1 + h % (n_leaves - 1)
+                    1 + h / 10_000 % (n_leaves - 1)
                 }
             }
         }
@@ -223,49 +211,30 @@ impl LeafAssignment {
 ///
 /// # Panics
 /// Panics if `workload.requests` goes backwards in time, as
-/// `Workload::schedule` does: the merge trusts the order.
+/// `Workload::schedule` does.
 pub fn replay_workload(
     topo: HierarchyTopology,
-    workload: &crate::workload::Workload,
+    workload: &Workload,
     spec: ProtocolSpec,
     assignment: LeafAssignment,
 ) -> (TrafficMeter, u64, u64) {
     let leaves = topo.leaves();
     let mut sim = HierarchySim::new(topo, workload.population.clone(), spec);
-    for (id, _) in workload.population.iter() {
-        if workload
-            .population
-            .get(id)
-            .version_at(workload.start)
-            .is_some()
-        {
+    for (id, rec) in workload.population.iter() {
+        if rec.version_at(workload.start).is_some() {
             sim.preload(id, workload.start);
         }
     }
-    // Merge modifications and requests in time order. A modification goes
-    // before a request at its instant, as in `Workload::schedule`; requests
-    // sharing an instant keep their workload order (the schedule puts them
-    // in file order), because `leaf_for` hashes the request's index.
-    let mut mods = workload
-        .population
-        .modifications_in(workload.start, workload.end)
-        .iter()
-        .peekable();
-    let mut prev = SimTime::ZERO;
-    for (i, &(t, f)) in workload.requests.iter().enumerate() {
-        assert!(
-            prev <= t,
-            "request {i} goes backwards in time: {t} after {prev}"
-        );
-        prev = t;
-        while let Some(&(at, changed)) = mods.next_if(|&&(at, _)| at <= t) {
-            sim.modify(changed, at);
+    let writes = sim.caches.iter().any(|c| c.reads_writes());
+    for (at, event) in workload.schedule(writes, &[]) {
+        match event {
+            WorkloadEvent::Modify(file) => sim.modify(file, at),
+            WorkloadEvent::Request(file) => {
+                let leaf = leaves[assignment.leaf_for(at, file, leaves.len())];
+                sim.request(leaf, file, at);
+            }
+            WorkloadEvent::Fault(_) => unreachable!("a hierarchy replay reads no faults"),
         }
-        let leaf = leaves[assignment.leaf_for(i, leaves.len())];
-        sim.request(leaf, f, t);
-    }
-    for &(at, changed) in mods {
-        sim.modify(changed, at);
     }
     let requests = workload.request_count() as u64;
     (sim.traffic(), sim.stale_serves(), requests)
@@ -483,12 +452,50 @@ mod tests {
     }
 
     #[test]
+    fn the_leaf_hash_spreads_requests_as_assigned() {
+        let wl = crate::generate_synthetic(&crate::WorrellConfig::scaled(60, 2_000), 5);
+        let n = HierarchyTopology::figure1().0.leaves().len();
+        let shares = |assignment: LeafAssignment| {
+            let mut counts = vec![0u32; n];
+            for &(at, file) in &wl.requests {
+                counts[assignment.leaf_for(at, file, n)] += 1;
+            }
+            let total = wl.requests.len() as f64;
+            counts
+                .into_iter()
+                .map(move |c| 100.0 * f64::from(c) / total)
+        };
+        for share in shares(LeafAssignment::Symmetric) {
+            assert!(
+                (share - 100.0 / n as f64).abs() <= 2.0,
+                "symmetric {share:.2} %"
+            );
+        }
+        let skewed = shares(LeafAssignment::Skewed(0.9))
+            .next()
+            .expect("a first leaf");
+        assert!(
+            (skewed - 90.0).abs() <= 2.0,
+            "skewed leaf 0 takes {skewed:.2} %"
+        );
+        // The leaf is the request's alone: walked backwards, the stream
+        // lands every request where it landed forwards.
+        for assignment in [LeafAssignment::Symmetric, LeafAssignment::Skewed(0.9)] {
+            let leaf = |&(at, file): &(SimTime, FileId)| assignment.leaf_for(at, file, n);
+            let forwards: Vec<usize> = wl.requests.iter().map(leaf).collect();
+            let mut backwards: Vec<usize> = wl.requests.iter().rev().map(leaf).collect();
+            backwards.reverse();
+            assert_eq!(forwards, backwards);
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "request 1 goes backwards in time")]
     fn a_request_stream_that_goes_backwards_in_time_is_rejected() {
         let t = SimTime::from_secs;
         let mut pop = FilePopulation::new();
         let f = pop.add(originserver::FileRecord::new("/x", t(0), 1_000));
-        let workload = crate::workload::Workload {
+        let workload = Workload {
             name: "backwards".to_string(),
             start: t(100),
             end: t(110),

@@ -240,7 +240,6 @@ pub(crate) struct SimCache<'w, S: Store> {
     workload: &'w Workload,
     costing: MessageCosting,
     link: LinkModel,
-    uses_invalidation: bool,
 }
 
 impl<'w, S: Store> SimCache<'w, S> {
@@ -251,12 +250,11 @@ impl<'w, S: Store> SimCache<'w, S> {
         store: S,
     ) -> Self {
         debug_assert_eq!(workload.validate(), Ok(()));
-        let uses_invalidation = spec.uses_invalidation();
         SimCache {
             engine: Engine::new(
                 store,
                 spec.build_policy(),
-                config.retrieval.under_invalidation(uses_invalidation),
+                config.retrieval,
                 config.uncacheable_mask,
                 config.link,
             ),
@@ -264,23 +262,19 @@ impl<'w, S: Store> SimCache<'w, S> {
             workload,
             costing: config.costing,
             link: config.link,
-            uses_invalidation,
         }
     }
 
     fn origin_expiry(&self, class: usize, now: SimTime) -> Option<SimTime> {
         self.workload
-            .class_expires
-            .get(class)
-            .copied()
-            .flatten()
+            .expires_for_class(class)
             .map(|d| now.saturating_add(d))
     }
 
     /// Evicted objects lose their invalidation subscription: the server
     /// must not notify caches that no longer hold the object.
     fn unsubscribe(&mut self, victims: &[(FileId, EntryMeta)]) {
-        if self.uses_invalidation {
+        if self.engine.reads_writes() {
             for &(victim, _) in victims {
                 self.server.unsubscribe(THE_CACHE, victim);
             }
@@ -300,7 +294,7 @@ impl<'w, S: Store> SimCache<'w, S> {
             meta.expires = self.origin_expiry(class, start);
             let victims = self.engine.preload(id, class, meta, probe);
             self.unsubscribe(&victims);
-            if self.uses_invalidation && self.engine.peek(id).is_some() {
+            if self.engine.reads_writes() && self.engine.peek(id).is_some() {
                 self.server.subscribe(THE_CACHE, id);
             }
         }
@@ -373,7 +367,8 @@ impl<'w, S: Store> SimCache<'w, S> {
         // New entries subscribe before they are inserted. A rejected
         // oversized insert leaves no resident copy and must not stay
         // subscribed: it comes back among the victims.
-        if self.uses_invalidation && effect == Effect::Fetch && self.engine.peek(file).is_none() {
+        if self.engine.reads_writes() && effect == Effect::Fetch && self.engine.peek(file).is_none()
+        {
             self.server.subscribe(THE_CACHE, file);
         }
         let applied = self.engine.apply(file, class, now, reply, probe);
@@ -392,7 +387,7 @@ impl<'w, S: Store> SimCache<'w, S> {
     /// invalidation protocol every subscribed cache is told at once.
     fn on_modification<P: Probe + ?Sized>(&mut self, file: FileId, now: SimTime, probe: &mut P) {
         probe.record(now, ObsEvent::Modification { file });
-        if !self.uses_invalidation {
+        if !self.engine.reads_writes() {
             return;
         }
         let targets = self.server.notify_modification(file);
@@ -456,9 +451,10 @@ pub fn run(workload: &Workload, spec: ProtocolSpec, config: &SimConfig) -> RunRe
 /// once per store and per probe type: with [`wcc_obs::NoopProbe`] every
 /// record is an empty inlined call and compiles away, and an attached
 /// probe arrives as `dyn Probe`, one instantiation whatever its concrete
-/// type. Only invalidation acts on a write, so an unobserved replay of
-/// any other protocol walks its requests alone. The counts are the same
-/// either way, so golden hashes are bit-identical with or without a probe.
+/// type. The schedule carries the writes when the policy reads them
+/// ([`Engine::reads_writes`]) or a probe watches; otherwise the replay
+/// walks its requests alone. The counts are the same either way, so
+/// golden hashes are bit-identical with or without a probe.
 pub(crate) fn run_with_store_probe<S: Store, P: Probe + ?Sized>(
     workload: &Workload,
     spec: ProtocolSpec,
@@ -472,15 +468,12 @@ pub(crate) fn run_with_store_probe<S: Store, P: Probe + ?Sized>(
         cache.preload(probe);
     }
 
-    let mut schedule = if observed || cache.uses_invalidation {
-        workload.schedule()
-    } else {
-        workload.request_schedule()
-    };
+    let mut schedule = workload.schedule(observed || cache.engine.reads_writes(), &[]);
     while let Some((now, event)) = schedule.next() {
         match event {
             WorkloadEvent::Modify(f) => cache.on_modification(f, now, probe),
             WorkloadEvent::Request(f) => cache.request(f, now, probe),
+            WorkloadEvent::Fault(_) => unreachable!("a replay reads no faults"),
         }
         let pending = schedule.len() as u32;
         probe.record(now, ObsEvent::Dispatched { pending });

@@ -98,40 +98,43 @@ impl Workload {
         Ok(())
     }
 
-    /// The workload's one event order: in-window modifications
-    /// (`start <= t <= end`) merged with the requests by `(instant,
-    /// modification before request, file)`. A request arriving "at" a
-    /// change sees the new version, matching HTTP semantics where the
-    /// origin answers with its current state. A replay that neither acts
-    /// on a write nor observes one walks [`Workload::request_schedule`].
+    /// The workload's one event order, over the streams a consumer reads:
+    /// the requests always; the in-window modifications (`start <= t <=
+    /// end`) when `writes` is set; and `faults`, sorted by instant. At a
+    /// shared instant a fault goes first, then a modification, then the
+    /// requests in file order. A request arriving "at" a change sees the
+    /// new version, matching HTTP semantics where the origin answers with
+    /// its current state; a change at the instant a channel fails is not
+    /// announced, and one at the instant it recovers is.
     ///
-    /// Both halves are borrowed and nothing is sorted up front. The
-    /// modification half comes from the population, which orders its
-    /// history once for every replay ([`FilePopulation::modifications_in`]:
-    /// two binary searches cut the window out of it); `requests` arrives in
-    /// instant order; so this is a two-way merge. Only requests sharing an
-    /// instant are put in file order, one run at a time, as the merge
+    /// Every stream is borrowed and nothing is sorted up front. The
+    /// modifications come from the population, which orders its history
+    /// once for every replay ([`FilePopulation::modifications_in`]: two
+    /// binary searches cut the window out of it); `requests` arrives in
+    /// instant order; so this is a three-way merge. Only requests sharing
+    /// an instant are put in file order, one run at a time, as the merge
     /// reaches them: the extra memory is the longest such run.
     ///
     /// # Panics
     /// The returned iterator panics when it reaches a request that goes
     /// backwards in time, before yielding it: the merge trusts the order,
     /// so nothing downstream would repair it.
-    pub(crate) fn schedule(&self) -> Schedule<'_> {
-        let mods = self.population.modifications_in(self.start, self.end);
+    pub(crate) fn schedule<'w>(
+        &'w self,
+        writes: bool,
+        faults: &'w [(SimTime, Fault)],
+    ) -> Schedule<'w> {
+        debug_assert!(faults.is_sorted_by_key(|&(at, _)| at));
         Schedule {
-            mods,
-            ..self.request_schedule()
-        }
-    }
-
-    /// [`Workload::schedule`] without the modifications, which it never
-    /// asks the population for: the requests alone, in the same order.
-    pub(crate) fn request_schedule(&self) -> Schedule<'_> {
-        Schedule {
-            mods: &[],
+            faults,
+            writes: if writes {
+                self.population.modifications_in(self.start, self.end)
+            } else {
+                &[]
+            },
             requests: &self.requests,
-            next_mod: 0,
+            next_fault: 0,
+            next_write: 0,
             next_request: 0,
             run: Vec::new(),
             run_at: SimTime::ZERO,
@@ -167,28 +170,21 @@ impl Workload {
     /// Comparing this against [`Workload::from_server_trace`] measures
     /// what the cache's placement costs (the `deployment` experiment).
     pub fn from_server_trace_local_only(trace: &ServerTrace) -> Workload {
-        let mut wl = Self::from_server_trace(trace);
-        wl.name = format!("{} (local clients)", trace.name);
-        wl.requests = trace
-            .requests
-            .iter()
-            .filter(|r| !r.remote)
-            .map(|r| (r.time, r.file))
-            .collect();
-        wl
+        Self::from_server_trace_clients(trace, false, "local")
     }
 
     /// Build a workload from the *remote* requests of a campus trace only
     /// (the complement of [`Workload::from_server_trace_local_only`]).
     pub fn from_server_trace_remote_only(trace: &ServerTrace) -> Workload {
+        Self::from_server_trace_clients(trace, true, "remote")
+    }
+
+    fn from_server_trace_clients(trace: &ServerTrace, remote: bool, label: &str) -> Workload {
         let mut wl = Self::from_server_trace(trace);
-        wl.name = format!("{} (remote clients)", trace.name);
-        wl.requests = trace
-            .requests
-            .iter()
-            .filter(|r| r.remote)
-            .map(|r| (r.time, r.file))
-            .collect();
+        wl.name = format!("{} ({label} clients)", trace.name);
+        wl.requests.clear();
+        let ours = trace.requests.iter().filter(|r| r.remote == remote);
+        wl.requests.extend(ours.map(|r| (r.time, r.file)));
         wl
     }
 
@@ -212,9 +208,21 @@ impl Workload {
     }
 }
 
+/// A change in whether the origin's notification channel to the cache
+/// delivers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fault {
+    /// The channel fails: notices queue until it recovers.
+    ChannelDown,
+    /// The channel recovers.
+    ChannelUp,
+}
+
 /// One step of a workload's [`Schedule`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WorkloadEvent {
+    /// The notification channel fails or recovers.
+    Fault(Fault),
     /// The origin's copy of the file changes.
     Modify(FileId),
     /// A client asks the cache for the file.
@@ -224,14 +232,16 @@ pub(crate) enum WorkloadEvent {
 /// [`Workload::schedule`]'s iterator: the merged `(instant, event)`
 /// stream, with its exact remaining length.
 pub(crate) struct Schedule<'w> {
-    mods: &'w [(SimTime, FileId)],
+    faults: &'w [(SimTime, Fault)],
+    writes: &'w [(SimTime, FileId)],
     requests: &'w [(SimTime, FileId)],
-    next_mod: usize,
+    next_fault: usize,
+    next_write: usize,
     next_request: usize,
     /// The rest of a run of requests at `run_at`, in descending file
     /// order so that `pop` yields them ascending. The run was buffered
-    /// whole, after every modification at or before `run_at`, so it
-    /// drains before the merge is looked at again.
+    /// whole, after every fault and modification at or before `run_at`,
+    /// so it drains before the merge is looked at again.
     run: Vec<FileId>,
     run_at: SimTime,
 }
@@ -257,20 +267,43 @@ impl Schedule<'_> {
         let file = self.run.pop().expect("a run holds its first request");
         (at, WorkloadEvent::Request(file))
     }
+
+    /// The next fault, if it comes no later than the next write and the
+    /// next request. Out of line, so that `next` stays small enough to
+    /// inline into a replay loop.
+    #[cold]
+    #[inline(never)]
+    fn fault_first(&mut self) -> Option<(SimTime, WorkloadEvent)> {
+        let (t, fault) = self.faults[self.next_fault];
+        let ahead = |s: &[(SimTime, FileId)], i: usize| s.get(i).is_none_or(|&(at, _)| t <= at);
+        if ahead(self.writes, self.next_write) && ahead(self.requests, self.next_request) {
+            self.next_fault += 1;
+            return Some((t, WorkloadEvent::Fault(fault)));
+        }
+        None
+    }
 }
 
 impl Iterator for Schedule<'_> {
     type Item = (SimTime, WorkloadEvent);
 
-    #[inline]
+    // Always inlined: once `next` outgrew the inliner's budget, the calls
+    // cost `sim-sweep` ~10 % of its requests a second.
+    #[inline(always)]
     fn next(&mut self) -> Option<Self::Item> {
         if let Some(file) = self.run.pop() {
             return Some((self.run_at, WorkloadEvent::Request(file)));
         }
+        // With no fault stream, this is the one extra branch.
+        if self.next_fault < self.faults.len() {
+            if let Some(fault) = self.fault_first() {
+                return Some(fault);
+            }
+        }
         let request = self.requests.get(self.next_request);
-        match self.mods.get(self.next_mod) {
+        match self.writes.get(self.next_write) {
             Some(&(t, file)) if request.is_none_or(|&(asked, _)| t <= asked) => {
-                self.next_mod += 1;
+                self.next_write += 1;
                 Some((t, WorkloadEvent::Modify(file)))
             }
             _ => {
@@ -287,7 +320,8 @@ impl Iterator for Schedule<'_> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = (self.mods.len() - self.next_mod)
+        let left = (self.faults.len() - self.next_fault)
+            + (self.writes.len() - self.next_write)
             + (self.requests.len() - self.next_request)
             + self.run.len();
         (left, Some(left))
@@ -841,27 +875,27 @@ mod tests {
     }
 
     /// The order the simulator used to build: every event copied into one
-    /// Vec and stable-sorted by `(instant, modification first, file)`.
-    fn fully_sorted(wl: &Workload) -> Vec<(SimTime, WorkloadEvent)> {
-        let mut events: Vec<(SimTime, u8, WorkloadEvent)> = Vec::new();
+    /// Vec and stable-sorted by `(instant, fault before modification
+    /// before request, file)` — the writes only when `writes` is set.
+    fn fully_sorted(
+        wl: &Workload,
+        writes: bool,
+        faults: &[(SimTime, Fault)],
+    ) -> Vec<(SimTime, WorkloadEvent)> {
+        let mut events: Vec<(SimTime, u8, FileId, WorkloadEvent)> = faults
+            .iter()
+            .map(|&(t, fault)| (t, 0, FileId::from_index(0), WorkloadEvent::Fault(fault)))
+            .collect();
         for (t, f) in wl.population.all_modifications() {
-            if t >= wl.start && t <= wl.end {
-                events.push((t, 0, WorkloadEvent::Modify(f)));
+            if writes && t >= wl.start && t <= wl.end {
+                events.push((t, 1, f, WorkloadEvent::Modify(f)));
             }
         }
         for &(t, f) in &wl.requests {
-            events.push((t, 1, WorkloadEvent::Request(f)));
+            events.push((t, 2, f, WorkloadEvent::Request(f)));
         }
-        events.sort_by_key(|&(t, kind, ev)| {
-            (
-                t,
-                kind,
-                match ev {
-                    WorkloadEvent::Modify(f) | WorkloadEvent::Request(f) => f,
-                },
-            )
-        });
-        events.into_iter().map(|(t, _, ev)| (t, ev)).collect()
+        events.sort_by_key(|&(t, kind, f, _)| (t, kind, f));
+        events.into_iter().map(|(t, .., ev)| (t, ev)).collect()
     }
 
     #[test]
@@ -870,7 +904,7 @@ mod tests {
         // just outside each: the count and the replay agree on four.
         let wl = tiny_workload(&[vec![99, 100, 105, 110, 111], vec![100]], Vec::new());
         let replayed = wl
-            .schedule()
+            .schedule(true, &[])
             .filter(|(_, event)| matches!(event, WorkloadEvent::Modify(_)))
             .count();
         assert_eq!((wl.changes_in_window(), replayed), (4, 4));
@@ -881,7 +915,7 @@ mod tests {
     fn a_request_stream_that_goes_backwards_in_time_is_rejected() {
         let f = FileId::from_index(0);
         let wl = tiny_workload(&[vec![]], vec![(t(105), f), (t(104), f)]);
-        for (at, _) in wl.schedule() {
+        for (at, _) in wl.schedule(true, &[]) {
             assert_ne!(at, t(104), "the offending request was yielded");
         }
     }
@@ -891,7 +925,7 @@ mod tests {
         let [a, b, c] = [0, 1, 2].map(FileId::from_index);
         let descending = vec![(t(101), c), (t(105), c), (t(105), b), (t(105), a)];
         let wl = tiny_workload(&[vec![], vec![105], vec![]], descending);
-        let fired: Vec<_> = wl.schedule().collect();
+        let fired: Vec<_> = wl.schedule(true, &[]).collect();
         assert_eq!(
             fired,
             vec![
@@ -906,15 +940,17 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The merge against the sort it replaces, and the requests
-        /// alone against its requests. Instants span 98..=111
-        /// around the `[100, 110]` window, so modifications land on
-        /// `start`, on `end` and just outside, and collide with requests
-        /// and with each other; requests arrive in time order only.
+        /// The merge against the sort it replaces, for every combination
+        /// of streams: the requests alone, with the writes, with the
+        /// faults, with both. Instants span 98..=111 around the
+        /// `[100, 110]` window, so modifications land on `start`, on `end`
+        /// and just outside, and collide with requests, faults and each
+        /// other; requests and faults arrive in time order only.
         #[test]
         fn the_merged_schedule_is_the_fully_sorted_one(
             mod_masks in proptest::collection::vec(0u16..(1 << 14), 8..12),
             raw_requests in proptest::collection::vec((100u64..=110, 0usize..12), 0..60),
+            raw_faults in proptest::collection::vec((96u64..=113, 0u8..2), 0..12),
         ) {
             let mut mods: Vec<Vec<u64>> = mod_masks
                 .iter()
@@ -923,8 +959,9 @@ mod tests {
             // Forced: the window's edges and their outer neighbours, a
             // modification and a request on one instant, several requests
             // on one instant out of file order, a run of eight in
-            // descending file order that ends the stream, and a run
-            // already in file order (instant 103 is kept for it alone).
+            // descending file order that ends the stream, a run already
+            // in file order (instant 103 is kept for it alone), and a
+            // fault on the instant of a modification and its requests.
             mods[0] = vec![99, 100, 105, 110, 111];
             let (first, last) = (FileId::from_index(0), FileId::from_index(mods.len() - 1));
             let descending = (0..8).rev().map(|f| (t(110), FileId::from_index(f)));
@@ -939,22 +976,23 @@ mod tests {
                 .collect();
             requests.sort_by_key(|&(at, _)| at);
             let wl = tiny_workload(&mods, requests);
-
-            let expected = fully_sorted(&wl);
-            let mut schedule = wl.schedule();
-            for (done, event) in expected.iter().enumerate() {
-                proptest::prop_assert_eq!(schedule.len(), expected.len() - done);
-                proptest::prop_assert_eq!(schedule.next(), Some(*event));
-            }
-            proptest::prop_assert_eq!(schedule.next(), None);
-
-            // Without the writes: the same requests, in the same order.
-            let requests: Vec<_> = expected
-                .into_iter()
-                .filter(|(_, event)| matches!(event, WorkloadEvent::Request(_)))
+            let mut faults: Vec<(SimTime, Fault)> = raw_faults
+                .iter()
+                .map(|&(at, down)| (t(at), if down == 1 { Fault::ChannelDown } else { Fault::ChannelUp }))
+                .chain([(t(105), Fault::ChannelDown)])
                 .collect();
-            proptest::prop_assert_eq!(wl.request_schedule().len(), requests.len());
-            proptest::prop_assert_eq!(wl.request_schedule().collect::<Vec<_>>(), requests);
+            faults.sort_by_key(|&(at, _)| at);
+
+            for (writes, faults) in [(false, &[][..]), (true, &[][..]), (false, &faults[..]), (true, &faults[..])] {
+                let expected = fully_sorted(&wl, writes, faults);
+                let mut schedule = wl.schedule(writes, faults);
+                for (done, event) in expected.iter().enumerate() {
+                    proptest::prop_assert_eq!(schedule.len(), expected.len() - done);
+                    proptest::prop_assert_eq!(schedule.next(), Some(*event));
+                }
+                proptest::prop_assert_eq!(schedule.len(), 0);
+                proptest::prop_assert_eq!(schedule.next(), None);
+            }
         }
     }
 }

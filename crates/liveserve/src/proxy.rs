@@ -667,7 +667,6 @@ impl LiveProxy {
         }
 
         let uses_invalidation = config.policy.uses_invalidation();
-        let retrieval = RetrievalMode::Conditional.under_invalidation(uses_invalidation);
         let DelaySource::Modeled(link) = config.delay;
         let mut shards = Vec::with_capacity(shard_count);
         let mut upstreams = Vec::with_capacity(shard_count);
@@ -684,7 +683,7 @@ impl LiveProxy {
                     engine: Engine::new(
                         config.store.build(i, shard_count),
                         config.policy.build_policy(),
-                        retrieval,
+                        RetrievalMode::Conditional,
                         config.uncacheable_mask,
                         link,
                     ),

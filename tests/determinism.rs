@@ -373,7 +373,7 @@ fn hierarchy_runs_match_pinned_hash() {
             ));
         }
     }
-    const HIERARCHY_GOLDEN: u64 = 14_201_436_510_814_318_794;
+    const HIERARCHY_GOLDEN: u64 = 6_529_317_439_583_048_730;
     assert_eq!(fnv1a(rendered.as_bytes()), HIERARCHY_GOLDEN);
 }
 

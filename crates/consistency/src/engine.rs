@@ -1,7 +1,7 @@
 //! The cache-side consistency engine: what one cache does with one
 //! request, written once.
 //!
-//! [`Engine`] owns a cache's store, its [`Policy`], and its counters, and
+//! [`Engine`] owns a cache's store, its [`Policy`], and its [`Tally`], and
 //! is driven through three inputs: [`Engine::request`] decides,
 //! [`Engine::apply`] takes the origin's answer, [`Engine::invalidate`]
 //! takes a server callback. It reads no clock and touches no socket —
@@ -26,15 +26,18 @@
 //! subscription is acknowledged; subscribing before the apply, as the
 //! simulator does, is one instance of that.
 //!
-//! Every input that emits events takes its probe as a type parameter
-//! (`probe: &mut P`, `P: Probe + ?Sized`). Passing `&mut NoopProbe`
-//! makes every record an empty inlined call that compiles away. Passing
-//! `&mut dyn Probe` gives one instantiation whatever the probe is.
+//! Every input takes its probe as a type parameter (`probe: &mut P`,
+//! `P: Probe + ?Sized`). Passing `&mut NoopProbe` makes every record an
+//! empty inlined call that compiles away. Passing `&mut dyn Probe` gives
+//! one instantiation whatever the probe is. The engine's counts are its
+//! own [`Tally`], fed each event just before `probe` is (the pair
+//! `(&mut tally, probe)` is itself a probe): one ledger, so a probe that
+//! folds the same stream reads the same counts.
 
 use originserver::FilePopulation;
 use proxycache::{EntryMeta, Evicted, Store};
-use simcore::{CacheStats, FileId, SimDuration, SimTime, TrafficMeter};
-use wcc_obs::{ObsEvent, Probe, RequestOutcome};
+use simcore::{FileId, SimDuration, SimTime};
+use wcc_obs::{ExchangeKind, ObsEvent, Probe, RequestOutcome, Tally};
 
 use crate::policy::{LinkModel, Policy, RequestCtx};
 
@@ -124,6 +127,15 @@ fn conclude<P: Probe + ?Sized>(probe: &mut P, now: SimTime, file: FileId, outcom
     probe.record(now, ObsEvent::Request { file, outcome });
 }
 
+fn exchange(file: FileId, kind: ExchangeKind, message_bytes: u64, body_bytes: u64) -> ObsEvent {
+    ObsEvent::Exchange {
+        file,
+        kind,
+        message_bytes,
+        body_bytes,
+    }
+}
+
 /// One cache's consistency state machine. See the module docs.
 pub struct Engine<S> {
     store: S,
@@ -131,10 +143,7 @@ pub struct Engine<S> {
     retrieval: RetrievalMode,
     uncacheable_mask: u32,
     link: LinkModel,
-    stats: CacheStats,
-    traffic: TrafficMeter,
-    stale_age_total: SimDuration,
-    evictions: u64,
+    tally: Tally,
 }
 
 impl<S: Store> Engine<S> {
@@ -160,31 +169,14 @@ impl<S: Store> Engine<S> {
             policy,
             uncacheable_mask,
             link,
-            stats: CacheStats::default(),
-            traffic: TrafficMeter::default(),
-            stale_age_total: SimDuration::ZERO,
-            evictions: 0,
+            tally: Tally::default(),
         }
     }
 
-    /// Hit/miss/validation classification so far.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    /// Bytes this cache exchanged with its upstream.
-    pub fn traffic(&self) -> &TrafficMeter {
-        &self.traffic
-    }
-
-    /// Summed staleness severity over the stale hits.
-    pub fn stale_age_total(&self) -> SimDuration {
-        self.stale_age_total
-    }
-
-    /// Entries displaced by capacity pressure since the last preload.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
+    /// The counts so far: a fold of every event this engine has recorded
+    /// except [`Engine::preload`]'s.
+    pub fn tally(&self) -> &Tally {
+        &self.tally
     }
 
     /// Whether the policy acts on the origin's writes
@@ -207,24 +199,6 @@ impl<S: Store> Engine<S> {
         class < 32 && self.uncacheable_mask & (1 << class) != 0
     }
 
-    /// Insert, counting and reporting what a bounded store displaced.
-    fn insert<P: Probe + ?Sized>(
-        &mut self,
-        file: FileId,
-        meta: EntryMeta,
-        probe: &mut P,
-    ) -> Evicted {
-        let at = meta.fetched_at;
-        let victims = self.store.insert(file, meta);
-        for &(victim, _) in victims.iter() {
-            if victim != file {
-                self.evictions += 1;
-                probe.record(at, ObsEvent::Eviction { file: victim });
-            }
-        }
-        victims
-    }
-
     /// Drop any resident copy of `file`, naming it as the one victim.
     fn forget(&mut self, file: FileId) -> Applied {
         Applied {
@@ -238,8 +212,8 @@ impl<S: Store> Engine<S> {
 
     /// Place a copy in the cache outside any request (warm start);
     /// uncacheable classes are skipped. Uncharged; displaced entries are
-    /// reported to `probe` and returned but not counted as evictions —
-    /// they are setup, not workload.
+    /// reported to `probe` and returned but not tallied — they are setup,
+    /// not workload.
     pub fn preload<P: Probe + ?Sized>(
         &mut self,
         file: FileId,
@@ -250,10 +224,7 @@ impl<S: Store> Engine<S> {
         if self.is_uncacheable(class) {
             return Evicted::none();
         }
-        let before = self.evictions;
-        let victims = self.insert(file, meta, probe);
-        self.evictions = before;
-        victims
+        insert(&mut self.store, file, meta, probe)
     }
 
     /// A client asks for `file` at `now`. Touches the store once, asks
@@ -269,7 +240,9 @@ impl<S: Store> Engine<S> {
         oracle: Option<&FilePopulation>,
         probe: &mut P,
     ) -> Effect {
-        if self.is_uncacheable(class) {
+        let uncacheable = self.is_uncacheable(class);
+        let probe = &mut (&mut self.tally, probe);
+        if uncacheable {
             conclude(probe, now, file, RequestOutcome::Uncacheable);
             return Effect::Forward;
         }
@@ -294,22 +267,14 @@ impl<S: Store> Engine<S> {
         if fresh {
             match live() {
                 Some(live) if live.modified_at != entry.last_modified => {
-                    self.stats.stale_hits += 1;
                     // Severity: how long the served copy has been out of
                     // date (time since the first change it missed).
-                    let mut age = SimDuration::ZERO;
-                    let missed =
-                        oracle.and_then(|o| o.get(file).first_change_after(entry.last_modified));
-                    if let Some(missed) = missed {
-                        age = now.saturating_since(missed.modified_at);
-                        self.stale_age_total = self.stale_age_total.saturating_add(age);
-                    }
+                    let age = oracle
+                        .and_then(|o| o.get(file).first_change_after(entry.last_modified))
+                        .map_or(SimDuration::ZERO, |m| now.saturating_since(m.modified_at));
                     conclude(probe, now, file, RequestOutcome::StaleHit { age });
                 }
-                _ => {
-                    self.stats.fresh_hits += 1;
-                    conclude(probe, now, file, RequestOutcome::FreshHit);
-                }
+                _ => conclude(probe, now, file, RequestOutcome::FreshHit),
             }
             return Effect::Serve(entry);
         }
@@ -333,7 +298,7 @@ impl<S: Store> Engine<S> {
     }
 
     /// The upstream answered the exchange a [`Engine::request`] at `now`
-    /// asked for. Counts it, feeds the policy, and updates the store.
+    /// asked for. Records it, feeds the policy, and updates the store.
     #[inline]
     pub fn apply<P: Probe + ?Sized>(
         &mut self,
@@ -343,14 +308,18 @@ impl<S: Store> Engine<S> {
         reply: Reply,
         probe: &mut P,
     ) -> Applied {
+        let uncacheable = self.is_uncacheable(class);
+        let probe = &mut (&mut self.tally, probe);
         match reply {
             Reply::NotModified {
                 expires,
                 message_bytes,
                 delay,
             } => {
-                self.traffic.add_message(message_bytes);
-                self.stats.validations_not_modified += 1;
+                probe.record(
+                    now,
+                    exchange(file, ExchangeKind::NotModified, message_bytes, 0),
+                );
                 self.policy.on_validation(class, false);
                 // A 304 moves no body: delay-aware policies fold the bare
                 // round trip into their per-class estimate.
@@ -371,7 +340,6 @@ impl<S: Store> Engine<S> {
                 };
                 entry.revalidate(now);
                 entry.expires = expires;
-                self.stats.fresh_hits += 1;
                 conclude(probe, now, file, RequestOutcome::ValidatedFresh);
                 Applied::default()
             }
@@ -383,12 +351,9 @@ impl<S: Store> Engine<S> {
                 message_bytes,
                 delay,
             } => {
-                self.traffic.add_message(message_bytes);
-                self.traffic.add_file_transfer(size);
+                probe.record(now, exchange(file, ExchangeKind::Body, message_bytes, size));
                 self.policy.on_fetch(class, delay);
-                self.stats.misses += 1;
                 if conditional {
-                    self.stats.validations_modified += 1;
                     self.policy.on_validation(class, true);
                     probe.record(
                         now,
@@ -399,7 +364,7 @@ impl<S: Store> Engine<S> {
                     );
                     conclude(probe, now, file, RequestOutcome::ValidatedStale);
                 }
-                if self.is_uncacheable(class) {
+                if uncacheable {
                     return self.forget(file);
                 }
                 // Reinsert rather than mutate in place: bounded stores
@@ -412,7 +377,7 @@ impl<S: Store> Engine<S> {
                 entry.replace_body(size, last_modified, now);
                 entry.expires = expires;
                 Applied {
-                    victims: self.insert(file, entry, probe),
+                    victims: insert(&mut self.store, file, entry, probe),
                     lost: false,
                 }
             }
@@ -420,8 +385,7 @@ impl<S: Store> Engine<S> {
                 conditional,
                 message_bytes,
             } => {
-                self.traffic.add_message(message_bytes);
-                self.stats.misses += 1;
+                probe.record(now, exchange(file, ExchangeKind::Gone, message_bytes, 0));
                 if conditional {
                     conclude(probe, now, file, RequestOutcome::Miss);
                 }
@@ -433,10 +397,34 @@ impl<S: Store> Engine<S> {
     /// The origin's callback for a changed `file` arrived (one control
     /// message of `message_bytes`): a resident copy stays resident but
     /// may no longer be served.
-    pub fn invalidate(&mut self, file: FileId, now: SimTime, message_bytes: u64) {
-        self.traffic.add_message(message_bytes);
+    pub fn invalidate<P: Probe + ?Sized>(
+        &mut self,
+        file: FileId,
+        now: SimTime,
+        message_bytes: u64,
+        probe: &mut P,
+    ) {
+        let notice = exchange(file, ExchangeKind::Notice, message_bytes, 0);
+        (&mut self.tally, probe).record(now, notice);
         if let Some(entry) = self.store.access(file, now) {
             entry.mark_invalid();
         }
     }
+}
+
+/// Insert, reporting what a bounded store displaced.
+fn insert<S: Store, P: Probe + ?Sized>(
+    store: &mut S,
+    file: FileId,
+    meta: EntryMeta,
+    probe: &mut P,
+) -> Evicted {
+    let at = meta.fetched_at;
+    let victims = store.insert(file, meta);
+    for &(victim, _) in victims.iter() {
+        if victim != file {
+            probe.record(at, ObsEvent::Eviction { file: victim });
+        }
+    }
+    victims
 }

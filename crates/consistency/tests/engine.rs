@@ -11,7 +11,7 @@ use originserver::{FilePopulation, FileRecord};
 use proptest::prelude::*;
 use proxycache::{EntryMeta, LruStore, Store};
 use simcore::{CacheStats, FileId, SimDuration, SimTime};
-use wcc_obs::{ObsEvent, Probe, RequestOutcome};
+use wcc_obs::{ExchangeKind, ObsEvent, Probe, RequestOutcome, Tally};
 
 fn t(s: u64) -> SimTime {
     SimTime::from_secs(s)
@@ -20,12 +20,14 @@ fn t(s: u64) -> SimTime {
 const MSG: u64 = 43;
 const RTT: SimDuration = SimDuration::from_secs(1);
 
-/// Renders each engine event as a short label, in arrival order.
+/// Renders each engine event as a short label, in arrival order, and
+/// folds the stream into a tally of its own.
 #[derive(Default)]
-struct Log(Vec<String>);
+struct Log(Vec<String>, Tally);
 
 impl Probe for Log {
     fn record(&mut self, at: SimTime, event: ObsEvent) {
+        self.1.record(at, event);
         let at = at.as_secs();
         self.0.push(match event {
             ObsEvent::Request { file, outcome } => {
@@ -44,6 +46,23 @@ impl Probe for Log {
             }
             ObsEvent::Validation { file, modified } => {
                 format!("{at} validation f{} modified={modified}", file.index())
+            }
+            ObsEvent::Exchange {
+                file,
+                kind,
+                message_bytes,
+                body_bytes,
+            } => {
+                let kind = match kind {
+                    ExchangeKind::NotModified => "not-modified",
+                    ExchangeKind::Body => "body",
+                    ExchangeKind::Gone => "gone",
+                    ExchangeKind::Notice => "notice",
+                };
+                format!(
+                    "{at} exchange f{} {kind} {message_bytes}+{body_bytes}",
+                    file.index()
+                )
             }
             ObsEvent::Eviction { file } => format!("{at} eviction f{}", file.index()),
             other => panic!("the engine does not emit {other:?}"),
@@ -152,7 +171,11 @@ fn cases() -> Vec<Case> {
             evictions: 0,
             traffic: (1, 1),
             resident: &[],
-            events: &["10 request f1 uncacheable", "11 request f1 uncacheable"],
+            events: &[
+                "10 request f1 uncacheable",
+                "10 exchange f1 body 43+600",
+                "11 request f1 uncacheable",
+            ],
         },
         Case {
             name: "compulsory miss is stored, then a fresh hit",
@@ -171,6 +194,7 @@ fn cases() -> Vec<Case> {
             resident: &[0],
             events: &[
                 "10 request f0 miss",
+                "10 exchange f0 body 43+200",
                 "20 decision f0 fresh=true",
                 "20 request f0 fresh",
             ],
@@ -219,9 +243,11 @@ fn cases() -> Vec<Case> {
             traffic: (2, 1),
             resident: &[0],
             events: &[
+                "50 exchange f0 notice 43+0",
                 "60 decision f0 fresh=false",
                 "60 validation f0 modified=true",
                 "60 request f0 miss",
+                "60 exchange f0 body 43+300",
                 "70 decision f0 fresh=true",
                 "70 request f0 fresh",
             ],
@@ -245,6 +271,7 @@ fn cases() -> Vec<Case> {
                 "10 decision f1 fresh=false",
                 "10 validation f1 modified=false",
                 "10 request f1 miss",
+                "10 exchange f1 body 43+600",
             ],
         },
         Case {
@@ -281,6 +308,7 @@ fn cases() -> Vec<Case> {
             resident: &[1],
             events: &[
                 "10 decision f1 fresh=false",
+                "10 exchange f1 not-modified 43+0",
                 "10 validation f1 modified=false",
                 "10 request f1 validated-fresh",
             ],
@@ -302,6 +330,7 @@ fn cases() -> Vec<Case> {
             resident: &[0],
             events: &[
                 "60 decision f0 fresh=false",
+                "60 exchange f0 body 43+300",
                 "60 validation f0 modified=true",
                 "60 request f0 validated-stale",
             ],
@@ -325,7 +354,9 @@ fn cases() -> Vec<Case> {
             resident: &[],
             events: &[
                 "5 request f2 miss",
+                "5 exchange f2 gone 43+0",
                 "10 decision f1 fresh=false",
+                "10 exchange f1 gone 43+0",
                 "10 request f1 miss",
             ],
         },
@@ -352,9 +383,12 @@ fn cases() -> Vec<Case> {
             events: &[
                 "10 decision f1 fresh=false",
                 "11 request f2 miss",
+                "11 exchange f2 body 43+600",
                 "11 eviction f1",
+                "10 exchange f1 not-modified 43+0",
                 "10 validation f1 modified=false",
                 "10 request f1 miss",
+                "10 exchange f1 body 43+600",
                 "10 eviction f2",
             ],
         },
@@ -373,7 +407,11 @@ fn cases() -> Vec<Case> {
             evictions: 0,
             traffic: (1, 1),
             resident: &[],
-            events: &["10 request f0 miss", "11 request f0 miss"],
+            events: &[
+                "10 request f0 miss",
+                "10 exchange f0 body 43+5000",
+                "11 request f0 miss",
+            ],
         },
     ]
 }
@@ -398,7 +436,9 @@ fn every_branch_of_request_and_apply() {
                     let meta = EntryMeta::fresh(size, t(0), t(at));
                     engine.preload(FileId(file), 0, meta, &mut log);
                 }
-                Step::Invalidate(file, now) => engine.invalidate(FileId(file), t(now), MSG),
+                Step::Invalidate(file, now) => {
+                    engine.invalidate(FileId(file), t(now), MSG, &mut log);
+                }
                 Step::Request(file, class, now, want) => {
                     let got = match engine.request(FileId(file), class, t(now), oracle, &mut log) {
                         Effect::Serve(_) => Want::Serve,
@@ -418,8 +458,9 @@ fn every_branch_of_request_and_apply() {
         }
         let [fresh_hits, stale_hits, misses, validations_not_modified, validations_modified] =
             case.stats;
+        let tally = engine.tally();
         assert_eq!(
-            *engine.stats(),
+            tally.cache,
             CacheStats {
                 fresh_hits,
                 stale_hits,
@@ -429,9 +470,9 @@ fn every_branch_of_request_and_apply() {
             },
             "{name}"
         );
-        assert_eq!(engine.stale_age_total().as_secs(), case.stale_age, "{name}");
-        assert_eq!(engine.evictions(), case.evictions, "{name}");
-        let traffic = engine.traffic();
+        assert_eq!(tally.stale_age_total.as_secs(), case.stale_age, "{name}");
+        assert_eq!(tally.evictions, case.evictions, "{name}");
+        let traffic = tally.traffic;
         assert_eq!(
             (traffic.messages, traffic.file_transfers),
             case.traffic,
@@ -441,6 +482,9 @@ fn every_branch_of_request_and_apply() {
         let resident: Vec<u32> = engine.store().iter().map(|(id, _)| id.0).collect();
         assert_eq!(resident, case.resident, "{name}");
         assert_eq!(log.0, case.events, "{name}");
+        // No script preloads into a full store, so the caller's stream
+        // folds to the engine's own counts.
+        assert_eq!(log.1, *tally, "{name}: the caller's fold");
     }
 }
 
@@ -541,7 +585,7 @@ fn drive(ops: &[Op], invalidation: bool) {
             },
             Op::Invalidate(f) => {
                 if invalidation {
-                    engine.invalidate(FileId(f), now, MSG);
+                    engine.invalidate(FileId(f), now, MSG, &mut log);
                 }
             }
             Op::Reply(n, gone) => {
@@ -579,10 +623,11 @@ fn drive(ops: &[Op], invalidation: bool) {
             }
         }
         assert_eq!(
-            engine.stats().requests(),
+            engine.tally().cache.requests(),
             concluded,
             "after move {i}: {op:?}"
         );
+        assert_eq!(log.1, *engine.tally(), "after move {i}: {op:?}");
         if invalidation {
             let resident: BTreeSet<FileId> = engine.store().iter().map(|(id, _)| id).collect();
             assert_eq!(subscribed, resident, "after move {i}: {op:?}");

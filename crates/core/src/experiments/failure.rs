@@ -99,7 +99,7 @@ pub fn run_partitioned_invalidation(workload: &Workload, outages: &[Outage]) -> 
             Some(at) if head.is_none_or(|t| at < t) => {
                 for (_, file) in retry.sweep(at).delivered {
                     late_deliveries += 1;
-                    cache.invalidate(file, at);
+                    cache.invalidate(file, at, &mut NoopProbe);
                 }
             }
             _ => match schedule.next() {
@@ -109,7 +109,7 @@ pub fn run_partitioned_invalidation(workload: &Workload, outages: &[Outage]) -> 
                     for target in cache.server.notify_modification(file) {
                         debug_assert_eq!(target, THE_CACHE);
                         if retry.send(THE_CACHE, file, now) {
-                            cache.invalidate(file, now);
+                            cache.invalidate(file, now, &mut NoopProbe);
                         }
                     }
                 }

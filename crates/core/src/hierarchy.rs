@@ -72,7 +72,7 @@ impl HierarchySim {
     pub fn traffic(&self) -> TrafficMeter {
         let mut total = TrafficMeter::default();
         for cache in &self.caches {
-            total.merge(cache.traffic());
+            total.merge(&cache.tally().traffic);
         }
         total
     }
@@ -81,7 +81,7 @@ impl HierarchySim {
     /// path a request climbs, exactly one cache serves from its store
     /// (or the origin answers); that cache's stale hit is the client's.
     pub fn stale_serves(&self) -> u64 {
-        self.caches.iter().map(|c| c.stats().stale_hits).sum()
+        self.caches.iter().map(|c| c.tally().cache.stale_hits).sum()
     }
 
     /// Pre-load every cache with the version of `file` live at `now`
@@ -104,7 +104,7 @@ impl HierarchySim {
     /// that reads no writes sees nothing.
     pub fn modify(&mut self, file: FileId, now: SimTime) {
         for cache in self.caches.iter_mut().filter(|c| c.reads_writes()) {
-            cache.invalidate(file, now, PAPER_MESSAGE_BYTES);
+            cache.invalidate(file, now, PAPER_MESSAGE_BYTES, &mut NoopProbe);
         }
     }
 
@@ -441,7 +441,7 @@ mod tests {
         let leaf = topo.add_child(topo.root());
         let mut sim = HierarchySim::new(topo, pop, ProtocolSpec::Ttl(1_000));
         sim.preload(f, t0);
-        sim.caches[leaf.index()].invalidate(f, t0, 0);
+        sim.caches[leaf.index()].invalidate(f, t0, 0, &mut NoopProbe);
         let before = sim.traffic().messages;
         sim.request(leaf, f, t2);
         assert_eq!(sim.traffic().file_transfers, 0);

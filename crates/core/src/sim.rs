@@ -376,11 +376,16 @@ impl<'w, S: Store> SimCache<'w, S> {
     }
 
     /// An invalidation notice for `file` reaches the cache at `now`.
-    pub(crate) fn invalidate(&mut self, file: FileId, now: SimTime) {
+    pub(crate) fn invalidate<P: Probe + ?Sized>(
+        &mut self,
+        file: FileId,
+        now: SimTime,
+        probe: &mut P,
+    ) {
         let notice = self
             .costing
             .invalidation_message(self.server.files().get(file).path);
-        self.engine.invalidate(file, now, notice);
+        self.engine.invalidate(file, now, notice, probe);
     }
 
     /// The origin's copy of `file` changes at `now`; under the
@@ -406,26 +411,27 @@ impl<'w, S: Store> SimCache<'w, S> {
                     kind: ServerOpKind::InvalidationSent,
                 },
             );
-            self.invalidate(file, now);
+            self.invalidate(file, now, probe);
         }
     }
 
     /// The run's metrics under `label`, plus the eviction count.
     pub(crate) fn finish(self, label: String) -> (RunResult, u64) {
+        let tally = self.engine.tally();
         debug_assert_eq!(
-            self.engine.stats().requests() as usize,
+            tally.cache.requests() as usize,
             self.workload.request_count(),
             "every request classifies as exactly one of hit/stale/miss"
         );
         (
             RunResult {
                 protocol: label,
-                traffic: *self.engine.traffic(),
-                cache: *self.engine.stats(),
+                traffic: tally.traffic,
+                cache: tally.cache,
                 server: *self.server.load(),
-                stale_age_total: self.engine.stale_age_total(),
+                stale_age_total: tally.stale_age_total,
             },
-            self.engine.evictions(),
+            tally.evictions,
         )
     }
 }

@@ -74,7 +74,7 @@ use httpsim::{Request, Response, Status};
 use originserver::FilePopulation;
 use proxycache::{AnyStore, EntryMeta};
 use simcore::{CacheStats, FileId, SimDuration, SimTime, TrafficMeter};
-use wcc_obs::{ObsEvent, ProbeHandle};
+use wcc_obs::{ObsEvent, ProbeHandle, Tally};
 use wcc_sync::RankedMutex;
 
 use crate::clock::{sim_instant, wall_date, LiveClock};
@@ -231,7 +231,6 @@ struct CacheState {
     /// Flights whose fetch is still out: its reply, not an eviction
     /// meanwhile, settles whether the origin keeps the file subscribed.
     fetching: HashSet<FileId>,
-    invalidations_delivered: u64,
 }
 
 /// A request waiting, undecided, on another's fetch of its file.
@@ -613,8 +612,8 @@ impl Dispatch for Arc<ProxyShared> {
         let mut st = self.shard(file).lock();
         let held = st.engine.peek(file).is_some() || st.fetching.contains(&file);
         if held {
-            st.invalidations_delivered += 1;
-            st.engine.invalidate(file, self.clock.now(), bytes);
+            st.engine
+                .invalidate(file, self.clock.now(), bytes, &mut &self.probe);
         }
         held
     }
@@ -690,7 +689,6 @@ impl LiveProxy {
                     bodies: HashMap::new(),
                     in_flight: HashMap::new(),
                     fetching: HashSet::new(),
-                    invalidations_delivered: 0,
                 },
             ));
         }
@@ -753,23 +751,20 @@ impl LiveProxy {
     pub fn shutdown(mut self) -> ProxySnapshot {
         self.reactor.stop();
         let upstream = self.reactor.upstream();
-        let mut snap = ProxySnapshot {
+        let mut tally = Tally::default();
+        for shard in &self.shared.shards {
+            tally.merge(shard.lock().engine.tally());
+        }
+        ProxySnapshot {
+            cache: tally.cache,
+            traffic: tally.traffic,
+            stale_age_total: tally.stale_age_total,
+            invalidations_delivered: tally.notices,
+            evictions: tally.evictions,
             upstream_dials: upstream.dials.load(Ordering::Relaxed),
             upstream_reuses: upstream.reuses.load(Ordering::Relaxed),
             upstream_saturations: upstream.saturations.load(Ordering::Relaxed),
-            ..ProxySnapshot::default()
-        };
-        for shard in &self.shared.shards {
-            let st = shard.lock();
-            snap.cache.merge(st.engine.stats());
-            snap.traffic.merge(st.engine.traffic());
-            snap.stale_age_total = snap
-                .stale_age_total
-                .saturating_add(st.engine.stale_age_total());
-            snap.invalidations_delivered += st.invalidations_delivered;
-            snap.evictions += st.engine.evictions();
         }
-        snap
     }
 }
 
@@ -1458,7 +1453,7 @@ mod tests {
         /// `INVALIDATE`s counted as delivered so far.
         fn delivered(&self) -> u64 {
             let shards = self.proxy.shared.shards.iter();
-            shards.map(|s| s.lock().invalidations_delivered).sum()
+            shards.map(|s| s.lock().engine.tally().notices).sum()
         }
 
         /// Open a connection and send a GET for `path` on it, which the

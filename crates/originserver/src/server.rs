@@ -72,11 +72,6 @@ impl OriginServer {
         &self.load
     }
 
-    /// Reset load counters (between parameter-sweep points).
-    pub fn reset_load(&mut self) {
-        self.load = ServerLoad::default();
-    }
-
     /// Serve an unconditional `GET` at `now`: returns the live version.
     /// Counts one document request.
     ///
@@ -326,14 +321,6 @@ mod tests {
         let (s, f) = server_with_one_file();
         let arc = s.files_arc();
         assert_eq!(arc.get(f).path, s.files().get(f).path);
-    }
-
-    #[test]
-    fn reset_load_zeroes_counters() {
-        let (mut s, f) = server_with_one_file();
-        s.handle_get(f, t(1));
-        s.reset_load();
-        assert_eq!(s.load().total_operations(), 0);
     }
 
     #[test]

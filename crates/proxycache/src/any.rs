@@ -69,18 +69,6 @@ impl AnyStore {
         AnyStore::Lfu(LfuStore::new(capacity_bytes))
     }
 
-    /// Capacity-eviction count (zero for the unbounded store, which never
-    /// evicts).
-    pub fn evictions(&self) -> u64 {
-        match self {
-            AnyStore::Unbounded(_) => 0,
-            AnyStore::Lru(s) => s.evictions(),
-            AnyStore::Fifo(s) => s.evictions(),
-            AnyStore::Gds(s) => s.evictions(),
-            AnyStore::Lfu(s) => s.evictions(),
-        }
-    }
-
     /// Short label for reports (`unbounded` / `lru` / `fifo` / `gds` /
     /// `lfu`).
     pub fn kind(&self) -> &'static str {
@@ -233,7 +221,7 @@ mod tests {
         ] {
             assert!(s.is_empty());
             assert!(s.insert(FileId(1), meta(100)).is_empty());
-            s.insert(FileId(3), meta(50));
+            assert!(s.insert(FileId(3), meta(50)).is_empty());
             assert_eq!(s.len(), 2);
             assert_eq!(s.resident_bytes(), 150);
             assert_eq!(s.peek(FileId(1)).unwrap().size, 100);
@@ -243,7 +231,6 @@ mod tests {
             assert_eq!(ids, vec![1, 3], "{}", s.kind());
             assert_eq!(s.remove(FileId(1)).unwrap().size, 100);
             assert_eq!(s.len(), 1);
-            assert_eq!(s.evictions(), 0);
         }
     }
 
@@ -300,14 +287,12 @@ mod tests {
             AnyStore::lfu(100),
         ] {
             s.insert(FileId(1), meta(60));
-            s.insert(FileId(2), meta(60));
-            assert_eq!(s.evictions(), 1, "{}", s.kind());
+            assert_eq!(s.insert(FileId(2), meta(60)).len(), 1, "{}", s.kind());
             assert_eq!(s.len(), 1);
         }
         let mut u = AnyStore::unbounded();
         u.insert(FileId(1), meta(60));
-        u.insert(FileId(2), meta(60));
-        assert_eq!(u.evictions(), 0);
+        assert!(u.insert(FileId(2), meta(60)).is_empty());
         assert_eq!(u.len(), 2);
     }
 }

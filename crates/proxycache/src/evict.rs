@@ -111,7 +111,6 @@ pub struct BoundedStore<E> {
     slots: Vec<Option<EntryMeta>>,
     len: usize,
     bytes: u64,
-    evictions: u64,
     policy: E,
 }
 
@@ -142,7 +141,6 @@ impl<E: EvictionPolicy> BoundedStore<E> {
             slots: Vec::new(),
             len: 0,
             bytes: 0,
-            evictions: 0,
             policy,
         }
     }
@@ -150,12 +148,6 @@ impl<E: EvictionPolicy> BoundedStore<E> {
     /// Configured capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.capacity_bytes
-    }
-
-    /// Number of entries evicted (or refused admission) over the store's
-    /// lifetime.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// The eviction policy driving this store.
@@ -174,7 +166,6 @@ impl<E: EvictionPolicy> BoundedStore<E> {
             self.policy.on_evict(victim, &meta);
             self.bytes -= meta.size;
             self.len -= 1;
-            self.evictions += 1;
             out.push(victim, meta);
         }
     }
@@ -205,7 +196,6 @@ impl<E: EvictionPolicy> Store for BoundedStore<E> {
                 self.policy.on_remove(id, &old);
                 self.slots[idx] = None;
                 self.len -= 1;
-                self.evictions += 1;
                 return Evicted::one(id, meta);
             }
             let mut evicted = Evicted::none();
@@ -219,12 +209,10 @@ impl<E: EvictionPolicy> Store for BoundedStore<E> {
             // An entity larger than the whole cache is never admitted;
             // report it as immediately "evicted" so callers keep ledgers
             // consistent.
-            self.evictions += 1;
             return Evicted::one(id, meta);
         }
         let would_evict = self.bytes + meta.size > self.capacity_bytes;
         if !self.policy.admit(id, &meta, would_evict) {
-            self.evictions += 1;
             return Evicted::one(id, meta);
         }
         let mut evicted = Evicted::none();
@@ -572,7 +560,6 @@ pub(crate) mod lockstep {
             assert!(real.iter().eq(model.iter()), "resident sets differ");
             assert_eq!(real.resident_bytes(), model.resident_bytes());
             assert!(real.resident_bytes() <= CAPACITY);
-            assert_eq!(real.evictions(), model.evictions());
             let (real, model) = (real.policy(), model.policy());
             assert_eq!(real.victim(None), model.victim(None));
             for id in (0..IDS).map(FileId) {

@@ -113,7 +113,6 @@ mod tests {
         let evicted = s.insert(FileId(4), meta(100));
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].0, FileId(1), "largest object has least score");
-        assert_eq!(s.evictions(), 1);
     }
 
     #[test]
@@ -153,7 +152,6 @@ mod tests {
         assert_eq!(s.remove(FileId(1)).unwrap().size, 100);
         assert_eq!(s.policy().inflation(), 0.0);
         assert_eq!(s.len(), 0);
-        assert_eq!(s.evictions(), 0);
     }
 
     #[test]

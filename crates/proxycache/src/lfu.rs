@@ -146,7 +146,6 @@ mod tests {
         }
         assert!(s.peek(FileId(1)).is_some());
         assert!(s.peek(FileId(2)).is_some());
-        assert_eq!(s.evictions(), 10, "rejections count as evictions");
     }
 
     #[test]

@@ -79,7 +79,6 @@ mod tests {
         assert!(s.peek(FileId(1)).is_some());
         assert!(s.peek(FileId(3)).is_some());
         assert!(s.peek(FileId(4)).is_some());
-        assert_eq!(s.evictions(), 1);
     }
 
     #[test]

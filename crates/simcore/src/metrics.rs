@@ -63,20 +63,6 @@ impl TrafficMeter {
     }
 }
 
-impl fmt::Display for TrafficMeter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:.2} MB ({} msgs / {} B, {} files / {} B)",
-            self.total_megabytes(),
-            self.messages,
-            self.message_bytes,
-            self.file_transfers,
-            self.file_bytes
-        )
-    }
-}
-
 /// Cache behaviour counters, matching Figures 3, 5, and 7.
 ///
 /// The optimized simulator records a *cache miss* only when a file body
@@ -131,18 +117,6 @@ impl CacheStats {
     }
 }
 
-impl fmt::Display for CacheStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} reqs: {:.2}% miss, {:.2}% stale",
-            self.requests(),
-            100.0 * self.miss_rate(),
-            100.0 * self.stale_hit_rate()
-        )
-    }
-}
-
 /// Server-side operation counters, matching Figure 8: "requests for
 /// documents, queries to determine whether documents are stale, and
 /// invalidation messages".
@@ -167,19 +141,6 @@ impl ServerLoad {
         self.document_requests += other.document_requests;
         self.validation_queries += other.validation_queries;
         self.invalidations_sent += other.invalidations_sent;
-    }
-}
-
-impl fmt::Display for ServerLoad {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} ops ({} docs, {} queries, {} invals)",
-            self.total_operations(),
-            self.document_requests,
-            self.validation_queries,
-            self.invalidations_sent
-        )
     }
 }
 
@@ -463,14 +424,5 @@ mod tests {
         let mut l = LatencyStats::new();
         l.record_ns(1);
         l.quantile_ns(1.5);
-    }
-
-    #[test]
-    fn displays_are_humane() {
-        let mut t = TrafficMeter::default();
-        t.add_message(43);
-        assert!(t.to_string().contains("msgs"));
-        assert!(CacheStats::default().to_string().contains("0 reqs"));
-        assert!(ServerLoad::default().to_string().contains("0 ops"));
     }
 }

@@ -21,6 +21,6 @@ impl Cache {
 
     fn reply(&mut self, file: FileId, now: SimTime, reply: Reply, probe: &mut dyn Probe) {
         self.engine.apply(file, 0, now, reply, probe);
-        self.engine.invalidate(file, now, 43);
+        self.engine.invalidate(file, now, 43, probe);
     }
 }

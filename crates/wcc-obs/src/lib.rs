@@ -8,6 +8,8 @@
 //! * [`TraceProbe`] — a bounded ring buffer of events with a
 //!   deterministic JSONL export (stable field order, sequence-numbered,
 //!   drop-counted). Two identical runs export byte-identical traces.
+//! * [`Tally`] — the paper's per-cache counts (request split,
+//!   bandwidth, staleness age, evictions) as a fold of the stream.
 //! * [`MetricsProbe`] / [`MetricsRegistry`] — named counters and gauges
 //!   plus log2-bucketed histograms (time-to-stale, validation
 //!   intervals, invalidation fan-out, live-path latency).
@@ -32,11 +34,13 @@
 mod metrics;
 mod probe;
 pub mod profile;
+mod tally;
 mod trace;
 
 pub use metrics::{Log2Histogram, MetricsProbe, MetricsRegistry};
 pub use probe::{
-    ConnCloseReason, NoopProbe, ObsEvent, Probe, ProbeHandle, RequestOutcome, ServerOpKind,
-    ShedReason,
+    ConnCloseReason, ExchangeKind, NoopProbe, ObsEvent, Probe, ProbeHandle, RequestOutcome,
+    ServerOpKind, ShedReason,
 };
+pub use tally::Tally;
 pub use trace::TraceProbe;

@@ -504,6 +504,9 @@ impl Probe for MetricsProbe {
                 self.count(Metric::LockContended);
                 self.gauge_max(Metric::LockContendedRank, i64::from(rank));
             }
+            // Its counts are the engine's `Tally`; the registry would only
+            // name them twice.
+            ObsEvent::Exchange { .. } => {}
         }
     }
 }

@@ -46,6 +46,19 @@ pub enum ServerOpKind {
     InvalidationRetracted,
 }
 
+/// What reached a cache in an [`ObsEvent::Exchange`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExchangeKind {
+    /// `304 Not Modified` to a conditional GET.
+    NotModified,
+    /// `200 OK` with the live version's body.
+    Body,
+    /// `404 Not Found`.
+    Gone,
+    /// The origin's invalidation notice for a changed file.
+    Notice,
+}
+
 /// One structured observability event. Every variant carries only
 /// values the instrumented code had already computed — emitting an
 /// event can never perturb the run that produced it.
@@ -58,12 +71,27 @@ pub enum ObsEvent {
         /// How it was served.
         outcome: RequestOutcome,
     },
-    /// A cache↔origin validation exchange completed.
+    /// The policy learned whether its copy of a file had changed: from
+    /// a conditional GET's answer, or, on an eager refetch, where no
+    /// question is asked, from the origin's timeline.
     Validation {
-        /// The validated file.
+        /// The file whose copy was checked.
         file: FileId,
         /// Whether the origin copy had changed.
         modified: bool,
+    },
+    /// A cache received one upstream reply or invalidation notice, with
+    /// what it cost.
+    Exchange {
+        /// The file the exchange was about.
+        file: FileId,
+        /// Which reply, or a notice.
+        kind: ExchangeKind,
+        /// Control-message bytes, as the transport priced them: request and
+        /// response headers, or the notice and its acknowledgement.
+        message_bytes: u64,
+        /// Entity bytes; nonzero only for [`ExchangeKind::Body`].
+        body_bytes: u64,
     },
     /// The origin published an invalidation for a modified file.
     Invalidation {
@@ -231,6 +259,15 @@ impl ConnCloseReason {
 pub trait Probe {
     /// Record one event observed at virtual instant `at`.
     fn record(&mut self, at: SimTime, event: ObsEvent);
+}
+
+/// Two probes as one: each event goes to the first, then the second.
+impl<A: Probe + ?Sized, B: Probe + ?Sized> Probe for (&mut A, &mut B) {
+    #[inline]
+    fn record(&mut self, at: SimTime, event: ObsEvent) {
+        self.0.record(at, event);
+        self.1.record(at, event);
+    }
 }
 
 /// The do-nothing probe — the default everywhere, and the one the

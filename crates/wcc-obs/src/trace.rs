@@ -6,7 +6,7 @@ use std::io;
 
 use simcore::SimTime;
 
-use crate::probe::{ObsEvent, Probe, RequestOutcome, ServerOpKind};
+use crate::probe::{ExchangeKind, ObsEvent, Probe, RequestOutcome, ServerOpKind};
 
 /// A [`Probe`] that keeps the most recent `capacity` events in a ring.
 ///
@@ -128,6 +128,25 @@ pub fn event_json(seq: u64, at: SimTime, event: &ObsEvent) -> String {
             write!(
                 s,
                 ",\"kind\":\"validation\",\"file\":{},\"modified\":{modified}",
+                file.index()
+            )
+            .expect("infallible");
+        }
+        ObsEvent::Exchange {
+            file,
+            kind,
+            message_bytes,
+            body_bytes,
+        } => {
+            let reply = match kind {
+                ExchangeKind::NotModified => "not_modified",
+                ExchangeKind::Body => "body",
+                ExchangeKind::Gone => "gone",
+                ExchangeKind::Notice => "notice",
+            };
+            write!(
+                s,
+                ",\"kind\":\"exchange\",\"file\":{},\"reply\":\"{reply}\",\"message_bytes\":{message_bytes},\"body_bytes\":{body_bytes}",
                 file.index()
             )
             .expect("infallible");

@@ -72,7 +72,8 @@ fn main() {
         cache.apply(id, 0, now, reply, &mut NoopProbe);
     }
 
-    let stats = *cache.stats();
+    let tally = *cache.tally();
+    let stats = tally.cache;
     let (hits, misses) = (stats.fresh_hits, stats.misses + dynamic);
     let validations = stats.validations_not_modified;
     let total = hits + misses;
@@ -87,7 +88,7 @@ fn main() {
         100.0 * hits as f64 / total as f64
     );
     println!("  validations (304) : {validations}");
-    println!("  evictions         : {}", cache.evictions());
+    println!("  evictions         : {}", tally.evictions);
     println!(
         "  resident          : {} objects / {:.1} MB",
         cache.store().len(),

@@ -3,7 +3,7 @@
 
 use wwwcache::proxycache::HierarchyTopology;
 use wwwcache::simcore::SimDuration;
-use wwwcache::wcc_obs::TraceProbe;
+use wwwcache::wcc_obs::{ObsEvent, Probe, TraceProbe};
 use wwwcache::webcache::experiments::{
     base::run_base_with,
     failure::{run_partitioned_invalidation, Outage},
@@ -332,14 +332,37 @@ fn probe_event_streams_match_pinned_hashes() {
         .iter()
         .filter_map(|(_, rec)| rec.version_at(wl.start).map(|v| v.size))
         .sum();
-    let pinned: [(ProtocolSpec, u64); 5] = [
-        (ProtocolSpec::Ttl(48), 3_396_245_693_127_715_562),
-        (ProtocolSpec::Alex(20), 10_619_631_799_275_100_362),
-        (ProtocolSpec::Invalidation, 17_783_937_360_707_719_295),
-        (ProtocolSpec::RenewableTtl(24), 18_082_429_234_969_043_656),
-        (ProtocolSpec::UpdateRisk(5), 10_567_333_375_222_849_003),
+    // `(spec, full stream, stream without its exchange events)`. The
+    // second hash was pinned before replies carried their bytes: every
+    // other event is where it was.
+    let pinned: [(ProtocolSpec, u64, u64); 5] = [
+        (
+            ProtocolSpec::Ttl(48),
+            18_216_779_714_523_949_012,
+            3_396_245_693_127_715_562,
+        ),
+        (
+            ProtocolSpec::Alex(20),
+            4_044_380_262_315_333_427,
+            10_619_631_799_275_100_362,
+        ),
+        (
+            ProtocolSpec::Invalidation,
+            1_479_579_537_235_014_119,
+            17_783_937_360_707_719_295,
+        ),
+        (
+            ProtocolSpec::RenewableTtl(24),
+            6_663_344_711_493_566_302,
+            18_082_429_234_969_043_656,
+        ),
+        (
+            ProtocolSpec::UpdateRisk(5),
+            1_626_089_919_296_659_483,
+            10_567_333_375_222_849_003,
+        ),
     ];
-    for (spec, golden) in pinned {
+    for (spec, full, without_exchanges) in pinned {
         let mut trace = TraceProbe::new(1 << 20);
         Experiment::new(&wl)
             .protocol(spec)
@@ -347,11 +370,24 @@ fn probe_event_streams_match_pinned_hashes() {
             .probe(&mut trace)
             .run();
         assert_eq!(trace.dropped(), 0);
+        let mut others = TraceProbe::new(1 << 20);
+        for &(_, at, event) in trace.events() {
+            if !matches!(event, ObsEvent::Exchange { .. }) {
+                others.record(at, event);
+            }
+        }
         let stream = trace.to_jsonl_string();
         assert!(stream.contains("\"eviction\""), "{}", spec.label());
+        assert!(stream.contains("\"exchange\""), "{}", spec.label());
+        assert_eq!(
+            fnv1a(others.to_jsonl_string().as_bytes()),
+            without_exchanges,
+            "{}: an existing probe event moved or changed",
+            spec.label()
+        );
         assert_eq!(
             fnv1a(stream.as_bytes()),
-            golden,
+            full,
             "{}: probe event stream diverged",
             spec.label()
         );

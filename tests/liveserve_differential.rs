@@ -18,7 +18,7 @@ use std::net::TcpStream;
 
 use wwwcache::liveserve::{DelaySource, HttpConn, LiveRunConfig, LiveStack, ProbeHandle};
 use wwwcache::simcore::SimTime;
-use wwwcache::wcc_obs::{ObsEvent, RequestOutcome, TraceProbe};
+use wwwcache::wcc_obs::{ExchangeKind, ObsEvent, RequestOutcome, TraceProbe};
 use wwwcache::webcache::live::to_live_workload;
 use wwwcache::webcache::{
     generate_synthetic, run, Experiment, ExperimentStore, LoadReport, ProtocolSpec, RunResult,
@@ -149,22 +149,47 @@ fn specs_beyond_the_papers_three_also_run_live_and_match() {
     );
 }
 
-/// The events the consistency engine emits, in the order they arrived.
-fn engine_events(trace: &TraceProbe) -> Vec<(SimTime, ObsEvent)> {
+/// The events the consistency engine emits, in the order they arrived,
+/// and how many invalidation notices it took. The notices are counted,
+/// not placed: the live proxy reads them off its control channel at no
+/// fixed point among the requests. A reply keeps its kind, instant and
+/// body bytes, but its control bytes are zeroed — the one deliberate
+/// divergence (see the module docs).
+fn engine_events(trace: &TraceProbe) -> (Vec<(SimTime, ObsEvent)>, u64) {
     assert_eq!(trace.dropped(), 0, "the capture must be complete");
-    trace
+    let mut notices = 0;
+    let events = trace
         .events()
-        .filter(|(_, _, event)| {
-            matches!(
-                event,
+        .filter_map(|&(_, at, event)| {
+            match event {
+                ObsEvent::Exchange {
+                    kind: ExchangeKind::Notice,
+                    ..
+                } => {
+                    notices += 1;
+                    None
+                }
+                ObsEvent::Exchange {
+                    file,
+                    kind,
+                    body_bytes,
+                    ..
+                } => Some(ObsEvent::Exchange {
+                    file,
+                    kind,
+                    message_bytes: 0,
+                    body_bytes,
+                }),
                 ObsEvent::Request { .. }
-                    | ObsEvent::PolicyDecision { .. }
-                    | ObsEvent::Validation { .. }
-                    | ObsEvent::Eviction { .. }
-            )
+                | ObsEvent::PolicyDecision { .. }
+                | ObsEvent::Validation { .. }
+                | ObsEvent::Eviction { .. } => Some(event),
+                _ => None,
+            }
+            .map(|event| (at, event))
         })
-        .map(|&(_, at, event)| (at, event))
-        .collect()
+        .collect();
+    (events, notices)
 }
 
 /// A one-connection invalidation run driven by hand, so that the
@@ -203,7 +228,7 @@ fn ledger_and_residents(workload: &Workload, capacity: u64) -> (usize, usize) {
     handle.drain_into(&mut trace);
     let mut resident = BTreeSet::new();
     let mut rejected = 0;
-    for (at, event) in engine_events(&trace) {
+    for (at, event) in engine_events(&trace).0 {
         match event {
             ObsEvent::Request {
                 file,
@@ -264,7 +289,13 @@ fn engine_events_arrive_in_the_same_order_live_and_simulated() {
         assert!(simulated.evictions > 0, "{spec:?}: the store must evict");
         assert_eq!(served.evictions, simulated.evictions, "{spec:?}");
         assert_eq!(served.cache, simulated.result.cache, "{spec:?}");
-        let (sim, live) = (engine_events(&sim), engine_events(&live));
+        let ((sim, sim_notices), (live, live_notices)) =
+            (engine_events(&sim), engine_events(&live));
+        assert!(
+            sim.iter()
+                .any(|(_, e)| matches!(e, ObsEvent::Exchange { .. })),
+            "{spec:?}: the replies must be in the stream"
+        );
         if let Some(i) = (0..sim.len().max(live.len())).find(|&i| sim.get(i) != live.get(i)) {
             panic!(
                 "{spec:?}: event {i} diverged — simulated {:?}, live {:?}",
@@ -279,9 +310,15 @@ fn engine_events_arrive_in_the_same_order_live_and_simulated() {
             // and when it is all over the origin tracks exactly what the
             // proxy holds.
             assert_eq!(served.server, simulated.result.server, "{spec:?}");
+            let delivered = served.proxy.invalidations_delivered;
+            assert!(delivered > 0, "{spec:?}: notices must be in play");
+            assert_eq!(live_notices, delivered, "{spec:?}: live notices");
+            assert_eq!(sim_notices, delivered, "{spec:?}: simulated notices");
             let (subscriptions, residents) = ledger_and_residents(&workload, footprint / 6);
             assert!(residents > 0, "{spec:?}: something must be resident");
             assert_eq!(subscriptions, residents, "{spec:?}: the origin's ledger");
+        } else {
+            assert_eq!((sim_notices, live_notices), (0, 0), "{spec:?}");
         }
     }
 }

@@ -2,11 +2,12 @@
 //! byte-deterministic at any worker count, metrics render identically
 //! run-to-run, and the live stack's probe sees the whole request stream.
 
-use wwwcache::wcc_obs::{MetricsProbe, ObsEvent, TraceProbe};
+use wwwcache::wcc_obs::{MetricsProbe, ObsEvent, Tally, TraceProbe};
 use wwwcache::webcache::experiments::trace::{capture, collect_metrics, TraceTarget};
 use wwwcache::webcache::experiments::Scale;
 use wwwcache::webcache::{
-    generate_synthetic, Experiment, ProtocolSpec, SweepRunner, WorrellConfig,
+    generate_synthetic, Experiment, ExperimentStore, ProtocolSpec, SimConfig, SweepRunner,
+    WorrellConfig,
 };
 
 /// A scale small enough to replay several times in one test.
@@ -113,4 +114,76 @@ fn live_probe_feeds_the_latency_histogram() {
         .histogram("live_latency_us")
         .expect("live run records latencies");
     assert_eq!(h.count(), wl.requests.len() as u64);
+}
+
+/// The counts are a fold of the stream the caller sees: a `Tally`
+/// attached as the probe recomputes `RunResult` on the legs the GOLDEN
+/// and NEW_GOLDEN hashes pin — their workloads and stores, in both
+/// simulators — and on each bounded store at an eighth of the footprint,
+/// where the GOLDEN capacity would evict nothing. A preload's evictions
+/// reach the probe but are setup, not workload, so the eviction count is
+/// compared on runs without one.
+#[test]
+fn a_tally_of_the_probe_stream_is_the_run_result() {
+    let capacity: u64 = 200 * 1_024;
+    let pinned = [
+        (ProtocolSpec::Alex(0), ExperimentStore::Unbounded),
+        (ProtocolSpec::Alex(25), ExperimentStore::Unbounded),
+        (ProtocolSpec::Alex(100), ExperimentStore::Unbounded),
+        (ProtocolSpec::Ttl(0), ExperimentStore::Unbounded),
+        (ProtocolSpec::Ttl(100), ExperimentStore::Unbounded),
+        (ProtocolSpec::Ttl(500), ExperimentStore::Unbounded),
+        (ProtocolSpec::Invalidation, ExperimentStore::Unbounded),
+        (ProtocolSpec::Alex(30), ExperimentStore::Lru(capacity)),
+        (ProtocolSpec::Ttl(100), ExperimentStore::Fifo(capacity)),
+        (ProtocolSpec::RenewableTtl(24), ExperimentStore::Unbounded),
+        (ProtocolSpec::RenewableTtl(168), ExperimentStore::Unbounded),
+        (ProtocolSpec::UpdateRisk(1), ExperimentStore::Unbounded),
+        (ProtocolSpec::UpdateRisk(10), ExperimentStore::Unbounded),
+        (
+            ProtocolSpec::RenewableTtl(24),
+            ExperimentStore::Gds(capacity),
+        ),
+        (ProtocolSpec::UpdateRisk(5), ExperimentStore::Lfu(capacity)),
+    ];
+    let mut evicted = 0;
+    for seed in [Scale::quick().seed, 5] {
+        let wl = generate_synthetic(&WorrellConfig::scaled(60, 2_000), seed);
+        let eighth: u64 = wl
+            .population
+            .iter()
+            .filter_map(|(_, rec)| rec.version_at(wl.start).map(|v| v.size))
+            .sum::<u64>()
+            / 8;
+        let pressed = [
+            (ProtocolSpec::Alex(20), ExperimentStore::Lru(eighth)),
+            (ProtocolSpec::Invalidation, ExperimentStore::Lru(eighth)),
+            (ProtocolSpec::Ttl(48), ExperimentStore::Fifo(eighth)),
+            (ProtocolSpec::RenewableTtl(24), ExperimentStore::Gds(eighth)),
+            (ProtocolSpec::UpdateRisk(5), ExperimentStore::Lfu(eighth)),
+        ];
+        for (spec, store) in pinned.into_iter().chain(pressed) {
+            for config in [SimConfig::base(), SimConfig::optimized()] {
+                for preload in [true, false] {
+                    let mut tally = Tally::default();
+                    let outcome = Experiment::new(&wl)
+                        .protocol(spec)
+                        .config(config.preload(preload))
+                        .store(store)
+                        .probe(&mut tally)
+                        .run();
+                    let (leg, result) = (format!("{spec:?} {store:?} {config:?}"), outcome.result);
+                    assert!(tally.cache.requests() > 0, "{leg}");
+                    assert_eq!(tally.cache, result.cache, "{leg}");
+                    assert_eq!(tally.traffic, result.traffic, "{leg}");
+                    assert_eq!(tally.stale_age_total, result.stale_age_total, "{leg}");
+                    if !preload {
+                        assert_eq!(tally.evictions, outcome.evictions, "{leg}");
+                        evicted += outcome.evictions;
+                    }
+                }
+            }
+        }
+    }
+    assert!(evicted > 0, "the bounded stores must evict");
 }

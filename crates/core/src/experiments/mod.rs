@@ -56,20 +56,6 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// The parameter value whose result minimises `metric`; ties take the
-    /// smallest parameter.
-    pub fn argmin_by<F: Fn(&RunResult) -> f64>(&self, metric: F) -> Option<f64> {
-        self.points
-            .iter()
-            .min_by(|a, b| {
-                metric(&a.1)
-                    .partial_cmp(&metric(&b.1))
-                    .expect("metrics are finite")
-                    .then(a.0.partial_cmp(&b.0).expect("parameters are finite"))
-            })
-            .map(|&(p, _)| p)
-    }
-
     /// The smallest parameter whose result satisfies `pred`, scanning in
     /// increasing parameter order.
     pub fn first_param_where<F: Fn(&RunResult) -> bool>(&self, pred: F) -> Option<f64> {
@@ -303,20 +289,6 @@ mod tests {
             server: ServerLoad::default(),
             stale_age_total: simcore::SimDuration::ZERO,
         }
-    }
-
-    #[test]
-    fn argmin_finds_smallest_metric() {
-        let sweep = Sweep {
-            family: "Alex",
-            points: vec![
-                (0.0, result(300, 0)),
-                (50.0, result(100, 2)),
-                (100.0, result(100, 5)),
-            ],
-        };
-        // Tie on bytes between 50 and 100: smallest parameter wins.
-        assert_eq!(sweep.argmin_by(|r| r.total_mb()), Some(50.0));
     }
 
     #[test]

@@ -30,4 +30,4 @@ mod message;
 
 pub use cost::{MessageCosting, PAPER_MESSAGE_BYTES};
 pub use date::{DateParseError, HttpDate, EPOCH_1996};
-pub use message::{header_section_end, Method, ParseError, Request, Response, Status};
+pub use message::{Method, ParseError, Request, Response, Status, MAX_MESSAGE};

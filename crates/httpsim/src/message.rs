@@ -176,25 +176,28 @@ impl Request {
         bytes
     }
 
-    /// Parse a request from the front of a byte buffer, as a streaming
-    /// reader accumulates it.
+    /// Frame a request at the front of a byte buffer, as a streaming
+    /// reader accumulates it: this is the one request framer.
     ///
-    /// Returns `Ok(None)` when the buffer does not yet contain the full
-    /// header section (`\r\n\r\n` not seen) — read more bytes and retry.
-    /// On success returns the request plus the number of bytes it consumed
-    /// from the front of `buf`. Requests carry no body, so the consumed
-    /// length is exactly the header section.
+    /// Returns `Ok(None)` until the buffer holds the full header section
+    /// (`\r\n\r\n`) and the body its `Content-Length` declares — read
+    /// more bytes and retry. On success returns the request plus the
+    /// number of bytes it consumed from the front of `buf`, body included:
+    /// the paper's requests carry none, so a declared body is discarded,
+    /// and the bytes after it are the next request. A `Content-Length` that
+    /// does not parse, or a message longer than [`MAX_MESSAGE`], is an
+    /// error as soon as the head is in.
     pub fn from_bytes(buf: &[u8]) -> Result<Option<(Request, usize)>, ParseError> {
-        let Some(end) = header_section_end(buf) else {
-            return Ok(None);
-        };
-        let text = std::str::from_utf8(&buf[..end])
-            .map_err(|_| ParseError::new("request is not valid UTF-8"))?;
-        Ok(Some((Request::parse(text)?, end)))
+        Ok(framed(buf, Request::parse_head)?.map(|(req, _, end)| (req, end)))
     }
 
     /// Parse from wire format (inverse of [`Request::serialize`]).
     pub fn parse(text: &str) -> Result<Self, ParseError> {
+        Request::parse_head(text).map(|(req, _)| req)
+    }
+
+    /// [`Request::parse`], and the body length the head declares.
+    fn parse_head(text: &str) -> Result<(Self, u64), ParseError> {
         let mut lines = Lines(Some(text));
         let request_line = lines
             .next()
@@ -210,6 +213,7 @@ impl Request {
             other => return Err(ParseError::new(format!("bad version {other:?}"))),
         }
         let mut if_modified_since = None;
+        let mut body_len = 0;
         for line in lines {
             if line.is_empty() {
                 break;
@@ -217,14 +221,17 @@ impl Request {
             let (name, value) = header(line)?;
             if name.eq_ignore_ascii_case("If-Modified-Since") {
                 if_modified_since = Some(date_value(value)?);
+            } else if name.eq_ignore_ascii_case("Content-Length") {
+                body_len = number(value).ok_or_else(|| ParseError::new("bad Content-Length"))?;
             }
             // Unknown headers are ignored, as HTTP requires.
         }
-        Ok(Request {
+        let req = Request {
             method,
             path: path.to_owned(),
             if_modified_since,
-        })
+        };
+        Ok((req, body_len))
     }
 }
 
@@ -483,23 +490,15 @@ impl Response {
     /// section plus the declared body — read more bytes and retry. On
     /// success returns the response, its body (empty for bodyless
     /// statuses), and the number of bytes consumed from the front of
-    /// `buf`.
+    /// `buf`. A message longer than [`MAX_MESSAGE`] is an error as soon as
+    /// its head is in.
     pub fn from_bytes(buf: &[u8]) -> Result<Option<(Response, Vec<u8>, usize)>, ParseError> {
-        let Some(end) = header_section_end(buf) else {
-            return Ok(None);
+        let parse = |text: &str| {
+            let resp = Response::parse(text)?;
+            let body_len = resp.content_length.unwrap_or(0);
+            Ok((resp, body_len))
         };
-        let text = std::str::from_utf8(&buf[..end])
-            .map_err(|_| ParseError::new("response is not valid UTF-8"))?;
-        let resp = Response::parse(text)?;
-        let body_len = resp.content_length.unwrap_or(0) as usize;
-        let Some(total) = end.checked_add(body_len) else {
-            return Err(ParseError::new("Content-Length overflows"));
-        };
-        if buf.len() < total {
-            return Ok(None);
-        }
-        let body = buf[end..total].to_vec();
-        Ok(Some((resp, body, total)))
+        Ok(framed(buf, parse)?.map(|(resp, head, end)| (resp, buf[head..end].to_vec(), end)))
     }
 
     /// Parse the header section (inverse of
@@ -551,9 +550,36 @@ impl Response {
     }
 }
 
+/// Longest message `from_bytes` frames, head and body: a streaming
+/// reader's buffer needs a bound, and a head that declares more is
+/// refused as soon as it is in, before any of its body is buffered.
+pub const MAX_MESSAGE: usize = 8 * 1024 * 1024;
+
+/// The message at the front of `buf` once its head and the body the head
+/// declares (`parse` says how long) are in: the message, and where its
+/// head and its body end.
+fn framed<M>(
+    buf: &[u8],
+    parse: impl FnOnce(&str) -> Result<(M, u64), ParseError>,
+) -> Result<Option<(M, usize, usize)>, ParseError> {
+    let Some(head) = header_section_end(buf) else {
+        return Ok(None);
+    };
+    let text = std::str::from_utf8(&buf[..head])
+        .map_err(|_| ParseError::new("head is not valid UTF-8"))?;
+    let (msg, body_len) = parse(text)?;
+    let end = (head as u64).saturating_add(body_len);
+    if end > MAX_MESSAGE as u64 {
+        return Err(ParseError::new(format!(
+            "a {end}-byte message exceeds MAX_MESSAGE"
+        )));
+    }
+    Ok((buf.len() as u64 >= end).then_some((msg, head, end as usize)))
+}
+
 /// Index just past the `\r\n\r\n` terminating a header section, or `None`
 /// if the terminator has not arrived in `buf` yet.
-pub fn header_section_end(buf: &[u8]) -> Option<usize> {
+fn header_section_end(buf: &[u8]) -> Option<usize> {
     // Every terminator ends in `\n`: look at those, and behind each.
     let mut from = 0;
     while let Some(at) = buf[from..].iter().position(|&b| b == b'\n') {
@@ -705,6 +731,30 @@ mod tests {
         assert_eq!(used, bytes.len());
     }
 
+    /// A declared body is waited for and consumed with its head; a length
+    /// that does not parse, or one past `MAX_MESSAGE`, is refused at the
+    /// head, before any body arrives.
+    #[test]
+    fn request_from_bytes_consumes_a_declared_body() {
+        let head = b"GET /x HTTP/1.0\r\nContent-Length: 3\r\n\r\n";
+        let wire = [head.as_slice(), b"abc", &Request::get("/y").to_bytes()].concat();
+        for cut in 0..head.len() + 3 {
+            assert_eq!(Request::from_bytes(&wire[..cut]), Ok(None), "cut={cut}");
+        }
+        let (req, used) = Request::from_bytes(&wire).unwrap().unwrap();
+        assert_eq!((req, used), (Request::get("/x"), head.len() + 3));
+        assert_eq!(
+            Request::from_bytes(&wire[used..]).unwrap().unwrap().0.path,
+            "/y"
+        );
+
+        let over = MAX_MESSAGE - head.len() + 4;
+        for length in ["ten".to_string(), "-1".to_string(), over.to_string()] {
+            let head = format!("GET /x HTTP/1.0\r\nContent-Length: {length}\r\n\r\n");
+            assert!(Request::from_bytes(head.as_bytes()).is_err(), "{length}");
+        }
+    }
+
     #[test]
     fn request_from_bytes_rejects_garbage_and_non_utf8() {
         assert!(Request::from_bytes(b"FROB / HTTP/1.0\r\n\r\n").is_err());
@@ -849,6 +899,10 @@ mod model {
             if name.eq_ignore_ascii_case("If-Modified-Since") {
                 if_modified_since =
                     Some(value.parse().map_err(|e| ParseError::new(format!("{e}")))?);
+            } else if name.eq_ignore_ascii_case("Content-Length") {
+                value
+                    .parse::<u64>()
+                    .map_err(|_| ParseError::new("bad Content-Length"))?;
             }
         }
         Ok(Request {
@@ -972,6 +1026,50 @@ mod proptests {
         fn request_wire_size_is_serialized_length(path in path_strategy()) {
             let req = Request::get(path);
             prop_assert_eq!(req.wire_size() as usize, req.serialize().len());
+        }
+
+        /// However a run of pipelined requests, some with a body, is cut
+        /// into reads, framing what has arrived after each read yields the
+        /// same requests, each once, and leaves nothing over.
+        #[test]
+        fn request_framing_does_not_depend_on_how_the_bytes_arrive(
+            reqs in proptest::collection::vec(
+                (
+                    path_strategy(),
+                    proptest::option::of(proptest::collection::vec(any::<u8>(), 0..40)),
+                ),
+                1..6,
+            ),
+            cuts in proptest::collection::vec(0usize..800, 0..8),
+        ) {
+            let mut wire = Vec::new();
+            for (path, body) in &reqs {
+                let head = Request::get(path.as_str()).serialize();
+                match body {
+                    None => wire.extend_from_slice(head.as_bytes()),
+                    Some(body) => {
+                        let line = head.strip_suffix("\r\n").expect("a head ends in a blank line");
+                        let head = format!("{line}Content-Length: {}\r\n\r\n", body.len());
+                        wire.extend_from_slice(head.as_bytes());
+                        wire.extend_from_slice(body);
+                    }
+                }
+            }
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(wire.len())).collect();
+            cuts.push(wire.len());
+            cuts.sort_unstable();
+            let (mut buf, mut framed, mut from) = (Vec::new(), Vec::new(), 0);
+            for cut in cuts {
+                buf.extend_from_slice(&wire[from..cut]);
+                from = cut;
+                while let Some((req, used)) = Request::from_bytes(&buf).unwrap() {
+                    framed.push(req);
+                    buf.drain(..used);
+                }
+            }
+            prop_assert!(buf.is_empty());
+            let sent: Vec<Request> = reqs.into_iter().map(|(path, _)| Request::get(path)).collect();
+            prop_assert_eq!(framed, sent);
         }
 
         /// Byte-level framing round-trips responses with arbitrary binary

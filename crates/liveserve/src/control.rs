@@ -2,9 +2,10 @@
 //!
 //! Each proxy shard keeps one persistent TCP connection to the origin's
 //! control port: one ordered stream of everything the origin's ledger
-//! sees, framed the same way at both ends (`upstream::Wire::next_frame`)
-//! — an HTTP message by its head and `Content-Length`, anything else by
-//! its newline:
+//! sees, framed the same way at both ends (`wire::Wire::next_frame`) —
+//! an HTTP message by its head and `Content-Length`, anything else by
+//! its newline. A `GET` is framed by `Request::from_bytes`, as on the
+//! data port, so a body it declares is read and discarded with it:
 //!
 //! * proxy → origin: every `GET` of the shard, answered as on the data
 //!   port. A `200` subscribes the shard to the file under the lock
@@ -43,14 +44,12 @@ use std::net::TcpListener;
 use std::os::fd::AsRawFd;
 use std::sync::mpsc::SyncSender;
 
-use httpsim::Request;
 use simcore::CacheId;
 
-use crate::conn::ReadEnd;
 use crate::netio::{invalid, log_conn_error};
 use crate::reactor::{peer_token, Dispatch, Ready, CONTROL_TOKEN};
 use crate::sys::{Epoll, EPOLLIN};
-use crate::upstream::{Frame, Wire};
+use crate::wire::{request_frame, Frame, ReadEnd, Wire};
 
 /// Hard cap on one control line. Paths are short; a peer that streams
 /// this much without a newline is broken or hostile, and the channel is
@@ -162,10 +161,10 @@ impl PeerIo {
     /// Readiness on the listener, which is level-triggered: one peer a
     /// notification.
     pub(crate) fn accept(&mut self, ep: &Epoll) {
-        let admitted = self.listener.accept().and_then(|(stream, _)| {
-            stream.set_nonblocking(true)?;
-            Wire::register(stream, ep, peer_token(self.peers.len()))
-        });
+        let admitted = self
+            .listener
+            .accept()
+            .and_then(|(stream, _)| Wire::register(stream, ep, peer_token(self.peers.len())));
         match admitted {
             // wcc-allow: r5 one slot per control peer ever accepted, never reused so that a CacheId names one peer: proxy shards are few and long-lived
             Ok(wire) => self.peers.push(Some(Peer {
@@ -271,10 +270,9 @@ impl Peer {
             return Ok(false);
         }
         self.idle_ticks = 0;
-        let fetch = |buf: &[u8]| Request::from_bytes(buf).map_err(invalid);
         let eof = loop {
             let end = self.wire.read_frames(ready.hup, scratch)?;
-            while let Some(frame) = self.wire.next_frame(b"GET ", fetch)? {
+            while let Some(frame) = self.wire.next_frame(b"GET ", request_frame)? {
                 let line = match frame {
                     Frame::Http(req) => {
                         let subscriber = (!std::mem::take(&mut self.forward)).then_some(cache);
@@ -361,7 +359,7 @@ impl TestPeer {
     /// `GET path` on the channel, and its `200`: the peer is subscribed
     /// to `path`, and what was said before it is in.
     pub(crate) fn fetch(&mut self, path: &str) -> Vec<u8> {
-        self.say(&Request::get(path).serialize());
+        self.say(&httpsim::Request::get(path).serialize());
         let (resp, body) = self.hear_response();
         assert_eq!(resp.status, httpsim::Status::Ok, "GET {path}");
         body
@@ -371,7 +369,8 @@ impl TestPeer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LiveClock, LiveOrigin, OriginConfig};
+    use crate::{HttpConn, LiveClock, LiveOrigin, OriginConfig};
+    use httpsim::Request;
     use originserver::{FilePopulation, FileRecord};
     use simcore::SimTime;
     use std::sync::Arc;
@@ -434,6 +433,32 @@ mod tests {
         peer.say(&"X".repeat(MAX_LINE + 1));
         assert_eq!(peer.hear(), "", "hung up on");
         await_subscriptions(&origin, 0);
+    }
+
+    /// A request is framed alike on both of the origin's ports: a `GET`
+    /// with a declared body, then a plain one, is two requests on either,
+    /// each answered — the body is read and discarded, not taken for the
+    /// start of the next frame.
+    #[test]
+    fn a_get_with_a_body_is_answered_alike_on_the_data_and_the_control_port() {
+        let mut pop = FilePopulation::new();
+        pop.add(FileRecord::new("/a", SimTime::ZERO, 10));
+        pop.add(FileRecord::new("/b", SimTime::ZERO, 20));
+        let clock = LiveClock::virtual_at(SimTime::ZERO);
+        let origin = LiveOrigin::spawn(OriginConfig::new(Arc::new(pop), clock)).unwrap();
+        let wire = "GET /a HTTP/1.0\r\nContent-Length: 3\r\n\r\nabcGET /b HTTP/1.0\r\n\r\n";
+
+        let stream = std::net::TcpStream::connect(origin.data_addr()).unwrap();
+        let mut data = HttpConn::new(stream).unwrap();
+        std::io::Write::write_all(&mut data.stream(), wire.as_bytes()).unwrap();
+        assert_eq!(data.read_response().unwrap().1.len(), 10);
+        assert_eq!(data.read_response().unwrap().1.len(), 20);
+
+        let mut peer = TestPeer::connect(origin.control_addr());
+        peer.say(wire);
+        assert_eq!(peer.hear_response().1.len(), 10);
+        assert_eq!(peer.hear_response().1.len(), 20);
+        assert_eq!(origin.subscription_count(), 2);
     }
 
     /// The origin's end frames what arrives, however it arrives: two

@@ -55,6 +55,7 @@ pub mod report;
 mod stack;
 mod sys;
 mod upstream;
+mod wire;
 
 pub use clock::LiveClock;
 pub use netio::HttpConn;

@@ -28,10 +28,10 @@ pub(crate) const POLL_TICK: Duration = Duration::from_millis(25);
 
 pub(crate) const READ_CHUNK: usize = 16 * 1024;
 
-/// Hard cap on one framed message (headers + body). A peer that streams
-/// more than this without completing a frame is protocol-broken or
-/// hostile; the connection is closed instead of buffering without bound.
-pub(crate) const MAX_FRAME: usize = 8 * 1024 * 1024;
+/// Hard cap on one framed message (headers + body): `httpsim` refuses a
+/// head that declares more, and a reader closes the connection rather
+/// than buffer more without a whole head.
+pub(crate) const MAX_FRAME: usize = httpsim::MAX_MESSAGE;
 
 /// Default read budget: how many consecutive silent [`POLL_TICK`]s a
 /// reader tolerates while a frame is outstanding before giving up on

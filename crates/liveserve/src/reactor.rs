@@ -77,10 +77,9 @@ use crate::clock::LiveClock;
 use crate::conn::{Conn, ConnEvent};
 use crate::control::{Notice, PeerEvent, PeerIo};
 use crate::netio::{log_conn_error, POLL_TICK};
-use crate::sys::{
-    Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
-};
+use crate::sys::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::upstream::{Heard, ShardIo, Upstream, UpstreamCounters, UpstreamEnv};
+use crate::wire::Wire;
 
 /// Epoll token of the shared listener.
 const LISTENER_TOKEN: u64 = u64::MAX;
@@ -601,8 +600,6 @@ impl<D: Dispatch> EventLoop<D> {
     }
 
     fn register_conn(&mut self, stream: TcpStream) -> io::Result<()> {
-        stream.set_nonblocking(true)?;
-        let _ = stream.set_nodelay(true);
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
@@ -612,16 +609,14 @@ impl<D: Dispatch> EventLoop<D> {
                 self.slots.len() - 1
             }
         };
-        let gen = self.slots[slot].gen;
-        if let Err(e) = self.ep.add(
-            stream.as_raw_fd(),
-            EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP,
-            token_of(slot, gen),
-        ) {
-            self.free.push(slot);
-            return Err(e);
-        }
-        self.slots[slot].conn = Some(Conn::new(stream, self.shared.cfg.budget_ticks));
+        let wire = match Wire::register(stream, &self.ep, token_of(slot, self.slots[slot].gen)) {
+            Ok(wire) => wire,
+            Err(e) => {
+                self.free.push(slot);
+                return Err(e);
+            }
+        };
+        self.slots[slot].conn = Some(Conn::new(wire, self.shared.cfg.budget_ticks));
         let open = self.shared.open_conns.fetch_add(1, Ordering::SeqCst) + 1;
         self.shared.record(ObsEvent::ConnAccepted {
             reactor: self.idx as u32,
@@ -831,7 +826,7 @@ impl<D: Dispatch> EventLoop<D> {
             return;
         };
         if let Some(conn) = entry.conn.take() {
-            let _ = self.ep.del(conn.stream().as_raw_fd());
+            let _ = self.ep.del(conn.wire.stream.as_raw_fd());
             self.budgeted_conns -= usize::from(conn.budgeted());
             drop(conn);
             entry.gen = entry.gen.wrapping_add(1);

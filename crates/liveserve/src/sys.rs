@@ -35,8 +35,6 @@ pub const EPOLLET: u32 = 1 << 31;
 
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
-#[cfg(test)]
-const EPOLL_CTL_MOD: c_int = 3;
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
 const EFD_CLOEXEC: c_int = 0o2000000;
@@ -119,12 +117,6 @@ impl Epoll {
     /// Register `fd` with the given interest mask and token.
     pub fn add(&self, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, interest, token)
-    }
-
-    /// Change the interest mask / token of a registered `fd`.
-    #[cfg(test)]
-    pub fn modify(&self, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_MOD, fd, interest, token)
     }
 
     /// Deregister `fd`.
@@ -258,6 +250,8 @@ pub fn connect_nonblocking(addr: SocketAddr) -> io::Result<TcpStream> {
 mod tests {
     use super::*;
 
+    const EPOLL_CTL_MOD: c_int = 3;
+
     #[test]
     fn wakefd_wakes_epoll_and_drains() {
         let ep = Epoll::new().unwrap();
@@ -337,7 +331,8 @@ mod tests {
         let ep = Epoll::new().unwrap();
         let wake = WakeFd::new().unwrap();
         ep.add(wake.fd(), EPOLLIN, 1).unwrap();
-        ep.modify(wake.fd(), EPOLLIN | EPOLLOUT, 2).unwrap();
+        ep.ctl(EPOLL_CTL_MOD, wake.fd(), EPOLLIN | EPOLLOUT, 2)
+            .unwrap();
         wake.wake();
         let mut events = [EpollEvent::zeroed(); 4];
         let n = ep.epoll_wait(&mut events, 1000).unwrap();

@@ -1,8 +1,8 @@
 //! One proxy shard's socket to the origin, as its owner reactor thread
 //! drives it.
 //!
-//! A [`ShardIo`] holds one nonblocking [`Wire`], registered
-//! edge-triggered on the owner's epoll set, and the FIFO of
+//! A [`ShardIo`] holds one [`Wire`] — the socket type of every reactor
+//! thread, registered edge-triggered on its epoll set — and the FIFO of
 //! continuations `K` owed a reply on it: every exchange of the shard is
 //! pipelined there and answered in send order, at most
 //! [`MAX_OUTSTANDING`] at a time (one more is refused, a saturation).
@@ -36,11 +36,11 @@ use httpsim::Response;
 use wcc_obs::{ObsEvent, ProbeHandle};
 
 use crate::clock::LiveClock;
-use crate::conn::{read_once, write_pending, ReadEnd};
-use crate::control::{ControlMsg, MAX_LINE};
-use crate::netio::{invalid, log_conn_error, MAX_FRAME};
+use crate::control::ControlMsg;
+use crate::netio::{invalid, log_conn_error};
 use crate::reactor::{upstream_token, Arrived, Ready};
-use crate::sys::{connect_nonblocking, Epoll, EPOLLET, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use crate::sys::{connect_nonblocking, Epoll};
+use crate::wire::{Frame, ReadEnd, Wire};
 
 /// Exchanges one shard may have outstanding on its wire; the next is
 /// refused outright rather than buffered without bound.
@@ -76,114 +76,13 @@ pub(crate) struct UpstreamEnv {
     pub clock: LiveClock,
 }
 
-/// A nonblocking socket with its two buffers: either end of a control
-/// channel, or a data connection to the origin.
-pub(crate) struct Wire {
-    pub stream: TcpStream,
-    wbuf: Vec<u8>,
-    wpos: usize,
-    rbuf: Vec<u8>,
-    /// Where the next frame starts in `rbuf`.
-    rpos: usize,
-}
-
-/// One frame read off a wire: a line (without its `\n`), or an HTTP
-/// message.
-pub(crate) enum Frame<'a, M> {
-    Line(&'a str),
-    Http(M),
-}
-
-/// The HTTP message at the front of a buffer once its head and
-/// `Content-Length` say it is whole, and the bytes it took.
-type Framer<M> = fn(&[u8]) -> io::Result<Option<(M, usize)>>;
-
-/// The proxy's end's [`Framer`]: a reply.
+/// The proxy's end's [`Framer`](crate::wire::Framer): a reply.
 fn reply_frame(buf: &[u8]) -> io::Result<Option<(Arrived, usize)>> {
     let reply = Response::from_bytes(buf).map_err(invalid)?;
     Ok(reply.map(|(resp, body, used)| {
         let head = (used - body.len()) as u64;
         (Arrived(resp, body, head), used)
     }))
-}
-
-impl Wire {
-    pub(crate) fn register(stream: TcpStream, ep: &Epoll, token: u64) -> io::Result<Wire> {
-        let _ = stream.set_nodelay(true);
-        ep.add(
-            stream.as_raw_fd(),
-            EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP,
-            token,
-        )?;
-        Ok(Wire {
-            stream,
-            wbuf: Vec::new(),
-            wpos: 0,
-            rbuf: Vec::new(),
-            rpos: 0,
-        })
-    }
-
-    /// The write buffer, to append to behind whatever is still unwritten.
-    pub(crate) fn out(&mut self) -> &mut Vec<u8> {
-        if self.wpos == self.wbuf.len() {
-            self.wbuf.clear();
-            self.wpos = 0;
-        }
-        &mut self.wbuf
-    }
-
-    /// Queue `bytes` behind whatever is still unwritten.
-    pub(crate) fn queue(&mut self, bytes: &[u8]) {
-        self.out().extend_from_slice(bytes);
-    }
-
-    /// Write what the socket takes; the rest goes on the next writable
-    /// edge.
-    pub(crate) fn flush(&mut self) -> io::Result<()> {
-        write_pending(&self.stream, &self.wbuf, &mut self.wpos).map(drop)
-    }
-
-    /// One `read`, behind the frame still arriving;
-    /// [`next_frame`](Self::next_frame) takes the whole ones.
-    pub(crate) fn read_frames(&mut self, hup: bool, scratch: &mut [u8]) -> io::Result<ReadEnd> {
-        self.rbuf.drain(..self.rpos);
-        self.rpos = 0;
-        // (The tail is within its cap on entry: this one cannot trip.)
-        let cap = MAX_FRAME + scratch.len();
-        read_once(&self.stream, &mut self.rbuf, cap, hup, scratch)
-    }
-
-    /// The next whole frame read, if any: one that starts with `http` is
-    /// an HTTP message, whole once `framer` says so, anything else a line.
-    /// Only a frame still arriving stays buffered, and only that is held
-    /// to its cap — [`MAX_FRAME`] for a message, [`MAX_LINE`] for a line —
-    /// however many whole ones came with it.
-    pub(crate) fn next_frame<M>(
-        &mut self,
-        http: &[u8],
-        framer: Framer<M>,
-    ) -> io::Result<Option<Frame<'_, M>>> {
-        let rest = &self.rbuf[self.rpos..];
-        let (frame, used) = if rest.starts_with(http) {
-            match framer(rest)? {
-                Some((msg, used)) => (Frame::Http(msg), used),
-                None if rest.len() > MAX_FRAME => return Err(invalid("frame exceeds MAX_FRAME")),
-                None => return Ok(None),
-            }
-        } else {
-            match rest.iter().position(|&b| b == b'\n') {
-                Some(end) => {
-                    let line = std::str::from_utf8(&rest[..end]).map_err(invalid)?;
-                    (Frame::Line(line), end + 1)
-                }
-                None if rest.len() > MAX_LINE => return Err(invalid("line exceeds MAX_LINE")),
-                None => return Ok(None),
-            }
-        };
-        self.rpos += used;
-        Ok(Some(frame))
-    }
 }
 
 /// The shard's open wire and whom it owes.
@@ -233,7 +132,6 @@ impl<K> ShardIo<K> {
         let (origin, link) = match upstream {
             Upstream::Data(addr) => (Some(addr), None),
             Upstream::Control(stream) => {
-                stream.set_nonblocking(true)?;
                 let wire = Wire::register(stream, ep, upstream_token(shard, 0))?;
                 (None, Some(Link::new(wire, false)))
             }
@@ -306,7 +204,7 @@ impl<K> ShardIo<K> {
     /// Whether a tick would count against anything (a reply is owed) or
     /// flush bytes still unsent.
     pub(crate) fn budgeted(&self) -> bool {
-        let waiting = |l: &Link<K>| !l.pending.is_empty() || l.wire.wpos < l.wire.wbuf.len();
+        let waiting = |l: &Link<K>| !l.pending.is_empty() || l.wire.unsent() > 0;
         self.link.as_ref().is_some_and(waiting)
     }
 
@@ -408,7 +306,7 @@ impl<K> Link<K> {
             return Ok(());
         }
         if !ready.readable {
-            return self.wire.flush();
+            return self.wire.flush().map(drop);
         }
         self.stall_ticks = 0;
         let mut answered = false;
@@ -469,6 +367,7 @@ impl<K> Link<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::MAX_LINE;
     use crate::sys::EpollEvent;
     use httpsim::{HttpDate, Request};
     use simcore::SimTime;

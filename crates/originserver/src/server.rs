@@ -61,12 +61,6 @@ impl OriginServer {
         &self.files
     }
 
-    /// A shared handle to the published file set (for components that
-    /// outlive a borrow of the server, like the live stack's workers).
-    pub fn files_arc(&self) -> Arc<FilePopulation> {
-        Arc::clone(&self.files)
-    }
-
     /// Accumulated operation counts (Figure 8's metric).
     pub fn load(&self) -> &ServerLoad {
         &self.load
@@ -314,13 +308,6 @@ mod tests {
         assert_eq!(s.subscription_count(), 1);
         assert_eq!(s.subscribers(b), vec![CacheId(2)]);
         assert_eq!(s.unsubscribe_all(CacheId(1)), 0);
-    }
-
-    #[test]
-    fn files_arc_shares_the_population() {
-        let (s, f) = server_with_one_file();
-        let arc = s.files_arc();
-        assert_eq!(arc.get(f).path, s.files().get(f).path);
     }
 
     #[test]

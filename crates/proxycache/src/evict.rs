@@ -121,16 +121,7 @@ impl<E: EvictionPolicy + Default> BoundedStore<E> {
     /// # Panics
     /// Panics if `capacity_bytes == 0`.
     pub fn new(capacity_bytes: u64) -> Self {
-        BoundedStore::with_policy(capacity_bytes, E::default())
-    }
-}
-
-impl<E: EvictionPolicy> BoundedStore<E> {
-    /// A store using a pre-configured policy instance.
-    ///
-    /// # Panics
-    /// Panics if `capacity_bytes == 0`.
-    pub fn with_policy(capacity_bytes: u64, policy: E) -> Self {
+        let policy = E::default();
         assert!(
             capacity_bytes > 0,
             "{} capacity must be positive",
@@ -144,7 +135,9 @@ impl<E: EvictionPolicy> BoundedStore<E> {
             policy,
         }
     }
+}
 
+impl<E: EvictionPolicy> BoundedStore<E> {
     /// Configured capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.capacity_bytes

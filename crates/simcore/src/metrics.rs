@@ -6,8 +6,6 @@
 //! server operation counts of §4. [`TrafficMeter`], [`CacheStats`], and
 //! [`ServerLoad`] account for exactly those.
 
-use core::fmt;
-
 /// Bytes moved over the network, split the way the paper discusses them:
 /// small control messages (queries, 304s, invalidations — "each message
 /// averages 43 bytes") versus bulk file-body transfer.
@@ -231,21 +229,6 @@ impl LatencyStats {
     }
 }
 
-impl fmt::Display for LatencyStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (self.p50_ns(), self.p99_ns()) {
-            (Some(p50), Some(p99)) => write!(
-                f,
-                "{} samples: p50 {:.1}us, p99 {:.1}us",
-                self.count(),
-                p50 as f64 / 1000.0,
-                p99 as f64 / 1000.0
-            ),
-            _ => write!(f, "no samples"),
-        }
-    }
-}
-
 fn ratio(num: u64, denom: u64) -> f64 {
     if denom == 0 {
         0.0
@@ -373,7 +356,6 @@ mod tests {
         assert_eq!(l.p50_ns(), None);
         assert_eq!(l.p99_ns(), None);
         assert_eq!(l.mean_ns(), None);
-        assert_eq!(l.to_string(), "no samples");
     }
 
     #[test]
@@ -386,7 +368,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 3);
         assert_eq!(a.p50_ns(), Some(3));
-        assert!(a.to_string().contains("p50"));
     }
 
     #[test]

@@ -72,15 +72,6 @@ impl ExponentialDist {
         );
         ExponentialDist { mean }
     }
-
-    /// Exponential with rate `rate` (events per unit time).
-    pub fn with_rate(rate: f64) -> Self {
-        assert!(
-            rate.is_finite() && rate > 0.0,
-            "exponential rate must be positive"
-        );
-        ExponentialDist { mean: 1.0 / rate }
-    }
 }
 
 impl Sampler for ExponentialDist {
@@ -221,8 +212,6 @@ mod tests {
         let m = sample_mean(&d, 3, 200_000);
         assert!((m - 7.0).abs() < 0.1, "mean {m}");
         assert_eq!(d.mean(), Some(7.0));
-        let r = ExponentialDist::with_rate(0.5);
-        assert_eq!(r.mean(), Some(2.0));
     }
 
     #[test]

@@ -52,9 +52,10 @@ const IO_CALLS: [&str; 15] = [
 const BLOCKING_CALLS: [&str; 4] = ["try_push", "send", "try_send", "recv"];
 
 /// The `liveserve` files whose non-test code runs on reactor threads.
-const REACTOR_PATH_FILES: [&str; 6] = [
+const REACTOR_PATH_FILES: [&str; 7] = [
     "reactor.rs",
     "conn.rs",
+    "wire.rs",
     "proxy.rs",
     "upstream.rs",
     "control.rs",

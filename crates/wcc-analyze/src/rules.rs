@@ -387,6 +387,7 @@ fn r4_no_panic_in_server_path(
                 | "upstream.rs"
                 | "reactor.rs"
                 | "conn.rs"
+                | "wire.rs"
                 | "sys.rs"
         );
     // The load drivers' clients and workers are server-path too: a

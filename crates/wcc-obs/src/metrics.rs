@@ -362,11 +362,6 @@ impl MetricsProbe {
         &self.registry
     }
 
-    /// Consume the probe, keeping the registry.
-    pub fn into_registry(self) -> MetricsRegistry {
-        self.registry
-    }
-
     /// Add one to the counter `metric`.
     fn count(&mut self, metric: Metric) {
         let at = &mut self.at[metric as usize];

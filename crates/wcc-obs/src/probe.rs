@@ -359,15 +359,6 @@ impl ProbeHandle {
         }
     }
 
-    /// Run `f` against the underlying trace buffer, if this handle is a
-    /// buffered one. Returns `None` for inactive or custom handles.
-    pub fn with_buffer<R>(&self, f: impl FnOnce(&mut TraceProbe) -> R) -> Option<R> {
-        match &self.inner {
-            Some(Inner::Buffer(probe)) => Some(f(&mut probe.lock())),
-            _ => None,
-        }
-    }
-
     /// Replay every buffered event into `sink` (timestamps preserved,
     /// buffer cleared). Only buffered handles hold events; for inactive
     /// or custom handles this is a no-op.
@@ -444,6 +435,5 @@ mod tests {
         h.record(t(1), ObsEvent::Dispatched { pending: 3 });
         h2.record(t(2), ObsEvent::Dispatched { pending: 2 });
         assert!(h.is_active());
-        assert!(h.with_buffer(|_| ()).is_none());
     }
 }

@@ -64,14 +64,6 @@ impl Profiler {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Set the current phase label without opening a span (workers
-    /// started afterwards attribute their job spans to it).
-    pub fn set_phase(&self, label: &str) {
-        if self.is_enabled() {
-            *self.lock_phase() = label.to_string();
-        }
-    }
-
     /// Open a phase-level span: sets the current phase and times the
     /// guard's lifetime as the phase total (`job = None`).
     pub fn span(&self, label: &str) -> SpanGuard<'_> {
@@ -262,18 +254,5 @@ mod tests {
         assert!(table.contains("figure 8"));
         // Harvested: the next take is empty.
         assert!(p.take().is_empty());
-    }
-
-    #[test]
-    fn set_phase_labels_later_jobs() {
-        let p = Profiler::default();
-        p.enable(true);
-        p.set_phase("sweep");
-        {
-            let _j = p.job(0);
-        }
-        let rows = p.take().rows();
-        assert_eq!(rows[0].0, "sweep");
-        assert_eq!(rows[0].1, Some(0));
     }
 }

@@ -2,7 +2,6 @@
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::io;
 
 use simcore::SimTime;
 
@@ -36,16 +35,6 @@ impl TraceProbe {
             next_seq: 0,
             dropped: 0,
         }
-    }
-
-    /// Events currently buffered.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
     }
 
     /// Total events ever recorded (buffered + dropped).
@@ -86,11 +75,6 @@ impl TraceProbe {
             out.push('\n');
         }
         out
-    }
-
-    /// Write the JSONL export to `w`.
-    pub fn export_jsonl(&self, w: &mut dyn io::Write) -> io::Result<()> {
-        w.write_all(self.to_jsonl_string().as_bytes())
     }
 }
 
@@ -257,7 +241,6 @@ mod tests {
         for i in 0..5 {
             p.record(t(i), ObsEvent::Dispatched { pending: i as u32 });
         }
-        assert_eq!(p.len(), 2);
         assert_eq!(p.recorded(), 5);
         assert_eq!(p.dropped(), 3);
         let seqs: Vec<u64> = p.events().map(|&(s, _, _)| s).collect();
@@ -333,8 +316,5 @@ mod tests {
         feed(&mut a);
         feed(&mut b);
         assert_eq!(a.to_jsonl_string(), b.to_jsonl_string());
-        let mut sink = Vec::new();
-        a.export_jsonl(&mut sink).unwrap();
-        assert_eq!(sink, b.to_jsonl_string().as_bytes());
     }
 }

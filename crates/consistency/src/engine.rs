@@ -227,10 +227,13 @@ impl<S: Store> Engine<S> {
         insert(&mut self.store, file, meta, probe)
     }
 
-    /// A client asks for `file` at `now`. Touches the store once, asks
-    /// the policy once, and — when the answer is a local serve —
-    /// classifies it fresh or stale against `oracle`, the origin's
-    /// scripted population (without one every local serve counts fresh).
+    /// A client asks for `file` at `now`. Asks the policy once, and —
+    /// when the answer is a local serve — classifies it fresh or stale
+    /// against `oracle`, the origin's scripted population (without one
+    /// every local serve counts fresh). Its [`Store::access`] is the
+    /// request's one use of the store: [`Engine::apply`] and
+    /// [`Engine::invalidate`] change an entry without reordering the
+    /// store, so a request touches it once whatever its answer.
     #[inline]
     pub fn request<P: Probe + ?Sized>(
         &mut self,
@@ -331,7 +334,7 @@ impl<S: Store> Engine<S> {
                         modified: false,
                     },
                 );
-                let Some(entry) = self.store.access(file, now) else {
+                let Some(entry) = self.store.peek_mut(file) else {
                     conclude(probe, now, file, RequestOutcome::Miss);
                     return Applied {
                         victims: Evicted::none(),
@@ -369,12 +372,9 @@ impl<S: Store> Engine<S> {
                 }
                 // Reinsert rather than mutate in place: bounded stores
                 // track resident bytes at insert time, and the new body
-                // may not be the same size as the old one.
-                let mut entry = match self.store.access(file, now) {
-                    Some(entry) => *entry,
-                    None => EntryMeta::fresh(size, last_modified, now),
-                };
-                entry.replace_body(size, last_modified, now);
+                // may not be the same size as the old one. Nothing of a
+                // resident copy survives a new body.
+                let mut entry = EntryMeta::fresh(size, last_modified, now);
                 entry.expires = expires;
                 Applied {
                     victims: insert(&mut self.store, file, entry, probe),
@@ -396,7 +396,8 @@ impl<S: Store> Engine<S> {
 
     /// The origin's callback for a changed `file` arrived (one control
     /// message of `message_bytes`): a resident copy stays resident but
-    /// may no longer be served.
+    /// may no longer be served. A notice is not a use: the copy keeps its
+    /// place in the store's eviction order.
     pub fn invalidate<P: Probe + ?Sized>(
         &mut self,
         file: FileId,
@@ -406,7 +407,7 @@ impl<S: Store> Engine<S> {
     ) {
         let notice = exchange(file, ExchangeKind::Notice, message_bytes, 0);
         (&mut self.tally, probe).record(now, notice);
-        if let Some(entry) = self.store.access(file, now) {
+        if let Some(entry) = self.store.peek_mut(file) {
             entry.mark_invalid();
         }
     }

@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use consistency::{Effect, Engine, FixedTtl, LinkModel, NeverExpire, Policy, Reply, RetrievalMode};
 use originserver::{FilePopulation, FileRecord};
 use proptest::prelude::*;
-use proxycache::{EntryMeta, LruStore, Store};
+use proxycache::{EntryMeta, LfuStore, LruStore, Store};
 use simcore::{CacheStats, FileId, SimDuration, SimTime};
 use wcc_obs::{ExchangeKind, ObsEvent, Probe, RequestOutcome, Tally};
 
@@ -644,4 +644,65 @@ proptest! {
     ) {
         drive(&ops, invalidation);
     }
+}
+
+/// An `INVALIDATE` is not a use: over a bounded LRU store, the copy it
+/// marks keeps its place in recency order, so when room is needed the
+/// older, now unservable copy goes first.
+#[test]
+fn an_invalidated_copy_keeps_its_place_in_lru_order() {
+    let mut engine = Engine::new(
+        LruStore::new(1_000),
+        Box::new(NeverExpire),
+        RetrievalMode::Eager,
+        0,
+        LinkModel::default(),
+    );
+    let (a, b, c) = (FileId(0), FileId(1), FileId(2));
+    let mut log = Log::default();
+    engine.preload(a, 0, EntryMeta::fresh(400, t(0), t(1)), &mut log);
+    engine.preload(b, 0, EntryMeta::fresh(400, t(0), t(2)), &mut log);
+    engine.invalidate(a, t(3), MSG, &mut log);
+    assert!(!engine.peek(a).unwrap().is_valid());
+
+    assert_eq!(engine.request(c, 0, t(4), None, &mut log), Effect::Fetch);
+    let applied = engine.apply(c, 0, t(4), body(400, 0, false), &mut log);
+    let victims: Vec<FileId> = applied.victims.iter().map(|&(v, _)| v).collect();
+    assert_eq!(victims, [a], "the invalidated copy is the LRU victim");
+    assert!(engine.peek(b).is_some_and(EntryMeta::is_valid));
+}
+
+/// A request is one use of the store, whatever its answer: over a
+/// bounded LFU store a `304` adds exactly one to the file's frequency,
+/// and so does a `200` to a `Validate` (the reinsert is not a use).
+#[test]
+fn a_validated_request_is_one_lfu_use() {
+    let mut engine = Engine::new(
+        LfuStore::new(1_000),
+        Box::new(FixedTtl::hours(0)),
+        RetrievalMode::Conditional,
+        0,
+        LinkModel::default(),
+    );
+    let f = FileId(0);
+    let frequency = |engine: &Engine<LfuStore>| engine.store().policy().frequency(f);
+    let mut log = Log::default();
+    engine.preload(f, 0, EntryMeta::fresh(200, t(0), t(0)), &mut log);
+    assert_eq!(frequency(&engine), 1, "the insert");
+
+    assert!(matches!(
+        engine.request(f, 0, t(10), None, &mut log),
+        Effect::Validate(_)
+    ));
+    engine.apply(f, 0, t(10), not_modified(None), &mut log);
+    assert_eq!(frequency(&engine), 2, "a 304 is one use");
+
+    assert!(matches!(
+        engine.request(f, 0, t(20), None, &mut log),
+        Effect::Validate(_)
+    ));
+    let applied = engine.apply(f, 0, t(20), body(300, 15, true), &mut log);
+    assert!(applied.victims.is_empty());
+    assert_eq!(frequency(&engine), 3, "a 200 to a Validate is one use");
+    assert_eq!(engine.peek(f).unwrap().size, 300);
 }

@@ -939,7 +939,7 @@ mod tests {
                 fnv(&mut probed_hash, &probed);
             }
         }
-        const EVICT_GOLDEN: u64 = 2_064_591_970_126_617_279;
+        const EVICT_GOLDEN: u64 = 989_671_481_627_630_038;
         assert_eq!(hash, EVICT_GOLDEN);
         assert_eq!(probed_hash, EVICT_GOLDEN, "with a probe attached");
     }

@@ -997,12 +997,11 @@ mod tests {
     }
 
     /// Decide-once, seen from the store: a validated request touches its
-    /// entry once in `begin` (the lookup) and once in `resume` (the
-    /// revalidation stamp) — the simulator's two touches, which LFU
-    /// counts. A `resume` that looked the entry up again would add a
-    /// third per request.
+    /// entry once, in `begin` (the lookup) — the simulator's one touch,
+    /// which LFU counts. The revalidation stamp in `resume` is not a use;
+    /// a `resume` that counted one would add a second per request.
     #[test]
-    fn a_validated_request_touches_the_store_once_per_phase() {
+    fn a_validated_request_touches_the_store_once() {
         const N: u32 = 6;
         let mut pop = FilePopulation::new();
         pop.add(FileRecord::new("/a.html", SimTime::from_secs(0), 100));
@@ -1030,7 +1029,7 @@ mod tests {
             AnyStore::Lfu(store) => store.policy().frequency(file),
             other => panic!("configured LFU, got {}", other.kind()),
         };
-        assert_eq!(touches, 1 + 2 * N, "one insert, then two per validation");
+        assert_eq!(touches, 1 + N, "one insert, then one per validation");
         let snap = proxy.shutdown();
         assert_eq!(snap.cache.misses, 1);
         assert_eq!(u64::from(N), snap.cache.validations_not_modified);

@@ -167,6 +167,10 @@ impl Store for AnyStore {
         dispatch!(self, s => s.access(id, now))
     }
 
+    fn peek_mut(&mut self, id: FileId) -> Option<&mut EntryMeta> {
+        dispatch!(self, s => s.peek_mut(id))
+    }
+
     fn insert(&mut self, id: FileId, meta: EntryMeta) -> Evicted {
         dispatch!(self, s => s.insert(id, meta))
     }
@@ -225,7 +229,7 @@ mod tests {
             assert_eq!(s.len(), 2);
             assert_eq!(s.resident_bytes(), 150);
             assert_eq!(s.peek(FileId(1)).unwrap().size, 100);
-            s.access(FileId(1), t(5)).unwrap().mark_invalid();
+            s.peek_mut(FileId(1)).unwrap().mark_invalid();
             assert!(!s.peek(FileId(1)).unwrap().is_valid());
             let ids: Vec<u32> = s.iter().map(|(id, _)| id.0).collect();
             assert_eq!(ids, vec![1, 3], "{}", s.kind());

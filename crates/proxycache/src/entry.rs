@@ -73,15 +73,6 @@ impl EntryMeta {
         self.state = EntryState::Valid;
     }
 
-    /// Replace the entity after a `200 OK` refetch at `now`.
-    pub fn replace_body(&mut self, size: u64, last_modified: SimTime, now: SimTime) {
-        self.size = size;
-        self.last_modified = last_modified;
-        self.fetched_at = now;
-        self.last_validated = now;
-        self.state = EntryState::Valid;
-    }
-
     /// Mark the entry invalid-but-retained.
     pub fn mark_invalid(&mut self) {
         self.state = EntryState::Invalid;
@@ -131,18 +122,6 @@ mod tests {
         // Revalidation does not touch the body stamps.
         assert_eq!(e.fetched_at, t(100));
         assert_eq!(e.last_modified, t(0));
-    }
-
-    #[test]
-    fn replace_body_updates_everything() {
-        let mut e = EntryMeta::fresh(10, t(0), t(100));
-        e.mark_invalid();
-        e.replace_body(20, t(500), t(600));
-        assert!(e.is_valid());
-        assert_eq!(e.size, 20);
-        assert_eq!(e.last_modified, t(500));
-        assert_eq!(e.fetched_at, t(600));
-        assert_eq!(e.last_validated, t(600));
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! * [`EvictionPolicy::on_insert`] — a new entry became resident;
 //! * [`EvictionPolicy::on_replace`] — a resident entry's body was replaced
 //!   in place (same id, possibly new size);
-//! * [`EvictionPolicy::on_access`] — a resident entry was read;
+//! * [`EvictionPolicy::on_access`] — a resident entry was used: a
+//!   [`Store::access`], which a cache makes once per request and for
+//!   nothing else ([`Store::peek_mut`] changes an entry without a use);
 //! * [`EvictionPolicy::on_remove`] / [`EvictionPolicy::on_evict`] — the
 //!   entry left the store (explicit removal vs. capacity eviction; GDS
 //!   ages its inflation term only on the latter);
@@ -34,12 +36,12 @@
 //! * [`EvictionPolicy::admit`] — an optional admission gate consulted for
 //!   *new* entries only, and only when admitting would force an eviction.
 //!
-//! Replacement semantics are the policies' own business: LRU treats a
-//! replacement as a use (the entry moves to the MRU end), FIFO preserves
-//! the original arrival position. Both fall out of the default
-//! `on_replace → on_access` wiring, which is why the split reproduces the
-//! legacy stores' victim sequences exactly (property-tested against the
-//! original implementations in `lru.rs` and `fifo.rs`).
+//! What a replacement does is part of each policy's definition
+//! ([`EvictionPolicy::on_replace`] names them). LRU, FIFO and GDS keep the
+//! default `on_replace → on_access` wiring, which is why the split
+//! reproduces the legacy stores' victim sequences exactly (property-tested
+//! against the original implementations in `lru.rs` and `fifo.rs`); LFU
+//! overrides it.
 
 use simcore::{FileId, SimTime};
 
@@ -69,14 +71,17 @@ pub trait EvictionPolicy {
     fn on_insert(&mut self, id: FileId, meta: &EntryMeta);
 
     /// A resident entry's body was replaced in place (same id, possibly a
-    /// new size). Defaults to [`EvictionPolicy::on_access`]: replacement
-    /// counts as a use for recency/score policies, and is a no-op for
-    /// policies (like FIFO) whose accesses are no-ops.
+    /// new size). Defaults to [`EvictionPolicy::on_access`], and what that
+    /// means is each policy's definition: LRU moves the entry to the
+    /// most-recent end, GDS recomputes its credit from the new size at the
+    /// current inflation, FIFO keeps its arrival position (its accesses
+    /// are no-ops). LFU overrides it to do nothing: a new body is not a
+    /// request, so the frequency stays.
     fn on_replace(&mut self, id: FileId, meta: &EntryMeta) {
         self.on_access(id, meta);
     }
 
-    /// A resident entry was read.
+    /// A resident entry was used ([`Store::access`]).
     fn on_access(&mut self, id: FileId, meta: &EntryMeta);
 
     /// A resident entry was removed outright.
@@ -173,6 +178,10 @@ impl<E: EvictionPolicy> Store for BoundedStore<E> {
         let meta = *self.slots.get(id.index())?.as_ref()?;
         self.policy.on_access(id, &meta);
         self.slots[id.index()].as_mut()
+    }
+
+    fn peek_mut(&mut self, id: FileId) -> Option<&mut EntryMeta> {
+        self.slots.get_mut(id.index())?.as_mut()
     }
 
     fn insert(&mut self, id: FileId, meta: EntryMeta) -> Evicted {

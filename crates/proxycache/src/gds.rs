@@ -63,7 +63,8 @@ impl EvictionPolicy for GreedyDualSize {
     fn on_access(&mut self, id: FileId, meta: &EntryMeta) {
         // Refresh the credit with the current inflation (and current
         // size — replacements route here too, via the default
-        // `on_replace`).
+        // `on_replace`: the credit is a function of size, so a new body
+        // is rescored by definition).
         self.rescore(id, meta);
     }
 

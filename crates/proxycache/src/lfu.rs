@@ -15,6 +15,10 @@
 //!   popular object passes the gate after a few requests while scan
 //!   traffic never displaces the working set.
 //!
+//! The frequency counts requests: a [`crate::Store::access`] and an
+//! admission attempt each add one; replacing a resident body adds
+//! nothing.
+//!
 //! Victim order is deterministic: `(frequency, id)`, lowest first, kept in
 //! an indexed 4-ary heap ([`crate::evict::IndexedHeap`]) so that counting
 //! a use is one sift from the entry's own node. The test module keeps an
@@ -73,6 +77,11 @@ impl EvictionPolicy for ScoreGatedLfu {
         // `admit` already counted this attempt; just queue at the
         // current frequency.
         self.queue.set(id.index(), self.freq[id.index()]);
+    }
+
+    fn on_replace(&mut self, _id: FileId, _meta: &EntryMeta) {
+        // A new body is not a request: the frequency, and with it the
+        // queue key, stays where the requests put it.
     }
 
     fn on_access(&mut self, id: FileId, _meta: &EntryMeta) {
@@ -179,11 +188,12 @@ mod tests {
         s.insert(FileId(1), meta(100));
         s.insert(FileId(2), meta(100));
         // Replacing a resident body bypasses the admission gate (the
-        // object is already cached) and counts as a use.
+        // object is already cached) and is not a use: the frequency stays.
         let evicted = s.insert(FileId(1), meta(200));
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].0, FileId(2));
         assert_eq!(s.peek(FileId(1)).unwrap().size, 200);
+        assert_eq!(s.policy().frequency(FileId(1)), 1);
     }
 
     #[test]
@@ -213,9 +223,10 @@ mod proptests {
     use simcore::SimTime;
     use std::collections::BTreeSet;
 
-    /// The previous implementation, kept verbatim as a reference model:
-    /// the queue key per slot beside a `BTreeSet` of `(frequency, id)`,
-    /// every counted use a tree remove plus a tree insert.
+    /// The previous implementation, kept as a reference model: the queue
+    /// key per slot beside a `BTreeSet` of `(frequency, id)`, every
+    /// counted use a tree remove plus a tree insert. Its replacement rule
+    /// follows the policy's definition (a new body is not a use).
     #[derive(Debug, Clone, Default)]
     struct ModelLfu {
         /// Access frequency per slot index — ghost state: survives eviction.
@@ -276,6 +287,10 @@ mod proptests {
             // `admit` already counted this attempt; just queue at the
             // current frequency.
             self.enqueue(id);
+        }
+
+        fn on_replace(&mut self, _id: FileId, _meta: &EntryMeta) {
+            // A new body is not a request.
         }
 
         fn on_access(&mut self, id: FileId, _meta: &EntryMeta) {

@@ -10,10 +10,11 @@
 //! indices** ([`crate::evict::IntrusiveList`]): the front is the LRU
 //! victim, the back the most recently used, and touch/evict are O(1)
 //! pointer splices. Replacing an entry counts as a use (the replacement
-//! lands at the MRU end). Eviction order is exactly the order of last use,
-//! which is what the original sequence-numbered B-tree store produced; the
-//! equivalence is property-tested against a model of that implementation
-//! below.
+//! lands at the MRU end): that is part of the policy's definition, pinned
+//! by `replacement_moves_entry_to_mru` and the B-tree model. Eviction
+//! order is exactly the order of last use, which is what the original
+//! sequence-numbered B-tree store produced; the equivalence is
+//! property-tested against a model of that implementation below.
 
 use simcore::FileId;
 

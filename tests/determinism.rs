@@ -348,8 +348,8 @@ fn probe_event_streams_match_pinned_hashes() {
         ),
         (
             ProtocolSpec::Invalidation,
-            1_479_579_537_235_014_119,
-            17_783_937_360_707_719_295,
+            14_571_070_628_669_973_111,
+            1_296_495_333_576_739_059,
         ),
         (
             ProtocolSpec::RenewableTtl(24),

@@ -231,9 +231,9 @@ impl<S: Store> Engine<S> {
     /// when the answer is a local serve — classifies it fresh or stale
     /// against `oracle`, the origin's scripted population (without one
     /// every local serve counts fresh). Its [`Store::access`] is the
-    /// request's one use of the store: [`Engine::apply`] and
-    /// [`Engine::invalidate`] change an entry without reordering the
-    /// store, so a request touches it once whatever its answer.
+    /// request's one use of the store: [`Engine::apply`] changes an entry
+    /// without reordering the store, and [`Engine::invalidate`] is not a
+    /// use, so a request counts once whatever its answer.
     #[inline]
     pub fn request<P: Probe + ?Sized>(
         &mut self,
@@ -396,8 +396,9 @@ impl<S: Store> Engine<S> {
 
     /// The origin's callback for a changed `file` arrived (one control
     /// message of `message_bytes`): a resident copy stays resident but
-    /// may no longer be served. A notice is not a use: the copy keeps its
-    /// place in the store's eviction order.
+    /// may no longer be served ([`Store::invalidate`]). A notice is not a
+    /// use, and the copy is worth nothing until refetched, so a bounded
+    /// store makes it a preferred victim by its policy's rule.
     pub fn invalidate<P: Probe + ?Sized>(
         &mut self,
         file: FileId,
@@ -407,9 +408,7 @@ impl<S: Store> Engine<S> {
     ) {
         let notice = exchange(file, ExchangeKind::Notice, message_bytes, 0);
         (&mut self.tally, probe).record(now, notice);
-        if let Some(entry) = self.store.peek_mut(file) {
-            entry.mark_invalid();
-        }
+        self.store.invalidate(file);
     }
 }
 

@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use consistency::{Effect, Engine, FixedTtl, LinkModel, NeverExpire, Policy, Reply, RetrievalMode};
 use originserver::{FilePopulation, FileRecord};
 use proptest::prelude::*;
-use proxycache::{EntryMeta, LfuStore, LruStore, Store};
+use proxycache::{EntryMeta, FifoStore, GdsStore, LfuStore, LruStore, Store};
 use simcore::{CacheStats, FileId, SimDuration, SimTime};
 use wcc_obs::{ExchangeKind, ObsEvent, Probe, RequestOutcome, Tally};
 
@@ -646,30 +646,106 @@ proptest! {
     }
 }
 
-/// An `INVALIDATE` is not a use: over a bounded LRU store, the copy it
-/// marks keeps its place in recency order, so when room is needed the
-/// older, now unservable copy goes first.
-#[test]
-fn an_invalidated_copy_keeps_its_place_in_lru_order() {
-    let mut engine = Engine::new(
-        LruStore::new(1_000),
+/// An invalidation-protocol engine over `store`: a valid copy is always
+/// served, an invalidated one refetched whole.
+fn invalidation_engine<S: Store>(store: S) -> Engine<S> {
+    Engine::new(
+        store,
         Box::new(NeverExpire),
         RetrievalMode::Eager,
         0,
         LinkModel::default(),
+    )
+}
+
+/// Request `file`, absent from the store, at `at` and apply its body of
+/// `size` bytes; returns the victims the insert displaced.
+fn fetch<S: Store>(engine: &mut Engine<S>, file: FileId, size: u64, at: u64) -> Vec<FileId> {
+    let mut log = Log::default();
+    assert_eq!(
+        engine.request(file, 0, t(at), None, &mut log),
+        Effect::Fetch
     );
+    let applied = engine.apply(file, 0, t(at), body(size, 0, false), &mut log);
+    applied.victims.iter().map(|&(v, _)| v).collect()
+}
+
+/// An invalidated copy is worth nothing: over a bounded LRU store the
+/// notice moves it to the front, so the copy marked after a newer use
+/// still goes before the older, valid one. A notice is not a use.
+#[test]
+fn an_invalidated_copy_is_the_next_lru_victim() {
+    let mut engine = invalidation_engine(LruStore::new(1_000));
     let (a, b, c) = (FileId(0), FileId(1), FileId(2));
     let mut log = Log::default();
     engine.preload(a, 0, EntryMeta::fresh(400, t(0), t(1)), &mut log);
     engine.preload(b, 0, EntryMeta::fresh(400, t(0), t(2)), &mut log);
-    engine.invalidate(a, t(3), MSG, &mut log);
-    assert!(!engine.peek(a).unwrap().is_valid());
+    engine.invalidate(b, t(3), MSG, &mut log);
+    assert!(!engine.peek(b).unwrap().is_valid());
 
-    assert_eq!(engine.request(c, 0, t(4), None, &mut log), Effect::Fetch);
-    let applied = engine.apply(c, 0, t(4), body(400, 0, false), &mut log);
-    let victims: Vec<FileId> = applied.victims.iter().map(|&(v, _)| v).collect();
-    assert_eq!(victims, [a], "the invalidated copy is the LRU victim");
-    assert!(engine.peek(b).is_some_and(EntryMeta::is_valid));
+    assert_eq!(fetch(&mut engine, c, 400, 4), [b], "the invalidated copy");
+    assert!(engine.peek(a).is_some_and(EntryMeta::is_valid));
+}
+
+/// GreedyDual prices an invalidated copy at the inflation `L` alone: a
+/// small copy, whose credit outranked a large valid one's, goes first,
+/// and evicting it leaves `L` where it was.
+#[test]
+fn an_invalidated_copy_is_the_next_gds_victim_and_does_not_age_the_pool() {
+    let mut engine = invalidation_engine(GdsStore::new(1_000));
+    let [big, large, small, mid, newcomer] = [0, 1, 2, 3, 4].map(FileId);
+    let mut log = Log::default();
+    // Displacing `big` raises L to its credit, 1/900.
+    engine.preload(big, 0, EntryMeta::fresh(900, t(0), t(0)), &mut log);
+    engine.preload(large, 0, EntryMeta::fresh(400, t(0), t(1)), &mut log);
+    engine.preload(small, 0, EntryMeta::fresh(100, t(0), t(2)), &mut log);
+    engine.preload(mid, 0, EntryMeta::fresh(500, t(0), t(3)), &mut log);
+    let inflation = engine.store().policy().inflation();
+    assert!(inflation > 0.0);
+    engine.invalidate(small, t(4), MSG, &mut log);
+
+    assert_eq!(fetch(&mut engine, newcomer, 100, 5), [small]);
+    assert_eq!(engine.store().policy().inflation(), inflation);
+    assert!(engine.peek(large).is_some_and(EntryMeta::is_valid));
+}
+
+/// Over a bounded LFU store an invalidated copy is queued below every
+/// request count: one requested three times goes before a valid one
+/// requested once, and keeps its frequency.
+#[test]
+fn an_invalidated_copy_is_the_next_lfu_victim_and_keeps_its_frequency() {
+    let mut engine = invalidation_engine(LfuStore::new(1_000));
+    let (hot, cold, newcomer) = (FileId(0), FileId(1), FileId(2));
+    let mut log = Log::default();
+    engine.preload(hot, 0, EntryMeta::fresh(400, t(0), t(0)), &mut log);
+    for at in 1..3 {
+        let served = engine.request(hot, 0, t(at), None, &mut log);
+        assert!(matches!(served, Effect::Serve(_)));
+    }
+    engine.preload(cold, 0, EntryMeta::fresh(400, t(0), t(3)), &mut log);
+    let frequency = |engine: &Engine<LfuStore>| engine.store().policy().frequency(hot);
+    assert_eq!(frequency(&engine), 3);
+    engine.invalidate(hot, t(4), MSG, &mut log);
+
+    assert_eq!(fetch(&mut engine, newcomer, 400, 5), [hot]);
+    assert_eq!(frequency(&engine), 3);
+    assert!(engine.peek(cold).is_some_and(EntryMeta::is_valid));
+}
+
+/// FIFO moves nothing on a notice: victims leave in arrival order, the
+/// invalidated copy included.
+#[test]
+fn fifo_victims_stay_in_arrival_order() {
+    let mut engine = invalidation_engine(FifoStore::new(1_000));
+    let (a, b, c, d) = (FileId(0), FileId(1), FileId(2), FileId(3));
+    let mut log = Log::default();
+    engine.preload(a, 0, EntryMeta::fresh(400, t(0), t(1)), &mut log);
+    engine.preload(b, 0, EntryMeta::fresh(400, t(0), t(2)), &mut log);
+    engine.invalidate(b, t(3), MSG, &mut log);
+
+    assert_eq!(fetch(&mut engine, c, 400, 4), [a]);
+    assert_eq!(fetch(&mut engine, d, 400, 5), [b]);
+    assert!(engine.peek(c).is_some_and(EntryMeta::is_valid));
 }
 
 /// A request is one use of the store, whatever its answer: over a

@@ -939,7 +939,7 @@ mod tests {
                 fnv(&mut probed_hash, &probed);
             }
         }
-        const EVICT_GOLDEN: u64 = 989_671_481_627_630_038;
+        const EVICT_GOLDEN: u64 = 5_297_729_445_418_858_617;
         assert_eq!(hash, EVICT_GOLDEN);
         assert_eq!(probed_hash, EVICT_GOLDEN, "with a probe attached");
     }

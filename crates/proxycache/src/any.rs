@@ -171,6 +171,10 @@ impl Store for AnyStore {
         dispatch!(self, s => s.peek_mut(id))
     }
 
+    fn invalidate(&mut self, id: FileId) {
+        dispatch!(self, s => s.invalidate(id))
+    }
+
     fn insert(&mut self, id: FileId, meta: EntryMeta) -> Evicted {
         dispatch!(self, s => s.insert(id, meta))
     }
@@ -231,6 +235,8 @@ mod tests {
             assert_eq!(s.peek(FileId(1)).unwrap().size, 100);
             s.peek_mut(FileId(1)).unwrap().mark_invalid();
             assert!(!s.peek(FileId(1)).unwrap().is_valid());
+            s.invalidate(FileId(3));
+            assert!(!s.peek(FileId(3)).unwrap().is_valid());
             let ids: Vec<u32> = s.iter().map(|(id, _)| id.0).collect();
             assert_eq!(ids, vec![1, 3], "{}", s.kind());
             assert_eq!(s.remove(FileId(1)).unwrap().size, 100);

@@ -27,6 +27,9 @@
 //! * [`EvictionPolicy::on_access`] — a resident entry was used: a
 //!   [`Store::access`], which a cache makes once per request and for
 //!   nothing else ([`Store::peek_mut`] changes an entry without a use);
+//! * [`EvictionPolicy::on_invalidate`] — a resident entry was marked
+//!   unservable ([`Store::invalidate`]); each policy states where that
+//!   puts it in its eviction order (LRU, GDS and LFU: next victim);
 //! * [`EvictionPolicy::on_remove`] / [`EvictionPolicy::on_evict`] — the
 //!   entry left the store (explicit removal vs. capacity eviction; GDS
 //!   ages its inflation term only on the latter);
@@ -83,6 +86,11 @@ pub trait EvictionPolicy {
 
     /// A resident entry was used ([`Store::access`]).
     fn on_access(&mut self, id: FileId, meta: &EntryMeta);
+
+    /// A resident entry was marked unservable ([`Store::invalidate`]): its
+    /// next request refetches it whole, so the copy is worth no more than
+    /// an absent one. Required, so that each policy writes down its rule.
+    fn on_invalidate(&mut self, id: FileId, meta: &EntryMeta);
 
     /// A resident entry was removed outright.
     fn on_remove(&mut self, id: FileId, meta: &EntryMeta);
@@ -182,6 +190,13 @@ impl<E: EvictionPolicy> Store for BoundedStore<E> {
 
     fn peek_mut(&mut self, id: FileId) -> Option<&mut EntryMeta> {
         self.slots.get_mut(id.index())?.as_mut()
+    }
+
+    fn invalidate(&mut self, id: FileId) {
+        if let Some(Some(meta)) = self.slots.get_mut(id.index()) {
+            meta.mark_invalid();
+            self.policy.on_invalidate(id, meta);
+        }
     }
 
     fn insert(&mut self, id: FileId, meta: EntryMeta) -> Evicted {
@@ -308,6 +323,23 @@ impl IntrusiveList {
         }
         self.unlink(idx);
         self.push_back(idx);
+    }
+
+    /// Move a linked `idx` to the front; a no-op if it is already there.
+    pub(crate) fn move_to_front(&mut self, idx: usize) {
+        let at = idx as u32;
+        if self.head == at {
+            return;
+        }
+        self.unlink(idx);
+        let head = self.head;
+        self.links[idx] = (NIL, head);
+        if head == NIL {
+            self.tail = at;
+        } else {
+            self.links[head as usize].0 = at;
+        }
+        self.head = at;
     }
 
     /// The front (oldest) entry, skipping `exclude` once.
@@ -502,6 +534,7 @@ pub(crate) mod lockstep {
         Insert(u32, u64),
         Access(u32),
         Remove(u32),
+        Invalidate(u32),
         /// Re-insert the current victim this many bytes larger: the sweep
         /// that makes room must pass over the head of the order.
         GrowVictim(u64),
@@ -520,6 +553,7 @@ pub(crate) mod lockstep {
             (0..IDS).prop_map(Op::Access),
             (0..IDS).prop_map(Op::Access),
             (0..IDS).prop_map(Op::Remove),
+            (0..IDS).prop_map(Op::Invalidate),
             (1u64..1_600).prop_map(Op::GrowVictim),
         ]
     }
@@ -552,6 +586,11 @@ pub(crate) mod lockstep {
                 }
                 Op::Remove(id) => {
                     assert_eq!(real.remove(FileId(id)), model.remove(FileId(id)));
+                    None
+                }
+                Op::Invalidate(id) => {
+                    real.invalidate(FileId(id));
+                    model.invalidate(FileId(id));
                     None
                 }
             };
@@ -588,6 +627,15 @@ mod tests {
         assert_eq!(l.walk(), vec![1, 7, 3]);
         l.move_to_back(3); // already at back: no-op
         assert_eq!(l.walk(), vec![1, 7, 3]);
+        l.move_to_front(1); // already at front: no-op
+        assert_eq!(l.walk(), vec![1, 7, 3]);
+        l.move_to_front(7); // from the middle
+        assert_eq!(l.walk(), vec![7, 1, 3]);
+        l.move_to_front(3); // from the tail
+        assert_eq!(l.walk(), vec![3, 7, 1]);
+        assert_eq!(l.front_excluding(None), Some(FileId::from_index(3)));
+        l.move_to_back(3);
+        assert_eq!(l.walk(), vec![7, 1, 3]);
         l.unlink(7);
         assert_eq!(l.walk(), vec![1, 3]);
         assert_eq!(l.front_excluding(None), Some(FileId::from_index(1)));
@@ -596,6 +644,8 @@ mod tests {
             Some(FileId::from_index(3))
         );
         l.unlink(1);
+        l.move_to_front(3); // a one-element list: head and tail at once
+        assert_eq!(l.walk(), vec![3]);
         l.unlink(3);
         assert!(l.walk().is_empty());
         assert_eq!(l.front_excluding(None), None);

@@ -13,7 +13,8 @@
 //! original arrival position is preserved exactly; during the
 //! replacement's eviction sweep the entry is excluded as a victim (the
 //! pre-split implementation achieved the same with an explicit `keep`
-//! parameter).
+//! parameter). An invalidation leaves the entry where it is too (see
+//! [`FifoEviction`]'s `on_invalidate`).
 
 use simcore::FileId;
 
@@ -39,6 +40,12 @@ impl EvictionPolicy for FifoEviction {
         // FIFO ignores accesses: arrival order is destiny. Replacements
         // route here too (the default `on_replace`), keeping the original
         // arrival position.
+    }
+
+    fn on_invalidate(&mut self, _id: FileId, _meta: &EntryMeta) {
+        // Nothing: an invalidated copy keeps its arrival position. A
+        // refetch replaces the body in place, so had the copy moved to
+        // the front, the fresh copy would be the next victim.
     }
 
     fn on_remove(&mut self, id: FileId, _meta: &EntryMeta) {
@@ -157,6 +164,7 @@ mod proptests {
         Insert(u32, u64),
         Access(u32),
         Remove(u32),
+        Invalidate(u32),
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
@@ -164,6 +172,7 @@ mod proptests {
             (0u32..20, 1u64..120).prop_map(|(id, sz)| Op::Insert(id, sz)),
             (0u32..20).prop_map(Op::Access),
             (0u32..20).prop_map(Op::Remove),
+            (0u32..20).prop_map(Op::Invalidate),
         ]
     }
 
@@ -252,6 +261,7 @@ mod proptests {
                     Op::Remove(id) => {
                         s.remove(FileId(id));
                     }
+                    Op::Invalidate(id) => s.invalidate(FileId(id)),
                 }
                 let sum: u64 = s.iter().map(|(_, m)| m.size).sum();
                 prop_assert_eq!(sum, s.resident_bytes());
@@ -264,7 +274,8 @@ mod proptests {
 
         /// The eviction-policy split reproduces the old BTreeMap-indexed
         /// implementation exactly — including the replacement-keeps-its-
-        /// arrival-slot rule and self-exclusion during replacement sweeps.
+        /// arrival-slot rule, self-exclusion during replacement sweeps,
+        /// and invalidations, which move nothing.
         #[test]
         fn matches_old_btreemap_implementation(ops in proptest::collection::vec(op_strategy(), 0..300)) {
             let mut real = FifoStore::new(300);
@@ -289,6 +300,10 @@ mod proptests {
                     Op::Remove(id) => {
                         let got = real.remove(FileId(id)).map(|m| m.size);
                         prop_assert_eq!(got, model.remove(FileId(id)).map(|m| m.size));
+                    }
+                    Op::Invalidate(id) => {
+                        // The model's rule: an invalidation moves nothing.
+                        real.invalidate(FileId(id));
                     }
                 }
                 prop_assert_eq!(real.len(), model.entries.len());

@@ -9,7 +9,10 @@
 //! LRU-like recency effect expressed purely through scores, with the
 //! `cost/size` term biasing the cache toward keeping small objects (this
 //! implementation uses a uniform miss cost of 1, the object-hit-ratio
-//! variant of GreedyDual-Size).
+//! variant of GreedyDual-Size). An invalidated copy saves no miss when
+//! next requested, so its cost is 0 and its score drops to `L` itself:
+//! every resident score is at least `L`, so it goes next, and evicting it
+//! leaves `L` where it was.
 //!
 //! Determinism: scores are positive finite `f64`s, ordered through their
 //! IEEE-754 bit patterns (order-preserving for non-negative floats) with
@@ -66,6 +69,11 @@ impl EvictionPolicy for GreedyDualSize {
         // `on_replace`: the credit is a function of size, so a new body
         // is rescored by definition).
         self.rescore(id, meta);
+    }
+
+    fn on_invalidate(&mut self, id: FileId, _meta: &EntryMeta) {
+        // H = L + 0 / size: a minimum, since no resident credit is below L.
+        self.queue.set(id.index(), self.inflation.to_bits());
     }
 
     fn on_remove(&mut self, id: FileId, _meta: &EntryMeta) {
@@ -252,6 +260,12 @@ mod proptests {
             self.rescore(id, score);
         }
 
+        fn on_invalidate(&mut self, id: FileId, _meta: &EntryMeta) {
+            // An invalidated copy is scored at the inflation alone.
+            self.unqueue(id);
+            self.rescore(id, self.inflation);
+        }
+
         fn on_remove(&mut self, id: FileId, _meta: &EntryMeta) {
             self.unqueue(id);
         }
@@ -284,6 +298,7 @@ mod proptests {
         Insert(u32, u64),
         Access(u32),
         Remove(u32),
+        Invalidate(u32),
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
@@ -291,6 +306,7 @@ mod proptests {
             (0u32..20, 1u64..120).prop_map(|(id, sz)| Op::Insert(id, sz)),
             (0u32..20).prop_map(Op::Access),
             (0u32..20).prop_map(Op::Remove),
+            (0u32..20).prop_map(Op::Invalidate),
         ]
     }
 
@@ -313,6 +329,7 @@ mod proptests {
                     Op::Remove(id) => {
                         s.remove(FileId(id));
                     }
+                    Op::Invalidate(id) => s.invalidate(FileId(id)),
                 }
             }
             while let Some(victim) = s.policy().victim(None) {
@@ -328,9 +345,10 @@ mod proptests {
 
         /// The heap is a pure index change: against the `BTreeSet` model,
         /// the same victims in the same order, the same scores and the
-        /// same inflation, over inserts, accesses, removals, growing
-        /// replacements of the current victim and oversized bodies, with
-        /// sizes few enough that scores tie and the id decides.
+        /// same inflation, over inserts, accesses, removals,
+        /// invalidations, growing replacements of the current victim and
+        /// oversized bodies, with sizes few enough that scores tie and the
+        /// id decides.
         #[test]
         fn matches_old_btreeset_implementation(
             ops in proptest::collection::vec(lockstep::op_strategy(), 0..400),
@@ -357,6 +375,7 @@ mod proptests {
                     Op::Remove(id) => {
                         s.remove(FileId(id));
                     }
+                    Op::Invalidate(id) => s.invalidate(FileId(id)),
                 }
                 let sum: u64 = s.iter().map(|(_, m)| m.size).sum();
                 prop_assert_eq!(sum, s.resident_bytes());

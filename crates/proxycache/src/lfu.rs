@@ -17,7 +17,10 @@
 //!
 //! The frequency counts requests: a [`crate::Store::access`] and an
 //! admission attempt each add one; replacing a resident body adds
-//! nothing.
+//! nothing. An invalidated copy is queued at 0 until its next request
+//! re-keys it: it goes next, and while it is resident the admission gate
+//! lets any newcomer in. Its frequency stays, so the refetch keeps its
+//! standing.
 //!
 //! Victim order is deterministic: `(frequency, id)`, lowest first, kept in
 //! an indexed 4-ary heap ([`crate::evict::IndexedHeap`]) so that counting
@@ -87,6 +90,11 @@ impl EvictionPolicy for ScoreGatedLfu {
     fn on_access(&mut self, id: FileId, _meta: &EntryMeta) {
         let freq = self.bump(id);
         self.queue.set(id.index(), freq);
+    }
+
+    fn on_invalidate(&mut self, id: FileId, _meta: &EntryMeta) {
+        // Below every request count; the frequency itself stays.
+        self.queue.set(id.index(), 0);
     }
 
     fn on_remove(&mut self, id: FileId, _meta: &EntryMeta) {
@@ -225,8 +233,9 @@ mod proptests {
 
     /// The previous implementation, kept as a reference model: the queue
     /// key per slot beside a `BTreeSet` of `(frequency, id)`, every
-    /// counted use a tree remove plus a tree insert. Its replacement rule
-    /// follows the policy's definition (a new body is not a use).
+    /// counted use a tree remove plus a tree insert. Its replacement and
+    /// invalidation rules follow the policy's definition (a new body is
+    /// not a use; an invalidated copy is keyed 0).
     #[derive(Debug, Clone, Default)]
     struct ModelLfu {
         /// Access frequency per slot index — ghost state: survives eviction.
@@ -299,6 +308,12 @@ mod proptests {
             self.enqueue(id);
         }
 
+        fn on_invalidate(&mut self, id: FileId, _meta: &EntryMeta) {
+            self.unqueue(id);
+            self.key[id.index()] = 0;
+            self.queue.insert((0, id.0));
+        }
+
         fn on_remove(&mut self, id: FileId, _meta: &EntryMeta) {
             // The queue entry goes; the ghost frequency stays.
             self.unqueue(id);
@@ -313,9 +328,10 @@ mod proptests {
 
         fn score(&self, id: FileId) -> Option<f64> {
             let idx = id.index();
+            let key = *self.key.get(idx)?;
             self.queue
-                .contains(&(*self.key.get(idx)?, idx as u32))
-                .then(|| f64::from(self.freq[idx]))
+                .contains(&(key, idx as u32))
+                .then(|| f64::from(key))
         }
     }
 
@@ -324,6 +340,7 @@ mod proptests {
         Insert(u32, u64),
         Access(u32),
         Remove(u32),
+        Invalidate(u32),
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
@@ -331,6 +348,7 @@ mod proptests {
             (0u32..20, 1u64..120).prop_map(|(id, sz)| Op::Insert(id, sz)),
             (0u32..20).prop_map(Op::Access),
             (0u32..20).prop_map(Op::Remove),
+            (0u32..20).prop_map(Op::Invalidate),
         ]
     }
 
@@ -339,9 +357,9 @@ mod proptests {
         /// the same victims in the same order, the same admission
         /// verdicts (a refusal is reported as the newcomer's eviction),
         /// the same scores and the same ghost frequencies, over inserts,
-        /// accesses, removals, growing replacements of the current victim
-        /// and oversized bodies — frequencies tie constantly, so the id
-        /// decides most victims.
+        /// accesses, removals, invalidations, growing replacements of the
+        /// current victim and oversized bodies — frequencies tie
+        /// constantly, so the id decides most victims.
         #[test]
         fn matches_old_btreeset_implementation(
             ops in proptest::collection::vec(lockstep::op_strategy(), 0..400),
@@ -368,6 +386,7 @@ mod proptests {
                     Op::Remove(id) => {
                         s.remove(FileId(id));
                     }
+                    Op::Invalidate(id) => s.invalidate(FileId(id)),
                 }
                 let sum: u64 = s.iter().map(|(_, m)| m.size).sum();
                 prop_assert_eq!(sum, s.resident_bytes());

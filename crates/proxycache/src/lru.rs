@@ -11,10 +11,13 @@
 //! victim, the back the most recently used, and touch/evict are O(1)
 //! pointer splices. Replacing an entry counts as a use (the replacement
 //! lands at the MRU end): that is part of the policy's definition, pinned
-//! by `replacement_moves_entry_to_mru` and the B-tree model. Eviction
-//! order is exactly the order of last use, which is what the original
+//! by `replacement_moves_entry_to_mru` and the B-tree model. An
+//! invalidated copy moves to the front: it is not served again until
+//! refetched, so it is the next victim. Eviction order is otherwise
+//! exactly the order of last use, which is what the original
 //! sequence-numbered B-tree store produced; the equivalence is
-//! property-tested against a model of that implementation below.
+//! property-tested against a model of that implementation below (an
+//! invalidation takes a sequence number below every live one).
 
 use simcore::FileId;
 
@@ -38,6 +41,11 @@ impl EvictionPolicy for LruEviction {
 
     fn on_access(&mut self, id: FileId, _meta: &EntryMeta) {
         self.list.move_to_back(id.index());
+    }
+
+    fn on_invalidate(&mut self, id: FileId, _meta: &EntryMeta) {
+        // Worth nothing until refetched: first in line to go.
+        self.list.move_to_front(id.index());
     }
 
     fn on_remove(&mut self, id: FileId, _meta: &EntryMeta) {
@@ -202,6 +210,7 @@ mod proptests {
         Insert(u32, u64),
         Access(u32),
         Remove(u32),
+        Invalidate(u32),
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
@@ -209,6 +218,7 @@ mod proptests {
             (0u32..20, 1u64..120).prop_map(|(id, sz)| Op::Insert(id, sz)),
             (0u32..20).prop_map(Op::Access),
             (0u32..20).prop_map(Op::Remove),
+            (0u32..20).prop_map(Op::Invalidate),
         ]
     }
 
@@ -218,14 +228,16 @@ mod proptests {
         s.policy().list.walk()
     }
 
-    /// The previous implementation, kept verbatim as a reference model:
-    /// `HashMap` entries plus a sequence-numbered `BTreeMap` recency index.
+    /// The previous implementation, kept as a reference model: `HashMap`
+    /// entries plus a sequence-numbered `BTreeMap` recency index. A use
+    /// takes the next sequence number; an invalidation one below every
+    /// live one.
     struct ModelLru {
         capacity_bytes: u64,
-        entries: HashMap<FileId, (EntryMeta, u64)>,
-        recency: BTreeMap<u64, FileId>,
+        entries: HashMap<FileId, (EntryMeta, i64)>,
+        recency: BTreeMap<i64, FileId>,
         bytes: u64,
-        next_seq: u64,
+        next_seq: i64,
     }
 
     impl ModelLru {
@@ -249,6 +261,16 @@ mod proptests {
             self.recency.insert(self.next_seq, id);
             self.next_seq += 1;
             self.entries.get(&id).map(|(m, _)| m.size)
+        }
+
+        fn invalidate(&mut self, id: FileId) {
+            let Some((meta, seq)) = self.entries.get_mut(&id) else {
+                return;
+            };
+            meta.mark_invalid();
+            self.recency.remove(seq);
+            *seq = self.recency.keys().next().map_or(0, |&least| least - 1);
+            self.recency.insert(*seq, id);
         }
 
         fn evict_to_fit(&mut self, incoming: u64) -> Vec<(FileId, EntryMeta)> {
@@ -307,6 +329,7 @@ mod proptests {
                     Op::Remove(id) => {
                         s.remove(FileId(id));
                     }
+                    Op::Invalidate(id) => s.invalidate(FileId(id)),
                 }
                 let sum: u64 = s.iter().map(|(_, m)| m.size).sum();
                 prop_assert_eq!(sum, s.resident_bytes());
@@ -321,7 +344,7 @@ mod proptests {
         /// The eviction-policy split reproduces the old BTreeMap-indexed
         /// implementation's behaviour exactly: same eviction victims in the
         /// same order, same resident set, same byte ledger, under any
-        /// operation sequence.
+        /// operation sequence, invalidations included.
         #[test]
         fn matches_old_btreemap_implementation(ops in proptest::collection::vec(op_strategy(), 0..300)) {
             let mut real = LruStore::new(300);
@@ -347,8 +370,16 @@ mod proptests {
                         let got = real.remove(FileId(id)).map(|m| m.size);
                         prop_assert_eq!(got, model.remove(FileId(id)).map(|m| m.size));
                     }
+                    Op::Invalidate(id) => {
+                        real.invalidate(FileId(id));
+                        model.invalidate(FileId(id));
+                    }
                 }
                 prop_assert_eq!(real.len(), model.entries.len());
+                for (id, meta) in real.iter() {
+                    let want = model.entries.get(&id).map(|(m, _)| m.is_valid());
+                    prop_assert_eq!(Some(meta.is_valid()), want);
+                }
                 prop_assert_eq!(real.resident_bytes(), model.bytes);
                 // LRU→MRU order must match the model's seq order exactly.
                 let real_order: Vec<u32> = real.policy().list.walk();

@@ -3,7 +3,8 @@
 //! The paper's experiments assume a cache large enough that "valid entries
 //! are never evicted" (§4) — [`UnboundedStore`]. The interaction of
 //! consistency metadata with capacity pressure is an extension this
-//! workspace also explores via the LRU store in [`crate::lru`]; both
+//! workspace also explores via the byte-bounded stores of
+//! [`crate::evict::BoundedStore`] (LRU, FIFO, GreedyDual-Size, LFU); all
 //! implement [`Store`].
 //!
 //! All stores index entries in **dense slot tables**: [`simcore::FileId`]s
@@ -32,6 +33,13 @@ pub trait Store {
     /// Look up an entry mutably without counting a use: no eviction
     /// policy hears of it, so the store's order is left as it was.
     fn peek_mut(&mut self, id: FileId) -> Option<&mut EntryMeta>;
+
+    /// Mark a resident copy unservable (an invalidation notice); a no-op
+    /// for an absent one. A bounded store also tells its eviction policy,
+    /// whose rule makes the copy a preferred victim: until refetched it is
+    /// worth no more than an absent copy. No default, so that no store
+    /// only marks the copy without saying so.
+    fn invalidate(&mut self, id: FileId);
 
     /// Insert or replace an entry; returns entries evicted to make room
     /// (always empty for unbounded stores).
@@ -230,6 +238,13 @@ impl Store for UnboundedStore {
         self.slots.get_mut(id.index())?.as_mut()
     }
 
+    fn invalidate(&mut self, id: FileId) {
+        // A leaf, like `access`: with nothing to evict, only the mark.
+        if let Some(Some(meta)) = self.slots.get_mut(id.index()) {
+            meta.mark_invalid();
+        }
+    }
+
     fn insert(&mut self, id: FileId, meta: EntryMeta) -> Evicted {
         ensure_slot(&mut self.slots, id);
         let slot = &mut self.slots[id.index()];
@@ -305,6 +320,18 @@ mod tests {
         s.peek_mut(FileId(7)).unwrap().mark_invalid();
         assert!(!s.peek(FileId(7)).unwrap().is_valid());
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn invalidate_marks_a_resident_copy_and_skips_an_absent_one() {
+        let mut s = UnboundedStore::new();
+        s.insert(FileId(2), meta(10));
+        s.invalidate(FileId(2));
+        s.invalidate(FileId(1));
+        s.invalidate(FileId(99));
+        assert!(!s.peek(FileId(2)).unwrap().is_valid());
+        assert!(s.peek(FileId(1)).is_none());
+        assert_eq!((s.len(), s.resident_bytes()), (1, 10));
     }
 
     #[test]

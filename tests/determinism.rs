@@ -334,7 +334,8 @@ fn probe_event_streams_match_pinned_hashes() {
         .sum();
     // `(spec, full stream, stream without its exchange events)`. The
     // second hash was pinned before replies carried their bytes: every
-    // other event is where it was.
+    // other event is where it was. Both Invalidation hashes were pinned
+    // again when a notice began to make its copy the next LRU victim.
     let pinned: [(ProtocolSpec, u64, u64); 5] = [
         (
             ProtocolSpec::Ttl(48),
@@ -348,8 +349,8 @@ fn probe_event_streams_match_pinned_hashes() {
         ),
         (
             ProtocolSpec::Invalidation,
-            14_571_070_628_669_973_111,
-            1_296_495_333_576_739_059,
+            14_799_391_157_534_961_674,
+            17_535_634_872_783_188_596,
         ),
         (
             ProtocolSpec::RenewableTtl(24),

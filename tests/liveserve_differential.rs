@@ -256,29 +256,68 @@ fn ledger_and_residents(workload: &Workload, capacity: u64) -> (usize, usize) {
     (subscriptions, resident.len())
 }
 
+/// Whether `trace` shows the rule every bounded policy here but FIFO
+/// states: a copy whose latest event is its invalidation notice is a
+/// next victim. So while any such copy is resident, each eviction takes
+/// one of them; and at least one eviction does.
+fn noticed_copies_go_first(trace: &TraceProbe) -> bool {
+    let mut noticed = BTreeSet::new();
+    let mut taken = 0;
+    for &(_, _, event) in trace.events() {
+        match event {
+            ObsEvent::Exchange {
+                file,
+                kind: ExchangeKind::Notice,
+                ..
+            } => {
+                noticed.insert(file);
+            }
+            ObsEvent::Eviction { file } => {
+                if noticed.remove(&file) {
+                    taken += 1;
+                } else if !noticed.is_empty() {
+                    return false;
+                }
+            }
+            ObsEvent::Request { file, .. }
+            | ObsEvent::PolicyDecision { file, .. }
+            | ObsEvent::Validation { file, .. }
+            | ObsEvent::Exchange { file, .. } => {
+                noticed.remove(&file);
+            }
+            _ => {}
+        }
+    }
+    taken > 0
+}
+
 #[test]
 fn engine_events_arrive_in_the_same_order_live_and_simulated() {
     // One engine decides both runs, so this is a test of the transports:
     // sockets, the reactor and the shard lock must hand it the same
     // requests and replies, at the same virtual instants, in the same
     // order as the event queue does. A store at a sixth of the footprint
-    // puts evictions (and, under invalidation, unsubscriptions) in play.
+    // puts evictions (and, under invalidation, unsubscriptions) in play;
+    // invalidation runs under each policy that demotes a noticed copy.
     let workload = differential_workload();
     let footprint: u64 = workload
         .population
         .iter()
         .filter_map(|(_, rec)| rec.version_at(workload.start).map(|v| v.size))
         .sum();
-    for spec in [
-        ProtocolSpec::Alex(20),
-        ProtocolSpec::Invalidation,
-        ProtocolSpec::UpdateRisk(5),
+    let store = footprint / 6;
+    for (spec, store) in [
+        (ProtocolSpec::Alex(20), ExperimentStore::Lru(store)),
+        (ProtocolSpec::Invalidation, ExperimentStore::Lru(store)),
+        (ProtocolSpec::Invalidation, ExperimentStore::Gds(store)),
+        (ProtocolSpec::Invalidation, ExperimentStore::Lfu(store)),
+        (ProtocolSpec::UpdateRisk(5), ExperimentStore::Lru(store)),
     ] {
         let experiment = |probe| {
             Experiment::new(&workload)
                 .protocol(spec)
                 .config(live_equivalent_config())
-                .store(ExperimentStore::Lru(footprint / 6))
+                .store(store)
                 .probe(probe)
         };
         let mut sim = TraceProbe::new(1 << 16);
@@ -289,6 +328,12 @@ fn engine_events_arrive_in_the_same_order_live_and_simulated() {
         assert!(simulated.evictions > 0, "{spec:?}: the store must evict");
         assert_eq!(served.evictions, simulated.evictions, "{spec:?}");
         assert_eq!(served.cache, simulated.result.cache, "{spec:?}");
+        if spec.uses_invalidation() {
+            assert!(
+                noticed_copies_go_first(&sim),
+                "{store:?}: an invalidated copy was not the next victim"
+            );
+        }
         let ((sim, sim_notices), (live, live_notices)) =
             (engine_events(&sim), engine_events(&live));
         assert!(
@@ -298,7 +343,7 @@ fn engine_events_arrive_in_the_same_order_live_and_simulated() {
         );
         if let Some(i) = (0..sim.len().max(live.len())).find(|&i| sim.get(i) != live.get(i)) {
             panic!(
-                "{spec:?}: event {i} diverged — simulated {:?}, live {:?}",
+                "{spec:?} {store:?}: event {i} diverged — simulated {:?}, live {:?}",
                 sim.get(i),
                 live.get(i)
             );
@@ -309,14 +354,16 @@ fn engine_events_arrive_in_the_same_order_live_and_simulated() {
             // `SUBSCRIBE` after the file's, the notice count would differ;
             // and when it is all over the origin tracks exactly what the
             // proxy holds.
-            assert_eq!(served.server, simulated.result.server, "{spec:?}");
+            assert_eq!(served.server, simulated.result.server, "{store:?}");
             let delivered = served.proxy.invalidations_delivered;
-            assert!(delivered > 0, "{spec:?}: notices must be in play");
-            assert_eq!(live_notices, delivered, "{spec:?}: live notices");
-            assert_eq!(sim_notices, delivered, "{spec:?}: simulated notices");
-            let (subscriptions, residents) = ledger_and_residents(&workload, footprint / 6);
-            assert!(residents > 0, "{spec:?}: something must be resident");
-            assert_eq!(subscriptions, residents, "{spec:?}: the origin's ledger");
+            assert!(delivered > 0, "{store:?}: notices must be in play");
+            assert_eq!(live_notices, delivered, "{store:?}: live notices");
+            assert_eq!(sim_notices, delivered, "{store:?}: simulated notices");
+            if let ExperimentStore::Lru(capacity) = store {
+                let (subscriptions, residents) = ledger_and_residents(&workload, capacity);
+                assert!(residents > 0, "{spec:?}: something must be resident");
+                assert_eq!(subscriptions, residents, "{spec:?}: the origin's ledger");
+            }
         } else {
             assert_eq!((sim_notices, live_notices), (0, 0), "{spec:?}");
         }

@@ -872,8 +872,9 @@ fn cmd_trace(a: &Flags) -> Result<(), String> {
 }
 
 /// `wcc metrics`: the event stream of figure 4's sweep and a small live
-/// run as counter/histogram tables, plus the wall-clock profile (the one
-/// opt-in wall-clock reader in the simulation path).
+/// run as counter/histogram tables, the heap bytes of the sweep's tables
+/// as `mem.*` gauges, plus the wall-clock profile (the one opt-in
+/// wall-clock reader in the simulation path).
 fn cmd_metrics(a: &Flags) -> Result<(), String> {
     let (scale, runner) = (scale(a), runner(a)?);
     let profiler = wcc_obs::profile::global();

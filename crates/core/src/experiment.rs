@@ -178,19 +178,24 @@ impl<'a> Experiment<'a> {
     }
 
     /// Execute: replay the workload's schedule through the cache.
-    pub fn run(mut self) -> RunOutcome {
+    pub fn run(self) -> RunOutcome {
+        self.run_sized().0
+    }
+
+    /// [`Experiment::run`], plus the heap bytes of the store as the run
+    /// left it ([`proxycache::Store::heap_bytes`]).
+    pub(crate) fn run_sized(mut self) -> (RunOutcome, usize) {
         // Unobserved, the probe's type is `NoopProbe`, so its records
         // compile away, and only invalidation's replay walks the writes;
         // an attached probe is one `dyn Probe` instantiation.
-        let (result, evictions) = match self.probe.take() {
+        match self.probe.take() {
             Some(probe) => self.replay(probe, true),
             None => self.replay(&mut NoopProbe, false),
-        };
-        RunOutcome { result, evictions }
+        }
     }
 
     /// One monomorphised replay loop per concrete store and probe type.
-    fn replay<P: Probe + ?Sized>(&self, probe: &mut P, observed: bool) -> (RunResult, u64) {
+    fn replay<P: Probe + ?Sized>(&self, probe: &mut P, observed: bool) -> (RunOutcome, usize) {
         let (workload, spec, config) = (self.workload, self.spec, &self.config);
         macro_rules! run_in {
             ($store:expr) => {

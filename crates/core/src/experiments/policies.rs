@@ -93,7 +93,7 @@ fn eviction_comparison(workload: &Workload) -> Vec<(&'static str, RunResult, u64
     let footprint: u64 = workload
         .population
         .iter()
-        .map(|(_, rec)| rec.versions().iter().map(|v| v.size).max().unwrap_or(0))
+        .map(|(_, rec)| rec.versions().map(|v| v.size).max().unwrap_or(0))
         .sum();
     let capacity = (footprint / 8).max(1);
     let stores: [(&'static str, Store); 4] = [

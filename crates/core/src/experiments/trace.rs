@@ -12,7 +12,8 @@
 //!
 //! [`collect_metrics`] runs the same sweep with a [`MetricsProbe`] per
 //! point and merges the per-point registries (counters add, histograms
-//! merge) into the tables `wcc metrics` prints.
+//! merge) into the tables `wcc metrics` prints, with the heap bytes of
+//! the tables the sweep held as `mem.*` gauges.
 
 use std::fmt::Write as _;
 
@@ -20,7 +21,7 @@ use wcc_obs::{MetricsProbe, MetricsRegistry, Probe, TraceProbe};
 
 use crate::experiments::{DataSet, Figure, Scale};
 use crate::sweep::SweepRunner;
-use crate::workload::WorrellConfig;
+use crate::workload::{Workload, WorrellConfig};
 use crate::Experiment;
 
 /// A figure whose experiment can be traced: any row of the figure table
@@ -63,16 +64,16 @@ impl TraceTarget {
 
 /// Run every `(workload, protocol)` cell of `target`'s sweep — per
 /// workload, [`Scale::points`] — with a fresh probe from `probe`
-/// attached, fanned over `runner`. Returns the workload count and, in
-/// grid order whatever the worker count, each cell's
-/// `"workload/protocol"` label with its probe.
+/// attached, fanned over `runner`. Returns the workloads and, in grid
+/// order whatever the worker count, each cell's `"workload/protocol"`
+/// label with its probe and the heap bytes of the store its run left.
 fn probed_sweep<P: Probe + Send>(
     phase: &str,
     target: TraceTarget,
     scale: &Scale,
     runner: &SweepRunner,
     probe: impl Fn() -> P + Sync,
-) -> (usize, Vec<(String, P)>) {
+) -> (Vec<Workload>, Vec<(String, P, usize)>) {
     let _span = wcc_obs::profile::global().span(&format!("{phase} {}", target.label()));
     let config = target.data.config();
     let workloads = target.data.workloads(scale);
@@ -83,14 +84,14 @@ fn probed_sweep<P: Probe + Send>(
         .collect();
     let cells = runner.map(&grid, |&(wl, spec)| {
         let mut probe = probe();
-        Experiment::new(wl)
+        let (_, store_bytes) = Experiment::new(wl)
             .protocol(spec)
             .config(config)
             .probe(&mut probe)
-            .run();
-        (format!("{}/{}", wl.name, spec.label()), probe)
+            .run_sized();
+        (format!("{}/{}", wl.name, spec.label()), probe, store_bytes)
     });
-    (workloads.len(), cells)
+    (workloads, cells)
 }
 
 /// Capture `target`'s experiment as a deterministic JSONL document.
@@ -103,11 +104,12 @@ pub fn capture(target: TraceTarget, scale: &Scale, runner: &SweepRunner, limit: 
     let (workloads, cells) =
         probed_sweep("trace", target, scale, runner, || TraceProbe::new(limit));
     let mut doc = format!(
-        "{{\"trace\":\"{}\",\"workloads\":{workloads},\"points\":{},\"limit\":{limit}}}\n",
+        "{{\"trace\":\"{}\",\"workloads\":{},\"points\":{},\"limit\":{limit}}}\n",
         target.label(),
+        workloads.len(),
         cells.len(),
     );
-    for (label, probe) in cells {
+    for (label, probe, _) in cells {
         writeln!(
             doc,
             "{{\"point\":\"{label}\",\"recorded\":{},\"dropped\":{}}}",
@@ -142,16 +144,34 @@ pub fn capture_smoke() -> (bool, String) {
 }
 
 /// Run `target`'s sweep with a [`MetricsProbe`] per point and merge the
-/// registries. Deterministic for a fixed `(target, scale)`.
+/// registries, then record as `mem.*` gauges the heap bytes of the
+/// tables the sweep held: each workload's population, a gauge a table
+/// (`mem.population.versions`, `.paths`, `.ends`, `.modifications` —
+/// every point is observed, so its replay built the modification index),
+/// the workload's own tables (`mem.workload.requests`, `.classes`), and
+/// the store each run left (`mem.store.unbounded`, the sweep's store). A
+/// gauge keeps the largest figure. Deterministic for a fixed
+/// `(target, scale)`.
 pub fn collect_metrics(
     target: TraceTarget,
     scale: &Scale,
     runner: &SweepRunner,
 ) -> MetricsRegistry {
-    let (_, cells) = probed_sweep("metrics", target, scale, runner, MetricsProbe::new);
+    let (workloads, cells) = probed_sweep("metrics", target, scale, runner, MetricsProbe::new);
     let mut merged = MetricsRegistry::new();
-    for (_, probe) in &cells {
+    let mut tables = Vec::new();
+    for (_, probe, store_bytes) in &cells {
         merged.merge(probe.registry());
+        tables.push(("store", "unbounded", *store_bytes));
+    }
+    for wl in &workloads {
+        let population = wl.population.heap_tables();
+        tables.extend(population.map(|(t, b)| ("population", t, b)));
+        tables.extend(wl.heap_tables().map(|(t, b)| ("workload", t, b)));
+    }
+    for (group, table, bytes) in tables {
+        let bytes = i64::try_from(bytes).unwrap_or(i64::MAX);
+        merged.gauge_max(&format!("mem.{group}.{table}"), bytes);
     }
     merged
 }
@@ -159,6 +179,37 @@ pub fn collect_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn memory_gauges_are_the_sweeps_tables() {
+        let (target, scale) = (TraceTarget::fig4(), smoke_scale());
+        let registry = collect_metrics(target, &scale, &SweepRunner::new(2));
+        let [wl] = &target.data.workloads(&scale)[..] else {
+            panic!("figure 4 sweeps one workload");
+        };
+        let gauge = |name: &str| registry.gauge(&format!("mem.{name}"));
+        let mut largest_store = 0;
+        for spec in scale.points() {
+            let mut probe = MetricsProbe::new();
+            let (_, store_bytes) = Experiment::new(wl)
+                .protocol(spec)
+                .config(target.data.config())
+                .probe(&mut probe)
+                .run_sized();
+            largest_store = largest_store.max(store_bytes as i64);
+        }
+        assert!(largest_store > 0);
+        assert_eq!(gauge("store.unbounded"), Some(largest_store));
+        // The sweep's replays built the index; this copy builds it here.
+        wl.population.modifications();
+        for (table, bytes) in wl.population.heap_tables() {
+            assert!(bytes > 0, "{table}");
+            assert_eq!(gauge(&format!("population.{table}")), Some(bytes as i64));
+        }
+        for (table, bytes) in wl.heap_tables() {
+            assert_eq!(gauge(&format!("workload.{table}")), Some(bytes as i64));
+        }
+    }
 
     #[test]
     fn targets_parse_both_spellings() {

@@ -78,7 +78,11 @@ impl ScenarioBuilder {
         assert!(offset <= self.duration, "modification outside the scenario");
         let at = self.start() + offset;
         let rec = &mut self.files[file.index()];
-        let latest = rec.view().versions().last().expect("files have a creation");
+        let latest = rec
+            .view()
+            .versions()
+            .next_back()
+            .expect("files have a creation");
         let size = size.unwrap_or(latest.size);
         rec.push_modification(at, size);
         self

@@ -35,7 +35,7 @@ use simcore::{CacheId, CacheStats, FileId, ServerLoad, SimTime, TrafficMeter};
 use wcc_obs::{ObsEvent, Probe, ServerOpKind};
 
 use crate::workload::{Workload, WorkloadEvent};
-use crate::ProtocolSpec;
+use crate::{ProtocolSpec, RunOutcome};
 
 pub use consistency::RetrievalMode;
 
@@ -460,7 +460,8 @@ pub fn run(workload: &Workload, spec: ProtocolSpec, config: &SimConfig) -> RunRe
 /// type. The schedule carries the writes when the policy reads them
 /// ([`Engine::reads_writes`]) or a probe watches; otherwise the replay
 /// walks its requests alone. The counts are the same either way, so
-/// golden hashes are bit-identical with or without a probe.
+/// golden hashes are bit-identical with or without a probe. Returns the
+/// outcome and the heap bytes of the store as the run left it.
 pub(crate) fn run_with_store_probe<S: Store, P: Probe + ?Sized>(
     workload: &Workload,
     spec: ProtocolSpec,
@@ -468,7 +469,7 @@ pub(crate) fn run_with_store_probe<S: Store, P: Probe + ?Sized>(
     store: S,
     probe: &mut P,
     observed: bool,
-) -> (RunResult, u64) {
+) -> (RunOutcome, usize) {
     let mut cache = SimCache::new(workload, spec, config, store);
     if config.preload {
         cache.preload(probe);
@@ -484,7 +485,9 @@ pub(crate) fn run_with_store_probe<S: Store, P: Probe + ?Sized>(
         let pending = schedule.len() as u32;
         probe.record(now, ObsEvent::Dispatched { pending });
     }
-    cache.finish(spec.label())
+    let store_bytes = cache.engine.store().heap_bytes();
+    let (result, evictions) = cache.finish(spec.label());
+    (RunOutcome { result, evictions }, store_bytes)
 }
 
 #[cfg(test)]

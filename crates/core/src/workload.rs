@@ -19,6 +19,7 @@
 //! benches that isolate which workload property flips Worrell's
 //! conclusion.
 
+use std::mem::size_of;
 use std::sync::Arc;
 
 use originserver::{FilePopulation, FileRecord};
@@ -68,6 +69,20 @@ impl Workload {
     /// origin publishes.
     pub fn changes_in_window(&self) -> usize {
         self.population.modifications_in(self.start, self.end).len()
+    }
+
+    /// The heap bytes of the workload's own tables, by name: the request
+    /// stream and the class of each file (capacity times element size).
+    /// The population, shared behind its `Arc`, reports its own
+    /// ([`FilePopulation::heap_tables`]).
+    pub fn heap_tables(&self) -> [(&'static str, usize); 2] {
+        [
+            (
+                "requests",
+                self.requests.capacity() * size_of::<(SimTime, FileId)>(),
+            ),
+            ("classes", self.classes.capacity() * size_of::<usize>()),
+        ]
     }
 
     /// The origin-assigned `Expires` lifetime for `class`, if any.
@@ -627,6 +642,12 @@ mod tests {
     use super::*;
     use webtrace::campus::{generate_campus_trace, CampusProfile};
 
+    /// Whether `file` changes after `wl`'s start and by its end.
+    fn changes_inside(wl: &Workload, file: originserver::FileView<'_>) -> bool {
+        file.first_change_after(wl.start)
+            .is_some_and(|v| v.modified_at <= wl.end)
+    }
+
     #[test]
     fn paper_run_reproduces_change_count() {
         let wl = generate_synthetic(&WorrellConfig::paper_run(), 42);
@@ -664,7 +685,7 @@ mod tests {
         let changed = wl
             .population
             .iter()
-            .filter(|(_, r)| r.changes_between(wl.start, wl.end) > 0)
+            .filter(|(_, r)| changes_inside(&wl, *r))
             .count();
         assert!(
             (30..=70).contains(&changed),
@@ -710,7 +731,7 @@ mod tests {
         let to_volatile = wl
             .requests
             .iter()
-            .filter(|&&(_, f)| wl.population.get(f).changes_between(wl.start, wl.end) > 0)
+            .filter(|&&(_, f)| changes_inside(&wl, wl.population.get(f)))
             .count();
         let share = to_volatile as f64 / wl.request_count() as f64;
         // 30 % of files are volatile but they get far less than 30 % of
@@ -734,7 +755,7 @@ mod tests {
         let to_volatile = wl
             .requests
             .iter()
-            .filter(|&&(_, f)| wl.population.get(f).changes_between(wl.start, wl.end) > 0)
+            .filter(|&&(_, f)| changes_inside(&wl, wl.population.get(f)))
             .count();
         let share = to_volatile as f64 / wl.request_count() as f64;
         // Without the rule, volatile files get roughly their file share of
@@ -872,6 +893,13 @@ mod tests {
             classes: vec![0; mods.len()],
             class_expires: Vec::new(),
         }
+    }
+
+    #[test]
+    fn heap_tables_are_the_request_stream_and_the_classes() {
+        let mut wl = tiny_workload(&[vec![], vec![105], vec![]], Vec::with_capacity(7));
+        wl.requests.push((t(101), FileId(1)));
+        assert_eq!(wl.heap_tables(), [("requests", 12 * 7), ("classes", 8 * 3)]);
     }
 
     /// The order the simulator used to build: every event copied into one

@@ -8,6 +8,7 @@
 //! protocol — the paper's methodology of holding the workload fixed while
 //! varying only the consistency mechanism.
 
+use std::mem::size_of;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -22,7 +23,56 @@ pub struct Version {
     pub size: u64,
 }
 
-/// One file's history, borrowed: its path and its version list, strictly
+/// One version as a history stores it: whole seconds and bytes, 4 bytes
+/// each, so a version is 8 bytes where a [`Version`] is 16. Every history
+/// the paper replays fits — 186 days is 16 M seconds, and no body nears
+/// 4 GiB — and a history that does not is refused when it is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Row {
+    secs: u32,
+    bytes: u32,
+}
+
+const _: () = assert!(size_of::<Row>() == 8);
+
+impl Row {
+    /// # Panics
+    /// Panics if `at` is 2³² s or later, or `size` is 4 GiB or more.
+    fn new(at: SimTime, size: u64) -> Row {
+        let (secs, max) = (at.as_secs(), u32::MAX);
+        Row {
+            secs: u32::try_from(secs).unwrap_or_else(|_| {
+                panic!("version instant {secs} s is past the u32 limit of {max} s")
+            }),
+            bytes: u32::try_from(size).unwrap_or_else(|_| {
+                panic!("version size {size} B is past the u32 limit of {max} B")
+            }),
+        }
+    }
+
+    #[inline]
+    fn modified_at(self) -> SimTime {
+        SimTime::from_secs(u64::from(self.secs))
+    }
+
+    #[inline]
+    fn version(&self) -> Version {
+        Version {
+            modified_at: self.modified_at(),
+            size: u64::from(self.bytes),
+        }
+    }
+}
+
+/// How many of `rows` were written at or before `t`.
+#[inline]
+fn written_by(rows: &[Row], t: SimTime) -> usize {
+    // Every row is at most `u32::MAX`, so a later `t` saturates to it.
+    let t = u32::try_from(t.as_secs()).unwrap_or(u32::MAX);
+    rows.partition_point(|r| r.secs <= t)
+}
+
+/// One file's history, borrowed: its path and its versions, strictly
 /// increasing in `modified_at`, creation first. What
 /// [`FilePopulation::get`] and [`FilePopulation::iter`] hand out, and what
 /// a [`FileRecord`] answers through; every query is written here once.
@@ -30,50 +80,39 @@ pub struct Version {
 pub struct FileView<'a> {
     /// Request path (e.g. `/dept/index.html`).
     pub path: &'a str,
-    /// Never empty: `versions[0]` is the file's creation.
-    versions: &'a [Version],
+    /// Never empty: `rows[0]` is the file's creation.
+    rows: &'a [Row],
 }
 
 impl<'a> FileView<'a> {
     /// When the file was created.
     pub fn created_at(self) -> SimTime {
-        self.versions[0].modified_at
+        self.rows[0].modified_at()
     }
 
     /// The version live at instant `t`, or `None` if `t` precedes
     /// creation.
     #[inline]
     pub fn version_at(self, t: SimTime) -> Option<Version> {
-        // partition_point gives the count of versions with modified_at <= t.
-        let idx = self.versions.partition_point(|v| v.modified_at <= t);
-        idx.checked_sub(1).map(|i| self.versions[i])
-    }
-
-    /// Number of modifications (excluding creation) in `(since, upto]`.
-    pub fn changes_between(self, since: SimTime, upto: SimTime) -> usize {
-        self.versions
-            .iter()
-            .skip(1)
-            .filter(|v| v.modified_at > since && v.modified_at <= upto)
-            .count()
+        let idx = written_by(self.rows, t);
+        idx.checked_sub(1).map(|i| self.rows[i].version())
     }
 
     /// The first version written strictly after `t`, if any — the change
     /// that made a copy stamped `t` stale.
     #[inline]
     pub fn first_change_after(self, t: SimTime) -> Option<Version> {
-        let idx = self.versions.partition_point(|v| v.modified_at <= t);
-        self.versions.get(idx).copied()
+        self.rows.get(written_by(self.rows, t)).map(Row::version)
     }
 
     /// All versions, creation first.
-    pub fn versions(self) -> &'a [Version] {
-        self.versions
+    pub fn versions(self) -> impl DoubleEndedIterator<Item = Version> + ExactSizeIterator + 'a {
+        self.rows.iter().map(Row::version)
     }
 
     /// Total number of modifications, excluding creation.
     pub fn modification_count(self) -> usize {
-        self.versions.len() - 1
+        self.rows.len() - 1
     }
 }
 
@@ -83,21 +122,22 @@ impl<'a> FileView<'a> {
 pub struct FileRecord {
     /// Request path (e.g. `/dept/index.html`).
     pub path: String,
-    /// Version list, strictly increasing in `modified_at`; `versions[0]`
-    /// is the file's creation.
-    versions: Vec<Version>,
+    /// Versions, strictly increasing in time; `rows[0]` is the file's
+    /// creation.
+    rows: Vec<Row>,
 }
 
 impl FileRecord {
     /// A file created at `created_at` with `size` bytes and no further
     /// modifications (yet).
+    ///
+    /// # Panics
+    /// Panics if `created_at` is 2³² s or later, or `size` is 4 GiB or
+    /// more.
     pub fn new(path: impl Into<String>, created_at: SimTime, size: u64) -> Self {
         FileRecord {
             path: path.into(),
-            versions: vec![Version {
-                modified_at: created_at,
-                size,
-            }],
+            rows: vec![Row::new(created_at, size)],
         }
     }
 
@@ -105,28 +145,26 @@ impl FileRecord {
     ///
     /// # Panics
     /// Panics unless `at` is strictly after the latest existing version —
-    /// histories are built in order.
+    /// histories are built in order — and, like [`FileRecord::new`], if
+    /// `at` is 2³² s or later or `size` is 4 GiB or more.
     pub fn push_modification(&mut self, at: SimTime, size: u64) {
         let last = self
-            .versions
+            .rows
             .last()
-            .expect("FileRecord always has a creation version");
+            .expect("FileRecord always has a creation version")
+            .modified_at();
         assert!(
-            at > last.modified_at,
-            "modifications must be strictly increasing: {} then {at}",
-            last.modified_at
+            at > last,
+            "modifications must be strictly increasing: {last} then {at}"
         );
-        self.versions.push(Version {
-            modified_at: at,
-            size,
-        });
+        self.rows.push(Row::new(at, size));
     }
 
     /// The history built so far, as the view a population answers with.
     pub fn view(&self) -> FileView<'_> {
         FileView {
             path: &self.path,
-            versions: &self.versions,
+            rows: &self.rows,
         }
     }
 }
@@ -135,7 +173,7 @@ impl FileRecord {
 /// where the previous file's end.
 #[derive(Debug, Clone, Copy, Default)]
 struct RowEnds {
-    /// End of the file's versions in [`FilePopulation::versions`].
+    /// End of the file's versions in [`FilePopulation::rows`].
     version: u32,
     /// End of the file's path in [`FilePopulation::paths`].
     path: u32,
@@ -144,9 +182,10 @@ struct RowEnds {
 /// The origin's complete file set, indexed densely by [`FileId`].
 ///
 /// It is one flat table, appended to a file at a time and never edited:
-/// every file's versions in one array, every path in one arena, and a
-/// pair of end offsets per file. [`FilePopulation::get`] reads a file back
-/// as a [`FileView`].
+/// every file's versions in one array of 8-byte rows, every path in one
+/// arena, and a pair of end offsets per file. [`FilePopulation::get`]
+/// reads a file back as a [`FileView`], and
+/// [`FilePopulation::heap_tables`] says what each table holds.
 ///
 /// The order of a population's modifications is a property of the
 /// population, not of a run, so it is worked out once — on the first call
@@ -155,7 +194,7 @@ struct RowEnds {
 #[derive(Debug, Clone)]
 pub struct FilePopulation {
     /// Every file's versions, in file order.
-    versions: Vec<Version>,
+    rows: Vec<Row>,
     /// Every file's path, in file order.
     paths: String,
     /// Where each file's rows end in the two tables, after a leading
@@ -184,7 +223,7 @@ impl FilePopulation {
         let mut ends = Vec::with_capacity(files + 1);
         ends.push(RowEnds::default());
         FilePopulation {
-            versions: Vec::with_capacity(versions),
+            rows: Vec::with_capacity(versions),
             paths: String::with_capacity(path_bytes),
             ends,
             modifications: OnceLock::new(),
@@ -198,10 +237,10 @@ impl FilePopulation {
     pub fn add(&mut self, record: FileRecord) -> FileId {
         self.modifications.take();
         let id = FileId::from_index(self.len());
-        self.versions.extend_from_slice(&record.versions);
+        self.rows.extend_from_slice(&record.rows);
         self.paths.push_str(&record.path);
         self.ends.push(RowEnds {
-            version: u32::try_from(self.versions.len()).expect("version table exceeds u32 range"),
+            version: u32::try_from(self.rows.len()).expect("version table exceeds u32 range"),
             path: u32::try_from(self.paths.len()).expect("path arena exceeds u32 range"),
         });
         id
@@ -223,7 +262,7 @@ impl FilePopulation {
                 .paths
                 .get(start.path as usize..end.path as usize)
                 .unwrap_or_default(),
-            versions: &self.versions[start.version as usize..end.version as usize],
+            rows: &self.rows[start.version as usize..end.version as usize],
         }
     }
 
@@ -262,12 +301,10 @@ impl FilePopulation {
     /// first call only.
     pub fn modifications(&self) -> &[(SimTime, FileId)] {
         self.modifications.get_or_init(|| {
-            let count = self.versions.len() - self.len();
+            let count = self.rows.len() - self.len();
             let mut events: Vec<(SimTime, FileId)> = Vec::with_capacity(count);
             for (id, file) in self.iter() {
-                for v in &file.versions()[1..] {
-                    events.push((v.modified_at, id));
-                }
+                events.extend(file.rows[1..].iter().map(|r| (r.modified_at(), id)));
             }
             events.sort_unstable();
             events
@@ -295,6 +332,21 @@ impl FilePopulation {
     /// live workloads); inside it, borrow the slice.
     pub fn all_modifications(&self) -> Vec<(SimTime, FileId)> {
         self.modifications().to_vec()
+    }
+
+    /// The heap bytes each table holds, by name: the version rows, the
+    /// path arena, the end offsets, and the modification index once
+    /// [`FilePopulation::modifications`] has built it. Capacity times
+    /// element size — what was reserved, not what the allocator rounds
+    /// it up to.
+    pub fn heap_tables(&self) -> [(&'static str, usize); 4] {
+        let index = self.modifications.get().map_or(0, Vec::capacity);
+        [
+            ("versions", self.rows.capacity() * size_of::<Row>()),
+            ("paths", self.paths.capacity()),
+            ("ends", self.ends.capacity() * size_of::<RowEnds>()),
+            ("modifications", index * size_of::<(SimTime, FileId)>()),
+        ]
     }
 }
 
@@ -379,21 +431,56 @@ mod tests {
     }
 
     #[test]
-    fn changes_between_excludes_creation() {
-        let r = changing("/a", &[10, 20, 30]);
-        assert_eq!(r.view().changes_between(t(0), t(100)), 3);
-        assert_eq!(r.view().changes_between(t(10), t(20)), 1);
-        assert_eq!(r.view().changes_between(t(30), t(10)), 0, "an empty window");
-        // Creation at t=0 is not a "change" even if the window covers it.
-        let fresh = FileRecord::new("/b", t(5), 1);
-        assert_eq!(fresh.view().changes_between(t(0), t(100)), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "strictly increasing")]
     fn out_of_order_modification_panics() {
         let mut r = FileRecord::new("/a", t(100), 10);
         r.push_modification(t(100), 20);
+    }
+
+    /// The last instant and the largest size a row holds.
+    const LAST: u64 = u32::MAX as u64;
+
+    #[test]
+    fn the_u32_limits_round_trip_through_a_population() {
+        let mut r = FileRecord::new("/edge", t(LAST - 1), LAST);
+        r.push_modification(t(LAST), 0);
+        let mut p = FilePopulation::new();
+        let id = p.add(r);
+        let file = p.get(id);
+        let last = Version {
+            modified_at: t(LAST),
+            size: 0,
+        };
+        assert_eq!(file.version_at(t(LAST - 1)).unwrap().size, LAST);
+        assert_eq!(file.version_at(t(LAST)), Some(last));
+        assert_eq!(file.version_at(SimTime::MAX), Some(last), "a later query");
+        assert_eq!(file.first_change_after(t(LAST - 1)), Some(last));
+        assert_eq!(file.first_change_after(SimTime::MAX), None);
+        assert_eq!(p.modifications(), [(t(LAST), id)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "instant 4294967296 s is past the u32 limit")]
+    fn a_creation_past_the_last_instant_panics() {
+        FileRecord::new("/a", t(LAST + 1), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "size 4294967296 B is past the u32 limit")]
+    fn a_creation_of_4_gib_panics() {
+        FileRecord::new("/a", t(0), LAST + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "instant 4294967296 s is past the u32 limit")]
+    fn a_modification_past_the_last_instant_panics() {
+        FileRecord::new("/a", t(0), 1).push_modification(t(LAST + 1), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "size 4294967296 B is past the u32 limit")]
+    fn a_modification_of_4_gib_panics() {
+        FileRecord::new("/a", t(0), 1).push_modification(t(1), LAST + 1);
     }
 
     #[test]
@@ -499,15 +586,42 @@ mod tests {
         let mut p = FilePopulation::with_capacity(5, 42, 10);
         for (_, file) in source.iter() {
             let mut rec = FileRecord::new(file.path, file.created_at(), 1);
-            for v in &file.versions()[1..] {
+            for v in file.versions().skip(1) {
                 rec.push_modification(v.modified_at, v.size);
             }
             p.add(rec);
         }
-        assert_eq!(p.versions.len(), 42);
-        assert_eq!(p.versions.capacity(), 42);
+        assert_eq!(p.rows.len(), 42);
+        assert_eq!(p.rows.capacity(), 42);
         assert_eq!((p.paths.len(), p.paths.capacity()), (10, 10));
         assert_eq!(p.ends.capacity(), 6);
+    }
+
+    #[test]
+    fn heap_tables_are_the_reserved_tables() {
+        let p = population_of_37_modifications();
+        // Grown by `collect`, so the tables hold more than they use.
+        let reserved = 8 * p.rows.capacity() + p.paths.capacity() + 8 * p.ends.capacity();
+        let total: usize = p.heap_tables().iter().map(|&(_, bytes)| bytes).sum();
+        assert_eq!(total, reserved);
+
+        let mut exact = FilePopulation::with_capacity(5, 42, 10);
+        for (_, file) in p.iter() {
+            let mut rec = FileRecord::new(file.path, file.created_at(), 1);
+            for v in file.versions().skip(1) {
+                rec.push_modification(v.modified_at, v.size);
+            }
+            exact.add(rec);
+        }
+        let tables = [("versions", 8 * 42), ("paths", 10), ("ends", 8 * 6)];
+        assert_eq!(exact.heap_tables()[..3], tables);
+        assert_eq!(
+            exact.heap_tables()[3],
+            ("modifications", 0),
+            "not built yet"
+        );
+        exact.modifications();
+        assert_eq!(exact.heap_tables()[3], ("modifications", 12 * 37));
     }
 }
 
@@ -547,17 +661,16 @@ mod proptests {
     }
 
     /// `view` answers every query exactly as `source`'s own view does.
-    fn same_answers(view: FileView<'_>, source: &FileRecord, queries: &[(u64, u64)]) {
+    fn same_answers(view: FileView<'_>, source: &FileRecord, queries: &[u64]) {
         let want = source.view();
         prop_assert_eq!(view.path, source.path.as_str());
-        prop_assert_eq!(view.versions(), want.versions());
+        prop_assert!(view.versions().eq(want.versions()));
         prop_assert_eq!(view.created_at(), want.created_at());
         prop_assert_eq!(view.modification_count(), want.modification_count());
-        for &(a, b) in queries {
-            let (a, b) = (SimTime::from_secs(a), SimTime::from_secs(b));
+        for &a in queries {
+            let a = SimTime::from_secs(a);
             prop_assert_eq!(view.version_at(a), want.version_at(a));
             prop_assert_eq!(view.first_change_after(a), want.first_change_after(a));
-            prop_assert_eq!(view.changes_between(a, b), want.changes_between(a, b));
         }
     }
 
@@ -569,7 +682,7 @@ mod proptests {
         #[test]
         fn the_flat_table_answers_as_its_records_do(
             histories in histories(),
-            queries in proptest::collection::vec((0u64..4_500, 0u64..4_500), 1..16),
+            queries in proptest::collection::vec(0u64..4_500, 1..16),
         ) {
             let records: Vec<FileRecord> = histories
                 .iter()
@@ -583,7 +696,7 @@ mod proptests {
             let mut expected: Vec<(SimTime, FileId)> = Vec::new();
             for (i, r) in records.iter().enumerate() {
                 let id = FileId::from_index(i);
-                for v in &r.view().versions()[1..] {
+                for v in r.view().versions().skip(1) {
                     expected.push((v.modified_at, id));
                 }
             }
@@ -609,10 +722,7 @@ mod proptests {
             let r = record("/f", 10, &gaps);
             let r = r.view();
             let q = SimTime::from_secs(query);
-            let expect = r
-                .versions()
-                .iter().rfind(|v| v.modified_at <= q)
-                .copied();
+            let expect = r.versions().rfind(|v| v.modified_at <= q);
             prop_assert_eq!(r.version_at(q), expect);
         }
 
@@ -630,20 +740,51 @@ mod proptests {
             prop_assert_eq!(r.version_at(q).is_none(), q < r.created_at());
         }
 
-        /// changes_between sums correctly over a partition of the timeline.
+        /// Any versions a row holds — instants and sizes anywhere in
+        /// `u32`, the limits included — come back bit-exact, in order,
+        /// from either end.
         #[test]
-        fn changes_partition_additivity(
-            gaps in proptest::collection::vec(1u64..100, 1..40),
-            split in 0u64..5000,
+        fn in_range_versions_come_back_bit_exact(
+            files in proptest::collection::vec(
+                proptest::collection::vec(
+                    (
+                        prop_oneof![any::<u32>(), Just(0u32), Just(u32::MAX)],
+                        prop_oneof![any::<u32>(), Just(0u32), Just(u32::MAX)],
+                    ),
+                    1..24,
+                ),
+                1..6,
+            ),
         ) {
-            let r = record("/f", 0, &gaps);
-            let r = r.view();
-            let at: u64 = gaps.iter().sum();
-            let end = SimTime::from_secs(at + 1);
-            let mid = SimTime::from_secs(split.min(at + 1));
-            let left = r.changes_between(SimTime::ZERO, mid);
-            let right = r.changes_between(mid, end);
-            prop_assert_eq!(left + right, gaps.len());
+            let histories: Vec<Vec<Version>> = files
+                .into_iter()
+                .map(|mut rows| {
+                    rows.sort_unstable_by_key(|&(secs, _)| secs);
+                    rows.dedup_by_key(|&mut (secs, _)| secs);
+                    rows.into_iter()
+                        .map(|(secs, bytes)| Version {
+                            modified_at: SimTime::from_secs(u64::from(secs)),
+                            size: u64::from(bytes),
+                        })
+                        .collect()
+                })
+                .collect();
+            let population: FilePopulation = histories
+                .iter()
+                .map(|versions| {
+                    let mut r = FileRecord::new("/f", versions[0].modified_at, versions[0].size);
+                    for v in &versions[1..] {
+                        r.push_modification(v.modified_at, v.size);
+                    }
+                    r
+                })
+                .collect();
+            for (id, want) in histories.iter().enumerate() {
+                let file = population.get(FileId::from_index(id));
+                prop_assert_eq!(file.versions().len(), want.len());
+                prop_assert_eq!(file.versions().collect::<Vec<_>>(), want.clone());
+                prop_assert!(file.versions().rev().eq(want.iter().rev().copied()));
+            }
         }
     }
 }

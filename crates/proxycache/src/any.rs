@@ -194,11 +194,16 @@ impl Store for AnyStore {
     fn iter(&self) -> Entries<'_> {
         dispatch!(self, s => s.iter())
     }
+
+    fn heap_bytes(&self) -> usize {
+        dispatch!(self, s => s.heap_bytes())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::mem::size_of;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -241,6 +246,29 @@ mod tests {
             assert_eq!(ids, vec![1, 3], "{}", s.kind());
             assert_eq!(s.remove(FileId(1)).unwrap().size, 100);
             assert_eq!(s.len(), 1);
+        }
+    }
+
+    #[test]
+    fn heap_bytes_are_the_slot_table_and_the_policy_arrays() {
+        // Id 15 first sizes every per-id array at exactly 16; the 16
+        // queued entries grow a heap's nodes 4 -> 8 -> 16.
+        let slots = 16 * size_of::<Option<EntryMeta>>();
+        for (mut s, policy) in [
+            (AnyStore::unbounded(), 0),
+            (AnyStore::lru(1 << 20), 16 * 8),
+            (AnyStore::fifo(1 << 20), 16 * 8),
+            (AnyStore::gds(1 << 20), 16 * 16 + 16 * 4),
+            (AnyStore::lfu(1 << 20), 16 * 4 + 16 * 8 + 16 * 4),
+        ] {
+            assert_eq!(s.heap_bytes(), 0, "{} holds nothing yet", s.kind());
+            for id in [15].into_iter().chain(0..15) {
+                s.insert(FileId(id), meta(10));
+                s.access(FileId(id), t(1));
+            }
+            s.invalidate(FileId(3));
+            s.remove(FileId(4));
+            assert_eq!(s.heap_bytes(), slots + policy, "{}", s.kind());
         }
     }
 

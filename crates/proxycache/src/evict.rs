@@ -49,7 +49,7 @@
 use simcore::{FileId, SimTime};
 
 use crate::entry::EntryMeta;
-use crate::store::{ensure_slot, Entries, Evicted, Store};
+use crate::store::{ensure_slot, slot_table_bytes, Entries, Evicted, Store};
 
 pub(crate) const NIL: u32 = u32::MAX;
 
@@ -111,6 +111,10 @@ pub trait EvictionPolicy {
     fn score(&self, _id: FileId) -> Option<f64> {
         None
     }
+
+    /// The heap bytes of the policy's arrays, capacity times element
+    /// size; [`Store::heap_bytes`] adds them to the slot table's.
+    fn heap_bytes(&self) -> usize;
 }
 
 /// A byte-capacity-bounded store generic over its [`EvictionPolicy`].
@@ -260,6 +264,10 @@ impl<E: EvictionPolicy> Store for BoundedStore<E> {
     fn iter(&self) -> Entries<'_> {
         Entries::new(&self.slots)
     }
+
+    fn heap_bytes(&self) -> usize {
+        slot_table_bytes(&self.slots) + self.policy.heap_bytes()
+    }
 }
 
 /// An intrusive doubly-linked list over dense slot indices — the shared
@@ -340,6 +348,11 @@ impl IntrusiveList {
             self.links[head as usize].0 = at;
         }
         self.head = at;
+    }
+
+    /// The heap bytes of the link array.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.links.capacity() * std::mem::size_of::<(u32, u32)>()
     }
 
     /// The front (oldest) entry, skipping `exclude` once.
@@ -426,6 +439,12 @@ impl<K: Ord + Copy> IndexedHeap<K> {
     pub(crate) fn key(&self, idx: usize) -> Option<K> {
         let at = *self.pos.get(idx)?;
         (at != NIL).then(|| self.heap[at as usize].0)
+    }
+
+    /// The heap bytes of the node and position arrays.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.heap.capacity() * std::mem::size_of::<(K, u32)>()
+            + self.pos.capacity() * std::mem::size_of::<u32>()
     }
 
     /// The least key queued.

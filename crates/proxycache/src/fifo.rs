@@ -55,6 +55,10 @@ impl EvictionPolicy for FifoEviction {
     fn victim(&self, exclude: Option<FileId>) -> Option<FileId> {
         self.list.front_excluding(exclude)
     }
+
+    fn heap_bytes(&self) -> usize {
+        self.list.heap_bytes()
+    }
 }
 
 /// FIFO store bounded by total entity bytes.

@@ -94,6 +94,10 @@ impl EvictionPolicy for GreedyDualSize {
     fn score(&self, id: FileId) -> Option<f64> {
         self.queue.key(id.index()).map(f64::from_bits)
     }
+
+    fn heap_bytes(&self) -> usize {
+        self.queue.heap_bytes()
+    }
 }
 
 /// GreedyDual-Size store bounded by total entity bytes.
@@ -290,6 +294,12 @@ mod proptests {
             self.queue
                 .contains(&(score.to_bits(), idx as u32))
                 .then_some(score)
+        }
+
+        fn heap_bytes(&self) -> usize {
+            // The tree's elements; its nodes' overhead is not counted.
+            self.scores.capacity() * std::mem::size_of::<f64>()
+                + self.queue.len() * std::mem::size_of::<(u64, u32)>()
         }
     }
 

@@ -109,6 +109,10 @@ impl EvictionPolicy for ScoreGatedLfu {
     fn score(&self, id: FileId) -> Option<f64> {
         self.queue.key(id.index()).map(f64::from)
     }
+
+    fn heap_bytes(&self) -> usize {
+        self.freq.capacity() * std::mem::size_of::<u32>() + self.queue.heap_bytes()
+    }
 }
 
 /// Score-gated LFU store bounded by total entity bytes.
@@ -332,6 +336,12 @@ mod proptests {
             self.queue
                 .contains(&(key, idx as u32))
                 .then(|| f64::from(key))
+        }
+
+        fn heap_bytes(&self) -> usize {
+            // The tree's elements; its nodes' overhead is not counted.
+            (self.freq.capacity() + self.key.capacity()) * std::mem::size_of::<u32>()
+                + self.queue.len() * std::mem::size_of::<(u32, u32)>()
         }
     }
 

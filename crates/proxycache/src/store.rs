@@ -15,6 +15,8 @@
 //! table is id order, which is deterministic by construction (the old
 //! `HashMap` iteration order was unspecified; no caller depended on it).
 
+use std::mem::size_of;
+
 use simcore::{FileId, SimTime};
 
 use crate::entry::EntryMeta;
@@ -61,6 +63,12 @@ pub trait Store {
 
     /// Iterate over resident entries in ascending id order.
     fn iter(&self) -> Entries<'_>;
+
+    /// The heap bytes the store holds: its slot table and, in a bounded
+    /// store, its eviction policy's arrays — capacity times element size,
+    /// what was reserved rather than what the allocator rounds it up to.
+    /// No default, so that no store leaves a table out unsaid.
+    fn heap_bytes(&self) -> usize;
 }
 
 /// Entries evicted by one [`Store::insert`] call.
@@ -200,6 +208,11 @@ impl<'a> Iterator for Entries<'a> {
     }
 }
 
+/// The heap bytes of a slot table.
+pub(crate) fn slot_table_bytes(slots: &Vec<Option<EntryMeta>>) -> usize {
+    slots.capacity() * size_of::<Option<EntryMeta>>()
+}
+
 /// Grow `slots` so that `id` is a valid index.
 pub(crate) fn ensure_slot<T>(slots: &mut Vec<Option<T>>, id: FileId) {
     if id.index() >= slots.len() {
@@ -275,6 +288,10 @@ impl Store for UnboundedStore {
 
     fn iter(&self) -> Entries<'_> {
         Entries::new(&self.slots)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        slot_table_bytes(&self.slots)
     }
 }
 

@@ -432,7 +432,7 @@ mod tests {
             .max_by_key(|(_, f)| f.modification_count())
             .unwrap();
         assert_eq!(busy.modification_count(), 40);
-        let changes = &busy.versions()[1..];
+        let changes: Vec<_> = busy.versions().skip(1).collect();
         assert!(changes
             .windows(2)
             .all(|w| w[0].modified_at < w[1].modified_at));

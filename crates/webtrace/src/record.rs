@@ -72,7 +72,9 @@ impl fmt::Display for LogParseError {
 impl std::error::Error for LogParseError {}
 
 impl LogLine {
-    /// Parse one line of the extended log format.
+    /// Parse one line of the extended log format. A size or
+    /// `Last-Modified` past `u32::MAX` is an error: a file's history
+    /// stores both as `u32`s.
     pub fn parse(line: &str) -> Result<LogLine, LogParseError> {
         let err = |reason: &str| LogParseError {
             line: line.chars().take(120).collect(),
@@ -132,6 +134,13 @@ impl LogLine {
             .map_err(|_| err("bad last-modified"))?;
         if fields.next().is_some() {
             return Err(err("trailing fields"));
+        }
+        // A file's history keeps sizes and instants as `u32`s.
+        if size > u64::from(u32::MAX) {
+            return Err(err("size past the u32 limit"));
+        }
+        if lastmod > u64::from(u32::MAX) {
+            return Err(err("last-modified past the u32 limit"));
         }
 
         Ok(LogLine {
@@ -212,6 +221,32 @@ mod tests {
             "client1.remote.net - - [1] \"GET / HTTP/1.0\" 200 1 1 extra",
         ] {
             assert!(LogLine::parse(bad).is_err(), "accepted: {bad:?}");
+        }
+    }
+
+    #[test]
+    fn parse_log_rejects_a_size_or_last_modified_past_u32() {
+        let at_limit = LogLine {
+            size: u64::from(u32::MAX),
+            last_modified: SimTime::from_secs(u64::from(u32::MAX)),
+            ..sample()
+        };
+        assert_eq!(LogLine::parse(&at_limit.to_string()), Ok(at_limit.clone()));
+        let big = LogLine {
+            size: 1 << 32,
+            ..sample()
+        };
+        let late = LogLine {
+            last_modified: SimTime::from_secs(1 << 32),
+            ..sample()
+        };
+        for (line, reason) in [
+            (big, "size past the u32 limit"),
+            (late, "last-modified past the u32 limit"),
+        ] {
+            let text = format!("{}\n{line}\n", sample());
+            let error = LogLine::parse_log(&text).expect_err("past the limit");
+            assert_eq!(error.reason, reason);
         }
     }
 

@@ -170,7 +170,7 @@ pub(crate) fn observe(
         let latest = rec
             .view()
             .versions()
-            .last()
+            .next_back()
             .expect("a record has a version");
         if last_modified > latest.modified_at {
             rec.push_modification(last_modified, size);

@@ -16,10 +16,16 @@
 //!    At one client thread even `message_bytes` (real wire bytes) is
 //!    deterministic, so the assertion covers whole meters, not just
 //!    counts.
+//! 3. **A concurrent run accounts for everything.** At 4 shards × 2
+//!    reactor threads × 4 client threads, the probe log holds one
+//!    decision per request sent, file by file, and one upstream reply
+//!    per origin operation — properties that hold however the threads
+//!    interleave.
 
 use proptest::prelude::*;
 use wwwcache::liveserve::shard_for;
 use wwwcache::simcore::FileId;
+use wwwcache::wcc_obs::{ExchangeKind, ObsEvent, TraceProbe};
 use wwwcache::webcache::{
     generate_synthetic, Experiment, LoadReport, ProtocolSpec, Workload, WorrellConfig,
 };
@@ -107,4 +113,55 @@ fn oversharding_and_threading_preserve_request_totals() {
     let threaded = run_live_sharded(&wl, ProtocolSpec::Ttl(24), 4, 4).expect("4x4 run");
     assert_eq!(threaded.cache.requests(), 300);
     assert_eq!(threaded.latency.count() + threaded.latency.dropped(), 300);
+}
+
+/// The first two checks of a concurrent history checker, on the buffered
+/// probe log of a 4-shard, 2-reactor-thread proxy under 4 client threads,
+/// for all three mechanisms: per file, the proxy decided each request
+/// sent for it exactly once (fresh, stale or miss), and the upstream
+/// replies (`200`, `304`, `404`) number the origin's document requests
+/// plus its validation queries.
+#[test]
+fn a_concurrent_run_decides_every_request_once_and_matches_every_origin_operation() {
+    let wl = generate_synthetic(&WorrellConfig::scaled(40, 800), 11);
+    let mut sent = vec![0u64; wl.population.len()];
+    for &(_, file) in &wl.requests {
+        sent[file.index()] += 1;
+    }
+    for spec in [
+        ProtocolSpec::Ttl(24),
+        ProtocolSpec::Alex(20),
+        ProtocolSpec::Invalidation,
+    ] {
+        let mut probe = TraceProbe::new(1 << 17);
+        let report = Experiment::new(&wl)
+            .protocol(spec)
+            .threads(4)
+            .shards(4)
+            .reactor_threads(2)
+            .probe(&mut probe)
+            .run_live()
+            .expect("4 x 2 x 4 live run");
+        // A live run buffers 65 536 events before it hands them over.
+        assert!(probe.recorded() < 1 << 16, "{spec:?}: the log overflowed");
+
+        let mut decided = vec![0u64; wl.population.len()];
+        let mut replies = 0u64;
+        for &(_, _, event) in probe.events() {
+            match event {
+                ObsEvent::Request { file, .. } => decided[file.index()] += 1,
+                ObsEvent::Exchange {
+                    kind: ExchangeKind::Body | ExchangeKind::NotModified | ExchangeKind::Gone,
+                    ..
+                } => replies += 1,
+                _ => {}
+            }
+        }
+        assert_eq!(decided, sent, "{spec:?}: decisions per file");
+        assert_eq!(
+            replies,
+            report.server.document_requests + report.server.validation_queries,
+            "{spec:?}: upstream replies against origin operations"
+        );
+    }
 }

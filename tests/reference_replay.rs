@@ -55,7 +55,7 @@ fn replay_file(
     mech: Mechanism,
     eager: bool,
 ) -> Tally {
-    let versions = wl.population.get(file).versions();
+    let versions: Vec<_> = wl.population.get(file).versions().collect();
     // The version written last at or before `t`, as `(written, size)`.
     let live = |t: u64| {
         let v = versions.iter().rev().find(|v| v.modified_at.as_secs() <= t);

@@ -23,7 +23,6 @@
 //! | design-choice ablations | (extensions) | [`ablations`] |
 //! | invalidation under partitions | (§1/§6 resilience claim) | [`failure`] |
 //! | proxy placement vs % remote | (Table 1 extension) | [`deployment`] |
-//! | Figure 1 bias at trace scale | (§3 extension) | [`hierarchy_trace`] |
 //! | structured-event capture / metrics | (observability) | [`trace`] |
 //! | literature policies + eviction comparison | (decision-API extensions) | [`policies`] |
 
@@ -32,7 +31,6 @@ pub mod base;
 pub mod deployment;
 pub mod failure;
 pub mod hierarchy_bias;
-pub mod hierarchy_trace;
 pub mod optimized;
 pub mod policies;
 pub mod report;
@@ -53,14 +51,6 @@ pub struct Sweep {
     /// `(parameter, result)` points. For Alex the parameter is the update
     /// threshold in percent, for TTL the TTL in hours.
     pub points: Vec<(f64, RunResult)>,
-}
-
-impl Sweep {
-    /// The smallest parameter whose result satisfies `pred`, scanning in
-    /// increasing parameter order.
-    pub fn first_param_where<F: Fn(&RunResult) -> bool>(&self, pred: F) -> Option<f64> {
-        self.points.iter().find(|(_, r)| pred(r)).map(|&(p, _)| p)
-    }
 }
 
 /// A complete simulator report: both families swept against the
@@ -270,43 +260,6 @@ impl Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::RunResult;
-    use simcore::{CacheStats, ServerLoad, TrafficMeter};
-
-    fn result(bytes: u64, stale: u64) -> RunResult {
-        let mut traffic = TrafficMeter::default();
-        traffic.add_file_transfer(bytes);
-        RunResult {
-            protocol: "t".to_string(),
-            traffic,
-            cache: CacheStats {
-                fresh_hits: 10,
-                stale_hits: stale,
-                misses: 1,
-                validations_not_modified: 0,
-                validations_modified: 0,
-            },
-            server: ServerLoad::default(),
-            stale_age_total: simcore::SimDuration::ZERO,
-        }
-    }
-
-    #[test]
-    fn first_param_where_scans_in_order() {
-        let sweep = Sweep {
-            family: "TTL",
-            points: vec![
-                (0.0, result(1, 0)),
-                (100.0, result(1, 3)),
-                (200.0, result(1, 6)),
-            ],
-        };
-        assert_eq!(
-            sweep.first_param_where(|r| r.cache.stale_hits >= 3),
-            Some(100.0)
-        );
-        assert_eq!(sweep.first_param_where(|r| r.cache.stale_hits > 99), None);
-    }
 
     #[test]
     fn every_figure_renders_non_empty_at_quick_scale() {

@@ -207,7 +207,7 @@ impl LeafAssignment {
 /// at scale ("we expect that time-based protocols in a cache hierarchy
 /// will perform even better than our results indicate", §3) — under the
 /// demand asymmetry Figure 1's cases (c)/(d) presuppose; with perfectly
-/// symmetric demand the ratios tie (see the `hierarchy_trace` experiment).
+/// symmetric demand the ratios tie (this module's HCS / 8 tests).
 ///
 /// # Panics
 /// Panics if `workload.requests` goes backwards in time, as
@@ -329,6 +329,7 @@ pub fn figure1_scenarios() -> Vec<Figure1Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webtrace::campus::{generate_campus_trace, CampusProfile};
 
     fn rows() -> Vec<Figure1Row> {
         figure1_scenarios()
@@ -511,5 +512,105 @@ mod tests {
             ProtocolSpec::Invalidation,
             LeafAssignment::Symmetric,
         );
+    }
+
+    /// HCS subsampled 1 in 8, seed 1996: the trace-scale tests' workload.
+    fn hcs_workload() -> Workload {
+        let campus = generate_campus_trace(&CampusProfile::hcs(), 1996);
+        Workload::from_server_trace(&campus.trace).subsample(8)
+    }
+
+    /// `spec` on the two-level Figure 1 tree, then on one collapsed
+    /// cache: each replay's traffic and stale serves.
+    fn both_topologies(
+        wl: &Workload,
+        spec: ProtocolSpec,
+        assignment: LeafAssignment,
+    ) -> [(TrafficMeter, u64); 2] {
+        let (two_level, ..) = HierarchyTopology::figure1();
+        [two_level, HierarchyTopology::new()].map(|topo| {
+            let (traffic, stale, _) = replay_workload(topo, wl, spec, assignment);
+            (traffic, stale)
+        })
+    }
+
+    /// The time:invalidation byte ratio collapsed over the same ratio
+    /// hierarchical; ≥ 1 means collapsing made `time_based` look worse.
+    fn collapse_bias_factor(wl: &Workload, time_based: ProtocolSpec, at: LeafAssignment) -> f64 {
+        let [(th, _), (tc, _)] = both_topologies(wl, time_based, at);
+        let [(ih, _), (ic, _)] = both_topologies(wl, ProtocolSpec::Invalidation, at);
+        let ratio = |t: TrafficMeter, i: TrafficMeter| {
+            t.total_bytes() as f64 / i.total_bytes().max(1) as f64
+        };
+        ratio(tc, ic) / ratio(th, ih)
+    }
+
+    #[test]
+    fn bias_holds_strictly_under_skewed_demand() {
+        // The Figure 1 regime: one subtree rarely re-requests.
+        let wl = hcs_workload();
+        for spec in [ProtocolSpec::Alex(20), ProtocolSpec::Ttl(100)] {
+            let factor = collapse_bias_factor(&wl, spec, LeafAssignment::Skewed(0.9));
+            assert!(
+                factor >= 1.0,
+                "{}: collapse bias factor {factor:.4} < 1",
+                spec.label()
+            );
+        }
+    }
+
+    #[test]
+    fn symmetric_demand_ties_within_a_few_percent() {
+        // Figure 1(c): "If the item is requested from all caches, then
+        // the bandwidths ... are equal to each other." Symmetric demand
+        // approximates that case; the ratios must agree closely.
+        let wl = hcs_workload();
+        let factor = collapse_bias_factor(&wl, ProtocolSpec::Ttl(100), LeafAssignment::Symmetric);
+        assert!(
+            (0.93..=1.08).contains(&factor),
+            "symmetric-demand factor {factor:.4} should be ~1"
+        );
+    }
+
+    #[test]
+    fn hierarchy_floods_more_invalidations_than_collapsed() {
+        let wl = hcs_workload();
+        let [(hier, _), (collapsed, _)] =
+            both_topologies(&wl, ProtocolSpec::Invalidation, LeafAssignment::Symmetric);
+        // Three caches notified per change instead of one; other message
+        // kinds (fetch overheads) only add on top.
+        assert!(
+            hier.messages > 2 * collapsed.messages,
+            "hier msgs {} vs collapsed {}",
+            hier.messages,
+            collapsed.messages
+        );
+    }
+
+    #[test]
+    fn staleness_is_zero_for_invalidation_in_both_topologies() {
+        let wl = hcs_workload();
+        let [(_, hier_stale), (_, collapsed_stale)] =
+            both_topologies(&wl, ProtocolSpec::Invalidation, LeafAssignment::Symmetric);
+        assert_eq!(hier_stale, 0);
+        assert_eq!(collapsed_stale, 0);
+    }
+
+    #[test]
+    fn collapsed_replay_agrees_with_main_simulator_on_staleness() {
+        // Two independent implementations (the DES-driven single-cache
+        // simulator and the hierarchy replay with one node) must agree on
+        // the workload's stale-serve count for the same policy.
+        use crate::sim::{run, SimConfig};
+        let wl = hcs_workload();
+        let spec = ProtocolSpec::Ttl(100);
+        let single = run(&wl, spec, &SimConfig::optimized());
+        let (_, collapsed_stale, _) = replay_workload(
+            HierarchyTopology::new(),
+            &wl,
+            spec,
+            LeafAssignment::Symmetric,
+        );
+        assert_eq!(single.cache.stale_hits, collapsed_stale);
     }
 }

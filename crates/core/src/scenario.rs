@@ -118,26 +118,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Schedule periodic modifications of `file`: at `first`, then every
-    /// `interval`, until the scenario ends (sizes unchanged).
-    ///
-    /// # Panics
-    /// Panics if `interval` is zero.
-    pub fn modify_every(
-        &mut self,
-        file: FileId,
-        first: SimDuration,
-        interval: SimDuration,
-    ) -> &mut Self {
-        assert!(interval > SimDuration::ZERO, "interval must be positive");
-        let mut offset = first;
-        while offset <= self.duration {
-            self.modify(file, offset, None);
-            offset += interval;
-        }
-        self
-    }
-
     /// Declare that the origin assigns `Expires = now + lifetime` to
     /// responses of `class` — a-priori-known lifetimes (§1's daily
     /// newspaper).
@@ -221,7 +201,9 @@ mod tests {
         // §7: with a-priori lifetimes, TTL/Expires "is the right choice".
         let mut b = ScenarioBuilder::new("news", SimDuration::from_days(7));
         let f = b.file("/front.html", 20_000, SimDuration::from_days(1), 1);
-        b.modify_every(f, SimDuration::from_days(1), SimDuration::from_days(1));
+        for day in 1..=7 {
+            b.modify(f, SimDuration::from_days(day), None);
+        }
         b.request_every(f, hours(3), hours(6));
         b.class_expires(1, SimDuration::from_days(1));
         let wl = b.build();

@@ -141,11 +141,6 @@ impl RetryQueue {
         report
     }
 
-    /// Number of undelivered notices.
-    pub fn pending_notices(&self) -> usize {
-        self.pending.values().map(|p| p.files.len()).sum()
-    }
-
     /// Total failed delivery attempts over the queue's lifetime.
     pub fn failed_attempts(&self) -> u64 {
         self.failed_attempts
@@ -168,11 +163,16 @@ mod tests {
         RetryQueue::new(d(60), d(960))
     }
 
+    /// Number of undelivered notices.
+    fn pending_notices(q: &RetryQueue) -> usize {
+        q.pending.values().map(|p| p.files.len()).sum()
+    }
+
     #[test]
     fn reachable_cache_delivers_immediately() {
         let mut q = queue();
         assert!(q.send(CacheId(1), FileId(1), t(0)));
-        assert_eq!(q.pending_notices(), 0);
+        assert_eq!(pending_notices(&q), 0);
         assert_eq!(q.failed_attempts(), 0);
     }
 
@@ -181,7 +181,7 @@ mod tests {
         let mut q = queue();
         q.mark_down(CacheId(1));
         assert!(!q.send(CacheId(1), FileId(7), t(0)));
-        assert_eq!(q.pending_notices(), 1);
+        assert_eq!(pending_notices(&q), 1);
         assert_eq!(q.failed_attempts(), 1);
         assert_eq!(q.next_attempt(), Some(t(60)));
     }
@@ -193,7 +193,7 @@ mod tests {
         q.send(CacheId(1), FileId(1), t(0));
         q.send(CacheId(1), FileId(2), t(5));
         q.send(CacheId(1), FileId(1), t(6)); // duplicate collapses
-        assert_eq!(q.pending_notices(), 2);
+        assert_eq!(pending_notices(&q), 2);
     }
 
     #[test]
@@ -209,7 +209,7 @@ mod tests {
             vec![(CacheId(1), FileId(1)), (CacheId(1), FileId(2))]
         );
         assert_eq!(report.failed_attempts, 0);
-        assert_eq!(q.pending_notices(), 0);
+        assert_eq!(pending_notices(&q), 0);
         assert_eq!(q.next_attempt(), None);
     }
 

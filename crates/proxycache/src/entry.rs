@@ -55,18 +55,6 @@ impl EntryMeta {
         }
     }
 
-    /// The object's *age* as the Alex protocol defines it: time since the
-    /// copy's last modification at the origin. An object modified long ago
-    /// is old (stable); one modified recently is young (volatile).
-    pub fn age_at(&self, now: SimTime) -> simcore::SimDuration {
-        now.saturating_since(self.last_modified)
-    }
-
-    /// Time since the origin last confirmed this copy.
-    pub fn time_since_validation(&self, now: SimTime) -> simcore::SimDuration {
-        now.saturating_since(self.last_validated)
-    }
-
     /// Record a successful revalidation (`304 Not Modified`) at `now`.
     pub fn revalidate(&mut self, now: SimTime) {
         self.last_validated = now;
@@ -87,7 +75,6 @@ impl EntryMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::SimDuration;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -104,41 +91,15 @@ mod tests {
     }
 
     #[test]
-    fn age_measures_from_last_modification() {
-        let e = EntryMeta::fresh(1, t(1000), t(2000));
-        assert_eq!(e.age_at(t(4000)), SimDuration::from_secs(3000));
-        // Non-monotonic clock saturates rather than underflowing.
-        assert_eq!(e.age_at(t(500)), SimDuration::ZERO);
-    }
-
-    #[test]
     fn validation_clock_resets_on_revalidate() {
         let mut e = EntryMeta::fresh(1, t(0), t(100));
         e.mark_invalid();
         assert!(!e.is_valid());
         e.revalidate(t(300));
         assert!(e.is_valid());
-        assert_eq!(e.time_since_validation(t(450)), SimDuration::from_secs(150));
+        assert_eq!(e.last_validated, t(300));
         // Revalidation does not touch the body stamps.
         assert_eq!(e.fetched_at, t(100));
         assert_eq!(e.last_modified, t(0));
-    }
-
-    #[test]
-    fn alex_worked_example_age() {
-        // Paper §1: a file one month old, checked one day ago, threshold
-        // 10% => valid for 3 days from the check.
-        let now = t(30 * 86_400);
-        let e = EntryMeta {
-            size: 1,
-            last_modified: t(0),
-            fetched_at: t(0),
-            last_validated: now - SimDuration::from_days(1),
-            expires: None,
-            state: EntryState::Valid,
-        };
-        let horizon = e.age_at(now).mul_f64(0.10);
-        assert_eq!(horizon, SimDuration::from_days(3));
-        assert_eq!(e.time_since_validation(now), SimDuration::from_days(1));
     }
 }

@@ -46,12 +46,6 @@ impl TrafficMeter {
         self.total_bytes() as f64 / (1024.0 * 1024.0)
     }
 
-    /// Mean control-message size in bytes, `None` when no messages were
-    /// sent. The paper reports this averaging 43 bytes.
-    pub fn mean_message_bytes(&self) -> Option<f64> {
-        (self.messages > 0).then(|| self.message_bytes as f64 / self.messages as f64)
-    }
-
     /// Merge another meter into this one (used to sum per-trace runs).
     pub fn merge(&mut self, other: &TrafficMeter) {
         self.messages += other.messages;
@@ -250,7 +244,7 @@ mod tests {
         assert_eq!(t.messages, 2);
         assert_eq!(t.file_transfers, 1);
         assert_eq!(t.total_bytes(), 8_086);
-        assert_eq!(t.mean_message_bytes(), Some(43.0));
+        assert_eq!(t.message_bytes, 86);
     }
 
     #[test]
@@ -261,8 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_meter_has_no_mean_message_size() {
-        assert_eq!(TrafficMeter::default().mean_message_bytes(), None);
+    fn an_empty_meter_counts_nothing() {
         assert_eq!(TrafficMeter::default().total_bytes(), 0);
     }
 
@@ -310,7 +303,6 @@ mod tests {
         assert_eq!(a.messages, 2);
         assert_eq!(a.message_bytes, 86);
         assert_eq!(a.file_bytes, 100);
-        assert_eq!(a.mean_message_bytes(), Some(43.0));
 
         let mut c = CacheStats {
             fresh_hits: 1,

@@ -17,26 +17,26 @@
 //! * `heap` holds slot indices arranged as a 4-ary heap (shallower than a
 //!   binary heap, so the schedule-side `sift_up` touches fewer levels);
 //! * an [`EventHandle`] packs `(generation, slot)` and is therefore an O(1)
-//!   index into the slab — liveness checks and cancellation never search.
+//!   index into the slab — cancellation never searches.
 //!
 //! This replaces the previous `BinaryHeap` + tombstone-`HashSet` design,
-//! whose `cancel` was an O(n) scan of the whole heap and whose `pop`/`peek`
+//! whose `cancel` was an O(n) scan of the whole heap and whose `pop`
 //! paid a tombstone-skip loop. Here `cancel` removes the entry from the
-//! heap *immediately* (one O(log n) sift), `pop`/`peek` look only at the
-//! root, and `len` is exact without subtraction.
+//! heap *immediately* (one O(log n) sift), `pop` looks only at the root,
+//! and `len` is exact without subtraction.
 
 use crate::time::SimTime;
 
 /// Sentinel for "slot is not in the heap".
 const NIL: u32 = u32::MAX;
 
-/// Handle to a scheduled event, usable for cancellation and liveness
-/// queries. Packs the owning slot's index and generation, so the queue
-/// resolves it in O(1) and can tell *exactly* whether the event is still
-/// pending (a handle whose event fired or was cancelled never matches its
-/// slot's current generation; slot generations only return to a previous
-/// value after 2³² reuses of the same slot, far beyond any simulation's
-/// pending-event churn between handle uses).
+/// Handle to a scheduled event, usable for cancellation. Packs the
+/// owning slot's index and generation, so the queue resolves it in O(1)
+/// and can tell *exactly* whether the event is still pending (a handle
+/// whose event fired or was cancelled never matches its slot's current
+/// generation; slot generations only return to a previous value after
+/// 2³² reuses of the same slot, far beyond any simulation's pending-event
+/// churn between handle uses).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventHandle(u64);
 
@@ -140,20 +140,6 @@ impl<E> EventQueue<E> {
             }
             _ => false,
         }
-    }
-
-    /// Whether `handle`'s event is still pending (has neither fired nor
-    /// been cancelled). O(1).
-    pub fn is_pending(&self, handle: EventHandle) -> bool {
-        matches!(
-            self.slots.get(handle.slot()),
-            Some(s) if s.generation == handle.generation() && s.pos != NIL
-        )
-    }
-
-    /// The instant of the next pending event, if any. O(1).
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|&s| self.slots[s as usize].at)
     }
 
     /// Remove and return the next pending event together with its
@@ -267,6 +253,12 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// Whether `handle`'s event has neither fired nor been cancelled.
+    pub(super) fn pending<E>(q: &EventQueue<E>, handle: EventHandle) -> bool {
+        let slot = q.slots.get(handle.slot());
+        matches!(slot, Some(s) if s.generation == handle.generation() && s.pos != NIL)
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
@@ -321,9 +313,9 @@ mod tests {
         let a = q.schedule(t(1), "a");
         assert_eq!(q.pop(), Some((t(1), "a")));
         let b = q.schedule(t(2), "b"); // reuses a's slot
-        assert!(!q.is_pending(a));
+        assert!(!pending(&q, a));
         assert!(!q.cancel(a), "stale handle must not cancel the new tenant");
-        assert!(q.is_pending(b));
+        assert!(pending(&q, b));
         assert_eq!(q.pop(), Some((t(2), "b")));
     }
 
@@ -335,28 +327,6 @@ mod tests {
         assert!(q.cancel(a));
         assert!(!q.cancel(a));
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn is_pending_tracks_lifecycle() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), "a");
-        let b = q.schedule(t(2), "b");
-        assert!(q.is_pending(a));
-        assert!(q.is_pending(b));
-        q.pop();
-        assert!(!q.is_pending(a), "fired");
-        q.cancel(b);
-        assert!(!q.is_pending(b), "cancelled");
-    }
-
-    #[test]
-    fn peek_time_sees_through_cancellations() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), "a");
-        q.schedule(t(2), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(t(2)));
     }
 
     #[test]
@@ -396,8 +366,14 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::pending;
     use super::*;
     use proptest::prelude::*;
+
+    /// The instant of the next pending event, if any.
+    fn peek_time<E>(q: &EventQueue<E>) -> Option<SimTime> {
+        q.heap.first().map(|&s| q.slots[s as usize].at)
+    }
 
     proptest! {
         /// Popping everything always yields a non-decreasing time sequence,
@@ -480,7 +456,7 @@ mod proptests {
                         if handles.is_empty() { continue; }
                         let (h, seq) = handles[(arg as usize) % handles.len()];
                         let in_model = model.iter().position(|&(_, s, _)| s == seq);
-                        prop_assert_eq!(q.is_pending(h), in_model.is_some());
+                        prop_assert_eq!(pending(&q, h), in_model.is_some());
                         let cancelled = q.cancel(h);
                         prop_assert_eq!(cancelled, in_model.is_some());
                         if let Some(i) = in_model {
@@ -499,7 +475,7 @@ mod proptests {
                     }
                 }
                 prop_assert_eq!(q.len(), model.len());
-                prop_assert_eq!(q.peek_time(), model.first().map(|&(at, _, _)| SimTime::from_secs(at)));
+                prop_assert_eq!(peek_time(&q), model.first().map(|&(at, _, _)| SimTime::from_secs(at)));
             }
 
             // Drain: remaining order must match the model exactly.

@@ -53,14 +53,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// The duration since `earlier`, or `None` if `earlier > self`.
-    pub const fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        match self.0.checked_sub(earlier.0) {
-            Some(d) => Some(SimDuration(d)),
-            None => None,
-        }
-    }
-
     /// Advance by `d`, saturating at [`SimTime::MAX`].
     pub const fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
@@ -257,8 +249,6 @@ mod tests {
         let late = SimTime::from_secs(20);
         assert_eq!(late.saturating_since(early).as_secs(), 10);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(early.checked_since(late), None);
-        assert_eq!(late.checked_since(early), Some(SimDuration::from_secs(10)));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   offered vs. achieved rate, queue delay, and coordinated-
 //!   omission-free sojourn percentiles.
 //! * [`replay`] — stream any `Iterator<Item = TraceRequest>` (the lazy
-//!   generators and CLF streams in [`webtrace::stream`]) through the
+//!   generators in [`webtrace::stream`]) through the
 //!   stack open-loop at a configurable time-compression factor.
 //!
 //! Open-loop runs are conservation-checked: `offered = completed + shed

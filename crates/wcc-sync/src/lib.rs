@@ -20,9 +20,7 @@
 //!   `clippy.toml` bans `std::sync::Condvar` everywhere else.
 //!
 //! Release builds compile the rank bookkeeping away entirely; what
-//! remains is a plain mutex plus one relaxed atomic add on the
-//! contended path. Contention is counted per lock
-//! ([`RankedMutex::contended_count`]) and exposed per acquisition
+//! remains is a plain mutex. Contention is exposed per acquisition
 //! ([`RankedGuard::was_contended`]) so call sites that own a probe can
 //! surface `LockContended` observability events without this crate
 //! depending on `wcc-obs`.
@@ -33,7 +31,6 @@
 //! "the data is torn".
 
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The workspace's one path to std's condvar: the root `clippy.toml`
@@ -97,7 +94,6 @@ mod rank_stack {
 pub struct RankedMutex<T> {
     rank: u32,
     name: &'static str,
-    contended: AtomicU64,
     inner: Mutex<T>,
 }
 
@@ -107,7 +103,6 @@ impl<T> RankedMutex<T> {
         RankedMutex {
             rank,
             name,
-            contended: AtomicU64::new(0),
             inner: Mutex::new(value),
         }
     }
@@ -121,13 +116,10 @@ impl<T> RankedMutex<T> {
         let (guard, was_contended) = match self.inner.try_lock() {
             Ok(g) => (g, false),
             Err(std::sync::TryLockError::Poisoned(e)) => (e.into_inner(), false),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.contended.fetch_add(1, Ordering::Relaxed);
-                (
-                    self.inner.lock().unwrap_or_else(PoisonError::into_inner),
-                    true,
-                )
-            }
+            Err(std::sync::TryLockError::WouldBlock) => (
+                self.inner.lock().unwrap_or_else(PoisonError::into_inner),
+                true,
+            ),
         };
         RankedGuard {
             lock: self,
@@ -144,12 +136,6 @@ impl<T> RankedMutex<T> {
     /// The annotated lock name (diagnostics and observability labels).
     pub fn name(&self) -> &'static str {
         self.name
-    }
-
-    /// How many acquisitions found the lock already held (cumulative,
-    /// all threads).
-    pub fn contended_count(&self) -> u64 {
-        self.contended.load(Ordering::Relaxed)
     }
 }
 
@@ -334,7 +320,6 @@ mod tests {
         thread::sleep(Duration::from_millis(20));
         drop(held);
         waiter.join().expect("waiter survives");
-        assert!(m.contended_count() >= 1);
         assert!(!m.lock().was_contended());
     }
 

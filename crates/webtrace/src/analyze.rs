@@ -69,15 +69,6 @@ impl MutabilityRow {
             very_mutable_pct: pct(very),
         }
     }
-
-    /// Per-file-per-day change probability (§4.2 derives 1.8 %/day for
-    /// HCS from this quantity).
-    pub fn per_day_change_probability(&self, days: f64) -> f64 {
-        if self.files == 0 || days <= 0.0 {
-            return 0.0;
-        }
-        self.total_changes as f64 / (self.files as f64 * days)
-    }
 }
 
 /// One row of Table 2: per-type access share and size (Microsoft columns)
@@ -210,7 +201,7 @@ mod tests {
         let profile = CampusProfile::hcs();
         let generated = generate_campus_trace(&profile, 42);
         let row = MutabilityRow::from_trace(&generated.trace);
-        let p = row.per_day_change_probability(profile.duration.as_days_f64());
+        let p = row.total_changes as f64 / (row.files as f64 * profile.duration.as_days_f64());
         // §4.2: 1.8 %/day computed, Bestavros band 0.5–2.0 %. Our realised
         // trace carries the feasibility-raised 283 changes -> ~2.0 %.
         assert!((0.01..=0.025).contains(&p), "per-day probability {p}");
@@ -310,7 +301,6 @@ mod tests {
         let trace = ServerTrace::from_log("E", "").unwrap();
         let row = MutabilityRow::from_trace(&trace);
         assert_eq!(row.files, 0);
-        assert_eq!(row.per_day_change_probability(30.0), 0.0);
         let _ = SimDuration::ZERO;
     }
 }

@@ -27,15 +27,12 @@
 pub mod analyze;
 pub mod bu;
 pub mod campus;
-pub mod clf;
-mod io;
 pub mod microsoft;
 mod record;
 pub mod stream;
 mod trace;
 mod types;
 
-pub use io::{load_log, save_log, TraceIoError};
 pub use record::{write_log, LogLine, LogParseError};
 pub use trace::{ServerTrace, TraceRequest};
 pub use types::FileType;

@@ -9,20 +9,13 @@
 //! demand, in time order, with O(files) setup and O(1) memory per
 //! record.
 //!
-//! Two sources:
-//!
-//! * [`synthetic_stream`] — a lazy synthetic trace. The file population
-//!   (with its scripted modification history) is built eagerly — the
-//!   origin needs the full script before it can serve — but arrivals
-//!   are walked forward one exponential gap at a time, so they come out
-//!   sorted by construction and the request list never exists in
-//!   memory. Profiles adapt the calibrated campus (Table 1), Microsoft
-//!   (Table 2 access mix), and BU (Table 2 lifetimes) generators.
-//! * [`ClfRequestStream`] — extended-CLF log text, one
-//!   [`LogLine::parse`] per line pulled straight from any [`BufRead`].
-//!   [`clf_population`] makes the single streaming pre-pass that
-//!   recovers the observable file population (what the origin must
-//!   know) without ever holding the request list.
+//! The source is [`synthetic_stream`], a lazy synthetic trace. The file
+//! population (with its scripted modification history) is built eagerly
+//! — the origin needs the full script before it can serve — but
+//! arrivals are walked forward one exponential gap at a time, so they
+//! come out sorted by construction and the request list never exists in
+//! memory. Profiles adapt the calibrated campus (Table 1), Microsoft
+//! (Table 2 access mix), and BU (Table 2 lifetimes) generators.
 //!
 //! Streams are deterministic: the same config and seed yield the same
 //! record sequence on every pull, regardless of how the consumer is
@@ -34,8 +27,6 @@
 //! cannot reproduce bit-for-bit), so the streaming generators are a new
 //! surface with their own calibration rather than a refactor.
 
-use std::collections::HashMap;
-use std::io::BufRead;
 use std::sync::Arc;
 
 use originserver::{FilePopulation, FileRecord};
@@ -45,8 +36,7 @@ use simstats::{AliasTable, DetRng, ExponentialDist, LogNormalDist, Sampler, Zipf
 use crate::bu::STUDY_DAYS;
 use crate::campus::CampusProfile;
 use crate::microsoft::MicrosoftProfile;
-use crate::record::{LogLine, LogParseError};
-use crate::trace::{observe, TraceRequest};
+use crate::trace::TraceRequest;
 use crate::types::FileType;
 
 /// Everything a replay driver needs *besides* the request stream: the
@@ -327,116 +317,9 @@ impl Iterator for SyntheticRequestStream {
     }
 }
 
-/// Streaming pre-pass over extended-CLF log text: recover the
-/// observable file population (files appear at first request; a
-/// modification is observed when a line reports a newer `Last-Modified`
-/// for a known path) and the path→id index, without retaining any
-/// request. This is [`crate::ServerTrace::from_log`] minus the request
-/// materialization; pair it with [`ClfRequestStream`] over a second
-/// read of the same text.
-///
-/// # Errors
-/// Fails on the first IO error or unparsable line.
-pub fn clf_population(
-    reader: impl BufRead,
-) -> Result<(FilePopulation, HashMap<String, FileId>), ClfStreamError> {
-    let mut records: Vec<FileRecord> = Vec::new();
-    let mut by_path: HashMap<String, FileId> = HashMap::new();
-    for line in reader.lines() {
-        let line = line.map_err(ClfStreamError::Io)?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = LogLine::parse(&line).map_err(ClfStreamError::Parse)?;
-        observe(
-            &mut records,
-            &mut by_path,
-            parsed.path,
-            parsed.last_modified,
-            parsed.size,
-        );
-    }
-    Ok((records.into_iter().collect(), by_path))
-}
-
-/// Why a CLF stream stopped early.
-#[derive(Debug)]
-pub enum ClfStreamError {
-    /// The underlying reader failed.
-    Io(std::io::Error),
-    /// A line did not parse as extended CLF.
-    Parse(LogParseError),
-}
-
-impl std::fmt::Display for ClfStreamError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClfStreamError::Io(e) => write!(f, "log read failed: {e}"),
-            ClfStreamError::Parse(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for ClfStreamError {}
-
-/// A pull-based request stream over extended-CLF log text: one
-/// [`LogLine::parse`] per pulled line, mapped to [`TraceRequest`]
-/// through the path index a [`clf_population`] pre-pass built. Memory
-/// is one line at a time; the request list never exists.
-pub struct ClfRequestStream<R: BufRead> {
-    lines: std::io::Lines<R>,
-    by_path: HashMap<String, FileId>,
-}
-
-impl<R: BufRead> ClfRequestStream<R> {
-    /// Stream requests from `reader`, resolving paths through
-    /// `by_path` (from the [`clf_population`] pre-pass over the same
-    /// text).
-    pub fn new(reader: R, by_path: HashMap<String, FileId>) -> Self {
-        ClfRequestStream {
-            lines: reader.lines(),
-            by_path,
-        }
-    }
-}
-
-impl<R: BufRead> Iterator for ClfRequestStream<R> {
-    type Item = Result<TraceRequest, ClfStreamError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let line = match self.lines.next()? {
-                Ok(l) => l,
-                Err(e) => return Some(Err(ClfStreamError::Io(e))),
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let parsed = match LogLine::parse(&line) {
-                Ok(p) => p,
-                Err(e) => return Some(Err(ClfStreamError::Parse(e))),
-            };
-            let Some(&file) = self.by_path.get(&parsed.path) else {
-                return Some(Err(ClfStreamError::Parse(LogParseError {
-                    line: parsed.path.clone(),
-                    reason: "path absent from the population pre-pass".to_string(),
-                })));
-            };
-            return Some(Ok(TraceRequest {
-                time: parsed.time,
-                client: parsed.client,
-                remote: parsed.remote,
-                file,
-            }));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::ServerTrace;
-    use std::io::Cursor;
 
     fn das_config(requests: u64) -> SyntheticStreamConfig {
         SyntheticStreamConfig::campus(&CampusProfile::das(), requests, 1996)
@@ -500,39 +383,5 @@ mod tests {
             let (meta, stream) = synthetic_stream(&cfg);
             assert_eq!(stream.count() as u64, meta.requests);
         }
-    }
-
-    #[test]
-    fn clf_stream_matches_materialized_from_log() {
-        // Round-trip a generated trace through log text, then compare
-        // the streaming path against the materializing one.
-        let campus = crate::campus::generate_campus_trace(
-            &CampusProfile {
-                files: 40,
-                requests: 400,
-                total_changes: 25,
-                mutable_fraction: 0.5,
-                ..CampusProfile::fas()
-            },
-            7,
-        );
-        let text = campus.trace.to_log();
-        let materialized = ServerTrace::from_log("ref", &text).unwrap();
-
-        let (population, by_path) = clf_population(Cursor::new(text.as_bytes())).unwrap();
-        assert_eq!(population.len(), materialized.population.len());
-        let streamed: Vec<TraceRequest> =
-            ClfRequestStream::new(Cursor::new(text.as_bytes()), by_path)
-                .collect::<Result<_, _>>()
-                .unwrap();
-        assert_eq!(streamed, materialized.requests);
-    }
-
-    #[test]
-    fn clf_stream_surfaces_parse_errors() {
-        let text = "not a log line\n";
-        assert!(clf_population(Cursor::new(text.as_bytes())).is_err());
-        let mut stream = ClfRequestStream::new(Cursor::new(text.as_bytes()), HashMap::new());
-        assert!(stream.next().unwrap().is_err());
     }
 }

@@ -103,8 +103,13 @@ impl ServerTrace {
     /// reports a newer `Last-Modified` than the previous request for the
     /// same path. This is exactly the information the paper's modified
     /// campus servers recorded.
+    ///
+    /// A server writes a line when it completes the request, so a real log
+    /// is not always in arrival order: the lines are stably sorted by time
+    /// first, and lines with equal times keep their file order.
     pub fn from_log(name: impl Into<String>, text: &str) -> Result<ServerTrace, LogParseError> {
-        let lines = LogLine::parse_log(text)?;
+        let mut lines = LogLine::parse_log(text)?;
+        lines.sort_by_key(|line| line.time);
         let mut records = Vec::new();
         let mut by_path = HashMap::new();
         let mut requests = Vec::with_capacity(lines.len());
@@ -158,7 +163,7 @@ impl ServerTrace {
 /// path seen first is a new file, created at the `last_modified` served;
 /// a known path served with a newer `last_modified` than its latest
 /// version has been modified. Returns the file's id.
-pub(crate) fn observe(
+fn observe(
     records: &mut Vec<FileRecord>,
     by_path: &mut HashMap<String, FileId>,
     path: String,

@@ -1,4 +1,5 @@
-//! Closed-form oracles for the bounded stores (ROADMAP 3(b)).
+//! Closed-form oracles for the bounded stores (ROADMAP 3(b)) and for a
+//! fixed TTL's consistency counts (ROADMAP 18).
 //!
 //! The simulator's hit ratio, at the `sim-evict` setting, against the
 //! approximations surveyed by Hasslinger et al. (arXiv 2308.02875) for a
@@ -22,9 +23,22 @@
 //! after a warm-up quarter. The tolerances and seeds were fixed before
 //! the first run (EXPERIMENTS.md "One request, one use"); a cell outside
 //! them is a finding, not a seed to change.
+//!
+//! `FixedTtl(T)` with conditional retrieval, against its renewal form:
+//! files requested IRM at known rates λᵢ and written as Poisson processes
+//! at known rates μᵢ, an unbounded store and no preload. Each file's
+//! cycle is T plus an Exp(λ) wait for the next request; it holds one
+//! server operation, λT hits, λ(T − (1 − e^(−μT))/μ) stale hits, and a
+//! body with probability 1 − e^(−μT)·λ/(λ + μ). The stale rate, server
+//! operations and body bytes after a warm-up quarter are checked against
+//! tolerances fixed before the first run (EXPERIMENTS.md "One log reader,
+//! no test-only API").
 
-use wwwcache::simcore::{FileId, SimTime};
-use wwwcache::simstats::{DetRng, ZipfDist};
+use std::sync::Arc;
+
+use wwwcache::originserver::FileRecord;
+use wwwcache::simcore::{FileId, SimDuration, SimTime};
+use wwwcache::simstats::{DetRng, ExponentialDist, Sampler, ZipfDist};
 use wwwcache::wcc_obs::{ObsEvent, Probe, RequestOutcome};
 use wwwcache::webcache::{
     generate_synthetic, Experiment, ExperimentStore, LifetimeModel, PopularityModel, ProtocolSpec,
@@ -218,6 +232,159 @@ fn simulated_hit_ratios_stay_within_the_closed_forms_tolerance() {
             );
             if !within {
                 outside.push((seed, name, sim, form));
+            }
+        }
+    }
+    assert!(outside.is_empty(), "outside the tolerance: {outside:?}");
+}
+
+// The fixed-TTL setting: files, mean requests per run, run length in
+// days, and the TTLs checked.
+const TTL_FILES: usize = 1_000;
+const TTL_REQUESTS: f64 = 400_000.0;
+const TTL_DAYS: u64 = 56;
+const TTLS_HOURS: [u64; 2] = [6, 48];
+/// `(sim − form) / form` bounds: stale rate, server operations, body bytes.
+const TTL_TOLERANCE: [f64; 3] = [0.12, 0.01, 0.03];
+
+/// What the probe saw from the warm-up instant on.
+struct Counts {
+    from: SimTime,
+    requests: u64,
+    stale: u64,
+    ops: u64,
+    body_bytes: u64,
+}
+
+impl Probe for Counts {
+    fn record(&mut self, at: SimTime, event: ObsEvent) {
+        if at < self.from {
+            return;
+        }
+        match event {
+            ObsEvent::Request { outcome, .. } => {
+                self.requests += 1;
+                self.stale += u64::from(matches!(outcome, RequestOutcome::StaleHit { .. }));
+            }
+            ObsEvent::ServerOp { .. } => self.ops += 1,
+            ObsEvent::Exchange { body_bytes, .. } => self.body_bytes += body_bytes,
+            _ => {}
+        }
+    }
+}
+
+/// `(λ, μ, size)` per file, rates per second.
+type Rates = Vec<(f64, f64, f64)>;
+
+/// A workload whose every file has a known request and write rate.
+fn renewal_setting(seed: u64) -> (Workload, Rates) {
+    let mut rng = DetRng::seed_from_u64(seed).derive_stream("ttl-closed-form");
+    let start = SimTime::from_secs(86_400);
+    let end = start + SimDuration::from_days(TTL_DAYS);
+    let span = (end - start).as_secs() as f64;
+    let zipf = ZipfDist::new(TTL_FILES, 1.0);
+    let mut file_of_rank: Vec<usize> = (0..TTL_FILES).collect();
+    for i in (1..TTL_FILES).rev() {
+        file_of_rank.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let (shortest, longest) = ((6.0 * 3_600.0_f64).ln(), (60.0 * 86_400.0_f64).ln());
+    let mut rates = vec![(0.0, 0.0, 0.0); TTL_FILES];
+    for rank in 0..TTL_FILES {
+        let lifetime = (shortest + (longest - shortest) * rng.unit_f64()).exp();
+        let size = 1_024 + rng.below(16_384 - 1_024 + 1);
+        let lambda = TTL_REQUESTS / span * zipf.pmf(rank);
+        rates[file_of_rank[rank]] = (lambda, 1.0 / lifetime, size as f64);
+    }
+    let mut files = Vec::with_capacity(TTL_FILES);
+    for (file, &(_, mu, size)) in rates.iter().enumerate() {
+        let mut record = FileRecord::new(format!("/f{file}"), SimTime::ZERO, size as u64);
+        let gap = ExponentialDist::with_mean(1.0 / mu);
+        let mut at = start.as_secs() as f64 + gap.sample(&mut rng);
+        // Two writes in one second are one write: instants are whole seconds.
+        let mut last = SimTime::ZERO;
+        while SimTime::from_secs(at as u64) <= end {
+            if SimTime::from_secs(at as u64) > last {
+                last = SimTime::from_secs(at as u64);
+                record.push_modification(last, size as u64);
+            }
+            at += gap.sample(&mut rng);
+        }
+        files.push(record);
+    }
+    let gap = ExponentialDist::with_mean(span / TTL_REQUESTS);
+    let mut requests = Vec::new();
+    let mut at = start.as_secs() as f64 + gap.sample(&mut rng);
+    while at < end.as_secs() as f64 {
+        let file = file_of_rank[zipf.sample(&mut rng)];
+        requests.push((SimTime::from_secs(at as u64), FileId::from_index(file)));
+        at += gap.sample(&mut rng);
+    }
+    let workload = Workload {
+        name: format!("ttl-renewal-{seed}"),
+        start,
+        end,
+        population: Arc::new(files.into_iter().collect()),
+        requests,
+        classes: vec![0; TTL_FILES],
+        class_expires: Vec::new(),
+    };
+    (workload, rates)
+}
+
+/// The renewal form over a window of `window` seconds: stale rate,
+/// server operations and body bytes.
+fn renewal_form(rates: &Rates, ttl: f64, window: f64) -> [f64; 3] {
+    let (mut requests, mut stale, mut ops, mut bytes) = (0.0, 0.0, 0.0, 0.0);
+    for &(lambda, mu, size) in rates {
+        let cycles = window * lambda / (1.0 + lambda * ttl);
+        let unchanged = (-mu * ttl).exp();
+        requests += lambda * window;
+        stale += cycles * lambda * (ttl - (1.0 - unchanged) / mu);
+        ops += cycles;
+        bytes += cycles * size * (1.0 - unchanged * lambda / (lambda + mu));
+    }
+    [stale / requests, ops, bytes]
+}
+
+#[test]
+fn fixed_ttl_counts_stay_within_the_renewal_forms_tolerance() {
+    let mut outside = Vec::new();
+    println!("seed ttl  metric                    sim             form  (sim-form)/form");
+    for seed in SEEDS {
+        let (workload, rates) = renewal_setting(seed);
+        let warm = workload.start + (workload.end - workload.start).mul_f64(0.25);
+        let window = (workload.end - warm).as_secs() as f64;
+        for hours in TTLS_HOURS {
+            let mut counts = Counts {
+                from: warm,
+                requests: 0,
+                stale: 0,
+                ops: 0,
+                body_bytes: 0,
+            };
+            Experiment::new(&workload)
+                .protocol(ProtocolSpec::Ttl(hours))
+                .config(SimConfig::optimized().preload(false))
+                .probe(&mut counts)
+                .run();
+            let sim = [
+                counts.stale as f64 / counts.requests as f64,
+                counts.ops as f64,
+                counts.body_bytes as f64,
+            ];
+            let form = renewal_form(&rates, hours as f64 * 3_600.0, window);
+            let names = ["stale rate", "server ops", "body bytes"];
+            for (k, name) in names.into_iter().enumerate() {
+                let error = (sim[k] - form[k]) / form[k];
+                let within = error.abs() <= TTL_TOLERANCE[k];
+                let mark = if within { "" } else { "  OUTSIDE" };
+                println!(
+                    "{seed:>4} {hours:>3}h {name:<10} {:>16.6} {:>16.6} {error:+.4}{mark}",
+                    sim[k], form[k]
+                );
+                if !within {
+                    outside.push((seed, hours, name, sim[k], form[k]));
+                }
             }
         }
     }

@@ -2,6 +2,7 @@
 //! re-parse → simulate, confirming the text format is a faithful carrier
 //! for the consistency experiments.
 
+use wwwcache::originserver::{FileView, Version};
 use wwwcache::webcache::{run, ProtocolSpec, SimConfig, Workload};
 use wwwcache::webtrace::campus::{generate_campus_trace, CampusProfile};
 use wwwcache::webtrace::{LogLine, ServerTrace};
@@ -69,4 +70,45 @@ fn log_view_file_set_is_the_requested_subset() {
     for (_, rec) in rebuilt.population.iter() {
         assert!(requested.contains(rec.path), "{}", rec.path);
     }
+}
+
+/// Every file's path and versions, in id order.
+fn histories(trace: &ServerTrace) -> Vec<(String, Vec<Version>)> {
+    let file = |(_, f): (_, FileView)| (f.path.to_owned(), f.versions().collect());
+    trace.population.iter().map(file).collect()
+}
+
+#[test]
+fn a_log_written_out_of_order_rebuilds_the_sorted_trace_and_simulates() {
+    // A server logs a request when it completes it, so two lines can come
+    // out of arrival order. Swap two adjacent lines with distinct times:
+    // the rebuilt trace is the in-order log's, and it replays.
+    let campus = generate_campus_trace(&CampusProfile::fas(), 11);
+    let text = campus.trace.to_log();
+    let parsed = LogLine::parse_log(&text).expect("own output parses");
+    let i = (parsed.len() / 2..parsed.len() - 1)
+        .find(|&i| parsed[i].time < parsed[i + 1].time)
+        .expect("two adjacent lines with distinct times");
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.swap(i, i + 1);
+    let swapped = lines.join("\n") + "\n";
+    assert_ne!(swapped, text);
+
+    let in_order = ServerTrace::from_log("FAS", &text).expect("parses");
+    let rebuilt = ServerTrace::from_log("FAS", &swapped).expect("parses");
+    // `assert!`, not `assert_eq!`: a failure would print every request.
+    assert!(rebuilt.requests == in_order.requests, "requests differ");
+    assert_eq!(
+        (rebuilt.start, rebuilt.duration),
+        (in_order.start, in_order.duration)
+    );
+    assert!(
+        histories(&rebuilt) == histories(&in_order),
+        "histories differ"
+    );
+    rebuilt.validate().expect("a rebuilt trace is in order");
+
+    let wl = Workload::from_server_trace(&rebuilt);
+    let result = run(&wl, ProtocolSpec::Alex(20), &SimConfig::optimized());
+    assert_eq!(result.cache.requests(), rebuilt.request_count() as u64);
 }

@@ -14,7 +14,8 @@
 //! dense slot indices with no per-entry allocation: [`IntrusiveList`] for
 //! *order* (LRU recency, FIFO arrival — a touch is an O(1) splice) and
 //! [`IndexedHeap`] for *score* (GDS credit, LFU frequency — a touch is one
-//! sift from the entry's own position).
+//! sift from the entry's own position, and a node is one integer that
+//! packs the key above the slot index).
 //!
 //! ## Contract
 //!
@@ -385,39 +386,97 @@ impl IntrusiveList {
     }
 }
 
-/// Children per node of an [`IndexedHeap`]. Four keeps a node's children
-/// in one or two cache lines and the tree half as deep as a binary heap's.
-/// Picked by the benchmark's `proxycache.{gds,lfu}.op_ns` rungs, read
-/// against `lru.op_ns` of the same run: 2 was ~13 % slower, 8 no faster.
-const ARITY: usize = 4;
+/// Children per node of an [`IndexedHeap`]. With packed nodes a row of
+/// eight is 64 bytes of LFU nodes or 128 of GDS nodes, and the tree a
+/// third as deep as a binary heap's. Picked by the benchmark's
+/// `proxycache.{gds,lfu}.op_ns` rungs over `lru.op_ns` of the same run,
+/// medians of ten alternating traces: GDS 1.93 at four children against
+/// 1.75 at eight, LFU 1.00 against 0.94 (2.68 and 1.20 with `(K, u32)`
+/// tuple nodes at four).
+const ARITY: usize = 8;
+const _: () = assert!(ARITY.is_power_of_two(), "a row's tournament halves it");
+
+/// A heap key that packs with a slot index into one integer, the key in
+/// the high bits and the slot in the low 32, so that the integer's order
+/// is `(key, slot)`'s: two nodes compare as two integers, with no
+/// second field to consult on a tie.
+pub(crate) trait Packed: Copy + Ord + Default {
+    /// The packed `(key, slot)` integer, twice the key's width.
+    type Node: Copy + Ord + Default + std::fmt::Debug;
+
+    /// `self << 32 | slot`.
+    fn pack(self, slot: u32) -> Self::Node;
+
+    /// The key a node was packed from.
+    fn key(node: Self::Node) -> Self;
+
+    /// The slot a node was packed from.
+    fn slot(node: Self::Node) -> u32;
+}
+
+/// LFU's frequencies.
+impl Packed for u32 {
+    type Node = u64;
+
+    fn pack(self, slot: u32) -> u64 {
+        (u64::from(self) << 32) | u64::from(slot)
+    }
+
+    fn key(node: u64) -> u32 {
+        (node >> 32) as u32
+    }
+
+    fn slot(node: u64) -> u32 {
+        node as u32
+    }
+}
+
+/// GDS's score bits.
+impl Packed for u64 {
+    type Node = u128;
+
+    fn pack(self, slot: u32) -> u128 {
+        (u128::from(self) << 32) | u128::from(slot)
+    }
+
+    fn key(node: u128) -> u64 {
+        (node >> 32) as u64
+    }
+
+    fn slot(node: u128) -> u32 {
+        node as u32
+    }
+}
 
 /// An indexed d-ary min-heap over dense slot indices — the shared ordering
 /// backbone of the score-based policies (GDS credit, LFU frequency).
-/// Entries are ordered by `(key, slot index)`, so equal keys fall out in
-/// id order; `pos` finds an entry's node without a search, which makes a
-/// re-key one sift instead of a tree remove plus a tree insert.
+/// Entries are ordered by `(key, slot index)`, packed into one integer
+/// node ([`Packed`]), so equal keys fall out in id order; `pos` finds an
+/// entry's node without a search, which makes a re-key one sift instead
+/// of a tree remove plus a tree insert.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct IndexedHeap<K> {
-    /// `(key, slot index)`; every node is no less than its parent.
-    heap: Vec<(K, u32)>,
+pub(crate) struct IndexedHeap<K: Packed> {
+    /// Packed `(key, slot index)`; every node is no less than its parent.
+    heap: Vec<K::Node>,
     /// Slot index → position in `heap`; `NIL` while unqueued.
     pos: Vec<u32>,
 }
 
-impl<K: Ord + Copy> IndexedHeap<K> {
+impl<K: Packed> IndexedHeap<K> {
     /// Queue `idx` under `key`, or re-key it in place if already queued.
     pub(crate) fn set(&mut self, idx: usize, key: K) {
         if idx >= self.pos.len() {
             self.pos.resize(idx + 1, NIL);
         }
+        let node = key.pack(idx as u32);
         let at = self.pos[idx];
         if at == NIL {
-            self.heap.push((key, idx as u32));
+            self.heap.push(node);
             self.sift_up(self.heap.len() - 1);
         } else {
             let at = at as usize;
-            let old = std::mem::replace(&mut self.heap[at].0, key);
-            self.sift(at, key < old);
+            let old = std::mem::replace(&mut self.heap[at], node);
+            self.sift(at, node < old);
         }
     }
 
@@ -438,27 +497,27 @@ impl<K: Ord + Copy> IndexedHeap<K> {
     /// The key `idx` is queued under, `None` if it is not queued.
     pub(crate) fn key(&self, idx: usize) -> Option<K> {
         let at = *self.pos.get(idx)?;
-        (at != NIL).then(|| self.heap[at as usize].0)
+        (at != NIL).then(|| K::key(self.heap[at as usize]))
     }
 
     /// The heap bytes of the node and position arrays.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.heap.capacity() * std::mem::size_of::<(K, u32)>()
+        self.heap.capacity() * std::mem::size_of::<K::Node>()
             + self.pos.capacity() * std::mem::size_of::<u32>()
     }
 
     /// The least key queued.
     pub(crate) fn min_key(&self) -> Option<K> {
-        self.heap.first().map(|&(key, _)| key)
+        self.heap.first().map(|&node| K::key(node))
     }
 
     /// The least entry other than `exclude`: the root, or — when the root
     /// is the excluded one — the least of the root's children, which is
     /// where a heap keeps its second-smallest.
     pub(crate) fn min_excluding(&self, exclude: Option<FileId>) -> Option<FileId> {
-        let &(_, root) = self.heap.first()?;
+        let root = K::slot(*self.heap.first()?);
         let least = if exclude.is_some_and(|ex| ex.index() as u32 == root) {
-            self.heap[1..].iter().take(ARITY).min()?.1
+            K::slot(*self.heap[1..].iter().take(ARITY).min()?)
         } else {
             root
         };
@@ -475,38 +534,43 @@ impl<K: Ord + Copy> IndexedHeap<K> {
     }
 
     fn sift_up(&mut self, mut at: usize) {
-        let entry = self.heap[at];
+        let node = self.heap[at];
         while at > 0 {
             let parent = (at - 1) / ARITY;
-            if self.heap[parent] <= entry {
+            if self.heap[parent] <= node {
                 break;
             }
             self.place(at, self.heap[parent]);
             at = parent;
         }
-        self.place(at, entry);
+        self.place(at, node);
     }
 
     fn sift_down(&mut self, mut at: usize) {
-        let entry = self.heap[at];
+        let node = self.heap[at];
         loop {
             let first = at * ARITY + 1;
-            let children = first..(first + ARITY).min(self.heap.len());
-            let Some(least) = children.min_by_key(|&child| self.heap[child]) else {
-                break;
+            let least = if let Some(row) = self.heap.get(first..first + ARITY) {
+                first + least_of(row.try_into().expect("a row is ARITY nodes"))
+            } else {
+                // The last parent's children stop short of a full row.
+                match (first..self.heap.len()).min_by_key(|&child| self.heap[child]) {
+                    Some(least) => least,
+                    None => break,
+                }
             };
-            if entry <= self.heap[least] {
+            if node <= self.heap[least] {
                 break;
             }
             self.place(at, self.heap[least]);
             at = least;
         }
-        self.place(at, entry);
+        self.place(at, node);
     }
 
-    fn place(&mut self, at: usize, entry: (K, u32)) {
-        self.heap[at] = entry;
-        self.pos[entry.1 as usize] = at as u32;
+    fn place(&mut self, at: usize, node: K::Node) {
+        self.heap[at] = node;
+        self.pos[K::slot(node) as usize] = at as u32;
     }
 
     /// Number of queued entries. Test support.
@@ -518,26 +582,42 @@ impl<K: Ord + Copy> IndexedHeap<K> {
     /// Assert heap order and the `pos` ↔ `heap` bijection; returns the
     /// queued `(key, slot index)` pairs in ascending order. Test support.
     #[cfg(test)]
-    pub(crate) fn sorted(&self) -> Vec<(K, u32)>
-    where
-        K: std::fmt::Debug,
-    {
-        for (at, &(_, idx)) in self.heap.iter().enumerate() {
+    pub(crate) fn sorted(&self) -> Vec<(K, u32)> {
+        for (at, &node) in self.heap.iter().enumerate() {
+            let idx = K::slot(node);
             assert_eq!(self.pos[idx as usize], at as u32, "pos of {idx} is off");
             if at > 0 {
                 let parent = (at - 1) / ARITY;
-                assert!(
-                    self.heap[parent] < self.heap[at],
-                    "node {at} below its parent"
-                );
+                assert!(self.heap[parent] < node, "node {at} below its parent");
             }
         }
         let queued = self.pos.iter().filter(|&&at| at != NIL).count();
         assert_eq!(queued, self.heap.len(), "pos names a node heap lacks");
-        let mut sorted = self.heap.clone();
+        let mut sorted: Vec<(K, u32)> = self
+            .heap
+            .iter()
+            .map(|&node| (K::key(node), K::slot(node)))
+            .collect();
         sorted.sort_unstable();
         sorted
     }
+}
+
+/// The position of the least node of a full row: a tournament of pairs,
+/// each round a compare and a select per pair, so that which child wins
+/// steers no branch.
+#[inline(always)]
+fn least_of<N: Ord>(row: &[N; ARITY]) -> usize {
+    let mut round: [usize; ARITY] = std::array::from_fn(|i| i);
+    let mut width = ARITY;
+    while width > 1 {
+        width /= 2;
+        for i in 0..width {
+            let (a, b) = (round[2 * i], round[2 * i + 1]);
+            round[i] = if row[b] < row[a] { b } else { a };
+        }
+    }
+    round[0]
 }
 
 /// Lockstep comparison of a policy with the model it replaced. `gds.rs`
@@ -634,6 +714,7 @@ pub(crate) mod lockstep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn intrusive_list_splices_and_walks() {
@@ -704,40 +785,117 @@ mod tests {
         assert_eq!((h.len(), h.min_key()), (0, None));
     }
 
-    proptest::proptest! {
-        /// The heap against a sorted `Vec` of `(key, index)` pairs, with
-        /// few enough keys that most of them tie. After every op: heap
-        /// order and the `pos` ↔ `heap` bijection hold (inside `sorted`),
-        /// the contents match, and so does the minimum with each index
-        /// excluded in turn.
+    /// Run `ops` — `(slot, Some(key position) | None)`, a set or a
+    /// remove — through a heap keyed by `keys[position]` and against a
+    /// sorted `Vec` of `(key, index)` pairs. After every op: heap order
+    /// and the `pos` ↔ `heap` bijection hold (inside `sorted`), the
+    /// contents match, and so do the minimum and every key with each
+    /// index excluded in turn.
+    fn matches_a_sorted_vec<K: Packed + std::fmt::Debug>(
+        keys: &[K],
+        ops: &[(usize, Option<usize>)],
+    ) {
+        let mut heap = IndexedHeap::<K>::default();
+        let mut model: Vec<(K, u32)> = Vec::new();
+        for &(idx, key) in ops {
+            model.retain(|&(_, queued)| queued != idx as u32);
+            match key.map(|at| keys[at]) {
+                Some(key) => {
+                    heap.set(idx, key);
+                    model.push((key, idx as u32));
+                    model.sort_unstable();
+                }
+                None => heap.remove(idx),
+            }
+            assert_eq!(heap.sorted(), model);
+            assert_eq!(heap.min_key(), model.first().map(|&(key, _)| key));
+            for exclude in (0..48).map(FileId::from_index) {
+                let least = model.iter().find(|&&(_, queued)| queued != exclude.0);
+                assert_eq!(
+                    heap.min_excluding(Some(exclude)),
+                    least.map(|&(_, queued)| FileId(queued))
+                );
+                let key = model.iter().find(|&&(_, queued)| queued == exclude.0);
+                assert_eq!(heap.key(exclude.index()), key.map(|&(key, _)| key));
+            }
+        }
+    }
+
+    /// Six keys per width, so that most of a heap's keys tie: each
+    /// width's ends, and for the score bits two GDS credits.
+    const LFU_KEYS: [u32; 6] = [0, 1, 2, 3, u32::MAX - 1, u32::MAX];
+    fn gds_keys() -> [u64; 6] {
+        let credit = |l: f64, size: f64| (l + 1.0 / size).to_bits();
+        [
+            0,
+            1,
+            credit(0.0, 16_384.0),
+            credit(0.25, 1_024.0),
+            u64::MAX - 1,
+            u64::MAX,
+        ]
+    }
+
+    /// A key for the packing law: an end of the width, or any value.
+    fn key_strategy<K: Copy + std::fmt::Debug + 'static>(
+        edges: Vec<K>,
+        any: impl Strategy<Value = K> + 'static,
+    ) -> impl Strategy<Value = K> {
+        let pick = edges.len();
+        prop_oneof![(0..pick).prop_map(move |at| edges[at]), any]
+    }
+
+    /// A slot for the packing law: 0, 1, the largest that is not `NIL`,
+    /// its predecessor, or any other.
+    fn slot_strategy() -> impl Strategy<Value = u32> {
+        key_strategy(vec![0, 1, NIL - 2, NIL - 1], 0..NIL)
+    }
+
+    /// A GDS credit's bits: the inflation plus one over a body size.
+    fn credit_bits() -> impl Strategy<Value = u64> {
+        (0.0..1.0e6, 1u64..=16_384)
+            .prop_map(|(l, size): (f64, u64)| (l + 1.0 / size as f64).to_bits())
+    }
+
+    /// The packing law at one width: nodes compare as their `(key,
+    /// slot)` pairs do, and unpack to them.
+    fn packs_in_order<K: Packed + std::fmt::Debug>(a: K, i: u32, b: K, j: u32) {
+        let (x, y) = (a.pack(i), b.pack(j));
+        assert_eq!(x.cmp(&y), (a, i).cmp(&(b, j)), "{a:?}/{i} vs {b:?}/{j}");
+        assert_eq!((K::key(x), K::slot(x)), (a, i));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The heap against a sorted `Vec`, at LFU's `u32` keys and at
+        /// GDS's `u64` score bits, the same ops at each width.
         #[test]
         fn indexed_heap_matches_a_sorted_vec(
-            ops in proptest::collection::vec((0usize..48, proptest::option::of(0u8..6)), 0..400),
+            ops in proptest::collection::vec((0usize..48, proptest::option::of(0usize..6)), 0..400),
         ) {
-            let mut heap = IndexedHeap::default();
-            let mut model: Vec<(u8, u32)> = Vec::new();
-            for (idx, key) in ops {
-                model.retain(|&(_, queued)| queued != idx as u32);
-                match key {
-                    Some(key) => {
-                        heap.set(idx, key);
-                        model.push((key, idx as u32));
-                        model.sort_unstable();
-                    }
-                    None => heap.remove(idx),
-                }
-                proptest::prop_assert_eq!(heap.sorted(), model.clone());
-                proptest::prop_assert_eq!(heap.min_key(), model.first().map(|&(key, _)| key));
-                for exclude in (0..48).map(FileId::from_index) {
-                    let least = model.iter().find(|&&(_, queued)| queued != exclude.0);
-                    proptest::prop_assert_eq!(
-                        heap.min_excluding(Some(exclude)),
-                        least.map(|&(_, queued)| FileId(queued))
-                    );
-                    let key = model.iter().find(|&&(_, queued)| queued == exclude.0);
-                    proptest::prop_assert_eq!(heap.key(exclude.index()), key.map(|&(key, _)| key));
-                }
-            }
+            matches_a_sorted_vec(&LFU_KEYS, &ops);
+            matches_a_sorted_vec(&gds_keys(), &ops);
+        }
+
+        /// `pack(a, i) < pack(b, j)` exactly when `(a, i) < (b, j)`, at
+        /// both widths, over each width's ends, real GDS credits and
+        /// slots up to the largest that is not `NIL`.
+        #[test]
+        fn packed_nodes_order_as_their_key_slot_pairs(
+            lfu in (key_strategy(LFU_KEYS.to_vec(), any::<u32>()), slot_strategy(),
+                key_strategy(LFU_KEYS.to_vec(), any::<u32>()), slot_strategy()),
+            gds in (key_strategy(gds_keys().to_vec(), credit_bits()), slot_strategy(),
+                key_strategy(gds_keys().to_vec(), any::<u64>()), slot_strategy()),
+        ) {
+            let (a, i, b, j) = lfu;
+            packs_in_order(a, i, b, j);
+            packs_in_order(b, j, a, i);
+            packs_in_order(a, i, a, j);
+            let (a, i, b, j) = gds;
+            packs_in_order(a, i, b, j);
+            packs_in_order(b, j, a, i);
+            packs_in_order(a, i, a, j);
         }
     }
 }

@@ -18,11 +18,12 @@
 //! IEEE-754 bit patterns (order-preserving for non-negative floats) with
 //! the file id as tiebreak, so victim selection never depends on float
 //! comparison quirks or container layout. Residents sit in an indexed
-//! 4-ary heap ([`crate::evict::IndexedHeap`]) keyed by `(score bits, id)`:
-//! refreshing a score is one sift from the entry's own node, and the
-//! victim is the root. The test module keeps an ordered-tree policy (a
-//! remove plus an insert per access) as the model the heap is
-//! property-tested against, op for op.
+//! 8-ary heap ([`crate::evict::IndexedHeap`]) whose nodes are `u128`s
+//! packing the score bits above the id, so that a node's order is
+//! `(score bits, id)`'s: refreshing a score is one sift from the entry's
+//! own node, and the victim is the root. The test module keeps an
+//! ordered-tree policy (a remove plus an insert per access) as the model
+//! the heap is property-tested against, op for op.
 
 use simcore::FileId;
 
@@ -33,8 +34,8 @@ use crate::evict::{BoundedStore, EvictionPolicy, IndexedHeap};
 /// aging the pool by the victim's score.
 #[derive(Debug, Clone, Default)]
 pub struct GreedyDualSize {
-    /// Resident entries ordered by `(score bits, id)`; the heap holds each
-    /// resident's current score as its key.
+    /// Resident entries ordered by `(score bits, id)`, one `u128` node
+    /// each; the heap holds each resident's current score as its key.
     queue: IndexedHeap<u64>,
     /// The aging term `L`: the score of the last capacity victim.
     inflation: f64,

@@ -23,8 +23,9 @@
 //! standing.
 //!
 //! Victim order is deterministic: `(frequency, id)`, lowest first, kept in
-//! an indexed 4-ary heap ([`crate::evict::IndexedHeap`]) so that counting
-//! a use is one sift from the entry's own node. The test module keeps an
+//! an indexed 8-ary heap ([`crate::evict::IndexedHeap`]) of `u64` nodes
+//! that pack the frequency above the id, so that counting a use is one
+//! sift from the entry's own node. The test module keeps an
 //! ordered-tree policy (a remove plus an insert per access) as the model
 //! the heap is property-tested against, op for op.
 
@@ -38,7 +39,7 @@ use crate::evict::{BoundedStore, EvictionPolicy, IndexedHeap};
 pub struct ScoreGatedLfu {
     /// Access frequency per slot index — ghost state: survives eviction.
     freq: Vec<u32>,
-    /// Resident entries ordered by `(frequency, id)`.
+    /// Resident entries ordered by `(frequency, id)`, one `u64` node each.
     queue: IndexedHeap<u32>,
 }
 

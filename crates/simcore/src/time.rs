@@ -109,7 +109,7 @@ impl SimDuration {
         if scaled >= u64::MAX as f64 {
             SimDuration::MAX
         } else {
-            SimDuration(scaled.round() as u64)
+            SimDuration(round_to_u64(scaled))
         }
     }
 
@@ -117,6 +117,16 @@ impl SimDuration {
     pub const fn saturating_add(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(other.0))
     }
+}
+
+/// `x.round() as u64` for `x < 2⁶⁴` without libm's `round`, which
+/// baseline x86-64 calls out of line: the truncation, plus one when the
+/// fraction it drops (exact in `f64`) is at least a half. A negative or
+/// NaN `x` gives 0, as the cast does.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t + u64::from(x - t as f64 >= 0.5)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -346,6 +356,32 @@ mod proptests {
                 prop_assert_eq!(format!("{tx:?}"), format!("SimTime({x})"));
             }
             prop_assert_eq!(SimTime::from_secs(a).cmp(&SimTime::MAX), a.cmp(&u64::MAX));
+        }
+
+        /// The libm-free rounding is `f64::round`'s on `[0, 2⁶⁴)`: at
+        /// halves, either side of 2⁵² (the last binade with halves) and
+        /// 2⁵³, at and above 2⁶³, and at any bit pattern in range.
+        #[test]
+        fn rounding_is_f64_rounds(
+            whole in any::<u64>(),
+            bits in 0u64..0x43F0_0000_0000_0000,
+            shift in 0u32..64,
+        ) {
+            let edges = [
+                0.0, 0.49999999999999994, 0.5, 1.5, 2.5,
+                4_503_599_627_370_495.5, 4_503_599_627_370_496.0, 4_503_599_627_370_497.0,
+                9_007_199_254_740_992.0, 9_223_372_036_854_775_808.0, 18_446_744_073_709_549_568.0,
+            ];
+            let drawn = [
+                (whole >> shift) as f64,
+                (whole >> shift) as f64 + 0.5,
+                (whole >> shift) as f64 - 0.5,
+                f64::from_bits(bits),
+            ];
+            let below_2_64 = |x: &f64| (0.0..18_446_744_073_709_551_616.0).contains(x);
+            for x in edges.into_iter().chain(drawn).filter(below_2_64) {
+                prop_assert_eq!(round_to_u64(x), x.round() as u64, "{}", x);
+            }
         }
     }
 }

@@ -292,6 +292,16 @@ impl<'w, S: Store> SimCache<'w, S> {
         }
     }
 
+    /// `file`'s path as the costing needs it: the paper's flat 43 bytes
+    /// never read it, so under `PaperConstant` the population's path
+    /// arena (a cold line on most exchanges) is not touched.
+    fn priced_path(&self, file: FileId) -> &str {
+        match self.costing {
+            MessageCosting::PaperConstant => "",
+            MessageCosting::SerializedHttp => self.server.files().get(file).path,
+        }
+    }
+
     fn body(
         &self,
         file: FileId,
@@ -306,7 +316,7 @@ impl<'w, S: Store> SimCache<'w, S> {
             expires: self.origin_expiry(class, now),
             conditional: since.is_some(),
             message_bytes: self.costing.fetch_overhead(
-                self.server.files().get(file).path,
+                self.priced_path(file),
                 since.map(wall),
                 wall(now),
                 wall(v.modified_at),
@@ -336,7 +346,7 @@ impl<'w, S: Store> SimCache<'w, S> {
                     CondResult::NotModified => Reply::NotModified {
                         expires: self.origin_expiry(class, now),
                         message_bytes: self.costing.validation_exchange(
-                            self.server.files().get(file).path,
+                            self.priced_path(file),
                             wall(since),
                             wall(now),
                         ),
@@ -374,9 +384,7 @@ impl<'w, S: Store> SimCache<'w, S> {
         now: SimTime,
         probe: &mut P,
     ) {
-        let notice = self
-            .costing
-            .invalidation_message(self.server.files().get(file).path);
+        let notice = self.costing.invalidation_message(self.priced_path(file));
         self.engine.invalidate(file, now, notice, probe);
     }
 

@@ -9,7 +9,9 @@
 //!   [`LogNormalDist`]) for the paper's workload models — flat Worrell
 //!   lifetimes, memoryless gaps, heavy-tailed file sizes;
 //! * popularity models ([`ZipfDist`], [`AliasTable`]) for skewed request
-//!   streams and the Bestavros popularity↔mutability anticorrelation;
+//!   streams and the Bestavros popularity↔mutability anticorrelation —
+//!   a Zipf draw inverts the CDF through a guide table, one lookup and
+//!   mostly one compare, with the answer of a full binary search;
 //! * batch summaries ([`percentile`], [`median`], [`pearson`]) for trace
 //!   analysis and experiment reporting.
 

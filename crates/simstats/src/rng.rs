@@ -101,6 +101,7 @@ impl DetRng {
     ///
     /// # Panics
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below() requires a positive bound");
         // Lemire's multiply-shift rejection method.

@@ -181,8 +181,10 @@ fn setting(seed: u64) -> (Workload, Model) {
             .version_at(workload.start);
         version.expect("every file exists from the start").size
     };
-    let ranks = (0..FILES)
-        .map(|rank| (zipf.pmf(rank), size(file_of_rank[rank]) as f64))
+    let ranks = zipf_pmf(FILES, 1.0)
+        .into_iter()
+        .enumerate()
+        .map(|(rank, p)| (p, size(file_of_rank[rank]) as f64))
         .collect();
     let footprint: u64 = (0..FILES).map(size).sum();
     let model = Model {
@@ -273,6 +275,15 @@ impl Probe for Counts {
     }
 }
 
+/// Zipf(`s`) rank probabilities over `n` ranks, `(1/(k+1)^s) / Σⱼ
+/// 1/(j+1)^s`, from the definition: the closed forms take their rates
+/// from the model, not from the table the sampler draws with.
+fn zipf_pmf(n: usize, s: f64) -> Vec<f64> {
+    let weights: Vec<f64> = (0..n).map(|k| 1.0 / ((k + 1) as f64).powf(s)).collect();
+    let total: f64 = weights.iter().sum();
+    weights.into_iter().map(|w| w / total).collect()
+}
+
 /// `(λ, μ, size)` per file, rates per second.
 type Rates = Vec<(f64, f64, f64)>;
 
@@ -289,10 +300,10 @@ fn renewal_setting(seed: u64) -> (Workload, Rates) {
     }
     let (shortest, longest) = ((6.0 * 3_600.0_f64).ln(), (60.0 * 86_400.0_f64).ln());
     let mut rates = vec![(0.0, 0.0, 0.0); TTL_FILES];
-    for rank in 0..TTL_FILES {
+    for (rank, p) in zipf_pmf(TTL_FILES, 1.0).into_iter().enumerate() {
         let lifetime = (shortest + (longest - shortest) * rng.unit_f64()).exp();
         let size = 1_024 + rng.below(16_384 - 1_024 + 1);
-        let lambda = TTL_REQUESTS / span * zipf.pmf(rank);
+        let lambda = TTL_REQUESTS / span * p;
         rates[file_of_rank[rank]] = (lambda, 1.0 / lifetime, size as f64);
     }
     let mut files = Vec::with_capacity(TTL_FILES);

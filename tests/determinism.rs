@@ -12,12 +12,15 @@ use wwwcache::webcache::experiments::{
 };
 use wwwcache::webcache::hierarchy::{figure1_scenarios, replay_workload, LeafAssignment};
 use wwwcache::webcache::{
-    generate_synthetic, run, Experiment, ExperimentStore, ProtocolSpec, RunOutcome, RunResult,
-    ScenarioBuilder, SimConfig, SweepRunner, WorrellConfig,
+    generate_synthetic, run, Experiment, ExperimentStore, LifetimeModel, PopularityModel,
+    ProtocolSpec, RunOutcome, RunResult, ScenarioBuilder, SimConfig, SweepRunner, WorkloadKnobs,
+    WorrellConfig,
 };
 use wwwcache::webtrace::bu::{generate_bu_study, BuProfile};
 use wwwcache::webtrace::campus::{generate_campus_trace, CampusProfile};
 use wwwcache::webtrace::microsoft::{generate_microsoft_log, MicrosoftProfile};
+use wwwcache::webtrace::stream::{synthetic_stream, SyntheticStreamConfig};
+use wwwcache::webtrace::TraceRequest;
 
 /// The `(result, evictions)` rendering the golden hashes were pinned on.
 fn pair(outcome: RunOutcome) -> (RunResult, u64) {
@@ -58,6 +61,89 @@ fn seeds_actually_matter() {
     let a = generate_campus_trace(&CampusProfile::fas(), 1);
     let b = generate_campus_trace(&CampusProfile::fas(), 2);
     assert_ne!(a.trace.to_log(), b.trace.to_log());
+}
+
+/// The request streams themselves, pinned: the simulation goldens below
+/// cover what a stream does to a cache, these cover which file each
+/// draw names. The synthetic configurations are the `sim-evict` and
+/// `live-hit` benchmark workloads' (Zipf(1.0) over 20 000 and 2 000
+/// files of 1–16 KiB) at a reduced request count, each with the
+/// Bestavros popularity↔stability coupling on and off.
+#[test]
+fn request_streams_match_pinned_hashes() {
+    fn synthetic(files: usize, volatile_fraction: f64, correlate_stability: bool) -> u64 {
+        let config = WorrellConfig {
+            files,
+            requests: 60_000,
+            size_min: 1_024.0,
+            size_max: 16_384.0,
+            knobs: WorkloadKnobs {
+                lifetimes: LifetimeModel::Bimodal {
+                    volatile_fraction,
+                    min_hours: 2.0,
+                    max_hours: 48.0,
+                },
+                popularity: PopularityModel::Zipf {
+                    exponent: 1.0,
+                    correlate_stability,
+                },
+            },
+            ..WorrellConfig::paper_run()
+        };
+        let wl = generate_synthetic(&config, 44);
+        let mut bytes = Vec::with_capacity(12 * wl.requests.len());
+        for &(at, file) in &wl.requests {
+            bytes.extend_from_slice(&at.as_secs().to_le_bytes());
+            bytes.extend_from_slice(&(file.index() as u32).to_le_bytes());
+        }
+        fnv1a(&bytes)
+    }
+    fn traced(requests: &[TraceRequest]) -> u64 {
+        let mut bytes = Vec::new();
+        for r in requests {
+            bytes.extend_from_slice(&r.time.as_secs().to_le_bytes());
+            bytes.extend_from_slice(&r.client.0.to_le_bytes());
+            bytes.push(u8::from(r.remote));
+            bytes.extend_from_slice(&(r.file.index() as u32).to_le_bytes());
+        }
+        fnv1a(&bytes)
+    }
+
+    let cases = [
+        ("sim-evict", 20_000, 0.25, false),
+        ("sim-evict", 20_000, 0.25, true),
+        ("live-hit", 2_000, 0.05, true),
+        ("live-hit", 2_000, 0.05, false),
+    ];
+    let pinned: [u64; 4] = [
+        3_564_980_523_703_221_704,
+        9_626_509_937_164_732_927,
+        17_468_858_581_639_525_115,
+        13_913_003_588_415_164_417,
+    ];
+    for ((name, files, volatile, correlate), want) in cases.into_iter().zip(pinned) {
+        assert_eq!(
+            synthetic(files, volatile, correlate),
+            want,
+            "{name}, correlate_stability = {correlate}: the request stream changed"
+        );
+    }
+
+    let campus = generate_campus_trace(&CampusProfile::hcs(), 44);
+    assert_eq!(
+        traced(&campus.trace.requests),
+        12_781_574_172_116_742_804,
+        "campus HCS"
+    );
+
+    let config = SyntheticStreamConfig::campus(&CampusProfile::das(), 100_000, 44);
+    let records: Vec<TraceRequest> = synthetic_stream(&config).1.collect();
+    assert_eq!(records.len(), 100_000);
+    assert_eq!(
+        traced(&records),
+        4_816_928_838_834_464_734,
+        "webtrace::stream"
+    );
 }
 
 #[test]

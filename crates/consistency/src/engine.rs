@@ -143,6 +143,9 @@ pub struct Engine<S> {
     retrieval: RetrievalMode,
     uncacheable_mask: u32,
     link: LinkModel,
+    /// [`Policy::reads_delay`], asked once: whether a request prices
+    /// `link`.
+    reads_delay: bool,
     tally: Tally,
 }
 
@@ -166,6 +169,7 @@ impl<S: Store> Engine<S> {
             } else {
                 retrieval
             },
+            reads_delay: policy.reads_delay(),
             policy,
             uncacheable_mask,
             link,
@@ -256,10 +260,16 @@ impl<S: Store> Engine<S> {
         };
 
         // One call carrying everything the policy may weigh: the instant,
-        // the content class, and what refreshing this entry would cost.
-        // Expiry policies fold `entry.is_valid()` into their check, so a
-        // callback-invalidated entry is never fresh.
-        let ctx = RequestCtx::new(now, class).with_delay(self.link.delay_for(entry.size));
+        // the content class, and what refreshing this entry would cost —
+        // priced only for a policy that reads it, since the price is a
+        // division. Expiry policies fold `entry.is_valid()` into their
+        // check, so a callback-invalidated entry is never fresh.
+        let delay = if self.reads_delay {
+            self.link.delay_for(entry.size)
+        } else {
+            SimDuration::ZERO
+        };
+        let ctx = RequestCtx::new(now, class).with_delay(delay);
         let fresh = self.policy.decide(&entry, &ctx).serves_locally();
         probe.record(now, ObsEvent::PolicyDecision { file, fresh });
 

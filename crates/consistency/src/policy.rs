@@ -60,9 +60,10 @@ impl Decision {
 /// Per-request context handed to [`Policy::decide`].
 ///
 /// `delay` is the modeled fetch/validation round-trip for the object —
-/// [`crate::Engine`] prices it with its [`LinkModel`]. Callers with no
-/// delay source pass [`SimDuration::ZERO`]; expiry-based policies ignore
-/// the field entirely.
+/// [`crate::Engine`] prices it with its [`LinkModel`] for a policy that
+/// [reads it](Policy::reads_delay), and passes [`SimDuration::ZERO`] to
+/// the rest. Callers with no delay source pass zero too; expiry-based
+/// policies ignore the field entirely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestCtx {
     /// The request instant.
@@ -114,6 +115,12 @@ pub trait Policy {
     /// notifies the cache of each change to a file it holds, and a replay
     /// feeds it the workload's modifications.
     fn reads_writes(&self) -> bool {
+        false
+    }
+
+    /// Whether [`Policy::decide`] reads [`RequestCtx::delay`]: a driver
+    /// need not price the refresh for a policy that ignores it.
+    fn reads_delay(&self) -> bool {
         false
     }
 }
@@ -468,7 +475,10 @@ mod tests {
         let p = NeverExpire;
         let e = entry(0, 0);
         assert_eq!(p.expiry(&e, 0), SimTime::MAX);
-        assert_eq!(p.decide(&e, &ctx(u64::MAX - 1)), Decision::Serve);
+        assert_eq!(
+            p.decide(&e, &ctx(SimTime::MAX.as_secs() - 1)),
+            Decision::Serve
+        );
     }
 
     #[test]

@@ -99,6 +99,10 @@ impl Policy for RenewableTtl {
         }
         self.observed[class] = delay;
     }
+
+    fn reads_delay(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -128,6 +128,10 @@ impl Policy for UpdateRisk {
         *g = if was_modified { *g * 2.0 } else { *g * 0.95 };
         *g = g.clamp(GAIN_MIN, GAIN_MAX);
     }
+
+    fn reads_delay(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

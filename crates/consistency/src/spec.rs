@@ -129,7 +129,11 @@ mod tests {
         );
         // Invalidation trusts a valid entry forever.
         assert_eq!(
-            decide_at(ProtocolSpec::Invalidation, &entry, u64::MAX / 2),
+            decide_at(
+                ProtocolSpec::Invalidation,
+                &entry,
+                SimTime::MAX.as_secs() - 1
+            ),
             Decision::Serve
         );
         // Poll-every-time never serves without validating.
@@ -215,5 +219,71 @@ mod tests {
         assert!(labels[0].contains("100h"));
         assert!(labels[5].contains("24h"));
         assert!(labels[6].contains("5%"));
+    }
+
+    /// One of every protocol, some at two settings.
+    const SPECS: [ProtocolSpec; 11] = [
+        ProtocolSpec::Ttl(0),
+        ProtocolSpec::Ttl(24),
+        ProtocolSpec::Alex(10),
+        ProtocolSpec::Invalidation,
+        ProtocolSpec::Cern {
+            lm_percent: 10,
+            default_ttl_hours: 24,
+        },
+        ProtocolSpec::PollEveryTime,
+        ProtocolSpec::SelfTuning,
+        ProtocolSpec::ClassTtlTable2,
+        ProtocolSpec::RenewableTtl(1),
+        ProtocolSpec::UpdateRisk(5),
+        ProtocolSpec::UpdateRisk(50),
+    ];
+
+    #[test]
+    fn only_the_delay_aware_policies_read_the_delay() {
+        for spec in SPECS {
+            let aware = matches!(
+                spec,
+                ProtocolSpec::RenewableTtl(_) | ProtocolSpec::UpdateRisk(_)
+            );
+            assert_eq!(spec.build_policy().reads_delay(), aware, "{}", spec.label());
+        }
+    }
+
+    proptest::proptest! {
+        /// A policy that says it does not read the delay decides the same
+        /// with none and with a day of it, so an engine may skip pricing it.
+        #[test]
+        fn a_policy_that_ignores_the_delay_decides_the_same_without_it(
+            size in 0u64..1 << 24,
+            modified in 0u64..1_000_000,
+            fetched_after in 0u64..1_000_000,
+            validated_after in 0u64..1_000_000,
+            expires_after in proptest::option::of(0u64..2_000_000),
+            asked_after in 0u64..2_000_000,
+            invalid in proptest::prelude::any::<bool>(),
+            class in 0usize..8,
+        ) {
+            let fetched = modified + fetched_after;
+            let mut entry = EntryMeta::fresh(size, SimTime::from_secs(modified), SimTime::from_secs(fetched));
+            entry.revalidate(SimTime::from_secs(fetched + validated_after));
+            entry.expires = expires_after.map(|e| SimTime::from_secs(fetched + e));
+            if invalid {
+                entry.mark_invalid();
+            }
+            let ctx = RequestCtx::new(SimTime::from_secs(fetched + asked_after), class);
+            for spec in SPECS {
+                let policy = spec.build_policy();
+                if policy.reads_delay() {
+                    continue;
+                }
+                proptest::prop_assert_eq!(
+                    policy.decide(&entry, &ctx),
+                    policy.decide(&entry, &ctx.with_delay(SimDuration::from_days(1))),
+                    "{}",
+                    spec.label()
+                );
+            }
+        }
     }
 }

@@ -75,10 +75,11 @@ pub fn wall_date(t: SimTime) -> HttpDate {
     HttpDate(EPOCH_1996.0 + t.as_secs())
 }
 
-/// The simulation instant for an HTTP header date (saturating at the
-/// epoch for dates that precede it).
+/// The simulation instant for an HTTP header date, which any peer may
+/// send: saturating at the epoch for dates that precede it, and at
+/// [`SimTime::MAX`] for dates past the horizon (after 2132).
 pub fn sim_instant(d: HttpDate) -> SimTime {
-    SimTime::from_secs(d.0.saturating_sub(EPOCH_1996.0))
+    SimTime::try_from_secs(d.0.saturating_sub(EPOCH_1996.0)).unwrap_or(SimTime::MAX)
 }
 
 #[cfg(test)]
@@ -119,7 +120,14 @@ mod tests {
         let t = SimTime::from_secs(12_345);
         assert_eq!(sim_instant(wall_date(t)), t);
         assert_eq!(wall_date(SimTime::ZERO), EPOCH_1996);
-        // Pre-epoch dates saturate to the simulation origin.
+        // Pre-epoch dates saturate to the simulation origin, dates past
+        // the horizon to its last instant.
         assert_eq!(sim_instant(HttpDate(0)), SimTime::ZERO);
+        assert_eq!(
+            wall_date(SimTime::MAX),
+            HttpDate(EPOCH_1996.0 + u64::from(u32::MAX))
+        );
+        assert_eq!(sim_instant(wall_date(SimTime::MAX)), SimTime::MAX);
+        assert_eq!(sim_instant(HttpDate(u64::MAX)), SimTime::MAX);
     }
 }

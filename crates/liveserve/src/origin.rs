@@ -422,7 +422,7 @@ mod tests {
     use crate::control::TestPeer;
     use crate::netio::HttpConn;
     use crate::reactor::testing::{conn_on_each_reactor, Accepts};
-    use httpsim::Status;
+    use httpsim::{HttpDate, Status, EPOCH_1996};
     use originserver::FileRecord;
     use std::net::TcpStream;
     use std::thread;
@@ -509,6 +509,28 @@ mod tests {
         let load = origin.shutdown();
         assert_eq!(load.validation_queries, 1);
         assert_eq!(load.document_requests, 1);
+    }
+
+    #[test]
+    fn a_date_past_the_horizon_is_answered_and_the_origin_serves_on() {
+        let (origin, _clock) = small_origin();
+        let mut conn = connect(&origin);
+
+        // 2200, past the last instant a `SimTime` counts (2132): read as
+        // that last instant, which no version postdates.
+        let late = HttpDate(EPOCH_1996.0 + (1 << 32) + 86_400 * 365 * 68);
+        conn.write_request(&Request::get_if_modified_since("/b.html", late))
+            .unwrap();
+        let (resp, _) = conn.read_response().unwrap();
+        assert_eq!(resp.status, Status::NotModified);
+
+        conn.write_request(&Request::get("/a.html")).unwrap();
+        let (resp, body) = conn.read_response().unwrap();
+        assert_eq!(resp.status, Status::Ok);
+        assert_eq!(body.len(), 100);
+
+        let load = origin.shutdown();
+        assert_eq!((load.validation_queries, load.document_requests), (1, 1));
     }
 
     #[test]

@@ -23,13 +23,13 @@ pub struct Version {
     pub size: u64,
 }
 
-/// One version as a history stores it: whole seconds and bytes, 4 bytes
-/// each, so a version is 8 bytes where a [`Version`] is 16. Every history
-/// the paper replays fits — 186 days is 16 M seconds, and no body nears
-/// 4 GiB — and a history that does not is refused when it is built.
+/// One version as a history stores it: its 4-byte instant and its size
+/// in bytes as a `u32`, so a version is 8 bytes where a [`Version`] is
+/// 16. Every history the paper replays fits — no body nears 4 GiB — and
+/// a history that does not is refused when it is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Row {
-    secs: u32,
+    at: SimTime,
     bytes: u32,
 }
 
@@ -37,28 +37,23 @@ const _: () = assert!(size_of::<Row>() == 8);
 
 impl Row {
     /// # Panics
-    /// Panics if `at` is 2³² s or later, or `size` is 4 GiB or more.
+    /// Panics if `size` is 4 GiB or more.
     fn new(at: SimTime, size: u64) -> Row {
-        let (secs, max) = (at.as_secs(), u32::MAX);
         Row {
-            secs: u32::try_from(secs).unwrap_or_else(|_| {
-                panic!("version instant {secs} s is past the u32 limit of {max} s")
-            }),
+            at,
             bytes: u32::try_from(size).unwrap_or_else(|_| {
-                panic!("version size {size} B is past the u32 limit of {max} B")
+                panic!(
+                    "version size {size} B is past the u32 limit of {} B",
+                    u32::MAX
+                )
             }),
         }
     }
 
     #[inline]
-    fn modified_at(self) -> SimTime {
-        SimTime::from_secs(u64::from(self.secs))
-    }
-
-    #[inline]
     fn version(&self) -> Version {
         Version {
-            modified_at: self.modified_at(),
+            modified_at: self.at,
             size: u64::from(self.bytes),
         }
     }
@@ -67,9 +62,7 @@ impl Row {
 /// How many of `rows` were written at or before `t`.
 #[inline]
 fn written_by(rows: &[Row], t: SimTime) -> usize {
-    // Every row is at most `u32::MAX`, so a later `t` saturates to it.
-    let t = u32::try_from(t.as_secs()).unwrap_or(u32::MAX);
-    rows.partition_point(|r| r.secs <= t)
+    rows.partition_point(|r| r.at <= t)
 }
 
 /// One file's history, borrowed: its path and its versions, strictly
@@ -86,8 +79,9 @@ pub struct FileView<'a> {
 
 impl<'a> FileView<'a> {
     /// When the file was created.
+    #[inline]
     pub fn created_at(self) -> SimTime {
-        self.rows[0].modified_at()
+        self.rows[0].at
     }
 
     /// The version live at instant `t`, or `None` if `t` precedes
@@ -132,8 +126,7 @@ impl FileRecord {
     /// modifications (yet).
     ///
     /// # Panics
-    /// Panics if `created_at` is 2³² s or later, or `size` is 4 GiB or
-    /// more.
+    /// Panics if `size` is 4 GiB or more.
     pub fn new(path: impl Into<String>, created_at: SimTime, size: u64) -> Self {
         FileRecord {
             path: path.into(),
@@ -146,13 +139,13 @@ impl FileRecord {
     /// # Panics
     /// Panics unless `at` is strictly after the latest existing version —
     /// histories are built in order — and, like [`FileRecord::new`], if
-    /// `at` is 2³² s or later or `size` is 4 GiB or more.
+    /// `size` is 4 GiB or more.
     pub fn push_modification(&mut self, at: SimTime, size: u64) {
         let last = self
             .rows
             .last()
             .expect("FileRecord always has a creation version")
-            .modified_at();
+            .at;
         assert!(
             at > last,
             "modifications must be strictly increasing: {last} then {at}"
@@ -304,7 +297,7 @@ impl FilePopulation {
             let count = self.rows.len() - self.len();
             let mut events: Vec<(SimTime, FileId)> = Vec::with_capacity(count);
             for (id, file) in self.iter() {
-                events.extend(file.rows[1..].iter().map(|r| (r.modified_at(), id)));
+                events.extend(file.rows[1..].iter().map(|r| (r.at, id)));
             }
             events.sort_unstable();
             events
@@ -621,7 +614,7 @@ mod tests {
             "not built yet"
         );
         exact.modifications();
-        assert_eq!(exact.heap_tables()[3], ("modifications", 12 * 37));
+        assert_eq!(exact.heap_tables()[3], ("modifications", 8 * 37));
     }
 }
 

@@ -39,8 +39,9 @@ pub struct EntryMeta {
     pub state: EntryState,
 }
 
-// A 4-aligned `SimTime` leaves `expires` 12 bytes, so the entry is 48, not 56.
-const _: () = assert!(core::mem::size_of::<EntryMeta>() == 48);
+// Three 4-byte instants and an 8-byte `Option<SimTime>` beside the size:
+// the entry is 32 bytes.
+const _: () = assert!(core::mem::size_of::<EntryMeta>() == 32);
 
 impl EntryMeta {
     /// A freshly fetched entry: validated now, valid, no expiry assigned.

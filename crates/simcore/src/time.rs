@@ -2,28 +2,35 @@
 //!
 //! The paper's simulations operate at second granularity over horizons of
 //! weeks to months (e.g. a 56-day base-simulator run, a 186-day Boston
-//! University measurement window). A `u64` count of seconds is exact over
-//! any such horizon and keeps event ordering total and deterministic.
+//! University measurement window). An instant is a `u32` count of
+//! seconds: its horizon, 2³² − 1 s, is 136 years, so it is exact over any
+//! such window and keeps event ordering total and deterministic. A span
+//! is a `u64` count of seconds, so "forever" is a duration, not an
+//! instant.
 
 use core::fmt;
+use core::hash::{Hash, Hasher};
 use core::ops::{Add, AddAssign, Sub, SubAssign};
 
 /// An instant of virtual time, measured in whole seconds since the start of
 /// the simulation (or since the epoch of a trace being replayed).
 ///
-/// Aligned to 4 bytes, not 8, so that a request stream's
-/// `(SimTime, FileId)` is 12 bytes rather than 16 with padding, and so is
-/// `Option<SimTime>`. The field may then sit at an address that is not a
-/// multiple of 8: it is read by value and never borrowed (`&t.0` is error
-/// E0793). The unaligned loads cost nothing measured (EXPERIMENTS.md,
-/// "Virtual time is 4-byte aligned").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[repr(Rust, packed(4))]
-pub struct SimTime(u64);
+/// Four bytes: a request stream's `(SimTime, FileId)` is 8 bytes, and so
+/// is `Option<SimTime>` (EXPERIMENTS.md, "A virtual instant is 4 bytes").
+/// The horizon is [`SimTime::MAX`], 2³² − 1 s; it doubles as the "never"
+/// sentinel of an entry that does not expire. [`SimTime::from_secs`]
+/// panics past it, so input the program does not control — an HTTP date,
+/// a log line — goes through [`SimTime::try_from_secs`].
+///
+/// Order, equality and `Debug` (`SimTime(<secs>)`) are those of the
+/// count of seconds, and `Hash` feeds the hasher the count as the 8 bytes
+/// of a `u64`, as it did when an instant was one: every hash pinned over
+/// instants holds across the narrowing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub struct SimTime(u32);
 
-const _: () = assert!(core::mem::align_of::<SimTime>() == 4);
-const _: () = assert!(core::mem::size_of::<(SimTime, crate::FileId)>() == 12);
-const _: () = assert!(core::mem::size_of::<Option<SimTime>>() == 12);
+const _: () = assert!(core::mem::size_of::<(SimTime, crate::FileId)>() == 8);
+const _: () = assert!(core::mem::size_of::<Option<SimTime>>() == 8);
 
 /// A span of virtual time in whole seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -32,30 +39,98 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// The origin of virtual time.
     pub const ZERO: SimTime = SimTime(0);
-    /// The largest representable instant; useful as an "infinitely far"
-    /// sentinel for never-expiring entries.
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    /// The last representable instant, 2³² − 1 s; also the "infinitely
+    /// far" sentinel for never-expiring entries.
+    pub const MAX: SimTime = SimTime(u32::MAX);
 
     /// Construct an instant from a count of seconds.
+    ///
+    /// # Panics
+    /// Panics if `secs` is past [`SimTime::MAX`].
+    #[inline]
+    #[track_caller]
     pub const fn from_secs(secs: u64) -> Self {
-        SimTime(secs)
+        match SimTime::try_from_secs(secs) {
+            Some(t) => t,
+            None => past_the_horizon(secs),
+        }
+    }
+
+    /// An instant from a count of seconds, or `None` past
+    /// [`SimTime::MAX`]: for counts the program does not control.
+    #[inline]
+    pub const fn try_from_secs(secs: u64) -> Option<Self> {
+        if secs <= u32::MAX as u64 {
+            Some(SimTime(secs as u32))
+        } else {
+            None
+        }
     }
 
     /// The instant as a count of seconds.
+    #[inline]
     pub const fn as_secs(self) -> u64 {
-        self.0
+        self.0 as u64
     }
 
     /// The duration elapsed since `earlier`, saturating to zero if `earlier`
     /// is in the future (trace timestamps are occasionally non-monotonic;
     /// saturation keeps age computations total).
+    #[inline]
     pub const fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
+        SimDuration(self.0.saturating_sub(earlier.0) as u64)
     }
 
     /// Advance by `d`, saturating at [`SimTime::MAX`].
+    #[inline]
     pub const fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
+        match SimTime::try_from_secs(self.as_secs().saturating_add(d.0)) {
+            Some(t) => t,
+            None => SimTime::MAX,
+        }
+    }
+}
+
+/// The panic of [`SimTime::from_secs`], naming `secs`. In a `const fn`
+/// `panic!` formats a `&str` only, so the digits are written out here.
+#[cold]
+#[track_caller]
+const fn past_the_horizon(secs: u64) -> ! {
+    const HEAD: &[u8] = b"SimTime instant ";
+    const TAIL: &[u8] = b" s is past the u32 limit of 4294967295 s";
+    let mut msg = [0u8; HEAD.len() + 20 + TAIL.len()];
+    let mut len = 0;
+    while len < HEAD.len() {
+        msg[len] = HEAD[len];
+        len += 1;
+    }
+    let (mut digits, mut rest) = (1, secs);
+    while rest >= 10 {
+        digits += 1;
+        rest /= 10;
+    }
+    let (mut i, mut rest) = (digits, secs);
+    while i > 0 {
+        i -= 1;
+        msg[len + i] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    len += digits;
+    let mut j = 0;
+    while j < TAIL.len() {
+        msg[len + j] = TAIL[j];
+        j += 1;
+    }
+    match core::str::from_utf8(msg.split_at(len + TAIL.len()).0) {
+        Ok(text) => panic!("{}", text),
+        Err(_) => unreachable!(),
+    }
+}
+
+impl Hash for SimTime {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_secs().hash(state);
     }
 }
 
@@ -131,16 +206,17 @@ fn round_to_u64(x: f64) -> u64 {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(
-            self.0
-                .checked_add(rhs.0)
-                .expect("SimTime overflow: instant + duration"),
-        )
+        self.as_secs()
+            .checked_add(rhs.0)
+            .and_then(SimTime::try_from_secs)
+            .expect("SimTime overflow: instant + duration")
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -148,23 +224,26 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
-        SimTime(
-            self.0
-                .checked_sub(rhs.0)
-                .expect("SimTime underflow: instant - duration"),
-        )
+        let secs = self
+            .as_secs()
+            .checked_sub(rhs.0)
+            .expect("SimTime underflow: instant - duration");
+        // At most `self`, so inside the horizon.
+        SimTime(secs as u32)
     }
 }
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
-        SimDuration(
-            self.0
-                .checked_sub(rhs.0)
-                .expect("SimTime underflow: later - earlier"),
-        )
+        let secs = self
+            .0
+            .checked_sub(rhs.0)
+            .expect("SimTime underflow: later - earlier");
+        SimDuration(u64::from(secs))
     }
 }
 
@@ -268,6 +347,30 @@ mod tests {
     }
 
     #[test]
+    fn the_last_instant_is_u32_max_seconds() {
+        let last = SimTime::from_secs(u64::from(u32::MAX));
+        assert_eq!(last, SimTime::MAX);
+        assert_eq!(SimTime::try_from_secs(1 << 32), None);
+        assert_eq!(last.saturating_add(SimDuration::MAX), SimTime::MAX);
+        assert_eq!(
+            last - SimTime::ZERO,
+            SimDuration::from_secs(u64::from(u32::MAX))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime instant 4294967296 s is past the u32 limit of 4294967295 s")]
+    fn construction_past_the_horizon_panics_naming_the_instant() {
+        let _ = SimTime::from_secs(1 << 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn strict_addition_panics_past_the_horizon() {
+        let _ = SimTime::MAX + SimDuration::from_secs(1);
+    }
+
+    #[test]
     fn alex_scaling_rounds_and_saturates() {
         // 30 days of age at a 10 % update threshold => 3 days of validity,
         // the worked example from the paper's introduction.
@@ -342,11 +445,13 @@ mod proptests {
     }
 
     proptest! {
-        /// The 4-byte alignment changes no comparison, hash or `Debug`
-        /// output: each is `u64`'s, for far-apart and neighbouring pairs.
+        /// A `u32` count changes no comparison, hash or `Debug` output:
+        /// each is the `u64` count's, for far-apart and neighbouring
+        /// pairs, and for the horizon.
         #[test]
-        fn packing_keeps_u64_semantics(a in any::<u64>(), b in any::<u64>(), near in 0u64..3) {
-            for (x, y) in [(a, b), (a, a), (a, a.wrapping_add(near))] {
+        fn packing_keeps_u64_semantics(a in any::<u32>(), b in any::<u32>(), near in 0u32..3) {
+            for (x, y) in [(a, b), (a, a), (a, a.saturating_add(near)), (a, u32::MAX)] {
+                let (x, y) = (u64::from(x), u64::from(y));
                 let (tx, ty) = (SimTime::from_secs(x), SimTime::from_secs(y));
                 prop_assert_eq!(tx.cmp(&ty), x.cmp(&y));
                 prop_assert_eq!(tx.partial_cmp(&ty), Some(x.cmp(&y)));
@@ -355,7 +460,21 @@ mod proptests {
                 prop_assert_eq!(fed((tx, FileId(7))), fed((x, FileId(7))));
                 prop_assert_eq!(format!("{tx:?}"), format!("SimTime({x})"));
             }
-            prop_assert_eq!(SimTime::from_secs(a).cmp(&SimTime::MAX), a.cmp(&u64::MAX));
+            prop_assert_eq!(SimTime::from_secs(u64::from(a)).cmp(&SimTime::MAX), a.cmp(&u32::MAX));
+        }
+
+        /// The checked constructor is `from_secs` inside the horizon and
+        /// `None` past it; saturating addition clamps to the horizon.
+        #[test]
+        fn the_horizon_is_u32_max(secs in any::<u64>(), d in any::<u64>()) {
+            let limit = u64::from(u32::MAX);
+            let checked = SimTime::try_from_secs(secs);
+            prop_assert_eq!(checked.is_some(), secs <= limit);
+            if let Some(t) = checked {
+                prop_assert_eq!(t, SimTime::from_secs(secs));
+                let sum = t.saturating_add(SimDuration::from_secs(d));
+                prop_assert_eq!(sum.as_secs(), secs.saturating_add(d).min(limit));
+            }
         }
 
         /// The libm-free rounding is `f64::round`'s on `[0, 2⁶⁴)`: at

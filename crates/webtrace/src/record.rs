@@ -135,21 +135,22 @@ impl LogLine {
         if fields.next().is_some() {
             return Err(err("trailing fields"));
         }
-        // A file's history keeps sizes and instants as `u32`s.
+        // A file's history keeps sizes as `u32`s, and an instant is one.
         if size > u64::from(u32::MAX) {
             return Err(err("size past the u32 limit"));
         }
-        if lastmod > u64::from(u32::MAX) {
-            return Err(err("last-modified past the u32 limit"));
-        }
+        let last_modified = SimTime::try_from_secs(lastmod)
+            .ok_or_else(|| err("last-modified past the u32 limit"))?;
+        let time =
+            SimTime::try_from_secs(time).ok_or_else(|| err("timestamp past the u32 limit"))?;
 
         Ok(LogLine {
-            time: SimTime::from_secs(time),
+            time,
             client: ClientId(client),
             remote,
             path: path.to_string(),
             size,
-            last_modified: SimTime::from_secs(lastmod),
+            last_modified,
         })
     }
 
@@ -235,14 +236,15 @@ mod tests {
         let big = LogLine {
             size: 1 << 32,
             ..sample()
-        };
-        let late = LogLine {
-            last_modified: SimTime::from_secs(1 << 32),
-            ..sample()
-        };
+        }
+        .to_string();
+        // An instant past the limit cannot be built, so these are text.
+        let late = "client42.remote.net - - [819936000] \"GET /img/banner.gif HTTP/1.0\" 200 7791 4294967296";
+        let future = "client42.remote.net - - [4294967296] \"GET /img/banner.gif HTTP/1.0\" 200 7791 815000000";
         for (line, reason) in [
-            (big, "size past the u32 limit"),
+            (big.as_str(), "size past the u32 limit"),
             (late, "last-modified past the u32 limit"),
+            (future, "timestamp past the u32 limit"),
         ] {
             let text = format!("{}\n{line}\n", sample());
             let error = LogLine::parse_log(&text).expect_err("past the limit");

@@ -65,6 +65,10 @@ fn only_an_invalidation_replay_builds_the_modification_index() {
         .sum();
     assert!(modifications > 400_000, "{modifications} modifications");
     let index_bytes = (modifications * size_of::<(SimTime, FileId)>()) as u64;
+    // The stream is reserved at its exact size, 8 bytes a request, and
+    // the index is not built yet.
+    assert_eq!(wl.heap_tables()[0], ("requests", 8 * 2_000));
+    assert_eq!(wl.population.heap_tables()[3], ("modifications", 0));
 
     let alex = peak_growth(&wl, ProtocolSpec::Alex(20));
     assert!(
@@ -75,5 +79,10 @@ fn only_an_invalidation_replay_builds_the_modification_index() {
     assert!(
         invalidation >= index_bytes / 2,
         "an invalidation replay grew the peak by {invalidation} bytes; the index is {index_bytes}"
+    );
+    assert_eq!(
+        wl.population.heap_tables()[3],
+        ("modifications", 8 * modifications),
+        "the index is built at its exact size, 8 bytes a modification"
     );
 }

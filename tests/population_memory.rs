@@ -1,6 +1,6 @@
 //! A population is one flat table: generating a workload costs memory in
-//! proportion to the population's rows — 8 bytes a version (`u32`
-//! seconds, `u32` bytes), its paths' bytes, and a pair of 4-byte end
+//! proportion to the population's rows — 8 bytes a version (a 4-byte
+//! `SimTime`, `u32` bytes), its paths' bytes, and a pair of 4-byte end
 //! offsets a file — with no allocation of its own per file and no copy
 //! left behind by a growing table. Measured as the process's peak
 //! resident set (`VmHWM`), reset just before generating (Linux only), and

@@ -46,6 +46,8 @@ fn a_replay_does_not_copy_its_request_stream() {
     // of the request stream whatever reads the list.
     wl.population.modifications();
     let stream_bytes = (wl.requests.len() * size_of::<(SimTime, FileId)>()) as u64;
+    // The stream is reserved at its exact size, 8 bytes a request.
+    assert_eq!(wl.heap_tables()[0], ("requests", 8 * 2_000_000));
 
     // Writing 5 resets the peak to the current resident set.
     std::fs::write("/proc/self/clear_refs", "5").expect("/proc/self/clear_refs is writable");

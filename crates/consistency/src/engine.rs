@@ -11,11 +11,12 @@
 //! lossy notification channel, and under a live proxy shard's lock.
 //!
 //! A driver's whole job is transport: turn an [`Effect`] into an
-//! upstream exchange, price that exchange (`message_bytes`, `delay`) and
-//! hand the answer back as a [`Reply`]. The cost is reported by the
-//! exchange that incurred it; the engine never asks what an exchange
-//! *would* cost, except to price the refresh a [`Policy`] weighs at
-//! decision time ([`RequestCtx::delay`], from the [`LinkModel`]).
+//! upstream exchange, price its bytes (`message_bytes`) and hand the
+//! answer back as a [`Reply`]. Time is the engine's to price: a
+//! [`Policy`] that [reads it](Policy::reads_delay) is given the
+//! [`LinkModel`]'s delay for the refresh it weighs at decision time
+//! ([`RequestCtx::delay`]) and for each exchange applied
+//! ([`Policy::on_fetch`]); for every other policy no delay is priced.
 //!
 //! Invalidation subscriptions belong to the driver too, because they
 //! travel: subscribe a file that [`Engine::peek`] showed absent when the
@@ -73,7 +74,7 @@ pub enum Effect {
 /// The upstream's answer to a [`Effect::Validate`], [`Effect::Fetch`] or
 /// [`Effect::Forward`], priced by the driver: `message_bytes` is the
 /// control-message cost of the exchange (the paper's 43-byte constant, or
-/// real wire bytes) and `delay` what the exchange took.
+/// real wire bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reply {
     /// `304 Not Modified` to a conditional GET.
@@ -82,8 +83,6 @@ pub enum Reply {
         expires: Option<SimTime>,
         /// Request plus bodyless response.
         message_bytes: u64,
-        /// The bare round trip.
-        delay: SimDuration,
     },
     /// `200 OK` carrying the live version.
     Body {
@@ -97,8 +96,6 @@ pub enum Reply {
         conditional: bool,
         /// Request plus response headers (the body is metered apart).
         message_bytes: u64,
-        /// Round trip plus transfer.
-        delay: SimDuration,
     },
     /// `404 Not Found`: the object is gone; any cached copy is dropped.
     Gone {
@@ -143,8 +140,8 @@ pub struct Engine<S> {
     retrieval: RetrievalMode,
     uncacheable_mask: u32,
     link: LinkModel,
-    /// [`Policy::reads_delay`], asked once: whether a request prices
-    /// `link`.
+    /// [`Policy::reads_delay`], asked once: whether a request or an
+    /// applied exchange prices `link`.
     reads_delay: bool,
     tally: Tally,
 }
@@ -154,7 +151,8 @@ impl<S: Store> Engine<S> {
     /// retrieved per `retrieval`, except that a policy that reads writes
     /// always refetches: a copy it may not serve is known stale. Classes
     /// whose bit is set in `uncacheable_mask` are forwarded, never
-    /// stored; `link` prices the refresh a policy weighs when deciding.
+    /// stored; `link` prices the delays a policy that reads them is
+    /// given.
     pub fn new(
         store: S,
         policy: Box<dyn Policy + Send>,
@@ -327,7 +325,6 @@ impl<S: Store> Engine<S> {
             Reply::NotModified {
                 expires,
                 message_bytes,
-                delay,
             } => {
                 probe.record(
                     now,
@@ -335,8 +332,11 @@ impl<S: Store> Engine<S> {
                 );
                 self.policy.on_validation(class, false);
                 // A 304 moves no body: delay-aware policies fold the bare
-                // round trip into their per-class estimate.
-                self.policy.on_fetch(class, delay);
+                // round trip into their per-class estimate. The rest are
+                // told nothing, since the price is a division.
+                if self.reads_delay {
+                    self.policy.on_fetch(class, self.link.delay_for(0));
+                }
                 probe.record(
                     now,
                     ObsEvent::Validation {
@@ -362,10 +362,11 @@ impl<S: Store> Engine<S> {
                 expires,
                 conditional,
                 message_bytes,
-                delay,
             } => {
                 probe.record(now, exchange(file, ExchangeKind::Body, message_bytes, size));
-                self.policy.on_fetch(class, delay);
+                if self.reads_delay {
+                    self.policy.on_fetch(class, self.link.delay_for(size));
+                }
                 if conditional {
                     self.policy.on_validation(class, true);
                     probe.record(

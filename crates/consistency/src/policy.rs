@@ -106,9 +106,10 @@ pub trait Policy {
     /// this; self-tuning policies adapt.
     fn on_validation(&mut self, _class: usize, _was_modified: bool) {}
 
-    /// Feedback after any origin exchange completes: the observed (or
-    /// modeled) round-trip `delay` for the transfer. Delay-aware policies
-    /// record it; everything else ignores it.
+    /// Feedback after a `200` or `304` exchange completes: the modeled
+    /// round-trip `delay` for the transfer. Delay-aware policies record
+    /// it; an engine calls it only for a policy that
+    /// [reads the delay](Policy::reads_delay).
     fn on_fetch(&mut self, _class: usize, _delay: SimDuration) {}
 
     /// Whether this policy acts on the origin's writes: the server then
@@ -118,8 +119,9 @@ pub trait Policy {
         false
     }
 
-    /// Whether [`Policy::decide`] reads [`RequestCtx::delay`]: a driver
-    /// need not price the refresh for a policy that ignores it.
+    /// Whether [`Policy::decide`] reads [`RequestCtx::delay`] or
+    /// [`Policy::on_fetch`] keeps its `delay`: an engine prices neither
+    /// for a policy that ignores both.
     fn reads_delay(&self) -> bool {
         false
     }

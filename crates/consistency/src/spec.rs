@@ -252,7 +252,9 @@ mod tests {
 
     proptest::proptest! {
         /// A policy that says it does not read the delay decides the same
-        /// with none and with a day of it, so an engine may skip pricing it.
+        /// with none and with a day of it, and the same whether or not an
+        /// exchange's delay was fed to its `on_fetch`, so an engine may
+        /// skip pricing either.
         #[test]
         fn a_policy_that_ignores_the_delay_decides_the_same_without_it(
             size in 0u64..1 << 24,
@@ -263,6 +265,7 @@ mod tests {
             asked_after in 0u64..2_000_000,
             invalid in proptest::prelude::any::<bool>(),
             class in 0usize..8,
+            fetch_delay in 0u64..1 << 24,
         ) {
             let fetched = modified + fetched_after;
             let mut entry = EntryMeta::fresh(size, SimTime::from_secs(modified), SimTime::from_secs(fetched));
@@ -281,6 +284,14 @@ mod tests {
                     policy.decide(&entry, &ctx),
                     policy.decide(&entry, &ctx.with_delay(SimDuration::from_days(1))),
                     "{}",
+                    spec.label()
+                );
+                let mut told = spec.build_policy();
+                told.on_fetch(class, SimDuration::from_secs(fetch_delay));
+                proptest::prop_assert_eq!(
+                    told.decide(&entry, &ctx),
+                    policy.decide(&entry, &ctx),
+                    "{} after on_fetch",
                     spec.label()
                 );
             }

@@ -18,7 +18,6 @@ fn t(s: u64) -> SimTime {
 }
 
 const MSG: u64 = 43;
-const RTT: SimDuration = SimDuration::from_secs(1);
 
 /// Renders each engine event as a short label, in arrival order, and
 /// folds the stream into a tally of its own.
@@ -122,7 +121,6 @@ fn body(size: u64, last_modified: u64, conditional: bool) -> Reply {
         expires: None,
         conditional,
         message_bytes: MSG,
-        delay: RTT,
     }
 }
 
@@ -130,7 +128,6 @@ fn not_modified(expires: Option<u64>) -> Reply {
     Reply::NotModified {
         expires: expires.map(t),
         message_bytes: MSG,
-        delay: RTT,
     }
 }
 

@@ -350,7 +350,7 @@ fn run_ablations(runner: &SweepRunner) {
     }
 
     let campus = generate_campus_trace(&CampusProfile::hcs(), 1996);
-    let wl = Workload::from_server_trace(&campus.trace);
+    let wl = Workload::from_server_trace(campus.trace);
 
     println!("\n== Ablation: message costing (HCS, Alex@20%) ==");
     let (paper, wire) = ablations::costing_ablation(&wl, ProtocolSpec::Alex(20), runner);

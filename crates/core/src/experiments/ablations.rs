@@ -358,7 +358,7 @@ mod tests {
     fn marking_cgi_dynamic_costs_bandwidth_but_not_consistency() {
         use webtrace::FileType;
         let campus = generate_campus_trace(&CampusProfile::hcs(), 21);
-        let wl = crate::workload::Workload::from_server_trace(&campus.trace).subsample(8);
+        let wl = crate::workload::Workload::from_server_trace(campus.trace).subsample(8);
         let cgi = FileType::Cgi.class_index();
         let (cacheable, dynamic) =
             dynamic_content_ablation(&wl, ProtocolSpec::Alex(20), cgi, &SweepRunner::new(0));
@@ -421,7 +421,7 @@ mod tests {
     #[test]
     fn severity_is_bounded_and_ordered() {
         let campus = generate_campus_trace(&CampusProfile::hcs(), 31);
-        let wl = crate::workload::Workload::from_server_trace(&campus.trace).subsample(4);
+        let wl = crate::workload::Workload::from_server_trace(campus.trace).subsample(4);
         let rows = severity_comparison(&wl, &SweepRunner::new(0));
         let get = |name: &str| {
             rows.iter()
@@ -449,7 +449,7 @@ mod tests {
     #[test]
     fn selftuning_is_competitive_with_fixed_thresholds() {
         let campus = generate_campus_trace(&CampusProfile::hcs(), 9);
-        let wl = crate::workload::Workload::from_server_trace(&campus.trace).subsample(10);
+        let wl = crate::workload::Workload::from_server_trace(campus.trace).subsample(10);
         let (tuned, fixed) = selftuning_comparison(&wl, &[5, 20, 50, 100], &SweepRunner::new(0));
         assert_eq!(fixed.len(), 4);
         // Stale rate stays acceptable...

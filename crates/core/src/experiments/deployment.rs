@@ -69,9 +69,10 @@ pub fn deployment_comparison(
     let config = SimConfig::optimized();
     runner.map(&CampusProfile::all(), |profile| {
         let campus = generate_campus_trace(profile, seed);
-        let all = Workload::from_server_trace(&campus.trace).subsample(subsample);
         let local = Workload::from_server_trace_local_only(&campus.trace).subsample(subsample);
         let remote = Workload::from_server_trace_remote_only(&campus.trace).subsample(subsample);
+        let remote_fraction = campus.trace.remote_fraction();
+        let all = Workload::from_server_trace(campus.trace).subsample(subsample);
 
         // No proxy: every request is one origin document request.
         let no_proxy_ops = all.request_count() as u64;
@@ -85,7 +86,7 @@ pub fn deployment_comparison(
 
         DeploymentRow {
             trace: profile.name.to_string(),
-            remote_fraction: campus.trace.remote_fraction(),
+            remote_fraction,
             no_proxy_ops,
             boundary_ops,
             universal_ops,

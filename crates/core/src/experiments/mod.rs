@@ -38,6 +38,8 @@ pub mod tables;
 pub mod trace;
 pub mod traced;
 
+use webtrace::campus::CampusProfile;
+
 use crate::sim::{RunResult, SimConfig};
 use crate::sweep::SweepRunner;
 use crate::workload::{generate_synthetic, Workload, WorrellConfig};
@@ -144,22 +146,26 @@ impl DataSet {
         }
     }
 
-    /// The workloads the data set replays, in report order.
-    pub fn workloads(self, scale: &Scale) -> Vec<Workload> {
-        match self {
-            DataSet::Base | DataSet::Optimized => {
-                vec![generate_synthetic(&scale.worrell, scale.seed)]
-            }
-            DataSet::Traced => traced::campus_workloads(scale),
-        }
+    /// The workloads the data set replays, in report order: the synthetic
+    /// workload, or one per campus trace, generated, converted in place
+    /// and subsampled. Each is built only when the iterator reaches it.
+    pub fn workloads(self, scale: &Scale) -> impl Iterator<Item = Workload> + '_ {
+        let traces = match self {
+            DataSet::Base | DataSet::Optimized => vec![None],
+            DataSet::Traced => CampusProfile::all().into_iter().map(Some).collect(),
+        };
+        traces.into_iter().map(|profile| match profile {
+            None => generate_synthetic(&scale.worrell, scale.seed),
+            Some(profile) => traced::campus_workload(&profile, scale),
+        })
     }
 
-    /// One swept report per workload.
+    /// One swept report per workload. Each workload is built, swept and
+    /// dropped before the next is built, so at most one is held.
     pub fn sweeps(self, scale: &Scale, runner: &SweepRunner) -> Vec<SimReport> {
         let config = self.config();
         self.workloads(scale)
-            .iter()
-            .map(|wl| base::sweep_protocols(wl, scale, config, runner))
+            .map(|wl| base::sweep_protocols(&wl, scale, config, runner))
             .collect()
     }
 

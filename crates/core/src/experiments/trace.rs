@@ -76,7 +76,7 @@ fn probed_sweep<P: Probe + Send>(
 ) -> (Vec<Workload>, Vec<(String, P, usize)>) {
     let _span = wcc_obs::profile::global().span(&format!("{phase} {}", target.label()));
     let config = target.data.config();
-    let workloads = target.data.workloads(scale);
+    let workloads: Vec<Workload> = target.data.workloads(scale).collect();
     let points = scale.points();
     let grid: Vec<_> = workloads
         .iter()
@@ -184,7 +184,7 @@ mod tests {
     fn memory_gauges_are_the_sweeps_tables() {
         let (target, scale) = (TraceTarget::fig4(), smoke_scale());
         let registry = collect_metrics(target, &scale, &SweepRunner::new(2));
-        let [wl] = &target.data.workloads(&scale)[..] else {
+        let [wl] = &target.data.workloads(&scale).collect::<Vec<_>>()[..] else {
             panic!("figure 4 sweeps one workload");
         };
         let gauge = |name: &str| registry.gauge(&format!("mem.{name}"));

@@ -44,15 +44,12 @@ pub fn run_traced_with(scale: &Scale, runner: &SweepRunner) -> TracedReport {
     }
 }
 
-/// The three campus traces as workloads, subsampled to `scale`.
-pub(crate) fn campus_workloads(scale: &Scale) -> Vec<Workload> {
-    CampusProfile::all()
-        .iter()
-        .map(|p| {
-            let campus = generate_campus_trace(p, scale.seed);
-            Workload::from_server_trace(&campus.trace).subsample(scale.trace_subsample)
-        })
-        .collect()
+/// `profile`'s campus trace as a workload, subsampled to `scale`: the
+/// trace is generated, converted in its own buffers and subsampled in
+/// place, so the stream exists once.
+pub(crate) fn campus_workload(profile: &CampusProfile, scale: &Scale) -> Workload {
+    let trace = generate_campus_trace(profile, scale.seed).trace;
+    Workload::from_server_trace(trace).subsample(scale.trace_subsample)
 }
 
 /// The counter-merged average of the per-trace sweeps.

@@ -38,7 +38,6 @@ pub struct HierarchySim {
     topo: HierarchyTopology,
     caches: Vec<Engine<UnboundedStore>>,
     population: Arc<FilePopulation>,
-    link: LinkModel,
 }
 
 impl HierarchySim {
@@ -48,7 +47,6 @@ impl HierarchySim {
         population: impl Into<Arc<FilePopulation>>,
         spec: ProtocolSpec,
     ) -> Self {
-        let link = LinkModel::default();
         let caches = (0..topo.len())
             .map(|_| {
                 Engine::new(
@@ -56,7 +54,7 @@ impl HierarchySim {
                     spec.build_policy(),
                     RetrievalMode::Conditional,
                     0,
-                    link,
+                    LinkModel::default(),
                 )
             })
             .collect();
@@ -64,7 +62,6 @@ impl HierarchySim {
             topo,
             caches,
             population: population.into(),
-            link,
         }
     }
 
@@ -139,7 +136,6 @@ impl HierarchySim {
             Reply::NotModified {
                 expires: None,
                 message_bytes: PAPER_MESSAGE_BYTES,
-                delay: self.link.delay_for(0),
             }
         } else {
             // Body moves down this hop.
@@ -149,7 +145,6 @@ impl HierarchySim {
                 expires: None,
                 conditional: held.is_some(),
                 message_bytes: PAPER_MESSAGE_BYTES,
-                delay: self.link.delay_for(up.size),
             }
         };
         self.caches[cache.index()].apply(file, 0, now, reply, &mut NoopProbe);
@@ -517,7 +512,7 @@ mod tests {
     /// HCS subsampled 1 in 8, seed 1996: the trace-scale tests' workload.
     fn hcs_workload() -> Workload {
         let campus = generate_campus_trace(&CampusProfile::hcs(), 1996);
-        Workload::from_server_trace(&campus.trace).subsample(8)
+        Workload::from_server_trace(campus.trace).subsample(8)
     }
 
     /// `spec` on the two-level Figure 1 tree, then on one collapsed

@@ -54,9 +54,9 @@ pub struct SimConfig {
     /// 10 % of Microsoft requests were dynamic pages; mid-90s proxies
     /// forwarded them uncached.
     pub uncacheable_mask: u32,
-    /// The access-link model that prices fetch/validation delay, threaded
-    /// into every [`consistency::RequestCtx`] and
-    /// [`consistency::Policy::on_fetch`] call. The
+    /// The access-link model the engine prices fetch/validation delay
+    /// with, for the [`consistency::RequestCtx`] and
+    /// [`consistency::Policy::on_fetch`] of a policy that reads it. The
     /// paper's protocols ignore it (their decisions are delay-blind), so
     /// changing it cannot perturb their results; the delay-aware policies
     /// (RenewableTTL, UpdateRisk) read it.
@@ -224,14 +224,13 @@ fn wall(t: SimTime) -> HttpDate {
 
 /// One engine wired to an in-process [`OriginServer`] — the simulated
 /// transport. Each [`Effect`] becomes a server call whose answer is
-/// priced by the configured costing and link model, and the server's
+/// priced by the configured costing, and the server's
 /// invalidation subscriptions are kept in step with the store.
 pub(crate) struct SimCache<'w, S: Store> {
     pub(crate) engine: Engine<S>,
     pub(crate) server: OriginServer,
     workload: &'w Workload,
     costing: MessageCosting,
-    link: LinkModel,
 }
 
 impl<'w, S: Store> SimCache<'w, S> {
@@ -253,7 +252,6 @@ impl<'w, S: Store> SimCache<'w, S> {
             server: OriginServer::new(Arc::clone(&workload.population)),
             workload,
             costing: config.costing,
-            link: config.link,
         }
     }
 
@@ -322,7 +320,6 @@ impl<'w, S: Store> SimCache<'w, S> {
                 wall(v.modified_at),
                 v.size,
             ),
-            delay: self.link.delay_for(v.size),
         }
     }
 
@@ -350,7 +347,6 @@ impl<'w, S: Store> SimCache<'w, S> {
                             wall(since),
                             wall(now),
                         ),
-                        delay: self.link.delay_for(0),
                     },
                     CondResult::Modified(v) => self.body(file, class, now, v, Some(since)),
                 }

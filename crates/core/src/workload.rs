@@ -19,13 +19,13 @@
 //! benches that isolate which workload property flips Worrell's
 //! conclusion.
 
-use std::mem::size_of;
+use std::mem::{align_of, size_of};
 use std::sync::Arc;
 
 use originserver::{FilePopulation, FileRecord};
 use simcore::{FileId, SimDuration, SimTime};
 use simstats::{BoundedParetoDist, DetRng, Sampler, UniformDist, ZipfDist};
-use webtrace::{FileType, ServerTrace};
+use webtrace::{FileType, ServerTrace, TraceRequest};
 
 /// A replayable workload.
 #[derive(Debug, Clone)]
@@ -158,25 +158,25 @@ impl Workload {
 
     /// Keep every `k`-th request (k >= 1), preserving order — used by the
     /// quick experiment scale to shrink trace replays. Modification
-    /// histories are untouched.
+    /// histories are untouched. At `k == 1` this is the workload itself;
+    /// otherwise the kept requests close up in the stream's own buffer,
+    /// which is then shrunk to them.
     ///
     /// # Panics
     /// Panics if `k == 0`.
-    pub fn subsample(&self, k: usize) -> Workload {
+    pub fn subsample(mut self, k: usize) -> Workload {
         assert!(k >= 1, "subsample factor must be at least 1");
-        Workload {
-            name: if k == 1 {
-                self.name.clone()
-            } else {
-                format!("{} (1/{k})", self.name)
-            },
-            start: self.start,
-            end: self.end,
-            population: Arc::clone(&self.population),
-            requests: self.requests.iter().step_by(k).copied().collect(),
-            classes: self.classes.clone(),
-            class_expires: self.class_expires.clone(),
+        if k == 1 {
+            return self;
         }
+        let mut i = 0;
+        self.requests.retain(|_| {
+            i += 1;
+            (i - 1) % k == 0
+        });
+        self.requests.shrink_to_fit();
+        self.name = format!("{} (1/{k})", self.name);
+        self
     }
 
     /// Build a workload from the *local-domain* requests of a campus
@@ -195,33 +195,50 @@ impl Workload {
     }
 
     fn from_server_trace_clients(trace: &ServerTrace, remote: bool, label: &str) -> Workload {
-        let mut wl = Self::from_server_trace(trace);
+        let mut ours = trace.clone();
+        ours.requests.retain(|r| r.remote == remote);
+        let mut wl = Self::from_server_trace(ours);
         wl.name = format!("{} ({label} clients)", trace.name);
-        wl.requests.clear();
-        let ours = trace.requests.iter().filter(|r| r.remote == remote);
-        wl.requests.extend(ours.map(|r| (r.time, r.file)));
         wl
     }
 
     /// Build a workload from a campus server trace (the modified-workload
-    /// simulator's input).
-    pub fn from_server_trace(trace: &ServerTrace) -> Workload {
+    /// simulator's input). The trace is consumed: its population moves
+    /// behind the workload's [`Arc`], and its stream is rewritten from
+    /// 16-byte [`TraceRequest`]s to 8-byte `(instant, file)` pairs in
+    /// the trace's own buffer, then shrunk to them. A borrowed trace
+    /// is cloned into the same path.
+    pub fn from_server_trace(trace: impl Into<ServerTrace>) -> Workload {
+        let trace: ServerTrace = trace.into();
+        let end = trace.end();
         let classes = trace
             .population
             .iter()
             .map(|(_, rec)| FileType::classify_path(rec.path).class_index())
             .collect();
+        // Same alignment, half the size: the standard library's
+        // `collect` reuses the source buffer.
+        let mut requests: Vec<(SimTime, FileId)> = trace
+            .requests
+            .into_iter()
+            .map(|r| (r.time, r.file))
+            .collect();
+        requests.shrink_to_fit();
         Workload {
-            name: trace.name.clone(),
+            name: trace.name,
             start: trace.start,
-            end: trace.end(),
-            population: Arc::new(trace.population.clone()),
-            requests: trace.requests.iter().map(|r| (r.time, r.file)).collect(),
+            end,
+            population: Arc::new(trace.population),
+            requests,
             classes,
             class_expires: Vec::new(),
         }
     }
 }
+
+// What lets `from_server_trace` rewrite a stream in place.
+const _: () = assert!(align_of::<TraceRequest>() == align_of::<(SimTime, FileId)>());
+const _: () = assert!(size_of::<TraceRequest>() == 2 * size_of::<(SimTime, FileId)>());
 
 /// A change in whether the origin's notification channel to the cache
 /// delivers.
@@ -779,6 +796,22 @@ mod tests {
             wl.changes_in_window(),
             CampusProfile::fas().realised_changes()
         );
+        let pairs: Vec<_> = campus
+            .trace
+            .requests
+            .iter()
+            .map(|r| (r.time, r.file))
+            .collect();
+        assert_eq!(wl.requests, pairs);
+
+        // Consumed, the trace's 16-byte stream becomes exactly 8 bytes a
+        // request, and its population is the one behind the `Arc`.
+        let n = campus.trace.request_count();
+        let population = campus.trace.population.heap_tables();
+        let owned = Workload::from_server_trace(campus.trace);
+        assert_eq!(owned.requests, pairs);
+        assert_eq!(owned.heap_tables()[0], ("requests", 8 * n));
+        assert_eq!(owned.population.heap_tables(), population);
     }
 
     /// What `sorted_instants` replaces: every draw collected, then sorted.
@@ -853,14 +886,20 @@ mod tests {
     #[test]
     fn subsample_keeps_every_kth_request() {
         let wl = generate_synthetic(&WorrellConfig::scaled(20, 100), 5);
-        let s = wl.subsample(4);
-        s.validate().unwrap();
-        assert_eq!(s.request_count(), 25);
-        assert_eq!(s.requests[0], wl.requests[0]);
-        assert_eq!(s.requests[1], wl.requests[4]);
-        assert!(s.name.contains("1/4"));
-        // k = 1 is the identity.
-        assert_eq!(wl.subsample(1).requests, wl.requests);
+        for k in [2, 3, 4, 7, 99, 100, 101] {
+            let s = wl.clone().subsample(k);
+            s.validate().unwrap();
+            let kept: Vec<_> = wl.requests.iter().step_by(k).copied().collect();
+            assert_eq!(s.requests, kept, "k = {k}");
+            assert_eq!(s.heap_tables()[0], ("requests", 8 * kept.len()), "k = {k}");
+            assert_eq!(s.name, format!("{} (1/{k})", wl.name));
+        }
+        assert_eq!(wl.clone().subsample(4).request_count(), 25);
+        // k = 1 is the workload itself, down to the stream's buffer.
+        let (requests, buffer) = (wl.requests.clone(), wl.requests.as_ptr());
+        let same = wl.subsample(1);
+        assert_eq!(same.requests.as_ptr(), buffer);
+        assert_eq!(same.requests, requests);
     }
 
     #[test]

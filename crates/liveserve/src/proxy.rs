@@ -106,8 +106,8 @@ pub fn shard_for(file: FileId, shards: usize) -> usize {
 /// configuration, and shard-local beyond that.
 pub use consistency::ProtocolSpec as LivePolicy;
 
-/// How the proxy prices the `delay` of an upstream exchange, which the
-/// engine hands on to delay-aware policies.
+/// How each shard's engine prices the delay of an upstream exchange for
+/// the delay-aware policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DelaySource {
     /// Price every exchange with a deterministic [`LinkModel`], exactly
@@ -254,8 +254,6 @@ struct ProxyShared {
     static_names: Names,
     dynamic_names: RankedMutex<Names>,
     classes: Vec<usize>,
-    /// Prices every upstream exchange, exactly as the simulator does.
-    link: LinkModel,
     uses_invalidation: bool,
     ground_truth: Option<Arc<FilePopulation>>,
     clock: LiveClock,
@@ -444,7 +442,6 @@ impl ProxyShared {
         let not_modified = Reply::NotModified {
             expires: resp.expires.map(sim_instant),
             message_bytes: req.sent + head,
-            delay: self.link.delay_for(0),
         };
         let served = {
             let mut st = self.shard(file).lock();
@@ -491,7 +488,6 @@ impl ProxyShared {
                 expires: resp.expires.map(sim_instant),
                 conditional,
                 message_bytes,
-                delay: self.link.delay_for(size),
             }
         } else {
             // The simulator never requests nonexistent files; pass the
@@ -702,7 +698,6 @@ impl LiveProxy {
                 Names::default(),
             ),
             classes: config.classes,
-            link,
             uses_invalidation,
             ground_truth: config.ground_truth,
             clock: config.clock,

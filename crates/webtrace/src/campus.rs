@@ -342,40 +342,44 @@ pub fn generate_campus_trace(profile: &CampusProfile, seed: u64) -> CampusTrace 
     let zipf = ZipfDist::new(n, profile.zipf_exponent);
     let hour_table = simstats::AliasTable::new(&DIURNAL_HOUR_WEIGHTS);
     let days = profile.duration.as_secs() / 86_400;
-    let mut times: Vec<u64> = (0..profile.requests)
+    // The transient tables are 4 bytes an entry (`SimTime`, `u32`) and
+    // the permutation is gone before the 16-byte stream is built.
+    let mut times: Vec<SimTime> = (0..profile.requests)
         .map(|_| {
             let day = rng_req.below(days.max(1));
             let hour = hour_table.sample(&mut rng_req) as u64;
             let sec = rng_req.below(3_600);
-            (start.as_secs() + day * 86_400 + hour * 3_600 + sec).min(end.as_secs())
+            (start + SimDuration::from_secs(day * 86_400 + hour * 3_600 + sec)).min(end)
         })
         .collect();
     times.sort_unstable();
     let n_remote = (profile.remote_fraction * profile.requests as f64).round() as usize;
     // Deterministic exact remote assignment: a shuffled index permutation.
-    let mut perm: Vec<usize> = (0..profile.requests).collect();
+    let count = u32::try_from(profile.requests).expect("a campus trace indexes requests in u32");
+    let mut perm: Vec<u32> = (0..count).collect();
     for i in (1..perm.len()).rev() {
         let j = rng_req.below((i + 1) as u64) as usize;
         perm.swap(i, j);
     }
     let mut remote_flags = vec![false; profile.requests];
     for &idx in perm.iter().take(n_remote) {
-        remote_flags[idx] = true;
+        remote_flags[idx as usize] = true;
     }
+    drop(perm);
     let requests: Vec<TraceRequest> = times
         .into_iter()
-        .enumerate()
-        .map(|(i, tm)| {
+        .zip(remote_flags)
+        .map(|(time, remote)| {
             let rank = zipf.sample(&mut rng_req);
-            let client = if remote_flags[i] {
+            let client = if remote {
                 ClientId(1000 + rng_req.below(2000) as u32)
             } else {
                 ClientId(rng_req.below(200) as u32)
             };
             TraceRequest {
-                time: SimTime::from_secs(tm),
+                time,
                 client,
-                remote: remote_flags[i],
+                remote,
                 file: simcore::FileId::from_index(rank),
             }
         })

@@ -10,6 +10,7 @@
 //! Table 1 analyzers operate on.
 
 use std::collections::HashMap;
+use std::mem::size_of;
 
 use originserver::{FilePopulation, FileRecord};
 use simcore::{ClientId, FileId, SimDuration, SimTime};
@@ -157,6 +158,32 @@ impl ServerTrace {
         }
         self.requests.iter().filter(|r| r.remote).count() as f64 / self.requests.len() as f64
     }
+
+    /// The heap bytes of the trace's tables, by name: the request stream
+    /// (capacity times 16 bytes a [`TraceRequest`]), then the
+    /// population's ([`FilePopulation::heap_tables`]).
+    pub fn heap_tables(&self) -> [(&'static str, usize); 5] {
+        let [versions, paths, ends, modifications] = self.population.heap_tables();
+        [
+            (
+                "requests",
+                self.requests.capacity() * size_of::<TraceRequest>(),
+            ),
+            versions,
+            paths,
+            ends,
+            modifications,
+        ]
+    }
+}
+
+/// A borrowed trace converts by copying it: what a consumer that takes
+/// the trace by value (and reuses its buffers) is given when the caller
+/// keeps its own.
+impl From<&ServerTrace> for ServerTrace {
+    fn from(trace: &ServerTrace) -> ServerTrace {
+        trace.clone()
+    }
 }
 
 /// Record one log line in the histories being recovered from a log: a
@@ -242,6 +269,15 @@ mod tests {
     #[test]
     fn sample_validates() {
         sample_trace().validate().unwrap();
+    }
+
+    #[test]
+    fn heap_tables_are_the_stream_at_16_bytes_and_the_population() {
+        let tr = sample_trace();
+        assert_eq!(tr.requests.capacity(), 3);
+        let tables = tr.heap_tables();
+        assert_eq!(tables[0], ("requests", 16 * 3));
+        assert_eq!(tables[1..], tr.population.heap_tables());
     }
 
     #[test]

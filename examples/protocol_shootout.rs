@@ -17,7 +17,7 @@ fn main() {
         .unwrap_or(1996);
 
     let campus = generate_campus_trace(&CampusProfile::hcs(), seed);
-    let workload = Workload::from_server_trace(&campus.trace);
+    let workload = Workload::from_server_trace(campus.trace);
     println!(
         "trace: {} — {} files, {} requests, {} changes\n",
         workload.name,

@@ -27,13 +27,12 @@ fn main() {
     let objects = 20_000u64;
     let policy = CernPolicy::deployed_default();
     let policy_name = wwwcache::consistency::Policy::name(&policy).into_owned();
-    let link = LinkModel::default();
     let mut cache = Engine::new(
         LruStore::new(capacity_mb * 1024 * 1024),
         Box::new(policy),
         RetrievalMode::Conditional,
         0,
-        link,
+        LinkModel::default(),
     );
 
     let mut dynamic = 0u64;
@@ -58,7 +57,6 @@ fn main() {
             Effect::Validate(_) => Reply::NotModified {
                 expires: None,
                 message_bytes: 0,
-                delay: link.delay_for(0),
             },
             Effect::Fetch | Effect::Forward => Reply::Body {
                 size: access.size,
@@ -66,7 +64,6 @@ fn main() {
                 expires: None,
                 conditional: false,
                 message_bytes: 0,
-                delay: link.delay_for(access.size),
             },
         };
         cache.apply(id, 0, now, reply, &mut NoopProbe);

@@ -68,7 +68,9 @@ fn seeds_actually_matter() {
 /// draw names. The synthetic configurations are the `sim-evict` and
 /// `live-hit` benchmark workloads' (Zipf(1.0) over 20 000 and 2 000
 /// files of 1–16 KiB) at a reduced request count, each with the
-/// Bestavros popularity↔stability coupling on and off.
+/// Bestavros popularity↔stability coupling on and off. Each of the three
+/// campus traces (DAS, FAS, HCS) is pinned whole: instant, client,
+/// remote flag and file of every request.
 #[test]
 fn request_streams_match_pinned_hashes() {
     fn synthetic(files: usize, volatile_fraction: f64, correlate_stability: bool) -> u64 {
@@ -129,11 +131,18 @@ fn request_streams_match_pinned_hashes() {
         );
     }
 
-    let campus = generate_campus_trace(&CampusProfile::hcs(), 44);
+    let campus: Vec<(&str, u64)> = CampusProfile::all()
+        .iter()
+        .map(|p| (p.name, traced(&generate_campus_trace(p, 44).trace.requests)))
+        .collect();
     assert_eq!(
-        traced(&campus.trace.requests),
-        12_781_574_172_116_742_804,
-        "campus HCS"
+        campus,
+        [
+            ("DAS", 17_140_908_301_207_853_456),
+            ("FAS", 5_960_567_834_631_902_177),
+            ("HCS", 12_781_574_172_116_742_804),
+        ],
+        "the campus request streams changed"
     );
 
     let config = SyntheticStreamConfig::campus(&CampusProfile::das(), 100_000, 44);

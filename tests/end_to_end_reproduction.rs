@@ -7,7 +7,7 @@ use wwwcache::webtrace::campus::{generate_campus_trace, CampusProfile};
 
 fn hcs_workload() -> Workload {
     let campus = generate_campus_trace(&CampusProfile::hcs(), 1996);
-    Workload::from_server_trace(&campus.trace)
+    Workload::from_server_trace(campus.trace)
 }
 
 /// §7 bullet: Alex "can be tuned to ... produce a stale rate of less than
@@ -61,7 +61,7 @@ fn alex_server_load_crosses_invalidation_near_the_papers_threshold() {
 fn five_percent_threshold_keeps_staleness_under_one_percent() {
     for profile in CampusProfile::all() {
         let campus = generate_campus_trace(&profile, 1996);
-        let wl = Workload::from_server_trace(&campus.trace);
+        let wl = Workload::from_server_trace(campus.trace);
         let r = run(&wl, ProtocolSpec::Alex(5), &SimConfig::optimized());
         assert!(
             r.stale_pct() < 1.0,

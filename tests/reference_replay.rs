@@ -216,7 +216,7 @@ fn the_worrell_workload_replays_file_by_file() {
 #[test]
 fn a_campus_trace_replays_file_by_file() {
     let campus = generate_campus_trace(&CampusProfile::hcs(), 1996);
-    let wl = Workload::from_server_trace(&campus.trace).subsample(8);
+    let wl = Workload::from_server_trace(campus.trace).subsample(8);
     use ProtocolSpec::{Alex, Invalidation, Ttl};
     check(
         "HCS / 8",

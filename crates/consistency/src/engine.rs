@@ -27,6 +27,27 @@
 //! subscription is acknowledged; subscribing before the apply, as the
 //! simulator does, is one instance of that.
 //!
+//! Whether a serve was stale is the experiment's question, not the
+//! cache's. An engine given the origin's scripted history (its *oracle*)
+//! stamps every copy it stores with [`EntryMeta::superseded_at`], the
+//! first instant the origin held a newer version; a local serve at `now`
+//! is stale exactly when `now >= superseded_at`, and its age is `now -
+//! superseded_at`. That is one search per stored copy, where asking
+//! [`version_at(now)`](originserver::FileView::version_at) at every serve
+//! was one per hit, and it counts the same serves:
+//!
+//! * a file's versions are strictly increasing;
+//! * a copy's `last_modified` is one of its file's version instants, at
+//!   or before any `now` it is served at — the origin panics on a `GET`
+//!   before creation, and the live stack runs on one shared clock;
+//! * so `version_at(now) != last_modified` holds exactly when
+//!   `first_change_after(last_modified) <= now`, and the stale age is
+//!   the same subtraction.
+//!
+//! A `304` keeps the stamp, because the version is the same; every new
+//! body sets it again. Without an oracle no copy is ever superseded,
+//! every serve counts fresh, and an eager refetch counts as a change.
+//!
 //! Every input takes its probe as a type parameter (`probe: &mut P`,
 //! `P: Probe + ?Sized`). Passing `&mut NoopProbe` makes every record an
 //! empty inlined call that compiles away. Passing `&mut dyn Probe` gives
@@ -34,6 +55,8 @@
 //! own [`Tally`], fed each event just before `probe` is (the pair
 //! `(&mut tally, probe)` is itself a probe): one ledger, so a probe that
 //! folds the same stream reads the same counts.
+
+use std::sync::Arc;
 
 use originserver::FilePopulation;
 use proxycache::{EntryMeta, Evicted, Store};
@@ -143,6 +166,9 @@ pub struct Engine<S> {
     /// [`Policy::reads_delay`], asked once: whether a request or an
     /// applied exchange prices `link`.
     reads_delay: bool,
+    /// The origin's scripted history, when the driver has one: what
+    /// [`EntryMeta::superseded_at`] is stamped from.
+    oracle: Option<Arc<FilePopulation>>,
     tally: Tally,
 }
 
@@ -152,13 +178,16 @@ impl<S: Store> Engine<S> {
     /// always refetches: a copy it may not serve is known stale. Classes
     /// whose bit is set in `uncacheable_mask` are forwarded, never
     /// stored; `link` prices the delays a policy that reads them is
-    /// given.
+    /// given. `oracle`, the origin's scripted population, is what a
+    /// local serve is classified fresh or stale against (see the module
+    /// docs); without one every local serve counts fresh.
     pub fn new(
         store: S,
         policy: Box<dyn Policy + Send>,
         retrieval: RetrievalMode,
         uncacheable_mask: u32,
         link: LinkModel,
+        oracle: Option<Arc<FilePopulation>>,
     ) -> Self {
         Engine {
             store,
@@ -171,6 +200,7 @@ impl<S: Store> Engine<S> {
             policy,
             uncacheable_mask,
             link,
+            oracle,
             tally: Tally::default(),
         }
     }
@@ -213,25 +243,27 @@ impl<S: Store> Engine<S> {
     }
 
     /// Place a copy in the cache outside any request (warm start);
-    /// uncacheable classes are skipped. Uncharged; displaced entries are
+    /// uncacheable classes are skipped. `meta`'s `superseded_at` is
+    /// stamped from the oracle. Uncharged; displaced entries are
     /// reported to `probe` and returned but not tallied — they are setup,
     /// not workload.
     pub fn preload<P: Probe + ?Sized>(
         &mut self,
         file: FileId,
         class: usize,
-        meta: EntryMeta,
+        mut meta: EntryMeta,
         probe: &mut P,
     ) -> Evicted {
         if self.is_uncacheable(class) {
             return Evicted::none();
         }
+        meta.superseded_at = superseded_at(self.oracle.as_deref(), file, meta.last_modified);
         insert(&mut self.store, file, meta, probe)
     }
 
     /// A client asks for `file` at `now`. Asks the policy once, and —
     /// when the answer is a local serve — classifies it fresh or stale
-    /// against `oracle`, the origin's scripted population (without one
+    /// by the copy's [`EntryMeta::superseded_at`] (without an oracle
     /// every local serve counts fresh). Its [`Store::access`] is the
     /// request's one use of the store: [`Engine::apply`] changes an entry
     /// without reordering the store, and [`Engine::invalidate`] is not a
@@ -242,7 +274,6 @@ impl<S: Store> Engine<S> {
         file: FileId,
         class: usize,
         now: SimTime,
-        oracle: Option<&FilePopulation>,
         probe: &mut P,
     ) -> Effect {
         let uncacheable = self.is_uncacheable(class);
@@ -271,22 +302,20 @@ impl<S: Store> Engine<S> {
         let fresh = self.policy.decide(&entry, &ctx).serves_locally();
         probe.record(now, ObsEvent::PolicyDecision { file, fresh });
 
-        // `None` when there is no oracle, or the request raced ahead of
-        // the scripted timeline. A bare version, not the file's view, so
-        // that the view's path is never built.
-        let live = || oracle?.get(file).version_at(now);
+        // Whether the origin had moved past this copy by `now`: stamped
+        // when the body arrived, so there is nothing to search here.
+        let superseded = self.oracle.is_some() && now >= entry.superseded_at;
         if fresh {
-            match live() {
-                Some(live) if live.modified_at != entry.last_modified => {
-                    // Severity: how long the served copy has been out of
-                    // date (time since the first change it missed).
-                    let age = oracle
-                        .and_then(|o| o.get(file).first_change_after(entry.last_modified))
-                        .map_or(SimDuration::ZERO, |m| now.saturating_since(m.modified_at));
-                    conclude(probe, now, file, RequestOutcome::StaleHit { age });
+            let outcome = if superseded {
+                // Severity: how long the served copy has been out of
+                // date (time since the first change it missed).
+                RequestOutcome::StaleHit {
+                    age: now.saturating_since(entry.superseded_at),
                 }
-                _ => conclude(probe, now, file, RequestOutcome::FreshHit),
-            }
+            } else {
+                RequestOutcome::FreshHit
+            };
+            conclude(probe, now, file, outcome);
             return Effect::Serve(entry);
         }
         if self.retrieval == RetrievalMode::Conditional {
@@ -295,7 +324,7 @@ impl<S: Store> Engine<S> {
         // Refetch without asking. The policy still learns whether the
         // copy had really changed; with no oracle assume it had — the
         // entry was invalidated, after all.
-        let changed = live().map(|live| live.modified_at) != Some(entry.last_modified);
+        let changed = self.oracle.is_none() || superseded;
         self.policy.on_validation(class, changed);
         probe.record(
             now,
@@ -387,6 +416,7 @@ impl<S: Store> Engine<S> {
                 // resident copy survives a new body.
                 let mut entry = EntryMeta::fresh(size, last_modified, now);
                 entry.expires = expires;
+                entry.superseded_at = superseded_at(self.oracle.as_deref(), file, last_modified);
                 Applied {
                     victims: insert(&mut self.store, file, entry, probe),
                     lost: false,
@@ -423,6 +453,17 @@ impl<S: Store> Engine<S> {
     }
 }
 
+/// When `oracle` first held a newer version of `file` than the one
+/// written at `last_modified`: [`SimTime::MAX`] if it never does, if
+/// there is no oracle, or if it does not hold `file` (a live proxy's path
+/// first seen on the wire).
+fn superseded_at(oracle: Option<&FilePopulation>, file: FileId, last_modified: SimTime) -> SimTime {
+    oracle
+        .filter(|oracle| file.index() < oracle.len())
+        .and_then(|oracle| oracle.get(file).first_change_after(last_modified))
+        .map_or(SimTime::MAX, |next| next.modified_at)
+}
+
 /// Insert, reporting what a bounded store displaced.
 fn insert<S: Store, P: Probe + ?Sized>(
     store: &mut S,
@@ -430,7 +471,8 @@ fn insert<S: Store, P: Probe + ?Sized>(
     meta: EntryMeta,
     probe: &mut P,
 ) -> Evicted {
-    let at = meta.fetched_at;
+    // Every insert's copy was delivered (or preloaded) at this instant.
+    let at = meta.last_validated;
     let victims = store.insert(file, meta);
     for &(victim, _) in victims.iter() {
         if victim != file {

@@ -296,5 +296,59 @@ mod tests {
                 );
             }
         }
+
+        /// `EntryMeta::superseded_at` is ground truth kept for
+        /// measurement: no policy reads it. Every policy, with whatever
+        /// validation history and delay, decides the same for an entry
+        /// whether it was superseded long before the request, exactly at
+        /// it, after it, or never.
+        #[test]
+        fn no_policy_reads_the_ground_truth(
+            size in 0u64..1 << 24,
+            modified in 0u64..1_000_000,
+            fetched_after in 0u64..1_000_000,
+            validated_after in 0u64..1_000_000,
+            expires_after in proptest::option::of(0u64..2_000_000),
+            asked_after in 0u64..2_000_000,
+            superseded_after in 0u64..4_000_000,
+            invalid in proptest::prelude::any::<bool>(),
+            class in 0usize..8,
+            delay in 0u64..1 << 20,
+            history in proptest::collection::vec((0usize..8, proptest::prelude::any::<bool>()), 0..24),
+        ) {
+            let fetched = modified + fetched_after;
+            let mut entry = EntryMeta::fresh(size, SimTime::from_secs(modified), SimTime::from_secs(fetched));
+            entry.revalidate(SimTime::from_secs(fetched + validated_after));
+            entry.expires = expires_after.map(|e| SimTime::from_secs(fetched + e));
+            if invalid {
+                entry.mark_invalid();
+            }
+            let now = SimTime::from_secs(fetched + asked_after);
+            let ctx = RequestCtx::new(now, class).with_delay(SimDuration::from_secs(delay));
+            let stamps = [
+                SimTime::MAX,
+                SimTime::ZERO,
+                now,
+                SimTime::from_secs(modified + superseded_after),
+            ];
+            for spec in SPECS {
+                let mut policy = spec.build_policy();
+                for &(class, modified) in &history {
+                    policy.on_validation(class, modified);
+                }
+                let decisions = stamps.map(|at| {
+                    let mut stamped = entry;
+                    stamped.superseded_at = at;
+                    policy.decide(&stamped, &ctx)
+                });
+                proptest::prop_assert!(
+                    decisions.iter().all(|d| *d == decisions[0]),
+                    "{}: {:?} over superseded_at {:?}",
+                    spec.label(),
+                    decisions,
+                    stamps
+                );
+            }
+        }
     }
 }

@@ -5,6 +5,7 @@
 //! invalidations at random on a bounded store.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use consistency::{Effect, Engine, FixedTtl, LinkModel, NeverExpire, Policy, Reply, RetrievalMode};
 use originserver::{FilePopulation, FileRecord};
@@ -91,7 +92,7 @@ struct Case {
     name: &'static str,
     policy: fn() -> Box<dyn Policy + Send>,
     retrieval: RetrievalMode,
-    /// `None`: the requests run without a population oracle.
+    /// `false`: the engine runs without a population oracle.
     oracle: bool,
     steps: Vec<Step>,
     /// `[fresh, stale, misses, 304s, 200-on-conditional]`
@@ -415,7 +416,7 @@ fn cases() -> Vec<Case> {
 
 #[test]
 fn every_branch_of_request_and_apply() {
-    let pop = population();
+    let pop = Arc::new(population());
     for case in cases() {
         let name = case.name;
         let mut engine = Engine::new(
@@ -424,8 +425,8 @@ fn every_branch_of_request_and_apply() {
             case.retrieval,
             1 << 3,
             LinkModel::default(),
+            case.oracle.then(|| Arc::clone(&pop)),
         );
-        let oracle = case.oracle.then_some(&pop);
         let mut log = Log::default();
         for step in case.steps {
             match step {
@@ -437,7 +438,7 @@ fn every_branch_of_request_and_apply() {
                     engine.invalidate(FileId(file), t(now), MSG, &mut log);
                 }
                 Step::Request(file, class, now, want) => {
-                    let got = match engine.request(FileId(file), class, t(now), oracle, &mut log) {
+                    let got = match engine.request(FileId(file), class, t(now), &mut log) {
                         Effect::Serve(_) => Want::Serve,
                         Effect::Validate(_) => Want::Validate,
                         Effect::Fetch => Want::Fetch,
@@ -485,26 +486,135 @@ fn every_branch_of_request_and_apply() {
     }
 }
 
-#[test]
-fn a_304_restamps_validation_time_and_expiry() {
-    let mut engine = Engine::new(
+/// An engine over a 1 000-byte LRU store, asking `population()` whether
+/// a serve is stale when `oracle` holds.
+fn scripted_engine(
+    policy: Box<dyn Policy + Send>,
+    retrieval: RetrievalMode,
+    oracle: bool,
+) -> Engine<LruStore> {
+    Engine::new(
         LruStore::new(1_000),
-        Box::new(FixedTtl::hours(0)),
-        RetrievalMode::Conditional,
+        policy,
+        retrieval,
         0,
         LinkModel::default(),
-    );
-    let f = FileId(1);
-    engine.preload(f, 0, EntryMeta::fresh(600, t(0), t(0)), &mut Log::default());
-    let Effect::Validate(held) = engine.request(f, 0, t(10), None, &mut Log::default()) else {
+        oracle.then(|| Arc::new(population())),
+    )
+}
+
+#[test]
+fn a_304_restamps_validation_time_and_expiry() {
+    let mut engine = scripted_engine(ttl_zero(), RetrievalMode::Conditional, true);
+    // f0's version of 0 is superseded at 50; at 10 it is still live.
+    let f = FileId(0);
+    engine.preload(f, 0, EntryMeta::fresh(200, t(0), t(0)), &mut Log::default());
+    assert_eq!(engine.peek(f).unwrap().superseded_at, t(50));
+    let Effect::Validate(held) = engine.request(f, 0, t(10), &mut Log::default()) else {
         panic!("TTL 0 always validates");
     };
     assert_eq!(held.last_validated, t(0));
     engine.apply(f, 0, t(10), not_modified(Some(99)), &mut Log::default());
     let entry = engine.peek(f).unwrap();
     assert_eq!(entry.last_validated, t(10));
-    assert_eq!(entry.fetched_at, t(0), "no body moved");
+    assert_eq!(
+        entry.superseded_at,
+        t(50),
+        "no body moved: the same version"
+    );
     assert_eq!(entry.expires, Some(t(99)));
+}
+
+/// A new body is a new version: its stamp is set again, from the body's
+/// own `Last-Modified`.
+#[test]
+fn a_body_sets_superseded_at_again() {
+    let mut engine = scripted_engine(ttl_zero(), RetrievalMode::Conditional, true);
+    let f = FileId(0);
+    let mut log = Log::default();
+    engine.preload(f, 0, EntryMeta::fresh(200, t(0), t(0)), &mut log);
+    assert_eq!(engine.peek(f).unwrap().superseded_at, t(50));
+    assert!(matches!(
+        engine.request(f, 0, t(60), &mut log),
+        Effect::Validate(_)
+    ));
+    engine.apply(f, 0, t(60), body(300, 50, true), &mut log);
+    assert_eq!(
+        engine.peek(f).unwrap().superseded_at,
+        SimTime::MAX,
+        "50 is f0's last version"
+    );
+}
+
+/// A copy can be out of date before it is stored — a parent cache
+/// serving the version it holds: it is stamped with the change it
+/// already missed, and its first serve is a stale hit charged from there.
+#[test]
+fn a_copy_superseded_when_inserted_is_stale_on_its_first_serve() {
+    let mut engine = scripted_engine(ttl_long(), RetrievalMode::Conditional, true);
+    let f = FileId(0);
+    let mut log = Log::default();
+    assert_eq!(engine.request(f, 0, t(60), &mut log), Effect::Fetch);
+    engine.apply(f, 0, t(60), body(200, 0, false), &mut log);
+    assert_eq!(engine.peek(f).unwrap().superseded_at, t(50));
+    assert!(matches!(
+        engine.request(f, 0, t(70), &mut log),
+        Effect::Serve(_)
+    ));
+    assert_eq!(engine.tally().cache.stale_hits, 1);
+    assert_eq!(engine.tally().stale_age_total, SimDuration::from_secs(20));
+    assert_eq!(log.0.last().unwrap(), "70 request f0 stale+20");
+}
+
+/// Without an oracle nothing is known to be superseded: every copy keeps
+/// `SimTime::MAX`, every local serve counts fresh — even of a copy the
+/// population would call stale — and an eager refetch always counts as
+/// a change.
+#[test]
+fn without_an_oracle_no_copy_is_superseded() {
+    let f = FileId(0);
+    let mut log = Log::default();
+    let mut engine = scripted_engine(ttl_long(), RetrievalMode::Conditional, false);
+    engine.preload(f, 0, EntryMeta::fresh(200, t(0), t(0)), &mut log);
+    assert_eq!(engine.peek(f).unwrap().superseded_at, SimTime::MAX);
+    assert!(matches!(
+        engine.request(f, 0, t(80), &mut log),
+        Effect::Serve(_)
+    ));
+    let g = FileId(1);
+    assert_eq!(engine.request(g, 0, t(80), &mut log), Effect::Fetch);
+    engine.apply(g, 0, t(80), body(600, 0, false), &mut log);
+    assert_eq!(engine.peek(g).unwrap().superseded_at, SimTime::MAX);
+    assert!(matches!(
+        engine.request(g, 0, t(90), &mut log),
+        Effect::Serve(_)
+    ));
+    assert_eq!(engine.tally().cache.fresh_hits, 2);
+    assert_eq!(engine.tally().cache.stale_hits, 0);
+
+    // f1 never changes, yet an eager refetch without an oracle counts
+    // as a change.
+    let mut engine = scripted_engine(ttl_zero(), RetrievalMode::Eager, false);
+    let mut log = Log::default();
+    engine.preload(g, 0, EntryMeta::fresh(600, t(0), t(0)), &mut log);
+    for at in [10, 20] {
+        assert_eq!(engine.request(g, 0, t(at), &mut log), Effect::Fetch);
+        engine.apply(g, 0, t(at), body(600, 0, false), &mut log);
+        assert_eq!(engine.peek(g).unwrap().superseded_at, SimTime::MAX);
+    }
+    let changed: Vec<&str> = log
+        .0
+        .iter()
+        .filter(|e| e.contains("validation"))
+        .map(String::as_str)
+        .collect();
+    assert_eq!(
+        changed,
+        [
+            "10 validation f1 modified=true",
+            "20 validation f1 modified=true"
+        ]
+    );
 }
 
 /// One move of the random driver below.
@@ -549,7 +659,7 @@ fn churning_population() -> FilePopulation {
 /// and, under invalidation, that the subscriptions are exactly the
 /// resident set.
 fn drive(ops: &[Op], invalidation: bool) {
-    let pop = churning_population();
+    let pop = Arc::new(churning_population());
     let (policy, retrieval): (Box<dyn Policy + Send>, _) = if invalidation {
         (Box::new(NeverExpire), RetrievalMode::Eager)
     } else {
@@ -564,6 +674,7 @@ fn drive(ops: &[Op], invalidation: bool) {
         retrieval,
         0,
         LinkModel::default(),
+        Some(Arc::clone(&pop)),
     );
     let mut log = Log::default();
     let mut subscribed = BTreeSet::new();
@@ -574,7 +685,7 @@ fn drive(ops: &[Op], invalidation: bool) {
     for (i, op) in ops.iter().enumerate() {
         let now = t(2 * i as u64);
         match *op {
-            Op::Request(f) => match engine.request(FileId(f), 0, now, Some(&pop), &mut log) {
+            Op::Request(f) => match engine.request(FileId(f), 0, now, &mut log) {
                 Effect::Serve(_) => concluded += 1,
                 Effect::Validate(held) => pending.push((FileId(f), now, Some(held))),
                 Effect::Fetch => pending.push((FileId(f), now, None)),
@@ -652,6 +763,7 @@ fn invalidation_engine<S: Store>(store: S) -> Engine<S> {
         RetrievalMode::Eager,
         0,
         LinkModel::default(),
+        None,
     )
 }
 
@@ -659,10 +771,7 @@ fn invalidation_engine<S: Store>(store: S) -> Engine<S> {
 /// `size` bytes; returns the victims the insert displaced.
 fn fetch<S: Store>(engine: &mut Engine<S>, file: FileId, size: u64, at: u64) -> Vec<FileId> {
     let mut log = Log::default();
-    assert_eq!(
-        engine.request(file, 0, t(at), None, &mut log),
-        Effect::Fetch
-    );
+    assert_eq!(engine.request(file, 0, t(at), &mut log), Effect::Fetch);
     let applied = engine.apply(file, 0, t(at), body(size, 0, false), &mut log);
     applied.victims.iter().map(|&(v, _)| v).collect()
 }
@@ -716,7 +825,7 @@ fn an_invalidated_copy_is_the_next_lfu_victim_and_keeps_its_frequency() {
     let mut log = Log::default();
     engine.preload(hot, 0, EntryMeta::fresh(400, t(0), t(0)), &mut log);
     for at in 1..3 {
-        let served = engine.request(hot, 0, t(at), None, &mut log);
+        let served = engine.request(hot, 0, t(at), &mut log);
         assert!(matches!(served, Effect::Serve(_)));
     }
     engine.preload(cold, 0, EntryMeta::fresh(400, t(0), t(3)), &mut log);
@@ -756,6 +865,7 @@ fn a_validated_request_is_one_lfu_use() {
         RetrievalMode::Conditional,
         0,
         LinkModel::default(),
+        None,
     );
     let f = FileId(0);
     let frequency = |engine: &Engine<LfuStore>| engine.store().policy().frequency(f);
@@ -764,14 +874,14 @@ fn a_validated_request_is_one_lfu_use() {
     assert_eq!(frequency(&engine), 1, "the insert");
 
     assert!(matches!(
-        engine.request(f, 0, t(10), None, &mut log),
+        engine.request(f, 0, t(10), &mut log),
         Effect::Validate(_)
     ));
     engine.apply(f, 0, t(10), not_modified(None), &mut log);
     assert_eq!(frequency(&engine), 2, "a 304 is one use");
 
     assert!(matches!(
-        engine.request(f, 0, t(20), None, &mut log),
+        engine.request(f, 0, t(20), &mut log),
         Effect::Validate(_)
     ));
     let applied = engine.apply(f, 0, t(20), body(300, 15, true), &mut log);

@@ -47,6 +47,7 @@ impl HierarchySim {
         population: impl Into<Arc<FilePopulation>>,
         spec: ProtocolSpec,
     ) -> Self {
+        let population = population.into();
         let caches = (0..topo.len())
             .map(|_| {
                 Engine::new(
@@ -55,13 +56,14 @@ impl HierarchySim {
                     RetrievalMode::Conditional,
                     0,
                     LinkModel::default(),
+                    Some(Arc::clone(&population)),
                 )
             })
             .collect();
         HierarchySim {
             topo,
             caches,
-            population: population.into(),
+            population,
         }
     }
 
@@ -109,8 +111,7 @@ impl HierarchySim {
     /// the hierarchical topology, the root for the collapsed one),
     /// recursing upward; returns the version served.
     pub fn request(&mut self, cache: CacheId, file: FileId, now: SimTime) -> Version {
-        let oracle = Some(&*self.population);
-        let effect = self.caches[cache.index()].request(file, 0, now, oracle, &mut NoopProbe);
+        let effect = self.caches[cache.index()].request(file, 0, now, &mut NoopProbe);
         let held = match effect {
             Effect::Serve(e) => {
                 return Version {

@@ -248,6 +248,7 @@ impl<'w, S: Store> SimCache<'w, S> {
                 config.retrieval,
                 config.uncacheable_mask,
                 config.link,
+                Some(Arc::clone(&workload.population)),
             ),
             server: OriginServer::new(Arc::clone(&workload.population)),
             workload,
@@ -326,8 +327,7 @@ impl<'w, S: Store> SimCache<'w, S> {
     /// A client asks the cache for `file` at `now`.
     pub(crate) fn request<P: Probe + ?Sized>(&mut self, file: FileId, now: SimTime, probe: &mut P) {
         let class = self.workload.classes[file.index()];
-        let oracle = Some(self.server.files());
-        let effect = self.engine.request(file, class, now, oracle, probe);
+        let effect = self.engine.request(file, class, now, probe);
         let reply = match effect {
             Effect::Serve(_) => return,
             // Combined query-and-fetch via If-Modified-Since.

@@ -255,7 +255,6 @@ struct ProxyShared {
     dynamic_names: RankedMutex<Names>,
     classes: Vec<usize>,
     uses_invalidation: bool,
-    ground_truth: Option<Arc<FilePopulation>>,
     clock: LiveClock,
     probe: ProbeHandle,
 }
@@ -374,10 +373,7 @@ impl ProxyShared {
             });
             return Step::Parked;
         }
-        let oracle = self.ground_truth.as_deref();
-        let effect = st
-            .engine
-            .request(file, class, now, oracle, &mut &self.probe);
+        let effect = st.engine.request(file, class, now, &mut &self.probe);
         // Whoever has no usable copy to show the origin leads the file's
         // flight.
         let fetch = || (Request::get(path.as_str()), Stage::Fetching);
@@ -681,6 +677,7 @@ impl LiveProxy {
                         RetrievalMode::Conditional,
                         config.uncacheable_mask,
                         link,
+                        config.ground_truth.clone(),
                     ),
                     bodies: HashMap::new(),
                     in_flight: HashMap::new(),
@@ -699,7 +696,6 @@ impl LiveProxy {
             ),
             classes: config.classes,
             uses_invalidation,
-            ground_truth: config.ground_truth,
             clock: config.clock,
             probe: config.probe,
         });

@@ -22,14 +22,26 @@ pub enum EntryState {
 
 /// Metadata for one cached object. Bodies are synthetic; `size` stands in
 /// for the entity bytes.
+///
+/// Every field but one is what a real cache knows. `superseded_at` is
+/// ground truth kept for measurement: the engine stamps it from the
+/// origin's scripted history when a body arrives, so that classifying a
+/// serve as stale is a comparison, not a search. No `Policy` reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntryMeta {
     /// Entity size in bytes.
     pub size: u64,
     /// Origin modification time of the cached copy (`Last-Modified`).
     pub last_modified: SimTime,
-    /// When the body was transferred into this cache.
-    pub fetched_at: SimTime,
+    /// The first instant the origin held a newer version than this copy:
+    /// [`SimTime::MAX`] when it never does, or when there is no history
+    /// to ask. A serve at `now` is stale exactly when `now >=
+    /// superseded_at`: versions strictly increase and the copy's
+    /// `last_modified` is one of them, at or before `now`, so the version
+    /// live at `now` differs from the copy's exactly when the first
+    /// version after it was written by `now`. A `304` keeps it — the
+    /// version is the same — and every new body sets it again.
+    pub superseded_at: SimTime,
     /// Last instant the origin confirmed (or delivered) this copy. The
     /// Alex protocol's "time since last validation" measures from here.
     pub last_validated: SimTime,
@@ -44,12 +56,13 @@ pub struct EntryMeta {
 const _: () = assert!(core::mem::size_of::<EntryMeta>() == 32);
 
 impl EntryMeta {
-    /// A freshly fetched entry: validated now, valid, no expiry assigned.
+    /// A freshly fetched entry: validated now, valid, no expiry assigned,
+    /// and not known to be superseded.
     pub fn fresh(size: u64, last_modified: SimTime, now: SimTime) -> Self {
         EntryMeta {
             size,
             last_modified,
-            fetched_at: now,
+            superseded_at: SimTime::MAX,
             last_validated: now,
             expires: None,
             state: EntryState::Valid,
@@ -85,7 +98,7 @@ mod tests {
     fn fresh_entry_is_valid_and_stamped() {
         let e = EntryMeta::fresh(1000, t(50), t(100));
         assert!(e.is_valid());
-        assert_eq!(e.fetched_at, t(100));
+        assert_eq!(e.superseded_at, SimTime::MAX);
         assert_eq!(e.last_validated, t(100));
         assert_eq!(e.last_modified, t(50));
         assert_eq!(e.expires, None);
@@ -94,13 +107,14 @@ mod tests {
     #[test]
     fn validation_clock_resets_on_revalidate() {
         let mut e = EntryMeta::fresh(1, t(0), t(100));
+        e.superseded_at = t(200);
         e.mark_invalid();
         assert!(!e.is_valid());
         e.revalidate(t(300));
         assert!(e.is_valid());
         assert_eq!(e.last_validated, t(300));
         // Revalidation does not touch the body stamps.
-        assert_eq!(e.fetched_at, t(100));
+        assert_eq!(e.superseded_at, t(200));
         assert_eq!(e.last_modified, t(0));
     }
 }

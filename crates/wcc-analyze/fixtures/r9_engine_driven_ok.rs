@@ -14,7 +14,7 @@ fn decide(effect: Effect) -> bool {
 
 impl Cache {
     fn request(&mut self, file: FileId, now: SimTime, probe: &mut dyn Probe) -> bool {
-        let effect = self.engine.request(file, 0, now, None, probe);
+        let effect = self.engine.request(file, 0, now, probe);
         self.on_fetch += 1;
         decide(effect)
     }

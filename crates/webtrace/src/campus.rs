@@ -254,7 +254,8 @@ pub fn generate_campus_trace(profile: &CampusProfile, seed: u64) -> CampusTrace 
 
     // --- 3. File records: types, sizes, pre-trace ages, change bursts --
     let type_table = simstats::AliasTable::new(&CAMPUS_TYPE_WEIGHTS.map(|(_, w)| w));
-    let mut population = FilePopulation::new();
+    let dir = profile.name.to_lowercase();
+    let mut records = Vec::with_capacity(n);
     let mut info = Vec::with_capacity(n);
     for (rank, &file_changes) in changes.iter().enumerate().take(n) {
         let file_type = CAMPUS_TYPE_WEIGHTS[type_table.sample(&mut rng_assign)].0;
@@ -272,11 +273,7 @@ pub fn generate_campus_trace(profile: &CampusProfile, seed: u64) -> CampusTrace 
             .clamp(0.05, 360.0);
         let created = start - SimDuration::from_secs((age_days * 86_400.0).round() as u64);
         let mut record = FileRecord::new(
-            format!(
-                "/{}/f{rank}.{}",
-                profile.name.to_lowercase(),
-                file_type.extension()
-            ),
+            format!("/{dir}/f{rank}.{}", file_type.extension()),
             created,
             size,
         );
@@ -326,12 +323,21 @@ pub fn generate_campus_trace(profile: &CampusProfile, seed: u64) -> CampusTrace 
                 );
             }
         }
-        population.add(record);
+        records.push(record);
         info.push(CampusFileInfo {
             file_type,
             popularity_rank: rank,
             changes: file_changes,
         });
+    }
+    // The population's tables are reserved at their size: a file's
+    // versions are its creation and its changes, and a path's extension
+    // is drawn with the file, so the arena is summed once all are drawn.
+    let versions = n + changes.iter().sum::<usize>();
+    let path_bytes = records.iter().map(|r| r.path.len()).sum();
+    let mut population = FilePopulation::with_capacity(n, versions, path_bytes);
+    for record in records {
+        population.add(record);
     }
 
     // --- 4. Request stream ---------------------------------------------
@@ -442,6 +448,35 @@ mod tests {
             .all(|w| w[0].modified_at < w[1].modified_at));
         assert!(changes[0].modified_at >= trace.start);
         assert_eq!(changes[39].modified_at, trace.end());
+    }
+
+    /// Each of the population's tables is reserved at its size, and the
+    /// stream is collected at its length: every `heap_tables()` entry is
+    /// exactly what the trace holds.
+    #[test]
+    fn every_table_is_held_at_its_length() {
+        for profile in [
+            CampusProfile::das(),
+            CampusProfile::fas(),
+            CampusProfile::hcs(),
+        ] {
+            let trace = generate_campus_trace(&profile, 7).trace;
+            let pop = &trace.population;
+            let versions: usize = pop.iter().map(|(_, f)| f.modification_count() + 1).sum();
+            let paths: usize = pop.iter().map(|(_, f)| f.path.len()).sum();
+            assert_eq!(
+                trace.heap_tables(),
+                [
+                    ("requests", 16 * trace.request_count()),
+                    ("versions", 8 * versions),
+                    ("paths", paths),
+                    ("ends", 8 * (pop.len() + 1)),
+                    ("modifications", 0),
+                ],
+                "{}",
+                profile.name
+            );
+        }
     }
 
     #[test]

@@ -33,6 +33,7 @@ fn main() {
         RetrievalMode::Conditional,
         0,
         LinkModel::default(),
+        None,
     );
 
     let mut dynamic = 0u64;
@@ -52,7 +53,7 @@ fn main() {
         // the day, so every validation is a 304; and pretend each was
         // last modified long ago so the CERN LM-fraction rule gives a
         // sensible TTL.
-        let reply = match cache.request(id, 0, now, None, &mut NoopProbe) {
+        let reply = match cache.request(id, 0, now, &mut NoopProbe) {
             Effect::Serve(_) => continue,
             Effect::Validate(_) => Reply::NotModified {
                 expires: None,

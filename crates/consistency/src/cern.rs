@@ -10,17 +10,22 @@
 use std::borrow::Cow;
 
 use proxycache::EntryMeta;
-use simcore::{SimDuration, SimTime};
+use simcore::{DurationScale, SimDuration, SimTime};
 
 use crate::policy::{decide_by_expiry, Decision, Policy, RequestCtx};
 
 /// The CERN httpd three-tier expiry rule.
+///
+/// The LM fraction is held as a [`DurationScale`], built once, so the
+/// second tier rounds exactly as Alex's horizon does: to the nearest
+/// second of the `f64` product `age × lm_fraction`, halves up, in one
+/// integer multiply.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CernPolicy {
     /// Fraction of the object's `Last-Modified` age used when no `Expires`
     /// header was assigned (CERN's `CacheLastModifiedFactor`; commonly
     /// 0.1–0.2 in deployed configurations).
-    lm_fraction: f64,
+    lm_fraction: DurationScale,
     /// Expiry used when neither `Expires` nor a usable `Last-Modified` age
     /// is available (CERN's `CacheDefaultExpiry`).
     default_ttl: SimDuration,
@@ -37,7 +42,7 @@ impl CernPolicy {
             "LM fraction must be a non-negative fraction"
         );
         CernPolicy {
-            lm_fraction,
+            lm_fraction: DurationScale::new(lm_fraction),
             default_ttl,
         }
     }
@@ -50,7 +55,7 @@ impl CernPolicy {
 
     /// The configured LM fraction.
     pub fn lm_fraction(&self) -> f64 {
-        self.lm_fraction
+        self.lm_fraction.factor()
     }
 }
 
@@ -67,7 +72,7 @@ impl CernPolicy {
         if age > SimDuration::ZERO {
             return entry
                 .last_validated
-                .saturating_add(age.mul_f64(self.lm_fraction));
+                .saturating_add(self.lm_fraction.apply(age));
         }
         // Tier 3: the configurable default.
         entry.last_validated.saturating_add(self.default_ttl)
@@ -76,7 +81,7 @@ impl CernPolicy {
 
 impl Policy for CernPolicy {
     fn name(&self) -> Cow<'static, str> {
-        Cow::Owned(format!("cern(lm={:.2})", self.lm_fraction))
+        Cow::Owned(format!("cern(lm={:.2})", self.lm_fraction()))
     }
 
     fn decide(&self, entry: &EntryMeta, ctx: &RequestCtx) -> Decision {

@@ -166,6 +166,9 @@ pub struct Engine<S> {
     /// [`Policy::reads_delay`], asked once: whether a request or an
     /// applied exchange prices `link`.
     reads_delay: bool,
+    /// [`Policy::reads_writes`], asked once: whether a driver must
+    /// deliver the origin's writes.
+    reads_writes: bool,
     /// The origin's scripted history, when the driver has one: what
     /// [`EntryMeta::superseded_at`] is stamped from.
     oracle: Option<Arc<FilePopulation>>,
@@ -189,14 +192,16 @@ impl<S: Store> Engine<S> {
         link: LinkModel,
         oracle: Option<Arc<FilePopulation>>,
     ) -> Self {
+        let reads_writes = policy.reads_writes();
         Engine {
             store,
-            retrieval: if policy.reads_writes() {
+            retrieval: if reads_writes {
                 RetrievalMode::Eager
             } else {
                 retrieval
             },
             reads_delay: policy.reads_delay(),
+            reads_writes,
             policy,
             uncacheable_mask,
             link,
@@ -214,7 +219,7 @@ impl<S: Store> Engine<S> {
     /// Whether the policy acts on the origin's writes
     /// ([`Policy::reads_writes`]): whether a driver must deliver them.
     pub fn reads_writes(&self) -> bool {
-        self.policy.reads_writes()
+        self.reads_writes
     }
 
     /// The store, read-only.

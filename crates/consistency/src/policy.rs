@@ -32,7 +32,7 @@
 use std::borrow::Cow;
 
 use proxycache::EntryMeta;
-use simcore::{SimDuration, SimTime};
+use simcore::{DurationScale, SimDuration, SimTime};
 
 /// What the cache should do with a request for a resident entry.
 ///
@@ -207,9 +207,17 @@ impl Policy for FixedTtl {
 /// geometrically, which is exactly the paper's intent — "while files are
 /// changing rapidly, Alex checks frequently; once the files stabilize,
 /// Alex checks infrequently" (§4.2).
+///
+/// The threshold is held as a [`DurationScale`], built once: a horizon
+/// is one integer multiply, bit-identical to rounding the `f64` product
+/// `age × threshold` to the nearest second (halves up), as the scale's
+/// docs argue and the crate's `horizon` tests check against that
+/// product. Alex 0 % is a factor of 0, so a copy expires at its
+/// validation; Alex 100 % is held exactly too, so every point of the
+/// paper's 0–100 % sweep is decided in fixed point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveTtl {
-    threshold: f64,
+    threshold: DurationScale,
 }
 
 impl AdaptiveTtl {
@@ -223,7 +231,9 @@ impl AdaptiveTtl {
             threshold.is_finite() && threshold >= 0.0,
             "update threshold must be a non-negative fraction"
         );
-        AdaptiveTtl { threshold }
+        AdaptiveTtl {
+            threshold: DurationScale::new(threshold),
+        }
     }
 
     /// Convenience constructor matching the paper's x-axis (percent).
@@ -233,7 +243,7 @@ impl AdaptiveTtl {
 
     /// The configured threshold (fraction).
     pub fn threshold(&self) -> f64 {
-        self.threshold
+        self.threshold.factor()
     }
 }
 
@@ -244,13 +254,13 @@ impl AdaptiveTtl {
         let age = entry.last_validated.saturating_since(entry.last_modified);
         entry
             .last_validated
-            .saturating_add(age.mul_f64(self.threshold))
+            .saturating_add(self.threshold.apply(age))
     }
 }
 
 impl Policy for AdaptiveTtl {
     fn name(&self) -> Cow<'static, str> {
-        Cow::Owned(format!("alex({:.0}%)", self.threshold * 100.0))
+        Cow::Owned(format!("alex({:.0}%)", self.threshold() * 100.0))
     }
 
     fn decide(&self, entry: &EntryMeta, ctx: &RequestCtx) -> Decision {

@@ -85,7 +85,8 @@ impl SelfTuningPolicy {
 
 impl SelfTuningPolicy {
     /// The instant a currently-valid `entry` times out under `class`'s
-    /// current threshold.
+    /// current threshold: Alex's horizon at that threshold (building the
+    /// [`AdaptiveTtl`] is a multiply and two compares, so it is built per call).
     pub fn expiry(&self, entry: &EntryMeta, class: usize) -> SimTime {
         AdaptiveTtl::new(self.threshold(class)).expiry(entry, class)
     }

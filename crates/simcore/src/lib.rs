@@ -1,7 +1,9 @@
 //! `simcore` — the vocabulary the simulators share, for the
 //! *World Wide Web Cache Consistency* reproduction:
 //!
-//! * [`SimTime`] / [`SimDuration`] — second-granularity virtual time;
+//! * [`SimTime`] / [`SimDuration`] — second-granularity virtual time, and
+//!   [`DurationScale`], the exact fixed-point `factor × duration` of Alex's
+//!   horizon;
 //! * [`FileId`], [`CacheId`], [`ClientId`] — typed entity identifiers;
 //! * [`TrafficMeter`], [`CacheStats`], [`ServerLoad`], [`LatencyStats`] —
 //!   the paper's bandwidth, cache-behaviour, server-load and latency
@@ -29,4 +31,4 @@ mod time;
 pub use ids::{CacheId, ClientId, FileId};
 pub use metrics::{CacheStats, LatencyStats, ServerLoad, TrafficMeter};
 pub use queue::{EventHandle, EventQueue};
-pub use time::{SimDuration, SimTime};
+pub use time::{DurationScale, SimDuration, SimTime};

@@ -175,22 +175,124 @@ impl SimDuration {
         self.0 as f64 / 86_400.0
     }
 
-    /// Scale by a non-negative factor, rounding to the nearest second and
-    /// saturating. Used by the Alex protocol, whose validity horizon is
-    /// `update_threshold × age`.
+    /// Scale by a non-negative factor, rounding to the nearest second
+    /// (halves up) and saturating: [`DurationScale::new`]`(factor)`
+    /// applied once. A caller that scales by the same factor repeatedly
+    /// builds the [`DurationScale`] once instead.
+    ///
+    /// # Panics
+    /// Panics if `factor` is negative or NaN.
     pub fn mul_f64(self, factor: f64) -> SimDuration {
-        assert!(factor >= 0.0, "duration scale factor must be non-negative");
-        let scaled = self.0 as f64 * factor;
-        if scaled >= u64::MAX as f64 {
-            SimDuration::MAX
-        } else {
-            SimDuration(round_to_u64(scaled))
-        }
+        DurationScale::new(factor).apply(self)
     }
 
     /// Saturating addition.
     pub const fn saturating_add(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(other.0))
+    }
+}
+
+/// A non-negative factor to scale a [`SimDuration`] by, rounding to the
+/// nearest second (halves up) and saturating — Alex's validity horizon,
+/// `update_threshold × age`, is one. Built once from an `f64`; applying
+/// it is one 64 × 64 → 128-bit multiply and no floating point, and gives
+/// exactly what the `f64` expression gives,
+/// `round(d as f64 * factor)` saturated at [`SimDuration::MAX`], for
+/// every duration and factor.
+///
+/// **How.** When `t·2⁶⁴` is an integer `F` below 2⁶⁴ — true of every
+/// `f64` factor `t` in [2⁻¹², 1), whose significand's last bit is worth
+/// at least 2⁻⁶⁴, and of 0 — the scale holds `F`, and for a duration
+/// `a < 2³²` the 128-bit product `a·F = a·t·2⁶⁴` is exact: its high word
+/// is `⌊a·t⌋` and its low word `lo` is the fraction in units of 2⁻⁶⁴.
+/// The result is the high word plus `lo ≥ 2⁶³`.
+///
+/// **Why that is the `f64` result.** `a as f64` is exact and `a·t < 2³²`,
+/// so the `f64` product is within half an ulp of `a·t`: at most 2⁻²² s,
+/// 2⁴² units of `lo`. Half-up
+/// rounding is constant between consecutive halves, so when the exact
+/// fraction is more than 2⁴² units from one half (`|lo − 2⁶³| > 2⁴²`),
+/// the rounded `f64` product and the rounded exact one agree. Inside
+/// that window (about 2⁻²¹ of durations), for `a ≥ 2³²`, and for factors
+/// with no exact `F` (above 1, or below 2⁻¹² with bits past 2⁻⁶⁴), the
+/// `f64` expression itself is evaluated, in the same call.
+///
+/// **A factor of 1** (Alex 100 %) is held as `F = 2⁶⁴ − 1`: for
+/// `1 ≤ a < 2³²`, `a·F = (a − 1)·2⁶⁴ + (2⁶⁴ − a)`, whose low word is at
+/// least 2⁶⁴ − 2³², far from the half, so the result is `a` (and 0 at
+/// `a = 0`), as `a as f64 * 1.0` rounds to. A factor of 0 is `F = 0`:
+/// every result is 0.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DurationScale {
+    factor: f64,
+    /// `factor · 2⁶⁴` (2⁶⁴ − 1 at a factor of 1); 0 when `guard` sends
+    /// every duration to the `f64` expression.
+    fixed: u64,
+    /// How far from 2⁶³ a product's low word must be for the fixed-point
+    /// rounding to stand: the `f64` product's error bound, 2⁴², or
+    /// `u64::MAX` (never) when the factor has no exact `fixed`.
+    guard: u64,
+}
+
+/// 2⁶⁴, exactly.
+const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+/// A product's low word at a half second.
+const HALF: u64 = 1 << 63;
+/// The `f64` product's largest error, in units of 2⁻⁶⁴ s, for a product
+/// below 2³² s (see [`DurationScale`]).
+const F64_PRODUCT_ERROR: u64 = 1 << 42;
+
+impl DurationScale {
+    /// The scale by `factor`.
+    ///
+    /// # Panics
+    /// Panics if `factor` is negative or NaN.
+    pub fn new(factor: f64) -> Self {
+        assert!(factor >= 0.0, "duration scale factor must be non-negative");
+        let wide = factor * TWO_POW_64;
+        let (fixed, guard) = if factor == 1.0 {
+            (u64::MAX, F64_PRODUCT_ERROR)
+        } else if wide < TWO_POW_64 && wide as u64 as f64 == wide {
+            (wide as u64, F64_PRODUCT_ERROR)
+        } else {
+            (0, u64::MAX)
+        };
+        DurationScale {
+            factor,
+            fixed,
+            guard,
+        }
+    }
+
+    /// The factor this scale was built from.
+    pub fn factor(self) -> f64 {
+        self.factor
+    }
+
+    /// `d × factor`, rounded to the nearest second (halves up) and
+    /// saturating at [`SimDuration::MAX`].
+    #[inline]
+    pub fn apply(self, d: SimDuration) -> SimDuration {
+        if let Ok(a) = u32::try_from(d.0) {
+            let product = u128::from(self.fixed) * u128::from(a);
+            let (whole, frac) = ((product >> 64) as u64, product as u64);
+            if frac.abs_diff(HALF) > self.guard {
+                return SimDuration(whole + u64::from(frac >= HALF));
+            }
+        }
+        scale_f64(d, self.factor)
+    }
+}
+
+/// The `f64` expression [`DurationScale::apply`] is exact against, for
+/// the durations and factors its fixed point does not decide.
+#[cold]
+fn scale_f64(d: SimDuration, factor: f64) -> SimDuration {
+    let scaled = d.0 as f64 * factor;
+    if scaled >= u64::MAX as f64 {
+        SimDuration::MAX
+    } else {
+        SimDuration(round_to_u64(scaled))
     }
 }
 
@@ -381,6 +483,111 @@ mod tests {
             SimDuration::from_secs(3).mul_f64(0.5),
             SimDuration::from_secs(2)
         ); // rounds
+    }
+
+    /// The expression `SimDuration::mul_f64` evaluated before
+    /// [`DurationScale`]: the oracle its results are checked against.
+    fn f64_scaled(secs: u64, factor: f64) -> u64 {
+        let scaled = secs as f64 * factor;
+        if scaled >= u64::MAX as f64 {
+            u64::MAX
+        } else {
+            scaled.round() as u64
+        }
+    }
+
+    #[test]
+    fn a_scale_is_fixed_point_where_its_docs_say() {
+        let below_2_pow_12 = f64::from_bits(2f64.powi(-12).to_bits() - 1);
+        for (factor, fixed) in [
+            (0.0, Some(0)),
+            (1.0, Some(u64::MAX)),
+            (0.5, Some(1 << 63)),
+            (2f64.powi(-12), Some(1 << 52)),
+            (2f64.powi(-20), Some(1 << 44)),
+            (0.1, Some(0x1999_9999_9999_9A00)),
+            (below_2_pow_12, None),
+            (1.0 + f64::EPSILON, None),
+            (10.0, None),
+            (f64::INFINITY, None),
+        ] {
+            let scale = DurationScale::new(factor);
+            assert_eq!(scale.factor().to_bits(), factor.to_bits());
+            match fixed {
+                Some(f) => assert_eq!(
+                    (scale.fixed, scale.guard),
+                    (f, F64_PRODUCT_ERROR),
+                    "{factor}"
+                ),
+                None => assert_eq!(scale.guard, u64::MAX, "{factor}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_scale_rounds_halves_up_and_saturates_as_f64_does() {
+        let limit = u64::from(u32::MAX);
+        for (secs, factor, want) in [
+            (3, 0.5, 2),
+            (5, 0.5, 3),
+            (limit, 0.5, 1 << 31),
+            (0, 1.0, 0),
+            (1, 1.0, 1),
+            (limit, 1.0, limit),
+            (limit + 1, 1.0, limit + 1),
+            (u64::MAX, 0.0, 0),
+            (limit, 0.0, 0),
+            (7, 10.0, 70),
+            (u64::MAX, 2.0, u64::MAX),
+            (1 << 40, 0.1, 109_951_162_778),
+            // Inside the near-half window: the f64 product rounds to
+            // n + ½ and so up, where the fixed point alone would
+            // round the exact product, just under it, down.
+            (2_706_549_150, 0.99, 2_679_483_659),
+            (3_964_155_450, 0.99, 3_924_513_896),
+        ] {
+            let got = DurationScale::new(factor).apply(SimDuration::from_secs(secs));
+            assert_eq!(got.as_secs(), want, "{secs} × {factor}");
+            assert_eq!(want, f64_scaled(secs, factor), "{secs} × {factor}");
+            assert_eq!(SimDuration::from_secs(secs).mul_f64(factor), got);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn a_negative_scale_panics() {
+        let _ = DurationScale::new(-0.25);
+    }
+
+    /// Every age in [0, 2²⁷) and in the top 2²⁴ below 2³² — where the
+    /// `f64` product's error is largest and the near-half window
+    /// decides most — at every integer percent 0–100 (CERN's default LM
+    /// fraction, 0.1, is bit for bit 10 / 100), against the `f64`
+    /// expression: 1.5·10¹⁰ cases, run in release by CI
+    /// (`cargo test --release -p simcore -- --ignored`, ~52 s on a
+    /// 2-vCPU x86-64 VM). Every value here is below 2³², so the oracle's
+    /// conversions go through `i64`, exact there and a third cheaper
+    /// than `u64`'s; it rounds as `round_to_u64`, which
+    /// `rounding_is_f64_rounds` holds to `f64::round`.
+    #[test]
+    #[ignore = "exhaustive; run in release with --ignored"]
+    fn every_low_and_top_age_at_every_percent_is_f64_exact() {
+        assert_eq!(0.1f64.to_bits(), (10.0f64 / 100.0).to_bits());
+        let top = 1i64 << 32;
+        for pct in 0..=100u32 {
+            let factor = f64::from(pct) / 100.0;
+            let scale = DurationScale::new(factor);
+            let wrong = (0..1i64 << 27)
+                .chain(top - (1 << 24)..top)
+                .filter(|&a| {
+                    let x = a as f64 * factor;
+                    let t = x as i64;
+                    let want = t + i64::from(x - t as f64 >= 0.5);
+                    scale.apply(SimDuration(a as u64)).0 != want as u64
+                })
+                .count();
+            assert_eq!(wrong, 0, "{pct} %: {wrong} ages differ");
+        }
     }
 
     #[test]

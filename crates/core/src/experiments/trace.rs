@@ -234,6 +234,31 @@ mod tests {
     }
 
     #[test]
+    fn capture_document_is_pinned() {
+        // FNV-1a over the whole document: the document and point headers
+        // as well as the event lines.
+        let doc = capture(
+            TraceTarget::fig4(),
+            &smoke_scale(),
+            &SweepRunner::new(1),
+            64,
+        );
+        let hash = doc.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        let mut lines = doc.lines();
+        assert_eq!(
+            lines.next(),
+            Some(r#"{"trace":"fig4","workloads":1,"points":5,"limit":64}"#)
+        );
+        assert_eq!(
+            lines.next(),
+            Some(r#"{"point":"synthetic(60 files)/Alex 0%","recorded":10152,"dropped":10088}"#)
+        );
+        assert_eq!((doc.lines().count(), hash), (326, 0x239b_2e11_9362_a7a1));
+    }
+
+    #[test]
     fn capture_reports_ring_drops_in_point_headers() {
         let scale = smoke_scale();
         // A 1-event ring drops almost everything; the headers must say so.

@@ -422,6 +422,40 @@ mod tests {
     }
 
     #[test]
+    fn json_is_pinned_byte_for_byte() {
+        let files = vec![(
+            "crates/say\"hi\nthere\r/src/x.rs".to_string(),
+            "// wcc-allow: r1 keeps \"wall\" time\\here\tand\u{1}\n\
+             fn f() { let t = Instant::now(); }\n\
+             fn g() { let u = Instant::now(); }\n\
+             // wcc-allow: r5 never triggers\n\
+             fn h() {}\n"
+                .to_string(),
+        )];
+        // Every escape: `"`, `\\`, `\n`, `\r`, `\t` and a control character;
+        // one used and one unused suppression.
+        let expected = "{\"files_scanned\":1,\
+            \"rules\":[{\"id\":\"r1\",\"name\":\"no-wall-clock\",\"summary\":\"simulation crates must take time from the virtual clock — a single Instant::now() breaks the golden-hash determinism tests\"},\
+            {\"id\":\"r2\",\"name\":\"no-unordered-iter\",\"summary\":\"report-writing files must not iterate HashMap/HashSet — unspecified order corrupts golden-hash comparisons run-to-run\"},\
+            {\"id\":\"r4\",\"name\":\"no-panic-in-server-path\",\"summary\":\"connection handling returns errors that close one connection; a panic kills a whole worker thread\"},\
+            {\"id\":\"r5\",\"name\":\"bounded-channel-or-comment\",\"summary\":\"queues and server-loop collections are bounded, or carry a wcc-allow stating the protocol bound\"},\
+            {\"id\":\"r8\",\"name\":\"guard-across-blocking\",\"summary\":\"no mutex guard is live across socket IO, a queue offer, a channel send or receive, or a thread join — blocking under a lock stalls every thread contending for it; on the reactor path no call blocks at all\"},\
+            {\"id\":\"r9\",\"name\":\"decision-written-once\",\"summary\":\"only consistency::Engine asks a Policy to decide or feeds it back — a driver that calls decide/on_validation/on_fetch itself is a second copy of the request logic\"},\
+            {\"id\":\"allow\",\"name\":\"suppression-hygiene\",\"summary\":\"every wcc-allow names a known rule and states a reason; anything else is itself a finding\"}],\
+            \"unsuppressed\":1,\
+            \"by_rule\":{\"r1\":1,\"r2\":0,\"r4\":0,\"r5\":0,\"r8\":0,\"r9\":0,\"allow\":0},\
+            \"findings\":[{\"rule\":\"r1\",\"name\":\"no-wall-clock\",\"file\":\"crates/say\\\"hi\\nthere\\r/src/x.rs\",\"line\":2,\"message\":\"Instant::now() in `say\\\"hi\\nthere\\r` — simulation crates must take time from the virtual clock (SimTime / LiveClock) or results stop being reproducible\",\
+            \"suppressed\":\"keeps \\\"wall\\\" time\\\\here\\tand\\u0001\"},\
+            {\"rule\":\"r1\",\"name\":\"no-wall-clock\",\"file\":\"crates/say\\\"hi\\nthere\\r/src/x.rs\",\"line\":3,\"message\":\"Instant::now() in `say\\\"hi\\nthere\\r` — simulation crates must take time from the virtual clock (SimTime / LiveClock) or results stop being reproducible\",\
+            \"suppressed\":null}],\
+            \"suppressions\":[{\"file\":\"crates/say\\\"hi\\nthere\\r/src/x.rs\",\"line\":1,\
+            \"rules\":\"r1\",\"reason\":\"keeps \\\"wall\\\" time\\\\here\\tand\\u0001\",\"used\":true},\
+            {\"file\":\"crates/say\\\"hi\\nthere\\r/src/x.rs\",\"line\":4,\
+            \"rules\":\"r5\",\"reason\":\"never triggers\",\"used\":false}]}";
+        assert_eq!(to_json(&analyze_sources(&files)), expected);
+    }
+
+    #[test]
     fn json_is_deterministic_and_escaped() {
         let files = vec![(
             "crates/simcore/src/x.rs".to_string(),

@@ -294,6 +294,115 @@ mod tests {
     }
 
     #[test]
+    fn every_event_variant_has_its_exact_line() {
+        use crate::probe::{ConnCloseReason, ShedReason};
+        let file = FileId(42);
+        let request = |outcome| ObsEvent::Request { file, outcome };
+        let exchange = |kind, message_bytes, body_bytes| ObsEvent::Exchange {
+            file,
+            kind,
+            message_bytes,
+            body_bytes,
+        };
+        let server_op = |kind| ObsEvent::ServerOp { kind };
+        let closed = |reason| ObsEvent::ConnClosed { reactor: 1, reason };
+        let events = [
+            request(RequestOutcome::FreshHit),
+            request(RequestOutcome::StaleHit {
+                age: SimDuration::from_secs(3600),
+            }),
+            request(RequestOutcome::Miss),
+            request(RequestOutcome::ValidatedFresh),
+            request(RequestOutcome::ValidatedStale),
+            request(RequestOutcome::Uncacheable),
+            ObsEvent::Validation {
+                file,
+                modified: true,
+            },
+            exchange(ExchangeKind::NotModified, 43, 0),
+            exchange(ExchangeKind::Body, 124, 2048),
+            exchange(ExchangeKind::Gone, 90, 0),
+            exchange(ExchangeKind::Notice, 60, 0),
+            ObsEvent::Invalidation { file, fanout: 3 },
+            ObsEvent::Eviction { file },
+            ObsEvent::Modification { file },
+            server_op(ServerOpKind::DocumentRequest),
+            server_op(ServerOpKind::ValidationQuery),
+            server_op(ServerOpKind::InvalidationSent),
+            server_op(ServerOpKind::InvalidationRetracted),
+            ObsEvent::PolicyDecision { file, fresh: false },
+            ObsEvent::Dispatched { pending: 17 },
+            ObsEvent::LiveLatency { micros: 250 },
+            ObsEvent::ShardQueue { shard: 2, depth: 5 },
+            ObsEvent::Upstream { reused: true },
+            ObsEvent::ConnAccepted {
+                reactor: 1,
+                open: 300,
+            },
+            closed(ConnCloseReason::PeerClosed),
+            closed(ConnCloseReason::Error),
+            closed(ConnCloseReason::BudgetExhausted),
+            closed(ConnCloseReason::AtCapacity),
+            closed(ConnCloseReason::Shutdown),
+            ObsEvent::AcceptBacklog {
+                reactor: 0,
+                depth: 8,
+            },
+            ObsEvent::OpenLoopArrival { depth: 4 },
+            ObsEvent::OpenLoopShed {
+                reason: ShedReason::QueueFull,
+            },
+            ObsEvent::OpenLoopShed {
+                reason: ShedReason::Timeout,
+            },
+            ObsEvent::OpenLoopQueueDelay { micros: 1500 },
+            ObsEvent::LockContended { rank: 60 },
+        ];
+        let expected = [
+            r#"{"seq":0,"t_s":86400,"kind":"request","file":42,"outcome":"fresh_hit"}"#,
+            r#"{"seq":1,"t_s":86401,"kind":"request","file":42,"outcome":"stale_hit","age_s":3600}"#,
+            r#"{"seq":2,"t_s":86402,"kind":"request","file":42,"outcome":"miss"}"#,
+            r#"{"seq":3,"t_s":86403,"kind":"request","file":42,"outcome":"validated_fresh"}"#,
+            r#"{"seq":4,"t_s":86404,"kind":"request","file":42,"outcome":"validated_stale"}"#,
+            r#"{"seq":5,"t_s":86405,"kind":"request","file":42,"outcome":"uncacheable"}"#,
+            r#"{"seq":6,"t_s":86406,"kind":"validation","file":42,"modified":true}"#,
+            r#"{"seq":7,"t_s":86407,"kind":"exchange","file":42,"reply":"not_modified","message_bytes":43,"body_bytes":0}"#,
+            r#"{"seq":8,"t_s":86408,"kind":"exchange","file":42,"reply":"body","message_bytes":124,"body_bytes":2048}"#,
+            r#"{"seq":9,"t_s":86409,"kind":"exchange","file":42,"reply":"gone","message_bytes":90,"body_bytes":0}"#,
+            r#"{"seq":10,"t_s":86410,"kind":"exchange","file":42,"reply":"notice","message_bytes":60,"body_bytes":0}"#,
+            r#"{"seq":11,"t_s":86411,"kind":"invalidation","file":42,"fanout":3}"#,
+            r#"{"seq":12,"t_s":86412,"kind":"eviction","file":42}"#,
+            r#"{"seq":13,"t_s":86413,"kind":"modification","file":42}"#,
+            r#"{"seq":14,"t_s":86414,"kind":"server_op","op":"document_request"}"#,
+            r#"{"seq":15,"t_s":86415,"kind":"server_op","op":"validation_query"}"#,
+            r#"{"seq":16,"t_s":86416,"kind":"server_op","op":"invalidation_sent"}"#,
+            r#"{"seq":17,"t_s":86417,"kind":"server_op","op":"invalidation_retracted"}"#,
+            r#"{"seq":18,"t_s":86418,"kind":"policy","file":42,"fresh":false}"#,
+            r#"{"seq":19,"t_s":86419,"kind":"dispatched","pending":17}"#,
+            r#"{"seq":20,"t_s":86420,"kind":"live_latency","us":250}"#,
+            r#"{"seq":21,"t_s":86421,"kind":"shard_queue","shard":2,"depth":5}"#,
+            r#"{"seq":22,"t_s":86422,"kind":"upstream","reused":true}"#,
+            r#"{"seq":23,"t_s":86423,"kind":"conn_accepted","reactor":1,"open":300}"#,
+            r#"{"seq":24,"t_s":86424,"kind":"conn_closed","reactor":1,"reason":"peer_closed"}"#,
+            r#"{"seq":25,"t_s":86425,"kind":"conn_closed","reactor":1,"reason":"error"}"#,
+            r#"{"seq":26,"t_s":86426,"kind":"conn_closed","reactor":1,"reason":"budget_exhausted"}"#,
+            r#"{"seq":27,"t_s":86427,"kind":"conn_closed","reactor":1,"reason":"at_capacity"}"#,
+            r#"{"seq":28,"t_s":86428,"kind":"conn_closed","reactor":1,"reason":"shutdown"}"#,
+            r#"{"seq":29,"t_s":86429,"kind":"accept_backlog","reactor":0,"depth":8}"#,
+            r#"{"seq":30,"t_s":86430,"kind":"openloop_arrival","depth":4}"#,
+            r#"{"seq":31,"t_s":86431,"kind":"openloop_shed","reason":"queue_full"}"#,
+            r#"{"seq":32,"t_s":86432,"kind":"openloop_shed","reason":"timeout"}"#,
+            r#"{"seq":33,"t_s":86433,"kind":"openloop_queue_delay","us":1500}"#,
+            r#"{"seq":34,"t_s":86434,"kind":"lock_contended","rank":60}"#,
+        ];
+        assert_eq!(events.len(), expected.len());
+        for (seq, (event, want)) in events.iter().zip(expected).enumerate() {
+            let seq = seq as u64;
+            assert_eq!(event_json(seq, t(86_400 + seq), event), want);
+        }
+    }
+
+    #[test]
     fn identical_event_streams_export_identical_bytes() {
         let feed = |p: &mut TraceProbe| {
             p.record(t(1), ObsEvent::Modification { file: FileId(0) });

@@ -15,17 +15,12 @@
 
 use std::str::FromStr;
 
-use liveserve::report::JsonObj;
-use simcore::SimDuration;
+use wcc_obs::JsonObj;
 use webcache::experiments::report::{render_table1, render_table2};
 use webcache::experiments::trace::{self, TraceTarget};
-use webcache::experiments::{
-    ablations, deployment, failure, tables, DataSet, Figure, Scale, SimReport,
-};
-use webcache::{
-    generate_synthetic, ProtocolSpec, RunResult, SimConfig, SweepRunner, Workload, WorrellConfig,
-};
-use webtrace::campus::{generate_campus_trace, CampusProfile};
+use webcache::experiments::{ablations, tables, DataSet, Figure, Scale, SimReport};
+use webcache::{generate_synthetic, ProtocolSpec, SweepRunner, Workload, WorrellConfig};
+use webtrace::campus::CampusProfile;
 
 /// A subcommand's entry point; `Err` is a usage problem (exit 2).
 type Run = fn(&Flags) -> Result<(), String>;
@@ -38,7 +33,7 @@ const COMMANDS: &[(&str, Run)] = &[
     ("figure <1-8> [--quick] [--jobs N] [--obs PATH] [--limit N]", cmd_figure),
     ("figures [--policies new] [--quick] [--smoke] [--jobs N]", cmd_figures),
     ("table <1|2> [--quick] [--jobs N]", |a| table(a.arg()?, a.has("quick"), &runner(a)?)),
-    ("ablations [--jobs N]", |a| { run_ablations(&runner(a)?); Ok(()) }),
+    ("ablations [--jobs N]", |a| { print!("{}", ablations::report(&runner(a)?)); Ok(()) }),
     ("all [--quick] [--jobs N]", cmd_all),
     ("trace [fig2-fig8] [--smoke] [--quick] [--jobs N] [--obs PATH] [--limit N]", cmd_trace),
     ("metrics [--quick] [--jobs N]", cmd_metrics),
@@ -322,143 +317,8 @@ fn cmd_all(a: &Flags) -> Result<(), String> {
             panel.unwrap_or_else(|| figure.render(&scale, &runner))
         );
     }
-    run_ablations(&runner);
+    print!("{}", ablations::report(&runner));
     Ok(())
-}
-
-/// One `label: bandwidth, staleness, server load` ablation row.
-fn print_cost_row(label: &str, r: &RunResult) {
-    let (mb, stale, ops) = (r.total_mb(), r.stale_pct(), r.server_ops());
-    println!("  {label}: {mb:.3} MB, stale {stale:.2}%, {ops} ops");
-}
-
-fn run_ablations(runner: &SweepRunner) {
-    println!("== Ablation: workload properties (Worrell -> trace-like) ==");
-    println!(
-        "{:<58}{:>10}{:>11}{:>8}{:>7}",
-        "variant", "alex20 MB", "inval MB", "stale%", "wins?"
-    );
-    for r in ablations::workload_ablation(800, 30_000, 1996, runner) {
-        println!(
-            "{:<58}{:>10.3}{:>11.3}{:>8.2}{:>7}",
-            r.variant,
-            r.alex.total_mb(),
-            r.invalidation.total_mb(),
-            r.weak_stale_pct(),
-            if r.weak_wins_bandwidth() { "yes" } else { "no" }
-        );
-    }
-
-    let campus = generate_campus_trace(&CampusProfile::hcs(), 1996);
-    let wl = Workload::from_server_trace(campus.trace);
-
-    println!("\n== Ablation: message costing (HCS, Alex@20%) ==");
-    let (paper, wire) = ablations::costing_ablation(&wl, ProtocolSpec::Alex(20), runner);
-    println!(
-        "  43-byte messages: {:.3} MB | serialised HTTP/1.0: {:.3} MB | behaviour identical: {}",
-        paper.total_mb(),
-        wire.total_mb(),
-        paper.cache == wire.cache
-    );
-
-    println!("\n== Ablation: dynamic (uncacheable) cgi content (HCS, Alex@20%) ==");
-    let cgi = webtrace::FileType::Cgi.class_index();
-    let (cacheable, dynamic) =
-        ablations::dynamic_content_ablation(&wl, ProtocolSpec::Alex(20), cgi, runner);
-    println!(
-        "  cgi cached: {:.3} MB, {:.2}% miss | cgi forwarded: {:.3} MB, {:.2}% miss",
-        cacheable.total_mb(),
-        cacheable.miss_pct(),
-        dynamic.total_mb(),
-        dynamic.miss_pct()
-    );
-
-    println!("\n== Ablation: self-tuning vs fixed Alex thresholds (HCS) ==");
-    let (tuned, fixed) = ablations::selftuning_comparison(&wl, &[5, 10, 20, 50, 100], runner);
-    print_cost_row("self-tuning ", &tuned);
-    for (pct, r) in fixed {
-        print_cost_row(&format!("fixed {pct:>3}%  "), &r);
-    }
-
-    println!("\n== Ablation: bounded cache capacity (HCS, Alex@30%) ==");
-    println!(
-        "  {:>10}{:>12}{:>10}{:>9}{:>9}",
-        "capacity", "bandwidth", "evicted", "miss%", "stale%"
-    );
-    for p in ablations::capacity_sweep(&wl, ProtocolSpec::Alex(30), &[0.02, 0.1, 0.5, 2.0], runner)
-    {
-        println!(
-            "  {:>9.0}%{:>9.3} MB{:>10}{:>9.2}{:>9.2}",
-            100.0 * p.capacity_fraction,
-            p.result.total_mb(),
-            p.evictions,
-            p.result.miss_pct(),
-            p.result.stale_pct()
-        );
-    }
-
-    println!("\n== Ablation: eviction policy at 10% capacity (HCS, Alex@30%) ==");
-    let (lru, le, fifo, fe) =
-        ablations::eviction_policy_comparison(&wl, ProtocolSpec::Alex(30), 0.10, runner);
-    println!(
-        "  LRU : {:.3} MB, {:.2}% miss, {le} evictions | FIFO: {:.3} MB, {:.2}% miss, {fe} evictions",
-        lru.total_mb(),
-        lru.miss_pct(),
-        fifo.total_mb(),
-        fifo.miss_pct()
-    );
-
-    println!("\n== Ablation: mean request latency (HCS; 150ms RTT, 28.8kbps link) ==");
-    for (name, ms) in ablations::latency_comparison(&wl, 150.0, 3_600.0, runner) {
-        println!("  {name:<18}: {ms:>8.1} ms/request");
-    }
-
-    println!("\n== Extension: invalidation under a 12h notification partition (HCS) ==");
-    let outages = vec![failure::Outage {
-        from: wl.start + SimDuration::from_days(5),
-        until: wl.start + SimDuration::from_days(5) + SimDuration::from_hours(12),
-    }];
-    let (part, alex) = failure::resilience_comparison(&wl, &outages, 10, runner);
-    println!(
-        "  invalidation: {} stale hits, {} failed delivery attempts, {} late notices",
-        part.result.cache.stale_hits, part.failed_attempts, part.late_deliveries
-    );
-    println!(
-        "  Alex@10%    : {} stale hits, no server-side retry state at all",
-        alex.cache.stale_hits
-    );
-
-    println!("\n== Extension: staleness severity (HCS; how old is stale data?) ==");
-    for (name, stale_pct, severity) in ablations::severity_comparison(&wl, runner) {
-        match severity {
-            Some(hours) => {
-                println!("  {name:<16}: {stale_pct:>5.2}% stale, {hours:>7.1} h mean staleness age")
-            }
-            None => println!("  {name:<16}: {stale_pct:>5.2}% stale (never serves stale)"),
-        }
-    }
-
-    println!("\n== Extension: proxy placement vs %-remote (Alex@20%) ==");
-    println!(
-        "  {:<6}{:>9}{:>12}{:>12}{:>12}{:>11}{:>11}",
-        "trace", "remote%", "no-proxy", "boundary", "universal", "bnd-red%", "uni-red%"
-    );
-    for row in deployment::deployment_comparison(ProtocolSpec::Alex(20), 1996, 1, runner) {
-        println!(
-            "  {:<6}{:>8.0}%{:>12}{:>12}{:>12}{:>10.1}%{:>10.1}%",
-            row.trace,
-            100.0 * row.remote_fraction,
-            row.no_proxy_ops,
-            row.boundary_ops,
-            row.universal_ops,
-            100.0 * row.boundary_reduction(),
-            100.0 * row.universal_reduction()
-        );
-    }
-
-    println!("\n== Extension: per-class TTLs informed by Table 2 (HCS) ==");
-    let class_ttl = webcache::run(&wl, ProtocolSpec::ClassTtlTable2, &SimConfig::optimized());
-    print_cost_row("class-TTL   ", &class_ttl);
 }
 
 /// The paper's three mechanisms, as the live subcommands run them.

@@ -10,10 +10,17 @@
 //!   exact serialised HTTP/1.0 sizes;
 //! * [`selftuning_comparison`] — the §5 self-tuning policy versus the
 //!   best fixed Alex threshold.
+//!
+//! [`report`] runs them all, with the capacity, eviction, latency,
+//! failure, severity and placement extensions, as `wcc ablations` prints
+//! them.
 
 use httpsim::MessageCosting;
+use simcore::SimDuration;
+use webtrace::campus::{generate_campus_trace, CampusProfile};
 
 use crate::experiment::{Experiment, RunOutcome, Store};
+use crate::experiments::{deployment, failure};
 use crate::sim::{run, RunResult, SimConfig};
 use crate::sweep::SweepRunner;
 use crate::workload::{
@@ -296,6 +303,143 @@ pub fn selftuning_comparison(
             })
         },
     )
+}
+
+/// One `label: bandwidth, staleness, server load` report row.
+fn cost_row(label: &str, r: &RunResult) -> String {
+    let (mb, stale, ops) = (r.total_mb(), r.stale_pct(), r.server_ops());
+    format!("  {label}: {mb:.3} MB, stale {stale:.2}%, {ops} ops\n")
+}
+
+/// Every ablation and extension above, plus failure injection and proxy
+/// placement, as the text `wcc ablations` prints (and `wcc all` ends
+/// with).
+pub fn report(runner: &SweepRunner) -> String {
+    let mut out = String::from("== Ablation: workload properties (Worrell -> trace-like) ==\n");
+    out += &format!(
+        "{:<58}{:>10}{:>11}{:>8}{:>7}\n",
+        "variant", "alex20 MB", "inval MB", "stale%", "wins?"
+    );
+    for r in workload_ablation(800, 30_000, 1996, runner) {
+        out += &format!(
+            "{:<58}{:>10.3}{:>11.3}{:>8.2}{:>7}\n",
+            r.variant,
+            r.alex.total_mb(),
+            r.invalidation.total_mb(),
+            r.weak_stale_pct(),
+            if r.weak_wins_bandwidth() { "yes" } else { "no" }
+        );
+    }
+
+    let campus = generate_campus_trace(&CampusProfile::hcs(), 1996);
+    let wl = Workload::from_server_trace(campus.trace);
+
+    out += "\n== Ablation: message costing (HCS, Alex@20%) ==\n";
+    let (paper, wire) = costing_ablation(&wl, ProtocolSpec::Alex(20), runner);
+    out += &format!(
+        "  43-byte messages: {:.3} MB | serialised HTTP/1.0: {:.3} MB | behaviour identical: {}\n",
+        paper.total_mb(),
+        wire.total_mb(),
+        paper.cache == wire.cache
+    );
+
+    out += "\n== Ablation: dynamic (uncacheable) cgi content (HCS, Alex@20%) ==\n";
+    let cgi = webtrace::FileType::Cgi.class_index();
+    let (cacheable, dynamic) = dynamic_content_ablation(&wl, ProtocolSpec::Alex(20), cgi, runner);
+    out += &format!(
+        "  cgi cached: {:.3} MB, {:.2}% miss | cgi forwarded: {:.3} MB, {:.2}% miss\n",
+        cacheable.total_mb(),
+        cacheable.miss_pct(),
+        dynamic.total_mb(),
+        dynamic.miss_pct()
+    );
+
+    out += "\n== Ablation: self-tuning vs fixed Alex thresholds (HCS) ==\n";
+    let (tuned, fixed) = selftuning_comparison(&wl, &[5, 10, 20, 50, 100], runner);
+    out += &cost_row("self-tuning ", &tuned);
+    for (pct, r) in fixed {
+        out += &cost_row(&format!("fixed {pct:>3}%  "), &r);
+    }
+
+    out += "\n== Ablation: bounded cache capacity (HCS, Alex@30%) ==\n";
+    out += &format!(
+        "  {:>10}{:>12}{:>10}{:>9}{:>9}\n",
+        "capacity", "bandwidth", "evicted", "miss%", "stale%"
+    );
+    for p in capacity_sweep(&wl, ProtocolSpec::Alex(30), &[0.02, 0.1, 0.5, 2.0], runner) {
+        out += &format!(
+            "  {:>9.0}%{:>9.3} MB{:>10}{:>9.2}{:>9.2}\n",
+            100.0 * p.capacity_fraction,
+            p.result.total_mb(),
+            p.evictions,
+            p.result.miss_pct(),
+            p.result.stale_pct()
+        );
+    }
+
+    out += "\n== Ablation: eviction policy at 10% capacity (HCS, Alex@30%) ==\n";
+    let (lru, le, fifo, fe) = eviction_policy_comparison(&wl, ProtocolSpec::Alex(30), 0.10, runner);
+    out += &format!(
+        "  LRU : {:.3} MB, {:.2}% miss, {le} evictions | FIFO: {:.3} MB, {:.2}% miss, {fe} evictions\n",
+        lru.total_mb(),
+        lru.miss_pct(),
+        fifo.total_mb(),
+        fifo.miss_pct()
+    );
+
+    out += "\n== Ablation: mean request latency (HCS; 150ms RTT, 28.8kbps link) ==\n";
+    for (name, ms) in latency_comparison(&wl, 150.0, 3_600.0, runner) {
+        out += &format!("  {name:<18}: {ms:>8.1} ms/request\n");
+    }
+
+    out += "\n== Extension: invalidation under a 12h notification partition (HCS) ==\n";
+    let outages = vec![failure::Outage {
+        from: wl.start + SimDuration::from_days(5),
+        until: wl.start + SimDuration::from_days(5) + SimDuration::from_hours(12),
+    }];
+    let (part, alex) = failure::resilience_comparison(&wl, &outages, 10, runner);
+    out += &format!(
+        "  invalidation: {} stale hits, {} failed delivery attempts, {} late notices\n",
+        part.result.cache.stale_hits, part.failed_attempts, part.late_deliveries
+    );
+    out += &format!(
+        "  Alex@10%    : {} stale hits, no server-side retry state at all\n",
+        alex.cache.stale_hits
+    );
+
+    out += "\n== Extension: staleness severity (HCS; how old is stale data?) ==\n";
+    for (name, stale_pct, severity) in severity_comparison(&wl, runner) {
+        out += &match severity {
+            Some(hours) => {
+                format!(
+                    "  {name:<16}: {stale_pct:>5.2}% stale, {hours:>7.1} h mean staleness age\n"
+                )
+            }
+            None => format!("  {name:<16}: {stale_pct:>5.2}% stale (never serves stale)\n"),
+        };
+    }
+
+    out += "\n== Extension: proxy placement vs %-remote (Alex@20%) ==\n";
+    out += &format!(
+        "  {:<6}{:>9}{:>12}{:>12}{:>12}{:>11}{:>11}\n",
+        "trace", "remote%", "no-proxy", "boundary", "universal", "bnd-red%", "uni-red%"
+    );
+    for row in deployment::deployment_comparison(ProtocolSpec::Alex(20), 1996, 1, runner) {
+        out += &format!(
+            "  {:<6}{:>8.0}%{:>12}{:>12}{:>12}{:>10.1}%{:>10.1}%\n",
+            row.trace,
+            100.0 * row.remote_fraction,
+            row.no_proxy_ops,
+            row.boundary_ops,
+            row.universal_ops,
+            100.0 * row.boundary_reduction(),
+            100.0 * row.universal_reduction()
+        );
+    }
+
+    out += "\n== Extension: per-class TTLs informed by Table 2 (HCS) ==\n";
+    let class_ttl = run(&wl, ProtocolSpec::ClassTtlTable2, &SimConfig::optimized());
+    out + &cost_row("class-TTL   ", &class_ttl)
 }
 
 #[cfg(test)]

@@ -15,9 +15,7 @@
 //! merge) into the tables `wcc metrics` prints, with the heap bytes of
 //! the tables the sweep held as `mem.*` gauges.
 
-use std::fmt::Write as _;
-
-use wcc_obs::{MetricsProbe, MetricsRegistry, Probe, TraceProbe};
+use wcc_obs::{JsonObj, MetricsProbe, MetricsRegistry, Probe, TraceProbe};
 
 use crate::experiments::{DataSet, Figure, Scale};
 use crate::sweep::SweepRunner;
@@ -103,21 +101,20 @@ fn probed_sweep<P: Probe + Send>(
 pub fn capture(target: TraceTarget, scale: &Scale, runner: &SweepRunner, limit: usize) -> String {
     let (workloads, cells) =
         probed_sweep("trace", target, scale, runner, || TraceProbe::new(limit));
-    let mut doc = format!(
-        "{{\"trace\":\"{}\",\"workloads\":{},\"points\":{},\"limit\":{limit}}}\n",
-        target.label(),
-        workloads.len(),
-        cells.len(),
-    );
+    let mut doc = JsonObj::new()
+        .str("trace", &target.label())
+        .u64("workloads", workloads.len() as u64)
+        .u64("points", cells.len() as u64)
+        .u64("limit", limit as u64)
+        .finish()
+        + "\n";
     for (label, probe, _) in cells {
-        writeln!(
-            doc,
-            "{{\"point\":\"{label}\",\"recorded\":{},\"dropped\":{}}}",
-            probe.recorded(),
-            probe.dropped()
-        )
-        .expect("infallible");
-        doc.push_str(&probe.to_jsonl_string());
+        let header = JsonObj::new()
+            .str("point", &label)
+            .u64("recorded", probe.recorded())
+            .u64("dropped", probe.dropped())
+            .finish();
+        doc += &format!("{header}\n{}", probe.to_jsonl_string());
     }
     doc
 }

@@ -21,7 +21,9 @@
 //!   single-lock topology, so the differential guarantee is untouched.
 //! * [`LiveStack`] — the two on loopback sharing one virtual clock,
 //!   described by a [`StackSpec`] and a [`LiveRunConfig`]; `shutdown`
-//!   returns the [`StackCounters`] every load report embeds. The load
+//!   returns the [`StackCounters`] every load report embeds, written
+//!   into the report's `wcc_obs::JsonObj` by
+//!   [`StackCounters::write_json`]. The load
 //!   drivers themselves (closed-loop, open-loop, trace replay) live in
 //!   `wcc-load`, the connection soak among them;
 //!   [`HttpConn::get_ok`] is the one client exchange they share.
@@ -51,7 +53,6 @@ mod netio;
 mod origin;
 mod proxy;
 mod reactor;
-pub mod report;
 mod stack;
 mod sys;
 mod upstream;

@@ -16,12 +16,11 @@ use std::sync::Arc;
 
 use originserver::FilePopulation;
 use simcore::{FileId, ServerLoad, SimDuration, SimTime};
-use wcc_obs::ProbeHandle;
+use wcc_obs::{JsonObj, ProbeHandle};
 
 use crate::clock::LiveClock;
 use crate::origin::{LiveOrigin, OriginConfig};
 use crate::proxy::{DelaySource, LivePolicy, LiveProxy, ProxyConfig, ProxySnapshot, StoreKind};
-use crate::report::JsonObj;
 
 /// A scripted workload for the live stack — the same fields
 /// `webcache::Workload` carries, decoupled so `liveserve` does not

@@ -9,7 +9,6 @@
 use simcore::{FileId, SimTime};
 
 use crate::entry::EntryMeta;
-use crate::evict::EvictionPolicy;
 use crate::fifo::FifoStore;
 use crate::gds::GdsStore;
 use crate::lfu::LfuStore;
@@ -29,57 +28,6 @@ pub enum AnyStore {
     Gds(GdsStore),
     /// Byte-bounded with score-gated LFU eviction.
     Lfu(LfuStore),
-}
-
-impl AnyStore {
-    /// An unbounded store.
-    pub fn unbounded() -> Self {
-        AnyStore::Unbounded(UnboundedStore::new())
-    }
-
-    /// A byte-bounded LRU store.
-    ///
-    /// # Panics
-    /// Panics if `capacity_bytes` is zero.
-    pub fn lru(capacity_bytes: u64) -> Self {
-        AnyStore::Lru(LruStore::new(capacity_bytes))
-    }
-
-    /// A byte-bounded FIFO store.
-    ///
-    /// # Panics
-    /// Panics if `capacity_bytes` is zero.
-    pub fn fifo(capacity_bytes: u64) -> Self {
-        AnyStore::Fifo(FifoStore::new(capacity_bytes))
-    }
-
-    /// A byte-bounded GreedyDual-Size store.
-    ///
-    /// # Panics
-    /// Panics if `capacity_bytes` is zero.
-    pub fn gds(capacity_bytes: u64) -> Self {
-        AnyStore::Gds(GdsStore::new(capacity_bytes))
-    }
-
-    /// A byte-bounded score-gated LFU store.
-    ///
-    /// # Panics
-    /// Panics if `capacity_bytes` is zero.
-    pub fn lfu(capacity_bytes: u64) -> Self {
-        AnyStore::Lfu(LfuStore::new(capacity_bytes))
-    }
-
-    /// Short label for reports (`unbounded` / `lru` / `fifo` / `gds` /
-    /// `lfu`).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            AnyStore::Unbounded(_) => "unbounded",
-            AnyStore::Lru(s) => s.policy().name(),
-            AnyStore::Fifo(s) => s.policy().name(),
-            AnyStore::Gds(s) => s.policy().name(),
-            AnyStore::Lfu(s) => s.policy().name(),
-        }
-    }
 }
 
 /// Which store backs a cache — the run-time selection behind
@@ -111,11 +59,11 @@ impl StoreKind {
     pub fn build(self, shard: usize, shards: usize) -> AnyStore {
         let share = |capacity| shard_capacity(capacity, shard, shards);
         match self {
-            StoreKind::Unbounded => AnyStore::unbounded(),
-            StoreKind::Lru(capacity) => AnyStore::lru(share(capacity)),
-            StoreKind::Fifo(capacity) => AnyStore::fifo(share(capacity)),
-            StoreKind::Gds(capacity) => AnyStore::gds(share(capacity)),
-            StoreKind::Lfu(capacity) => AnyStore::lfu(share(capacity)),
+            StoreKind::Unbounded => AnyStore::Unbounded(UnboundedStore::new()),
+            StoreKind::Lru(capacity) => AnyStore::Lru(LruStore::new(share(capacity))),
+            StoreKind::Fifo(capacity) => AnyStore::Fifo(FifoStore::new(share(capacity))),
+            StoreKind::Gds(capacity) => AnyStore::Gds(GdsStore::new(share(capacity))),
+            StoreKind::Lfu(capacity) => AnyStore::Lfu(LfuStore::new(share(capacity))),
         }
     }
 }
@@ -138,12 +86,6 @@ pub fn shard_capacity(total: u64, shard: usize, shards: usize) -> u64 {
     let base = total / shards as u64;
     let spare = u64::from((shard as u64) < total % shards as u64);
     (base + spare).max(1)
-}
-
-impl Default for AnyStore {
-    fn default() -> Self {
-        AnyStore::unbounded()
-    }
 }
 
 macro_rules! dispatch {
@@ -213,25 +155,33 @@ mod tests {
         EntryMeta::fresh(size, t(0), t(0))
     }
 
+    /// One store of each kind, named, built as every caller builds one.
+    fn each_kind(capacity: u64) -> [(AnyStore, &'static str); 5] {
+        [
+            (StoreKind::Unbounded, "unbounded"),
+            (StoreKind::Lru(capacity), "lru"),
+            (StoreKind::Fifo(capacity), "fifo"),
+            (StoreKind::Gds(capacity), "gds"),
+            (StoreKind::Lfu(capacity), "lfu"),
+        ]
+        .map(|(kind, name)| (kind.build(0, 1), name))
+    }
+
     #[test]
-    fn variants_report_their_kind() {
-        assert_eq!(AnyStore::unbounded().kind(), "unbounded");
-        assert_eq!(AnyStore::lru(10).kind(), "lru");
-        assert_eq!(AnyStore::fifo(10).kind(), "fifo");
-        assert_eq!(AnyStore::gds(10).kind(), "gds");
-        assert_eq!(AnyStore::lfu(10).kind(), "lfu");
-        assert_eq!(AnyStore::default().kind(), "unbounded");
+    fn store_kind_builds_its_variant() {
+        let [(u, _), (lru, _), (fifo, _), (gds, _), (lfu, _)] = each_kind(10);
+        assert!(matches!(u, AnyStore::Unbounded(_)));
+        assert!(matches!(lru, AnyStore::Lru(_)));
+        assert!(matches!(fifo, AnyStore::Fifo(_)));
+        assert!(matches!(gds, AnyStore::Gds(_)));
+        assert!(matches!(lfu, AnyStore::Lfu(_)));
+        let default = StoreKind::default().build(0, 1);
+        assert!(matches!(default, AnyStore::Unbounded(_)));
     }
 
     #[test]
     fn store_operations_dispatch_to_each_variant() {
-        for mut s in [
-            AnyStore::unbounded(),
-            AnyStore::lru(1000),
-            AnyStore::fifo(1000),
-            AnyStore::gds(1000),
-            AnyStore::lfu(1000),
-        ] {
+        for (mut s, name) in each_kind(1000) {
             assert!(s.is_empty());
             assert!(s.insert(FileId(1), meta(100)).is_empty());
             assert!(s.insert(FileId(3), meta(50)).is_empty());
@@ -243,7 +193,7 @@ mod tests {
             s.invalidate(FileId(3));
             assert!(!s.peek(FileId(3)).unwrap().is_valid());
             let ids: Vec<u32> = s.iter().map(|(id, _)| id.0).collect();
-            assert_eq!(ids, vec![1, 3], "{}", s.kind());
+            assert_eq!(ids, vec![1, 3], "{name}");
             assert_eq!(s.remove(FileId(1)).unwrap().size, 100);
             assert_eq!(s.len(), 1);
         }
@@ -254,21 +204,22 @@ mod tests {
         // Id 15 first sizes every per-id array at exactly 16; the 16
         // queued entries grow a heap's nodes 4 -> 8 -> 16.
         let slots = 16 * size_of::<Option<EntryMeta>>();
-        for (mut s, policy) in [
-            (AnyStore::unbounded(), 0),
-            (AnyStore::lru(1 << 20), 16 * 8),
-            (AnyStore::fifo(1 << 20), 16 * 8),
-            (AnyStore::gds(1 << 20), 16 * 16 + 16 * 4),
-            (AnyStore::lfu(1 << 20), 16 * 4 + 16 * 8 + 16 * 4),
-        ] {
-            assert_eq!(s.heap_bytes(), 0, "{} holds nothing yet", s.kind());
+        let policies = [
+            0,
+            16 * 8,
+            16 * 8,
+            16 * 16 + 16 * 4,
+            16 * 4 + 16 * 8 + 16 * 4,
+        ];
+        for ((mut s, name), policy) in each_kind(1 << 20).into_iter().zip(policies) {
+            assert_eq!(s.heap_bytes(), 0, "{name} holds nothing yet");
             for id in [15].into_iter().chain(0..15) {
                 s.insert(FileId(id), meta(10));
                 s.access(FileId(id), t(1));
             }
             s.invalidate(FileId(3));
             s.remove(FileId(4));
-            assert_eq!(s.heap_bytes(), slots + policy, "{}", s.kind());
+            assert_eq!(s.heap_bytes(), slots + policy, "{name}");
         }
     }
 
@@ -294,19 +245,28 @@ mod tests {
 
     #[test]
     fn store_kind_builds_each_variant_with_its_shard_share() {
-        assert_eq!(StoreKind::default().build(0, 1).kind(), "unbounded");
-        assert_eq!(StoreKind::Unbounded.build(2, 3).kind(), "unbounded");
-        for (kind, name) in [
-            (StoreKind::Lru(100), "lru"),
-            (StoreKind::Fifo(100), "fifo"),
-            (StoreKind::Gds(100), "gds"),
-            (StoreKind::Lfu(100), "lfu"),
+        assert!(matches!(
+            StoreKind::Unbounded.build(2, 3),
+            AnyStore::Unbounded(_)
+        ));
+        for kind in [
+            StoreKind::Lru(100),
+            StoreKind::Fifo(100),
+            StoreKind::Gds(100),
+            StoreKind::Lfu(100),
         ] {
             // 100 bytes over 4 shards: a 30-byte entry overflows a share.
             let mut shard = kind.build(1, 4);
-            assert_eq!(shard.kind(), name);
+            let built = matches!(
+                (kind, &shard),
+                (StoreKind::Lru(_), AnyStore::Lru(_))
+                    | (StoreKind::Fifo(_), AnyStore::Fifo(_))
+                    | (StoreKind::Gds(_), AnyStore::Gds(_))
+                    | (StoreKind::Lfu(_), AnyStore::Lfu(_))
+            );
+            assert!(built, "{kind:?}");
             assert!(shard.insert(FileId(1), meta(20)).is_empty());
-            assert_eq!(shard.insert(FileId(2), meta(30)).len(), 1, "{name}");
+            assert_eq!(shard.insert(FileId(2), meta(30)).len(), 1, "{kind:?}");
         }
     }
 
@@ -318,17 +278,12 @@ mod tests {
 
     #[test]
     fn bounded_variants_evict_under_pressure() {
-        for mut s in [
-            AnyStore::lru(100),
-            AnyStore::fifo(100),
-            AnyStore::gds(100),
-            AnyStore::lfu(100),
-        ] {
+        let [(mut u, _), bounded @ ..] = each_kind(100);
+        for (mut s, name) in bounded {
             s.insert(FileId(1), meta(60));
-            assert_eq!(s.insert(FileId(2), meta(60)).len(), 1, "{}", s.kind());
+            assert_eq!(s.insert(FileId(2), meta(60)).len(), 1, "{name}");
             assert_eq!(s.len(), 1);
         }
-        let mut u = AnyStore::unbounded();
         u.insert(FileId(1), meta(60));
         assert!(u.insert(FileId(2), meta(60)).is_empty());
         assert_eq!(u.len(), 2);

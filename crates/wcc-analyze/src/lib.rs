@@ -18,9 +18,10 @@
 //!   `Policy::{decide, on_validation, on_fetch}`; every driver goes
 //!   through the engine.
 //!
-//! Entirely self-contained: a hand-rolled lexer ([`lexer`]), a scope
-//! pass ([`scan`]), the per-file rules ([`rules`]), and the
-//! workspace-level concurrency pass ([`concurrency`]). No registry
+//! Self-contained: a hand-rolled lexer ([`lexer`]), a scope pass
+//! ([`scan`]), the per-file rules ([`rules`]), and the workspace-level
+//! concurrency pass ([`concurrency`]); the `--json` report is written
+//! with the workspace's one JSON writer, `wcc_obs::JsonObj`. No registry
 //! dependencies, so the linter can gate CI without a network.
 
 #![forbid(unsafe_code)]
@@ -35,6 +36,8 @@ pub mod scan;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+use wcc_obs::JsonObj;
 
 pub use rules::Finding;
 
@@ -300,87 +303,56 @@ pub fn check_fixtures(dir: &Path) -> io::Result<FixtureReport> {
 
 // --- JSON ----------------------------------------------------------------
 
-/// Minimal JSON string escaping (mirrors `liveserve::report::quote`).
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// A JSON array of already-rendered values.
+fn array(items: impl Iterator<Item = String>) -> String {
+    format!("[{}]", items.collect::<Vec<_>>().join(","))
 }
 
 /// Serialize an [`Analysis`] as a single JSON object (machine-readable
 /// CI mode). Key order and array order are deterministic.
 pub fn to_json(a: &Analysis) -> String {
-    let mut s = String::from("{");
-    s.push_str(&format!("\"files_scanned\":{},", a.files_scanned));
-    s.push_str("\"rules\":[");
-    for (i, r) in rules::RULES.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"id\":{},\"name\":{},\"summary\":{}}}",
-            quote(r.id),
-            quote(r.name),
-            quote(r.summary)
-        ));
-    }
-    s.push_str("],");
-    s.push_str(&format!("\"unsuppressed\":{},", a.unsuppressed_count()));
-    s.push_str("\"by_rule\":{");
-    for (i, r) in rules::RULES.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
+    let rules = rules::RULES.iter().map(|r| {
+        JsonObj::new()
+            .str("id", r.id)
+            .str("name", r.name)
+            .str("summary", r.summary)
+            .finish()
+    });
+    let mut by_rule = JsonObj::new();
+    for r in rules::RULES {
         let n = a.unsuppressed().filter(|f| f.rule == r.id).count();
-        s.push_str(&format!("{}:{n}", quote(r.id)));
+        by_rule.u64(r.id, n as u64);
     }
-    s.push_str("},");
-    s.push_str("\"findings\":[");
-    for (i, f) in a.findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"rule\":{},\"name\":{},\"file\":{},\"line\":{},\"message\":{},\"suppressed\":{}}}",
-            quote(f.rule),
-            quote(f.name),
-            quote(&f.file),
-            f.line,
-            quote(&f.message),
-            match &f.suppressed {
-                Some(r) => quote(r),
-                None => "null".to_string(),
-            }
-        ));
-    }
-    s.push_str("],\"suppressions\":[");
-    for (i, sp) in a.suppressions.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"file\":{},\"line\":{},\"rules\":{},\"reason\":{},\"used\":{}}}",
-            quote(&sp.file),
-            sp.line,
-            quote(&sp.rules),
-            quote(&sp.reason),
-            sp.used
-        ));
-    }
-    s.push_str("]}");
-    s
+    let findings = a.findings.iter().map(|f| {
+        let mut obj = JsonObj::new();
+        obj.str("rule", f.rule)
+            .str("name", f.name)
+            .str("file", &f.file)
+            .u64("line", f.line.into())
+            .str("message", &f.message);
+        match &f.suppressed {
+            Some(reason) => obj.str("suppressed", reason),
+            None => obj.raw("suppressed", "null"),
+        };
+        obj.finish()
+    });
+    let suppressions = a.suppressions.iter().map(|sp| {
+        JsonObj::new()
+            .str("file", &sp.file)
+            .u64("line", sp.line.into())
+            .str("rules", &sp.rules)
+            .str("reason", &sp.reason)
+            .bool("used", sp.used)
+            .finish()
+    });
+    JsonObj::new()
+        .u64("files_scanned", a.files_scanned as u64)
+        .raw("rules", &array(rules))
+        .u64("unsuppressed", a.unsuppressed_count() as u64)
+        .raw("by_rule", &by_rule.finish())
+        .raw("findings", &array(findings))
+        .raw("suppressions", &array(suppressions))
+        .finish()
 }
 
 #[cfg(test)]
@@ -470,6 +442,5 @@ mod tests {
         // The rules manifest and per-rule counts ride along.
         assert!(j1.contains("\"id\":\"r8\",\"name\":\"guard-across-blocking\""));
         assert!(j1.contains("\"by_rule\":{\"r1\":1,\"r2\":0"));
-        assert_eq!(quote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

@@ -20,11 +20,12 @@ use std::ops::Deref;
 use std::thread;
 use std::time::Instant;
 
-use liveserve::report::{latency_json, rates_json, JsonObj};
 use liveserve::{HttpConn, LiveRunConfig, LiveStack, StackCounters, StackSpec};
 use simcore::{FileId, LatencyStats, SimTime};
-use wcc_obs::{ObsEvent, ProbeHandle};
+use wcc_obs::{JsonObj, ObsEvent, ProbeHandle};
 use wcc_sync::RankedMutex;
+
+use crate::driver::{latency_json, rates_json};
 
 /// Rank of the shared request source: a client holds it for one
 /// `next()` with nothing else held and releases it before it touches

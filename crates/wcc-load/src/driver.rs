@@ -34,10 +34,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use liveserve::report::{latency_json, rates_json, JsonObj};
 use liveserve::{HttpConn, LiveRunConfig, LiveStack, StackCounters, StackSpec};
 use simcore::{FileId, LatencyStats, SimDuration, SimTime};
-use wcc_obs::{ObsEvent, ProbeHandle, ShedReason};
+use wcc_obs::{JsonObj, ObsEvent, ProbeHandle, ShedReason};
 use wcc_sync::{RankedCondvar, RankedMutex};
 
 use crate::schedule::{Arrival, ArrivalSchedule, ScheduleConfig};
@@ -230,6 +229,50 @@ pub(crate) fn rate(count: u64, wall_seconds: f64) -> f64 {
     } else {
         0.0
     }
+}
+
+/// The `"rates"` object every load report shares: offered vs. achieved
+/// request rate plus the drop accounting that explains any gap between
+/// them (`drops.queue_full`: shed at a full pending queue;
+/// `drops.timeout`: abandoned past the queue-delay budget). A
+/// closed-loop run is the degenerate case where offered equals achieved
+/// and nothing drops.
+pub(crate) fn rates_json(
+    offered_rps: f64,
+    achieved_rps: f64,
+    dropped_queue_full: u64,
+    dropped_timeout: u64,
+) -> String {
+    let drops = JsonObj::new()
+        .u64("queue_full", dropped_queue_full)
+        .u64("timeout", dropped_timeout)
+        .finish();
+    JsonObj::new()
+        .f64("offered_rps", offered_rps)
+        .f64("achieved_rps", achieved_rps)
+        .raw("drops", &drops)
+        .finish()
+}
+
+/// The `"latency"`-shaped object for one [`LatencyStats`]: sample and
+/// drop counts always, percentiles and mean only when at least one
+/// sample was recorded.
+pub(crate) fn latency_json(stats: &LatencyStats) -> String {
+    let mut obj = JsonObj::new();
+    obj.u64("samples", stats.count());
+    obj.u64("dropped", stats.dropped());
+    if let (Some(p50), Some(p99), Some(p999), Some(mean)) = (
+        stats.p50_ns(),
+        stats.p99_ns(),
+        stats.p999_ns(),
+        stats.mean_ns(),
+    ) {
+        obj.u64("p50_ns", p50)
+            .u64("p99_ns", p99)
+            .u64("p999_ns", p999)
+            .f64("mean_ns", mean);
+    }
+    obj.finish()
 }
 
 /// A shot waiting in the pending queue, stamped at enqueue.
@@ -481,6 +524,27 @@ pub fn run_open_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rates_object_has_the_shared_schema() {
+        let json = rates_json(1000.0, 750.5, 40, 2);
+        assert_eq!(
+            json,
+            "{\"offered_rps\":1000.000000,\"achieved_rps\":750.500000,\
+             \"drops\":{\"queue_full\":40,\"timeout\":2}}"
+        );
+    }
+
+    #[test]
+    fn latency_object_skips_percentiles_when_empty() {
+        let empty = LatencyStats::new();
+        assert_eq!(latency_json(&empty), r#"{"samples":0,"dropped":0}"#);
+        let mut some = LatencyStats::new();
+        some.record_ns(1_000);
+        let json = latency_json(&some);
+        assert!(json.contains("\"samples\":1"));
+        assert!(json.contains("\"p999_ns\":"));
+    }
 
     fn queued(due_us: u64) -> Queued {
         Queued {

@@ -28,13 +28,13 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use liveserve::report::{latency_json, JsonObj};
 use liveserve::{LivePolicy, LiveProxy, LiveRunConfig, LiveStack, StackSpec};
 use originserver::{FilePopulation, FileRecord};
 use simcore::{FileId, LatencyStats, SimTime};
-use wcc_obs::ProbeHandle;
+use wcc_obs::{JsonObj, ProbeHandle};
 
 use crate::closed::drive;
+use crate::driver::latency_json;
 
 /// Sizing for one [`run_soak`] execution.
 #[derive(Debug, Clone, Copy)]

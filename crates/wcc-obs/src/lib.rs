@@ -13,6 +13,10 @@
 //! * [`MetricsProbe`] / [`MetricsRegistry`] — named counters and gauges
 //!   plus log2-bucketed histograms (time-to-stale, validation
 //!   intervals, invalidation fan-out, live-path latency).
+//! * [`JsonObj`] — the workspace's one JSON writer: trace lines, capture
+//!   headers, load reports, `--smoke` verdicts and the invariant linter's
+//!   report are all built with it, so escaping and number formatting are
+//!   written once.
 //! * [`profile`] — wall-clock phase timers for the sweep executor. This
 //!   is the **only** module in the workspace's simulation path that may
 //!   read real time, and only behind an explicit enable switch; each
@@ -25,18 +29,20 @@
 //! tests in the workspace root pin this.
 //!
 //! The crate depends only on `simcore` (for [`simcore::SimTime`] and
-//! friends) and the standard library — no registry crates, no vendored
-//! stubs.
+//! friends), `wcc-sync` (the ranked mutex behind [`ProbeHandle`]) and the
+//! standard library — no registry crates, no vendored stubs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod json;
 mod metrics;
 mod probe;
 pub mod profile;
 mod tally;
 mod trace;
 
+pub use json::JsonObj;
 pub use metrics::{Log2Histogram, MetricsProbe, MetricsRegistry};
 pub use probe::{
     ConnCloseReason, ExchangeKind, NoopProbe, ObsEvent, Probe, ProbeHandle, RequestOutcome,

@@ -1,10 +1,10 @@
 //! Bounded ring-buffered trace capture with deterministic JSONL export.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
-use simcore::SimTime;
+use simcore::{FileId, SimTime};
 
+use crate::json::JsonObj;
 use crate::probe::{ExchangeKind, ObsEvent, Probe, RequestOutcome, ServerOpKind};
 
 /// A [`Probe`] that keeps the most recent `capacity` events in a ring.
@@ -89,32 +89,33 @@ impl Probe for TraceProbe {
     }
 }
 
-/// One event as a single-line JSON object with a fixed field order.
+/// One event as a single-line JSON object with a fixed field order:
+/// `seq`, `t_s`, `kind`, the file when the event names one, then the
+/// variant's own fields.
 pub fn event_json(seq: u64, at: SimTime, event: &ObsEvent) -> String {
-    let mut s = String::with_capacity(64);
-    write!(s, "{{\"seq\":{seq},\"t_s\":{}", at.as_secs()).expect("infallible");
-    match event {
+    fn about<'o>(o: &'o mut JsonObj, kind: &str, file: FileId) -> &'o mut JsonObj {
+        o.str("kind", kind).u64("file", u64::from(file.0))
+    }
+    let mut obj = JsonObj::new();
+    let o = obj.u64("seq", seq).u64("t_s", at.as_secs());
+    match *event {
         ObsEvent::Request { file, outcome } => {
-            write!(s, ",\"kind\":\"request\",\"file\":{}", file.index()).expect("infallible");
-            match outcome {
-                RequestOutcome::FreshHit => s.push_str(",\"outcome\":\"fresh_hit\""),
-                RequestOutcome::StaleHit { age } => {
-                    write!(s, ",\"outcome\":\"stale_hit\",\"age_s\":{}", age.as_secs())
-                        .expect("infallible");
-                }
-                RequestOutcome::Miss => s.push_str(",\"outcome\":\"miss\""),
-                RequestOutcome::ValidatedFresh => s.push_str(",\"outcome\":\"validated_fresh\""),
-                RequestOutcome::ValidatedStale => s.push_str(",\"outcome\":\"validated_stale\""),
-                RequestOutcome::Uncacheable => s.push_str(",\"outcome\":\"uncacheable\""),
+            let (label, age) = match outcome {
+                RequestOutcome::FreshHit => ("fresh_hit", None),
+                RequestOutcome::StaleHit { age } => ("stale_hit", Some(age)),
+                RequestOutcome::Miss => ("miss", None),
+                RequestOutcome::ValidatedFresh => ("validated_fresh", None),
+                RequestOutcome::ValidatedStale => ("validated_stale", None),
+                RequestOutcome::Uncacheable => ("uncacheable", None),
+            };
+            let o = about(o, "request", file).str("outcome", label);
+            match age {
+                Some(age) => o.u64("age_s", age.as_secs()),
+                None => o,
             }
         }
         ObsEvent::Validation { file, modified } => {
-            write!(
-                s,
-                ",\"kind\":\"validation\",\"file\":{},\"modified\":{modified}",
-                file.index()
-            )
-            .expect("infallible");
+            about(o, "validation", file).bool("modified", modified)
         }
         ObsEvent::Exchange {
             file,
@@ -128,27 +129,16 @@ pub fn event_json(seq: u64, at: SimTime, event: &ObsEvent) -> String {
                 ExchangeKind::Gone => "gone",
                 ExchangeKind::Notice => "notice",
             };
-            write!(
-                s,
-                ",\"kind\":\"exchange\",\"file\":{},\"reply\":\"{reply}\",\"message_bytes\":{message_bytes},\"body_bytes\":{body_bytes}",
-                file.index()
-            )
-            .expect("infallible");
+            about(o, "exchange", file)
+                .str("reply", reply)
+                .u64("message_bytes", message_bytes)
+                .u64("body_bytes", body_bytes)
         }
         ObsEvent::Invalidation { file, fanout } => {
-            write!(
-                s,
-                ",\"kind\":\"invalidation\",\"file\":{},\"fanout\":{fanout}",
-                file.index()
-            )
-            .expect("infallible");
+            about(o, "invalidation", file).u64("fanout", fanout.into())
         }
-        ObsEvent::Eviction { file } => {
-            write!(s, ",\"kind\":\"eviction\",\"file\":{}", file.index()).expect("infallible");
-        }
-        ObsEvent::Modification { file } => {
-            write!(s, ",\"kind\":\"modification\",\"file\":{}", file.index()).expect("infallible");
-        }
+        ObsEvent::Eviction { file } => about(o, "eviction", file),
+        ObsEvent::Modification { file } => about(o, "modification", file),
         ObsEvent::ServerOp { kind } => {
             let op = match kind {
                 ServerOpKind::DocumentRequest => "document_request",
@@ -156,80 +146,50 @@ pub fn event_json(seq: u64, at: SimTime, event: &ObsEvent) -> String {
                 ServerOpKind::InvalidationSent => "invalidation_sent",
                 ServerOpKind::InvalidationRetracted => "invalidation_retracted",
             };
-            write!(s, ",\"kind\":\"server_op\",\"op\":\"{op}\"").expect("infallible");
+            o.str("kind", "server_op").str("op", op)
         }
-        ObsEvent::PolicyDecision { file, fresh } => {
-            write!(
-                s,
-                ",\"kind\":\"policy\",\"file\":{},\"fresh\":{fresh}",
-                file.index()
-            )
-            .expect("infallible");
-        }
+        ObsEvent::PolicyDecision { file, fresh } => about(o, "policy", file).bool("fresh", fresh),
         ObsEvent::Dispatched { pending } => {
-            write!(s, ",\"kind\":\"dispatched\",\"pending\":{pending}").expect("infallible");
+            o.str("kind", "dispatched").u64("pending", pending.into())
         }
-        ObsEvent::LiveLatency { micros } => {
-            write!(s, ",\"kind\":\"live_latency\",\"us\":{micros}").expect("infallible");
-        }
-        ObsEvent::ShardQueue { shard, depth } => {
-            write!(
-                s,
-                ",\"kind\":\"shard_queue\",\"shard\":{shard},\"depth\":{depth}"
-            )
-            .expect("infallible");
-        }
-        ObsEvent::Upstream { reused } => {
-            write!(s, ",\"kind\":\"upstream\",\"reused\":{reused}").expect("infallible");
-        }
-        ObsEvent::ConnAccepted { reactor, open } => {
-            write!(
-                s,
-                ",\"kind\":\"conn_accepted\",\"reactor\":{reactor},\"open\":{open}"
-            )
-            .expect("infallible");
-        }
-        ObsEvent::ConnClosed { reactor, reason } => {
-            write!(
-                s,
-                ",\"kind\":\"conn_closed\",\"reactor\":{reactor},\"reason\":\"{}\"",
-                reason.label()
-            )
-            .expect("infallible");
-        }
-        ObsEvent::AcceptBacklog { reactor, depth } => {
-            write!(
-                s,
-                ",\"kind\":\"accept_backlog\",\"reactor\":{reactor},\"depth\":{depth}"
-            )
-            .expect("infallible");
-        }
+        ObsEvent::LiveLatency { micros } => o.str("kind", "live_latency").u64("us", micros),
+        ObsEvent::ShardQueue { shard, depth } => o
+            .str("kind", "shard_queue")
+            .u64("shard", shard.into())
+            .u64("depth", depth.into()),
+        ObsEvent::Upstream { reused } => o.str("kind", "upstream").bool("reused", reused),
+        ObsEvent::ConnAccepted { reactor, open } => o
+            .str("kind", "conn_accepted")
+            .u64("reactor", reactor.into())
+            .u64("open", open.into()),
+        ObsEvent::ConnClosed { reactor, reason } => o
+            .str("kind", "conn_closed")
+            .u64("reactor", reactor.into())
+            .str("reason", reason.label()),
+        ObsEvent::AcceptBacklog { reactor, depth } => o
+            .str("kind", "accept_backlog")
+            .u64("reactor", reactor.into())
+            .u64("depth", depth.into()),
         ObsEvent::OpenLoopArrival { depth } => {
-            write!(s, ",\"kind\":\"openloop_arrival\",\"depth\":{depth}").expect("infallible");
+            o.str("kind", "openloop_arrival").u64("depth", depth.into())
         }
         ObsEvent::OpenLoopShed { reason } => {
-            write!(
-                s,
-                ",\"kind\":\"openloop_shed\",\"reason\":\"{}\"",
-                reason.label()
-            )
-            .expect("infallible");
+            o.str("kind", "openloop_shed").str("reason", reason.label())
         }
         ObsEvent::OpenLoopQueueDelay { micros } => {
-            write!(s, ",\"kind\":\"openloop_queue_delay\",\"us\":{micros}").expect("infallible");
+            o.str("kind", "openloop_queue_delay").u64("us", micros)
         }
         ObsEvent::LockContended { rank } => {
-            write!(s, ",\"kind\":\"lock_contended\",\"rank\":{rank}").expect("infallible");
+            o.str("kind", "lock_contended").u64("rank", rank.into())
         }
-    }
-    s.push('}');
-    s
+    };
+    obj.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::{FileId, SimDuration};
+    use simcore::SimDuration;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)

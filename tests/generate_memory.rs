@@ -6,26 +6,14 @@
 //! has a binary of its own.
 #![cfg(target_os = "linux")]
 
+mod common;
+
 use std::mem::size_of;
 
 use wwwcache::simcore::{FileId, SimTime};
 use wwwcache::webcache::{generate_synthetic, WorrellConfig};
 
-/// `VmHWM` from `/proc/self/status`, in bytes.
-fn peak_rss_bytes() -> u64 {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
-    let line = status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .expect("the kernel reports VmHWM");
-    let kib: u64 = line
-        .trim()
-        .trim_end_matches("kB")
-        .trim()
-        .parse()
-        .expect("VmHWM is a number of kB");
-    kib * 1024
-}
+use common::{peak_rss_bytes, reset_peak};
 
 #[test]
 fn generating_a_stream_does_not_sort_a_copy_of_its_instants() {
@@ -38,9 +26,7 @@ fn generating_a_stream_does_not_sort_a_copy_of_its_instants() {
     let config = WorrellConfig::scaled(2085, 2_000_000);
     let stream_bytes = (config.requests * size_of::<(SimTime, FileId)>()) as u64;
 
-    // Writing 5 resets the peak to the current resident set.
-    std::fs::write("/proc/self/clear_refs", "5").expect("/proc/self/clear_refs is writable");
-    let before = peak_rss_bytes();
+    let before = reset_peak();
     let wl = generate_synthetic(&config, 31);
     let grown = peak_rss_bytes() - before;
 

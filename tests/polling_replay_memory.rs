@@ -6,6 +6,8 @@
 //! has a binary of its own.
 #![cfg(target_os = "linux")]
 
+mod common;
+
 use std::mem::size_of;
 
 use wwwcache::simcore::{FileId, SimTime};
@@ -14,27 +16,11 @@ use wwwcache::webcache::{
     WorkloadKnobs, WorrellConfig,
 };
 
-/// `VmHWM` from `/proc/self/status`, in bytes.
-fn peak_rss_bytes() -> u64 {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
-    let line = status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .expect("the kernel reports VmHWM");
-    let kib: u64 = line
-        .trim()
-        .trim_end_matches("kB")
-        .trim()
-        .parse()
-        .expect("VmHWM is a number of kB");
-    kib * 1024
-}
+use common::{peak_rss_bytes, reset_peak};
 
 /// How much one replay of `wl` under `spec` grows the peak resident set.
 fn peak_growth(wl: &Workload, spec: ProtocolSpec) -> u64 {
-    // Writing 5 resets the peak to the current resident set.
-    std::fs::write("/proc/self/clear_refs", "5").expect("/proc/self/clear_refs is writable");
-    let before = peak_rss_bytes();
+    let before = reset_peak();
     let result = Experiment::new(wl).protocol(spec).run().result;
     assert_eq!(result.cache.requests() as usize, wl.request_count());
     peak_rss_bytes() - before

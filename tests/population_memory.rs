@@ -8,6 +8,8 @@
 //! `VmHWM` is per process, so this test has a binary of its own.
 #![cfg(target_os = "linux")]
 
+mod common;
+
 use std::mem::size_of;
 
 use wwwcache::originserver::Version;
@@ -15,21 +17,7 @@ use wwwcache::webcache::{
     generate_synthetic, LifetimeModel, PopularityModel, WorkloadKnobs, WorrellConfig,
 };
 
-/// `VmHWM` from `/proc/self/status`, in bytes.
-fn peak_rss_bytes() -> u64 {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
-    let line = status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .expect("the kernel reports VmHWM");
-    let kib: u64 = line
-        .trim()
-        .trim_end_matches("kB")
-        .trim()
-        .parse()
-        .expect("VmHWM is a number of kB");
-    kib * 1024
-}
+use common::{peak_rss_bytes, reset_peak};
 
 #[test]
 fn a_generated_population_costs_about_its_rows() {
@@ -59,9 +47,7 @@ fn a_generated_population_costs_about_its_rows() {
         ..WorrellConfig::paper_run()
     };
 
-    // Writing 5 resets the peak to the current resident set.
-    std::fs::write("/proc/self/clear_refs", "5").expect("/proc/self/clear_refs is writable");
-    let before = peak_rss_bytes();
+    let before = reset_peak();
     let wl = generate_synthetic(&config, 1996);
     let grown = peak_rss_bytes() - before;
 

@@ -4,26 +4,14 @@
 //! (`VmHWM`), reset just before the replay (Linux only).
 #![cfg(target_os = "linux")]
 
+mod common;
+
 use std::mem::size_of;
 
 use wwwcache::simcore::{FileId, SimTime};
 use wwwcache::webcache::{generate_synthetic, Experiment, ProtocolSpec, WorrellConfig};
 
-/// `VmHWM` from `/proc/self/status`, in bytes.
-fn peak_rss_bytes() -> u64 {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
-    let line = status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .expect("the kernel reports VmHWM");
-    let kib: u64 = line
-        .trim()
-        .trim_end_matches("kB")
-        .trim()
-        .parse()
-        .expect("VmHWM is a number of kB");
-    kib * 1024
-}
+use common::{peak_rss_bytes, reset_peak};
 
 #[test]
 fn a_replay_does_not_copy_its_request_stream() {
@@ -49,9 +37,7 @@ fn a_replay_does_not_copy_its_request_stream() {
     // The stream is reserved at its exact size, 8 bytes a request.
     assert_eq!(wl.heap_tables()[0], ("requests", 8 * 2_000_000));
 
-    // Writing 5 resets the peak to the current resident set.
-    std::fs::write("/proc/self/clear_refs", "5").expect("/proc/self/clear_refs is writable");
-    let before = peak_rss_bytes();
+    let before = reset_peak();
     let result = Experiment::new(&wl)
         .protocol(ProtocolSpec::Alex(20))
         .run()
